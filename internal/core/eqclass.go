@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -66,25 +68,27 @@ type occRef struct {
 	v   graph.VertexID
 }
 
-// segIndex provides local adjacency for one segment: only segment edges.
+// segIndex provides local adjacency for one segment: vertices are numbered
+// by their position in Segment.Vertices and arcs are segment edges only.
 type segIndex struct {
-	seg   *Segment
-	out   map[graph.VertexID][]graph.EdgeID
-	in    map[graph.VertexID][]graph.EdgeID
-	verts []graph.VertexID
+	out [][]halfArc
+	in  [][]halfArc
 }
 
 func indexSegment(s *Segment) *segIndex {
 	si := &segIndex{
-		seg:   s,
-		out:   make(map[graph.VertexID][]graph.EdgeID),
-		in:    make(map[graph.VertexID][]graph.EdgeID),
-		verts: s.Vertices,
+		out: make([][]halfArc, len(s.Vertices)),
+		in:  make([][]halfArc, len(s.Vertices)),
+	}
+	idx := make(map[graph.VertexID]int, len(s.Vertices))
+	for i, v := range s.Vertices {
+		idx[v] = i
 	}
 	g := s.P.PG()
 	for _, e := range s.Edges {
-		si.out[g.Src(e)] = append(si.out[g.Src(e)], e)
-		si.in[g.Dst(e)] = append(si.in[g.Dst(e)], e)
+		from, to, rel := idx[g.Src(e)], idx[g.Dst(e)], uint8(s.P.RelOf(e))
+		si.out[from] = append(si.out[from], halfArc{to: to, rel: rel})
+		si.in[to] = append(si.in[to], halfArc{to: from, rel: rel})
 	}
 	return si
 }
@@ -109,95 +113,84 @@ type classifier struct {
 	opts SumOptions
 	segs []*segIndex
 
-	// color per occurrence, refined in rounds.
-	colors []map[graph.VertexID]int
-
-	// interning of color signatures.
-	colorIDs map[string]int
-	// display name of each class (base color of any member + type index).
+	// colors[i][j] is the class of vertex j of segment i, refined in
+	// rounds.
+	colors [][]int
+	// classBase is the display name of each class (the base color of its
+	// members).
 	classBase []string
-}
-
-func (c *classifier) intern(sig string) int {
-	if id, ok := c.colorIDs[sig]; ok {
-		return id
-	}
-	id := len(c.colorIDs)
-	c.colorIDs[sig] = id
-	return id
 }
 
 // classify computes the final class id of every occurrence across all
 // segments. The same class id means "mergeable candidates" per the
-// equivalence relation.
+// equivalence relation. Ids are interned in first-appearance order
+// (segment by segment, vertex by vertex).
 func classify(segs []*Segment, opts SumOptions) *classifier {
 	c := &classifier{
-		opts:     opts,
-		segs:     make([]*segIndex, len(segs)),
-		colors:   make([]map[graph.VertexID]int, len(segs)),
-		colorIDs: make(map[string]int),
+		opts:   opts,
+		segs:   make([]*segIndex, len(segs)),
+		colors: make([][]int, len(segs)),
 	}
+	// Round 0: kind + K-projected properties.
+	ids := make(map[string]int)
 	for i, s := range segs {
 		c.segs[i] = indexSegment(s)
-		c.colors[i] = make(map[graph.VertexID]int, len(s.Vertices))
-	}
-	var baseOf []string
-	// Round 0: kind + K-projected properties.
-	for i, si := range c.segs {
-		for _, v := range si.verts {
-			sig := baseColor(si.seg.P, v, opts.K)
-			id := c.intern(sig)
-			for id >= len(baseOf) {
-				baseOf = append(baseOf, "")
+		c.colors[i] = make([]int, len(s.Vertices))
+		for j, v := range s.Vertices {
+			sig := baseColor(s.P, v, opts.K)
+			id, ok := ids[sig]
+			if !ok {
+				id = len(ids)
+				ids[sig] = id
+				c.classBase = append(c.classBase, sig)
 			}
-			baseOf[id] = sig
-			c.colors[i][v] = id
+			c.colors[i][j] = id
 		}
 	}
-	// Refinement rounds 1..k.
+	// Refinement rounds 1..k: a vertex's next color is its current color
+	// plus the sorted multiset of (direction, relationship, neighbor color)
+	// over its segment edges, spelled into one reused byte buffer.
+	var (
+		parts []uint64
+		sig   []byte
+	)
 	for round := 0; round < opts.TypeRadius; round++ {
-		next := make([]map[graph.VertexID]int, len(c.segs))
-		newBase := make([]string, 0, len(baseOf))
-		newIDs := make(map[string]int)
-		internNext := func(sig, base string) int {
-			if id, ok := newIDs[sig]; ok {
-				return id
-			}
-			id := len(newIDs)
-			newIDs[sig] = id
-			newBase = append(newBase, base)
-			return id
-		}
+		next := make([][]int, len(c.segs))
+		var nextBase []string
+		clear(ids)
 		for i, si := range c.segs {
-			next[i] = make(map[graph.VertexID]int, len(si.verts))
-			g := si.seg.P.PG()
-			for _, v := range si.verts {
-				parts := make([]string, 0, len(si.out[v])+len(si.in[v]))
-				for _, e := range si.out[v] {
-					parts = append(parts, fmt.Sprintf(">%d:%d", si.seg.P.RelOf(e), c.colors[i][g.Dst(e)]))
+			cur := c.colors[i]
+			next[i] = make([]int, len(cur))
+			for j := range cur {
+				parts = parts[:0]
+				for _, a := range si.out[j] {
+					parts = append(parts, uint64(a.rel)<<32|uint64(cur[a.to]))
 				}
-				for _, e := range si.in[v] {
-					parts = append(parts, fmt.Sprintf("<%d:%d", si.seg.P.RelOf(e), c.colors[i][g.Src(e)]))
+				for _, a := range si.in[j] {
+					parts = append(parts, 1<<63|uint64(a.rel)<<32|uint64(cur[a.to]))
 				}
-				sort.Strings(parts)
-				cur := c.colors[i][v]
-				sig := fmt.Sprintf("%d;%s", cur, strings.Join(parts, ","))
-				next[i][v] = internNext(sig, baseOf[cur])
+				slices.Sort(parts)
+				sig = binary.LittleEndian.AppendUint64(sig[:0], uint64(cur[j]))
+				for _, p := range parts {
+					sig = binary.LittleEndian.AppendUint64(sig, p)
+				}
+				id, ok := ids[string(sig)]
+				if !ok {
+					id = len(ids)
+					ids[string(sig)] = id
+					nextBase = append(nextBase, c.classBase[cur[j]])
+				}
+				next[i][j] = id
 			}
 		}
 		c.colors = next
-		baseOf = newBase
-		c.colorIDs = newIDs
+		c.classBase = nextBase
 	}
-	c.classBase = baseOf
 	if opts.ExactIso && opts.TypeRadius > 0 {
 		c.splitByExactIso()
 	}
 	return c
 }
-
-// classOf returns the final class id of an occurrence.
-func (c *classifier) classOf(o occRef) int { return c.colors[o.seg][o.v] }
 
 // className returns a display name for a class: the base color plus a
 // provenance-type discriminator index (Fig. 2(e)'s "(t1)" / "(t2)").
@@ -212,18 +205,18 @@ func (c *classifier) className(class int) string {
 // k-hop neighborhoods: occurrences that share a refinement color but have
 // non-isomorphic neighborhoods receive fresh class ids.
 func (c *classifier) splitByExactIso() {
-	groups := make(map[int][]occRef)
-	for i, si := range c.segs {
-		for _, v := range si.verts {
-			cl := c.colors[i][v]
-			groups[cl] = append(groups[cl], occRef{seg: i, v: v})
+	type occ struct{ seg, j int } // vertex j of segment seg
+	groups := make(map[int][]occ)
+	for i, colors := range c.colors {
+		for j, cl := range colors {
+			groups[cl] = append(groups[cl], occ{seg: i, j: j})
 		}
 	}
 	maxNodes := c.opts.MaxIsoNodes
 	if maxNodes <= 0 {
 		maxNodes = 64
 	}
-	nextID := len(c.colorIDs)
+	nextID := len(c.classBase)
 	classes := make([]int, 0, len(groups))
 	for cl := range groups {
 		classes = append(classes, cl)
@@ -242,7 +235,7 @@ func (c *classifier) splitByExactIso() {
 		}
 		var subs []subclass
 		for _, m := range members {
-			h := c.extractNeighborhood(m, maxNodes)
+			h := c.extractNeighborhood(m.seg, m.j, maxNodes)
 			if h == nil {
 				// Over-budget neighborhood: keep the refinement color.
 				continue
@@ -250,7 +243,7 @@ func (c *classifier) splitByExactIso() {
 			placed := false
 			for _, sc := range subs {
 				if isomorphic(h, sc.hood) {
-					c.colors[m.seg][m.v] = sc.id
+					c.colors[m.seg][m.j] = sc.id
 					placed = true
 					break
 				}
@@ -266,7 +259,7 @@ func (c *classifier) splitByExactIso() {
 					c.classBase[id] = c.classBase[cl]
 				}
 				subs = append(subs, subclass{hood: h, id: id})
-				c.colors[m.seg][m.v] = id
+				c.colors[m.seg][m.j] = id
 			}
 		}
 	}

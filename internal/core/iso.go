@@ -2,8 +2,6 @@ package core
 
 import (
 	"sort"
-
-	"repro/internal/graph"
 )
 
 // Exact rooted isomorphism of k-hop neighborhoods, used to sharpen the
@@ -26,34 +24,26 @@ type halfArc struct {
 	rel uint8
 }
 
-// extractNeighborhood builds the k-hop ball around an occurrence, following
-// segment edges in both directions; it returns nil when the ball exceeds
-// maxNodes (caller falls back to refinement colors).
-func (c *classifier) extractNeighborhood(o occRef, maxNodes int) *neighborhood {
-	si := c.segs[o.seg]
-	g := si.seg.P.PG()
+// extractNeighborhood builds the k-hop ball around vertex root of segment
+// seg, following segment edges in both directions; it returns nil when the
+// ball exceeds maxNodes (caller falls back to refinement colors).
+func (c *classifier) extractNeighborhood(seg, root, maxNodes int) *neighborhood {
+	si := c.segs[seg]
 	k := c.opts.TypeRadius
 
-	idx := map[graph.VertexID]int{o.v: 0}
-	order := []graph.VertexID{o.v}
-	frontier := []graph.VertexID{o.v}
+	idx := map[int]int{root: 0}
+	order := []int{root}
+	frontier := []int{root}
 	for hop := 0; hop < k; hop++ {
-		var next []graph.VertexID
+		var next []int
 		for _, v := range frontier {
-			for _, e := range si.out[v] {
-				d := g.Dst(e)
-				if _, ok := idx[d]; !ok {
-					idx[d] = len(order)
-					order = append(order, d)
-					next = append(next, d)
-				}
-			}
-			for _, e := range si.in[v] {
-				s := g.Src(e)
-				if _, ok := idx[s]; !ok {
-					idx[s] = len(order)
-					order = append(order, s)
-					next = append(next, s)
+			for _, arcs := range [2][]halfArc{si.out[v], si.in[v]} {
+				for _, a := range arcs {
+					if _, ok := idx[a.to]; !ok {
+						idx[a.to] = len(order)
+						order = append(order, a.to)
+						next = append(next, a.to)
+					}
 				}
 			}
 		}
@@ -68,14 +58,13 @@ func (c *classifier) extractNeighborhood(o occRef, maxNodes int) *neighborhood {
 		in:     make([][]halfArc, len(order)),
 	}
 	for i, v := range order {
-		h.labels[i] = c.colors[o.seg][v]
+		h.labels[i] = c.colors[seg][v]
 	}
 	for i, v := range order {
-		for _, e := range si.out[v] {
-			if j, ok := idx[g.Dst(e)]; ok {
-				rel := uint8(si.seg.P.RelOf(e))
-				h.out[i] = append(h.out[i], halfArc{to: j, rel: rel})
-				h.in[j] = append(h.in[j], halfArc{to: i, rel: rel})
+		for _, a := range si.out[v] {
+			if j, ok := idx[a.to]; ok {
+				h.out[i] = append(h.out[i], halfArc{to: j, rel: a.rel})
+				h.in[j] = append(h.in[j], halfArc{to: i, rel: a.rel})
 			}
 		}
 	}

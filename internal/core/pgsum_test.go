@@ -1,13 +1,17 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/prov"
 )
 
 // pathLanguage enumerates all path-label words up to maxLen edges in a
@@ -230,4 +234,91 @@ func TestPsgMemberPartition(t *testing.T) {
 		t.Errorf("InputVertices=%d, want %d", psg.InputVertices, want)
 	}
 	var _ graph.VertexID // keep import
+}
+
+// TestSummarizeMatchesDenseOracle holds Summarize — class-local simulation,
+// relations reused across unchanged phases, lazy reach guard, sorted
+// assembly — to the old merge loop over the dense simulation: the Psg must
+// be identical, not close, on many-label Pd inputs (the sum_pd shape) and
+// few-label Sd inputs (the Fig. 5e-h shape).
+func TestSummarizeMatchesDenseOracle(t *testing.T) {
+	check := func(name string, segs []*core.Segment, opts core.SumOptions) {
+		t.Helper()
+		got, err := core.Summarize(segs, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := core.DenseSummarize(segs, opts); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Psg differs from the oracle: %d nodes / %d edges / %d rounds, oracle %d / %d / %d",
+				name, len(got.Nodes), len(got.Edges), got.Rounds, len(want.Nodes), len(want.Edges), want.Rounds)
+		}
+		// Class ids too: same partition, same first-appearance numbering
+		// (PsgNode.Class and the "(tN)" label suffixes hang off them).
+		if !opts.ExactIso && !slices.Equal(core.ClassLabels(segs, opts), core.StringClassLabels(segs, opts)) {
+			t.Errorf("%s: class ids differ from the string-signature refinement", name)
+		}
+	}
+	sizes := []int{300, 1000}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, n := range sizes {
+		segs := pdWideSegments(t, n, 3)
+		check(fmt.Sprintf("Pd-%d/2", n), segs[:2], pdSumOptions)
+		check(fmt.Sprintf("Pd-%d/3", n), segs, pdSumOptions)
+		check(fmt.Sprintf("Pd-%d/3 radius 0", n), segs, core.SumOptions{})
+	}
+	for _, cfg := range []gen.SdConfig{
+		{Alpha: 0.025}, {Alpha: 1}, {States: 3}, {States: 25}, {Activities: 40}, {Alpha: 0.25, Segments: 20},
+	} {
+		for seed := int64(1); seed <= 2; seed++ {
+			cfg.Seed = seed
+			_, segs := gen.Sd(cfg)
+			check(fmt.Sprintf("Sd %+v", cfg), segs, gen.SdSumOptions())
+			opts := gen.SdSumOptions()
+			opts.TypeRadius, opts.ExactIso, opts.MaxRounds = 2, true, 1
+			check(fmt.Sprintf("Sd %+v exact-iso", cfg), segs, opts)
+			if testing.Short() {
+				break
+			}
+		}
+	}
+}
+
+// TestPsgInvariantOnPd runs the bounded path-label-language check (g0 and
+// Psg spell the same words) on multi-segment Pd inputs under the options of
+// the sum_pd workload.
+func TestPsgInvariantOnPd(t *testing.T) {
+	segs := pdWideSegments(t, 300, 3)
+	for _, k := range []int{2, 3} {
+		name := fmt.Sprintf("Pd-300/%d", k)
+		psg, err := core.Summarize(segs[:k], pdSumOptions)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if psg.Segments != k || len(psg.Nodes) >= psg.InputVertices {
+			t.Errorf("%s: %d segments, %d nodes of %d occurrences; want a real summary", name, psg.Segments, len(psg.Nodes), psg.InputVertices)
+		}
+		checkPsgDAG(t, name, psg)
+		checkPsgInvariant(t, name, segs[:k], psg, 5)
+	}
+}
+
+// TestSummarizeCyclicInput: a derivation cycle (which only a graph that
+// skipped validation can hold) is a typed error; this shape used to survive the two
+// equivalence phases and nil-dereference in the dominance phase's reach
+// guard.
+func TestSummarizeCyclicInput(t *testing.T) {
+	p := prov.New()
+	var e []graph.VertexID
+	for i := 0; i < 6; i++ {
+		e = append(e, p.NewEntity(fmt.Sprintf("e%d", i)))
+	}
+	for _, arc := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}, {4, 1}, {0, 5}} { // 1 -> 2 -> 3 -> 1 is the cycle
+		p.WasDerivedFrom(e[arc[0]], e[arc[1]])
+	}
+	_, err := core.Summarize([]*core.Segment{core.NewSegment(p, e)}, core.SumOptions{})
+	if !errors.Is(err, core.ErrNotDAG) {
+		t.Fatalf("Summarize on a cycle: err=%v, want ErrNotDAG", err)
+	}
 }

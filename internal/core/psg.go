@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitmap"
-	"repro/internal/graph"
 	"repro/internal/prov"
 )
 
@@ -70,69 +71,97 @@ type origEdge struct {
 	rel      prov.Rel
 }
 
-// Summarize evaluates PgSum(S, K, Rk) and returns the summary graph.
+// liftEdges maps the endpoints of occurrence-space edges to their current
+// nodes.
+func liftEdges(edges []origEdge, nodeOf []int) []origEdge {
+	lifted := make([]origEdge, len(edges))
+	for i, e := range edges {
+		lifted[i] = origEdge{seg: e.seg, from: nodeOf[e.from], to: nodeOf[e.to], rel: e.rel}
+	}
+	return lifted
+}
+
+// sumInput is g0: the class-labeled disjoint union of the input segments,
+// in occurrence space.
+type sumInput struct {
+	segs    []*Segment
+	labels  []int // class per occurrence
+	occs    []occRef
+	edges   []origEdge
+	classNm map[int]string
+}
+
+func newSumInput(segs []*Segment, opts SumOptions) *sumInput {
+	cls := classify(segs, opts)
+	nv, ne := 0, 0
+	for _, s := range segs {
+		nv += len(s.Vertices)
+		ne += len(s.Edges)
+	}
+	in := &sumInput{
+		segs:    segs,
+		labels:  make([]int, 0, nv),
+		occs:    make([]occRef, 0, nv),
+		edges:   make([]origEdge, 0, ne),
+		classNm: make(map[int]string),
+	}
+	for i, s := range segs {
+		base := len(in.occs) // occurrence index of the segment's vertex 0
+		for j, v := range s.Vertices {
+			in.occs = append(in.occs, occRef{seg: i, v: v})
+			cl := cls.colors[i][j]
+			in.labels = append(in.labels, cl)
+			if _, ok := in.classNm[cl]; !ok {
+				in.classNm[cl] = cls.className(cl)
+			}
+		}
+		for from, arcs := range cls.segs[i].out {
+			for _, a := range arcs {
+				in.edges = append(in.edges, origEdge{seg: i, from: base + from, to: base + a.to, rel: prov.Rel(a.rel)})
+			}
+		}
+	}
+	in.classNm = discriminate(in.classNm)
+	return in
+}
+
+// Summarize evaluates PgSum(S, K, Rk) and returns the summary graph. It
+// returns ErrNotDAG when the union of the segments has a cycle.
 func Summarize(segs []*Segment, opts SumOptions) (*Psg, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("core: PgSum needs at least one segment")
 	}
-	cls := classify(segs, opts)
-
-	// Build g0: the disjoint union of the segments, labeled by class.
-	var (
-		labels  []int // per occurrence
-		occs    []occRef
-		edges   []origEdge
-		classNm = make(map[int]string)
-	)
-	for i, s := range segs {
-		occIdx := make(map[graph.VertexID]int, len(s.Vertices))
-		for _, v := range s.Vertices {
-			o := occRef{seg: i, v: v}
-			occIdx[v] = len(occs)
-			occs = append(occs, o)
-			cl := cls.classOf(o)
-			labels = append(labels, cl)
-			if _, ok := classNm[cl]; !ok {
-				classNm[cl] = cls.className(cl)
-			}
-		}
-		g := s.P.PG()
-		for _, e := range s.Edges {
-			edges = append(edges, origEdge{
-				seg:  i,
-				from: occIdx[g.Src(e)],
-				to:   occIdx[g.Dst(e)],
-				rel:  s.P.RelOf(e),
-			})
-		}
-	}
-	classNm = discriminate(classNm)
+	g0 := newSumInput(segs, opts)
 
 	// nodeOf maps each occurrence to its current Psg node (dense ids).
-	n0 := len(occs)
-	nodeOf := make([]int, n0)
+	nodeOf := make([]int, len(g0.occs))
 	for i := range nodeOf {
 		nodeOf[i] = i
 	}
-	cur := buildSumGraph(labels, nodeOf, n0, edges)
+	cur := buildSumGraph(g0.labels, nodeOf, len(nodeOf), g0.edges)
 
 	// Merge loop: one Lemma 5 condition per phase. Batching a single
 	// condition is sound (see mergePhase); mixing conditions in one batch
 	// can weave cycles through the quotient, so phases alternate with
-	// graph rebuilds until a full cycle makes no progress.
+	// graph rebuilds until a full cycle makes no progress. A phase that
+	// merges nothing leaves cur — and the simulations memoized on it — in
+	// place for the next phase.
 	rounds := 0
 	for opts.MaxRounds == 0 || rounds < opts.MaxRounds {
 		progressed := false
 		for _, phase := range []mergeCondition{condInEquiv, condOutEquiv, condDominance} {
-			remap, numNew, changed := mergePhase(cur, phase)
-			if !changed {
+			remap, numNew, err := mergePhase(cur, phase)
+			if err != nil {
+				return nil, err
+			}
+			if remap == nil {
 				continue
 			}
 			progressed = true
 			for i := range nodeOf {
 				nodeOf[i] = remap[nodeOf[i]]
 			}
-			cur = buildSumGraph(labels, nodeOf, numNew, edges)
+			cur = buildSumGraph(g0.labels, nodeOf, numNew, g0.edges)
 		}
 		rounds++
 		if !progressed {
@@ -140,7 +169,7 @@ func Summarize(segs []*Segment, opts SumOptions) (*Psg, error) {
 		}
 	}
 
-	return assemblePsg(cur, nodeOf, labels, occs, segs, edges, classNm, rounds), nil
+	return g0.assemble(cur.numNodes(), nodeOf, rounds), nil
 }
 
 // discriminate appends (t1), (t2), ... to class names that share a base
@@ -165,29 +194,14 @@ func discriminate(names map[int]string) map[int]string {
 }
 
 // buildSumGraph materializes the quotient graph over numNodes nodes: node
-// labels come from member occurrences; arcs deduplicate parallel (rel, to)
-// pairs (parallel identical edges do not change the path-label language).
+// labels come from member occurrences, arcs from the segment edges mapped
+// through nodeOf.
 func buildSumGraph(labels, nodeOf []int, numNodes int, edges []origEdge) *sumGraph {
-	g := &sumGraph{
-		label: make([]int, numNodes),
-		out:   make([][]halfArc, numNodes),
-		in:    make([][]halfArc, numNodes),
-	}
+	label := make([]int, numNodes)
 	for i, nd := range nodeOf {
-		g.label[nd] = labels[i]
+		label[nd] = labels[i]
 	}
-	seen := make(map[int64]bool, len(edges))
-	for _, e := range edges {
-		f, t := nodeOf[e.from], nodeOf[e.to]
-		key := int64(f)<<34 | int64(t)<<4 | int64(e.rel)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		g.out[f] = append(g.out[f], halfArc{to: t, rel: uint8(e.rel)})
-		g.in[t] = append(g.in[t], halfArc{to: f, rel: uint8(e.rel)})
-	}
-	return g
+	return newSumGraph(label, liftEdges(edges, nodeOf))
 }
 
 // mergeCondition selects which Lemma 5 condition a phase applies.
@@ -209,11 +223,11 @@ const (
 	condDominance
 )
 
-// mergePhase computes simulations on the current graph and applies one
-// batch of merges under a single Lemma 5 condition. It returns a remap
-// from old node ids to new dense node ids, the new node count, and whether
-// anything merged.
-func mergePhase(g *sumGraph, cond mergeCondition) (remap []int, numNew int, changed bool) {
+// mergePhase applies one batch of merges under a single Lemma 5 condition,
+// on the graph's (memoized) simulations. It returns a remap from old node
+// ids to new dense node ids and the new node count; remap is nil when
+// nothing merged.
+func mergePhase(g *sumGraph, cond mergeCondition) (remap []int, numNew int, err error) {
 	n := g.numNodes()
 	parent := make([]int, n)
 	for i := range parent {
@@ -231,25 +245,35 @@ func mergePhase(g *sumGraph, cond mergeCondition) (remap []int, numNew int, chan
 
 	switch cond {
 	case condInEquiv, condOutEquiv:
-		sim := simulation(g, cond == condOutEquiv)
-		for _, class := range simEquivClasses(sim) {
+		sim, err := g.sim(cond == condOutEquiv)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, class := range simEquivClasses(g, sim) {
 			for _, m := range class[1:] {
 				parent[find(m)] = find(class[0])
 				merged = true
 			}
 		}
 	case condDominance:
-		simIn := simulation(g, false)
-		simOut := simulation(g, true)
-		guard := newReachGuard(g)
+		simIn, err := g.sim(false)
+		if err != nil {
+			return nil, 0, err
+		}
+		simOut, err := g.sim(true)
+		if err != nil {
+			return nil, 0, err
+		}
+		var guard *reachGuard // built on the first candidate pair
 		for u := 0; u < n; u++ {
-			simIn[u].Iterate(func(x uint32) bool {
-				v := int(x)
-				if v == u || !simOut[u].Contains(x) {
+			cl := g.class[g.label[u]]
+			eachPos(simIn[u], simOut[u], func(i int) bool {
+				v := cl[i]
+				if v == u || find(v) == find(u) {
 					return true
 				}
-				if find(v) == find(u) {
-					return true
+				if guard == nil {
+					guard = newReachGuard(g)
 				}
 				if guard.wouldCycle(find(u), find(v)) {
 					return true // try another dominator
@@ -262,7 +286,7 @@ func mergePhase(g *sumGraph, cond mergeCondition) (remap []int, numNew int, chan
 		}
 	}
 	if !merged {
-		return nil, n, false
+		return nil, n, nil
 	}
 	remap = make([]int, n)
 	dense := make(map[int]int, n)
@@ -275,7 +299,7 @@ func mergePhase(g *sumGraph, cond mergeCondition) (remap []int, numNew int, chan
 		}
 		remap[v] = id
 	}
-	return remap, len(dense), true
+	return remap, len(dense), nil
 }
 
 // reachGuard tracks reachability in the evolving quotient graph so the
@@ -296,32 +320,13 @@ func newReachGuard(g *sumGraph) *reachGuard {
 		anc:     make([]*bitmap.Bitset, n),
 		owner:   make([]int, n),
 	}
-	// Topological order for transitive closure.
-	indeg := make([]int, n)
 	for v := 0; v < n; v++ {
-		indeg[v] = len(g.in[v])
-	}
-	var topo []int
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
 		rg.owner[v] = v
 		rg.members[v] = bitmap.NewBitset(n)
 		rg.members[v].Add(uint32(v))
 	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		topo = append(topo, v)
-		for _, arc := range g.out[v] {
-			indeg[arc.to]--
-			if indeg[arc.to] == 0 {
-				queue = append(queue, arc.to)
-			}
-		}
-	}
+	// Sources first; g is a DAG (its simulations exist).
+	topo, _ := topoOrder(g.in, g.out)
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
 		s := bitmap.NewBitset(n)
@@ -379,53 +384,42 @@ func (rg *reachGuard) union(a, b int) {
 	})
 }
 
-// assemblePsg builds the final output structure.
-func assemblePsg(g *sumGraph, nodeOf, labels []int, occs []occRef, segs []*Segment, edges []origEdge, classNm map[int]string, rounds int) *Psg {
+// assemble builds the output structure from the final occurrence-to-node
+// map.
+func (in *sumInput) assemble(numNodes int, nodeOf []int, rounds int) *Psg {
 	psg := &Psg{
-		Nodes:         make([]PsgNode, g.numNodes()),
-		InputVertices: len(occs),
-		Segments:      len(segs),
+		Nodes:         make([]PsgNode, numNodes),
+		InputVertices: len(in.occs),
+		Segments:      len(in.segs),
 		Rounds:        rounds,
 	}
-	for i, o := range occs {
+	for i, o := range in.occs {
 		pn := &psg.Nodes[nodeOf[i]]
 		if pn.Members == nil {
-			pn.Class = labels[i]
-			pn.Label = classNm[labels[i]]
+			pn.Class = in.labels[i]
+			pn.Label = in.classNm[in.labels[i]]
 		}
 		pn.Members = append(pn.Members, [2]int{o.seg, int(o.v)})
 	}
-	type edgeKey struct {
-		from, to int
-		rel      prov.Rel
-	}
-	bySeg := make(map[edgeKey]map[int]bool)
-	for _, e := range edges {
-		k := edgeKey{from: nodeOf[e.from], to: nodeOf[e.to], rel: e.rel}
-		if bySeg[k] == nil {
-			bySeg[k] = make(map[int]bool)
-		}
-		bySeg[k][e.seg] = true
-	}
-	keys := make([]edgeKey, 0, len(bySeg))
-	for k := range bySeg {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
-		}
-		if keys[i].to != keys[j].to {
-			return keys[i].to < keys[j].to
-		}
-		return keys[i].rel < keys[j].rel
+	// Sort the lifted edges by (from, to, rel, seg): one summary edge per
+	// (from, to, rel) run, supported by the run's distinct segments.
+	lifted := liftEdges(in.edges, nodeOf)
+	slices.SortFunc(lifted, func(a, b origEdge) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to), cmp.Compare(a.rel, b.rel), cmp.Compare(a.seg, b.seg))
 	})
-	for _, k := range keys {
+	for i := 0; i < len(lifted); {
+		e, support := lifted[i], 0
+		for prev := -1; i < len(lifted) && lifted[i].from == e.from && lifted[i].to == e.to && lifted[i].rel == e.rel; i++ {
+			if lifted[i].seg != prev {
+				prev = lifted[i].seg
+				support++
+			}
+		}
 		psg.Edges = append(psg.Edges, PsgEdge{
-			From: k.from,
-			To:   k.to,
-			Rel:  k.rel,
-			Freq: float64(len(bySeg[k])) / float64(len(segs)),
+			From: e.from,
+			To:   e.to,
+			Rel:  e.rel,
+			Freq: float64(support) / float64(len(in.segs)),
 		})
 	}
 	return psg

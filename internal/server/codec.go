@@ -405,20 +405,17 @@ func encodeSegment(p *prov.Graph, seg *core.Segment, cached bool) *SegmentRespon
 	return resp
 }
 
-// encodePsg renders a summary graph into the wire response.
-func encodePsg(psg *core.Psg) *SummarizeResponse {
-	resp := &SummarizeResponse{
-		InputVertices:   psg.InputVertices,
-		Segments:        psg.Segments,
-		CompactionRatio: psg.CompactionRatio(),
-	}
+// encodePsg renders a summary graph's nodes and edges into the wire
+// response.
+func encodePsg(psg *core.Psg, resp *SummarizeResponse) {
+	resp.Nodes = make([]PsgNodeInfo, 0, len(psg.Nodes))
 	for _, n := range psg.Nodes {
 		resp.Nodes = append(resp.Nodes, PsgNodeInfo{Label: n.Label, Members: len(n.Members)})
 	}
+	resp.Edges = make([]PsgEdgeInfo, 0, len(psg.Edges))
 	for _, e := range psg.Edges {
 		resp.Edges = append(resp.Edges, PsgEdgeInfo{From: e.From, To: e.To, Rel: e.Rel.String(), Freq: e.Freq})
 	}
-	return resp
 }
 
 // encodeValue renders one Cypher runtime value as a JSON-friendly any.

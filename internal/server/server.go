@@ -32,6 +32,12 @@ const (
 	// request names no budget (the Cypher baseline is exponential on
 	// variable-length path joins; an unbounded query could exhaust memory).
 	defaultCypherMaxRows = 1_000_000
+	// maxSumTypeRadius and maxSumSegments bound one /summarize request:
+	// every unit of type_radius is a refinement pass over all segment
+	// edges, every spec a PgSeg solve, and neither can be cancelled once
+	// started.
+	maxSumTypeRadius = 8
+	maxSumSegments   = 64
 )
 
 // Server is the provd HTTP API over a Registry of named stores (shards).
@@ -372,7 +378,7 @@ func queryErrCode(err error) int {
 	switch {
 	case errors.Is(err, cypher.ErrTimeout):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, cypher.ErrRowBudget):
+	case errors.Is(err, cypher.ErrRowBudget), errors.Is(err, core.ErrNotDAG):
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusBadRequest
@@ -510,6 +516,14 @@ func (s *Server) handleSummarize(st *Store, w http.ResponseWriter, r *http.Reque
 		writeErr(w, http.StatusBadRequest, "summarize: needs at least one segment spec")
 		return
 	}
+	if len(req.Segments) > maxSumSegments {
+		writeErr(w, http.StatusBadRequest, "summarize: %d segment specs (at most %d)", len(req.Segments), maxSumSegments)
+		return
+	}
+	if req.TypeRadius < 0 || req.TypeRadius > maxSumTypeRadius {
+		writeErr(w, http.StatusBadRequest, "summarize: type_radius %d out of range [0, %d]", req.TypeRadius, maxSumTypeRadius)
+		return
+	}
 	format := strings.ToLower(req.Format)
 	if format != "" && format != FormatJSON && format != FormatDOT {
 		// Reject before the (potentially expensive) solves run.
@@ -542,19 +556,22 @@ func (s *Server) handleSummarize(st *Store, w http.ResponseWriter, r *http.Reque
 		writeErr(w, queryErrCode(err), "summarize: %v", err)
 		return
 	}
+	resp := &SummarizeResponse{
+		InputVertices:   psg.InputVertices,
+		Segments:        psg.Segments,
+		CompactionRatio: psg.CompactionRatio(),
+	}
 	if format == FormatDOT {
 		var b strings.Builder
 		if err := psg.WriteDOT(&b); err != nil {
 			writeErr(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		resp := encodePsg(psg)
-		resp.Nodes, resp.Edges = nil, nil
 		resp.DOT = b.String()
-		writeJSON(w, http.StatusOK, resp)
-		return
+	} else {
+		encodePsg(psg, resp)
 	}
-	writeJSON(w, http.StatusOK, encodePsg(psg))
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleQuery(st *Store, w http.ResponseWriter, r *http.Request) {

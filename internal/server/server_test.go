@@ -885,3 +885,64 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		t.Fatalf("graph invalid after concurrent traffic: %v", err)
 	}
 }
+
+// TestSummarizeCaps: type_radius and the spec count are bounded before any
+// solve runs (an unbounded type_radius is a non-cancellable refinement loop).
+func TestSummarizeCaps(t *testing.T) {
+	ts, _, ids := newTestServer(t)
+	spec := SegmentSpec{Src: []uint32{uint32(ids["dataset"])}, Dst: []uint32{uint32(ids["model-v1"])}}
+	specs := func(n int) []SegmentSpec {
+		out := make([]SegmentSpec, n)
+		for i := range out {
+			out[i] = spec
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		req  SummarizeRequest
+		want int
+	}{
+		{"radius at cap", SummarizeRequest{Segments: specs(2), TypeRadius: maxSumTypeRadius}, 200},
+		{"radius over cap", SummarizeRequest{Segments: specs(2), TypeRadius: maxSumTypeRadius + 1}, 400},
+		{"radius huge", SummarizeRequest{Segments: specs(2), TypeRadius: 1_000_000_000}, 400},
+		{"radius negative", SummarizeRequest{Segments: specs(2), TypeRadius: -1}, 400},
+		{"specs at cap", SummarizeRequest{Segments: specs(maxSumSegments)}, 200},
+		{"specs over cap", SummarizeRequest{Segments: specs(maxSumSegments + 1)}, 400},
+	} {
+		var resp struct {
+			ErrorResponse
+			Segments int `json:"segments"`
+		}
+		if code := doJSON(t, http.MethodPost, ts.URL+"/summarize", tc.req, &resp); code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, code, tc.want, resp.Error)
+		}
+		if tc.want == 200 && resp.Segments != len(tc.req.Segments) || tc.want != 200 && resp.Error == "" {
+			t.Errorf("%s: bad body: %+v", tc.name, resp)
+		}
+	}
+}
+
+// TestSummarizeCyclicGraph: a derivation cycle (provd -in refuses one at
+// boot; a store over an unvalidated graph can hold one) used to nil-dereference in the dominance phase's reach
+// guard; it is a 422 with a JSON error body.
+func TestSummarizeCyclicGraph(t *testing.T) {
+	p := prov.New()
+	var v []graph.VertexID
+	for i := 0; i < 6; i++ {
+		v = append(v, p.NewEntity(fmt.Sprintf("v%d", i)))
+	}
+	for _, arc := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}, {4, 1}, {0, 5}} { // 1 -> 2 -> 3 -> 1 is the cycle
+		p.WasDerivedFrom(v[arc[0]], v[arc[1]])
+	}
+	ts := httptest.NewServer(NewServer(NewStore(p, 16)))
+	defer ts.Close()
+	req := SummarizeRequest{Segments: []SegmentSpec{{Src: []uint32{uint32(v[3]), uint32(v[5])}, Dst: []uint32{uint32(v[0]), uint32(v[4])}}}}
+	var errResp ErrorResponse
+	if code := doJSON(t, http.MethodPost, ts.URL+"/summarize", req, &errResp); code != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d (%q), want 422", code, errResp.Error)
+	}
+	if !strings.Contains(errResp.Error, "not a DAG") {
+		t.Fatalf("error %q does not name the cause", errResp.Error)
+	}
+}

@@ -33,6 +33,15 @@ func TestAdjustExclude(t *testing.T) {
 	if out.NumVertices() >= seg.NumVertices() {
 		t.Fatal("exclusion removed nothing")
 	}
+	// Survivors carry their rule over, still parallel to Vertices.
+	if len(out.Rules) != len(out.Vertices) {
+		t.Fatalf("Rules not parallel to Vertices: %d vs %d", len(out.Rules), len(out.Vertices))
+	}
+	for i, v := range out.Vertices {
+		if r, ok := seg.RuleOf(v); !ok || r != out.Rules[i] {
+			t.Fatalf("vertex %d: rule %v after exclusion, %v (%v) before", v, out.Rules[i], r, ok)
+		}
+	}
 	// Edges incident to removed vertices are gone.
 	g := p.PG()
 	for _, e := range out.Edges {
@@ -79,6 +88,22 @@ func TestAdjustExpand(t *testing.T) {
 		if !grown.Contains(v) {
 			t.Fatal("expansion lost a vertex")
 		}
+	}
+	// Rule attribution merges: old vertices keep theirs, new ones are C2.
+	if len(grown.Rules) != len(grown.Vertices) {
+		t.Fatalf("Rules not parallel to Vertices: %d vs %d", len(grown.Rules), len(grown.Vertices))
+	}
+	for i, v := range grown.Vertices {
+		want := core.RuleC2
+		if r, ok := seg.RuleOf(v); ok {
+			want = r
+		}
+		if grown.Rules[i] != want {
+			t.Fatalf("vertex %d: rule %v after expansion, want %v", v, grown.Rules[i], want)
+		}
+	}
+	if _, ok := seg.RuleOf(names["update2"]); ok {
+		t.Fatal("RuleOf reports a vertex outside the segment")
 	}
 	if !grown.Contains(names["update2"]) || !grown.Contains(names["model1"]) {
 		t.Fatal("expansion missed the k=2 ancestry")

@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitmap"
@@ -181,7 +182,8 @@ func (r Rule) String() string {
 }
 
 // Segment is a PgSeg result: a connected subgraph S(VS, ES) of the
-// provenance graph, with per-vertex rule attribution.
+// provenance graph, with per-vertex rule attribution. Src and Dst are always
+// members of Vertices.
 type Segment struct {
 	P *prov.Graph
 
@@ -192,8 +194,10 @@ type Segment struct {
 	Vertices []graph.VertexID
 	// Edges is ES in ascending id order.
 	Edges []graph.EdgeID
-	// ByRule records the first induction rule that contributed each vertex.
-	ByRule map[graph.VertexID]Rule
+	// Rules is parallel to Vertices: Rules[i] is the first induction rule
+	// that contributed Vertices[i]. Walk the two together; RuleOf serves the
+	// occasional lookup by vertex id.
+	Rules []Rule
 
 	vset *bitmap.Bitset
 	// support is the revalidation support set (see Support).
@@ -202,6 +206,16 @@ type Segment struct {
 
 // Contains reports whether v is in the segment.
 func (s *Segment) Contains(v graph.VertexID) bool { return s.vset.Contains(uint32(v)) }
+
+// RuleOf returns the induction rule that contributed v, by binary search
+// over Vertices; false if v is not in the segment.
+func (s *Segment) RuleOf(v graph.VertexID) (Rule, bool) {
+	i, ok := slices.BinarySearch(s.Vertices, v)
+	if !ok {
+		return 0, false
+	}
+	return s.Rules[i], true
+}
 
 // VertexSet returns the segment's vertex set as a bitset (do not modify).
 func (s *Segment) VertexSet() *bitmap.Bitset { return s.vset }
@@ -276,15 +290,17 @@ func (e *Engine) Segment(q Query) (*Segment, error) {
 	}
 
 	seg := &Segment{
-		P:      e.P,
-		Src:    append([]graph.VertexID(nil), q.Src...),
-		Dst:    append([]graph.VertexID(nil), q.Dst...),
-		ByRule: make(map[graph.VertexID]Rule),
-		vset:   bitmap.NewBitset(e.P.NumVertices()),
+		P:    e.P,
+		Src:  append([]graph.VertexID(nil), q.Src...),
+		Dst:  append([]graph.VertexID(nil), q.Dst...),
+		vset: bitmap.NewBitset(e.P.NumVertices()),
 	}
+	// ruleOf is the per-solve scratch, indexed by vertex id; the segment
+	// keeps only the entries of its own vertices (Rules).
+	ruleOf := make([]Rule, e.P.NumVertices())
 	addV := func(v graph.VertexID, r Rule) {
 		if seg.vset.Add(uint32(v)) {
-			seg.ByRule[v] = r
+			ruleOf[v] = r
 		}
 	}
 	for _, v := range q.Src {
@@ -347,6 +363,10 @@ func (e *Engine) Segment(q Query) (*Segment, error) {
 	seg.support = support
 
 	seg.Vertices = setToVertices(seg.vset)
+	seg.Rules = make([]Rule, len(seg.Vertices))
+	for i, v := range seg.Vertices {
+		seg.Rules[i] = ruleOf[v]
+	}
 	seg.Edges = e.inducedEdges(seg.vset, ad)
 	return seg, nil
 }
@@ -428,28 +448,24 @@ func (e *Engine) expand(ad *adjacency, ex Expansion, add func(graph.VertexID)) {
 func (e *Engine) AdjustExclude(s *Segment, b Boundary) *Segment {
 	ad := newAdjacency(e.P, b)
 	out := &Segment{
-		P:      s.P,
-		Src:    s.Src,
-		Dst:    s.Dst,
-		ByRule: make(map[graph.VertexID]Rule),
-		vset:   bitmap.NewBitset(e.P.NumVertices()),
+		P:    s.P,
+		Src:  s.Src,
+		Dst:  s.Dst,
+		vset: bitmap.NewBitset(e.P.NumVertices()),
 	}
 	for _, v := range s.Src {
-		if out.vset.Add(uint32(v)) {
-			out.ByRule[v] = RuleQuery
-		}
+		out.vset.Add(uint32(v))
 	}
 	for _, v := range s.Dst {
-		if out.vset.Add(uint32(v)) {
-			out.ByRule[v] = RuleQuery
+		out.vset.Add(uint32(v))
+	}
+	for i, v := range s.Vertices {
+		if out.vset.Contains(uint32(v)) || ad.vertexOK(v) {
+			out.vset.Add(uint32(v))
+			out.Vertices = append(out.Vertices, v)
+			out.Rules = append(out.Rules, s.Rules[i])
 		}
 	}
-	for _, v := range s.Vertices {
-		if ad.vertexOK(v) && out.vset.Add(uint32(v)) {
-			out.ByRule[v] = s.ByRule[v]
-		}
-	}
-	out.Vertices = setToVertices(out.vset)
 	g := e.P.PG()
 	for _, eid := range s.Edges {
 		if out.vset.Contains(uint32(g.Src(eid))) && out.vset.Contains(uint32(g.Dst(eid))) && ad.edgeOK(eid) {
@@ -471,21 +487,24 @@ func (e *Engine) AdjustExpand(s *Segment, ex Expansion) (*Segment, error) {
 	}
 	ad := newAdjacency(e.P, Boundary{})
 	out := &Segment{
-		P:      s.P,
-		Src:    s.Src,
-		Dst:    s.Dst,
-		ByRule: make(map[graph.VertexID]Rule),
-		vset:   s.vset.Clone(),
+		P:    s.P,
+		Src:  s.Src,
+		Dst:  s.Dst,
+		vset: s.vset.Clone(),
 	}
-	for v, r := range s.ByRule {
-		out.ByRule[v] = r
-	}
-	e.expand(ad, ex, func(v graph.VertexID) {
-		if out.vset.Add(uint32(v)) {
-			out.ByRule[v] = RuleC2
-		}
-	})
+	e.expand(ad, ex, func(v graph.VertexID) { out.vset.Add(uint32(v)) })
 	out.Vertices = setToVertices(out.vset)
+	// Merge: a vertex s already had keeps its rule, a new one is C2.
+	out.Rules = make([]Rule, len(out.Vertices))
+	j := 0
+	for i, v := range out.Vertices {
+		if j < len(s.Vertices) && s.Vertices[j] == v {
+			out.Rules[i] = s.Rules[j]
+			j++
+		} else {
+			out.Rules[i] = RuleC2
+		}
+	}
 	out.Edges = e.inducedEdges(out.vset, ad)
 	return out, nil
 }

@@ -20,9 +20,15 @@ func diffSegs(t *testing.T, tag string, a, b *core.Segment) {
 	if fmt.Sprint(a.Edges) != fmt.Sprint(b.Edges) {
 		t.Fatalf("%s: edge sets differ: %d vs %d edges", tag, len(a.Edges), len(b.Edges))
 	}
-	for _, v := range a.Vertices {
-		if a.ByRule[v] != b.ByRule[v] {
-			t.Fatalf("%s: rule attribution differs at %d: %v vs %v", tag, v, a.ByRule[v], b.ByRule[v])
+	if len(a.Rules) != len(a.Vertices) || len(b.Rules) != len(b.Vertices) {
+		t.Fatalf("%s: Rules not parallel to Vertices: %d/%d vs %d/%d", tag, len(a.Rules), len(a.Vertices), len(b.Rules), len(b.Vertices))
+	}
+	for i, v := range a.Vertices {
+		if a.Rules[i] != b.Rules[i] {
+			t.Fatalf("%s: rule attribution differs at %d: %v vs %v", tag, v, a.Rules[i], b.Rules[i])
+		}
+		if r, ok := b.RuleOf(v); !ok || r != a.Rules[i] {
+			t.Fatalf("%s: RuleOf(%d) = %v, %v; want %v", tag, v, r, ok, a.Rules[i])
 		}
 	}
 	as, bs := a.Support(), b.Support()

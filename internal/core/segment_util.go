@@ -16,17 +16,12 @@ import (
 // This is how externally delimited segments (e.g. the Sd generator's, or a
 // per-commit slice) enter PgSum without going through a PgSeg query.
 func NewSegment(p *prov.Graph, vertices []graph.VertexID) *Segment {
-	s := &Segment{
-		P:      p,
-		ByRule: make(map[graph.VertexID]Rule, len(vertices)),
-		vset:   bitmap.NewBitset(p.NumVertices()),
-	}
+	s := &Segment{P: p, vset: bitmap.NewBitset(p.NumVertices())}
 	for _, v := range vertices {
-		if s.vset.Add(uint32(v)) {
-			s.ByRule[v] = RuleQuery
-		}
+		s.vset.Add(uint32(v))
 	}
 	s.Vertices = setToVertices(s.vset)
+	s.Rules = make([]Rule, len(s.Vertices)) // all RuleQuery
 	g := p.PG()
 	for _, v := range s.Vertices {
 		for _, e := range g.Out(v) {
@@ -54,8 +49,8 @@ func (s *Segment) Render(w io.Writer) {
 	fmt.Fprintf(w, "  src: %s\n", nameList(s.P, s.Src))
 	fmt.Fprintf(w, "  dst: %s\n", nameList(s.P, s.Dst))
 	byRule := map[Rule][]graph.VertexID{}
-	for _, v := range s.Vertices {
-		byRule[s.ByRule[v]] = append(byRule[s.ByRule[v]], v)
+	for i, v := range s.Vertices {
+		byRule[s.Rules[i]] = append(byRule[s.Rules[i]], v)
 	}
 	for _, r := range []Rule{RuleC1, RuleC2, RuleC3, RuleC4} {
 		if vs := byRule[r]; len(vs) > 0 {

@@ -253,8 +253,8 @@ func TestVecSolverSegmentParity(t *testing.T) {
 			if vv.Vertices[i] != v {
 				t.Fatalf("%v: vertex %d: %d vs %d", solver, i, v, vv.Vertices[i])
 			}
-			if sv.ByRule[v] != vv.ByRule[v] {
-				t.Errorf("%v: rule mismatch at %d: %v vs %v", solver, v, sv.ByRule[v], vv.ByRule[v])
+			if sv.Rules[i] != vv.Rules[i] {
+				t.Errorf("%v: rule mismatch at %d: %v vs %v", solver, v, sv.Rules[i], vv.Rules[i])
 			}
 		}
 		for i, eid := range sv.Edges {

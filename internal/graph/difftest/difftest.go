@@ -252,12 +252,12 @@ func diffSegPair(fs, is *core.Segment) error {
 	if !edgeSlicesEq(fs.Edges, is.Edges) {
 		return fmt.Errorf("segment edges mismatch: %v vs %v", fs.Edges, is.Edges)
 	}
-	if len(fs.ByRule) != len(is.ByRule) {
-		return fmt.Errorf("segment ByRule size mismatch: %d vs %d", len(fs.ByRule), len(is.ByRule))
+	if len(fs.Rules) != len(fs.Vertices) || len(is.Rules) != len(is.Vertices) {
+		return fmt.Errorf("segment Rules not parallel to Vertices: %d/%d vs %d/%d", len(fs.Rules), len(fs.Vertices), len(is.Rules), len(is.Vertices))
 	}
-	for v, r := range fs.ByRule {
-		if is.ByRule[v] != r {
-			return fmt.Errorf("segment ByRule[%d] mismatch: %v vs %v", v, r, is.ByRule[v])
+	for i, v := range fs.Vertices {
+		if fs.Rules[i] != is.Rules[i] {
+			return fmt.Errorf("segment rule of vertex %d mismatch: %v vs %v", v, fs.Rules[i], is.Rules[i])
 		}
 	}
 	fsup, isup := fs.Support().ToSlice(), is.Support().ToSlice()

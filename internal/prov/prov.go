@@ -128,8 +128,11 @@ type Graph struct {
 
 	kindLabels [numKinds]graph.Label
 	relLabels  [numRels]graph.Label
-	labelKind  map[graph.Label]Kind
-	labelRel   map[graph.Label]Rel
+	// labelKind / labelRel are the inverse tables, indexed by graph.Label:
+	// numKinds / numRels mark a non-PROV label, as does an index past the
+	// end. Built once in Wrap and shared, read-only, by every snapshot.
+	labelKind []Kind
+	labelRel  []Rel
 }
 
 // New returns an empty PROV graph.
@@ -141,25 +144,49 @@ func New() *Graph {
 // one-letter conventions (E, A, U vertices; U, G, S, A, D edges). Labels are
 // interned if missing.
 func Wrap(g *graph.Graph) *Graph {
-	p := &Graph{
-		g:         g,
-		labelKind: make(map[graph.Label]Kind, numKinds),
-		labelRel:  make(map[graph.Label]Rel, numRels),
-	}
+	p := &Graph{g: g}
 	d := g.Dict()
 	// Vertex labels: E, A, U. Edge labels are prefixed to avoid colliding
 	// with the "A"/"U" vertex labels in the shared dictionary.
 	for k := Kind(0); k < numKinds; k++ {
-		l := d.Intern("v:" + k.String())
-		p.kindLabels[k] = l
-		p.labelKind[l] = k
+		p.kindLabels[k] = d.Intern("v:" + k.String())
 	}
 	for r := Rel(0); r < numRels; r++ {
-		l := d.Intern("e:" + r.String())
-		p.relLabels[r] = l
-		p.labelRel[l] = r
+		p.relLabels[r] = d.Intern("e:" + r.String())
+	}
+	// The inverse tables cover every label interned so far.
+	p.labelKind = make([]Kind, d.Len())
+	p.labelRel = make([]Rel, d.Len())
+	for l := range p.labelKind {
+		p.labelKind[l], p.labelRel[l] = numKinds, numRels
+	}
+	for k, l := range p.kindLabels {
+		p.labelKind[l] = Kind(k)
+	}
+	for r, l := range p.relLabels {
+		p.labelRel[l] = Rel(r)
 	}
 	return p
+}
+
+// kindOfLabel maps a vertex label to its PROV kind; false for a non-PROV
+// label.
+func (p *Graph) kindOfLabel(l graph.Label) (Kind, bool) {
+	if int(l) < len(p.labelKind) {
+		k := p.labelKind[l]
+		return k, k < numKinds
+	}
+	return numKinds, false
+}
+
+// relOfLabel maps an edge label to its PROV relationship; false for a
+// non-PROV label.
+func (p *Graph) relOfLabel(l graph.Label) (Rel, bool) {
+	if int(l) < len(p.labelRel) {
+		r := p.labelRel[l]
+		return r, r < numRels
+	}
+	return numRels, false
 }
 
 // PG exposes the underlying property graph.
@@ -225,7 +252,7 @@ func (p *Graph) NumEdges() int { return p.g.NumEdges() }
 
 // KindOf returns the PROV kind of vertex v.
 func (p *Graph) KindOf(v graph.VertexID) Kind {
-	k, ok := p.labelKind[p.g.VertexLabel(v)]
+	k, ok := p.kindOfLabel(p.g.VertexLabel(v))
 	if !ok {
 		panic(fmt.Sprintf("prov: vertex %d has non-PROV label", v))
 	}
@@ -234,7 +261,7 @@ func (p *Graph) KindOf(v graph.VertexID) Kind {
 
 // RelOf returns the PROV relationship of edge e.
 func (p *Graph) RelOf(e graph.EdgeID) Rel {
-	r, ok := p.labelRel[p.g.EdgeLabel(e)]
+	r, ok := p.relOfLabel(p.g.EdgeLabel(e))
 	if !ok {
 		panic(fmt.Sprintf("prov: edge %d has non-PROV label", e))
 	}
@@ -387,13 +414,13 @@ func (p *Graph) AgentsOf(v graph.VertexID, buf []graph.VertexID) []graph.VertexI
 // (Definition 1 requires a DAG).
 func (p *Graph) Validate() error {
 	for v := 0; v < p.g.NumVertices(); v++ {
-		if _, ok := p.labelKind[p.g.VertexLabel(graph.VertexID(v))]; !ok {
+		if _, ok := p.kindOfLabel(p.g.VertexLabel(graph.VertexID(v))); !ok {
 			return fmt.Errorf("prov: vertex %d: unknown label %q", v, p.g.Dict().Name(p.g.VertexLabel(graph.VertexID(v))))
 		}
 	}
 	for e := 0; e < p.g.NumEdges(); e++ {
 		id := graph.EdgeID(e)
-		r, ok := p.labelRel[p.g.EdgeLabel(id)]
+		r, ok := p.relOfLabel(p.g.EdgeLabel(id))
 		if !ok {
 			return fmt.Errorf("prov: edge %d: unknown label %q", e, p.g.Dict().Name(p.g.EdgeLabel(id)))
 		}

@@ -2,6 +2,7 @@ package prov
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -250,4 +251,73 @@ func TestRecorderVersioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = a
+}
+
+// TestLabelTables: KindOf / RelOf read dense tables indexed by graph.Label.
+// The PROV labels need not be the dictionary's first, a foreign label inside
+// the table's range and one interned after Wrap (past its end) are both
+// non-PROV, and snapshots share the tables.
+func TestLabelTables(t *testing.T) {
+	g := graph.New()
+	early := g.Dict().Intern("foreign-early")
+	for i := 0; i < 40; i++ {
+		g.Dict().Intern("pad-" + strings.Repeat("x", i))
+	}
+	p := Wrap(g)
+	late := g.Dict().Intern("foreign-late")
+
+	alice := p.NewAgent("alice")
+	d := p.NewEntity("data")
+	a := p.NewActivity("train")
+	edges := map[Rel]graph.EdgeID{
+		RelUsed: p.Used(a, d), RelAssoc: p.WasAssociatedWith(a, alice), RelAttr: p.WasAttributedTo(d, alice),
+	}
+	m := p.NewEntity("model")
+	edges[RelGen], edges[RelDeriv] = p.WasGeneratedBy(m, a), p.WasDerivedFrom(m, d)
+	for _, fz := range []*Graph{p, p.Freeze()} {
+		for v, k := range map[graph.VertexID]Kind{alice: KindAgent, d: KindEntity, a: KindActivity, m: KindEntity} {
+			if got := fz.KindOf(v); got != k {
+				t.Errorf("KindOf(%d) = %v, want %v", v, got, k)
+			}
+		}
+		for r, e := range edges {
+			if got := fz.RelOf(e); got != r {
+				t.Errorf("RelOf(%d) = %v, want %v", e, got, r)
+			}
+		}
+		if err := fz.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, l := range []graph.Label{early, late, graph.NoLabel} {
+		v := g.AddVertex(l)
+		func() {
+			defer func() {
+				if r, want := recover(), "prov: vertex "+strconv.Itoa(int(v))+" has non-PROV label"; r != want {
+					t.Errorf("KindOf on label %d: panic %v, want %q", l, r, want)
+				}
+			}()
+			p.KindOf(v)
+		}()
+	}
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), `unknown label "foreign-early"`) {
+		t.Errorf("Validate with a foreign vertex label: %v", err)
+	}
+	e := g.AddEdge(d, m, late)
+	func() {
+		defer func() {
+			if r, want := recover(), "prov: edge "+strconv.Itoa(int(e))+" has non-PROV label"; r != want {
+				t.Errorf("RelOf: panic %v, want %q", r, want)
+			}
+		}()
+		p.RelOf(e)
+	}()
+	// A vertex label is not a relationship, nor the other way round.
+	if _, ok := p.relOfLabel(p.KindLabel(KindAgent)); ok {
+		t.Error("v:U read as a relationship")
+	}
+	if _, ok := p.kindOfLabel(p.RelLabel(RelUsed)); ok {
+		t.Error("e:U read as a vertex kind")
+	}
 }

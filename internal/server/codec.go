@@ -376,47 +376,8 @@ func (r *SegmentRequest) toQuery() (core.Query, core.Options, error) {
 	return q, core.Options{Solver: solver}, nil
 }
 
-// --- encoding helpers (callers hold the store's read lock via Store.View) ---
-
-// encodeSegment renders a segment into the wire response.
-func encodeSegment(p *prov.Graph, seg *core.Segment, cached bool) *SegmentResponse {
-	resp := &SegmentResponse{
-		NumVertices: seg.NumVertices(),
-		NumEdges:    seg.NumEdges(),
-		Cached:      cached,
-	}
-	g := p.PG()
-	for _, v := range seg.Vertices {
-		resp.Vertices = append(resp.Vertices, VertexInfo{
-			ID:   uint32(v),
-			Kind: p.KindOf(v).String(),
-			Name: p.Name(v),
-			Rule: seg.ByRule[v].String(),
-		})
-	}
-	for _, e := range seg.Edges {
-		resp.Edges = append(resp.Edges, EdgeInfo{
-			ID:  uint32(e),
-			Src: uint32(g.Src(e)),
-			Dst: uint32(g.Dst(e)),
-			Rel: p.RelOf(e).String(),
-		})
-	}
-	return resp
-}
-
-// encodePsg renders a summary graph's nodes and edges into the wire
-// response.
-func encodePsg(psg *core.Psg, resp *SummarizeResponse) {
-	resp.Nodes = make([]PsgNodeInfo, 0, len(psg.Nodes))
-	for _, n := range psg.Nodes {
-		resp.Nodes = append(resp.Nodes, PsgNodeInfo{Label: n.Label, Members: len(n.Members)})
-	}
-	resp.Edges = make([]PsgEdgeInfo, 0, len(psg.Edges))
-	for _, e := range psg.Edges {
-		resp.Edges = append(resp.Edges, PsgEdgeInfo{From: e.From, To: e.To, Rel: e.Rel.String(), Freq: e.Freq})
-	}
-}
+// --- encoding helpers for the small replies; the megabyte-sized ones
+// (SegmentResponse, SummarizeResponse) are streamed by reply.go ---
 
 // encodeValue renders one Cypher runtime value as a JSON-friendly any.
 func encodeValue(p *prov.Graph, v cypher.Value) any {

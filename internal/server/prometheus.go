@@ -18,6 +18,7 @@ import (
 //	provd_uptime_seconds{store}            store uptime
 //	provd_requests_routed_total{store,endpoint}          routed totals
 //	provd_requests_total{store,endpoint,class}           completions by class
+//	provd_http_response_bytes_total{store,endpoint}      body bytes written
 //	provd_request_latency_seconds{store,endpoint}        histogram
 //	provd_request_latency_quantile_seconds{...,quantile} p50/p90/p99 estimates
 //	provd_commit_stage_latency_seconds{store,stage}      pipeline histogram
@@ -85,6 +86,7 @@ func writeStoreProm(m *obs.MetricWriter, st *Store) {
 
 	m.Header("provd_requests_routed_total", "Requests routed to the store, per endpoint (bumped before the handler runs).", "counter")
 	m.Header("provd_requests_total", "Completed requests per endpoint and status class.", "counter")
+	m.Header("provd_http_response_bytes_total", "Response body bytes written by completed requests, per endpoint.", "counter")
 	m.Header("provd_request_latency_seconds", "Request completion latency per endpoint.", "histogram")
 	m.Header("provd_request_latency_quantile_seconds", "Estimated request-latency quantiles per endpoint (log-bucket upper bounds).", "gauge")
 	for _, name := range endpointNames {
@@ -214,7 +216,8 @@ func writeStoreProm(m *obs.MetricWriter, st *Store) {
 }
 
 // writeProm renders one endpoint's counters: the routed total, the
-// status-class completions, and the latency histogram with derived
+// status-class completions, the response bytes, and the latency histogram
+// with derived
 // quantile gauges (quantiles only once the endpoint has traffic, so an
 // idle endpoint contributes no misleading zero-percentile series).
 func (em *endpointMetrics) writeProm(m *obs.MetricWriter, store, endpoint obs.Label) {
@@ -224,8 +227,9 @@ func (em *endpointMetrics) writeProm(m *obs.MetricWriter, store, endpoint obs.La
 			[]obs.Label{store, endpoint, {Name: "class", Value: class}},
 			float64(em.classes[i].Load()))
 	}
-	snap := em.lat.Snapshot()
 	labels := []obs.Label{store, endpoint}
+	m.Sample("provd_http_response_bytes_total", labels, float64(em.respBytes.Load()))
+	snap := em.lat.Snapshot()
 	m.Histogram("provd_request_latency_seconds", labels, snap)
 	if snap.Count > 0 {
 		writeQuantiles(m, "provd_request_latency_quantile_seconds", labels, snap)

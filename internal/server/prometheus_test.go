@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -55,12 +56,17 @@ func TestPrometheusExposition(t *testing.T) {
 	// a read, and a client error.
 	dataset, model := seedShard(t, ts.URL, DefaultStore)
 	seedShard(t, ts.URL, "audit")
-	if code := doJSON(t, http.MethodPost, ts.URL+"/segment",
-		SegmentRequest{Src: []uint32{dataset}, Dst: []uint32{model}}, nil); code != http.StatusOK {
-		t.Fatalf("segment status %d", code)
-	}
+	segReply := postRaw(t, ts.URL+"/segment", stdJSON(t, SegmentRequest{Src: []uint32{dataset}, Dst: []uint32{model}}))
 	if code := doJSON(t, http.MethodPost, ts.URL+"/ingest", IngestRequest{}, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty ingest status %d, want 400", code)
+	}
+	// Completions (and their response bytes) record a beat after the client
+	// has its reply; wait for the one /segment to land.
+	for deadline := time.Now().Add(2 * time.Second); reg.Default().EndpointStatsSnapshot()["segment"].OK == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the /segment completion never recorded")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	code, hdr, body := fetchText(t, ts.URL+"/metrics?format=prometheus", nil)
@@ -85,6 +91,8 @@ func TestPrometheusExposition(t *testing.T) {
 		`provd_requests_total{store="default",endpoint="ingest",class="2xx"}`,
 		`provd_requests_total{store="default",endpoint="ingest",class="4xx"}`,
 		`provd_requests_total{store="audit",endpoint="segment",class="5xx"}`,
+		`provd_http_response_bytes_total{store="default",endpoint="segment"}`,
+		`provd_http_response_bytes_total{store="audit",endpoint="ingest"}`,
 		`provd_request_latency_seconds_bucket{store="default",endpoint="ingest",le="+Inf"}`,
 		`provd_request_latency_seconds_count{store="default",endpoint="ingest"}`,
 		`provd_request_latency_quantile_seconds{store="default",endpoint="ingest",quantile="0.5"}`,
@@ -149,6 +157,18 @@ func TestPrometheusExposition(t *testing.T) {
 	ing := m.Endpoints["ingest"]
 	if ing.OK == 0 || ing.ClientErr == 0 || ing.Latency.Count == 0 {
 		t.Errorf("JSON endpoint panel not populated: %+v", ing)
+	}
+	// Response bytes: the one /segment reply, byte for byte, in both formats;
+	// error bodies count too.
+	segBytes := promValue(t, body, `provd_http_response_bytes_total{store="default",endpoint="segment"}`)
+	if got := m.Endpoints["segment"].ResponseBytes; got != uint64(len(segReply)) || segBytes != float64(got) {
+		t.Errorf("segment response bytes: JSON %d, Prometheus %v, the reply was %d", got, segBytes, len(segReply))
+	}
+	if promValue(t, body, `provd_http_response_bytes_total{store="audit",endpoint="segment"}`) != 0 {
+		t.Error("response bytes leaked across stores")
+	}
+	if ing.ResponseBytes == 0 || !strings.Contains(bodyJSON, `"response_bytes"`) {
+		t.Errorf("JSON endpoint panel has no ingest response bytes: %+v", ing)
 	}
 	if m.Stages["append"].Count == 0 || m.Stages["publish"].Count == 0 {
 		t.Errorf("JSON stage panel not populated: %+v", m.Stages)

@@ -172,10 +172,18 @@ type endpointDef struct {
 	h                  func(*Store, http.ResponseWriter, *http.Request)
 }
 
-// statusWriter captures the response status for the request metrics.
+// statusWriter captures the response status and sums the body bytes for
+// the request metrics.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	bytes  uint64
+}
+
+func (w *statusWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	w.bytes += uint64(n)
+	return n, err
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -296,7 +304,7 @@ func (s *Server) serveEndpoint(st *Store, ep endpointDef, w http.ResponseWriter,
 			"store %q: over its admission limits (rate or concurrency)", st.Name())
 	}
 	d := time.Since(start)
-	st.observeRequest(ep.name, sw.status, d)
+	st.observeRequest(ep.name, sw.status, sw.bytes, d)
 
 	slow := s.slowThresh > 0 && d >= s.slowThresh
 	if slow {
@@ -357,6 +365,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeSegmentReply streams a /segment or /adjust result in the requested
+// format. Once the 200 is out a failed write can only mean the client is
+// gone; the encode stops there and nothing is logged.
+func writeSegmentReply(w http.ResponseWriter, seg *core.Segment, cached bool, format string) {
+	var dot strings.Builder
+	if format == FormatDOT {
+		if err := seg.WriteDOT(&dot); err != nil {
+			writeErr(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = writeSegmentJSON(w, seg, cached, dot.String())
+}
+
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
@@ -408,27 +432,7 @@ func (s *Server) handleSegment(st *Store, w http.ResponseWriter, r *http.Request
 		writeErr(w, queryErrCode(err), "segment: %v", err)
 		return
 	}
-	var resp *SegmentResponse
-	var dotErr error
-	st.View(func(p *prov.Graph) {
-		if format == FormatDOT {
-			var b strings.Builder
-			dotErr = seg.WriteDOT(&b)
-			resp = &SegmentResponse{
-				NumVertices: seg.NumVertices(),
-				NumEdges:    seg.NumEdges(),
-				Cached:      cached,
-				DOT:         b.String(),
-			}
-			return
-		}
-		resp = encodeSegment(p, seg, cached)
-	})
-	if dotErr != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", dotErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSegmentReply(w, seg, cached, format)
 }
 
 // handleAdjust serves the paper's interactive adjust step: the base PgSeg
@@ -484,27 +488,7 @@ func (s *Server) handleAdjust(st *Store, w http.ResponseWriter, r *http.Request)
 		writeErr(w, queryErrCode(err), "adjust: %v", err)
 		return
 	}
-	var resp *SegmentResponse
-	var dotErr error
-	st.View(func(p *prov.Graph) {
-		if format == FormatDOT {
-			var b strings.Builder
-			dotErr = seg.WriteDOT(&b)
-			resp = &SegmentResponse{
-				NumVertices: seg.NumVertices(),
-				NumEdges:    seg.NumEdges(),
-				Cached:      cached,
-				DOT:         b.String(),
-			}
-			return
-		}
-		resp = encodeSegment(p, seg, cached)
-	})
-	if dotErr != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", dotErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSegmentReply(w, seg, cached, format)
 }
 
 func (s *Server) handleSummarize(st *Store, w http.ResponseWriter, r *http.Request) {
@@ -556,22 +540,16 @@ func (s *Server) handleSummarize(st *Store, w http.ResponseWriter, r *http.Reque
 		writeErr(w, queryErrCode(err), "summarize: %v", err)
 		return
 	}
-	resp := &SummarizeResponse{
-		InputVertices:   psg.InputVertices,
-		Segments:        psg.Segments,
-		CompactionRatio: psg.CompactionRatio(),
-	}
+	var dot strings.Builder
 	if format == FormatDOT {
-		var b strings.Builder
-		if err := psg.WriteDOT(&b); err != nil {
+		if err := psg.WriteDOT(&dot); err != nil {
 			writeErr(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		resp.DOT = b.String()
-	} else {
-		encodePsg(psg, resp)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = writePsgJSON(w, psg, dot.String()) // as in writeSegmentReply: the client is gone
 }
 
 func (s *Server) handleQuery(st *Store, w http.ResponseWriter, r *http.Request) {
@@ -595,14 +573,14 @@ func (s *Server) handleQuery(st *Store, w http.ResponseWriter, r *http.Request) 
 		maxRows = req.MaxRows
 	}
 	opts := cypher.Options{Timeout: timeout, MaxRows: maxRows, MaxPathLen: req.MaxPathLen}
-	res, err := st.Cypher(req.Query, opts)
+	// Evaluated and rendered at one pinned snapshot.
+	ep := st.Epoch()
+	res, err := st.cypherAt(ep, req.Query, opts)
 	if err != nil {
 		writeErr(w, queryErrCode(err), "query: %v", err)
 		return
 	}
-	var resp *QueryResponse
-	st.View(func(p *prov.Graph) { resp = encodeResult(p, res) })
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, encodeResult(ep.P, res))
 }
 
 func (s *Server) handleIngest(st *Store, w http.ResponseWriter, r *http.Request) {

@@ -881,7 +881,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	if st.Writes != writers*perGoro {
 		t.Fatalf("want %d committed writes, got %d", writers*perGoro, st.Writes)
 	}
-	if err := func() (err error) { store.View(func(p *prov.Graph) { err = p.Validate() }); return }(); err != nil {
+	if err := store.Epoch().P.Validate(); err != nil {
 		t.Fatalf("graph invalid after concurrent traffic: %v", err)
 	}
 }

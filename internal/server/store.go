@@ -10,7 +10,9 @@
 //     commit. Readers never block on writers.
 //  2. Wire codecs (codec.go) — JSON request/response types for every
 //     endpoint, plus DOT and PROV-JSON output formats reusing the existing
-//     renderers.
+//     renderers. The large replies (segment, adjust, summarize) are
+//     streamed by the append encoder in reply.go, byte-identical to
+//     encoding/json over those types.
 //  3. Result cache (cache.go) — an LRU over canonicalized PgSeg queries
 //     whose entries are tagged with the epoch they were solved at and
 //     revalidated incrementally against each ingest delta.
@@ -254,12 +256,13 @@ const (
 )
 
 // endpointMetrics is one endpoint's per-store counters: total requests
-// (routed), completions by status class, and the completion latency
-// histogram.
+// (routed), completions by status class, response body bytes of completed
+// requests, and the completion latency histogram.
 type endpointMetrics struct {
-	total   atomic.Uint64
-	classes [3]atomic.Uint64
-	lat     obs.Histogram
+	total     atomic.Uint64
+	classes   [3]atomic.Uint64
+	respBytes atomic.Uint64
+	lat       obs.Histogram
 }
 
 // statusClass maps an HTTP status to its counter index.
@@ -363,15 +366,17 @@ func (s *Store) countRequest(endpoint string) {
 	}
 }
 
-// observeRequest records a completed request: its status class and latency.
-// Totals are bumped at routing time instead, so between the two a request
-// is visibly in flight (total exceeds the class sum by the in-flight count).
-func (s *Store) observeRequest(endpoint string, status int, d time.Duration) {
+// observeRequest records a completed request: its status class, the body
+// bytes written to the client and its latency. Totals are bumped at routing
+// time instead, so between the two a request is visibly in flight (total
+// exceeds the class sum by the in-flight count).
+func (s *Store) observeRequest(endpoint string, status int, respBytes uint64, d time.Duration) {
 	m, ok := s.requests[endpoint]
 	if !ok {
 		return
 	}
 	m.classes[statusClass(status)].Add(1)
+	m.respBytes.Add(respBytes)
 	m.lat.Observe(d)
 }
 
@@ -385,13 +390,15 @@ func (s *Store) RequestCounts() map[string]uint64 {
 }
 
 // EndpointStats is one endpoint's /metrics panel: the routed total, the
-// status-class split of completions, and the completion-latency digest.
+// status-class split of completions, the response body bytes written by
+// completed requests, and the completion-latency digest.
 type EndpointStats struct {
-	Total     uint64             `json:"total"`
-	OK        uint64             `json:"2xx"`
-	ClientErr uint64             `json:"4xx"`
-	ServerErr uint64             `json:"5xx"`
-	Latency   obs.LatencySummary `json:"latency"`
+	Total         uint64             `json:"total"`
+	OK            uint64             `json:"2xx"`
+	ClientErr     uint64             `json:"4xx"`
+	ServerErr     uint64             `json:"5xx"`
+	ResponseBytes uint64             `json:"response_bytes"`
+	Latency       obs.LatencySummary `json:"latency"`
 }
 
 // EndpointStatsSnapshot snapshots every endpoint's counters.
@@ -399,11 +406,12 @@ func (s *Store) EndpointStatsSnapshot() map[string]EndpointStats {
 	out := make(map[string]EndpointStats, len(s.requests))
 	for name, m := range s.requests {
 		out[name] = EndpointStats{
-			Total:     m.total.Load(),
-			OK:        m.classes[classOK].Load(),
-			ClientErr: m.classes[class4xx].Load(),
-			ServerErr: m.classes[class5xx].Load(),
-			Latency:   m.lat.Summary(),
+			Total:         m.total.Load(),
+			OK:            m.classes[classOK].Load(),
+			ClientErr:     m.classes[class4xx].Load(),
+			ServerErr:     m.classes[class5xx].Load(),
+			ResponseBytes: m.respBytes.Load(),
+			Latency:       m.lat.Summary(),
 		}
 	}
 	return out
@@ -450,12 +458,6 @@ func (s *Store) RequestLatency(endpoint string) *obs.Histogram {
 // Epoch returns the current snapshot. The result is immutable and safe to
 // query for any length of time.
 func (s *Store) Epoch() *Epoch { return s.snap.Load() }
-
-// View runs fn against the current snapshot. Kept for call-site symmetry
-// with the old locked read path; fn may retain p — snapshots are immutable.
-func (s *Store) View(fn func(p *prov.Graph)) {
-	fn(s.snap.Load().P)
-}
 
 // Update runs fn under the exclusive write lock; if fn succeeds, a new
 // frozen snapshot is built and published, and the segment cache is
@@ -958,7 +960,13 @@ func (s *Store) Adjust(q core.Query, opts core.Options, excl core.Boundary, exps
 // Cypher evaluates a query in the supported Cypher subset against the
 // current snapshot.
 func (s *Store) Cypher(query string, opts cypher.Options) (*cypher.Result, error) {
-	return cypher.NewProvEvaluator(s.snap.Load().P, opts).Run(query)
+	return s.cypherAt(s.snap.Load(), query, opts)
+}
+
+// cypherAt evaluates a query against a pinned snapshot (the one the caller
+// goes on to render the result from).
+func (s *Store) cypherAt(ep *Epoch, query string, opts cypher.Options) (*cypher.Result, error) {
+	return cypher.NewProvEvaluator(ep.P, opts).Run(query)
 }
 
 // CacheStats snapshots the segment-cache counters.

@@ -22,9 +22,9 @@ import (
 )
 
 func main() {
-	figure := flag.String("figure", "all", "panel to run: 5a..5h, csr, vec, seg, srv, shard, qos, repl or all")
+	figure := flag.String("figure", "all", "panel to run: 5a..5h, csr, vec, srv, shard, qos, repl or all")
 	scale := flag.String("scale", "small", "experiment scale: small, medium, paper")
-	record := flag.String("record", "", "append the serving-layer panels (srv, csr, vec, seg, shard, qos, repl) to this JSON history file (e.g. BENCH_provd.json)")
+	record := flag.String("record", "", "append the serving-layer panels (srv, csr, vec, shard, qos, repl) to this JSON history file (e.g. BENCH_provd.json)")
 	flag.Parse()
 
 	sc := bench.Scale(*scale)
@@ -47,7 +47,7 @@ func main() {
 			os.Exit(2)
 		}
 		fig.Render(os.Stdout)
-		if *record != "" && (fig.ID == "srv" || fig.ID == "csr" || fig.ID == "vec" || fig.ID == "seg" || fig.ID == "shard" || fig.ID == "qos" || fig.ID == "repl") {
+		if *record != "" && (fig.ID == "srv" || fig.ID == "csr" || fig.ID == "vec" || fig.ID == "shard" || fig.ID == "qos" || fig.ID == "repl") {
 			if err := bench.RecordFigure(*record, fig, sc); err != nil {
 				fmt.Fprintf(os.Stderr, "provbench: record: %v\n", err)
 				os.Exit(1)

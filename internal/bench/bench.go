@@ -388,18 +388,18 @@ func All(scale Scale) []Figure {
 	return []Figure{
 		Fig5a(scale), Fig5b(scale), Fig5c(scale), Fig5d(scale),
 		Fig5e(scale), Fig5f(scale), Fig5g(scale), Fig5h(scale),
-		FigCSR(scale), FigVec(scale), FigSeg(scale), SrvThroughput(scale),
+		FigCSR(scale), FigVec(scale), SrvThroughput(scale),
 		FigShard(scale), FigQoS(scale), FigRepl(scale),
 	}
 }
 
-// ByID returns one panel by id ("5a".."5h", "csr", "vec", "seg", "srv",
-// "shard", "qos", "repl").
+// ByID returns one panel by id ("5a".."5h", "csr", "vec", "srv", "shard",
+// "qos", "repl").
 func ByID(id string, scale Scale) (Figure, bool) {
 	fns := map[string]func(Scale) Figure{
 		"5a": Fig5a, "5b": Fig5b, "5c": Fig5c, "5d": Fig5d,
 		"5e": Fig5e, "5f": Fig5f, "5g": Fig5g, "5h": Fig5h,
-		"csr": FigCSR, "vec": FigVec, "seg": FigSeg, "srv": SrvThroughput,
+		"csr": FigCSR, "vec": FigVec, "srv": SrvThroughput,
 		"shard": FigShard, "qos": FigQoS, "repl": FigRepl,
 	}
 	fn, ok := fns[id]
@@ -411,7 +411,7 @@ func ByID(id string, scale Scale) (Figure, bool) {
 
 // IDs lists the available panel ids.
 func IDs() []string {
-	out := []string{"5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "csr", "vec", "seg", "srv", "shard", "qos", "repl"}
+	out := []string{"5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "csr", "vec", "srv", "shard", "qos", "repl"}
 	sort.Strings(out)
 	return out
 }

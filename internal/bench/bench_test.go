@@ -8,14 +8,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cypher"
 	"repro/internal/gen"
+	"repro/internal/graph/difftest"
 )
 
 // TestFigureRegistry: every advertised panel id resolves and unknown ids
 // do not.
 func TestFigureRegistry(t *testing.T) {
-	if len(IDs()) != 15 {
-		t.Fatalf("want 15 panels, got %v", IDs())
+	if len(IDs()) != 14 {
+		t.Fatalf("want 14 panels, got %v", IDs())
 	}
 	if _, ok := ByID("9z", ScaleSmall); ok {
 		t.Fatal("phantom figure")
@@ -175,21 +177,21 @@ func TestFigCSRTiny(t *testing.T) {
 }
 
 // TestVecEquivalence drives the vec panel's inline equality assertion on a
-// tiny frozen graph — segment, closure and Cypher results must match
-// between the scalar and vectorized engines before any timing is trusted.
-// This is the CI smoke for the panel; the full sweep runs via provbench.
+// tiny frozen graph — the planned and naive Cypher evaluators must return
+// the same rows before any timing is trusted. This is the CI smoke for the
+// panel; the full sweep runs via provbench.
 func TestVecEquivalence(t *testing.T) {
 	p := pdGraph(gen.PdConfig{N: 500, Seed: 1})
 	src, dst := gen.QueryAtRank(p, 0)
 	fz := p.Freeze()
-	assertVecEqualsScalar(fz, src, dst) // panics on divergence
-	if d := timeWalkOpts(fz, src, dst, core.Options{}, 2); d < 0 {
-		t.Fatal("walk timing negative")
+	assertPlannerEqualsNaive(fz, src, dst) // panics on divergence
+	if d := timeCypherOpts(fz, src, dst, cypher.Options{}, 1); d <= 0 {
+		t.Fatalf("cypher timing %v", d)
 	}
 }
 
-// TestFigVecTiny runs the scalar-vs-vectorized panel on the smallest scale
-// and sanity-checks every cell is a measurement.
+// TestFigVecTiny runs the naive-vs-planned panel on the smallest scale and
+// sanity-checks every cell is a measurement.
 func TestFigVecTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("vec sweep regenerates Pd graphs")
@@ -207,45 +209,20 @@ func TestFigVecTiny(t *testing.T) {
 	}
 }
 
-// TestSegSolverEquivalence drives the seg panel's inline four-way solver
-// gate on a tiny frozen graph — the scalar and set-at-a-time VC2 solvers
-// must produce identical results before any timing is trusted. This is the
-// CI smoke for the panel; the full sweep runs via provbench.
+// TestSegSolverEquivalence: the VC2 solvers Fig. 5a-d time against each
+// other must agree on the panels' own graph and query shape — on the live
+// graph the panels run on and on its frozen snapshot — before any of their
+// timings mean anything.
 func TestSegSolverEquivalence(t *testing.T) {
 	p := pdGraph(gen.PdConfig{N: 500, Seed: 1})
 	src, dst := gen.QueryAtRank(p, 0)
+	q := core.Query{Src: src, Dst: dst}
 	fz := p.Freeze()
-	assertSegSolversAgree(fz, src, dst, true)  // DiffSolvers; panics on divergence
-	assertSegSolversAgree(fz, src, dst, false) // inline Tst + segment parity path
-	d, ok := timeVC2Best(fz, src, dst, core.Options{Solver: core.SolverTst, ForceVecSolver: true}, 2)
-	if !ok || d < 0 {
-		t.Fatalf("VC2 timing: %v ok=%v", d, ok)
+	if err := difftest.DiffSolvers(p, fz, q); err != nil {
+		t.Fatal(err)
 	}
-	if c := cell(d, ok); c == "" || c == "oom" {
-		t.Fatalf("cell rendered %q", c)
-	}
-	if c := cell(0, false); c != "oom" {
-		t.Fatalf("tripped budget rendered %q, want oom", c)
-	}
-}
-
-// TestFigSegTiny runs the solver panel's row loop at toy sizes, crossing
-// the algMax boundary so both the four-way and the beyond-reach branches
-// render; every cell must be populated.
-func TestFigSegTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("seg sweep regenerates Pd graphs")
-	}
-	fig := figSeg([]int{400, 900}, 400, 200_000, 1)
-	if len(fig.Rows) != 2 {
-		t.Fatalf("want 2 size points, got %d", len(fig.Rows))
-	}
-	for _, r := range fig.Rows {
-		for _, s := range fig.Series {
-			if r.Cells[s] == "" {
-				t.Fatalf("empty cell %s at N=%s", s, r.X)
-			}
-		}
+	if err := difftest.DiffLiveFrozen(p, fz, q); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,52 +4,18 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cypher"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/graph/difftest"
 	"repro/internal/prov"
 )
 
-// Panel "vec": the scalar per-vertex traversals vs the vectorized
-// frontier-at-a-time engine, on the same frozen epoch snapshot. Three
-// workloads: the full PgSeg segmentation, the pure ancestry walk (VC1
-// closures, the adjacency-bound kernel the frontier engine rewrites into
-// word-parallel row unions), and a both-ends-anchored bounded Cypher
-// pattern (the snapshot-aware planner's corridor pruning vs the naive DFS).
-// Before timing each size, the panel asserts the two engines produce
-// bit-identical results — a benchmark of diverging engines would be
-// meaningless.
-
-// timeSegmentOpts measures one full PgSeg evaluation under opts (best of
-// reps).
-func timeSegmentOpts(p *prov.Graph, src, dst []graph.VertexID, opts core.Options, reps int) time.Duration {
-	eng := core.NewEngine(p, opts)
-	best := time.Duration(0)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		if _, err := eng.Segment(core.Query{Src: src, Dst: dst}); err != nil {
-			panic(err)
-		}
-		if d := time.Since(start); i == 0 || d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// timeWalkOpts measures one VC1 ancestry pass under opts, averaged over
-// iters.
-func timeWalkOpts(p *prov.Graph, src, dst []graph.VertexID, opts core.Options, iters int) time.Duration {
-	eng := core.NewEngine(p, opts)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		eng.AncestryClosure(dst, core.Boundary{}, true)
-		eng.AncestryClosure(src, core.Boundary{}, false)
-	}
-	return time.Since(start) / time.Duration(iters)
-}
+// Panel "vec": the snapshot-aware Cypher planner's corridor pruning vs the
+// naive DFS, on a both-ends-anchored bounded pattern over the same frozen
+// epoch snapshot. Before timing each size, the panel asserts the two
+// evaluators produce identical rows — a benchmark of diverging engines would
+// be meaningless. (Older `vec` records in BENCH_provd.json carry seg/walk
+// columns as well; see README, "Query engine".)
 
 // vecCypherQuery renders the panel's anchored corridor pattern: all bounded
 // lineage walks descending from entity b down to entity e. The naive DFS
@@ -81,16 +47,9 @@ func timeCypherOpts(p *prov.Graph, src, dst []graph.VertexID, opts cypher.Option
 	return best
 }
 
-// assertVecEqualsScalar diffs the engines on the panel's workloads before
-// any timing.
-func assertVecEqualsScalar(p *prov.Graph, src, dst []graph.VertexID) {
-	q := core.Query{Src: src, Dst: dst}
-	if err := difftest.DiffVecScalar(p, q); err != nil {
-		panic(fmt.Sprintf("bench vec: segment divergence: %v", err))
-	}
-	if err := difftest.DiffClosures(p, q); err != nil {
-		panic(fmt.Sprintf("bench vec: closure divergence: %v", err))
-	}
+// assertPlannerEqualsNaive diffs the evaluators on the panel's workload
+// before any timing.
+func assertPlannerEqualsNaive(p *prov.Graph, src, dst []graph.VertexID) {
 	for _, b := range src {
 		for _, e := range dst {
 			qs := vecCypherQuery(b, e)
@@ -117,7 +76,8 @@ func assertVecEqualsScalar(p *prov.Graph, src, dst []graph.VertexID) {
 	}
 }
 
-// FigVec compares the scalar and vectorized engines across graph sizes.
+// FigVec compares the naive and planned Cypher evaluators across graph
+// sizes.
 func FigVec(scale Scale) Figure {
 	var ns []int
 	switch scale {
@@ -130,46 +90,29 @@ func FigVec(scale Scale) Figure {
 	}
 	fig := Figure{
 		ID:      "vec",
-		Caption: "scalar vs vectorized frontier engine (frozen Pd snapshots)",
+		Caption: "naive vs planned Cypher corridor pattern (frozen Pd snapshots)",
 		XLabel:  "N",
 		YLabel:  "runtime",
-		Series: []string{"seg scalar", "seg vec", "seg speedup",
-			"walk scalar", "walk vec", "walk speedup",
-			"cypher naive", "cypher planned", "cypher speedup"},
+		Series:  []string{"cypher naive", "cypher planned", "cypher speedup"},
 	}
 	const reps = 3
-	speedup := func(scalar, vec time.Duration) string {
-		if vec <= 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1fx", float64(scalar)/float64(vec))
-	}
 	for _, n := range ns {
 		p := pdGraph(gen.PdConfig{N: n, Seed: 1})
 		src, dst := gen.QueryAtRank(p, 0)
 		fz := p.Freeze()
 
-		assertVecEqualsScalar(fz, src, dst)
+		assertPlannerEqualsNaive(fz, src, dst)
 
-		iters := 2_000_000/n + 1
-		scalarOpts := core.Options{ScalarTraversal: true}
-		segScalar := timeSegmentOpts(fz, src, dst, scalarOpts, reps)
-		segVec := timeSegmentOpts(fz, src, dst, core.Options{}, reps)
-		walkScalar := timeWalkOpts(fz, src, dst, scalarOpts, iters)
-		walkVec := timeWalkOpts(fz, src, dst, core.Options{}, iters)
 		cyNaive := timeCypherOpts(fz, src, dst, cypher.Options{NoPlanner: true}, reps)
 		cyPlanned := timeCypherOpts(fz, src, dst, cypher.Options{}, reps)
-
+		speedup := "-"
+		if cyPlanned > 0 {
+			speedup = fmt.Sprintf("%.1fx", float64(cyNaive)/float64(cyPlanned))
+		}
 		fig.Rows = append(fig.Rows, Row{X: fmt.Sprint(n), Cells: map[string]string{
-			"seg scalar":     secs(segScalar),
-			"seg vec":        secs(segVec),
-			"seg speedup":    speedup(segScalar, segVec),
-			"walk scalar":    secs(walkScalar),
-			"walk vec":       secs(walkVec),
-			"walk speedup":   speedup(walkScalar, walkVec),
 			"cypher naive":   secs(cyNaive),
 			"cypher planned": secs(cyPlanned),
-			"cypher speedup": speedup(cyNaive, cyPlanned),
+			"cypher speedup": speedup,
 		}})
 	}
 	return fig

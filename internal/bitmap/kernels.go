@@ -2,12 +2,11 @@ package bitmap
 
 import "math/bits"
 
-// Frontier kernels for the vectorized query engine. The serving path's
-// frontier-at-a-time BFS unions whole CSR neighbor rows into a bitset,
-// subtracts the visited set word-parallel, and — when the frontier turns
-// dense — scans unvisited words directly. These kernels are the word-level
-// primitives that make each of those steps one pass over packed uint64s
-// instead of a per-element loop through interface dispatch.
+// Frontier kernels. A frontier-at-a-time sweep (the Cypher planner's, see
+// cypher/plan.go) unions whole CSR neighbor rows into a bitset and subtracts
+// the visited set word-parallel. These kernels are the word-level primitives
+// that make each of those steps one pass over packed uint64s instead of a
+// per-element loop through interface dispatch.
 
 // Key is any uint32-shaped identifier type. The row kernels are generic
 // over it so CSR rows typed as []graph.VertexID land in a bitset directly,

@@ -10,10 +10,15 @@ import (
 // access: vertices and edges excluded by the boundary criteria are mapped
 // to epsilon (paper's F_v / F_e) and never traversed.
 //
-// On a frozen graph (graph.Freeze) the per-relation neighbor scans read
-// contiguous CSR rows; with no programmatic filters (the common case — the
-// serving layer's cacheable queries carry only relation-type exclusions)
-// a scan degenerates to one slice append.
+// It is the only code in the package that knows a graph representation:
+// every PgSeg step (closures, the VC2 runners, VC3, VC4, expansion) is
+// written once against neighbors() and serves frozen CSR snapshots, live
+// edge lists and programmatically filtered boundaries alike. On a frozen
+// graph (graph.Freeze) the per-relation neighbor scans read contiguous CSR
+// rows; with no programmatic filters (the common case — the serving layer's
+// cacheable queries carry only relation-type exclusions) a scan degenerates
+// to one slice append. An excluded relation returns before any row is
+// touched, so its CSR block is never read.
 type adjacency struct {
 	p        *prov.Graph
 	vFilters []VertexFilter
@@ -159,20 +164,24 @@ func (e *Engine) AncestryClosure(seeds []graph.VertexID, b Boundary, forward boo
 	return e.ancestryClosure(seeds, newAdjacency(e.P, b), forward)
 }
 
+// closureRels returns the ancestry relations a closure follows.
+func (e *Engine) closureRels() []prov.Rel {
+	rels := []prov.Rel{prov.RelUsed, prov.RelGen}
+	if !e.opts.VC1ExcludeDerivations {
+		rels = append(rels, prov.RelDeriv)
+	}
+	return rels
+}
+
 // ancestryClosure computes the set of vertices reachable from the seeds by
 // ancestry edges; forward=true follows edges in their direction (toward
 // ancestors), forward=false follows them inversely (toward descendants).
-// Plain boundaries on frozen snapshots take the frontier-at-a-time path
-// (see frontier.go); the scalar walk below serves live graphs, filtered
-// boundaries and the ScalarTraversal toggle. The scalar walk visits one
-// relation at a time: on a frozen graph each step then reads contiguous CSR
-// rows, and on a live graph the repeated label-compare scans of the edge
-// list still measure ~2x faster than one mixed pass that classifies every
-// edge through the RelOf label map (Pd10k VC1 walk: ~1.0ms vs ~1.8ms).
+// The walk visits one relation at a time: on a frozen graph each step then
+// reads contiguous CSR rows, and on a live graph the repeated label-compare
+// scans of the edge list still measure ~2x faster than one mixed pass that
+// classifies every edge through the RelOf label map (Pd10k VC1 walk: ~1.0ms
+// vs ~1.8ms).
 func (e *Engine) ancestryClosure(seeds []graph.VertexID, ad *adjacency, forward bool) *bitmap.Bitset {
-	if e.vectorizable(ad) {
-		return e.frontierClosure(seeds, ad, forward)
-	}
 	closure := bitmap.NewBitset(e.P.NumVertices())
 	queue := make([]graph.VertexID, 0, len(seeds))
 	for _, v := range seeds {

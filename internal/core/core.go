@@ -82,39 +82,21 @@ type Options struct {
 	// induction (they participate by default; Fig. 2's Q1/Q2 instead
 	// exclude them with an explicit edge-type boundary).
 	VC1ExcludeDerivations bool
-	// ScalarTraversal forces the scalar vertex-at-a-time walks even where
-	// the vectorized frontier engine applies (plain boundaries on frozen
-	// snapshots — see frontier.go). Results are identical either way; the
-	// difftest harness runs both and diffs.
-	ScalarTraversal bool
-	// ForceVecSolver bypasses the DegreeStats regime choice and always takes
-	// the set-at-a-time VC2 solver paths where they apply (see simprovvec.go).
-	// The differential harness and the bench panels force the vectorized side
-	// so small graphs exercise it too; production queries leave this off and
-	// let the snapshot's freeze-time statistics decide.
-	ForceVecSolver bool
 }
 
 // Engine evaluates PgSeg queries over one provenance graph.
 type Engine struct {
 	P    *prov.Graph
 	opts Options
-	// setsDefault records that the caller left Options.Sets nil (factory
-	// functions are not comparable, so the defaulting below is remembered
-	// here): the vectorized SimProvAlg requires the dense-bitset stores for
-	// its word-parallel partner merges and must not silently replace an
-	// explicitly requested set representation (e.g. the Roaring ablation).
-	setsDefault bool
 }
 
 // NewEngine builds an engine; zero-value options select SimProvTst with
 // dense bitsets, pruning and early stopping enabled.
 func NewEngine(p *prov.Graph, opts Options) *Engine {
-	setsDefault := opts.Sets == nil
-	if setsDefault {
+	if opts.Sets == nil {
 		opts.Sets = bitmap.BitsetFactory
 	}
-	return &Engine{P: p, opts: opts, setsDefault: setsDefault}
+	return &Engine{P: p, opts: opts}
 }
 
 // Opts returns the engine options.
@@ -315,21 +297,17 @@ func (e *Engine) Segment(q Query) (*Segment, error) {
 	// VC3: entities generated by induced activities but not already induced.
 	coreSet := vc1.Clone()
 	coreSet.UnionWith(vc2)
-	if e.vectorizable(ad) {
-		e.frontierSiblings(coreSet, ad, addV)
-	} else {
-		var buf []graph.VertexID
-		coreSet.Iterate(func(x uint32) bool {
-			v := graph.VertexID(x)
-			if e.P.IsKind(v, prov.KindActivity) {
-				buf = ad.generatedBy(v, buf[:0])
-				for _, sib := range buf {
-					addV(sib, RuleC3)
-				}
+	var buf []graph.VertexID
+	coreSet.Iterate(func(x uint32) bool {
+		v := graph.VertexID(x)
+		if e.P.IsKind(v, prov.KindActivity) {
+			buf = ad.generatedBy(v, buf[:0])
+			for _, sib := range buf {
+				addV(sib, RuleC3)
 			}
-			return true
-		})
-	}
+		}
+		return true
+	})
 
 	// Expansions (b_x): ancestry within k activities of the given entities.
 	for _, ex := range q.Boundary.Expansions {
@@ -337,18 +315,13 @@ func (e *Engine) Segment(q Query) (*Segment, error) {
 	}
 
 	// VC4: agents of every included vertex, reached by non-excluded edges.
-	if e.vectorizable(ad) {
-		e.frontierAgents(seg.vset, ad, addV)
-	} else {
-		var agents []graph.VertexID
-		seg.vset.Iterate(func(x uint32) bool {
-			agents = ad.agentsOf(graph.VertexID(x), agents[:0])
-			for _, u := range agents {
-				addV(u, RuleC4)
-			}
-			return true
-		})
-	}
+	seg.vset.Iterate(func(x uint32) bool {
+		buf = ad.agentsOf(graph.VertexID(x), buf[:0])
+		for _, u := range buf {
+			addV(u, RuleC4)
+		}
+		return true
+	})
 
 	// Support set: the closures already bound every VC1/VC2 derivation; add
 	// the segment itself (covers VC3 siblings, VC4 agents, induced edges and
@@ -382,9 +355,6 @@ func setToVertices(vs *bitmap.Bitset) []graph.VertexID {
 
 // inducedEdges returns ES = all non-excluded edges with both endpoints in vs.
 func (e *Engine) inducedEdges(vs *bitmap.Bitset, ad *adjacency) []graph.EdgeID {
-	if e.vectorizable(ad) {
-		return e.inducedEdgesVec(vs, ad)
-	}
 	var out []graph.EdgeID
 	g := e.P.PG()
 	vs.Iterate(func(x uint32) bool {
@@ -406,10 +376,6 @@ func (e *Engine) inducedEdges(vs *bitmap.Bitset, ad *adjacency) []graph.EdgeID {
 // frontier vertices multiplicatively per step, and k arrives unvalidated
 // from CLI flags and HTTP requests.
 func (e *Engine) expand(ad *adjacency, ex Expansion, add func(graph.VertexID)) {
-	if e.vectorizable(ad) {
-		e.expandFrontier(ad, ex, add)
-		return
-	}
 	seen := bitmap.NewBitset(e.P.NumVertices())
 	ents := make([]graph.VertexID, 0, len(ex.Within))
 	seeds := bitmap.NewBitset(e.P.NumVertices())

@@ -79,6 +79,19 @@ func dedupVertices(vs []graph.VertexID) []graph.VertexID {
 	return out
 }
 
+// minSrcOrder returns the smallest order-of-being among the sources: the
+// bound of the temporal early stop (nothing strictly older than every
+// source can lead to an answer).
+func (e *Engine) minSrcOrder(src []graph.VertexID) int64 {
+	minSrc := int64(1) << 62
+	for _, s := range src {
+		if o := e.P.Order(s); o < minSrc {
+			minSrc = o
+		}
+	}
+	return minSrc
+}
+
 // propMatch builds a pair predicate requiring equality of the given
 // property (empty key accepts everything).
 func (e *Engine) propMatch(key string) func(a, b graph.VertexID) bool {

@@ -18,48 +18,58 @@ import (
 // source entity is reachable by an alternating G/U ancestry path, VC2
 // contains every vertex on every alternating ancestry path of exactly m
 // activity-steps from vj.
+//
+// Every path is enumerated twice rather than stored: the first enumeration
+// records the depths that reach a source, the second marks the DFS stack at
+// each path end of such a depth.
 func bruteForceVC2(p *prov.Graph, src, dst []graph.VertexID, maxDepth int) map[graph.VertexID]bool {
-	srcSet := make(map[graph.VertexID]bool)
+	srcSet := make([]bool, p.NumVertices())
 	for _, s := range src {
 		srcSet[s] = true
 	}
-	out := make(map[graph.VertexID]bool)
-	for _, vj := range dst {
-		type pathRec struct{ verts []graph.VertexID }
-		byDepth := make([][]pathRec, maxDepth+1)
-		var walk func(cur graph.VertexID, depth int, verts []graph.VertexID)
-		walk = func(cur graph.VertexID, depth int, verts []graph.VertexID) {
-			byDepth[depth] = append(byDepth[depth], pathRec{verts: append([]graph.VertexID(nil), verts...)})
-			if depth == maxDepth {
-				return
-			}
-			var acts []graph.VertexID
-			acts = p.GeneratorsOf(cur, acts)
-			for _, a := range acts {
-				var ins []graph.VertexID
-				ins = p.InputsOf(a, ins)
-				for _, e := range ins {
-					walk(e, depth+1, append(append(append([]graph.VertexID(nil), verts...), a), e))
-				}
+	marked := make([]bool, p.NumVertices())
+	// stack holds the current path vj, a1, e1, ..., a_depth, e_depth; the
+	// per-depth neighbor buffers are reused across the whole enumeration.
+	var stack []graph.VertexID
+	acts := make([][]graph.VertexID, maxDepth+1)
+	ins := make([][]graph.VertexID, maxDepth+1)
+	var walk func(depth int, visit func(depth int))
+	walk = func(depth int, visit func(depth int)) {
+		visit(depth)
+		if depth == maxDepth {
+			return
+		}
+		cur := stack[len(stack)-1]
+		acts[depth] = p.GeneratorsOf(cur, acts[depth][:0])
+		for _, a := range acts[depth] {
+			ins[depth] = p.InputsOf(a, ins[depth][:0])
+			for _, e := range ins[depth] {
+				stack = append(stack, a, e)
+				walk(depth+1, visit)
+				stack = stack[:len(stack)-2]
 			}
 		}
-		walk(vj, 0, []graph.VertexID{vj})
-		for m := 0; m <= maxDepth; m++ {
-			hasSrc := false
-			for _, rec := range byDepth[m] {
-				if srcSet[rec.verts[len(rec.verts)-1]] {
-					hasSrc = true
-					break
+	}
+	for _, vj := range dst {
+		stack = append(stack[:0], vj)
+		hasSrc := make([]bool, maxDepth+1)
+		walk(0, func(depth int) {
+			if srcSet[stack[len(stack)-1]] {
+				hasSrc[depth] = true
+			}
+		})
+		walk(0, func(depth int) {
+			if hasSrc[depth] {
+				for _, v := range stack {
+					marked[v] = true
 				}
 			}
-			if !hasSrc {
-				continue
-			}
-			for _, rec := range byDepth[m] {
-				for _, v := range rec.verts {
-					out[v] = true
-				}
-			}
+		})
+	}
+	out := make(map[graph.VertexID]bool)
+	for v, m := range marked {
+		if m {
+			out[graph.VertexID(v)] = true
 		}
 	}
 	return out

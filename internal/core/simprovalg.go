@@ -102,12 +102,6 @@ type algItem struct {
 
 // runSimProvAlg derives all Ee/Aa facts for the query.
 func (e *Engine) runSimProvAlg(src, dst []graph.VertexID, ad *adjacency) (*algFacts, error) {
-	// Set-at-a-time path (simprovvec.go): requires the symmetric-pair
-	// pruning (rounds push canonical pairs) and the default dense-bitset
-	// stores (word-parallel partner merges) on top of the shared gate.
-	if e.vecSolverChosen(ad) && !e.opts.NoPruning && e.setsDefault {
-		return e.runSimProvAlgVec(src, dst, ad)
-	}
 	n := e.P.NumVertices()
 	facts := &algFacts{
 		ee: newPairStore(n, e.opts.Sets),
@@ -116,12 +110,7 @@ func (e *Engine) runSimProvAlg(src, dst []graph.VertexID, ad *adjacency) (*algFa
 	matchA := e.propMatch(e.opts.MatchActivityProp)
 	matchE := e.propMatch(e.opts.MatchEntityProp)
 
-	minSrc := int64(1) << 62
-	for _, s := range src {
-		if o := e.P.Order(s); o < minSrc {
-			minSrc = o
-		}
-	}
+	minSrc := e.minSrcOrder(src)
 	earlyStop := !e.opts.NoEarlyStop
 	pruning := !e.opts.NoPruning
 

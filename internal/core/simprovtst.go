@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/graph"
+	"repro/internal/prov"
 )
 
 // SimProvTst (paper Sec. III.B.2, "Transitive property"): evaluating each
@@ -47,61 +48,91 @@ func chainSig(parent uint64, part string) uint64 {
 	return h.Sum64()
 }
 
+// tstRunner evaluates SimProvTst for one destination at a time,
+// accumulating VC2 vertices into out. The per-query constants (source set,
+// early-stop bound, scratch) live in the runner, built once per query.
+type tstRunner interface {
+	run(vj graph.VertexID, out *bitmap.Bitset)
+}
+
+// newTstRunner picks the runner from what the query and the graph show, and
+// nothing else:
+//
+//   - a property-match constraint needs the explicit class chains
+//     (tstChainState), the only runner that can split a level by
+//     property-value signature;
+//   - a label-only query on an id-monotone graph takes the three-sweep
+//     solver (simprovsweep.go), which visits every ancestry edge once but
+//     needs ancestry edges to strictly descend in vertex id;
+//   - a label-only query on a graph ingested out of order takes the
+//     level-synchronous solver (simprovlevels.go): one frontier per level,
+//     no ordering requirement.
+//
+// All three read rows through adjacency, so the representation (frozen,
+// live, filtered) and the graph's size play no part.
+func (e *Engine) newTstRunner(ad *adjacency, src []graph.VertexID) tstRunner {
+	switch {
+	case e.opts.MatchActivityProp != "" || e.opts.MatchEntityProp != "":
+		return e.newTstChain(ad, src)
+	case e.ancestryMonotone():
+		return e.newTstSweep(ad, src)
+	default:
+		return e.newTstLevels(ad, src)
+	}
+}
+
+// ancestryMonotone reports whether every ancestry edge points from a newer
+// vertex to a strictly older one (true for ingestion-ordered provenance);
+// the sweep solver relies on this for its single-pass propagation.
+func (e *Engine) ancestryMonotone() bool {
+	g := e.P.PG()
+	uL, gL := e.P.RelLabel(prov.RelUsed), e.P.RelLabel(prov.RelGen)
+	for eid := 0; eid < g.NumEdges(); eid++ {
+		id := graph.EdgeID(eid)
+		l := g.EdgeLabel(id)
+		if (l == uL || l == gL) && g.Src(id) <= g.Dst(id) {
+			return false
+		}
+	}
+	return true
+}
+
 // runSimProvTst computes VC2 for all destinations.
 func (e *Engine) runSimProvTst(src, dst []graph.VertexID, ad *adjacency) (*bitmap.Bitset, error) {
+	r := e.newTstRunner(ad, src)
 	out := bitmap.NewBitset(e.P.NumVertices())
-	// Set-at-a-time path: plain queries on frozen snapshots whose ancestry
-	// blocks are big enough for whole-row passes (or with ForceVecSolver)
-	// run the sweep solver (simprovsweep.go) on temporally monotone
-	// snapshots, and the level-synchronous frontier solver (simprovvec.go)
-	// when out-of-order ingestion bars the single-sweep propagation.
-	if e.vecSolverChosen(ad) {
-		if e.ancestryMonotone() {
-			sw := e.newTstSweepState(ad, src)
-			for _, vj := range dst {
-				if ad.vertexOK(vj) {
-					sw.run(vj, out)
-				}
-			}
-			return out, nil
-		}
-		st := e.newTstVecState(ad, src)
-		for _, vj := range dst {
-			if ad.vertexOK(vj) {
-				st.run(vj, out)
-			}
-		}
-		return out, nil
-	}
-	srcSet := make(map[graph.VertexID]bool, len(src))
-	minSrc := int64(1) << 62
-	for _, s := range src {
-		srcSet[s] = true
-		if o := e.P.Order(s); o < minSrc {
-			minSrc = o
-		}
-	}
-	// Plain queries on temporally monotone graphs take the word-parallel
-	// depth/height-set path (tstbitset.go); property-constrained queries —
-	// where path labels are no longer determined by depth — and graphs
-	// with out-of-order ingestion use the explicit class-chain iteration.
-	useBitset := e.opts.MatchActivityProp == "" && e.opts.MatchEntityProp == "" && e.ancestryMonotone()
 	for _, vj := range dst {
-		if !ad.vertexOK(vj) {
-			continue
-		}
-		if useBitset {
-			e.tstSingleBitset(vj, srcSet, ad, out)
-		} else {
-			e.tstSingle(vj, srcSet, minSrc, ad, out)
+		if ad.vertexOK(vj) {
+			r.run(vj, out)
 		}
 	}
 	return out, nil
 }
 
-// tstSingle runs the level iteration for one destination and accumulates
-// VC2 vertices into out.
-func (e *Engine) tstSingle(vj graph.VertexID, srcSet map[graph.VertexID]bool, minSrc int64, ad *adjacency, out *bitmap.Bitset) {
+// tstChainState carries the class-chain runner's per-query constants.
+type tstChainState struct {
+	e      *Engine
+	ad     *adjacency
+	srcSet map[graph.VertexID]bool
+	minSrc int64
+}
+
+func (e *Engine) newTstChain(ad *adjacency, src []graph.VertexID) *tstChainState {
+	st := &tstChainState{
+		e:      e,
+		ad:     ad,
+		srcSet: make(map[graph.VertexID]bool, len(src)),
+		minSrc: e.minSrcOrder(src),
+	}
+	for _, s := range src {
+		st.srcSet[s] = true
+	}
+	return st
+}
+
+// run is the class-chain level iteration for one destination.
+func (st *tstChainState) run(vj graph.VertexID, out *bitmap.Bitset) {
+	e, ad, srcSet, minSrc := st.e, st.ad, st.srcSet, st.minSrc
 	g := e.P.PG()
 	matchAKey := e.opts.MatchActivityProp
 	matchEKey := e.opts.MatchEntityProp

@@ -1,0 +1,202 @@
+package core_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/prov"
+)
+
+// diffSegs fails the test unless the two segments are identical in every
+// externally observable dimension.
+func diffSegs(t *testing.T, tag string, a, b *core.Segment) {
+	t.Helper()
+	if fmt.Sprint(a.Vertices) != fmt.Sprint(b.Vertices) {
+		t.Fatalf("%s: vertex sets differ: %d vs %d vertices", tag, len(a.Vertices), len(b.Vertices))
+	}
+	if fmt.Sprint(a.Edges) != fmt.Sprint(b.Edges) {
+		t.Fatalf("%s: edge sets differ: %d vs %d edges", tag, len(a.Edges), len(b.Edges))
+	}
+	if len(a.Rules) != len(a.Vertices) || len(b.Rules) != len(b.Vertices) {
+		t.Fatalf("%s: Rules not parallel to Vertices: %d/%d vs %d/%d", tag, len(a.Rules), len(a.Vertices), len(b.Rules), len(b.Vertices))
+	}
+	for i, v := range a.Vertices {
+		if a.Rules[i] != b.Rules[i] {
+			t.Fatalf("%s: rule attribution differs at %d: %v vs %v", tag, v, a.Rules[i], b.Rules[i])
+		}
+		if r, ok := b.RuleOf(v); !ok || r != a.Rules[i] {
+			t.Fatalf("%s: RuleOf(%d) = %v, %v; want %v", tag, v, r, ok, a.Rules[i])
+		}
+	}
+	as, bs := a.Support(), b.Support()
+	if fmt.Sprint(as.ToSlice()) != fmt.Sprint(bs.ToSlice()) {
+		t.Fatalf("%s: support sets differ", tag)
+	}
+}
+
+// TestLiveMatchesFrozen runs PgSeg on a live graph and on its frozen
+// snapshot — the two representations behind the one adjacency walk — over a
+// spread of boundaries, and requires bit-identical segments. (The randomized
+// corpus over incremental snapshot chains lives in graph/difftest; this is
+// the in-package smoke with targeted boundaries.)
+func TestLiveMatchesFrozen(t *testing.T) {
+	for _, n := range []int{60, 400, 1500} {
+		live := gen.Pd(gen.PdConfig{N: n, Seed: int64(n)})
+		fz := live.Freeze()
+		src, dst := gen.DefaultQuery(live)
+		boundaries := []core.Boundary{
+			{},
+			{ExcludeRels: []prov.Rel{prov.RelDeriv}},
+			{ExcludeRels: []prov.Rel{prov.RelAttr, prov.RelAssoc}},
+			{ExcludeRels: []prov.Rel{prov.RelDeriv, prov.RelUsed}},
+			{Expansions: []core.Expansion{{Within: dst, K: 3}}},
+			{ExcludeRels: []prov.Rel{prov.RelDeriv}, Expansions: []core.Expansion{{Within: src, K: 2}, {Within: dst, K: 5}}},
+			{VertexFilters: []core.VertexFilter{func(_ *prov.Graph, v graph.VertexID) bool { return v%11 != 4 }}},
+			{EdgeFilters: []core.EdgeFilter{func(_ *prov.Graph, e graph.EdgeID) bool { return e%13 != 5 }}},
+		}
+		for bi, b := range boundaries {
+			q := core.Query{Src: src, Dst: dst, Boundary: b}
+			ls, err := core.NewEngine(live, core.Options{}).Segment(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := core.NewEngine(fz, core.Options{}).Segment(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ls.NumVertices() <= len(src)+len(dst) {
+				t.Fatalf("n=%d boundary=%d: segment holds only the query vertices", n, bi)
+			}
+			diffSegs(t, fmt.Sprintf("n=%d boundary=%d", n, bi), ls, fs)
+		}
+	}
+}
+
+// TestClosureLiveMatchesFrozen pins the closure building block in both
+// directions, with and without derivation edges.
+func TestClosureLiveMatchesFrozen(t *testing.T) {
+	live := gen.Pd(gen.PdConfig{N: 800, Seed: 2})
+	fz := live.Freeze()
+	src, dst := gen.DefaultQuery(live)
+	for _, excl := range []bool{false, true} {
+		liveEng := core.NewEngine(live, core.Options{VC1ExcludeDerivations: excl})
+		fzEng := core.NewEngine(fz, core.Options{VC1ExcludeDerivations: excl})
+		for _, fwd := range []bool{true, false} {
+			seeds := dst
+			if !fwd {
+				seeds = src
+			}
+			b := core.Boundary{ExcludeRels: []prov.Rel{prov.RelAttr}}
+			l := liveEng.AncestryClosure(seeds, b, fwd)
+			f := fzEng.AncestryClosure(seeds, b, fwd)
+			if l.Cardinality() <= len(seeds) {
+				t.Fatalf("closure(fwd=%v exclD=%v) never left its seeds", fwd, excl)
+			}
+			if fmt.Sprint(l.ToSlice()) != fmt.Sprint(f.ToSlice()) {
+				t.Fatalf("closure(fwd=%v exclD=%v): %d vs %d vertices", fwd, excl, l.Cardinality(), f.Cardinality())
+			}
+		}
+	}
+}
+
+// TestAdjustExpandMatchesScalar covers the adjust surface on both
+// representations, and against the one-shot query: growing a cached segment
+// must equal segmenting with the expansion in the boundary. (The name
+// predates the single walk; it is what the test floor tracks.)
+func TestAdjustExpandMatchesScalar(t *testing.T) {
+	live := gen.Pd(gen.PdConfig{N: 500, Seed: 9})
+	src, dst := gen.DefaultQuery(live)
+	q := core.Query{Src: src, Dst: dst, Boundary: core.Boundary{ExcludeRels: []prov.Rel{prov.RelDeriv}}}
+	ex := core.Expansion{Within: src, K: 4}
+	var ref *core.Segment
+	for _, p := range []*prov.Graph{live, live.Freeze()} {
+		eng := core.NewEngine(p, core.Options{})
+		seg, err := eng.Segment(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := eng.AdjustExpand(seg, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = out
+			continue
+		}
+		if fmt.Sprint(out.Vertices) != fmt.Sprint(ref.Vertices) || fmt.Sprint(out.Edges) != fmt.Sprint(ref.Edges) || fmt.Sprint(out.Rules) != fmt.Sprint(ref.Rules) {
+			t.Fatal("AdjustExpand diverges between the live and the frozen graph")
+		}
+	}
+}
+
+// TestExcludedBlocksNeverRead pins the block-skip contract: segmenting with
+// excluded relations must not read a single CSR row of those labels.
+func TestExcludedBlocksNeverRead(t *testing.T) {
+	p := gen.Pd(gen.PdConfig{N: 400, Seed: 4}).Freeze()
+	src, dst := gen.DefaultQuery(p)
+	excluded := []prov.Rel{prov.RelDeriv, prov.RelAttr}
+	bad := map[graph.Label]bool{}
+	for _, r := range excluded {
+		bad[p.RelLabel(r)] = true
+	}
+	reads := map[graph.Label]int{}
+	restore := graph.SetRowReadHook(func(l graph.Label, out bool) { reads[l]++ })
+	defer restore()
+	eng := core.NewEngine(p, core.Options{})
+	seg, err := eng.Segment(core.Query{
+		Src: src, Dst: dst,
+		Boundary: core.Boundary{
+			ExcludeRels: excluded,
+			Expansions:  []core.Expansion{{Within: dst, K: 3}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.NumVertices() == 0 {
+		t.Fatal("empty segment: the traversal never ran")
+	}
+	total := 0
+	for l, c := range reads {
+		if bad[l] {
+			t.Errorf("excluded label %q: %d CSR row reads", p.PG().Dict().Name(l), c)
+		}
+		total += c
+	}
+	if total == 0 {
+		t.Fatal("hook observed no reads at all: instrumentation is dead")
+	}
+}
+
+// TestSweepArenaFootprint guards the sweep's arena sizing: a two-destination
+// label-only query on a small frozen graph allocates in proportion to the
+// ids it can reach (<= vj+1 slots per arena), not a fixed 2 MB slab per
+// arena (8.39 MB/op on Pd-300 before the cap).
+func TestSweepArenaFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		n        int
+		maxBytes int64
+	}{{300, 64 << 10}, {2000, 1 << 20}} {
+		p := gen.Pd(gen.PdConfig{N: tc.n, Seed: 1}).Freeze()
+		src, dst := gen.DefaultQuery(p)
+		if len(dst) != 2 {
+			t.Fatalf("Pd-%d: default query has %d destinations, want 2", tc.n, len(dst))
+		}
+		eng := core.NewEngine(p, core.Options{})
+		q := core.Query{Src: src, Dst: dst}
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.SimilarPaths(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got > tc.maxBytes {
+			t.Errorf("Pd-%d: SimilarPaths allocates %d B/op, want <= %d", tc.n, got, tc.maxBytes)
+		}
+	}
+}

@@ -8,9 +8,9 @@ import (
 // Snapshot-aware pattern planner. On a frozen graph the evaluator knows,
 // before enumerating a single path, the per-label CSR blocks and the
 // freeze-time degree statistics — enough to bound where each pattern
-// position can possibly bind. The planner runs the same bitmap frontier
-// kernels the core traversals use (row unions over NeighborRowSegs with
-// word-parallel visited subtraction) from the pattern's anchored ends:
+// position can possibly bind. The planner runs bitmap frontier sweeps (row
+// unions over NeighborRowSegs with word-parallel visited subtraction) from
+// the pattern's anchored ends:
 //
 //   - a forward sweep from the first node's anchor ids computes, per node
 //     position, an over-approximation of the vertices reachable there;
@@ -151,7 +151,7 @@ func (ev *Evaluator) sweep(pat PathPattern, ids []graph.VertexID, forward bool, 
 			// The closure over-approximates both the admissible endpoints
 			// (walks may revisit vertices, so no minimum-hop filtering) and
 			// every intermediate vertex on a var-length walk.
-			pathVerts = ev.frontierClosure(cur, labels, useOut, useIn, maxHops)
+			pathVerts = ev.hopClosure(cur, labels, useOut, useIn, maxHops)
 			next = pathVerts
 		} else {
 			next = ev.frontierStep(cur, labels, useOut, useIn)
@@ -412,9 +412,9 @@ func (ev *Evaluator) iterRelEdges(cur graph.VertexID, rp RelPattern, out bool, f
 	return nil
 }
 
-// frontierClosure computes every vertex within maxHops label-steps of src
+// hopClosure computes every vertex within maxHops label-steps of src
 // (src included), frontier-at-a-time with visited subtraction.
-func (ev *Evaluator) frontierClosure(src *bitmap.Bitset, labels []graph.Label, useOut, useIn bool, maxHops int) *bitmap.Bitset {
+func (ev *Evaluator) hopClosure(src *bitmap.Bitset, labels []graph.Label, useOut, useIn bool, maxHops int) *bitmap.Bitset {
 	all := src.Clone()
 	cur := src
 	for h := 0; h < maxHops && cur.Cardinality() > 0; h++ {

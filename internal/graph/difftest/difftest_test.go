@@ -54,10 +54,10 @@ func TestProvScriptsDifferential(t *testing.T) {
 }
 
 // TestVectorizedScalarDifferential replays randomized scripts through
-// incremental snapshot chains and diffs the vectorized frontier engine and
-// the Cypher planner against their scalar counterparts at every epoch:
-// segments, ancestry closures and bounded pattern rows must be
-// bit-identical.
+// incremental snapshot chains and, at every epoch, diffs the replayer's live
+// graph against the chain's snapshot (the two representations behind PgSeg's
+// one walk) and the Cypher planner against the naive evaluator: segments,
+// ancestry closures and bounded pattern rows must be bit-identical.
 func TestVectorizedScalarDifferential(t *testing.T) {
 	scripts, size, epochs, queries := 30, 150, 4, 3
 	if !testing.Short() {
@@ -71,8 +71,8 @@ func TestVectorizedScalarDifferential(t *testing.T) {
 		}
 		incremental += res.Incremental
 	}
-	// The vectorized engine must have been diffed over extended (two-
-	// segment) CSR blocks, not just fresh contiguous snapshots.
+	// The frozen side must have been diffed over extended (two-segment) CSR
+	// blocks, not just fresh contiguous snapshots.
 	if incremental == 0 {
 		t.Fatal("no script epoch took the incremental freeze path")
 	}
@@ -95,8 +95,9 @@ func FuzzExtendFrozen(f *testing.F) {
 	})
 }
 
-// FuzzVecScalar hunts for scripts where the vectorized engines diverge from
-// the scalar reference beyond the fixed seed sweep.
+// FuzzVecScalar hunts for scripts where the live and frozen representations
+// (or the Cypher planner and the naive evaluator) diverge beyond the fixed
+// seed sweep.
 func FuzzVecScalar(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
@@ -108,9 +109,9 @@ func FuzzVecScalar(f *testing.F) {
 	})
 }
 
-// TestSolverDifferential runs the VC2 solver matrix (SimProvTst and
-// SimProvAlg, each vectorized and scalar — see solverdiff.go) over
-// randomized incremental snapshot chains.
+// TestSolverDifferential runs the VC2 solvers (SimProvTst ≡ SimProvAlg, plus
+// CflrB on the short-mode sizes — see solverdiff.go) on the live graph and
+// the snapshot over randomized incremental snapshot chains.
 func TestSolverDifferential(t *testing.T) {
 	scripts, size, epochs, queries := 25, 120, 4, 2
 	if !testing.Short() {
@@ -132,6 +133,7 @@ func TestSolverDifferential(t *testing.T) {
 	t.Logf("%d scripts, %d incremental epochs", scripts, incremental)
 }
 
+// FuzzVecSolver hunts for scripts where the solvers disagree.
 func FuzzVecSolver(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)

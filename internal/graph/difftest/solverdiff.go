@@ -2,109 +2,71 @@ package difftest
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/prov"
 )
 
-// Solver-level differential: the set-at-a-time VC2 solvers
-// (core/simprovvec.go) promise the exact vertex sets of their scalar
-// worklist counterparts. DiffSolvers runs the full solver matrix on one
-// query — SimProvTst and SimProvAlg, each forced through its vectorized
-// path and with ScalarTraversal forced — and asserts all four produce the
-// same VC2 set, then diffs whole segments with the solver forced each way.
-// CheckSolverScript replays the matrix over incremental ExtendFrozen
-// chains, so the vectorized row unions see two-segment extended CSR rows,
-// not just freshly frozen contiguous ones.
+// Solver-level differential: SimProvTst and SimProvAlg (and the CflrB
+// baseline, where it is affordable) are the paper's interchangeable VC2
+// solvers — Thm. 1/2's contract is that they compute the same set.
+// DiffSolvers runs them on one query against both representations of the
+// same graph state, the live graph and a frozen snapshot, and asserts one
+// VC2 set, then diffs whole segments across solver and representation.
+// CheckSolverScript replays that over incremental ExtendFrozen chains, so
+// the solvers' row reads see two-segment extended CSR rows, not just
+// freshly frozen contiguous ones.
 
-// solverVariant names one (solver, traversal) corner of the matrix.
-type solverVariant struct {
-	name string
-	opts core.Options
-}
+// cflrbMaxVertices bounds the graphs CflrB joins the comparison on: the
+// generic subcubic baseline is the slowest of the three by orders of
+// magnitude (core's TestSolverEquivalenceOnPd affords it up to this size).
+const cflrbMaxVertices = 150
 
-func solverMatrix() []solverVariant {
-	return []solverVariant{
-		{"tst-scalar", core.Options{Solver: core.SolverTst, ScalarTraversal: true}},
-		{"tst-vec", core.Options{Solver: core.SolverTst, ForceVecSolver: true}},
-		{"alg-scalar", core.Options{Solver: core.SolverAlg, ScalarTraversal: true}},
-		{"alg-vec", core.Options{Solver: core.SolverAlg, ForceVecSolver: true}},
+// DiffSolvers asserts every solver yields the same VC2 set on the live graph
+// and on the frozen snapshot of the same state, then that the default
+// solver's segment on the snapshot equals SimProvAlg's on the live graph.
+func DiffSolvers(live, frozen *prov.Graph, q core.Query) error {
+	solvers := []core.SolverKind{core.SolverTst, core.SolverAlg}
+	if frozen.NumVertices() <= cflrbMaxVertices {
+		solvers = append(solvers, core.SolverCflrB)
 	}
-}
-
-// DiffSolvers asserts the four solver variants agree on the query's VC2 set
-// (cross-solver equality is the paper's Thm. 1/2 contract; scalar-vs-vec
-// equality is the vectorization contract), then diffs full segments with
-// the default solver forced vectorized vs scalar.
-func DiffSolvers(p *prov.Graph, q core.Query) error {
 	var ref []uint32
 	var refName string
-	for _, v := range solverMatrix() {
-		set, err := core.NewEngine(p, v.opts).SimilarPaths(q)
-		if err != nil {
-			return fmt.Errorf("%s: %w", v.name, err)
-		}
-		got := set.ToSlice()
-		if ref == nil {
-			ref, refName = got, v.name
-			continue
-		}
-		if len(got) != len(ref) {
-			return fmt.Errorf("VC2 size mismatch: %s %d vs %s %d", v.name, len(got), refName, len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				return fmt.Errorf("VC2 mismatch at %d: %s %d vs %s %d", i, v.name, got[i], refName, ref[i])
+	for _, rep := range []struct {
+		name string
+		p    *prov.Graph
+	}{{"frozen", frozen}, {"live", live}} {
+		for _, solver := range solvers {
+			name := fmt.Sprintf("%v/%s", solver, rep.name)
+			set, err := core.NewEngine(rep.p, core.Options{Solver: solver}).SimilarPaths(q)
+			if err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			got := set.ToSlice()
+			if ref == nil {
+				ref, refName = got, name
+				continue
+			}
+			if !slices.Equal(got, ref) {
+				return fmt.Errorf("VC2 mismatch: %s has %d vertices, %s has %d", name, len(got), refName, len(ref))
 			}
 		}
 	}
-	vs, verr := core.NewEngine(p, core.Options{ForceVecSolver: true}).Segment(q)
-	ss, serr := core.NewEngine(p, core.Options{ScalarTraversal: true}).Segment(q)
-	if (verr == nil) != (serr == nil) {
-		return fmt.Errorf("segment error mismatch: vec %v vs scalar %v", verr, serr)
+	ts, terr := core.NewEngine(frozen, core.Options{}).Segment(q)
+	as, aerr := core.NewEngine(live, core.Options{Solver: core.SolverAlg}).Segment(q)
+	if (terr == nil) != (aerr == nil) {
+		return fmt.Errorf("segment error mismatch: SimProvTst/frozen %v vs SimProvAlg/live %v", terr, aerr)
 	}
-	if verr != nil {
+	if terr != nil {
 		return nil
 	}
-	return diffSegPair(vs, ss)
+	return diffSegPair(ts, as)
 }
 
 // CheckSolverScript replays a gen.Pd lifecycle graph in randomized edge
 // batches through an incremental snapshot chain and runs DiffSolvers on
 // randomized queries at every epoch.
 func CheckSolverScript(seed int64, size, epochs, queries int) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
-	src := gen.Pd(gen.PdConfig{N: size, Seed: seed}).PG()
-	rep := NewReplayer(src)
-	prov.Wrap(rep.Graph())
-
-	cuts := randomCuts(rng, src.NumEdges(), epochs)
-	var prev *graph.Graph
-	var res Result
-	for ep, cut := range cuts {
-		rep.StepEdges(cut)
-		if ep == len(cuts)-1 {
-			rep.FinishVertices()
-		}
-		incr, inc := rep.Graph().ExtendFrozen(prev)
-		res.Epochs++
-		if inc {
-			res.Incremental++
-		}
-		p := prov.Wrap(incr)
-		for qi := 0; qi < queries; qi++ {
-			q, ok := randomQuery(rng, p)
-			if !ok {
-				break
-			}
-			if err := DiffSolvers(p, q); err != nil {
-				return res, fmt.Errorf("seed %d epoch %d query %d: %w", seed, ep, qi, err)
-			}
-		}
-		prev = incr
-	}
-	return res, nil
+	return checkChainScript(seed, size, epochs, queries, DiffSolvers, nil)
 }

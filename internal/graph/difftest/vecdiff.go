@@ -3,6 +3,7 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -12,51 +13,35 @@ import (
 	"repro/internal/prov"
 )
 
-// Vectorized-vs-scalar differential: the frontier-at-a-time engine
-// (core/frontier.go) and the snapshot-aware Cypher planner (cypher/plan.go)
-// both promise bit-identical results to their scalar counterparts. This
-// harness replays randomized ingest scripts through incremental snapshot
-// chains — so the two-segment CSR rows of extended blocks are exercised,
-// not just freshly frozen contiguous ones — and diffs both engines at every
-// epoch.
+// Live-vs-frozen differential. PgSeg is written once over core's adjacency
+// wrapper, which reads a live graph's edge lists and a frozen snapshot's CSR
+// rows (at most two segments on incrementally extended epochs) — two
+// representations through one walk, promised to be indistinguishable. The
+// snapshot-aware Cypher planner (cypher/plan.go) makes the same promise
+// against the naive evaluator. This harness replays randomized ingest
+// scripts through incremental snapshot chains — so the two-segment rows of
+// extended blocks are exercised, not just freshly frozen contiguous ones —
+// and diffs both at every epoch.
 
-// DiffVecScalar runs one PgSeg query on the snapshot with the vectorized
-// engine and with ScalarTraversal forced, and asserts identical segments.
-func DiffVecScalar(p *prov.Graph, q core.Query) error {
-	vs, verr := core.NewEngine(p, core.Options{}).Segment(q)
-	ss, serr := core.NewEngine(p, core.Options{ScalarTraversal: true}).Segment(q)
-	if (verr == nil) != (serr == nil) {
-		return fmt.Errorf("error mismatch: vec %v vs scalar %v", verr, serr)
+// DiffLiveFrozen runs one PgSeg query on the live graph and on a frozen
+// snapshot of the same state and asserts identical segments (vertices,
+// edges, rule attribution, support set) and identical ancestry closures in
+// both directions under the query's boundary.
+func DiffLiveFrozen(live, frozen *prov.Graph, q core.Query) error {
+	if err := DiffSegments(live, frozen, q); err != nil {
+		return fmt.Errorf("live vs frozen: %w", err)
 	}
-	if verr != nil {
-		if verr.Error() != serr.Error() {
-			return fmt.Errorf("error text mismatch: %v vs %v", verr, serr)
-		}
-		return nil
-	}
-	return diffSegPair(vs, ss)
-}
-
-// DiffClosures diffs the ancestry-closure building block in both directions
-// under the query's boundary.
-func DiffClosures(p *prov.Graph, q core.Query) error {
-	vecEng := core.NewEngine(p, core.Options{})
-	scaEng := core.NewEngine(p, core.Options{ScalarTraversal: true})
+	liveEng := core.NewEngine(live, core.Options{})
+	fzEng := core.NewEngine(frozen, core.Options{})
 	for _, fwd := range []bool{true, false} {
 		seeds := q.Dst
 		if !fwd {
 			seeds = q.Src
 		}
-		v := vecEng.AncestryClosure(seeds, q.Boundary, fwd)
-		s := scaEng.AncestryClosure(seeds, q.Boundary, fwd)
-		vl, sl := v.ToSlice(), s.ToSlice()
-		if len(vl) != len(sl) {
-			return fmt.Errorf("closure(fwd=%v) size mismatch: vec %d vs scalar %d", fwd, len(vl), len(sl))
-		}
-		for i := range vl {
-			if vl[i] != sl[i] {
-				return fmt.Errorf("closure(fwd=%v) mismatch at %d: %d vs %d", fwd, i, vl[i], sl[i])
-			}
+		ll := liveEng.AncestryClosure(seeds, q.Boundary, fwd).ToSlice()
+		fl := fzEng.AncestryClosure(seeds, q.Boundary, fwd).ToSlice()
+		if !slices.Equal(ll, fl) {
+			return fmt.Errorf("closure(fwd=%v) mismatch: live %d vs frozen %d vertices", fwd, len(ll), len(fl))
 		}
 	}
 	return nil
@@ -103,14 +88,23 @@ func renderRows(res *cypher.Result) string {
 
 // CheckVecScript replays a gen.Pd lifecycle graph in randomized edge batches
 // through an incremental snapshot chain and, at every epoch, diffs the
-// vectorized engines against their scalar counterparts: PgSeg segments on
-// randomized queries, ancestry closures in both directions, and the Cypher
-// planner on bounded patterns.
+// replayer's live graph against the chain's snapshot (PgSeg segments and
+// ancestry closures on randomized queries) and the Cypher planner against
+// the naive evaluator on bounded patterns.
 func CheckVecScript(seed int64, size, epochs, queries int) (Result, error) {
+	return checkChainScript(seed, size, epochs, queries, DiffLiveFrozen, DiffCypherPlanner)
+}
+
+// checkChainScript is the replay loop CheckVecScript and CheckSolverScript
+// share: perQuery runs on each randomized query at every epoch, perEpoch
+// (optional) once per epoch on the snapshot.
+func checkChainScript(seed int64, size, epochs, queries int,
+	perQuery func(live, frozen *prov.Graph, q core.Query) error,
+	perEpoch func(rng *rand.Rand, frozen *prov.Graph) error) (Result, error) {
 	rng := rand.New(rand.NewSource(seed))
 	src := gen.Pd(gen.PdConfig{N: size, Seed: seed}).PG()
 	rep := NewReplayer(src)
-	prov.Wrap(rep.Graph())
+	live := prov.Wrap(rep.Graph())
 
 	cuts := randomCuts(rng, src.NumEdges(), epochs)
 	var prev *graph.Graph
@@ -131,15 +125,14 @@ func CheckVecScript(seed int64, size, epochs, queries int) (Result, error) {
 			if !ok {
 				break
 			}
-			if err := DiffVecScalar(p, q); err != nil {
-				return res, fmt.Errorf("seed %d epoch %d query %d: %w", seed, ep, qi, err)
-			}
-			if err := DiffClosures(p, q); err != nil {
+			if err := perQuery(live, p, q); err != nil {
 				return res, fmt.Errorf("seed %d epoch %d query %d: %w", seed, ep, qi, err)
 			}
 		}
-		if err := DiffCypherPlanner(rng, p); err != nil {
-			return res, fmt.Errorf("seed %d epoch %d: %w", seed, ep, err)
+		if perEpoch != nil {
+			if err := perEpoch(rng, p); err != nil {
+				return res, fmt.Errorf("seed %d epoch %d: %w", seed, ep, err)
+			}
 		}
 		prev = incr
 	}

@@ -691,7 +691,7 @@ func (g *Graph) FrozenNeighbors(v VertexID, label Label, out bool) (nbrs []Verte
 // sparse extension's slice, nil unless the block was incrementally
 // extended). Concatenated they equal FrozenNeighbors' nbrs — both segments
 // are in ascending edge-id order and every ext id is newer than every base
-// id — but nothing is materialized, which is what lets the frontier engine
+// id — but nothing is materialized, which is what lets the Cypher planner
 // OR a row straight into a bitset without the per-row allocation
 // FrozenNeighbors pays on extended blocks. ok is false on live graphs.
 // Returned slices must not be modified.

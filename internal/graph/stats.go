@@ -69,7 +69,7 @@ func (s *DegreeStats) clone(nl int) *DegreeStats {
 	return &DegreeStats{labelEdges: le, vertices: s.vertices, edges: s.edges}
 }
 
-// Row-read instrumentation. The vectorized engine's contract is that a
+// Row-read instrumentation. The query engines' contract is that a
 // boundary excluding a relation (or a planner proving a label irrelevant)
 // skips that label's CSR blocks outright — no row of an excluded block is
 // ever fetched. Tests pin that contract by installing a hook that observes

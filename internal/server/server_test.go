@@ -661,11 +661,11 @@ func TestAdjustEndpoint(t *testing.T) {
 	}
 }
 
-// TestExcludedRelBlocksNeverRead pins the frontier engine's block-skip
-// contract at the HTTP surface: when a /segment or /adjust boundary
-// excludes relationship types, the excluded relations' CSR blocks are never
-// read — whole per-label blocks are dropped before adjacency is touched,
-// rather than edges being read and filtered after the fact.
+// TestExcludedRelBlocksNeverRead pins the block-skip contract at the HTTP
+// surface: when a /segment or /adjust boundary excludes relationship types,
+// the excluded relations' CSR blocks are never read — core's adjacency
+// returns before touching a row of an excluded relation, rather than edges
+// being read and filtered after the fact.
 func TestExcludedRelBlocksNeverRead(t *testing.T) {
 	ts, store, ids := newTestServer(t)
 	p := store.Epoch().P

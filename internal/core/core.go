@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/bitmap"
 	"repro/internal/graph"
@@ -66,7 +65,9 @@ type Options struct {
 	// NoPruning disables SimProvAlg's symmetric-pair pruning (ablation).
 	NoPruning bool
 	// NoEarlyStop disables the temporal early-stopping rule (Fig. 5d
-	// ablates this).
+	// ablates this) in SimProvAlg and in SimProvTst's class-chain and
+	// level-synchronous runners. The three-sweep runner has no such rule to
+	// disable: its depth windows are exact.
 	NoEarlyStop bool
 	// MaxFacts bounds derived facts for SimProvAlg/CflrB (0 = unlimited);
 	// exceeding it returns cflr.ErrFactBudget.
@@ -234,8 +235,38 @@ var ErrEmptyQuery = errors.New("core: PgSeg query needs non-empty Src and Dst")
 // paths) for a query. It is the core of the segmentation operator, exposed
 // separately so the three solvers can be measured in isolation (Fig. 5a-d).
 func (e *Engine) SimilarPaths(q Query) (*bitmap.Bitset, error) {
+	if err := e.validateQuery(q); err != nil {
+		return nil, err
+	}
 	ad := newAdjacency(e.P, q.Boundary)
 	return e.similarPathVertices(q, ad)
+}
+
+// validateQuery rejects what the solvers index unchecked: query and
+// expansion vertices arrive from untrusted surfaces (CLI flags, HTTP
+// requests).
+func (e *Engine) validateQuery(q Query) error {
+	if len(q.Src) == 0 || len(q.Dst) == 0 {
+		return ErrEmptyQuery
+	}
+	for _, vs := range [][]graph.VertexID{q.Src, q.Dst} {
+		for _, v := range vs {
+			if int(v) >= e.P.NumVertices() {
+				return fmt.Errorf("core: query vertex %d out of range", v)
+			}
+			if !e.P.IsKind(v, prov.KindEntity) {
+				return fmt.Errorf("core: query vertex %d is not an entity", v)
+			}
+		}
+	}
+	for _, ex := range q.Boundary.Expansions {
+		for _, v := range ex.Within {
+			if int(v) >= e.P.NumVertices() {
+				return fmt.Errorf("core: expansion vertex %d out of range", v)
+			}
+		}
+	}
+	return nil
 }
 
 // Segment evaluates the induce step of a PgSeg query and assembles the
@@ -243,25 +274,8 @@ func (e *Engine) SimilarPaths(q Query) (*bitmap.Bitset, error) {
 // style); expansions are applied as part of assembly. AdjustExclude and
 // AdjustExpand support the interactive adjust step over a cached segment.
 func (e *Engine) Segment(q Query) (*Segment, error) {
-	if len(q.Src) == 0 || len(q.Dst) == 0 {
-		return nil, ErrEmptyQuery
-	}
-	for _, v := range append(append([]graph.VertexID{}, q.Src...), q.Dst...) {
-		if int(v) >= e.P.NumVertices() {
-			return nil, fmt.Errorf("core: query vertex %d out of range", v)
-		}
-		if !e.P.IsKind(v, prov.KindEntity) {
-			return nil, fmt.Errorf("core: query vertex %d is not an entity", v)
-		}
-	}
-	// Expansion vertices come from the same untrusted surfaces as Src/Dst
-	// (CLI flags, HTTP requests) and are walked unchecked by expand.
-	for _, ex := range q.Boundary.Expansions {
-		for _, v := range ex.Within {
-			if int(v) >= e.P.NumVertices() {
-				return nil, fmt.Errorf("core: expansion vertex %d out of range", v)
-			}
-		}
+	if err := e.validateQuery(q); err != nil {
+		return nil, err
 	}
 	ad := newAdjacency(e.P, q.Boundary)
 
@@ -366,7 +380,7 @@ func (e *Engine) inducedEdges(vs *bitmap.Bitset, ad *adjacency) []graph.EdgeID {
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -245,3 +245,41 @@ func TestSegmentAssemblyAcrossSolvers(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryValidation: SimilarPaths and Segment index their scratch by the
+// query's vertex ids, so both refuse, with the same errors, what the other
+// refuses — ids the graph does not have (SimilarPaths used to die with an
+// index out of range inside the sweep), non-entities, empty sides.
+func TestQueryValidation(t *testing.T) {
+	p := gen.Pd(gen.PdConfig{N: 300, Seed: 1}).Freeze()
+	src, dst := gen.DefaultQuery(p)
+	beyond := graph.VertexID(p.NumVertices() + 5)
+	activity := p.Activities()[0]
+	for _, tc := range []struct {
+		name string
+		q    core.Query
+		want string
+	}{
+		{"src out of range", core.Query{Src: []graph.VertexID{beyond}, Dst: dst}, fmt.Sprintf("core: query vertex %d out of range", beyond)},
+		{"dst out of range", core.Query{Src: src, Dst: []graph.VertexID{beyond}}, fmt.Sprintf("core: query vertex %d out of range", beyond)},
+		{"dst huge", core.Query{Src: src, Dst: []graph.VertexID{1<<32 - 1}}, "core: query vertex 4294967295 out of range"},
+		{"src not an entity", core.Query{Src: []graph.VertexID{activity}, Dst: dst}, fmt.Sprintf("core: query vertex %d is not an entity", activity)},
+		{"dst not an entity", core.Query{Src: src, Dst: []graph.VertexID{dst[0], activity}}, fmt.Sprintf("core: query vertex %d is not an entity", activity)},
+		{"empty src", core.Query{Dst: dst}, core.ErrEmptyQuery.Error()},
+		{"empty dst", core.Query{Src: src}, core.ErrEmptyQuery.Error()},
+		{"expansion out of range", core.Query{Src: src, Dst: dst, Boundary: core.Boundary{Expansions: []core.Expansion{{Within: []graph.VertexID{beyond}, K: 1}}}}, fmt.Sprintf("core: expansion vertex %d out of range", beyond)},
+	} {
+		for _, solver := range []core.SolverKind{core.SolverTst, core.SolverAlg, core.SolverCflrB} {
+			eng := core.NewEngine(p, core.Options{Solver: solver})
+			if _, err := eng.SimilarPaths(tc.q); err == nil || err.Error() != tc.want {
+				t.Errorf("%s/%v: SimilarPaths error %v, want %q", tc.name, solver, err, tc.want)
+			}
+			if _, err := eng.Segment(tc.q); err == nil || err.Error() != tc.want {
+				t.Errorf("%s/%v: Segment error %v, want %q", tc.name, solver, err, tc.want)
+			}
+		}
+	}
+	if _, err := core.NewEngine(p, core.Options{}).SimilarPaths(core.Query{Src: src, Dst: dst}); err != nil {
+		t.Fatalf("valid query refused: %v", err)
+	}
+}

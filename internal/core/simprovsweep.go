@@ -1,7 +1,8 @@
 package core
 
 import (
-	"math/bits"
+	"slices"
+	"sync"
 
 	"repro/internal/bitmap"
 	"repro/internal/graph"
@@ -12,7 +13,7 @@ import (
 //
 // On a PROV graph with plain labels a path's word is determined by its
 // activity-depth, so per destination vj the whole computation reduces to
-// per-vertex DEPTH sets over [0, maxDepth]:
+// per-vertex DEPTH sets:
 //
 //	D(v) = { m : an alternating ancestry path of m activity-steps runs
 //	            from vj to v }
@@ -37,257 +38,263 @@ import (
 //	T(e)  = A | union_{a in gen(e)}    Tr(a)>>1  (entities)
 //
 // derived by distributing "completes to A" over the height recurrences
-// H(e) = {0} | union H'(a), H'(a) = union (H(e')+1). Three linear passes
-// over the reached subgraph at O(maxDepth/64) words per edge. Depth and
-// target sets live in flat slab arenas indexed by discovery slot instead of
-// per-vertex map entries.
+// H(e) = {0} | union H'(a), H'(a) = union (H(e')+1).
+//
+// Pass 0 is scalar: one decreasing-id walk computes the shortest and longest
+// depth [lo(v), hi(v)] of every reached vertex (two int32 each), records the
+// reached order and each vertex's ancestry row once, and yields the exact
+// answer ceiling maxM = max hi(src) — no source reached, no further work.
+// The two word-parallel sweeps then run over each vertex's own window, the
+// words holding [lo(v), min(hi(v), maxM)], laid out back to back in one flat
+// slab (vertices with lo(v) > maxM are dropped). Two facts make that exact:
+//
+//   - window invariant: an ancestry edge v -> u of step s (1 from an entity
+//     to its generator, 0 from an activity to its input) gives
+//     lo(u) <= lo(v)+s and hi(u) >= hi(v)+s, so window(u) covers
+//     window(v)+s clipped at maxM: every bit the depth sweep pushes lands
+//     inside the receiver's window or above maxM, where it cannot matter.
+//   - T on D's window only: membership is D(v) AND T(v), so T(v) is needed
+//     on window(v) alone, and by the invariant the recurrences read T(u)
+//     only on window(v)+s, inside window(u); T has no bit above maxM.
+//
+// Because the windows are exact there is no depth bound to guess, so
+// Options.NoEarlyStop has nothing to switch off here. All scratch is pooled
+// (tstSweepPool): a warm solve allocates nothing.
 //
 // The sweep requires ancestry edges to strictly descend in vertex id
-// (ancestryMonotone); newTstRunner hands non-monotone graphs to the
-// level-synchronous runner. Rows are read through adjacency, so the same
+// (prov.Graph.AncestryMonotone); newTstRunner hands non-monotone graphs to
+// the level-synchronous runner. Rows are read through adjacency, so the same
 // code serves frozen snapshots, live graphs and filtered boundaries.
 
-// bitvec is a fixed-width bit vector over depths.
-type bitvec []uint64
-
-func (b bitvec) set(i int) { b[i/64] |= 1 << (i % 64) }
-
-// orInto dst |= src.
-func orInto(dst, src bitvec) {
+// orInto dst |= src (equal lengths).
+func orInto(dst, src []uint64) {
 	for i, w := range src {
 		dst[i] |= w
 	}
 }
 
-// orShift1Into dst |= (src << 1).
-func orShift1Into(dst, src bitvec) {
+// orShl1Into dst |= src<<1, where dst and src are windows of one bit vector
+// starting at words dlo and slo; bits shifted outside dst are dropped.
+func orShl1Into(dst []uint64, dlo int, src []uint64, slo int) {
 	carry := uint64(0)
-	for i, w := range src {
-		dst[i] |= (w << 1) | carry
+	for i := 0; i <= len(src); i++ {
+		w := uint64(0)
+		if i < len(src) {
+			w = src[i]
+		}
+		if j := slo + i - dlo; j >= 0 && j < len(dst) {
+			dst[j] |= w<<1 | carry
+		}
 		carry = w >> 63
 	}
 }
 
-// orShr1Into dst |= (src >> 1), dropping bit 0 (a continuation one step
-// longer needs arrival one step shallower).
-func orShr1Into(dst, src bitvec) {
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
-	for i := 0; i < n; i++ {
-		w := src[i] >> 1
-		if i+1 < len(src) {
-			w |= src[i+1] << 63
+// orShr1Into dst |= src>>1 over the same windowing; src reads as zero
+// outside its window (a continuation one step longer needs arrival one step
+// shallower).
+func orShr1Into(dst []uint64, dlo int, src []uint64, slo int) {
+	for j := range dst {
+		i := dlo + j - slo
+		if i >= 0 && i < len(src) {
+			dst[j] |= src[i] >> 1
 		}
-		dst[i] |= w
+		if i+1 >= 0 && i+1 < len(src) {
+			dst[j] |= src[i+1] << 63
+		}
 	}
 }
 
-// intersects reports whether a AND b is non-zero.
-func (b bitvec) intersects(o bitvec) bool {
-	for i, w := range b {
-		if i < len(o) && w&o[i] != 0 {
+func intersects(a, b []uint64) bool {
+	for i, w := range a {
+		if w&b[i] != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// maxBit returns the highest set bit (or -1).
-func (b bitvec) maxBit() int {
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] != 0 {
-			return i*64 + 63 - bits.LeadingZeros64(b[i])
-		}
-	}
-	return -1
+// tstWin is pass 0's record of one vertex.
+type tstWin struct {
+	lo, hi int32 // shortest and longest depth from vj; hi < 0: unreached
+	off    int   // word offset of the window in the slabs; < 0: dropped
 }
 
-// bvArena hands out fixed-width bit vectors from append-only slabs, indexed
-// by 1-based slot. Slabs arrive zeroed from the allocator, so a freshly
-// assigned slot is an empty vector.
-type bvArena struct {
-	w       int // words per vector
-	perSlab int // vectors per slab
-	slabs   [][]uint64
+// words returns the window's first word index and its length in words.
+func (w tstWin) words(maxM int32) (lo, n int) {
+	lo = int(w.lo) >> 6
+	return lo, int(min(w.hi, maxM))>>6 - lo + 1
 }
 
-// bvArenaSlabWords caps a slab at ~2 MB so a huge reach never re-copies a
-// monolithic arena.
-const bvArenaSlabWords = 1 << 18
-
-// newBvArena sizes the slab for vectors of w words and at most maxSlots
-// slots: a reach that fits one slab allocates exactly its own footprint
-// (a 300-vertex graph costs KBs, not the 2 MB cap).
-func newBvArena(w, maxSlots int) *bvArena {
-	per := bvArenaSlabWords / w
-	if per > maxSlots {
-		per = maxSlots
-	}
-	if per < 1 {
-		per = 1
-	}
-	return &bvArena{w: w, perSlab: per}
+// tstSweepScratch is everything one destination's solve allocates.
+type tstSweepScratch struct {
+	win    []tstWin         // by vertex id, [0, vj]
+	order  []graph.VertexID // reached vertices, decreasing id
+	rows   []graph.VertexID // their ancestry rows, back to back
+	rowEnd []int            // order[i]'s row is rows[rowEnd[i]:rowEnd[i+1]]
+	d, t   []uint64         // depth and target slabs, addressed by tstWin.off
+	ans    []uint64         // answer levels A, words [0, maxM/64]
 }
 
-func (a *bvArena) vec(slot int32) bitvec {
-	i := int(slot) - 1
-	si := i / a.perSlab
-	for len(a.slabs) <= si {
-		a.slabs = append(a.slabs, make([]uint64, a.perSlab*a.w))
-	}
-	off := (i % a.perSlab) * a.w
-	return bitvec(a.slabs[si][off : off+a.w : off+a.w])
+var tstSweepPool = sync.Pool{New: func() any { return new(tstSweepScratch) }}
+
+// sized returns s with length n and unspecified contents, reallocating only
+// when it has to grow.
+func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// row returns the recorded ancestry row of order[i].
+func (sc *tstSweepScratch) row(i int) []graph.VertexID {
+	return sc.rows[sc.rowEnd[i]:sc.rowEnd[i+1]]
 }
 
 // tstSweepState carries the per-query constants across destinations.
 type tstSweepState struct {
-	e         *Engine
-	ad        *adjacency
-	src       []graph.VertexID
-	minSrcID  int64
-	nAct      int
-	earlyStop bool
+	e   *Engine
+	ad  *adjacency
+	src []graph.VertexID
 }
 
 func (e *Engine) newTstSweep(ad *adjacency, src []graph.VertexID) *tstSweepState {
-	st := &tstSweepState{
-		e:         e,
-		ad:        ad,
-		src:       src,
-		minSrcID:  int64(1) << 62,
-		nAct:      len(e.P.Activities()),
-		earlyStop: !e.opts.NoEarlyStop,
-	}
-	for _, s := range src {
-		if int64(s) < st.minSrcID {
-			st.minSrcID = int64(s)
-		}
-	}
-	return st
+	return &tstSweepState{e: e, ad: ad, src: src}
 }
 
 // run evaluates one destination and accumulates its VC2 vertices into out.
 func (st *tstSweepState) run(vj graph.VertexID, out *bitmap.Bitset) {
-	// Depth cap: each level strictly descends by at least one activity and
-	// one entity id, so levels beyond (id(vj) - minSrcId)/2 + 1 cannot
-	// contain a source. Without early stopping fall back to the longest
-	// possible alternation.
-	maxD := st.nAct + 1
-	if st.earlyStop {
-		if gap := int(int64(vj) - st.minSrcID); gap >= 0 && gap/2+2 < maxD {
-			maxD = gap/2 + 2
-		} else if gap < 0 {
-			maxD = 1
-		}
+	sc := tstSweepPool.Get().(*tstSweepScratch)
+	defer tstSweepPool.Put(sc)
+	if maxM := st.depths(sc, vj); maxM >= 0 {
+		st.targets(sc, maxM, out)
 	}
-	width := maxD + 2
-	W := (width + 63) / 64
+}
 
+// depths runs pass 0 and the depth sweep for vj, leaving the windows, the
+// recorded rows and D in sc. It returns maxM, negative when no source is
+// reached (the slabs are then untouched).
+func (st *tstSweepState) depths(sc *tstSweepScratch, vj graph.VertexID) int32 {
 	p, ad := st.e.P, st.ad
 	n := int(vj) + 1
-	// Slots are 1-based so the zero value of slotOf means "unreached". Only
-	// ids in [0, vj] can be reached, which bounds the depth arena.
-	slotOf := make([]int32, n)
-	depth := newBvArena(W, n)
-	nslots := int32(0)
-	reached := bitmap.NewBitset(n)
-	slot := func(v graph.VertexID) int32 {
-		if s := slotOf[v]; s != 0 {
-			return s
-		}
-		nslots++
-		slotOf[v] = nslots
-		reached.Add(uint32(v))
-		return nslots
+	win := sized(sc.win, n)
+	for i := range win {
+		win[i].hi = -1
 	}
-
-	depth.vec(slot(vj)).set(0)
-
-	// Downward sweep (decreasing ids). Ancestry rows only hold strictly
-	// smaller ids, so a vertex's depth set is final when the countdown
-	// reaches it and every push lands ahead of the scan.
-	var row []graph.VertexID
-	for cur := int(vj); cur >= 0; cur-- {
-		if !reached.Contains(uint32(cur)) {
+	win[vj] = tstWin{}
+	// Pass 0 (decreasing ids). Ancestry rows only hold strictly smaller ids,
+	// so a vertex's [lo, hi] is final when the countdown reaches it and every
+	// update lands ahead of the scan.
+	order, rows, rowEnd := sc.order[:0], sc.rows[:0], append(sc.rowEnd[:0], 0)
+	for cur := n - 1; cur >= 0; cur-- {
+		w := win[cur]
+		if w.hi < 0 {
 			continue
 		}
-		v := graph.VertexID(cur)
-		dv := depth.vec(slotOf[cur])
+		v, start := graph.VertexID(cur), len(rows)
 		if p.IsKind(v, prov.KindEntity) {
 			// [a]_{m+1} via generators: one activity-step deeper.
-			row = ad.generatorsOf(v, row[:0])
-			for _, a := range row {
-				orShift1Into(depth.vec(slot(a)), dv)
-			}
+			rows = ad.generatorsOf(v, rows)
+			w.lo, w.hi = w.lo+1, w.hi+1
 		} else {
 			// [e]_m via inputs (the activity carries the incremented depth).
-			row = ad.inputsOf(v, row[:0])
-			for _, in := range row {
-				orInto(depth.vec(slot(in)), dv)
+			rows = ad.inputsOf(v, rows)
+		}
+		for _, u := range rows[start:] {
+			if x := &win[u]; x.hi < 0 {
+				x.lo, x.hi = w.lo, w.hi
+			} else {
+				x.lo, x.hi = min(x.lo, w.lo), max(x.hi, w.hi)
 			}
 		}
+		order, rowEnd = append(order, v), append(rowEnd, len(rows))
 	}
+	sc.win, sc.order, sc.rows, sc.rowEnd = win, order, rows, rowEnd
 
-	// Answer levels: depths at which a source is reached, capped at maxD+1
-	// (deeper bits are word-granularity spill, never genuine answer levels).
-	var answers bitvec
+	maxM := int32(-1)
 	for _, s := range st.src {
-		if int(s) >= n {
+		if int(s) < n {
+			maxM = max(maxM, win[s].hi)
+		}
+	}
+	if maxM < 0 {
+		return maxM
+	}
+	total := 0
+	for _, v := range order {
+		w := &win[v]
+		if w.off = -1; w.lo <= maxM {
+			_, nw := w.words(maxM)
+			w.off, total = total, total+nw
+		}
+	}
+	sc.d, sc.t = sized(sc.d, total), sized(sc.t, total)
+	d := sc.d
+	clear(d)
+
+	// Depth sweep, in the recorded order.
+	d[win[vj].off] = 1
+	for i, v := range order {
+		w := win[v]
+		if w.off < 0 {
 			continue
 		}
-		if sl := slotOf[s]; sl != 0 {
-			if answers == nil {
-				answers = make(bitvec, W)
-			}
-			orInto(answers, depth.vec(sl))
-		}
-	}
-	if answers == nil {
-		return
-	}
-	top := maxD + 1
-	for i := range answers {
-		if base := i * 64; base+63 > top {
-			if base > top {
-				answers[i] = 0
-			} else {
-				answers[i] &= (1 << uint(top-base+1)) - 1
-			}
-		}
-	}
-	maxM := answers.maxBit()
-	if maxM < 0 {
-		return
-	}
-
-	// Upward sweep (increasing ids): evaluate T bottom-up and test
-	// membership in place. T only needs bits [0, maxM], so the target
-	// arena's width shrinks to the answer window, and its slot count is
-	// known exactly.
-	TW := maxM/64 + 1
-	ansT := answers[:TW]
-	tar := newBvArena(TW, int(nslots))
-	reached.Iterate(func(xv uint32) bool {
-		v := graph.VertexID(xv)
-		sl := slotOf[xv]
-		tv := tar.vec(sl)
+		lo, nw := w.words(maxM)
+		dv := d[w.off : w.off+nw]
 		if p.IsKind(v, prov.KindEntity) {
-			copy(tv, ansT)
-			row = ad.generatorsOf(v, row[:0])
-			for _, a := range row {
-				orShr1Into(tv, tar.vec(slotOf[a]))
+			for _, a := range sc.row(i) {
+				if x := win[a]; x.off >= 0 {
+					alo, an := x.words(maxM)
+					orShl1Into(d[x.off:x.off+an], alo, dv, lo)
+				}
 			}
 		} else {
-			row = ad.inputsOf(v, row[:0])
-			for _, in := range row {
-				orInto(tv, tar.vec(slotOf[in]))
+			for _, in := range sc.row(i) {
+				x := win[in] // lo(in) <= lo(v): never dropped, window covers v's
+				at := x.off + lo - int(x.lo)>>6
+				orInto(d[at:at+nw], dv)
 			}
 		}
-		if depth.vec(sl)[:TW].intersects(tv) {
-			out.Add(xv)
+	}
+
+	// Answer levels: the depths at which a source is reached. Every such
+	// bit is <= hi(src) <= maxM, so A needs no mask.
+	sc.ans = sized(sc.ans, int(maxM)>>6+1)
+	clear(sc.ans)
+	for _, s := range st.src {
+		if int(s) < n && win[s].hi >= 0 {
+			lo, nw := win[s].words(maxM)
+			orInto(sc.ans[lo:lo+nw], d[win[s].off:win[s].off+nw])
 		}
-		return true
-	})
+	}
+	return maxM
+}
+
+// targets is the upward sweep (increasing ids): evaluate T bottom-up on each
+// vertex's window and test membership in place.
+func (st *tstSweepState) targets(sc *tstSweepScratch, maxM int32, out *bitmap.Bitset) {
+	p, win, d, t := st.e.P, sc.win, sc.d, sc.t
+	for i := len(sc.order) - 1; i >= 0; i-- {
+		v := sc.order[i]
+		w := win[v]
+		if w.off < 0 {
+			continue
+		}
+		lo, nw := w.words(maxM)
+		tv := t[w.off : w.off+nw]
+		if p.IsKind(v, prov.KindEntity) {
+			copy(tv, sc.ans[lo:lo+nw])
+			for _, a := range sc.row(i) {
+				if x := win[a]; x.off >= 0 {
+					alo, an := x.words(maxM)
+					orShr1Into(tv, lo, t[x.off:x.off+an], alo)
+				}
+			}
+		} else {
+			clear(tv)
+			for _, in := range sc.row(i) {
+				x := win[in]
+				at := x.off + lo - int(x.lo)>>6
+				orInto(tv, t[at:at+nw])
+			}
+		}
+		if intersects(d[w.off:w.off+nw], tv) {
+			out.Add(uint32(v))
+		}
+	}
 }

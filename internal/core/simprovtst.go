@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/graph"
-	"repro/internal/prov"
 )
 
 // SimProvTst (paper Sec. III.B.2, "Transitive property"): evaluating each
@@ -50,7 +49,7 @@ func chainSig(parent uint64, part string) uint64 {
 
 // tstRunner evaluates SimProvTst for one destination at a time,
 // accumulating VC2 vertices into out. The per-query constants (source set,
-// early-stop bound, scratch) live in the runner, built once per query.
+// early-stop bound) live in the runner, built once per query.
 type tstRunner interface {
 	run(vj graph.VertexID, out *bitmap.Bitset)
 }
@@ -63,7 +62,8 @@ type tstRunner interface {
 //     property-value signature;
 //   - a label-only query on an id-monotone graph takes the three-sweep
 //     solver (simprovsweep.go), which visits every ancestry edge once but
-//     needs ancestry edges to strictly descend in vertex id;
+//     needs ancestry edges to strictly descend in vertex id
+//     (prov.Graph.AncestryMonotone, memoized per frozen snapshot);
 //   - a label-only query on a graph ingested out of order takes the
 //     level-synchronous solver (simprovlevels.go): one frontier per level,
 //     no ordering requirement.
@@ -74,27 +74,11 @@ func (e *Engine) newTstRunner(ad *adjacency, src []graph.VertexID) tstRunner {
 	switch {
 	case e.opts.MatchActivityProp != "" || e.opts.MatchEntityProp != "":
 		return e.newTstChain(ad, src)
-	case e.ancestryMonotone():
+	case e.P.AncestryMonotone():
 		return e.newTstSweep(ad, src)
 	default:
 		return e.newTstLevels(ad, src)
 	}
-}
-
-// ancestryMonotone reports whether every ancestry edge points from a newer
-// vertex to a strictly older one (true for ingestion-ordered provenance);
-// the sweep solver relies on this for its single-pass propagation.
-func (e *Engine) ancestryMonotone() bool {
-	g := e.P.PG()
-	uL, gL := e.P.RelLabel(prov.RelUsed), e.P.RelLabel(prov.RelGen)
-	for eid := 0; eid < g.NumEdges(); eid++ {
-		id := graph.EdgeID(eid)
-		l := g.EdgeLabel(id)
-		if (l == uL || l == gL) && g.Src(id) <= g.Dst(id) {
-			return false
-		}
-	}
-	return true
 }
 
 // runSimProvTst computes VC2 for all destinations.

@@ -56,10 +56,21 @@ func runTst(p *prov.Graph, r tstRunner, q Query, ad *adjacency) map[uint32]bool 
 // runnersAgree runs every applicable runner directly on the live graph and
 // on its frozen snapshot, then the dispatched SimProvTst and SimProvAlg, and
 // requires one VC2 set from all of them. The class chain on the live graph
-// is the reference. The sweep is only defined on id-monotone graphs.
+// is the reference. The sweep is only defined on id-monotone graphs; where
+// it runs, its depth slab is also checked against pass 0's windows.
 func runnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opts Options) map[uint32]bool {
 	t.Helper()
+	ref, _ := runnersAgreeOn(t, label, live, q, opts, false)
+	return ref
+}
+
+// runnersAgreeOn is runnersAgree; deep marks inputs hundreds of levels deep,
+// where the class chain and SimProvAlg take seconds to minutes: they are left
+// out and the level-synchronous runner on the live graph is the reference.
+func runnersAgreeOn(t *testing.T, label string, live *prov.Graph, q Query, opts Options, deep bool) (map[uint32]bool, sweepWindows) {
+	t.Helper()
 	var ref map[uint32]bool
+	var seen sweepWindows
 	for _, rep := range []struct {
 		name string
 		p    *prov.Graph
@@ -67,21 +78,25 @@ func runnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opts Op
 		e := NewEngine(rep.p, opts)
 		ad := newAdjacency(rep.p, q.Boundary)
 		src := dedupVertices(q.Src)
-		runners := map[string]tstRunner{
-			"chain":  e.newTstChain(ad, src),
-			"levels": e.newTstLevels(ad, src),
+		runners := map[string]tstRunner{"levels": e.newTstLevels(ad, src)}
+		refName := "levels"
+		if !deep {
+			runners["chain"], refName = e.newTstChain(ad, src), "chain"
 		}
-		if e.ancestryMonotone() {
-			runners["sweep"] = e.newTstSweep(ad, src)
+		if rep.p.AncestryMonotone() {
+			sw := e.newTstSweep(ad, src)
+			runners["sweep"] = sw
+			seen = checkSweepWindows(t, fmt.Sprintf("%s/%s", label, rep.name), sw, q, ad)
 		}
 		if ref == nil {
-			ref = runTst(rep.p, runners["chain"], q, ad)
+			ref = runTst(rep.p, runners[refName], q, ad)
+			delete(runners, refName)
 		}
 		for name, r := range runners {
 			diffSets(t, fmt.Sprintf("%s/%s/%s", label, rep.name, name), ref, runTst(rep.p, r, q, ad))
 		}
 		solvers := []SolverKind{SolverTst, SolverAlg}
-		if !e.ancestryMonotone() && !opts.NoEarlyStop {
+		if deep || (!rep.p.AncestryMonotone() && !opts.NoEarlyStop) {
 			// SimProvAlg's early stop drops a pair by the order-of-being of
 			// its two sides alone, which is only sound when ancestry
 			// descends in order; SimProvTst also looks at the level the
@@ -98,7 +113,67 @@ func runnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opts Op
 			diffSets(t, fmt.Sprintf("%s/%s/%v", label, rep.name, solver), ref, bitsetMap(set))
 		}
 	}
-	return ref
+	return ref, seen
+}
+
+// sweepWindows is what checkSweepWindows saw, so a test can demand that its
+// input did exercise the offset arithmetic.
+type sweepWindows struct {
+	maxM      int32 // largest answer ceiling over the destinations
+	maxWords  int   // widest window, in words
+	offsetRow int   // ancestry edges whose two windows start in different words
+	dropped   int   // reached vertices with lo > maxM
+}
+
+// checkSweepWindows runs pass 0 and the depth sweep per destination on a
+// fresh scratch and holds the slab to pass 0's promise: D(v) has no bit
+// outside [lo(v), hi(v)], bit lo(v) is set, and so is bit hi(v) unless the
+// answer ceiling clipped it. A destination that reaches no source must leave
+// the slabs unallocated.
+func checkSweepWindows(t *testing.T, label string, st *tstSweepState, q Query, ad *adjacency) sweepWindows {
+	t.Helper()
+	var seen sweepWindows
+	for _, vj := range dedupVertices(q.Dst) {
+		if !ad.vertexOK(vj) {
+			continue
+		}
+		sc := new(tstSweepScratch)
+		maxM := st.depths(sc, vj)
+		if maxM < 0 {
+			if sc.d != nil || sc.t != nil || sc.ans != nil {
+				t.Errorf("%s: vj=%d reaches no source but the slabs were allocated", label, vj)
+			}
+			continue
+		}
+		seen.maxM = max(seen.maxM, maxM)
+		for i, v := range sc.order {
+			w := sc.win[v]
+			if w.off < 0 {
+				if w.lo <= maxM {
+					t.Fatalf("%s: vj=%d v=%d dropped with lo=%d <= maxM=%d", label, vj, v, w.lo, maxM)
+				}
+				seen.dropped++
+				continue
+			}
+			lo, nw := w.words(maxM)
+			seen.maxWords = max(seen.maxWords, nw)
+			for _, u := range sc.row(i) {
+				if x := sc.win[u]; x.off >= 0 && int(x.lo)>>6 != lo {
+					seen.offsetRow++
+				}
+			}
+			get := func(m int32) bool { return sc.d[w.off+int(m)>>6-lo]&(1<<(m&63)) != 0 }
+			for m := int32(lo) << 6; m < int32(lo+nw)<<6; m++ {
+				if get(m) && (m < w.lo || m > w.hi) {
+					t.Fatalf("%s: vj=%d v=%d: depth bit %d outside [%d, %d]", label, vj, v, m, w.lo, w.hi)
+				}
+			}
+			if !get(w.lo) || (w.hi <= maxM && !get(w.hi)) {
+				t.Fatalf("%s: vj=%d v=%d: window [%d, %d] (maxM %d) has an end bit clear", label, vj, v, w.lo, w.hi, maxM)
+			}
+		}
+	}
+	return seen
 }
 
 // smallLifecycle builds a deterministic mixed-shape lifecycle.
@@ -163,7 +238,7 @@ func nonMonotone(t *testing.T) (*prov.Graph, Query) {
 	p.Used(a3, side)
 	p.WasGeneratedBy(dst, a2)
 	p.WasGeneratedBy(dst, a3)
-	if NewEngine(p, Options{}).ancestryMonotone() {
+	if p.AncestryMonotone() {
 		t.Fatal("graph should be non-monotone")
 	}
 	return p, Query{Src: []graph.VertexID{src}, Dst: []graph.VertexID{dst}}
@@ -244,6 +319,89 @@ func TestVecSolversNonMonotone(t *testing.T) {
 	q.Boundary = Boundary{VertexFilters: []VertexFilter{func(_ *prov.Graph, v graph.VertexID) bool { return v != 5 }}}
 	if got := runnersAgree(t, "nonmonotone/filtered", p, q, Options{}); got[5] || got[2] {
 		t.Errorf("filtered branch (side, a3) still in VC2: %v", got)
+	}
+}
+
+// ladder records n runs where run i reads the outputs of runs i-1 and (the
+// skip edge) i-3. From the last rung, the entity k rungs up sits at every
+// depth m = k, k-2, ... down to k-2*(k/3): windows about 2k/3 levels wide
+// whose start moves one word every ~190 rungs. ents[i] is run i's output
+// (ents[0] the import); island is an early entity nothing ever reads.
+func ladder(n int) (p *prov.Graph, ents []graph.VertexID, island graph.VertexID) {
+	rc := prov.NewRecorder()
+	ents = []graph.VertexID{rc.Import("a", "rung0", "")}
+	island = rc.Import("a", "island", "")
+	for i := 1; i <= n; i++ {
+		ins := []graph.VertexID{ents[i-1]}
+		if i >= 3 {
+			ins = append(ins, ents[i-3])
+		}
+		_, out := rc.Run("a", "step", ins, []string{fmt.Sprintf("rung%d", i)})
+		ents = append(ents, out[0])
+	}
+	return rc.P, ents, island
+}
+
+// TestSweepDeepWindowsLadder drives the sweep's window arithmetic where the
+// randomized lifecycles (under 64 levels, one word per window) cannot: answer
+// ceilings on bits 63, 64 and 127, windows several words wide whose
+// neighbours start in different words, vertices dropped beyond the ceiling,
+// two destinations through one pooled scratch.
+func TestSweepDeepWindowsLadder(t *testing.T) {
+	const n = 400
+	p, ents, _ := ladder(n)
+	dst := []graph.VertexID{ents[n], ents[n-1]}
+	for _, k := range []int{63, 64, 127, 128, 300} {
+		for _, opts := range []Options{{}, {NoEarlyStop: true}} {
+			label := fmt.Sprintf("k=%d/noearlystop=%v", k, opts.NoEarlyStop)
+			q := Query{Src: []graph.VertexID{ents[n-k]}, Dst: dst}
+			// The class chain and SimProvAlg are the references up to 128
+			// levels; beyond that they take too long.
+			got, seen := runnersAgreeOn(t, label, p, q, opts, k > 128)
+			if len(got) == 0 {
+				t.Errorf("%s: empty VC2", label)
+			}
+			if int(seen.maxM) != k {
+				t.Errorf("%s: answer ceiling %d, want %d", label, seen.maxM, k)
+			}
+			if 3*k < n-3 && seen.dropped == 0 {
+				t.Errorf("%s: no vertex beyond the ceiling was dropped", label)
+			}
+			if k == 300 && (seen.maxWords < 4 || seen.offsetRow == 0) {
+				t.Errorf("%s: windows at most %d words, %d offset rows: the offset arithmetic was not exercised", label, seen.maxWords, seen.offsetRow)
+			}
+		}
+	}
+}
+
+// TestSweepDegenerateSources: sources the destination never reaches (an
+// unread entity, an entity newer than the destination) give an empty VC2
+// without touching a slab — checkSweepWindows asserts the latter — alone and
+// beside a reachable source; a source equal to the destination is an answer
+// at level 0.
+func TestSweepDegenerateSources(t *testing.T) {
+	const n = 200
+	p, ents, island := ladder(n)
+	mid := ents[n/2]
+	for _, tc := range []struct {
+		name      string
+		src, dst  []graph.VertexID
+		wantEmpty bool
+	}{
+		{"island", []graph.VertexID{island}, []graph.VertexID{ents[n]}, true},
+		{"above-vj", []graph.VertexID{ents[n]}, []graph.VertexID{mid}, true},
+		{"island+above", []graph.VertexID{island, ents[n]}, []graph.VertexID{mid, ents[n/2+1]}, true},
+		{"island+reachable", []graph.VertexID{island, ents[10]}, []graph.VertexID{mid}, false},
+		{"above+reachable", []graph.VertexID{ents[n], ents[10]}, []graph.VertexID{mid}, false},
+		{"src=dst+deeper", []graph.VertexID{mid, ents[10]}, []graph.VertexID{mid}, false},
+	} {
+		got := runnersAgree(t, tc.name, p, Query{Src: tc.src, Dst: tc.dst}, Options{})
+		if (len(got) == 0) != tc.wantEmpty {
+			t.Errorf("%s: VC2 has %d vertices, want empty=%v", tc.name, len(got), tc.wantEmpty)
+		}
+	}
+	if got := runnersAgree(t, "src=dst", p, Query{Src: []graph.VertexID{mid}, Dst: []graph.VertexID{mid}}, Options{}); len(got) != 1 || !got[uint32(mid)] {
+		t.Errorf("src=dst: VC2 = %v, want just %d", got, mid)
 	}
 }
 
@@ -365,74 +523,104 @@ func TestVecSolverSegmentParity(t *testing.T) {
 	}
 }
 
-// TestBitvecOps covers the word-parallel primitives directly.
+// TestBitvecOps covers the windowed word-parallel primitives directly: a
+// window is a sub-slice of one bit vector plus the word it starts at.
 func TestBitvecOps(t *testing.T) {
-	get := func(b bitvec, i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
-	b := make(bitvec, 4)
+	get := func(b []uint64, i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+	b := make([]uint64, 4)
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 199} {
-		b.set(i)
-		if !get(b, i) {
-			t.Fatalf("set/get %d", i)
-		}
+		b[i/64] |= 1 << (i % 64)
 	}
-	if get(b, 2) || get(b, 130) {
-		t.Fatal("phantom bits")
-	}
-	if b.maxBit() != 199 {
-		t.Fatalf("maxBit %d", b.maxBit())
-	}
-	if (bitvec{0, 0}).maxBit() != -1 {
-		t.Fatal("maxBit of empty vector")
-	}
-	// Shift-left-by-1 into a fresh vector.
-	dst := make(bitvec, 4)
-	orShift1Into(dst, b)
+	// Shift-left-by-1 into a fresh vector, same window.
+	dst := make([]uint64, 4)
+	orShl1Into(dst, 0, b, 0)
 	for _, i := range []int{1, 2, 64, 65, 66, 128, 129, 200} {
 		if !get(dst, i) {
-			t.Fatalf("orShift1Into missing bit %d", i)
+			t.Fatalf("orShl1Into missing bit %d", i)
 		}
 	}
 	if get(dst, 0) {
 		t.Fatal("shift created bit 0")
 	}
 	// Shift-right-by-1 undoes it (bit 0 of the source is dropped).
-	back := make(bitvec, 4)
-	orShr1Into(back, dst)
+	back := make([]uint64, 4)
+	orShr1Into(back, 0, dst, 0)
 	for i := range b {
 		if back[i] != b[i] {
 			t.Fatalf("orShr1Into word %d: %x, want %x", i, back[i], b[i])
 		}
 	}
-	narrow := make(bitvec, 1)
-	orShr1Into(narrow, b)
-	if !get(narrow, 0) || !get(narrow, 62) || !get(narrow, 63) || get(narrow, 1) {
-		t.Fatalf("orShr1Into into a narrower vector: %x", narrow[0])
+	// A source window that starts later and ends earlier than the
+	// destination's: words 1-2 of b into a window over words 0-3.
+	wide := make([]uint64, 4)
+	orShl1Into(wide, 0, b[1:3], 1)
+	if fmt.Sprint(wide) != fmt.Sprint([]uint64{0, dst[1] &^ 1, dst[2], 0}) {
+		t.Fatalf("orShl1Into from an inner window: %x", wide)
 	}
-	acc := make(bitvec, 4)
-	acc.set(7)
+	// A destination window that starts one word later (the source's lowest
+	// bit is 63) and ends before the carry out of the source: clipped.
+	late := make([]uint64, 1)
+	orShl1Into(late, 1, b[:1], 0)
+	if late[0] != 1 {
+		t.Fatalf("orShl1Into across the window start: %x", late[0])
+	}
+	orShl1Into(late[:0], 1, b, 0) // empty destination: nothing to write
+	clipped := make([]uint64, 2)
+	orShl1Into(clipped, 0, b[:2], 0) // bit 127 shifts to 128: dropped
+	if clipped[0] != dst[0] || clipped[1] != dst[1] {
+		t.Fatalf("orShl1Into clipped at the window end: %x", clipped)
+	}
+	// Shift-right reads the word past the destination's end when the source
+	// window has it, and zero when it has not.
+	narrow := make([]uint64, 1)
+	orShr1Into(narrow, 0, b, 0)
+	if !get(narrow, 0) || !get(narrow, 62) || !get(narrow, 63) || get(narrow, 1) {
+		t.Fatalf("orShr1Into into a narrower window: %x", narrow[0])
+	}
+	narrow[0] = 0
+	orShr1Into(narrow, 0, b[:1], 0)
+	if !get(narrow, 0) || !get(narrow, 62) || get(narrow, 63) {
+		t.Fatalf("orShr1Into with the next word outside the source: %x", narrow[0])
+	}
+	// A source window that starts one word after the destination's: only its
+	// bit 0 crosses back.
+	narrow[0] = 0
+	orShr1Into(narrow, 0, b[1:], 1)
+	if narrow[0] != 1<<63 {
+		t.Fatalf("orShr1Into across the window start: %x", narrow[0])
+	}
+	full, mid := make([]uint64, 4), make([]uint64, 2)
+	orShr1Into(full, 0, b, 0)
+	orShr1Into(mid, 1, b, 0) // destination words 1-2 of a 4-word source
+	if mid[0] != full[1] || mid[1] != full[2] || full[1] != 0xc000000000000001 {
+		t.Fatalf("orShr1Into into an inner window: %x", mid)
+	}
+	acc := make([]uint64, 4)
+	acc[0] = 1 << 7
 	orInto(acc, b)
 	if !get(acc, 7) || !get(acc, 199) {
 		t.Fatal("orInto lost bits")
 	}
 	// Intersections.
-	c := make(bitvec, 4)
-	c.set(65)
-	if !b.intersects(c) {
+	c := make([]uint64, 4)
+	c[1] = 1 << 1
+	if !intersects(b, c) {
 		t.Fatal("intersects false negative")
 	}
-	c2 := make(bitvec, 4)
-	c2.set(66)
-	if b.intersects(c2) {
+	c[1] = 1 << 2
+	if intersects(b, c) {
 		t.Fatal("intersects false positive")
 	}
 }
 
 // TestAncestryMonotone: Pd-style ingestion is monotone; a hand-built
-// violation is detected.
+// violation is detected, live and frozen; and the answer a frozen snapshot
+// memoizes is carried through ExtendFrozen at delta cost — a monotone
+// snapshot extended by one out-of-order U edge flips to false, and the
+// dispatcher then picks the level-synchronous runner.
 func TestAncestryMonotone(t *testing.T) {
-	p, _, _ := smallLifecycle(3)
-	eng := NewEngine(p, Options{})
-	if !eng.ancestryMonotone() {
+	p, src, _ := smallLifecycle(3)
+	if !p.AncestryMonotone() || !p.Freeze().AncestryMonotone() {
 		t.Fatal("recorder-built graph should be monotone")
 	}
 	// Build a graph where an activity uses a LATER entity (allowed by the
@@ -441,8 +629,44 @@ func TestAncestryMonotone(t *testing.T) {
 	a := q.NewActivity("act")
 	e := q.NewEntity("late")
 	q.Used(a, e) // a (id 0) -> e (id 1): src <= dst, violates monotonicity
-	eng2 := NewEngine(q, Options{})
-	if eng2.ancestryMonotone() {
+	if q.AncestryMonotone() || q.Freeze().AncestryMonotone() {
 		t.Fatal("violation not detected")
+	}
+
+	runnerOf := func(g *prov.Graph) string {
+		return fmt.Sprintf("%T", NewEngine(g, Options{}).newTstRunner(newAdjacency(g, Boundary{}), nil))
+	}
+	base := p.Freeze()
+	if got := runnerOf(base); got != "*core.tstSweepState" {
+		t.Fatalf("monotone snapshot: runner %s", got)
+	}
+	// An in-order delta keeps the answer without a rescan being observable;
+	// an S edge pointing "up" is not an ancestry edge and does not count.
+	more := p.NewActivity("more")
+	p.Used(more, src[0])
+	x := p.NewEntity("x")
+	p.WasGeneratedBy(x, more)
+	p.WasAttributedTo(x, p.NewAgent("late-agent"))
+	next, incr := p.ExtendFrozen(base)
+	if !incr || !next.AncestryMonotone() {
+		t.Fatalf("in-order delta: incremental=%v monotone=%v", incr, next.AncestryMonotone())
+	}
+	act := p.NewActivity("early")
+	ent := p.NewEntity("later")
+	p.Used(act, ent)
+	bad, incr := p.ExtendFrozen(next)
+	if !incr || bad.AncestryMonotone() || p.AncestryMonotone() {
+		t.Fatalf("out-of-order U edge: incremental=%v, snapshot monotone=%v, live monotone=%v", incr, bad.AncestryMonotone(), p.AncestryMonotone())
+	}
+	if got := runnerOf(bad); got != "*core.tstLevelsState" {
+		t.Fatalf("non-monotone extension: runner %s", got)
+	}
+	// Non-monotone stays non-monotone however in-order the later deltas are.
+	p.Used(p.NewActivity("again"), x)
+	if worse, incr := p.ExtendFrozen(bad); !incr || worse.AncestryMonotone() {
+		t.Fatalf("extension of a non-monotone snapshot: incremental=%v monotone=%v", incr, worse.AncestryMonotone())
+	}
+	if !next.AncestryMonotone() {
+		t.Fatal("the earlier snapshot's answer changed")
 	}
 }

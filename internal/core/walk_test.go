@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -171,15 +172,97 @@ func TestExcludedBlocksNeverRead(t *testing.T) {
 	}
 }
 
-// TestSweepArenaFootprint guards the sweep's arena sizing: a two-destination
-// label-only query on a small frozen graph allocates in proportion to the
-// ids it can reach (<= vj+1 slots per arena), not a fixed 2 MB slab per
-// arena (8.39 MB/op on Pd-300 before the cap).
+// TestSweepDeepWindowsPd holds the sweep to the level-synchronous runner on
+// Pd graphs deep enough (400-1000 levels on the default query) that depth
+// windows span many words: live and frozen, with and without early stopping,
+// under an excluded relation, a programmatic vertex filter and an edge
+// filter. Long mode adds Pd-20000 with the sources three quarters of the way
+// in (~1.5 s per oracle run there, ~4.5 s on the default query).
+func TestSweepDeepWindowsPd(t *testing.T) {
+	for _, n := range []int{2000, 5000, 20000} {
+		live := gen.Pd(gen.PdConfig{N: n, Seed: 1})
+		src, dst := gen.DefaultQuery(live)
+		boundaries := map[string]core.Boundary{
+			"plain":         {},
+			"excl-deriv":    {ExcludeRels: []prov.Rel{prov.RelDeriv, prov.RelAssoc}},
+			"vertex-filter": {VertexFilters: []core.VertexFilter{func(_ *prov.Graph, v graph.VertexID) bool { return v%11 != 4 }}},
+			"edge-filter":   {EdgeFilters: []core.EdgeFilter{func(_ *prov.Graph, e graph.EdgeID) bool { return e%13 != 5 }}},
+		}
+		switch {
+		case n == 20000 && testing.Short():
+			continue
+		case n == 20000:
+			src, _ = gen.QueryAtRank(live, 75)
+			boundaries = map[string]core.Boundary{"plain": {}}
+		case n == 5000 && testing.Short():
+			// The oracle is ~0.2 s per run here and 10x that under -race.
+			boundaries = map[string]core.Boundary{"plain": {}}
+		}
+		for name, b := range boundaries {
+			q := core.Query{Src: src, Dst: dst, Boundary: b}
+			label := fmt.Sprintf("Pd-%d/%s", n, name)
+			vc2, words := core.DeepRunnersAgree(t, label, live, q, core.Options{})
+			if name == "plain" && (vc2 == 0 || words < 4) {
+				t.Errorf("%s: |VC2| = %d, widest window %d words: not a deep query", label, vc2, words)
+			}
+			if n == 2000 && name == "plain" {
+				core.DeepRunnersAgree(t, label+"/noearlystop", live, q, core.Options{NoEarlyStop: true})
+			}
+		}
+	}
+}
+
+// TestSweepDeepWindowsConcurrent solves from several goroutines at once: the
+// pooled scratch is the only state two solves can share, and under -race this
+// is what shows a scratch handed to two of them.
+func TestSweepDeepWindowsConcurrent(t *testing.T) {
+	eng, qs := pdPoolQueries(t, 2000, 8)
+	want := make([]string, len(qs))
+	for i, q := range qs {
+		vc2, err := eng.SimilarPaths(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fmt.Sprint(vc2.ToSlice())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				for k := range qs {
+					i := (k + g*3) % len(qs)
+					vc2, err := eng.SimilarPaths(qs[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := fmt.Sprint(vc2.ToSlice()); got != want[i] {
+						t.Errorf("goroutine %d, query %d: VC2 differs from the sequential solve", g, i)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestSweepArenaFootprint guards the sweep's scratch: a wide two-destination
+// label-only query on a frozen graph allocates, in steady state, only what
+// it returns (the VC2 bitset and the per-query constants) — the windows,
+// recorded rows and both slabs come from the pool. Measured 224 B/op on
+// Pd-300, 510 B/op on Pd-2000 and ~60 KB/op on Pd-20000 (the pool's refill
+// after each GC, amortized over the run), where the width-of-the-bound
+// arenas took 22 KB, 0.5 MB and ~20 MB per op.
 func TestSweepArenaFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under -race: no steady state to measure")
+	}
 	for _, tc := range []struct {
 		n        int
 		maxBytes int64
-	}{{300, 64 << 10}, {2000, 1 << 20}} {
+	}{{300, 512}, {2000, 1 << 10}, {20000, 1 << 20}} {
 		p := gen.Pd(gen.PdConfig{N: tc.n, Seed: 1}).Freeze()
 		src, dst := gen.DefaultQuery(p)
 		if len(dst) != 2 {

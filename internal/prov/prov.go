@@ -18,6 +18,7 @@ package prov
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -133,6 +134,10 @@ type Graph struct {
 	// end. Built once in Wrap and shared, read-only, by every snapshot.
 	labelKind []Kind
 	labelRel  []Rel
+
+	// monotone memoizes AncestryMonotone on a frozen snapshot (immutable, so
+	// racing first callers store the same answer): 0 unknown, 1 yes, 2 no.
+	monotone atomic.Int32
 }
 
 // New returns an empty PROV graph.
@@ -232,7 +237,48 @@ func (p *Graph) ExtendFrozen(prev *Graph) (*Graph, bool) {
 		pg = prev.g
 	}
 	fg, incr := p.g.ExtendFrozen(pg)
-	return p.wrapSnapshot(fg), incr
+	np := p.wrapSnapshot(fg)
+	if incr {
+		// Carried at delta cost: prev's answer and the edges added since.
+		np.setMonotone(prev.AncestryMonotone() && np.ancestryDescends(prev.NumEdges()))
+	}
+	return np, incr
+}
+
+// AncestryMonotone reports whether every ancestry (U, G) edge points from a
+// newer vertex to a strictly older one — true for ingestion-ordered
+// provenance, and what SimProvTst's three-sweep solver needs for its
+// single-pass propagation. A frozen snapshot answers from its memo, carried
+// through ExtendFrozen incrementally; a live graph scans its edges.
+func (p *Graph) AncestryMonotone() bool {
+	if !p.g.Frozen() {
+		return p.ancestryDescends(0)
+	}
+	if m := p.monotone.Load(); m != 0 {
+		return m == 1
+	}
+	return p.setMonotone(p.ancestryDescends(0))
+}
+
+func (p *Graph) setMonotone(ok bool) bool {
+	if ok {
+		p.monotone.Store(1)
+	} else {
+		p.monotone.Store(2)
+	}
+	return ok
+}
+
+// ancestryDescends scans the edges with id >= from.
+func (p *Graph) ancestryDescends(from int) bool {
+	uL, gL := p.relLabels[RelUsed], p.relLabels[RelGen]
+	for eid := from; eid < p.g.NumEdges(); eid++ {
+		id := graph.EdgeID(eid)
+		if l := p.g.EdgeLabel(id); (l == uL || l == gL) && p.g.Src(id) <= p.g.Dst(id) {
+			return false
+		}
+	}
+	return true
 }
 
 // Frozen reports whether this graph is an immutable snapshot.

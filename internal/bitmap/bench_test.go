@@ -97,30 +97,6 @@ func BenchmarkOrIntoRows(b *testing.B) {
 	}
 }
 
-// BenchmarkAnyIntoRows probes rows against a frontier — the bottom-up step.
-func BenchmarkAnyIntoRows(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	frontier := randomBitset(rng, benchBits, benchBits/4)
-	rows := make([][]uint32, 4096)
-	for i := range rows {
-		row := make([]uint32, 2+rng.Intn(6))
-		for j := range row {
-			row[j] = rng.Uint32() % benchBits
-		}
-		rows[i] = row
-	}
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		for _, row := range rows {
-			if AnyInto(frontier, row) {
-				hits++
-			}
-		}
-	}
-	_ = hits
-}
-
 func BenchmarkIterateFrom(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	x := randomBitset(rng, benchBits, benchBits/16)

@@ -32,20 +32,6 @@ func OrInto[K Key](b *Bitset, row []K) {
 	}
 }
 
-// AnyInto reports whether any element of row is present in b — the probe
-// step of a bottom-up frontier expansion (does this unvisited vertex have a
-// parent in the frontier?). It exits on the first hit.
-func AnyInto[K Key](b *Bitset, row []K) bool {
-	words := b.words
-	for _, x := range row {
-		w := int(uint32(x) >> 6)
-		if w < len(words) && words[w]&(1<<(uint32(x)&(wordBits-1))) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // AndNotWith removes every element of o from b (b &^= o), word-parallel —
 // the visited-set subtraction that dedups a freshly scattered frontier in
 // one pass.
@@ -64,15 +50,6 @@ func (b *Bitset) AndNotWith(o *Bitset) {
 	}
 	b.card = card
 }
-
-// WordCount returns the number of 64-bit words backing b.
-func (b *Bitset) WordCount() int { return len(b.words) }
-
-// Word returns the i-th 64-bit word (bits i*64 .. i*64+63). Word-level
-// access is what lets a bottom-up step scan the *complement* of the visited
-// set — iterate words, invert, walk set bits — without allocating a closure
-// or materializing the complement; Iterate cannot express that.
-func (b *Bitset) Word(i int) uint64 { return b.words[i] }
 
 // Capacity returns the number of bits b currently addresses.
 func (b *Bitset) Capacity() int { return len(b.words) * wordBits }

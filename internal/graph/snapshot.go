@@ -713,63 +713,6 @@ func (g *Graph) NeighborRowSegs(v VertexID, label Label, out bool) (base, ext []
 	return base, ext, true
 }
 
-// RelView is a zero-copy view of one (label, direction) CSR block, resolved
-// once so tight traversal loops can slice rows with two array indexes
-// instead of paying the per-row dispatch of NeighborRowSegs (hook load, rel
-// lookup, segment branch). Row(v) returns the same two segments
-// NeighborRowSegs would.
-type RelView struct {
-	off []uint32
-	nbr []VertexID
-	ext *csrExt
-}
-
-// Row returns v's neighbor row as up to two ascending-edge-id segments.
-func (rv RelView) Row(v VertexID) (base, ext []VertexID) {
-	if int(v)+1 < len(rv.off) {
-		a, b := rv.off[v], rv.off[v+1]
-		base = rv.nbr[a:b:b]
-	}
-	if rv.ext != nil {
-		ext, _ = rv.ext.row(v)
-	}
-	return base, ext
-}
-
-// RelBlockView resolves the (label, direction) block into a RelView. ok is
-// false on live graphs; a frozen graph with no such edges yields an empty
-// view (all rows nil). The row-read hook fires once per acquisition — block
-// granularity — so excluded-label instrumentation still observes every
-// block a traversal touches.
-func (g *Graph) RelBlockView(label Label, out bool) (RelView, bool) {
-	if g.csr == nil {
-		return RelView{}, false
-	}
-	hookRowRead(label, out)
-	r := g.csr.rel(label, out)
-	if r == nil {
-		return RelView{}, true
-	}
-	if r.ext == nil {
-		return RelView{off: r.off, nbr: r.nbr}, true
-	}
-	rv := RelView{ext: r.ext}
-	if r.base != nil {
-		rv.off, rv.nbr = r.base.off, r.base.nbr
-	}
-	return rv, true
-}
-
-// LabelHasEdges reports whether the snapshot has any edge with the label in
-// the given direction — a free pre-check that lets traversals skip a
-// label's block for the whole run.
-func (g *Graph) LabelHasEdges(label Label, out bool) bool {
-	if g.csr == nil {
-		return true // live graph: unknown, caller must scan
-	}
-	return g.csr.rel(label, out) != nil
-}
-
 // clone returns an independent copy of the dictionary whose reads are safe
 // against concurrent Intern calls on the original.
 func (d *Dictionary) clone() *Dictionary {

@@ -123,43 +123,6 @@ func TestNeighborRowSegs(t *testing.T) {
 	}
 }
 
-func TestRelView(t *testing.T) {
-	g := randomGraph(150, 600, 23)
-	check := func(t *testing.T, fz *Graph) {
-		t.Helper()
-		for l := 0; l < fz.Dict().Len(); l++ {
-			for _, out := range []bool{true, false} {
-				rv, ok := fz.RelBlockView(Label(l), out)
-				if !ok {
-					t.Fatal("RelBlockView not ok on frozen graph")
-				}
-				for v := 0; v < fz.NumVertices(); v++ {
-					id := VertexID(v)
-					wantN, _, _ := fz.FrozenNeighbors(id, Label(l), out)
-					base, ext := rv.Row(id)
-					got := append(append([]VertexID{}, base...), ext...)
-					if fmt.Sprint(got) != fmt.Sprint(wantN) {
-						t.Fatalf("v=%d l=%d out=%v: view %v+%v != row %v", v, l, out, base, ext, wantN)
-					}
-				}
-			}
-		}
-	}
-	t.Run("full", func(t *testing.T) { check(t, g.Freeze()) })
-	t.Run("extended", func(t *testing.T) {
-		prev := g.Freeze()
-		grow(g, 5, 30, 3)
-		fz, inc := g.ExtendFrozen(prev)
-		if !inc {
-			t.Fatal("expected incremental snapshot")
-		}
-		check(t, fz)
-	})
-	if _, ok := randomGraph(5, 5, 1).RelBlockView(0, true); ok {
-		t.Fatal("RelBlockView ok on live graph")
-	}
-}
-
 func TestRowReadHook(t *testing.T) {
 	g := randomGraph(50, 200, 19)
 	fz := g.Freeze()
@@ -190,24 +153,4 @@ func TestRowReadHook(t *testing.T) {
 		t.Fatal("stale restore cleared the active hook")
 	}
 	restore2()
-}
-
-func TestLabelHasEdges(t *testing.T) {
-	g := New()
-	lv := g.Dict().Intern("v:E")
-	le := g.Dict().Intern("e:U")
-	lunused := g.Dict().Intern("e:unused")
-	a := g.AddVertex(lv)
-	b := g.AddVertex(lv)
-	g.AddEdge(a, b, le)
-	fz := g.Freeze()
-	if !fz.LabelHasEdges(le, true) || !fz.LabelHasEdges(le, false) {
-		t.Fatal("label with edges reported empty")
-	}
-	if fz.LabelHasEdges(lunused, true) || fz.LabelHasEdges(lunused, false) {
-		t.Fatal("unused label reported non-empty")
-	}
-	if !g.LabelHasEdges(lunused, true) {
-		t.Fatal("live graph must report unknown (true)")
-	}
 }

@@ -18,6 +18,7 @@ package prov
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -138,6 +139,41 @@ type Graph struct {
 	// monotone memoizes AncestryMonotone on a frozen snapshot (immutable, so
 	// racing first callers store the same answer): 0 unknown, 1 yes, 2 no.
 	monotone atomic.Int32
+
+	// names is the display-name column of the live graph's frozen vertices,
+	// shared by every snapshot taken from it (see nameColumn).
+	names *nameColumn
+}
+
+// nameColumn holds Name(v) by vertex id for a prefix of one live graph's
+// vertices, so that a reply naming 20k vertices does not probe 20k property
+// maps. A frozen vertex's properties are immutable, so a prefix filled from
+// one snapshot is valid for every later one: the column only grows. It is
+// extended by the first reader that asks for an id past its end — never on
+// the commit path — and costs one string header per vertex.
+type nameColumn struct {
+	mu    sync.Mutex               // serializes extend
+	names atomic.Pointer[[]string] // replaced, never modified below its length
+}
+
+func (c *nameColumn) load() []string {
+	if names := c.names.Load(); names != nil {
+		return *names
+	}
+	return nil
+}
+
+// extend fills the column up to fz's vertex count from fz, a frozen snapshot
+// of the column's graph.
+func (c *nameColumn) extend(fz *graph.Graph) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	names := c.load()
+	for v := len(names); v < fz.NumVertices(); v++ {
+		names = append(names, fz.VertexProp(graph.VertexID(v), PropName).AsString())
+	}
+	c.names.Store(&names)
+	return names
 }
 
 // New returns an empty PROV graph.
@@ -149,7 +185,7 @@ func New() *Graph {
 // one-letter conventions (E, A, U vertices; U, G, S, A, D edges). Labels are
 // interned if missing.
 func Wrap(g *graph.Graph) *Graph {
-	p := &Graph{g: g}
+	p := &Graph{g: g, names: new(nameColumn)}
 	d := g.Dict()
 	// Vertex labels: E, A, U. Edge labels are prefixed to avoid colliding
 	// with the "A"/"U" vertex labels in the shared dictionary.
@@ -219,6 +255,7 @@ func (p *Graph) wrapSnapshot(fg *graph.Graph) *Graph {
 		relLabels:  p.relLabels,
 		labelKind:  p.labelKind,
 		labelRel:   p.labelRel,
+		names:      p.names,
 	}
 }
 
@@ -395,7 +432,14 @@ func (p *Graph) WasDerivedFrom(e2, e1 graph.VertexID) graph.EdgeID {
 
 // Name returns the display name of a vertex (empty if unset).
 func (p *Graph) Name(v graph.VertexID) string {
-	return p.g.VertexProp(v, PropName).AsString()
+	if !p.g.Frozen() {
+		return p.g.VertexProp(v, PropName).AsString()
+	}
+	names := p.names.load()
+	if int(v) >= len(names) {
+		names = p.names.extend(p.g)
+	}
+	return names[v]
 }
 
 // Order returns the order-of-being of a vertex. Vertex ids are assigned in

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -319,5 +320,69 @@ func TestLabelTables(t *testing.T) {
 	}
 	if _, ok := p.kindOfLabel(p.RelLabel(RelUsed)); ok {
 		t.Error("e:U read as a vertex kind")
+	}
+}
+
+// TestNameColumn: a frozen snapshot answers Name from the column its live
+// graph's snapshots share. Whatever the order the epochs are first read in,
+// and with readers of different epochs extending it at once (-race), every
+// answer is the property map's, and a reader extends the column to its own
+// snapshot's vertices, never past them.
+func TestNameColumn(t *testing.T) {
+	p := New()
+	var snaps []*Graph
+	for epoch := 0; epoch < 8; epoch++ {
+		for i := 0; i < 40; i++ {
+			switch i % 4 {
+			case 0:
+				p.NewEntity("e" + strconv.Itoa(epoch*100+i))
+			case 1:
+				p.NewActivity("") // no name property at all
+			case 2:
+				p.PG().SetVertexProp(p.NewAgent("x"), PropName, graph.Int(int64(i))) // rendered by AsString
+			case 3:
+				p.PG().SetVertexProp(p.NewEntity("x"), PropName, graph.String(""))
+			}
+		}
+		var prev *Graph
+		if epoch > 0 {
+			prev = snaps[epoch-1]
+		}
+		fz, _ := p.ExtendFrozen(prev)
+		snaps = append(snaps, fz)
+	}
+
+	mid := snaps[3]
+	if got := mid.Name(0); got != "e0" {
+		t.Fatalf("Name(0) = %q", got)
+	}
+	if n := len(p.names.load()); n != mid.NumVertices() {
+		t.Fatalf("a reader at %d vertices left the column at %d", mid.NumVertices(), n)
+	}
+
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for k := range snaps {
+				fz := snaps[(k*3+r*5)%len(snaps)]
+				for i := fz.NumVertices() - 1; i >= 0; i-- {
+					v := graph.VertexID(i)
+					if got, want := fz.Name(v), fz.PG().VertexProp(v, PropName).AsString(); got != want {
+						t.Errorf("snapshot of %d vertices: Name(%d) = %q, the property says %q", fz.NumVertices(), v, got, want)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if n, want := len(p.names.load()), snaps[len(snaps)-1].NumVertices(); n != want {
+		t.Fatalf("column holds %d names for %d frozen vertices", n, want)
+	}
+	// The live graph still reads its maps: a vertex past every snapshot.
+	if v := p.NewEntity("late"); p.Name(v) != "late" {
+		t.Fatalf("live Name(%d) = %q", v, p.Name(v))
 	}
 }

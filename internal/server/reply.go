@@ -1,13 +1,16 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/prov"
 )
 
 // The reply path of the three megabyte-sized shapes (/segment, /adjust,
@@ -21,9 +24,10 @@ import (
 
 // replyFlushBytes is how much of a reply is buffered before it is written
 // out (one HTTP chunk, ~2 syscalls). Chosen by measurement, benchmark
-// seg_hot (2.2 MB replies) ops_per_s over 10 s windows: 8 KB 119-129,
-// 32 KB 182-195, 64 KB 195-201, 128 KB 198-225, 256 KB 199-220. Into a
-// discarding writer the size makes no difference; it is the per-chunk cost.
+// seg_hot (2.2 MB replies, ~1.2 ms of encode in a ~3 ms op) ops_per_s over
+// ten alternating 10 s windows: 64 KB 291-318 (median 301), 128 KB 301-330
+// (321), 256 KB 295-340 (314; ahead of 128 KB in 5 of 10). Into a discarding
+// writer the size makes no difference; it is the per-chunk cost.
 const replyFlushBytes = 128 << 10
 
 // replyBufs pools the encode buffers. An element can overrun the flush
@@ -73,6 +77,150 @@ func (r *replyBuf) flush() error {
 	return err
 }
 
+// The element kernels. A /segment or /adjust reply is ~63k array elements
+// and ~150k integers at 20k vertices, so an element is not appended piece by
+// piece: the loops of writeSegmentJSON reserve its room once (elemRoom plus
+// the name) and write it by index — integers through putUint32, literals as
+// whole little-endian words (lit8, lit24) with the index advanced by the
+// true length, the name by putPlain. A kernel stores whole words, up to 13
+// bytes past what it advances over; elemRoom covers that.
+
+// elemRoom is the room an element needs besides its name: the longest fixed
+// part (an edge with three 10-digit ids, 62 bytes; a vertex, 59) and the
+// kernels' overrun.
+const elemRoom = 96
+
+// room returns b resliced to its capacity, with at least n bytes after
+// len(b): the slack of a pooled buffer covers any element with a name under
+// 4 KB, a longer one grows the buffer for this reply.
+func room(b []byte, n int) []byte {
+	if cap(b)-len(b) < n {
+		b = slices.Grow(b, n)
+	}
+	return b[:cap(b)]
+}
+
+// digits4[x] is the four ASCII digits of x < 10000, the thousands in the low
+// byte: one little-endian 4-byte store writes them in order.
+var digits4 [10000]uint32
+
+func init() {
+	for x := range digits4 {
+		d := uint32(x)
+		digits4[x] = '0' + d/1000 | ('0'+d/100%10)<<8 | ('0'+d/10%10)<<16 | ('0'+d%10)<<24
+	}
+}
+
+// putUint32 writes x in decimal at b[i:] and returns the index after it. It
+// stores 4-byte groups, so up to 3 bytes past the returned index are
+// overwritten and must exist.
+func putUint32(b []byte, i int, x uint32) int {
+	if x < 1e4 {
+		return putHead(b, i, x)
+	}
+	if x < 1e8 {
+		i = putHead(b, i, x/1e4)
+		binary.LittleEndian.PutUint32(b[i:], digits4[x%1e4])
+		return i + 4
+	}
+	i = putHead(b, i, x/1e8)
+	x %= 1e8
+	binary.LittleEndian.PutUint32(b[i:], digits4[x/1e4])
+	binary.LittleEndian.PutUint32(b[i+4:], digits4[x%1e4])
+	return i + 8
+}
+
+// putHead writes x < 10000 without leading zeros: its group shifted down by
+// the zeros' bytes.
+func putHead(b []byte, i int, x uint32) int {
+	n := uint(1)
+	if x >= 10 {
+		n++
+	}
+	if x >= 100 {
+		n++
+	}
+	if x >= 1000 {
+		n++
+	}
+	binary.LittleEndian.PutUint32(b[i:], digits4[x]>>((4-n)*8&31))
+	return i + int(n)
+}
+
+// appendUint32 is putUint32 for the append-style parts of a reply.
+func appendUint32(b []byte, x uint32) []byte {
+	i := len(b)
+	b = room(b, 16)
+	return b[:putUint32(b, i, x)]
+}
+
+// lit8 is a literal of at most 8 bytes as one little-endian word.
+type lit8 struct {
+	w uint64
+	n int
+}
+
+func mkLit8(s string) lit8 {
+	var w [8]byte
+	if copy(w[:], s) < len(s) {
+		panic("server: lit8 of more than 8 bytes: " + s)
+	}
+	return lit8{binary.LittleEndian.Uint64(w[:]), len(s)}
+}
+
+// put stores the word at b[i:] and returns the index after the literal.
+func (l lit8) put(b []byte, i int) int {
+	binary.LittleEndian.PutUint64(b[i:], l.w)
+	return i + l.n
+}
+
+// lit24 is a literal of at most 24 bytes as three words.
+type lit24 struct {
+	w [3]uint64
+	n int
+}
+
+func mkLit24(s string) lit24 {
+	var w [24]byte
+	if copy(w[:], s) < len(s) {
+		panic("server: lit24 of more than 24 bytes: " + s)
+	}
+	l := lit24{n: len(s)}
+	for k := range l.w {
+		l.w[k] = binary.LittleEndian.Uint64(w[8*k:])
+	}
+	return l
+}
+
+func (l *lit24) put(b []byte, i int) int {
+	w := b[i : i+24]
+	binary.LittleEndian.PutUint64(w, l.w[0])
+	binary.LittleEndian.PutUint64(w[8:], l.w[1])
+	binary.LittleEndian.PutUint64(w[16:], l.w[2])
+	return i + l.n
+}
+
+// tails builds pre + v.String() + post for every v up to last.
+func tails[T interface {
+	~uint8
+	String() string
+}](last T, pre, post string) []lit24 {
+	t := make([]lit24, int(last)+1)
+	for v := range t {
+		t[v] = mkLit24(pre + T(v).String() + post)
+	}
+	return t
+}
+
+var (
+	litFirst, litNext       = mkLit8(`{"id":`), mkLit8(`,{"id":`)
+	litSrc, litDst, litName = mkLit8(`,"src":`), mkLit8(`,"dst":`), mkLit8(`,"name":`)
+
+	kindTails = tails(prov.KindAgent, `,"kind":"`, `"`)
+	ruleTails = tails(core.RuleC4, `,"rule":"`, `"}`)
+	relTails  = tails(prov.RelDeriv, `,"rel":"`, `"}`)
+)
+
 // writeSegmentJSON streams the SegmentResponse of seg, rendered from the
 // snapshot the segment was solved or revalidated at (seg.P). A non-empty dot
 // selects the DOT form: the counts and the rendering, no arrays.
@@ -81,43 +229,45 @@ func writeSegmentJSON(w io.Writer, seg *core.Segment, cached bool, dot string) e
 	defer r.release()
 	p, g := seg.P, seg.P.PG()
 	r.b = append(r.b, `{"num_vertices":`...)
-	r.b = strconv.AppendInt(r.b, int64(len(seg.Vertices)), 10)
+	r.b = appendUint32(r.b, uint32(len(seg.Vertices)))
 	r.b = append(r.b, `,"num_edges":`...)
-	r.b = strconv.AppendInt(r.b, int64(len(seg.Edges)), 10)
+	r.b = appendUint32(r.b, uint32(len(seg.Edges)))
 	if dot == "" && len(seg.Vertices) > 0 {
-		r.b = append(r.b, `,"vertices":[`...)
-		for i, v := range seg.Vertices {
-			b := append(r.elem(i), `{"id":`...)
-			b = strconv.AppendUint(b, uint64(v), 10)
-			b = append(b, `,"kind":"`...)
-			b = append(b, p.KindOf(v).String()...)
-			b = append(b, '"')
-			if name := p.Name(v); name != "" {
-				b = append(b, `,"name":`...)
-				b = appendJSONString(b, name)
+		b := append(r.b, `,"vertices":[`...)
+		open := litFirst
+		for k, v := range seg.Vertices {
+			name := p.Name(v)
+			i := len(b)
+			b = room(b, elemRoom+len(name))
+			i = putUint32(b, open.put(b, i), uint32(v))
+			i = kindTails[p.KindOf(v)].put(b, i)
+			if name != "" {
+				b = appendJSONString(b[:litName.put(b, i)], name)
+				i = len(b)
+				b = room(b, elemRoom)
 			}
-			b = append(b, `,"rule":"`...)
-			b = append(b, seg.Rules[i].String()...)
-			if err := r.end(append(b, `"}`...)); err != nil {
+			i = ruleTails[seg.Rules[k]].put(b, i)
+			if err := r.end(b[:i]); err != nil {
 				return err
 			}
+			b, open = r.b, litNext
 		}
 		r.b = append(r.b, ']')
 	}
 	if dot == "" && len(seg.Edges) > 0 {
-		r.b = append(r.b, `,"edges":[`...)
-		for i, e := range seg.Edges {
-			b := append(r.elem(i), `{"id":`...)
-			b = strconv.AppendUint(b, uint64(e), 10)
-			b = append(b, `,"src":`...)
-			b = strconv.AppendUint(b, uint64(g.Src(e)), 10)
-			b = append(b, `,"dst":`...)
-			b = strconv.AppendUint(b, uint64(g.Dst(e)), 10)
-			b = append(b, `,"rel":"`...)
-			b = append(b, p.RelOf(e).String()...)
-			if err := r.end(append(b, `"}`...)); err != nil {
+		b := append(r.b, `,"edges":[`...)
+		open := litFirst
+		for _, e := range seg.Edges {
+			i := len(b)
+			b = room(b, elemRoom)
+			i = putUint32(b, open.put(b, i), uint32(e))
+			i = putUint32(b, litSrc.put(b, i), uint32(g.Src(e)))
+			i = putUint32(b, litDst.put(b, i), uint32(g.Dst(e)))
+			i = relTails[p.RelOf(e)].put(b, i)
+			if err := r.end(b[:i]); err != nil {
 				return err
 			}
+			b, open = r.b, litNext
 		}
 		r.b = append(r.b, ']')
 	}
@@ -137,7 +287,7 @@ func writePsgJSON(w io.Writer, psg *core.Psg, dot string) error {
 		for i, n := range psg.Nodes {
 			b := appendJSONString(append(r.elem(i), `{"label":`...), n.Label)
 			b = append(b, `,"members":`...)
-			b = strconv.AppendInt(b, int64(len(n.Members)), 10)
+			b = appendUint32(b, uint32(len(n.Members)))
 			if err := r.end(append(b, '}')); err != nil {
 				return err
 			}
@@ -148,9 +298,9 @@ func writePsgJSON(w io.Writer, psg *core.Psg, dot string) error {
 		r.b = append(r.b, `"edges":[`...)
 		for i, e := range psg.Edges {
 			b := append(r.elem(i), `{"from":`...)
-			b = strconv.AppendInt(b, int64(e.From), 10)
+			b = appendUint32(b, uint32(e.From))
 			b = append(b, `,"to":`...)
-			b = strconv.AppendInt(b, int64(e.To), 10)
+			b = appendUint32(b, uint32(e.To))
 			b = append(b, `,"rel":"`...)
 			b = append(b, e.Rel.String()...)
 			b = append(b, `","freq":`...)
@@ -162,9 +312,9 @@ func writePsgJSON(w io.Writer, psg *core.Psg, dot string) error {
 		r.b = append(r.b, `],`...)
 	}
 	r.b = append(r.b, `"input_vertices":`...)
-	r.b = strconv.AppendInt(r.b, int64(psg.InputVertices), 10)
+	r.b = appendUint32(r.b, uint32(psg.InputVertices))
 	r.b = append(r.b, `,"segments":`...)
-	r.b = strconv.AppendInt(r.b, int64(psg.Segments), 10)
+	r.b = appendUint32(r.b, uint32(psg.Segments))
 	r.b = append(r.b, `,"compaction_ratio":`...)
 	r.b = appendJSONFloat(r.b, psg.CompactionRatio())
 	return r.finish(dot)
@@ -182,19 +332,62 @@ func (r *replyBuf) finish(dot string) error {
 }
 
 // appendJSONString appends s as a JSON string. A string of plain printable
-// ASCII — every generated name — is copied between quotes; anything else
-// (control bytes, '"', '\\', non-ASCII: U+2028/U+2029, invalid UTF-8) goes
-// through encoding/json itself, so the escaping cannot drift from the
-// stdlib's.
+// ASCII — every generated name — is copied between quotes as it is checked;
+// anything else (control bytes, '"', '\\', non-ASCII: U+2028/U+2029, invalid
+// UTF-8) goes through encoding/json itself, so the escaping cannot drift from
+// the stdlib's. The copy is only tried in room b already has (the element
+// loops reserve it): a DOT rendering, megabytes that are certain to need
+// escaping, is not grown for twice.
 func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
-			return appendJSONStringStd(b, s)
+	i := len(b)
+	if cap(b)-i < len(s)+2 || !putPlain(b[i+1:cap(b)], s) {
+		return appendJSONStringStd(b, s)
+	}
+	b = b[:i+2+len(s)]
+	b[i], b[len(b)-1] = '"', '"'
+	return b
+}
+
+// putPlain copies s to b, a word at a time where s has one, and gives up
+// (false, b half-written) at the first byte JSON has to escape. It writes
+// b[:len(s)] and nothing beyond.
+func putPlain(b []byte, s string) bool {
+	b = b[:len(s)]
+	if len(s) < 8 {
+		for j := 0; j < len(s); j++ {
+			c := s[j]
+			if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
+				return false
+			}
+			b[j] = c
+		}
+		return true
+	}
+	// Whole words, the last one overlapping its predecessor.
+	for j := 0; ; j += 8 {
+		if j > len(s)-8 {
+			j = len(s) - 8
+		}
+		w := uint64(s[j]) | uint64(s[j+1])<<8 | uint64(s[j+2])<<16 | uint64(s[j+3])<<24 |
+			uint64(s[j+4])<<32 | uint64(s[j+5])<<40 | uint64(s[j+6])<<48 | uint64(s[j+7])<<56
+		if hasEscape(w) {
+			return false
+		}
+		binary.LittleEndian.PutUint64(b[j:], w)
+		if j == len(s)-8 {
+			return true
 		}
 	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+}
+
+// hasEscape reports whether any of the 8 bytes of w is < 0x20, >= 0x80, '"'
+// or '\\' (the zero-byte and less-than tests of the bit-twiddling canon; a
+// byte with its high bit set may raise a false positive in a neighbour's
+// test, but it is itself a hit).
+func hasEscape(w uint64) bool {
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	q, bs := w^lo*'"', w^lo*'\\'
+	return (w|(w-lo*0x20)&^w|(q-lo)&^q|(bs-lo)&^bs)&hi != 0
 }
 
 // appendJSONStringStd is appendJSONString's slow path (its own function so

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -104,6 +105,31 @@ func diffSegmentReply(t *testing.T, tag string, seg *core.Segment, cached bool, 
 		t.Fatalf("%s: %v", tag, err)
 	}
 	diffBytes(t, tag, got.Bytes(), oracleSegmentJSON(t, seg, cached, dot))
+}
+
+// diffNamedSegments diffs the reply for a segment of entities with the given
+// names, rendered from the live graph (names out of the property maps) and
+// from its frozen snapshot (names out of the column).
+func diffNamedSegments(t *testing.T, tag string, names ...string) {
+	t.Helper()
+	p := prov.New()
+	var vs []graph.VertexID
+	for _, name := range names {
+		vs = append(vs, p.NewEntity(name))
+	}
+	diffSegmentReply(t, tag+" (live)", core.NewSegment(p, vs), false, "")
+	diffSegmentReply(t, tag+" (frozen)", core.NewSegment(p.Freeze(), vs), true, "")
+}
+
+// writeSizes keeps what is written to it and the size of each Write.
+type writeSizes struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (w *writeSizes) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.Buffer.Write(p)
 }
 
 func diffPsgReply(t *testing.T, tag string, psg *core.Psg, dot string) {
@@ -223,6 +249,65 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	// Arrays that are empty are omitted, as omitempty does.
 	empty := core.NewSegment(prov.New(), nil)
 	diffSegmentReply(t, "empty segment", empty, false, "")
+	diffNamedSegments(t, "one vertex", "only")
+
+	// Names of every length across the word copy's 8- and 16-byte seams (0 is
+	// the omitted name), then an escaped byte first, in the middle and last
+	// at each of those shapes: the copy must give up without leaving a trace.
+	const plain = "abcdefghijklmnopqrstuvwxyz0123456789~{}[]"
+	var names []string
+	for n := 0; n <= 40; n++ {
+		names = append(names, plain[:n])
+	}
+	for _, n := range []int{1, 7, 8, 9, 16, 23} {
+		for _, at := range []int{0, n / 2, n - 1} {
+			for _, esc := range []byte{'"', '\\', 0x1f, 0x80} {
+				name := []byte(plain[:n])
+				name[at] = esc
+				names = append(names, string(name))
+			}
+		}
+	}
+	diffNamedSegments(t, "name lengths and escape positions", names...)
+
+	// A name longer than the pooled buffer's slack grows the buffer for that
+	// reply only; the pool never sees the grown array. (Get may hand out a
+	// fresh buffer at any time, so this can only ever fail for a real leak.)
+	for _, n := range []int{5 << 10, 200 << 10} {
+		long := strings.Repeat(plain, n/len(plain)+1)[:n]
+		diffNamedSegments(t, fmt.Sprintf("%d KB name", n>>10), "before", long, "after", long[:n-1]+"\n")
+		for range 8 {
+			b := replyBufs.Get().(*[]byte)
+			if len(*b) != 0 || cap(*b) != replyFlushBytes+4<<10 {
+				t.Fatalf("after a %d KB name the pool holds a buffer of len %d cap %d", n>>10, len(*b), cap(*b))
+			}
+			defer replyBufs.Put(b)
+		}
+	}
+
+	// An element that crosses the flush threshold by 1…8 bytes (and by every
+	// other amount up to its own size): its word stores land in the slack.
+	strad := prov.New()
+	var vs []graph.VertexID
+	for i := 0; i < 3200; i++ {
+		vs = append(vs, strad.NewEntity("v"))
+	}
+	seg := core.NewSegment(strad, vs)
+	over := map[int]bool{}
+	for pad := 1; pad <= 64; pad++ {
+		strad.PG().SetVertexProp(vs[0], prov.PropName, graph.String(strings.Repeat("p", pad)))
+		var got writeSizes
+		if err := writeSegmentJSON(&got, seg, false, ""); err != nil {
+			t.Fatal(err)
+		}
+		diffBytes(t, fmt.Sprintf("straddle pad %d", pad), got.Bytes(), oracleSegmentJSON(t, seg, false, ""))
+		over[got.sizes[0]-replyFlushBytes] = true
+	}
+	for k := 1; k <= 8; k++ {
+		if !over[k] {
+			t.Fatalf("no reply crossed the %d-byte flush threshold by %d bytes (crossings seen: %v)", replyFlushBytes, k, over)
+		}
+	}
 	diffPsgReply(t, "empty psg", &core.Psg{}, "")
 	diffPsgReply(t, "psg without edges", &core.Psg{Nodes: []core.PsgNode{{Label: "E"}}, InputVertices: 3, Segments: 1}, "")
 
@@ -353,6 +438,74 @@ func FuzzAppendJSONString(f *testing.F) {
 		if want := bytes.TrimSuffix(stdJSON(t, x), []byte("\n")); !bytes.Equal(got, want) {
 			t.Fatalf("appendJSONFloat(%g) = %s, encoding/json says %s", x, got, want)
 		}
+	})
+}
+
+// putUint32Edges are the values where putUint32's digit split changes shape:
+// every 10^k-1, 10^k, 10^k+1, and the largest.
+func putUint32Edges() []uint32 {
+	edges := []uint32{0, math.MaxUint32}
+	for p := uint32(10); ; p *= 10 {
+		edges = append(edges, p-1, p, p+1)
+		if p == 1e9 {
+			return edges
+		}
+	}
+}
+
+// checkPutUint32 writes x at offset off of a poisoned buffer and fails unless
+// the digits are strconv's, the returned index is their end, nothing before
+// off was touched and nothing from 8 bytes past the end on.
+func checkPutUint32(t testing.TB, x uint32, off int) {
+	t.Helper()
+	const poison = 0xA5
+	var buf [40]byte
+	for i := range buf {
+		buf[i] = poison
+	}
+	var scratch [10]byte
+	want := strconv.AppendUint(scratch[:0], uint64(x), 10)
+	end := putUint32(buf[:], off, x)
+	if end != off+len(want) || !bytes.Equal(buf[off:end], want) {
+		t.Fatalf("putUint32(%d) at offset %d = %q ending at %d, strconv says %q", x, off, buf[off:max(end, off)], end, want)
+	}
+	for i, c := range buf {
+		if (i < off || i >= end+8) && c != poison {
+			t.Fatalf("putUint32(%d) at offset %d (end %d) touched byte %d", x, off, end, i)
+		}
+	}
+}
+
+// TestPutUint32MatchesStrconv is the integer kernel's differential against
+// strconv: an off-by-one in the digit split or the leading-zero shift fails
+// here, by value, before it can show up as a wrong id in a reply.
+func TestPutUint32MatchesStrconv(t *testing.T) {
+	exhaustive := uint32(2e6)
+	if testing.Short() {
+		exhaustive = 2e5
+	}
+	for x := uint32(0); x <= exhaustive; x++ {
+		checkPutUint32(t, x, int(x%8))
+	}
+	for _, x := range putUint32Edges() {
+		for off := 0; off < 8; off++ {
+			checkPutUint32(t, x, off)
+		}
+	}
+	// The whole 32-bit range at a prime stride, until it wraps.
+	const stride = 104729
+	for x, off := uint32(stride), 0; x >= stride; x, off = x+stride, (off+1)%8 {
+		checkPutUint32(t, x, off)
+	}
+}
+
+// FuzzPutUint32: any value at any of the eight offsets.
+func FuzzPutUint32(f *testing.F) {
+	for i, x := range putUint32Edges() {
+		f.Add(x, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, x uint32, off uint8) {
+		checkPutUint32(t, x, int(off%8))
 	})
 }
 

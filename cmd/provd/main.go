@@ -13,20 +13,20 @@
 //
 // With -data the daemon is durable: every committed ingest batch is made
 // durable in the store's write-ahead log (fsynced per -fsync; concurrent
-// batches share one fsync via group commit unless -group-commit=false)
-// before it is published, a background checkpointer persists each store's
-// graph every -checkpoint-every batches, and a restart recovers every
-// store's exact pre-crash epoch from its checkpoint + log tail. Each store
-// owns the subdirectory -data/<name>/; every subdirectory holding state is
-// recovered at boot even if not named in -stores. -in/-gen seed a fresh
-// default store only; restarting over existing state refuses them.
+// batches share one fsync via group commit) before it is published, a
+// background checkpointer persists each store's graph every
+// -checkpoint-every batches, and a restart recovers every store's exact
+// pre-crash epoch from its checkpoint + log tail. Each store owns the
+// subdirectory -data/<name>/; every subdirectory holding state is recovered
+// at boot even if not named in -stores. -in/-gen seed a fresh default store
+// only; restarting over existing state refuses them.
 //
 // When several durable stores share -data under -fsync always, their group
 // commits additionally share the fsync itself: a device-level coalescer
 // batches every store's staged groups into one flush per sync window
 // (syncfs(2) where available, parallel per-log fsyncs elsewhere), so a
 // multi-store daemon pays one device barrier per window instead of one per
-// store. -no-coalesce restores private per-store fsyncs.
+// store.
 //
 // With -follow the daemon is a read-only replica: it mirrors the leader's
 // store set (polling GET /stores), tails each store's wal stream
@@ -114,8 +114,6 @@ func main() {
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always (every commit), interval (background flush), never (OS-paced)")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "background flush period with -fsync interval")
 	checkpointEvery := flag.Int("checkpoint-every", 256, "committed batches between checkpoints per store (bounds log growth and restart replay)")
-	groupCommit := flag.Bool("group-commit", true, "amortize WAL fsyncs across concurrent ingest batches (one fsync per commit group instead of per batch)")
-	noCoalesce := flag.Bool("no-coalesce", false, "disable the device-level fsync coalescer (each store's group commits fsync their own log even when many stores share the data directory)")
 	qosRate := flag.Float64("qos-rate", 0, "per-store admission rate limit in requests/second (0 disables rate limiting; applies to every store, adjustable per store via PUT /stores/{name})")
 	qosBurst := flag.Int("qos-burst", 0, "per-store admission burst on top of -qos-rate (0 derives the burst from the rate)")
 	qosConcurrency := flag.Int("qos-concurrency", 0, "per-store cap on concurrently served requests (0 disables)")
@@ -152,7 +150,7 @@ func main() {
 		}
 		log.Printf("provd: following leader %s (%d stores discovered)", *follow, len(reg.Names()))
 	} else {
-		reg, err = openRegistry(*dataDir, *stores, *in, *genN, *seed, *cacheCap, *fsync, *fsyncInterval, *checkpointEvery, *groupCommit, *noCoalesce, qos, logger)
+		reg, err = openRegistry(*dataDir, *stores, *in, *genN, *seed, *cacheCap, *fsync, *fsyncInterval, *checkpointEvery, qos, logger)
 		if err != nil {
 			log.Fatalf("provd: %v", err)
 		}
@@ -275,7 +273,7 @@ func startDebugServer(addr string) error {
 
 // openRegistry builds the memory-only or durable store registry per the
 // flags.
-func openRegistry(dataDir, stores, in string, genN int, seed int64, cacheCap int, fsync string, fsyncInterval time.Duration, checkpointEvery int, groupCommit, noCoalesce bool, qos server.QoSConfig, logger *slog.Logger) (*server.Registry, error) {
+func openRegistry(dataDir, stores, in string, genN int, seed int64, cacheCap int, fsync string, fsyncInterval time.Duration, checkpointEvery int, qos server.QoSConfig, logger *slog.Logger) (*server.Registry, error) {
 	var extra []string
 	for _, name := range strings.Split(stores, ",") {
 		if name = strings.TrimSpace(name); name != "" {
@@ -286,8 +284,6 @@ func openRegistry(dataDir, stores, in string, genN int, seed int64, cacheCap int
 		DataDir:         dataDir,
 		CheckpointEvery: checkpointEvery,
 		CacheCap:        cacheCap,
-		NoGroupCommit:   !groupCommit,
-		NoCoalesce:      noCoalesce,
 		DefaultQoS:      qos,
 		Logger:          logger,
 	}
@@ -324,8 +320,8 @@ func openRegistry(dataDir, stores, in string, genN int, seed int64, cacheCap int
 		case dataDir == "":
 			// memory-only: nothing recovered, nothing durable
 		case sr.Rcv.Fresh:
-			log.Printf("provd: store %q: initialized %s (fsync=%s, group commit %v, checkpoint every %d batches)",
-				sr.Name, filepath.Join(dataDir, sr.Name), fsync, groupCommit, checkpointEvery)
+			log.Printf("provd: store %q: initialized %s (fsync=%s, checkpoint every %d batches)",
+				sr.Name, filepath.Join(dataDir, sr.Name), fsync, checkpointEvery)
 		default:
 			log.Printf("provd: store %q: recovered epoch %d (checkpoint %d + %d WAL records, torn tail: %v)",
 				sr.Name, sr.Rcv.Epoch, sr.Rcv.CheckpointEpoch, sr.Rcv.Replayed, sr.Rcv.TornTail)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cypher"
 	"repro/internal/gen"
 	"repro/internal/graph/difftest"
 )
@@ -25,25 +24,14 @@ func TestFigureRegistry(t *testing.T) {
 }
 
 // TestRunShardIngestTiny drives the sharded-ingest measurement core on a
-// miniature workload across the three commit modes — group commit with
-// the device coalescer, group commit with private fsyncs, and per-batch
-// fsync. All must commit every batch and report a positive rate.
+// miniature workload: every batch must commit and the rate be positive.
 func TestRunShardIngestTiny(t *testing.T) {
-	for _, mode := range []struct {
-		name              string
-		group, noCoalesce bool
-	}{
-		{"coalesced", true, false},
-		{"private", true, true},
-		{"per-batch", false, false},
-	} {
-		rate, err := runShardIngest(2, 2, 12, mode.group, mode.noCoalesce)
-		if err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
-		}
-		if rate <= 0 {
-			t.Fatalf("%s: rate %f", mode.name, rate)
-		}
+	rate, err := runShardIngest(2, 2, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rate <= 0 {
+		t.Fatalf("rate %f", rate)
 	}
 }
 
@@ -100,9 +88,8 @@ func TestFigShardTiny(t *testing.T) {
 	}
 	for _, r := range fig.Rows {
 		for _, s := range fig.Series {
-			c := r.Cells[s]
-			if c == "" || c == "err" {
-				t.Fatalf("bad cell %s at stores=%s: %q (%q)", s, r.X, c, r.Cells["speedup"])
+			if c := r.Cells[s]; c == "" || strings.HasPrefix(c, "err") {
+				t.Fatalf("bad cell %s at stores=%s: %q", s, r.X, c)
 			}
 		}
 	}
@@ -177,15 +164,15 @@ func TestFigCSRTiny(t *testing.T) {
 }
 
 // TestVecEquivalence drives the vec panel's inline equality assertion on a
-// tiny frozen graph — the planned and naive Cypher evaluators must return
-// the same rows before any timing is trusted. This is the CI smoke for the
+// tiny graph — the planned (frozen snapshot) and naive (live graph) Cypher
+// evaluations must return the same rows before any timing is trusted. This is the CI smoke for the
 // panel; the full sweep runs via provbench.
 func TestVecEquivalence(t *testing.T) {
 	p := pdGraph(gen.PdConfig{N: 500, Seed: 1})
 	src, dst := gen.QueryAtRank(p, 0)
 	fz := p.Freeze()
-	assertPlannerEqualsNaive(fz, src, dst) // panics on divergence
-	if d := timeCypherOpts(fz, src, dst, cypher.Options{}, 1); d <= 0 {
+	assertPlannerEqualsNaive(p, fz, src, dst) // panics on divergence
+	if d := timeCypher(fz, src, dst, 1); d <= 0 {
 		t.Fatalf("cypher timing %v", d)
 	}
 }

@@ -12,26 +12,15 @@ import (
 	"repro/internal/wal"
 )
 
-// QoS scenario (panel "qos"): the two halves of the multi-store
-// group-commit fix, measured back to back.
-//
-//  1. Device-level fsync coalescing. With several stores ingesting at
-//     once, per-store group commit still pays one fsync per store per
-//     window and the device serializes them. The registry's coalescer
-//     folds every store's staged window into one device flush. The rows
-//     compare 4-store/8-writer aggregate throughput for coalesced group
-//     commit, private-fsync group commit (-no-coalesce) and
-//     fsync-per-batch; the acceptance bar is coalesced >= 1.5x over
-//     per-batch.
-//
-//  2. Hot-neighbor isolation. A cold store sharing the device with hot
-//     stores sees its commit latency inflated by the neighbors' flush
-//     traffic. The rows report the cold store's commit p99 with the hot
-//     stores unthrottled vs rate-limited through the same Admit() gate
-//     the HTTP layer uses; the bar is a >= 5x p99 reduction. The run
-//     uses private per-store fsyncs (-no-coalesce) — the adversarial
-//     regime the issue describes — so the panel isolates what admission
-//     control alone buys.
+// QoS scenario (panel "qos"): hot-neighbor isolation. A cold store sharing
+// the device with hot stores sees its commit latency inflated by the
+// neighbors' flush traffic — it waits in the same sync windows they fill.
+// The rows report the cold store's commit p99 with the hot stores
+// unthrottled vs rate-limited through the same Admit() gate the HTTP layer
+// uses, on the commit path provd ships (group commit through the registry
+// coalescer). (Older `qos` records in BENCH_provd.json open with three
+// ingest rows and measured the isolation on private per-store fsyncs; see
+// README, "Durability".)
 //
 // Recorded into BENCH_provd.json via provbench -record.
 
@@ -73,7 +62,6 @@ func runHotNeighbor(hotStores, hotWriters, coldSamples int, rate float64) (time.
 		Fsync:           wal.SyncAlways,
 		CheckpointEvery: 1 << 30,
 		CacheCap:        16,
-		NoCoalesce:      true, // private fsyncs: the contended regime under test
 	}, extra, nil)
 	if err != nil {
 		return 0, err
@@ -153,43 +141,19 @@ func runHotNeighbor(hotStores, hotWriters, coldSamples int, rate float64) (time.
 	return lat[len(lat)*99/100], nil
 }
 
-// FigQoS measures the device-level coalescer's multi-store speedup and
-// the cold-store tail-latency isolation bought by per-store admission
-// control.
+// FigQoS measures the cold-store tail-latency isolation bought by per-store
+// admission control.
 func FigQoS(scale Scale) Figure {
-	writers, total := shardWorkload(scale)
 	hotStores, hotWriters, coldSamples, rate := qosWorkload(scale)
-	const nStores = 4
 	fig := Figure{
 		ID: "qos",
 		Caption: fmt.Sprintf(
-			"qos: %d-store/%d-writer coalesced ingest + hot-neighbor cold-store p99 (%d hot stores x %d writers, limit %.0f/s)",
-			nStores, writers, hotStores, hotWriters, rate),
+			"qos: hot-neighbor cold-store commit p99 (%d hot stores x %d writers, limit %.0f/s, fsync=always)",
+			hotStores, hotWriters, rate),
 		XLabel: "configuration",
-		YLabel: "batches/sec | p99",
-		Series: []string{"b/s", "vs per-batch", "cold p99", "isolation"},
+		YLabel: "p99",
+		Series: []string{"cold p99", "isolation"},
 	}
-	ingestRow := func(x string, bs float64, base float64, err error) {
-		row := Row{X: x, Cells: map[string]string{}}
-		if err != nil {
-			row.Cells["b/s"], row.Cells["vs per-batch"] = "err", err.Error()
-		} else {
-			row.Cells["b/s"] = fmt.Sprintf("%.0f", bs)
-			row.Cells["vs per-batch"] = fmt.Sprintf("%.2fx", bs/base)
-		}
-		fig.Rows = append(fig.Rows, row)
-	}
-	solo, errS := runShardIngest(nStores, writers, total, false, false)
-	grp, errG := runShardIngest(nStores, writers, total, true, false)
-	prv, errP := runShardIngest(nStores, writers, total, true, true)
-	if errS != nil {
-		ingestRow("per-batch fsync", 0, 1, errS)
-	} else {
-		ingestRow("coalesced group commit", grp, solo, errG)
-		ingestRow("private-fsync group commit", prv, solo, errP)
-		ingestRow("per-batch fsync", solo, solo, nil)
-	}
-
 	noq, errN := runHotNeighbor(hotStores, hotWriters, coldSamples, 0)
 	q, errQ := runHotNeighbor(hotStores, hotWriters, coldSamples, rate)
 	p99Row := func(x string, p99 time.Duration, err error, ratio string) {

@@ -13,17 +13,14 @@ import (
 
 // Sharded-ingest scenario (panel "shard"): aggregate durable-ingest
 // throughput of provd's store registry as the writer pool fans out over 1,
-// 2 and 4 named stores, with the WAL group-commit path on and off. Two
-// effects stack:
+// 2 and 4 named stores, on the one commit path there is (group commit
+// through the registry's device-level fsync coalescer). Concurrent batches
+// on one store share a barrier, and so do concurrent stores, so the series
+// should hold or rise as the same writers spread across more shards. (Older
+// `shard` records in BENCH_provd.json carry a per-batch-fsync series beside
+// it; see README, "Durability".)
 //
-//   - group commit: concurrent batches on ONE store share a single fsync
-//     instead of paying one each, so per-shard throughput rises with writer
-//     concurrency (the acceptance bar is >=1.5x over fsync-per-batch at >=8
-//     writers);
-//   - sharding: stores fsync independently, so aggregate throughput scales
-//     again as the same writers spread across more shards.
-//
-// The batches/sec series are recorded into BENCH_provd.json via
+// The batches/sec series is recorded into BENCH_provd.json via
 // provbench -record.
 
 // shardWorkload returns the writer pool size and total batch count.
@@ -40,10 +37,8 @@ func shardWorkload(scale Scale) (writers, total int) {
 
 // runShardIngest drives total single-op ingest batches from `writers`
 // concurrent goroutines round-robined across nStores durable stores and
-// returns aggregate committed batches/sec. noCoalesce disables the
-// registry's device-level fsync coalescer (meaningful only with group
-// commit on).
-func runShardIngest(nStores, writers, total int, groupCommit, noCoalesce bool) (float64, error) {
+// returns aggregate committed batches/sec.
+func runShardIngest(nStores, writers, total int) (float64, error) {
 	dir, err := os.MkdirTemp("", "provbench-shard-")
 	if err != nil {
 		return 0, err
@@ -58,20 +53,12 @@ func runShardIngest(nStores, writers, total int, groupCommit, noCoalesce bool) (
 		Fsync:           wal.SyncAlways,
 		CheckpointEvery: 1 << 30, // keep checkpoint cost out of the series
 		CacheCap:        16,
-		NoGroupCommit:   !groupCommit,
-		NoCoalesce:      noCoalesce,
 	}, extra, nil)
 	if err != nil {
 		return 0, err
 	}
 	defer reg.Close()
-	names := reg.Names()
-	stores := make([]*server.Store, nStores)
-	for i, name := range names {
-		if stores[i], err = reg.Get(name); err != nil {
-			return 0, err
-		}
-	}
+	stores := reg.List()
 
 	perWriter := total / writers
 	// One warm-up pass (~10% of the load, untimed) settles the directory's
@@ -120,8 +107,7 @@ func runShardIngest(nStores, writers, total int, groupCommit, noCoalesce bool) (
 	return float64(writers*perWriter) / time.Since(start).Seconds(), nil
 }
 
-// FigShard measures aggregate durable ingest throughput vs shard count,
-// group commit on vs off.
+// FigShard measures aggregate durable ingest throughput vs shard count.
 func FigShard(scale Scale) Figure {
 	writers, total := shardWorkload(scale)
 	fig := Figure{
@@ -130,23 +116,15 @@ func FigShard(scale Scale) Figure {
 			writers, total),
 		XLabel: "stores",
 		YLabel: "batches/sec",
-		Series: []string{"group b/s", "per-batch b/s", "speedup"},
+		Series: []string{"b/s"},
 	}
 	for _, n := range []int{1, 2, 4} {
-		row := Row{X: fmt.Sprint(n), Cells: map[string]string{}}
-		grp, errG := runShardIngest(n, writers, total, true, false)
-		solo, errS := runShardIngest(n, writers, total, false, false)
-		switch {
-		case errG != nil:
-			row.Cells["group b/s"], row.Cells["speedup"] = "err", errG.Error()
-		case errS != nil:
-			row.Cells["per-batch b/s"], row.Cells["speedup"] = "err", errS.Error()
-		default:
-			row.Cells["group b/s"] = fmt.Sprintf("%.0f", grp)
-			row.Cells["per-batch b/s"] = fmt.Sprintf("%.0f", solo)
-			row.Cells["speedup"] = fmt.Sprintf("%.2fx", grp/solo)
+		bs, err := runShardIngest(n, writers, total)
+		cell := fmt.Sprintf("%.0f", bs)
+		if err != nil {
+			cell = "err: " + err.Error()
 		}
-		fig.Rows = append(fig.Rows, row)
+		fig.Rows = append(fig.Rows, Row{X: fmt.Sprint(n), Cells: map[string]string{"b/s": cell}})
 	}
 	return fig
 }

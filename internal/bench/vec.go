@@ -11,11 +11,13 @@ import (
 )
 
 // Panel "vec": the snapshot-aware Cypher planner's corridor pruning vs the
-// naive DFS, on a both-ends-anchored bounded pattern over the same frozen
-// epoch snapshot. Before timing each size, the panel asserts the two
-// evaluators produce identical rows — a benchmark of diverging engines would
-// be meaningless. (Older `vec` records in BENCH_provd.json carry seg/walk
-// columns as well; see README, "Query engine".)
+// naive DFS, on a both-ends-anchored bounded pattern. The planner stands
+// down on a live graph, so "naive" is the query on the live graph and
+// "planned" the same query on its frozen snapshot. Before timing each size,
+// the panel asserts the two produce identical rows — a benchmark of
+// diverging engines would be meaningless. (Older `vec` records in
+// BENCH_provd.json carry seg/walk columns as well; see README, "Query
+// engine".)
 
 // vecCypherQuery renders the panel's anchored corridor pattern: all bounded
 // lineage walks descending from entity b down to entity e. The naive DFS
@@ -27,15 +29,15 @@ func vecCypherQuery(b, e graph.VertexID) string {
 	return fmt.Sprintf("match p=(b:E)<-[:U|G*1..8]-(e:E) where id(b) in [%d] and id(e) in [%d] return p", b, e)
 }
 
-// timeCypherOpts measures the corridor pattern over the query pairs under
-// opts (best of reps across the whole mix).
-func timeCypherOpts(p *prov.Graph, src, dst []graph.VertexID, opts cypher.Options, reps int) time.Duration {
+// timeCypher measures the corridor pattern over the query pairs on p (best
+// of reps across the whole mix).
+func timeCypher(p *prov.Graph, src, dst []graph.VertexID, reps int) time.Duration {
 	best := time.Duration(0)
 	for i := 0; i < reps; i++ {
 		start := time.Now()
 		for _, b := range src {
 			for _, e := range dst {
-				if _, err := cypher.NewProvEvaluator(p, opts).Run(vecCypherQuery(b, e)); err != nil {
+				if _, err := cypher.NewProvEvaluator(p, cypher.Options{}).Run(vecCypherQuery(b, e)); err != nil {
 					panic(err)
 				}
 			}
@@ -47,14 +49,14 @@ func timeCypherOpts(p *prov.Graph, src, dst []graph.VertexID, opts cypher.Option
 	return best
 }
 
-// assertPlannerEqualsNaive diffs the evaluators on the panel's workload
-// before any timing.
-func assertPlannerEqualsNaive(p *prov.Graph, src, dst []graph.VertexID) {
+// assertPlannerEqualsNaive diffs the snapshot's rows against the live
+// graph's on the panel's workload before any timing.
+func assertPlannerEqualsNaive(live, frozen *prov.Graph, src, dst []graph.VertexID) {
 	for _, b := range src {
 		for _, e := range dst {
 			qs := vecCypherQuery(b, e)
-			planned, perr := cypher.NewProvEvaluator(p, cypher.Options{}).Run(qs)
-			naive, nerr := cypher.NewProvEvaluator(p, cypher.Options{NoPlanner: true}).Run(qs)
+			planned, perr := cypher.NewProvEvaluator(frozen, cypher.Options{}).Run(qs)
+			naive, nerr := cypher.NewProvEvaluator(live, cypher.Options{}).Run(qs)
 			if (perr == nil) != (nerr == nil) {
 				panic(fmt.Sprintf("bench vec: cypher error divergence: %v vs %v", perr, nerr))
 			}
@@ -90,7 +92,7 @@ func FigVec(scale Scale) Figure {
 	}
 	fig := Figure{
 		ID:      "vec",
-		Caption: "naive vs planned Cypher corridor pattern (frozen Pd snapshots)",
+		Caption: "naive (live graph) vs planned (frozen snapshot) Cypher corridor pattern on Pd",
 		XLabel:  "N",
 		YLabel:  "runtime",
 		Series:  []string{"cypher naive", "cypher planned", "cypher speedup"},
@@ -101,10 +103,10 @@ func FigVec(scale Scale) Figure {
 		src, dst := gen.QueryAtRank(p, 0)
 		fz := p.Freeze()
 
-		assertPlannerEqualsNaive(fz, src, dst)
+		assertPlannerEqualsNaive(p, fz, src, dst)
 
-		cyNaive := timeCypherOpts(fz, src, dst, cypher.Options{NoPlanner: true}, reps)
-		cyPlanned := timeCypherOpts(fz, src, dst, cypher.Options{}, reps)
+		cyNaive := timeCypher(p, src, dst, reps)
+		cyPlanned := timeCypher(fz, src, dst, reps)
 		speedup := "-"
 		if cyPlanned > 0 {
 			speedup = fmt.Sprintf("%.1fx", float64(cyNaive)/float64(cyPlanned))

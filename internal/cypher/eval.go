@@ -99,11 +99,6 @@ type Options struct {
 	// MaxPathLen caps variable-length pattern expansion (0 = number of
 	// graph edges, i.e. effectively unbounded on a DAG).
 	MaxPathLen int
-	// NoPlanner disables the snapshot-aware prune planner and the
-	// per-label CSR row enumeration (see plan.go), forcing the naive DFS
-	// over mixed edge lists. Rows and their order are identical either
-	// way; the differential tests run both and diff.
-	NoPlanner bool
 }
 
 // ErrTimeout is returned when evaluation exceeds its deadline — the

@@ -25,9 +25,13 @@ import (
 // their order, are bit-identical to the unplanned evaluation. Degree
 // statistics pick which anchored end to sweep first (cheapest volume) and
 // drop empty labels before any row is read.
+//
+// On a live (unfrozen) graph none of this runs and the evaluator is the
+// naive DFS over mixed edge lists — the reference the differential tests
+// hold the planner to (plan_test.go, difftest.DiffCypherPlanner).
 
 // patternPlan carries the prune sets for one path pattern under one base
-// row. A nil *patternPlan (planner disabled or pattern unanchored) prunes
+// row. A nil *patternPlan (live graph or pattern unanchored) prunes
 // nothing.
 type patternPlan struct {
 	// allowed[i] over-approximates the vertices that may bind node i in a
@@ -56,9 +60,9 @@ func (p *patternPlan) pathOK(i int, v graph.VertexID) bool {
 }
 
 // planPattern builds the prune sets for pat under base/seeds, or nil when
-// the planner cannot help (disabled, live graph, or no anchored end).
+// the planner cannot help (live graph, or no anchored end).
 func (ev *Evaluator) planPattern(pat PathPattern, base row, seeds map[string][]graph.VertexID) *patternPlan {
-	if ev.opts.NoPlanner || !ev.g.Frozen() || ev.g.Degrees() == nil || len(pat.Rels) == 0 {
+	if !ev.g.Frozen() || ev.g.Degrees() == nil || len(pat.Rels) == 0 {
 		return nil
 	}
 	firstIDs, firstAnchored := ev.anchorIDs(pat.Nodes[0], base, seeds)
@@ -321,13 +325,12 @@ func (ev *Evaluator) relMatches(rp RelPattern, e graph.EdgeID) bool {
 
 // iterRelEdges invokes fn for each edge incident on cur that matches rp in
 // the given direction, in ascending edge-id order — the order the mixed
-// adjacency list yields. With the planner enabled, a typed pattern on a
-// frozen snapshot reads only the matching labels' CSR rows, merged by edge
-// id, instead of label-filtering every incident edge; untyped patterns and
-// live graphs scan the mixed list as before. Enumeration order is identical
-// either way.
+// adjacency list yields. A typed pattern on a frozen snapshot reads only the
+// matching labels' CSR rows, merged by edge id, instead of label-filtering
+// every incident edge; untyped patterns and live graphs scan the mixed
+// list. Enumeration order is identical either way.
 func (ev *Evaluator) iterRelEdges(cur graph.VertexID, rp RelPattern, out bool, fn func(graph.EdgeID, graph.VertexID) error) error {
-	if !ev.opts.NoPlanner && ev.g.Frozen() && len(rp.Types) > 0 {
+	if ev.g.Frozen() && len(rp.Types) > 0 {
 		type relRow struct {
 			nbrs []graph.VertexID
 			eids []graph.EdgeID

@@ -14,6 +14,9 @@ import (
 
 // renderRows flattens a result into a canonical string: the planner contract
 // is that rows AND their order are bit-identical to the naive evaluation.
+// The naive evaluation needs no switch: the planner stands down on a live
+// graph (TestPlannerStandsDownOnLiveGraph pins that), so the oracle is the
+// query on the live graph and the subject the query on its frozen snapshot.
 func renderRows(res *cypher.Result) string {
 	var sb strings.Builder
 	for _, r := range res.Rows {
@@ -28,15 +31,18 @@ func renderRows(res *cypher.Result) string {
 	return sb.String()
 }
 
-// runBoth evaluates q with the planner on and off and requires identical
-// rows in identical order.
-func runBoth(t *testing.T, p *prov.Graph, q, tag string) {
+// runBoth evaluates q on the frozen snapshot (planned) and on the live graph
+// it was frozen from (naive) and requires identical rows in identical order.
+func runBoth(t *testing.T, live, frozen *prov.Graph, q, tag string) {
 	t.Helper()
-	planned, err := cypher.NewProvEvaluator(p, cypher.Options{Timeout: 30 * time.Second}).Run(q)
+	if live.Frozen() || !frozen.Frozen() {
+		t.Fatalf("%s: want a live graph and its snapshot, got frozen=%v and frozen=%v", tag, live.Frozen(), frozen.Frozen())
+	}
+	planned, err := cypher.NewProvEvaluator(frozen, cypher.Options{Timeout: 30 * time.Second}).Run(q)
 	if err != nil {
 		t.Fatalf("%s (planned): %v", tag, err)
 	}
-	naive, err := cypher.NewProvEvaluator(p, cypher.Options{Timeout: 30 * time.Second, NoPlanner: true}).Run(q)
+	naive, err := cypher.NewProvEvaluator(live, cypher.Options{Timeout: 30 * time.Second}).Run(q)
 	if err != nil {
 		t.Fatalf("%s (naive): %v", tag, err)
 	}
@@ -53,7 +59,8 @@ func runBoth(t *testing.T, p *prov.Graph, q, tag string) {
 // untyped, and unanchored.
 func TestPlannerMatchesNaive(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		p := gen.Pd(gen.PdConfig{N: 40, LambdaIn: 1, Seed: seed}).Freeze()
+		live := gen.Pd(gen.PdConfig{N: 40, LambdaIn: 1, Seed: seed})
+		p := live.Freeze()
 		src, dst := gen.DefaultQuery(p)
 		ents := p.Entities()
 		acts := p.Activities()
@@ -74,7 +81,7 @@ func TestPlannerMatchesNaive(t *testing.T) {
 			{"query1", cypher.Query1(src, dst)},
 		}
 		for _, q := range queries {
-			runBoth(t, p, q.q, fmt.Sprintf("seed=%d %s", seed, q.tag))
+			runBoth(t, live, p, q.q, fmt.Sprintf("seed=%d %s", seed, q.tag))
 		}
 	}
 }
@@ -84,24 +91,14 @@ func TestPlannerMatchesNaive(t *testing.T) {
 // single row is enumerated, and the result must still equal the naive
 // evaluation (zero rows).
 func TestPlannerEmptyPattern(t *testing.T) {
-	p := gen.Pd(gen.PdConfig{N: 40, LambdaIn: 1, Seed: 7}).Freeze()
+	live := gen.Pd(gen.PdConfig{N: 40, LambdaIn: 1, Seed: 7})
+	p := live.Freeze()
 	acts := p.Activities()
 	q := fmt.Sprintf("match (b:E)-[:G]->(a) where id(b) in %s return a", idList(acts[:1]))
-	runBoth(t, p, q, "activity-as-entity")
+	runBoth(t, live, p, q, "activity-as-entity")
 	// Out-of-range ids can never bind either.
 	q = fmt.Sprintf("match (b:E)<-[:U|G*]-(e) where id(b) in [%d] return e", p.NumVertices()+5)
-	runBoth(t, p, q, "out-of-range")
-}
-
-// TestPlannerLiveGraphUnchanged: on a live (unfrozen) graph the planner must
-// stand down and the evaluator behave exactly as before.
-func TestPlannerLiveGraphUnchanged(t *testing.T) {
-	p := gen.Pd(gen.PdConfig{N: 40, LambdaIn: 1, Seed: 4})
-	if p.Frozen() {
-		t.Fatal("expected a live graph")
-	}
-	src, dst := gen.DefaultQuery(p)
-	runBoth(t, p, cypher.Query1(src, dst), "live-query1")
+	runBoth(t, live, p, q, "out-of-range")
 }
 
 // idList mirrors the unexported helper in provquery.go for test use.

@@ -18,7 +18,8 @@ import (
 // rows (at most two segments on incrementally extended epochs) — two
 // representations through one walk, promised to be indistinguishable. The
 // snapshot-aware Cypher planner (cypher/plan.go) makes the same promise
-// against the naive evaluator. This harness replays randomized ingest
+// against the naive evaluator, which is what runs on a live graph. This
+// harness replays randomized ingest
 // scripts through incremental snapshot chains — so the two-segment rows of
 // extended blocks are exercised, not just freshly frozen contiguous ones —
 // and diffs both at every epoch.
@@ -48,17 +49,18 @@ func DiffLiveFrozen(live, frozen *prov.Graph, q core.Query) error {
 }
 
 // DiffCypherPlanner runs a bounded variable-length pattern from a random
-// entity with the planner on and off and asserts identical rows in identical
-// order.
-func DiffCypherPlanner(rng *rand.Rand, p *prov.Graph) error {
-	ents := p.Entities()
+// entity on the frozen snapshot (where the planner runs) and on the live
+// graph of the same state (where it stands down and the evaluator is the
+// naive DFS) and asserts identical rows in identical order.
+func DiffCypherPlanner(rng *rand.Rand, live, frozen *prov.Graph) error {
+	ents := frozen.Entities()
 	if len(ents) == 0 {
 		return nil
 	}
 	b := ents[rng.Intn(len(ents))]
 	q := fmt.Sprintf("match p=(b:E)<-[:U|G*1..3]-(e) where id(b) in [%d] return p", b)
-	planned, perr := cypher.NewProvEvaluator(p, cypher.Options{}).Run(q)
-	naive, nerr := cypher.NewProvEvaluator(p, cypher.Options{NoPlanner: true}).Run(q)
+	planned, perr := cypher.NewProvEvaluator(frozen, cypher.Options{}).Run(q)
+	naive, nerr := cypher.NewProvEvaluator(live, cypher.Options{}).Run(q)
 	if (perr == nil) != (nerr == nil) {
 		return fmt.Errorf("cypher error mismatch: planned %v vs naive %v", perr, nerr)
 	}
@@ -97,10 +99,10 @@ func CheckVecScript(seed int64, size, epochs, queries int) (Result, error) {
 
 // checkChainScript is the replay loop CheckVecScript and CheckSolverScript
 // share: perQuery runs on each randomized query at every epoch, perEpoch
-// (optional) once per epoch on the snapshot.
+// (optional) once per epoch, both on the live graph and the snapshot.
 func checkChainScript(seed int64, size, epochs, queries int,
 	perQuery func(live, frozen *prov.Graph, q core.Query) error,
-	perEpoch func(rng *rand.Rand, frozen *prov.Graph) error) (Result, error) {
+	perEpoch func(rng *rand.Rand, live, frozen *prov.Graph) error) (Result, error) {
 	rng := rand.New(rand.NewSource(seed))
 	src := gen.Pd(gen.PdConfig{N: size, Seed: seed}).PG()
 	rep := NewReplayer(src)
@@ -130,7 +132,7 @@ func checkChainScript(seed int64, size, epochs, queries int,
 			}
 		}
 		if perEpoch != nil {
-			if err := perEpoch(rng, p); err != nil {
+			if err := perEpoch(rng, live, p); err != nil {
 				return res, fmt.Errorf("seed %d epoch %d: %w", seed, ep, err)
 			}
 		}

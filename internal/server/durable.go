@@ -14,8 +14,10 @@ import (
 // every committed ingest batch survives a crash:
 //
 //   - commit path: Store.Update encodes the batch as a graph delta and
-//     appends it to the write-ahead log (fsync per policy) before the epoch
-//     pointer swap publishes it;
+//     stages it on the commit queue; a committer goroutine appends the whole
+//     group of concurrent batches to the write-ahead log, one barrier (per
+//     the fsync policy) covers it, and only then are the member epochs
+//     published, in order — no batch is visible before it is durable;
 //   - background: a checkpointer goroutine rotates the log and writes a
 //     full checkpoint from the current (immutable) epoch snapshot every
 //     CheckpointEvery commits, bounding both log growth and restart replay;
@@ -35,18 +37,10 @@ type DurableOptions struct {
 	CheckpointEvery int
 	// CacheCap bounds the segment cache (entries; <=0 selects the default).
 	CacheCap int
-	// NoGroupCommit disables group commit, restoring the append-then-fsync-
-	// per-batch write path. With group commit (the default) concurrent
-	// Update callers stage encoded deltas into a commit queue; a committer
-	// goroutine appends the whole group, issues one fsync, then publishes
-	// the member epochs in order — the fsync cost amortizes across writers
-	// while a batch still never becomes visible before it is durable.
-	NoGroupCommit bool
-	// Coalescer, when non-nil, shares the fsync phase of group commits
-	// across stores: the committer appends its group unsynced and waits on
-	// a device-level sync window instead of fsyncing its own log (see
-	// wal.Coalescer). Only honored under group commit with the SyncAlways
-	// policy — the other policies don't fsync on the commit path at all.
+	// Coalescer, when non-nil, shares the barrier of group commits across
+	// stores: the store waits on a device-level sync window instead of
+	// fsyncing its own log (see wal.Coalescer). It matters under SyncAlways
+	// only — the other policies put no barrier on the commit path at all.
 	Coalescer *wal.Coalescer
 	// Logger, when non-nil, receives a Debug-level structured line per
 	// published commit (store, epoch, request id, group size).
@@ -124,27 +118,15 @@ func OpenDurable(opts DurableOptions, seed func() (*prov.Graph, error)) (*Store,
 	s.ckptDone = make(chan struct{})
 	s.pubCh = make(chan struct{}, 1)
 	s.resolved.Store(rcv.Epoch)
-	if !opts.NoGroupCommit {
-		s.groupCommit = true
-		s.commitCh = make(chan *commitReq, commitQueueCap)
-		s.commitStop = make(chan struct{})
-		s.commitDone = make(chan struct{})
-		if opts.Fsync == wal.SyncAlways {
-			s.coal = opts.Coalescer
-		}
-		if s.coal != nil {
-			s.syncQ = make(chan *syncJob, commitQueueCap)
-			s.syncDone = make(chan struct{})
-			go s.syncLoop()
-		}
-		go s.commitLoop()
-	}
+	s.fsync, s.coal = opts.Fsync, opts.Coalescer
+	s.commitCh = make(chan *commitReq, commitQueueCap)
+	s.syncQ = make(chan *syncJob, commitQueueCap)
+	s.syncDone = make(chan struct{})
+	go s.syncLoop()
+	go s.commitLoop()
 	go s.checkpointLoop()
 	return s, rcv, nil
 }
-
-// GroupCommit reports whether the store commits through the group path.
-func (s *Store) GroupCommit() bool { return s.groupCommit }
 
 // Durable reports whether the store persists commits to a write-ahead log.
 func (s *Store) Durable() bool { return s.wal != nil }
@@ -170,9 +152,9 @@ func (s *Store) checkpointLoop() {
 // for the rotation, never for the checkpoint serialization.
 func (s *Store) checkpointNow() error {
 	s.writeMu.Lock()
-	// Under group commit the write mutex freezes the staged tail but the
-	// committer may still be appending or owe publishes; wait until it has
-	// RESOLVED everything staged — published it, or failed it without
+	// The write mutex freezes the staged tail but the commit pipeline may
+	// still be appending or owe publishes; wait until it has RESOLVED
+	// everything staged — published it, or failed it without
 	// acknowledging — before choosing the rotation point. Only then is it
 	// safe to rotate and let the checkpoint's cleanup delete old logs:
 	// every acknowledged epoch is <= snap (covered by the checkpoint), and
@@ -180,10 +162,8 @@ func (s *Store) checkpointNow() error {
 	// batches. Waiting on publishes alone would deadlock on a poisoned
 	// committer; skipping the wait when poisoned would race a healthy group
 	// still inside its append.
-	if s.groupCommit {
-		for tailN := s.tail.N; s.resolved.Load() < tailN; {
-			<-s.pubCh
-		}
+	for tailN := s.tail.N; s.resolved.Load() < tailN; {
+		<-s.pubCh
 	}
 	ep := s.snap.Load()
 	err := s.wal.Rotate(ep.N)
@@ -207,10 +187,10 @@ func (s *Store) checkpointNow() error {
 // the write mutex, so every write that had already passed the closed check
 // is fully staged by the time the mark lands (staging happens under the
 // same mutex) and every later write is refused with ErrStoreClosed. The
-// committer is then stopped — its stop branch drains the queue, so each
-// staged batch is made durable, published, and acknowledged before the
-// final checkpoint runs. Nothing deadlocks and no acknowledged (or even
-// staged) batch is stranded.
+// commit queue is then closed — the committer drains it into the sync
+// stage, which is drained in turn, so each staged batch is made durable,
+// published, and acknowledged before the final checkpoint runs. Nothing
+// deadlocks and no acknowledged (or even staged) batch is stranded.
 func (s *Store) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -230,21 +210,13 @@ func (s *Store) Close() error {
 		}
 		close(s.stopCh)
 		<-s.ckptDone
-		if s.commitStop != nil {
-			// Stop the committer after the checkpointer: a checkpoint in
-			// flight may be waiting on the committer's publishes. New writes
-			// are already refused, so the queue drains and snap catches the
-			// tail.
-			close(s.commitStop)
-			<-s.commitDone
-			if s.syncQ != nil {
-				// The committer has drained its queue into the sync
-				// pipeline; close it and wait for the last barriers and
-				// publishes before the final checkpoint reads the tail.
-				close(s.syncQ)
-				<-s.syncDone
-			}
-		}
+		// Stop the pipeline after the checkpointer: a checkpoint in flight
+		// may be waiting on its publishes. New writes are already refused, so
+		// nothing sends on the queue any more: the committer drains it into
+		// the sync stage and closes that, and the last barriers and publishes
+		// land before the final checkpoint reads the tail.
+		close(s.commitCh)
+		<-s.syncDone
 		if s.sinceCkpt.Load() > 0 {
 			if cerr := s.checkpointNow(); cerr != nil {
 				s.ckptFails.Add(1)
@@ -277,14 +249,15 @@ type DurabilityStats struct {
 // the average amortization factor; it approaches the writer concurrency
 // under load.
 type GroupCommitStats struct {
+	// Enabled is true on every durable store: there is one commit path.
 	Enabled bool   `json:"enabled"`
 	Groups  uint64 `json:"groups"`
 	Records uint64 `json:"records"`
 	Last    int64  `json:"last_size"`
 	Max     int64  `json:"max_size"`
 	// CoalescedGroups counts groups retired through a shared device-level
-	// sync window rather than a private fsync (== Groups when the registry
-	// coalescer is active for this store).
+	// sync window rather than a private fsync: every group when the
+	// registry coalescer serves this store, none on a store opened alone.
 	CoalescedGroups     uint64 `json:"coalesced_groups"`
 	QueueWaitLastNanos  int64  `json:"queue_wait_last_ns"`
 	QueueWaitMaxNanos   int64  `json:"queue_wait_max_ns"`
@@ -303,12 +276,11 @@ func (s *Store) DurabilityStatsSnapshot() *DurabilityStats {
 		SinceCheckpoint:    s.sinceCkpt.Load(),
 		CheckpointFailures: s.ckptFails.Load(),
 		GroupCommit: GroupCommitStats{
-			Enabled:             s.groupCommit,
+			Enabled:             true,
 			Groups:              s.groups.Load(),
 			Records:             s.groupRecords.Load(),
 			Last:                s.groupLast.Load(),
 			Max:                 s.groupMax.Load(),
-			CoalescedGroups:     s.coalesced.Load(),
 			QueueWaitLastNanos:  s.queueWaitLastNs.Load(),
 			QueueWaitMaxNanos:   s.queueWaitMaxNs.Load(),
 			QueueWaitTotalNanos: s.queueWaitTotalNs.Load(),
@@ -317,6 +289,7 @@ func (s *Store) DurabilityStatsSnapshot() *DurabilityStats {
 	if s.coal != nil {
 		cs := s.coal.StatsSnapshot()
 		ds.Coalescer = &cs
+		ds.GroupCommit.CoalescedGroups = ds.GroupCommit.Groups
 	}
 	return ds
 }

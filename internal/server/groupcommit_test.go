@@ -18,6 +18,50 @@ import (
 // so a test can stage K concurrent writers, verify they coalesce into ONE
 // group — one fsync — and that the member epochs publish in order.
 
+// pipeline is one opened shape of the durable commit pipeline: the stores
+// writing through it and whatever seals them.
+type pipeline struct {
+	stores []*Store
+	close  func() error
+}
+
+// openPipeline opens dir in one of the two shapes a durable store comes in.
+// "store" is OpenDurable on its own: syncLoop's barrier fsyncs the log
+// directly. "registry" is a durable registry (the default store plus extra,
+// or whatever dir already holds): under SyncAlways its stores borrow the
+// shared coalescer's barrier. Under the other policies neither shape puts a
+// barrier on the commit path.
+func openPipeline(t *testing.T, shape string, policy wal.SyncPolicy, dir string, extra ...string) pipeline {
+	t.Helper()
+	if shape == "store" {
+		s, _, err := OpenDurable(DurableOptions{Dir: dir, Fsync: policy, CheckpointEvery: 1 << 30, CacheCap: 8}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pipeline{stores: []*Store{s}, close: s.Close}
+	}
+	reg, _, err := OpenRegistry(RegistryOptions{DataDir: dir, Fsync: policy, CheckpointEvery: 1 << 30, CacheCap: 8}, extra, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.Coalescer() != nil, policy == wal.SyncAlways; got != want {
+		reg.Close()
+		t.Fatalf("registry under fsync=%v: coalescer built = %v, want %v", policy, got, want)
+	}
+	return pipeline{stores: reg.List(), close: reg.Close}
+}
+
+// forEachPipeline runs fn over {store, registry} x {always, interval, never}.
+func forEachPipeline(t *testing.T, fn func(t *testing.T, shape string, policy wal.SyncPolicy)) {
+	for _, shape := range []string{"store", "registry"} {
+		t.Run(shape, func(t *testing.T) {
+			for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval, wal.SyncNever} {
+				t.Run(policy.String(), func(t *testing.T) { fn(t, shape, policy) })
+			}
+		})
+	}
+}
+
 // stageWriters launches n concurrent Update calls against s — writer w
 // applies op(w, rec) — and returns once all are staged (one held by the
 // committer via commitHold, n-1 queued). done receives each writer's result.
@@ -60,9 +104,6 @@ func TestGroupCommitOneFsyncPerGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !s.GroupCommit() {
-		t.Fatal("group commit not enabled by default")
-	}
 	s.commitHold = make(chan struct{})
 
 	done := make(chan error, k)
@@ -113,46 +154,6 @@ func TestGroupCommitOneFsyncPerGroup(t *testing.T) {
 	}
 }
 
-// TestGroupCommitRespectsDisable covers the NoGroupCommit escape hatch: the
-// inline path must pay one fsync per batch and survive a restart.
-func TestGroupCommitRespectsDisable(t *testing.T) {
-	dir := t.TempDir()
-	s, _, err := OpenDurable(DurableOptions{Dir: dir, NoGroupCommit: true, CheckpointEvery: 1 << 30, CacheCap: 8}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.GroupCommit() {
-		t.Fatal("NoGroupCommit ignored")
-	}
-	before := s.wal.StatsSnapshot().Fsyncs
-	const n = 4
-	for i := 0; i < n; i++ {
-		if err := s.Update(func(rec *prov.Recorder) error {
-			rec.Snapshot(fmt.Sprintf("inline-%d", i))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.wal.StatsSnapshot().Fsyncs - before; got != n {
-		t.Errorf("inline path paid %d fsyncs for %d batches, want %d", got, n, n)
-	}
-	if gs := s.DurabilityStatsSnapshot().GroupCommit; gs.Enabled || gs.Groups != 0 {
-		t.Errorf("inline path reported group stats: %+v", gs)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, rcv, err := OpenDurable(DurableOptions{Dir: dir, NoGroupCommit: true, CacheCap: 8}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if rcv.Epoch != n {
-		t.Fatalf("recovered epoch %d, want %d", rcv.Epoch, n)
-	}
-}
-
 // TestUpdatePanicReleasesWriteMutex: a panic inside the update closure (the
 // recorder has deliberate panics, e.g. the snapshot-watermark race guard)
 // must propagate but release the write mutex — the store keeps serving
@@ -196,18 +197,19 @@ func TestUpdatePanicReleasesWriteMutex(t *testing.T) {
 	})
 }
 
-// TestCloseUnderLoad races Close against a full complement of group-commit
-// writers: Close must neither deadlock nor strand a staged batch — every
-// writer either commits (and the commit survives the restart) or is refused
-// with ErrStoreClosed, and the recovered epoch equals the exact number of
-// acknowledged commits. Run twice: a bare durable store, and a multi-store
-// registry whose committers share the fsync coalescer.
+// TestCloseUnderLoad races Close against a full complement of writers: Close
+// must neither deadlock nor strand a staged batch — the committer drains
+// into the sync stage, the sync stage into publishes, and only then does the
+// final checkpoint read the tail — so every writer either commits (and the
+// commit survives the restart) or is refused with ErrStoreClosed, and the
+// recovered epoch equals the exact number of acknowledged commits. Run over
+// a bare durable store and a two-store registry, under every fsync policy.
 func TestCloseUnderLoad(t *testing.T) {
 	const writersN = 4
 
 	// spin launches writersN writers looping Updates until the store refuses
 	// them; n counts acknowledged commits.
-	spin := func(t *testing.T, s *Store, label string, n *atomic.Uint64, wg *sync.WaitGroup) {
+	spin := func(t *testing.T, s *Store, n *atomic.Uint64, wg *sync.WaitGroup) {
 		for w := 0; w < writersN; w++ {
 			w := w
 			wg.Add(1)
@@ -215,12 +217,12 @@ func TestCloseUnderLoad(t *testing.T) {
 				defer wg.Done()
 				for i := 0; ; i++ {
 					err := s.Update(func(rec *prov.Recorder) error {
-						rec.Snapshot(fmt.Sprintf("%s-%d-%d", label, w, i))
+						rec.Snapshot(fmt.Sprintf("cul-%d-%d", w, i))
 						return nil
 					})
 					if err != nil {
 						if !errors.Is(err, ErrStoreClosed) {
-							t.Errorf("%s writer %d: %v (want ErrStoreClosed)", label, w, err)
+							t.Errorf("store %q writer %d: %v (want ErrStoreClosed)", s.Name(), w, err)
 						}
 						return
 					}
@@ -239,96 +241,57 @@ func TestCloseUnderLoad(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	closeWithin := func(t *testing.T, what string, fn func() error) {
-		t.Helper()
+
+	forEachPipeline(t, func(t *testing.T, shape string, policy wal.SyncPolicy) {
+		dir := t.TempDir()
+		pl := openPipeline(t, shape, policy, dir, "hot")
+		counts := make([]atomic.Uint64, len(pl.stores))
+		var wg sync.WaitGroup
+		for i, s := range pl.stores {
+			spin(t, s, &counts[i], &wg)
+		}
+		for i := range pl.stores {
+			waitFor(t, &counts[i], 8) // close mid-flight, not before the ramp
+		}
 		done := make(chan error, 1)
-		go func() { done <- fn() }()
+		go func() { done <- pl.close() }()
 		select {
 		case err := <-done:
 			if err != nil {
-				t.Fatalf("%s under load: %v", what, err)
+				t.Fatalf("Close under load: %v", err)
 			}
 		case <-time.After(15 * time.Second):
-			t.Fatalf("%s deadlocked against in-flight writers", what)
+			t.Fatal("Close deadlocked against in-flight writers")
 		}
-	}
-
-	t.Run("store", func(t *testing.T) {
-		dir := t.TempDir()
-		s, _, err := OpenDurable(DurableOptions{Dir: dir, CheckpointEvery: 1 << 30, CacheCap: 8}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var committed atomic.Uint64
-		var wg sync.WaitGroup
-		spin(t, s, "cul", &committed, &wg)
-		waitFor(t, &committed, 8) // close mid-flight, not before the ramp
-		closeWithin(t, "Close", s.Close)
 		wg.Wait() // every writer observed ErrStoreClosed (or already exited)
 
-		if err := s.Update(func(rec *prov.Recorder) error { return nil }); !errors.Is(err, ErrStoreClosed) {
-			t.Fatalf("update after Close: %v, want ErrStoreClosed", err)
+		for i, s := range pl.stores {
+			if err := s.Update(func(rec *prov.Recorder) error { return nil }); !errors.Is(err, ErrStoreClosed) {
+				t.Fatalf("store %q: update after Close: %v, want ErrStoreClosed", s.Name(), err)
+			}
+			ds := s.DurabilityStatsSnapshot()
+			if gs := ds.GroupCommit; gs.Groups == 0 || gs.Records != counts[i].Load() {
+				t.Errorf("store %q: group stats %+v, want %d records in > 0 groups", s.Name(), gs, counts[i].Load())
+			}
+			if got, want := ds.Coalescer != nil && ds.Coalescer.Requests > 0, shape == "registry" && policy == wal.SyncAlways; got != want {
+				t.Errorf("store %q: commits went through a shared coalescer = %v, want %v", s.Name(), got, want)
+			}
 		}
-		if err := s.Close(); err != nil {
+		if err := pl.close(); err != nil {
 			t.Fatalf("second Close: %v", err)
 		}
 
 		// Durability is exact: the acknowledged count IS the recovered epoch
 		// (no commit lost, no unacknowledged batch published).
-		n := committed.Load()
-		s2, rcv, err := OpenDurable(DurableOptions{Dir: dir, CacheCap: 8}, nil)
-		if err != nil {
-			t.Fatal(err)
+		pl2 := openPipeline(t, shape, policy, dir)
+		defer pl2.close()
+		if len(pl2.stores) != len(pl.stores) {
+			t.Fatalf("recovered %d stores, want %d", len(pl2.stores), len(pl.stores))
 		}
-		defer s2.Close()
-		if rcv.Epoch != n || s2.Epoch().N != n || s2.Epoch().Vertices != int(n) {
-			t.Fatalf("recovered epoch %d (%d vertices), want %d acknowledged commits",
-				rcv.Epoch, s2.Epoch().Vertices, n)
-		}
-	})
-
-	t.Run("registry", func(t *testing.T) {
-		dir := t.TempDir()
-		opts := RegistryOptions{DataDir: dir, CheckpointEvery: 1 << 30, CacheCap: 8}
-		reg, _, err := OpenRegistry(opts, []string{"hot"}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reg.Coalescer() == nil {
-			t.Fatal("durable fsync-always registry built no coalescer")
-		}
-		names := []string{DefaultStore, "hot"}
-		counts := make(map[string]*atomic.Uint64, len(names))
-		var wg sync.WaitGroup
-		for _, name := range names {
-			s, err := reg.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts[name] = new(atomic.Uint64)
-			spin(t, s, name, counts[name], &wg)
-		}
-		for _, name := range names {
-			waitFor(t, counts[name], 8)
-		}
-		closeWithin(t, "registry Close", reg.Close)
-		wg.Wait()
-		if cs := reg.Coalescer().StatsSnapshot(); cs.Requests == 0 {
-			t.Error("no group commit went through the shared coalescer")
-		}
-
-		reg2, _, err := OpenRegistry(opts, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer reg2.Close()
-		for _, name := range names {
-			s, err := reg2.Get(name)
-			if err != nil {
-				t.Fatalf("store %q not recovered: %v", name, err)
-			}
-			if n := counts[name].Load(); s.Epoch().N != n {
-				t.Errorf("store %q recovered epoch %d, want %d acknowledged commits", name, s.Epoch().N, n)
+		for i, s := range pl2.stores {
+			if n := counts[i].Load(); s.Epoch().N != n || s.Epoch().Vertices != int(n) {
+				t.Errorf("store %q recovered epoch %d (%d vertices), want %d acknowledged commits",
+					s.Name(), s.Epoch().N, s.Epoch().Vertices, n)
 			}
 		}
 	})
@@ -336,39 +299,42 @@ func TestCloseUnderLoad(t *testing.T) {
 
 // TestGroupCommitCheckpointDrain forces a checkpoint while a multi-writer
 // group is parked unpublished on the commit queue: checkpointNow must wait
-// for the committer so the rotation never strands durable-but-unpublished
-// records behind a cleanup.
+// for the pipeline so the rotation never strands durable-but-unpublished
+// records behind a cleanup — whatever barrier the group is waiting for.
 func TestGroupCommitCheckpointDrain(t *testing.T) {
 	const k = 4
-	s, _, err := OpenDurable(DurableOptions{Dir: t.TempDir(), CheckpointEvery: 1 << 30, CacheCap: 8}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.commitHold = make(chan struct{})
-	done := make(chan error, k)
-	stageWriters(t, s, k, done, snapshotOp)
+	forEachPipeline(t, func(t *testing.T, shape string, policy wal.SyncPolicy) {
+		pl := openPipeline(t, shape, policy, t.TempDir())
+		defer pl.close()
+		s := pl.stores[0]
+		s.commitHold = make(chan struct{})
+		done := make(chan error, k)
+		stageWriters(t, s, k, done, snapshotOp)
 
-	ckptErr := make(chan error, 1)
-	go func() { ckptErr <- s.checkpointNow() }()
-	select {
-	case err := <-ckptErr:
-		t.Fatalf("checkpoint completed past %d unpublished epochs: %v", k, err)
-	case <-time.After(50 * time.Millisecond):
-		// parked on the drain, as it must be
-	}
-
-	s.commitHold <- struct{}{}
-	for i := 0; i < k; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
+		ckptErr := make(chan error, 1)
+		go func() { ckptErr <- s.checkpointNow() }()
+		select {
+		case err := <-ckptErr:
+			t.Fatalf("checkpoint completed past %d unpublished epochs: %v", k, err)
+		case <-time.After(50 * time.Millisecond):
+			// parked on the drain, as it must be
 		}
-	}
-	if err := <-ckptErr; err != nil {
-		t.Fatalf("checkpoint after drain: %v", err)
-	}
-	st := s.wal.StatsSnapshot()
-	if st.LastCheckpointEpoch != k {
-		t.Errorf("checkpoint landed at epoch %d, want %d (after the whole group)", st.LastCheckpointEpoch, k)
-	}
+
+		s.commitHold <- struct{}{}
+		for i := 0; i < k; i++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := <-ckptErr; err != nil {
+			t.Fatalf("checkpoint after drain: %v", err)
+		}
+		ds := s.DurabilityStatsSnapshot()
+		if ds.LastCheckpointEpoch != k {
+			t.Errorf("checkpoint landed at epoch %d, want %d (after the whole group)", ds.LastCheckpointEpoch, k)
+		}
+		if gs := ds.GroupCommit; gs.Groups != 1 || gs.Records != k {
+			t.Errorf("group stats %+v, want one group of %d", gs, k)
+		}
+	})
 }

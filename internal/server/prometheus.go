@@ -181,6 +181,8 @@ func writeStoreProm(m *obs.MetricWriter, st *Store) {
 	m.Sample("provd_wal_fsync_last_seconds", []obs.Label{store}, float64(ds.FsyncLastNanos)/1e9)
 	m.Header("provd_wal_fsync_max_seconds", "Longest fsync so far.", "gauge")
 	m.Sample("provd_wal_fsync_max_seconds", []obs.Label{store}, float64(ds.FsyncMaxNanos)/1e9)
+	m.Header("provd_wal_sync_failures_total", "Background WAL flushes that failed (the first one disables writes).", "counter")
+	m.Sample("provd_wal_sync_failures_total", []obs.Label{store}, float64(ds.SyncFailures))
 	m.Header("provd_checkpoints_total", "Checkpoints written.", "counter")
 	m.Sample("provd_checkpoints_total", []obs.Label{store}, float64(ds.Checkpoints))
 	m.Header("provd_checkpoint_failures_total", "Checkpoint attempts that failed.", "counter")
@@ -191,12 +193,8 @@ func writeStoreProm(m *obs.MetricWriter, st *Store) {
 	m.Sample("provd_commits_since_checkpoint", []obs.Label{store}, float64(ds.SinceCheckpoint))
 
 	gc := ds.GroupCommit
-	m.Header("provd_group_commit_enabled", "Whether the store commits through the group path (1/0).", "gauge")
-	enabled := 0.0
-	if gc.Enabled {
-		enabled = 1.0
-	}
-	m.Sample("provd_group_commit_enabled", []obs.Label{store}, enabled)
+	m.Header("provd_group_commit_enabled", "1 on every durable store: group commit is the only commit path.", "gauge")
+	m.Sample("provd_group_commit_enabled", []obs.Label{store}, 1)
 	m.Header("provd_group_commit_groups_total", "Fsync groups committed.", "counter")
 	m.Sample("provd_group_commit_groups_total", []obs.Label{store}, float64(gc.Groups))
 	m.Header("provd_group_commit_records_total", "Records committed through groups.", "counter")

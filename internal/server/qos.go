@@ -215,8 +215,6 @@ func (s *Store) QoSStatsSnapshot() QoSStats {
 		st.Config = l.cfg
 		st.Inflight = l.inflight.Load()
 	}
-	if s.commitCh != nil {
-		st.QueueDepth = len(s.commitCh)
-	}
+	st.QueueDepth = len(s.commitCh)
 	return st
 }

@@ -373,8 +373,8 @@ func TestKillReplayGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rcv.Fresh || !victim.GroupCommit() {
-		t.Fatalf("fresh group-commit store: fresh=%v group=%v", rcv.Fresh, victim.GroupCommit())
+	if !rcv.Fresh {
+		t.Fatalf("fresh store: %+v", rcv)
 	}
 	victim.commitHold = make(chan struct{})
 
@@ -537,8 +537,8 @@ func TestKillReplayCoalescedMultiStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rcv.Fresh || !s.GroupCommit() {
-			t.Fatalf("store %s: fresh=%v group=%v", name, rcv.Fresh, s.GroupCommit())
+		if !rcv.Fresh {
+			t.Fatalf("store %s: %+v", name, rcv)
 		}
 		s.commitHold = make(chan struct{})
 		victims[i] = s
@@ -769,32 +769,48 @@ func TestDurableRestartCycle(t *testing.T) {
 	}
 }
 
-// TestDurableFsyncPolicies smoke-tests the non-default fsync policies: the
-// daemon stays correct (recovery of a cleanly-closed store is exact), only
-// the crash-loss window differs.
+// TestDurableFsyncPolicies runs every fsync policy through both shapes of
+// the commit pipeline: batches publish in order, the daemon stays correct
+// (recovery of a cleanly-closed store is exact), and only the barrier — so
+// only the crash-loss window — differs: always pays at most one counted
+// fsync per batch on the commit path, interval leaves them to the log's
+// ticker, never pays none at all before Close.
 func TestDurableFsyncPolicies(t *testing.T) {
 	script := randomScript(4, 5)
-	for _, policy := range []wal.SyncPolicy{wal.SyncInterval, wal.SyncNever} {
+	forEachPipeline(t, func(t *testing.T, shape string, policy wal.SyncPolicy) {
 		dir := t.TempDir()
-		s, _, err := OpenDurable(DurableOptions{Dir: dir, Fsync: policy, CheckpointEvery: 1 << 30, CacheCap: 8}, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", policy, err)
-		}
-		for _, b := range script {
+		pl := openPipeline(t, shape, policy, dir)
+		s := pl.stores[0]
+		before := s.DurabilityStatsSnapshot()
+		for i, b := range script {
 			ingestBatch(t, s, b)
+			if got := s.Epoch().N; got != uint64(i+1) {
+				t.Fatalf("batch %d published epoch %d", i, got)
+			}
 		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("%v: close: %v", policy, err)
+		after := s.DurabilityStatsSnapshot()
+		if got := after.GroupCommit.Groups - before.GroupCommit.Groups; got != uint64(len(script)) {
+			t.Errorf("%d sequential batches retired %d groups", len(script), got)
 		}
-		s2, rcv, err := OpenDurable(DurableOptions{Dir: dir, Fsync: policy, CacheCap: 8}, nil)
-		if err != nil {
-			t.Fatalf("%v: reopen: %v", policy, err)
+		switch fsyncs := after.Fsyncs - before.Fsyncs; policy {
+		case wal.SyncAlways:
+			if fsyncs == 0 || fsyncs > uint64(len(script)) {
+				t.Errorf("%d batches crossed %d barriers, want 1..%d", len(script), fsyncs, len(script))
+			}
+		case wal.SyncNever:
+			if fsyncs != 0 {
+				t.Errorf("the commit path paid %d fsyncs under fsync=never", fsyncs)
+			}
 		}
-		if rcv.Epoch != uint64(len(script)) {
-			t.Fatalf("%v: recovered epoch %d, want %d", policy, rcv.Epoch, len(script))
+		if err := pl.close(); err != nil {
+			t.Fatalf("close: %v", err)
 		}
-		s2.Close()
-	}
+		pl2 := openPipeline(t, shape, policy, dir)
+		defer pl2.close()
+		if got := pl2.stores[0].Epoch().N; got != uint64(len(script)) {
+			t.Fatalf("recovered epoch %d, want %d", got, len(script))
+		}
+	})
 }
 
 // TestDurableWALFailurePoisonsWrites forces an append failure and asserts

@@ -67,19 +67,13 @@ func ValidStoreName(name string) bool {
 type RegistryOptions struct {
 	// DataDir is the root data directory; empty builds memory-only stores.
 	DataDir string
-	// Fsync, SyncInterval, CheckpointEvery and NoGroupCommit configure each
-	// store's durability exactly as in DurableOptions.
+	// Fsync, SyncInterval and CheckpointEvery configure each store's
+	// durability exactly as in DurableOptions. Under SyncAlways the stores
+	// share device-level sync windows — one flush per window instead of one
+	// per store (see wal.Coalescer).
 	Fsync           wal.SyncPolicy
 	SyncInterval    time.Duration
 	CheckpointEvery int
-	NoGroupCommit   bool
-	// NoCoalesce disables the registry-wide fsync coalescer, leaving each
-	// store's committer to fsync its own log. By default (group commit +
-	// SyncAlways on a durable registry) all stores share device-level sync
-	// windows — one flush per window instead of one per store — which is
-	// what keeps the group-commit speedup from collapsing as stores are
-	// added (see wal.Coalescer).
-	NoCoalesce bool
 	// DefaultQoS is the admission policy every opened or created store
 	// starts with (zero = no limits); PUT /stores/{name} can override it
 	// per store.
@@ -107,7 +101,8 @@ type Registry struct {
 	createMu sync.Mutex
 
 	// coal is the registry-wide fsync coalescer durable stores commit
-	// through (nil when disabled or memory-only). Closed after the stores.
+	// through (nil unless durable under SyncAlways, the one policy with a
+	// barrier on the commit path). Closed after the stores.
 	coal *wal.Coalescer
 
 	// Follower mode (see follow_registry.go): the leader being mirrored,
@@ -135,7 +130,7 @@ func OpenRegistry(opts RegistryOptions, extra []string, seed func() (*prov.Graph
 		return nil, nil, fmt.Errorf("registry: %w", err)
 	}
 	r := &Registry{opts: opts, stores: make(map[string]*Store)}
-	if opts.DataDir != "" && !opts.NoGroupCommit && !opts.NoCoalesce && opts.Fsync == wal.SyncAlways {
+	if opts.DataDir != "" && opts.Fsync == wal.SyncAlways {
 		if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
 			return nil, nil, err
 		}
@@ -266,7 +261,6 @@ func (r *Registry) open(name string, seed func() (*prov.Graph, error)) (*Store, 
 		SyncInterval:    r.opts.SyncInterval,
 		CheckpointEvery: r.opts.CheckpointEvery,
 		CacheCap:        r.opts.CacheCap,
-		NoGroupCommit:   r.opts.NoGroupCommit,
 		Coalescer:       r.coal,
 		Logger:          r.opts.Logger,
 	}, seed)
@@ -368,8 +362,8 @@ func (r *Registry) Default() *Store {
 	return s
 }
 
-// Coalescer returns the registry-wide fsync coalescer (nil when disabled
-// or memory-only).
+// Coalescer returns the registry-wide fsync coalescer (nil unless durable
+// under SyncAlways).
 func (r *Registry) Coalescer() *wal.Coalescer { return r.coal }
 
 // Close closes every store (sealing WALs, writing final checkpoints) and

@@ -62,7 +62,7 @@ type Store struct {
 	name string
 
 	// writeMu serializes ingest batches, delta encoding, snapshot builds
-	// and (without group commit) publication. Readers never take it.
+	// and (on memory-only stores) publication. Readers never take it.
 	writeMu sync.Mutex
 	rec     *prov.Recorder
 	// closed (guarded by writeMu) marks a store past the point of admitting
@@ -72,9 +72,9 @@ type Store struct {
 
 	snap atomic.Pointer[Epoch]
 
-	// tail is the newest staged epoch, guarded by writeMu. Without group
-	// commit it always equals the published snapshot; under group commit it
-	// runs ahead of snap by the batches sitting in the commit queue (built
+	// tail is the newest staged epoch, guarded by writeMu. On a memory-only
+	// store it always equals the published snapshot; on a durable store it
+	// runs ahead of snap by the batches sitting in the commit pipeline (built
 	// and logged-or-queued, not yet durable, therefore not yet visible).
 	tail *Epoch
 
@@ -87,8 +87,8 @@ type Store struct {
 	requests map[string]*endpointMetrics
 
 	// Commit-pipeline stage histograms: queue wait (staged → committer
-	// dequeue, group commit only), WAL append write, fsync, and publication
-	// (cache revalidation + epoch pointer swap).
+	// dequeue), WAL append write, fsync, and publication (cache revalidation
+	// + epoch pointer swap).
 	stageEnqueue obs.Histogram
 	stageAppend  obs.Histogram
 	stageFsync   obs.Histogram
@@ -126,14 +126,13 @@ type Store struct {
 	ckptFails       atomic.Uint64
 	closeOnce       sync.Once
 
-	// Group commit (durable stores with GroupCommit enabled): writers stage
-	// built epochs into commitCh and block on their request's done channel;
-	// the committer goroutine drains the queue, appends the whole group with
-	// one fsync, then publishes the member epochs in order.
-	groupCommit bool
-	commitCh    chan *commitReq
-	commitStop  chan struct{}
-	commitDone  chan struct{}
+	// The durable commit pipeline (every durable store, nil on memory-only
+	// ones): writers stage built epochs into commitCh and block on their
+	// request's done channel; the committer goroutine drains the queue and
+	// appends the whole group unsynced; syncLoop covers it with one barrier
+	// and publishes the member epochs in order. Close closes commitCh and
+	// each stage closes the next once it has drained.
+	commitCh chan *commitReq
 	// pubCh wakes a drain waiter (checkpointNow under writeMu) after each
 	// publish; buffered so the committer never blocks on it.
 	pubCh chan struct{}
@@ -153,23 +152,19 @@ type Store struct {
 	groupLast    atomic.Int64  // size of the most recent group
 	groupMax     atomic.Int64  // largest group so far
 
-	// coal, when non-nil, is the registry-wide fsync coalescer: the
-	// committer appends its group unsynced and borrows a shared
-	// device-level barrier instead of issuing its own fsync, so N stores'
-	// committers pay ~one flush per sync window rather than N.
-	coal      *wal.Coalescer
-	coalesced atomic.Uint64 // groups retired through a shared sync window
-	// Coalesced sync/publish pipeline: the committer hands each appended
-	// group to syncLoop via syncQ and goes straight back to draining, so
-	// group formation overlaps the device barrier instead of lock-stepping
-	// behind it. appendSeq numbers appended groups; syncedSeq is the newest
-	// one a barrier has covered — a barrier makes every byte appended before
-	// it durable, so one SyncWait retires every group staged behind the job
-	// that triggered it.
+	// fsync is the log's policy and coal the registry-wide fsync coalescer
+	// (nil on a store opened on its own): together they decide the barrier
+	// syncLoop puts between a group's append and its publish.
+	fsync wal.SyncPolicy
+	coal  *wal.Coalescer
+	// Sync/publish stage: the committer hands each appended group to
+	// syncLoop via syncQ and goes straight back to draining, so group
+	// formation overlaps the device barrier instead of lock-stepping behind
+	// it. appendSeq numbers appended groups, so syncLoop can tell which of
+	// them a barrier covered.
 	syncQ     chan *syncJob
 	syncDone  chan struct{}
 	appendSeq atomic.Uint64
-	syncedSeq atomic.Uint64
 
 	// Replication (see follower.go and internal/repl). hub, once enabled,
 	// receives every published (epoch, delta) pair and is what wal-stream
@@ -471,13 +466,12 @@ func (s *Store) Epoch() *Epoch { return s.snap.Load() }
 // delta and made durable in the write-ahead log — fsynced per the configured
 // policy — strictly before the snapshot swap publishes the epoch, so no
 // client ever observes a state a crash could lose (under fsync=always).
-// With group commit (the default, see DurableOptions.NoGroupCommit) the
-// durability step is delegated: Update stages the encoded delta and the
+// The durability step is delegated: Update stages the encoded delta and the
 // built snapshot on the commit queue, releases the write mutex, and blocks
-// until the committer goroutine has appended its whole group under one
-// fsync and published the member epochs in order — concurrent writers share
-// the fsync instead of paying one each, and the write mutex is free for the
-// next writer while this batch waits on disk. A WAL append failure poisons
+// until the commit pipeline has appended its whole group, covered it with
+// one barrier and published the member epochs in order — concurrent writers
+// share the fsync instead of paying one each, and the write mutex is free
+// for the next writer while this batch waits on disk. A WAL failure poisons
 // the store: the batch stays unpublished and all further writes are
 // refused, because the in-memory graph and the log can no longer be
 // reconciled.
@@ -504,8 +498,8 @@ func (s *Store) updateEpoch(ctx context.Context, fn func(rec *prov.Recorder) err
 	stages := obs.StagesFrom(ctx)
 	s.writeMu.Lock()
 	// Deferred so a panic in fn (or in delta encoding / the freeze) releases
-	// the write mutex instead of wedging the store; the group-commit path
-	// clears the flag when it hands off and unlocks early.
+	// the write mutex instead of wedging the store; the durable tail clears
+	// the flag when it hands off and unlocks early.
 	locked := true
 	defer func() {
 		if locked {
@@ -524,18 +518,17 @@ func (s *Store) updateEpoch(ctx context.Context, fn func(rec *prov.Recorder) err
 	// Backpressure: a commit queue at its configured cap rejects the batch
 	// here — before fn mutates the graph — so the writer gets a clean 429
 	// instead of parking under the write mutex behind a saturated committer.
-	if s.groupCommit {
-		if l := s.qos.Load(); l != nil && l.cfg.MaxQueue > 0 && len(s.commitCh) >= l.cfg.MaxQueue {
-			s.qosRejectedQueue.Add(1)
-			return 0, fmt.Errorf("store: %w (%d batches staged)", ErrBackpressure, len(s.commitCh))
-		}
+	// (A memory-only store has no queue: the length of its nil channel is 0.)
+	if l := s.qos.Load(); l != nil && l.cfg.MaxQueue > 0 && len(s.commitCh) >= l.cfg.MaxQueue {
+		s.qosRejectedQueue.Add(1)
+		return 0, fmt.Errorf("store: %w (%d batches staged)", ErrBackpressure, len(s.commitCh))
 	}
 	if err := fn(s.rec); err != nil {
 		return 0, err
 	}
 	// The delta and the snapshot both build against the staged tail, not the
-	// published snapshot: under group commit earlier batches may still be
-	// waiting on their group fsync, and this batch extends them.
+	// published snapshot: on a durable store earlier batches may still be
+	// waiting on their group's barrier, and this batch extends them.
 	old := s.tail
 	var payload []byte
 	if s.wal != nil || s.hub.Load() != nil {
@@ -561,53 +554,30 @@ func (s *Store) updateEpoch(ctx context.Context, fn func(rec *prov.Recorder) err
 		stages.FreezeNanos = freeze.Nanoseconds()
 	}
 	ep := &Epoch{N: old.N + 1, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges()}
+	s.tail = ep
 
-	if s.wal != nil && s.groupCommit {
-		// Group commit: stage the built epoch (still holding writeMu, so the
-		// queue receives epochs in order) and wait off-lock for the committer
-		// to make it durable and publish it.
-		req := &commitReq{
-			ep: ep, old: old, payload: payload, done: make(chan error, 1),
-			stagedAt: time.Now(), reqID: obs.RequestID(ctx), stages: stages,
-		}
-		s.tail = ep
-		s.commitCh <- req
-		locked = false
-		s.writeMu.Unlock()
-		if err := <-req.done; err != nil {
-			return 0, err
-		}
+	if s.wal == nil {
+		// Memory-only: nothing to make durable, publish under the write mutex.
+		start = time.Now()
+		s.publish(ep, old, payload)
+		s.observePublish(time.Since(start), stages)
+		s.logCommit(ctx, obs.RequestID(ctx), ep, 1)
 		return ep.N, nil
 	}
-
-	if s.wal != nil {
-		// Inline commit: append + fsync (per policy) this batch alone, before
-		// the swap publishes it.
-		tm, err := s.wal.AppendTimed(ep.N, payload)
-		s.observeAppend(tm, stages)
-		if err != nil {
-			s.walFail.CompareAndSwap(nil, &walFailure{err: err})
-			return 0, fmt.Errorf("store: write-ahead log: %w", err)
-		}
+	// Durable: stage the built epoch (still holding writeMu, so the queue
+	// receives epochs in order) and wait off-lock for the commit pipeline to
+	// make it durable and publish it.
+	req := &commitReq{
+		ep: ep, old: old, payload: payload, done: make(chan error, 1),
+		stagedAt: time.Now(), reqID: obs.RequestID(ctx), stages: stages,
 	}
-	s.tail = ep
-	start = time.Now()
-	s.publish(ep, old, payload)
-	s.observePublish(time.Since(start), stages)
-	s.logCommit(ctx, obs.RequestID(ctx), ep, 1)
+	s.commitCh <- req
+	locked = false
+	s.writeMu.Unlock()
+	if err := <-req.done; err != nil {
+		return 0, err
+	}
 	return ep.N, nil
-}
-
-// observeAppend records an append's write/fsync split into the stage
-// histograms and, when the request carries one, its stage record.
-func (s *Store) observeAppend(tm wal.AppendTimings, stages *obs.Stages) {
-	s.stageAppend.Observe(time.Duration(tm.WriteNanos))
-	if tm.Synced {
-		s.stageFsync.Observe(time.Duration(tm.SyncNanos))
-	}
-	if stages != nil {
-		stages.AppendNanos, stages.FsyncNanos = tm.WriteNanos, tm.SyncNanos
-	}
 }
 
 // observePublish records one publication into the stage histograms and the
@@ -639,10 +609,10 @@ func (s *Store) logCommit(ctx context.Context, reqID string, ep *Epoch, group in
 // revalidated against the delta, the snapshot pointer swaps, epoch waiters
 // and a drain waiter are woken, the replication hub (when enabled) takes
 // the delta, and the checkpointer is signaled per the cadence. Callers
-// guarantee epochs are published in order — either under writeMu (inline
-// paths) or from the single committer goroutine. payload is the epoch's
-// encoded delta (nil only when nothing consumes deltas, or on a follower
-// snapshot reset, which rebases the hub instead).
+// guarantee epochs are published in order — either under writeMu (memory-
+// only stores, the follower applier) or from the single syncLoop goroutine.
+// payload is the epoch's encoded delta (nil only when nothing consumes
+// deltas, or on a follower snapshot reset, which rebases the hub instead).
 func (s *Store) publish(ep, old *Epoch, payload []byte) {
 	s.cache.advance(ep, old)
 	s.snap.Store(ep)
@@ -679,32 +649,20 @@ func (s *Store) signalPub() {
 }
 
 // commitLoop is the group committer: it owns the order in which staged
-// batches reach the log and the epoch pointer. One iteration commits one
-// group — everything queued at wake-up time — with a single fsync.
+// batches reach the log. One iteration appends one group — everything
+// queued at wake-up time — and hands it to syncLoop. It runs until Close
+// closes the queue, drains what is left, and closes the sync stage's.
 func (s *Store) commitLoop() {
-	defer close(s.commitDone)
-	for {
-		select {
-		case req := <-s.commitCh:
-			s.commitGroup(req)
-		case <-s.commitStop:
-			// Drain whatever is still queued (Close never races Update, so
-			// nothing new can arrive), then exit.
-			for {
-				select {
-				case req := <-s.commitCh:
-					s.commitGroup(req)
-				default:
-					return
-				}
-			}
-		}
+	defer close(s.syncQ)
+	for req := range s.commitCh {
+		s.commitGroup(req)
 	}
 }
 
-// commitGroup gathers the group led by first, appends it with one fsync and
-// publishes the members in order. On an append failure every member fails,
-// stays unpublished, and the store is poisoned.
+// commitGroup gathers the group led by first, appends it unsynced and hands
+// it to syncLoop, which publishes the members once a barrier covers them;
+// the next group forms while this one's barrier is in flight. On an append
+// failure every member fails, stays unpublished, and the store is poisoned.
 func (s *Store) commitGroup(first *commitReq) {
 	group := []*commitReq{first}
 	if s.commitHold != nil {
@@ -713,7 +671,10 @@ func (s *Store) commitGroup(first *commitReq) {
 drain:
 	for {
 		select {
-		case req := <-s.commitCh:
+		case req, ok := <-s.commitCh:
+			if !ok {
+				break drain
+			}
 			group = append(group, req)
 		default:
 			break drain
@@ -742,65 +703,43 @@ drain:
 	for i, req := range group {
 		recs[i] = wal.Record{Epoch: req.ep.N, Payload: req.payload}
 	}
-	if s.coal != nil {
-		// Coalesced path: write the group unsynced and hand it to syncLoop,
-		// which parks in the shared device-level sync window and publishes
-		// once the barrier covers these bytes. The committer goes straight
-		// back to draining, so the next group forms while this one's barrier
-		// is in flight — without the pipeline, one store could never have
-		// more than a single group per window and the coalescer degenerated
-		// to serialized near-empty windows.
-		tm, err := s.wal.AppendBatchTimedNoSync(recs)
-		s.stageAppend.Observe(time.Duration(tm.WriteNanos))
-		if err != nil {
-			for _, req := range group {
-				if req.stages != nil {
-					req.stages.AppendNanos = tm.WriteNanos
-				}
-			}
-			s.walFail.CompareAndSwap(nil, &walFailure{err: err})
-			s.failGroup(group, err)
-			return
-		}
-		s.syncQ <- &syncJob{group: group, seq: s.appendSeq.Add(1), writeNanos: tm.WriteNanos}
-		return
-	}
-	tm, err := s.wal.AppendBatchTimed(recs)
-	// The append and fsync are group-level costs: record one histogram
-	// sample each, but stamp every member's stage record (each request paid
-	// the whole group latency in wall-clock terms).
+	// The append is a group-level cost: one histogram sample, stamped on
+	// every member's stage record (each paid it in wall-clock terms).
+	tm, err := s.wal.AppendBatch(recs)
 	s.stageAppend.Observe(time.Duration(tm.WriteNanos))
-	if tm.Synced {
-		s.stageFsync.Observe(time.Duration(tm.SyncNanos))
-	}
-	for _, req := range group {
-		if req.stages != nil {
-			req.stages.AppendNanos, req.stages.FsyncNanos = tm.WriteNanos, tm.SyncNanos
-		}
-	}
 	if err != nil {
+		for _, req := range group {
+			if req.stages != nil {
+				req.stages.AppendNanos = tm.WriteNanos
+			}
+		}
 		s.walFail.CompareAndSwap(nil, &walFailure{err: err})
 		s.failGroup(group, err)
 		return
 	}
-	s.retireGroup(group)
+	s.syncQ <- &syncJob{group: group, seq: s.appendSeq.Add(1), writeNanos: tm.WriteNanos}
 }
 
-// syncLoop is the coalesced sync/publish stage: it takes appended groups
-// in order, waits for a shared device barrier to cover them, and publishes.
-// A barrier makes every byte appended before it durable, so when several
-// groups queue up behind one in-flight window, the single SyncWait issued
-// for the head job retires all of them — the store pays one barrier per
-// pipeline cycle, not per group.
+// syncLoop is the sync/publish stage: it takes appended groups in order,
+// waits for the barrier the fsync policy asks for, and publishes. A barrier
+// makes every byte appended before it durable, so when several groups queue
+// up behind one in-flight barrier, the single one issued for the head job
+// retires all of them — the store pays one barrier per pipeline cycle, not
+// per group.
 func (s *Store) syncLoop() {
 	defer close(s.syncDone)
+	var synced uint64 // newest appended group a barrier has covered
 	var lastSyncNs int64
 	for job := range s.syncQ {
 		if f := s.walFail.Load(); f != nil {
 			s.failGroup(job.group, f.err)
 			continue
 		}
-		if job.seq > s.syncedSeq.Load() {
+		// The barrier is the one step that differs between stores. Only
+		// fsync=always puts one on the commit path (under interval and never
+		// the log's ticker, rotation and Close flush); the registry's stores
+		// share it through coal, a store opened alone (nil coal) fsyncs.
+		if s.fsync == wal.SyncAlways && job.seq > synced {
 			// The prep hook samples the appended tail right before the
 			// barrier fires: everything the committer appended while this
 			// request waited for its window is covered too, so the groups
@@ -814,7 +753,7 @@ func (s *Store) syncLoop() {
 				s.failGroup(job.group, err)
 				continue
 			}
-			s.syncedSeq.Store(covered)
+			synced = covered
 			s.stageFsync.Observe(time.Duration(lastSyncNs))
 		}
 		// Piggybacked jobs are stamped with the barrier wait that covered
@@ -824,15 +763,12 @@ func (s *Store) syncLoop() {
 				req.stages.AppendNanos, req.stages.FsyncNanos = job.writeNanos, lastSyncNs
 			}
 		}
-		s.coalesced.Add(1)
 		s.retireGroup(job.group)
 	}
 }
 
 // retireGroup counts one durably committed group and publishes its members
-// in order. Called from the committer (private-fsync path) or from
-// syncLoop (coalesced path) — never both for one store, so publishes stay
-// single-threaded.
+// in order. Only syncLoop calls it, so publishes stay single-threaded.
 func (s *Store) retireGroup(group []*commitReq) {
 	s.groups.Add(1)
 	s.groupRecords.Add(uint64(len(group)))

@@ -5,20 +5,19 @@
 // fsyncs per window and the group-commit win collapses (the shard bench
 // measured 1.78x at 1 store -> 0.97x at 4). The Coalescer restores the win
 // by making the flush itself shared: committers append their group
-// unsynced, then park in SyncWait; the coalescer's flusher goroutine
+// unsynced, then park in SyncWaitPrep; the coalescer's flusher goroutine
 // drains every parked request into one sync window and retires it with a
 // single device-level barrier — syncfs(2) on the data-dir fd where the
 // kernel supports it, deduplicated parallel per-log fsyncs otherwise.
 // Under saturation the flusher holds each window open for a short gather
 // interval so every overlapping store lands in the same barrier; an idle
 // period's first window flushes immediately, so a lone commit pays no
-// gather latency. Durability-before-visibility is untouched: SyncWait
+// gather latency. Durability-before-visibility is untouched: SyncWaitPrep
 // returns only after the window's barrier covers the caller's bytes, and
 // only then does the store publish the epochs.
 package wal
 
 import (
-	"errors"
 	"os"
 	"runtime"
 	"sync"
@@ -39,7 +38,7 @@ const (
 	CoalesceFsync
 )
 
-// syncReq is one committer parked in SyncWait.
+// syncReq is one committer parked in SyncWaitPrep.
 type syncReq struct {
 	m    *Manager
 	prep func() // runs immediately before the window's barrier
@@ -113,36 +112,34 @@ func (c *Coalescer) Mode() string {
 	return "fsync"
 }
 
-// SyncWait makes every byte m has appended so far durable and returns. The
-// caller must have finished its writes before calling (the happens-before
-// the window barrier needs). Concurrent callers share windows: everyone
-// parked when the flusher retires a window comes back with that barrier's
-// result. After Close, SyncWait degrades to a direct per-manager fsync so
-// shutdown ordering can never strand a committer.
-func (c *Coalescer) SyncWait(m *Manager) error {
-	return c.SyncWaitPrep(m, nil)
-}
-
-// SyncWaitPrep is SyncWait with a hook: prep (when non-nil) runs on the
-// flusher goroutine immediately before the window's barrier, after every
-// append the barrier will cover has happened. A caller appending
-// concurrently from another goroutine can use it to observe exactly which
-// of its writes this barrier makes durable (the store's sync pipeline
-// samples its append sequence here to retire piggybacked groups).
+// SyncWaitPrep makes every byte m has appended so far durable and returns.
+// The caller must have finished the writes it wants covered before calling
+// (the happens-before the window barrier needs). Concurrent callers share
+// windows: everyone parked when the flusher retires a window comes back with
+// that barrier's result. prep (when non-nil) runs on the flusher goroutine
+// immediately before the window's barrier, after every append the barrier
+// will cover has happened: a caller appending concurrently from another
+// goroutine uses it to observe exactly which of its writes this barrier
+// makes durable (the store's sync stage samples its append sequence here to
+// retire piggybacked groups). A nil Coalescer (a store opened on its own)
+// and a closed one (shutdown ordering must never strand a committer) have no
+// window to share: prep runs and m is fsynced directly.
 func (c *Coalescer) SyncWaitPrep(m *Manager, prep func()) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		if prep != nil {
-			prep()
+	if c != nil {
+		c.mu.Lock()
+		if !c.closed {
+			r := &syncReq{m: m, prep: prep, errc: make(chan error, 1)}
+			c.requests.Add(1)
+			c.reqCh <- r
+			c.mu.Unlock()
+			return <-r.errc
 		}
-		return m.Sync()
+		c.mu.Unlock()
 	}
-	r := &syncReq{m: m, prep: prep, errc: make(chan error, 1)}
-	c.requests.Add(1)
-	c.reqCh <- r
-	c.mu.Unlock()
-	return <-r.errc
+	if prep != nil {
+		prep()
+	}
+	return m.Sync()
 }
 
 // flusher owns window formation: it blocks for the first request of a
@@ -253,7 +250,7 @@ func (c *Coalescer) flushWindow(batch []*syncReq) {
 		for m := range perMgr {
 			errs[m] = err
 			if err == nil {
-				m.observeCoalescedSync(d)
+				m.stats.observeSync(d)
 			}
 		}
 	} else {
@@ -312,7 +309,7 @@ func (c *Coalescer) StatsSnapshot() CoalescerStats {
 
 // Close stops the flusher (retiring anything still queued in one last
 // window) and releases the directory fd. Stores must be closed (committers
-// drained) first; a straggling SyncWait after Close falls back to a direct
+// drained) first; a straggling SyncWaitPrep after Close falls back to a direct
 // fsync rather than erroring.
 func (c *Coalescer) Close() error {
 	c.mu.Lock()
@@ -325,26 +322,4 @@ func (c *Coalescer) Close() error {
 	close(c.stopCh)
 	<-c.flusherDone
 	return c.dirFD.Close()
-}
-
-var errNoLog = errors.New("wal: append before Bootstrap")
-
-// AppendBatchTimedNoSync writes a group of records like AppendBatchTimed
-// but never fsyncs, regardless of policy — the coalesced group-commit
-// path: the store appends its group, then borrows the shared device
-// barrier via Coalescer.SyncWait before publishing.
-func (m *Manager) AppendBatchTimedNoSync(recs []Record) (AppendTimings, error) {
-	m.mu.Lock()
-	lg := m.log
-	m.mu.Unlock()
-	if lg == nil {
-		return AppendTimings{}, errNoLog
-	}
-	return lg.AppendBatchTimed(recs, false)
-}
-
-// observeCoalescedSync records a shared device barrier this manager's data
-// crossed, so per-store fsync counters stay meaningful under coalescing.
-func (m *Manager) observeCoalescedSync(d time.Duration) {
-	m.stats.observeSync(d)
 }

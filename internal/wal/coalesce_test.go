@@ -34,7 +34,7 @@ func openCoalesced(t *testing.T, n int, mode CoalescerMode) (string, []*Manager,
 	return dir, mgrs, c
 }
 
-// runCoalescedAppends drives rounds of unsynced batch appends + SyncWait
+// runCoalescedAppends drives rounds of batch appends + SyncWaitPrep
 // from one goroutine per manager, then verifies every record is durable
 // (replayable at the right epochs) and the window accounting is coherent.
 func runCoalescedAppends(t *testing.T, mode CoalescerMode) {
@@ -48,11 +48,11 @@ func runCoalescedAppends(t *testing.T, mode CoalescerMode) {
 			defer wg.Done()
 			for ep := uint64(1); ep <= rounds; ep++ {
 				payload := []byte(fmt.Sprintf("store-%d-epoch-%d", i, ep))
-				if _, err := m.AppendBatchTimedNoSync([]Record{{Epoch: ep, Payload: payload}}); err != nil {
+				if _, err := m.AppendBatch([]Record{{Epoch: ep, Payload: payload}}); err != nil {
 					t.Errorf("store %d append %d: %v", i, ep, err)
 					return
 				}
-				if err := c.SyncWait(m); err != nil {
+				if err := c.SyncWaitPrep(m, nil); err != nil {
 					t.Errorf("store %d sync %d: %v", i, ep, err)
 					return
 				}
@@ -110,23 +110,30 @@ func runCoalescedAppends(t *testing.T, mode CoalescerMode) {
 func TestCoalescerAuto(t *testing.T)          { runCoalescedAppends(t, CoalesceAuto) }
 func TestCoalescerFsyncFallback(t *testing.T) { runCoalescedAppends(t, CoalesceFsync) }
 
-// TestCoalescerSyncWaitAfterClose: a straggling committer calling SyncWait
-// after Close must still come back durable via the direct-fsync fallback,
-// not deadlock or error.
+// TestCoalescerSyncWaitAfterClose: a straggling committer calling
+// SyncWaitPrep after Close must still come back durable via the direct-fsync
+// fallback, not deadlock or error — and a nil coalescer (a store opened on
+// its own) takes the same fallback.
 func TestCoalescerSyncWaitAfterClose(t *testing.T) {
 	_, mgrs, c := openCoalesced(t, 1, CoalesceAuto)
 	m := mgrs[0]
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AppendBatchTimedNoSync([]Record{{Epoch: 1, Payload: []byte("late")}}); err != nil {
+	if _, err := m.AppendBatch([]Record{{Epoch: 1, Payload: []byte("late")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SyncWait(m); err != nil {
-		t.Fatalf("SyncWait after Close: %v", err)
+	for name, cc := range map[string]*Coalescer{"closed": c, "nil": nil} {
+		before, prepped := m.StatsSnapshot().Fsyncs, false
+		if err := cc.SyncWaitPrep(m, func() { prepped = true }); err != nil {
+			t.Fatalf("%s coalescer: SyncWaitPrep: %v", name, err)
+		}
+		if got := m.StatsSnapshot().Fsyncs - before; !prepped || got != 1 {
+			t.Fatalf("%s coalescer: prep ran %v, %d direct fsyncs, want true and 1", name, prepped, got)
+		}
 	}
 	if got := c.StatsSnapshot().Requests; got != 0 {
-		t.Fatalf("post-close SyncWait counted as a coalesced request: %d", got)
+		t.Fatalf("post-close SyncWaitPrep counted as a coalesced request: %d", got)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)

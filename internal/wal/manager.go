@@ -116,9 +116,9 @@ type Recovery struct {
 }
 
 // Manager owns one data directory: the active log, checkpoint writes and
-// obsolete-file cleanup. Append and Rotate must be serialized by the caller
-// (provd runs them under the store's write mutex); Sync, Stats and
-// Checkpoint are safe concurrently with appends.
+// obsolete-file cleanup. AppendBatch and Rotate must be serialized by the
+// caller (provd rotates only once its committer has nothing in flight);
+// Sync, Stats and Checkpoint are safe concurrently with appends.
 type Manager struct {
 	dir    string
 	policy SyncPolicy
@@ -126,8 +126,13 @@ type Manager struct {
 	mu   sync.Mutex // guards log swaps (rotate/close vs append/sync)
 	log  *Log
 	base uint64 // epoch base of the active log
+	// tickerErr is the first failed background flush (SyncInterval only):
+	// batches acknowledged since the last good flush may not be durable, so
+	// AppendBatch and Sync return it from then on.
+	tickerErr error
 
 	stats        statCounters
+	syncFailures atomic.Uint64 // failed background flushes
 	checkpoints  atomic.Uint64
 	ckptLastNs   atomic.Int64
 	ckptTotalNs  atomic.Int64
@@ -137,9 +142,11 @@ type Manager struct {
 	syncInterval time.Duration
 }
 
-// ManagerStats extends the log counters with checkpoint counters.
+// ManagerStats extends the log counters with failed background flushes and
+// checkpoint counters.
 type ManagerStats struct {
 	Stats
+	SyncFailures         uint64 `json:"sync_failures"`
 	Checkpoints          uint64 `json:"checkpoints"`
 	CheckpointLastNanos  int64  `json:"checkpoint_last_ns"`
 	CheckpointTotalNanos int64  `json:"checkpoint_total_ns"`
@@ -328,45 +335,22 @@ func (m *Manager) openFreshLog(epoch uint64) error {
 	return nil
 }
 
-// Append logs the delta that produced epoch. Under SyncAlways the record is
-// on stable storage when Append returns; the caller then publishes the
-// epoch. Callers serialize Append with Rotate (the store's write mutex).
-func (m *Manager) Append(epoch uint64, payload []byte) error {
-	_, err := m.AppendTimed(epoch, payload)
-	return err
-}
-
-// AppendTimed is Append reporting write vs fsync time (the commit-stage
-// histogram hook).
-func (m *Manager) AppendTimed(epoch uint64, payload []byte) (AppendTimings, error) {
+// AppendBatch logs a group of delta records with one write and no fsync:
+// the caller makes them durable with Sync (or a Coalescer window) before
+// publishing, as its policy requires. Records must carry consecutive epochs
+// in slice order. Callers serialize AppendBatch with Rotate. After a failed
+// background flush every append reports that failure.
+func (m *Manager) AppendBatch(recs []Record) (AppendTimings, error) {
 	m.mu.Lock()
-	lg := m.log
+	lg, err := m.log, m.tickerErr
 	m.mu.Unlock()
+	if err != nil {
+		return AppendTimings{}, err
+	}
 	if lg == nil {
 		return AppendTimings{}, errors.New("wal: append before Bootstrap")
 	}
-	return lg.AppendTimed(epoch, payload, m.policy == SyncAlways)
-}
-
-// AppendBatch logs a group of delta records with one write and (under
-// SyncAlways) one fsync — the group-commit path. Records must carry
-// consecutive epochs in slice order. Callers serialize AppendBatch with
-// Append and Rotate exactly as they do Append.
-func (m *Manager) AppendBatch(recs []Record) error {
-	_, err := m.AppendBatchTimed(recs)
-	return err
-}
-
-// AppendBatchTimed is AppendBatch reporting write vs fsync time for the
-// whole group.
-func (m *Manager) AppendBatchTimed(recs []Record) (AppendTimings, error) {
-	m.mu.Lock()
-	lg := m.log
-	m.mu.Unlock()
-	if lg == nil {
-		return AppendTimings{}, errors.New("wal: append before Bootstrap")
-	}
-	return lg.AppendBatchTimed(recs, m.policy == SyncAlways)
+	return lg.AppendBatchTimed(recs)
 }
 
 // Rotate seals the active log and directs subsequent appends to a fresh
@@ -448,13 +432,14 @@ func (m *Manager) removeObsolete(keep uint64) {
 	}
 }
 
-// Sync flushes the active log to stable storage.
+// Sync flushes the active log to stable storage. Like AppendBatch it
+// reports a failed background flush instead of pretending to cover it.
 func (m *Manager) Sync() error {
 	m.mu.Lock()
-	lg := m.log
+	lg, err := m.log, m.tickerErr
 	m.mu.Unlock()
-	if lg == nil {
-		return nil
+	if err != nil || lg == nil {
+		return err
 	}
 	return lg.Sync()
 }
@@ -463,6 +448,7 @@ func (m *Manager) Sync() error {
 func (m *Manager) StatsSnapshot() ManagerStats {
 	return ManagerStats{
 		Stats:                m.stats.snapshot(),
+		SyncFailures:         m.syncFailures.Load(),
 		Checkpoints:          m.checkpoints.Load(),
 		CheckpointLastNanos:  m.ckptLastNs.Load(),
 		CheckpointTotalNanos: m.ckptTotalNs.Load(),
@@ -496,7 +482,15 @@ func (m *Manager) startTicker() {
 		for {
 			select {
 			case <-t.C:
-				_ = m.Sync()
+				if err := m.Sync(); err != nil {
+					// Retrying an fsync that failed proves nothing about the
+					// pages it dropped: record the failure and stop flushing.
+					m.syncFailures.Add(1)
+					m.mu.Lock()
+					m.tickerErr = fmt.Errorf("wal: background fsync: %w", err)
+					m.mu.Unlock()
+					return
+				}
 			case <-m.tickerStop:
 				return
 			}

@@ -36,9 +36,9 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: a committed batch survives any
-	// crash. This is the default and the only policy under which the
-	// durability guarantee is exact.
+	// SyncAlways fsyncs every append before it is acknowledged: a committed
+	// batch survives any crash. This is the default and the only policy
+	// under which the durability guarantee is exact.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs on a background ticker: a crash may lose the last
 	// interval's batches, but each surviving prefix is still consistent.
@@ -130,8 +130,8 @@ func (c *statCounters) snapshot() Stats {
 }
 
 // Log is one open write-ahead log file. Appends are serialized by the
-// caller (the store's write mutex); Sync may race with Append (the
-// interval-sync ticker) and is internally locked.
+// caller (the store's committer); Sync may race with them (the sync stage,
+// the interval ticker) and is internally locked.
 type Log struct {
 	mu    sync.Mutex
 	f     *os.File
@@ -239,12 +239,7 @@ func OpenLog(path string, goodBytes int64, stats *statCounters) (*Log, error) {
 	return &Log{f: f, stats: stats}, nil
 }
 
-// smallRecordMax is the payload size below which Append copies payload
-// into one contiguous buffer (one write syscall); larger payloads are
-// written from the caller's buffer directly instead of being copied again.
-const smallRecordMax = 4 << 10
-
-// Record is one (epoch, payload) pair for AppendBatch.
+// Record is one (epoch, payload) pair for AppendBatchTimed.
 type Record struct {
 	Epoch   uint64
 	Payload []byte
@@ -270,30 +265,20 @@ func frameInto(buf *bytes.Buffer, epoch uint64, payload []byte) {
 	buf.Write(payload)
 }
 
-// AppendTimings breaks one append into its write and fsync components, the
-// per-stage timing hook the serving layer's commit-pipeline histograms feed
-// on. Synced reports whether this append paid an fsync at all (false under
-// the interval/never policies, whose callers must not record a zero fsync
-// sample).
+// AppendTimings reports what one append cost — the per-stage timing hook
+// the serving layer's commit-pipeline histograms feed on. An append never
+// fsyncs; the barrier is timed by whoever issues it.
 type AppendTimings struct {
 	WriteNanos int64
-	SyncNanos  int64
-	Synced     bool
 }
 
-// AppendBatch frames and writes a group of records in one write syscall and,
-// with sync true, one fsync for the whole group — the group-commit primitive:
-// the fsync cost amortizes across every record in the batch. Records land in
-// the file in slice order, so a crash leaves a durable prefix of the batch in
-// that order. The caller must not publish any member epoch until AppendBatch
-// returns.
-func (l *Log) AppendBatch(recs []Record, sync bool) error {
-	_, err := l.AppendBatchTimed(recs, sync)
-	return err
-}
-
-// AppendBatchTimed is AppendBatch reporting where the time went.
-func (l *Log) AppendBatchTimed(recs []Record, sync bool) (AppendTimings, error) {
+// AppendBatchTimed frames and writes a group of records in one write syscall
+// and never fsyncs: the caller follows up with Sync (or a coalesced device
+// barrier), so one barrier amortizes across every record appended before
+// it. Records land in the file in slice order, so a crash leaves a durable
+// prefix of the batch in that order. The caller must not publish any member
+// epoch before the barrier its fsync policy asks for has returned.
+func (l *Log) AppendBatchTimed(recs []Record) (AppendTimings, error) {
 	var tm AppendTimings
 	if len(recs) == 0 {
 		return tm, nil
@@ -315,62 +300,18 @@ func (l *Log) AppendBatchTimed(recs []Record, sync bool) (AppendTimings, error) 
 	}
 	l.stats.records.Add(uint64(len(recs)))
 	l.stats.bytes.Add(uint64(buf.Len()))
-	if sync {
-		start = time.Now()
-		err = l.Sync()
-		tm.SyncNanos, tm.Synced = time.Since(start).Nanoseconds(), err == nil
-	}
-	return tm, err
+	return tm, nil
 }
 
-// Append frames and writes one record. With sync true the record (and
-// everything before it) is fsynced before Append returns; the caller must
-// not publish the epoch until then.
-func (l *Log) Append(epoch uint64, payload []byte, sync bool) error {
-	_, err := l.AppendTimed(epoch, payload, sync)
-	return err
-}
-
-// AppendTimed is Append reporting where the time went.
-func (l *Log) AppendTimed(epoch uint64, payload []byte, sync bool) (AppendTimings, error) {
-	var tm AppendTimings
-	n := bodyHeaderLen + len(payload)
-	if n > maxRecordLen {
-		return tm, fmt.Errorf("wal: record of %d bytes exceeds the %d limit", len(payload), maxRecordLen-bodyHeaderLen)
-	}
-	hdr := frameHeader(epoch, payload)
-
-	start := time.Now()
-	l.mu.Lock()
-	var err error
-	if len(payload) < smallRecordMax {
-		_, err = l.f.Write(append(hdr[:len(hdr):len(hdr)], payload...))
-	} else {
-		// A crash between the two writes leaves a torn frame, which replay
-		// already truncates — same failure mode as a torn single write.
-		if _, err = l.f.Write(hdr[:]); err == nil {
-			_, err = l.f.Write(payload)
-		}
-	}
-	l.mu.Unlock()
-	tm.WriteNanos = time.Since(start).Nanoseconds()
-	if err != nil {
-		return tm, err
-	}
-	l.stats.records.Add(1)
-	l.stats.bytes.Add(uint64(frameHeaderLen) + uint64(n))
-	if sync {
-		start = time.Now()
-		err = l.Sync()
-		tm.SyncNanos, tm.Synced = time.Since(start).Nanoseconds(), err == nil
-	}
-	return tm, err
-}
-
-// Sync fsyncs the log file and records the latency.
+// Sync fsyncs the log file and records the latency. On a log Close has
+// already sealed (a ticker that fetched it just before a rotation) there is
+// nothing left to flush.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.f == nil {
+		return nil
+	}
 	start := time.Now()
 	if err := l.f.Sync(); err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -20,9 +21,7 @@ func writeRecords(t *testing.T, path string, recs [][]byte) []byte {
 		t.Fatalf("open log: %v", err)
 	}
 	for i, p := range recs {
-		if err := lg.Append(uint64(i+1), p, true); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
+		appendOne(t, lg, uint64(i+1), p)
 	}
 	if err := lg.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -32,6 +31,18 @@ func writeRecords(t *testing.T, path string, recs [][]byte) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// appendOne frames a single record through the batch call (the only append
+// there is) and fsyncs it.
+func appendOne(t *testing.T, lg *Log, epoch uint64, payload []byte) {
+	t.Helper()
+	if _, err := lg.AppendBatchTimed([]Record{{Epoch: epoch, Payload: payload}}); err != nil {
+		t.Fatalf("append epoch %d: %v", epoch, err)
+	}
+	if err := lg.Sync(); err != nil {
+		t.Fatalf("sync epoch %d: %v", epoch, err)
+	}
 }
 
 func replayAll(t *testing.T, data []byte) ([][]byte, ReplayInfo) {
@@ -66,24 +77,30 @@ func TestLogRoundTrip(t *testing.T) {
 
 // TestAppendBatchRoundTrip: a grouped append is byte-compatible with the
 // same records appended one by one — replay cannot tell them apart — and
-// pays one fsync for the whole group.
+// one Sync covers the whole group.
 func TestAppendBatchRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	recs := []Record{
 		{Epoch: 1, Payload: []byte("alpha")},
 		{Epoch: 2, Payload: []byte{}},
 		{Epoch: 3, Payload: []byte("gamma with a longer payload")},
-		{Epoch: 4, Payload: bytes.Repeat([]byte{0xab}, 9000)}, // past smallRecordMax
+		{Epoch: 4, Payload: bytes.Repeat([]byte{0xab}, 9000)},
 	}
 	var stats statCounters
 	lg, err := OpenLog(filepath.Join(dir, "batch.log"), 0, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.AppendBatch(nil, true); err != nil {
+	if _, err := lg.AppendBatchTimed(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := lg.AppendBatch(recs, true); err != nil {
+	if _, err := lg.AppendBatchTimed(recs); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.fsyncs.Load(); got != 0 {
+		t.Fatalf("append paid %d fsyncs, want none before Sync", got)
+	}
+	if err := lg.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := lg.Close(); err != nil {
@@ -130,7 +147,7 @@ func TestAppendBatchOversizedRecord(t *testing.T) {
 	defer lg.Close()
 	// make of maxRecordLen bytes is a large but untouched mapping: the limit
 	// check fires on len() before any framing writes to it.
-	err = lg.AppendBatch([]Record{{Epoch: 1, Payload: []byte("ok")}, {Epoch: 2, Payload: make([]byte, maxRecordLen)}}, false)
+	_, err = lg.AppendBatchTimed([]Record{{Epoch: 1, Payload: []byte("ok")}, {Epoch: 2, Payload: make([]byte, maxRecordLen)}})
 	if err == nil {
 		t.Fatal("oversized batch accepted")
 	}
@@ -155,7 +172,7 @@ func TestManagerAppendBatch(t *testing.T) {
 	if err := m.Bootstrap(g); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AppendBatch(makeDeltaBatch(t, g, 3)); err != nil {
+	if _, err := m.AppendBatch(makeDeltaBatch(t, g, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
@@ -269,9 +286,7 @@ func TestOpenLogTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.Append(2, []byte("replacement"), true); err != nil {
-		t.Fatal(err)
-	}
+	appendOne(t, lg, 2, []byte("replacement"))
 	lg.Close()
 	reread, _ := os.ReadFile(path)
 	got, info := replayAll(t, reread)
@@ -313,7 +328,10 @@ func appendBatch(t *testing.T, m *Manager, g *graph.Graph, epoch uint64, extra i
 	if err := g.EncodeDelta(&buf, baseDict, baseV, baseE); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Append(epoch, buf.Bytes()); err != nil {
+	if _, err := m.AppendBatch([]Record{{Epoch: epoch, Payload: buf.Bytes()}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	return
@@ -485,5 +503,45 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 	if _, err := ParseSyncPolicy("sometimes"); err == nil {
 		t.Fatal("bad policy accepted")
+	}
+}
+
+// TestManagerTickerFailureIsSticky: under SyncInterval a failed background
+// flush means batches acknowledged since the last good one may not be
+// durable. The manager must not swallow it: the next AppendBatch and Sync
+// report that first failure, and the counter shows it.
+func TestManagerTickerFailureIsSticky(t *testing.T) {
+	m, _, err := Open(Options{Dir: t.TempDir(), Policy: SyncInterval, SyncInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New()
+	if err := m.Bootstrap(g); err != nil {
+		t.Fatal(err)
+	}
+	recs := makeDeltaBatch(t, g, 2)
+	if _, err := m.AppendBatch(recs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	// Pull the file out from under the ticker: its next fsync fails.
+	m.log.mu.Lock()
+	m.log.f.Close()
+	m.log.mu.Unlock()
+	select {
+	case <-m.tickerDone: // the ticker stops at its first failure
+	case <-time.After(10 * time.Second):
+		t.Fatal("ticker survived a failing fsync")
+	}
+	if _, err := m.AppendBatch(recs[1:]); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("append after a failed background fsync: %v, want the fsync's error", err)
+	}
+	if err := m.Sync(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("sync after a failed background fsync: %v, want the fsync's error", err)
+	}
+	if st := m.StatsSnapshot(); st.SyncFailures != 1 || st.Records != 1 {
+		t.Fatalf("stats after the failure: %+v, want 1 sync failure and 1 record", st)
+	}
+	if err := m.Close(); err == nil {
+		t.Fatal("Close sealed a log whose file is gone")
 	}
 }

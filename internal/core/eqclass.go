@@ -2,10 +2,7 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
-	"sort"
-	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/prov"
@@ -62,167 +59,115 @@ type SumOptions struct {
 	MaxRounds int
 }
 
-// occRef identifies one vertex occurrence: segment index + vertex id.
-type occRef struct {
-	seg int
-	v   graph.VertexID
-}
-
-// segIndex provides local adjacency for one segment: vertices are numbered
-// by their position in Segment.Vertices and arcs are segment edges only.
-type segIndex struct {
-	out [][]halfArc
-	in  [][]halfArc
-}
-
-func indexSegment(s *Segment) *segIndex {
-	si := &segIndex{
-		out: make([][]halfArc, len(s.Vertices)),
-		in:  make([][]halfArc, len(s.Vertices)),
-	}
-	idx := make(map[graph.VertexID]int, len(s.Vertices))
-	for i, v := range s.Vertices {
-		idx[v] = i
-	}
-	g := s.P.PG()
-	for _, e := range s.Edges {
-		from, to, rel := idx[g.Src(e)], idx[g.Dst(e)], uint8(s.P.RelOf(e))
-		si.out[from] = append(si.out[from], halfArc{to: to, rel: rel})
-		si.in[to] = append(si.in[to], halfArc{to: from, rel: rel})
-	}
-	return si
-}
-
-// baseColor returns the kind + aggregated-property signature of a vertex.
-func baseColor(p *prov.Graph, v graph.VertexID, k Aggregation) string {
+// appendBaseColor appends the kind + aggregated-property signature of a
+// vertex.
+func appendBaseColor(b []byte, p *prov.Graph, v graph.VertexID, k Aggregation) []byte {
 	kind := p.KindOf(v)
-	var b strings.Builder
-	b.WriteString(kind.String())
+	b = append(b, kind.String()...)
 	for _, key := range k.keysFor(kind) {
-		b.WriteByte('|')
-		b.WriteString(key)
-		b.WriteByte('=')
-		b.WriteString(p.PG().VertexProp(v, key).AsString())
+		b = append(append(append(b, '|'), key...), '=')
+		b = append(b, p.PG().VertexProp(v, key).AsString()...)
 	}
-	return b.String()
+	return b
 }
 
 // classifier assigns provenance-type class ids to segment vertex
 // occurrences.
 type classifier struct {
 	opts SumOptions
-	segs []*segIndex
+	g    *flatGraph // g0 before it is labeled: arcs are (rel, far occurrence)
 
-	// colors[i][j] is the class of vertex j of segment i, refined in
-	// rounds.
-	colors [][]int
-	// classBase is the display name of each class (the base color of its
-	// members).
-	classBase []string
+	// colors[i] is the class of occurrence i, refined in rounds; base the
+	// base color each class descends from, baseName that color's signature
+	// (the display name of its classes).
+	colors, base []int32
+	baseName     []string
 }
 
 // classify computes the final class id of every occurrence across all
 // segments. The same class id means "mergeable candidates" per the
 // equivalence relation. Ids are interned in first-appearance order
 // (segment by segment, vertex by vertex).
-func classify(segs []*Segment, opts SumOptions) *classifier {
-	c := &classifier{
-		opts:   opts,
-		segs:   make([]*segIndex, len(segs)),
-		colors: make([][]int, len(segs)),
-	}
-	// Round 0: kind + K-projected properties.
-	ids := make(map[string]int)
-	for i, s := range segs {
-		c.segs[i] = indexSegment(s)
-		c.colors[i] = make([]int, len(s.Vertices))
+func classify(sc *sumScratch, in *sumInput, opts SumOptions) *classifier {
+	mem := &sc.call
+	n := in.g.numNodes()
+	c := &classifier{opts: opts, g: in.g, colors: mem.i32.take(n)}
+	// Round 0: kind + K-projected properties. A vertex that several segments
+	// of one graph share is colored once; colorOf remembers its id + 1.
+	ids := make(map[string]int32)
+	var colorOf []int32
+	var graphOf *prov.Graph
+	sig := sc.text
+	for i, s := range in.segs {
+		if s.P != graphOf {
+			graphOf, colorOf = s.P, mem.i32.take(in.ids)
+		}
 		for j, v := range s.Vertices {
-			sig := baseColor(s.P, v, opts.K)
-			id, ok := ids[sig]
-			if !ok {
-				id = len(ids)
-				ids[sig] = id
-				c.classBase = append(c.classBase, sig)
+			if colorOf[v] == 0 {
+				sig = appendBaseColor(sig[:0], s.P, v, opts.K)
+				id, ok := ids[string(sig)]
+				if !ok {
+					id = int32(len(ids))
+					c.baseName = append(c.baseName, string(sig))
+					ids[c.baseName[id]] = id
+					c.base = append(c.base, id)
+				}
+				colorOf[v] = id + 1
 			}
-			c.colors[i][j] = id
+			c.colors[in.base[i]+int32(j)] = colorOf[v] - 1
 		}
 	}
 	// Refinement rounds 1..k: a vertex's next color is its current color
 	// plus the sorted multiset of (direction, relationship, neighbor color)
 	// over its segment edges, spelled into one reused byte buffer.
-	var (
-		parts []uint64
-		sig   []byte
-	)
+	parts := sc.parts
 	for round := 0; round < opts.TypeRadius; round++ {
-		next := make([][]int, len(c.segs))
-		var nextBase []string
+		cur, next := c.colors, mem.i32.take(n)
+		var nextBase []int32
 		clear(ids)
-		for i, si := range c.segs {
-			cur := c.colors[i]
-			next[i] = make([]int, len(cur))
-			for j := range cur {
-				parts = parts[:0]
-				for _, a := range si.out[j] {
-					parts = append(parts, uint64(a.rel)<<32|uint64(cur[a.to]))
-				}
-				for _, a := range si.in[j] {
-					parts = append(parts, 1<<63|uint64(a.rel)<<32|uint64(cur[a.to]))
-				}
-				slices.Sort(parts)
-				sig = binary.LittleEndian.AppendUint64(sig[:0], uint64(cur[j]))
-				for _, p := range parts {
-					sig = binary.LittleEndian.AppendUint64(sig, p)
-				}
-				id, ok := ids[string(sig)]
-				if !ok {
-					id = len(ids)
-					ids[string(sig)] = id
-					nextBase = append(nextBase, c.classBase[cur[j]])
-				}
-				next[i][j] = id
+		for j := range cur {
+			parts = parts[:0]
+			for _, a := range c.g.out.of(int32(j)) {
+				parts = append(parts, uint64(arcRel(a))<<32|uint64(cur[arcFar(a)]))
 			}
+			for _, a := range c.g.in.of(int32(j)) {
+				parts = append(parts, 1<<63|uint64(arcRel(a))<<32|uint64(cur[arcFar(a)]))
+			}
+			slices.Sort(parts)
+			sig = binary.LittleEndian.AppendUint64(sig[:0], uint64(cur[j]))
+			for _, p := range parts {
+				sig = binary.LittleEndian.AppendUint64(sig, p)
+			}
+			id, ok := ids[string(sig)]
+			if !ok {
+				id = int32(len(ids))
+				ids[string(sig)] = id
+				nextBase = append(nextBase, c.base[cur[j]])
+			}
+			next[j] = id
 		}
-		c.colors = next
-		c.classBase = nextBase
+		c.colors, c.base = next, nextBase
 	}
+	sc.text, sc.parts = sig, parts
 	if opts.ExactIso && opts.TypeRadius > 0 {
 		c.splitByExactIso()
 	}
 	return c
 }
 
-// className returns a display name for a class: the base color plus a
-// provenance-type discriminator index (Fig. 2(e)'s "(t1)" / "(t2)").
-func (c *classifier) className(class int) string {
-	if class < len(c.classBase) && c.classBase[class] != "" {
-		return c.classBase[class]
-	}
-	return fmt.Sprintf("class%d", class)
-}
-
 // splitByExactIso refines color groups with exact rooted isomorphism of
 // k-hop neighborhoods: occurrences that share a refinement color but have
 // non-isomorphic neighborhoods receive fresh class ids.
 func (c *classifier) splitByExactIso() {
-	type occ struct{ seg, j int } // vertex j of segment seg
-	groups := make(map[int][]occ)
-	for i, colors := range c.colors {
-		for j, cl := range colors {
-			groups[cl] = append(groups[cl], occ{seg: i, j: j})
-		}
+	groups := make(map[int32][]int32) // color -> occurrences
+	for i, cl := range c.colors {
+		groups[cl] = append(groups[cl], int32(i))
 	}
 	maxNodes := c.opts.MaxIsoNodes
 	if maxNodes <= 0 {
 		maxNodes = 64
 	}
-	nextID := len(c.classBase)
-	classes := make([]int, 0, len(groups))
-	for cl := range groups {
-		classes = append(classes, cl)
-	}
-	sort.Ints(classes)
-	for _, cl := range classes {
+	for cl := int32(0); int(cl) < len(groups); cl++ {
 		members := groups[cl]
 		if len(members) < 2 {
 			continue
@@ -231,11 +176,11 @@ func (c *classifier) splitByExactIso() {
 		// neighborhood.
 		type subclass struct {
 			hood *neighborhood
-			id   int
+			id   int32
 		}
 		var subs []subclass
 		for _, m := range members {
-			h := c.extractNeighborhood(m.seg, m.j, maxNodes)
+			h := c.extractNeighborhood(m, maxNodes)
 			if h == nil {
 				// Over-budget neighborhood: keep the refinement color.
 				continue
@@ -243,7 +188,7 @@ func (c *classifier) splitByExactIso() {
 			placed := false
 			for _, sc := range subs {
 				if isomorphic(h, sc.hood) {
-					c.colors[m.seg][m.j] = sc.id
+					c.colors[m] = sc.id
 					placed = true
 					break
 				}
@@ -251,15 +196,11 @@ func (c *classifier) splitByExactIso() {
 			if !placed {
 				id := cl
 				if len(subs) > 0 {
-					id = nextID
-					nextID++
-					for id >= len(c.classBase) {
-						c.classBase = append(c.classBase, "")
-					}
-					c.classBase[id] = c.classBase[cl]
+					id = int32(len(c.base))
+					c.base = append(c.base, c.base[cl])
 				}
 				subs = append(subs, subclass{hood: h, id: id})
-				c.colors[m.seg][m.j] = id
+				c.colors[m] = id
 			}
 		}
 	}

@@ -24,25 +24,22 @@ type halfArc struct {
 	rel uint8
 }
 
-// extractNeighborhood builds the k-hop ball around vertex root of segment
-// seg, following segment edges in both directions; it returns nil when the
+// extractNeighborhood builds the k-hop ball around occurrence root,
+// following its segment's edges in both directions; it returns nil when the
 // ball exceeds maxNodes (caller falls back to refinement colors).
-func (c *classifier) extractNeighborhood(seg, root, maxNodes int) *neighborhood {
-	si := c.segs[seg]
-	k := c.opts.TypeRadius
-
-	idx := map[int]int{root: 0}
-	order := []int{root}
-	frontier := []int{root}
-	for hop := 0; hop < k; hop++ {
-		var next []int
+func (c *classifier) extractNeighborhood(root int32, maxNodes int) *neighborhood {
+	idx := map[int32]int{root: 0}
+	order := []int32{root}
+	frontier := []int32{root}
+	for hop := 0; hop < c.opts.TypeRadius; hop++ {
+		var next []int32
 		for _, v := range frontier {
-			for _, arcs := range [2][]halfArc{si.out[v], si.in[v]} {
+			for _, arcs := range [2][]uint64{c.g.out.of(v), c.g.in.of(v)} {
 				for _, a := range arcs {
-					if _, ok := idx[a.to]; !ok {
-						idx[a.to] = len(order)
-						order = append(order, a.to)
-						next = append(next, a.to)
+					if _, ok := idx[arcFar(a)]; !ok {
+						idx[arcFar(a)] = len(order)
+						order = append(order, arcFar(a))
+						next = append(next, arcFar(a))
 					}
 				}
 			}
@@ -58,13 +55,13 @@ func (c *classifier) extractNeighborhood(seg, root, maxNodes int) *neighborhood 
 		in:     make([][]halfArc, len(order)),
 	}
 	for i, v := range order {
-		h.labels[i] = c.colors[seg][v]
+		h.labels[i] = int(c.colors[v])
 	}
 	for i, v := range order {
-		for _, a := range si.out[v] {
-			if j, ok := idx[a.to]; ok {
-				h.out[i] = append(h.out[i], halfArc{to: j, rel: a.rel})
-				h.in[j] = append(h.in[j], halfArc{to: i, rel: a.rel})
+		for _, a := range c.g.out.of(v) {
+			if j, ok := idx[arcFar(a)]; ok {
+				h.out[i] = append(h.out[i], halfArc{to: j, rel: arcRel(a)})
+				h.in[j] = append(h.in[j], halfArc{to: i, rel: arcRel(a)})
 			}
 		}
 	}

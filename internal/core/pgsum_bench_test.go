@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -44,7 +46,10 @@ func pdWideSegments(tb testing.TB, n, k int) []*core.Segment {
 var sinkPsg *core.Psg
 
 // BenchmarkSummarizePd times the PgSum operator alone (no daemon, no codec)
-// on the input shape of the sum_pd workload.
+// on the input shape of the sum_pd workload, then reports where a call
+// spends its time (µs per call, from a second, clocked loop the timer does
+// not see): g0 + classify, quotient rebuilds, simulations, merge phases,
+// assemble.
 func BenchmarkSummarizePd(b *testing.B) {
 	for _, n := range []int{2000, 5000} {
 		for _, k := range []int{2, 3} {
@@ -58,6 +63,25 @@ func BenchmarkSummarizePd(b *testing.B) {
 						b.Fatal(err)
 					}
 					sinkPsg = psg
+				}
+				b.StopTimer()
+				var total core.SumStages
+				for i := 0; i < b.N; i++ {
+					psg, st, err := core.SummarizeStages(segs, pdSumOptions)
+					if err != nil || !reflect.DeepEqual(psg, sinkPsg) {
+						b.Fatalf("SummarizeStages: err=%v, or a Psg that is not Summarize's", err)
+					}
+					total.Input += st.Input
+					total.Build += st.Build
+					total.Sim += st.Sim
+					total.Merge += st.Merge
+					total.Assemble += st.Assemble
+				}
+				for _, m := range []struct {
+					name string
+					d    time.Duration
+				}{{"input", total.Input}, {"build", total.Build}, {"sim", total.Sim}, {"merge", total.Merge}, {"assemble", total.Assemble}} {
+					b.ReportMetric(float64(m.d.Microseconds())/float64(b.N), m.name+"-µs/op")
 				}
 			})
 		}

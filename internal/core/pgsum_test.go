@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -283,6 +284,64 @@ func TestSummarizeMatchesDenseOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSummarizeAllocs guards the pooled scratch: on the sum_pd shape a warm
+// Summarize allocates its result (nodes, one members array, edges, the class
+// names) and the classifier's intern tables, not its graphs. Measured 874
+// allocations per call where the per-node slices and maps took 33.7k.
+func TestSummarizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under -race: no steady state to measure")
+	}
+	segs := pdWideSegments(t, 2000, 2)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := core.Summarize(segs, pdSumOptions); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1500 {
+		t.Errorf("Summarize on Pd-2000 x 2 segments: %.0f allocations per call, want <= 1500", allocs)
+	}
+}
+
+// TestSummarizeConcurrent: eight goroutines summarize different segment sets
+// at once, repeatedly, and every result is the serial one. The scratch pool is
+// the only state two calls can share; this is the test to run with -race.
+func TestSummarizeConcurrent(t *testing.T) {
+	segs := pdWideSegments(t, 300, 4)
+	_, sd := gen.Sd(gen.SdConfig{Seed: 3})
+	type job struct {
+		segs []*core.Segment
+		opts core.SumOptions
+	}
+	jobs := []job{
+		{segs[:2], pdSumOptions}, {segs[1:3], pdSumOptions}, {segs[2:], pdSumOptions}, {segs, pdSumOptions},
+		{segs[:3], core.SumOptions{}}, {segs[1:], core.SumOptions{TypeRadius: 2, ExactIso: true}},
+		{sd, gen.SdSumOptions()}, {sd[:len(sd)/2], gen.SdSumOptions()},
+	}
+	want := make([]*core.Psg, len(jobs))
+	for i, j := range jobs {
+		var err error
+		if want[i], err = core.Summarize(j.segs, j.opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				got, err := core.Summarize(j.segs, j.opts)
+				if err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("job %d rep %d: concurrent Summarize differs from the serial one (err=%v)", i, rep, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestPsgInvariantOnPd runs the bounded path-label-language check (g0 and

@@ -1,10 +1,11 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
+	"strconv"
+	"sync"
 
 	"repro/internal/bitmap"
 	"repro/internal/prov"
@@ -64,65 +65,123 @@ func (p *Psg) CompactionRatio() float64 {
 	return float64(len(p.Nodes)) / float64(p.InputVertices)
 }
 
-// origEdge is a segment edge lifted into occurrence space.
-type origEdge struct {
-	seg      int
-	from, to int // occurrence indices
-	rel      prov.Rel
+// slab hands out zeroed slices cut from one buffer and takes them all back
+// at once. A buffer that runs out mid-call is replaced (slices handed out
+// keep the old one); reset then leaves one that holds exactly what the call
+// asked for, so a warm call allocates nothing and the pool retains no more
+// than its largest call used — retained bytes are live heap, which the GC's
+// pacing doubles into RSS.
+type slab[T any] struct {
+	buf         []T
+	used, asked int
 }
 
-// liftEdges maps the endpoints of occurrence-space edges to their current
-// nodes.
-func liftEdges(edges []origEdge, nodeOf []int) []origEdge {
-	lifted := make([]origEdge, len(edges))
-	for i, e := range edges {
-		lifted[i] = origEdge{seg: e.seg, from: nodeOf[e.from], to: nodeOf[e.to], rel: e.rel}
+func (s *slab[T]) take(n int) []T {
+	s.asked += n
+	if s.used+n > len(s.buf) {
+		s.buf, s.used = make([]T, max(n, s.asked/2)), 0
 	}
-	return lifted
+	out := s.buf[s.used : s.used+n : s.used+n]
+	s.used += n
+	clear(out)
+	return out
 }
 
-// sumInput is g0: the class-labeled disjoint union of the input segments,
-// in occurrence space.
+func (s *slab[T]) reset() {
+	if s.asked > len(s.buf) {
+		s.buf = make([]T, s.asked)
+	}
+	s.used, s.asked = 0, 0
+}
+
+// arena is the scratch of one graph generation.
+type arena struct {
+	i32 slab[int32]
+	u64 slab[uint64]
+}
+
+func (a *arena) reset() {
+	a.i32.reset()
+	a.u64.reset()
+}
+
+// sumScratch is everything one Summarize allocates apart from its result.
+// call lasts the call (g0); quotient k lives in round[k&1] with the
+// simulations and merge state computed on it, and is taken back when
+// quotient k+2 is built.
+type sumScratch struct {
+	call  arena
+	round [2]arena
+	text  []byte   // classify's signature under construction, then the class names
+	parts []uint64 // a signature's sorted neighbor multiset
+}
+
+var sumPool = sync.Pool{New: func() any { return new(sumScratch) }}
+
+func (sc *sumScratch) release() {
+	sc.call.reset()
+	sc.round[0].reset()
+	sc.round[1].reset()
+	sumPool.Put(sc)
+}
+
+// sumInput is g0: the class-labeled disjoint union of the input segments.
+// Its nodes are the vertex occurrences, numbered segment by segment in
+// Segment.Vertices order; it is also the graph the first merge phase runs
+// on.
 type sumInput struct {
-	segs    []*Segment
-	labels  []int // class per occurrence
-	occs    []occRef
-	edges   []origEdge
-	classNm map[int]string
+	segs  []*Segment
+	mem   *arena   // the call's arena
+	base  []int32  // occurrences of segment i are base[i]..base[i+1]-1
+	ids   int      // vertex ids in the segments are below ids
+	edges []uint64 // the segment edges as (tail, rel, head) keys; assemble's key buffer afterwards
+	g     *flatGraph
+	names []string // display name of each class
 }
 
-func newSumInput(segs []*Segment, opts SumOptions) *sumInput {
-	cls := classify(segs, opts)
+// newInput builds g0 by counting sort: one dense vertex id -> occurrence
+// table, rewritten segment by segment (Segment.Vertices is ascending, so its
+// last id bounds the table), the edges bucketed into out and in runs, then
+// classify over those runs and the labels written into the arcs.
+func newInput(sc *sumScratch, segs []*Segment, opts SumOptions) (*sumInput, error) {
+	mem := &sc.call
+	in := &sumInput{segs: segs, mem: mem, base: mem.i32.take(len(segs) + 1)}
 	nv, ne := 0, 0
 	for _, s := range segs {
 		nv += len(s.Vertices)
 		ne += len(s.Edges)
+		if len(s.Vertices) > 0 {
+			in.ids = max(in.ids, int(s.Vertices[len(s.Vertices)-1])+1)
+		}
 	}
-	in := &sumInput{
-		segs:    segs,
-		labels:  make([]int, 0, nv),
-		occs:    make([]occRef, 0, nv),
-		edges:   make([]origEdge, 0, ne),
-		classNm: make(map[int]string),
+	if nv > sumIDMask || len(segs) > sumIDMask || ne > math.MaxInt32 {
+		return nil, fmt.Errorf("core: PgSum over %d vertices and %d edges in %d segments (at most %d, %d, %d)", nv, ne, len(segs), sumIDMask, math.MaxInt32, sumIDMask)
 	}
+	occOf := mem.i32.take(in.ids) // occurrence + 1
+	in.edges = mem.u64.take(ne)[:0]
 	for i, s := range segs {
-		base := len(in.occs) // occurrence index of the segment's vertex 0
+		in.base[i+1] = in.base[i] + int32(len(s.Vertices))
 		for j, v := range s.Vertices {
-			in.occs = append(in.occs, occRef{seg: i, v: v})
-			cl := cls.colors[i][j]
-			in.labels = append(in.labels, cl)
-			if _, ok := in.classNm[cl]; !ok {
-				in.classNm[cl] = cls.className(cl)
-			}
+			occOf[v] = in.base[i] + int32(j) + 1
 		}
-		for from, arcs := range cls.segs[i].out {
-			for _, a := range arcs {
-				in.edges = append(in.edges, origEdge{seg: i, from: base + from, to: base + a.to, rel: prov.Rel(a.rel)})
+		g := s.P.PG()
+		for _, e := range s.Edges {
+			from, to := g.Src(e), g.Dst(e)
+			// An entry at or below base[i] is an earlier segment's, or unset.
+			if int(max(from, to)) >= in.ids || occOf[from] <= in.base[i] || occOf[to] <= in.base[i] {
+				return nil, fmt.Errorf("core: PgSum segment %d: edge %d has an end outside the segment's vertices", i, e)
 			}
+			in.edges = append(in.edges, packEdge(occOf[from]-1, uint8(s.P.RelOf(e)), occOf[to]-1))
 		}
 	}
-	in.classNm = discriminate(in.classNm)
-	return in
+	in.g = newFlatGraph(mem, nv, in.edges)
+	cls := classify(sc, in, opts)
+	in.g.setLabels(cls.colors, len(cls.base))
+	in.names = classNames(sc, cls.base, cls.baseName)
+	// g0 itself lasts the call; what the first phases compute on it goes
+	// where the second quotient will be built, and is dead by then.
+	in.g.mem = &sc.round[1]
+	return in, nil
 }
 
 // Summarize evaluates PgSum(S, K, Rk) and returns the summary graph. It
@@ -131,14 +190,19 @@ func Summarize(segs []*Segment, opts SumOptions) (*Psg, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("core: PgSum needs at least one segment")
 	}
-	g0 := newSumInput(segs, opts)
+	sc := sumPool.Get().(*sumScratch)
+	defer sc.release()
+	g0, err := newInput(sc, segs, opts)
+	if err != nil {
+		return nil, err
+	}
 
 	// nodeOf maps each occurrence to its current Psg node (dense ids).
-	nodeOf := make([]int, len(g0.occs))
+	nodeOf := sc.call.i32.take(g0.g.numNodes())
 	for i := range nodeOf {
-		nodeOf[i] = i
+		nodeOf[i] = int32(i)
 	}
-	cur := buildSumGraph(g0.labels, nodeOf, len(nodeOf), g0.edges)
+	cur, built := g0.g, 0
 
 	// Merge loop: one Lemma 5 condition per phase. Batching a single
 	// condition is sound (see mergePhase); mixing conditions in one batch
@@ -158,10 +222,12 @@ func Summarize(segs []*Segment, opts SumOptions) (*Psg, error) {
 				continue
 			}
 			progressed = true
-			for i := range nodeOf {
-				nodeOf[i] = remap[nodeOf[i]]
+			for i, nd := range nodeOf {
+				nodeOf[i] = remap[nd]
 			}
-			cur = buildSumGraph(g0.labels, nodeOf, numNew, g0.edges)
+			mem := &sc.round[built&1] // holds cur's predecessor, or nothing yet
+			mem.reset()
+			cur, built = cur.quotient(mem, remap, numNew), built+1
 		}
 		rounds++
 		if !progressed {
@@ -172,36 +238,36 @@ func Summarize(segs []*Segment, opts SumOptions) (*Psg, error) {
 	return g0.assemble(cur.numNodes(), nodeOf, rounds), nil
 }
 
-// discriminate appends (t1), (t2), ... to class names that share a base
-// name (same kind + aggregated properties, different provenance type).
-func discriminate(names map[int]string) map[int]string {
-	byBase := make(map[string][]int)
-	for cl, base := range names {
-		byBase[base] = append(byBase[base], cl)
+// classNames returns the display name of every class: the name of its base
+// color, with (t1), (t2), ... appended in class order where several classes
+// share one (same kind + aggregated properties, different provenance type —
+// Fig. 2(e)). The suffixed names are cut from one string.
+func classNames(sc *sumScratch, base []int32, baseName []string) []string {
+	mem := &sc.call
+	sharers, rank := mem.i32.take(len(baseName)), mem.i32.take(len(baseName))
+	for _, b := range base {
+		sharers[b]++
 	}
-	out := make(map[int]string, len(names))
-	for base, cls := range byBase {
-		if len(cls) == 1 {
-			out[cls[0]] = base
-			continue
+	buf, end := sc.text[:0], mem.i32.take(len(base))
+	for cl, b := range base {
+		if sharers[b] > 1 {
+			rank[b]++
+			buf = append(append(buf, baseName[b]...), " (t"...)
+			buf = append(strconv.AppendInt(buf, int64(rank[b]), 10), ')')
 		}
-		sort.Ints(cls)
-		for i, cl := range cls {
-			out[cl] = fmt.Sprintf("%s (t%d)", base, i+1)
+		end[cl] = int32(len(buf))
+	}
+	sc.text = buf
+	all, start := string(buf), int32(0)
+	names := make([]string, len(base))
+	for cl, b := range base {
+		names[cl] = baseName[b]
+		if sharers[b] > 1 {
+			names[cl] = all[start:end[cl]]
 		}
+		start = end[cl]
 	}
-	return out
-}
-
-// buildSumGraph materializes the quotient graph over numNodes nodes: node
-// labels come from member occurrences, arcs from the segment edges mapped
-// through nodeOf.
-func buildSumGraph(labels, nodeOf []int, numNodes int, edges []origEdge) *sumGraph {
-	label := make([]int, numNodes)
-	for i, nd := range nodeOf {
-		label[nd] = labels[i]
-	}
-	return newSumGraph(label, liftEdges(edges, nodeOf))
+	return names
 }
 
 // mergeCondition selects which Lemma 5 condition a phase applies.
@@ -225,16 +291,15 @@ const (
 
 // mergePhase applies one batch of merges under a single Lemma 5 condition,
 // on the graph's (memoized) simulations. It returns a remap from old node
-// ids to new dense node ids and the new node count; remap is nil when
-// nothing merged.
-func mergePhase(g *sumGraph, cond mergeCondition) (remap []int, numNew int, err error) {
+// ids to new dense node ids, numbered by each group's smallest member, and
+// the new node count; remap is nil when nothing merged.
+func mergePhase(g *flatGraph, cond mergeCondition) (remap []int32, numNew int, err error) {
 	n := g.numNodes()
-	parent := make([]int, n)
+	parent := g.mem.i32.take(n)
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -249,12 +314,10 @@ func mergePhase(g *sumGraph, cond mergeCondition) (remap []int, numNew int, err 
 		if err != nil {
 			return nil, 0, err
 		}
-		for _, class := range simEquivClasses(g, sim) {
-			for _, m := range class[1:] {
-				parent[find(m)] = find(class[0])
-				merged = true
-			}
-		}
+		simEquivClasses(g, sim, func(u, v int32) {
+			parent[find(v)] = find(u)
+			merged = true
+		})
 	case condDominance:
 		simIn, err := g.sim(false)
 		if err != nil {
@@ -265,20 +328,20 @@ func mergePhase(g *sumGraph, cond mergeCondition) (remap []int, numNew int, err 
 			return nil, 0, err
 		}
 		var guard *reachGuard // built on the first candidate pair
-		for u := 0; u < n; u++ {
-			cl := g.class[g.label[u]]
-			eachPos(simIn[u], simOut[u], func(i int) bool {
+		for u := int32(0); int(u) < n; u++ {
+			cl := g.class(g.label[u])
+			eachPos(simIn.of(g, u), simOut.of(g, u), func(i int) bool {
 				v := cl[i]
 				if v == u || find(v) == find(u) {
 					return true
 				}
 				if guard == nil {
-					guard = newReachGuard(g)
+					guard = newGuard(g)
 				}
-				if guard.wouldCycle(find(u), find(v)) {
+				if guard.wouldCycle(int(find(u)), int(find(v))) {
 					return true // try another dominator
 				}
-				guard.union(find(u), find(v))
+				guard.union(int(find(u)), int(find(v)))
 				parent[find(u)] = find(v)
 				merged = true
 				return false
@@ -288,18 +351,17 @@ func mergePhase(g *sumGraph, cond mergeCondition) (remap []int, numNew int, err 
 	if !merged {
 		return nil, n, nil
 	}
-	remap = make([]int, n)
-	dense := make(map[int]int, n)
-	for v := 0; v < n; v++ {
-		r := find(v)
-		id, ok := dense[r]
-		if !ok {
-			id = len(dense)
-			dense[r] = id
+	remap = g.mem.i32.take(n)
+	dense := g.mem.i32.take(n) // root -> new id + 1
+	for v := range remap {
+		r := find(int32(v))
+		if dense[r] == 0 {
+			numNew++
+			dense[r] = int32(numNew)
 		}
-		remap[v] = id
+		remap[v] = dense[r] - 1
 	}
-	return remap, len(dense), nil
+	return remap, numNew, nil
 }
 
 // reachGuard tracks reachability in the evolving quotient graph so the
@@ -312,7 +374,7 @@ type reachGuard struct {
 	owner   []int            // original node -> current group rep
 }
 
-func newReachGuard(g *sumGraph) *reachGuard {
+func newGuard(g *flatGraph) *reachGuard {
 	n := g.numNodes()
 	rg := &reachGuard{
 		members: make([]*bitmap.Bitset, n),
@@ -326,21 +388,21 @@ func newReachGuard(g *sumGraph) *reachGuard {
 		rg.members[v].Add(uint32(v))
 	}
 	// Sources first; g is a DAG (its simulations exist).
-	topo, _ := topoOrder(g.in, g.out)
+	topo, _ := topoOrder(g.mem, g.in, g.out)
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
 		s := bitmap.NewBitset(n)
-		for _, arc := range g.out[v] {
-			s.Add(uint32(arc.to))
-			s.UnionWith(rg.desc[arc.to])
+		for _, arc := range g.out.of(v) {
+			s.Add(uint32(arcFar(arc)))
+			s.UnionWith(rg.desc[arcFar(arc)])
 		}
 		rg.desc[v] = s
 	}
 	for _, v := range topo {
 		s := bitmap.NewBitset(n)
-		for _, arc := range g.in[v] {
-			s.Add(uint32(arc.to))
-			s.UnionWith(rg.anc[arc.to])
+		for _, arc := range g.in.of(v) {
+			s.Add(uint32(arcFar(arc)))
+			s.UnionWith(rg.anc[arcFar(arc)])
 		}
 		rg.anc[v] = s
 	}
@@ -386,41 +448,66 @@ func (rg *reachGuard) union(a, b int) {
 
 // assemble builds the output structure from the final occurrence-to-node
 // map.
-func (in *sumInput) assemble(numNodes int, nodeOf []int, rounds int) *Psg {
+func (in *sumInput) assemble(numNodes int, nodeOf []int32, rounds int) *Psg {
 	psg := &Psg{
 		Nodes:         make([]PsgNode, numNodes),
-		InputVertices: len(in.occs),
+		InputVertices: len(nodeOf),
 		Segments:      len(in.segs),
 		Rounds:        rounds,
 	}
-	for i, o := range in.occs {
-		pn := &psg.Nodes[nodeOf[i]]
-		if pn.Members == nil {
-			pn.Class = in.labels[i]
-			pn.Label = in.classNm[in.labels[i]]
-		}
-		pn.Members = append(pn.Members, [2]int{o.seg, int(o.v)})
+	// Members are cut from one array after counting; off counts each node's
+	// lifted edges on the same pass (bucket ends at off[nd+1] once filled).
+	out := in.g.out
+	size, off := in.mem.i32.take(numNodes), in.mem.i32.take(numNodes+2)
+	for i, nd := range nodeOf {
+		size[nd]++
+		off[nd+2] += out.off[i+1] - out.off[i]
 	}
-	// Sort the lifted edges by (from, to, rel, seg): one summary edge per
-	// (from, to, rel) run, supported by the run's distinct segments.
-	lifted := liftEdges(in.edges, nodeOf)
-	slices.SortFunc(lifted, func(a, b origEdge) int {
-		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to), cmp.Compare(a.rel, b.rel), cmp.Compare(a.seg, b.seg))
-	})
-	for i := 0; i < len(lifted); {
-		e, support := lifted[i], 0
-		for prev := -1; i < len(lifted) && lifted[i].from == e.from && lifted[i].to == e.to && lifted[i].rel == e.rel; i++ {
-			if lifted[i].seg != prev {
-				prev = lifted[i].seg
-				support++
+	members := make([][2]int, len(nodeOf))
+	for nd := range psg.Nodes {
+		psg.Nodes[nd].Members, members = members[:0:size[nd]], members[size[nd]:]
+		off[nd+2] += off[nd+1]
+	}
+	// One summary edge per (from, to, rel), supported by the distinct
+	// segments among the edges lifted onto it: bucket the g0 arcs by their
+	// tail's node as (to, rel, seg) keys and sort each short bucket.
+	keys := in.edges[:len(out.arc)]
+	for seg, s := range in.segs {
+		for j, v := range s.Vertices {
+			i := in.base[seg] + int32(j)
+			pn := &psg.Nodes[nodeOf[i]]
+			if len(pn.Members) == 0 {
+				pn.Class = int(in.g.label[i])
+				pn.Label = in.names[pn.Class]
+			}
+			pn.Members = append(pn.Members, [2]int{seg, int(v)})
+			for _, a := range out.of(i) {
+				keys[off[nodeOf[i]+1]] = packEdge(nodeOf[arcFar(a)], arcRel(a), int32(seg))
+				off[nodeOf[i]+1]++
 			}
 		}
-		psg.Edges = append(psg.Edges, PsgEdge{
-			From: e.from,
-			To:   e.to,
-			Rel:  e.rel,
-			Freq: float64(support) / float64(len(in.segs)),
-		})
+	}
+	if len(keys) > 0 {
+		psg.Edges = make([]PsgEdge, 0, len(keys))
+	}
+	for from := 0; from < numNodes; from++ {
+		run := keys[off[from]:off[from+1]]
+		slices.Sort(run)
+		for i := 0; i < len(run); {
+			edge, support := run[i]>>sumIDBits, 1
+			for i++; i < len(run) && run[i]>>sumIDBits == edge; i++ {
+				if run[i] != run[i-1] {
+					support++
+				}
+			}
+			to, rel, _ := unpackEdge(run[i-1])
+			psg.Edges = append(psg.Edges, PsgEdge{
+				From: from,
+				To:   int(to),
+				Rel:  prov.Rel(rel),
+				Freq: float64(support) / float64(len(in.segs)),
+			})
+		}
 	}
 	return psg
 }

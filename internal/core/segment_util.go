@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/bitmap"
@@ -110,8 +111,11 @@ func (p *Psg) WriteDOT(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "  rankdir=LR;")
 	for i, n := range p.Nodes {
-		label := fmt.Sprintf("%s\\nx%d", strings.ReplaceAll(n.Label, `"`, `\"`), len(n.Members))
-		fmt.Fprintf(w, "  n%d [label=\"%s\"];\n", i, label)
+		// The label quoted as graph.WriteDOT's %q does (an aggregated property
+		// value may hold quotes, backslashes or newlines), reopened for the
+		// member count on a line of its own.
+		q := strconv.Quote(n.Label)
+		fmt.Fprintf(w, "  n%d [label=%s\\nx%d\"];\n", i, q[:len(q)-1], len(n.Members))
 	}
 	for _, e := range p.Edges {
 		fmt.Fprintf(w, "  n%d -> n%d [label=\"%s %d%%\"];\n", e.From, e.To, e.Rel, int(e.Freq*100+0.5))

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/prov"
 )
 
 // Differential lock for the class-local simulation: rows, equivalence
@@ -13,8 +16,9 @@ import (
 
 // checkAgainstDense compares both directions of simulation on g with the
 // oracle. A cyclic g must yield ErrNotDAG from both directions instead.
-func checkAgainstDense(t testing.TB, name string, g *sumGraph, cyclic bool) {
+func checkAgainstDense(t testing.TB, name string, g *flatGraph, cyclic bool) {
 	t.Helper()
+	dense := denseOf(g)
 	for _, forward := range []bool{false, true} {
 		sim, err := simulation(g, forward)
 		if cyclic {
@@ -26,7 +30,7 @@ func checkAgainstDense(t testing.TB, name string, g *sumGraph, cyclic bool) {
 		if err != nil {
 			t.Fatalf("%s forward=%v: %v", name, forward, err)
 		}
-		want := denseSimulation(g, forward)
+		want := denseSimulation(dense, forward)
 		for u := range want {
 			var wantRow []int
 			want[u].Iterate(func(x uint32) bool {
@@ -37,7 +41,7 @@ func checkAgainstDense(t testing.TB, name string, g *sumGraph, cyclic bool) {
 				t.Fatalf("%s forward=%v: sim(%d) = %v, oracle %v", name, forward, u, got, wantRow)
 			}
 		}
-		got, wantClasses := simEquivClasses(g, sim), denseSimEquivClasses(want)
+		got, wantClasses := equivClasses(g, sim), denseSimEquivClasses(want)
 		if !slices.EqualFunc(got, wantClasses, func(a, b []int) bool { return slices.Equal(a, b) }) {
 			t.Fatalf("%s forward=%v: classes %v, oracle %v", name, forward, got, wantClasses)
 		}
@@ -116,6 +120,116 @@ func TestSimulationMatchesDenseOracle(t *testing.T) {
 	}
 }
 
+// collisionDAG draws a three-layer DAG built to defeat the 64-bit arc
+// signature: roots and leaves carry a label each, the mids between them share
+// label 0, so the mids' arc lists hold far more than 64 distinct (rel, far
+// label) pairs in both directions and unrelated pairs share signature bits.
+// Every mid after the first few copies a subset of an earlier mid's arcs or
+// draws its own, so the relation has true pairs the filter must let through
+// and near-misses only the walk can refute.
+func collisionDAG(rng *rand.Rand, ends, mids, numRels int) ([]int, [][3]int) {
+	n := 2*ends + mids
+	labels := make([]int, n)
+	for i := 0; i < ends; i++ {
+		labels[i], labels[ends+mids+i] = 1+i, 1+ends+i
+	}
+	var edges [][3]int
+	arcsOf := make([][][3]int, mids) // per mid: (root or leaf, rel, 0 = in / 1 = out)
+	for m := 0; m < mids; m++ {
+		if m >= 4 && rng.Intn(2) == 0 {
+			for _, a := range arcsOf[rng.Intn(m)] {
+				if rng.Intn(3) > 0 {
+					arcsOf[m] = append(arcsOf[m], a)
+				}
+			}
+		} else {
+			for k := 8 + rng.Intn(12); k > 0; k-- {
+				arcsOf[m] = append(arcsOf[m], [3]int{rng.Intn(ends), rng.Intn(numRels), rng.Intn(2)})
+			}
+		}
+		for _, a := range arcsOf[m] {
+			if a[2] == 0 {
+				edges = append(edges, [3]int{a[0], ends + m, a[1]})
+			} else {
+				edges = append(edges, [3]int{ends + m, ends + mids + a[0], a[1]})
+			}
+		}
+	}
+	return labels, edges
+}
+
+// TestSimulationSignatureCollisions: with more (rel, far label) pairs than
+// signature bits the filter passes pairs it should not and must still never
+// drop one the oracle accepts; rows are compared exactly, so either error
+// shows.
+func TestSimulationSignatureCollisions(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 20; trial++ {
+		labels, edges := collisionDAG(rng, 100+rng.Intn(60), 80+rng.Intn(60), 1+rng.Intn(3))
+		for _, dir := range []int{0, 1} { // arcs into the mids, arcs out of them
+			pairs := map[[2]int]bool{}
+			for _, e := range edges {
+				if far := e[1-dir]; labels[e[dir]] == 0 {
+					pairs[[2]int{e[2], labels[far]}] = true
+				}
+			}
+			if len(pairs) <= 64 {
+				t.Fatalf("only %d distinct (rel, far label) pairs: no signature collision is forced", len(pairs))
+			}
+		}
+		checkAgainstDense(t, "collision DAG", buildSum(labels, edges), false)
+	}
+}
+
+// TestSumKeyPacking: both key layouts give every field back at both ends of
+// its range, and arc order is (rel, far label, far end) order.
+func TestSumKeyPacking(t *testing.T) {
+	ends := []int32{0, 1, sumIDMask - 1, sumIDMask}
+	var prev uint64
+	for _, rel := range []uint8{0, 1, 254, 255} {
+		for _, x := range ends {
+			for _, y := range ends {
+				a := packArc(rel, x, y)
+				if arcRel(a) != rel || int32(a>>sumIDBits&sumIDMask) != x || arcFar(a) != y {
+					t.Fatalf("packArc(%d, %d, %d) = %#x reads back (%d, %d, %d)", rel, x, y, a, arcRel(a), a>>sumIDBits&sumIDMask, arcFar(a))
+				}
+				if a <= prev && (rel|uint8(x)|uint8(y) != 0 || x|y != 0) {
+					t.Fatalf("packArc(%d, %d, %d) = %#x does not sort after its predecessor %#x", rel, x, y, a, prev)
+				}
+				prev = a
+				if p, r, q := unpackEdge(packEdge(x, rel, y)); p != x || r != rel || q != y {
+					t.Fatalf("packEdge(%d, %d, %d) reads back (%d, %d, %d)", x, rel, y, p, r, q)
+				}
+			}
+		}
+	}
+}
+
+// TestSummarizeRejectsUnfitInput: more occurrences than a key field holds,
+// or a segment edge that leaves the segment's vertex list, is an error before
+// any key is packed — not a truncated id and a wrong Psg.
+func TestSummarizeRejectsUnfitInput(t *testing.T) {
+	wide := &Segment{Vertices: make([]graph.VertexID, (sumIDMask+1)/64)}
+	segs := make([]*Segment, 64)
+	for i := range segs {
+		segs[i] = wide
+	}
+	if psg, err := Summarize(segs, SumOptions{}); err == nil || psg != nil {
+		t.Fatalf("Summarize over %d occurrences: psg=%v err=%v, want an error", 64*len(wide.Vertices), psg, err)
+	}
+
+	p := prov.New()
+	a, b := p.NewEntity("a"), p.NewEntity("b")
+	p.WasDerivedFrom(b, a)
+	seg := NewSegment(p, []graph.VertexID{a, b})
+	for _, cut := range [][]graph.VertexID{{a}, {b}} {
+		seg.Vertices = cut
+		if psg, err := Summarize([]*Segment{seg, seg}, SumOptions{}); err == nil || psg != nil {
+			t.Fatalf("Summarize with vertices %v and an edge %d -> %d: psg=%v err=%v, want an error", cut, b, a, psg, err)
+		}
+	}
+}
+
 // TestSimulationRejectsCycle: the issue's reproduction (it nil-dereferenced
 // in newReachGuard under condDominance) and a self-loop.
 func TestSimulationRejectsCycle(t *testing.T) {
@@ -146,7 +260,7 @@ func TestSimulationMemoizedPerGraph(t *testing.T) {
 			t.Fatalf("mergePhase(%v) = %v, %v; want no merge", cond, remap, err)
 		}
 	}
-	if again, _ := g.sim(true); &again[0] != &first[0] {
+	if again, _ := g.sim(true); again != first {
 		t.Fatal("out-simulation recomputed on an unchanged graph")
 	}
 }
@@ -192,6 +306,18 @@ func graphFromBytes(data []byte) (labels []int, edges [][3]int) {
 // testdata/fuzz/FuzzSimulation.
 func FuzzSimulation(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 2, 0, 2, 1, 0, 3, 1, 0})
+	// 80 nodes, 20 of label 0 among 60 labels of their own, 3 relations, 400
+	// arcs: the label-0 class sees ~180 (rel, far label) pairs through 64
+	// signature bits.
+	collide := []byte{79, 60, 2, 7, 0}
+	for v := 0; v < 80; v++ {
+		collide = append(collide, byte(max(0, v-19)))
+	}
+	rng := rand.New(rand.NewSource(64))
+	for i := 0; i < 400; i++ {
+		collide = append(collide, byte(rng.Intn(80)), byte(rng.Intn(80)), byte(rng.Intn(3)))
+	}
+	f.Add(collide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		labels, edges := graphFromBytes(data)
 		if labels == nil {

@@ -5,21 +5,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/prov"
 )
 
-// buildSum creates a sumGraph from an edge list with labels per node.
-func buildSum(labels []int, edges [][3]int) *sumGraph {
-	arcs := make([]origEdge, len(edges))
-	for i, e := range edges {
-		arcs[i] = origEdge{from: e[0], to: e[1], rel: prov.Rel(e[2])}
-	}
-	return newSumGraph(labels, arcs)
-}
-
 // mustSim is simulation on a graph known to be a DAG.
-func mustSim(t testing.TB, g *sumGraph, forward bool) simRel {
+func mustSim(t testing.TB, g *flatGraph, forward bool) *simRel {
 	t.Helper()
 	sim, err := simulation(g, forward)
 	if err != nil {
@@ -29,13 +18,25 @@ func mustSim(t testing.TB, g *sumGraph, forward bool) simRel {
 }
 
 // simRow lists the nodes v with u <= v in ascending order.
-func simRow(g *sumGraph, sim simRel, u int) []int {
+func simRow(g *flatGraph, sim *simRel, u int) []int {
 	var row []int
-	eachPos(sim[u], nil, func(i int) bool {
-		row = append(row, g.class[g.label[u]][i])
+	eachPos(sim.of(g, int32(u)), nil, func(i int) bool {
+		row = append(row, int(g.class(g.label[u])[i]))
 		return true
 	})
 	return row
+}
+
+// equivClasses collects simEquivClasses' merges into member lists.
+func equivClasses(g *flatGraph, sim *simRel) [][]int {
+	var classes [][]int
+	simEquivClasses(g, sim, func(u, v int32) {
+		if n := len(classes); n == 0 || classes[n-1][0] != int(u) {
+			classes = append(classes, []int{int(u)})
+		}
+		classes[len(classes)-1] = append(classes[len(classes)-1], int(v))
+	})
+	return classes
 }
 
 // outTraces enumerates all out-path label words from v (bounded).
@@ -110,16 +111,17 @@ func TestSimulationImpliesTraceInclusion(t *testing.T) {
 		g := buildSum(labels, edges)
 		simOut := mustSim(t, g, true)
 		simIn := mustSim(t, g, false)
+		d := denseOf(g)
 		for u := 0; u < n; u++ {
-			ou := outTraces(g, u, 6)
-			iu := inTraces(g, u, 6)
+			ou := outTraces(d, u, 6)
+			iu := inTraces(d, u, 6)
 			for _, v := range simRow(g, simOut, u) {
-				if !subset(ou, outTraces(g, v, 6)) {
+				if !subset(ou, outTraces(d, v, 6)) {
 					t.Fatalf("trial %d: %d <=sout %d but out-traces not included", trial, u, v)
 				}
 			}
 			for _, v := range simRow(g, simIn, u) {
-				if !subset(iu, inTraces(g, v, 6)) {
+				if !subset(iu, inTraces(d, v, 6)) {
 					t.Fatalf("trial %d: %d <=sin %d but in-traces not included", trial, u, v)
 				}
 			}
@@ -164,7 +166,7 @@ func TestSimEquivClasses(t *testing.T) {
 		{4, 5, 0}, {4, 6, 1}, {5, 7, 0}, {6, 7, 0},
 	}
 	g := buildSum(labels, edges)
-	classes := simEquivClasses(g, mustSim(t, g, true))
+	classes := equivClasses(g, mustSim(t, g, true))
 	// 0~4, 3~7 trivially (3,7 are sinks with same label; 1,5 same; 2,6
 	// same; but 1 vs 2 have different edge labels into them — out-sim only
 	// looks down, so 1,2,5,6 all out-simulate each other (same label, both

@@ -295,16 +295,27 @@ func writePsgJSON(w io.Writer, psg *core.Psg, dot string) error {
 		r.b = append(r.b, `],`...)
 	}
 	if dot == "" && len(psg.Edges) > 0 {
+		// freq is support/|S|: a reply holds at most |S| distinct values, so
+		// each is formatted once (freqs[support]); any other float is
+		// formatted where it stands.
+		freqs, segs := make([][]byte, psg.Segments+1), float64(psg.Segments)
 		r.b = append(r.b, `"edges":[`...)
 		for i, e := range psg.Edges {
 			b := append(r.elem(i), `{"from":`...)
 			b = appendUint32(b, uint32(e.From))
 			b = append(b, `,"to":`...)
 			b = appendUint32(b, uint32(e.To))
-			b = append(b, `,"rel":"`...)
-			b = append(b, e.Rel.String()...)
-			b = append(b, `","freq":`...)
-			b = appendJSONFloat(b, e.Freq)
+			j := len(b)
+			b = room(b, elemRoom)
+			b = append(b[:relTails[e.Rel].put(b, j)-1], `,"freq":`...) // over the tail's closing brace
+			if k := int(e.Freq*segs + 0.5); uint(k) >= uint(len(freqs)) || float64(k)/segs != e.Freq {
+				b = appendJSONFloat(b, e.Freq)
+			} else {
+				if freqs[k] == nil {
+					freqs[k] = appendJSONFloat(nil, e.Freq)
+				}
+				b = append(b, freqs[k]...)
+			}
 			if err := r.end(append(b, '}')); err != nil {
 				return err
 			}

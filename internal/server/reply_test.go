@@ -416,6 +416,28 @@ func TestReplyHostileNamesOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffBytes(t, "/summarize", raw, oraclePsgJSON(t, psg, ""))
+
+	// format:"dot" parsed back: the statements are one line each (a raw
+	// newline or an unescaped quote or backslash in a label would break
+	// that), and every node label unquotes — graph.WriteDOT's %q — to the
+	// class name and the member count.
+	raw = postRaw(t, ts.URL+"/summarize", stdJSON(t, SummarizeRequest{Segments: []SegmentSpec{{Src: src, Dst: dst}}, AggActivity: []string{prov.PropCommand}, AggEntity: []string{prov.PropName}, Format: FormatDOT}))
+	var dr SummarizeResponse
+	if err := json.Unmarshal(raw, &dr); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(dr.DOT, "\n"), "\n")
+	if len(lines) != 3+len(psg.Nodes)+len(psg.Edges) {
+		t.Fatalf("/summarize dot: %d lines for %d nodes and %d edges", len(lines), len(psg.Nodes), len(psg.Edges))
+	}
+	for i, n := range psg.Nodes {
+		quoted, ok := strings.CutPrefix(lines[2+i], fmt.Sprintf("  n%d [label=", i))
+		quoted, closed := strings.CutSuffix(quoted, "];")
+		label, err := strconv.Unquote(quoted)
+		if want := fmt.Sprintf("%s\nx%d", n.Label, len(n.Members)); !ok || !closed || err != nil || label != want {
+			t.Fatalf("/summarize dot node %d: %s parses to %q (%v), want %q", i, lines[2+i], label, err, want)
+		}
+	}
 }
 
 // FuzzAppendJSONString: whatever the string — and, riding along, whatever

@@ -12,13 +12,14 @@ import (
 //
 // It is the only code in the package that knows a graph representation:
 // every PgSeg step (closures, the VC2 runners, VC3, VC4, expansion) is
-// written once against neighbors() and serves frozen CSR snapshots, live
-// edge lists and programmatically filtered boundaries alike. On a frozen
-// graph (graph.Freeze) the per-relation neighbor scans read contiguous CSR
-// rows; with no programmatic filters (the common case — the serving layer's
-// cacheable queries carry only relation-type exclusions) a scan degenerates
-// to one slice append. An excluded relation returns before any row is
-// touched, so its CSR block is never read.
+// written once against row() — or neighbors(), its copying form — and serves
+// frozen CSR snapshots, live edge lists and programmatically filtered
+// boundaries alike. On a frozen graph (graph.Freeze) the per-relation
+// neighbor scans read contiguous CSR rows; with no programmatic filters (the
+// common case — the serving layer's cacheable queries carry only
+// relation-type exclusions) row hands out the CSR segments themselves and
+// the read-only walks (closures, VC3, VC4) iterate them in place. An excluded
+// relation returns before any row is touched, so its CSR block is never read.
 type adjacency struct {
 	p        *prov.Graph
 	vFilters []VertexFilter
@@ -72,18 +73,36 @@ func (ad *adjacency) edgeFiltersOK(e graph.EdgeID) bool {
 	return true
 }
 
-// neighbors appends filtered neighbors of v reached by edges of the given
-// relationship in the given direction (out = forward edge traversal).
-func (ad *adjacency) neighbors(v graph.VertexID, rel prov.Rel, out bool, buf []graph.VertexID) []graph.VertexID {
+// row returns the filtered neighbors of v reached by edges of the given
+// relationship in the given direction (out = forward edge traversal) as two
+// read-only segments, a then b. On a plain frozen boundary they are the CSR
+// row itself — the contiguous epoch's slice and, on an incrementally
+// extended block, the extension's — and nothing is copied. Otherwise (a live
+// graph, programmatic filters) the row is appended to *buf and returned as a,
+// b is nil; a caller reusing buf across rows truncates it itself. (Two
+// results, not a [2] array: ranging over a returned array costs the closure
+// walk a third of its time.)
+func (ad *adjacency) row(v graph.VertexID, rel prov.Rel, out bool, buf *[]graph.VertexID) (a, b []graph.VertexID) {
 	if !ad.relOK[rel] {
-		return buf
+		return nil, nil
 	}
-	g := ad.p.PG()
 	label := ad.p.RelLabel(rel)
 	if ad.plain {
-		// OutNeighbors/InNeighbors append straight from the CSR segments
-		// (or the live edge list), never materializing multi-epoch rows
-		// the way FrozenNeighbors must.
+		if base, ext, ok := ad.p.PG().NeighborRowSegs(v, label, out); ok {
+			return base, ext
+		}
+	}
+	n := len(*buf)
+	*buf = ad.scan(v, label, out, *buf)
+	return (*buf)[n:], nil
+}
+
+// scan appends the row that row cannot read in place.
+func (ad *adjacency) scan(v graph.VertexID, label graph.Label, out bool, buf []graph.VertexID) []graph.VertexID {
+	g := ad.p.PG()
+	if ad.plain {
+		// A live graph: OutNeighbors/InNeighbors filter the edge list by
+		// label alone.
 		if out {
 			return g.OutNeighbors(v, label, buf)
 		}
@@ -113,6 +132,16 @@ func (ad *adjacency) neighbors(v graph.VertexID, rel prov.Rel, out bool, buf []g
 	return buf
 }
 
+// neighbors appends the row of v (see row) to buf.
+func (ad *adjacency) neighbors(v graph.VertexID, rel prov.Rel, out bool, buf []graph.VertexID) []graph.VertexID {
+	n := len(buf)
+	a, b := ad.row(v, rel, out, &buf)
+	if len(buf) == n { // read in place (or empty): copy it out
+		buf = append(append(buf, a...), b...)
+	}
+	return buf
+}
+
 // generatorsOf returns the activities that generated entity e (ascend).
 func (ad *adjacency) generatorsOf(e graph.VertexID, buf []graph.VertexID) []graph.VertexID {
 	return ad.neighbors(e, prov.RelGen, true, buf)
@@ -131,13 +160,6 @@ func (ad *adjacency) inputsOf(a graph.VertexID, buf []graph.VertexID) []graph.Ve
 // usersOf returns the activities that used entity e (descend).
 func (ad *adjacency) usersOf(e graph.VertexID, buf []graph.VertexID) []graph.VertexID {
 	return ad.neighbors(e, prov.RelUsed, false, buf)
-}
-
-// agentsOf returns the agents linked to v by non-excluded S or A edges.
-func (ad *adjacency) agentsOf(v graph.VertexID, buf []graph.VertexID) []graph.VertexID {
-	buf = ad.neighbors(v, prov.RelAssoc, true, buf)
-	buf = ad.neighbors(v, prov.RelAttr, true, buf)
-	return buf
 }
 
 // directPathVertices computes VC1: vertices on any direct ancestry path
@@ -194,13 +216,18 @@ func (e *Engine) ancestryClosure(seeds []graph.VertexID, ad *adjacency, forward 
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		buf = buf[:0]
 		for _, r := range rels {
-			buf = ad.neighbors(v, r, forward, buf)
-		}
-		for _, nxt := range buf {
-			if closure.Add(uint32(nxt)) {
-				queue = append(queue, nxt)
+			buf = buf[:0]
+			a, b := ad.row(v, r, forward, &buf)
+			for _, nxt := range a {
+				if closure.Add(uint32(nxt)) {
+					queue = append(queue, nxt)
+				}
+			}
+			for _, nxt := range b {
+				if closure.Add(uint32(nxt)) {
+					queue = append(queue, nxt)
+				}
 			}
 		}
 	}

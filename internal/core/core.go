@@ -284,7 +284,13 @@ func (e *Engine) Segment(q Query) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.induce(q, ad, vc1, vc2, support), nil
+}
 
+// induce assembles the segment from VC1 and VC2: the query vertices, VC3
+// siblings, expansions, VC4 agents, rule attribution, the support set (grown
+// from the closures' union) and the induced edges.
+func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset) *Segment {
 	seg := &Segment{
 		P:    e.P,
 		Src:  append([]graph.VertexID(nil), q.Src...),
@@ -315,8 +321,12 @@ func (e *Engine) Segment(q Query) (*Segment, error) {
 	coreSet.Iterate(func(x uint32) bool {
 		v := graph.VertexID(x)
 		if e.P.IsKind(v, prov.KindActivity) {
-			buf = ad.generatedBy(v, buf[:0])
-			for _, sib := range buf {
+			buf = buf[:0]
+			a, b := ad.row(v, prov.RelGen, false, &buf)
+			for _, sib := range a {
+				addV(sib, RuleC3)
+			}
+			for _, sib := range b {
 				addV(sib, RuleC3)
 			}
 		}
@@ -328,11 +338,18 @@ func (e *Engine) Segment(q Query) (*Segment, error) {
 		e.expand(ad, ex, func(v graph.VertexID) { addV(v, RuleC2) })
 	}
 
-	// VC4: agents of every included vertex, reached by non-excluded edges.
+	// VC4: agents of every included vertex, reached by non-excluded S or A
+	// edges.
 	seg.vset.Iterate(func(x uint32) bool {
-		buf = ad.agentsOf(graph.VertexID(x), buf[:0])
-		for _, u := range buf {
-			addV(u, RuleC4)
+		for _, rel := range [...]prov.Rel{prov.RelAssoc, prov.RelAttr} {
+			buf = buf[:0]
+			a, b := ad.row(graph.VertexID(x), rel, true, &buf)
+			for _, u := range a {
+				addV(u, RuleC4)
+			}
+			for _, u := range b {
+				addV(u, RuleC4)
+			}
 		}
 		return true
 	})
@@ -355,7 +372,7 @@ func (e *Engine) Segment(q Query) (*Segment, error) {
 		seg.Rules[i] = ruleOf[v]
 	}
 	seg.Edges = e.inducedEdges(seg.vset, ad)
-	return seg, nil
+	return seg
 }
 
 func setToVertices(vs *bitmap.Bitset) []graph.VertexID {

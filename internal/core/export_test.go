@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitmap"
 	"repro/internal/graph"
 	"repro/internal/prov"
 )
@@ -28,6 +29,40 @@ func DeepRunnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opt
 	t.Helper()
 	ref, seen := runnersAgreeOn(t, label, live, q, opts, true)
 	return len(ref), seen.maxWords
+}
+
+// TstClassRuns is SimilarPaths under SimProvTst with the dispatched runner's
+// calls counted: the number of destination classes runSimProvTst formed.
+func TstClassRuns(e *Engine, q Query) (*bitmap.Bitset, int) {
+	ad := newAdjacency(e.P, q.Boundary)
+	src := dedupVertices(q.Src)
+	c := &countRuns{tstRunner: e.newTstRunner(ad, src)}
+	return e.runSimProvTst(c, src, q.Dst, ad), c.n
+}
+
+// SegStages are the stage clocks of one SegmentStages call.
+type SegStages struct{ Closure, VC2, Induce time.Duration }
+
+// SegmentStages is Segment with a clock around each stage: the two ancestry
+// closures (VC1 and the support set's seed), the VC2 solve, and induce. The
+// benchmark checks its result against Segment's.
+func SegmentStages(e *Engine, q Query) (*Segment, SegStages, error) {
+	var st SegStages
+	if err := e.validateQuery(q); err != nil {
+		return nil, st, err
+	}
+	t0 := time.Now()
+	ad := newAdjacency(e.P, q.Boundary)
+	vc1, support := e.directPathVertices(q, ad)
+	t1 := time.Now()
+	vc2, err := e.similarPathVertices(q, ad)
+	if err != nil {
+		return nil, st, err
+	}
+	t2 := time.Now()
+	seg := e.induce(q, ad, vc1, vc2, support)
+	st = SegStages{Closure: t1.Sub(t0), VC2: t2.Sub(t1), Induce: time.Since(t2)}
+	return seg, st, nil
 }
 
 // oracle_test.go stays byte for byte what it was when PgSum ran on

@@ -41,10 +41,12 @@ type factSource interface {
 // similarPathVertices computes VC2 with the engine's configured solver.
 func (e *Engine) similarPathVertices(q Query, ad *adjacency) (*bitmap.Bitset, error) {
 	src := dedupVertices(q.Src)
+	if e.opts.Solver == SolverTst {
+		// The destination grouping deduplicates as it sorts.
+		return e.runSimProvTst(e.newTstRunner(ad, src), src, q.Dst, ad), nil
+	}
 	dst := dedupVertices(q.Dst)
 	switch e.opts.Solver {
-	case SolverTst:
-		return e.runSimProvTst(src, dst, ad)
 	case SolverAlg:
 		facts, err := e.runSimProvAlg(src, dst, ad)
 		if err != nil {

@@ -3,7 +3,9 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/bitmap"
 	"repro/internal/core"
@@ -37,6 +39,49 @@ func pdPoolQueries(tb testing.TB, n, k int) (*core.Engine, []core.Query) {
 
 // sinkVC2 keeps the benchmarked call's result alive.
 var sinkVC2 *bitmap.Bitset
+
+// BenchmarkSegmentPd times the whole PgSeg operator (no daemon, no codec) on
+// the seg_cold pool shape, one op a pass over an 8-query pool, then reports
+// where an op spends its time (µs per op, from a second, clocked loop the
+// timer does not see): the two ancestry closures, the VC2 solve, induce.
+func BenchmarkSegmentPd(b *testing.B) {
+	for _, n := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			eng, qs := pdPoolQueries(b, n, 8)
+			segs := make([]*core.Segment, len(qs))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, q := range qs {
+					seg, err := eng.Segment(q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					segs[j] = seg
+				}
+			}
+			b.StopTimer()
+			var total core.SegStages
+			for i := 0; i < b.N; i++ {
+				for j, q := range qs {
+					seg, st, err := core.SegmentStages(eng, q)
+					if err != nil || !reflect.DeepEqual(seg, segs[j]) {
+						b.Fatalf("SegmentStages: err=%v, or a segment that is not Segment's", err)
+					}
+					total.Closure += st.Closure
+					total.VC2 += st.VC2
+					total.Induce += st.Induce
+				}
+			}
+			for _, m := range []struct {
+				name string
+				d    time.Duration
+			}{{"closure", total.Closure}, {"vc2", total.VC2}, {"induce", total.Induce}} {
+				b.ReportMetric(float64(m.d.Microseconds())/float64(b.N), m.name+"-µs/op")
+			}
+		})
+	}
+}
 
 // BenchmarkSimilarPathsPd times the VC2 solve alone (the three-sweep
 // SimProvTst; no closures, no induction, no codec) on the query shape of the

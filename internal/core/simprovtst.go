@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"hash/maphash"
+	"slices"
+	"sync"
 
 	"repro/internal/bitmap"
 	"repro/internal/graph"
@@ -81,16 +84,97 @@ func (e *Engine) newTstRunner(ad *adjacency, src []graph.VertexID) tstRunner {
 	}
 }
 
-// runSimProvTst computes VC2 for all destinations.
-func (e *Engine) runSimProvTst(src, dst []graph.VertexID, ad *adjacency) (*bitmap.Bitset, error) {
-	r := e.newTstRunner(ad, src)
+// tstDest is one destination of runSimProvTst; its generator row, sorted and
+// deduplicated (the class key), is rows[lo:hi] of the scratch.
+type tstDest struct {
+	v      graph.VertexID
+	src    bool // also a source: a class of its own
+	lo, hi int
+}
+
+// tstClassScratch is the grouping's scratch, pooled like the sweep's.
+type tstClassScratch struct {
+	dests []tstDest
+	rows  []graph.VertexID
+	src   []graph.VertexID // the sources, sorted
+}
+
+var tstClassPool = sync.Pool{New: func() any { return new(tstClassScratch) }}
+
+// runSimProvTst computes VC2 for all destinations, calling r once per
+// destination class (deduplicating the destinations on the way). The
+// grammar's base rule G⁻¹ vj G reaches vj only through its generators, so
+// two destinations with the same generator row under the boundary — outputs
+// of one run, the usual query shape — give runs that differ in vj alone:
+//
+//   - every level from 1 on is the same: [a]_1 = gen(vj) and the rest is
+//     built from it, so the depth, answer and target sets D, A and T agree on
+//     every v ≠ vj, and so do the early stop and the backward prune above
+//     level 0;
+//   - no member of a class reaches another (vj → a → … → m → a would close
+//     a cycle through their common generator a), so no member sits on a
+//     deeper level of another's run;
+//   - the level-0 answer concerns vj alone: vj is in its own VC2 exactly
+//     when some level has an answer (the prune keeps an activity on every
+//     level down to 1, hence vj), unless vj is itself a source, where level
+//     0 is an answer by itself — such a destination keeps its own run.
+//
+// So the class runs once, on its smallest id; every other member joins VC2
+// exactly when the representative's own run contains the representative.
+// The paper's per-destination cost is what calling run on every vj (the
+// tests' runTst) reproduces.
+func (e *Engine) runSimProvTst(r tstRunner, src, dst []graph.VertexID, ad *adjacency) *bitmap.Bitset {
 	out := bitmap.NewBitset(e.P.NumVertices())
+	sc := tstClassPool.Get().(*tstClassScratch)
+	defer tstClassPool.Put(sc)
+	srcs := append(sc.src[:0], src...)
+	slices.Sort(srcs)
+	ds, rows := sc.dests[:0], sc.rows[:0]
 	for _, vj := range dst {
-		if ad.vertexOK(vj) {
-			r.run(vj, out)
+		if !ad.vertexOK(vj) {
+			continue
 		}
+		lo := len(rows)
+		rows = ad.generatorsOf(vj, rows)
+		slices.Sort(rows[lo:])
+		rows = rows[:lo+len(slices.Compact(rows[lo:]))]
+		_, isSrc := slices.BinarySearch(srcs, vj)
+		ds = append(ds, tstDest{v: vj, src: isSrc, lo: lo, hi: len(rows)})
 	}
-	return out, nil
+	key := func(d tstDest) []graph.VertexID { return rows[d.lo:d.hi] }
+	// Sources first, then by key and id: a class is a run of equal keys, and a
+	// repeated destination lands next to itself.
+	slices.SortFunc(ds, func(a, b tstDest) int {
+		if a.src != b.src {
+			if a.src {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Or(slices.Compare(key(a), key(b)), cmp.Compare(a.v, b.v))
+	})
+	ds = slices.CompactFunc(ds, func(a, b tstDest) bool { return a.v == b.v })
+	for i := 0; i < len(ds); {
+		rep, j := ds[i], i+1
+		for !rep.src && j < len(ds) && slices.Equal(key(ds[j]), key(rep)) {
+			j++
+		}
+		// Take rep out first, so that whether the run puts it back is the
+		// run's own answer.
+		had := out.Remove(uint32(rep.v))
+		r.run(rep.v, out)
+		if out.Contains(uint32(rep.v)) {
+			for _, m := range ds[i+1 : j] {
+				out.Add(uint32(m.v))
+			}
+		}
+		if had {
+			out.Add(uint32(rep.v))
+		}
+		i = j
+	}
+	sc.dests, sc.rows, sc.src = ds, rows, srcs
+	return out
 }
 
 // tstChainState carries the class-chain runner's per-query constants.

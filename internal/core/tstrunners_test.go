@@ -41,8 +41,8 @@ func diffSets(t *testing.T, label string, want, got map[uint32]bool) {
 	}
 }
 
-// runTst drives one runner over the query's destinations the way
-// runSimProvTst does.
+// runTst drives one runner over every destination separately: the paper's
+// per-destination SimProvTst, the reference runSimProvTst is held to.
 func runTst(p *prov.Graph, r tstRunner, q Query, ad *adjacency) map[uint32]bool {
 	out := bitmap.NewBitset(p.NumVertices())
 	for _, vj := range dedupVertices(q.Dst) {
@@ -54,10 +54,12 @@ func runTst(p *prov.Graph, r tstRunner, q Query, ad *adjacency) map[uint32]bool 
 }
 
 // runnersAgree runs every applicable runner directly on the live graph and
-// on its frozen snapshot, then the dispatched SimProvTst and SimProvAlg, and
-// requires one VC2 set from all of them. The class chain on the live graph
-// is the reference. The sweep is only defined on id-monotone graphs; where
-// it runs, its depth slab is also checked against pass 0's windows.
+// on its frozen snapshot — once per destination (runTst) and once per
+// destination class (runSimProvTst) — then the dispatched SimProvTst and
+// SimProvAlg, and requires one VC2 set from all of them. The class chain on
+// the live graph, run per destination, is the reference. The sweep is only
+// defined on id-monotone graphs; where it runs, its depth slab is also
+// checked against pass 0's windows.
 func runnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opts Options) map[uint32]bool {
 	t.Helper()
 	ref, _ := runnersAgreeOn(t, label, live, q, opts, false)
@@ -90,10 +92,12 @@ func runnersAgreeOn(t *testing.T, label string, live *prov.Graph, q Query, opts 
 		}
 		if ref == nil {
 			ref = runTst(rep.p, runners[refName], q, ad)
+			diffSets(t, fmt.Sprintf("%s/%s/%s/classes", label, rep.name, refName), ref, bitsetMap(e.runSimProvTst(runners[refName], src, q.Dst, ad)))
 			delete(runners, refName)
 		}
 		for name, r := range runners {
 			diffSets(t, fmt.Sprintf("%s/%s/%s", label, rep.name, name), ref, runTst(rep.p, r, q, ad))
+			diffSets(t, fmt.Sprintf("%s/%s/%s/classes", label, rep.name, name), ref, bitsetMap(e.runSimProvTst(r, src, q.Dst, ad)))
 		}
 		solvers := []SolverKind{SolverTst, SolverAlg}
 		if deep || (!rep.p.AncestryMonotone() && !opts.NoEarlyStop) {
@@ -402,6 +406,129 @@ func TestSweepDegenerateSources(t *testing.T) {
 	}
 	if got := runnersAgree(t, "src=dst", p, Query{Src: []graph.VertexID{mid}, Dst: []graph.VertexID{mid}}, Options{}); len(got) != 1 || !got[uint32(mid)] {
 		t.Errorf("src=dst: VC2 = %v, want just %d", got, mid)
+	}
+}
+
+// countRuns counts the destinations a runner is called on.
+type countRuns struct {
+	tstRunner
+	n int
+}
+
+func (c *countRuns) run(vj graph.VertexID, out *bitmap.Bitset) {
+	c.n++
+	c.tstRunner.run(vj, out)
+}
+
+// siblingLifecycle is randomLifecycle's shape ending in a run that writes
+// one output (other) and a run that writes four (sibs), so destinations
+// drawn from the tail hold a class of several members beside a singleton;
+// mid are two mid-history entities, imports the two imported ones.
+type siblingLifecycle struct {
+	p                  *prov.Graph
+	mid, imports, sibs []graph.VertexID
+	other              graph.VertexID
+}
+
+func newSiblingLifecycle(seed int64) siblingLifecycle {
+	rng := rand.New(rand.NewSource(seed))
+	rc := prov.NewRecorder()
+	ents := []graph.VertexID{rc.Import("a", "data", ""), rc.Import("a", "model", "")}
+	pick := func() []graph.VertexID {
+		ins := make([]graph.VertexID, 1+rng.Intn(3))
+		for j := range ins {
+			ins[j] = ents[rng.Intn(len(ents))]
+		}
+		return ins
+	}
+	for i := 0; i < 30; i++ {
+		_, out := rc.Run("a", fmt.Sprintf("cmd%d", rng.Intn(3)), pick(), []string{"o1", "o2"}[:1+rng.Intn(2)])
+		ents = append(ents, out...)
+	}
+	mid := len(ents) / 2
+	_, other := rc.Run("a", "other", pick(), []string{"other"})
+	_, sibs := rc.Run("a", "last", append(pick(), ents[len(ents)-1]), []string{"s1", "s2", "s3", "s4"})
+	return siblingLifecycle{p: rc.P, mid: ents[mid : mid+2], imports: ents[:2], sibs: sibs, other: other[0]}
+}
+
+// TestTstClassesAgree holds the one-run-per-class grouping to the
+// per-destination runs (runnersAgree: every runner, grouped and not, live
+// and frozen, and SimProvAlg) where grouping has something to get wrong —
+// siblings beside an unrelated destination, repeated ids, a sibling that is
+// also a source, imported destinations with empty generator rows, every row
+// emptied by excluding G, and an edge filter that splits a class — and pins
+// the number of runs the dispatched runner makes.
+func TestTstClassesAgree(t *testing.T) {
+	joined := 0 // the last sibling (never a representative) in VC2
+	for seed := int64(1); seed <= 6; seed++ {
+		lc := newSiblingLifecycle(seed)
+		sibs, other := lc.sibs, lc.other
+		var sib1Gen graph.EdgeID
+		for _, e := range lc.p.PG().Out(sibs[1]) {
+			if lc.p.RelOf(e) == prov.RelGen {
+				sib1Gen = e
+			}
+		}
+		withSrc := []graph.VertexID{lc.mid[0], sibs[1]}
+		cases := []struct {
+			name string
+			q    Query
+			runs int
+		}{
+			{"sibs=2+other", Query{Src: lc.mid, Dst: []graph.VertexID{sibs[0], sibs[1], other}}, 2},
+			{"sibs=3+other", Query{Src: lc.mid, Dst: []graph.VertexID{other, sibs[2], sibs[0], sibs[1]}}, 2},
+			{"sibs=4+other", Query{Src: lc.mid, Dst: append([]graph.VertexID{other}, sibs...)}, 2},
+			{"duplicates", Query{Src: lc.mid, Dst: []graph.VertexID{sibs[0], other, sibs[0], sibs[1], other}}, 2},
+			{"sibling-is-source", Query{Src: withSrc, Dst: sibs[:3]}, 2},
+			{"imports", Query{Src: lc.mid, Dst: append([]graph.VertexID{sibs[0]}, lc.imports...)}, 2},
+			{"exclude-G", Query{Src: []graph.VertexID{lc.mid[0], sibs[0]}, Dst: append(append([]graph.VertexID{other}, sibs...), lc.imports...),
+				Boundary: Boundary{ExcludeRels: []prov.Rel{prov.RelGen}}}, 2},
+			{"edge-filter-split", Query{Src: lc.mid, Dst: sibs[:3],
+				Boundary: Boundary{EdgeFilters: []EdgeFilter{func(_ *prov.Graph, e graph.EdgeID) bool { return e != sib1Gen }}}}, 2},
+		}
+		for _, tc := range cases {
+			label := fmt.Sprintf("seed=%d/%s", seed, tc.name)
+			got := runnersAgree(t, label, lc.p, tc.q, Options{})
+			runnersAgree(t, label+"/noearlystop", lc.p, tc.q, Options{NoEarlyStop: true})
+			if got[uint32(sibs[3])] {
+				joined++
+			}
+			switch tc.name {
+			case "exclude-G":
+				if len(got) != 1 || !got[uint32(sibs[0])] {
+					t.Errorf("%s: VC2 = %v, want just the source-destination %d", label, got, sibs[0])
+				}
+			case "edge-filter-split":
+				if got[uint32(sibs[1])] {
+					t.Errorf("%s: %d, cut from its generator, is in VC2", label, sibs[1])
+				}
+			}
+			for _, g := range []*prov.Graph{lc.p, lc.p.Freeze()} {
+				e, ad, src := NewEngine(g, Options{}), newAdjacency(g, tc.q.Boundary), dedupVertices(tc.q.Src)
+				c := &countRuns{tstRunner: e.newTstRunner(ad, src)}
+				e.runSimProvTst(c, src, tc.q.Dst, ad)
+				if c.n != tc.runs {
+					t.Errorf("%s/frozen=%v: %d runs, want %d", label, g.Frozen(), c.n, tc.runs)
+				}
+			}
+		}
+	}
+	if joined == 0 {
+		t.Fatal("no class member ever joined VC2 through its representative's run")
+	}
+
+	// A representative already in VC2 before its own run: x, a destination
+	// that is also a source (so it runs first), reaches the source e0 at
+	// level 2 through s1's sibling branch, which puts s1 in x's VC2; s1's own
+	// run reaches no source, so s2 must stay out.
+	rc := prov.NewRecorder()
+	e0, seed := rc.Import("a", "src0", ""), rc.Import("a", "seed", "")
+	_, sib := rc.Run("a", "fork", []graph.VertexID{seed}, []string{"s1", "s2"})
+	_, side := rc.Run("a", "side", []graph.VertexID{e0}, []string{"side"})
+	_, x := rc.Run("a", "join", []graph.VertexID{sib[0], side[0]}, []string{"x"})
+	q := Query{Src: []graph.VertexID{e0, x[0]}, Dst: []graph.VertexID{sib[1], x[0], sib[0]}}
+	if got := runnersAgree(t, "rep-already-in", rc.P, q, Options{}); !got[uint32(sib[0])] || got[uint32(sib[1])] {
+		t.Errorf("rep-already-in: VC2 = %v, want s1 (%d) in and s2 (%d) out", got, sib[0], sib[1])
 	}
 }
 

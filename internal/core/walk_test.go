@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -248,11 +249,74 @@ func TestSweepDeepWindowsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestTstClassesRunOncePd counts the runner's calls on the Pd-2000 seg_cold
+// pool: one per destination class — each distinct generator row among the
+// destinations that are not sources, plus each source-destination — with VC2
+// the union of the single-destination solves, and fewer classes than
+// destinations over the pool (consecutive late entities are mostly outputs
+// of one run).
+func TestTstClassesRunOncePd(t *testing.T) {
+	eng, qs := pdPoolQueries(t, 2000, 64)
+	dests, classes, grouped := 0, 0, 0
+	for i, q := range qs {
+		isSrc := map[graph.VertexID]bool{}
+		for _, s := range q.Src {
+			isSrc[s] = true
+		}
+		seen, rows, want := map[graph.VertexID]bool{}, map[string]bool{}, 0
+		perDst := map[uint32]bool{}
+		for _, d := range q.Dst {
+			if seen[d] {
+				continue
+			}
+			seen[d] = true
+			one, err := eng.SimilarPaths(core.Query{Src: q.Src, Dst: []graph.VertexID{d}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			one.Iterate(func(x uint32) bool { perDst[x] = true; return true })
+			row := eng.P.GeneratorsOf(d, nil)
+			slices.Sort(row)
+			switch k := fmt.Sprint(slices.Compact(row)); {
+			case isSrc[d]:
+				want++
+			case !rows[k]:
+				rows[k] = true
+				want++
+			}
+		}
+		vc2, runs := core.TstClassRuns(eng, q)
+		if runs != want {
+			t.Errorf("query %d: %d runner calls, want one per class (%d)", i, runs, want)
+		}
+		if got := vc2.ToSlice(); len(got) != len(perDst) || !allIn(got, perDst) {
+			t.Errorf("query %d: grouped VC2 has %d vertices, the per-destination union %d", i, len(got), len(perDst))
+		}
+		dests, classes = dests+len(seen), classes+want
+		if want < len(seen) {
+			grouped++
+		}
+	}
+	if classes >= dests {
+		t.Fatalf("%d classes for %d destinations: no pool query had a class of two", classes, dests)
+	}
+	t.Logf("Pd-2000 pool: %d destinations in %d classes; %d of %d queries solve fewer", dests, classes, grouped, len(qs))
+}
+
+func allIn(xs []uint32, set map[uint32]bool) bool {
+	for _, x := range xs {
+		if !set[x] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSweepArenaFootprint guards the sweep's scratch: a wide two-destination
 // label-only query on a frozen graph allocates, in steady state, only what
 // it returns (the VC2 bitset and the per-query constants) — the windows,
-// recorded rows and both slabs come from the pool. Measured 224 B/op on
-// Pd-300, 510 B/op on Pd-2000 and ~60 KB/op on Pd-20000 (the pool's refill
+// recorded rows and both slabs come from the pool. Measured 216 B/op on
+// Pd-300, 442 B/op on Pd-2000 and ~60 KB/op on Pd-20000 (the pool's refill
 // after each GC, amortized over the run), where the width-of-the-bound
 // arenas took 22 KB, 0.5 MB and ~20 MB per op.
 func TestSweepArenaFootprint(t *testing.T) {

@@ -3,7 +3,7 @@ package server
 import (
 	"container/list"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -225,8 +225,9 @@ func (c *segCache) stats() CacheStats {
 }
 
 // segKey canonicalizes a segmentation query + solver options into a cache
-// key. Queries that differ only in the order of their vertex lists, excluded
-// relationship types, or expansion specs map to the same key. Queries
+// key. Queries that differ only in the order of, or repeats in, their vertex
+// lists, excluded relationship types, or expansion specs map to the same key:
+// core treats every one of them as a set. Queries
 // carrying programmatic filters (VertexFilters/EdgeFilters) are not
 // canonicalizable and must bypass the cache; HTTP requests never produce
 // them.
@@ -247,8 +248,8 @@ func segKey(q core.Query, opts core.Options) (string, bool) {
 	for _, r := range q.Boundary.ExcludeRels {
 		rels = append(rels, int(r))
 	}
-	sort.Ints(rels)
-	for _, r := range rels {
+	slices.Sort(rels)
+	for _, r := range slices.Compact(rels) {
 		fmt.Fprintf(&b, "%d,", r)
 	}
 	exps := make([]string, 0, len(q.Boundary.Expansions))
@@ -257,19 +258,17 @@ func segKey(q core.Query, opts core.Options) (string, bool) {
 		writeSortedIDs(&eb, ex.Within)
 		exps = append(exps, fmt.Sprintf("%s:%d", eb.String(), ex.K))
 	}
-	sort.Strings(exps)
+	slices.Sort(exps)
 	b.WriteString("|exp=")
-	b.WriteString(strings.Join(exps, ";"))
+	b.WriteString(strings.Join(slices.Compact(exps), ";"))
 	return b.String(), true
 }
 
+// writeSortedIDs writes the distinct ids of vs in ascending order.
 func writeSortedIDs(b *strings.Builder, vs []graph.VertexID) {
-	ids := make([]uint32, len(vs))
-	for i, v := range vs {
-		ids[i] = uint32(v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	ids := slices.Clone(vs)
+	slices.Sort(ids)
+	for _, id := range slices.Compact(ids) {
 		fmt.Fprintf(b, "%d,", id)
 	}
 }

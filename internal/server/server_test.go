@@ -135,6 +135,39 @@ func TestSegmentRoundTripAndCache(t *testing.T) {
 	}
 }
 
+// TestSegmentCacheKeyIgnoresRepeats: core treats src, dst, expansion seeds
+// and excluded relations as sets, so a request that repeats ids (in any
+// order) is the entry its deduplicated form filled, not a second copy.
+func TestSegmentCacheKeyIgnoresRepeats(t *testing.T) {
+	ts, _, ids := newTestServer(t)
+	ds, v1, v2 := uint32(ids["dataset"]), uint32(ids["model-v1"]), uint32(ids["model-v2"])
+	first := SegmentRequest{
+		Src: []uint32{ds}, Dst: []uint32{v1, v2},
+		ExcludeRels: []string{"D"},
+		Expansions:  []ExpansionSpec{{Within: []uint32{v1}, K: 1}},
+	}
+	repeated := SegmentRequest{
+		Src: []uint32{ds, ds}, Dst: []uint32{v2, v1, v2},
+		ExcludeRels: []string{"D", "D"},
+		Expansions:  []ExpansionSpec{{Within: []uint32{v1, v1}, K: 1}, {Within: []uint32{v1}, K: 1}},
+	}
+	var a, b SegmentResponse
+	if code := doJSON(t, http.MethodPost, ts.URL+"/segment", first, &a); code != 200 || a.Cached {
+		t.Fatalf("first request: status %d, cached %v", code, a.Cached)
+	}
+	if code := doJSON(t, http.MethodPost, ts.URL+"/segment", repeated, &b); code != 200 || !b.Cached {
+		t.Fatalf("repeated ids: status %d, cached %v; want the first request's entry", code, b.Cached)
+	}
+	if a.NumVertices != b.NumVertices || a.NumEdges != b.NumEdges {
+		t.Fatalf("cached reply differs: %+v vs %+v", b, a)
+	}
+	var stats StoreStats
+	doJSON(t, http.MethodGet, ts.URL+"/stats", nil, &stats)
+	if stats.Cache.Entries != 1 {
+		t.Fatalf("cache entries: %+v, want 1", stats.Cache)
+	}
+}
+
 func TestSegmentSolversAgree(t *testing.T) {
 	ts, _, ids := newTestServer(t)
 	var sizes []int

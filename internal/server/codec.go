@@ -37,7 +37,9 @@ type SegmentRequest struct {
 	// names: U, G, S, A, D).
 	ExcludeRels []string        `json:"exclude_rels,omitempty"`
 	Expansions  []ExpansionSpec `json:"expansions,omitempty"`
-	// Solver picks the VC2 algorithm: "tst" (default), "alg", or "cflrb".
+	// Solver names the VC2 algorithm; "tst" (SimProvTst, the default) is the
+	// only one served. The baselines SimProvAlg and CflrB stay in the library
+	// and the CLIs: CflrB alone runs out of memory at Pd-50k.
 	Solver string `json:"solver,omitempty"`
 	// Format is "json" (default) or "dot".
 	Format string `json:"format,omitempty"`
@@ -339,17 +341,15 @@ func parseKinds(names []string) ([]prov.Kind, error) {
 	return out, nil
 }
 
-// parseSolver maps the wire solver name to core options.
+// parseSolver maps the wire solver name to core options. The baseline
+// solvers are refused here, before any solve: one CflrB request at paper
+// scale can exhaust the daemon's memory.
 func parseSolver(name string) (core.SolverKind, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "", "tst":
 		return core.SolverTst, nil
-	case "alg":
-		return core.SolverAlg, nil
-	case "cflrb":
-		return core.SolverCflrB, nil
 	}
-	return 0, fmt.Errorf("unknown solver %q (want tst, alg, cflrb)", name)
+	return 0, fmt.Errorf("unknown solver %q (want tst)", name)
 }
 
 // toQuery converts a SegmentRequest into the core query + options.

@@ -193,7 +193,7 @@ func (s *Store) applyReplicated(epoch uint64, payload []byte) error {
 	start := time.Now()
 	fz, incremental := s.rec.P.ExtendFrozen(old.P)
 	s.observeFreeze(incremental, time.Since(start))
-	ep := &Epoch{N: epoch, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges()}
+	ep := &Epoch{N: epoch, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges(), replies: old.replies}
 	s.tail = ep
 	if s.hub.Load() != nil {
 		// The hub retains the payload (chained followers tail it), but the
@@ -237,7 +237,9 @@ func (s *Store) resetReplicated(epoch uint64, data []byte) error {
 		return fmt.Errorf("repl: checkpoint at epoch %d behind applied epoch %d", epoch, s.tail.N)
 	}
 	s.observeFreeze(false, freeze)
-	ep := &Epoch{N: epoch, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges()}
+	// A new lineage: a reader still pinned to an older epoch keeps extending
+	// that epoch's column, never this one.
+	ep := &Epoch{N: epoch, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges(), replies: newReplyColumn()}
 	if epoch == 0 && ep.Vertices > 0 {
 		// The leader shipped a non-empty epoch-0 base: chained followers
 		// reading this store's wal stream need the same checkpoint seeding.

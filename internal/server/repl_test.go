@@ -242,6 +242,8 @@ func TestReplCheckpointSeedAndReseed(t *testing.T) {
 	f := newFollowerStore(DefaultStore, ts.URL, 16)
 	tailUntil(t, f, ts.Client(), 20)
 	diffFollowerAt(t, script, refSnaps, f, 20)
+	seeded := f.Epoch()
+	diffSegmentReply(t, "seeded follower, whole graph", seeded.replies, wholeSegment(seeded.P, nil), false, "")
 
 	// Fall behind while disconnected: 6 more epochs evict 21..22 from the
 	// ring, so the reconnect must re-seed the live store from a checkpoint.
@@ -250,6 +252,22 @@ func TestReplCheckpointSeedAndReseed(t *testing.T) {
 	}
 	tailUntil(t, f, ts.Client(), 26)
 	diffFollowerAt(t, script, refSnaps, f, 26)
+
+	// The re-seed started a new lineage with a column of its own. A reader
+	// still pinned to epoch 20 renders through, and extends, the old column
+	// only.
+	reseeded := f.Epoch()
+	if reseeded.replies == seeded.replies || extentOf(reseeded.replies) != [2]int{} {
+		t.Fatalf("the re-seed at epoch %d kept the column of epoch %d or one already filled (%v)", reseeded.N, seeded.N, extentOf(reseeded.replies))
+	}
+	diffSegmentReply(t, "pinned before the re-seed", seeded.replies, wholeSegment(seeded.P, func(v int) bool { return v%2 == 0 }), false, "")
+	if extentOf(reseeded.replies) != [2]int{} {
+		t.Fatal("a reader pinned before the re-seed extended the new lineage's column")
+	}
+	diffSegmentReply(t, "re-seeded follower, whole graph", reseeded.replies, wholeSegment(reseeded.P, nil), false, "")
+	if extentOf(reseeded.replies) != countsOf(reseeded.P) || extentOf(seeded.replies) != countsOf(seeded.P) {
+		t.Fatalf("columns at %v and %v for snapshots of %v and %v", extentOf(seeded.replies), extentOf(reseeded.replies), countsOf(seeded.P), countsOf(reseeded.P))
+	}
 
 	// And the live-tail path: commits made while the stream is attached.
 	ctx, cancel := context.WithCancel(context.Background())

@@ -23,11 +23,14 @@ import (
 // ends the encode: a client that hung up is not rendered to the end.
 
 // replyFlushBytes is how much of a reply is buffered before it is written
-// out (one HTTP chunk, ~2 syscalls). Chosen by measurement, benchmark
-// seg_hot (2.2 MB replies, ~1.2 ms of encode in a ~3 ms op) ops_per_s over
-// ten alternating 10 s windows: 64 KB 291-318 (median 301), 128 KB 301-330
-// (321), 256 KB 295-340 (314; ahead of 128 KB in 5 of 10). Into a discarding
-// writer the size makes no difference; it is the per-chunk cost.
+// out (one HTTP chunk). Measured on 2 vCPUs with encode at ~0.3 ms of a
+// ~1.7 ms seg_hot op (2.2 MB replies copied out of the reply column),
+// ops_per_s over alternating 10 s windows: 64 KB 476-522 (median 512, 6
+// runs), 128 KB 514-595 (583, 12), 256 KB 531-654 (590, 12), 512 KB 557-634
+// (598, 12). 64 KB pays for its extra chunks; above it the medians differ by
+// less than one run's spread, while rw_mixed's rss_peak_mb reads ~7 MB higher
+// at 512 KB (three interleaved runs, medians 98.3 vs 91.7 MB). Into a
+// discarding writer the size makes no difference; it is the per-chunk cost.
 const replyFlushBytes = 128 << 10
 
 // replyBufs pools the encode buffers. An element can overrun the flush
@@ -65,7 +68,12 @@ func (r *replyBuf) elem(i int) []byte {
 // end takes the buffer back with an element finished and flushes it if full.
 func (r *replyBuf) end(b []byte) error {
 	r.b = b
-	if len(b) < replyFlushBytes {
+	return r.spill()
+}
+
+// spill flushes the buffer if it holds replyFlushBytes.
+func (r *replyBuf) spill() error {
+	if len(r.b) < replyFlushBytes {
 		return nil
 	}
 	return r.flush()
@@ -77,17 +85,18 @@ func (r *replyBuf) flush() error {
 	return err
 }
 
-// The element kernels. A /segment or /adjust reply is ~63k array elements
-// and ~150k integers at 20k vertices, so an element is not appended piece by
-// piece: the loops of writeSegmentJSON reserve its room once (elemRoom plus
-// the name) and write it by index — integers through putUint32, literals as
-// whole little-endian words (lit8, lit24) with the index advanced by the
-// true length, the name by putPlain. A kernel stores whole words, up to 13
-// bytes past what it advances over; elemRoom covers that.
+// The element kernels. An element is not appended piece by piece: its room
+// is reserved once (elemRoom plus the name) and it is written by index —
+// integers through putUint32, literals as whole little-endian words (lit8,
+// lit24) with the index advanced by the true length, the name by putPlain. A
+// kernel stores whole words, up to 13 bytes past what it advances over;
+// elemRoom covers that. They render the reply column's records (reccol.go)
+// once per graph, a rule tail per vertex of a /segment reply, and the
+// elements of a /summarize reply.
 
 // elemRoom is the room an element needs besides its name: the longest fixed
-// part (an edge with three 10-digit ids, 62 bytes; a vertex, 59) and the
-// kernels' overrun.
+// part (an edge record with three 10-digit ids and its comma, 63 bytes) and
+// the kernels' overrun.
 const elemRoom = 96
 
 // room returns b resliced to its capacity, with at least n bytes after
@@ -213,67 +222,76 @@ func tails[T interface {
 }
 
 var (
-	litFirst, litNext       = mkLit8(`{"id":`), mkLit8(`,{"id":`)
+	litFirst                = mkLit8(`{"id":`)
 	litSrc, litDst, litName = mkLit8(`,"src":`), mkLit8(`,"dst":`), mkLit8(`,"name":`)
 
 	kindTails = tails(prov.KindAgent, `,"kind":"`, `"`)
-	ruleTails = tails(core.RuleC4, `,"rule":"`, `"}`)
+	ruleTails = tails(core.RuleC4, `,"rule":"`, `"},`)
 	relTails  = tails(prov.RelDeriv, `,"rel":"`, `"}`)
 )
 
 // writeSegmentJSON streams the SegmentResponse of seg, rendered from the
-// snapshot the segment was solved or revalidated at (seg.P). A non-empty dot
-// selects the DOT form: the counts and the rendering, no arrays.
-func writeSegmentJSON(w io.Writer, seg *core.Segment, cached bool, dot string) error {
+// snapshot the segment was solved or revalidated at (seg.P) through col, the
+// reply column of that snapshot's lineage. A non-empty dot selects the DOT
+// form: the counts and the rendering, no arrays.
+//
+// Every element is written with a trailing ',' and the last one's is
+// overwritten by the array's ']'. A flush therefore happens before an element
+// or a piece of an edge run is added, never after, so that the comma is
+// still in the buffer when the array ends.
+func writeSegmentJSON(w io.Writer, col *replyColumn, seg *core.Segment, cached bool, dot string) error {
 	r := newReplyBuf(w)
 	defer r.release()
-	p, g := seg.P, seg.P.PG()
 	r.b = append(r.b, `{"num_vertices":`...)
 	r.b = appendUint32(r.b, uint32(len(seg.Vertices)))
 	r.b = append(r.b, `,"num_edges":`...)
 	r.b = appendUint32(r.b, uint32(len(seg.Edges)))
-	if dot == "" && len(seg.Vertices) > 0 {
-		b := append(r.b, `,"vertices":[`...)
-		open := litFirst
-		for k, v := range seg.Vertices {
-			name := p.Name(v)
-			i := len(b)
-			b = room(b, elemRoom+len(name))
-			i = putUint32(b, open.put(b, i), uint32(v))
-			i = kindTails[p.KindOf(v)].put(b, i)
-			if name != "" {
-				b = appendJSONString(b[:litName.put(b, i)], name)
-				i = len(b)
-				b = room(b, elemRoom)
+	if dot == "" && (len(seg.Vertices) > 0 || len(seg.Edges) > 0) {
+		recs := col.covering(seg)
+		if len(seg.Vertices) > 0 {
+			r.b = append(r.b, `,"vertices":[`...)
+			for k, v := range seg.Vertices {
+				if err := r.spill(); err != nil {
+					return err
+				}
+				pre := recs.vertex(v)
+				b := room(r.b, len(pre)+elemRoom)
+				i := len(r.b) + copy(b[len(r.b):], pre)
+				r.b = b[:ruleTails[seg.Rules[k]].put(b, i)]
 			}
-			i = ruleTails[seg.Rules[k]].put(b, i)
-			if err := r.end(b[:i]); err != nil {
-				return err
-			}
-			b, open = r.b, litNext
+			r.b[len(r.b)-1] = ']'
 		}
-		r.b = append(r.b, ']')
-	}
-	if dot == "" && len(seg.Edges) > 0 {
-		b := append(r.b, `,"edges":[`...)
-		open := litFirst
-		for _, e := range seg.Edges {
-			i := len(b)
-			b = room(b, elemRoom)
-			i = putUint32(b, open.put(b, i), uint32(e))
-			i = putUint32(b, litSrc.put(b, i), uint32(g.Src(e)))
-			i = putUint32(b, litDst.put(b, i), uint32(g.Dst(e)))
-			i = relTails[p.RelOf(e)].put(b, i)
-			if err := r.end(b[:i]); err != nil {
-				return err
+		if len(seg.Edges) > 0 {
+			r.b = append(r.b, `,"edges":[`...)
+			for es := seg.Edges; len(es) > 0; {
+				n := 1
+				for n < len(es) && es[n] == es[n-1]+1 {
+					n++
+				}
+				if err := r.copySpan(recs.edgeRun(es[0], es[n-1])); err != nil {
+					return err
+				}
+				es = es[n:]
 			}
-			b, open = r.b, litNext
+			r.b[len(r.b)-1] = ']'
 		}
-		r.b = append(r.b, ']')
 	}
 	r.b = append(r.b, `,"cached":`...)
 	r.b = strconv.AppendBool(r.b, cached)
 	return r.finish(dot)
+}
+
+// copySpan appends s in pieces that fill the buffer to replyFlushBytes,
+// flushing before each piece that finds it full.
+func (r *replyBuf) copySpan(s []byte) error {
+	for len(s) > 0 {
+		if err := r.spill(); err != nil {
+			return err
+		}
+		n := min(len(s), replyFlushBytes-len(r.b))
+		r.b, s = append(r.b, s[:n]...), s[n:]
+	}
+	return nil
 }
 
 // writePsgJSON streams the SummarizeResponse of psg; dot as in

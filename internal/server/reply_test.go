@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -98,18 +99,18 @@ func oraclePsgJSON(t testing.TB, psg *core.Psg, dot string) []byte {
 	return stdJSON(t, resp)
 }
 
-func diffSegmentReply(t *testing.T, tag string, seg *core.Segment, cached bool, dot string) {
+func diffSegmentReply(t *testing.T, tag string, col *replyColumn, seg *core.Segment, cached bool, dot string) {
 	t.Helper()
 	var got bytes.Buffer
-	if err := writeSegmentJSON(&got, seg, cached, dot); err != nil {
+	if err := writeSegmentJSON(&got, col, seg, cached, dot); err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
 	diffBytes(t, tag, got.Bytes(), oracleSegmentJSON(t, seg, cached, dot))
 }
 
 // diffNamedSegments diffs the reply for a segment of entities with the given
-// names, rendered from the live graph (names out of the property maps) and
-// from its frozen snapshot (names out of the column).
+// names, rendered from the live graph and from its frozen snapshot, each
+// through a column of its own.
 func diffNamedSegments(t *testing.T, tag string, names ...string) {
 	t.Helper()
 	p := prov.New()
@@ -117,8 +118,8 @@ func diffNamedSegments(t *testing.T, tag string, names ...string) {
 	for _, name := range names {
 		vs = append(vs, p.NewEntity(name))
 	}
-	diffSegmentReply(t, tag+" (live)", core.NewSegment(p, vs), false, "")
-	diffSegmentReply(t, tag+" (frozen)", core.NewSegment(p.Freeze(), vs), true, "")
+	diffSegmentReply(t, tag+" (live)", newReplyColumn(), core.NewSegment(p, vs), false, "")
+	diffSegmentReply(t, tag+" (frozen)", newReplyColumn(), core.NewSegment(p.Freeze(), vs), true, "")
 }
 
 // writeSizes keeps what is written to it and the size of each Write.
@@ -205,13 +206,14 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 			if err != nil || cached {
 				t.Fatalf("%s: cold solve: cached=%v err=%v", tag, cached, err)
 			}
-			diffSegmentReply(t, tag+" cold", seg, false, "")
+			col := st.Epoch().replies
+			diffSegmentReply(t, tag+" cold", col, seg, false, "")
 			hit, cached, err := st.Segment(q, core.Options{}, true)
 			if err != nil || !cached {
 				t.Fatalf("%s: repeat: cached=%v err=%v", tag, cached, err)
 			}
-			diffSegmentReply(t, tag+" cached", hit, true, "")
-			diffSegmentReply(t, tag+" dot", hit, true, segmentDOT(t, hit))
+			diffSegmentReply(t, tag+" cached", col, hit, true, "")
+			diffSegmentReply(t, tag+" dot", col, hit, true, segmentDOT(t, hit))
 			segs = append(segs, seg)
 
 			noAgents := core.Boundary{ExcludeRels: []prov.Rel{prov.RelAttr}, VertexFilters: []core.VertexFilter{
@@ -221,12 +223,18 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 			if err != nil || (rank == 0 && adj.NumVertices() >= seg.NumVertices()) {
 				t.Fatalf("%s: adjust exclude: %v (%d of %d vertices left)", tag, err, adj.NumVertices(), seg.NumVertices())
 			}
-			diffSegmentReply(t, tag+" adjust exclude", adj, true, "")
+			diffSegmentReply(t, tag+" adjust exclude", col, adj, true, "")
 			adj, _, err = st.Adjust(q, core.Options{}, noAgents, []core.Expansion{{Within: dst, K: 3}})
 			if err != nil {
 				t.Fatalf("%s: adjust exclude+expand: %v", tag, err)
 			}
-			diffSegmentReply(t, tag+" adjust exclude+expand", adj, true, "")
+			diffSegmentReply(t, tag+" adjust exclude+expand", col, adj, true, "")
+			// exclude_rels alone: the surviving edge ids are many short runs.
+			adj, _, err = st.Adjust(q, core.Options{}, core.Boundary{ExcludeRels: []prov.Rel{prov.RelDeriv, prov.RelAttr}}, nil)
+			if err != nil || edgeRuns(adj.Edges) < 2 {
+				t.Fatalf("%s: adjust exclude_rels: %v (%d edge runs)", tag, err, edgeRuns(adj.Edges))
+			}
+			diffSegmentReply(t, tag+" adjust exclude_rels", col, adj, true, "")
 		}
 		// The benchmark's sum_pd options.
 		for _, opts := range []core.SumOptions{{}, {TypeRadius: 1, K: core.Aggregation{Activity: []string{prov.PropCommand}}}} {
@@ -248,8 +256,59 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 
 	// Arrays that are empty are omitted, as omitempty does.
 	empty := core.NewSegment(prov.New(), nil)
-	diffSegmentReply(t, "empty segment", empty, false, "")
+	diffSegmentReply(t, "empty segment", newReplyColumn(), empty, false, "")
 	diffNamedSegments(t, "one vertex", "only")
+
+	// One edge, not the graph's first.
+	one := prov.New()
+	ag, in, run := one.NewAgent("u"), one.NewEntity("in"), one.NewActivity("run")
+	one.WasAssociatedWith(run, ag)
+	one.Used(run, in)
+	single := core.NewSegment(one.Freeze(), []graph.VertexID{in, run})
+	if len(single.Edges) != 1 || single.Edges[0] != 1 {
+		t.Fatalf("single-edge segment has edges %v", single.Edges)
+	}
+	diffSegmentReply(t, "single edge", newReplyColumn(), single, false, "")
+
+	// The ,] trap: an edge run that ends exactly where the buffer is full. Its
+	// last comma is then the buffer's last byte and must still be there for
+	// ']' to overwrite. A derivation chain's edges are one run; dropping edge
+	// 1 makes two. The head's name pads the reply to the exact length.
+	chain := prov.New()
+	head := chain.NewEntity("n")
+	var chainEdges []graph.EdgeID
+	for prev, i := head, 0; i < replyFlushBytes/40; i++ {
+		next := chain.NewEntity("")
+		chainEdges = append(chainEdges, chain.WasDerivedFrom(next, prev))
+		prev = next
+	}
+	chainEdges = slices.Delete(chainEdges, 1, 2)
+	chainReply := func(pad int, edges []graph.EdgeID) (*core.Segment, []byte) {
+		chain.PG().SetVertexProp(head, prov.PropName, graph.String("n"+strings.Repeat("p", pad)))
+		seg := &core.Segment{P: chain, Vertices: []graph.VertexID{head}, Rules: []core.Rule{core.RuleQuery}, Edges: edges}
+		var got bytes.Buffer
+		if err := writeSegmentJSON(&got, newReplyColumn(), seg, false, ""); err != nil {
+			t.Fatal(err)
+		}
+		return seg, got.Bytes()
+	}
+	_, full := chainReply(0, chainEdges)
+	end, cut := 0, 0
+	for k, at := 0, 0; k < len(chainEdges); k++ {
+		at += bytes.Index(full[at:], []byte(`"rel":"D"}`)) + len(`"rel":"D"}`) + 1
+		if at <= replyFlushBytes-8 {
+			end, cut = at, k+1
+		}
+	}
+	_, trimmed := chainReply(0, chainEdges[:cut])
+	if end = bytes.LastIndexByte(trimmed, ']') + 1; end > replyFlushBytes || end < replyFlushBytes-64 {
+		t.Fatalf("the trimmed chain's edges end at byte %d, not just short of %d", end, replyFlushBytes)
+	}
+	trapSeg, trap := chainReply(replyFlushBytes-end, chainEdges[:cut])
+	if trap[replyFlushBytes-1] != ']' {
+		t.Fatalf("the edge array does not end on the flush threshold: byte %d is %q", replyFlushBytes-1, trap[replyFlushBytes-1])
+	}
+	diffBytes(t, ",] trap", trap, oracleSegmentJSON(t, trapSeg, false, ""))
 
 	// Names of every length across the word copy's 8- and 16-byte seams (0 is
 	// the omitted name), then an escaped byte first, in the middle and last
@@ -289,7 +348,7 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	// other amount up to its own size): its word stores land in the slack.
 	strad := prov.New()
 	var vs []graph.VertexID
-	for i := 0; i < 3200; i++ {
+	for i := 0; i < replyFlushBytes/40; i++ {
 		vs = append(vs, strad.NewEntity("v"))
 	}
 	seg := core.NewSegment(strad, vs)
@@ -297,7 +356,7 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	for pad := 1; pad <= 64; pad++ {
 		strad.PG().SetVertexProp(vs[0], prov.PropName, graph.String(strings.Repeat("p", pad)))
 		var got writeSizes
-		if err := writeSegmentJSON(&got, seg, false, ""); err != nil {
+		if err := writeSegmentJSON(&got, newReplyColumn(), seg, false, ""); err != nil {
 			t.Fatal(err)
 		}
 		diffBytes(t, fmt.Sprintf("straddle pad %d", pad), got.Bytes(), oracleSegmentJSON(t, seg, false, ""))
@@ -331,14 +390,25 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	blank := rec.P.NewEntity("x")
 	rec.P.PG().SetVertexProp(blank, prov.PropName, graph.String(""))
 	all := core.NewSegment(rec.P, append(ents, blank, rec.P.Agents()[0], rec.P.Activities()[0]))
-	diffSegmentReply(t, "hostile names", all, false, "")
-	diffSegmentReply(t, "hostile names dot", all, false, segmentDOT(t, all))
+	diffSegmentReply(t, "hostile names", newReplyColumn(), all, false, "")
+	diffSegmentReply(t, "hostile names dot", newReplyColumn(), all, false, segmentDOT(t, all))
 	acts := core.NewSegment(rec.P, append(rec.P.Activities(), ents...))
 	psg, err = core.Summarize([]*core.Segment{acts}, core.SumOptions{K: core.Aggregation{Activity: []string{prov.PropCommand}, Entity: []string{prov.PropName}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	diffPsgReply(t, "hostile labels", psg, "")
+}
+
+// edgeRuns counts the maximal runs of consecutive ids in es.
+func edgeRuns(es []graph.EdgeID) int {
+	runs := 0
+	for k := range es {
+		if k == 0 || es[k] != es[k-1]+1 {
+			runs++
+		}
+	}
+	return runs
 }
 
 // postRaw posts a raw body and returns the raw reply.
@@ -576,25 +646,40 @@ func TestReplyStopsAtFirstFailedFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psg, err := core.Summarize([]*core.Segment{seg}, core.SumOptions{})
+	// Aggregating by name keeps the summary near the segment's size (several
+	// flushes) and PgSum's simulation cheap.
+	psg, err := core.Summarize([]*core.Segment{seg}, core.SumOptions{K: core.Aggregation{Entity: []string{prov.PropName}, Activity: []string{prov.PropCommand}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var whole tally
-	if err := writeSegmentJSON(&whole, seg, false, ""); err != nil {
+	col := newReplyColumn()
+	var whole writeSizes
+	if err := writeSegmentJSON(&whole, col, seg, false, ""); err != nil {
 		t.Fatal(err)
 	}
-	if whole.writes < 4 || whole.n < 3*replyFlushBytes {
-		t.Fatalf("reply too small to test a mid-stream failure: %d writes, %d bytes", whole.writes, whole.n)
+	if len(whole.sizes) < 4 || whole.Len() < 3*replyFlushBytes {
+		t.Fatalf("reply too small to test a mid-stream failure: %d writes, %d bytes", len(whole.sizes), whole.Len())
 	}
-	for k := 1; k <= whole.writes; k++ {
+	// Writes that start after the first edge record and before the last
+	// one's end are flushes made inside an edge run copy.
+	edgesFrom := bytes.Index(whole.Bytes(), []byte(`"edges":[`))
+	edgesTo := bytes.LastIndexByte(whole.Bytes(), ']')
+	inRun := 0
+	for k, at := 1, 0; k <= len(whole.sizes); k++ {
 		w := &failAfter{k: k}
-		if err := writeSegmentJSON(w, seg, false, ""); !errors.Is(err, errHungUp) {
+		if err := writeSegmentJSON(w, col, seg, false, ""); !errors.Is(err, errHungUp) {
 			t.Fatalf("fail at write %d: err = %v", k, err)
 		}
 		if w.writes != k {
 			t.Fatalf("fail at write %d: %d Write calls, the encode went on", k, w.writes)
 		}
+		if at > edgesFrom && at < edgesTo {
+			inRun++
+		}
+		at += whole.sizes[k-1]
+	}
+	if inRun == 0 {
+		t.Fatalf("no write of the %d started inside the edge array [%d, %d)", len(whole.sizes), edgesFrom, edgesTo)
 	}
 	w := &failAfter{k: 2}
 	if err := writePsgJSON(w, psg, ""); !errors.Is(err, errHungUp) || w.writes != 2 {
@@ -608,9 +693,9 @@ func TestReplyStopsAtFirstFailedFlush(t *testing.T) {
 	reused := false
 	for i := 0; i < 64 && !reused; i++ {
 		failed := &failAfter{k: 2}
-		_ = writeSegmentJSON(failed, seg, false, "")
+		_ = writeSegmentJSON(failed, col, seg, false, "")
 		next := &failAfter{k: 1}
-		_ = writeSegmentJSON(next, seg, false, "")
+		_ = writeSegmentJSON(next, col, seg, false, "")
 		for b := range next.bufs {
 			reused = reused || failed.bufs[b]
 		}
@@ -654,7 +739,7 @@ func TestReplyRendersFromSolvedSnapshot(t *testing.T) {
 		t.Fatal("the held segment no longer points at the snapshot it was solved at")
 	}
 	var got bytes.Buffer
-	if err := writeSegmentJSON(&got, seg, false, ""); err != nil {
+	if err := writeSegmentJSON(&got, st.Epoch().replies, seg, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), before) {
@@ -709,13 +794,18 @@ func vertexIDsToWire(vs []graph.VertexID) []uint32 {
 }
 
 // TestSegmentHitAllocations pins "no whole-body buffer, no wire structs"
-// without a timing: a cached /segment hit through Server.ServeHTTP allocates
-// well under 64 KB however large the reply is (the reflection path allocated
-// ~7x the reply size).
+// without a timing: a cached /segment hit through Server.ServeHTTP, the reply
+// column already built, allocates well under 64 KB however large the reply is
+// (the reflection path allocated ~7x the reply size).
 func TestSegmentHitAllocations(t *testing.T) {
 	srv, body, size := segmentHit(t, 3000)
 	if size < 4*64<<10 {
 		t.Fatalf("reply of %d bytes is too small for the bound to mean anything", size)
+	}
+	col := srv.Store().Epoch().replies
+	built := extentOf(col)
+	if built[0] == 0 {
+		t.Fatal("the warm-up left the reply column empty: its build would be measured")
 	}
 	const hits = 100
 	w := &discardResponse{h: http.Header{}}
@@ -725,8 +815,8 @@ func TestSegmentHitAllocations(t *testing.T) {
 		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/segment", bytes.NewReader(body)))
 	}
 	runtime.ReadMemStats(&after)
-	if w.n != hits*size {
-		t.Fatalf("%d hits wrote %d bytes, want %d each", hits, w.n, size)
+	if w.n != hits*size || extentOf(col) != built {
+		t.Fatalf("%d hits wrote %d bytes, want %d each; the column went from %v to %v", hits, w.n, size, built, extentOf(col))
 	}
 	if perHit := (after.TotalAlloc - before.TotalAlloc) / hits; perHit > 64<<10 {
 		t.Fatalf("a cached /segment hit allocates %d bytes for a %d-byte reply, want <= 64 KB", perHit, size)

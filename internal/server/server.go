@@ -365,10 +365,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeSegmentReply streams a /segment or /adjust result in the requested
-// format. Once the 200 is out a failed write can only mean the client is
-// gone; the encode stops there and nothing is logged.
-func writeSegmentReply(w http.ResponseWriter, seg *core.Segment, cached bool, format string) {
+// writeSegmentReply streams a /segment or /adjust result, solved at ep, in
+// the requested format. Once the 200 is out a failed write can only mean the
+// client is gone; the encode stops there and nothing is logged.
+func writeSegmentReply(w http.ResponseWriter, ep *Epoch, seg *core.Segment, cached bool, format string) {
 	var dot strings.Builder
 	if format == FormatDOT {
 		if err := seg.WriteDOT(&dot); err != nil {
@@ -378,7 +378,7 @@ func writeSegmentReply(w http.ResponseWriter, seg *core.Segment, cached bool, fo
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_ = writeSegmentJSON(w, seg, cached, dot.String())
+	_ = writeSegmentJSON(w, ep.replies, seg, cached, dot.String())
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -427,12 +427,13 @@ func (s *Server) handleSegment(st *Store, w http.ResponseWriter, r *http.Request
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	seg, cached, err := st.Segment(q, opts, !req.NoCache)
+	ep := st.Epoch()
+	seg, cached, err := st.segmentAt(ep, q, opts, !req.NoCache)
 	if err != nil {
 		writeErr(w, queryErrCode(err), "segment: %v", err)
 		return
 	}
-	writeSegmentReply(w, seg, cached, format)
+	writeSegmentReply(w, ep, seg, cached, format)
 }
 
 // handleAdjust serves the paper's interactive adjust step: the base PgSeg
@@ -483,12 +484,13 @@ func (s *Server) handleAdjust(st *Store, w http.ResponseWriter, r *http.Request)
 		writeErr(w, http.StatusBadRequest, "adjust: needs exclude_rels, exclude_kinds or expansions")
 		return
 	}
-	seg, cached, err := st.Adjust(q, opts, excl, exps)
+	ep := st.Epoch()
+	seg, cached, err := st.adjustAt(ep, q, opts, excl, exps)
 	if err != nil {
 		writeErr(w, queryErrCode(err), "adjust: %v", err)
 		return
 	}
-	writeSegmentReply(w, seg, cached, format)
+	writeSegmentReply(w, ep, seg, cached, format)
 }
 
 func (s *Server) handleSummarize(st *Store, w http.ResponseWriter, r *http.Request) {

@@ -168,26 +168,38 @@ func TestSegmentCacheKeyIgnoresRepeats(t *testing.T) {
 	}
 }
 
+// TestSegmentSolversAgree: the served solver's reply is byte for byte the
+// reply of the baseline solvers, run through the library on the same
+// snapshot (HTTP serves SimProvTst only).
 func TestSegmentSolversAgree(t *testing.T) {
-	ts, _, ids := newTestServer(t)
-	var sizes []int
-	for _, solver := range []string{"tst", "alg", "cflrb"} {
-		req := SegmentRequest{
-			Src:    []uint32{uint32(ids["dataset"])},
-			Dst:    []uint32{uint32(ids["report"])},
-			Solver: solver,
-			// Distinct solver = distinct cache key; no_cache keeps this test
-			// independent of cache state anyway.
-			NoCache: true,
+	ts, st, ids := newTestServer(t)
+	src, dst := []uint32{uint32(ids["dataset"])}, []uint32{uint32(ids["report"])}
+	got := postRaw(t, ts.URL+"/segment", stdJSON(t, SegmentRequest{Src: src, Dst: dst, Solver: "tst", NoCache: true}))
+	q := core.Query{Src: toVertexIDs(src), Dst: toVertexIDs(dst)}
+	for _, solver := range []core.SolverKind{core.SolverAlg, core.SolverCflrB} {
+		seg, err := core.NewEngine(st.Epoch().P, core.Options{Solver: solver}).Segment(q)
+		if err != nil {
+			t.Fatalf("%v: %v", solver, err)
 		}
-		var seg SegmentResponse
-		if code := doJSON(t, http.MethodPost, ts.URL+"/segment", req, &seg); code != 200 {
-			t.Fatalf("solver %s: status %d", solver, code)
-		}
-		sizes = append(sizes, seg.NumVertices)
+		diffBytes(t, fmt.Sprintf("HTTP tst vs library %v", solver), got, oracleSegmentJSON(t, seg, false, ""))
 	}
-	if sizes[0] != sizes[1] || sizes[1] != sizes[2] {
-		t.Fatalf("solvers disagree: %v", sizes)
+}
+
+// TestSegmentRefusesBaselineSolvers: a request for SimProvAlg or CflrB gets a
+// 400 before any solve, on /segment and on /adjust's base query.
+func TestSegmentRefusesBaselineSolvers(t *testing.T) {
+	ts, _, ids := newTestServer(t)
+	for _, solver := range []string{"alg", "cflrb", " CflrB "} {
+		seg := SegmentRequest{Src: []uint32{uint32(ids["dataset"])}, Dst: []uint32{uint32(ids["report"])}, Solver: solver}
+		for path, req := range map[string]any{
+			"/segment": seg,
+			"/adjust":  AdjustRequest{Segment: seg, ExcludeRels: []string{"A"}},
+		} {
+			var errResp ErrorResponse
+			if code := doJSON(t, http.MethodPost, ts.URL+path, req, &errResp); code != http.StatusBadRequest || !strings.Contains(errResp.Error, "(want tst)") {
+				t.Errorf("%s solver %q: status %d %q, want 400 unknown solver (want tst)", path, solver, code, errResp.Error)
+			}
+		}
 	}
 }
 

@@ -46,6 +46,10 @@ type Epoch struct {
 	P        *prov.Graph
 	Vertices int
 	Edges    int
+
+	// replies is the reply column of P's lineage (reccol.go): handed on by
+	// every epoch that extends this one, new where a lineage starts.
+	replies *replyColumn
 }
 
 // Store is the graph wrapper the HTTP handlers talk to.
@@ -336,7 +340,7 @@ func newStore(p *prov.Graph, rec *prov.Recorder, cacheCap int, epoch uint64) *St
 	start := time.Now()
 	fz := p.Freeze()
 	s.observeFreeze(false, time.Since(start))
-	ep := &Epoch{N: epoch, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges()}
+	ep := &Epoch{N: epoch, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges(), replies: newReplyColumn()}
 	if ep.Vertices > 0 {
 		// A non-empty initial graph (loaded, generated, or recovered from a
 		// checkpoint) is state no WAL delta reproduces: from=0 replication
@@ -553,7 +557,7 @@ func (s *Store) updateEpoch(ctx context.Context, fn func(rec *prov.Recorder) err
 	if stages != nil {
 		stages.FreezeNanos = freeze.Nanoseconds()
 	}
-	ep := &Epoch{N: old.N + 1, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges()}
+	ep := &Epoch{N: old.N + 1, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges(), replies: old.replies}
 	s.tail = ep
 
 	if s.wal == nil {
@@ -876,7 +880,11 @@ func (s *Store) Summarize(queries []core.Query, segOpts core.Options, sumOpts co
 // came from the cache. Adjusted results are derived views and are not
 // inserted back into the cache.
 func (s *Store) Adjust(q core.Query, opts core.Options, excl core.Boundary, exps []core.Expansion) (*core.Segment, bool, error) {
-	ep := s.snap.Load()
+	return s.adjustAt(s.snap.Load(), q, opts, excl, exps)
+}
+
+// adjustAt is Adjust against a pinned snapshot.
+func (s *Store) adjustAt(ep *Epoch, q core.Query, opts core.Options, excl core.Boundary, exps []core.Expansion) (*core.Segment, bool, error) {
 	seg, cached, err := s.segmentAt(ep, q, opts, true)
 	if err != nil {
 		return nil, false, err

@@ -162,16 +162,15 @@ func (ad *adjacency) usersOf(e graph.VertexID, buf []graph.VertexID) []graph.Ver
 	return ad.neighbors(e, prov.RelUsed, false, buf)
 }
 
-// directPathVertices computes VC1: vertices on any direct ancestry path
-// from a destination entity to a source entity, i.e. the intersection of
-// the forward ancestry closure of Vdst with the backward closure of Vsrc.
-// Ancestry edges are U, G and (unless disabled) D. The union of the two
-// closures is returned alongside: it seeds the segment's support set (every
-// VC1/VC2 derivation stays inside it, see Segment.Support), which the
-// serving layer uses to revalidate cached segments against ingest deltas.
-func (e *Engine) directPathVertices(q Query, ad *adjacency) (vc1, closures *bitmap.Bitset) {
-	fromDst := e.ancestryClosure(q.Dst, ad, true)
-	toSrc := e.ancestryClosure(q.Src, ad, false)
+// directPaths forms VC1 from the forward ancestry closure of Vdst and the
+// backward closure of Vsrc (two tasks of Segment's fork-join): the vertices
+// on any direct ancestry path from a destination entity to a source entity,
+// i.e. the closures' intersection. Ancestry edges are U, G and (unless
+// disabled) D. The union of the two closures is returned alongside: it seeds
+// the segment's support set (every VC1/VC2 derivation stays inside it, see
+// Segment.Support), which the serving layer uses to revalidate cached
+// segments against ingest deltas. fromDst becomes VC1.
+func directPaths(fromDst, toSrc *bitmap.Bitset) (vc1, closures *bitmap.Bitset) {
 	closures = fromDst.Clone()
 	closures.UnionWith(toSrc)
 	fromDst.IntersectWith(toSrc)
@@ -179,8 +178,8 @@ func (e *Engine) directPathVertices(q Query, ad *adjacency) (vc1, closures *bitm
 }
 
 // AncestryClosure computes the set of vertices reachable from the seeds by
-// ancestry edges under the given boundary — the VC1 building block (half of
-// directPathVertices), exposed so the adjacency representations can be
+// ancestry edges under the given boundary — the VC1 building block (one of
+// directPaths' two inputs), exposed so the adjacency representations can be
 // measured in isolation (bench panel "csr").
 func (e *Engine) AncestryClosure(seeds []graph.VertexID, b Boundary, forward bool) *bitmap.Bitset {
 	return e.ancestryClosure(seeds, newAdjacency(e.P, b), forward)

@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"repro/internal/bitmap"
@@ -104,10 +105,14 @@ func NewEngine(p *prov.Graph, opts Options) *Engine {
 func (e *Engine) Opts() Options { return e.opts }
 
 // VertexFilter is an exclusion boundary predicate over vertices (paper's
-// b_v); a vertex failing any filter is treated as labeled epsilon.
+// b_v); a vertex failing any filter is treated as labeled epsilon. It is
+// called from several goroutines during one Segment, so it must be safe for
+// concurrent use.
 type VertexFilter func(p *prov.Graph, v graph.VertexID) bool
 
-// EdgeFilter is an exclusion boundary predicate over edges (paper's b_e).
+// EdgeFilter is an exclusion boundary predicate over edges (paper's b_e). It
+// is called from several goroutines during one Segment, so it must be safe
+// for concurrent use.
 type EdgeFilter func(p *prov.Graph, e graph.EdgeID) bool
 
 // Expansion is an expansion boundary b_x(Vx, k): include ancestry paths up
@@ -233,7 +238,8 @@ var ErrEmptyQuery = errors.New("core: PgSeg query needs non-empty Src and Dst")
 
 // SimilarPaths computes just the VC2 vertex set (the L(SimProv) similar
 // paths) for a query. It is the core of the segmentation operator, exposed
-// separately so the three solvers can be measured in isolation (Fig. 5a-d).
+// separately so the three solvers can be measured in isolation (Fig. 5a-d),
+// and runs on the calling goroutine alone.
 func (e *Engine) SimilarPaths(q Query) (*bitmap.Bitset, error) {
 	if err := e.validateQuery(q); err != nil {
 		return nil, err
@@ -273,17 +279,23 @@ func (e *Engine) validateQuery(q Query) error {
 // result subgraph. Boundary exclusions are fused into induction (Appendix C
 // style); expansions are applied as part of assembly. AdjustExclude and
 // AdjustExpand support the interactive adjust step over a cached segment.
+//
+// The VC2 solve and the two ancestry closures run as tasks of one fork-join
+// on up to GOMAXPROCS goroutines, the caller among them (see segTasks), so
+// the boundary's filters are called from several goroutines at once.
 func (e *Engine) Segment(q Query) (*Segment, error) {
 	if err := e.validateQuery(q); err != nil {
 		return nil, err
 	}
 	ad := newAdjacency(e.P, q.Boundary)
-
-	vc1, support := e.directPathVertices(q, ad)
-	vc2, err := e.similarPathVertices(q, ad)
+	t := e.newSegTasks(q, ad, true)
+	ws := make([]segWorker, min(runtime.GOMAXPROCS(0), t.len()))
+	forkJoin(len(ws), t.len(), func(w, i int) { t.do(&ws[w], i) })
+	vc2, err := t.vc2(ws)
 	if err != nil {
 		return nil, err
 	}
+	vc1, support := directPaths(t.fwd, t.bwd)
 	return e.induce(q, ad, vc1, vc2, support), nil
 }
 

@@ -40,12 +40,26 @@ func TstClassRuns(e *Engine, q Query) (*bitmap.Bitset, int) {
 	return e.runSimProvTst(c, src, q.Dst, ad), c.n
 }
 
+// runSimProvTst is the VC2 class tasks run in order on one runner and one
+// set: the serial form of Segment's SimProvTst work, with the runner the
+// caller's (so a test can count or replace its calls).
+func (e *Engine) runSimProvTst(r tstRunner, src, dst []graph.VertexID, ad *adjacency) *bitmap.Bitset {
+	out := bitmap.NewBitset(e.P.NumVertices())
+	cl := e.tstClasses(src, dst, ad)
+	defer tstClassPool.Put(cl)
+	for k := range cl.len() {
+		cl.run(k, r, out)
+	}
+	return out
+}
+
 // SegStages are the stage clocks of one SegmentStages call.
 type SegStages struct{ Closure, VC2, Induce time.Duration }
 
-// SegmentStages is Segment with a clock around each stage: the two ancestry
-// closures (VC1 and the support set's seed), the VC2 solve, and induce. The
-// benchmark checks its result against Segment's.
+// SegmentStages is Segment with every stage run in turn on the caller and a
+// clock around each: the two ancestry closures (VC1 and the support set's
+// seed), the VC2 solve, and induce. It is the serial reference Segment's
+// fork-join is held to; the benchmark checks its result against Segment's.
 func SegmentStages(e *Engine, q Query) (*Segment, SegStages, error) {
 	var st SegStages
 	if err := e.validateQuery(q); err != nil {
@@ -53,7 +67,7 @@ func SegmentStages(e *Engine, q Query) (*Segment, SegStages, error) {
 	}
 	t0 := time.Now()
 	ad := newAdjacency(e.P, q.Boundary)
-	vc1, support := e.directPathVertices(q, ad)
+	vc1, support := directPaths(e.ancestryClosure(q.Dst, ad, true), e.ancestryClosure(q.Src, ad, false))
 	t1 := time.Now()
 	vc2, err := e.similarPathVertices(q, ad)
 	if err != nil {

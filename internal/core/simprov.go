@@ -38,14 +38,20 @@ type factSource interface {
 	eePartners(s graph.VertexID, fn func(t graph.VertexID) bool)
 }
 
-// similarPathVertices computes VC2 with the engine's configured solver.
+// similarPathVertices computes VC2 with the engine's configured solver: the
+// VC2 tasks of Segment's fork-join, run on the caller alone.
 func (e *Engine) similarPathVertices(q Query, ad *adjacency) (*bitmap.Bitset, error) {
-	src := dedupVertices(q.Src)
-	if e.opts.Solver == SolverTst {
-		// The destination grouping deduplicates as it sorts.
-		return e.runSimProvTst(e.newTstRunner(ad, src), src, q.Dst, ad), nil
+	t := e.newSegTasks(q, ad, false)
+	var w [1]segWorker
+	for i := range t.len() {
+		t.do(&w[0], i)
 	}
-	dst := dedupVertices(q.Dst)
+	return t.vc2(w[:])
+}
+
+// solveFacts is VC2 under SimProvAlg or CflrB: the solver derives the
+// facts, collectVC2 marks them back into the vertex set.
+func (e *Engine) solveFacts(src, dst []graph.VertexID, ad *adjacency) (*bitmap.Bitset, error) {
 	switch e.opts.Solver {
 	case SolverAlg:
 		facts, err := e.runSimProvAlg(src, dst, ad)

@@ -52,7 +52,8 @@ func chainSig(parent uint64, part string) uint64 {
 
 // tstRunner evaluates SimProvTst for one destination at a time,
 // accumulating VC2 vertices into out. The per-query constants (source set,
-// early-stop bound) live in the runner, built once per query.
+// early-stop bound) and any per-query scratch live in the runner, built once
+// per query on each worker that runs a class: no two goroutines share one.
 type tstRunner interface {
 	run(vj graph.VertexID, out *bitmap.Bitset)
 }
@@ -84,7 +85,7 @@ func (e *Engine) newTstRunner(ad *adjacency, src []graph.VertexID) tstRunner {
 	}
 }
 
-// tstDest is one destination of runSimProvTst; its generator row, sorted and
+// tstDest is one destination of tstClasses; its generator row, sorted and
 // deduplicated (the class key), is rows[lo:hi] of the scratch.
 type tstDest struct {
 	v      graph.VertexID
@@ -92,18 +93,22 @@ type tstDest struct {
 	lo, hi int
 }
 
-// tstClassScratch is the grouping's scratch, pooled like the sweep's.
-type tstClassScratch struct {
+// tstClasses is a query's destinations grouped into classes, pooled like
+// the sweep's scratch: class k is dests[ends[k-1]:ends[k]] (ends[-1] = 0),
+// its representative the first member.
+type tstClasses struct {
 	dests []tstDest
 	rows  []graph.VertexID
 	src   []graph.VertexID // the sources, sorted
+	ends  []int
 }
 
-var tstClassPool = sync.Pool{New: func() any { return new(tstClassScratch) }}
+var tstClassPool = sync.Pool{New: func() any { return new(tstClasses) }}
 
-// runSimProvTst computes VC2 for all destinations, calling r once per
-// destination class (deduplicating the destinations on the way). The
-// grammar's base rule G⁻¹ vj G reaches vj only through its generators, so
+// tstClasses groups the destinations into classes (deduplicating them on the
+// way); run(k, …) then solves class k. The classes are independent: Segment
+// runs them as tasks of its fork-join, each on its worker's runner and set.
+// The grammar's base rule G⁻¹ vj G reaches vj only through its generators, so
 // two destinations with the same generator row under the boundary — outputs
 // of one run, the usual query shape — give runs that differ in vj alone:
 //
@@ -122,11 +127,10 @@ var tstClassPool = sync.Pool{New: func() any { return new(tstClassScratch) }}
 // So the class runs once, on its smallest id; every other member joins VC2
 // exactly when the representative's own run contains the representative.
 // The paper's per-destination cost is what calling run on every vj (the
-// tests' runTst) reproduces.
-func (e *Engine) runSimProvTst(r tstRunner, src, dst []graph.VertexID, ad *adjacency) *bitmap.Bitset {
-	out := bitmap.NewBitset(e.P.NumVertices())
-	sc := tstClassPool.Get().(*tstClassScratch)
-	defer tstClassPool.Put(sc)
+// tests' runTst) reproduces. The caller hands the scratch back with
+// tstClassPool.Put once no run is left.
+func (e *Engine) tstClasses(src, dst []graph.VertexID, ad *adjacency) *tstClasses {
+	sc := tstClassPool.Get().(*tstClasses)
 	srcs := append(sc.src[:0], src...)
 	slices.Sort(srcs)
 	ds, rows := sc.dests[:0], sc.rows[:0]
@@ -154,27 +158,44 @@ func (e *Engine) runSimProvTst(r tstRunner, src, dst []graph.VertexID, ad *adjac
 		return cmp.Or(slices.Compare(key(a), key(b)), cmp.Compare(a.v, b.v))
 	})
 	ds = slices.CompactFunc(ds, func(a, b tstDest) bool { return a.v == b.v })
+	ends := sc.ends[:0]
 	for i := 0; i < len(ds); {
 		rep, j := ds[i], i+1
 		for !rep.src && j < len(ds) && slices.Equal(key(ds[j]), key(rep)) {
 			j++
 		}
-		// Take rep out first, so that whether the run puts it back is the
-		// run's own answer.
-		had := out.Remove(uint32(rep.v))
-		r.run(rep.v, out)
-		if out.Contains(uint32(rep.v)) {
-			for _, m := range ds[i+1 : j] {
-				out.Add(uint32(m.v))
-			}
-		}
-		if had {
-			out.Add(uint32(rep.v))
-		}
+		ends = append(ends, j)
 		i = j
 	}
-	sc.dests, sc.rows, sc.src = ds, rows, srcs
-	return out
+	sc.dests, sc.rows, sc.src, sc.ends = ds, rows, srcs, ends
+	return sc
+}
+
+// len returns the number of classes.
+func (sc *tstClasses) len() int { return len(sc.ends) }
+
+// run solves class k with r, accumulating into out. Every step is an Add
+// except the handshake around the representative's own run, so the union of
+// the classes' results does not depend on their order or on which set each
+// one ran on.
+func (sc *tstClasses) run(k int, r tstRunner, out *bitmap.Bitset) {
+	lo := 0
+	if k > 0 {
+		lo = sc.ends[k-1]
+	}
+	rep, members := sc.dests[lo].v, sc.dests[lo+1:sc.ends[k]]
+	// Take rep out first, so that whether the run puts it back is the run's
+	// own answer.
+	had := out.Remove(uint32(rep))
+	r.run(rep, out)
+	if out.Contains(uint32(rep)) {
+		for _, m := range members {
+			out.Add(uint32(m.v))
+		}
+	}
+	if had {
+		out.Add(uint32(rep))
+	}
 }
 
 // tstChainState carries the class-chain runner's per-query constants.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -595,15 +596,15 @@ func TestVecSolverExcludedBlocksNotRead(t *testing.T) {
 		},
 	}
 	for name, run := range runs {
-		sawGen := false
+		var sawGen atomic.Bool // row-read hooks run on every goroutine that reads
 		restore := graph.SetRowReadHook(func(l graph.Label, out bool) {
 			if l == genLabel {
-				sawGen = true
+				sawGen.Store(true)
 			}
 		})
 		run()
 		restore()
-		if sawGen {
+		if sawGen.Load() {
 			t.Errorf("%s: excluded G block was read", name)
 		}
 	}

@@ -144,8 +144,14 @@ func TestExcludedBlocksNeverRead(t *testing.T) {
 	for _, r := range excluded {
 		bad[p.RelLabel(r)] = true
 	}
+	// Segment reads rows on several goroutines at once.
+	var mu sync.Mutex
 	reads := map[graph.Label]int{}
-	restore := graph.SetRowReadHook(func(l graph.Label, out bool) { reads[l]++ })
+	restore := graph.SetRowReadHook(func(l graph.Label, out bool) {
+		mu.Lock()
+		reads[l]++
+		mu.Unlock()
+	})
 	defer restore()
 	eng := core.NewEngine(p, core.Options{})
 	seg, err := eng.Segment(core.Query{
@@ -161,6 +167,8 @@ func TestExcludedBlocksNeverRead(t *testing.T) {
 	if seg.NumVertices() == 0 {
 		t.Fatal("empty segment: the traversal never ran")
 	}
+	mu.Lock()
+	defer mu.Unlock()
 	total := 0
 	for l, c := range reads {
 		if bad[l] {

@@ -80,9 +80,10 @@ var rowReadHook atomic.Pointer[func(Label, bool)]
 
 // SetRowReadHook installs fn to observe every per-label CSR row read
 // (label, direction) on frozen graphs, returning a restore function that
-// removes it. Passing nil clears the hook. Intended for tests only; the
-// hook must be race-free or the calling test must not read graphs
-// concurrently.
+// removes it. Passing nil clears the hook. Intended for tests only. The hook
+// runs on whichever goroutine reads the row, and one core.Engine.Segment
+// reads rows on several goroutines at once, so the hook must be safe for
+// concurrent use (atomics or a mutex).
 func SetRowReadHook(fn func(label Label, out bool)) (restore func()) {
 	if fn == nil {
 		rowReadHook.Store(nil)

@@ -354,6 +354,9 @@ func parseSolver(name string) (core.SolverKind, error) {
 
 // toQuery converts a SegmentRequest into the core query + options.
 func (r *SegmentRequest) toQuery() (core.Query, core.Options, error) {
+	if err := checkQueryLists(r.Src, r.Dst, r.Expansions); err != nil {
+		return core.Query{}, core.Options{}, err
+	}
 	rels, err := parseRels(r.ExcludeRels)
 	if err != nil {
 		return core.Query{}, core.Options{}, err

@@ -38,7 +38,32 @@ const (
 	// started.
 	maxSumTypeRadius = 8
 	maxSumSegments   = 64
+	// maxQueryVertices bounds every vertex list of a PgSeg query — src, dst
+	// and each expansion's within, on /segment, /adjust and every /summarize
+	// spec: Segment solves the destination classes in parallel, so an
+	// unbounded list would hold every core.
+	maxQueryVertices = 4096
 )
+
+// checkQueryLists refuses, before any solve, a query whose src, dst or any
+// expansion's within lists more than maxQueryVertices ids.
+func checkQueryLists(src, dst []uint32, exps []ExpansionSpec) error {
+	over := func(name string, n int) error {
+		return fmt.Errorf("%s lists %d vertices (at most %d)", name, n, maxQueryVertices)
+	}
+	switch {
+	case len(src) > maxQueryVertices:
+		return over("src", len(src))
+	case len(dst) > maxQueryVertices:
+		return over("dst", len(dst))
+	}
+	for i, ex := range exps {
+		if len(ex.Within) > maxQueryVertices {
+			return over(fmt.Sprintf("expansions[%d].within", i), len(ex.Within))
+		}
+	}
+	return nil
+}
 
 // Server is the provd HTTP API over a Registry of named stores (shards).
 //
@@ -465,6 +490,10 @@ func (s *Server) handleAdjust(st *Store, w http.ResponseWriter, r *http.Request)
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if err := checkQueryLists(nil, nil, req.Expansions); err != nil {
+		writeErr(w, http.StatusBadRequest, "adjust: %v", err)
+		return
+	}
 	excl := core.Boundary{ExcludeRels: rels}
 	if len(kinds) > 0 {
 		excl.VertexFilters = []core.VertexFilter{func(p *prov.Graph, v graph.VertexID) bool {
@@ -518,6 +547,10 @@ func (s *Server) handleSummarize(st *Store, w http.ResponseWriter, r *http.Reque
 	}
 	queries := make([]core.Query, 0, len(req.Segments))
 	for i, spec := range req.Segments {
+		if err := checkQueryLists(spec.Src, spec.Dst, nil); err != nil {
+			writeErr(w, http.StatusBadRequest, "segment %d: %v", i, err)
+			return
+		}
 		rels, err := parseRels(spec.ExcludeRels)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "segment %d: %v", i, err)

@@ -203,6 +203,51 @@ func TestSegmentRefusesBaselineSolvers(t *testing.T) {
 	}
 }
 
+// TestSegmentRefusesOversizedLists: src, dst and every expansion's within
+// hold at most maxQueryVertices ids on /segment, /adjust (its base query and
+// its own expansions) and each /summarize spec. A list over the cap is a 400
+// naming the limit before any solve — the segment cache sees no lookup — and
+// a list at the cap is served.
+func TestSegmentRefusesOversizedLists(t *testing.T) {
+	ts, store, ids := newTestServer(t)
+	rep := func(v graph.VertexID, n int) []uint32 {
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = uint32(v)
+		}
+		return out
+	}
+	src, dst := ids["dataset"], ids["report"]
+	one := SegmentRequest{Src: rep(src, 1), Dst: rep(dst, 1)}
+	for _, n := range []int{maxQueryVertices, maxQueryVertices + 1} {
+		reqs := map[string]any{}
+		for name, seg := range map[string]SegmentRequest{
+			"src":    {Src: rep(src, n), Dst: rep(dst, 1)},
+			"dst":    {Src: rep(src, 1), Dst: rep(dst, n)},
+			"within": {Src: rep(src, 1), Dst: rep(dst, 1), Expansions: []ExpansionSpec{{Within: rep(dst, 1), K: 1}, {Within: rep(dst, n), K: 1}}},
+		} {
+			reqs["/segment "+name] = seg
+			reqs["/adjust segment."+name] = AdjustRequest{Segment: seg, ExcludeRels: []string{"A"}}
+		}
+		reqs["/adjust within"] = AdjustRequest{Segment: one, Expansions: []ExpansionSpec{{Within: rep(dst, n), K: 1}}}
+		reqs["/summarize src"] = SummarizeRequest{Segments: []SegmentSpec{{Src: one.Src, Dst: one.Dst}, {Src: rep(src, n), Dst: one.Dst}}}
+		reqs["/summarize dst"] = SummarizeRequest{Segments: []SegmentSpec{{Src: one.Src, Dst: rep(dst, n)}}}
+		for name, req := range reqs {
+			before := store.CacheStats()
+			var resp ErrorResponse
+			code := doJSON(t, http.MethodPost, ts.URL+strings.Fields(name)[0], req, &resp)
+			switch {
+			case n <= maxQueryVertices && code != http.StatusOK:
+				t.Errorf("%s, %d ids: status %d %q, want 200", name, n, code, resp.Error)
+			case n > maxQueryVertices && (code != http.StatusBadRequest || !strings.Contains(resp.Error, fmt.Sprintf("(at most %d)", maxQueryVertices))):
+				t.Errorf("%s, %d ids: status %d %q, want 400 naming the limit", name, n, code, resp.Error)
+			case n > maxQueryVertices && store.CacheStats() != before:
+				t.Errorf("%s, %d ids: refused after a solve (cache %+v -> %+v)", name, n, before, store.CacheStats())
+			}
+		}
+	}
+}
+
 func TestSegmentDOTFormat(t *testing.T) {
 	ts, _, ids := newTestServer(t)
 	req := SegmentRequest{

@@ -90,9 +90,12 @@ type (
 	Boundary = core.Boundary
 	// Expansion asks for ancestry within K activities of the Within set.
 	Expansion = core.Expansion
-	// VertexFilter / EdgeFilter are exclusion predicates.
+	// VertexFilter is the vertex exclusion predicate. It is called from
+	// several goroutines during one Segment; it must be safe for concurrent
+	// use.
 	VertexFilter = core.VertexFilter
-	// EdgeFilter is the edge exclusion predicate.
+	// EdgeFilter is the edge exclusion predicate. It is called from several
+	// goroutines during one Segment; it must be safe for concurrent use.
 	EdgeFilter = core.EdgeFilter
 	// Segment is a PgSeg result subgraph.
 	Segment = core.Segment

@@ -50,7 +50,6 @@ func BenchmarkFig5a(b *testing.B) {
 	}{
 		{"SimProvTst", provdb.SegmentOptions{Solver: provdb.SolverTst}},
 		{"SimProvAlg", provdb.SegmentOptions{Solver: provdb.SolverAlg}},
-		{"SimProvTstCbm", provdb.SegmentOptions{Solver: provdb.SolverTst, Sets: provdb.RoaringSets}},
 		{"SimProvAlgCbm", provdb.SegmentOptions{Solver: provdb.SolverAlg, Sets: provdb.RoaringSets}},
 		{"CflrB", provdb.SegmentOptions{Solver: provdb.SolverCflrB}},
 	}

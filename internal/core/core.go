@@ -65,20 +65,24 @@ type Options struct {
 	Sets bitmap.Factory
 	// NoPruning disables SimProvAlg's symmetric-pair pruning (ablation).
 	NoPruning bool
-	// NoEarlyStop disables the temporal early-stopping rule (Fig. 5d
-	// ablates this) in SimProvAlg and in SimProvTst's class-chain and
-	// level-synchronous runners. The three-sweep runner has no such rule to
-	// disable: its depth windows are exact.
+	// NoEarlyStop disables SimProvAlg's temporal early-stopping rule (Fig.
+	// 5d ablates this). The rule only runs on id-monotone graphs
+	// (prov.Graph.AncestryMonotone), the only ones where it is sound, so
+	// elsewhere this changes nothing. SimProvTst has no such rule: the
+	// sweep's depth windows are exact, and the level-synchronous runner
+	// serves exactly the graphs the rule is unsound on.
 	NoEarlyStop bool
 	// MaxFacts bounds derived facts for SimProvAlg/CflrB (0 = unlimited);
 	// exceeding it returns cflr.ErrFactBudget.
 	MaxFacts int
 	// MatchActivityProp, when set, strengthens L(SimProv) so matched
 	// activity pairs must agree on this property (the paper's
-	// sigma(a_i, p0) = sigma(a_j, p0) generalization). Supported by
-	// SimProvAlg and SimProvTst.
+	// sigma(a_i, p0) = sigma(a_j, p0) generalization). SimProvAlg solves
+	// such a query, also when Solver is SimProvTst, whose per-level classes
+	// the constraint makes inexact; CflrB refuses it.
 	MatchActivityProp string
-	// MatchEntityProp is the analogous constraint on matched entity pairs.
+	// MatchEntityProp is the analogous constraint on matched entity pairs,
+	// solved the same way.
 	MatchEntityProp string
 	// VC1ExcludeDerivations drops wasDerivedFrom edges from direct-path
 	// induction (they participate by default; Fig. 2's Q1/Q2 instead

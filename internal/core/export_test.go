@@ -31,6 +31,10 @@ func DeepRunnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opt
 	return len(ref), seen.maxWords
 }
 
+// ChainVC2 is VC2 by the class-chain oracle (chain_oracle_test.go) under e's
+// options, the reference for property-match queries.
+func ChainVC2(e *Engine, q Query) *bitmap.Bitset { return e.chainVC2(q) }
+
 // TstClassRuns is SimilarPaths under SimProvTst with the dispatched runner's
 // calls counted: the number of destination classes runSimProvTst formed.
 func TstClassRuns(e *Engine, q Query) (*bitmap.Bitset, int) {

@@ -14,7 +14,9 @@ import (
 // therefore runs them as the tasks of one fork-join, in this order:
 //
 //   - the VC2 work: one task per destination class under SimProvTst, the
-//     whole solve as one task under SimProvAlg or CflrB;
+//     whole solve as one task under SimProvAlg or CflrB (and under
+//     SimProvTst for a property-match query, which vc2Solver hands to
+//     SimProvAlg);
 //   - the forward ancestry closure of Vdst, then the backward one of Vsrc.
 //
 // Class runs come first, so on a one-class query one worker solves VC2 while
@@ -30,8 +32,8 @@ type segTasks struct {
 	ad       *adjacency
 	src, dst []graph.VertexID // src deduplicated, dst as given
 
-	// classes are SimProvTst's destination classes, one task each; nil under
-	// SimProvAlg and CflrB, whose single VC2 task leaves algVC2 and err.
+	// classes are SimProvTst's destination classes, one task each; nil when
+	// SimProvAlg or CflrB solves, whose single VC2 task leaves algVC2 and err.
 	classes *tstClasses
 	algVC2  *bitmap.Bitset
 	err     error
@@ -57,7 +59,7 @@ var vc2Shares sync.Pool
 
 func (e *Engine) newSegTasks(q Query, ad *adjacency, closures bool) segTasks {
 	t := segTasks{e: e, ad: ad, src: dedupVertices(q.Src), dst: q.Dst, nVC2: 1, closures: closures}
-	if e.opts.Solver == SolverTst {
+	if e.vc2Solver() == SolverTst {
 		// The grouping deduplicates the destinations as it sorts.
 		t.classes = e.tstClasses(t.src, t.dst, ad)
 		t.nVC2 = t.classes.len()

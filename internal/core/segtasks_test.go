@@ -18,12 +18,12 @@ import (
 // which runs every stage in turn on the caller: the segments must be
 // reflect.DeepEqual (vertices, edges, Rules, the vertex set and Support()),
 // and an error must be the same error. The inputs reach each SimProvTst
-// runner (sweep, level-synchronous on a non-monotone graph, class chain under
-// a property match) and SimProvAlg, live and frozen, with destination sets of
-// several classes, a destination that is also a source, repeated ids, vertex
-// and edge filters, excluded relations and expansions. Run it under
-// -cpu 1,2 and -race: at one proc Segment has one worker, at two the class
-// runs and the closures overlap.
+// runner (sweep, level-synchronous on a non-monotone graph), SimProvAlg and a
+// property-match query (solved by SimProvAlg), live and frozen, with
+// destination sets of several classes, a destination that is also a source,
+// repeated ids, vertex and edge filters, excluded relations and expansions.
+// Run it under -cpu 1,2 and -race: at one proc Segment has one worker, at two
+// the class runs and the closures overlap.
 func TestSegmentOverlapMatchesSerial(t *testing.T) {
 	multiClass := 0
 	for seed := int64(1); seed <= 4; seed++ {
@@ -53,9 +53,9 @@ func TestSegmentOverlapMatchesSerial(t *testing.T) {
 		}
 		engines := map[string]Options{
 			"tst":   {},
-			"chain": {MatchActivityProp: prov.PropCommand},
+			"match": {MatchActivityProp: prov.PropCommand},
 			"alg":   {Solver: SolverAlg},
-			"noes":  {NoEarlyStop: true},
+			"noes":  {Solver: SolverAlg, NoEarlyStop: true},
 		}
 		for gname, g := range map[string]*prov.Graph{"mono": lc.p, "nonmono": nonMono} {
 			for _, rep := range []*prov.Graph{g, g.Freeze()} {

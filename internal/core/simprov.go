@@ -49,10 +49,22 @@ func (e *Engine) similarPathVertices(q Query, ad *adjacency) (*bitmap.Bitset, er
 	return t.vc2(w[:])
 }
 
+// vc2Solver is the solver that computes VC2: the configured one, except that
+// a property-match query under SimProvTst goes to SimProvAlg. SimProvTst's
+// one class per level needs Ee and Aa to be transitive, which the
+// sigma(a_i, p) = sigma(a_j, p) constraint breaks; SimProvAlg checks it pair
+// by pair.
+func (e *Engine) vc2Solver() SolverKind {
+	if e.opts.Solver == SolverTst && (e.opts.MatchActivityProp != "" || e.opts.MatchEntityProp != "") {
+		return SolverAlg
+	}
+	return e.opts.Solver
+}
+
 // solveFacts is VC2 under SimProvAlg or CflrB: the solver derives the
 // facts, collectVC2 marks them back into the vertex set.
 func (e *Engine) solveFacts(src, dst []graph.VertexID, ad *adjacency) (*bitmap.Bitset, error) {
-	switch e.opts.Solver {
+	switch e.vc2Solver() {
 	case SolverAlg:
 		facts, err := e.runSimProvAlg(src, dst, ad)
 		if err != nil {
@@ -85,19 +97,6 @@ func dedupVertices(vs []graph.VertexID) []graph.VertexID {
 		}
 	}
 	return out
-}
-
-// minSrcOrder returns the smallest order-of-being among the sources: the
-// bound of the temporal early stop (nothing strictly older than every
-// source can lead to an answer).
-func (e *Engine) minSrcOrder(src []graph.VertexID) int64 {
-	minSrc := int64(1) << 62
-	for _, s := range src {
-		if o := e.P.Order(s); o < minSrc {
-			minSrc = o
-		}
-	}
-	return minSrc
 }
 
 // propMatch builds a pair predicate requiring equality of the given

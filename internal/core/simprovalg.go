@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/bitmap"
 	"repro/internal/cflr"
 	"repro/internal/graph"
@@ -15,10 +17,13 @@ import (
 // The rewriting folds the normal form's intermediate nonterminals away, so
 // one worklist pop derives a whole Aa (or Ee) fact at once (the paper's
 // "reduction for worklist tuples"). Both relations are symmetric, enabling
-// the (id(x) <= id(y)) pruning strategy; the temporal early-stopping rule
-// drops pairs whose two sides are both strictly older than every source
-// entity, because derivation strictly descends in order-of-being and an
-// answer fact must keep one side at a source.
+// the (id(x) <= id(y)) pruning strategy. The temporal early-stopping rule
+// drops pairs whose two sides both have smaller ids than every source
+// entity: on an id-monotone graph (prov.Graph.AncestryMonotone) every
+// derivation strictly descends in id, and an answer fact must keep one side
+// at a source. Anywhere else the rule is unsound (an activity that uses a
+// newer entity leads from old pairs back up to a source), so it only runs on
+// id-monotone graphs.
 
 // pairStore keeps a symmetric vertex-pair relation as per-vertex partner
 // sets (both orientations stored so lookups and partner enumeration are
@@ -110,8 +115,8 @@ func (e *Engine) runSimProvAlg(src, dst []graph.VertexID, ad *adjacency) (*algFa
 	matchA := e.propMatch(e.opts.MatchActivityProp)
 	matchE := e.propMatch(e.opts.MatchEntityProp)
 
-	minSrc := e.minSrcOrder(src)
-	earlyStop := !e.opts.NoEarlyStop
+	earlyStop := !e.opts.NoEarlyStop && e.P.AncestryMonotone()
+	minSrc := slices.Min(src)
 	pruning := !e.opts.NoPruning
 
 	var work []algItem
@@ -157,9 +162,9 @@ func (e *Engine) runSimProvAlg(src, dst []graph.VertexID, ad *adjacency) (*algFa
 		it := work[head]
 		head++
 		u, v := graph.VertexID(it.u), graph.VertexID(it.v)
-		if earlyStop && e.P.Order(u) < minSrc && e.P.Order(v) < minSrc {
-			// Every further derivation strictly descends in order-of-being,
-			// so this pair can never reach a source entity.
+		if earlyStop && u < minSrc && v < minSrc {
+			// Every further derivation strictly descends in id, so this pair
+			// can never reach a source entity.
 			continue
 		}
 		if it.isEe {

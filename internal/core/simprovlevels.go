@@ -5,31 +5,33 @@ import (
 	"repro/internal/graph"
 )
 
-// Level-synchronous SimProvTst for label-only queries on graphs whose
-// ancestry edges do not descend in vertex id (out-of-order ingestion), where
-// the sweep solver's single-pass propagation does not apply. Each level's
-// equivalence class is one frontier list,
+// Level-synchronous SimProvTst for graphs whose ancestry edges do not
+// descend in vertex id (out-of-order ingestion), where the sweep solver's
+// single-pass propagation does not apply. Each level's equivalence class is
+// one frontier list,
 //
 //	[a]_{m+1} = generators of [e]_m,   [e]_{m+1} = inputs of [a]_{m+1},
 //
 // built by one pass over the previous level's rows and deduplicated through
-// a scratch bitset — the class-chain iteration (tstChainState) without its
-// per-class maps, parent pointers and property grouping — and the backward
-// answer prune runs once over all answer levels instead of once per level.
-// It mirrors the class chain's label-only semantics level by level,
-// including the answer-before-early-stop ordering.
+// a scratch bitset, and the backward answer prune runs once over all answer
+// levels instead of once per level.
+//
+// There is no temporal early stop here. Its premise, that derivation
+// strictly descends in order-of-being, is exactly what this runner's input
+// lacks: on a graph where an activity uses an entity newer than itself, a
+// level whose members are all older than every source can still lead to a
+// source. The iteration runs until a level is empty, which on an acyclic
+// graph happens within NumVertices levels.
 
 // tstLevelsState carries one query's scratch across destinations. The
 // scratch bitset and the kept-entity set are left empty between uses so one
 // allocation serves every destination; per-level member lists are reused by
 // capacity.
 type tstLevelsState struct {
-	e         *Engine
-	ad        *adjacency
-	srcSet    *bitmap.Bitset
-	minSrc    int64
-	earlyStop bool
-	maxLevel  int
+	e        *Engine
+	ad       *adjacency
+	srcSet   *bitmap.Bitset
+	maxLevel int
 
 	scratch *bitmap.Bitset // level dedup + prune target set; empty between uses
 	xe      *bitmap.Bitset // backward-prune kept-entity set; empty between uses
@@ -44,14 +46,12 @@ type tstLevelsState struct {
 func (e *Engine) newTstLevels(ad *adjacency, src []graph.VertexID) *tstLevelsState {
 	n := e.P.NumVertices()
 	st := &tstLevelsState{
-		e:         e,
-		ad:        ad,
-		srcSet:    bitmap.NewBitset(n),
-		minSrc:    e.minSrcOrder(src),
-		earlyStop: !e.opts.NoEarlyStop,
-		// Levels strictly descend in maximum order-of-being on any
-		// temporally consistent graph; the cap is defensive against
-		// inconsistent PropTime overrides.
+		e:      e,
+		ad:     ad,
+		srcSet: bitmap.NewBitset(n),
+		// A level-m member ends an alternating path of 2m+1 vertices, so an
+		// acyclic graph has no level past n; the cap only stops a cycle
+		// (a NewStore over an unvalidated graph) from looping forever.
 		maxLevel: n + 1,
 		scratch:  bitmap.NewBitset(n),
 		xe:       bitmap.NewBitset(n),
@@ -91,23 +91,6 @@ func (st *tstLevelsState) unmark(vs []graph.VertexID) {
 	}
 }
 
-// allOld reports the temporal early stop: every member of the new level is
-// strictly older than every source, so no deeper level of this chain can be
-// an answer level (derivation strictly descends in order-of-being).
-func (st *tstLevelsState) allOld(ents, acts []graph.VertexID) bool {
-	for _, x := range ents {
-		if st.e.P.Order(x) >= st.minSrc {
-			return false
-		}
-	}
-	for _, x := range acts {
-		if st.e.P.Order(x) >= st.minSrc {
-			return false
-		}
-	}
-	return true
-}
-
 // run evaluates one destination: the forward level iteration, then one
 // fused backward prune over all answer levels.
 func (st *tstLevelsState) run(vj graph.VertexID, out *bitmap.Bitset) {
@@ -142,11 +125,6 @@ func (st *tstLevelsState) run(vj graph.VertexID, out *bitmap.Bitset) {
 				break
 			}
 		}
-		// Answer check before the early stop, like the class chain: a level
-		// that is both an answer and all-old still contributes its prune.
-		if st.earlyStop && st.allOld(ents, acts) {
-			break
-		}
 	}
 	if deepest >= 0 {
 		st.collect(deepest, out)
@@ -158,8 +136,7 @@ func (st *tstLevelsState) run(vj graph.VertexID, out *bitmap.Bitset) {
 // level's full class as the sweep reaches it. Fusing is exact because the
 // per-level prune steps (kept activities = those with an input in Xe, kept
 // parents = previous level ∩ generated-by-kept) distribute over unions of
-// Xe — one walk with the merged set equals the class chain's separate
-// tstCollect walks.
+// Xe — one walk with the merged set equals one prune walk per answer level.
 func (st *tstLevelsState) collect(deepest int, out *bitmap.Bitset) {
 	xeL, newL := st.xeL[:0], st.newL[:0]
 	for l := deepest; ; l-- {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"hash/maphash"
 	"slices"
 	"sync"
 
@@ -23,66 +22,37 @@ import (
 // ancestry path of exactly that length from vj (computed by a backward
 // prune over the levels). Runtime is O(|G| + |U|) per destination.
 //
-// When a property-match constraint is active, path labels are no longer
-// determined by length alone, so each level fans out into one class per
-// property-value signature; classes form chains via parent pointers and the
-// default case degenerates to a single chain.
-
-type tstClass struct {
-	sig    uint64
-	level  int
-	ents   []graph.VertexID // [e]_level (deduplicated)
-	acts   []graph.VertexID // [a]_level that produced ents (nil at level 0)
-	parent *tstClass
-}
-
-var tstSeed = maphash.MakeSeed()
-
-func chainSig(parent uint64, part string) uint64 {
-	var h maphash.Hash
-	h.SetSeed(tstSeed)
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(parent >> (8 * i))
-	}
-	h.Write(b[:])
-	h.WriteString(part)
-	return h.Sum64()
-}
+// A property-match constraint (Options.MatchActivityProp/MatchEntityProp)
+// breaks that transitivity: an entity reached along two paths with different
+// property values matches partners of either path, and those need not match
+// each other. Such a query never reaches a runner here; vc2Solver hands it to
+// SimProvAlg, whose worklist checks the constraint pair by pair.
 
 // tstRunner evaluates SimProvTst for one destination at a time,
-// accumulating VC2 vertices into out. The per-query constants (source set,
-// early-stop bound) and any per-query scratch live in the runner, built once
-// per query on each worker that runs a class: no two goroutines share one.
+// accumulating VC2 vertices into out. The per-query constants (the source
+// set) and any per-query scratch live in the runner, built once per query on
+// each worker that runs a class: no two goroutines share one.
 type tstRunner interface {
 	run(vj graph.VertexID, out *bitmap.Bitset)
 }
 
-// newTstRunner picks the runner from what the query and the graph show, and
-// nothing else:
+// newTstRunner picks the runner from one fact the graph shows, and nothing
+// else:
 //
-//   - a property-match constraint needs the explicit class chains
-//     (tstChainState), the only runner that can split a level by
-//     property-value signature;
-//   - a label-only query on an id-monotone graph takes the three-sweep
-//     solver (simprovsweep.go), which visits every ancestry edge once but
-//     needs ancestry edges to strictly descend in vertex id
-//     (prov.Graph.AncestryMonotone, memoized per frozen snapshot);
-//   - a label-only query on a graph ingested out of order takes the
-//     level-synchronous solver (simprovlevels.go): one frontier per level,
-//     no ordering requirement.
+//   - on an id-monotone graph, the three-sweep solver (simprovsweep.go),
+//     which visits every ancestry edge once but needs ancestry edges to
+//     strictly descend in vertex id (prov.Graph.AncestryMonotone, memoized
+//     per frozen snapshot);
+//   - on a graph ingested out of order, the level-synchronous solver
+//     (simprovlevels.go): one frontier per level, no ordering requirement.
 //
-// All three read rows through adjacency, so the representation (frozen,
-// live, filtered) and the graph's size play no part.
+// Both read rows through adjacency, so the representation (frozen, live,
+// filtered) and the graph's size play no part.
 func (e *Engine) newTstRunner(ad *adjacency, src []graph.VertexID) tstRunner {
-	switch {
-	case e.opts.MatchActivityProp != "" || e.opts.MatchEntityProp != "":
-		return e.newTstChain(ad, src)
-	case e.P.AncestryMonotone():
+	if e.P.AncestryMonotone() {
 		return e.newTstSweep(ad, src)
-	default:
-		return e.newTstLevels(ad, src)
 	}
+	return e.newTstLevels(ad, src)
 }
 
 // tstDest is one destination of tstClasses; its generator row, sorted and
@@ -114,8 +84,7 @@ var tstClassPool = sync.Pool{New: func() any { return new(tstClasses) }}
 //
 //   - every level from 1 on is the same: [a]_1 = gen(vj) and the rest is
 //     built from it, so the depth, answer and target sets D, A and T agree on
-//     every v ≠ vj, and so do the early stop and the backward prune above
-//     level 0;
+//     every v ≠ vj, and so does the backward prune above level 0;
 //   - no member of a class reaches another (vj → a → … → m → a would close
 //     a cycle through their common generator a), so no member sits on a
 //     deeper level of another's run;
@@ -195,180 +164,5 @@ func (sc *tstClasses) run(k int, r tstRunner, out *bitmap.Bitset) {
 	}
 	if had {
 		out.Add(uint32(rep))
-	}
-}
-
-// tstChainState carries the class-chain runner's per-query constants.
-type tstChainState struct {
-	e      *Engine
-	ad     *adjacency
-	srcSet map[graph.VertexID]bool
-	minSrc int64
-}
-
-func (e *Engine) newTstChain(ad *adjacency, src []graph.VertexID) *tstChainState {
-	st := &tstChainState{
-		e:      e,
-		ad:     ad,
-		srcSet: make(map[graph.VertexID]bool, len(src)),
-		minSrc: e.minSrcOrder(src),
-	}
-	for _, s := range src {
-		st.srcSet[s] = true
-	}
-	return st
-}
-
-// run is the class-chain level iteration for one destination.
-func (st *tstChainState) run(vj graph.VertexID, out *bitmap.Bitset) {
-	e, ad, srcSet, minSrc := st.e, st.ad, st.srcSet, st.minSrc
-	g := e.P.PG()
-	matchAKey := e.opts.MatchActivityProp
-	matchEKey := e.opts.MatchEntityProp
-	earlyStop := !e.opts.NoEarlyStop
-
-	root := &tstClass{ents: []graph.VertexID{vj}}
-	cur := []*tstClass{root}
-	if srcSet[vj] {
-		e.tstCollect(root, ad, out)
-	}
-
-	// Levels strictly descend in maximum order-of-being, so the iteration
-	// terminates within NumVertices levels on any temporally consistent
-	// graph; the cap is defensive against inconsistent PropTime overrides.
-	maxLevel := e.P.NumVertices() + 1
-	var bufA, bufE []graph.VertexID
-	for len(cur) > 0 && cur[0].level < maxLevel {
-		var next []*tstClass
-		for _, c := range cur {
-			// [a]_{m+1}: generators of the class entities, grouped by the
-			// activity property signature when the constraint is active.
-			bufA = bufA[:0]
-			for _, en := range c.ents {
-				bufA = ad.generatorsOf(en, bufA)
-			}
-			actGroups := groupByProp(g, dedupVertices(bufA), matchAKey)
-			for _, ag := range actGroups {
-				// [e]_{m+1}: inputs of the group's activities, grouped by
-				// the entity property signature.
-				bufE = bufE[:0]
-				for _, a := range ag.members {
-					bufE = ad.inputsOf(a, bufE)
-				}
-				entGroups := groupByProp(g, dedupVertices(bufE), matchEKey)
-				for _, eg := range entGroups {
-					nc := &tstClass{
-						sig:    chainSig(chainSig(c.sig, ag.key), eg.key),
-						level:  c.level + 1,
-						ents:   eg.members,
-						acts:   ag.members,
-						parent: c,
-					}
-					// Answer level: the class contains a source entity.
-					for _, en := range nc.ents {
-						if srcSet[en] {
-							e.tstCollect(nc, ad, out)
-							break
-						}
-					}
-					// Temporal early stop: a class whose members are all
-					// strictly older than every source can never produce an
-					// answer level deeper in its own chain.
-					if earlyStop && e.tstAllOld(nc, minSrc) {
-						continue
-					}
-					next = append(next, nc)
-				}
-			}
-		}
-		cur = next
-	}
-}
-
-func (e *Engine) tstAllOld(c *tstClass, minSrc int64) bool {
-	for _, v := range c.ents {
-		if e.P.Order(v) >= minSrc {
-			return false
-		}
-	}
-	for _, v := range c.acts {
-		if e.P.Order(v) >= minSrc {
-			return false
-		}
-	}
-	return true
-}
-
-type propGroup struct {
-	key     string
-	members []graph.VertexID
-}
-
-// groupByProp partitions vertices by the value of a property; an empty key
-// yields a single group.
-func groupByProp(g *graph.Graph, vs []graph.VertexID, key string) []propGroup {
-	if key == "" {
-		if len(vs) == 0 {
-			return nil
-		}
-		return []propGroup{{members: vs}}
-	}
-	byVal := make(map[string][]graph.VertexID)
-	var order []string
-	for _, v := range vs {
-		val := g.VertexProp(v, key).AsString()
-		if _, ok := byVal[val]; !ok {
-			order = append(order, val)
-		}
-		byVal[val] = append(byVal[val], v)
-	}
-	out := make([]propGroup, 0, len(order))
-	for _, val := range order {
-		out = append(out, propGroup{key: val, members: byVal[val]})
-	}
-	return out
-}
-
-// tstCollect performs the backward prune for an answer class at level m:
-// every entity of the class is the endpoint of a valid length-m ancestry
-// path from vj; walking down the chain keeps exactly the activities and
-// entities that extend to level m.
-func (e *Engine) tstCollect(c *tstClass, ad *adjacency, out *bitmap.Bitset) {
-	// Xe starts as the full answer-level class.
-	xe := make(map[graph.VertexID]bool, len(c.ents))
-	for _, en := range c.ents {
-		xe[en] = true
-		out.Add(uint32(en))
-	}
-	var buf []graph.VertexID
-	for walk := c; walk.level > 0; walk = walk.parent {
-		// Keep activities with at least one kept input.
-		var keptActs []graph.VertexID
-		for _, a := range walk.acts {
-			buf = ad.inputsOf(a, buf[:0])
-			for _, en := range buf {
-				if xe[en] {
-					keptActs = append(keptActs, a)
-					out.Add(uint32(a))
-					break
-				}
-			}
-		}
-		// Keep parent entities generated by a kept activity.
-		parentEnts := make(map[graph.VertexID]bool, len(walk.parent.ents))
-		for _, en := range walk.parent.ents {
-			parentEnts[en] = true
-		}
-		nxt := make(map[graph.VertexID]bool)
-		for _, a := range keptActs {
-			buf = ad.generatedBy(a, buf[:0])
-			for _, en := range buf {
-				if parentEnts[en] {
-					nxt[en] = true
-					out.Add(uint32(en))
-				}
-			}
-		}
-		xe = nxt
 	}
 }

@@ -13,14 +13,15 @@ import (
 	"repro/internal/prov"
 )
 
-// White-box coverage of the three SimProvTst runners (class chain, sweep,
-// level-synchronous): called directly on the same label-only queries they
-// must produce identical VC2 sets — on live and frozen graphs, under
-// excluded relations, programmatic filters, disabled early stopping and
-// non-monotone ingestion — and equal SimProvAlg's; the dispatcher must hand
-// each input class the runner the query and graph dictate. ("Vec" in some
-// test names dates from when the sweep and level-synchronous runners sat
-// behind an option; the names are what the test floor tracks.)
+// White-box coverage of the two SimProvTst runners (sweep,
+// level-synchronous) and the class-chain oracle (chain_oracle_test.go):
+// called directly on the same label-only queries they must produce identical
+// VC2 sets — on live and frozen graphs, under excluded relations,
+// programmatic filters, disabled early stopping and non-monotone ingestion —
+// and equal SimProvAlg's; the dispatcher must hand each input class the
+// solver and runner the query and graph dictate. ("Vec" in some test names
+// dates from when the sweep and level-synchronous runners sat behind an
+// option; the names are what the test floor tracks.)
 
 func bitsetMap(b *bitmap.Bitset) map[uint32]bool {
 	m := map[uint32]bool{}
@@ -57,10 +58,10 @@ func runTst(p *prov.Graph, r tstRunner, q Query, ad *adjacency) map[uint32]bool 
 // runnersAgree runs every applicable runner directly on the live graph and
 // on its frozen snapshot — once per destination (runTst) and once per
 // destination class (runSimProvTst) — then the dispatched SimProvTst and
-// SimProvAlg, and requires one VC2 set from all of them. The class chain on
-// the live graph, run per destination, is the reference. The sweep is only
-// defined on id-monotone graphs; where it runs, its depth slab is also
-// checked against pass 0's windows.
+// SimProvAlg, and requires one VC2 set from all of them. The class-chain
+// oracle on the live graph, run per destination, is the reference. The sweep
+// is only defined on id-monotone graphs; where it runs, its depth slab is
+// also checked against pass 0's windows.
 func runnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opts Options) map[uint32]bool {
 	t.Helper()
 	ref, _ := runnersAgreeOn(t, label, live, q, opts, false)
@@ -101,11 +102,7 @@ func runnersAgreeOn(t *testing.T, label string, live *prov.Graph, q Query, opts 
 			diffSets(t, fmt.Sprintf("%s/%s/%s/classes", label, rep.name, name), ref, bitsetMap(e.runSimProvTst(r, src, q.Dst, ad)))
 		}
 		solvers := []SolverKind{SolverTst, SolverAlg}
-		if deep || (!rep.p.AncestryMonotone() && !opts.NoEarlyStop) {
-			// SimProvAlg's early stop drops a pair by the order-of-being of
-			// its two sides alone, which is only sound when ancestry
-			// descends in order; SimProvTst also looks at the level the
-			// pair leads to. They are only comparable without it here.
+		if deep {
 			solvers = solvers[:1]
 		}
 		for _, solver := range solvers {
@@ -258,7 +255,8 @@ func TestTstImplementationsAgree(t *testing.T) {
 	}
 }
 
-// TestTstImplementationsAgreeNoEarlyStop repeats without the depth cap.
+// TestTstImplementationsAgreeNoEarlyStop repeats without the temporal early
+// stop, which only SimProvAlg and the class-chain oracle have.
 func TestTstImplementationsAgreeNoEarlyStop(t *testing.T) {
 	for rounds := 1; rounds <= 6; rounds++ {
 		p, src, dst := smallLifecycle(rounds)
@@ -313,8 +311,8 @@ func TestVecSolversExcludedRels(t *testing.T) {
 }
 
 // TestVecSolversNonMonotone: out-of-order ingestion bars the sweep, and the
-// level-synchronous runner must stay exact against the class chain — plain,
-// filtered, live and frozen.
+// level-synchronous runner and SimProvAlg must stay exact against the class
+// chain — plain, filtered, live and frozen.
 func TestVecSolversNonMonotone(t *testing.T) {
 	p, q := nonMonotone(t)
 	if got := runnersAgree(t, "nonmonotone", p, q, Options{}); len(got) != p.NumVertices() {
@@ -533,11 +531,12 @@ func TestTstClassesAgree(t *testing.T) {
 	}
 }
 
-// TestVecSolverRegimeChoice pins the dispatcher: the runner is a function of
-// (property-match constraint?, ancestryMonotone()) and of nothing else —
-// not the representation, not the boundary, not the graph's size.
+// TestVecSolverRegimeChoice pins the dispatcher: a property-match query goes
+// to SimProvAlg, and otherwise the runner is a function of
+// ancestryMonotone() and of nothing else — not the representation, not the
+// boundary, not the graph's size, not NoEarlyStop.
 func TestVecSolverRegimeChoice(t *testing.T) {
-	const chain, sweep, levels = "*core.tstChainState", "*core.tstSweepState", "*core.tstLevelsState"
+	const alg, sweep, levels = "SimProvAlg", "*core.tstSweepState", "*core.tstLevelsState"
 	mono, _, _ := smallLifecycle(3)
 	big, _ := randomLifecycle(1, 2000) // ~6000 ancestry edges
 	nonMono, _ := nonMonotone(t)
@@ -563,21 +562,27 @@ func TestVecSolverRegimeChoice(t *testing.T) {
 		// runner required frozen rows and a plain boundary.
 		{"nonmonotone/frozen/filtered", nonMono.Freeze(), filtered, Options{}, levels},
 		{"nonmonotone/live", nonMono, Boundary{}, Options{}, levels},
-		{"match-activity/monotone", mono.Freeze(), Boundary{}, Options{MatchActivityProp: prov.PropCommand}, chain},
-		{"match-entity/monotone", mono, Boundary{}, Options{MatchEntityProp: prov.PropName}, chain},
-		{"match-activity/nonmonotone", nonMono, Boundary{}, Options{MatchActivityProp: prov.PropCommand}, chain},
+		{"nonmonotone/noearlystop", nonMono, Boundary{}, Options{NoEarlyStop: true}, levels},
+		{"match-activity/monotone", mono.Freeze(), Boundary{}, Options{MatchActivityProp: prov.PropCommand}, alg},
+		{"match-entity/monotone", mono, Boundary{}, Options{MatchEntityProp: prov.PropName}, alg},
+		{"match-both/filtered", mono.Freeze(), filtered, Options{MatchActivityProp: prov.PropCommand, MatchEntityProp: prov.PropName}, alg},
+		{"match-activity/nonmonotone", nonMono, Boundary{}, Options{MatchActivityProp: prov.PropCommand}, alg},
 	}
 	for _, tc := range cases {
-		r := NewEngine(tc.p, tc.opts).newTstRunner(newAdjacency(tc.p, tc.b), nil)
-		if got := fmt.Sprintf("%T", r); got != tc.want {
-			t.Errorf("%s: runner %s, want %s", tc.name, got, tc.want)
+		e := NewEngine(tc.p, tc.opts)
+		got := e.vc2Solver().String()
+		if e.vc2Solver() == SolverTst {
+			got = fmt.Sprintf("%T", e.newTstRunner(newAdjacency(tc.p, tc.b), nil))
+		}
+		if got != tc.want {
+			t.Errorf("%s: solver %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }
 
 // TestVecSolverExcludedBlocksNotRead pins the block-skipping contract: a
-// boundary excluding a relation must keep every runner, and SimProvAlg, from
-// ever reading a row of that relation's CSR block.
+// boundary excluding a relation must keep every runner, SimProvAlg and a
+// property-match query from ever reading a row of that relation's CSR block.
 func TestVecSolverExcludedBlocksNotRead(t *testing.T) {
 	p, src, dst := smallLifecycle(4)
 	fz := p.Freeze()
@@ -586,11 +591,15 @@ func TestVecSolverExcludedBlocksNotRead(t *testing.T) {
 	e := NewEngine(fz, Options{})
 	ad := newAdjacency(fz, q.Boundary)
 	runs := map[string]func(){
-		"chain":  func() { runTst(fz, e.newTstChain(ad, src), q, ad) },
 		"sweep":  func() { runTst(fz, e.newTstSweep(ad, src), q, ad) },
 		"levels": func() { runTst(fz, e.newTstLevels(ad, src), q, ad) },
 		"alg": func() {
 			if _, err := NewEngine(fz, Options{Solver: SolverAlg}).SimilarPaths(q); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"match": func() {
+			if _, err := NewEngine(fz, Options{MatchActivityProp: prov.PropCommand}).SimilarPaths(q); err != nil {
 				t.Fatal(err)
 			}
 		},

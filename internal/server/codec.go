@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -301,41 +302,53 @@ func toVertexIDs(ids []uint32) []graph.VertexID {
 	return out
 }
 
-// parseRels maps one-letter relationship names to prov.Rel values.
+// parseRels maps one-letter relationship names to prov.Rel values, each at
+// most once, in first-seen order: an 8 MB body can repeat a name millions of
+// times, and the segment cache key sorts the list.
 func parseRels(names []string) ([]prov.Rel, error) {
 	var out []prov.Rel
 	for _, n := range names {
+		var r prov.Rel
 		switch strings.ToUpper(strings.TrimSpace(n)) {
 		case "U":
-			out = append(out, prov.RelUsed)
+			r = prov.RelUsed
 		case "G":
-			out = append(out, prov.RelGen)
+			r = prov.RelGen
 		case "S":
-			out = append(out, prov.RelAssoc)
+			r = prov.RelAssoc
 		case "A":
-			out = append(out, prov.RelAttr)
+			r = prov.RelAttr
 		case "D":
-			out = append(out, prov.RelDeriv)
+			r = prov.RelDeriv
 		default:
 			return nil, fmt.Errorf("unknown relationship %q (want U, G, S, A, D)", n)
+		}
+		if !slices.Contains(out, r) {
+			out = append(out, r)
 		}
 	}
 	return out, nil
 }
 
-// parseKinds maps one-letter vertex kind names to prov.Kind values.
+// parseKinds maps one-letter vertex kind names to prov.Kind values, each at
+// most once, in first-seen order: /adjust's vertex filter scans the list
+// once per segment vertex.
 func parseKinds(names []string) ([]prov.Kind, error) {
 	var out []prov.Kind
 	for _, n := range names {
+		var k prov.Kind
 		switch strings.ToUpper(strings.TrimSpace(n)) {
 		case "E":
-			out = append(out, prov.KindEntity)
+			k = prov.KindEntity
 		case "A":
-			out = append(out, prov.KindActivity)
+			k = prov.KindActivity
 		case "U":
-			out = append(out, prov.KindAgent)
+			k = prov.KindAgent
 		default:
 			return nil, fmt.Errorf("unknown vertex kind %q (want E, A, U)", n)
+		}
+		if !slices.Contains(out, k) {
+			out = append(out, k)
 		}
 	}
 	return out, nil

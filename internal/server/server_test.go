@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -748,6 +749,39 @@ func TestAdjustEndpoint(t *testing.T) {
 	doJSON(t, http.MethodPost, ts.URL+"/adjust", dotReq, &dotResp)
 	if !strings.Contains(dotResp.DOT, "digraph provenance") {
 		t.Fatalf("no DOT payload: %+v", dotResp)
+	}
+}
+
+// TestAdjustRepeatedKinds: a kind or relation list parses to each value at
+// most once, in first-seen order, so /adjust's per-vertex kind filter costs
+// at most three probes however long the list in the body; a list repeating
+// "U" 100k times gets the reply ["U"] gets, byte for byte.
+func TestAdjustRepeatedKinds(t *testing.T) {
+	kinds, err := parseKinds([]string{"U", "u", " U ", "E", "U", "A", "E"})
+	if err != nil || !slices.Equal(kinds, []prov.Kind{prov.KindAgent, prov.KindEntity, prov.KindActivity}) {
+		t.Fatalf("parseKinds: %v, %v", kinds, err)
+	}
+	rels, err := parseRels([]string{"D", "d", "U", "G", "D", "S", "U", "A", "G"})
+	if err != nil || !slices.Equal(rels, []prov.Rel{prov.RelDeriv, prov.RelUsed, prov.RelGen, prov.RelAssoc, prov.RelAttr}) {
+		t.Fatalf("parseRels: %v, %v", rels, err)
+	}
+	if _, err := parseKinds([]string{"U", "U", "X"}); err == nil {
+		t.Fatal("parseKinds accepted an unknown kind after repeats")
+	}
+
+	ts, _, ids := newTestServer(t)
+	base := SegmentRequest{Src: []uint32{uint32(ids["dataset"])}, Dst: []uint32{uint32(ids["report"])}}
+	many := make([]string, 100_000)
+	for i := range many {
+		many[i] = "U"
+	}
+	adjust := func(kinds []string) []byte {
+		return postRaw(t, ts.URL+"/adjust", stdJSON(t, AdjustRequest{Segment: base, ExcludeKinds: kinds}))
+	}
+	adjust([]string{"U"}) // caches the base, so both replies below say "cached"
+	want := adjust([]string{"U"})
+	if got := adjust(many); !bytes.Equal(got, want) {
+		t.Fatalf("exclude_kinds of 100k \"U\": %d-byte reply, want the %d bytes of [\"U\"]", len(got), len(want))
 	}
 }
 

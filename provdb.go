@@ -142,7 +142,9 @@ type (
 var (
 	// BitsetSets uses dense bitsets (default).
 	BitsetSets = bitmap.Factory(bitmap.BitsetFactory)
-	// RoaringSets uses compressed bitmaps (the paper's Cbm variants).
+	// RoaringSets uses compressed bitmaps (the paper's Cbm variants). Only
+	// SimProvAlg and CflrB read SegmentOptions.Sets; SimProvTst's runners
+	// keep their own scratch.
 	RoaringSets = bitmap.Factory(bitmap.RoaringFactory)
 )
 

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/bitmap"
 	"repro/internal/graph"
+	"repro/internal/prov"
 )
 
 // The class chain: SimProvTst with one class per property-value path, the
@@ -29,31 +28,34 @@ type tstChainState struct {
 	e      *Engine
 	ad     *adjacency
 	srcSet map[graph.VertexID]bool
-	minSrc graph.VertexID
+	rank   prov.Rank
+	minSrc int32 // the lowest source rank
 }
 
 func (e *Engine) newTstChain(ad *adjacency, src []graph.VertexID) *tstChainState {
+	rank, _ := e.P.OrderOfBeing() // the tests hand the oracle DAGs only
 	st := &tstChainState{
 		e:      e,
 		ad:     ad,
 		srcSet: make(map[graph.VertexID]bool, len(src)),
-		minSrc: slices.Min(src),
+		rank:   rank,
+		minSrc: rank.Of(src[0]),
 	}
 	for _, s := range src {
 		st.srcSet[s] = true
+		st.minSrc = min(st.minSrc, rank.Of(s))
 	}
 	return st
 }
 
 // run is the class-chain level iteration for one destination.
 func (st *tstChainState) run(vj graph.VertexID, out *bitmap.Bitset) {
-	e, ad, srcSet, minSrc := st.e, st.ad, st.srcSet, st.minSrc
+	e, ad, srcSet := st.e, st.ad, st.srcSet
 	g := e.P.PG()
 	matchAKey := e.opts.MatchActivityProp
 	matchEKey := e.opts.MatchEntityProp
-	// The temporal early stop holds only where ancestry descends in id, as
-	// in SimProvAlg.
-	earlyStop := !e.opts.NoEarlyStop && e.P.AncestryMonotone()
+	// The temporal early stop compares the order of being, as SimProvAlg's.
+	earlyStop := !e.opts.NoEarlyStop
 
 	root := &tstClass{ents: []graph.VertexID{vj}}
 	cur := []*tstClass{root}
@@ -98,10 +100,10 @@ func (st *tstChainState) run(vj graph.VertexID, out *bitmap.Bitset) {
 							break
 						}
 					}
-					// Temporal early stop: a class whose members all have
-					// smaller ids than every source can never produce an
-					// answer level deeper in its own chain.
-					if earlyStop && tstAllOld(nc, minSrc) {
+					// Temporal early stop: a class whose members all rank
+					// below every source can never produce an answer level
+					// deeper in its own chain.
+					if earlyStop && st.allOld(nc) {
 						continue
 					}
 					next = append(next, nc)
@@ -112,15 +114,12 @@ func (st *tstChainState) run(vj graph.VertexID, out *bitmap.Bitset) {
 	}
 }
 
-func tstAllOld(c *tstClass, minSrc graph.VertexID) bool {
-	for _, v := range c.ents {
-		if v >= minSrc {
-			return false
-		}
-	}
-	for _, v := range c.acts {
-		if v >= minSrc {
-			return false
+func (st *tstChainState) allOld(c *tstClass) bool {
+	for _, vs := range [][]graph.VertexID{c.ents, c.acts} {
+		for _, v := range vs {
+			if st.rank.Of(v) >= st.minSrc {
+				return false
+			}
 		}
 	}
 	return true

@@ -66,11 +66,9 @@ type Options struct {
 	// NoPruning disables SimProvAlg's symmetric-pair pruning (ablation).
 	NoPruning bool
 	// NoEarlyStop disables SimProvAlg's temporal early-stopping rule (Fig.
-	// 5d ablates this). The rule only runs on id-monotone graphs
-	// (prov.Graph.AncestryMonotone), the only ones where it is sound, so
-	// elsewhere this changes nothing. SimProvTst has no such rule: the
-	// sweep's depth windows are exact, and the level-synchronous runner
-	// serves exactly the graphs the rule is unsound on.
+	// 5d ablates this), which compares the snapshot's order of being
+	// (prov.Graph.OrderOfBeing) and so is sound on every DAG. SimProvTst has
+	// no such rule: the sweep's depth windows are exact.
 	NoEarlyStop bool
 	// MaxFacts bounds derived facts for SimProvAlg/CflrB (0 = unlimited);
 	// exceeding it returns cflr.ErrFactBudget.
@@ -292,7 +290,10 @@ func (e *Engine) Segment(q Query) (*Segment, error) {
 		return nil, err
 	}
 	ad := newAdjacency(e.P, q.Boundary)
-	t := e.newSegTasks(q, ad, true)
+	t, err := e.newSegTasks(q, ad, true)
+	if err != nil {
+		return nil, err
+	}
 	ws := make([]segWorker, min(runtime.GOMAXPROCS(0), t.len()))
 	forkJoin(len(ws), t.len(), func(w, i int) { t.do(&ws[w], i) })
 	vc2, err := t.vc2(ws)

@@ -31,16 +31,40 @@ func DeepRunnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opt
 	return len(ref), seen.maxWords
 }
 
+// RandomLifecycle is randomLifecycle (tstrunners_test.go) with its query.
+func RandomLifecycle(seed int64, runs int) (*prov.Graph, Query) { return randomLifecycle(seed, runs) }
+
+// SiblingLifecycle is newSiblingLifecycle's graph, queried from its two
+// mid-history entities to the singleton and the four-sibling class.
+func SiblingLifecycle(seed int64) (*prov.Graph, Query) {
+	lc := newSiblingLifecycle(seed)
+	return lc.p, Query{Src: lc.mid, Dst: append([]graph.VertexID{lc.other}, lc.sibs...)}
+}
+
+// AlgNumFacts is the number of Ee and Aa facts SimProvAlg derives for q under
+// e's options, on the graph's order of being.
+func AlgNumFacts(e *Engine, q Query) (int, error) {
+	rank, ok := e.P.OrderOfBeing()
+	if !ok {
+		return 0, errAncestryCycle
+	}
+	facts, err := e.runSimProvAlg(dedupVertices(q.Src), dedupVertices(q.Dst), newAdjacency(e.P, q.Boundary), rank)
+	if err != nil {
+		return 0, err
+	}
+	return facts.NumFacts(), nil
+}
+
 // ChainVC2 is VC2 by the class-chain oracle (chain_oracle_test.go) under e's
 // options, the reference for property-match queries.
 func ChainVC2(e *Engine, q Query) *bitmap.Bitset { return e.chainVC2(q) }
 
-// TstClassRuns is SimilarPaths under SimProvTst with the dispatched runner's
-// calls counted: the number of destination classes runSimProvTst formed.
+// TstClassRuns is SimilarPaths under SimProvTst with the sweep's calls
+// counted: the number of destination classes runSimProvTst formed.
 func TstClassRuns(e *Engine, q Query) (*bitmap.Bitset, int) {
 	ad := newAdjacency(e.P, q.Boundary)
 	src := dedupVertices(q.Src)
-	c := &countRuns{tstRunner: e.newTstRunner(ad, src)}
+	c := &countRuns{tstRunner: e.sweep(ad, src)}
 	return e.runSimProvTst(c, src, q.Dst, ad), c.n
 }
 
@@ -52,7 +76,7 @@ func (e *Engine) runSimProvTst(r tstRunner, src, dst []graph.VertexID, ad *adjac
 	cl := e.tstClasses(src, dst, ad)
 	defer tstClassPool.Put(cl)
 	for k := range cl.len() {
-		cl.run(k, r, out)
+		cl.run(k, r.run, out)
 	}
 	return out
 }

@@ -5,10 +5,11 @@ import (
 	"repro/internal/graph"
 )
 
-// Level-synchronous SimProvTst for graphs whose ancestry edges do not
-// descend in vertex id (out-of-order ingestion), where the sweep solver's
-// single-pass propagation does not apply. Each level's equivalence class is
-// one frontier list,
+// Level-synchronous SimProvTst, the deep-query oracle the sweep is held to.
+// It served graphs whose ancestry edges do not descend in vertex id until
+// the sweep learned to walk any order of being; it needs no order at all,
+// which is what makes it an independent reference. Each level's
+// equivalence class is one frontier list,
 //
 //	[a]_{m+1} = generators of [e]_m,   [e]_{m+1} = inputs of [a]_{m+1},
 //
@@ -16,12 +17,8 @@ import (
 // a scratch bitset, and the backward answer prune runs once over all answer
 // levels instead of once per level.
 //
-// There is no temporal early stop here. Its premise, that derivation
-// strictly descends in order-of-being, is exactly what this runner's input
-// lacks: on a graph where an activity uses an entity newer than itself, a
-// level whose members are all older than every source can still lead to a
-// source. The iteration runs until a level is empty, which on an acyclic
-// graph happens within NumVertices levels.
+// There is no temporal early stop here: the iteration runs until a level is
+// empty, which on an acyclic graph happens within NumVertices levels.
 
 // tstLevelsState carries one query's scratch across destinations. The
 // scratch bitset and the kept-entity set are left empty between uses so one

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitmap"
 	"repro/internal/graph"
+	"repro/internal/prov"
 )
 
 // The stages of a PgSeg solve that read only the query and the snapshot —
@@ -31,6 +33,7 @@ type segTasks struct {
 	e        *Engine
 	ad       *adjacency
 	src, dst []graph.VertexID // src deduplicated, dst as given
+	rank     prov.Rank        // the snapshot's order of being
 
 	// classes are SimProvTst's destination classes, one task each; nil when
 	// SimProvAlg or CflrB solves, whose single VC2 task leaves algVC2 and err.
@@ -46,25 +49,34 @@ type segTasks struct {
 }
 
 // segWorker is what one worker owns: its SimProvTst runner, built on its
-// first class (a runner carries per-query scratch, so no two workers share
+// first class (a runner carries per-query state, so no two workers share
 // one), and its pooled share of VC2, on which each class's Remove/run/restore
 // handshake runs.
 type segWorker struct {
-	r   tstRunner
+	r   *tstSweepState
 	out *bitmap.Bitset
 }
 
 // vc2Shares pools the workers' VC2 sets, emptied into VC2 after the join.
 var vc2Shares sync.Pool
 
-func (e *Engine) newSegTasks(q Query, ad *adjacency, closures bool) segTasks {
-	t := segTasks{e: e, ad: ad, src: dedupVertices(q.Src), dst: q.Dst, nVC2: 1, closures: closures}
+// errAncestryCycle refuses a query on a graph whose ancestry has a cycle:
+// L(SimProv) is defined on a DAG, and the sweep and SimProvAlg's early stop
+// walk an order of being that such a graph does not have.
+var errAncestryCycle = fmt.Errorf("%w: its ancestry (U, G) edges form a cycle", ErrNotDAG)
+
+func (e *Engine) newSegTasks(q Query, ad *adjacency, closures bool) (segTasks, error) {
+	rank, ok := e.P.OrderOfBeing()
+	if !ok {
+		return segTasks{}, errAncestryCycle
+	}
+	t := segTasks{e: e, ad: ad, src: dedupVertices(q.Src), dst: q.Dst, rank: rank, nVC2: 1, closures: closures}
 	if e.vc2Solver() == SolverTst {
 		// The grouping deduplicates the destinations as it sorts.
 		t.classes = e.tstClasses(t.src, t.dst, ad)
 		t.nVC2 = t.classes.len()
 	}
-	return t
+	return t, nil
 }
 
 func (t *segTasks) len() int {
@@ -82,15 +94,15 @@ func (t *segTasks) do(w *segWorker, i int) {
 	case i > t.nVC2:
 		t.bwd = t.e.ancestryClosure(t.src, t.ad, false)
 	case t.classes == nil:
-		t.algVC2, t.err = t.e.solveFacts(t.src, dedupVertices(t.dst), t.ad)
+		t.algVC2, t.err = t.e.solveFacts(t.src, dedupVertices(t.dst), t.ad, t.rank)
 	default:
 		if w.r == nil {
-			w.r = t.e.newTstRunner(t.ad, t.src)
+			w.r = t.e.newTstSweep(t.ad, t.src, t.rank)
 		}
 		if w.out == nil {
 			w.out = vc2Share(t.e.P.NumVertices())
 		}
-		t.classes.run(i, w.r, w.out)
+		t.classes.run(i, w.r.run, w.out)
 	}
 }
 

@@ -17,9 +17,9 @@ import (
 // TestSegmentOverlapMatchesSerial holds Segment's fork-join to SegmentStages,
 // which runs every stage in turn on the caller: the segments must be
 // reflect.DeepEqual (vertices, edges, Rules, the vertex set and Support()),
-// and an error must be the same error. The inputs reach each SimProvTst
-// runner (sweep, level-synchronous on a non-monotone graph), SimProvAlg and a
-// property-match query (solved by SimProvAlg), live and frozen, with
+// and an error must be the same error. The inputs reach the SimProvTst sweep
+// (on the id and on a topological rank), SimProvAlg and a property-match
+// query (solved by SimProvAlg), live and frozen, with
 // destination sets of several classes, a destination that is also a source,
 // repeated ids, vertex and edge filters, excluded relations and expansions.
 // Run it under -cpu 1,2 and -race: at one proc Segment has one worker, at two
@@ -29,7 +29,7 @@ func TestSegmentOverlapMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		lc := newSiblingLifecycle(seed)
 		// An activity that consumes an entity newer than itself: the graph
-		// stops being id-monotone and SimProvTst takes the level runner.
+		// stops being id-monotone and the sweep walks a topological rank.
 		nonMono := newSiblingLifecycle(seed).p
 		act := nonMono.GeneratorsOf(lc.mid[0], nil)[0]
 		nonMono.Used(act, nonMono.NewEntity("late"))
@@ -124,7 +124,10 @@ func overlapMatchesSerial(t *testing.T, label string, p *prov.Graph, q Query, op
 	}
 	for workers := 2; workers <= 3; workers++ {
 		ad := newAdjacency(p, q.Boundary)
-		tasks := e.newSegTasks(q, ad, true)
+		tasks, err := e.newSegTasks(q, ad, true)
+		if err != nil {
+			t.Fatalf("%s/%d workers: %v", label, workers, err)
+		}
 		ws := make([]segWorker, workers)
 		for i := tasks.len() - 1; i >= 0; i-- {
 			tasks.do(&ws[i%workers], i)

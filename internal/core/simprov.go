@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/bitmap"
 	"repro/internal/graph"
+	"repro/internal/prov"
 )
 
 // L(SimProv) — the similar-path language (paper Sec. III.A.2):
@@ -41,7 +42,10 @@ type factSource interface {
 // similarPathVertices computes VC2 with the engine's configured solver: the
 // VC2 tasks of Segment's fork-join, run on the caller alone.
 func (e *Engine) similarPathVertices(q Query, ad *adjacency) (*bitmap.Bitset, error) {
-	t := e.newSegTasks(q, ad, false)
+	t, err := e.newSegTasks(q, ad, false)
+	if err != nil {
+		return nil, err
+	}
 	var w [1]segWorker
 	for i := range t.len() {
 		t.do(&w[0], i)
@@ -63,10 +67,10 @@ func (e *Engine) vc2Solver() SolverKind {
 
 // solveFacts is VC2 under SimProvAlg or CflrB: the solver derives the
 // facts, collectVC2 marks them back into the vertex set.
-func (e *Engine) solveFacts(src, dst []graph.VertexID, ad *adjacency) (*bitmap.Bitset, error) {
+func (e *Engine) solveFacts(src, dst []graph.VertexID, ad *adjacency, rank prov.Rank) (*bitmap.Bitset, error) {
 	switch e.vc2Solver() {
 	case SolverAlg:
-		facts, err := e.runSimProvAlg(src, dst, ad)
+		facts, err := e.runSimProvAlg(src, dst, ad, rank)
 		if err != nil {
 			return nil, err
 		}

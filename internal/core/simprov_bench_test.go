@@ -85,11 +85,31 @@ func BenchmarkSegmentPd(b *testing.B) {
 
 // BenchmarkSimilarPathsPd times the VC2 solve alone (the three-sweep
 // SimProvTst; no closures, no induction, no codec) on the query shape of the
-// seg_cold workload. One op is one pass over an 8-query pool.
+// seg_cold workload. One op is one pass over an 8-query pool. The permuted
+// cases relabel the graph's ids by a random permutation (permute), so the
+// sweep walks a topological rank instead of the id; the snapshot builds that
+// rank before the timer starts, as a served snapshot does on its first query.
 func BenchmarkSimilarPathsPd(b *testing.B) {
-	for _, n := range []int{2000, 5000, 20000} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			eng, qs := pdPoolQueries(b, n, 8)
+	for _, c := range []struct {
+		n        int
+		permuted bool
+	}{{2000, false}, {5000, false}, {20000, false}, {2000, true}, {20000, true}} {
+		name := fmt.Sprintf("N=%d", c.n)
+		if c.permuted {
+			name += "/permuted"
+		}
+		b.Run(name, func(b *testing.B) {
+			eng, qs := pdPoolQueries(b, c.n, 8)
+			if c.permuted {
+				pp, perm, _ := permute(eng.P, 1)
+				eng = core.NewEngine(pp.Freeze(), core.Options{})
+				for i, q := range qs {
+					qs[i] = core.Query{Src: mapIDs(perm, q.Src), Dst: mapIDs(perm, q.Dst)}
+				}
+				if rank, ok := eng.P.OrderOfBeing(); !ok || rank.IsID() {
+					b.Fatal("the permuted graph's order of being is the id")
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

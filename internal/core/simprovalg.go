@@ -1,11 +1,10 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/bitmap"
 	"repro/internal/cflr"
 	"repro/internal/graph"
+	"repro/internal/prov"
 )
 
 // SimProvAlg (paper Sec. III.B.2, "Rewriting SimProv", Fig. 4):
@@ -18,12 +17,13 @@ import (
 // one worklist pop derives a whole Aa (or Ee) fact at once (the paper's
 // "reduction for worklist tuples"). Both relations are symmetric, enabling
 // the (id(x) <= id(y)) pruning strategy. The temporal early-stopping rule
-// drops pairs whose two sides both have smaller ids than every source
-// entity: on an id-monotone graph (prov.Graph.AncestryMonotone) every
-// derivation strictly descends in id, and an answer fact must keep one side
-// at a source. Anywhere else the rule is unsound (an activity that uses a
-// newer entity leads from old pairs back up to a source), so it only runs on
-// id-monotone graphs.
+// drops pairs whose two sides both rank below every source entity in the
+// snapshot's order of being (prov.Graph.OrderOfBeing): every derivation
+// strictly descends in that rank, and an answer fact must keep one side at
+// a source. The rank is the id on an id-monotone graph, so there the rule
+// compares ids; elsewhere it is a topological order of the ancestry edges,
+// where comparing ids would be unsound (an activity that uses a newer
+// entity leads from old pairs back up to a source).
 
 // pairStore keeps a symmetric vertex-pair relation as per-vertex partner
 // sets (both orientations stored so lookups and partner enumeration are
@@ -106,7 +106,7 @@ type algItem struct {
 }
 
 // runSimProvAlg derives all Ee/Aa facts for the query.
-func (e *Engine) runSimProvAlg(src, dst []graph.VertexID, ad *adjacency) (*algFacts, error) {
+func (e *Engine) runSimProvAlg(src, dst []graph.VertexID, ad *adjacency, rank prov.Rank) (*algFacts, error) {
 	n := e.P.NumVertices()
 	facts := &algFacts{
 		ee: newPairStore(n, e.opts.Sets),
@@ -115,8 +115,11 @@ func (e *Engine) runSimProvAlg(src, dst []graph.VertexID, ad *adjacency) (*algFa
 	matchA := e.propMatch(e.opts.MatchActivityProp)
 	matchE := e.propMatch(e.opts.MatchEntityProp)
 
-	earlyStop := !e.opts.NoEarlyStop && e.P.AncestryMonotone()
-	minSrc := slices.Min(src)
+	earlyStop := !e.opts.NoEarlyStop
+	minSrc := rank.Of(src[0])
+	for _, s := range src {
+		minSrc = min(minSrc, rank.Of(s))
+	}
 	pruning := !e.opts.NoPruning
 
 	var work []algItem
@@ -162,9 +165,9 @@ func (e *Engine) runSimProvAlg(src, dst []graph.VertexID, ad *adjacency) (*algFa
 		it := work[head]
 		head++
 		u, v := graph.VertexID(it.u), graph.VertexID(it.v)
-		if earlyStop && u < minSrc && v < minSrc {
-			// Every further derivation strictly descends in id, so this pair
-			// can never reach a source entity.
+		if earlyStop && rank.Of(u) < minSrc && rank.Of(v) < minSrc {
+			// Every further derivation strictly descends in rank, so this
+			// pair can never reach a source entity.
 			continue
 		}
 		if it.isEe {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/prov"
 )
 
-// Three-sweep SimProvTst for label-only queries on id-monotone graphs.
+// Three-sweep SimProvTst for label-only queries, on every DAG.
 //
 // On a PROV graph with plain labels a path's word is determined by its
 // activity-depth, so per destination vj the whole computation reduces to
@@ -18,21 +18,21 @@ import (
 //	D(v) = { m : an alternating ancestry path of m activity-steps runs
 //	            from vj to v }
 //
-// A level m is an answer level iff m is in D(src) for some source. The
-// level-synchronous runner (simprovlevels.go) materializes every
-// equivalence class [e]_m explicitly, so each edge is re-traversed once per
-// level its endpoint appears in; on deep diamond-shaped provenance that
-// level multiplicity is large. This solver visits every ancestry edge
-// exactly once per sweep. With A the answer-level set and C(v) the
-// continuation (height) set — the lengths of the alternating ancestry paths
-// that start at v — define
+// A level m is an answer level iff m is in D(src) for some source. A
+// level-synchronous runner, which materializes every equivalence class [e]_m
+// (the tests' deep-query oracle, levels_oracle_test.go), re-traverses each
+// edge once per level its endpoint appears in; on deep diamond-shaped
+// provenance that level multiplicity is large. This solver visits every
+// ancestry edge exactly once per sweep. With A the answer-level set and C(v)
+// the continuation (height) set — the lengths of the alternating ancestry
+// paths that start at v — define
 //
 //	T(v) = { i : exists h in C(v) with i+h in A }
 //
 // — the depths at which arriving at v can still complete to an answer-level
 // path. Membership becomes a single word-parallel intersection,
 // v in VC2  <=>  D(v) AND T(v) != 0, and T satisfies local recurrences that
-// one increasing-id sweep evaluates (dependencies have smaller ids):
+// one increasing-rank sweep evaluates (dependencies have smaller ranks):
 //
 //	Tr(a) = union_{e' in inputs(a)}    T(e')     (activities)
 //	T(e)  = A | union_{a in gen(e)}    Tr(a)>>1  (entities)
@@ -40,8 +40,13 @@ import (
 // derived by distributing "completes to A" over the height recurrences
 // H(e) = {0} | union H'(a), H'(a) = union (H(e')+1).
 //
-// Pass 0 is scalar: one decreasing-id walk computes the shortest and longest
-// depth [lo(v), hi(v)] of every reached vertex (two int32 each), records the
+// The sweeps walk the snapshot's order of being (prov.Graph.OrderOfBeing):
+// a rank under which every ancestry edge descends, which is the vertex id on
+// an id-monotone graph (every provd store) and a topological order of the
+// U/G edges anywhere else; a cycle has none, and Segment refuses it with
+// ErrNotDAG before any runner is built. Pass 0 is scalar: one
+// decreasing-rank walk from rank(vj) computes the shortest and longest depth
+// [lo(v), hi(v)] of every reached vertex (two int32 each), records the
 // reached order and each vertex's ancestry row once, and yields the exact
 // answer ceiling maxM = max hi(src) — no source reached, no further work.
 // The two word-parallel sweeps then run over each vertex's own window, the
@@ -59,12 +64,9 @@ import (
 //
 // Because the windows are exact there is no depth bound to guess, so
 // Options.NoEarlyStop has nothing to switch off here. All scratch is pooled
-// (tstSweepPool): a warm solve allocates nothing.
-//
-// The sweep requires ancestry edges to strictly descend in vertex id
-// (prov.Graph.AncestryMonotone); newTstRunner hands non-monotone graphs to
-// the level-synchronous runner. Rows are read through adjacency, so the same
-// code serves frozen snapshots, live graphs and filtered boundaries.
+// (tstSweepPool): a warm solve allocates nothing. Rows are read through
+// adjacency, so the same code serves frozen snapshots, live graphs and
+// filtered boundaries.
 
 // orInto dst |= src (equal lengths).
 func orInto(dst, src []uint64) {
@@ -127,8 +129,8 @@ func (w tstWin) words(maxM int32) (lo, n int) {
 
 // tstSweepScratch is everything one destination's solve allocates.
 type tstSweepScratch struct {
-	win    []tstWin         // by vertex id, [0, vj]
-	order  []graph.VertexID // reached vertices, decreasing id
+	win    []tstWin         // by vertex id: [0, vj] when the rank is the id, else all
+	order  []graph.VertexID // reached vertices, decreasing rank
 	rows   []graph.VertexID // their ancestry rows, back to back
 	rowEnd []int            // order[i]'s row is rows[rowEnd[i]:rowEnd[i+1]]
 	d, t   []uint64         // depth and target slabs, addressed by tstWin.off
@@ -148,13 +150,14 @@ func (sc *tstSweepScratch) row(i int) []graph.VertexID {
 
 // tstSweepState carries the per-query constants across destinations.
 type tstSweepState struct {
-	e   *Engine
-	ad  *adjacency
-	src []graph.VertexID
+	e    *Engine
+	ad   *adjacency
+	src  []graph.VertexID
+	rank prov.Rank
 }
 
-func (e *Engine) newTstSweep(ad *adjacency, src []graph.VertexID) *tstSweepState {
-	return &tstSweepState{e: e, ad: ad, src: src}
+func (e *Engine) newTstSweep(ad *adjacency, src []graph.VertexID, rank prov.Rank) *tstSweepState {
+	return &tstSweepState{e: e, ad: ad, src: src, rank: rank}
 }
 
 // run evaluates one destination and accumulates its VC2 vertices into out.
@@ -170,23 +173,27 @@ func (st *tstSweepState) run(vj graph.VertexID, out *bitmap.Bitset) {
 // recorded rows and D in sc. It returns maxM, negative when no source is
 // reached (the slabs are then untouched).
 func (st *tstSweepState) depths(sc *tstSweepScratch, vj graph.VertexID) int32 {
-	p, ad := st.e.P, st.ad
-	n := int(vj) + 1
+	p, ad, rk := st.e.P, st.ad, st.rank
+	n := int(vj) + 1 // nothing newer than vj is reached
+	if !rk.IsID() {
+		n = p.NumVertices()
+	}
 	win := sized(sc.win, n)
 	for i := range win {
 		win[i].hi = -1
 	}
 	win[vj] = tstWin{}
-	// Pass 0 (decreasing ids). Ancestry rows only hold strictly smaller ids,
-	// so a vertex's [lo, hi] is final when the countdown reaches it and every
-	// update lands ahead of the scan.
+	// Pass 0 (decreasing rank). Ancestry rows only hold strictly smaller
+	// ranks, so a vertex's [lo, hi] is final when the countdown reaches it and
+	// every update lands ahead of the scan.
 	order, rows, rowEnd := sc.order[:0], sc.rows[:0], append(sc.rowEnd[:0], 0)
-	for cur := n - 1; cur >= 0; cur-- {
-		w := win[cur]
+	for r := rk.Of(vj); r >= 0; r-- {
+		v := rk.At(r)
+		w := win[v]
 		if w.hi < 0 {
 			continue
 		}
-		v, start := graph.VertexID(cur), len(rows)
+		start := len(rows)
 		if p.IsKind(v, prov.KindEntity) {
 			// [a]_{m+1} via generators: one activity-step deeper.
 			rows = ad.generatorsOf(v, rows)
@@ -265,7 +272,7 @@ func (st *tstSweepState) depths(sc *tstSweepScratch, vj graph.VertexID) int32 {
 	return maxM
 }
 
-// targets is the upward sweep (increasing ids): evaluate T bottom-up on each
+// targets is the upward sweep (increasing rank): evaluate T bottom-up on each
 // vertex's window and test membership in place.
 func (st *tstSweepState) targets(sc *tstSweepScratch, maxM int32, out *bitmap.Bitset) {
 	p, win, d, t := st.e.P, sc.win, sc.d, sc.t

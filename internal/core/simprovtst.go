@@ -20,40 +20,15 @@ import (
 // All pairs within [e]_m are Ee facts; a level whose class contains a
 // source entity is an answer level, and VC2 receives every vertex on an
 // ancestry path of exactly that length from vj (computed by a backward
-// prune over the levels). Runtime is O(|G| + |U|) per destination.
+// prune over the levels). Runtime is O(|G| + |U|) per destination. One
+// runner evaluates it on every DAG: the three-sweep solver
+// (simprovsweep.go), walking the snapshot's order of being.
 //
 // A property-match constraint (Options.MatchActivityProp/MatchEntityProp)
 // breaks that transitivity: an entity reached along two paths with different
 // property values matches partners of either path, and those need not match
-// each other. Such a query never reaches a runner here; vc2Solver hands it to
+// each other. Such a query never reaches the sweep; vc2Solver hands it to
 // SimProvAlg, whose worklist checks the constraint pair by pair.
-
-// tstRunner evaluates SimProvTst for one destination at a time,
-// accumulating VC2 vertices into out. The per-query constants (the source
-// set) and any per-query scratch live in the runner, built once per query on
-// each worker that runs a class: no two goroutines share one.
-type tstRunner interface {
-	run(vj graph.VertexID, out *bitmap.Bitset)
-}
-
-// newTstRunner picks the runner from one fact the graph shows, and nothing
-// else:
-//
-//   - on an id-monotone graph, the three-sweep solver (simprovsweep.go),
-//     which visits every ancestry edge once but needs ancestry edges to
-//     strictly descend in vertex id (prov.Graph.AncestryMonotone, memoized
-//     per frozen snapshot);
-//   - on a graph ingested out of order, the level-synchronous solver
-//     (simprovlevels.go): one frontier per level, no ordering requirement.
-//
-// Both read rows through adjacency, so the representation (frozen, live,
-// filtered) and the graph's size play no part.
-func (e *Engine) newTstRunner(ad *adjacency, src []graph.VertexID) tstRunner {
-	if e.P.AncestryMonotone() {
-		return e.newTstSweep(ad, src)
-	}
-	return e.newTstLevels(ad, src)
-}
 
 // tstDest is one destination of tstClasses; its generator row, sorted and
 // deduplicated (the class key), is rows[lo:hi] of the scratch.
@@ -143,11 +118,12 @@ func (e *Engine) tstClasses(src, dst []graph.VertexID, ad *adjacency) *tstClasse
 // len returns the number of classes.
 func (sc *tstClasses) len() int { return len(sc.ends) }
 
-// run solves class k with r, accumulating into out. Every step is an Add
-// except the handshake around the representative's own run, so the union of
-// the classes' results does not depend on their order or on which set each
-// one ran on.
-func (sc *tstClasses) run(k int, r tstRunner, out *bitmap.Bitset) {
+// run solves class k with solve, which evaluates SimProvTst for one
+// destination into out (a worker's sweep runner; in the tests, an oracle),
+// accumulating into out. Every step is an Add except the handshake around
+// the representative's own run, so the union of the classes' results does
+// not depend on their order or on which set each one ran on.
+func (sc *tstClasses) run(k int, solve func(graph.VertexID, *bitmap.Bitset), out *bitmap.Bitset) {
 	lo := 0
 	if k > 0 {
 		lo = sc.ends[k-1]
@@ -156,7 +132,7 @@ func (sc *tstClasses) run(k int, r tstRunner, out *bitmap.Bitset) {
 	// Take rep out first, so that whether the run puts it back is the run's
 	// own answer.
 	had := out.Remove(uint32(rep))
-	r.run(rep, out)
+	solve(rep, out)
 	if out.Contains(uint32(rep)) {
 		for _, m := range members {
 			out.Add(uint32(m.v))

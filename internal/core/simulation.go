@@ -13,10 +13,11 @@ import (
 // v implies every out-path label of u is an out-path label of v, which is
 // what Lemma 5's merge conditions need.
 
-// ErrNotDAG reports a cyclic summary graph. The Psg definition requires a
-// DAG, and segments of a validated provenance graph are acyclic; a graph
-// that skipped validation need not be.
-var ErrNotDAG = errors.New("core: PgSum input is not a DAG")
+// ErrNotDAG reports a cycle where an operator needs a DAG: among PgSeg's
+// ancestry edges, which then have no order of being, or in PgSum's summary
+// graph, which the Psg definition requires to be acyclic. A validated
+// provenance graph has neither; a graph that skipped validation may.
+var ErrNotDAG = errors.New("core: input is not a DAG")
 
 // An arc is one word, rel | label of the far end | far end, so uint64 order
 // is the (rel, far label, far end) order simulation walks and a sort needs

@@ -13,15 +13,31 @@ import (
 	"repro/internal/prov"
 )
 
-// White-box coverage of the two SimProvTst runners (sweep,
-// level-synchronous) and the class-chain oracle (chain_oracle_test.go):
-// called directly on the same label-only queries they must produce identical
-// VC2 sets — on live and frozen graphs, under excluded relations,
-// programmatic filters, disabled early stopping and non-monotone ingestion —
-// and equal SimProvAlg's; the dispatcher must hand each input class the
-// solver and runner the query and graph dictate. ("Vec" in some test names
-// dates from when the sweep and level-synchronous runners sat behind an
-// option; the names are what the test floor tracks.)
+// White-box coverage of the SimProvTst runner (the sweep) against the
+// level-synchronous oracle (levels_oracle_test.go) and the class-chain
+// oracle (chain_oracle_test.go): called directly on the same label-only
+// queries they must produce identical VC2 sets — on live and frozen graphs,
+// under excluded relations, programmatic filters, disabled early stopping
+// and non-monotone ingestion — and equal SimProvAlg's; the dispatcher must
+// hand each query the solver it dictates. ("Vec" in some test names dates
+// from when the sweep and level-synchronous runners sat behind an option;
+// the names are what the test floor tracks.)
+
+// tstRunner is what the tests drive: SimProvTst for one destination at a
+// time, accumulating into out — the sweep, or one of the two oracles.
+type tstRunner interface {
+	run(vj graph.VertexID, out *bitmap.Bitset)
+}
+
+// sweep is the runner Segment's workers build, on the graph's order of
+// being.
+func (e *Engine) sweep(ad *adjacency, src []graph.VertexID) *tstSweepState {
+	rank, ok := e.P.OrderOfBeing()
+	if !ok {
+		panic("sweep: the ancestry edges form a cycle")
+	}
+	return e.newTstSweep(ad, src, rank)
+}
 
 func bitsetMap(b *bitmap.Bitset) map[uint32]bool {
 	m := map[uint32]bool{}
@@ -55,13 +71,12 @@ func runTst(p *prov.Graph, r tstRunner, q Query, ad *adjacency) map[uint32]bool 
 	return bitsetMap(out)
 }
 
-// runnersAgree runs every applicable runner directly on the live graph and
+// runnersAgree runs the sweep and the oracles directly on the live graph and
 // on its frozen snapshot — once per destination (runTst) and once per
 // destination class (runSimProvTst) — then the dispatched SimProvTst and
 // SimProvAlg, and requires one VC2 set from all of them. The class-chain
-// oracle on the live graph, run per destination, is the reference. The sweep
-// is only defined on id-monotone graphs; where it runs, its depth slab is
-// also checked against pass 0's windows.
+// oracle on the live graph, run per destination, is the reference. The
+// sweep's depth slab is also checked against pass 0's windows.
 func runnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opts Options) map[uint32]bool {
 	t.Helper()
 	ref, _ := runnersAgreeOn(t, label, live, q, opts, false)
@@ -87,11 +102,9 @@ func runnersAgreeOn(t *testing.T, label string, live *prov.Graph, q Query, opts 
 		if !deep {
 			runners["chain"], refName = e.newTstChain(ad, src), "chain"
 		}
-		if rep.p.AncestryMonotone() {
-			sw := e.newTstSweep(ad, src)
-			runners["sweep"] = sw
-			seen = checkSweepWindows(t, fmt.Sprintf("%s/%s", label, rep.name), sw, q, ad)
-		}
+		sw := e.sweep(ad, src)
+		runners["sweep"] = sw
+		seen = checkSweepWindows(t, fmt.Sprintf("%s/%s", label, rep.name), sw, q, ad)
 		if ref == nil {
 			ref = runTst(rep.p, runners[refName], q, ad)
 			diffSets(t, fmt.Sprintf("%s/%s/%s/classes", label, rep.name, refName), ref, bitsetMap(e.runSimProvTst(runners[refName], src, q.Dst, ad)))
@@ -222,7 +235,7 @@ func randomLifecycle(seed int64, runs int) (*prov.Graph, Query) {
 }
 
 // nonMonotone builds a graph whose activities are created before their
-// inputs, so Used edges point old -> new and the sweep does not apply.
+// inputs, so Used edges point old -> new and the id is no order of being.
 func nonMonotone(t *testing.T) (*prov.Graph, Query) {
 	t.Helper()
 	p := prov.New()
@@ -310,9 +323,10 @@ func TestVecSolversExcludedRels(t *testing.T) {
 	}
 }
 
-// TestVecSolversNonMonotone: out-of-order ingestion bars the sweep, and the
-// level-synchronous runner and SimProvAlg must stay exact against the class
-// chain — plain, filtered, live and frozen.
+// TestVecSolversNonMonotone: on out-of-order ingestion the sweep walks a
+// topological rank instead of the id, and it, the level-synchronous oracle
+// and SimProvAlg must stay exact against the class chain — plain, filtered,
+// live and frozen.
 func TestVecSolversNonMonotone(t *testing.T) {
 	p, q := nonMonotone(t)
 	if got := runnersAgree(t, "nonmonotone", p, q, Options{}); len(got) != p.NumVertices() {
@@ -504,7 +518,7 @@ func TestTstClassesAgree(t *testing.T) {
 			}
 			for _, g := range []*prov.Graph{lc.p, lc.p.Freeze()} {
 				e, ad, src := NewEngine(g, Options{}), newAdjacency(g, tc.q.Boundary), dedupVertices(tc.q.Src)
-				c := &countRuns{tstRunner: e.newTstRunner(ad, src)}
+				c := &countRuns{tstRunner: e.sweep(ad, src)}
 				e.runSimProvTst(c, src, tc.q.Dst, ad)
 				if c.n != tc.runs {
 					t.Errorf("%s/frozen=%v: %d runs, want %d", label, g.Frozen(), c.n, tc.runs)
@@ -532,14 +546,18 @@ func TestTstClassesAgree(t *testing.T) {
 }
 
 // TestVecSolverRegimeChoice pins the dispatcher: a property-match query goes
-// to SimProvAlg, and otherwise the runner is a function of
-// ancestryMonotone() and of nothing else — not the representation, not the
-// boundary, not the graph's size, not NoEarlyStop.
+// to SimProvAlg, and every other SimProvTst query is the sweep, one task per
+// destination class, on every DAG — whatever the representation, the
+// boundary, the graph's size or NoEarlyStop. What the graph decides is only
+// the order of being both solvers walk: the id on an id-monotone graph, a
+// topological rank elsewhere, and on an ancestry cycle none, so the query is
+// refused with ErrNotDAG.
 func TestVecSolverRegimeChoice(t *testing.T) {
-	const alg, sweep, levels = "SimProvAlg", "*core.tstSweepState", "*core.tstLevelsState"
+	const alg, sweep = "SimProvAlg", "sweep"
 	mono, _, _ := smallLifecycle(3)
 	big, _ := randomLifecycle(1, 2000) // ~6000 ancestry edges
 	nonMono, _ := nonMonotone(t)
+	cyclic, _ := ancestryCycle()
 	filtered := Boundary{
 		VertexFilters: []VertexFilter{func(*prov.Graph, graph.VertexID) bool { return true }},
 		EdgeFilters:   []EdgeFilter{func(*prov.Graph, graph.EdgeID) bool { return true }},
@@ -551,28 +569,43 @@ func TestVecSolverRegimeChoice(t *testing.T) {
 		opts Options
 		want string
 	}{
-		{"monotone/live/small", mono, Boundary{}, Options{}, sweep},
-		{"monotone/frozen/small", mono.Freeze(), Boundary{}, Options{}, sweep},
-		{"monotone/live/big", big, Boundary{}, Options{}, sweep},
-		{"monotone/frozen/big", big.Freeze(), Boundary{}, Options{}, sweep},
-		{"monotone/frozen/filtered", mono.Freeze(), filtered, Options{}, sweep},
-		{"monotone/noearlystop", mono.Freeze(), Boundary{}, Options{NoEarlyStop: true}, sweep},
-		{"nonmonotone/frozen", nonMono.Freeze(), Boundary{}, Options{}, levels},
-		// These two fell to the class chain while the level-synchronous
-		// runner required frozen rows and a plain boundary.
-		{"nonmonotone/frozen/filtered", nonMono.Freeze(), filtered, Options{}, levels},
-		{"nonmonotone/live", nonMono, Boundary{}, Options{}, levels},
-		{"nonmonotone/noearlystop", nonMono, Boundary{}, Options{NoEarlyStop: true}, levels},
-		{"match-activity/monotone", mono.Freeze(), Boundary{}, Options{MatchActivityProp: prov.PropCommand}, alg},
-		{"match-entity/monotone", mono, Boundary{}, Options{MatchEntityProp: prov.PropName}, alg},
-		{"match-both/filtered", mono.Freeze(), filtered, Options{MatchActivityProp: prov.PropCommand, MatchEntityProp: prov.PropName}, alg},
-		{"match-activity/nonmonotone", nonMono, Boundary{}, Options{MatchActivityProp: prov.PropCommand}, alg},
+		{"monotone/live/small", mono, Boundary{}, Options{}, sweep + "/id"},
+		{"monotone/frozen/small", mono.Freeze(), Boundary{}, Options{}, sweep + "/id"},
+		{"monotone/live/big", big, Boundary{}, Options{}, sweep + "/id"},
+		{"monotone/frozen/big", big.Freeze(), Boundary{}, Options{}, sweep + "/id"},
+		{"monotone/frozen/filtered", mono.Freeze(), filtered, Options{}, sweep + "/id"},
+		{"monotone/noearlystop", mono.Freeze(), Boundary{}, Options{NoEarlyStop: true}, sweep + "/id"},
+		{"nonmonotone/frozen", nonMono.Freeze(), Boundary{}, Options{}, sweep + "/rank"},
+		{"nonmonotone/frozen/filtered", nonMono.Freeze(), filtered, Options{}, sweep + "/rank"},
+		{"nonmonotone/live", nonMono, Boundary{}, Options{}, sweep + "/rank"},
+		{"nonmonotone/noearlystop", nonMono, Boundary{}, Options{NoEarlyStop: true}, sweep + "/rank"},
+		{"match-activity/monotone", mono.Freeze(), Boundary{}, Options{MatchActivityProp: prov.PropCommand}, alg + "/id"},
+		{"match-entity/monotone", mono, Boundary{}, Options{MatchEntityProp: prov.PropName}, alg + "/id"},
+		{"match-both/filtered", mono.Freeze(), filtered, Options{MatchActivityProp: prov.PropCommand, MatchEntityProp: prov.PropName}, alg + "/id"},
+		{"match-activity/nonmonotone", nonMono, Boundary{}, Options{MatchActivityProp: prov.PropCommand}, alg + "/rank"},
+		{"cycle/live", cyclic, Boundary{}, Options{}, "not a DAG"},
+		{"cycle/frozen/alg", cyclic.Freeze(), Boundary{}, Options{Solver: SolverAlg}, "not a DAG"},
 	}
 	for _, tc := range cases {
 		e := NewEngine(tc.p, tc.opts)
-		got := e.vc2Solver().String()
-		if e.vc2Solver() == SolverTst {
-			got = fmt.Sprintf("%T", e.newTstRunner(newAdjacency(tc.p, tc.b), nil))
+		tasks, err := e.newSegTasks(Query{}, newAdjacency(tc.p, tc.b), false)
+		var got string
+		switch {
+		case err != nil:
+			if !errors.Is(err, ErrNotDAG) {
+				t.Errorf("%s: error %v is not ErrNotDAG", tc.name, err)
+			}
+			got = "not a DAG"
+		case tasks.classes != nil:
+			tstClassPool.Put(tasks.classes)
+			got = sweep
+		default:
+			got = e.vc2Solver().String()
+		}
+		if err == nil && tasks.rank.IsID() {
+			got += "/id"
+		} else if err == nil {
+			got += "/rank"
 		}
 		if got != tc.want {
 			t.Errorf("%s: solver %s, want %s", tc.name, got, tc.want)
@@ -591,7 +624,7 @@ func TestVecSolverExcludedBlocksNotRead(t *testing.T) {
 	e := NewEngine(fz, Options{})
 	ad := newAdjacency(fz, q.Boundary)
 	runs := map[string]func(){
-		"sweep":  func() { runTst(fz, e.newTstSweep(ad, src), q, ad) },
+		"sweep":  func() { runTst(fz, e.sweep(ad, src), q, ad) },
 		"levels": func() { runTst(fz, e.newTstLevels(ad, src), q, ad) },
 		"alg": func() {
 			if _, err := NewEngine(fz, Options{Solver: SolverAlg}).SimilarPaths(q); err != nil {
@@ -753,8 +786,9 @@ func TestBitvecOps(t *testing.T) {
 // TestAncestryMonotone: Pd-style ingestion is monotone; a hand-built
 // violation is detected, live and frozen; and the answer a frozen snapshot
 // memoizes is carried through ExtendFrozen at delta cost — a monotone
-// snapshot extended by one out-of-order U edge flips to false, and the
-// dispatcher then picks the level-synchronous runner.
+// snapshot extended by one out-of-order U edge flips to false, and its order
+// of being then stops being the id, while SimProvTst stays the sweep and
+// matches the level-synchronous oracle there.
 func TestAncestryMonotone(t *testing.T) {
 	p, src, _ := smallLifecycle(3)
 	if !p.AncestryMonotone() || !p.Freeze().AncestryMonotone() {
@@ -770,12 +804,9 @@ func TestAncestryMonotone(t *testing.T) {
 		t.Fatal("violation not detected")
 	}
 
-	runnerOf := func(g *prov.Graph) string {
-		return fmt.Sprintf("%T", NewEngine(g, Options{}).newTstRunner(newAdjacency(g, Boundary{}), nil))
-	}
 	base := p.Freeze()
-	if got := runnerOf(base); got != "*core.tstSweepState" {
-		t.Fatalf("monotone snapshot: runner %s", got)
+	if rank, ok := base.OrderOfBeing(); !ok || !rank.IsID() {
+		t.Fatalf("monotone snapshot: order of being ok=%v id=%v", ok, rank.IsID())
 	}
 	// An in-order delta keeps the answer without a rescan being observable;
 	// an S edge pointing "up" is not an ancestry edge and does not count.
@@ -791,12 +822,17 @@ func TestAncestryMonotone(t *testing.T) {
 	act := p.NewActivity("early")
 	ent := p.NewEntity("later")
 	p.Used(act, ent)
+	p.WasGeneratedBy(p.NewEntity("out"), act)
 	bad, incr := p.ExtendFrozen(next)
 	if !incr || bad.AncestryMonotone() || p.AncestryMonotone() {
 		t.Fatalf("out-of-order U edge: incremental=%v, snapshot monotone=%v, live monotone=%v", incr, bad.AncestryMonotone(), p.AncestryMonotone())
 	}
-	if got := runnerOf(bad); got != "*core.tstLevelsState" {
-		t.Fatalf("non-monotone extension: runner %s", got)
+	if rank, ok := bad.OrderOfBeing(); !ok || rank.IsID() {
+		t.Fatalf("non-monotone extension: order of being ok=%v id=%v", ok, rank.IsID())
+	}
+	ents := bad.Entities()
+	if got := runnersAgree(t, "non-monotone extension", p, Query{Src: src, Dst: ents[len(ents)-3:]}, Options{}); len(got) == 0 {
+		t.Fatal("non-monotone extension: empty VC2")
 	}
 	// Non-monotone stays non-monotone however in-order the later deltas are.
 	p.Used(p.NewActivity("again"), x)
@@ -805,5 +841,35 @@ func TestAncestryMonotone(t *testing.T) {
 	}
 	if !next.AncestryMonotone() {
 		t.Fatal("the earlier snapshot's answer changed")
+	}
+}
+
+// ancestryCycle is a 2-vertex U/G cycle, a -U-> e -G-> a: not a provenance
+// DAG (Validate refuses it), but a NewStore over an unvalidated graph holds
+// one.
+func ancestryCycle() (*prov.Graph, Query) {
+	p := prov.New()
+	a := p.NewActivity("a")
+	e := p.NewEntity("e")
+	p.Used(a, e)
+	p.WasGeneratedBy(e, a)
+	return p, Query{Src: []graph.VertexID{e}, Dst: []graph.VertexID{e}}
+}
+
+// TestSegmentRefusesAncestryCycle: a U/G cycle has no order of being, so
+// Segment and SimilarPaths refuse it with ErrNotDAG under every solver, live
+// and frozen, before any solve.
+func TestSegmentRefusesAncestryCycle(t *testing.T) {
+	p, q := ancestryCycle()
+	for _, g := range []*prov.Graph{p, p.Freeze()} {
+		for _, opts := range []Options{{}, {Solver: SolverAlg}, {Solver: SolverCflrB}, {MatchActivityProp: prov.PropCommand}} {
+			e := NewEngine(g, opts)
+			if _, err := e.Segment(q); !errors.Is(err, ErrNotDAG) {
+				t.Errorf("frozen=%v/%v: Segment error %v, want ErrNotDAG", g.Frozen(), opts.Solver, err)
+			}
+			if _, err := e.SimilarPaths(q); !errors.Is(err, ErrNotDAG) {
+				t.Errorf("frozen=%v/%v: SimilarPaths error %v, want ErrNotDAG", g.Frozen(), opts.Solver, err)
+			}
+		}
 	}
 }

@@ -379,35 +379,39 @@ func SortedPropKeys(p Props) []string {
 // IsAcyclic reports whether the graph is a DAG, optionally restricted to
 // edges whose label passes the filter (nil filter means all edges).
 func (g *Graph) IsAcyclic(edgeFilter func(Label) bool) bool {
+	_, ok := g.TopoOrder(edgeFilter)
+	return ok
+}
+
+// TopoOrder returns the vertices in a topological order of the edges whose
+// label passes the filter (nil filter means all edges): each edge's source
+// comes first. ok is false, and the order partial, when they hold a cycle.
+func (g *Graph) TopoOrder(edgeFilter func(Label) bool) (order []VertexID, ok bool) {
 	n := g.NumVertices()
-	indeg := make([]int, n)
+	indeg := make([]int32, n)
 	for e := 0; e < g.NumEdges(); e++ {
 		if edgeFilter != nil && !edgeFilter(g.eLabel[e]) {
 			continue
 		}
 		indeg[g.eDst[e]]++
 	}
-	queue := make([]VertexID, 0, n)
+	order = make([]VertexID, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
-			queue = append(queue, VertexID(v))
+			order = append(order, VertexID(v))
 		}
 	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, e := range g.Out(v) {
+	// Kahn's algorithm with order as its queue: order[i:] is ready, unvisited.
+	for i := 0; i < len(order); i++ {
+		for _, e := range g.Out(order[i]) {
 			if edgeFilter != nil && !edgeFilter(g.eLabel[e]) {
 				continue
 			}
 			d := g.eDst[e]
-			indeg[d]--
-			if indeg[d] == 0 {
-				queue = append(queue, d)
+			if indeg[d]--; indeg[d] == 0 {
+				order = append(order, d)
 			}
 		}
 	}
-	return seen == n
+	return order, len(order) == n
 }

@@ -18,6 +18,7 @@ package prov
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -118,7 +119,6 @@ const (
 	PropName     = "name"     // display/artifact name
 	PropCommand  = "command"  // activity command
 	PropVersion  = "version"  // commit/version id
-	PropTime     = "time"     // logical timestamp
 	PropFilename = "filename" // artifact a snapshot entity belongs to
 )
 
@@ -135,9 +135,63 @@ type Graph struct {
 	labelKind []Kind
 	labelRel  []Rel
 
-	// monotone memoizes AncestryMonotone on a frozen snapshot (immutable, so
-	// racing first callers store the same answer): 0 unknown, 1 yes, 2 no.
-	monotone atomic.Int32
+	// being memoizes OrderOfBeing on a frozen snapshot: idRank once the
+	// snapshot is known id-monotone, else the rank once built.
+	being atomic.Pointer[Rank]
+}
+
+// Rank is an order of being: every ancestry (U, G) edge u -> w has
+// Of(u) > Of(w) (paper Sec. III.B). The zero Rank is the vertex id.
+type Rank struct {
+	byRank []graph.VertexID // the vertex of each rank; nil: the id
+	rank   []int32
+}
+
+var idRank = new(Rank) // the memo of an id-monotone snapshot: the zero Rank
+
+// Of returns v's rank.
+func (r Rank) Of(v graph.VertexID) int32 {
+	if r.rank == nil {
+		return int32(v)
+	}
+	return r.rank[v]
+}
+
+// At returns the vertex of rank i.
+func (r Rank) At(i int32) graph.VertexID {
+	if r.byRank == nil {
+		return graph.VertexID(i)
+	}
+	return r.byRank[i]
+}
+
+// IsID reports whether the rank is the vertex id.
+func (r Rank) IsID() bool { return r.rank == nil }
+
+// OrderOfBeing returns the graph's order of being, false if its ancestry has a
+// cycle: the id on an id-monotone graph (nothing is allocated), else a rank
+// built in O(V+E), once per frozen snapshot and per call on a live graph.
+func (p *Graph) OrderOfBeing() (Rank, bool) {
+	if r := p.being.Load(); r != nil {
+		return *r, true // *idRank is the id
+	}
+	if p.AncestryMonotone() {
+		return Rank{}, true
+	}
+	uL, gL := p.relLabels[RelUsed], p.relLabels[RelGen]
+	order, ok := p.g.TopoOrder(func(l graph.Label) bool { return l == uL || l == gL })
+	if !ok {
+		return Rank{}, false
+	}
+	slices.Reverse(order) // TopoOrder puts an edge's newer end first
+	r := &Rank{byRank: order, rank: make([]int32, len(order))}
+	for i, v := range order {
+		r.rank[v] = int32(i)
+	}
+	if p.g.Frozen() && !p.being.CompareAndSwap(nil, r) {
+		r = p.being.Load()
+	}
+	return *r, true
 }
 
 // New returns an empty PROV graph.
@@ -238,33 +292,25 @@ func (p *Graph) ExtendFrozen(prev *Graph) (*Graph, bool) {
 	}
 	fg, incr := p.g.ExtendFrozen(pg)
 	np := p.wrapSnapshot(fg)
-	if incr {
-		// Carried at delta cost: prev's answer and the edges added since.
-		np.setMonotone(prev.AncestryMonotone() && np.ancestryDescends(prev.NumEdges()))
+	// Carried at delta cost: prev's answer and the edges added since.
+	if incr && prev.AncestryMonotone() && np.ancestryDescends(prev.NumEdges()) {
+		np.being.Store(idRank)
 	}
 	return np, incr
 }
 
 // AncestryMonotone reports whether every ancestry (U, G) edge points from a
 // newer vertex to a strictly older one — true for ingestion-ordered
-// provenance, and what SimProvTst's three-sweep solver needs for its
-// single-pass propagation. A frozen snapshot answers from its memo, carried
-// through ExtendFrozen incrementally; a live graph scans its edges.
+// provenance, where the id itself is an order of being (OrderOfBeing). A
+// frozen snapshot memoizes a yes, which ExtendFrozen carries at delta cost;
+// otherwise the edges are scanned up to the first that does not descend.
 func (p *Graph) AncestryMonotone() bool {
-	if !p.g.Frozen() {
-		return p.ancestryDescends(0)
+	if r := p.being.Load(); r != nil {
+		return r == idRank
 	}
-	if m := p.monotone.Load(); m != 0 {
-		return m == 1
-	}
-	return p.setMonotone(p.ancestryDescends(0))
-}
-
-func (p *Graph) setMonotone(ok bool) bool {
-	if ok {
-		p.monotone.Store(1)
-	} else {
-		p.monotone.Store(2)
+	ok := p.ancestryDescends(0)
+	if ok && p.g.Frozen() {
+		p.being.CompareAndSwap(nil, idRank)
 	}
 	return ok
 }
@@ -396,16 +442,6 @@ func (p *Graph) WasDerivedFrom(e2, e1 graph.VertexID) graph.EdgeID {
 // Name returns the display name of a vertex (empty if unset).
 func (p *Graph) Name(v graph.VertexID) string {
 	return p.g.VertexProp(v, PropName).AsString()
-}
-
-// Order returns the order-of-being of a vertex. Vertex ids are assigned in
-// ingestion order, so the id is the order (paper Sec. III.B: "order of
-// being"); an explicit PropTime property overrides it.
-func (p *Graph) Order(v graph.VertexID) int64 {
-	if t, ok := p.g.VertexProp(v, PropTime).IntVal(); ok {
-		return t
-	}
-	return int64(v)
 }
 
 // Entities returns all entity vertex ids in id order.

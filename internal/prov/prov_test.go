@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -106,16 +107,85 @@ func TestAdjacencyHelpers(t *testing.T) {
 	}
 }
 
+// TestOrderOfBeing: on an id-monotone graph the order of being is the id and
+// allocates nothing; on a graph ingested out of order it is a rank under
+// which every ancestry edge descends, built once per frozen snapshot and per
+// call on a live graph; an ancestry cycle has none.
 func TestOrderOfBeing(t *testing.T) {
 	p, vs := buildChain(t)
-	// Default: vertex id order.
-	if p.Order(vs[1]) >= p.Order(vs[3]) {
-		t.Fatal("id order broken")
+	for _, g := range []*Graph{p, p.Freeze()} {
+		rank, ok := g.OrderOfBeing()
+		if !ok || !rank.IsID() || rank.Of(vs[3]) != int32(vs[3]) || rank.At(int32(vs[1])) != vs[1] {
+			t.Fatalf("frozen=%v: id-monotone graph: ok=%v, rank is the id: %v", g.Frozen(), ok, rank.IsID())
+		}
+		if n := testing.AllocsPerRun(10, func() { g.OrderOfBeing() }); n != 0 || g.being.Load() != nil && g.being.Load() != idRank {
+			t.Fatalf("frozen=%v: id-monotone graph: %v allocs per call, memo %v", g.Frozen(), n, g.being.Load())
+		}
 	}
-	// Explicit PropTime overrides.
-	p.PG().SetVertexProp(vs[1], PropTime, graph.Int(999))
-	if p.Order(vs[1]) != 999 {
-		t.Fatal("PropTime override ignored")
+
+	// Activities created before their inputs: every Used edge points up.
+	q := New()
+	a1, a2 := q.NewActivity("a1"), q.NewActivity("a2")
+	src, mid, dst := q.NewEntity("src"), q.NewEntity("mid"), q.NewEntity("dst")
+	q.Used(a1, src)
+	q.WasGeneratedBy(mid, a1)
+	q.Used(a2, mid)
+	q.WasGeneratedBy(dst, a2)
+	q.WasAttributedTo(dst, q.NewAgent("u"))
+	fz := q.Freeze()
+	for _, g := range []*Graph{q, fz} {
+		rank, ok := g.OrderOfBeing()
+		if !ok || rank.IsID() {
+			t.Fatalf("frozen=%v: out-of-order graph: ok=%v, rank is the id: %v", g.Frozen(), ok, rank.IsID())
+		}
+		for i := int32(0); int(i) < g.NumVertices(); i++ {
+			if rank.Of(rank.At(i)) != i {
+				t.Fatalf("frozen=%v: At and Of disagree at rank %d", g.Frozen(), i)
+			}
+		}
+		for e := 0; e < g.NumEdges(); e++ {
+			id := graph.EdgeID(e)
+			if r := g.RelOf(id); (r == RelUsed || r == RelGen) && rank.Of(g.PG().Src(id)) <= rank.Of(g.PG().Dst(id)) {
+				t.Fatalf("frozen=%v: ancestry edge %d does not descend in rank", g.Frozen(), e)
+			}
+		}
+	}
+	first, _ := fz.OrderOfBeing()
+	again, _ := fz.OrderOfBeing()
+	if n := testing.AllocsPerRun(10, func() { fz.OrderOfBeing() }); n != 0 || &first.byRank[0] != &again.byRank[0] {
+		t.Fatalf("snapshot order rebuilt: %v allocs per call, shared %v", n, &first.byRank[0] == &again.byRank[0])
+	}
+	if q.being.Load() != nil {
+		t.Fatal("a live graph memoized its order")
+	}
+	// Racing first callers on a fresh snapshot all get the one order stored.
+	fresh := q.Freeze()
+	got := make([]*graph.VertexID, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, _ := fresh.OrderOfBeing()
+			got[i] = &r.byRank[0]
+		}()
+	}
+	wg.Wait()
+	for _, p := range got {
+		if p != &fresh.being.Load().byRank[0] {
+			t.Fatal("racing callers got different orders")
+		}
+	}
+
+	// a -U-> e -G-> a: no order of being, live or frozen.
+	c := New()
+	a, e := c.NewActivity("a"), c.NewEntity("e")
+	c.Used(a, e)
+	c.WasGeneratedBy(e, a)
+	for _, g := range []*Graph{c, c.Freeze()} {
+		if _, ok := g.OrderOfBeing(); ok {
+			t.Fatalf("frozen=%v: an ancestry cycle has an order of being", g.Frozen())
+		}
 	}
 }
 

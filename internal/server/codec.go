@@ -354,6 +354,23 @@ func parseKinds(names []string) ([]prov.Kind, error) {
 	return out, nil
 }
 
+// parseAggKeys keeps each key of a /summarize agg_* list once, in first-seen
+// order, and refuses more than maxAggKeys distinct keys: PgSum spells every
+// kept key and its value into every segment vertex's signature.
+func parseAggKeys(name string, keys []string) ([]string, error) {
+	var out []string
+	for _, k := range keys {
+		if slices.Contains(out, k) {
+			continue
+		}
+		if len(out) == maxAggKeys {
+			return nil, fmt.Errorf("%s lists more than %d distinct keys", name, maxAggKeys)
+		}
+		out = append(out, k)
+	}
+	return out, nil
+}
+
 // parseSolver maps the wire solver name to core options. The baseline
 // solvers are refused here, before any solve: one CflrB request at paper
 // scale can exhaust the daemon's memory.

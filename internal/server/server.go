@@ -43,6 +43,9 @@ const (
 	// spec: Segment solves the destination classes in parallel, so an
 	// unbounded list would hold every core.
 	maxQueryVertices = 4096
+	// maxAggKeys bounds each /summarize agg_* list, whose keys PgSum spells
+	// into every segment vertex's signature.
+	maxAggKeys = 16
 )
 
 // checkQueryLists refuses, before any solve, a query whose src, dst or any
@@ -544,6 +547,16 @@ func (s *Server) handleSummarize(st *Store, w http.ResponseWriter, r *http.Reque
 		// Reject before the (potentially expensive) solves run.
 		writeErr(w, http.StatusBadRequest, "unknown format %q (want json, dot)", req.Format)
 		return
+	}
+	for _, agg := range [...]struct {
+		name string
+		keys *[]string
+	}{{"agg_entity", &req.AggEntity}, {"agg_activity", &req.AggActivity}, {"agg_agent", &req.AggAgent}} {
+		var err error
+		if *agg.keys, err = parseAggKeys(agg.name, *agg.keys); err != nil {
+			writeErr(w, http.StatusBadRequest, "summarize: %v", err)
+			return
+		}
 	}
 	queries := make([]core.Query, 0, len(req.Segments))
 	for i, spec := range req.Segments {

@@ -294,6 +294,72 @@ func TestSegmentBadRequests(t *testing.T) {
 	}
 }
 
+// TestSummarizeAggKeys: each agg_* list keeps every key once, in first-seen
+// order, so lists that repeat their keys thousands of times get the bytes
+// their deduplicated forms get; a list of more than maxAggKeys distinct keys
+// is a 400 naming the limit before any solve (the segment cache sees no
+// lookup), and one of exactly maxAggKeys is served.
+func TestSummarizeAggKeys(t *testing.T) {
+	ts, store, ids := newTestServer(t)
+	plain := SummarizeRequest{
+		Segments: []SegmentSpec{
+			{Src: []uint32{uint32(ids["dataset"])}, Dst: []uint32{uint32(ids["model-v1"])}},
+			{Src: []uint32{uint32(ids["dataset"])}, Dst: []uint32{uint32(ids["model-v2"])}},
+		},
+		AggEntity:   []string{prov.PropFilename, prov.PropName},
+		AggActivity: []string{prov.PropCommand, prov.PropName},
+		AggAgent:    []string{prov.PropName},
+		TypeRadius:  1,
+	}
+	repeat := func(keys []string, n int) []string {
+		var out []string
+		for range n {
+			out = append(out, keys...)
+		}
+		return out
+	}
+	repeated := plain
+	repeated.AggEntity, repeated.AggActivity, repeated.AggAgent = repeat(plain.AggEntity, 5000), repeat(plain.AggActivity, 5000), repeat(plain.AggAgent, 5000)
+	for _, format := range []string{"", FormatDOT} {
+		plain.Format, repeated.Format = format, format
+		if want, got := postRaw(t, ts.URL+"/summarize", stdJSON(t, plain)), postRaw(t, ts.URL+"/summarize", stdJSON(t, repeated)); !bytes.Equal(got, want) {
+			t.Errorf("format %q: repeated keys changed the reply (%d vs %d bytes)", format, len(got), len(want))
+		}
+	}
+	distinct := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("key%d", i)
+		}
+		return out
+	}
+	for _, name := range []string{"agg_entity", "agg_activity", "agg_agent"} {
+		for _, n := range []int{maxAggKeys, maxAggKeys + 1} {
+			req := plain
+			keys := append(distinct(n), repeat(distinct(n), 100)...)
+			switch name {
+			case "agg_entity":
+				req.AggEntity = keys
+			case "agg_activity":
+				req.AggActivity = keys
+			default:
+				req.AggAgent = keys
+			}
+			before := store.CacheStats()
+			var resp ErrorResponse
+			code := doJSON(t, http.MethodPost, ts.URL+"/summarize", req, &resp)
+			switch {
+			case n <= maxAggKeys && code != http.StatusOK:
+				t.Errorf("%s, %d keys: status %d %q, want 200", name, n, code, resp.Error)
+			case n > maxAggKeys && (code != http.StatusBadRequest || !strings.Contains(resp.Error, fmt.Sprintf("%s lists more than %d", name, maxAggKeys))):
+				t.Errorf("%s, %d keys: status %d %q, want 400 naming the limit", name, n, code, resp.Error)
+			case n > maxAggKeys && store.CacheStats() != before:
+				t.Errorf("%s, %d keys: refused after a solve", name, n)
+			}
+		}
+	}
+}
+
 func TestSummarizeRoundTrip(t *testing.T) {
 	ts, _, ids := newTestServer(t)
 	req := SummarizeRequest{
@@ -1044,6 +1110,26 @@ func TestSummarizeCaps(t *testing.T) {
 		if tc.want == 200 && resp.Segments != len(tc.req.Segments) || tc.want != 200 && resp.Error == "" {
 			t.Errorf("%s: bad body: %+v", tc.name, resp)
 		}
+	}
+}
+
+// TestSegmentCyclicAncestry: a U/G cycle (provd -in refuses one at boot; a
+// store over an unvalidated graph can hold one) has no order of being, so
+// /segment is a 422 naming the cause, not a segment.
+func TestSegmentCyclicAncestry(t *testing.T) {
+	p := prov.New()
+	a, e := p.NewActivity("a"), p.NewEntity("e")
+	p.Used(a, e)
+	p.WasGeneratedBy(e, a)
+	ts := httptest.NewServer(NewServer(NewStore(p, 16)))
+	defer ts.Close()
+	var errResp ErrorResponse
+	req := SegmentRequest{Src: []uint32{uint32(e)}, Dst: []uint32{uint32(e)}}
+	if code := doJSON(t, http.MethodPost, ts.URL+"/segment", req, &errResp); code != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d (%q), want 422", code, errResp.Error)
+	}
+	if !strings.Contains(errResp.Error, "not a DAG") {
+		t.Fatalf("error %q does not name the cause", errResp.Error)
 	}
 }
 

@@ -268,7 +268,7 @@ func Fig5c(scale Scale) Figure {
 
 // Fig5d: effectiveness of temporal early stopping — runtime vs the
 // percentile rank of the source entities. On Pd (id-monotone) SimProvTst is
-// the three-sweep runner, whose exact depth windows subsume the rule, so its
+// the sweep, whose exact depth windows subsume the rule, so its
 // two series coincide; the SimProvAlg pair still shows the ablation.
 func Fig5d(scale Scale) Figure {
 	n := 50000

@@ -23,12 +23,55 @@ func ClassLabels(segs []*Segment, opts SumOptions) []int {
 }
 
 // DeepRunnersAgree is the white-box runner agreement of tstrunners_test.go in
-// its deep mode (level-synchronous runner as reference, sweep windows
-// checked). It returns |VC2| and the widest sweep window seen, in words.
-func DeepRunnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opts Options) (vc2, maxWords int) {
+// a deep mode: ref is "levels" (the level-synchronous runner as reference) or
+// "words" (the all-words oracle alone), and the sweep is held to the oracle
+// set by set. It returns |VC2|, the widest window seen in levels and the
+// number of sets the sweep promoted.
+func DeepRunnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opts Options, ref string) (vc2, width, promoted int) {
 	t.Helper()
-	ref, seen := runnersAgreeOn(t, label, live, q, opts, true)
-	return len(ref), seen.maxWords
+	got, seen := runnersAgreeOn(t, label, live, q, opts, ref)
+	return len(got), seen.maxWidth, seen.promoted
+}
+
+// DiamondChain is diamondChain (tstrunners_test.go): k diamonds whose
+// branches differ by gap activity-steps, with its query.
+func DiamondChain(k, gap int) (*prov.Graph, Query) { return diamondChain(k, gap) }
+
+// PartialPromotion is partialPromotion (tstrunners_test.go) with its query.
+func PartialPromotion(k, n int) (*prov.Graph, Query) { return partialPromotion(k, n) }
+
+// SweepPromotions is the number of sets the sweep holds as word windows over
+// q's destination classes.
+func SweepPromotions(e *Engine, q Query) int {
+	ad := newAdjacency(e.P, q.Boundary)
+	src := dedupVertices(q.Src)
+	st, sc, n := e.sweep(ad, src), new(tstSweepScratch), 0
+	r := func(vj graph.VertexID, out *bitmap.Bitset) {
+		if maxM := st.depths(sc, vj); maxM >= 0 {
+			st.targets(sc, maxM, out)
+		}
+		n += sc.promoted
+	}
+	e.runSimProvTst(tstRunFunc(r), src, q.Dst, ad)
+	return n
+}
+
+// tstRunFunc is a function that is a tstRunner.
+type tstRunFunc func(graph.VertexID, *bitmap.Bitset)
+
+func (f tstRunFunc) run(vj graph.VertexID, out *bitmap.Bitset) { f(vj, out) }
+
+// SegmentWords is Segment with VC2 from the all-words oracle
+// (words_oracle_test.go), each stage in turn on the caller: the reference a
+// whole segment of the sweep is held to.
+func SegmentWords(e *Engine, q Query) (*Segment, error) {
+	if err := e.validateQuery(q); err != nil {
+		return nil, err
+	}
+	ad := newAdjacency(e.P, q.Boundary)
+	vc1, support := directPaths(e.ancestryClosure(q.Dst, ad, true), e.ancestryClosure(q.Src, ad, false))
+	src := dedupVertices(q.Src)
+	return e.induce(q, ad, vc1, e.runSimProvTst(e.words(ad, src), src, q.Dst, ad), support), nil
 }
 
 // RandomLifecycle is randomLifecycle (tstrunners_test.go) with its query.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/prov"
 )
 
 // pdPoolQueries draws k queries of the seg_cold pool shape on a frozen Pd
@@ -20,10 +21,15 @@ import (
 func pdPoolQueries(tb testing.TB, n, k int) (*core.Engine, []core.Query) {
 	tb.Helper()
 	fz := gen.Pd(gen.PdConfig{N: n, Seed: 1}).Freeze()
-	ents := fz.Entities()
+	return core.NewEngine(fz, core.Options{}), poolQueries(tb, fz, k)
+}
+
+// poolQueries draws pdPoolQueries' k queries on p.
+func poolQueries(tb testing.TB, p *prov.Graph, k int) []core.Query {
+	ents := p.Entities()
 	half := len(ents)/2 - 1
 	if half < 1 {
-		tb.Fatalf("Pd-%d has too few entities (%d)", n, len(ents))
+		tb.Fatalf("%d vertices hold too few entities (%d)", p.NumVertices(), len(ents))
 	}
 	rng := rand.New(rand.NewSource(20190001)) // benchmark/workload.go poolSeed
 	qs := make([]core.Query, k)
@@ -34,7 +40,7 @@ func pdPoolQueries(tb testing.TB, n, k int) (*core.Engine, []core.Query) {
 			Dst: []graph.VertexID{ents[b], ents[b+1]},
 		}
 	}
-	return core.NewEngine(fz, core.Options{}), qs
+	return qs
 }
 
 // sinkVC2 keeps the benchmarked call's result alive.
@@ -83,33 +89,38 @@ func BenchmarkSegmentPd(b *testing.B) {
 	}
 }
 
-// BenchmarkSimilarPathsPd times the VC2 solve alone (the three-sweep
-// SimProvTst; no closures, no induction, no codec) on the query shape of the
+// BenchmarkSimilarPathsPd times the VC2 solve alone (the SimProvTst sweep;
+// no closures, no induction, no codec) on the query shape of the
 // seg_cold workload. One op is one pass over an 8-query pool. The permuted
 // cases relabel the graph's ids by a random permutation (permute), so the
 // sweep walks a topological rank instead of the id; the snapshot builds that
 // rank before the timer starts, as a served snapshot does on its first query.
+// N=100000 is Fig. 5a's paper scale with DefaultQuery alone, and
+// diamonds/k=2000 the adversary that fragments depth sets (DiamondChain,
+// 23k vertices). promoted/op counts the sets the sweep held as word windows
+// instead of run lists (0 on Pd).
 func BenchmarkSimilarPathsPd(b *testing.B) {
 	for _, c := range []struct {
-		n        int
-		permuted bool
-	}{{2000, false}, {5000, false}, {20000, false}, {2000, true}, {20000, true}} {
-		name := fmt.Sprintf("N=%d", c.n)
-		if c.permuted {
-			name += "/permuted"
-		}
-		b.Run(name, func(b *testing.B) {
-			eng, qs := pdPoolQueries(b, c.n, 8)
-			if c.permuted {
-				pp, perm, _ := permute(eng.P, 1)
-				eng = core.NewEngine(pp.Freeze(), core.Options{})
-				for i, q := range qs {
-					qs[i] = core.Query{Src: mapIDs(perm, q.Src), Dst: mapIDs(perm, q.Dst)}
-				}
-				if rank, ok := eng.P.OrderOfBeing(); !ok || rank.IsID() {
-					b.Fatal("the permuted graph's order of being is the id")
-				}
-			}
+		name string
+		load func(b *testing.B) (*core.Engine, []core.Query)
+	}{
+		{"N=2000", poolLoad(2000, false)},
+		{"N=5000", poolLoad(5000, false)},
+		{"N=20000", poolLoad(20000, false)},
+		{"N=2000/permuted", poolLoad(2000, true)},
+		{"N=20000/permuted", poolLoad(20000, true)},
+		{"N=100000", func(b *testing.B) (*core.Engine, []core.Query) {
+			p := gen.Pd(gen.PdConfig{N: 100000, Seed: 1}).Freeze()
+			src, dst := gen.DefaultQuery(p)
+			return core.NewEngine(p, core.Options{}), []core.Query{{Src: src, Dst: dst}}
+		}},
+		{"diamonds/k=2000", func(b *testing.B) (*core.Engine, []core.Query) {
+			p, q := core.DiamondChain(2000, 2)
+			return core.NewEngine(p.Freeze(), core.Options{}), []core.Query{q}
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			eng, qs := c.load(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -121,6 +132,31 @@ func BenchmarkSimilarPathsPd(b *testing.B) {
 					sinkVC2 = vc2
 				}
 			}
+			b.StopTimer()
+			promoted := 0
+			for _, q := range qs {
+				promoted += core.SweepPromotions(eng, q)
+			}
+			b.ReportMetric(float64(promoted), "promoted/op")
 		})
+	}
+}
+
+// poolLoad draws the 8-query seg_cold pool on Pd-n, its ids permuted or not.
+func poolLoad(n int, permuted bool) func(b *testing.B) (*core.Engine, []core.Query) {
+	return func(b *testing.B) (*core.Engine, []core.Query) {
+		eng, qs := pdPoolQueries(b, n, 8)
+		if !permuted {
+			return eng, qs
+		}
+		pp, perm, _ := permute(eng.P, 1)
+		eng = core.NewEngine(pp.Freeze(), core.Options{})
+		for i, q := range qs {
+			qs[i] = core.Query{Src: mapIDs(perm, q.Src), Dst: mapIDs(perm, q.Dst)}
+		}
+		if rank, ok := eng.P.OrderOfBeing(); !ok || rank.IsID() {
+			b.Fatal("the permuted graph's order of being is the id")
+		}
+		return eng, qs
 	}
 }

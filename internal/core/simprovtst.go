@@ -21,8 +21,8 @@ import (
 // source entity is an answer level, and VC2 receives every vertex on an
 // ancestry path of exactly that length from vj (computed by a backward
 // prune over the levels). Runtime is O(|G| + |U|) per destination. One
-// runner evaluates it on every DAG: the three-sweep solver
-// (simprovsweep.go), walking the snapshot's order of being.
+// runner evaluates it on every DAG: the sweep (simprovsweep.go), walking the
+// snapshot's order of being with each level set held as runs of depths.
 //
 // A property-match constraint (Options.MatchActivityProp/MatchEntityProp)
 // breaks that transitivity: an entity reached along two paths with different

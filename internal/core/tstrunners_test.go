@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -14,8 +15,9 @@ import (
 )
 
 // White-box coverage of the SimProvTst runner (the sweep) against the
-// level-synchronous oracle (levels_oracle_test.go) and the class-chain
-// oracle (chain_oracle_test.go): called directly on the same label-only
+// all-words oracle (words_oracle_test.go, set by set), the level-synchronous
+// oracle (levels_oracle_test.go) and the class-chain oracle
+// (chain_oracle_test.go): called directly on the same label-only
 // queries they must produce identical VC2 sets — on live and frozen graphs,
 // under excluded relations, programmatic filters, disabled early stopping
 // and non-monotone ingestion — and equal SimProvAlg's; the dispatcher must
@@ -24,7 +26,7 @@ import (
 // the names are what the test floor tracks.)
 
 // tstRunner is what the tests drive: SimProvTst for one destination at a
-// time, accumulating into out — the sweep, or one of the two oracles.
+// time, accumulating into out — the sweep, or one of the three oracles.
 type tstRunner interface {
 	run(vj graph.VertexID, out *bitmap.Bitset)
 }
@@ -76,19 +78,22 @@ func runTst(p *prov.Graph, r tstRunner, q Query, ad *adjacency) map[uint32]bool 
 // destination class (runSimProvTst) — then the dispatched SimProvTst and
 // SimProvAlg, and requires one VC2 set from all of them. The class-chain
 // oracle on the live graph, run per destination, is the reference. The
-// sweep's depth slab is also checked against pass 0's windows.
+// sweep is also held to the all-words oracle set by set
+// (checkSweepWindows).
 func runnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opts Options) map[uint32]bool {
 	t.Helper()
-	ref, _ := runnersAgreeOn(t, label, live, q, opts, false)
+	ref, _ := runnersAgreeOn(t, label, live, q, opts, "chain")
 	return ref
 }
 
-// runnersAgreeOn is runnersAgree; deep marks inputs hundreds of levels deep,
-// where the class chain and SimProvAlg take seconds to minutes: they are left
-// out and the level-synchronous runner on the live graph is the reference.
-func runnersAgreeOn(t *testing.T, label string, live *prov.Graph, q Query, opts Options, deep bool) (map[uint32]bool, sweepWindows) {
+// runnersAgreeOn is runnersAgree with the reference runner named by ref.
+// Inputs hundreds of levels deep, where the class chain and SimProvAlg take
+// seconds to minutes, use "levels": both are left out and the
+// level-synchronous runner is the reference. Inputs where that runner takes
+// seconds too use "words": the all-words oracle alone is the reference.
+func runnersAgreeOn(t *testing.T, label string, live *prov.Graph, q Query, opts Options, ref string) (map[uint32]bool, sweepWindows) {
 	t.Helper()
-	var ref map[uint32]bool
+	var want map[uint32]bool
 	var seen sweepWindows
 	for _, rep := range []struct {
 		name string
@@ -97,25 +102,29 @@ func runnersAgreeOn(t *testing.T, label string, live *prov.Graph, q Query, opts 
 		e := NewEngine(rep.p, opts)
 		ad := newAdjacency(rep.p, q.Boundary)
 		src := dedupVertices(q.Src)
-		runners := map[string]tstRunner{"levels": e.newTstLevels(ad, src)}
-		refName := "levels"
-		if !deep {
-			runners["chain"], refName = e.newTstChain(ad, src), "chain"
+		wd := e.words(ad, src)
+		runners := map[string]tstRunner{"words": wd}
+		switch ref {
+		case "chain":
+			runners["chain"] = e.newTstChain(ad, src)
+			fallthrough
+		case "levels":
+			runners["levels"] = e.newTstLevels(ad, src)
 		}
 		sw := e.sweep(ad, src)
 		runners["sweep"] = sw
-		seen = checkSweepWindows(t, fmt.Sprintf("%s/%s", label, rep.name), sw, q, ad)
-		if ref == nil {
-			ref = runTst(rep.p, runners[refName], q, ad)
-			diffSets(t, fmt.Sprintf("%s/%s/%s/classes", label, rep.name, refName), ref, bitsetMap(e.runSimProvTst(runners[refName], src, q.Dst, ad)))
-			delete(runners, refName)
+		seen = checkSweepWindows(t, fmt.Sprintf("%s/%s", label, rep.name), sw, wd, q, ad)
+		if want == nil {
+			want = runTst(rep.p, runners[ref], q, ad)
+			diffSets(t, fmt.Sprintf("%s/%s/%s/classes", label, rep.name, ref), want, bitsetMap(e.runSimProvTst(runners[ref], src, q.Dst, ad)))
+			delete(runners, ref)
 		}
 		for name, r := range runners {
-			diffSets(t, fmt.Sprintf("%s/%s/%s", label, rep.name, name), ref, runTst(rep.p, r, q, ad))
-			diffSets(t, fmt.Sprintf("%s/%s/%s/classes", label, rep.name, name), ref, bitsetMap(e.runSimProvTst(r, src, q.Dst, ad)))
+			diffSets(t, fmt.Sprintf("%s/%s/%s", label, rep.name, name), want, runTst(rep.p, r, q, ad))
+			diffSets(t, fmt.Sprintf("%s/%s/%s/classes", label, rep.name, name), want, bitsetMap(e.runSimProvTst(r, src, q.Dst, ad)))
 		}
 		solvers := []SolverKind{SolverTst, SolverAlg}
-		if deep {
+		if ref != "chain" {
 			solvers = solvers[:1]
 		}
 		for _, solver := range solvers {
@@ -125,59 +134,83 @@ func runnersAgreeOn(t *testing.T, label string, live *prov.Graph, q Query, opts 
 			if err != nil {
 				t.Fatalf("%s/%s/%v: %v", label, rep.name, solver, err)
 			}
-			diffSets(t, fmt.Sprintf("%s/%s/%v", label, rep.name, solver), ref, bitsetMap(set))
+			diffSets(t, fmt.Sprintf("%s/%s/%v", label, rep.name, solver), want, bitsetMap(set))
 		}
 	}
-	return ref, seen
+	return want, seen
 }
 
 // sweepWindows is what checkSweepWindows saw, so a test can demand that its
-// input did exercise the offset arithmetic.
+// input did exercise the window arithmetic and both encodings of a set.
 type sweepWindows struct {
 	maxM      int32 // largest answer ceiling over the destinations
+	maxWidth  int   // widest window [lo, min(hi, maxM)], in levels
 	maxWords  int   // widest window, in words
 	offsetRow int   // ancestry edges whose two windows start in different words
 	dropped   int   // reached vertices with lo > maxM
+	promoted  int   // sets held as word windows
+	sets      int   // sets on undropped vertices, D and T each counted
+	mixed     int   // undropped vertices with one set promoted, one run-held
 }
 
-// checkSweepWindows runs pass 0 and the depth sweep per destination on a
-// fresh scratch and holds the slab to pass 0's promise: D(v) has no bit
-// outside [lo(v), hi(v)], bit lo(v) is set, and so is bit hi(v) unless the
-// answer ceiling clipped it. A destination that reaches no source must leave
-// the slabs unallocated.
-func checkSweepWindows(t *testing.T, label string, st *tstSweepState, q Query, ad *adjacency) sweepWindows {
+// checkSweepWindows solves every destination with the sweep and with the
+// all-words oracle, each on a fresh scratch, and holds the sweep to the oracle
+// set by set: the same answer ceiling, reached order, hulls and VC2, and on
+// every undropped vertex's window [lo(v), min(hi(v), maxM)] the same D and
+// the same T, whichever way the sweep holds each. A run list must be sorted,
+// coalesced, at most maxRuns long and (for D) span its hull exactly; the
+// oracle's D must have no bit outside [lo(v), hi(v)] and set bit lo(v), and
+// bit hi(v) unless the answer ceiling clipped it. A destination that reaches
+// no source must leave the windows unallocated.
+func checkSweepWindows(t *testing.T, label string, st *tstSweepState, wd *tstWordsState, q Query, ad *adjacency) sweepWindows {
 	t.Helper()
 	var seen sweepWindows
+	n := st.e.P.NumVertices()
 	for _, vj := range dedupVertices(q.Dst) {
 		if !ad.vertexOK(vj) {
 			continue
 		}
-		sc := new(tstSweepScratch)
+		sc, oc := new(tstSweepScratch), new(wordsScratch)
 		maxM := st.depths(sc, vj)
+		if om := wd.depths(oc, vj); om != maxM {
+			t.Fatalf("%s: vj=%d: answer ceiling %d, the oracle's %d", label, vj, maxM, om)
+		}
 		if maxM < 0 {
-			if sc.d != nil || sc.t != nil || sc.ans != nil {
-				t.Errorf("%s: vj=%d reaches no source but the slabs were allocated", label, vj)
+			if sc.dw != nil || sc.tw != nil || sc.ans != nil || sc.tRuns != nil {
+				t.Errorf("%s: vj=%d reaches no source but windows were allocated", label, vj)
 			}
 			continue
 		}
-		seen.maxM = max(seen.maxM, maxM)
+		got, want := bitmap.NewBitset(n), bitmap.NewBitset(n)
+		st.targets(sc, maxM, got)
+		wd.targets(oc, maxM, want)
+		diffSets(t, fmt.Sprintf("%s: vj=%d: sweep against words", label, vj), bitsetMap(want), bitsetMap(got))
+		if !slices.Equal(sc.order, oc.order) {
+			t.Fatalf("%s: vj=%d: reached order differs from the oracle's", label, vj)
+		}
+		seen.maxM, seen.promoted = max(seen.maxM, maxM), seen.promoted+sc.promoted
 		for i, v := range sc.order {
-			w := sc.win[v]
-			if w.off < 0 {
+			w, ow := &sc.win[v], oc.win[v]
+			if w.lo != ow.lo || w.hi != ow.hi {
+				t.Fatalf("%s: vj=%d v=%d: hull [%d, %d], the oracle's [%d, %d]", label, vj, v, w.lo, w.hi, ow.lo, ow.hi)
+			}
+			if ow.off < 0 {
 				if w.lo <= maxM {
 					t.Fatalf("%s: vj=%d v=%d dropped with lo=%d <= maxM=%d", label, vj, v, w.lo, maxM)
 				}
 				seen.dropped++
 				continue
 			}
-			lo, nw := w.words(maxM)
-			seen.maxWords = max(seen.maxWords, nw)
+			lo, nw := ow.words(maxM)
+			hi := min(w.hi, maxM)
+			seen.maxWords, seen.maxWidth, seen.sets = max(seen.maxWords, nw), max(seen.maxWidth, int(hi-w.lo)+1), seen.sets+2
 			for _, u := range sc.row(i) {
-				if x := sc.win[u]; x.off >= 0 && int(x.lo)>>6 != lo {
+				if x := oc.win[u]; x.off >= 0 && int(x.lo)>>6 != lo {
 					seen.offsetRow++
 				}
 			}
-			get := func(m int32) bool { return sc.d[w.off+int(m)>>6-lo]&(1<<(m&63)) != 0 }
+			od, ot := oc.d[ow.off:ow.off+nw], oc.t[ow.off:ow.off+nw]
+			get := func(m int32) bool { return od[int(m)>>6-lo]&(1<<(m&63)) != 0 }
 			for m := int32(lo) << 6; m < int32(lo+nw)<<6; m++ {
 				if get(m) && (m < w.lo || m > w.hi) {
 					t.Fatalf("%s: vj=%d v=%d: depth bit %d outside [%d, %d]", label, vj, v, m, w.lo, w.hi)
@@ -186,9 +219,69 @@ func checkSweepWindows(t *testing.T, label string, st *tstSweepState, q Query, a
 			if !get(w.lo) || (w.hi <= maxM && !get(w.hi)) {
 				t.Fatalf("%s: vj=%d v=%d: window [%d, %d] (maxM %d) has an end bit clear", label, vj, v, w.lo, w.hi, maxM)
 			}
+			var dRuns, tRuns []span
+			var dWords, tWords []uint64
+			if w.dn == promoted {
+				dWords = sc.dw[w.d : int(w.d)+nw]
+			} else {
+				var one [1]span
+				dRuns = sc.dOf(w, &one)
+				checkRunList(t, fmt.Sprintf("%s: vj=%d v=%d: D", label, vj, v), dRuns)
+				if dRuns[0].lo != w.lo || dRuns[len(dRuns)-1].hi != w.hi {
+					t.Fatalf("%s: vj=%d v=%d: D runs %v do not span the hull [%d, %d]", label, vj, v, dRuns, w.lo, w.hi)
+				}
+			}
+			if (w.dn == promoted) != (w.tn == promoted) {
+				seen.mixed++
+			}
+			if w.tn == promoted {
+				tWords = sc.tw[w.t : int(w.t)+nw]
+			} else {
+				tRuns = sc.tOf(w)
+				checkRunList(t, fmt.Sprintf("%s: vj=%d v=%d: T", label, vj, v), tRuns)
+			}
+			for _, set := range []struct {
+				name        string
+				runs        []span
+				words, want []uint64
+			}{{"D", dRuns, dWords, od}, {"T", tRuns, tWords, ot}} {
+				g, o := windowBits(set.runs, set.words, lo, nw, w.lo, hi), windowBits(nil, set.want, lo, nw, w.lo, hi)
+				if !slices.Equal(g, o) {
+					t.Fatalf("%s: vj=%d v=%d: %s on [%d, %d] is %x, the oracle's %x", label, vj, v, set.name, w.lo, hi, g, o)
+				}
+			}
 		}
 	}
 	return seen
+}
+
+// checkRunList fails unless rs holds at most maxRuns non-empty runs, sorted
+// and coalesced (a gap of at least one depth between two runs).
+func checkRunList(t *testing.T, label string, rs []span) {
+	t.Helper()
+	if len(rs) > maxRuns {
+		t.Fatalf("%s: %d runs, more than %d", label, len(rs), maxRuns)
+	}
+	for i, r := range rs {
+		if r.lo > r.hi || (i > 0 && r.lo <= rs[i-1].hi+1) {
+			t.Fatalf("%s: runs %v are not sorted and coalesced", label, rs)
+		}
+	}
+}
+
+// windowBits returns a set's depths in [lo, hi] as the nw words starting at
+// word wlo, from its runs or, when words is not nil, from its word window.
+func windowBits(runs []span, words []uint64, wlo, nw int, lo, hi int32) []uint64 {
+	out, mask := make([]uint64, nw), make([]uint64, nw)
+	copy(out, words)
+	for _, r := range runs {
+		fillRange(out, wlo, r.lo, r.hi)
+	}
+	fillRange(mask, wlo, lo, hi)
+	for i := range out {
+		out[i] &= mask[i]
+	}
+	return out
 }
 
 // smallLifecycle builds a deterministic mixed-shape lifecycle.
@@ -374,7 +467,11 @@ func TestSweepDeepWindowsLadder(t *testing.T) {
 			q := Query{Src: []graph.VertexID{ents[n-k]}, Dst: dst}
 			// The class chain and SimProvAlg are the references up to 128
 			// levels; beyond that they take too long.
-			got, seen := runnersAgreeOn(t, label, p, q, opts, k > 128)
+			ref := "chain"
+			if k > 128 {
+				ref = "levels"
+			}
+			got, seen := runnersAgreeOn(t, label, p, q, opts, ref)
 			if len(got) == 0 {
 				t.Errorf("%s: empty VC2", label)
 			}
@@ -393,7 +490,7 @@ func TestSweepDeepWindowsLadder(t *testing.T) {
 
 // TestSweepDegenerateSources: sources the destination never reaches (an
 // unread entity, an entity newer than the destination) give an empty VC2
-// without touching a slab — checkSweepWindows asserts the latter — alone and
+// without allocating a window — checkSweepWindows asserts the latter — alone and
 // beside a reachable source; a source equal to the destination is an answer
 // at level 0.
 func TestSweepDegenerateSources(t *testing.T) {
@@ -420,6 +517,227 @@ func TestSweepDegenerateSources(t *testing.T) {
 	if got := runnersAgree(t, "src=dst", p, Query{Src: []graph.VertexID{mid}, Dst: []graph.VertexID{mid}}, Options{}); len(got) != 1 || !got[uint32(mid)] {
 		t.Errorf("src=dst: VC2 = %v, want just %d", got, mid)
 	}
+}
+
+// diamonds records k diamonds in a chain on rc, from bottom: each diamond's
+// top is written by a run reading a short branch, which reaches the bottom in
+// 2 activity-steps, and a long one, which reaches it in 2+gap; the top is the
+// next diamond's bottom. The branches of even diamonds meet at the bottom
+// entity; those of odd ones at an activity, one run that reads the bottom
+// and writes both branch roots (one step more on each branch). From the last
+// top, the bottom i diamonds down sits at i+1 depths gap apart: i+1 runs when
+// gap >= 2, so depth sets outgrow maxRuns a few diamonds down, at entities
+// and at activities alike. mid is the top of diamond k/2.
+func diamonds(rc *prov.Recorder, bottom graph.VertexID, k, gap int) (mid, top graph.VertexID) {
+	top = bottom
+	for i := 0; i < k; i++ {
+		shortRoot, long := top, top
+		if i%2 == 1 {
+			_, roots := rc.Run("a", "fork", []graph.VertexID{top}, []string{"p", "q"})
+			shortRoot, long = roots[0], roots[1]
+		}
+		_, short := rc.Run("a", "short", []graph.VertexID{shortRoot}, []string{"s"})
+		for range gap + 1 {
+			_, out := rc.Run("a", "long", []graph.VertexID{long}, []string{"l"})
+			long = out[0]
+		}
+		_, x := rc.Run("a", "join", []graph.VertexID{short[0], long}, []string{"x"})
+		if top = x[0]; i == k/2 {
+			mid = top
+		}
+	}
+	return mid, top
+}
+
+// diamondChain is a chain of k diamonds with branch gap gap, queried from its
+// root and its middle top to its last top.
+func diamondChain(k, gap int) (*prov.Graph, Query) {
+	rc := prov.NewRecorder()
+	root := rc.Import("a", "root", "")
+	mid, top := diamonds(rc, root, k, gap)
+	return rc.P, Query{Src: []graph.VertexID{root, mid}, Dst: []graph.VertexID{top}}
+}
+
+// partialPromotion joins a chain of k diamonds (gap 2) and a plain chain of
+// n >= 3k runs under one last run, whose output is the destination. The one
+// source is the plain-chain entity at depth 3k, an answer level inside the
+// diamonds' depth range, so there a vertex's T — the answer level less its
+// fragmented heights — fragments as its D does, one run at a time: target
+// sets outgrow maxRuns by coalescing members that are still run lists. Only
+// the diamond side fragments: every plain-chain vertex sits at one depth.
+func partialPromotion(k, n int) (*prov.Graph, Query) {
+	rc := prov.NewRecorder()
+	_, top := diamonds(rc, rc.Import("a", "root", ""), k, 2)
+	plain := []graph.VertexID{rc.Import("a", "plain", "")}
+	for i := 0; i < n; i++ {
+		_, out := rc.Run("a", "step", plain[i:i+1], []string{"p"})
+		plain = append(plain, out[0])
+	}
+	_, dst := rc.Run("a", "final", []graph.VertexID{top, plain[n]}, []string{"dst"})
+	return rc.P, Query{Src: plain[n+1-3*k : n+2-3*k], Dst: dst}
+}
+
+// mixedTargets builds an activity J at depth 2 whose target set is promoted
+// although the depth it holds comes from a run-held member: J reads e1, whose
+// window [2, 19] holds the answer levels 3, 5, ..., 19 (the source s is read
+// at every odd depth), so T(e1) is promoted and lacks 2; and e2, one step
+// above an import, whose T is the run {2}.
+func mixedTargets() (*prov.Graph, Query) {
+	rc := prov.NewRecorder()
+	s, e1, e3 := rc.Import("a", "s", ""), rc.Import("a", "e1", ""), rc.Import("a", "e3", "")
+	_, e2 := rc.Run("a", "e2", []graph.VertexID{e3}, []string{"e2"})
+	_, f := rc.Run("a", "J", []graph.VertexID{e1, e2[0]}, []string{"f"})
+	u := rc.Import("a", "u20", "")
+	for i := 19; i >= 0; i-- {
+		ins := []graph.VertexID{u}
+		if i%2 == 0 {
+			ins = append(ins, s)
+		}
+		switch i {
+		case 18:
+			ins = append(ins, e1)
+		case 0:
+			ins = append(ins, f[0])
+		}
+		_, out := rc.Run("a", "step", ins, []string{"u"})
+		u = out[0]
+	}
+	return rc.P, Query{Src: []graph.VertexID{s}, Dst: []graph.VertexID{u}}
+}
+
+// TestSweepPromotes drives the word windows where Pd never does: on diamond
+// chains of gap 2 (depth sets of one parity) and 3 both D and T outgrow
+// maxRuns, so sets are promoted and every mix of encodings meets in a
+// membership test; on the partial graph only the diamond side is promoted.
+// The class chain and SimProvAlg are the references up to 13 diamonds, the
+// level-synchronous runner at 60 and 61; checkSweepWindows holds every set to
+// the all-words oracle.
+func TestSweepPromotes(t *testing.T) {
+	for _, gap := range []int{2, 3} {
+		// Depth sets first outgrow maxRuns 8 diamonds below the top: at an
+		// entity for even k, at an activity for odd k.
+		for _, k := range []int{12, 13, 60, 61} {
+			label := fmt.Sprintf("diamonds/gap=%d/k=%d", gap, k)
+			ref := "chain"
+			if k > 13 {
+				ref = "levels"
+			}
+			p, q := diamondChain(k, gap)
+			got, seen := runnersAgreeOn(t, label, p, q, Options{}, ref)
+			if len(got) == 0 || seen.promoted == 0 || seen.mixed == 0 {
+				t.Errorf("%s: |VC2| = %d, %d sets promoted, %d mixed vertices: the word windows were not exercised", label, len(got), seen.promoted, seen.mixed)
+			}
+		}
+	}
+	p, q := partialPromotion(12, 200)
+	got, seen := runnersAgreeOn(t, "partial", p, q, Options{}, "chain")
+	if len(got) == 0 || seen.promoted == 0 || 2*seen.promoted >= seen.sets {
+		t.Errorf("partial: |VC2| = %d, %d of %d sets promoted: want some, on the diamond side only", len(got), seen.promoted, seen.sets)
+	}
+	p, q = mixedTargets()
+	if got, seen := runnersAgreeOn(t, "mixed-targets", p, q, Options{}, "chain"); len(got) == 0 || seen.promoted == 0 {
+		t.Errorf("mixed-targets: |VC2| = %d, %d sets promoted", len(got), seen.promoted)
+	}
+}
+
+// TestRunOps holds the run-list primitives to a one-bool-per-depth model:
+// appendRuns, coalesce (of shuffled, shifted and clipped runs), runsMeet, and
+// fillRange and anyInRange on windows that start past word 0.
+func TestRunOps(t *testing.T) {
+	const depths = 384
+	rng := rand.New(rand.NewSource(1))
+	toRuns := func(set []bool) []span {
+		words := make([]uint64, depths/64)
+		for m, in := range set {
+			if in {
+				words[m/64] |= 1 << (m % 64)
+			}
+		}
+		return appendRuns(nil, words)
+	}
+	randSet := func() []bool {
+		set := make([]bool, depths)
+		for range rng.Intn(12) {
+			lo := rng.Intn(depths)
+			for m := lo; m <= min(depths-1, lo+rng.Intn(70)); m++ {
+				set[m] = true
+			}
+		}
+		return set
+	}
+	for iter := 0; iter < 3000; iter++ {
+		a, b := randSet(), randSet()
+		ar, br := toRuns(a), toRuns(b)
+		for i, r := range ar {
+			if r.lo > r.hi || (i > 0 && r.lo <= ar[i-1].hi+1) {
+				t.Fatalf("appendRuns: %v is not sorted and coalesced", ar)
+			}
+		}
+		if got := toRuns(windowSet(ar, depths)); !slices.Equal(got, ar) {
+			t.Fatalf("appendRuns: %v does not round-trip (%v)", ar, got)
+		}
+		for m := range depths {
+			if windowSet(ar, depths)[m] != a[m] {
+				t.Fatalf("appendRuns: depth %d", m)
+			}
+		}
+
+		s := int32(rng.Intn(3) - 1)
+		clo := int32(rng.Intn(depths))
+		chi := clo + int32(rng.Intn(depths-int(clo)))
+		want := slices.Clone(a)
+		meet := false
+		for m := range depths {
+			if d := int32(m) + s; b[m] && d >= clo && d <= chi {
+				want[d] = true
+			}
+			meet = meet || a[m] && b[m]
+		}
+		in := slices.Clone(ar)
+		for _, r := range br {
+			if lo, hi := max(r.lo+s, clo), min(r.hi+s, chi); lo <= hi {
+				in = append(in, span{lo, hi})
+			}
+		}
+		rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+		if got, want := coalesce(slices.Clone(in)), toRuns(want); !slices.Equal(got, want) {
+			t.Fatalf("coalesce(%v) = %v, want %v", in, got, want)
+		}
+		if runsMeet(ar, br) != meet {
+			t.Fatalf("runsMeet(%v, %v) = %v", ar, br, !meet)
+		}
+
+		wlo, nw := rng.Intn(3), 1+rng.Intn(3)
+		lo := int32(rng.Intn(depths))
+		hi := lo + int32(rng.Intn(150)) - 20
+		fill, aw := make([]uint64, nw), make([]uint64, nw)
+		fillRange(fill, wlo, lo, hi)
+		hit := false
+		for m := wlo * 64; m < (wlo+nw)*64; m++ {
+			in := int32(m) >= lo && int32(m) <= hi
+			if got := fill[m/64-wlo]&(1<<(m%64)) != 0; got != in {
+				t.Fatalf("fillRange(window %d+%d, [%d, %d]): depth %d is %v", wlo, nw, lo, hi, m, got)
+			}
+			if a[m] {
+				aw[m/64-wlo] |= 1 << (m % 64)
+				hit = hit || in
+			}
+		}
+		if anyInRange(aw, wlo, lo, hi) != hit {
+			t.Fatalf("anyInRange(window %d+%d, [%d, %d]) = %v", wlo, nw, lo, hi, !hit)
+		}
+	}
+}
+
+// windowSet spells runs out as one bool per depth in [0, n).
+func windowSet(rs []span, n int) []bool {
+	set := make([]bool, n)
+	for _, r := range rs {
+		for m := r.lo; m <= r.hi; m++ {
+			set[m] = true
+		}
+	}
+	return set
 }
 
 // countRuns counts the destinations a runner is called on.

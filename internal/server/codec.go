@@ -355,11 +355,15 @@ func parseKinds(names []string) ([]prov.Kind, error) {
 }
 
 // parseAggKeys keeps each key of a /summarize agg_* list once, in first-seen
-// order, and refuses more than maxAggKeys distinct keys: PgSum spells every
-// kept key and its value into every segment vertex's signature.
+// order, and refuses more than maxAggKeys distinct keys and any key longer
+// than maxAggKeyBytes: PgSum spells every kept key and its value into every
+// segment vertex's signature.
 func parseAggKeys(name string, keys []string) ([]string, error) {
 	var out []string
 	for _, k := range keys {
+		if len(k) > maxAggKeyBytes {
+			return nil, fmt.Errorf("%s has a key of %d bytes (at most %d)", name, len(k), maxAggKeyBytes)
+		}
 		if slices.Contains(out, k) {
 			continue
 		}

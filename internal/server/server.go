@@ -43,9 +43,11 @@ const (
 	// spec: Segment solves the destination classes in parallel, so an
 	// unbounded list would hold every core.
 	maxQueryVertices = 4096
-	// maxAggKeys bounds each /summarize agg_* list, whose keys PgSum spells
-	// into every segment vertex's signature.
-	maxAggKeys = 16
+	// maxAggKeys bounds each /summarize agg_* list, and maxAggKeyBytes each
+	// key in it: PgSum spells every key into every segment vertex's
+	// signature.
+	maxAggKeys     = 16
+	maxAggKeyBytes = 256
 )
 
 // checkQueryLists refuses, before any solve, a query whose src, dst or any

@@ -298,7 +298,8 @@ func TestSegmentBadRequests(t *testing.T) {
 // order, so lists that repeat their keys thousands of times get the bytes
 // their deduplicated forms get; a list of more than maxAggKeys distinct keys
 // is a 400 naming the limit before any solve (the segment cache sees no
-// lookup), and one of exactly maxAggKeys is served.
+// lookup), and one of exactly maxAggKeys is served; so is a key of
+// maxAggKeyBytes, while a 1 MB key is refused the same way.
 func TestSummarizeAggKeys(t *testing.T) {
 	ts, store, ids := newTestServer(t)
 	plain := SummarizeRequest{
@@ -355,6 +356,30 @@ func TestSummarizeAggKeys(t *testing.T) {
 				t.Errorf("%s, %d keys: status %d %q, want 400 naming the limit", name, n, code, resp.Error)
 			case n > maxAggKeys && store.CacheStats() != before:
 				t.Errorf("%s, %d keys: refused after a solve", name, n)
+			}
+		}
+		// One key's length: maxAggKeyBytes is served, a 1 MB key is refused.
+		for _, n := range []int{maxAggKeyBytes, 1 << 20} {
+			req := plain
+			keys := []string{prov.PropName, strings.Repeat("k", n)}
+			switch name {
+			case "agg_entity":
+				req.AggEntity = keys
+			case "agg_activity":
+				req.AggActivity = keys
+			default:
+				req.AggAgent = keys
+			}
+			before := store.CacheStats()
+			var resp ErrorResponse
+			code := doJSON(t, http.MethodPost, ts.URL+"/summarize", req, &resp)
+			switch {
+			case n <= maxAggKeyBytes && code != http.StatusOK:
+				t.Errorf("%s, a %d-byte key: status %d %q, want 200", name, n, code, resp.Error)
+			case n > maxAggKeyBytes && (code != http.StatusBadRequest || !strings.Contains(resp.Error, fmt.Sprintf("(at most %d)", maxAggKeyBytes))):
+				t.Errorf("%s, a %d-byte key: status %d %q, want 400 naming the limit", name, n, code, resp.Error)
+			case n > maxAggKeyBytes && store.CacheStats() != before:
+				t.Errorf("%s, a %d-byte key: refused after a solve", name, n)
 			}
 		}
 	}

@@ -1,5 +1,6 @@
 // Command provbench regenerates the paper's experimental evaluation
-// (Fig. 5 panels a-h) and prints each panel as a text table.
+// (Fig. 5 panels a-h) plus the shard, qos and repl durability panels, and
+// prints each panel as a text table.
 //
 // Usage:
 //
@@ -8,7 +9,7 @@
 // Scales: "small" finishes in seconds, "medium" in minutes, "paper"
 // approaches the paper's graph sizes (needs ~16 GB like the paper's
 // machine). Absolute times differ from the paper's hardware; the series
-// shapes are the reproduction target (see EXPERIMENTS.md).
+// shapes are the reproduction target.
 package main
 
 import (
@@ -22,9 +23,8 @@ import (
 )
 
 func main() {
-	figure := flag.String("figure", "all", "panel to run: 5a..5h, csr, vec, srv, shard, qos, repl or all")
+	figure := flag.String("figure", "all", "comma-separated panels to run: 5a..5h, qos, repl, shard, or all")
 	scale := flag.String("scale", "small", "experiment scale: small, medium, paper")
-	record := flag.String("record", "", "append the serving-layer panels (srv, csr, vec, shard, qos, repl) to this JSON history file (e.g. BENCH_provd.json)")
 	flag.Parse()
 
 	sc := bench.Scale(*scale)
@@ -47,13 +47,6 @@ func main() {
 			os.Exit(2)
 		}
 		fig.Render(os.Stdout)
-		if *record != "" && (fig.ID == "srv" || fig.ID == "csr" || fig.ID == "vec" || fig.ID == "shard" || fig.ID == "qos" || fig.ID == "repl") {
-			if err := bench.RecordFigure(*record, fig, sc); err != nil {
-				fmt.Fprintf(os.Stderr, "provbench: record: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("recorded %q into %s\n", fig.ID, *record)
-		}
 	}
 	fmt.Printf("total: %s\n", time.Since(start).Round(time.Millisecond))
 }

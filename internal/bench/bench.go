@@ -1,20 +1,23 @@
 // Package bench regenerates every panel of the paper's Fig. 5 (the whole
 // experimental evaluation) as text series: runtimes of the PgSeg solvers
 // over the Pd workloads (panels a-d) and compaction ratios of PgSum vs the
-// pSum baseline over the Sd workloads (panels e-h).
+// pSum baseline over the Sd workloads (panels e-h). Three durability panels
+// ride along: sharded ingest ("shard"), hot-neighbor isolation ("qos") and
+// replication ("repl").
 //
 // Absolute numbers depend on the host; the reproduction targets the shape:
 // which algorithm wins, by roughly what factor, and how each curve moves
-// with its parameter. EXPERIMENTS.md records paper-vs-measured values.
+// with its parameter.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/bitmap"
+	"repro/internal/cflr"
 	"repro/internal/core"
 	"repro/internal/cypher"
 	"repro/internal/gen"
@@ -100,14 +103,18 @@ func secs(d time.Duration) string {
 	}
 }
 
-// timeVC2 measures one VC2 evaluation; it returns a note instead of a time
-// when the solver exhausts its fact budget (the paper's OOM).
+// timeVC2 measures one VC2 evaluation; it returns "oom" instead of a time
+// when the solver exhausts its fact budget (the paper's OOM) and panics on
+// any other error, which only a broken query or solver can raise.
 func timeVC2(p *prov.Graph, src, dst []graph.VertexID, opts core.Options) string {
 	eng := core.NewEngine(p, opts)
 	start := time.Now()
 	_, err := eng.SimilarPaths(core.Query{Src: src, Dst: dst})
-	if err != nil {
+	if errors.Is(err, cflr.ErrFactBudget) {
 		return "oom"
+	}
+	if err != nil {
+		panic(err)
 	}
 	return secs(time.Since(start))
 }
@@ -178,9 +185,12 @@ func Fig5a(scale Scale) Figure {
 		if n <= 1000 {
 			start := time.Now()
 			_, err := cypher.CypherVC2(p, src, dst, cypher.Options{Timeout: cypherTimeout})
-			if err != nil {
+			switch {
+			case errors.Is(err, cypher.ErrTimeout):
 				row.Cells["Cypher"] = fmt.Sprintf(">%s", cypherTimeout)
-			} else {
+			case err != nil:
+				panic(err)
+			default:
 				row.Cells["Cypher"] = secs(time.Since(start))
 			}
 		} else {
@@ -384,35 +394,31 @@ func Fig5h(scale Scale) Figure {
 	return crFigure("5h", "compaction ratio vs segment count |S| (alpha=0.25, k=5, n=20)", "|S|", xs, cfgs, crSeeds(scale))
 }
 
-// All runs every panel at the given scale.
-func All(scale Scale) []Figure {
-	return []Figure{
-		Fig5a(scale), Fig5b(scale), Fig5c(scale), Fig5d(scale),
-		Fig5e(scale), Fig5f(scale), Fig5g(scale), Fig5h(scale),
-		FigCSR(scale), FigVec(scale), SrvThroughput(scale),
-		FigShard(scale), FigQoS(scale), FigRepl(scale),
-	}
+// panels lists every panel in the order provbench prints them.
+var panels = []struct {
+	id  string
+	run func(Scale) Figure
+}{
+	{"5a", Fig5a}, {"5b", Fig5b}, {"5c", Fig5c}, {"5d", Fig5d},
+	{"5e", Fig5e}, {"5f", Fig5f}, {"5g", Fig5g}, {"5h", Fig5h},
+	{"qos", FigQoS}, {"repl", FigRepl}, {"shard", FigShard},
 }
 
-// ByID returns one panel by id ("5a".."5h", "csr", "vec", "srv", "shard",
-// "qos", "repl").
+// ByID runs one panel by id.
 func ByID(id string, scale Scale) (Figure, bool) {
-	fns := map[string]func(Scale) Figure{
-		"5a": Fig5a, "5b": Fig5b, "5c": Fig5c, "5d": Fig5d,
-		"5e": Fig5e, "5f": Fig5f, "5g": Fig5g, "5h": Fig5h,
-		"csr": FigCSR, "vec": FigVec, "srv": SrvThroughput,
-		"shard": FigShard, "qos": FigQoS, "repl": FigRepl,
+	for _, p := range panels {
+		if p.id == id {
+			return p.run(scale), true
+		}
 	}
-	fn, ok := fns[id]
-	if !ok {
-		return Figure{}, false
-	}
-	return fn(scale), true
+	return Figure{}, false
 }
 
-// IDs lists the available panel ids.
+// IDs lists the panel ids in print order.
 func IDs() []string {
-	out := []string{"5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "csr", "vec", "srv", "shard", "qos", "repl"}
-	sort.Strings(out)
+	out := make([]string, len(panels))
+	for i, p := range panels {
+		out[i] = p.id
+	}
 	return out
 }

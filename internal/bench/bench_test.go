@@ -2,8 +2,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,14 +11,37 @@ import (
 	"repro/internal/graph/difftest"
 )
 
-// TestFigureRegistry: every advertised panel id resolves and unknown ids
-// do not.
+// TestFigureRegistry pins the panel list, in print order, and checks that
+// the retired serving panels and unknown ids do not resolve.
 func TestFigureRegistry(t *testing.T) {
-	if len(IDs()) != 14 {
-		t.Fatalf("want 14 panels, got %v", IDs())
+	want := []string{"5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "qos", "repl", "shard"}
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Fatalf("panels %v, want %v", got, want)
 	}
-	if _, ok := ByID("9z", ScaleSmall); ok {
-		t.Fatal("phantom figure")
+	for _, id := range []string{"srv", "csr", "vec", "9z"} {
+		if _, ok := ByID(id, ScaleSmall); ok {
+			t.Fatalf("panel %q resolves", id)
+		}
+	}
+}
+
+// TestTimeVC2Cells: a Fig. 5a-d cell reads "oom" only when the solver
+// exhausts its fact budget; any other error is a broken query and panics
+// instead of passing for the paper's OOM.
+func TestTimeVC2Cells(t *testing.T) {
+	p := pdGraph(gen.PdConfig{N: 500, Seed: 1})
+	src, dst := gen.QueryAtRank(p, 0)
+	if c := timeVC2(p, src, dst, core.Options{Solver: core.SolverAlg, MaxFacts: 1}); c != "oom" {
+		t.Fatalf("fact budget of 1: cell %q, want oom", c)
+	}
+	var cell string
+	panicked := func() (ok bool) {
+		defer func() { ok = recover() != nil }()
+		cell = timeVC2(p, src, p.Activities()[:1], core.Options{Solver: core.SolverTst})
+		return false
+	}()
+	if !panicked {
+		t.Fatalf("query with an activity destination printed %q instead of panicking", cell)
 	}
 }
 
@@ -95,107 +117,6 @@ func TestFigShardTiny(t *testing.T) {
 	}
 }
 
-// TestRecordFigure: the persisted history round-trips and accumulates
-// entries across runs, keeping figures separate.
-func TestRecordFigure(t *testing.T) {
-	path := t.TempDir() + "/BENCH_test.json"
-	fig := Figure{
-		ID:     "srv",
-		Series: []string{"read req/s"},
-		Rows:   []Row{{X: "1", Cells: map[string]string{"read req/s": "100"}}},
-	}
-	if err := RecordFigure(path, fig, ScaleSmall); err != nil {
-		t.Fatal(err)
-	}
-	fig.Rows[0].Cells["read req/s"] = "200"
-	if err := RecordFigure(path, fig, ScaleSmall); err != nil {
-		t.Fatal(err)
-	}
-	other := Figure{ID: "csr", Series: []string{"speedup"},
-		Rows: []Row{{X: "1000", Cells: map[string]string{"speedup": "2.0x"}}}}
-	if err := RecordFigure(path, other, ScaleMedium); err != nil {
-		t.Fatal(err)
-	}
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hist map[string][]BenchEntry
-	if err := json.Unmarshal(raw, &hist); err != nil {
-		t.Fatalf("history does not round-trip: %v", err)
-	}
-	if len(hist["srv"]) != 2 || len(hist["csr"]) != 1 {
-		t.Fatalf("entry counts: srv=%d csr=%d", len(hist["srv"]), len(hist["csr"]))
-	}
-	if hist["srv"][0].Rows[0].Cells["read req/s"] != "100" || hist["srv"][1].Rows[0].Cells["read req/s"] != "200" {
-		t.Fatalf("entries out of order: %+v", hist["srv"])
-	}
-	if hist["csr"][0].Scale != string(ScaleMedium) || hist["csr"][0].Time == "" {
-		t.Fatalf("metadata missing: %+v", hist["csr"][0])
-	}
-
-	// A corrupt history must error out, not be silently overwritten.
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := RecordFigure(path, fig, ScaleSmall); err == nil {
-		t.Fatal("corrupt history accepted")
-	}
-}
-
-// TestFigCSRTiny runs the CSR-vs-filtered panel on the smallest scale and
-// sanity-checks every cell is a measurement.
-func TestFigCSRTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CSR sweep regenerates Pd graphs")
-	}
-	fig := FigCSR(ScaleSmall)
-	if len(fig.Rows) != 3 {
-		t.Fatalf("want 3 size points, got %d", len(fig.Rows))
-	}
-	for _, r := range fig.Rows {
-		for _, s := range fig.Series {
-			if r.Cells[s] == "" {
-				t.Fatalf("empty cell %s at N=%s", s, r.X)
-			}
-		}
-	}
-}
-
-// TestVecEquivalence drives the vec panel's inline equality assertion on a
-// tiny graph — the planned (frozen snapshot) and naive (live graph) Cypher
-// evaluations must return the same rows before any timing is trusted. This is the CI smoke for the
-// panel; the full sweep runs via provbench.
-func TestVecEquivalence(t *testing.T) {
-	p := pdGraph(gen.PdConfig{N: 500, Seed: 1})
-	src, dst := gen.QueryAtRank(p, 0)
-	fz := p.Freeze()
-	assertPlannerEqualsNaive(p, fz, src, dst) // panics on divergence
-	if d := timeCypher(fz, src, dst, 1); d <= 0 {
-		t.Fatalf("cypher timing %v", d)
-	}
-}
-
-// TestFigVecTiny runs the naive-vs-planned panel on the smallest scale and
-// sanity-checks every cell is a measurement.
-func TestFigVecTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("vec sweep regenerates Pd graphs")
-	}
-	fig := FigVec(ScaleSmall)
-	if len(fig.Rows) != 2 {
-		t.Fatalf("want 2 size points, got %d", len(fig.Rows))
-	}
-	for _, r := range fig.Rows {
-		for _, s := range fig.Series {
-			if r.Cells[s] == "" {
-				t.Fatalf("empty cell %s at N=%s", s, r.X)
-			}
-		}
-	}
-}
-
 // TestSegSolverEquivalence: the VC2 solvers Fig. 5a-d time against each
 // other must agree on the panels' own graph and query shape — on the live
 // graph the panels run on and on its frozen snapshot — before any of their
@@ -210,26 +131,6 @@ func TestSegSolverEquivalence(t *testing.T) {
 	}
 	if err := difftest.DiffLiveFrozen(p, fz, q); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSrvThroughputTiny drives the server-throughput panel end to end on a
-// tiny workload: every cell must carry a measured rate, not an error.
-func TestSrvThroughputTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("server throughput sweep takes ~10s")
-	}
-	fig := SrvThroughput(ScaleSmall)
-	if len(fig.Rows) != 4 {
-		t.Fatalf("want 4 concurrency points, got %d", len(fig.Rows))
-	}
-	for _, r := range fig.Rows {
-		for _, s := range fig.Series {
-			c := r.Cells[s]
-			if c == "" || c == "err" {
-				t.Fatalf("bad cell %s at clients=%s: %q (err cell: %q)", s, r.X, c, r.Cells[strings.TrimSuffix(s, " req/s")+" hit%"])
-			}
-		}
 	}
 }
 

@@ -21,8 +21,6 @@ import (
 // coalescer). (Older `qos` records in BENCH_provd.json open with three
 // ingest rows and measured the isolation on private per-store fsyncs; see
 // README, "Durability".)
-//
-// Recorded into BENCH_provd.json via provbench -record.
 
 // qosWorkload returns the hot-neighbor shape: hot store count, writers
 // per hot store, timed cold-store samples, and the per-hot-store rate

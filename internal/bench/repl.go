@@ -17,8 +17,7 @@ import (
 // throughput (total epochs over the time from first commit to the follower
 // catching up), the per-record publish-to-apply lag p50/p99 from the
 // follower's repl panel, and the record lag left when the writers stop —
-// which must be zero once WaitEpoch returns. Recorded into BENCH_provd.json
-// via provbench -record.
+// which must be zero once WaitEpoch returns.
 
 // replWorkload returns batches per writer for a scale.
 func replWorkload(scale Scale) int {

@@ -19,9 +19,6 @@ import (
 // should hold or rise as the same writers spread across more shards. (Older
 // `shard` records in BENCH_provd.json carry a per-batch-fsync series beside
 // it; see README, "Durability".)
-//
-// The batches/sec series is recorded into BENCH_provd.json via
-// provbench -record.
 
 // shardWorkload returns the writer pool size and total batch count.
 func shardWorkload(scale Scale) (writers, total int) {

@@ -179,8 +179,8 @@ func directPaths(fromDst, toSrc *bitmap.Bitset) (vc1, closures *bitmap.Bitset) {
 
 // AncestryClosure computes the set of vertices reachable from the seeds by
 // ancestry edges under the given boundary — the VC1 building block (one of
-// directPaths' two inputs), exposed so the adjacency representations can be
-// measured in isolation (bench panel "csr").
+// directPaths' two inputs), exposed for benchmark/trace.go's per-layer
+// timing and difftest's live-vs-snapshot closure diff.
 func (e *Engine) AncestryClosure(seeds []graph.VertexID, b Boundary, forward bool) *bitmap.Bitset {
 	return e.ancestryClosure(seeds, newAdjacency(e.P, b), forward)
 }

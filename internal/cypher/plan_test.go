@@ -33,7 +33,7 @@ func renderRows(res *cypher.Result) string {
 
 // runBoth evaluates q on the frozen snapshot (planned) and on the live graph
 // it was frozen from (naive) and requires identical rows in identical order.
-func runBoth(t *testing.T, live, frozen *prov.Graph, q, tag string) {
+func runBoth(t testing.TB, live, frozen *prov.Graph, q, tag string) {
 	t.Helper()
 	if live.Frozen() || !frozen.Frozen() {
 		t.Fatalf("%s: want a live graph and its snapshot, got frozen=%v and frozen=%v", tag, live.Frozen(), frozen.Frozen())
@@ -99,6 +99,39 @@ func TestPlannerEmptyPattern(t *testing.T) {
 	// Out-of-range ids can never bind either.
 	q = fmt.Sprintf("match (b:E)<-[:U|G*]-(e) where id(b) in [%d] return e", p.NumVertices()+5)
 	runBoth(t, live, p, q, "out-of-range")
+}
+
+// BenchmarkPlannerCorridor times the anchored lineage corridor
+// (b:E)<-[:U|G*1..8]-(e:E) over the four source/destination pairs of
+// gen.QueryAtRank(p, 0) on Pd-5000: "live" is the naive DFS on the live
+// graph, "frozen" the planner's corridor pruning on its snapshot. The two
+// are held to identical rows once, before any timing.
+func BenchmarkPlannerCorridor(b *testing.B) {
+	live := gen.Pd(gen.PdConfig{N: 5000, Seed: 1})
+	frozen := live.Freeze()
+	src, dst := gen.QueryAtRank(live, 0)
+	var qs []string
+	for _, s := range src {
+		for _, d := range dst {
+			q := fmt.Sprintf("match p=(b:E)<-[:U|G*1..8]-(e:E) where id(b) in [%d] and id(e) in [%d] return p", s, d)
+			runBoth(b, live, frozen, q, fmt.Sprintf("corridor %d-%d", s, d))
+			qs = append(qs, q)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		g    *prov.Graph
+	}{{"live", live}, {"frozen", frozen}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, q := range qs {
+					if _, err := cypher.NewProvEvaluator(c.g, cypher.Options{}).Run(q); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }
 
 // idList mirrors the unexported helper in provquery.go for test use.

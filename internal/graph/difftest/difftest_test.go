@@ -53,12 +53,12 @@ func TestProvScriptsDifferential(t *testing.T) {
 	t.Logf("%d scripts, %d incremental epochs", scripts, incremental)
 }
 
-// TestVectorizedScalarDifferential replays randomized scripts through
+// TestLiveFrozenDifferential replays randomized scripts through
 // incremental snapshot chains and, at every epoch, diffs the replayer's live
 // graph against the chain's snapshot (the two representations behind PgSeg's
 // one walk) and the Cypher planner against the naive evaluator: segments,
 // ancestry closures and bounded pattern rows must be bit-identical.
-func TestVectorizedScalarDifferential(t *testing.T) {
+func TestLiveFrozenDifferential(t *testing.T) {
 	scripts, size, epochs, queries := 30, 150, 4, 3
 	if !testing.Short() {
 		scripts, size, epochs, queries = 80, 400, 6, 5
@@ -95,10 +95,10 @@ func FuzzExtendFrozen(f *testing.F) {
 	})
 }
 
-// FuzzVecScalar hunts for scripts where the live and frozen representations
+// FuzzLiveFrozen hunts for scripts where the live and frozen representations
 // (or the Cypher planner and the naive evaluator) diverge beyond the fixed
 // seed sweep.
-func FuzzVecScalar(f *testing.F) {
+func FuzzLiveFrozen(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
 	}

@@ -3,8 +3,7 @@ package graph
 import "testing"
 
 // The incremental-vs-full freeze cost on a 50k-vertex graph with a 1%
-// delta — the micro-benchmark behind the bench "csr" panel's freeze
-// columns.
+// delta: what a commit pays with ExtendFrozen against a rebuild.
 
 func benchExtendGraph(nv, ne int) (*Graph, *Graph) {
 	g := randomGraph(nv, ne, 42)

@@ -165,16 +165,22 @@ func TestProvdFollowerFailover(t *testing.T) {
 }
 
 // TestProvdFollowRefusesLocalState pins the flag contract: -follow with
-// -data (or -in/-gen) must refuse to boot rather than serve two sources of
-// truth.
+// -data, -in, -gen or -stores must refuse to boot rather than serve two
+// sources of truth (a follower's store set is the leader's too).
 func TestProvdFollowRefusesLocalState(t *testing.T) {
 	bin := buildProvd(t)
-	cmd := exec.Command(bin, "-follow", "http://127.0.0.1:1", "-data", t.TempDir())
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("provd booted with -follow and -data; output:\n%s", out)
-	}
-	if !strings.Contains(string(out), "incompatible") {
-		t.Fatalf("unexpected refusal message:\n%s", out)
+	for _, local := range [][]string{
+		{"-data", t.TempDir()},
+		{"-gen", "100"},
+		{"-stores", "audit"},
+	} {
+		cmd := exec.Command(bin, append([]string{"-follow", "http://127.0.0.1:1"}, local...)...)
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Fatalf("provd booted with -follow and %s; output:\n%s", local[0], out)
+		}
+		if !strings.Contains(string(out), "incompatible") {
+			t.Fatalf("%s: unexpected refusal message:\n%s", local[0], out)
+		}
 	}
 }

@@ -35,8 +35,8 @@
 // X-Min-Epoch token (the epoch from an ingest response) wait for the
 // applier to catch up or fail 412. POST /stores/{name}/promote seals a
 // store's applier and opens its write path — the failover switch.
-// -follow is incompatible with -data/-in/-gen: a follower's state is the
-// leader's, not its own.
+// -follow is incompatible with -data/-in/-gen/-stores: a follower's state
+// and store set are the leader's, not its own.
 //
 // Admission control: -qos-rate/-qos-burst/-qos-concurrency/-qos-queue set
 // a default per-store admission policy (token-bucket rate limit, in-flight
@@ -110,7 +110,7 @@ func main() {
 	cacheCap := flag.Int("cache", 256, "segment result cache capacity per store (entries)")
 	stores := flag.String("stores", "", "comma-separated extra store names to open or create at boot (the \"default\" store always exists)")
 	dataDir := flag.String("data", "", "root data directory for durable serving (per-store write-ahead log + checkpoints under <data>/<store>/); empty serves memory-only")
-	follow := flag.String("follow", "", "run as a read-only follower replicating the provd leader at this base URL (e.g. http://leader:8042); incompatible with -data/-in/-gen")
+	follow := flag.String("follow", "", "run as a read-only follower replicating the provd leader at this base URL (e.g. http://leader:8042); incompatible with -data/-in/-gen/-stores")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always (every commit), interval (background flush), never (OS-paced)")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "background flush period with -fsync interval")
 	checkpointEvery := flag.Int("checkpoint-every", 256, "committed batches between checkpoints per store (bounds log growth and restart replay)")
@@ -135,25 +135,12 @@ func main() {
 		MaxConcurrent: *qosConcurrency,
 		MaxQueue:      *qosQueue,
 	}
-	var reg *server.Registry
-	if *follow != "" {
-		if *dataDir != "" || *in != "" || *genN > 0 {
-			log.Fatalf("provd: -follow is incompatible with -data/-in/-gen (a follower mirrors the leader's state)")
-		}
-		reg, err = server.OpenFollower(server.FollowerOptions{
-			LeaderURL: *follow,
-			CacheCap:  *cacheCap,
-			Logger:    logger,
-		})
-		if err != nil {
-			log.Fatalf("provd: %v", err)
-		}
-		log.Printf("provd: following leader %s (%d stores discovered)", *follow, len(reg.Names()))
-	} else {
-		reg, err = openRegistry(*dataDir, *stores, *in, *genN, *seed, *cacheCap, *fsync, *fsyncInterval, *checkpointEvery, qos, logger)
-		if err != nil {
-			log.Fatalf("provd: %v", err)
-		}
+	if *follow != "" && (*dataDir != "" || *in != "" || *genN > 0 || *stores != "") {
+		log.Fatalf("provd: -follow is incompatible with -data/-in/-gen/-stores (a follower mirrors the leader's state)")
+	}
+	reg, err := openRegistry(*follow, *dataDir, *stores, *in, *genN, *seed, *cacheCap, *fsync, *fsyncInterval, *checkpointEvery, qos, logger)
+	if err != nil {
+		log.Fatalf("provd: %v", err)
 	}
 	defer reg.Close()
 
@@ -271,9 +258,9 @@ func startDebugServer(addr string) error {
 	return nil
 }
 
-// openRegistry builds the memory-only or durable store registry per the
-// flags.
-func openRegistry(dataDir, stores, in string, genN int, seed int64, cacheCap int, fsync string, fsyncInterval time.Duration, checkpointEvery int, qos server.QoSConfig, logger *slog.Logger) (*server.Registry, error) {
+// openRegistry builds the follower, memory-only or durable store registry
+// per the flags.
+func openRegistry(follow, dataDir, stores, in string, genN int, seed int64, cacheCap int, fsync string, fsyncInterval time.Duration, checkpointEvery int, qos server.QoSConfig, logger *slog.Logger) (*server.Registry, error) {
 	var extra []string
 	for _, name := range strings.Split(stores, ",") {
 		if name = strings.TrimSpace(name); name != "" {
@@ -281,6 +268,7 @@ func openRegistry(dataDir, stores, in string, genN int, seed int64, cacheCap int
 		}
 	}
 	opts := server.RegistryOptions{
+		Leader:          follow,
 		DataDir:         dataDir,
 		CheckpointEvery: checkpointEvery,
 		CacheCap:        cacheCap,
@@ -314,6 +302,9 @@ func openRegistry(dataDir, stores, in string, genN int, seed int64, cacheCap int
 	reg, rcvs, err := server.OpenRegistry(opts, extra, func() (*prov.Graph, error) { return openGraph(in, genN, seed) })
 	if err != nil {
 		return nil, err
+	}
+	if follow != "" {
+		log.Printf("provd: following leader %s (%d stores discovered)", follow, len(rcvs))
 	}
 	for _, sr := range rcvs {
 		switch {

@@ -50,12 +50,7 @@ func runRepl(writers, perWriter int) (commitPerSec, applyPerSec float64, lag obs
 		ts.Close()
 	}()
 
-	fr, err := server.OpenFollower(server.FollowerOptions{
-		LeaderURL:        ts.URL,
-		CacheCap:         16,
-		PollInterval:     time.Hour, // single store; discovery noise off
-		ReconnectBackoff: 5 * time.Millisecond,
-	})
+	fr, _, err := server.OpenRegistry(server.RegistryOptions{Leader: ts.URL, CacheCap: 16}, nil, nil)
 	if err != nil {
 		return 0, 0, lag, 0, err
 	}

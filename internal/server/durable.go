@@ -2,15 +2,13 @@ package server
 
 import (
 	"fmt"
-	"log/slog"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/prov"
 	"repro/internal/wal"
 )
 
-// Durable stores. OpenDurable wraps the Store around a wal.Manager so that
+// Durable stores. openDurable wraps the Store around a wal.Manager so that
 // every committed ingest batch survives a crash:
 //
 //   - commit path: Store.Update encodes the batch as a graph delta and
@@ -25,27 +23,6 @@ import (
 //     back through prov.Recorder (IndexFrom per record), reconstructing the
 //     exact pre-crash epoch — a torn final record, the expected artifact of
 //     a crash mid-append, is discarded.
-type DurableOptions struct {
-	// Dir is the data directory (created if missing).
-	Dir string
-	// Fsync selects the append fsync policy (default wal.SyncAlways).
-	Fsync wal.SyncPolicy
-	// SyncInterval is the background flush period under wal.SyncInterval.
-	SyncInterval time.Duration
-	// CheckpointEvery is the number of committed batches between
-	// checkpoints (<=0 selects 256).
-	CheckpointEvery int
-	// CacheCap bounds the segment cache (entries; <=0 selects the default).
-	CacheCap int
-	// Coalescer, when non-nil, shares the barrier of group commits across
-	// stores: the store waits on a device-level sync window instead of
-	// fsyncing its own log (see wal.Coalescer). It matters under SyncAlways
-	// only — the other policies put no barrier on the commit path at all.
-	Coalescer *wal.Coalescer
-	// Logger, when non-nil, receives a Debug-level structured line per
-	// published commit (store, epoch, request id, group size).
-	Logger *slog.Logger
-}
 
 // commitQueueCap bounds the staged-batch queue. Staging blocks (under the
 // write mutex) when the committer falls this far behind, which is the
@@ -56,17 +33,20 @@ const commitQueueCap = 256
 // batch-sized deltas, which replays in well under a second.
 const defaultCheckpointEvery = 256
 
-// OpenDurable opens (or creates) a durable store over the data directory.
-// When the directory holds prior state it is recovered and seed is not
-// consulted; on a fresh directory seed provides the initial graph (nil
-// seeds an empty PROV graph) and becomes checkpoint zero. The returned
-// Recovery reports what startup found. Callers must Close the store to
-// seal the log.
-func OpenDurable(opts DurableOptions, seed func() (*prov.Graph, error)) (*Store, *wal.Recovery, error) {
+// openDurable opens (or creates) a durable store over dir, configured by
+// opts' Fsync, SyncInterval, CheckpointEvery, CacheCap and Logger (DataDir
+// is not read). coal, when non-nil, shares the barrier of group commits
+// across stores: the store waits on a device-level sync window instead of
+// fsyncing its own log. When dir holds prior state it is recovered and seed
+// is not consulted; on a fresh directory seed provides the initial graph
+// (nil seeds an empty PROV graph) and becomes checkpoint zero. The returned
+// Recovery reports what startup found. Callers must Close the store to seal
+// the log.
+func openDurable(dir string, opts RegistryOptions, coal *wal.Coalescer, seed func() (*prov.Graph, error)) (*Store, *wal.Recovery, error) {
 	var p *prov.Graph
 	var rec *prov.Recorder
 	m, rcv, err := wal.Open(wal.Options{
-		Dir:          opts.Dir,
+		Dir:          dir,
 		Policy:       opts.Fsync,
 		SyncInterval: opts.SyncInterval,
 		OnBase: func(g *graph.Graph, epoch uint64) error {
@@ -118,7 +98,7 @@ func OpenDurable(opts DurableOptions, seed func() (*prov.Graph, error)) (*Store,
 	s.ckptDone = make(chan struct{})
 	s.pubCh = make(chan struct{}, 1)
 	s.resolved.Store(rcv.Epoch)
-	s.fsync, s.coal = opts.Fsync, opts.Coalescer
+	s.fsync, s.coal = opts.Fsync, coal
 	s.commitCh = make(chan *commitReq, commitQueueCap)
 	s.syncQ = make(chan *syncJob, commitQueueCap)
 	s.syncDone = make(chan struct{})
@@ -183,25 +163,26 @@ func (s *Store) checkpointNow() error {
 // on any store it closes the replication hub so wal-stream tailers end.
 // Memory-only stores with neither do nothing beyond refusing writes.
 //
-// Close is safe to race with Update: it first marks the store closed under
-// the write mutex, so every write that had already passed the closed check
-// is fully staged by the time the mark lands (staging happens under the
-// same mutex) and every later write is refused with ErrStoreClosed. The
-// commit queue is then closed — the committer drains it into the sync
-// stage, which is drained in turn, so each staged batch is made durable,
-// published, and acknowledged before the final checkpoint runs. Nothing
-// deadlocks and no acknowledged (or even staged) batch is stranded.
+// Close is safe to race with Update: it first moves the store to the closed
+// role under the write mutex, so every write that had already passed the
+// role check is fully staged by the time the role changes (staging happens
+// under the same mutex) and every later write is refused with
+// ErrStoreClosed. The commit queue is then closed — the committer drains it
+// into the sync stage, which is drained in turn, so each staged batch is
+// made durable, published, and acknowledged before the final checkpoint
+// runs. Nothing deadlocks and no acknowledged (or even staged) batch is
+// stranded.
 func (s *Store) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
 		s.writeMu.Lock()
-		s.closed = true
+		s.role.Store(roleClosed)
 		s.writeMu.Unlock()
-		// The applier stops after the closed mark so an apply in flight
+		// The applier stops after the role turns closed so an apply in flight
 		// finishes (or fails cleanly) and nothing new starts; the hub
 		// closes after the applier so its last publish still reaches
 		// tailers before they see the end of stream.
-		s.stopApplier()
+		s.applier.stop()
 		if h := s.hub.Load(); h != nil {
 			h.Close()
 		}

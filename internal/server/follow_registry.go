@@ -3,103 +3,28 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"log/slog"
 	"net/http"
-	"strings"
 	"time"
 )
 
-// Follower registries: OpenFollower stands up a registry whose stores
-// mirror a leader provd instead of owning data directories. Every store is
-// memory-only, marked follower (writes redirect to the leader), and runs
-// an applier goroutine tailing the leader's wal stream. A discovery loop
-// polls the leader's GET /stores so stores created on the leader appear
-// here without a restart; stores are never dropped on a poll miss (a
-// transiently unreachable leader must not tear down working replicas).
+// Follower registries: a registry opened with RegistryOptions.Leader set
+// mirrors a leader provd instead of owning data directories. open builds
+// each of its stores as a memory-only follower (writes redirect to the
+// leader) with an applier goroutine tailing the leader's wal stream. The
+// leader's GET /stores names the stores opened at boot, and a discovery
+// loop keeps polling it, so stores created on the leader appear here
+// through Create without a restart. Stores are never dropped on a poll miss
+// (a transiently unreachable leader must not tear down working replicas).
 
-// FollowerOptions configures OpenFollower.
-type FollowerOptions struct {
-	// LeaderURL is the leader's base URL (e.g. http://host:9464).
-	LeaderURL string
-	// CacheCap bounds each follower store's segment cache (entries).
-	CacheCap int
-	// Client serves both the discovery polls and the replication streams;
-	// nil selects a client with no overall timeout (streams are long-lived;
-	// polls bound themselves with per-request contexts).
-	Client *http.Client
-	// PollInterval paces store discovery (<=0 selects 2s).
-	PollInterval time.Duration
-	// ReconnectBackoff paces applier redials (<=0 selects the default).
-	ReconnectBackoff time.Duration
-	// Logger, when non-nil, receives per-store replication log lines.
-	Logger *slog.Logger
-}
-
-// defaultDiscoveryPoll is the store-discovery poll period.
-const defaultDiscoveryPoll = 2 * time.Second
+// discoveryPoll is the store-discovery poll period.
+const discoveryPoll = 2 * time.Second
 
 // discoveryTimeout bounds one GET /stores poll.
 const discoveryTimeout = 5 * time.Second
 
-// OpenFollower opens a follower registry over the leader. The default
-// store exists (and replicates) immediately; the first discovery poll runs
-// synchronously so a reachable leader's store set is mirrored before the
-// follower starts serving, and an unreachable leader just means discovery
-// keeps retrying in the background while the default store's applier
-// redials on its own schedule.
-func OpenFollower(opts FollowerOptions) (*Registry, error) {
-	if opts.LeaderURL == "" {
-		return nil, fmt.Errorf("follower: leader URL required")
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{}
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = defaultDiscoveryPoll
-	}
-	r := &Registry{
-		opts:        RegistryOptions{CacheCap: opts.CacheCap, Logger: opts.Logger},
-		stores:      make(map[string]*Store),
-		leaderURL:   strings.TrimSuffix(opts.LeaderURL, "/"),
-		replClient:  opts.Client,
-		replBackoff: opts.ReconnectBackoff,
-	}
-	r.addFollowerStore(DefaultStore)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	r.discoverCancel = cancel
-	r.discoverDone = make(chan struct{})
-	r.discoverOnce(ctx)
-	go r.discoverLoop(ctx, opts.PollInterval)
-	return r, nil
-}
-
-// FollowerOf returns the leader a follower registry mirrors; empty on
-// ordinary registries.
-func (r *Registry) FollowerOf() string { return r.leaderURL }
-
-// addFollowerStore creates and registers a follower store (with a running
-// applier) for name if absent. Caller must not hold mu.
-func (r *Registry) addFollowerStore(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	if _, ok := r.stores[name]; ok {
-		return
-	}
-	s := newFollowerStore(name, r.leaderURL, r.opts.CacheCap)
-	s.logger = r.opts.Logger
-	s.startApplier(r.replClient, r.replBackoff)
-	r.stores[name] = s
-}
-
 // discoverLoop mirrors the leader's store set until the registry closes.
-func (r *Registry) discoverLoop(ctx context.Context, every time.Duration) {
-	defer close(r.discoverDone)
-	t := time.NewTicker(every)
+func (r *Registry) discoverLoop(ctx context.Context) {
+	t := time.NewTicker(discoveryPoll)
 	defer t.Stop()
 	for {
 		select {
@@ -111,44 +36,46 @@ func (r *Registry) discoverLoop(ctx context.Context, every time.Duration) {
 	}
 }
 
-// discoverOnce polls GET /stores on the leader and creates follower stores
-// for any names not yet mirrored. Errors are logged and retried on the
-// next tick.
+// discoverOnce creates a follower store for every name the leader lists
+// that is not mirrored yet.
 func (r *Registry) discoverOnce(ctx context.Context) {
-	ctx, cancel := context.WithTimeout(ctx, discoveryTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.leaderURL+"/stores", nil)
-	if err != nil {
-		return
-	}
-	resp, err := r.replClient.Do(req)
-	if err != nil {
-		if r.opts.Logger != nil {
-			r.opts.Logger.Debug("store discovery failed", "leader", r.leaderURL, "err", err)
-		}
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	var list StoreListResponse
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		return
-	}
-	for _, info := range list.Stores {
-		if ValidStoreName(info.Name) {
-			r.addFollowerStore(info.Name)
+	for _, name := range r.leaderStores(ctx) {
+		if _, _, err := r.Create(name); err != nil && r.opts.Logger != nil {
+			r.opts.Logger.Debug("store discovery: create failed", "store", name, "err", err)
 		}
 	}
 }
 
-// CloseFollow stops the discovery loop (no-op on ordinary registries).
-// Close calls it; exposed for tests that tear down discovery first.
-func (r *Registry) CloseFollow() {
-	if r.discoverCancel == nil {
-		return
+// leaderStores polls GET /stores on the leader and returns the valid store
+// names it lists. Errors are logged and yield no names; the next poll
+// retries.
+func (r *Registry) leaderStores(ctx context.Context) []string {
+	ctx, cancel := context.WithTimeout(ctx, discoveryTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.opts.Leader+"/stores", nil)
+	if err != nil {
+		return nil
 	}
-	r.discoverCancel()
-	<-r.discoverDone
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		if r.opts.Logger != nil {
+			r.opts.Logger.Debug("store discovery failed", "leader", r.opts.Leader, "err", err)
+		}
+		return nil
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil
+	}
+	var list StoreListResponse
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		return nil
+	}
+	var names []string
+	for _, info := range list.Stores {
+		if ValidStoreName(info.Name) {
+			names = append(names, info.Name)
+		}
+	}
+	return names
 }

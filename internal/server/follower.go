@@ -14,14 +14,16 @@ import (
 	"repro/internal/repl"
 )
 
-// Follower mode: a store that mirrors a leader's store by tailing its
+// Follower mode: a store in the follower role (a follower registry's
+// stores, see follow_registry.go) mirrors a leader's store by tailing its
 // wal-stream endpoint (GET /stores/{name}/wal, see internal/repl) and
 // feeding each delta through the same apply path crash recovery replays a
 // local log through — graph.ApplyDelta, then Recorder.IndexFrom over the
 // appended vertices, then an incremental freeze and the atomic epoch
 // pointer swap. A follower therefore serves the entire lock-free read API
 // at its applied epoch; writes are refused with a redirect to the leader
-// until Promote seals the applier and opens the write path.
+// until Promote moves the store to the leader role, which seals the applier
+// and opens the write path.
 //
 // The applier is a retry loop around followOnce (one connection consumed
 // until it breaks). Any byte cut leaves the store at an exact epoch prefix
@@ -38,48 +40,58 @@ var ErrFollowerWrites = errors.New("follower store: writes go to the leader")
 // follower.
 var ErrNotFollower = errors.New("store is not a follower")
 
-// defaultReconnectBackoff paces applier redials after a broken stream.
-const defaultReconnectBackoff = 250 * time.Millisecond
+// reconnectBackoff paces applier redials after a broken stream.
+const reconnectBackoff = 250 * time.Millisecond
 
-// newFollowerStore builds a memory-only store that mirrors the same-named
-// store on the leader. The applier is not started; callers use
-// startApplier (production) or drive followOnce directly (tests).
+// newFollowerStore builds a memory-only store in the follower role that
+// mirrors the same-named store on the leader. The applier is not started;
+// Registry.open starts it, tests may drive followOnce directly instead.
 func newFollowerStore(name, leaderURL string, cacheCap int) *Store {
 	s := NewStore(prov.New(), cacheCap)
 	s.name = name
 	s.leaderURL = leaderURL
-	s.follower.Store(true)
+	s.role.Store(roleFollower)
 	return s
 }
 
-// startApplier launches the replication loop. backoff <= 0 selects the
-// default redial pace.
-func (s *Store) startApplier(hc *http.Client, backoff time.Duration) {
-	if backoff <= 0 {
-		backoff = defaultReconnectBackoff
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.applierCancel = cancel
-	s.applierDone = make(chan struct{})
-	go s.followLoop(ctx, hc, backoff)
+// bgLoop is one background goroutine that runs until stopped: a follower
+// store's applier or a follower registry's discovery loop.
+type bgLoop struct {
+	cancel context.CancelFunc
+	done   chan struct{}
 }
 
-// stopApplier cancels the replication loop and waits for it to exit.
-// No-op when none was started; safe to call more than once.
-func (s *Store) stopApplier() {
-	if s.applierCancel == nil {
-		return
+// goLoop runs fn on its own goroutine; stop cancels fn's context.
+func goLoop(fn func(ctx context.Context)) *bgLoop {
+	ctx, cancel := context.WithCancel(context.Background())
+	l := &bgLoop{cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer close(l.done)
+		fn(ctx)
+	}()
+	return l
+}
+
+// stop cancels the loop and waits for it to return. A nil loop (none was
+// started) is a no-op; stopping twice is safe.
+func (l *bgLoop) stop() {
+	if l != nil {
+		l.cancel()
+		<-l.done
 	}
-	s.applierCancel()
-	<-s.applierDone
+}
+
+// startApplier launches the replication loop over hc (nil selects
+// http.DefaultClient), redialing backoff after each broken stream.
+func (s *Store) startApplier(hc *http.Client, backoff time.Duration) {
+	s.applier = goLoop(func(ctx context.Context) { s.followLoop(ctx, hc, backoff) })
 }
 
 // followLoop drives followOnce until the store is promoted or closed,
 // redialing with a fixed backoff after each broken stream.
 func (s *Store) followLoop(ctx context.Context, hc *http.Client, backoff time.Duration) {
-	defer close(s.applierDone)
 	for attempt := 0; ; attempt++ {
-		if ctx.Err() != nil || !s.follower.Load() {
+		if ctx.Err() != nil || s.role.Load() != roleFollower {
 			return
 		}
 		if f := s.walFail.Load(); f != nil {
@@ -168,11 +180,8 @@ func (s *Store) noteLeaderEpoch(ep uint64) {
 func (s *Store) applyReplicated(epoch uint64, payload []byte) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: %w", ErrStoreClosed)
-	}
-	if !s.follower.Load() {
-		return fmt.Errorf("store: %w", ErrNotFollower)
+	if err := s.checkRole(roleFollower); err != nil {
+		return err
 	}
 	if f := s.walFail.Load(); f != nil {
 		return fmt.Errorf("store: %w", f.err)
@@ -190,10 +199,7 @@ func (s *Store) applyReplicated(epoch uint64, payload []byte) error {
 		return fmt.Errorf("repl: apply delta for epoch %d: %w", epoch, err)
 	}
 	s.rec.IndexFrom(graph.VertexID(firstNew))
-	start := time.Now()
-	fz, incremental := s.rec.P.ExtendFrozen(old.P)
-	s.observeFreeze(incremental, time.Since(start))
-	ep := &Epoch{N: epoch, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges(), replies: old.replies}
+	ep, _ := s.freezeEpoch(s.rec.P, epoch, old)
 	s.tail = ep
 	if s.hub.Load() != nil {
 		// The hub retains the payload (chained followers tail it), but the
@@ -221,25 +227,20 @@ func (s *Store) resetReplicated(epoch uint64, data []byte) error {
 		return fmt.Errorf("repl: checkpoint at epoch %d: %w", epoch, err)
 	}
 	rec := prov.WrapRecorder(p)
-	start := time.Now()
-	fz := p.Freeze()
-	freeze := time.Since(start)
+	// A new lineage (no base): a reader still pinned to an older epoch keeps
+	// extending that epoch's reply column, never this one. The freeze is
+	// recorded only once the checks below accept the checkpoint.
+	ep, _, freeze := buildEpoch(p, epoch, nil)
 
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: %w", ErrStoreClosed)
-	}
-	if !s.follower.Load() {
-		return fmt.Errorf("store: %w", ErrNotFollower)
+	if err := s.checkRole(roleFollower); err != nil {
+		return err
 	}
 	if epoch < s.tail.N {
 		return fmt.Errorf("repl: checkpoint at epoch %d behind applied epoch %d", epoch, s.tail.N)
 	}
 	s.observeFreeze(false, freeze)
-	// A new lineage: a reader still pinned to an older epoch keeps extending
-	// that epoch's column, never this one.
-	ep := &Epoch{N: epoch, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges(), replies: newReplyColumn()}
 	if epoch == 0 && ep.Vertices > 0 {
 		// The leader shipped a non-empty epoch-0 base: chained followers
 		// reading this store's wal stream need the same checkpoint seeding.
@@ -258,16 +259,17 @@ func (s *Store) resetReplicated(epoch uint64, data []byte) error {
 	return nil
 }
 
-// Promote seals the applier and opens the write path: the store stops
-// being a follower, in-flight applies finish or fail cleanly, and the next
+// Promote moves the store from the follower to the leader role, then
+// seals the applier: in-flight applies finish or fail cleanly, and the next
 // Update commits epoch N+1 on top of the applied prefix. Returns
-// ErrNotFollower if the store is not (or no longer) one — promotion is
-// not idempotent so that exactly one caller wins a failover race.
+// ErrNotFollower if the store is not (or no longer) a follower — a leader
+// or a closed store; promotion is not idempotent so that exactly one
+// caller wins a failover race.
 func (s *Store) Promote() error {
-	if !s.follower.CompareAndSwap(true, false) {
+	if !s.role.CompareAndSwap(roleFollower, roleLeader) {
 		return fmt.Errorf("store %q: %w", s.name, ErrNotFollower)
 	}
-	s.stopApplier()
+	s.applier.stop()
 	if s.logger != nil {
 		s.logger.Info("store promoted", "store", s.name, "epoch", s.snap.Load().N, "leader", s.leaderURL)
 	}
@@ -275,7 +277,7 @@ func (s *Store) Promote() error {
 }
 
 // Follower reports whether the store currently applies a leader's stream.
-func (s *Store) Follower() bool { return s.follower.Load() }
+func (s *Store) Follower() bool { return s.role.Load() == roleFollower }
 
 // LeaderURL returns the leader this store replicates (or replicated) from;
 // empty for stores that were never followers.
@@ -375,7 +377,7 @@ func (s *Store) ReplStatsSnapshot() *ReplStats {
 		lag = int64(leader - applied)
 	}
 	return &ReplStats{
-		Follower:     s.follower.Load(),
+		Follower:     s.Follower(),
 		LeaderURL:    s.leaderURL,
 		AppliedEpoch: applied,
 		LeaderEpoch:  leader,

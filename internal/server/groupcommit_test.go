@@ -26,7 +26,7 @@ type pipeline struct {
 }
 
 // openPipeline opens dir in one of the two shapes a durable store comes in.
-// "store" is OpenDurable on its own: syncLoop's barrier fsyncs the log
+// "store" is openDurable on its own: syncLoop's barrier fsyncs the log
 // directly. "registry" is a durable registry (the default store plus extra,
 // or whatever dir already holds): under SyncAlways its stores borrow the
 // shared coalescer's barrier. Under the other policies neither shape puts a
@@ -34,7 +34,7 @@ type pipeline struct {
 func openPipeline(t *testing.T, shape string, policy wal.SyncPolicy, dir string, extra ...string) pipeline {
 	t.Helper()
 	if shape == "store" {
-		s, _, err := OpenDurable(DurableOptions{Dir: dir, Fsync: policy, CheckpointEvery: 1 << 30, CacheCap: 8}, nil)
+		s, _, err := openDurable(dir, RegistryOptions{Fsync: policy, CheckpointEvery: 1 << 30, CacheCap: 8}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func snapshotOp(w int, rec *prov.Recorder) {
 func TestGroupCommitOneFsyncPerGroup(t *testing.T) {
 	const k = 6
 	dir := t.TempDir()
-	s, _, err := OpenDurable(DurableOptions{Dir: dir, CheckpointEvery: 1 << 30, CacheCap: 8}, nil)
+	s, _, err := openDurable(dir, RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestUpdatePanicReleasesWriteMutex(t *testing.T) {
 		run(t, NewStore(prov.New(), 4))
 	})
 	t.Run("durable", func(t *testing.T) {
-		s, _, err := OpenDurable(DurableOptions{Dir: t.TempDir(), CacheCap: 4}, nil)
+		s, _, err := openDurable(t.TempDir(), RegistryOptions{CacheCap: 4}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

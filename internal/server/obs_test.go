@@ -62,7 +62,7 @@ func TestQoSRejectionObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	ts := httptest.NewServer(NewMultiServer(reg))
+	ts := httptest.NewServer(NewMultiServerWith(reg, Options{}))
 	defer ts.Close()
 	st := reg.Default()
 	// One request per 10s, burst 1: the first /stats conforms, everything
@@ -170,10 +170,7 @@ func TestObservabilityHammer(t *testing.T) {
 	defer reg.Close()
 	// SlowThreshold 1ns: every request is "slow", so the ring and the stage
 	// breakdown get exercised by the same load.
-	ts := httptest.NewServer(NewMultiServerWith(reg, Options{
-		SlowThreshold: time.Nanosecond,
-		SlowRingCap:   32,
-	}))
+	ts := httptest.NewServer(NewMultiServerWith(reg, Options{SlowThreshold: time.Nanosecond}))
 	defer ts.Close()
 
 	stores := []string{DefaultStore, "s1", "s2", "s3"}
@@ -335,7 +332,7 @@ func TestObservabilityHammer(t *testing.T) {
 	}
 
 	// The 1ns threshold put every request in the slow ring. The ring only
-	// holds the newest 32 of the hammer's requests, so park one known ingest
+	// holds the newest slowRingCap of the hammer's requests, so park one known ingest
 	// at the head before inspecting it.
 	code, _ := doJSONWithID(t, http.MethodPost, ts.URL+"/ingest", "slow-probe", IngestRequest{Ops: []IngestOp{
 		{Op: "run", Agent: "u-default", Command: "probe",
@@ -355,7 +352,7 @@ func TestObservabilityHammer(t *testing.T) {
 		if code := doJSON(t, http.MethodGet, ts.URL+"/debug/slow", nil, &slow); code != http.StatusOK {
 			t.Fatalf("/debug/slow status %d", code)
 		}
-		if slow.Total == 0 || len(slow.Entries) == 0 || len(slow.Entries) > 32 {
+		if slow.Total == 0 || len(slow.Entries) == 0 || len(slow.Entries) > slowRingCap {
 			t.Fatalf("slow ring: total %d, %d entries", slow.Total, len(slow.Entries))
 		}
 		var sawProbe bool

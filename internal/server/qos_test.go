@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -170,7 +171,7 @@ func TestSetQoSSwap(t *testing.T) {
 // ErrBackpressure before the update closure mutates anything, then that the
 // store drains and serves normally once the committer resumes.
 func TestBackpressureRejectsBeforeMutation(t *testing.T) {
-	s, _, err := OpenDurable(DurableOptions{Dir: t.TempDir(), CheckpointEvery: 1 << 30, CacheCap: 8}, nil)
+	s, _, err := openDurable(t.TempDir(), RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestIngestBackpressureHTTP(t *testing.T) {
 	defer reg.Close()
 	st := reg.Default()
 	st.commitHold = make(chan struct{})
-	ts := httptest.NewServer(NewMultiServer(reg))
+	ts := httptest.NewServer(NewMultiServerWith(reg, Options{}))
 	defer ts.Close()
 
 	done := make(chan error, 2)
@@ -293,7 +294,7 @@ func TestStoreCreateQoSBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	ts := httptest.NewServer(NewMultiServer(reg))
+	ts := httptest.NewServer(NewMultiServerWith(reg, Options{}))
 	defer ts.Close()
 
 	cfg := QoSConfig{RatePerSec: 5, Burst: 2, MaxConcurrent: 4, MaxQueue: 8}
@@ -392,4 +393,33 @@ func jsonBody(t *testing.T, v any) *bytes.Reader {
 		t.Fatal(err)
 	}
 	return bytes.NewReader(b)
+}
+
+// TestFollowerRegistryDefaultQoS: a follower registry's stores take the
+// registry's DefaultQoS like any other store's — the one found at boot and
+// the one discovery creates later — and /metrics reports it.
+func TestFollowerRegistryDefaultQoS(t *testing.T) {
+	leader := memLeader(t)
+	def := QoSConfig{MaxConcurrent: 1}
+	freg, _, err := OpenRegistry(RegistryOptions{Leader: leader, CacheCap: 8, DefaultQoS: def}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer freg.Close()
+	fts := httptest.NewServer(NewMultiServerWith(freg, Options{}))
+	defer fts.Close()
+
+	if code := doJSON(t, http.MethodPut, leader+"/stores/late", nil, nil); code != http.StatusCreated {
+		t.Fatalf("leader store create status %d", code)
+	}
+	freg.discoverOnce(context.Background())
+	for _, name := range []string{DefaultStore, "late"} {
+		var m MetricsResponse
+		if code := doJSON(t, http.MethodGet, fts.URL+"/stores/"+name+"/metrics", nil, &m); code != http.StatusOK {
+			t.Fatalf("%s: metrics status %d", name, code)
+		}
+		if m.QoS.Config != def {
+			t.Errorf("%s: qos config %+v, want the registry default %+v", name, m.QoS.Config, def)
+		}
+	}
 }

@@ -221,7 +221,7 @@ func openRecoveredAt(t *testing.T, srcDir, activeLog string, walData []byte, cut
 	if err := os.WriteFile(filepath.Join(caseDir, activeLog), walData[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, rcv, err := OpenDurable(DurableOptions{Dir: caseDir, CacheCap: 16}, func() (*prov.Graph, error) {
+	s, rcv, err := openDurable(caseDir, RegistryOptions{CacheCap: 16}, nil, func() (*prov.Graph, error) {
 		t.Fatalf("cut %d: recovery fell back to seeding a fresh graph", cut)
 		return nil, nil
 	})
@@ -248,7 +248,7 @@ func TestKillReplayRecovery(t *testing.T) {
 	// history is one log and every cut point is interesting). No Close —
 	// the crash leaves whatever bytes the appends fsynced.
 	crashDir := t.TempDir()
-	victim, rcv, err := OpenDurable(DurableOptions{Dir: crashDir, CheckpointEvery: 1 << 30, CacheCap: 16}, nil)
+	victim, rcv, err := openDurable(crashDir, RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 16}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestKillReplayGroupCommit(t *testing.T) {
 		rounds   = 4
 	)
 	crashDir := t.TempDir()
-	victim, rcv, err := OpenDurable(DurableOptions{Dir: crashDir, CheckpointEvery: 1 << 30, CacheCap: 16}, nil)
+	victim, rcv, err := openDurable(crashDir, RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 16}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,12 +528,10 @@ func TestKillReplayCoalescedMultiStore(t *testing.T) {
 	names := []string{"alpha", "beta"}
 	victims := make([]*Store, len(names))
 	for i, name := range names {
-		s, rcv, err := OpenDurable(DurableOptions{
-			Dir:             filepath.Join(root, name),
+		s, rcv, err := openDurable(filepath.Join(root, name), RegistryOptions{
 			CheckpointEvery: 1 << 30,
 			CacheCap:        16,
-			Coalescer:       coal,
-		}, nil)
+		}, coal, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -677,7 +675,7 @@ func TestKillReplayAcrossCheckpoints(t *testing.T) {
 	crashDir := t.TempDir()
 	// Huge CheckpointEvery disables the background trigger; the test drives
 	// checkpoints synchronously at exact epochs instead.
-	victim, _, err := OpenDurable(DurableOptions{Dir: crashDir, CheckpointEvery: 1 << 30, CacheCap: 16}, nil)
+	victim, _, err := openDurable(crashDir, RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 16}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +722,7 @@ func TestDurableRestartCycle(t *testing.T) {
 	defer refStore.Close()
 
 	dir := t.TempDir()
-	s, _, err := OpenDurable(DurableOptions{Dir: dir, CheckpointEvery: 2, CacheCap: 16}, nil)
+	s, _, err := openDurable(dir, RegistryOptions{CheckpointEvery: 2, CacheCap: 16}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -741,7 +739,7 @@ func TestDurableRestartCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, rcv, err := OpenDurable(DurableOptions{Dir: dir, CheckpointEvery: 2, CacheCap: 16}, nil)
+	s2, rcv, err := openDurable(dir, RegistryOptions{CheckpointEvery: 2, CacheCap: 16}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -817,7 +815,7 @@ func TestDurableFsyncPolicies(t *testing.T) {
 // the store refuses subsequent writes instead of diverging from its log.
 func TestDurableWALFailurePoisonsWrites(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := OpenDurable(DurableOptions{Dir: dir, CheckpointEvery: 1 << 30, CacheCap: 8}, nil)
+	s, _, err := openDurable(dir, RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

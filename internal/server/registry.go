@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -67,10 +67,12 @@ func ValidStoreName(name string) bool {
 type RegistryOptions struct {
 	// DataDir is the root data directory; empty builds memory-only stores.
 	DataDir string
-	// Fsync, SyncInterval and CheckpointEvery configure each store's
-	// durability exactly as in DurableOptions. Under SyncAlways the stores
-	// share device-level sync windows — one flush per window instead of one
-	// per store (see wal.Coalescer).
+	// Fsync selects each durable store's append fsync policy (default
+	// wal.SyncAlways); under SyncAlways the stores share device-level sync
+	// windows — one flush per window instead of one per store (see
+	// wal.Coalescer). SyncInterval is the background flush period under
+	// wal.SyncInterval, and CheckpointEvery the number of committed batches
+	// between checkpoints (<=0 selects 256).
 	Fsync           wal.SyncPolicy
 	SyncInterval    time.Duration
 	CheckpointEvery int
@@ -80,8 +82,14 @@ type RegistryOptions struct {
 	DefaultQoS QoSConfig
 	// CacheCap bounds each store's segment cache (entries).
 	CacheCap int
-	// Logger, when non-nil, receives each store's per-commit Debug lines.
+	// Logger, when non-nil, receives each store's per-commit Debug lines
+	// and, on follower registries, its replication lines.
 	Logger *slog.Logger
+	// Leader, when set, is the base URL (e.g. http://host:8042) of the
+	// provd this registry follows (see follow_registry.go): every store is
+	// a memory-only follower of the leader's same-named store, and the
+	// store set is the leader's. Excludes DataDir and extra store names.
+	Leader string
 }
 
 // StoreRecovery pairs a recovered store name with what its startup found.
@@ -105,15 +113,9 @@ type Registry struct {
 	// barrier on the commit path). Closed after the stores.
 	coal *wal.Coalescer
 
-	// Follower mode (see follow_registry.go): the leader being mirrored,
-	// the HTTP client shared by discovery polls and replication streams,
-	// the applier redial pace, and the discovery loop's lifecycle. All
-	// zero on ordinary registries.
-	leaderURL      string
-	replClient     *http.Client
-	replBackoff    time.Duration
-	discoverCancel context.CancelFunc
-	discoverDone   chan struct{}
+	// discovery is a follower registry's discovery loop
+	// (follow_registry.go); nil on other registries.
+	discovery *bgLoop
 
 	mu     sync.RWMutex
 	stores map[string]*Store
@@ -121,14 +123,20 @@ type Registry struct {
 }
 
 // OpenRegistry opens a registry: the default store always exists (seeded by
-// seed on a fresh directory, exactly as OpenDurable), extra lists additional
-// stores to open or create at boot, and — on durable registries — every
-// DataDir subdirectory already holding state is recovered even if unnamed
-// here. Returns the per-store recovery reports, default store first.
+// seed on a fresh memory-only store or data directory), extra lists
+// additional stores to open or create at boot, and — on durable registries
+// — every DataDir subdirectory already holding state is recovered even if
+// unnamed here. A follower registry (opts.Leader set) opens the stores the
+// leader lists and never consults seed. Returns the per-store recovery
+// reports, default store first.
 func OpenRegistry(opts RegistryOptions, extra []string, seed func() (*prov.Graph, error)) (*Registry, []StoreRecovery, error) {
 	if err := opts.DefaultQoS.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("registry: %w", err)
 	}
+	if opts.Leader != "" && (opts.DataDir != "" || len(extra) > 0) {
+		return nil, nil, errors.New("registry: a follower mirrors the leader's stores: no data directory or extra stores")
+	}
+	opts.Leader = strings.TrimSuffix(opts.Leader, "/")
 	r := &Registry{opts: opts, stores: make(map[string]*Store)}
 	if opts.DataDir != "" && opts.Fsync == wal.SyncAlways {
 		if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
@@ -158,7 +166,16 @@ func OpenRegistry(opts RegistryOptions, extra []string, seed func() (*prov.Graph
 			return nil, nil, err
 		}
 	}
-	if opts.DataDir != "" {
+	switch {
+	case opts.Leader != "":
+		// The leader's first GET /stores names the follower's boot set; an
+		// unreachable leader leaves the default store alone until discovery
+		// reaches it.
+		for _, name := range r.leaderStores(context.Background()) {
+			_ = add(name) // leaderStores lists valid names only
+		}
+		sort.Strings(names[1:])
+	case opts.DataDir != "":
 		// A tree with state both directly in DataDir (pre-sharding layout)
 		// and under DataDir/default/ is ambiguous: adopting either would
 		// silently shadow the other's graph. Refuse and make the operator
@@ -211,17 +228,10 @@ func OpenRegistry(opts RegistryOptions, extra []string, seed func() (*prov.Graph
 		r.stores[name] = s
 		rcvs = append(rcvs, StoreRecovery{Name: name, Rcv: rcv})
 	}
-	return r, rcvs, nil
-}
-
-// NewMemRegistry builds a memory-only registry around an existing default
-// store (the single-store constructors' upgrade path).
-func NewMemRegistry(def *Store, cacheCap int) *Registry {
-	def.name = DefaultStore
-	return &Registry{
-		opts:   RegistryOptions{CacheCap: cacheCap},
-		stores: map[string]*Store{DefaultStore: def},
+	if opts.Leader != "" {
+		r.discovery = goLoop(r.discoverLoop)
 	}
+	return r, rcvs, nil
 }
 
 // storeDir maps a store name to its data subdirectory. The default store
@@ -236,39 +246,37 @@ func (r *Registry) storeDir(name string) string {
 	return dir
 }
 
-// open builds one store per the registry configuration (no map insert).
+// open builds one store per the registry configuration (no map insert): a
+// follower of the leader's same-named store with its applier running, a
+// memory-only store over seed's graph, or a durable store over its data
+// subdirectory.
 func (r *Registry) open(name string, seed func() (*prov.Graph, error)) (*Store, *wal.Recovery, error) {
-	if r.opts.DataDir == "" {
-		var p *prov.Graph
-		var err error
+	var s *Store
+	rcv := &wal.Recovery{Fresh: true}
+	switch {
+	case r.opts.Leader != "":
+		s = newFollowerStore(name, r.opts.Leader, r.opts.CacheCap)
+	case r.opts.DataDir == "":
+		p := prov.New()
 		if seed != nil {
-			p, err = seed()
-		} else {
-			p = prov.New()
+			var err error
+			if p, err = seed(); err != nil {
+				return nil, nil, err
+			}
 		}
-		if err != nil {
+		s = NewStore(p, r.opts.CacheCap)
+	default:
+		var err error
+		if s, rcv, err = openDurable(r.storeDir(name), r.opts, r.coal, seed); err != nil {
 			return nil, nil, err
 		}
-		s := NewStore(p, r.opts.CacheCap)
-		s.name = name
-		s.logger = r.opts.Logger
-		_ = s.SetQoS(r.opts.DefaultQoS) // validated at OpenRegistry
-		return s, &wal.Recovery{Fresh: true}, nil
-	}
-	s, rcv, err := OpenDurable(DurableOptions{
-		Dir:             r.storeDir(name),
-		Fsync:           r.opts.Fsync,
-		SyncInterval:    r.opts.SyncInterval,
-		CheckpointEvery: r.opts.CheckpointEvery,
-		CacheCap:        r.opts.CacheCap,
-		Coalescer:       r.coal,
-		Logger:          r.opts.Logger,
-	}, seed)
-	if err != nil {
-		return nil, nil, err
 	}
 	s.name = name
+	s.logger = r.opts.Logger
 	_ = s.SetQoS(r.opts.DefaultQoS) // validated at OpenRegistry
+	if s.Follower() {
+		s.startApplier(nil, reconnectBackoff)
+	}
 	return s, rcv, nil
 }
 
@@ -286,9 +294,10 @@ func (r *Registry) Get(name string) (*Store, error) {
 
 // Create opens (or returns) the named store, reporting whether it was
 // created by this call. New durable stores bootstrap a fresh empty
-// subdirectory; creation is idempotent so PUT /stores/{name} can be
-// retried. The bootstrap I/O runs outside the routing lock: requests to
-// existing shards proceed while a store is being created.
+// subdirectory, and a follower registry's new stores start replicating;
+// creation is idempotent so PUT /stores/{name} and discovery can retry it.
+// The bootstrap runs outside the routing lock: requests to existing shards
+// proceed while a store is being created.
 func (r *Registry) Create(name string) (*Store, bool, error) {
 	if !ValidStoreName(name) {
 		return nil, false, fmt.Errorf("registry: invalid store name %q (want 1-%d chars of [a-zA-Z0-9_-])", name, maxStoreName)
@@ -314,7 +323,7 @@ func (r *Registry) Create(name string) (*Store, bool, error) {
 	r.mu.Lock()
 	if r.closed {
 		// Close ran while we were bootstrapping and will not see this store;
-		// seal it here instead of leaking its WAL.
+		// seal it here instead of leaking its WAL or applier.
 		r.mu.Unlock()
 		_ = s.Close()
 		return nil, false, errors.New("registry: closed")
@@ -374,7 +383,7 @@ func (r *Registry) Coalescer() *wal.Coalescer { return r.coal }
 func (r *Registry) Close() error {
 	// Follower registries: stop discovery before the stores so no new
 	// applier starts while the map is being torn down.
-	r.CloseFollow()
+	r.discovery.stop()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.closed = true

@@ -469,23 +469,22 @@ func TestReplFollowerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	lts := httptest.NewServer(NewMultiServer(reg))
+	lts := httptest.NewServer(NewMultiServerWith(reg, Options{}))
 	defer lts.Close()
 
-	freg, err := OpenFollower(FollowerOptions{
-		LeaderURL:        lts.URL,
-		CacheCap:         16,
-		PollInterval:     20 * time.Millisecond,
-		ReconnectBackoff: 20 * time.Millisecond,
-	})
+	freg, _, err := OpenRegistry(RegistryOptions{Leader: lts.URL + "/", CacheCap: 16}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer freg.Close()
-	if freg.FollowerOf() != lts.URL {
-		t.Fatalf("FollowerOf = %q, want %q", freg.FollowerOf(), lts.URL)
+	// The boot poll mirrored the leader's stores.
+	if names := strings.Join(freg.Names(), ","); names != "default,audit" {
+		t.Fatalf("follower booted with stores %s, want default,audit", names)
 	}
-	fts := httptest.NewServer(NewMultiServer(freg))
+	if got := freg.Default().LeaderURL(); got != lts.URL {
+		t.Fatalf("follower store leader = %q, want %q", got, lts.URL)
+	}
+	fts := httptest.NewServer(NewMultiServerWith(freg, Options{}))
 	defer fts.Close()
 
 	// Ingest on the leader; the response's epoch is the read-your-writes
@@ -549,12 +548,13 @@ func TestReplFollowerEndToEnd(t *testing.T) {
 	}
 
 	// Discovery mirrors the leader's store set, including ones created after
-	// the follower booted.
+	// the follower booted: the running loop picks "late" up within a few
+	// discoveryPoll ticks.
 	code, _ = doJSONHeaders(t, http.MethodPut, lts.URL+"/stores/late", nil, nil, nil)
 	if code != http.StatusCreated {
 		t.Fatalf("leader store create status %d", code)
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(3*discoveryPoll + time.Second)
 	for {
 		var list StoreListResponse
 		if code := doJSON(t, http.MethodGet, fts.URL+"/stores", nil, &list); code != http.StatusOK {
@@ -571,6 +571,9 @@ func TestReplFollowerEndToEnd(t *testing.T) {
 			t.Fatalf("discovery never mirrored the leader: %v", names)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if late, err := freg.Get("late"); err != nil || !late.Follower() {
+		t.Fatalf("discovered store: %v", err)
 	}
 
 	// Metrics: the JSON panel and the Prometheus exposition must agree
@@ -688,5 +691,105 @@ func TestReplNonEmptyBaseSeedsCheckpoint(t *testing.T) {
 	if e2 := f2.Epoch(); e2.Vertices != le.Vertices || e2.Edges != le.Edges {
 		t.Fatalf("chained follower %d vertices / %d edges, leader %d / %d",
 			e2.Vertices, e2.Edges, le.Vertices, le.Edges)
+	}
+}
+
+// memLeader serves a memory-only leader registry holding the default store
+// plus extra; the server closes at cleanup, after the test's deferred
+// follower Close has ended its streams.
+func memLeader(t *testing.T, extra ...string) string {
+	t.Helper()
+	reg, _, err := OpenRegistry(RegistryOptions{CacheCap: 8}, extra, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewMultiServerWith(reg, Options{}))
+	t.Cleanup(func() {
+		ts.Close()
+		reg.Close()
+	})
+	return ts.URL
+}
+
+// TestReplPromoteClosedFollower: Close moves a follower to the closed role,
+// from which Promote cannot reach the leader role — directly or over
+// POST /promote.
+func TestReplPromoteClosedFollower(t *testing.T) {
+	f := newFollowerStore(DefaultStore, memLeader(t), 4)
+	ts := httptest.NewServer(NewServer(f))
+	defer ts.Close()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Promote(); !errors.Is(err, ErrNotFollower) {
+		t.Fatalf("promote of a closed follower: %v, want ErrNotFollower", err)
+	}
+	if code, _ := doJSONHeaders(t, http.MethodPost, ts.URL+"/promote", nil, nil, nil); code != http.StatusConflict {
+		t.Fatalf("POST /promote on a closed follower: status %d, want 409", code)
+	}
+	err := f.Update(func(rec *prov.Recorder) error { rec.Agent("late"); return nil })
+	if !errors.Is(err, ErrStoreClosed) {
+		t.Fatalf("write to a closed follower: %v, want ErrStoreClosed", err)
+	}
+
+	// Promote racing Close on a replicating store: whichever lands first,
+	// the store ends closed with its applier stopped.
+	leader := memLeader(t)
+	for i := 0; i < 20; i++ {
+		f := newFollowerStore(DefaultStore, leader, 4)
+		f.startApplier(nil, time.Millisecond)
+		promoted := make(chan error, 1)
+		go func() { promoted <- f.Promote() }()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-promoted; err != nil && !errors.Is(err, ErrNotFollower) {
+			t.Fatalf("promote racing close: %v", err)
+		}
+		if err := f.Update(func(rec *prov.Recorder) error { return nil }); !errors.Is(err, ErrStoreClosed) {
+			t.Fatalf("write after promote/close race: %v, want ErrStoreClosed", err)
+		}
+	}
+}
+
+// TestReplRefusedResetRecordsNoFreeze: the freeze panel counts only the
+// checkpoints a follower publishes. A checkpoint behind the applied epoch,
+// or one reaching a closed store, is refused and leaves the panel as it was.
+func TestReplRefusedResetRecordsNoFreeze(t *testing.T) {
+	src := NewStore(prov.New(), 4)
+	if err := src.Update(func(rec *prov.Recorder) error { rec.Agent("a"); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	_, data, err := src.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFollowerStore(DefaultStore, "http://leader.invalid", 4)
+	defer f.Close()
+	full := func() uint64 { return f.FreezeStatsSnapshot().Full }
+	base := full()
+	if err := f.resetReplicated(5, data); err != nil {
+		t.Fatal(err)
+	}
+	if got := full(); got != base+1 {
+		t.Fatalf("accepted checkpoint: full freezes %d, want %d", got, base+1)
+	}
+	if err := f.resetReplicated(3, data); err == nil {
+		t.Fatal("checkpoint behind the applied epoch accepted")
+	}
+	if got := full(); got != base+1 {
+		t.Fatalf("refused stale checkpoint counted a freeze: full %d, want %d", got, base+1)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.resetReplicated(6, data); !errors.Is(err, ErrStoreClosed) {
+		t.Fatalf("checkpoint on a closed store: %v, want ErrStoreClosed", err)
+	}
+	if got := full(); got != base+1 {
+		t.Fatalf("refused closed-store checkpoint counted a freeze: full %d, want %d", got, base+1)
+	}
+	if n := f.Epoch().N; n != 5 {
+		t.Fatalf("epoch %d after refused checkpoints, want 5", n)
 	}
 }

@@ -130,8 +130,6 @@ type Options struct {
 	// slow-query ring. 0 selects the 500ms default; negative disables
 	// capture.
 	SlowThreshold time.Duration
-	// SlowRingCap bounds the slow-query ring (entries; <=0 selects 128).
-	SlowRingCap int
 	// Logger, when non-nil, receives per-request structured log lines.
 	Logger *slog.Logger
 }
@@ -140,16 +138,14 @@ type Options struct {
 // names none.
 const defaultSlowThreshold = 500 * time.Millisecond
 
-// NewServer builds the HTTP API over a single memory-resident store, which
-// becomes the default store of a one-entry registry.
-func NewServer(store *Store) *Server {
-	return NewMultiServer(NewMemRegistry(store, 0))
-}
+// slowRingCap bounds the slow-query ring (entries).
+const slowRingCap = 128
 
-// NewMultiServer builds the HTTP API over a registry of named stores with
-// default observability options.
-func NewMultiServer(reg *Registry) *Server {
-	return NewMultiServerWith(reg, Options{})
+// NewServer builds the HTTP API over a single memory-resident store, which
+// becomes the default store of a one-entry memory-only registry.
+func NewServer(store *Store) *Server {
+	store.name = DefaultStore
+	return NewMultiServerWith(&Registry{stores: map[string]*Store{DefaultStore: store}}, Options{})
 }
 
 // NewMultiServerWith builds the HTTP API over a registry of named stores.
@@ -161,7 +157,7 @@ func NewMultiServerWith(reg *Registry, opts Options) *Server {
 		reg:        reg,
 		mux:        http.NewServeMux(),
 		logger:     opts.Logger,
-		slow:       obs.NewSlowRing(opts.SlowRingCap),
+		slow:       obs.NewSlowRing(slowRingCap),
 		slowThresh: opts.SlowThreshold,
 	}
 	for _, ep := range []endpointDef{
@@ -864,7 +860,7 @@ func (s *Server) handleHealthz(st *Store, w http.ResponseWriter, r *http.Request
 // everything is validated before the data directory is touched: a hostile
 // name or a malformed body gets a uniform JSON 400 with no store created.
 func (s *Server) handleStoreCreate(w http.ResponseWriter, r *http.Request) {
-	if leader := s.reg.FollowerOf(); leader != "" {
+	if leader := s.reg.opts.Leader; leader != "" {
 		// Follower registries mirror the leader's store set via discovery;
 		// creating here would fork the topology.
 		redirectToLeader(leader, w, r)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -76,7 +77,7 @@ func TestCrossShardIsolationHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	srv := NewMultiServer(reg)
+	srv := NewMultiServerWith(reg, Options{})
 	if srv.Registry() != reg || srv.Store() != reg.Default() {
 		t.Fatal("server accessors disagree with the registry")
 	}
@@ -294,7 +295,7 @@ func TestStoreCreateValidation400Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	ts := httptest.NewServer(NewMultiServer(reg))
+	ts := httptest.NewServer(NewMultiServerWith(reg, Options{}))
 	defer ts.Close()
 
 	dataDirEntries := func() []string {
@@ -449,7 +450,7 @@ func TestRegistryDirectoryTreeRecovery(t *testing.T) {
 // default store to adopt it in place.
 func TestRegistryAdoptsLegacyLayout(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := OpenDurable(DurableOptions{Dir: dir, CacheCap: 8}, nil)
+	s, _, err := openDurable(dir, RegistryOptions{CacheCap: 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +489,7 @@ func TestRegistryAdoptsLegacyLayout(t *testing.T) {
 	// State both directly in the root AND under <root>/default/ is
 	// ambiguous: opening must refuse rather than silently shadow one graph
 	// with the other.
-	sub, _, err := OpenDurable(DurableOptions{Dir: filepath.Join(dir, DefaultStore), CacheCap: 8}, nil)
+	sub, _, err := openDurable(filepath.Join(dir, DefaultStore), RegistryOptions{CacheCap: 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,5 +545,43 @@ func TestRegistryCreateDurable(t *testing.T) {
 	}
 	if s2.Epoch().N != 1 || s2.Epoch().Vertices != 1 {
 		t.Fatalf("runtime store after restart: epoch %d, %d vertices", s2.Epoch().N, s2.Epoch().Vertices)
+	}
+}
+
+// TestRegistryCreateFollower: Create on a follower registry builds a store
+// in the follower role, replicating the leader's same-named store, exactly
+// as discovery would.
+func TestRegistryCreateFollower(t *testing.T) {
+	leader := memLeader(t, "audit")
+	freg, _, err := OpenRegistry(RegistryOptions{Leader: leader, CacheCap: 8}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer freg.Close()
+	if _, err := freg.Get("audit"); err != nil {
+		t.Fatalf("boot poll missed the leader's audit store: %v", err)
+	}
+	st, created, err := freg.Create("extra")
+	if err != nil || !created {
+		t.Fatalf("create: created=%v err=%v", created, err)
+	}
+	if !st.Follower() || st.LeaderURL() != leader {
+		t.Fatalf("created store: follower=%v leader=%q, want a follower of %q", st.Follower(), st.LeaderURL(), leader)
+	}
+	if err := st.Update(func(rec *prov.Recorder) error { return nil }); !errors.Is(err, ErrFollowerWrites) {
+		t.Fatalf("write to a created follower store: %v, want ErrFollowerWrites", err)
+	}
+
+	// A follower registry owns no local state.
+	for _, bad := range []struct {
+		opts  RegistryOptions
+		extra []string
+	}{
+		{RegistryOptions{Leader: leader, DataDir: t.TempDir()}, nil},
+		{RegistryOptions{Leader: leader}, []string{"audit"}},
+	} {
+		if _, _, err := OpenRegistry(bad.opts, bad.extra, nil); err == nil {
+			t.Fatalf("follower registry opened with local state: %+v %v", bad.opts, bad.extra)
+		}
 	}
 }

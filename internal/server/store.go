@@ -7,7 +7,10 @@
 //     stats, exports) runs lock-free against an immutable frozen snapshot
 //     (prov.Freeze) reached through one atomic pointer load; ingest
 //     serializes behind a write mutex and publishes a new snapshot on
-//     commit. Readers never block on writers.
+//     commit. Readers never block on writers. A store has one role —
+//     leader (writable), follower (applying a leader's wal stream,
+//     follower.go) or closed — and every store, memory-only, durable or
+//     follower, is opened by one Registry (registry.go, OpenRegistry).
 //  2. Wire codecs (codec.go) — JSON request/response types for every
 //     endpoint, plus DOT and PROV-JSON output formats reusing the existing
 //     renderers. The large replies (segment, adjust, summarize) are
@@ -69,10 +72,9 @@ type Store struct {
 	// and (on memory-only stores) publication. Readers never take it.
 	writeMu sync.Mutex
 	rec     *prov.Recorder
-	// closed (guarded by writeMu) marks a store past the point of admitting
-	// writes: Close sets it before stopping the committer, so no batch can
-	// be staged onto a queue nothing will ever drain.
-	closed bool
+	// role is the store's state (roleLeader, roleFollower or roleClosed). Written only by Promote's CAS and by Close under writeMu, so a
+	// writer holding writeMu sees a role that cannot turn closed under it.
+	role atomic.Int32
 
 	snap atomic.Pointer[Epoch]
 
@@ -117,7 +119,7 @@ type Store struct {
 	freezeLastNs  atomic.Int64
 	freezeMaxNs   atomic.Int64
 
-	// Durability (nil/zero on memory-only stores, see OpenDurable). Each
+	// Durability (nil/zero on memory-only stores, see openDurable). Each
 	// commit appends its delta to the write-ahead log before the epoch
 	// pointer swap publishes it; a background checkpointer bounds the log.
 	wal             *wal.Manager
@@ -184,16 +186,12 @@ type Store struct {
 	// checkpoint frame even while the hub ring still covers epoch 1.
 	nonEmptyBase atomic.Bool
 
-	// Follower state (newFollowerStore): follower marks the store as
-	// applying a leader's stream — writes are refused and /ingest
-	// redirects — until Promote clears it. The applier goroutine's
-	// lifecycle and the repl metrics counters live here; leaderURL is set
-	// once at construction and never cleared (a promoted store keeps
-	// reporting where it replicated from).
-	follower       atomic.Bool
+	// Follower state (newFollowerStore): the applier goroutine (nil until
+	// started) and the repl metrics counters. leaderURL is set once at
+	// construction and never cleared (a promoted store keeps reporting
+	// where it replicated from).
 	leaderURL      string
-	applierCancel  context.CancelFunc
-	applierDone    chan struct{}
+	applier        *bgLoop
 	replLeaderEp   atomic.Uint64
 	replLagNs      atomic.Int64
 	replLagHist    obs.Histogram
@@ -209,6 +207,30 @@ type Store struct {
 	qosRejectedQueue atomic.Uint64
 
 	started time.Time
+}
+
+// The Store roles. A store starts as a leader (NewStore, durable stores)
+// or a follower (newFollowerStore); Promote moves a follower to leader, and
+// Close moves any role to closed.
+const (
+	roleLeader   int32 = iota // admits writes (the zero value)
+	roleFollower              // applies a leader's stream, refuses writes
+	roleClosed                // refuses writes and applies
+)
+
+// checkRole returns nil when the store is in role want, else the error
+// for the role it is in.
+func (s *Store) checkRole(want int32) error {
+	switch r := s.role.Load(); {
+	case r == want:
+		return nil
+	case r == roleClosed:
+		return fmt.Errorf("store: %w", ErrStoreClosed)
+	case r == roleFollower:
+		return fmt.Errorf("store: %w (leader: %s)", ErrFollowerWrites, s.leaderURL)
+	default:
+		return fmt.Errorf("store: %w", ErrNotFollower)
+	}
 }
 
 // walFailure is the sticky first write-ahead-log error; once set, the
@@ -294,6 +316,31 @@ func (s *Store) observeFreeze(incremental bool, d time.Duration) {
 	}
 }
 
+// freezeEpoch freezes p as epoch n (see buildEpoch) and records the
+// freeze. It also returns the freeze's duration.
+func (s *Store) freezeEpoch(p *prov.Graph, n uint64, base *Epoch) (*Epoch, time.Duration) {
+	ep, incremental, d := buildEpoch(p, n, base)
+	s.observeFreeze(incremental, d)
+	return ep, d
+}
+
+// buildEpoch freezes p as epoch n without recording the freeze. With a base
+// it extends base's snapshot (falling back to a full rebuild where it must)
+// and hands on base's reply column; without one it freezes in full and
+// starts a new lineage. It reports whether the freeze was incremental and
+// how long it took.
+func buildEpoch(p *prov.Graph, n uint64, base *Epoch) (*Epoch, bool, time.Duration) {
+	var prev *prov.Graph
+	replies := newReplyColumn()
+	if base != nil {
+		prev, replies = base.P, base.replies
+	}
+	start := time.Now()
+	fz, incremental := p.ExtendFrozen(prev)
+	ep := &Epoch{N: n, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges(), replies: replies}
+	return ep, incremental, time.Since(start)
+}
+
 // FreezeStats is the /metrics freeze panel: counts of incremental vs full
 // snapshot builds on the commit path, and freeze-duration stats.
 type FreezeStats struct {
@@ -317,7 +364,7 @@ func (s *Store) FreezeStatsSnapshot() FreezeStats {
 
 // NewStore wraps an existing PROV graph in a memory-only store. cacheCap
 // bounds the segment cache (entries; <=0 selects the default). For a store
-// that survives restarts see OpenDurable.
+// that survives restarts open a registry with a DataDir.
 func NewStore(p *prov.Graph, cacheCap int) *Store {
 	return newStore(p, prov.WrapRecorder(p), cacheCap, 0)
 }
@@ -337,10 +384,7 @@ func newStore(p *prov.Graph, rec *prov.Recorder, cacheCap int, epoch uint64) *St
 	}
 	ch := make(chan struct{})
 	s.epochWait.Store(&ch)
-	start := time.Now()
-	fz := p.Freeze()
-	s.observeFreeze(false, time.Since(start))
-	ep := &Epoch{N: epoch, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges(), replies: newReplyColumn()}
+	ep, _ := s.freezeEpoch(p, epoch, nil)
 	if ep.Vertices > 0 {
 		// A non-empty initial graph (loaded, generated, or recovered from a
 		// checkpoint) is state no WAL delta reproduces: from=0 replication
@@ -445,15 +489,6 @@ func (s *Store) StageStats() map[string]obs.LatencySummary {
 	return out
 }
 
-// RequestLatency returns the endpoint's latency histogram (nil for unknown
-// endpoints); the Prometheus exposition reads buckets through it.
-func (s *Store) RequestLatency(endpoint string) *obs.Histogram {
-	if m, ok := s.requests[endpoint]; ok {
-		return &m.lat
-	}
-	return nil
-}
-
 // Epoch returns the current snapshot. The result is immutable and safe to
 // query for any length of time.
 func (s *Store) Epoch() *Epoch { return s.snap.Load() }
@@ -510,11 +545,8 @@ func (s *Store) updateEpoch(ctx context.Context, fn func(rec *prov.Recorder) err
 			s.writeMu.Unlock()
 		}
 	}()
-	if s.closed {
-		return 0, fmt.Errorf("store: %w", ErrStoreClosed)
-	}
-	if s.follower.Load() {
-		return 0, fmt.Errorf("store: %w (leader: %s)", ErrFollowerWrites, s.leaderURL)
+	if err := s.checkRole(roleLeader); err != nil {
+		return 0, err
 	}
 	if f := s.walFail.Load(); f != nil {
 		return 0, fmt.Errorf("store: writes disabled after write-ahead log failure: %w", f.err)
@@ -550,19 +582,15 @@ func (s *Store) updateEpoch(ctx context.Context, fn func(rec *prov.Recorder) err
 			stages.EncodeNanos = time.Since(start).Nanoseconds()
 		}
 	}
-	start := time.Now()
-	fz, incremental := s.rec.P.ExtendFrozen(old.P)
-	freeze := time.Since(start)
-	s.observeFreeze(incremental, freeze)
+	ep, freeze := s.freezeEpoch(s.rec.P, old.N+1, old)
 	if stages != nil {
 		stages.FreezeNanos = freeze.Nanoseconds()
 	}
-	ep := &Epoch{N: old.N + 1, P: fz, Vertices: fz.NumVertices(), Edges: fz.NumEdges(), replies: old.replies}
 	s.tail = ep
 
 	if s.wal == nil {
 		// Memory-only: nothing to make durable, publish under the write mutex.
-		start = time.Now()
+		start := time.Now()
 		s.publish(ep, old, payload)
 		s.observePublish(time.Since(start), stages)
 		s.logCommit(ctx, obs.RequestID(ctx), ep, 1)
@@ -616,7 +644,7 @@ func (s *Store) logCommit(ctx context.Context, reqID string, ep *Epoch, group in
 // guarantee epochs are published in order — either under writeMu (memory-
 // only stores, the follower applier) or from the single syncLoop goroutine.
 // payload is the epoch's encoded delta (nil only when nothing consumes
-// deltas, or on a follower snapshot reset, which rebases the hub instead).
+// deltas).
 func (s *Store) publish(ep, old *Epoch, payload []byte) {
 	s.cache.advance(ep, old)
 	s.snap.Store(ep)

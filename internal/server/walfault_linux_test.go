@@ -59,10 +59,10 @@ func breakLogFsync(t *testing.T, dir string) {
 // flush's error — while reads keep serving the last published epoch.
 func TestIntervalFsyncFailurePoisonsWrites(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := OpenDurable(DurableOptions{
-		Dir: dir, Fsync: wal.SyncInterval, SyncInterval: time.Millisecond,
+	s, _, err := openDurable(dir, RegistryOptions{
+		Fsync: wal.SyncInterval, SyncInterval: time.Millisecond,
 		CheckpointEvery: 1 << 30, CacheCap: 8,
-	}, nil)
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

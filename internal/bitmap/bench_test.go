@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks for the set kernels the query engine leans on. The
-// end-to-end panels ("csr", "vec") measure whole traversals; these isolate
-// the word-level primitives so a kernel regression shows up in
+// Micro-benchmarks for the set kernels the query engine leans on. They
+// isolate the word-level primitives so a kernel regression shows up in
 // `go test -bench` without re-running the serving benches.
 
 const benchBits = 1 << 20
@@ -38,7 +37,10 @@ func BenchmarkDiffAddIntoBitset(b *testing.B) {
 
 func BenchmarkDiffAddIntoRoaring(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	src := randomBitset(rng, benchBits, benchBits/64).ToRoaring()
+	src := NewRoaring()
+	for i := 0; i < benchBits/64; i++ {
+		src.Add(rng.Uint32() % benchBits)
+	}
 	dst := randomBitset(rng, benchBits, benchBits/64)
 	out := make([]uint32, 0, benchBits/64)
 	b.ReportAllocs()
@@ -94,26 +96,5 @@ func BenchmarkOrIntoRows(b *testing.B) {
 		for _, row := range rows {
 			OrInto(dst, row)
 		}
-	}
-}
-
-func BenchmarkIterateFrom(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	x := randomBitset(rng, benchBits, benchBits/16)
-	b.ResetTimer()
-	sum := uint32(0)
-	for i := 0; i < b.N; i++ {
-		x.IterateFrom(benchBits/2, func(v uint32) bool { sum += v; return true })
-	}
-	_ = sum
-}
-
-func BenchmarkToRoaring(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	x := randomBitset(rng, benchBits, benchBits/64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = x.ToRoaring()
 	}
 }

@@ -1,9 +1,6 @@
 package bitmap
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 type vid uint32 // stand-in for graph.VertexID: the kernels must take ~uint32
 
@@ -48,103 +45,11 @@ func TestAndNotWith(t *testing.T) {
 	}
 }
 
-// TestIterateFromBoundaries pins the word-edge behavior: starting exactly
-// on, one before and one past the 64-bit word boundaries.
-func TestIterateFromBoundaries(t *testing.T) {
-	b := NewBitset(256)
-	elems := []uint32{0, 62, 63, 64, 65, 126, 127, 128, 200}
-	for _, x := range elems {
-		b.Add(x)
-	}
-	cases := []struct {
-		from uint32
-		want []uint32
-	}{
-		{0, elems},
-		{63, []uint32{63, 64, 65, 126, 127, 128, 200}},
-		{64, []uint32{64, 65, 126, 127, 128, 200}},
-		{65, []uint32{65, 126, 127, 128, 200}},
-		{127, []uint32{127, 128, 200}},
-		{128, []uint32{128, 200}},
-		{201, nil},
-		{100000, nil}, // past capacity: no panic, no elements
-	}
-	for _, tc := range cases {
-		var got []uint32
-		b.IterateFrom(tc.from, func(x uint32) bool { got = append(got, x); return true })
-		if len(got) != len(tc.want) {
-			t.Fatalf("IterateFrom(%d) = %v, want %v", tc.from, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("IterateFrom(%d) = %v, want %v", tc.from, got, tc.want)
-			}
-		}
-	}
-	// Early exit stops immediately.
-	calls := 0
-	b.IterateFrom(63, func(x uint32) bool { calls++; return false })
-	if calls != 1 {
-		t.Fatalf("early exit made %d calls, want 1", calls)
-	}
-}
-
 // TestWordAccess: capacity is whole words.
 func TestWordAccess(t *testing.T) {
 	b := NewBitset(130)
 	b.Add(129)
 	if b.Capacity() != 192 {
 		t.Fatalf("Capacity = %d, want 192", b.Capacity())
-	}
-}
-
-func TestDensity(t *testing.T) {
-	b := NewBitset(64)
-	if d := b.Density(); d != 0 {
-		t.Fatalf("empty density = %v", d)
-	}
-	for x := uint32(0); x < 32; x++ {
-		b.Add(x)
-	}
-	if d := b.Density(); d != 0.5 {
-		t.Fatalf("density = %v, want 0.5", d)
-	}
-	var empty Bitset
-	if d := empty.Density(); d != 0 {
-		t.Fatalf("zero-value density = %v", d)
-	}
-}
-
-// TestRoaringConversions round-trips sparse and dense sets through both
-// representations, exercising both container kinds in ToRoaring.
-func TestRoaringConversions(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, tc := range []struct {
-		name string
-		n    int
-		gen  func() uint32
-	}{
-		{"sparse", 300, func() uint32 { return rng.Uint32() % 1_000_000 }},
-		{"dense-chunk", 20_000, func() uint32 { return rng.Uint32() % 65_536 }},
-		{"two-chunks", 9_000, func() uint32 { return rng.Uint32() % 200_000 }},
-	} {
-		b := NewBitset(1_000_000)
-		for i := 0; i < tc.n; i++ {
-			b.Add(tc.gen())
-		}
-		r := b.ToRoaring()
-		if r.Cardinality() != b.Cardinality() {
-			t.Fatalf("%s: roaring card %d != bitset card %d", tc.name, r.Cardinality(), b.Cardinality())
-		}
-		back := r.ToBitset(1_000_000)
-		if back.Cardinality() != b.Cardinality() {
-			t.Fatalf("%s: round-trip card %d != %d", tc.name, back.Cardinality(), b.Cardinality())
-		}
-		b.Iterate(func(x uint32) bool {
-			if !r.Contains(x) || !back.Contains(x) {
-				t.Fatalf("%s: %d lost in conversion", tc.name, x)
-			}
-			return true
-		})
 	}
 }

@@ -44,9 +44,6 @@ func (r *Result) Has(sym Symbol, u, v graph.VertexID) bool {
 // Row returns the set of v with sym(u, v), or nil.
 func (r *Result) Row(sym Symbol, u graph.VertexID) bitmap.Set { return r.rows[sym][u] }
 
-// Col returns the set of u with sym(u, v), or nil.
-func (r *Result) Col(sym Symbol, v graph.VertexID) bitmap.Set { return r.cols[sym][v] }
-
 // NumFacts returns the total number of derived facts.
 func (r *Result) NumFacts() int { return r.numFact }
 

@@ -103,9 +103,6 @@ func NewEngine(p *prov.Graph, opts Options) *Engine {
 	return &Engine{P: p, opts: opts}
 }
 
-// Opts returns the engine options.
-func (e *Engine) Opts() Options { return e.opts }
-
 // VertexFilter is an exclusion boundary predicate over vertices (paper's
 // b_v); a vertex failing any filter is treated as labeled epsilon. It is
 // called from several goroutines during one Segment, so it must be safe for
@@ -206,9 +203,6 @@ func (s *Segment) RuleOf(v graph.VertexID) (Rule, bool) {
 	}
 	return s.Rules[i], true
 }
-
-// VertexSet returns the segment's vertex set as a bitset (do not modify).
-func (s *Segment) VertexSet() *bitmap.Bitset { return s.vset }
 
 // Support returns the segment's revalidation support set (nil for segments
 // not produced by Engine.Segment, e.g. adjusted copies): the query's two

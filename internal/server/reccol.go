@@ -83,8 +83,9 @@ func (c *replyColumn) covering(seg *core.Segment) *replyRecords {
 // past the column's end. Appending never rewrites a byte below the old
 // lengths, which readers of the previous extent may be copying while this
 // runs. The arenas are grown by the extension's exact size first (plus the
-// kernels' overrun), so the first read of a graph allocates each arena once,
-// without append's intermediate arrays or growth slack.
+// room appendUint32 reserves at the last record), so the first read of a
+// graph allocates each arena once, without append's intermediate arrays or
+// growth slack.
 func (c *replyColumn) extend(p *prov.Graph, nv, ne int) *replyRecords {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -92,8 +93,8 @@ func (c *replyColumn) extend(p *prov.Graph, nv, ne int) *replyRecords {
 	v0, e0 := r.numVertices(), r.numEdges()
 	nv, ne = max(v0, nv), max(e0, ne)
 	vb, eb := recordBytes(p, v0, nv, e0, ne)
-	r.verts, r.vOff = slices.Grow(r.verts, vb+elemRoom), slices.Grow(r.vOff, nv-v0)
-	r.edges, r.eOff = slices.Grow(r.edges, eb+elemRoom), slices.Grow(r.eOff, ne-e0)
+	r.verts, r.vOff = slices.Grow(r.verts, vb+uint32Room), slices.Grow(r.vOff, nv-v0)
+	r.edges, r.eOff = slices.Grow(r.edges, eb+uint32Room), slices.Grow(r.eOff, ne-e0)
 	for v := v0; v < nv; v++ {
 		r.verts = appendVertexRecord(r.verts, p, graph.VertexID(v))
 		r.vOff = append(r.vOff, uint32(len(r.verts)))
@@ -134,26 +135,19 @@ func decimalLen(x uint32) int {
 // appendVertexRecord appends v's record prefix: {"id":V,"kind":"K", then
 // ,"name":"…" unless the name is empty (omitempty).
 func appendVertexRecord(b []byte, p *prov.Graph, v graph.VertexID) []byte {
-	name := p.Name(v)
-	i := len(b)
-	b = room(b, elemRoom+len(name))
-	i = putUint32(b, litFirst.put(b, i), uint32(v))
-	i = kindTails[p.KindOf(v)].put(b, i)
-	if name == "" {
-		return b[:i]
+	b = appendUint32(append(b, `{"id":`...), uint32(v))
+	b = append(b, kindTails[p.KindOf(v)]...)
+	if name := p.Name(v); name != "" {
+		b = appendJSONString(append(b, `,"name":`...), name)
 	}
-	return appendJSONString(b[:litName.put(b, i)], name)
+	return b
 }
 
 // appendEdgeRecord appends e's record and the ',' that follows it in a reply.
 func appendEdgeRecord(b []byte, p *prov.Graph, e graph.EdgeID) []byte {
 	g := p.PG()
-	i := len(b)
-	b = room(b, elemRoom)
-	i = putUint32(b, litFirst.put(b, i), uint32(e))
-	i = putUint32(b, litSrc.put(b, i), uint32(g.Src(e)))
-	i = putUint32(b, litDst.put(b, i), uint32(g.Dst(e)))
-	i = relTails[p.RelOf(e)].put(b, i)
-	b[i] = ','
-	return b[:i+1]
+	b = appendUint32(append(b, `{"id":`...), uint32(e))
+	b = appendUint32(append(b, `,"src":`...), uint32(g.Src(e)))
+	b = appendUint32(append(b, `,"dst":`...), uint32(g.Dst(e)))
+	return append(append(b, relTails[p.RelOf(e)]...), "},"...)
 }

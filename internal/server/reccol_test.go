@@ -218,3 +218,22 @@ func TestReplyColumnOffCommitPath(t *testing.T) {
 		t.Fatalf("a read reaching %v of an epoch of %v left the column at %v", reachOf(seg), countsOf(ep.P), got)
 	}
 }
+
+// BenchmarkReplyColumnBuild is a graph's first read: every vertex and edge
+// record of Pd-20000 rendered into a fresh column through covering, the one
+// place every record is formatted.
+func BenchmarkReplyColumnBuild(b *testing.B) {
+	n := 20000
+	if testing.Short() {
+		n = 2000
+	}
+	seg := wholeSegment(gen.Pd(gen.PdConfig{N: n, Seed: 1}), nil)
+	col := newReplyColumn()
+	col.covering(seg)
+	b.SetBytes(int64(heldBytes(col)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newReplyColumn().covering(seg)
+	}
+}

@@ -85,29 +85,9 @@ func (r *replyBuf) flush() error {
 	return err
 }
 
-// The element kernels. An element is not appended piece by piece: its room
-// is reserved once (elemRoom plus the name) and it is written by index —
-// integers through putUint32, literals as whole little-endian words (lit8,
-// lit24) with the index advanced by the true length, the name by putPlain. A
-// kernel stores whole words, up to 13 bytes past what it advances over;
-// elemRoom covers that. They render the reply column's records (reccol.go)
-// once per graph, a rule tail per vertex of a /segment reply, and the
-// elements of a /summarize reply.
-
-// elemRoom is the room an element needs besides its name: the longest fixed
-// part (an edge record with three 10-digit ids and its comma, 63 bytes) and
-// the kernels' overrun.
-const elemRoom = 96
-
-// room returns b resliced to its capacity, with at least n bytes after
-// len(b): the slack of a pooled buffer covers any element with a name under
-// 4 KB, a longer one grows the buffer for this reply.
-func room(b []byte, n int) []byte {
-	if cap(b)-len(b) < n {
-		b = slices.Grow(b, n)
-	}
-	return b[:cap(b)]
-}
+// The one kernel: an id is one or two 4-byte stores out of a table of the
+// 10 000 four-digit groups. /summarize writes two per Psg edge; the literals,
+// the per-kind, per-rule and per-rel tails and the names are appended.
 
 // digits4[x] is the four ASCII digits of x < 10000, the thousands in the low
 // byte: one little-endian 4-byte store writes them in order.
@@ -156,78 +136,30 @@ func putHead(b []byte, i int, x uint32) int {
 	return i + int(n)
 }
 
+const uint32Room = 16 // ten digits and putUint32's overrun
+
 // appendUint32 is putUint32 for the append-style parts of a reply.
 func appendUint32(b []byte, x uint32) []byte {
-	i := len(b)
-	b = room(b, 16)
-	return b[:putUint32(b, i, x)]
-}
-
-// lit8 is a literal of at most 8 bytes as one little-endian word.
-type lit8 struct {
-	w uint64
-	n int
-}
-
-func mkLit8(s string) lit8 {
-	var w [8]byte
-	if copy(w[:], s) < len(s) {
-		panic("server: lit8 of more than 8 bytes: " + s)
-	}
-	return lit8{binary.LittleEndian.Uint64(w[:]), len(s)}
-}
-
-// put stores the word at b[i:] and returns the index after the literal.
-func (l lit8) put(b []byte, i int) int {
-	binary.LittleEndian.PutUint64(b[i:], l.w)
-	return i + l.n
-}
-
-// lit24 is a literal of at most 24 bytes as three words.
-type lit24 struct {
-	w [3]uint64
-	n int
-}
-
-func mkLit24(s string) lit24 {
-	var w [24]byte
-	if copy(w[:], s) < len(s) {
-		panic("server: lit24 of more than 24 bytes: " + s)
-	}
-	l := lit24{n: len(s)}
-	for k := range l.w {
-		l.w[k] = binary.LittleEndian.Uint64(w[8*k:])
-	}
-	return l
-}
-
-func (l *lit24) put(b []byte, i int) int {
-	w := b[i : i+24]
-	binary.LittleEndian.PutUint64(w, l.w[0])
-	binary.LittleEndian.PutUint64(w[8:], l.w[1])
-	binary.LittleEndian.PutUint64(w[16:], l.w[2])
-	return i + l.n
+	b = slices.Grow(b, uint32Room)
+	return b[:putUint32(b[:cap(b)], len(b), x)]
 }
 
 // tails builds pre + v.String() + post for every v up to last.
 func tails[T interface {
 	~uint8
 	String() string
-}](last T, pre, post string) []lit24 {
-	t := make([]lit24, int(last)+1)
+}](last T, pre, post string) []string {
+	t := make([]string, int(last)+1)
 	for v := range t {
-		t[v] = mkLit24(pre + T(v).String() + post)
+		t[v] = pre + T(v).String() + post
 	}
 	return t
 }
 
 var (
-	litFirst                = mkLit8(`{"id":`)
-	litSrc, litDst, litName = mkLit8(`,"src":`), mkLit8(`,"dst":`), mkLit8(`,"name":`)
-
 	kindTails = tails(prov.KindAgent, `,"kind":"`, `"`)
 	ruleTails = tails(core.RuleC4, `,"rule":"`, `"},`)
-	relTails  = tails(prov.RelDeriv, `,"rel":"`, `"}`)
+	relTails  = tails(prov.RelDeriv, `,"rel":"`, `"`)
 )
 
 // writeSegmentJSON streams the SegmentResponse of seg, rendered from the
@@ -254,10 +186,7 @@ func writeSegmentJSON(w io.Writer, col *replyColumn, seg *core.Segment, cached b
 				if err := r.spill(); err != nil {
 					return err
 				}
-				pre := recs.vertex(v)
-				b := room(r.b, len(pre)+elemRoom)
-				i := len(r.b) + copy(b[len(r.b):], pre)
-				r.b = b[:ruleTails[seg.Rules[k]].put(b, i)]
+				r.b = append(append(r.b, recs.vertex(v)...), ruleTails[seg.Rules[k]]...)
 			}
 			r.b[len(r.b)-1] = ']'
 		}
@@ -323,9 +252,7 @@ func writePsgJSON(w io.Writer, psg *core.Psg, dot string) error {
 			b = appendUint32(b, uint32(e.From))
 			b = append(b, `,"to":`...)
 			b = appendUint32(b, uint32(e.To))
-			j := len(b)
-			b = room(b, elemRoom)
-			b = append(b[:relTails[e.Rel].put(b, j)-1], `,"freq":`...) // over the tail's closing brace
+			b = append(append(b, relTails[e.Rel]...), `,"freq":`...)
 			if k := int(e.Freq*segs + 0.5); uint(k) >= uint(len(freqs)) || float64(k)/segs != e.Freq {
 				b = appendJSONFloat(b, e.Freq)
 			} else {
@@ -361,62 +288,20 @@ func (r *replyBuf) finish(dot string) error {
 }
 
 // appendJSONString appends s as a JSON string. A string of plain printable
-// ASCII — every generated name — is copied between quotes as it is checked;
-// anything else (control bytes, '"', '\\', non-ASCII: U+2028/U+2029, invalid
-// UTF-8) goes through encoding/json itself, so the escaping cannot drift from
-// the stdlib's. The copy is only tried in room b already has (the element
-// loops reserve it): a DOT rendering, megabytes that are certain to need
-// escaping, is not grown for twice.
+// ASCII — every generated name — is scanned byte by byte and copied between
+// quotes; anything else (control bytes, '"', '\\', non-ASCII: U+2028/U+2029,
+// invalid UTF-8) goes through encoding/json itself, so the escaping cannot
+// drift from the stdlib's. A DOT rendering, megabytes that are certain to
+// need escaping, stops the scan at its first line break.
 func appendJSONString(b []byte, s string) []byte {
-	i := len(b)
-	if cap(b)-i < len(s)+2 || !putPlain(b[i+1:cap(b)], s) {
-		return appendJSONStringStd(b, s)
-	}
-	b = b[:i+2+len(s)]
-	b[i], b[len(b)-1] = '"', '"'
-	return b
-}
-
-// putPlain copies s to b, a word at a time where s has one, and gives up
-// (false, b half-written) at the first byte JSON has to escape. It writes
-// b[:len(s)] and nothing beyond.
-func putPlain(b []byte, s string) bool {
-	b = b[:len(s)]
-	if len(s) < 8 {
-		for j := 0; j < len(s); j++ {
-			c := s[j]
-			if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
-				return false
-			}
-			b[j] = c
-		}
-		return true
-	}
-	// Whole words, the last one overlapping its predecessor.
-	for j := 0; ; j += 8 {
-		if j > len(s)-8 {
-			j = len(s) - 8
-		}
-		w := uint64(s[j]) | uint64(s[j+1])<<8 | uint64(s[j+2])<<16 | uint64(s[j+3])<<24 |
-			uint64(s[j+4])<<32 | uint64(s[j+5])<<40 | uint64(s[j+6])<<48 | uint64(s[j+7])<<56
-		if hasEscape(w) {
-			return false
-		}
-		binary.LittleEndian.PutUint64(b[j:], w)
-		if j == len(s)-8 {
-			return true
+	for j := 0; j < len(s); j++ {
+		if c := s[j]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
+			return appendJSONStringStd(b, s)
 		}
 	}
-}
-
-// hasEscape reports whether any of the 8 bytes of w is < 0x20, >= 0x80, '"'
-// or '\\' (the zero-byte and less-than tests of the bit-twiddling canon; a
-// byte with its high bit set may raise a false positive in a neighbour's
-// test, but it is itself a hit).
-func hasEscape(w uint64) bool {
-	const lo, hi = 0x0101010101010101, 0x8080808080808080
-	q, bs := w^lo*'"', w^lo*'\\'
-	return (w|(w-lo*0x20)&^w|(q-lo)&^q|(bs-lo)&^bs)&hi != 0
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // appendJSONStringStd is appendJSONString's slow path (its own function so

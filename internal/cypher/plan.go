@@ -6,11 +6,11 @@ import (
 )
 
 // Snapshot-aware pattern planner. On a frozen graph the evaluator knows,
-// before enumerating a single path, the per-label CSR blocks and the
-// freeze-time degree statistics — enough to bound where each pattern
-// position can possibly bind. The planner runs bitmap frontier sweeps (row
-// unions over NeighborRowSegs with word-parallel visited subtraction) from
-// the pattern's anchored ends:
+// before enumerating a single path, the per-label CSR blocks and the edge
+// count each block holds (EdgesWithLabel) — enough to bound where each
+// pattern position can possibly bind. The planner runs bitmap frontier
+// sweeps (row unions over NeighborRowSegs with word-parallel visited
+// subtraction) from the pattern's anchored ends:
 //
 //   - a forward sweep from the first node's anchor ids computes, per node
 //     position, an over-approximation of the vertices reachable there;
@@ -22,8 +22,8 @@ import (
 // The prune sets are strictly over-approximations (edge distinctness and
 // WHERE predicates are ignored), so filtering the naive DFS with them
 // removes only bindings that cannot complete — the surviving rows, and
-// their order, are bit-identical to the unplanned evaluation. Degree
-// statistics pick which anchored end to sweep first (cheapest volume) and
+// their order, are bit-identical to the unplanned evaluation. The per-label
+// edge counts pick which anchored end to sweep first (cheapest volume) and
 // drop empty labels before any row is read.
 //
 // On a live (unfrozen) graph none of this runs and the evaluator is the
@@ -62,7 +62,7 @@ func (p *patternPlan) pathOK(i int, v graph.VertexID) bool {
 // planPattern builds the prune sets for pat under base/seeds, or nil when
 // the planner cannot help (live graph, or no anchored end).
 func (ev *Evaluator) planPattern(pat PathPattern, base row, seeds map[string][]graph.VertexID) *patternPlan {
-	if !ev.g.Frozen() || ev.g.Degrees() == nil || len(pat.Rels) == 0 {
+	if !ev.g.Frozen() || len(pat.Rels) == 0 {
 		return nil
 	}
 	firstIDs, firstAnchored := ev.anchorIDs(pat.Nodes[0], base, seeds)
@@ -239,20 +239,23 @@ func (ev *Evaluator) filterByLabel(ids []graph.VertexID, np NodePattern) []graph
 }
 
 // anchorCost estimates one sweep step's row volume from an anchor: ids
-// times the average degree over the rel's admissible labels.
+// times the average degree (edges over vertices) summed over the rel's
+// admissible labels.
 func (ev *Evaluator) anchorCost(ids []graph.VertexID, rp RelPattern) float64 {
-	ds := ev.g.Degrees()
 	avg := 0.0
-	labels, _, _ := ev.relStep(rp, true)
-	for _, l := range labels {
-		avg += ds.AvgDegree(l)
+	if n := ev.g.NumVertices(); n > 0 {
+		labels, _, _ := ev.relStep(rp, true)
+		for _, l := range labels {
+			avg += float64(ev.g.EdgesWithLabel(l)) / float64(n)
+		}
 	}
 	return float64(len(ids)) * (1 + avg)
 }
 
-// relStep resolves rp's admissible edge labels (dropping, via the degree
-// stats, labels with no edges in the snapshot) and which CSR directions a
-// forward (node i → i+1) or reverse (node i+1 → i) sweep follows.
+// relStep resolves rp's admissible edge labels (dropping, via
+// EdgesWithLabel, labels with no edges in the snapshot) and which CSR
+// directions a forward (node i → i+1) or reverse (node i+1 → i) sweep
+// follows.
 func (ev *Evaluator) relStep(rp RelPattern, forward bool) (labels []graph.Label, useOut, useIn bool) {
 	right := rp.Dir == DirRight || rp.Dir == DirBoth
 	left := rp.Dir == DirLeft || rp.Dir == DirBoth
@@ -261,9 +264,8 @@ func (ev *Evaluator) relStep(rp RelPattern, forward bool) (labels []graph.Label,
 	} else {
 		useOut, useIn = left, right
 	}
-	ds := ev.g.Degrees()
 	add := func(l graph.Label) {
-		if ds.EdgesWithLabel(l) == 0 {
+		if ev.g.EdgesWithLabel(l) == 0 {
 			return
 		}
 		for _, have := range labels {

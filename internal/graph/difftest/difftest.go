@@ -167,9 +167,9 @@ func randomQuery(rng *rand.Rand, p *prov.Graph) (core.Query, bool) {
 }
 
 // DiffSnapshots asserts two frozen snapshots of the same graph state are
-// indistinguishable: same shape, dictionary, label index, all-edge Out/In
-// views, and identical FrozenNeighbors rows for every vertex, label and
-// direction.
+// indistinguishable: same shape, dictionary, per-label edge counts, label
+// index, all-edge Out/In views, and identical FrozenNeighbors rows for every
+// vertex, label and direction.
 func DiffSnapshots(full, incr *graph.Graph) error {
 	if full.NumVertices() != incr.NumVertices() || full.NumEdges() != incr.NumEdges() {
 		return fmt.Errorf("shape mismatch: full %d/%d vs incr %d/%d",
@@ -179,21 +179,12 @@ func DiffSnapshots(full, incr *graph.Graph) error {
 	if fd.Len() != id.Len() {
 		return fmt.Errorf("dict length mismatch: %d vs %d", fd.Len(), id.Len())
 	}
-	fds, ids := full.Degrees(), incr.Degrees()
-	if fds == nil || ids == nil {
-		return fmt.Errorf("missing degree stats: full %v incr %v", fds != nil, ids != nil)
-	}
-	if fds.NumVertices() != ids.NumVertices() || fds.NumEdges() != ids.NumEdges() {
-		return fmt.Errorf("degree stats shape mismatch: full %d/%d vs incr %d/%d",
-			fds.NumVertices(), fds.NumEdges(), ids.NumVertices(), ids.NumEdges())
-	}
 	for l := 0; l < fd.Len(); l++ {
 		if fd.Name(graph.Label(l)) != id.Name(graph.Label(l)) {
 			return fmt.Errorf("dict[%d] mismatch: %q vs %q", l, fd.Name(graph.Label(l)), id.Name(graph.Label(l)))
 		}
-		if fds.EdgesWithLabel(graph.Label(l)) != ids.EdgesWithLabel(graph.Label(l)) {
-			return fmt.Errorf("degree stats for %q mismatch: full %d vs incr %d",
-				fd.Name(graph.Label(l)), fds.EdgesWithLabel(graph.Label(l)), ids.EdgesWithLabel(graph.Label(l)))
+		if f, x := full.EdgesWithLabel(graph.Label(l)), incr.EdgesWithLabel(graph.Label(l)); f != x {
+			return fmt.Errorf("edge count for %q mismatch: full %d vs incr %d", fd.Name(graph.Label(l)), f, x)
 		}
 		fv, iv := full.VerticesWithLabel(graph.Label(l)), incr.VerticesWithLabel(graph.Label(l))
 		if !vertexSlicesEq(fv, iv) {

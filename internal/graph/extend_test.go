@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -18,6 +20,71 @@ func grow(g *Graph, nv, ne int, seed int64) {
 		src := VertexID((int(seed) + 7*i) % n)
 		dst := VertexID((int(seed) + 11*i + n0) % n)
 		g.AddEdge(src, dst, Label(4+(int(seed)+i)%3))
+	}
+}
+
+// commitRun appends one commit of the shape a stream of single-run ingests
+// has: an activity and its output entity, the activity using the hub and
+// the previous commit's output (tail) plus one random older vertex, and the
+// output generated by the activity. It returns the output, the next tail.
+// randomGraph's labels must be interned.
+func commitRun(g *Graph, hub, tail VertexID, rng *rand.Rand) VertexID {
+	a := g.AddVertex(2)   // v:A
+	o := g.AddVertex(1)   // v:E
+	g.AddEdge(a, hub, 4)  // e:U into the hub
+	g.AddEdge(a, tail, 4) // e:U into the previous commit's output
+	g.AddEdge(a, VertexID(rng.Intn(int(a))), 6)
+	g.AddEdge(o, a, 5) // e:G
+	return o
+}
+
+// TestExtendFrozenChain extends one snapshot per commit over a long chain
+// of commitRun commits and holds the rows of the hub, the chain tail and 16
+// fixed vertices to a full Freeze at every epoch. The hub's in-row grows by
+// one edge per commit, so the all-edge in-block must pass through both of
+// its shapes: extended (a base plus an extension) and flattened.
+func TestExtendFrozenChain(t *testing.T) {
+	g := randomGraph(500, 1500, 21)
+	rng := rand.New(rand.NewSource(21))
+	hub, tail := VertexID(0), VertexID(1)
+	watch := make([]VertexID, 16)
+	for i := range watch {
+		watch[i] = VertexID(1 + 31*i)
+	}
+	prev := g.Freeze()
+	var extended, flattened bool
+	for c := 0; c < 1500; c++ {
+		oldTail := tail
+		tail = commitRun(g, hub, tail, rng)
+		next, inc := g.ExtendFrozen(prev)
+		if !inc {
+			t.Fatalf("commit %d: incremental freeze fell back to a full rebuild", c)
+		}
+		if next.csr.inAll.ext != nil {
+			extended = true
+		} else if extended {
+			flattened = true
+		}
+		full := g.Freeze()
+		for _, v := range append([]VertexID{hub, oldTail, tail}, watch...) {
+			if !slices.Equal(full.Out(v), next.Out(v)) || !slices.Equal(full.In(v), next.In(v)) {
+				t.Fatalf("commit %d vertex %d: Out/In %v/%v vs full %v/%v",
+					c, v, next.Out(v), next.In(v), full.Out(v), full.In(v))
+			}
+			for l := Label(0); int(l) < g.Dict().Len(); l++ {
+				for _, out := range []bool{true, false} {
+					fn, fe, _ := full.FrozenNeighbors(v, l, out)
+					xn, xe, _ := next.FrozenNeighbors(v, l, out)
+					if !slices.Equal(fn, xn) || !slices.Equal(fe, xe) {
+						t.Fatalf("commit %d FrozenNeighbors(%d,%d,%v) diverged", c, v, l, out)
+					}
+				}
+			}
+		}
+		prev = next
+	}
+	if !extended || !flattened {
+		t.Fatalf("all-edge in-block extended=%v flattened=%v, want both", extended, flattened)
 	}
 }
 

@@ -126,25 +126,16 @@ type Graph struct {
 	out [][]EdgeID // outgoing edges per vertex (live graphs)
 	in  [][]EdgeID // incoming edges per vertex (live graphs)
 
-	// outRows/inRows replace out/in on frozen snapshots: immutable
-	// per-vertex edge-id rows that an incremental snapshot can share with
-	// the previous epoch plus a sparse overlay of delta-touched rows, so
-	// extending a snapshot does not copy O(V) row headers (see edgeRows).
-	outRows, inRows *edgeRows
-
 	byLabel map[Label][]VertexID // label index over vertices
 
 	// frozen marks an immutable epoch snapshot (see Freeze); csr is its
-	// compressed-sparse-row adjacency index, nil on live graphs. incrSnap
-	// marks a snapshot whose index extends an earlier epoch's
-	// (ExtendFrozen) instead of being fully rebuilt.
+	// compressed-sparse-row adjacency index, which replaces out/in and
+	// holds the per-label blocks; nil on live graphs. incrSnap marks a
+	// snapshot whose index extends an earlier epoch's (ExtendFrozen)
+	// instead of being fully rebuilt.
 	frozen   bool
 	incrSnap bool
 	csr      *csrIndex
-	// degrees holds freeze-time per-label degree statistics (see stats.go);
-	// nil on live graphs. An incremental snapshot updates the previous
-	// epoch's stats by the delta, so they always equal a full rebuild's.
-	degrees *DegreeStats
 	// snapV/snapE are the high-watermarks of the largest snapshot taken
 	// from this live graph. Everything below them is shared with lock-free
 	// snapshot readers and must stay immutable: appends are naturally safe
@@ -212,10 +203,12 @@ func (g *Graph) Src(e EdgeID) VertexID { return g.eSrc[e] }
 func (g *Graph) Dst(e EdgeID) VertexID { return g.eDst[e] }
 
 // Out returns the outgoing edge ids of v. The returned slice must not be
-// modified.
+// modified. On an extended snapshot a row spanning two epochs is
+// materialized into a fresh slice (see FrozenNeighbors).
 func (g *Graph) Out(v VertexID) []EdgeID {
-	if g.frozen {
-		return g.outRows.row(v)
+	if g.csr != nil {
+		_, eids := g.csr.outAll.row(v)
+		return eids
 	}
 	return g.out[v]
 }
@@ -223,8 +216,9 @@ func (g *Graph) Out(v VertexID) []EdgeID {
 // In returns the incoming edge ids of v. The returned slice must not be
 // modified.
 func (g *Graph) In(v VertexID) []EdgeID {
-	if g.frozen {
-		return g.inRows.row(v)
+	if g.csr != nil {
+		_, eids := g.csr.inAll.row(v)
+		return eids
 	}
 	return g.in[v]
 }

@@ -11,8 +11,8 @@ import "sort"
 //     (vertex/edge labels, endpoints, properties) via capped slice headers,
 //     so freezing copies O(V) headers, not the data itself, and
 //   - replaces the live per-vertex adjacency lists with a CSR
-//     (compressed-sparse-row) index: one contiguous edge array per
-//     direction plus, per edge label, contiguous neighbor/edge-id rows.
+//     (compressed-sparse-row) index of contiguous neighbor/edge-id rows:
+//     one block per direction over all edges, plus one per edge label.
 //
 // A frozen graph answers every read the live graph does (the whole Graph
 // API works on it), but neighbor scans that previously filtered a mixed
@@ -63,7 +63,8 @@ func (x *csrExt) edges() int {
 	return len(x.nbr)
 }
 
-// csrRel is the per-label CSR block of one direction. A block is either
+// csrRel is the CSR block of one direction over all edges or over one
+// label's edges. A block is either
 //
 //   - contiguous (base == nil, ext == nil): row v is nbr[off[v]:off[v+1]]
 //     with eid holding the matching edge ids, as built by a full rebuild or
@@ -153,116 +154,15 @@ func (r *csrRel) edges() int {
 	return r.base.edges() + r.ext.edges()
 }
 
-// edgeRows is a frozen graph's per-vertex edge-id view (the Out/In API):
-// an immutable array of row headers, shared pointer-wise with the previous
-// epoch on incremental snapshots, plus a sparse sorted overlay holding the
-// materialized rows of the vertices the ingest delta touched. Sharing the
-// base outright is what keeps ExtendFrozen from copying (and the GC from
-// re-scanning) O(V) slice headers per commit; reads pay one binary-search
-// miss over the overlay, which is delta-sized and flattened back into a
-// plain array when it outgrows a fraction of the vertex count.
-type edgeRows struct {
-	base [][]EdgeID
-	vids []VertexID // sorted; vertices whose current row lives in the overlay
-	rows [][]EdgeID // parallel to vids
-}
-
-// row returns v's edge-id row (nil when v has none). The result must not
-// be modified.
-func (r *edgeRows) row(v VertexID) []EdgeID {
-	if n := len(r.vids); n > 0 {
-		i := sort.Search(n, func(i int) bool { return r.vids[i] >= v })
-		if i < n && r.vids[i] == v {
-			return r.rows[i]
-		}
-	}
-	if int(v) < len(r.base) {
-		return r.base[v]
-	}
-	return nil
-}
-
-// extend derives the next epoch's view: tv (sorted) are the delta-touched
-// vertices and add their new edge ids; each touched row is materialized
-// once as old row + delta, untouched overlay rows carry over pointer-wise,
-// and the base array is shared. The overlay is flattened into a fresh base
-// when it outgrows a quarter of the vertex count.
-func (r *edgeRows) extend(tv []VertexID, add [][]EdgeID, nv int) *edgeRows {
-	nx := &edgeRows{
-		base: r.base,
-		vids: make([]VertexID, 0, len(r.vids)+len(tv)),
-		rows: make([][]EdgeID, 0, len(r.vids)+len(tv)),
-	}
-	i, j := 0, 0
-	for i < len(r.vids) || j < len(tv) {
-		switch {
-		case j == len(tv) || i < len(r.vids) && r.vids[i] < tv[j]:
-			nx.vids = append(nx.vids, r.vids[i])
-			nx.rows = append(nx.rows, r.rows[i])
-			i++
-		default:
-			v := tv[j]
-			old := r.row(v)
-			row := make([]EdgeID, 0, len(old)+len(add[j]))
-			nx.vids = append(nx.vids, v)
-			nx.rows = append(nx.rows, append(append(row, old...), add[j]...))
-			if i < len(r.vids) && r.vids[i] == v {
-				i++
-			}
-			j++
-		}
-	}
-	if len(nx.vids) > rowOverlayFlattenMin && len(nx.vids)*4 > nv {
-		base := make([][]EdgeID, nv)
-		copy(base, nx.base)
-		for k, v := range nx.vids {
-			base[v] = nx.rows[k]
-		}
-		return &edgeRows{base: base}
-	}
-	return nx
-}
-
-// rowsBuilder groups a delta's (vertex, edge id) pairs into sorted rows.
-type rowsBuilder struct {
-	vids []VertexID
-	eids []EdgeID
-}
-
-func (b *rowsBuilder) add(v VertexID, e EdgeID) {
-	b.vids = append(b.vids, v)
-	b.eids = append(b.eids, e)
-}
-
-// build returns the touched vertices in ascending order with each one's
-// new edge ids (ascending: the sort is stable over insertion order).
-func (b *rowsBuilder) build() ([]VertexID, [][]EdgeID) {
-	idx := make([]int, len(b.vids))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool { return b.vids[idx[i]] < b.vids[idx[j]] })
-	var tv []VertexID
-	var rows [][]EdgeID
-	for _, i := range idx {
-		v := b.vids[i]
-		if n := len(tv); n == 0 || tv[n-1] != v {
-			tv = append(tv, v)
-			rows = append(rows, nil)
-		}
-		rows[len(rows)-1] = append(rows[len(rows)-1], b.eids[i])
-	}
-	return tv, rows
-}
-
-// csrIndex is the frozen adjacency index: per-label neighbor rows for the
-// hot label-filtered scans, plus (on fully rebuilt snapshots) flat all-edge
-// arrays backing the per-vertex Out/In views. The per-label tables are
-// dense slices indexed by Label (labels are small interned ints) so a row
-// lookup is two array indexings — no hashing on the query path.
+// csrIndex is the frozen adjacency index: one all-edge block per direction
+// backing the per-vertex Out/In views, plus per-label blocks for the hot
+// label-filtered scans. Every block is a csrRel, built by the same counting
+// sort and extended by the same extendRel. The per-label tables are dense
+// slices indexed by Label (labels are small interned ints) so a row lookup
+// is two array indexings — no hashing on the query path.
 type csrIndex struct {
-	outEdge, inEdge []EdgeID
-	outRel, inRel   []*csrRel // indexed by Label; nil = no edges of that label
+	outAll, inAll *csrRel
+	outRel, inRel []*csrRel // indexed by Label; nil = no edges of that label
 }
 
 // rel returns the per-label block for one direction (nil when no edge
@@ -305,9 +205,7 @@ func (g *Graph) snapshotShell(nv, ne int) *Graph {
 	for l, vs := range g.byLabel {
 		fz.byLabel[l] = vs[:len(vs):len(vs)]
 	}
-	if nv > g.snapV {
-		g.snapV, g.snapE = nv, ne
-	}
+	g.snapV, g.snapE = max(g.snapV, nv), max(g.snapE, ne)
 	return fz
 }
 
@@ -332,21 +230,17 @@ func (g *Graph) Freeze() *Graph {
 // extEdges > base/4 ratio bounds both at a fraction of a full rebuild while
 // keeping flattens rare; the minimum stops tiny, hot blocks from
 // re-flattening on every commit.
-const (
-	extFlattenMin        = 64
-	rowOverlayFlattenMin = 256
-)
+const extFlattenMin = 64
 
 // ExtendFrozen returns an immutable snapshot like Freeze, but builds the
 // adjacency index incrementally from prev — an earlier snapshot of this
-// same graph (normally the previous epoch). Rel blocks no delta edge
-// touches are shared with prev outright; touched blocks keep prev's
+// same graph (normally the previous epoch). Blocks no delta edge touches
+// are shared with prev outright; touched blocks (the all-edge pair on every
+// commit that adds an edge, and each label the delta carries) keep prev's
 // contiguous rows copy-on-write and gain sparse extension rows over just
 // the delta, flattened back to contiguous form only when the accumulated
-// extension outgrows its base. The all-edge Out/In views copy prev's row
-// headers and rebuild only the rows the delta extends. The commit path
-// therefore pays O(V row headers + delta + touched rows), not the full
-// O(V + E) counting sort.
+// extension outgrows its base. The commit path therefore pays
+// O(delta + touched extensions), not the full O(V + E) counting sort.
 //
 // The bool result reports whether the incremental path was taken. It falls
 // back to a full Freeze (returning false) when prev is nil or not a
@@ -366,53 +260,43 @@ func (g *Graph) ExtendFrozen(prev *Graph) (*Graph, bool) {
 	fz := g.snapshotShell(nv, ne)
 	fz.incrSnap = true
 
-	// All-edge Out/In views: share prev's rows, overlaying only the rows
-	// the delta extends (each materialized once as old row + new ids).
-	var ob, ib rowsBuilder
-	for e := pe; e < ne; e++ {
-		ob.add(g.eSrc[e], EdgeID(e))
-		ib.add(g.eDst[e], EdgeID(e))
-	}
-	tv, add := ob.build()
-	fz.outRows = prev.outRows.extend(tv, add, nv)
-	tv, add = ib.build()
-	fz.inRows = prev.inRows.extend(tv, add, nv)
-
-	// Per-label blocks: group the delta per (label, direction), share the
-	// blocks with no delta, extend the rest.
+	// Group the delta per block — the all-edge pair and one pair per label
+	// — then share the blocks with no delta and extend the rest.
 	nl := g.dict.Len()
-	cs := &csrIndex{outRel: make([]*csrRel, nl), inRel: make([]*csrRel, nl)}
 	pcs := prev.csr
+	cs := &csrIndex{
+		outAll: pcs.outAll,
+		inAll:  pcs.inAll,
+		outRel: make([]*csrRel, nl),
+		inRel:  make([]*csrRel, nl),
+	}
 	copy(cs.outRel, pcs.outRel)
 	copy(cs.inRel, pcs.inRel)
+	var outAll, inAll extBuilder
 	outDelta := make(map[Label]*extBuilder)
 	inDelta := make(map[Label]*extBuilder)
 	for e := pe; e < ne; e++ {
-		l := g.eLabel[e]
+		l, s, d := g.eLabel[e], g.eSrc[e], g.eDst[e]
+		outAll.add(s, d, EdgeID(e))
+		inAll.add(d, s, EdgeID(e))
 		ob := outDelta[l]
 		if ob == nil {
 			ob = &extBuilder{}
 			outDelta[l] = ob
 			inDelta[l] = &extBuilder{}
 		}
-		ob.add(g.eSrc[e], g.eDst[e], EdgeID(e))
-		inDelta[l].add(g.eDst[e], g.eSrc[e], EdgeID(e))
+		ob.add(s, d, EdgeID(e))
+		inDelta[l].add(d, s, EdgeID(e))
+	}
+	if ne > pe {
+		cs.outAll = extendRel(pcs.outAll, outAll.build(), nv)
+		cs.inAll = extendRel(pcs.inAll, inAll.build(), nv)
 	}
 	for l, b := range outDelta {
 		cs.outRel[l] = extendRel(pcs.rel(l, true), b.build(), nv)
 		cs.inRel[l] = extendRel(pcs.rel(l, false), inDelta[l].build(), nv)
 	}
 	fz.csr = cs
-
-	// Degree stats: the previous epoch's counts plus the delta, label by
-	// label — exactly what a full recount over nv/ne would produce.
-	ds := prev.degrees.clone(nl)
-	ds.vertices = nv
-	ds.edges = ne
-	for e := pe; e < ne; e++ {
-		ds.labelEdges[g.eLabel[e]]++
-	}
-	fz.degrees = ds
 	return fz, true
 }
 
@@ -456,8 +340,8 @@ func (g *Graph) canExtend(prev *Graph, nv, ne int) bool {
 	return true
 }
 
-// extBuilder accumulates one (label, direction)'s delta rows in edge order,
-// then sorts them by vertex into a csrExt.
+// extBuilder accumulates one block's delta rows in edge order, then sorts
+// them by vertex into a csrExt.
 type extBuilder struct {
 	vids []VertexID
 	nbr  []VertexID
@@ -553,9 +437,9 @@ func mergeExt(a, b *csrExt) *csrExt {
 	return x
 }
 
-// flattenRel rebuilds one (label, direction) block contiguously from a base
-// block and its accumulated extension: O(V + edges of the label), the same
-// shape a full rebuild produces.
+// flattenRel rebuilds one block contiguously from a base block and its
+// accumulated extension: O(V + edges of the block), the same shape a full
+// rebuild produces.
 func flattenRel(base *csrRel, ext *csrExt, nv int) *csrRel {
 	total := base.edges() + ext.edges()
 	r := &csrRel{
@@ -573,48 +457,36 @@ func flattenRel(base *csrRel, ext *csrExt, nv int) *csrRel {
 	return r
 }
 
-// buildCSR constructs the full CSR index and the per-vertex Out/In views
-// over it with two counting-sort passes per direction. Within a row, edges
+// buildCSR constructs the full CSR index in two counting-sort passes: the
+// all-edge blocks first, then every label's blocks. Keeping the passes apart
+// keeps the scattered write streams of each loop few. Within a row, edges
 // appear in ascending id order, matching the live graph's insertion-ordered
 // lists. src is the graph whose adjacency is being indexed (the live graph;
 // the receiver is the snapshot under construction).
 func (g *Graph) buildCSR(src *Graph, nv, ne int) {
 	nl := src.dict.Len()
-	cs := &csrIndex{
-		outEdge: make([]EdgeID, ne),
-		inEdge:  make([]EdgeID, ne),
-		outRel:  make([]*csrRel, nl),
-		inRel:   make([]*csrRel, nl),
-	}
+	oa := &csrRel{off: make([]uint32, nv+1), nbr: make([]VertexID, ne), eid: make([]EdgeID, ne)}
+	ia := &csrRel{off: make([]uint32, nv+1), nbr: make([]VertexID, ne), eid: make([]EdgeID, ne)}
+	cs := &csrIndex{outAll: oa, inAll: ia, outRel: make([]*csrRel, nl), inRel: make([]*csrRel, nl)}
 
-	// All-edge CSR, backing Out(v)/In(v).
-	outOff := make([]uint32, nv+1)
-	inOff := make([]uint32, nv+1)
+	// All-edge blocks, backing Out(v)/In(v).
 	for e := 0; e < ne; e++ {
-		outOff[src.eSrc[e]+1]++
-		inOff[src.eDst[e]+1]++
+		oa.off[src.eSrc[e]+1]++
+		ia.off[src.eDst[e]+1]++
 	}
 	for v := 0; v < nv; v++ {
-		outOff[v+1] += outOff[v]
-		inOff[v+1] += inOff[v]
+		oa.off[v+1] += oa.off[v]
+		ia.off[v+1] += ia.off[v]
 	}
-	outCur := append([]uint32(nil), outOff...)
-	inCur := append([]uint32(nil), inOff...)
+	outCur := append([]uint32(nil), oa.off...)
+	inCur := append([]uint32(nil), ia.off...)
 	for e := 0; e < ne; e++ {
 		s, d := src.eSrc[e], src.eDst[e]
-		cs.outEdge[outCur[s]] = EdgeID(e)
+		oa.nbr[outCur[s]], oa.eid[outCur[s]] = d, EdgeID(e)
 		outCur[s]++
-		cs.inEdge[inCur[d]] = EdgeID(e)
+		ia.nbr[inCur[d]], ia.eid[inCur[d]] = s, EdgeID(e)
 		inCur[d]++
 	}
-	outViews := make([][]EdgeID, nv)
-	inViews := make([][]EdgeID, nv)
-	for v := 0; v < nv; v++ {
-		outViews[v] = cs.outEdge[outOff[v]:outOff[v+1]:outOff[v+1]]
-		inViews[v] = cs.inEdge[inOff[v]:inOff[v+1]:inOff[v+1]]
-	}
-	g.outRows = &edgeRows{base: outViews}
-	g.inRows = &edgeRows{base: inViews}
 
 	// Per-label CSR: count rows, prefix-sum, fill.
 	for e := 0; e < ne; e++ {
@@ -660,13 +532,6 @@ func (g *Graph) buildCSR(src *Graph, nv, ne int) {
 		ip[d]++
 	}
 	g.csr = cs
-
-	// Degree stats fall out of the per-label blocks already built.
-	ds := &DegreeStats{labelEdges: make([]int, nl), vertices: nv, edges: ne}
-	for l := 0; l < nl; l++ {
-		ds.labelEdges[l] = cs.outRel[l].edges()
-	}
-	g.degrees = ds
 }
 
 // FrozenNeighbors returns the CSR row for v's neighbors over edges with the

@@ -213,6 +213,32 @@ func TestLivePropWritesBelowWatermark(t *testing.T) {
 	g.SetEdgeProp(e, "x", Int(1))
 }
 
+// TestSnapshotWatermarkEdgeOnly: a batch that appends only edges still
+// raises the edge watermark, so the edge a newer snapshot covers is as
+// read-only as any other snapshot-covered edge.
+func TestSnapshotWatermarkEdgeOnly(t *testing.T) {
+	for name, refreeze := range map[string]func(g, prev *Graph){
+		"Freeze":       func(g, _ *Graph) { g.Freeze() },
+		"ExtendFrozen": func(g, prev *Graph) { g.ExtendFrozen(prev) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			g := randomGraph(10, 20, 4)
+			prev := g.Freeze()
+			e := g.AddEdge(1, 2, 4)
+			refreeze(g, prev)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("SetEdgeProp(%d) on a snapshot-covered edge did not panic", e)
+					}
+				}()
+				g.SetEdgeProp(e, "x", Int(1))
+			}()
+			g.SetEdgeProp(g.AddEdge(2, 1, 4), "x", Int(1)) // past the watermark: fine
+		})
+	}
+}
+
 func TestFreezeEmptyGraph(t *testing.T) {
 	fz := New().Freeze()
 	if fz.NumVertices() != 0 || fz.NumEdges() != 0 {

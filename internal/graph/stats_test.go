@@ -17,40 +17,31 @@ func countEdgesByLabel(g *Graph) []int {
 
 func TestDegreeStatsFreeze(t *testing.T) {
 	g := randomGraph(200, 800, 11)
-	if g.Degrees() != nil {
-		t.Fatal("live graph must have nil degree stats")
+	want := countEdgesByLabel(g)
+	for l := range want {
+		if got := g.EdgesWithLabel(Label(l)); got != 0 {
+			t.Fatalf("live graph: EdgesWithLabel(%d) = %d, want 0", l, got)
+		}
 	}
 	fz := g.Freeze()
-	ds := fz.Degrees()
-	if ds == nil {
-		t.Fatal("frozen graph missing degree stats")
+	if fz.NumVertices() != 200 || fz.NumEdges() != 800 {
+		t.Fatalf("snapshot totals = (%d,%d), want (200,800)", fz.NumVertices(), fz.NumEdges())
 	}
-	if ds.NumVertices() != 200 || ds.NumEdges() != 800 {
-		t.Fatalf("stats totals = (%d,%d), want (200,800)", ds.NumVertices(), ds.NumEdges())
-	}
-	want := countEdgesByLabel(g)
 	for l, n := range want {
-		if got := ds.EdgesWithLabel(Label(l)); got != n {
+		if got := fz.EdgesWithLabel(Label(l)); got != n {
 			t.Errorf("label %d: EdgesWithLabel = %d, want %d", l, got, n)
 		}
 	}
-	// Out-of-range labels and the nil receiver are defined, not panics.
-	if ds.EdgesWithLabel(Label(200)) != 0 {
+	// Out-of-range labels are defined, not panics.
+	if fz.EdgesWithLabel(Label(200)) != 0 {
 		t.Error("out-of-range label must count 0")
-	}
-	var nilStats *DegreeStats
-	if nilStats.EdgesWithLabel(0) != 0 || nilStats.AvgDegree(0) != 0 || nilStats.NumVertices() != 0 {
-		t.Error("nil stats must read as empty")
-	}
-	wantAvg := float64(want[int(g.Dict().Intern("e:U"))]) / 200
-	if got := ds.AvgDegree(g.Dict().Intern("e:U")); got != wantAvg {
-		t.Errorf("AvgDegree = %v, want %v", got, wantAvg)
 	}
 }
 
 // TestDegreeStatsExtendFrozen drives an incremental snapshot chain and
-// checks that the delta-maintained stats equal a full rebuild's at every
-// epoch — including epochs that intern a brand-new edge label mid-chain.
+// checks that the per-label edge counts of the extended blocks equal a
+// full rebuild's, and the ground truth, at every epoch — including epochs
+// that intern a brand-new edge label mid-chain.
 func TestDegreeStatsExtendFrozen(t *testing.T) {
 	g := randomGraph(300, 1200, 13)
 	prev, _ := g.ExtendFrozen(nil)
@@ -58,22 +49,22 @@ func TestDegreeStatsExtendFrozen(t *testing.T) {
 	for epoch := 0; epoch < 8; epoch++ {
 		grow(g, 10, 40, int64(epoch))
 		if epoch == 3 {
-			// A label the base epoch never saw: stats arrays must grow.
+			// A label the base epoch never saw: the label tables must grow.
 			l := g.Dict().Intern(fmt.Sprintf("e:new%d", epoch))
 			g.AddEdge(0, 1, l)
 		}
 		next, inc := g.ExtendFrozen(prev)
 		sawIncremental = sawIncremental || inc
 		full := g.Freeze()
-		fds, xds := full.Degrees(), next.Degrees()
-		if fds.NumVertices() != xds.NumVertices() || fds.NumEdges() != xds.NumEdges() {
+		if full.NumVertices() != next.NumVertices() || full.NumEdges() != next.NumEdges() {
 			t.Fatalf("epoch %d: totals (%d,%d) vs full (%d,%d)", epoch,
-				xds.NumVertices(), xds.NumEdges(), fds.NumVertices(), fds.NumEdges())
+				next.NumVertices(), next.NumEdges(), full.NumVertices(), full.NumEdges())
 		}
+		want := countEdgesByLabel(g)
 		for l := 0; l < g.Dict().Len(); l++ {
-			if fds.EdgesWithLabel(Label(l)) != xds.EdgesWithLabel(Label(l)) {
-				t.Fatalf("epoch %d label %d: incr %d vs full %d", epoch, l,
-					xds.EdgesWithLabel(Label(l)), fds.EdgesWithLabel(Label(l)))
+			f, x := full.EdgesWithLabel(Label(l)), next.EdgesWithLabel(Label(l))
+			if f != x || x != want[l] {
+				t.Fatalf("epoch %d label %d: incr %d vs full %d, want %d", epoch, l, x, f, want[l])
 			}
 		}
 		prev = next

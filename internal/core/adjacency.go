@@ -10,16 +10,19 @@ import (
 // access: vertices and edges excluded by the boundary criteria are mapped
 // to epsilon (paper's F_v / F_e) and never traversed.
 //
-// It is the only code in the package that knows a graph representation:
-// every PgSeg step (closures, the VC2 runners, VC3, VC4, expansion) is
-// written once against row() — or neighbors(), its copying form — and serves
-// frozen CSR snapshots, live edge lists and programmatically filtered
-// boundaries alike. On a frozen graph (graph.Freeze) the per-relation
-// neighbor scans read contiguous CSR rows; with no programmatic filters (the
-// common case — the serving layer's cacheable queries carry only
-// relation-type exclusions) row hands out the CSR segments themselves and
-// the read-only walks (closures, VC3, VC4) iterate them in place. An excluded
-// relation returns before any row is touched, so its CSR block is never read.
+// It is the only code in the package that knows a graph representation. The
+// per-relation walks (closures, the VC2 runners, VC3, expansion) are written
+// once against row() — or neighbors(), its copying form — and serve frozen
+// CSR snapshots, live edge lists and programmatically filtered boundaries
+// alike; VC4 and the induced edges read no relation rows at all but each
+// segment vertex's mixed Out row once (inducedEdges), applying the same
+// relation exclusions and filters. On a frozen graph (graph.Freeze) the
+// per-relation neighbor scans read contiguous CSR rows; with no programmatic
+// filters (the common case — the serving layer's cacheable queries carry
+// only relation-type exclusions) row hands out the CSR segments themselves
+// and the read-only walks (closures, VC3) iterate them in place. An excluded
+// relation returns before any row is touched, so its CSR block is never
+// read.
 type adjacency struct {
 	p        *prov.Graph
 	vFilters []VertexFilter
@@ -185,19 +188,35 @@ func (e *Engine) AncestryClosure(seeds []graph.VertexID, b Boundary, forward boo
 	return e.ancestryClosure(seeds, newAdjacency(e.P, b), forward)
 }
 
-// closureRels returns the ancestry relations a closure follows.
-func (e *Engine) closureRels() []prov.Rel {
-	rels := []prov.Rel{prov.RelUsed, prov.RelGen}
-	if !e.opts.VC1ExcludeDerivations {
-		rels = append(rels, prov.RelDeriv)
+// Ancestry relations by the kind of the vertex a closure pops (prov.AddRel
+// types every edge, so no other row of that vertex can be non-empty). Toward
+// ancestors (out-rows) an entity has G and D, an activity U; toward
+// descendants (in-rows) an entity has U and D, an activity G. An agent is
+// never reached. D comes last so VC1ExcludeDerivations can cut it off.
+var (
+	ancestorRels   = [2][]prov.Rel{{prov.RelGen, prov.RelDeriv}, {prov.RelUsed}}
+	descendantRels = [2][]prov.Rel{{prov.RelUsed, prov.RelDeriv}, {prov.RelGen}}
+)
+
+// closureRels returns the relations a closure follows out of an entity and
+// out of an activity, toward ancestors when forward.
+func (e *Engine) closureRels(forward bool) (ent, act []prov.Rel) {
+	rels := descendantRels
+	if forward {
+		rels = ancestorRels
 	}
-	return rels
+	ent, act = rels[0], rels[1]
+	if e.opts.VC1ExcludeDerivations {
+		ent = ent[:1]
+	}
+	return ent, act
 }
 
 // ancestryClosure computes the set of vertices reachable from the seeds by
 // ancestry edges; forward=true follows edges in their direction (toward
 // ancestors), forward=false follows them inversely (toward descendants).
-// The walk visits one relation at a time: on a frozen graph each step then
+// The walk visits one relation at a time, and only the relations the popped
+// vertex's kind can have (closureRels): on a frozen graph each step then
 // reads contiguous CSR rows, and on a live graph the repeated label-compare
 // scans of the edge list still measure ~2x faster than one mixed pass that
 // classifies every edge through the RelOf label map (Pd10k VC1 walk: ~1.0ms
@@ -210,11 +229,15 @@ func (e *Engine) ancestryClosure(seeds []graph.VertexID, ad *adjacency, forward 
 			queue = append(queue, v)
 		}
 	}
-	rels := e.closureRels()
+	entRels, actRels := e.closureRels(forward)
 	var buf []graph.VertexID
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
+		rels := actRels
+		if e.P.IsKind(v, prov.KindEntity) {
+			rels = entRels
+		}
 		for _, r := range rels {
 			buf = buf[:0]
 			a, b := ad.row(v, r, forward, &buf)

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/bitmap"
 	"repro/internal/graph"
@@ -299,8 +300,9 @@ func (e *Engine) Segment(q Query) (*Segment, error) {
 }
 
 // induce assembles the segment from VC1 and VC2: the query vertices, VC3
-// siblings, expansions, VC4 agents, rule attribution, the support set (grown
-// from the closures' union) and the induced edges.
+// siblings, expansions, then VC4 agents and the induced edges in one walk of
+// the segment's Out rows (inducedEdges), rule attribution and the support
+// set (grown from the closures' union).
 func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset) *Segment {
 	seg := &Segment{
 		P:    e.P,
@@ -349,21 +351,9 @@ func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset
 		e.expand(ad, ex, func(v graph.VertexID) { addV(v, RuleC2) })
 	}
 
-	// VC4: agents of every included vertex, reached by non-excluded S or A
-	// edges.
-	seg.vset.Iterate(func(x uint32) bool {
-		for _, rel := range [...]prov.Rel{prov.RelAssoc, prov.RelAttr} {
-			buf = buf[:0]
-			a, b := ad.row(graph.VertexID(x), rel, true, &buf)
-			for _, u := range a {
-				addV(u, RuleC4)
-			}
-			for _, u := range b {
-				addV(u, RuleC4)
-			}
-		}
-		return true
-	})
+	// VC4 (agents of every included vertex, reached by non-excluded S or A
+	// edges) and the induced edges, in one walk of the Out rows.
+	seg.Edges = ad.inducedEdges(seg.vset, func(u graph.VertexID) { addV(u, RuleC4) })
 
 	// Support set: the closures already bound every VC1/VC2 derivation; add
 	// the segment itself (covers VC3 siblings, VC4 agents, induced edges and
@@ -382,7 +372,6 @@ func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset
 	for i, v := range seg.Vertices {
 		seg.Rules[i] = ruleOf[v]
 	}
-	seg.Edges = e.inducedEdges(seg.vset, ad)
 	return seg
 }
 
@@ -395,22 +384,54 @@ func setToVertices(vs *bitmap.Bitset) []graph.VertexID {
 	return out
 }
 
-// inducedEdges returns ES = all non-excluded edges with both endpoints in vs.
-func (e *Engine) inducedEdges(vs *bitmap.Bitset, ad *adjacency) []graph.EdgeID {
-	var out []graph.EdgeID
-	g := e.P.PG()
+// inducedEdges returns ES, every non-excluded edge with both endpoints in
+// vs, in id order, from the Out rows of vs. With addAgent set it also forms
+// VC4: an agent enters a segment only as the target of an S or A edge, so
+// such an edge adds its target (unless the boundary excludes it) and is
+// kept; every other edge's endpoints are in vs before the walk, and an
+// agent's Out row is empty, so adding agents to vs mid-walk changes nothing
+// the walk reads. Without addAgent (AdjustExpand, NewSegment) an S or A
+// edge is kept like any other, if its target is already in vs. The walk
+// meets the edges grouped by source; marking them in a pooled edge-id
+// bitset puts them in id order with no sort. Reading the marks back stops at
+// the last one and removes each, so the bitset returns to the pool empty: a
+// call costs the Out rows of vs, at most E/64 word reads and no allocation
+// beyond the result.
+func (ad *adjacency) inducedEdges(vs *bitmap.Bitset, addAgent func(graph.VertexID)) []graph.EdgeID {
+	g := ad.p.PG()
+	marks := edgeMarks.Get().(*bitmap.Bitset)
 	vs.Iterate(func(x uint32) bool {
-		v := graph.VertexID(x)
-		for _, eid := range g.Out(v) {
-			if vs.Contains(uint32(g.Dst(eid))) && ad.edgeOK(eid) {
-				out = append(out, eid)
+		for _, eid := range g.Out(graph.VertexID(x)) {
+			r := ad.p.RelOf(eid)
+			if !ad.relOK[r] || !ad.edgeFiltersOK(eid) {
+				continue
 			}
+			dst := g.Dst(eid)
+			if addAgent != nil && (r == prov.RelAssoc || r == prov.RelAttr) && ad.vertexOK(dst) {
+				addAgent(dst)
+			} else if !vs.Contains(uint32(dst)) {
+				continue
+			}
+			marks.Add(uint32(eid))
 		}
 		return true
 	})
-	slices.Sort(out)
+	var out []graph.EdgeID
+	if n := marks.Cardinality(); n > 0 {
+		out = make([]graph.EdgeID, 0, n)
+		marks.Iterate(func(x uint32) bool {
+			out = append(out, graph.EdgeID(x))
+			marks.Remove(x)
+			return len(out) < n
+		})
+	}
+	edgeMarks.Put(marks)
 	return out
 }
+
+// edgeMarks holds inducedEdges' edge-id bitsets; each grows on Add to the
+// largest graph it has served.
+var edgeMarks = sync.Pool{New: func() any { return bitmap.NewBitset(0) }}
 
 // expand walks ancestry up to k activity-steps from the expansion entities,
 // reporting every visited activity and entity. A visited set keeps the walk
@@ -513,6 +534,6 @@ func (e *Engine) AdjustExpand(s *Segment, ex Expansion) (*Segment, error) {
 			out.Rules[i] = RuleC2
 		}
 	}
-	out.Edges = e.inducedEdges(out.vset, ad)
+	out.Edges = ad.inducedEdges(out.vset, nil)
 	return out, nil
 }

@@ -1,0 +1,272 @@
+package core_test
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/prov"
+)
+
+// TestInduceMatchesRowOracle holds Segment — closures that read only the
+// rows a vertex's kind can have, VC4 and ES from one walk of the segment's
+// Out rows, put in id order by an edge bitset — to the row oracle
+// (rows_oracle_test.go), which reads every ancestry row of every closure
+// vertex, the S and A rows of every segment vertex, then the Out row of
+// every segment vertex and sorts: Vertices, Rules, Edges and Support() must
+// be reflect.DeepEqual. The inputs are Pd-2000 (two queries), an Sd graph
+// queried segment by segment and Pd-2000 under permuted ids, each live and
+// frozen, under relation exclusions, a vertex filter that drops some agents,
+// an edge filter, expansions and VC1ExcludeDerivations. AdjustExpand, whose
+// walk adds no agents, is held to the oracle's on every one of the segments,
+// and so are the edges of the Sd generator's segments (NewSegment).
+func TestInduceMatchesRowOracle(t *testing.T) {
+	type input struct {
+		name string
+		p    *prov.Graph
+		qs   []core.Query
+	}
+	pd := gen.Pd(gen.PdConfig{N: 2000, Seed: 1})
+	src, dst := gen.DefaultQuery(pd)
+	src50, dst50 := gen.QueryAtRank(pd, 50)
+	pdQs := []core.Query{{Src: src, Dst: dst}, {Src: src50, Dst: dst50}}
+	pp, perm, _ := permute(pd, 7)
+	var permQs []core.Query
+	for _, q := range pdQs {
+		permQs = append(permQs, core.Query{Src: mapIDs(perm, q.Src), Dst: mapIDs(perm, q.Dst)})
+	}
+	sd, segs := gen.Sd(gen.SdConfig{Segments: 4, Seed: 3})
+	var sdQs []core.Query
+	for _, s := range segs {
+		var ents []graph.VertexID
+		for _, v := range s.Vertices {
+			if sd.IsKind(v, prov.KindEntity) {
+				ents = append(ents, v)
+			}
+		}
+		// From the segment's seed entities to its last two outputs.
+		sdQs = append(sdQs, core.Query{Src: ents[:3], Dst: ents[len(ents)-2:]})
+		if want := core.RowOracleNewSegmentEdges(sd, s.Vertices); !reflect.DeepEqual(s.Edges, want) {
+			t.Fatalf("Sd segment: NewSegment induced %d edges, the oracle %d", len(s.Edges), len(want))
+		}
+	}
+	inputs := []input{{"Pd-2000", pd, pdQs}, {"Sd", sd, sdQs}, {"Pd-2000/permuted", pp, permQs}}
+
+	dropAgents := func(p *prov.Graph, v graph.VertexID) bool { return !p.IsKind(v, prov.KindAgent) || v%2 == 0 }
+	excl := func(rels ...prov.Rel) func(core.Query) core.Boundary {
+		return func(core.Query) core.Boundary { return core.Boundary{ExcludeRels: rels} }
+	}
+	boundaries := []struct {
+		name string
+		of   func(q core.Query) core.Boundary
+	}{
+		{"plain", excl()},
+		{"excl-S", excl(prov.RelAssoc)},
+		{"excl-A", excl(prov.RelAttr)},
+		{"excl-SA", excl(prov.RelAssoc, prov.RelAttr)},
+		{"excl-D", excl(prov.RelDeriv)},
+		{"drop-agents", func(core.Query) core.Boundary {
+			return core.Boundary{VertexFilters: []core.VertexFilter{dropAgents}}
+		}},
+		{"edge-filter", func(core.Query) core.Boundary {
+			return core.Boundary{EdgeFilters: []core.EdgeFilter{func(_ *prov.Graph, e graph.EdgeID) bool { return e%13 != 5 }}}
+		}},
+		{"expansions", func(q core.Query) core.Boundary {
+			return core.Boundary{Expansions: []core.Expansion{{Within: q.Dst, K: 3}, {Within: q.Src, K: 2}}}
+		}},
+	}
+	agentsDropped := false
+	for _, in := range inputs {
+		for _, p := range []*prov.Graph{in.p, in.p.Freeze()} {
+			for _, opts := range []core.Options{{}, {VC1ExcludeDerivations: true}} {
+				e := core.NewEngine(p, opts)
+				for qi, q := range in.qs {
+					var plain *core.Segment
+					for _, b := range boundaries {
+						label := fmt.Sprintf("%s/frozen=%v/exclD=%v/q%d/%s", in.name, p.Frozen(), opts.VC1ExcludeDerivations, qi, b.name)
+						bq := q
+						bq.Boundary = b.of(q)
+						got, err := e.Segment(bq)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						want, err := core.RowOracleSegment(e, bq)
+						if err != nil {
+							t.Fatalf("%s: oracle: %v", label, err)
+						}
+						diffToOracle(t, label, got, want)
+						ex := core.Expansion{Within: q.Src, K: 3}
+						adj, err := e.AdjustExpand(got, ex)
+						if err != nil {
+							t.Fatalf("%s: AdjustExpand: %v", label, err)
+						}
+						diffToOracle(t, label+"/adjust-expand", adj, core.RowOracleAdjustExpand(e, want, ex))
+						switch b.name {
+						case "plain":
+							if ruleCount(got, core.RuleC1) == 0 || ruleCount(got, core.RuleC4) == 0 {
+								t.Fatalf("%s: no C1 vertex or no agent: the case compares too little", label)
+							}
+							plain = got
+						case "drop-agents":
+							agentsDropped = agentsDropped || ruleCount(got, core.RuleC4) < ruleCount(plain, core.RuleC4)
+						}
+					}
+				}
+			}
+		}
+	}
+	if !agentsDropped {
+		t.Fatal("the agent filter never dropped a segment's agent: the case compared too little")
+	}
+}
+
+func diffToOracle(t *testing.T, label string, got, want *core.Segment) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Vertices, want.Vertices) {
+		t.Fatalf("%s: %d vertices, the oracle %d", label, len(got.Vertices), len(want.Vertices))
+	}
+	if !reflect.DeepEqual(got.Rules, want.Rules) {
+		t.Fatalf("%s: rules differ from the oracle's", label)
+	}
+	if !reflect.DeepEqual(got.Edges, want.Edges) {
+		t.Fatalf("%s: %d edges, the oracle %d", label, len(got.Edges), len(want.Edges))
+	}
+	if !reflect.DeepEqual(got.Support(), want.Support()) {
+		t.Fatalf("%s: support sets differ from the oracle's", label)
+	}
+}
+
+func ruleCount(s *core.Segment, r core.Rule) int {
+	n := 0
+	for _, x := range s.Rules {
+		if x == r {
+			n++
+		}
+	}
+	return n
+}
+
+// TestClosureReadsKindRows pins which rows a closure reads on a frozen graph:
+// toward ancestors one G and one D out-row per entity and one U out-row per
+// activity of the closure, toward descendants one U and one D in-row per
+// entity and one G in-row per activity, and no D row at all under
+// VC1ExcludeDerivations. The closure equals the row oracle's, which reads
+// all three ancestry rows of every vertex.
+func TestClosureReadsKindRows(t *testing.T) {
+	p := gen.Pd(gen.PdConfig{N: 2000, Seed: 1}).Freeze()
+	src, dst := gen.DefaultQuery(p)
+	type read struct {
+		rel prov.Rel
+		out bool
+	}
+	relOf := map[graph.Label]prov.Rel{}
+	for _, r := range []prov.Rel{prov.RelUsed, prov.RelGen, prov.RelAssoc, prov.RelAttr, prov.RelDeriv} {
+		relOf[p.RelLabel(r)] = r
+	}
+	var mu sync.Mutex
+	var reads map[read]int
+	restore := graph.SetRowReadHook(func(l graph.Label, out bool) {
+		mu.Lock()
+		reads[read{relOf[l], out}]++
+		mu.Unlock()
+	})
+	defer restore()
+	for _, exclD := range []bool{false, true} {
+		e := core.NewEngine(p, core.Options{VC1ExcludeDerivations: exclD})
+		for _, fwd := range []bool{true, false} {
+			seeds := src
+			entRels, actRel := []prov.Rel{prov.RelUsed, prov.RelDeriv}, prov.RelGen
+			if fwd {
+				seeds = dst
+				entRels, actRel = []prov.Rel{prov.RelGen, prov.RelDeriv}, prov.RelUsed
+			}
+			if exclD {
+				entRels = entRels[:1]
+			}
+			reads = map[read]int{}
+			got := e.AncestryClosure(seeds, core.Boundary{}, fwd)
+			mu.Lock()
+			seen := reads
+			mu.Unlock()
+			want := map[read]int{}
+			ents, acts := 0, 0
+			for _, x := range got.ToSlice() {
+				switch p.KindOf(graph.VertexID(x)) {
+				case prov.KindEntity:
+					ents++
+					for _, r := range entRels {
+						want[read{r, fwd}]++
+					}
+				case prov.KindActivity:
+					acts++
+					want[read{actRel, fwd}]++
+				default:
+					t.Fatalf("fwd=%v exclD=%v: the closure reached agent %d", fwd, exclD, x)
+				}
+			}
+			if ents < 10 || acts < 10 {
+				t.Fatalf("fwd=%v exclD=%v: closure of %d entities and %d activities compares too little", fwd, exclD, ents, acts)
+			}
+			if !reflect.DeepEqual(seen, want) {
+				t.Fatalf("fwd=%v exclD=%v: row reads %v, want %v (%d entities, %d activities)", fwd, exclD, seen, want, ents, acts)
+			}
+			if oracle := core.RowOracleClosure(e, seeds, core.Boundary{}, fwd); !reflect.DeepEqual(got.ToSlice(), oracle.ToSlice()) {
+				t.Fatalf("fwd=%v exclD=%v: %d vertices, the row oracle %d", fwd, exclD, got.Cardinality(), oracle.Cardinality())
+			}
+		}
+	}
+}
+
+// TestInducedEdgesConcurrent segments from several goroutines at once, on
+// two graphs of different sizes: the pooled edge-id bitset is the only state
+// two calls can share, so under -race this shows one handed to two calls,
+// and a bitset returned with marks left in it shows as extra edges.
+func TestInducedEdgesConcurrent(t *testing.T) {
+	pdEng, pdQs := pdPoolQueries(t, 2000, 8)
+	sd, segs := gen.Sd(gen.SdConfig{Segments: 4, Seed: 3})
+	sdEng := core.NewEngine(sd.Freeze(), core.Options{})
+	type job struct {
+		e *core.Engine
+		q core.Query
+	}
+	var jobs []job
+	for _, q := range pdQs {
+		jobs = append(jobs, job{pdEng, q})
+	}
+	for _, s := range segs {
+		jobs = append(jobs, job{sdEng, core.Query{Src: s.Vertices[:1], Dst: s.Vertices[len(s.Vertices)-1:]}})
+	}
+	want := make([][]graph.EdgeID, len(jobs))
+	for i, j := range jobs {
+		seg, err := j.e.Segment(j.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = seg.Edges
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				for k := range jobs {
+					i := (k + g*3) % len(jobs)
+					seg, err := jobs[i].e.Segment(jobs[i].q)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(seg.Edges, want[i]) {
+						t.Errorf("goroutine %d, job %d: %d edges, the sequential solve %d", g, i, len(seg.Edges), len(want[i]))
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

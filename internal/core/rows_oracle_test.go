@@ -1,0 +1,162 @@
+package core
+
+import (
+	"slices"
+
+	"repro/internal/bitmap"
+	"repro/internal/graph"
+	"repro/internal/prov"
+)
+
+// The row oracle is PgSeg's induce step as it ran before the closures took
+// their relations from the popped vertex's kind and before VC4 and the
+// induced edges became one walk of the Out rows: each closure step reads
+// all three ancestry rows (U, G and, unless disabled, D), VC4 reads the S
+// and A out-rows of every segment vertex, and ES walks every segment
+// vertex's mixed Out row, then sorts. It assumes nothing of the PROV
+// schema, so TestInduceMatchesRowOracle holds the production walks to it.
+
+// RowOracleSegment is Segment by the row oracle, every stage serial on the
+// caller (VC2 is the production solve, which the oracle does not replace).
+func RowOracleSegment(e *Engine, q Query) (*Segment, error) {
+	if err := e.validateQuery(q); err != nil {
+		return nil, err
+	}
+	ad := newAdjacency(e.P, q.Boundary)
+	vc1, support := directPaths(e.rowOracleClosure(q.Dst, ad, true), e.rowOracleClosure(q.Src, ad, false))
+	vc2, err := e.similarPathVertices(q, ad)
+	if err != nil {
+		return nil, err
+	}
+	return e.rowOracleInduce(q, ad, vc1, vc2, support), nil
+}
+
+// RowOracleClosure is AncestryClosure by the row oracle.
+func RowOracleClosure(e *Engine, seeds []graph.VertexID, b Boundary, forward bool) *bitmap.Bitset {
+	return e.rowOracleClosure(seeds, newAdjacency(e.P, b), forward)
+}
+
+// RowOracleAdjustExpand is AdjustExpand with the row oracle's ES walk.
+func RowOracleAdjustExpand(e *Engine, s *Segment, ex Expansion) *Segment {
+	ad := newAdjacency(e.P, Boundary{})
+	out := &Segment{P: s.P, Src: s.Src, Dst: s.Dst, vset: s.vset.Clone()}
+	e.expand(ad, ex, func(v graph.VertexID) { out.vset.Add(uint32(v)) })
+	out.Vertices = setToVertices(out.vset)
+	out.Rules = make([]Rule, len(out.Vertices))
+	for i, v := range out.Vertices {
+		out.Rules[i] = RuleC2
+		if r, ok := s.RuleOf(v); ok {
+			out.Rules[i] = r
+		}
+	}
+	out.Edges = rowOracleEdges(e.P, out.vset, ad)
+	return out
+}
+
+// RowOracleNewSegmentEdges is NewSegment's ES by the row oracle.
+func RowOracleNewSegmentEdges(p *prov.Graph, vertices []graph.VertexID) []graph.EdgeID {
+	vs := bitmap.NewBitset(p.NumVertices())
+	for _, v := range vertices {
+		vs.Add(uint32(v))
+	}
+	return rowOracleEdges(p, vs, newAdjacency(p, Boundary{}))
+}
+
+func (e *Engine) rowOracleClosure(seeds []graph.VertexID, ad *adjacency, forward bool) *bitmap.Bitset {
+	rels := []prov.Rel{prov.RelUsed, prov.RelGen}
+	if !e.opts.VC1ExcludeDerivations {
+		rels = append(rels, prov.RelDeriv)
+	}
+	closure := bitmap.NewBitset(e.P.NumVertices())
+	var queue []graph.VertexID
+	for _, v := range seeds {
+		if ad.vertexOK(v) && closure.Add(uint32(v)) {
+			queue = append(queue, v)
+		}
+	}
+	for len(queue) > 0 {
+		v := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, r := range rels {
+			for _, nxt := range ad.neighbors(v, r, forward, nil) {
+				if closure.Add(uint32(nxt)) {
+					queue = append(queue, nxt)
+				}
+			}
+		}
+	}
+	return closure
+}
+
+func (e *Engine) rowOracleInduce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset) *Segment {
+	seg := &Segment{
+		P:    e.P,
+		Src:  append([]graph.VertexID(nil), q.Src...),
+		Dst:  append([]graph.VertexID(nil), q.Dst...),
+		vset: bitmap.NewBitset(e.P.NumVertices()),
+	}
+	ruleOf := map[graph.VertexID]Rule{}
+	addV := func(v graph.VertexID, r Rule) {
+		if seg.vset.Add(uint32(v)) {
+			ruleOf[v] = r
+		}
+	}
+	for _, v := range q.Src {
+		addV(v, RuleQuery)
+	}
+	for _, v := range q.Dst {
+		addV(v, RuleQuery)
+	}
+	vc1.Iterate(func(x uint32) bool { addV(graph.VertexID(x), RuleC1); return true })
+	vc2.Iterate(func(x uint32) bool { addV(graph.VertexID(x), RuleC2); return true })
+	coreSet := vc1.Clone()
+	coreSet.UnionWith(vc2)
+	coreSet.Iterate(func(x uint32) bool {
+		if v := graph.VertexID(x); e.P.IsKind(v, prov.KindActivity) {
+			for _, sib := range ad.neighbors(v, prov.RelGen, false, nil) {
+				addV(sib, RuleC3)
+			}
+		}
+		return true
+	})
+	for _, ex := range q.Boundary.Expansions {
+		e.expand(ad, ex, func(v graph.VertexID) { addV(v, RuleC2) })
+	}
+	// VC4: the S and A out-rows of every segment vertex.
+	for _, v := range setToVertices(seg.vset) {
+		for _, rel := range []prov.Rel{prov.RelAssoc, prov.RelAttr} {
+			for _, u := range ad.neighbors(v, rel, true, nil) {
+				addV(u, RuleC4)
+			}
+		}
+	}
+	support.UnionWith(seg.vset)
+	for _, ex := range q.Boundary.Expansions {
+		for _, v := range ex.Within {
+			support.Add(uint32(v))
+		}
+	}
+	seg.support = support
+	seg.Vertices = setToVertices(seg.vset)
+	seg.Rules = make([]Rule, len(seg.Vertices))
+	for i, v := range seg.Vertices {
+		seg.Rules[i] = ruleOf[v]
+	}
+	seg.Edges = rowOracleEdges(e.P, seg.vset, ad)
+	return seg
+}
+
+// rowOracleEdges is ES by the segment vertices' Out rows, then a sort.
+func rowOracleEdges(p *prov.Graph, vs *bitmap.Bitset, ad *adjacency) []graph.EdgeID {
+	var out []graph.EdgeID
+	g := p.PG()
+	for _, v := range setToVertices(vs) {
+		for _, eid := range g.Out(v) {
+			if vs.Contains(uint32(g.Dst(eid))) && ad.edgeOK(eid) {
+				out = append(out, eid)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}

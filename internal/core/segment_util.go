@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -23,15 +22,7 @@ func NewSegment(p *prov.Graph, vertices []graph.VertexID) *Segment {
 	}
 	s.Vertices = setToVertices(s.vset)
 	s.Rules = make([]Rule, len(s.Vertices)) // all RuleQuery
-	g := p.PG()
-	for _, v := range s.Vertices {
-		for _, e := range g.Out(v) {
-			if s.vset.Contains(uint32(g.Dst(e))) {
-				s.Edges = append(s.Edges, e)
-			}
-		}
-	}
-	sort.Slice(s.Edges, func(i, j int) bool { return s.Edges[i] < s.Edges[j] })
+	s.Edges = newAdjacency(p, Boundary{}).inducedEdges(s.vset, nil)
 	return s
 }
 

@@ -492,15 +492,31 @@ func (p *Graph) AgentsOf(v graph.VertexID, buf []graph.VertexID) []graph.VertexI
 }
 
 // Validate checks PROV well-formedness: every vertex/edge label is a PROV
-// label, every edge is endpoint-typed correctly, and the graph is acyclic
-// (Definition 1 requires a DAG).
+// label, every edge is endpoint-typed correctly (ValidateFrom over the whole
+// graph), and the graph is acyclic (Definition 1 requires a DAG).
 func (p *Graph) Validate() error {
-	for v := 0; v < p.g.NumVertices(); v++ {
+	if err := p.ValidateFrom(0, 0); err != nil {
+		return err
+	}
+	if !p.g.IsAcyclic(nil) {
+		return fmt.Errorf("prov: provenance graph contains a cycle")
+	}
+	return nil
+}
+
+// ValidateFrom checks the PROV schema over what was appended past a
+// watermark: every vertex with id >= firstVertex has a PROV label, and every
+// edge with id >= firstEdge has a PROV label and the endpoint kinds AddRel
+// enforces. It costs O(delta), so the paths that append without AddRel —
+// graph loads, WAL replay, a follower's delta apply — run it on what they
+// add; PgSeg's walks rely on the typing.
+func (p *Graph) ValidateFrom(firstVertex, firstEdge int) error {
+	for v := firstVertex; v < p.g.NumVertices(); v++ {
 		if _, ok := p.kindOfLabel(p.g.VertexLabel(graph.VertexID(v))); !ok {
 			return fmt.Errorf("prov: vertex %d: unknown label %q", v, p.g.Dict().Name(p.g.VertexLabel(graph.VertexID(v))))
 		}
 	}
-	for e := 0; e < p.g.NumEdges(); e++ {
+	for e := firstEdge; e < p.g.NumEdges(); e++ {
 		id := graph.EdgeID(e)
 		r, ok := p.relOfLabel(p.g.EdgeLabel(id))
 		if !ok {
@@ -510,9 +526,6 @@ func (p *Graph) Validate() error {
 		if p.KindOf(p.g.Src(id)) != ks || p.KindOf(p.g.Dst(id)) != kd {
 			return fmt.Errorf("prov: edge %d: %w", e, p.errKind(r, p.g.Src(id), p.g.Dst(id)))
 		}
-	}
-	if !p.g.IsAcyclic(nil) {
-		return fmt.Errorf("prov: provenance graph contains a cycle")
 	}
 	return nil
 }

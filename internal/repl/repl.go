@@ -21,10 +21,10 @@
 //
 // The follower side is Stream (client.go): it decodes the frame stream into
 // snapshot / delta / meta events that the serving layer's applier feeds
-// through graph.ApplyDelta + prov.Recorder.IndexFrom — the same code path
-// crash recovery replays a local log through — and publishes via the same
-// atomic-pointer epoch swap, so a follower serves the full lock-free read
-// API at its applied epoch.
+// through graph.ApplyDelta, prov.Graph.ValidateFrom over the delta and
+// prov.Recorder.IndexFrom — the same code path crash recovery replays a
+// local log through — and publishes via the same atomic-pointer epoch swap,
+// so a follower serves the full lock-free read API at its applied epoch.
 //
 // Resumability is the WAL's own contract: any byte cut leaves the follower
 // with an exact epoch prefix (a torn frame is detected exactly as a torn

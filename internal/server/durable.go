@@ -45,6 +45,7 @@ const defaultCheckpointEvery = 256
 func openDurable(dir string, opts RegistryOptions, coal *wal.Coalescer, seed func() (*prov.Graph, error)) (*Store, *wal.Recovery, error) {
 	var p *prov.Graph
 	var rec *prov.Recorder
+	var checkedEdges int // the replayed graph's edges the schema check has seen
 	m, rcv, err := wal.Open(wal.Options{
 		Dir:          dir,
 		Policy:       opts.Fsync,
@@ -57,9 +58,15 @@ func openDurable(dir string, opts RegistryOptions, coal *wal.Coalescer, seed fun
 				return fmt.Errorf("server: checkpoint at epoch %d: %w", epoch, err)
 			}
 			rec = prov.WrapRecorder(p)
+			checkedEdges = p.NumEdges()
 			return nil
 		},
 		OnRecord: func(epoch uint64, firstNewVertex int) error {
+			// A record is a graph delta, appended without prov.AddRel.
+			if err := p.ValidateFrom(firstNewVertex, checkedEdges); err != nil {
+				return fmt.Errorf("server: WAL record at epoch %d: %w", epoch, err)
+			}
+			checkedEdges = p.NumEdges()
 			rec.IndexFrom(graph.VertexID(firstNewVertex))
 			return nil
 		},

@@ -18,12 +18,13 @@ import (
 // stores, see follow_registry.go) mirrors a leader's store by tailing its
 // wal-stream endpoint (GET /stores/{name}/wal, see internal/repl) and
 // feeding each delta through the same apply path crash recovery replays a
-// local log through — graph.ApplyDelta, then Recorder.IndexFrom over the
-// appended vertices, then an incremental freeze and the atomic epoch
-// pointer swap. A follower therefore serves the entire lock-free read API
-// at its applied epoch; writes are refused with a redirect to the leader
-// until Promote moves the store to the leader role, which seals the applier
-// and opens the write path.
+// local log through — graph.ApplyDelta, the PROV schema check over the
+// delta (prov.Graph.ValidateFrom), Recorder.IndexFrom over the appended
+// vertices, then an incremental freeze and the atomic epoch pointer swap. A
+// follower therefore serves the entire lock-free read API at its applied
+// epoch; writes are refused with a redirect to the leader until Promote
+// moves the store to the leader role, which seals the applier and opens the
+// write path.
 //
 // The applier is a retry loop around followOnce (one connection consumed
 // until it breaks). Any byte cut leaves the store at an exact epoch prefix
@@ -173,10 +174,11 @@ func (s *Store) noteLeaderEpoch(ep uint64) {
 }
 
 // applyReplicated applies one leader delta: exactly the recovery replay
-// path (ApplyDelta + IndexFrom), then the standard incremental freeze and
-// publish. The epoch must extend the applied prefix contiguously — a gap
-// means this delta belongs to a future the store hasn't seen, and applying
-// it would corrupt the graph; the caller reconnects instead.
+// path (ApplyDelta, the schema check over the delta, IndexFrom), then the
+// standard incremental freeze and publish. The epoch must extend the
+// applied prefix contiguously — a gap means this delta belongs to a future
+// the store hasn't seen, and applying it would corrupt the graph; the caller
+// reconnects instead.
 func (s *Store) applyReplicated(epoch uint64, payload []byte) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -190,8 +192,13 @@ func (s *Store) applyReplicated(epoch uint64, payload []byte) error {
 	if epoch != old.N+1 {
 		return fmt.Errorf("repl: delta for epoch %d cannot extend applied epoch %d", epoch, old.N)
 	}
-	firstNew := s.rec.P.NumVertices()
-	if err := s.rec.P.PG().ApplyDelta(bytes.NewReader(payload)); err != nil {
+	firstNew, firstEdge := s.rec.P.NumVertices(), s.rec.P.NumEdges()
+	err := s.rec.P.PG().ApplyDelta(bytes.NewReader(payload))
+	if err == nil {
+		// The delta was appended without prov.AddRel: check its typing.
+		err = s.rec.P.ValidateFrom(firstNew, firstEdge)
+	}
+	if err != nil {
 		// The live graph may be partially mutated: poison the store so no
 		// further apply (or promoted write) builds on it. Published
 		// snapshots are frozen copies and remain an exact epoch prefix.

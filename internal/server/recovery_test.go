@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -764,6 +765,119 @@ func TestDurableRestartCycle(t *testing.T) {
 	mem := NewStore(prov.New(), 4)
 	if mem.Durable() || mem.DurabilityStatsSnapshot() != nil || mem.Close() != nil {
 		t.Fatal("memory-only store leaks durability state")
+	}
+}
+
+// TestDurableUpdateChecksSchema: Update commits whatever fn appended, and
+// fn may append through the raw graph, past prov.AddRel's typing. A batch
+// carrying an entity->entity U edge is refused before it is logged or
+// published, the store refuses later writes, and the directory recovers to
+// the last good epoch.
+func TestDurableUpdateChecksSchema(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := openDurable(dir, RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 4}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b graph.VertexID
+	if err := s.Update(func(rec *prov.Recorder) error {
+		a, b = rec.Snapshot("a"), rec.Snapshot("b")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Update(func(rec *prov.Recorder) error {
+		rec.P.PG().AddEdge(a, b, rec.P.RelLabel(prov.RelUsed))
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "used requires A -> E") {
+		t.Fatalf("Update with a mistyped U edge: %v, want its typing error", err)
+	}
+	if ep := s.Epoch(); ep.N != 1 || ep.Edges != 0 {
+		t.Fatalf("after the refused batch the store publishes epoch %d with %d edges, want epoch 1 with none", ep.N, ep.Edges)
+	}
+	if err := s.Update(func(rec *prov.Recorder) error {
+		rec.Snapshot("c")
+		return nil
+	}); err == nil {
+		t.Fatal("a store that refused a mistyped batch accepted the next one")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, rcv, err := openDurable(dir, RegistryOptions{CacheCap: 4}, nil, nil)
+	if err != nil {
+		t.Fatalf("recovery after a refused batch: %v", err)
+	}
+	defer r.Close()
+	if ep := r.Epoch(); rcv.Epoch != 1 || ep.Vertices != 2 || ep.Edges != 0 {
+		t.Fatalf("recovered epoch %d with %d vertices and %d edges, want epoch 1 with 2 and 0", rcv.Epoch, ep.Vertices, ep.Edges)
+	}
+
+	m := NewStore(prov.New(), 4)
+	defer m.Close()
+	if err := m.Update(func(rec *prov.Recorder) error {
+		a, b = rec.Snapshot("a"), rec.Snapshot("b")
+		rec.P.PG().AddEdge(a, b, rec.P.RelLabel(prov.RelUsed))
+		return nil
+	}); err == nil || m.Epoch().N != 0 {
+		t.Fatalf("memory-only store: Update with a mistyped U edge returned %v and published epoch %d", err, m.Epoch().N)
+	}
+}
+
+// TestDurableReplayChecksSchema: a WAL record is a graph delta, appended at
+// recovery without prov.AddRel, so replay checks its PROV typing. A record
+// carrying an entity->entity U edge fails recovery instead of reaching
+// PgSeg's closures, which follow only the rows a vertex's kind can have.
+// The write path refuses such a batch, so the log is written by hand.
+func TestDurableReplayChecksSchema(t *testing.T) {
+	crashImage := func(mistyped bool) string {
+		dir := t.TempDir()
+		m, rcv, err := wal.Open(wal.Options{Dir: dir})
+		if err != nil || !rcv.Fresh {
+			t.Fatalf("wal.Open: %v (fresh %v)", err, rcv != nil && rcv.Fresh)
+		}
+		p := prov.New()
+		a, b := p.NewEntity("a"), p.NewEntity("b")
+		if err := m.Bootstrap(p.PG()); err != nil {
+			t.Fatal(err)
+		}
+		base, nv, ne := p.PG().Dict().Len(), p.NumVertices(), p.NumEdges()
+		if mistyped {
+			p.PG().AddEdge(a, b, p.RelLabel(prov.RelUsed))
+		} else {
+			p.WasDerivedFrom(b, a)
+		}
+		var buf bytes.Buffer
+		if err := p.PG().EncodeDelta(&buf, base, nv, ne); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.AppendBatch([]wal.Record{{Epoch: 1, Payload: buf.Bytes()}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	r, rcv, err := openDurable(crashImage(false), RegistryOptions{CacheCap: 4}, nil, nil)
+	if err != nil {
+		t.Fatalf("recovery of a well-typed record: %v", err)
+	}
+	r.Close()
+	if rcv.Replayed != 1 {
+		t.Fatalf("replayed %d records, want 1", rcv.Replayed)
+	}
+
+	r, _, err = openDurable(crashImage(true), RegistryOptions{CacheCap: 4}, nil, nil)
+	if err == nil {
+		r.Close()
+		t.Fatal("recovery replayed a mistyped U edge")
+	}
+	if !strings.Contains(err.Error(), "epoch 1") || !strings.Contains(err.Error(), "used requires A -> E") {
+		t.Fatalf("recovery error %q does not name the record and its typing", err)
 	}
 }
 

@@ -793,3 +793,43 @@ func TestReplRefusedResetRecordsNoFreeze(t *testing.T) {
 		t.Fatalf("epoch %d after refused checkpoints, want 5", n)
 	}
 }
+
+// TestReplApplyChecksSchema: a follower appends each leader delta without
+// prov.AddRel, so it checks the delta's PROV typing. A delta carrying an
+// entity->entity U edge is refused and poisons the store, as an ApplyDelta
+// failure does: the epoch stays unpublished and no later delta applies.
+func TestReplApplyChecksSchema(t *testing.T) {
+	delta := func(mistyped bool) []byte {
+		p := prov.New()
+		base := p.PG().Dict().Len()
+		a, b := p.NewEntity("a"), p.NewEntity("b")
+		if mistyped {
+			p.PG().AddEdge(a, b, p.RelLabel(prov.RelUsed))
+		} else {
+			p.WasDerivedFrom(b, a)
+		}
+		var buf bytes.Buffer
+		if err := p.PG().EncodeDelta(&buf, base, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ok := newFollowerStore(DefaultStore, "http://leader.invalid", 4)
+	defer ok.Close()
+	if err := ok.applyReplicated(1, delta(false)); err != nil {
+		t.Fatalf("well-typed delta refused: %v", err)
+	}
+
+	f := newFollowerStore(DefaultStore, "http://leader.invalid", 4)
+	defer f.Close()
+	err := f.applyReplicated(1, delta(true))
+	if err == nil || !strings.Contains(err.Error(), "used requires A -> E") {
+		t.Fatalf("mistyped delta: %v, want the U edge's typing error", err)
+	}
+	if n := f.Epoch().N; n != 0 {
+		t.Fatalf("refused delta published epoch %d", n)
+	}
+	if err := f.applyReplicated(1, delta(false)); err == nil {
+		t.Fatal("a follower that refused a delta applied the next one")
+	}
+}

@@ -233,9 +233,11 @@ func (s *Store) checkRole(want int32) error {
 	}
 }
 
-// walFailure is the sticky first write-ahead-log error; once set, the
-// in-memory graph and the log can no longer be reconciled and the store
-// refuses writes.
+// walFailure is the sticky first error that leaves the live graph ahead of
+// what can be logged, replicated or published — a write-ahead-log failure,
+// a failed replicated delta, or a batch that breaks the PROV schema; once
+// set, the in-memory graph and the log can no longer be reconciled and the
+// store refuses writes.
 type walFailure struct{ err error }
 
 // commitReq is one staged batch traveling from Update to the committer:
@@ -513,7 +515,9 @@ func (s *Store) Epoch() *Epoch { return s.snap.Load() }
 // for the next writer while this batch waits on disk. A WAL failure poisons
 // the store: the batch stays unpublished and all further writes are
 // refused, because the in-memory graph and the log can no longer be
-// reconciled.
+// reconciled. So does a batch that breaks the PROV schema (fn appended an
+// edge through the raw graph that prov.Graph.AddRel would have refused):
+// it is checked (prov.Graph.ValidateFrom) before it is logged or published.
 func (s *Store) Update(fn func(rec *prov.Recorder) error) error {
 	return s.UpdateCtx(context.Background(), fn)
 }
@@ -566,6 +570,14 @@ func (s *Store) updateEpoch(ctx context.Context, fn func(rec *prov.Recorder) err
 	// published snapshot: on a durable store earlier batches may still be
 	// waiting on their group's barrier, and this batch extends them.
 	old := s.tail
+	// fn may append through the raw graph, past prov.AddRel's typing. A
+	// mistyped batch is never logged, replicated or published (PgSeg's walks
+	// rely on the typing); the live graph already holds it, so the store
+	// refuses further writes.
+	if err := s.rec.P.ValidateFrom(old.Vertices, old.Edges); err != nil {
+		s.walFail.CompareAndSwap(nil, &walFailure{err: err})
+		return 0, fmt.Errorf("store: batch refused: %w", err)
+	}
 	var payload []byte
 	if s.wal != nil || s.hub.Load() != nil {
 		// The delta feeds the log, the replication hub, or both.

@@ -165,7 +165,11 @@ func wrap(p *prov.Graph) *Graph {
 	return &Graph{rec: prov.WrapRecorder(p)}
 }
 
-// Prov exposes the underlying PROV-typed graph.
+// Prov exposes the underlying PROV-typed graph. Add edges through its
+// prov.Graph methods (prov.Graph.AddRel types each one): PgSeg follows only
+// the relations a vertex's kind can have, so an edge appended through the
+// raw property graph (PG) that breaks the PROV typing is invisible to some
+// of its walks. Validate checks a graph changed that way.
 func (g *Graph) Prov() *prov.Graph { return g.rec.P }
 
 // NumVertices returns the vertex count.
@@ -216,7 +220,9 @@ func (g *Graph) Name(v VertexID) string { return g.rec.P.Name(v) }
 
 // --- querying ---
 
-// Segment evaluates a PgSeg query with default options (SimProvTst).
+// Segment evaluates a PgSeg query with default options (SimProvTst). It
+// assumes the graph is PROV-typed, as every edge added through the facade or
+// prov.Graph.AddRel is and as Load checks (see Prov).
 func (g *Graph) Segment(q Query) (*Segment, error) {
 	return g.SegmentWith(q, SegmentOptions{})
 }
@@ -270,13 +276,18 @@ func (g *Graph) Cypher(query string, opts CypherOptions) (*CypherResult, error) 
 // Save writes the graph in the binary property-graph format.
 func (g *Graph) Save(w io.Writer) error { return g.rec.P.PG().Save(w) }
 
-// Load reads a graph written by Save.
+// Load reads a graph written by Save and checks it as a PROV graph
+// (prov.Graph.Validate: PROV labels, endpoint kinds, acyclicity).
 func Load(r io.Reader) (*Graph, error) {
 	pg, err := graph.Load(r)
 	if err != nil {
 		return nil, err
 	}
-	return wrap(prov.Wrap(pg)), nil
+	p := prov.Wrap(pg)
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return wrap(p), nil
 }
 
 // ExportJSON writes the PROV-JSON-style interchange document.

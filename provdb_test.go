@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	provdb "repro"
+	"repro/internal/prov"
 )
 
 func segmentNames(g *provdb.Graph, s *provdb.Segment) map[string]bool {
@@ -197,6 +198,22 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if len(s1.Vertices) != len(s2.Vertices) || len(s1.Edges) != len(s2.Edges) {
 		t.Fatalf("segment mismatch after roundtrip")
+	}
+}
+
+// TestLoadRefusesMistypedGraph: Load checks the PROV schema, which PgSeg's
+// closures rely on when they follow only the rows a vertex's kind can have.
+func TestLoadRefusesMistypedGraph(t *testing.T) {
+	g, _ := provdb.Fig2Lifecycle()
+	p := g.Prov()
+	ents := p.Entities()
+	p.PG().AddEdge(ents[0], ents[1], p.RelLabel(prov.RelUsed))
+	var buf bytes.Buffer
+	if err := g.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := provdb.Load(&buf); err == nil || !strings.Contains(err.Error(), "used requires A -> E") {
+		t.Fatalf("Load of an entity->entity U edge: %v, want its typing error", err)
 	}
 }
 

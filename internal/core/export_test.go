@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -231,7 +234,7 @@ func buildSum(labels []int, edges [][3]int) *flatGraph {
 	for v, l := range labels {
 		label[v], numLabels = int32(l), max(numLabels, l+1)
 	}
-	g := newFlatGraph(new(arena), len(labels), keys)
+	g := newFlatGraph(new(arena), new(sumWork), len(labels), keys)
 	g.setLabels(label, numLabels)
 	return g
 }
@@ -252,67 +255,64 @@ func denseOf(g *flatGraph) *sumGraph {
 	return d
 }
 
-// SumStages are the stage clocks of one SummarizeStages call.
-type SumStages struct{ Input, Build, Sim, Merge, Assemble time.Duration }
+// SumStages are the stage clocks of one SummarizeStages call, and the work
+// it did: simulations solved, Kahn sorts and merge-phase scans.
+type SumStages struct {
+	Input, Build, Sim, Merge, Assemble time.Duration
+	Sims, Topos, Phases                int
+}
 
 // SummarizeStages is Summarize with a clock around each stage: g0 +
-// classify, the simulations (computed ahead of the phase that reads them, so
-// mergePhase finds them memoized), the merge phases, the quotient rebuilds
-// and assemble. The benchmark checks its result against Summarize's.
+// classify, the quotient rebuilds, the simulations (with their Kahn sorts),
+// the merge-phase scans and assemble. The benchmark checks its result
+// against Summarize's.
 func SummarizeStages(segs []*Segment, opts SumOptions) (*Psg, SumStages, error) {
-	var st SumStages
-	last := time.Now()
-	lap := func(d *time.Duration) {
-		now := time.Now()
-		*d, last = *d+now.Sub(last), now
-	}
-	sc := sumPool.Get().(*sumScratch)
-	defer sc.release()
-	g0, err := newInput(sc, segs, opts)
+	probe := &sumProbe{last: time.Now()}
+	psg, work, err := summarize(segs, opts, probe)
+	d := probe.stages
+	return psg, SumStages{
+		Input: d[stageInput], Build: d[stageBuild], Sim: d[stageSim], Merge: d[stageMerge], Assemble: d[stageAssemble],
+		Sims: work.sims, Topos: work.topos, Phases: work.phases,
+	}, err
+}
+
+// MergeChecks counts what a checking probe (quotient_test.go) held to a
+// fresh solve: inherited preorders, inherited orders, skipped phases.
+type MergeChecks struct{ Preorders, Orders, Skips int }
+
+// CheckQuotients is Summarize under a checking probe: after every
+// equivalence merge the inherited preorder and order are held to a fresh
+// solve, and every phase skipped as idle is run anyway. The Psg must be
+// Summarize's.
+func CheckQuotients(t *testing.T, segs []*Segment, opts SumOptions) MergeChecks {
+	t.Helper()
+	var c MergeChecks
+	psg, _, err := summarize(segs, opts, checkingProbe(t, &c))
 	if err != nil {
-		return nil, st, err
+		t.Fatal(err)
 	}
-	nodeOf := sc.call.i32.take(g0.g.numNodes())
-	for i := range nodeOf {
-		nodeOf[i] = int32(i)
+	if want, _ := Summarize(segs, opts); !reflect.DeepEqual(psg, want) {
+		t.Fatal("a checked Summarize returned another Psg")
 	}
-	cur, built := g0.g, 0
-	lap(&st.Input)
-	rounds := 0
-	for opts.MaxRounds == 0 || rounds < opts.MaxRounds {
-		progressed := false
-		for _, phase := range []mergeCondition{condInEquiv, condOutEquiv, condDominance} {
-			for _, forward := range []bool{false, true} {
-				if phase == condDominance || forward == (phase == condOutEquiv) {
-					if _, err := cur.sim(forward); err != nil {
-						return nil, st, err
-					}
-				}
-			}
-			lap(&st.Sim)
-			remap, numNew, err := mergePhase(cur, phase)
-			lap(&st.Merge)
-			if err != nil {
-				return nil, st, err
-			}
-			if remap == nil {
-				continue
-			}
-			progressed = true
-			for i, nd := range nodeOf {
-				nodeOf[i] = remap[nd]
-			}
-			mem := &sc.round[built&1]
-			mem.reset()
-			cur, built = cur.quotient(mem, remap, numNew), built+1
-			lap(&st.Build)
+	return c
+}
+
+// CheckQuotientsOnRandomDAGs is the same check over random DAGs decoded by
+// graphFromBytes, each run ending where the dense merge loop does: half
+// with one to three labels (large classes, rows over two words, merges that
+// leave most classes changed), half with many.
+func CheckQuotientsOnRandomDAGs(t *testing.T, trials int, seed int64) MergeChecks {
+	t.Helper()
+	var c MergeChecks
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < trials; trial++ {
+		n := 2 + rng.Intn(79)
+		numLabels := 1 + rng.Intn(3)
+		if trial%2 == 1 {
+			numLabels = 1 + rng.Intn(n)
 		}
-		rounds++
-		if !progressed {
-			break
-		}
+		labels, edges := graphFromBytes(randomGraphBytes(rng, n, numLabels, rng.Intn(3*n)))
+		checkMergeLoop(t, fmt.Sprintf("trial %d", trial), labels, edges, &c)
 	}
-	psg := g0.assemble(cur.numNodes(), nodeOf, rounds)
-	lap(&st.Assemble)
-	return psg, st, nil
+	return c
 }

@@ -49,7 +49,8 @@ var sinkPsg *core.Psg
 // on the input shape of the sum_pd workload, then reports where a call
 // spends its time (µs per call, from a second, clocked loop the timer does
 // not see): g0 + classify, quotient rebuilds, simulations, merge phases,
-// assemble.
+// assemble — and the work behind it: simulations solved, Kahn sorts and
+// merge-phase scans per call.
 func BenchmarkSummarizePd(b *testing.B) {
 	for _, n := range []int{2000, 5000} {
 		for _, k := range []int{2, 3} {
@@ -76,12 +77,21 @@ func BenchmarkSummarizePd(b *testing.B) {
 					total.Sim += st.Sim
 					total.Merge += st.Merge
 					total.Assemble += st.Assemble
+					total.Sims += st.Sims
+					total.Topos += st.Topos
+					total.Phases += st.Phases
 				}
 				for _, m := range []struct {
 					name string
 					d    time.Duration
 				}{{"input", total.Input}, {"build", total.Build}, {"sim", total.Sim}, {"merge", total.Merge}, {"assemble", total.Assemble}} {
 					b.ReportMetric(float64(m.d.Microseconds())/float64(b.N), m.name+"-µs/op")
+				}
+				for _, m := range []struct {
+					name string
+					n    int
+				}{{"sims", total.Sims}, {"topo", total.Topos}, {"phases", total.Phases}} {
+					b.ReportMetric(float64(m.n)/float64(b.N), m.name+"/op")
 				}
 			})
 		}

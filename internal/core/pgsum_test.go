@@ -305,6 +305,63 @@ func TestSummarizeAllocs(t *testing.T) {
 	}
 }
 
+// TestQuotientInheritsSimulation tests the simulation-quotient lemma
+// itself: after every equivalence merge of the production loop, the
+// preorder the quotient inherits is a fresh simulation of it row for row,
+// the order it inherits is a level order toward the merge's direction and
+// topological backwards, and every phase the loop skips as idle merges
+// nothing when run anyway — on random DAGs (few labels with large classes,
+// and many), and on the Pd g0s of the sum_pd shape and Sd g0s.
+func TestQuotientInheritsSimulation(t *testing.T) {
+	trials, pd := 2000, []int{300, 2000}
+	if testing.Short() {
+		trials, pd = 300, pd[:1]
+	}
+	total := core.CheckQuotientsOnRandomDAGs(t, trials, 36)
+	add := func(c core.MergeChecks) {
+		total.Preorders += c.Preorders
+		total.Orders += c.Orders
+		total.Skips += c.Skips
+	}
+	for _, n := range pd {
+		segs := pdWideSegments(t, n, 3)
+		add(core.CheckQuotients(t, segs[:2], pdSumOptions))
+		add(core.CheckQuotients(t, segs, pdSumOptions))
+		add(core.CheckQuotients(t, segs, core.SumOptions{}))
+	}
+	for _, cfg := range []gen.SdConfig{{Alpha: 0.025}, {Alpha: 1}, {States: 3}, {Alpha: 0.25, Segments: 20}} {
+		cfg.Seed = 1
+		_, segs := gen.Sd(cfg)
+		add(core.CheckQuotients(t, segs, gen.SdSumOptions()))
+	}
+	t.Logf("%d inherited preorders, %d inherited orders, %d idle phases checked", total.Preorders, total.Orders, total.Skips)
+	if total.Preorders == 0 || total.Orders == 0 || total.Skips == 0 {
+		t.Fatalf("nothing of some kind was checked: %+v", total)
+	}
+}
+
+// TestSummarizeWork pins the work of a sum_pd call as exact counts. Pd-2000
+// merges twice (in-equivalence on g0, out-equivalence on its quotient) and
+// then stops: one in-simulation and its Kahn sort on g0, the out-simulation
+// on the reversed order the first quotient inherits, the in-simulation and
+// a second Kahn sort on the last quotient for dominance (its out-simulation
+// is inherited), then a last in-equivalence scan that merges nothing — the
+// out-equivalence phase is idle by the simulation-quotient lemma, dominance
+// because it ran on that graph already. Without what the merges hand on the
+// same calls read 4 simulations, 4 Kahn sorts and 6 phase scans.
+func TestSummarizeWork(t *testing.T) {
+	segs := pdWideSegments(t, 2000, 3)
+	for _, k := range []int{2, 3} {
+		_, st, err := core.SummarizeStages(segs[:k], pdSumOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [3]int{st.Sims, st.Topos, st.Phases}; got != [3]int{3, 2, 4} {
+			t.Errorf("Pd-2000 x %d: %d simulations, %d Kahn sorts, %d phase scans; want 3, 2, 4", k, got[0], got[1], got[2])
+		}
+	}
+}
+
 // TestSummarizeConcurrent: eight goroutines summarize different segment sets
 // at once, repeatedly, and every result is the serial one. The scratch pool is
 // the only state two calls can share; this is the test to run with -race.

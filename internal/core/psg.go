@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/bitmap"
 	"repro/internal/prov"
@@ -114,6 +115,48 @@ type sumScratch struct {
 	round [2]arena
 	text  []byte   // classify's signature under construction, then the class names
 	parts []uint64 // a signature's sorted neighbor multiset
+	work  sumWork
+}
+
+// sumWork counts what one Summarize call solved — simulations, Kahn sorts
+// and merge-phase scans — and carries the probe a test watches the call
+// through (nil otherwise).
+type sumWork struct {
+	sims, topos, phases int
+	probe               *sumProbe
+}
+
+// sumStage is one stage of a Summarize call, as a probe clocks it.
+type sumStage int
+
+const (
+	stageInput    sumStage = iota // g0 and classify
+	stageBuild                    // quotient rebuilds
+	stageSim                      // simulations, with their Kahn sorts
+	stageMerge                    // merge-phase scans
+	stageAssemble                 // the Psg
+	numSumStages
+)
+
+// sumProbe watches one Summarize call from a test: it splits the call's
+// wall time into stages, and sees every phase the merge loop skips as idle
+// and every quotient it builds. A call without one pays a nil check per
+// stage boundary.
+type sumProbe struct {
+	last    time.Time
+	stages  [numSumStages]time.Duration
+	skipped func(g *flatGraph, cond mergeCondition)
+	built   func(g, q *flatGraph, cond mergeCondition)
+}
+
+// lap charges the time since the last lap to stage s.
+func (p *sumProbe) lap(s sumStage) {
+	if p == nil {
+		return
+	}
+	now := time.Now()
+	p.stages[s] += now.Sub(p.last)
+	p.last = now
 }
 
 var sumPool = sync.Pool{New: func() any { return new(sumScratch) }}
@@ -174,7 +217,7 @@ func newInput(sc *sumScratch, segs []*Segment, opts SumOptions) (*sumInput, erro
 			in.edges = append(in.edges, packEdge(occOf[from]-1, uint8(s.P.RelOf(e)), occOf[to]-1))
 		}
 	}
-	in.g = newFlatGraph(mem, nv, in.edges)
+	in.g = newFlatGraph(mem, &sc.work, nv, in.edges)
 	cls := classify(sc, in, opts)
 	in.g.setLabels(cls.colors, len(cls.base))
 	in.names = classNames(sc, cls.base, cls.baseName)
@@ -187,14 +230,22 @@ func newInput(sc *sumScratch, segs []*Segment, opts SumOptions) (*sumInput, erro
 // Summarize evaluates PgSum(S, K, Rk) and returns the summary graph. It
 // returns ErrNotDAG when the union of the segments has a cycle.
 func Summarize(segs []*Segment, opts SumOptions) (*Psg, error) {
+	psg, _, err := summarize(segs, opts, nil)
+	return psg, err
+}
+
+// summarize is Summarize watched by probe (nil for none), with the work it
+// did.
+func summarize(segs []*Segment, opts SumOptions, probe *sumProbe) (*Psg, sumWork, error) {
 	if len(segs) == 0 {
-		return nil, fmt.Errorf("core: PgSum needs at least one segment")
+		return nil, sumWork{}, fmt.Errorf("core: PgSum needs at least one segment")
 	}
 	sc := sumPool.Get().(*sumScratch)
 	defer sc.release()
+	sc.work = sumWork{probe: probe}
 	g0, err := newInput(sc, segs, opts)
 	if err != nil {
-		return nil, err
+		return nil, sc.work, err
 	}
 
 	// nodeOf maps each occurrence to its current Psg node (dense ids).
@@ -202,23 +253,51 @@ func Summarize(segs []*Segment, opts SumOptions) (*Psg, error) {
 	for i := range nodeOf {
 		nodeOf[i] = int32(i)
 	}
-	cur, built := g0.g, 0
+	probe.lap(stageInput)
+	cur, rounds, err := sc.mergeLoop(g0.g, nodeOf, opts.MaxRounds)
+	if err != nil {
+		return nil, sc.work, err
+	}
+	psg := g0.assemble(cur.numNodes(), nodeOf, rounds)
+	probe.lap(stageAssemble)
+	return psg, sc.work, nil
+}
 
-	// Merge loop: one Lemma 5 condition per phase. Batching a single
-	// condition is sound (see mergePhase); mixing conditions in one batch
-	// can weave cycles through the quotient, so phases alternate with
-	// graph rebuilds until a full cycle makes no progress. A phase that
-	// merges nothing leaves cur — and the simulations memoized on it — in
-	// place for the next phase.
-	rounds := 0
-	for opts.MaxRounds == 0 || rounds < opts.MaxRounds {
+// mergeLoop merges g0 one Lemma 5 condition per phase, renaming nodeOf
+// along every merge, until a round merges nothing or maxRounds (0: no
+// limit) rounds have run. It returns the last quotient and the number of
+// rounds. The first quotient is built in sc.round[0] from what was computed
+// on g0, so that must live elsewhere (newInput puts it in sc.round[1]).
+//
+// Batching a single condition is sound (see mergePhase); mixing conditions
+// in one batch can weave cycles through the quotient, so phases alternate
+// with graph rebuilds until a full round makes no progress. A phase that
+// merges nothing leaves cur — and the simulations memoized on it — in place
+// for the next phase, and is not run on cur again. An equivalence phase
+// hands its quotient the simulation preorder it solved and, when it can,
+// the order the simulation walked, and the quotient starts with that phase
+// idle (flatGraph.quotient has the proof). A skipped phase counts as one
+// that merged nothing, so Rounds is what running it would give.
+func (sc *sumScratch) mergeLoop(g0 *flatGraph, nodeOf []int32, maxRounds int) (*flatGraph, int, error) {
+	probe := sc.work.probe
+	cur, built, rounds := g0, 0, 0
+	for maxRounds == 0 || rounds < maxRounds {
 		progressed := false
 		for _, phase := range []mergeCondition{condInEquiv, condOutEquiv, condDominance} {
+			if cur.idle&(1<<phase) != 0 {
+				if probe != nil && probe.skipped != nil {
+					probe.skipped(cur, phase)
+				}
+				continue
+			}
+			sc.work.phases++
 			remap, numNew, err := mergePhase(cur, phase)
+			probe.lap(stageMerge)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if remap == nil {
+				cur.idle |= 1 << phase
 				continue
 			}
 			progressed = true
@@ -227,15 +306,19 @@ func Summarize(segs []*Segment, opts SumOptions) (*Psg, error) {
 			}
 			mem := &sc.round[built&1] // holds cur's predecessor, or nothing yet
 			mem.reset()
-			cur, built = cur.quotient(mem, remap, numNew), built+1
+			q := cur.quotient(mem, remap, numNew, phase)
+			probe.lap(stageBuild)
+			if probe != nil && probe.built != nil {
+				probe.built(cur, q, phase)
+			}
+			cur, built = q, built+1
 		}
 		rounds++
 		if !progressed {
 			break
 		}
 	}
-
-	return g0.assemble(cur.numNodes(), nodeOf, rounds), nil
+	return cur, rounds, nil
 }
 
 // classNames returns the display name of every class: the name of its base
@@ -387,8 +470,9 @@ func newGuard(g *flatGraph) *reachGuard {
 		rg.members[v] = bitmap.NewBitset(n)
 		rg.members[v].Add(uint32(v))
 	}
-	// Sources first; g is a DAG (its simulations exist).
-	topo, _ := topoOrder(g.mem, g.in, g.out)
+	// Sources first; g is a DAG (its simulations exist, and so does the
+	// order they walked).
+	topo, _ := g.topo(false)
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
 		s := bitmap.NewBitset(n)

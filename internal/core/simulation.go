@@ -112,9 +112,12 @@ func (c csr) quotient(mem *arena, remap []int32, numNew int, later []uint64) csr
 // flatGraph is the working graph PgSum merges over, g0 and every quotient
 // of it: nodes carry a class label, arcs the PROV relationship. It is
 // immutable once labeled, so the two simulation preorders are computed at
-// most once per graph. It is cut from mem, and so is what is computed on it.
+// most once per graph — or not at all, when the merge that built it hands
+// one on (see quotient). It is cut from mem, and so is what is computed on
+// it; work counts what the call solved.
 type flatGraph struct {
 	mem   *arena
+	work  *sumWork
 	label []int32
 	// out and in hold each node's arcs ascending, without duplicates
 	// (parallel identical arcs do not change the path-label language).
@@ -126,12 +129,20 @@ type flatGraph struct {
 	classOff, classMem, pos []int32
 
 	sims [2]*simRel // memoized simulation(g, forward), indexed by direction
+	// order lists the nodes level by level toward orderFwd's successors
+	// (topoOrder's contract), once a simulation sorted them or a merge
+	// handed them on.
+	order    []int32
+	orderFwd bool
+	// idle has bit c set when merge condition c is known to merge nothing
+	// on this graph.
+	idle uint8
 }
 
 // newFlatGraph buckets (tail, rel, head) edge keys over n nodes into out and
 // in runs in one pass. The arcs carry no labels yet: setLabels finishes the
 // graph.
-func newFlatGraph(mem *arena, n int, edges []uint64) *flatGraph {
+func newFlatGraph(mem *arena, work *sumWork, n int, edges []uint64) *flatGraph {
 	outOff, inOff := mem.i32.take(n+2), mem.i32.take(n+2)
 	for _, k := range edges {
 		from, _, to := unpackEdge(k)
@@ -150,7 +161,7 @@ func newFlatGraph(mem *arena, n int, edges []uint64) *flatGraph {
 		in[inOff[to+1]] = packArc(rel, 0, from)
 		inOff[to+1]++
 	}
-	return &flatGraph{mem: mem, out: csr{outOff[:n+1], out}, in: csr{inOff[:n+1], in}}
+	return &flatGraph{mem: mem, work: work, out: csr{outOff[:n+1], out}, in: csr{inOff[:n+1], in}}
 }
 
 // setLabels gives the nodes their class labels (small non-negative ids below
@@ -180,14 +191,50 @@ func (g *flatGraph) index(numLabels int) {
 }
 
 // quotient returns the graph over numNew nodes that merges g's nodes along
-// remap, cut from mem. remap numbers the groups by their smallest member, so
-// it is strictly increasing on the nodes that are the first of their group
-// and labels never change: an arc run all of whose far ends are such nodes,
-// owned by such a node, is still ascending and duplicate-free after the
-// renaming. Only runs that take in a later member, as owner or as far end,
-// are sorted again.
-func (g *flatGraph) quotient(mem *arena, remap []int32, numNew int) *flatGraph {
-	q := &flatGraph{mem: mem, label: mem.i32.take(numNew)}
+// remap, the merges of one phase under cond, cut from mem. remap numbers the
+// groups by their smallest member, so it is strictly increasing on the nodes
+// that are the first of their group and labels never change: an arc run all
+// of whose far ends are such nodes, owned by such a node, is still ascending
+// and duplicate-free after the renaming. Only runs that take in a later
+// member, as owner or as far end, are sorted again.
+//
+// An equivalence phase also hands on what it preserves. Let <= be g's
+// d-simulation preorder (d = in or out), == its mutual part — the groups a
+// condInEquiv or condOutEquiv phase merges — and q = g/==, with an arc
+// [x] -r-> [y] wherever some x' == x has an arc x' -r-> y' with y' == y.
+//
+// Lemma: [u] <=q [v] iff u <= v.
+//
+//   - S = {([x],[y]) : x <= y} is well defined (x' == x <= y == y' gives
+//     x' <= y') and a d-simulation on q: take ([x],[y]) in S and an arc
+//     [x] -r-> [z], from x' -r-> z' with x' == x, z' == z. Then x' <= x <= y,
+//     so y has an arc y -r-> w with z' <= w, which is [y] -r-> [w] in q with
+//     ([z],[w]) in S. So u <= v gives [u] <=q [v].
+//   - T = {(x,y) : [x] <=q [y]} is a d-simulation on g: take (x,y) in T and
+//     an arc x -r-> z, so [x] -r-> [z] in q. As [x] <=q [y], q has an arc
+//     [y] -r-> [w] with [z] <=q [w], from some y' -r-> w' with y' == y,
+//     w' == w. y' == y gives y' <= y, so y has an arc y -r-> w2 with
+//     w' <= w2, and by the first half [w] = [w'] <=q [w2]. By transitivity
+//     [z] <=q [w2], so (z, w2) is in T. So [u] <=q [v] gives u <= v.
+//
+// Hence q, with no simulation solved:
+//
+//  1. inherits the d-preorder: row [u] is the row of u with each node v
+//     renamed to [v] (simRel.quotient);
+//  2. has no two d-equivalent nodes ([u] <=q [v] <=q [u] gives u == v, so
+//     [u] = [v]): the phase that built it would merge nothing on it, and q
+//     starts with that phase idle;
+//  3. inherits g's order when that is a level order toward d: a path of
+//     length k from u in g maps onto one from [u] in q and, by the lemma,
+//     one from [u] in q lifts onto one from u (each next arc of the q path
+//     leaves some member of the group, which the node reached so far
+//     simulates), so [u]'s longest d-path in q is u's in g — members of one
+//     group share it. Placing each group at its first member keeps the
+//     levels nondecreasing, and an arc always leads to a lower level, so the
+//     order is again a level order toward d (and, read backwards, a
+//     topological order toward the other direction).
+func (g *flatGraph) quotient(mem *arena, remap []int32, numNew int, cond mergeCondition) *flatGraph {
+	q := &flatGraph{mem: mem, work: g.work, label: mem.i32.take(numNew)}
 	later := mem.u64.take((len(remap) + 63) >> 6)
 	seen := int32(0)
 	for v, w := range remap {
@@ -200,6 +247,20 @@ func (g *flatGraph) quotient(mem *arena, remap []int32, numNew int) *flatGraph {
 	}
 	q.out, q.in = g.out.quotient(mem, remap, numNew, later), g.in.quotient(mem, remap, numNew, later)
 	q.index(len(g.classOff) - 1)
+	if cond == condDominance {
+		return q
+	}
+	fwd := cond == condOutEquiv
+	d := dir(fwd)
+	q.sims[d], q.idle = g.sims[d].quotient(g, q, remap), 1<<cond
+	if g.order != nil && g.orderFwd == fwd {
+		q.order, q.orderFwd = mem.i32.take(numNew)[:0], fwd
+		for _, v := range g.order {
+			if bit(later, v) == 0 {
+				q.order = append(q.order, remap[v])
+			}
+		}
+	}
 	return q
 }
 
@@ -208,28 +269,131 @@ func (g *flatGraph) numNodes() int { return len(g.out.off) - 1 }
 // class lists the nodes of label l in ascending id order.
 func (g *flatGraph) class(l int32) []int32 { return g.classMem[g.classOff[l]:g.classOff[l+1]] }
 
+// dir indexes sims by direction.
+func dir(forward bool) int {
+	if forward {
+		return 1
+	}
+	return 0
+}
+
 // sim returns the memoized simulation preorder of one direction.
 func (g *flatGraph) sim(forward bool) (*simRel, error) {
-	i := 0
-	if forward {
-		i = 1
-	}
+	i := dir(forward)
 	if g.sims[i] == nil {
+		g.work.probe.lap(stageMerge)
 		rel, err := simulation(g, forward)
+		g.work.probe.lap(stageSim)
 		if err != nil {
 			return nil, err
 		}
 		g.sims[i] = rel
+		g.work.sims++
 	}
 	return g.sims[i], nil
 }
 
+// topo returns the nodes successors-first toward forward's successors: g's
+// order, read backwards into mem when it is listed for the other direction,
+// or a Kahn sort that becomes g's order when g has none.
+func (g *flatGraph) topo(forward bool) ([]int32, error) {
+	if g.order == nil {
+		succ, pred := g.out, g.in
+		if !forward {
+			succ, pred = g.in, g.out
+		}
+		order, err := topoOrder(g.mem, succ, pred)
+		if err != nil {
+			return nil, err
+		}
+		g.order, g.orderFwd = order, forward
+		g.work.topos++
+	}
+	if g.orderFwd == forward {
+		return g.order, nil
+	}
+	back := g.mem.i32.take(len(g.order))
+	for i, v := range g.order {
+		back[len(back)-1-i] = v
+	}
+	return back, nil
+}
+
 // simRel is a simulation preorder: bit i of row u is set iff u <= v for
 // v = class(label[u])[i]. Row u starts at words[row[u]] and is as long as
-// its class needs; nodes whose row is the whole class share one.
+// its class needs; nodes whose row is the whole class share one, laid out
+// below words[shared].
 type simRel struct {
-	row   []uint64
-	words []uint64
+	row    []uint64
+	words  []uint64
+	shared uint64
+}
+
+// layoutShared places each class's all-ones row, class after class from
+// words[0], sets shared past them and returns where each starts.
+func (s *simRel) layoutShared(g *flatGraph) (full []uint64) {
+	full = g.mem.u64.take(len(g.classOff) - 1)
+	for l := range full {
+		full[l] = s.shared
+		s.shared += uint64(g.classOff[l+1]-g.classOff[l]+63) >> 6
+	}
+	return full
+}
+
+// fillShared sets the all-ones rows once words is cut.
+func (s *simRel) fillShared(g *flatGraph, full []uint64) {
+	for l, at := range full {
+		for i, c := 0, len(g.class(int32(l))); i < c; i += 64 {
+			s.words[at+uint64(i>>6)] = ^uint64(0) >> (64 - min(64, c-i))
+		}
+	}
+}
+
+// quotient is s, a preorder on g, renamed onto q = g/==, where == is s's
+// mutual part and remap is the merge (flatGraph.quotient proves this is q's
+// own preorder): the row of a group is its first member's, with every node
+// in it renamed to its group — rows are closed under ==, so later members
+// only repeat what their first member sets. A shared row stays shared, and
+// a row of a class the merge left whole is copied as it is. Class by class,
+// the first members of g's class, in order, are q's class.
+func (s *simRel) quotient(g, q *flatGraph, remap []int32) *simRel {
+	r := &simRel{row: q.mem.u64.take(q.numNodes())}
+	full := r.layoutShared(q)
+	words := r.shared
+	for l := range full {
+		c := uint64(len(q.class(int32(l))))
+		words += c * ((c + 63) >> 6)
+	}
+	r.words = q.mem.u64.take(int(words))[:r.shared]
+	r.fillShared(q, full)
+	for l, at := range full {
+		gcl, qcl := g.class(int32(l)), q.class(int32(l))
+		gw, qw := (len(gcl)+63)>>6, (len(qcl)+63)>>6
+		j := 0
+		for _, v := range gcl {
+			if j == len(qcl) || remap[v] != qcl[j] {
+				continue // a later member
+			}
+			w := qcl[j]
+			j++
+			if s.row[v] < s.shared {
+				r.row[w] = at
+				continue
+			}
+			r.row[w] = uint64(len(r.words))
+			r.words = r.words[:len(r.words)+qw]
+			row, src := r.words[r.row[w]:], s.words[s.row[v]:][:gw]
+			if len(gcl) == len(qcl) {
+				copy(row, src)
+				continue
+			}
+			eachPos(src, nil, func(i int) bool {
+				setBit(row, q.pos[remap[gcl[i]]])
+				return true
+			})
+		}
+	}
+	return r
 }
 
 // of returns the row of u.
@@ -262,6 +426,12 @@ func eachPos(row, and []uint64, fn func(i int) bool) {
 // topoOrder lists the nodes successors-first (Kahn): every node comes after
 // all targets of its succ arcs; pred is the reverse adjacency. A cycle
 // leaves nodes unordered and yields ErrNotDAG.
+//
+// The queue is FIFO, so the list is a level order, and quotient relies on
+// that: a node's level — its longest succ path — never falls along the
+// list. (By induction on the level L: every node of level L is ready once
+// those below L are out, and a node above L waits for one of level L, so it
+// is queued after every node of level L.)
 func topoOrder(mem *arena, succ, pred csr) ([]int32, error) {
 	n := len(succ.off) - 1
 	pending, order := mem.i32.take(n), mem.i32.take(n)[:0]
@@ -290,12 +460,12 @@ func topoOrder(mem *arena, succ, pred csr) ([]int32, error) {
 // on the rows of u's successors, so one children-first pass computes every
 // row exactly once.
 func simulation(g *flatGraph, forward bool) (*simRel, error) {
-	succ, pred := g.out, g.in
+	succ := g.out
 	if !forward {
-		succ, pred = g.in, g.out
+		succ = g.in
 	}
 	mem := g.mem
-	order, err := topoOrder(mem, succ, pred)
+	order, err := g.topo(forward)
 	if err != nil {
 		return nil, err
 	}
@@ -309,12 +479,8 @@ func simulation(g *flatGraph, forward bool) (*simRel, error) {
 	// like classMem: one row's candidates are read in sequence.
 	n := g.numNodes()
 	sim := &simRel{row: mem.u64.take(n)}
-	full := mem.u64.take(len(g.classOff) - 1)
-	words := uint64(0)
-	for l := range full {
-		full[l] = words
-		words += uint64(g.classOff[l+1]-g.classOff[l]+63) >> 6
-	}
+	full := sim.layoutShared(g)
+	words := sim.shared
 	sig := mem.u64.take(n)
 	for v, l := range g.label {
 		s := &sig[g.classOff[l]+g.pos[v]]
@@ -329,11 +495,7 @@ func simulation(g *flatGraph, forward bool) (*simRel, error) {
 		}
 	}
 	sim.words = mem.u64.take(int(words))
-	for l, at := range full {
-		for i := range g.class(int32(l)) {
-			sim.words[at+uint64(i>>6)] |= 1 << (i & 63)
-		}
-	}
+	sim.fillShared(g, full)
 
 	// simulates reports u <= v given the finished rows of u's successors:
 	// every arc (r, c) of u needs an arc (r, d) of v with c <= d. Both arc

@@ -268,3 +268,32 @@ func BenchmarkRoaringAdd(b *testing.B) {
 		}
 	}
 }
+
+// TestPooledUnionsKeepLength: two pooled sets of different lengths are
+// unioned into each other by turns, by UnionWith and by DiffAddInto. Each
+// takes the longer one's word length once and keeps it; growing a receiver
+// by Add's amortized rule would compound the slack on every turn.
+func TestPooledUnionsKeepLength(t *testing.T) {
+	for _, diff := range []bool{false, true} {
+		a, b := NewBitset(10*wordBits), NewBitset(16*wordBits)
+		a.Add(3)
+		b.Add(16*wordBits - 1)
+		for turn := 0; turn < 64; turn++ {
+			dst, src := a, b
+			if turn%2 == 1 {
+				dst, src = b, a
+			}
+			if diff {
+				src.DiffAddInto(dst, nil)
+			} else {
+				dst.UnionWith(src)
+			}
+			if len(a.words) != 16 || len(b.words) != 16 {
+				t.Fatalf("diff=%v turn %d: word lengths %d and %d, want 16 and 16", diff, turn, len(a.words), len(b.words))
+			}
+		}
+		if a.Cardinality() != 2 || b.Cardinality() != 2 {
+			t.Fatalf("diff=%v: cardinalities %d and %d, want 2", diff, a.Cardinality(), b.Cardinality())
+		}
+	}
+}

@@ -48,6 +48,19 @@ func (b *Bitset) grow(word int) {
 	b.words = nw
 }
 
+// growTo extends b to n words exactly (a no-op when it has as many). A
+// union sizes its receiver to the other set's length, not by grow's
+// amortized rule: two sets unioned back and forth would otherwise each
+// take the other's slack as their length and compound it.
+func (b *Bitset) growTo(n int) {
+	if n <= len(b.words) {
+		return
+	}
+	nw := make([]uint64, n)
+	copy(nw, b.words)
+	b.words = nw
+}
+
 // Add inserts x, reporting whether it was newly added.
 func (b *Bitset) Add(x uint32) bool {
 	w, m := int(x/wordBits), uint64(1)<<(x%wordBits)
@@ -98,7 +111,7 @@ func (b *Bitset) Iterate(fn func(uint32) bool) {
 // operation runs word-parallel.
 func (b *Bitset) DiffAddInto(other Set, out []uint32) []uint32 {
 	if ob, ok := other.(*Bitset); ok {
-		ob.grow(len(b.words) - 1)
+		ob.growTo(len(b.words))
 		for wi, w := range b.words {
 			diff := w &^ ob.words[wi]
 			if diff == 0 {
@@ -125,7 +138,7 @@ func (b *Bitset) DiffAddInto(other Set, out []uint32) []uint32 {
 
 // UnionWith ors o into b.
 func (b *Bitset) UnionWith(o *Bitset) {
-	b.grow(len(o.words) - 1)
+	b.growTo(len(o.words))
 	b.card = 0
 	for wi := range b.words {
 		if wi < len(o.words) {

@@ -29,9 +29,10 @@ func permute(p *prov.Graph, seed int64) (q *prov.Graph, perm, inv []graph.Vertex
 	}
 	for _, v := range inv {
 		nv := add[p.KindOf(v)]("")
-		for key, val := range p.PG().VertexProps(v) {
+		p.PG().VertexProps(v, func(key string, val graph.Value) bool {
 			q.PG().SetVertexProp(nv, key, val)
-		}
+			return true
+		})
 	}
 	g := p.PG()
 	for e := range g.NumEdges() {

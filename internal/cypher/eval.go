@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -123,6 +124,8 @@ type Evaluator struct {
 	relName func(graph.Label) string
 
 	deadline time.Time
+	done     <-chan struct{} // the evaluation's context's Done (nil: never)
+	ctx      context.Context
 	steps    uint64
 }
 
@@ -157,15 +160,29 @@ type Result struct {
 
 // Run parses and evaluates a query.
 func (ev *Evaluator) Run(src string) (*Result, error) {
+	return ev.RunContext(context.Background(), src)
+}
+
+// RunContext is Run, stopped with ctx's error once ctx is done (a server
+// passes the request's context, so a client that hangs up stops the
+// evaluation it started).
+func (ev *Evaluator) RunContext(ctx context.Context, src string) (*Result, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return ev.Eval(q)
+	return ev.EvalContext(ctx, q)
 }
 
 // Eval evaluates a parsed query.
 func (ev *Evaluator) Eval(q *Query) (*Result, error) {
+	return ev.EvalContext(context.Background(), q)
+}
+
+// EvalContext is Eval, stopped with ctx's error once ctx is done. The
+// context is checked where the deadline is.
+func (ev *Evaluator) EvalContext(ctx context.Context, q *Query) (*Result, error) {
+	ev.ctx, ev.done = ctx, ctx.Done()
 	if ev.opts.Timeout > 0 {
 		ev.deadline = time.Now().Add(ev.opts.Timeout)
 	} else {
@@ -200,6 +217,9 @@ func (ev *Evaluator) Eval(q *Query) (*Result, error) {
 }
 
 func (ev *Evaluator) checkBudget(n int) error {
+	if err := ev.stopped(); err != nil {
+		return err
+	}
 	if !ev.deadline.IsZero() && time.Now().After(ev.deadline) {
 		return ErrTimeout
 	}
@@ -216,10 +236,23 @@ func (ev *Evaluator) stepBudget() error {
 	if ev.steps&0xfff != 0 {
 		return nil
 	}
+	if err := ev.stopped(); err != nil {
+		return err
+	}
 	if !ev.deadline.IsZero() && time.Now().After(ev.deadline) {
 		return ErrTimeout
 	}
 	return nil
+}
+
+// stopped returns the evaluation context's error once it is done.
+func (ev *Evaluator) stopped() error {
+	select {
+	case <-ev.done:
+		return fmt.Errorf("cypher: evaluation stopped: %w", ev.ctx.Err())
+	default:
+		return nil
+	}
 }
 
 func (ev *Evaluator) evalWith(c WithClause, rows []row) ([]row, error) {

@@ -58,8 +58,8 @@ func (g *Graph) EncodeDelta(out io.Writer, baseDict, baseV, baseE int) error {
 		w.uvarint(uint64(g.eDst[e]))
 		w.uvarint(uint64(g.eLabel[e]))
 	}
-	writeProps(w, g.vProps[baseV:])
-	writeProps(w, g.eProps[baseE:])
+	writeProps(w, g, true, baseV)
+	writeProps(w, g, false, baseE)
 	if w.err != nil {
 		return w.err
 	}
@@ -190,13 +190,13 @@ func (g *Graph) ApplyDelta(in io.Reader) error {
 	for i, l := range d.vLabels {
 		v := g.AddVertex(l)
 		if p := d.vProps[i]; len(p) > 0 {
-			g.vProps[v] = p
+			*g.tailMap(true, int(v)) = p
 		}
 	}
 	for i := range d.eLabels {
 		e := g.AddEdge(d.eSrc[i], d.eDst[i], d.eLabels[i])
 		if p := d.eProps[i]; len(p) > 0 {
-			g.eProps[e] = p
+			*g.tailMap(false, int(e)) = p
 		}
 	}
 	return nil

@@ -12,6 +12,7 @@
 package difftest
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 
@@ -32,17 +33,27 @@ type Result struct {
 }
 
 // CheckGraphScript replays a randomized graph-level ingest script — vertex
-// and edge appends over a growing label set, with properties — derived
-// deterministically from seed, freezing after every batch, and diffs the
-// incremental snapshot chain against full rebuilds. opsPerEpoch bounds the
-// batch size; epochs is the number of commit points.
+// and edge appends over a growing label set, with properties of every kind,
+// sparse keys, many keys on one element and keys set twice in a batch —
+// derived deterministically from seed, freezing after every batch, and
+// diffs the incremental snapshot chain against full rebuilds. At every
+// epoch every property read is compared with a map oracle on the live
+// graph, on each snapshot taken so far, on a replica fed the batch through
+// EncodeDelta/ApplyDelta, and after Save/Load (all of which must save to
+// the same bytes). opsPerEpoch bounds the batch size; epochs is the number
+// of commit points.
 func CheckGraphScript(seed int64, opsPerEpoch, epochs int) (Result, error) {
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.New()
 	labels := []graph.Label{g.Dict().Intern("l0")}
+	oracle := &propOracle{}
+	replica := graph.New()
+	replica.Dict().Intern("l0")
 	var prev *graph.Graph
+	var snaps []*graph.Graph
 	var res Result
 	for ep := 0; ep < epochs; ep++ {
+		baseDict, baseV, baseE := g.Dict().Len(), g.NumVertices(), g.NumEdges()
 		n := 1 + rng.Intn(opsPerEpoch)
 		for i := 0; i < n; i++ {
 			switch r := rng.Float64(); {
@@ -50,16 +61,23 @@ func CheckGraphScript(seed int64, opsPerEpoch, epochs int) (Result, error) {
 				labels = append(labels, g.Dict().Intern(fmt.Sprintf("l%d", len(labels))))
 			case r < 0.45 || g.NumVertices() < 2:
 				v := g.AddVertex(labels[rng.Intn(len(labels))])
-				if rng.Float64() < 0.3 {
-					g.SetVertexProp(v, "p", graph.Int(rng.Int63n(100)))
-				}
+				setRandomProps(rng, g, oracle, true, int(v))
 			default:
 				src := graph.VertexID(rng.Intn(g.NumVertices()))
 				dst := graph.VertexID(rng.Intn(g.NumVertices()))
 				e := g.AddEdge(src, dst, labels[rng.Intn(len(labels))])
-				if rng.Float64() < 0.2 {
-					g.SetEdgeProp(e, "w", graph.Int(rng.Int63n(100)))
-				}
+				setRandomProps(rng, g, oracle, false, int(e))
+			}
+		}
+		resetSome(rng, g, oracle, baseV, baseE)
+		// The delta is encoded before the freeze on even epochs (its
+		// properties still in the live tail's maps) and after it on odd
+		// ones (packed).
+		var delta bytes.Buffer
+		encode := func() error { return g.EncodeDelta(&delta, baseDict, baseV, baseE) }
+		if ep%2 == 0 {
+			if err := encode(); err != nil {
+				return res, err
 			}
 		}
 		full := g.Freeze()
@@ -68,18 +86,52 @@ func CheckGraphScript(seed int64, opsPerEpoch, epochs int) (Result, error) {
 		if inc {
 			res.Incremental++
 		}
+		if ep%2 == 1 {
+			if err := encode(); err != nil {
+				return res, err
+			}
+		}
 		if err := DiffSnapshots(full, incr); err != nil {
 			return res, fmt.Errorf("seed %d epoch %d: %w", seed, ep, err)
+		}
+		if err := replica.ApplyDelta(&delta); err != nil {
+			return res, fmt.Errorf("seed %d epoch %d: apply delta: %w", seed, ep, err)
+		}
+		snaps = append(snaps, full, incr)
+		if err := diffEpochProps(oracle, g, replica, snaps); err != nil {
+			return res, fmt.Errorf("seed %d epoch %d: %w", seed, ep, err)
+		}
+		if rng.Intn(2) == 0 {
+			replica.Freeze()
 		}
 		prev = incr
 	}
 	return res, nil
 }
 
+// diffEpochProps compares the property reads of the live graph, a replica
+// of it, and every snapshot taken so far with the oracle, and requires the
+// live graph, the replica and the newest snapshot to save (and load) alike.
+func diffEpochProps(o *propOracle, live, replica *graph.Graph, snaps []*graph.Graph) error {
+	for name, g := range map[string]*graph.Graph{"live": live, "replica": replica} {
+		if err := o.DiffProps(g); err != nil {
+			return fmt.Errorf("%s graph: %w", name, err)
+		}
+	}
+	for i, s := range snaps {
+		if err := o.DiffProps(s); err != nil {
+			return fmt.Errorf("snapshot %d of %d: %w", i, len(snaps), err)
+		}
+	}
+	return o.diffSavedProps(live, replica, snaps[len(snaps)-1])
+}
+
 // CheckProvScript generates a lifecycle provenance graph (gen.Pd) of about
 // size vertices, replays it into a fresh graph in randomized edge batches,
-// and at every epoch diffs the snapshots and additionally runs queries
-// randomized PgSeg queries against both, asserting identical segments.
+// and at every epoch diffs the snapshots, compares the property reads of the
+// live replica and of every snapshot so far with the source's, and runs
+// queries randomized PgSeg queries against both, asserting identical
+// segments.
 func CheckProvScript(seed int64, size, epochs, queries int) (Result, error) {
 	rng := rand.New(rand.NewSource(seed))
 	src := gen.Pd(gen.PdConfig{N: size, Seed: seed}).PG()
@@ -89,8 +141,10 @@ func CheckProvScript(seed int64, size, epochs, queries int) (Result, error) {
 	// can be wrapped without mutating state.
 	prov.Wrap(rep.Graph())
 
+	oracle := oracleOf(src)
 	cuts := randomCuts(rng, src.NumEdges(), epochs)
 	var prev *graph.Graph
+	var snaps []*graph.Graph
 	var res Result
 	for ep, cut := range cuts {
 		rep.StepEdges(cut)
@@ -105,6 +159,12 @@ func CheckProvScript(seed int64, size, epochs, queries int) (Result, error) {
 		}
 		if err := DiffSnapshots(full, incr); err != nil {
 			return res, fmt.Errorf("seed %d epoch %d: %w", seed, ep, err)
+		}
+		snaps = append(snaps, full, incr)
+		for i, g := range append([]*graph.Graph{rep.Graph()}, snaps...) {
+			if err := oracle.DiffProps(g); err != nil {
+				return res, fmt.Errorf("seed %d epoch %d graph %d (0 = live): %w", seed, ep, i, err)
+			}
 		}
 		fullP, incrP := prov.Wrap(full), prov.Wrap(incr)
 		for qi := 0; qi < queries; qi++ {

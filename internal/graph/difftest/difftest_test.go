@@ -80,7 +80,10 @@ func TestLiveFrozenDifferential(t *testing.T) {
 }
 
 // FuzzExtendFrozen lets the fuzzer hunt for divergent ingest scripts beyond
-// the fixed seed sweep.
+// the fixed seed sweep, property reads included. The checked-in corpus
+// (testdata/fuzz/FuzzExtendFrozen) holds seeds whose graph scripts carry
+// elements with 20+ keys, empty and non-ASCII strings and 50+ edge
+// properties.
 func FuzzExtendFrozen(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)

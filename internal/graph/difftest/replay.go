@@ -45,9 +45,10 @@ func (r *Replayer) StepEdges(toEdge int) {
 		}
 		r.addVerticesThrough(need)
 		id := r.g.AddEdge(s, d, r.src.EdgeLabel(e))
-		for k, v := range r.src.EdgeProps(e) {
+		r.src.EdgeProps(e, func(k string, v graph.Value) bool {
 			r.g.SetEdgeProp(id, k, v)
-		}
+			return true
+		})
 	}
 }
 
@@ -60,8 +61,9 @@ func (r *Replayer) FinishVertices() {
 func (r *Replayer) addVerticesThrough(v int) {
 	for ; r.nextV <= v; r.nextV++ {
 		id := r.g.AddVertex(r.src.VertexLabel(graph.VertexID(r.nextV)))
-		for k, val := range r.src.VertexProps(graph.VertexID(r.nextV)) {
+		r.src.VertexProps(graph.VertexID(r.nextV), func(k string, val graph.Value) bool {
 			r.g.SetVertexProp(id, k, val)
-		}
+			return true
+		})
 	}
 }

@@ -99,7 +99,9 @@ func CheckVecScript(seed int64, size, epochs, queries int) (Result, error) {
 
 // checkChainScript is the replay loop CheckVecScript and CheckSolverScript
 // share: perQuery runs on each randomized query at every epoch, perEpoch
-// (optional) once per epoch, both on the live graph and the snapshot.
+// (optional) once per epoch, both on the live graph and the snapshot. Every
+// epoch also compares the property reads of the live graph and of every
+// snapshot so far with the source's.
 func checkChainScript(seed int64, size, epochs, queries int,
 	perQuery func(live, frozen *prov.Graph, q core.Query) error,
 	perEpoch func(rng *rand.Rand, live, frozen *prov.Graph) error) (Result, error) {
@@ -107,9 +109,11 @@ func checkChainScript(seed int64, size, epochs, queries int,
 	src := gen.Pd(gen.PdConfig{N: size, Seed: seed}).PG()
 	rep := NewReplayer(src)
 	live := prov.Wrap(rep.Graph())
+	oracle := oracleOf(src)
 
 	cuts := randomCuts(rng, src.NumEdges(), epochs)
 	var prev *graph.Graph
+	var snaps []*graph.Graph
 	var res Result
 	for ep, cut := range cuts {
 		rep.StepEdges(cut)
@@ -120,6 +124,12 @@ func checkChainScript(seed int64, size, epochs, queries int,
 		res.Epochs++
 		if inc {
 			res.Incremental++
+		}
+		snaps = append(snaps, incr)
+		for i, g := range append([]*graph.Graph{rep.Graph()}, snaps...) {
+			if err := oracle.DiffProps(g); err != nil {
+				return res, fmt.Errorf("seed %d epoch %d graph %d (0 = live): %w", seed, ep, i, err)
+			}
 		}
 		p := prov.Wrap(incr)
 		for qi := 0; qi < queries; qi++ {

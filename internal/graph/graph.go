@@ -12,10 +12,7 @@
 // semantics (provenance is immutable history).
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // VertexID identifies a vertex. IDs are dense, starting at 0, and are
 // assigned in insertion order, so they double as an order-of-being proxy.
@@ -106,7 +103,8 @@ func (v Value) BoolVal() (bool, bool) { return v.i != 0, v.kind == kindBool }
 // Equal reports deep equality of two values.
 func (v Value) Equal(o Value) bool { return v == o }
 
-// Props is a property map attached to a vertex or an edge.
+// Props is the property map of a vertex or edge that no freeze has packed
+// yet (see props.go), and of one decoded from a save file or a delta.
 type Props map[string]Value
 
 // Graph is an append-only labeled property multigraph.
@@ -116,12 +114,18 @@ type Graph struct {
 	dict *Dictionary
 
 	vLabel []Label
-	vProps []Props
-
 	eLabel []Label
-	eProps []Props
 	eSrc   []VertexID
 	eDst   []VertexID
+
+	// props holds the properties below the freeze watermark, packed (see
+	// props.go); vTail/eTail hold the rest as maps, indexed from props.v.n
+	// and props.e.n (live graphs only; a slice may stop short of the last
+	// element when the elements past it have no properties). packer
+	// interns key names for the next freeze.
+	props        propStore
+	vTail, eTail []Props
+	packer       packer
 
 	out [][]EdgeID // outgoing edges per vertex (live graphs)
 	in  [][]EdgeID // incoming edges per vertex (live graphs)
@@ -166,7 +170,6 @@ func (g *Graph) AddVertex(label Label) VertexID {
 	g.mustBeLive()
 	id := VertexID(len(g.vLabel))
 	g.vLabel = append(g.vLabel, label)
-	g.vProps = append(g.vProps, nil)
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	g.byLabel[label] = append(g.byLabel[label], id)
@@ -182,7 +185,6 @@ func (g *Graph) AddEdge(src, dst VertexID, label Label) EdgeID {
 	}
 	id := EdgeID(len(g.eLabel))
 	g.eLabel = append(g.eLabel, label)
-	g.eProps = append(g.eProps, nil)
 	g.eSrc = append(g.eSrc, src)
 	g.eDst = append(g.eDst, dst)
 	g.out[src] = append(g.out[src], id)
@@ -236,58 +238,6 @@ func (g *Graph) mustBeLive() {
 		panic("graph: mutation of frozen snapshot")
 	}
 }
-
-// SetVertexProp sets a property on a vertex. The vertex must not be
-// covered by a snapshot taken from this graph (see Freeze): snapshot
-// readers access shared property maps lock-free, so only vertices appended
-// after the last freeze are writable.
-func (g *Graph) SetVertexProp(v VertexID, key string, val Value) {
-	g.mustBeLive()
-	if int(v) < g.snapV {
-		panic(fmt.Sprintf("graph: SetVertexProp(%d) below snapshot watermark %d", v, g.snapV))
-	}
-	if g.vProps[v] == nil {
-		g.vProps[v] = make(Props, 2)
-	}
-	g.vProps[v][key] = val
-}
-
-// VertexProp returns the value of a vertex property (zero Value if absent).
-func (g *Graph) VertexProp(v VertexID, key string) Value {
-	if p := g.vProps[v]; p != nil {
-		return p[key]
-	}
-	return Value{}
-}
-
-// VertexProps returns the property map of v (may be nil); callers must not
-// modify it.
-func (g *Graph) VertexProps(v VertexID) Props { return g.vProps[v] }
-
-// SetEdgeProp sets a property on an edge. Like SetVertexProp, the edge
-// must not be covered by a snapshot taken from this graph.
-func (g *Graph) SetEdgeProp(e EdgeID, key string, val Value) {
-	g.mustBeLive()
-	if int(e) < g.snapE {
-		panic(fmt.Sprintf("graph: SetEdgeProp(%d) below snapshot watermark %d", e, g.snapE))
-	}
-	if g.eProps[e] == nil {
-		g.eProps[e] = make(Props, 1)
-	}
-	g.eProps[e][key] = val
-}
-
-// EdgeProp returns the value of an edge property (zero Value if absent).
-func (g *Graph) EdgeProp(e EdgeID, key string) Value {
-	if p := g.eProps[e]; p != nil {
-		return p[key]
-	}
-	return Value{}
-}
-
-// EdgeProps returns the property map of e (may be nil); callers must not
-// modify it.
-func (g *Graph) EdgeProps(e EdgeID) Props { return g.eProps[e] }
 
 // VerticesWithLabel returns the vertices carrying the given label, in id
 // order. The returned slice must not be modified.
@@ -358,16 +308,6 @@ func (g *Graph) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// SortedPropKeys returns the sorted keys of a property map.
-func SortedPropKeys(p Props) []string {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // IsAcyclic reports whether the graph is a DAG, optionally restricted to

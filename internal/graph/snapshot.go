@@ -8,8 +8,8 @@ import "sort"
 // Freeze materializes such a view as a frozen *Graph that
 //
 //   - shares the immutable prefix of the live graph's columnar arrays
-//     (vertex/edge labels, endpoints, properties) via capped slice headers,
-//     so freezing copies O(V) headers, not the data itself, and
+//     (vertex/edge labels, endpoints, packed properties) via capped slice
+//     headers, so freezing copies headers, not the data itself, and
 //   - replaces the live per-vertex adjacency lists with a CSR
 //     (compressed-sparse-row) index of contiguous neighbor/edge-id rows:
 //     one block per direction over all edges, plus one per edge label.
@@ -185,18 +185,19 @@ func (g *Graph) Frozen() bool { return g.frozen }
 // by extending an earlier epoch (ExtendFrozen) rather than a full rebuild.
 func (g *Graph) IncrementalSnapshot() bool { return g.incrSnap }
 
-// snapshotShell allocates the frozen graph sharing the live graph's
-// columnar prefix via capped slice headers and records the watermark on the
+// snapshotShell packs the live graph's unfrozen properties, allocates the
+// frozen graph sharing the live graph's columnar prefix and packed
+// properties via capped slice headers, and records the watermark on the
 // live graph so property writes below it are rejected (SetVertexProp).
 func (g *Graph) snapshotShell(nv, ne int) *Graph {
+	g.packTail(nv, ne)
 	fz := &Graph{
 		dict:    g.dict.clone(),
 		vLabel:  g.vLabel[:nv:nv],
-		vProps:  g.vProps[:nv:nv],
 		eLabel:  g.eLabel[:ne:ne],
-		eProps:  g.eProps[:ne:ne],
 		eSrc:    g.eSrc[:ne:ne],
 		eDst:    g.eDst[:ne:ne],
+		props:   g.props.view(),
 		byLabel: make(map[Label][]VertexID, len(g.byLabel)),
 		frozen:  true,
 	}

@@ -109,24 +109,34 @@ func readValue(r *reader) Value {
 	return Value{}
 }
 
-func writeProps(w *writer, all []Props) {
+// writeProps writes the properties of the elements of one kind from index
+// from on: a count of elements with any, then each one's index, count and
+// entries in ascending key order.
+func writeProps(w *writer, g *Graph, vertex bool, from int) {
+	n := g.NumEdges()
+	if vertex {
+		n = g.NumVertices()
+	}
 	nonNil := 0
-	for _, p := range all {
-		if len(p) > 0 {
+	for i := from; i < n; i++ {
+		if g.propCount(vertex, i) > 0 {
 			nonNil++
 		}
 	}
 	w.uvarint(uint64(nonNil))
-	for i, p := range all {
-		if len(p) == 0 {
+	entry := func(k string, v Value) bool {
+		w.str(k)
+		writeValue(w, v)
+		return true
+	}
+	for i := from; i < n; i++ {
+		cnt := g.propCount(vertex, i)
+		if cnt == 0 {
 			continue
 		}
-		w.uvarint(uint64(i))
-		w.uvarint(uint64(len(p)))
-		for _, k := range SortedPropKeys(p) {
-			w.str(k)
-			writeValue(w, p[k])
-		}
+		w.uvarint(uint64(i - from))
+		w.uvarint(uint64(cnt))
+		g.eachProp(vertex, i, entry)
 	}
 }
 
@@ -182,8 +192,8 @@ func (g *Graph) Save(out io.Writer) error {
 		w.uvarint(uint64(g.eDst[i]))
 		w.uvarint(uint64(g.eLabel[i]))
 	}
-	writeProps(w, g.vProps)
-	writeProps(w, g.eProps)
+	writeProps(w, g, true, 0)
+	writeProps(w, g, false, 0)
 	if w.err != nil {
 		return w.err
 	}
@@ -251,8 +261,9 @@ func Load(in io.Reader) (*Graph, error) {
 		}
 		g.AddEdge(VertexID(src), VertexID(dst), Label(l))
 	}
-	readProps(r, g.vProps)
-	readProps(r, g.eProps)
+	g.vTail, g.eTail = make([]Props, g.NumVertices()), make([]Props, g.NumEdges())
+	readProps(r, g.vTail)
+	readProps(r, g.eTail)
 	if r.err != nil {
 		return nil, fmt.Errorf("graph: load: %w", badFormat(r.err))
 	}

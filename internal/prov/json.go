@@ -32,19 +32,20 @@ type jsonRel struct {
 
 func vertexKey(v graph.VertexID) string { return fmt.Sprintf("v%d", v) }
 
-func propsToJSON(p graph.Props) map[string]any {
-	out := make(map[string]any, len(p))
-	for k, v := range p {
-		if s, ok := v.Str(); ok {
+func propsToJSON(g *graph.Graph, v graph.VertexID) map[string]any {
+	out := make(map[string]any)
+	g.VertexProps(v, func(k string, val graph.Value) bool {
+		if s, ok := val.Str(); ok {
 			out[k] = s
-		} else if i, ok := v.IntVal(); ok {
+		} else if i, ok := val.IntVal(); ok {
 			out[k] = i
-		} else if f, ok := v.FloatVal(); ok {
+		} else if f, ok := val.FloatVal(); ok {
 			out[k] = f
-		} else if b, ok := v.BoolVal(); ok {
+		} else if b, ok := val.BoolVal(); ok {
 			out[k] = b
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -62,7 +63,7 @@ func (p *Graph) ExportJSON(w io.Writer) error {
 	}
 	for v := 0; v < p.g.NumVertices(); v++ {
 		id := graph.VertexID(v)
-		props := propsToJSON(p.g.VertexProps(id))
+		props := propsToJSON(p.g, id)
 		switch p.KindOf(id) {
 		case KindEntity:
 			doc.Entity[vertexKey(id)] = props

@@ -1,0 +1,309 @@
+package server
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// Exact heap accounting of a served store. The store's live heap is the
+// HeapAlloc a forced collection leaves after building it; the split per
+// structure walks the store's fields (unexported ones too) and counts every
+// allocation once, in the size class the allocator gives it: a slice's
+// backing array at its capacity, a string's bytes, a struct behind a
+// pointer. A map's own tables are not visible to reflection, so each
+// structure's maps are rebuilt entry by entry and the collector's count of
+// the copies is theirs. Nothing is sampled.
+
+// sizeClasses are the Go allocator's small-object size classes.
+var sizeClasses = []uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256,
+	288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024, 1152, 1280, 1408, 1536, 1792, 2048,
+	2304, 2688, 3072, 3200, 3456, 4096, 4864, 5376, 6144, 6528, 6784, 6912, 8192, 9472, 9728, 10240, 10880,
+	12288, 13568, 14336, 16384, 18432, 19072, 20480, 21760, 24576, 27264, 28672, 32768}
+
+// allocSize is the heap bytes an allocation of n bytes occupies. Pointer-free
+// objects under 16 B share 16-byte blocks (the tiny allocator), so they count
+// at their own size.
+func allocSize(n uintptr, pointerFree bool) uintptr {
+	switch {
+	case n == 0:
+		return 0
+	case n < 16 && pointerFree:
+		return n
+	case n > 32768:
+		return (n + 8191) &^ 8191
+	}
+	for _, c := range sizeClasses {
+		if c >= n {
+			return c
+		}
+	}
+	return n
+}
+
+// heapCounter attributes allocations to structures: the first structure to
+// reach an allocation owns it.
+type heapCounter struct {
+	seen map[uintptr]uintptr // allocation start → bytes counted
+	maps []reflect.Value     // maps first reached by the structure being walked
+	// propMaps counts the graph.Props maps reached so far.
+	propMaps int
+}
+
+var propsType = reflect.TypeOf(graph.Props(nil))
+
+// structure walks roots and returns the bytes first reached from them.
+func (h *heapCounter) structure(roots ...any) int {
+	h.maps = h.maps[:0]
+	n := uintptr(0)
+	for _, r := range roots {
+		// An addressable copy, so that writable reaches every field.
+		v := reflect.New(reflect.TypeOf(r)).Elem()
+		v.Set(reflect.ValueOf(r))
+		n += h.walk(v)
+	}
+	return int(n) + h.mapTables()
+}
+
+// writable strips the read-only flag reflection puts on values reached
+// through unexported fields, so their maps can be ranged and rebuilt.
+func writable(v reflect.Value) reflect.Value {
+	if v.CanAddr() && !v.CanInterface() {
+		return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+	}
+	return v
+}
+
+// alloc records bytes at start and returns how many are new.
+func (h *heapCounter) alloc(start, bytes uintptr) uintptr {
+	if start == 0 || bytes == 0 {
+		return 0
+	}
+	old := h.seen[start]
+	if bytes <= old {
+		return 0
+	}
+	h.seen[start] = bytes
+	return bytes - old
+}
+
+func (h *heapCounter) walk(v reflect.Value) uintptr {
+	v = writable(v)
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		t := v.Type().Elem()
+		n := h.alloc(v.Pointer(), allocSize(t.Size(), !hasPointers(t)))
+		if n == 0 {
+			return 0
+		}
+		return n + h.walk(v.Elem())
+	case reflect.Struct:
+		if p, ok := atomicPointer(v); ok {
+			return h.walk(p)
+		}
+		n := uintptr(0)
+		for i := 0; i < v.NumField(); i++ {
+			n += h.walk(v.Field(i))
+		}
+		return n
+	case reflect.Array:
+		n := uintptr(0)
+		if hasPointers(v.Type().Elem()) {
+			for i := 0; i < v.Len(); i++ {
+				n += h.walk(v.Index(i))
+			}
+		}
+		return n
+	case reflect.Slice:
+		if v.Cap() == 0 {
+			return 0
+		}
+		et := v.Type().Elem()
+		n := h.alloc(v.Pointer(), allocSize(uintptr(v.Cap())*et.Size(), !hasPointers(et)))
+		if hasPointers(et) {
+			for i := 0; i < v.Len(); i++ {
+				n += h.walk(v.Index(i))
+			}
+		}
+		return n
+	case reflect.String:
+		if v.Len() == 0 {
+			return 0
+		}
+		return h.alloc(uintptr(unsafe.Pointer(unsafe.StringData(v.String()))), allocSize(uintptr(v.Len()), true))
+	case reflect.Map:
+		if v.IsNil() || h.alloc(v.Pointer(), 1) == 0 {
+			return 0
+		}
+		if v.Type() == propsType {
+			h.propMaps++
+		}
+		h.maps = append(h.maps, v)
+		n := uintptr(0)
+		for it := v.MapRange(); it.Next(); {
+			n += h.walk(it.Key()) + h.walk(it.Value())
+		}
+		return n - 1
+	case reflect.Interface:
+		if v.IsNil() {
+			return 0
+		}
+		return h.walk(v.Elem())
+	}
+	return 0
+}
+
+// atomicPointer follows a sync/atomic.Pointer[T] to its *T.
+func atomicPointer(v reflect.Value) (reflect.Value, bool) {
+	t := v.Type()
+	if t.PkgPath() != "sync/atomic" || !strings.HasPrefix(t.Name(), "Pointer[") {
+		return reflect.Value{}, false
+	}
+	elem := t.Field(0).Type.Elem() // the [0]*T field
+	p := writable(v.FieldByName("v")).Interface().(unsafe.Pointer)
+	return reflect.NewAt(elem.Elem(), p), true
+}
+
+// hasPointers reports whether values of t hold pointers the walk follows.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.String, reflect.Map, reflect.Interface,
+		reflect.UnsafePointer, reflect.Func, reflect.Chan:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// mapTables returns the bytes of the tables of the maps the last structure
+// reached: the collector's count of a copy of each, rebuilt entry by entry.
+func (h *heapCounter) mapTables() int {
+	if len(h.maps) == 0 {
+		return 0
+	}
+	copies := make([]reflect.Value, len(h.maps))
+	before := liveHeap()
+	for i, m := range h.maps {
+		c := reflect.MakeMap(m.Type())
+		for it := m.MapRange(); it.Next(); {
+			c.SetMapIndex(it.Key(), it.Value())
+		}
+		copies[i] = c
+	}
+	after := liveHeap()
+	runtime.KeepAlive(copies)
+	return int(after - before)
+}
+
+// liveHeap returns the bytes of live heap objects after two full
+// collections: the second empties what the first left in sync.Pool victim
+// caches (the reply buffers earlier tests pooled).
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// heapShare is one row of a store's heap account.
+type heapShare struct {
+	name  string
+	bytes int
+}
+
+// storeHeap builds a served Pd store of about n vertices whose reply column
+// holds every vertex and edge, and accounts its live heap per structure. The
+// last row is what no listed structure reaches (the cache, counters, the
+// store's shell).
+func storeHeap(t *testing.T, n int) (shares []heapShare, total, vertices, propMaps int) {
+	t.Helper()
+	before := liveHeap()
+	st := NewStore(gen.Pd(gen.PdConfig{N: n, Seed: 1}), 0)
+	ep := st.Epoch()
+	if err := writeSegmentJSON(&tally{}, ep.replies, wholeSegment(ep.P, nil), false, ""); err != nil {
+		t.Fatal(err)
+	}
+	total = int(liveHeap() - before)
+
+	field := func(v any, names ...string) any {
+		r := reflect.ValueOf(v)
+		for _, name := range names {
+			r = writable(reflect.Indirect(r).FieldByName(name))
+		}
+		return r.Interface()
+	}
+	live, snap := st.rec.P.PG(), ep.P.PG()
+	h := &heapCounter{seen: make(map[uintptr]uintptr)}
+	// The shells (the store, the epoch, the two graphs) belong to no
+	// structure below: mark them seen so no walk enters them.
+	for _, p := range []unsafe.Pointer{unsafe.Pointer(st), unsafe.Pointer(ep), unsafe.Pointer(live), unsafe.Pointer(snap)} {
+		h.seen[uintptr(p)] = ^uintptr(0)
+	}
+	add := func(name string, roots ...any) {
+		shares = append(shares, heapShare{name, h.structure(roots...)})
+	}
+	add("property storage", field(live, "props"), field(live, "vTail"), field(live, "eTail"),
+		field(live, "packer"), field(snap, "props"))
+	add("live adjacency rows", field(live, "out"), field(live, "in"))
+	add("CSR blocks", field(snap, "csr"))
+	add("dictionary and label index", field(live, "dict"), field(live, "byLabel"),
+		field(snap, "dict"), field(snap, "byLabel"))
+	add("recorder index", field(st.rec, "versions"), field(st.rec, "agents"))
+	add("reply column", ep.replies.recs.Load())
+	add("element columns", field(live, "vLabel"), field(live, "eLabel"), field(live, "eSrc"), field(live, "eDst"))
+	attributed := 0
+	for _, s := range shares {
+		attributed += s.bytes
+	}
+	shares = append(shares, heapShare{"rest", total - attributed})
+	runtime.KeepAlive(st)
+	return shares, total, ep.Vertices, h.propMaps
+}
+
+// TestHeapAccounting reports a served Pd store's live heap per structure
+// (Pd-20000; Pd-100000 too outside -short) and holds the packed property
+// store to its budget: at most 100 B per vertex, and no graph.Props map
+// left once the graph is frozen.
+func TestHeapAccounting(t *testing.T) {
+	sizes := []int{20000}
+	if !testing.Short() {
+		sizes = append(sizes, 100000)
+	}
+	for _, n := range sizes {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			shares, total, nv, propMaps := storeHeap(t, n)
+			var b strings.Builder
+			fmt.Fprintf(&b, "Pd-%d (%d vertices): %.2f MB live, %.0f B/vertex\n", n, nv, float64(total)/1e6, float64(total)/float64(nv))
+			for _, s := range shares {
+				fmt.Fprintf(&b, "  %-28s %8.3f MB %7.1f B/vertex\n", s.name, float64(s.bytes)/1e6, float64(s.bytes)/float64(nv))
+			}
+			t.Log(b.String())
+			if shares[0].bytes > 100*nv {
+				t.Errorf("property storage holds %d B for %d vertices, over 100 B/vertex", shares[0].bytes, nv)
+			}
+			if propMaps != 0 {
+				t.Errorf("%d graph.Props maps survive the store's freeze", propMaps)
+			}
+			if rest := shares[len(shares)-1].bytes; rest < 0 {
+				t.Errorf("the structures account for %d B more than the store's live heap", -rest)
+			}
+		})
+	}
+}

@@ -619,9 +619,10 @@ func (s *Server) handleQuery(st *Store, w http.ResponseWriter, r *http.Request) 
 		maxRows = req.MaxRows
 	}
 	opts := cypher.Options{Timeout: timeout, MaxRows: maxRows, MaxPathLen: req.MaxPathLen}
-	// Evaluated and rendered at one pinned snapshot.
+	// Evaluated and rendered at one pinned snapshot; a client that hangs up
+	// stops the evaluation.
 	ep := st.Epoch()
-	res, err := st.cypherAt(ep, req.Query, opts)
+	res, err := st.cypherAt(r.Context(), ep, req.Query, opts)
 	if err != nil {
 		writeErr(w, queryErrCode(err), "query: %v", err)
 		return

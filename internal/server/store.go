@@ -944,13 +944,13 @@ func (s *Store) adjustAt(ep *Epoch, q core.Query, opts core.Options, excl core.B
 // Cypher evaluates a query in the supported Cypher subset against the
 // current snapshot.
 func (s *Store) Cypher(query string, opts cypher.Options) (*cypher.Result, error) {
-	return s.cypherAt(s.snap.Load(), query, opts)
+	return s.cypherAt(context.Background(), s.snap.Load(), query, opts)
 }
 
 // cypherAt evaluates a query against a pinned snapshot (the one the caller
-// goes on to render the result from).
-func (s *Store) cypherAt(ep *Epoch, query string, opts cypher.Options) (*cypher.Result, error) {
-	return cypher.NewProvEvaluator(ep.P, opts).Run(query)
+// goes on to render the result from), stopping once ctx is done.
+func (s *Store) cypherAt(ctx context.Context, ep *Epoch, query string, opts cypher.Options) (*cypher.Result, error) {
+	return cypher.NewProvEvaluator(ep.P, opts).RunContext(ctx, query)
 }
 
 // CacheStats snapshots the segment-cache counters.

@@ -1,6 +1,5 @@
 // Command provbench regenerates the paper's experimental evaluation
-// (Fig. 5 panels a-h) plus the shard, qos and repl durability panels, and
-// prints each panel as a text table.
+// (Fig. 5 panels a-h) and prints each panel as a text table.
 //
 // Usage:
 //
@@ -23,7 +22,7 @@ import (
 )
 
 func main() {
-	figure := flag.String("figure", "all", "comma-separated panels to run: 5a..5h, qos, repl, shard, or all")
+	figure := flag.String("figure", "all", "comma-separated panels to run: 5a..5h, or all")
 	scale := flag.String("scale", "small", "experiment scale: small, medium, paper")
 	flag.Parse()
 

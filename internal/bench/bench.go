@@ -1,9 +1,7 @@
 // Package bench regenerates every panel of the paper's Fig. 5 (the whole
 // experimental evaluation) as text series: runtimes of the PgSeg solvers
 // over the Pd workloads (panels a-d) and compaction ratios of PgSum vs the
-// pSum baseline over the Sd workloads (panels e-h). Three durability panels
-// ride along: sharded ingest ("shard"), hot-neighbor isolation ("qos") and
-// replication ("repl").
+// pSum baseline over the Sd workloads (panels e-h).
 //
 // Absolute numbers depend on the host; the reproduction targets the shape:
 // which algorithm wins, by roughly what factor, and how each curve moves
@@ -401,7 +399,6 @@ var panels = []struct {
 }{
 	{"5a", Fig5a}, {"5b", Fig5b}, {"5c", Fig5c}, {"5d", Fig5d},
 	{"5e", Fig5e}, {"5f", Fig5f}, {"5g", Fig5g}, {"5h", Fig5h},
-	{"qos", FigQoS}, {"repl", FigRepl}, {"shard", FigShard},
 }
 
 // ByID runs one panel by id.

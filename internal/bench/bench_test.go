@@ -12,13 +12,13 @@ import (
 )
 
 // TestFigureRegistry pins the panel list, in print order, and checks that
-// the retired serving panels and unknown ids do not resolve.
+// the retired serving and durability panels and unknown ids do not resolve.
 func TestFigureRegistry(t *testing.T) {
-	want := []string{"5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "qos", "repl", "shard"}
+	want := []string{"5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h"}
 	if got := IDs(); !slices.Equal(got, want) {
 		t.Fatalf("panels %v, want %v", got, want)
 	}
-	for _, id := range []string{"srv", "csr", "vec", "9z"} {
+	for _, id := range []string{"srv", "csr", "vec", "qos", "repl", "shard", "9z"} {
 		if _, ok := ByID(id, ScaleSmall); ok {
 			t.Fatalf("panel %q resolves", id)
 		}
@@ -42,78 +42,6 @@ func TestTimeVC2Cells(t *testing.T) {
 	}()
 	if !panicked {
 		t.Fatalf("query with an activity destination printed %q instead of panicking", cell)
-	}
-}
-
-// TestRunShardIngestTiny drives the sharded-ingest measurement core on a
-// miniature workload: every batch must commit and the rate be positive.
-func TestRunShardIngestTiny(t *testing.T) {
-	rate, err := runShardIngest(2, 2, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate <= 0 {
-		t.Fatalf("rate %f", rate)
-	}
-}
-
-// TestRunHotNeighborTiny runs the hot-neighbor measurement core with a
-// miniature shape, unthrottled and rate-limited: both must yield a
-// positive cold-store p99.
-func TestRunHotNeighborTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hot-neighbor probe pays real fsyncs")
-	}
-	for _, rate := range []float64{0, 50} {
-		p99, err := runHotNeighbor(2, 1, 5, rate)
-		if err != nil {
-			t.Fatalf("rate=%v: %v", rate, err)
-		}
-		if p99 <= 0 {
-			t.Fatalf("rate=%v: p99 %v", rate, p99)
-		}
-	}
-}
-
-// TestRunReplTiny drives the replication measurement core on a miniature
-// workload: the leader commits, the follower catches up over real HTTP,
-// both rates are positive and no record lag remains.
-func TestRunReplTiny(t *testing.T) {
-	commit, apply, lag, residual, err := runRepl(2, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if commit <= 0 || apply <= 0 {
-		t.Fatalf("rates: commit %f apply %f", commit, apply)
-	}
-	if residual != 0 {
-		t.Fatalf("follower left %d records behind after WaitEpoch", residual)
-	}
-	if lag.Count == 0 {
-		t.Fatal("apply-lag histogram empty")
-	}
-}
-
-// TestFigShardTiny runs the shard panel end to end: every cell must be a
-// measurement, and the workload sizes must satisfy the >=8-writer bar the
-// panel exists to document.
-func TestFigShardTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded ingest sweep pays real fsyncs")
-	}
-	if w, _ := shardWorkload(ScaleSmall); w < 8 {
-		t.Fatalf("small-scale writer pool %d, want >=8", w)
-	}
-	fig := FigShard(ScaleSmall)
-	if len(fig.Rows) != 3 {
-		t.Fatalf("want 3 shard points, got %d", len(fig.Rows))
-	}
-	for _, r := range fig.Rows {
-		for _, s := range fig.Series {
-			if c := r.Cells[s]; c == "" || strings.HasPrefix(c, "err") {
-				t.Fatalf("bad cell %s at stores=%s: %q", s, r.X, c)
-			}
-		}
 	}
 }
 

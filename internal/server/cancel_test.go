@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -22,7 +23,56 @@ import (
 func TestQueryStopsWhenClientHangsUp(t *testing.T) {
 	p := gen.Pd(gen.PdConfig{N: 40, Seed: 1})
 	src, dst := gen.DefaultQuery(p)
-	srv := NewServer(NewStore(p, 0))
+	hangUpMidRequest(t, NewServer(NewStore(p, 0)), "/query",
+		QueryRequest{Query: cypher.Query1(src, dst)},
+		func() { time.Sleep(150 * time.Millisecond) })
+}
+
+// TestSummarizeStopsWhenClientHangsUp: a client hangs up while /summarize
+// solves 64 distinct, uncached segments of Pd-20000 (the seg_cold pool
+// shape, several hundred ms of PgSeg), right after the first solve starts.
+// The handler checks the request's context before each segment solve, so it
+// must return within 100 ms of the hang-up and leave no goroutine behind.
+// The last spec names an activity as a destination, which the solver
+// refuses: a handler that ignores the hang-up solves the other 63 and then
+// fails, instead of running PgSum over their ~850k vertex occurrences
+// (tens of GB).
+func TestSummarizeStopsWhenClientHangsUp(t *testing.T) {
+	p := gen.Pd(gen.PdConfig{N: 20000, Seed: 1})
+	ents := p.Entities()
+	half := len(ents)/2 - 1
+	rng := rand.New(rand.NewSource(1))
+	seen := map[[2]int]bool{}
+	var req SummarizeRequest
+	for len(req.Segments) < maxSumSegments-1 {
+		a, b := rng.Intn(half), len(ents)-2-rng.Intn(half)
+		if seen[[2]int{a, b}] {
+			continue
+		}
+		seen[[2]int{a, b}] = true
+		req.Segments = append(req.Segments, SegmentSpec{
+			Src: []uint32{uint32(ents[a]), uint32(ents[a+1])},
+			Dst: []uint32{uint32(ents[b]), uint32(ents[b+1])},
+		})
+	}
+	req.Segments = append(req.Segments, SegmentSpec{
+		Src: []uint32{uint32(ents[0])},
+		Dst: []uint32{uint32(p.Activities()[0])},
+	})
+	st := NewStore(p, 0)
+	hangUpMidRequest(t, NewServer(st), "/summarize", req, func() {
+		for st.CacheStats().Misses == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
+// hangUpMidRequest posts body to path and hangs up once the handler is
+// running and wait has returned. It checks that the handler returns within
+// 100 ms of the hang-up, that the client got no reply, and that the
+// goroutine count falls back to what it was before the request.
+func hangUpMidRequest(t *testing.T, srv http.Handler, path string, body any, wait func()) {
+	t.Helper()
 	started := make(chan struct{}, 1)
 	handled := make(chan time.Time, 1)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -32,7 +82,7 @@ func TestQueryStopsWhenClientHangsUp(t *testing.T) {
 	}))
 	defer ts.Close()
 	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-	body, err := json.Marshal(QueryRequest{Query: cypher.Query1(src, dst)})
+	raw, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +90,7 @@ func TestQueryStopsWhenClientHangsUp(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+path, bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +103,10 @@ func TestQueryStopsWhenClientHangsUp(t *testing.T) {
 		done <- err
 	}()
 	<-started
-	time.Sleep(150 * time.Millisecond)
+	wait()
 	select {
 	case <-handled:
-		t.Fatal("the query finished before the client hung up: nothing to stop")
+		t.Fatalf("%s finished before the client hung up: nothing to stop", path)
 	default:
 	}
 	hungUp := time.Now()
@@ -64,10 +114,10 @@ func TestQueryStopsWhenClientHangsUp(t *testing.T) {
 	select {
 	case at := <-handled:
 		if d := at.Sub(hungUp); d > 100*time.Millisecond {
-			t.Errorf("the evaluation ran on %v after the client hung up", d)
+			t.Errorf("%s ran on %v after the client hung up", path, d)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("the evaluation still runs 5 s after the client hung up")
+		t.Fatalf("%s still runs 5 s after the client hung up", path)
 	}
 	if err := <-done; err == nil {
 		t.Fatal("the cancelled request got a reply")

@@ -354,7 +354,7 @@ func (s *Store) WaitEpoch(min uint64, timeout time.Duration) bool {
 // ReplStats is the /metrics repl panel, present on stores that are (or
 // were) followers: the applied and leader epochs, the record and
 // wall-clock lag, and the reconnect count, plus the apply-lag latency
-// digest the bench panel reads p99 from.
+// digest.
 type ReplStats struct {
 	Follower     bool   `json:"follower"`
 	LeaderURL    string `json:"leader_url"`

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -576,12 +578,49 @@ func TestReplFollowerEndToEnd(t *testing.T) {
 		t.Fatalf("discovered store: %v", err)
 	}
 
+	// Concurrent writers on the leader while the follower tails it live:
+	// once WaitEpoch returns no record lag remains, and the apply-lag
+	// digest has observed the streamed records.
+	const writers, perWriter = 2, 15
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := reg.Default().Update(func(rec *prov.Recorder) error {
+					rec.Snapshot(fmt.Sprintf("w%d-%d", w, i))
+					return nil
+				}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent leader commit: %v", err)
+	}
+	if !freg.Default().WaitEpoch(reg.Default().Epoch().N, 5*time.Second) {
+		t.Fatal("follower never caught up with the concurrent writers")
+	}
+	rs := freg.Default().ReplStatsSnapshot()
+	if rs == nil {
+		t.Fatal("follower store has no repl stats")
+	}
+	if rs.LagRecords != 0 {
+		t.Fatalf("follower left %d records behind after WaitEpoch", rs.LagRecords)
+	}
+	if rs.Lag.Count == 0 {
+		t.Fatal("apply-lag histogram empty")
+	}
+
 	// Metrics: the JSON panel and the Prometheus exposition must agree
 	// exactly on the repl gauges (the store is quiescent between the two
 	// fetches — nothing applies, so the counters are stable).
-	if !freg.Default().WaitEpoch(reg.Default().Epoch().N, 5*time.Second) {
-		t.Fatal("follower never caught up for the metrics check")
-	}
 	var m MetricsResponse
 	if code := doJSON(t, http.MethodGet, fts.URL+"/metrics", nil, &m); code != http.StatusOK {
 		t.Fatalf("follower metrics status %d", code)

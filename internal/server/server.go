@@ -581,7 +581,8 @@ func (s *Server) handleSummarize(st *Store, w http.ResponseWriter, r *http.Reque
 			Agent:    req.AggAgent,
 		},
 	}
-	psg, err := st.Summarize(queries, core.Options{}, sumOpts)
+	// A client that hangs up stops the remaining segment solves.
+	psg, err := st.summarizeAt(r.Context(), queries, core.Options{}, sumOpts)
 	if err != nil {
 		writeErr(w, queryErrCode(err), "summarize: %v", err)
 		return

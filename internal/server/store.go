@@ -901,14 +901,26 @@ func (s *Store) segmentAt(ep *Epoch, q core.Query, opts core.Options, useCache b
 // against one pinned snapshot, so the result reflects a single graph state
 // even with concurrent ingest.
 func (s *Store) Summarize(queries []core.Query, segOpts core.Options, sumOpts core.SumOptions) (*core.Psg, error) {
+	return s.summarizeAt(context.Background(), queries, segOpts, sumOpts)
+}
+
+// summarizeAt is Summarize stopping once ctx is done: it checks ctx before
+// each segment solve and before PgSum.
+func (s *Store) summarizeAt(ctx context.Context, queries []core.Query, segOpts core.Options, sumOpts core.SumOptions) (*core.Psg, error) {
 	ep := s.snap.Load()
 	segs := make([]*core.Segment, 0, len(queries))
 	for i, q := range queries {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("stopped before segment %d: %w", i, err)
+		}
 		seg, _, err := s.segmentAt(ep, q, segOpts, true)
 		if err != nil {
 			return nil, fmt.Errorf("segment %d: %w", i, err)
 		}
 		segs = append(segs, seg)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("stopped before PgSum: %w", err)
 	}
 	return core.Summarize(segs, sumOpts)
 }

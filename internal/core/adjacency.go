@@ -31,7 +31,12 @@ type adjacency struct {
 	// plain marks a boundary with no programmatic vertex/edge filters, so
 	// vertexOK is constant-true and edgeOK reduces to the relation mask.
 	plain bool
+	rows  RowCounts // what row fetched; each goroutine reads through its own copy
 }
+
+// RowCounts counts the relation rows a PgSeg call fetched, by prov.Rel and
+// direction (1: out-rows, toward ancestors). An excluded relation counts 0.
+type RowCounts [8][2]int
 
 func newAdjacency(p *prov.Graph, b Boundary) *adjacency {
 	ad := &adjacency{
@@ -89,6 +94,7 @@ func (ad *adjacency) row(v graph.VertexID, rel prov.Rel, out bool, buf *[]graph.
 	if !ad.relOK[rel] {
 		return nil, nil
 	}
+	ad.rows[rel][dir(out)]++
 	label := ad.p.RelLabel(rel)
 	if ad.plain {
 		if base, ext, ok := ad.p.PG().NeighborRowSegs(v, label, out); ok {

@@ -64,8 +64,6 @@ type Options struct {
 	// Sets picks the fast-set implementation for SimProvAlg/CflrB
 	// (default dense bitset; bitmap.RoaringFactory is the paper's Cbm).
 	Sets bitmap.Factory
-	// NoPruning disables SimProvAlg's symmetric-pair pruning (ablation).
-	NoPruning bool
 	// NoEarlyStop disables SimProvAlg's temporal early-stopping rule (Fig.
 	// 5d ablates this), which compares the snapshot's order of being
 	// (prov.Graph.OrderOfBeing) and so is sound on every DAG. SimProvTst has
@@ -96,7 +94,7 @@ type Engine struct {
 }
 
 // NewEngine builds an engine; zero-value options select SimProvTst with
-// dense bitsets, pruning and early stopping enabled.
+// dense bitsets and early stopping enabled.
 func NewEngine(p *prov.Graph, opts Options) *Engine {
 	if opts.Sets == nil {
 		opts.Sets = bitmap.BitsetFactory
@@ -190,7 +188,11 @@ type Segment struct {
 	vset *bitmap.Bitset
 	// support is the revalidation support set (see Support).
 	support *bitmap.Bitset
+	rows    RowCounts
 }
+
+// RowReads returns the relation rows fetched by the call that built s.
+func (s *Segment) RowReads() RowCounts { return s.rows }
 
 // Contains reports whether v is in the segment.
 func (s *Segment) Contains(v graph.VertexID) bool { return s.vset.Contains(uint32(v)) }
@@ -290,7 +292,10 @@ func (e *Engine) Segment(q Query) (*Segment, error) {
 		return nil, err
 	}
 	ws := make([]segWorker, min(runtime.GOMAXPROCS(0), t.len()))
-	forkJoin(len(ws), t.len(), func(w, i int) { t.do(&ws[w], i) })
+	for i := range ws {
+		ws[i].ad = *newAdjacency(e.P, q.Boundary)
+	}
+	forkJoin(len(ws), t.len(), func(w, i int) { t.do(&ws[w], &ws[w].ad, i) })
 	vc2, err := t.vc2(ws)
 	if err != nil {
 		return nil, err
@@ -372,6 +377,7 @@ func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset
 	for i, v := range seg.Vertices {
 		seg.Rules[i] = ruleOf[v]
 	}
+	seg.rows = ad.rows
 	return seg
 }
 
@@ -535,5 +541,6 @@ func (e *Engine) AdjustExpand(s *Segment, ex Expansion) (*Segment, error) {
 		}
 	}
 	out.Edges = ad.inducedEdges(out.vset, nil)
+	out.rows = ad.rows
 	return out, nil
 }

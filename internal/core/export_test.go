@@ -77,6 +77,13 @@ func SegmentWords(e *Engine, q Query) (*Segment, error) {
 	return e.induce(q, ad, vc1, e.runSimProvTst(e.words(ad, src), src, q.Dst, ad), support), nil
 }
 
+// ClosureRows is AncestryClosure with the rows its walk fetched.
+func ClosureRows(e *Engine, seeds []graph.VertexID, b Boundary, forward bool) (*bitmap.Bitset, RowCounts) {
+	ad := newAdjacency(e.P, b)
+	closure := e.ancestryClosure(seeds, ad, forward)
+	return closure, ad.rows
+}
+
 // RandomLifecycle is randomLifecycle (tstrunners_test.go) with its query.
 func RandomLifecycle(seed int64, runs int) (*prov.Graph, Query) { return randomLifecycle(seed, runs) }
 
@@ -220,7 +227,11 @@ func newReachGuard(g *sumGraph) *reachGuard {
 			edges = append(edges, [3]int{from, a.to, int(a.rel)})
 		}
 	}
-	return newGuard(buildSum(g.label, edges))
+	rg, err := newGuard(buildSum(g.label, edges))
+	if err != nil {
+		panic(err)
+	}
+	return rg
 }
 
 // buildSum creates a flatGraph, in an arena of its own, from an edge list

@@ -78,7 +78,7 @@ func TestPropertyMatchDifferential(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: oracle: %v", label, err)
 							}
-							if !reflect.DeepEqual(seg, ref) {
+							if !sameResult(seg, ref) {
 								t.Fatalf("%s/%v: segment differs from the oracle's (%d vs %d vertices, %d vs %d edges)",
 									label, solver, seg.NumVertices(), ref.NumVertices(), seg.NumEdges(), ref.NumEdges())
 							}
@@ -170,9 +170,17 @@ func TestEarlyStopNonMonotone(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if !reflect.DeepEqual(seg, ref) {
+			if !sameResult(seg, ref) {
 				t.Errorf("%s: segment %v, NoEarlyStop %v", label, seg.Vertices, ref.Vertices)
 			}
 		}
 	}
+}
+
+// sameResult reports whether two segments hold the same result, whatever
+// rows each solve read on the way.
+func sameResult(a, b *Segment) bool {
+	x, y := *a, *b
+	x.rows, y.rows = RowCounts{}, RowCounts{}
+	return reflect.DeepEqual(x, y)
 }

@@ -411,7 +411,7 @@ func mergePhase(g *flatGraph, cond mergeCondition) (remap []int32, numNew int, e
 			return nil, 0, err
 		}
 		var guard *reachGuard // built on the first candidate pair
-		for u := int32(0); int(u) < n; u++ {
+		for u := int32(0); int(u) < n && err == nil; u++ {
 			cl := g.class(g.label[u])
 			eachPos(simIn.of(g, u), simOut.of(g, u), func(i int) bool {
 				v := cl[i]
@@ -419,7 +419,9 @@ func mergePhase(g *flatGraph, cond mergeCondition) (remap []int32, numNew int, e
 					return true
 				}
 				if guard == nil {
-					guard = newGuard(g)
+					if guard, err = newGuard(g); err != nil {
+						return false
+					}
 				}
 				if guard.wouldCycle(int(find(u)), int(find(v))) {
 					return true // try another dominator
@@ -429,6 +431,9 @@ func mergePhase(g *flatGraph, cond mergeCondition) (remap []int32, numNew int, e
 				merged = true
 				return false
 			})
+		}
+		if err != nil {
+			return nil, 0, err
 		}
 	}
 	if !merged {
@@ -457,8 +462,11 @@ type reachGuard struct {
 	owner   []int            // original node -> current group rep
 }
 
-func newGuard(g *flatGraph) *reachGuard {
+func newGuard(g *flatGraph) (*reachGuard, error) {
 	n := g.numNodes()
+	if bytes := 3 * uint64(n) * uint64((n+63)/64*8); bytes > sumBudget {
+		return nil, &BudgetError{bytes}
+	}
 	rg := &reachGuard{
 		members: make([]*bitmap.Bitset, n),
 		desc:    make([]*bitmap.Bitset, n),
@@ -490,7 +498,7 @@ func newGuard(g *flatGraph) *reachGuard {
 		}
 		rg.anc[v] = s
 	}
-	return rg
+	return rg, nil
 }
 
 // wouldCycle reports whether merging groups a and b would create a cycle:

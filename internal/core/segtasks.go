@@ -50,11 +50,14 @@ type segTasks struct {
 
 // segWorker is what one worker owns: its SimProvTst runner, built on its
 // first class (a runner carries per-query state, so no two workers share
-// one), and its pooled share of VC2, on which each class's Remove/run/restore
-// handshake runs.
+// one), its pooled share of VC2, on which each class's Remove/run/restore
+// handshake runs, and the adjacency Segment's tasks read through, counting
+// the worker's rows (padded: no two workers' counters share a cache line).
 type segWorker struct {
 	r   *tstSweepState
 	out *bitmap.Bitset
+	ad  adjacency
+	_   [64]byte
 }
 
 // vc2Shares pools the workers' VC2 sets, emptied into VC2 after the join.
@@ -86,18 +89,19 @@ func (t *segTasks) len() int {
 	return t.nVC2
 }
 
-// do runs task i on worker w.
-func (t *segTasks) do(w *segWorker, i int) {
+// do runs task i on worker w, reading rows through ad: w's own under
+// Segment, the query's under SimilarPaths (whose worker stays on its stack).
+func (t *segTasks) do(w *segWorker, ad *adjacency, i int) {
 	switch {
 	case i == t.nVC2:
-		t.fwd = t.e.ancestryClosure(t.dst, t.ad, true)
+		t.fwd = t.e.ancestryClosure(t.dst, ad, true)
 	case i > t.nVC2:
-		t.bwd = t.e.ancestryClosure(t.src, t.ad, false)
+		t.bwd = t.e.ancestryClosure(t.src, ad, false)
 	case t.classes == nil:
-		t.algVC2, t.err = t.e.solveFacts(t.src, dedupVertices(t.dst), t.ad, t.rank)
+		t.algVC2, t.err = t.e.solveFacts(t.src, dedupVertices(t.dst), ad, t.rank)
 	default:
 		if w.r == nil {
-			w.r = t.e.newTstSweep(t.ad, t.src, t.rank)
+			w.r = t.e.newTstSweep(ad, t.src, t.rank)
 		}
 		if w.out == nil {
 			w.out = vc2Share(t.e.P.NumVertices())
@@ -107,8 +111,14 @@ func (t *segTasks) do(w *segWorker, i int) {
 }
 
 // vc2 returns VC2 once every task has run: the union of the workers' shares,
-// which go back to their pool.
+// which go back to their pool. It adds the workers' rows to the query's.
 func (t *segTasks) vc2(ws []segWorker) (*bitmap.Bitset, error) {
+	for _, w := range ws {
+		for r, n := range w.ad.rows {
+			t.ad.rows[r][0] += n[0]
+			t.ad.rows[r][1] += n[1]
+		}
+	}
 	if t.classes == nil {
 		return t.algVC2, t.err
 	}

@@ -129,8 +129,12 @@ func overlapMatchesSerial(t *testing.T, label string, p *prov.Graph, q Query, op
 			t.Fatalf("%s/%d workers: %v", label, workers, err)
 		}
 		ws := make([]segWorker, workers)
+		for i := range ws {
+			ws[i].ad = *newAdjacency(p, q.Boundary)
+		}
 		for i := tasks.len() - 1; i >= 0; i-- {
-			tasks.do(&ws[i%workers], i)
+			w := &ws[i%workers]
+			tasks.do(w, &w.ad, i)
 		}
 		vc2, err := tasks.vc2(ws)
 		if err != nil {

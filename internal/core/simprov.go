@@ -48,7 +48,7 @@ func (e *Engine) similarPathVertices(q Query, ad *adjacency) (*bitmap.Bitset, er
 	}
 	var w [1]segWorker
 	for i := range t.len() {
-		t.do(&w[0], i)
+		t.do(&w[0], ad, i)
 	}
 	return t.vc2(w[:])
 }

@@ -149,16 +149,21 @@ func TestSolverEquivalenceRoaring(t *testing.T) {
 }
 
 // TestEarlyStopAndPruningPreserveAnswers verifies the optimizations are
-// semantics-preserving (they only skip work that cannot contribute).
+// semantics-preserving (they only skip work that cannot contribute):
+// SimProvAlg with and without its early stop (its symmetric-pair pruning is
+// always on) and SimProvTst with and without NoEarlyStop, against the
+// brute-force semantics.
 func TestEarlyStopAndPruningPreserveAnswers(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		p := gen.Pd(gen.PdConfig{N: 120, Seed: seed})
 		// Sources in the middle make early stopping actually fire.
 		src, dst := gen.QueryAtRank(p, 50)
 		q := core.Query{Src: src, Dst: dst}
-		want := vc2With(t, p, core.Options{Solver: core.SolverAlg, NoEarlyStop: true, NoPruning: true}, q)
+		want := bruteForceVC2(p, src, dst, 14)
 		got := vc2With(t, p, core.Options{Solver: core.SolverAlg}, q)
 		sameVertexSet(t, "alg early-stop", got, want)
+		gotNo := vc2With(t, p, core.Options{Solver: core.SolverAlg, NoEarlyStop: true}, q)
+		sameVertexSet(t, "alg no-early-stop", gotNo, want)
 		gotTst := vc2With(t, p, core.Options{Solver: core.SolverTst}, q)
 		sameVertexSet(t, "tst early-stop", gotTst, want)
 		gotTstNo := vc2With(t, p, core.Options{Solver: core.SolverTst, NoEarlyStop: true}, q)

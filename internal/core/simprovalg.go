@@ -120,34 +120,23 @@ func (e *Engine) runSimProvAlg(src, dst []graph.VertexID, ad *adjacency, rank pr
 	for _, s := range src {
 		minSrc = min(minSrc, rank.Of(s))
 	}
-	pruning := !e.opts.NoPruning
-
 	var work []algItem
 	head := 0
-	pushEe := func(u, v graph.VertexID) bool {
-		if pruning && u > v {
-			u, v = v, u
+	// push records a pair smaller id first (Ee and Aa are symmetric) and
+	// queues it if it is new; false past MaxFacts.
+	push := func(isEe bool, u, v graph.VertexID) bool {
+		u, v = min(u, v), max(u, v)
+		store := facts.aa
+		if isEe {
+			store = facts.ee
 		}
-		if !facts.ee.add(u, v) {
+		if !store.add(u, v) {
 			return true
 		}
 		if e.opts.MaxFacts > 0 && facts.NumFacts() > e.opts.MaxFacts {
 			return false
 		}
-		work = append(work, algItem{isEe: true, u: uint32(u), v: uint32(v)})
-		return true
-	}
-	pushAa := func(u, v graph.VertexID) bool {
-		if pruning && u > v {
-			u, v = v, u
-		}
-		if !facts.aa.add(u, v) {
-			return true
-		}
-		if e.opts.MaxFacts > 0 && facts.NumFacts() > e.opts.MaxFacts {
-			return false
-		}
-		work = append(work, algItem{isEe: false, u: uint32(u), v: uint32(v)})
+		work = append(work, algItem{isEe: isEe, u: uint32(u), v: uint32(v)})
 		return true
 	}
 
@@ -155,7 +144,7 @@ func (e *Engine) runSimProvAlg(src, dst []graph.VertexID, ad *adjacency, rank pr
 		if !ad.vertexOK(vj) {
 			continue
 		}
-		if !pushEe(vj, vj) {
+		if !push(true, vj, vj) {
 			return facts, cflr.ErrFactBudget
 		}
 	}
@@ -180,7 +169,7 @@ func (e *Engine) runSimProvAlg(src, dst []graph.VertexID, ad *adjacency, rank pr
 					if matchA != nil && !matchA(a1, a2) {
 						continue
 					}
-					if !pushAa(a1, a2) {
+					if !push(false, a1, a2) {
 						return facts, cflr.ErrFactBudget
 					}
 				}
@@ -195,7 +184,7 @@ func (e *Engine) runSimProvAlg(src, dst []graph.VertexID, ad *adjacency, rank pr
 					if matchE != nil && !matchE(e1, e2) {
 						continue
 					}
-					if !pushEe(e1, e2) {
+					if !push(true, e1, e2) {
 						return facts, cflr.ErrFactBudget
 					}
 				}

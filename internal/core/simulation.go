@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/bits"
 	"slices"
 )
@@ -18,6 +19,20 @@ import (
 // graph, which the Psg definition requires to be acyclic. A validated
 // provenance graph has neither; a graph that skipped validation may.
 var ErrNotDAG = errors.New("core: input is not a DAG")
+
+// sumBudget caps each PgSum allocation that grows with the square of the
+// input (simulation slab, reach guard), checked before it is made: 256 MiB
+// keeps sum_pd (a 0.1 MB slab) three orders of magnitude inside, and
+// refuses eight seg_cold-shaped Pd-20000 segments at type_radius 0 (917 MiB).
+const sumBudget = 256 << 20
+
+// BudgetError refuses a PgSum call whose next quadratic allocation, of
+// Bytes, would exceed sumBudget.
+type BudgetError struct{ Bytes uint64 }
+
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("core: PgSum would allocate %d MiB at once (budget %d MiB)", e.Bytes>>20, sumBudget>>20)
+}
 
 // An arc is one word, rel | label of the far end | far end, so uint64 order
 // is the (rel, far label, far end) order simulation walks and a sort needs
@@ -493,6 +508,9 @@ func simulation(g *flatGraph, forward bool) (*simRel, error) {
 		} else {
 			sim.row[v] = full[l]
 		}
+	}
+	if 8*words > sumBudget {
+		return nil, &BudgetError{8 * words}
 	}
 	sim.words = mem.u64.take(int(words))
 	sim.fillShared(g, full)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"strings"
@@ -198,5 +199,34 @@ func TestSimEquivClasses(t *testing.T) {
 			}
 			seen[m] = true
 		}
+	}
+}
+
+// TestSumBudget: each of PgSum's two quadratic allocations is refused, with
+// the bytes it asked for, before it is made. The simulation slab of one class
+// of 50000 nodes, each with an arc to a sink, holds 50000 rows of 782 words;
+// the reach guard over 30000 nodes holds 3 x 30000 sets of 469 words, built
+// for the one dominance candidate pair (two equally labeled isolated nodes).
+func TestSumBudget(t *testing.T) {
+	const n = 50000
+	labels, edges := make([]int, n+1), make([][3]int, n)
+	labels[n] = 1
+	for v := range n {
+		edges[v] = [3]int{v, n, 0}
+	}
+	_, err := simulation(buildSum(labels, edges), true)
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Bytes < 8*n*((n+63)/64) {
+		t.Fatalf("simulation over one class of %d: %v, want a BudgetError of at least %d bytes", n, err, 8*n*((n+63)/64))
+	}
+
+	const m = 30000
+	labels = make([]int, m)
+	for v := range labels {
+		labels[v] = max(v-1, 0)
+	}
+	_, _, err = mergePhase(buildSum(labels, nil), condDominance)
+	if want := uint64(3 * m * ((m + 63) / 64 * 8)); !errors.As(err, &be) || be.Bytes != want {
+		t.Fatalf("dominance phase over %d nodes: %v, want a BudgetError of %d bytes", m, err, want)
 	}
 }

@@ -140,19 +140,6 @@ func TestExcludedBlocksNeverRead(t *testing.T) {
 	p := gen.Pd(gen.PdConfig{N: 400, Seed: 4}).Freeze()
 	src, dst := gen.DefaultQuery(p)
 	excluded := []prov.Rel{prov.RelDeriv, prov.RelAttr}
-	bad := map[graph.Label]bool{}
-	for _, r := range excluded {
-		bad[p.RelLabel(r)] = true
-	}
-	// Segment reads rows on several goroutines at once.
-	var mu sync.Mutex
-	reads := map[graph.Label]int{}
-	restore := graph.SetRowReadHook(func(l graph.Label, out bool) {
-		mu.Lock()
-		reads[l]++
-		mu.Unlock()
-	})
-	defer restore()
 	eng := core.NewEngine(p, core.Options{})
 	seg, err := eng.Segment(core.Query{
 		Src: src, Dst: dst,
@@ -167,17 +154,14 @@ func TestExcludedBlocksNeverRead(t *testing.T) {
 	if seg.NumVertices() == 0 {
 		t.Fatal("empty segment: the traversal never ran")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	total := 0
-	for l, c := range reads {
-		if bad[l] {
-			t.Errorf("excluded label %q: %d CSR row reads", p.PG().Dict().Name(l), c)
+	reads := seg.RowReads()
+	for _, r := range excluded {
+		if reads[r] != [2]int{} {
+			t.Errorf("excluded relation %v: %v CSR row reads (in, out)", r, reads[r])
 		}
-		total += c
 	}
-	if total == 0 {
-		t.Fatal("hook observed no reads at all: instrumentation is dead")
+	if reads == (core.RowCounts{}) {
+		t.Fatal("the segment counted no reads at all: the counter is dead")
 	}
 }
 

@@ -127,6 +127,7 @@ type Evaluator struct {
 	done     <-chan struct{} // the evaluation's context's Done (nil: never)
 	ctx      context.Context
 	steps    uint64
+	rows     uint64 // CSR rows the planner fetched (NeighborRowSegs, FrozenNeighbors)
 }
 
 // NewEvaluator builds an evaluator with explicit label resolvers.

@@ -300,11 +300,13 @@ func (ev *Evaluator) frontierStep(src *bitmap.Bitset, labels []graph.Label, useO
 				b, xt, _ := ev.g.NeighborRowSegs(v, l, true)
 				bitmap.OrInto(out, b)
 				bitmap.OrInto(out, xt)
+				ev.rows++
 			}
 			if useIn {
 				b, xt, _ := ev.g.NeighborRowSegs(v, l, false)
 				bitmap.OrInto(out, b)
 				bitmap.OrInto(out, xt)
+				ev.rows++
 			}
 			return true
 		})
@@ -359,6 +361,7 @@ func (ev *Evaluator) iterRelEdges(cur graph.VertexID, rp RelPattern, out bool, f
 				usable = false
 				break
 			}
+			ev.rows++
 			if len(eids) > 0 {
 				rows = append(rows, relRow{nbrs, eids})
 			}

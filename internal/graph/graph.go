@@ -248,7 +248,6 @@ func (g *Graph) VerticesWithLabel(label Label) []VertexID { return g.byLabel[lab
 // graph this is one contiguous CSR row copy instead of an edge-list filter.
 func (g *Graph) OutNeighbors(v VertexID, label Label, buf []VertexID) []VertexID {
 	if g.csr != nil {
-		hookRowRead(label, true)
 		return g.csr.rel(label, true).appendNbrs(v, buf)
 	}
 	for _, e := range g.out[v] {
@@ -264,7 +263,6 @@ func (g *Graph) OutNeighbors(v VertexID, label Label, buf []VertexID) []VertexID
 // one contiguous CSR row copy instead of an edge-list filter.
 func (g *Graph) InNeighbors(v VertexID, label Label, buf []VertexID) []VertexID {
 	if g.csr != nil {
-		hookRowRead(label, false)
 		return g.csr.rel(label, false).appendNbrs(v, buf)
 	}
 	for _, e := range g.in[v] {

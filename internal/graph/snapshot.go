@@ -547,7 +547,6 @@ func (g *Graph) FrozenNeighbors(v VertexID, label Label, out bool) (nbrs []Verte
 	if g.csr == nil {
 		return nil, nil, false
 	}
-	hookRowRead(label, out)
 	nbrs, eids = g.csr.rel(label, out).row(v)
 	return nbrs, eids, true
 }
@@ -565,7 +564,6 @@ func (g *Graph) NeighborRowSegs(v VertexID, label Label, out bool) (base, ext []
 	if g.csr == nil {
 		return nil, nil, false
 	}
-	hookRowRead(label, out)
 	r := g.csr.rel(label, out)
 	if r == nil {
 		return nil, nil, true

@@ -113,35 +113,3 @@ func TestNeighborRowSegs(t *testing.T) {
 		t.Fatal("NeighborRowSegs ok on live graph")
 	}
 }
-
-func TestRowReadHook(t *testing.T) {
-	g := randomGraph(50, 200, 19)
-	fz := g.Freeze()
-	type read struct {
-		l   Label
-		out bool
-	}
-	var reads []read
-	restore := SetRowReadHook(func(l Label, out bool) { reads = append(reads, read{l, out}) })
-	lu := fz.Dict().Intern("e:U")
-	fz.FrozenNeighbors(3, lu, true)
-	fz.NeighborRowSegs(4, lu, false)
-	fz.OutNeighbors(5, lu, nil)
-	fz.InNeighbors(6, lu, nil)
-	restore()
-	fz.FrozenNeighbors(3, lu, true) // after restore: unobserved
-	want := []read{{lu, true}, {lu, false}, {lu, true}, {lu, false}}
-	if fmt.Sprint(reads) != fmt.Sprint(want) {
-		t.Fatalf("hook observed %v, want %v", reads, want)
-	}
-	// Restoring twice (or racing a later hook) must not clear someone
-	// else's installation.
-	restore2 := SetRowReadHook(func(Label, bool) {})
-	restore()
-	fzReads := len(reads)
-	fz.FrozenNeighbors(3, lu, true)
-	if len(reads) != fzReads {
-		t.Fatal("stale restore cleared the active hook")
-	}
-	restore2()
-}

@@ -189,64 +189,6 @@ func TestOrderOfBeing(t *testing.T) {
 	}
 }
 
-func TestPathLabels(t *testing.T) {
-	p, vs := buildChain(t)
-	d, a1, m := vs[1], vs[2], vs[3]
-	// Path m -G-> a1 -U-> d (forward ancestry).
-	var gEdge, uEdge graph.EdgeID
-	for e := 0; e < p.PG().NumEdges(); e++ {
-		id := graph.EdgeID(e)
-		if p.RelOf(id) == RelGen && p.PG().Src(id) == m {
-			gEdge = id
-		}
-		if p.RelOf(id) == RelUsed && p.PG().Dst(id) == d {
-			uEdge = id
-		}
-	}
-	pt := Path{Start: m, Steps: []Step{{Edge: gEdge}, {Edge: uEdge}}}
-	if got := p.TauPath(pt); got != "E G A U E" {
-		t.Fatalf("TauPath = %q", got)
-	}
-	if got := p.TauSegment(pt); got != "G A U" {
-		t.Fatalf("TauSegment = %q", got)
-	}
-	if pt.End(p) != d {
-		t.Fatal("End wrong")
-	}
-	verts := pt.Vertices(p)
-	if len(verts) != 3 || verts[0] != m || verts[1] != a1 || verts[2] != d {
-		t.Fatalf("Vertices = %v", verts)
-	}
-	// Inverse path: d U^-1 a1 G^-1 m.
-	inv := pt.Inverse(p)
-	if got := p.TauPath(inv); got != "E U-1 A G-1 E" {
-		t.Fatalf("inverse TauPath = %q", got)
-	}
-	if inv.End(p) != m {
-		t.Fatal("inverse End wrong")
-	}
-}
-
-func TestAncestryPathEnumeration(t *testing.T) {
-	p, vs := buildChain(t)
-	m := vs[3]
-	count := 0
-	p.AncestryPaths(m, 5, func(pt Path) bool {
-		count++
-		return true
-	})
-	// m -G-> a1 and m -G-> a1 -U-> d.
-	if count != 2 {
-		t.Fatalf("want 2 ancestry paths from model, got %d", count)
-	}
-	// Early stop.
-	count = 0
-	p.AncestryPaths(m, 5, func(Path) bool { count++; return false })
-	if count != 1 {
-		t.Fatalf("early stop broken: %d", count)
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	p, _ := buildChain(t)
 	p.PG().SetVertexProp(1, "acc", graph.Float(0.75))

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,8 +36,9 @@ func TestQueryStopsWhenClientHangsUp(t *testing.T) {
 // must return within 100 ms of the hang-up and leave no goroutine behind.
 // The last spec names an activity as a destination, which the solver
 // refuses: a handler that ignores the hang-up solves the other 63 and then
-// fails, instead of running PgSum over their ~850k vertex occurrences
-// (tens of GB).
+// fails, instead of starting PgSum over their ~850k vertex occurrences
+// (whose ~49 GB simulation slab PgSum's byte budget would refuse; see
+// TestSummarizeByteBudget).
 func TestSummarizeStopsWhenClientHangsUp(t *testing.T) {
 	p := gen.Pd(gen.PdConfig{N: 20000, Seed: 1})
 	ents := p.Entities()
@@ -65,6 +67,37 @@ func TestSummarizeStopsWhenClientHangsUp(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	})
+}
+
+// TestSummarizeByteBudget: a default /summarize (type_radius 0) of eight
+// seg_cold-shaped Pd-20000 segments would have PgSum ask for a simulation
+// slab far past its byte budget, and two such calls took the daemon's host
+// down. The request gets a 422 naming the bytes asked for, within 2 s.
+func TestSummarizeByteBudget(t *testing.T) {
+	p := gen.Pd(gen.PdConfig{N: 20000, Seed: 1})
+	ents := p.Entities()
+	half := len(ents)/2 - 1
+	rng := rand.New(rand.NewSource(20190001)) // benchmark/workload.go poolSeed
+	var req SummarizeRequest
+	for range 8 {
+		a, b := rng.Intn(half), len(ents)-2-rng.Intn(half)
+		req.Segments = append(req.Segments, SegmentSpec{
+			Src: []uint32{uint32(ents[a]), uint32(ents[a+1])},
+			Dst: []uint32{uint32(ents[b]), uint32(ents[b+1])},
+		})
+	}
+	ts := httptest.NewServer(NewServer(NewStore(p, 0)))
+	defer ts.Close()
+	start := time.Now()
+	var errResp ErrorResponse
+	code := doJSON(t, http.MethodPost, ts.URL+"/summarize", req, &errResp)
+	took := time.Since(start)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(errResp.Error, "MiB") {
+		t.Fatalf("status %d (%q), want 422 naming the bytes asked for", code, errResp.Error)
+	}
+	if took > 2*time.Second {
+		t.Fatalf("the refusal took %v, want at most 2 s", took)
+	}
 }
 
 // hangUpMidRequest posts body to path and hangs up once the handler is

@@ -428,7 +428,7 @@ func queryErrCode(err error) int {
 	switch {
 	case errors.Is(err, cypher.ErrTimeout):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, cypher.ErrRowBudget), errors.Is(err, core.ErrNotDAG):
+	case errors.Is(err, cypher.ErrRowBudget), errors.Is(err, core.ErrNotDAG), errors.As(err, new(*core.BudgetError)):
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusBadRequest

@@ -880,83 +880,97 @@ func TestAdjustRepeatedKinds(t *testing.T) {
 // surface: when a /segment or /adjust boundary excludes relationship types,
 // the excluded relations' CSR blocks are never read — core's adjacency
 // returns before touching a row of an excluded relation, rather than edges
-// being read and filtered after the fact.
+// being read and filtered after the fact. The replies are checked over HTTP,
+// the rows each solve fetched through Store.Segment and Store.Adjust on the
+// same parsed requests.
 func TestExcludedRelBlocksNeverRead(t *testing.T) {
 	ts, store, ids := newTestServer(t)
-	p := store.Epoch().P
-
-	var mu sync.Mutex
-	reads := map[graph.Label]int{}
-	restore := graph.SetRowReadHook(func(l graph.Label, out bool) {
-		mu.Lock()
-		reads[l]++
-		mu.Unlock()
-	})
-	defer restore()
-	drainReads := func() map[graph.Label]int {
-		mu.Lock()
-		defer mu.Unlock()
-		got := reads
-		reads = map[graph.Label]int{}
-		return got
+	checkReads := func(what string, rows core.RowCounts, wantU bool, excluded ...string) {
+		t.Helper()
+		if wantU && rows[prov.RelUsed] == [2]int{} {
+			t.Fatalf("%s: no U-block reads counted; the traversal never ran", what)
+		}
+		rels, err := parseRels(excluded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rels {
+			if rows[r] != [2]int{} {
+				t.Fatalf("excluded %v block was read during %s: %v", r, what, rows)
+			}
+		}
+	}
+	noEdge := func(what string, edges []EdgeInfo, excluded ...string) {
+		t.Helper()
+		for _, e := range edges {
+			if slices.Contains(excluded, e.Rel) {
+				t.Fatalf("excluded relation %s survived %s", e.Rel, what)
+			}
+		}
 	}
 
-	lU := p.RelLabel(prov.RelUsed)
-	lS := p.RelLabel(prov.RelAssoc)
-	lA := p.RelLabel(prov.RelAttr)
-
-	// A fresh (uncached) /segment under an S/A exclusion: the traversal must
-	// read U blocks but never the excluded agent-relation blocks.
+	// A fresh (uncached) /segment under an S/A/D exclusion: the traversal
+	// must read U blocks but never the excluded blocks (the closures would
+	// read D rows, the agent relations have no reader left at all).
 	seg := SegmentRequest{
 		Src:         []uint32{uint32(ids["dataset"])},
 		Dst:         []uint32{uint32(ids["report"])},
-		ExcludeRels: []string{"S", "A"},
+		ExcludeRels: []string{"S", "A", "D"},
 		NoCache:     true,
 	}
 	var segResp SegmentResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/segment", seg, &segResp); code != 200 {
 		t.Fatalf("segment: status %d", code)
 	}
-	got := drainReads()
-	if got[lU] == 0 {
-		t.Fatal("no U-block reads observed; hook not exercising the frozen path")
-	}
-	if got[lS] != 0 || got[lA] != 0 {
-		t.Fatalf("excluded S/A blocks were read during /segment: %v", got)
-	}
 	for _, v := range segResp.Vertices {
 		if v.Kind == "U" {
 			t.Fatalf("agent %d in an agent-excluded segment", v.ID)
 		}
 	}
+	noEdge("/segment", segResp.Edges, seg.ExcludeRels...)
+	q, opts, err := seg.toQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved, _, err := store.Segment(q, opts, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReads("/segment", solved.RowReads(), true, seg.ExcludeRels...)
 
 	// The same contract through /adjust: the (uncached) base resolves under
-	// its own S/A exclusion, then the edge-level refinement filters the
-	// result — no excluded block read end to end.
+	// its own A/D exclusion, then the edge-level refinement filters S out of
+	// the result — no excluded block read end to end.
 	adj := AdjustRequest{
 		Segment: SegmentRequest{
 			Src:         []uint32{uint32(ids["dataset"])},
 			Dst:         []uint32{uint32(ids["model-v2"])},
-			ExcludeRels: []string{"S", "A"},
+			ExcludeRels: []string{"A", "D"},
 		},
-		ExcludeRels: []string{"D"},
+		ExcludeRels: []string{"S"},
 	}
 	var adjResp SegmentResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/adjust", adj, &adjResp); code != 200 {
 		t.Fatalf("adjust: status %d", code)
 	}
-	got = drainReads()
-	if got[lU] == 0 {
-		t.Fatal("adjust resolved the base without reading any U block")
+	noEdge("/adjust", adjResp.Edges, "S", "A", "D")
+	if q, opts, err = adj.Segment.toQuery(); err != nil {
+		t.Fatal(err)
 	}
-	if got[lS] != 0 || got[lA] != 0 {
-		t.Fatalf("excluded S/A blocks were read during /adjust: %v", got)
+	rels, err := parseRels(adj.ExcludeRels)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range adjResp.Edges {
-		if e.Rel == "S" || e.Rel == "A" || e.Rel == "D" {
-			t.Fatalf("excluded relation %s survived adjust", e.Rel)
-		}
+	base, _, err := store.Segment(q, opts, false)
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkReads("the /adjust base", base.RowReads(), true, adj.Segment.ExcludeRels...)
+	adjusted, _, err := store.Adjust(q, opts, core.Boundary{ExcludeRels: rels}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReads("/adjust", adjusted.RowReads(), false, "S", "A", "D")
 }
 
 func TestMetricsEndpoint(t *testing.T) {

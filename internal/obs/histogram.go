@@ -136,9 +136,8 @@ type LatencySummary struct {
 	TotalNanos int64  `json:"total_ns"`
 }
 
-// Summary digests the histogram into quantile estimates.
-func (h *Histogram) Summary() LatencySummary {
-	s := h.Snapshot()
+// Summary digests the snapshot into quantile estimates.
+func (s HistogramSnapshot) Summary() LatencySummary {
 	return LatencySummary{
 		Count:      s.Count,
 		P50Nanos:   s.Quantile(0.50),

@@ -112,7 +112,7 @@ func TestHistogramOverflowQuantile(t *testing.T) {
 func TestHistogramSingleSample(t *testing.T) {
 	var h Histogram
 	h.Observe(3 * time.Millisecond)
-	sum := h.Summary()
+	sum := h.Snapshot().Summary()
 	want := int64(3 * time.Millisecond)
 	if sum.Count != 1 || sum.P50Nanos != want || sum.P99Nanos != want || sum.MaxNanos != want {
 		t.Fatalf("single sample summary: %+v", sum)

@@ -63,7 +63,7 @@ func TestSummarizeStopsWhenClientHangsUp(t *testing.T) {
 	})
 	st := NewStore(p, 0)
 	hangUpMidRequest(t, NewServer(st), "/summarize", req, func() {
-		for st.CacheStats().Misses == 0 {
+		for st.Metrics().Cache.Misses == 0 {
 			time.Sleep(time.Millisecond)
 		}
 	})

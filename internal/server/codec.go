@@ -133,14 +133,10 @@ type StoreListResponse struct {
 	Stores []StoreInfo `json:"stores"`
 }
 
-// MetricsResponse is the GET /metrics payload: store-level counters for
-// observability — the current epoch, cache effectiveness (including how
-// often ingest deltas revalidated vs. purged cached segments), how commit
-// snapshots were built (incremental CSR extension vs full rebuild) and what
-// they cost, durability counters (write-ahead log volume, fsync latency,
-// group-commit amortization, checkpoints; omitted on memory-only stores),
-// and per-endpoint request counts since start. Every counter is scoped to
-// the one store the request was routed to.
+// MetricsResponse is the GET /metrics payload: one snapshot (Store.Metrics)
+// of the counters of the store the request was routed to — epoch and graph
+// size, the cache, freeze, durability (omitted on memory-only stores), QoS
+// and replication panels, and per-endpoint and per-stage traffic.
 type MetricsResponse struct {
 	Store        string            `json:"store,omitempty"`
 	Epoch        uint64            `json:"epoch"`
@@ -154,9 +150,9 @@ type MetricsResponse struct {
 	// Endpoints breaks each endpoint's traffic down by status class with a
 	// latency summary (p50/p90/p99/max) from the per-endpoint histogram.
 	Endpoints map[string]EndpointStats `json:"endpoints"`
-	// Stages summarizes the write pipeline per commit stage
-	// (enqueue = group-commit queue wait, append = WAL write, fsync,
-	// publish); empty until the store has committed through a stage.
+	// Stages summarizes the write pipeline per commit stage (enqueue =
+	// group-commit queue wait, append = WAL write, fsync, publish). All four
+	// keys are always present; a stage the store never ran is all zeros.
 	Stages map[string]obs.LatencySummary `json:"stages"`
 	// QoS is the admission-control panel: the active limits, the
 	// admitted/rejected split (rejections by cause), and the in-flight /

@@ -132,7 +132,7 @@ func TestIngestVersusReadsUnderRace(t *testing.T) {
 	// Every committed batch built its snapshot by extending the previous
 	// epoch: the hammer loop must never have fallen back to a full rebuild
 	// (the only full build is NewStore's epoch 0).
-	fs := store.FreezeStatsSnapshot()
+	fs := store.Metrics().Freeze
 	if fs.Full != 1 {
 		t.Errorf("commit path fell back to full rebuilds: %+v", fs)
 	}
@@ -202,7 +202,7 @@ func TestCacheAcrossBackToBackIngests(t *testing.T) {
 	if fmt.Sprint(seg.Vertices) != fmt.Sprint(want.Vertices) || fmt.Sprint(seg.Edges) != fmt.Sprint(want.Edges) {
 		t.Fatal("revalidated entry diverged from a fresh solve at the new epoch")
 	}
-	if cs := store.CacheStats(); cs.Revalidations != 2 || cs.Invalidations != 0 {
+	if cs := store.Metrics().Cache; cs.Revalidations != 2 || cs.Invalidations != 0 {
 		t.Fatalf("want 2 revalidations across back-to-back commits, got %+v", cs)
 	}
 
@@ -245,7 +245,7 @@ func TestCacheAcrossBackToBackIngests(t *testing.T) {
 	if fmt.Sprint(seg.Vertices) != fmt.Sprint(want.Vertices) || fmt.Sprint(seg.Edges) != fmt.Sprint(want.Edges) {
 		t.Fatal("re-solve after purge diverged from a fresh solve")
 	}
-	if cs := store.CacheStats(); cs.Invalidations != 1 {
+	if cs := store.Metrics().Cache; cs.Invalidations != 1 {
 		t.Fatalf("want 1 invalidation from the touching delta, got %+v", cs)
 	}
 }

@@ -251,33 +251,3 @@ type GroupCommitStats struct {
 	QueueWaitMaxNanos   int64  `json:"queue_wait_max_ns"`
 	QueueWaitTotalNanos int64  `json:"queue_wait_total_ns"`
 }
-
-// DurabilityStatsSnapshot returns the current durability counters, or nil
-// for a memory-only store.
-func (s *Store) DurabilityStatsSnapshot() *DurabilityStats {
-	if s.wal == nil {
-		return nil
-	}
-	ds := &DurabilityStats{
-		ManagerStats:       s.wal.StatsSnapshot(),
-		CheckpointEvery:    s.checkpointEvery,
-		SinceCheckpoint:    s.sinceCkpt.Load(),
-		CheckpointFailures: s.ckptFails.Load(),
-		GroupCommit: GroupCommitStats{
-			Enabled:             true,
-			Groups:              s.groups.Load(),
-			Records:             s.groupRecords.Load(),
-			Last:                s.groupLast.Load(),
-			Max:                 s.groupMax.Load(),
-			QueueWaitLastNanos:  s.queueWaitLastNs.Load(),
-			QueueWaitMaxNanos:   s.queueWaitMaxNs.Load(),
-			QueueWaitTotalNanos: s.queueWaitTotalNs.Load(),
-		},
-	}
-	if s.coal != nil {
-		cs := s.coal.StatsSnapshot()
-		ds.Coalescer = &cs
-		ds.GroupCommit.CoalescedGroups = ds.GroupCommit.Groups
-	}
-	return ds
-}

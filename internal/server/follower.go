@@ -370,27 +370,3 @@ type ReplStats struct {
 	// Lag digests the per-record apply lag distribution.
 	Lag obs.LatencySummary `json:"lag"`
 }
-
-// ReplStatsSnapshot returns the replication counters, or nil for stores
-// that were never followers (the JSON panel omits the section).
-func (s *Store) ReplStatsSnapshot() *ReplStats {
-	if s.leaderURL == "" {
-		return nil
-	}
-	applied := s.snap.Load().N
-	leader := s.replLeaderEp.Load()
-	lag := int64(0)
-	if leader > applied {
-		lag = int64(leader - applied)
-	}
-	return &ReplStats{
-		Follower:     s.Follower(),
-		LeaderURL:    s.leaderURL,
-		AppliedEpoch: applied,
-		LeaderEpoch:  leader,
-		LagRecords:   lag,
-		LagNanos:     s.replLagNs.Load(),
-		Reconnects:   s.replReconnects.Load(),
-		Lag:          s.replLagHist.Summary(),
-	}
-}

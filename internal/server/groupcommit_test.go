@@ -130,7 +130,7 @@ func TestGroupCommitOneFsyncPerGroup(t *testing.T) {
 	if got := s.Epoch().N; got != k {
 		t.Errorf("published epoch %d, want %d", got, k)
 	}
-	gs := s.DurabilityStatsSnapshot().GroupCommit
+	gs := s.Metrics().WAL.GroupCommit
 	if !gs.Enabled || gs.Groups != 1 || gs.Records != k || gs.Last != k || gs.Max != k {
 		t.Errorf("group stats: %+v", gs)
 	}
@@ -269,7 +269,7 @@ func TestCloseUnderLoad(t *testing.T) {
 			if err := s.Update(func(rec *prov.Recorder) error { return nil }); !errors.Is(err, ErrStoreClosed) {
 				t.Fatalf("store %q: update after Close: %v, want ErrStoreClosed", s.Name(), err)
 			}
-			ds := s.DurabilityStatsSnapshot()
+			ds := s.Metrics().WAL
 			if gs := ds.GroupCommit; gs.Groups == 0 || gs.Records != counts[i].Load() {
 				t.Errorf("store %q: group stats %+v, want %d records in > 0 groups", s.Name(), gs, counts[i].Load())
 			}
@@ -329,7 +329,7 @@ func TestGroupCommitCheckpointDrain(t *testing.T) {
 		if err := <-ckptErr; err != nil {
 			t.Fatalf("checkpoint after drain: %v", err)
 		}
-		ds := s.DurabilityStatsSnapshot()
+		ds := s.Metrics().WAL
 		if ds.LastCheckpointEpoch != k {
 			t.Errorf("checkpoint landed at epoch %d, want %d (after the whole group)", ds.LastCheckpointEpoch, k)
 		}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,7 +128,7 @@ func TestQoSRejectionObservability(t *testing.T) {
 	const totalStats = 1 + rejects + 1 // the OK + the loop's 429s + the raw 429
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		ep := st.EndpointStatsSnapshot()["stats"]
+		ep := st.Metrics().Endpoints["stats"]
 		if ep.Total == totalStats && ep.Total == ep.OK+ep.ClientErr+ep.ServerErr && ep.Latency.Count == totalStats {
 			if ep.OK != 1 || ep.ClientErr != rejects+1 {
 				t.Fatalf("stats classes: %+v, want 1 OK / %d client errors", ep, rejects+1)
@@ -253,6 +254,17 @@ func TestObservabilityHammer(t *testing.T) {
 						t.Errorf("%s: metrics status %d", name, code)
 						return
 					}
+					// Every scrape is one snapshot: the routed totals agree
+					// across the panel, and no endpoint shows more
+					// completions than routed requests.
+					for ep, es := range m.Endpoints {
+						if m.Requests[ep] != es.Total || es.OK+es.ClientErr+es.ServerErr > es.Total {
+							t.Errorf("%s: /metrics %s: requests %d, endpoint panel %+v", name, ep, m.Requests[ep], es)
+						}
+					}
+					if err := checkPromInflight(base + "/metrics?format=prometheus"); err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
 				}
 			}()
 		}
@@ -269,7 +281,7 @@ func TestObservabilityHammer(t *testing.T) {
 		}
 		deadline := time.Now().Add(2 * time.Second)
 		for {
-			eps := st.EndpointStatsSnapshot()
+			eps := st.Metrics().Endpoints
 			ok := true
 			for _, ep := range eps {
 				if ep.Total != ep.OK+ep.ClientErr+ep.ServerErr || ep.Total != ep.Latency.Count {
@@ -285,7 +297,7 @@ func TestObservabilityHammer(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 
-		eps := st.EndpointStatsSnapshot()
+		eps := st.Metrics().Endpoints
 		ing := eps["ingest"]
 		wantOK := uint64(2 + writers*rounds) // 2 seed batches + hammer
 		if ing.OK != wantOK || ing.ClientErr != badRounds || ing.ServerErr != 0 {
@@ -310,7 +322,7 @@ func TestObservabilityHammer(t *testing.T) {
 		// Every committed batch flowed through the whole pipeline: the stage
 		// histograms must hold one sample per commit for publish (and per
 		// group <= commits for append/fsync), and queue waits were recorded.
-		stages := st.StageStats()
+		stages := st.Metrics().Stages
 		commits := uint64(2 + writers*rounds)
 		if stages["publish"].Count != commits {
 			t.Errorf("%s: publish samples = %d, want %d", name, stages["publish"].Count, commits)
@@ -325,7 +337,7 @@ func TestObservabilityHammer(t *testing.T) {
 		if n := stages["fsync"].Count; n == 0 || n > stages["append"].Count {
 			t.Errorf("%s: fsync samples = %d, want within (0, %d]", name, n, stages["append"].Count)
 		}
-		ds := st.DurabilityStatsSnapshot()
+		ds := st.Metrics().WAL
 		if ds.GroupCommit.QueueWaitTotalNanos < 0 || ds.GroupCommit.QueueWaitMaxNanos < ds.GroupCommit.QueueWaitLastNanos {
 			t.Errorf("%s: queue-wait counters inconsistent: %+v", name, ds.GroupCommit)
 		}
@@ -378,4 +390,44 @@ func TestObservabilityHammer(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// checkPromInflight scrapes a store's Prometheus exposition and checks that
+// no endpoint's status-class completions sum to more than its routed total.
+func checkPromInflight(url string) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	routed, done := map[string]float64{}, map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		series, val, _ := strings.Cut(line, " ")
+		_, ep, _ := strings.Cut(series, `endpoint="`)
+		ep, _, _ = strings.Cut(ep, `"`)
+		switch {
+		case strings.HasPrefix(series, "provd_requests_routed_total{"):
+			routed[ep], err = strconv.ParseFloat(val, 64)
+		case strings.HasPrefix(series, "provd_requests_total{"):
+			var v float64
+			v, err = strconv.ParseFloat(val, 64)
+			done[ep] += v
+		}
+		if err != nil {
+			return fmt.Errorf("sample %q: %v", line, err)
+		}
+	}
+	if len(routed) != len(endpointNames) {
+		return fmt.Errorf("exposition has routed totals for %d endpoints, want %d", len(routed), len(endpointNames))
+	}
+	for ep, n := range done {
+		if n > routed[ep] {
+			return fmt.Errorf("prometheus %s: %v completions, %v routed", ep, n, routed[ep])
+		}
+	}
+	return nil
 }

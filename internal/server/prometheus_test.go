@@ -1,10 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -62,7 +68,7 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	// Completions (and their response bytes) record a beat after the client
 	// has its reply; wait for the one /segment to land.
-	for deadline := time.Now().Add(2 * time.Second); reg.Default().EndpointStatsSnapshot()["segment"].OK == 0; {
+	for deadline := time.Now().Add(2 * time.Second); reg.Default().Metrics().Endpoints["segment"].OK == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("the /segment completion never recorded")
 		}
@@ -175,5 +181,261 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	if m.WAL == nil || !strings.Contains(bodyJSON, `"queue_wait_total_ns"`) {
 		t.Error("JSON group-commit panel missing queue-wait counters")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+const promGolden = "testdata/metrics.prom"
+
+// fillSentinels sets every numeric leaf under v (structs, and pointers to
+// them, which it allocates) to the next value of *next, and every bool to
+// true. Latency digests are left alone: they derive from histograms.
+func fillSentinels(v reflect.Value, next *int64) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillSentinels(v.Elem(), next)
+	case reflect.Struct:
+		if v.Type() == reflect.TypeOf(obs.LatencySummary{}) {
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			fillSentinels(v.Field(i), next)
+		}
+	case reflect.Int, reflect.Int64:
+		*next++
+		v.SetInt(*next)
+	case reflect.Uint64:
+		*next++
+		v.SetUint(uint64(*next))
+	case reflect.Float64:
+		*next++
+		v.SetFloat(float64(*next) + 0.25)
+	case reflect.Bool:
+		v.SetBool(true)
+	}
+}
+
+// fixtureHist is a deterministic histogram: empty for seed < 0, else
+// samples in three buckets chosen by seed, one of them the overflow bucket
+// when seed is a multiple of 5.
+func fixtureHist(seed int) obs.HistogramSnapshot {
+	var h obs.HistogramSnapshot
+	if seed < 0 {
+		return h
+	}
+	lo, mid, hi := seed%obs.NumBuckets, (seed+3)%obs.NumBuckets, (seed+7)%obs.NumBuckets
+	if seed%5 == 0 {
+		hi = obs.NumBuckets
+	}
+	h.Counts[lo], h.Counts[mid], h.Counts[hi] = 5, 3, uint64(1+seed%4)
+	h.Count = 8 + uint64(1+seed%4)
+	h.MaxNanos = obs.BucketUpperNs(max(lo, mid, hi)) - int64(seed) - 1
+	h.SumNanos = h.MaxNanos*2 + 1000003*int64(seed+1)
+	return h
+}
+
+// fixtureStore is a store snapshot with every numeric leaf set from *next
+// and histograms from seed; idle endpoints and stages (seed < 0) have empty
+// histograms. Panels the store lacks are removed by the caller.
+func fixtureStore(name string, next *int64, seed int, idle func(i int) bool) StoreMetrics {
+	var m StoreMetrics
+	fillSentinels(reflect.ValueOf(&m.MetricsResponse).Elem(), next)
+	m.Store = name
+	m.Requests = map[string]uint64{}
+	m.Endpoints = map[string]EndpointStats{}
+	m.Stages = map[string]obs.LatencySummary{}
+	for i, ep := range endpointNames {
+		var es EndpointStats
+		fillSentinels(reflect.ValueOf(&es).Elem(), next)
+		if idle(i) {
+			es = EndpointStats{}
+		} else {
+			m.EndpointLatency[i] = fixtureHist(seed + 2*i)
+		}
+		es.Latency = m.EndpointLatency[i].Summary()
+		m.Requests[ep], m.Endpoints[ep] = es.Total, es // one snapshot: they agree
+	}
+	for i, stage := range stageNames {
+		if !idle(len(endpointNames) + i) {
+			m.StageLatency[i] = fixtureHist(seed + 3*i + 1)
+		}
+		m.Stages[stage] = m.StageLatency[i].Summary()
+	}
+	return m
+}
+
+// promFixture is a fully populated registry: a durable store committing
+// through the coalescer, a follower with its repl panel under a name that
+// needs escaping, and a memory-only store that never committed.
+func promFixture() ([]StoreMetrics, promRow) {
+	next := int64(1000)
+	durable := fixtureStore("default", &next, 0, func(int) bool { return false })
+	durable.Repl = nil
+	durable.WAL.Coalescer.Mode = "syncfs"
+	follower := fixtureStore("mirror \"b\\c\"\nd", &next, 11, func(i int) bool { return i%3 == 1 })
+	follower.WAL = nil
+	follower.Repl.LeaderURL = "http://leader:8042"
+	memory := fixtureStore("scratch", &next, 20, func(i int) bool { return i >= 4 })
+	memory.WAL, memory.Repl = nil, nil
+	memory.QoS.Config = QoSConfig{}
+	return []StoreMetrics{durable, follower, memory}, promRow{slow: 17, coalescer: durable.WAL.Coalescer}
+}
+
+// TestPrometheusGolden pins the text exposition byte for byte on a fixed
+// snapshot: family order, HELP and TYPE lines, label sets and escaping,
+// value formatting, and the endpoint/stage interleaving. A change that is
+// meant regenerates the golden file with
+//
+//	go test -run TestPrometheusGolden ./internal/server -update
+//
+// and says why in its description.
+func TestPrometheusGolden(t *testing.T) {
+	stores, reg := promFixture()
+	var b strings.Builder
+	if err := renderPrometheus(&b, stores, reg); err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
+	if _, err := obs.ParseExposition(strings.NewReader(got)); err != nil {
+		t.Fatalf("golden exposition does not parse: %v", err)
+	}
+	if *update {
+		if err := os.WriteFile(promGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(promGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	bad := 0
+	for i := range max(len(gotLines), len(wantLines)) {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Errorf("line %d:\n got  %s\n want %s", i+1, g, w)
+			if bad++; bad == 20 {
+				t.Fatal("too many differences")
+			}
+		}
+	}
+}
+
+// jsonOnly lists the /metrics JSON leaves (slash-separated paths, * for a
+// map key or a whole digest) that have no Prometheus series.
+var jsonOnly = []string{
+	"wal/checkpoint_every",
+	"wal/checkpoint_last_ns",
+	"wal/checkpoint_total_ns",
+	"wal/coalescer/sync_last_ns",
+	"wal/coalescer/sync_max_ns",
+	"qos/config/burst",
+	"qos/config/max_queue",
+	"qos/rejected",
+	"endpoints/*/latency/max_ns",
+	"stages/*/max_ns",
+	"repl/lag/*",
+}
+
+// TestMetricCatalogueCoversPanel renders both formats from one snapshot
+// whose numeric leaves all hold distinct values (requests[x] excepted: it
+// is endpoints[x].total by construction) and requires every JSON leaf to
+// appear as a Prometheus sample value — nanoseconds and milliseconds in
+// seconds — unless jsonOnly names it. A panel field added without a series
+// fails here until it gets one or is listed.
+func TestMetricCatalogueCoversPanel(t *testing.T) {
+	next := int64(1000)
+	st := fixtureStore("default", &next, 0, func(int) bool { return false })
+	st.WAL.Coalescer.Mode = "syncfs"
+	var b strings.Builder
+	if err := renderPrometheus(&b, []StoreMetrics{st}, promRow{slow: 17, coalescer: st.WAL.Coalescer}); err != nil {
+		t.Fatal(err)
+	}
+	values := map[float64]bool{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			values[v] = true
+		}
+	}
+
+	raw, err := json.Marshal(st.MetricsResponse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	listed := make([]bool, len(jsonOnly))
+	var walk func(p string, v any)
+	walk = func(p string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, c := range v {
+				walk(path.Join(p, k), c)
+			}
+		case json.Number:
+			for i, pat := range jsonOnly {
+				if ok, _ := path.Match(pat, p); ok {
+					listed[i] = true
+					return
+				}
+			}
+			want, err := v.Float64()
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			switch {
+			case strings.HasSuffix(p, "_ns"):
+				want /= 1e9
+			case strings.HasSuffix(p, "_ms"):
+				want /= 1e3
+			}
+			if !values[want] {
+				t.Errorf("JSON leaf %s = %s has no Prometheus sample and is not in jsonOnly", p, v)
+			}
+		}
+	}
+	walk("", doc)
+	for i, pat := range jsonOnly {
+		if !listed[i] {
+			t.Errorf("jsonOnly entry %q matches no JSON leaf", pat)
+		}
+	}
+}
+
+// TestPromCatalogueDocumented requires every family of the catalogue to be
+// named once in it and to appear in README.md's Metrics table.
+func TestPromCatalogueDocumented(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, readme, _ = bytes.Cut(readme, []byte("**Metrics.**"))
+	readme, _, _ = bytes.Cut(readme, []byte("A minimal scrape config"))
+	seen := map[string]bool{}
+	for _, f := range promCatalogue {
+		if seen[f.name] {
+			t.Errorf("family %s is in the catalogue twice", f.name)
+		}
+		seen[f.name] = true
+		if !bytes.Contains(readme, []byte("`"+f.name+"`")) {
+			t.Errorf("README.md does not list %s", f.name)
+		}
 	}
 }

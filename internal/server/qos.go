@@ -201,20 +201,3 @@ type QoSStats struct {
 	Inflight            int64  `json:"inflight"`
 	QueueDepth          int    `json:"queue_depth"`
 }
-
-// QoSStatsSnapshot returns the admission counters.
-func (s *Store) QoSStatsSnapshot() QoSStats {
-	st := QoSStats{
-		Admitted:            s.qosAdmitted.Load(),
-		RejectedRate:        s.qosRejectedRate.Load(),
-		RejectedConcurrency: s.qosRejectedConc.Load(),
-		RejectedQueue:       s.qosRejectedQueue.Load(),
-	}
-	st.Rejected = st.RejectedRate + st.RejectedConcurrency + st.RejectedQueue
-	if l := s.qos.Load(); l != nil {
-		st.Config = l.cfg
-		st.Inflight = l.inflight.Load()
-	}
-	st.QueueDepth = len(s.commitCh)
-	return st
-}

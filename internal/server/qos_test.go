@@ -82,7 +82,7 @@ func TestQoSRateAdmission(t *testing.T) {
 	}
 	release()
 
-	st := s.QoSStatsSnapshot()
+	st := s.Metrics().QoS
 	if st.Admitted != 3 || st.RejectedRate != 1 || st.Rejected != 1 {
 		t.Fatalf("qos stats after 3 admits + 1 rate reject: %+v", st)
 	}
@@ -120,7 +120,7 @@ func TestQoSConcurrencyCap(t *testing.T) {
 	if retry != concRetryAfter {
 		t.Fatalf("concurrency retry hint %v, want %v", retry, concRetryAfter)
 	}
-	if st := s.QoSStatsSnapshot(); st.Inflight != 2 || st.RejectedConcurrency != 1 {
+	if st := s.Metrics().QoS; st.Inflight != 2 || st.RejectedConcurrency != 1 {
 		t.Fatalf("qos stats at the cap: %+v", st)
 	}
 	relA()
@@ -161,7 +161,7 @@ func TestSetQoSSwap(t *testing.T) {
 		}
 		release()
 	}
-	if st := s.QoSStatsSnapshot(); st.RejectedRate != 1 {
+	if st := s.Metrics().QoS; st.RejectedRate != 1 {
 		t.Fatalf("reject counters reset by config swap: %+v", st)
 	}
 }
@@ -197,7 +197,7 @@ func TestBackpressureRejectsBeforeMutation(t *testing.T) {
 	if mutated {
 		t.Fatal("backpressure rejection ran the update closure")
 	}
-	if st := s.QoSStatsSnapshot(); st.RejectedQueue != 1 || st.QueueDepth != 2 {
+	if st := s.Metrics().QoS; st.RejectedQueue != 1 || st.QueueDepth != 2 {
 		t.Fatalf("qos stats with a saturated queue: %+v", st)
 	}
 
@@ -280,8 +280,8 @@ func TestIngestBackpressureHTTP(t *testing.T) {
 	}, &ing); code != http.StatusOK {
 		t.Fatalf("ingest after drain: status %d", code)
 	}
-	if st.QoSStatsSnapshot().RejectedQueue != 1 {
-		t.Fatalf("qos stats: %+v", st.QoSStatsSnapshot())
+	if st.Metrics().QoS.RejectedQueue != 1 {
+		t.Fatalf("qos stats: %+v", st.Metrics().QoS)
 	}
 }
 

@@ -397,7 +397,7 @@ func TestKillReplayGroupCommit(t *testing.T) {
 			}
 		}
 	}
-	gs := victim.DurabilityStatsSnapshot().GroupCommit
+	gs := victim.Metrics().WAL.GroupCommit
 	if gs.Groups != rounds || gs.Records != writersK*rounds || gs.Max != writersK {
 		t.Fatalf("groups did not form as scripted: %+v", gs)
 	}
@@ -567,7 +567,7 @@ func TestKillReplayCoalescedMultiStore(t *testing.T) {
 		}
 	}
 	for i, s := range victims {
-		gs := s.DurabilityStatsSnapshot().GroupCommit
+		gs := s.Metrics().WAL.GroupCommit
 		if gs.Groups != rounds || gs.CoalescedGroups != rounds {
 			t.Fatalf("store %s: %d of %d groups coalesced: %+v", names[i], gs.CoalescedGroups, gs.Groups, gs)
 		}
@@ -733,7 +733,7 @@ func TestDurableRestartCycle(t *testing.T) {
 	if !s.Durable() {
 		t.Fatal("durable store says not durable")
 	}
-	if st := s.DurabilityStatsSnapshot(); st == nil || st.Records != 5 || st.Fsyncs < 5 {
+	if st := s.Metrics().WAL; st == nil || st.Records != 5 || st.Fsyncs < 5 {
 		t.Fatalf("durability stats: %+v", st)
 	}
 	if err := s.Close(); err != nil {
@@ -763,7 +763,7 @@ func TestDurableRestartCycle(t *testing.T) {
 
 	// Memory-only stores report no durability stats and Close is a no-op.
 	mem := NewStore(prov.New(), 4)
-	if mem.Durable() || mem.DurabilityStatsSnapshot() != nil || mem.Close() != nil {
+	if mem.Durable() || mem.Metrics().WAL != nil || mem.Close() != nil {
 		t.Fatal("memory-only store leaks durability state")
 	}
 }
@@ -893,14 +893,14 @@ func TestDurableFsyncPolicies(t *testing.T) {
 		dir := t.TempDir()
 		pl := openPipeline(t, shape, policy, dir)
 		s := pl.stores[0]
-		before := s.DurabilityStatsSnapshot()
+		before := s.Metrics().WAL
 		for i, b := range script {
 			ingestBatch(t, s, b)
 			if got := s.Epoch().N; got != uint64(i+1) {
 				t.Fatalf("batch %d published epoch %d", i, got)
 			}
 		}
-		after := s.DurabilityStatsSnapshot()
+		after := s.Metrics().WAL
 		if got := after.GroupCommit.Groups - before.GroupCommit.Groups; got != uint64(len(script)) {
 			t.Errorf("%d sequential batches retired %d groups", len(script), got)
 		}

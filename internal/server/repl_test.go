@@ -314,7 +314,7 @@ func TestReplReconnectChaos(t *testing.T) {
 		t.Fatalf("chaos follower stuck at epoch %d short of %d", f.Epoch().N, head)
 	}
 	f.Close()
-	if rs := f.ReplStatsSnapshot(); rs == nil || rs.Reconnects == 0 {
+	if rs := f.Metrics().Repl; rs == nil || rs.Reconnects == 0 {
 		t.Fatalf("flaky transport produced no reconnects: %+v", rs)
 	}
 	if fl := f.walFail.Load(); fl != nil {
@@ -354,7 +354,7 @@ func TestReplFailoverPromote(t *testing.T) {
 	ts.CloseClientConnections()
 	ts.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for f.ReplStatsSnapshot().Reconnects == 0 {
+	for f.Metrics().Repl.Reconnects == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("applier never noticed the dead leader")
 		}
@@ -367,7 +367,7 @@ func TestReplFailoverPromote(t *testing.T) {
 	if err := f.Promote(); !errors.Is(err, ErrNotFollower) {
 		t.Fatalf("second promote error = %v, want ErrNotFollower", err)
 	}
-	if rs := f.ReplStatsSnapshot(); rs == nil || rs.Follower {
+	if rs := f.Metrics().Repl; rs == nil || rs.Follower {
 		t.Fatalf("promoted store still reports follower: %+v", rs)
 	}
 
@@ -607,7 +607,7 @@ func TestReplFollowerEndToEnd(t *testing.T) {
 	if !freg.Default().WaitEpoch(reg.Default().Epoch().N, 5*time.Second) {
 		t.Fatal("follower never caught up with the concurrent writers")
 	}
-	rs := freg.Default().ReplStatsSnapshot()
+	rs := freg.Default().Metrics().Repl
 	if rs == nil {
 		t.Fatal("follower store has no repl stats")
 	}
@@ -805,7 +805,7 @@ func TestReplRefusedResetRecordsNoFreeze(t *testing.T) {
 	}
 	f := newFollowerStore(DefaultStore, "http://leader.invalid", 4)
 	defer f.Close()
-	full := func() uint64 { return f.FreezeStatsSnapshot().Full }
+	full := func() uint64 { return f.Metrics().Freeze.Full }
 	base := full()
 	if err := f.resetReplicated(5, data); err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -173,9 +174,9 @@ func NewMultiServerWith(reg *Registry, opts Options) *Server {
 		{"GET", "/wal", "wal", s.handleWALStream},
 		{"POST", "/promote", "promote", s.handlePromote},
 	} {
-		ep := ep
+		ep, slot := ep, slices.Index(endpointNames[:], ep.name)
 		s.mux.HandleFunc(ep.method+" "+ep.path, func(w http.ResponseWriter, r *http.Request) {
-			s.serveEndpoint(s.reg.Default(), ep, w, r)
+			s.serveEndpoint(s.reg.Default(), ep, slot, w, r)
 		})
 		s.mux.HandleFunc(ep.method+" /stores/{store}"+ep.path, func(w http.ResponseWriter, r *http.Request) {
 			st, err := s.reg.Get(r.PathValue("store"))
@@ -183,7 +184,7 @@ func NewMultiServerWith(reg *Registry, opts Options) *Server {
 				writeErr(w, http.StatusNotFound, "%v", err)
 				return
 			}
-			s.serveEndpoint(st, ep, w, r)
+			s.serveEndpoint(st, ep, slot, w, r)
 		})
 	}
 	s.mux.HandleFunc("PUT /stores/{store}", s.handleStoreCreate)
@@ -303,9 +304,9 @@ func retryAfterSeconds(d time.Duration) string {
 // itself, as it always has); status class and latency record on completion.
 // Admission control runs inside the wrapper: a 429 carries the request id
 // and counts in the endpoint's status-class and latency metrics exactly
-// like any other completion.
-func (s *Server) serveEndpoint(st *Store, ep endpointDef, w http.ResponseWriter, r *http.Request) {
-	st.countRequest(ep.name)
+// like any other completion. slot is ep's index into endpointNames.
+func (s *Server) serveEndpoint(st *Store, ep endpointDef, slot int, w http.ResponseWriter, r *http.Request) {
+	st.countRequest(slot)
 
 	id := r.Header.Get("X-Request-ID")
 	if !obs.ValidRequestID(id) {
@@ -330,7 +331,7 @@ func (s *Server) serveEndpoint(st *Store, ep endpointDef, w http.ResponseWriter,
 			"store %q: over its admission limits (rate or concurrency)", st.Name())
 	}
 	d := time.Since(start)
-	st.observeRequest(ep.name, sw.status, sw.bytes, d)
+	st.observeRequest(slot, sw.status, sw.bytes, d)
 
 	slow := s.slowThresh > 0 && d >= s.slowThresh
 	if slow {
@@ -788,23 +789,7 @@ func (s *Server) handleMetrics(st *Store, w http.ResponseWriter, r *http.Request
 		s.writePrometheus(w, stores)
 		return
 	}
-	ep := st.Epoch()
-	resp := MetricsResponse{
-		Store:        st.Name(),
-		Epoch:        ep.N,
-		Vertices:     ep.Vertices,
-		Edges:        ep.Edges,
-		UptimeMillis: st.Uptime().Milliseconds(),
-		Cache:        st.CacheStats(),
-		Freeze:       st.FreezeStatsSnapshot(),
-		WAL:          st.DurabilityStatsSnapshot(),
-		Requests:     st.RequestCounts(),
-		Endpoints:    st.EndpointStatsSnapshot(),
-		Stages:       st.StageStats(),
-		QoS:          st.QoSStatsSnapshot(),
-		Repl:         st.ReplStatsSnapshot(),
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, st.Metrics().MetricsResponse)
 }
 
 // handleWALStream serves GET /stores/{name}/wal?from=N: the replication

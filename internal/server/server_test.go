@@ -234,7 +234,7 @@ func TestSegmentRefusesOversizedLists(t *testing.T) {
 		reqs["/summarize src"] = SummarizeRequest{Segments: []SegmentSpec{{Src: one.Src, Dst: one.Dst}, {Src: rep(src, n), Dst: one.Dst}}}
 		reqs["/summarize dst"] = SummarizeRequest{Segments: []SegmentSpec{{Src: one.Src, Dst: rep(dst, n)}}}
 		for name, req := range reqs {
-			before := store.CacheStats()
+			before := store.Metrics().Cache
 			var resp ErrorResponse
 			code := doJSON(t, http.MethodPost, ts.URL+strings.Fields(name)[0], req, &resp)
 			switch {
@@ -242,8 +242,8 @@ func TestSegmentRefusesOversizedLists(t *testing.T) {
 				t.Errorf("%s, %d ids: status %d %q, want 200", name, n, code, resp.Error)
 			case n > maxQueryVertices && (code != http.StatusBadRequest || !strings.Contains(resp.Error, fmt.Sprintf("(at most %d)", maxQueryVertices))):
 				t.Errorf("%s, %d ids: status %d %q, want 400 naming the limit", name, n, code, resp.Error)
-			case n > maxQueryVertices && store.CacheStats() != before:
-				t.Errorf("%s, %d ids: refused after a solve (cache %+v -> %+v)", name, n, before, store.CacheStats())
+			case n > maxQueryVertices && store.Metrics().Cache != before:
+				t.Errorf("%s, %d ids: refused after a solve (cache %+v -> %+v)", name, n, before, store.Metrics().Cache)
 			}
 		}
 	}
@@ -346,7 +346,7 @@ func TestSummarizeAggKeys(t *testing.T) {
 			default:
 				req.AggAgent = keys
 			}
-			before := store.CacheStats()
+			before := store.Metrics().Cache
 			var resp ErrorResponse
 			code := doJSON(t, http.MethodPost, ts.URL+"/summarize", req, &resp)
 			switch {
@@ -354,7 +354,7 @@ func TestSummarizeAggKeys(t *testing.T) {
 				t.Errorf("%s, %d keys: status %d %q, want 200", name, n, code, resp.Error)
 			case n > maxAggKeys && (code != http.StatusBadRequest || !strings.Contains(resp.Error, fmt.Sprintf("%s lists more than %d", name, maxAggKeys))):
 				t.Errorf("%s, %d keys: status %d %q, want 400 naming the limit", name, n, code, resp.Error)
-			case n > maxAggKeys && store.CacheStats() != before:
+			case n > maxAggKeys && store.Metrics().Cache != before:
 				t.Errorf("%s, %d keys: refused after a solve", name, n)
 			}
 		}
@@ -370,7 +370,7 @@ func TestSummarizeAggKeys(t *testing.T) {
 			default:
 				req.AggAgent = keys
 			}
-			before := store.CacheStats()
+			before := store.Metrics().Cache
 			var resp ErrorResponse
 			code := doJSON(t, http.MethodPost, ts.URL+"/summarize", req, &resp)
 			switch {
@@ -378,7 +378,7 @@ func TestSummarizeAggKeys(t *testing.T) {
 				t.Errorf("%s, a %d-byte key: status %d %q, want 200", name, n, code, resp.Error)
 			case n > maxAggKeyBytes && (code != http.StatusBadRequest || !strings.Contains(resp.Error, fmt.Sprintf("(at most %d)", maxAggKeyBytes))):
 				t.Errorf("%s, a %d-byte key: status %d %q, want 400 naming the limit", name, n, code, resp.Error)
-			case n > maxAggKeyBytes && store.CacheStats() != before:
+			case n > maxAggKeyBytes && store.Metrics().Cache != before:
 				t.Errorf("%s, a %d-byte key: refused after a solve", name, n)
 			}
 		}

@@ -86,25 +86,14 @@ type Store struct {
 
 	cache *segCache
 
-	// requests tracks HTTP requests routed to this store, per endpoint:
-	// totals (bumped at routing time, so /metrics counts itself), the
-	// status-class split and the latency histogram (both recorded on
-	// completion). All atomics — the observability layer adds no locks.
-	requests map[string]*endpointMetrics
+	// Commit-pipeline stage histograms, in stageNames order: queue wait
+	// (staged → committer dequeue), WAL append write, fsync, and publication
+	// (cache revalidation + epoch pointer swap).
+	stages [len(stageNames)]obs.Histogram
 
-	// Commit-pipeline stage histograms: queue wait (staged → committer
-	// dequeue), WAL append write, fsync, and publication (cache revalidation
-	// + epoch pointer swap).
-	stageEnqueue obs.Histogram
-	stageAppend  obs.Histogram
-	stageFsync   obs.Histogram
-	stagePublish obs.Histogram
-
-	// Group-commit queue-wait counters (the JSON metrics panel; the
-	// histogram above carries the distribution).
-	queueWaitLastNs  atomic.Int64
-	queueWaitMaxNs   atomic.Int64
-	queueWaitTotalNs atomic.Int64
+	// queueWaitLastNs is the most recent group member's queue wait; the
+	// enqueue histogram carries the distribution, its max and its sum.
+	queueWaitLastNs atomic.Int64
 
 	// logger, when non-nil, receives a Debug-level structured line per
 	// published commit carrying the staging request's id.
@@ -207,6 +196,12 @@ type Store struct {
 	qosRejectedQueue atomic.Uint64
 
 	started time.Time
+
+	// requests holds per-endpoint counters in endpointNames order: totals
+	// (bumped at routing time, so /metrics counts itself), the status-class
+	// split and the latency histogram (both recorded on completion). Atomics,
+	// last so their writes stay off the cache lines of the fields above.
+	requests [len(endpointNames)]endpointMetrics
 }
 
 // The Store roles. A store starts as a leader (NewStore, durable stores)
@@ -264,7 +259,7 @@ type syncJob struct {
 }
 
 // endpointNames are the per-store request counters surfaced in /metrics.
-var endpointNames = []string{
+var endpointNames = [...]string{
 	"segment", "summarize", "query", "adjust", "ingest",
 	"stats", "metrics", "healthz", "export", "wal", "promote",
 }
@@ -353,17 +348,6 @@ type FreezeStats struct {
 	TotalNanos  int64  `json:"total_ns"`
 }
 
-// FreezeStatsSnapshot returns the current freeze counters.
-func (s *Store) FreezeStatsSnapshot() FreezeStats {
-	return FreezeStats{
-		Incremental: s.freezeIncr.Load(),
-		Full:        s.freezeFull.Load(),
-		LastNanos:   s.freezeLastNs.Load(),
-		MaxNanos:    s.freezeMaxNs.Load(),
-		TotalNanos:  s.freezeTotalNs.Load(),
-	}
-}
-
 // NewStore wraps an existing PROV graph in a memory-only store. cacheCap
 // bounds the segment cache (entries; <=0 selects the default). For a store
 // that survives restarts open a registry with a DataDir.
@@ -376,13 +360,9 @@ func NewStore(p *prov.Graph, cacheCap int) *Store {
 // resumes a pre-crash epoch sequence).
 func newStore(p *prov.Graph, rec *prov.Recorder, cacheCap int, epoch uint64) *Store {
 	s := &Store{
-		rec:      rec,
-		cache:    newSegCache(cacheCap),
-		requests: make(map[string]*endpointMetrics, len(endpointNames)),
-		started:  time.Now(),
-	}
-	for _, name := range endpointNames {
-		s.requests[name] = &endpointMetrics{}
+		rec:     rec,
+		cache:   newSegCache(cacheCap),
+		started: time.Now(),
 	}
 	ch := make(chan struct{})
 	s.epochWait.Store(&ch)
@@ -401,37 +381,20 @@ func newStore(p *prov.Graph, rec *prov.Recorder, cacheCap int, epoch uint64) *St
 // Name returns the store's registry name ("" for bare NewStore stores).
 func (s *Store) Name() string { return s.name }
 
-// countRequest bumps the store's per-endpoint request total. Called at
-// routing time (before the handler runs), so a /metrics response includes
-// the request that produced it. Unknown endpoint names are ignored (the set
-// is fixed at construction).
-func (s *Store) countRequest(endpoint string) {
-	if m, ok := s.requests[endpoint]; ok {
-		m.total.Add(1)
-	}
-}
+// countRequest bumps the request total of an endpoint (an index into
+// endpointNames). Called at routing time (before the handler runs), so a
+// /metrics response includes the request that produced it.
+func (s *Store) countRequest(endpoint int) { s.requests[endpoint].total.Add(1) }
 
 // observeRequest records a completed request: its status class, the body
 // bytes written to the client and its latency. Totals are bumped at routing
 // time instead, so between the two a request is visibly in flight (total
 // exceeds the class sum by the in-flight count).
-func (s *Store) observeRequest(endpoint string, status int, respBytes uint64, d time.Duration) {
-	m, ok := s.requests[endpoint]
-	if !ok {
-		return
-	}
+func (s *Store) observeRequest(endpoint, status int, respBytes uint64, d time.Duration) {
+	m := &s.requests[endpoint]
 	m.classes[statusClass(status)].Add(1)
 	m.respBytes.Add(respBytes)
 	m.lat.Observe(d)
-}
-
-// RequestCounts snapshots the per-endpoint request totals.
-func (s *Store) RequestCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(s.requests))
-	for name, m := range s.requests {
-		out[name] = m.total.Load()
-	}
-	return out
 }
 
 // EndpointStats is one endpoint's /metrics panel: the routed total, the
@@ -446,50 +409,16 @@ type EndpointStats struct {
 	Latency       obs.LatencySummary `json:"latency"`
 }
 
-// EndpointStatsSnapshot snapshots every endpoint's counters.
-func (s *Store) EndpointStatsSnapshot() map[string]EndpointStats {
-	out := make(map[string]EndpointStats, len(s.requests))
-	for name, m := range s.requests {
-		out[name] = EndpointStats{
-			Total:         m.total.Load(),
-			OK:            m.classes[classOK].Load(),
-			ClientErr:     m.classes[class4xx].Load(),
-			ServerErr:     m.classes[class5xx].Load(),
-			ResponseBytes: m.respBytes.Load(),
-			Latency:       m.lat.Summary(),
-		}
-	}
-	return out
-}
+// Commit-pipeline stage names, in pipeline order, and their indices into
+// Store.stages. The metrics panel keys its series by these.
+var stageNames = [...]string{"enqueue", "append", "fsync", "publish"}
 
-// Commit-pipeline stage names, in pipeline order. StageStats and the
-// Prometheus exposition key their series by these.
-var stageNames = []string{"enqueue", "append", "fsync", "publish"}
-
-// stageHistogram maps a stage name to its histogram.
-func (s *Store) stageHistogram(stage string) *obs.Histogram {
-	switch stage {
-	case "enqueue":
-		return &s.stageEnqueue
-	case "append":
-		return &s.stageAppend
-	case "fsync":
-		return &s.stageFsync
-	case "publish":
-		return &s.stagePublish
-	}
-	return nil
-}
-
-// StageStats digests the commit-pipeline stage histograms, keyed by stage
-// name (enqueue, append, fsync, publish).
-func (s *Store) StageStats() map[string]obs.LatencySummary {
-	out := make(map[string]obs.LatencySummary, len(stageNames))
-	for _, name := range stageNames {
-		out[name] = s.stageHistogram(name).Summary()
-	}
-	return out
-}
+const (
+	stageEnqueue = iota
+	stageAppend
+	stageFsync
+	stagePublish
+)
 
 // Epoch returns the current snapshot. The result is immutable and safe to
 // query for any length of time.
@@ -627,7 +556,7 @@ func (s *Store) updateEpoch(ctx context.Context, fn func(rec *prov.Recorder) err
 // observePublish records one publication into the stage histograms and the
 // request's stage record.
 func (s *Store) observePublish(d time.Duration, stages *obs.Stages) {
-	s.stagePublish.Observe(d)
+	s.stages[stagePublish].Observe(d)
 	if stages != nil {
 		stages.PublishNanos = d.Nanoseconds()
 	}
@@ -733,8 +662,8 @@ drain:
 		if wait < 0 {
 			wait = 0
 		}
-		s.stageEnqueue.Observe(wait)
-		s.observeQueueWait(wait.Nanoseconds())
+		s.stages[stageEnqueue].Observe(wait)
+		s.queueWaitLastNs.Store(wait.Nanoseconds())
 		if req.stages != nil {
 			req.stages.QueueWaitNanos = wait.Nanoseconds()
 		}
@@ -750,7 +679,7 @@ drain:
 	// The append is a group-level cost: one histogram sample, stamped on
 	// every member's stage record (each paid it in wall-clock terms).
 	tm, err := s.wal.AppendBatch(recs)
-	s.stageAppend.Observe(time.Duration(tm.WriteNanos))
+	s.stages[stageAppend].Observe(time.Duration(tm.WriteNanos))
 	if err != nil {
 		for _, req := range group {
 			if req.stages != nil {
@@ -798,7 +727,7 @@ func (s *Store) syncLoop() {
 				continue
 			}
 			synced = covered
-			s.stageFsync.Observe(time.Duration(lastSyncNs))
+			s.stages[stageFsync].Observe(time.Duration(lastSyncNs))
 		}
 		// Piggybacked jobs are stamped with the barrier wait that covered
 		// them: in wall-clock terms that is what their writers paid.
@@ -835,19 +764,6 @@ func (s *Store) retireGroup(group []*commitReq) {
 		s.resolved.Store(req.ep.N)
 		s.signalPub()
 		req.done <- nil
-	}
-}
-
-// observeQueueWait folds one member's queue wait into the group-commit
-// counters.
-func (s *Store) observeQueueWait(ns int64) {
-	s.queueWaitLastNs.Store(ns)
-	s.queueWaitTotalNs.Add(ns)
-	for {
-		max := s.queueWaitMaxNs.Load()
-		if ns <= max || s.queueWaitMaxNs.CompareAndSwap(max, ns) {
-			return
-		}
 	}
 }
 
@@ -964,12 +880,6 @@ func (s *Store) Cypher(query string, opts cypher.Options) (*cypher.Result, error
 func (s *Store) cypherAt(ctx context.Context, ep *Epoch, query string, opts cypher.Options) (*cypher.Result, error) {
 	return cypher.NewProvEvaluator(ep.P, opts).RunContext(ctx, query)
 }
-
-// CacheStats snapshots the segment-cache counters.
-func (s *Store) CacheStats() CacheStats { return s.cache.stats() }
-
-// Uptime returns the service uptime.
-func (s *Store) Uptime() time.Duration { return time.Since(s.started) }
 
 // StoreStats is the /stats payload: graph shape, cache counters, and service
 // uptime.

@@ -73,7 +73,7 @@ func TestIntervalFsyncFailurePoisonsWrites(t *testing.T) {
 
 	breakLogFsync(t, dir)
 	deadline := time.Now().Add(10 * time.Second)
-	for s.DurabilityStatsSnapshot().SyncFailures == 0 {
+	for s.Metrics().WAL.SyncFailures == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the background flusher never noticed its fsync failing")
 		}

@@ -32,11 +32,22 @@ type adjacency struct {
 	// vertexOK is constant-true and edgeOK reduces to the relation mask.
 	plain bool
 	rows  RowCounts // what row fetched; each goroutine reads through its own copy
+	// done is the request's done channel (Work), which the long walks poll;
+	// nil for none.
+	done <-chan struct{}
 }
 
 // RowCounts counts the relation rows a PgSeg call fetched, by prov.Rel and
 // direction (1: out-rows, toward ancestors). An excluded relation counts 0.
 type RowCounts [8][2]int
+
+// add adds o to c.
+func (c *RowCounts) add(o *RowCounts) {
+	for r := range o {
+		c[r][0] += o[r][0]
+		c[r][1] += o[r][1]
+	}
+}
 
 func newAdjacency(p *prov.Graph, b Boundary) *adjacency {
 	ad := &adjacency{
@@ -220,7 +231,8 @@ func (e *Engine) closureRels(forward bool) (ent, act []prov.Rel) {
 
 // ancestryClosure computes the set of vertices reachable from the seeds by
 // ancestry edges; forward=true follows edges in their direction (toward
-// ancestors), forward=false follows them inversely (toward descendants).
+// ancestors), forward=false follows them inversely (toward descendants). It
+// stops early, with part of the closure, once ad's request is done.
 // The walk visits one relation at a time, and only the relations the popped
 // vertex's kind can have (closureRels): on a frozen graph each step then
 // reads contiguous CSR rows, and on a live graph the repeated label-compare
@@ -237,7 +249,10 @@ func (e *Engine) ancestryClosure(seeds []graph.VertexID, ad *adjacency, forward 
 	}
 	entRels, actRels := e.closureRels(forward)
 	var buf []graph.VertexID
-	for len(queue) > 0 {
+	for pops := 1; len(queue) > 0; pops++ {
+		if pops&pollMask == 0 && stopped(ad.done) {
+			break
+		}
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		rels := actRels

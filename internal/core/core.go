@@ -188,11 +188,7 @@ type Segment struct {
 	vset *bitmap.Bitset
 	// support is the revalidation support set (see Support).
 	support *bitmap.Bitset
-	rows    RowCounts
 }
-
-// RowReads returns the relation rows fetched by the call that built s.
-func (s *Segment) RowReads() RowCounts { return s.rows }
 
 // Contains reports whether v is in the segment.
 func (s *Segment) Contains(v graph.VertexID) bool { return s.vset.Contains(uint32(v)) }
@@ -282,11 +278,18 @@ func (e *Engine) validateQuery(q Query) error {
 // The VC2 solve and the two ancestry closures run as tasks of one fork-join
 // on up to GOMAXPROCS goroutines, the caller among them (see segTasks), so
 // the boundary's filters are called from several goroutines at once.
-func (e *Engine) Segment(q Query) (*Segment, error) {
+func (e *Engine) Segment(q Query) (*Segment, error) { return e.SegmentWork(new(Work), q) }
+
+// SegmentWork is Segment for the request w records: it adds the rows it
+// fetched to w, and once w's request is done it stops and returns the
+// context's error.
+func (e *Engine) SegmentWork(w *Work, q Query) (*Segment, error) {
 	if err := e.validateQuery(q); err != nil {
 		return nil, err
 	}
 	ad := newAdjacency(e.P, q.Boundary)
+	ad.done = w.done
+	defer w.Rows.add(&ad.rows)
 	t, err := e.newSegTasks(q, ad, true)
 	if err != nil {
 		return nil, err
@@ -294,14 +297,22 @@ func (e *Engine) Segment(q Query) (*Segment, error) {
 	ws := make([]segWorker, min(runtime.GOMAXPROCS(0), t.len()))
 	for i := range ws {
 		ws[i].ad = *newAdjacency(e.P, q.Boundary)
+		ws[i].ad.done = w.done
 	}
-	forkJoin(len(ws), t.len(), func(w, i int) { t.do(&ws[w], &ws[w].ad, i) })
+	forkJoin(w.done, len(ws), t.len(), func(k, i int) { t.do(&ws[k], &ws[k].ad, i) })
 	vc2, err := t.vc2(ws)
+	if err == nil {
+		err = w.Err() // a task may not have run
+	}
 	if err != nil {
 		return nil, err
 	}
 	vc1, support := directPaths(t.fwd, t.bwd)
-	return e.induce(q, ad, vc1, vc2, support), nil
+	seg := e.induce(q, ad, vc1, vc2, support)
+	if err := w.Err(); err != nil { // an expansion may have stopped
+		return nil, err
+	}
+	return seg, nil
 }
 
 // induce assembles the segment from VC1 and VC2: the query vertices, VC3
@@ -377,7 +388,6 @@ func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset
 	for i, v := range seg.Vertices {
 		seg.Rules[i] = ruleOf[v]
 	}
-	seg.rows = ad.rows
 	return seg
 }
 
@@ -443,7 +453,8 @@ var edgeMarks = sync.Pool{New: func() any { return bitmap.NewBitset(0) }}
 // reporting every visited activity and entity. A visited set keeps the walk
 // linear in |G|: without it, diamond-shaped ancestry re-expands duplicated
 // frontier vertices multiplicatively per step, and k arrives unvalidated
-// from CLI flags and HTTP requests.
+// from CLI flags and HTTP requests. It stops early once ad's request is
+// done.
 func (e *Engine) expand(ad *adjacency, ex Expansion, add func(graph.VertexID)) {
 	seen := bitmap.NewBitset(e.P.NumVertices())
 	ents := make([]graph.VertexID, 0, len(ex.Within))
@@ -460,7 +471,10 @@ func (e *Engine) expand(ad *adjacency, ex Expansion, add func(graph.VertexID)) {
 			acts = ad.generatorsOf(en, acts)
 		}
 		next = next[:0]
-		for _, a := range acts {
+		for i, a := range acts {
+			if i&pollMask == 0 && stopped(ad.done) {
+				return
+			}
 			if !seen.Add(uint32(a)) {
 				continue
 			}
@@ -515,12 +529,20 @@ func (e *Engine) AdjustExclude(s *Segment, b Boundary) *Segment {
 // untrusted surfaces as query vertices and are walked unchecked by expand,
 // so they are range-validated here.
 func (e *Engine) AdjustExpand(s *Segment, ex Expansion) (*Segment, error) {
+	return e.AdjustExpandWork(new(Work), s, ex)
+}
+
+// AdjustExpandWork is AdjustExpand for the request w records, as
+// SegmentWork is Segment.
+func (e *Engine) AdjustExpandWork(w *Work, s *Segment, ex Expansion) (*Segment, error) {
 	for _, v := range ex.Within {
 		if int(v) >= e.P.NumVertices() {
 			return nil, fmt.Errorf("core: expansion vertex %d out of range", v)
 		}
 	}
 	ad := newAdjacency(e.P, Boundary{})
+	ad.done = w.done
+	defer w.Rows.add(&ad.rows)
 	out := &Segment{
 		P:    s.P,
 		Src:  s.Src,
@@ -528,6 +550,9 @@ func (e *Engine) AdjustExpand(s *Segment, ex Expansion) (*Segment, error) {
 		vset: s.vset.Clone(),
 	}
 	e.expand(ad, ex, func(v graph.VertexID) { out.vset.Add(uint32(v)) })
+	if err := w.Err(); err != nil {
+		return nil, err
+	}
 	out.Vertices = setToVertices(out.vset)
 	// Merge: a vertex s already had keeps its rule, a new one is C2.
 	out.Rules = make([]Rule, len(out.Vertices))
@@ -541,6 +566,5 @@ func (e *Engine) AdjustExpand(s *Segment, ex Expansion) (*Segment, error) {
 		}
 	}
 	out.Edges = ad.inducedEdges(out.vset, nil)
-	out.rows = ad.rows
 	return out, nil
 }

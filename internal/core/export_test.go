@@ -245,7 +245,7 @@ func buildSum(labels []int, edges [][3]int) *flatGraph {
 	for v, l := range labels {
 		label[v], numLabels = int32(l), max(numLabels, l+1)
 	}
-	g := newFlatGraph(new(arena), new(sumWork), len(labels), keys)
+	g := newFlatGraph(new(arena), new(Work), len(labels), keys)
 	g.setLabels(label, numLabels)
 	return g
 }
@@ -278,12 +278,12 @@ type SumStages struct {
 // the merge-phase scans and assemble. The benchmark checks its result
 // against Summarize's.
 func SummarizeStages(segs []*Segment, opts SumOptions) (*Psg, SumStages, error) {
-	probe := &sumProbe{last: time.Now()}
-	psg, work, err := summarize(segs, opts, probe)
-	d := probe.stages
+	w := new(Work)
+	psg, err := SummarizeWork(w, segs, opts)
+	d := w.stages
 	return psg, SumStages{
 		Input: d[stageInput], Build: d[stageBuild], Sim: d[stageSim], Merge: d[stageMerge], Assemble: d[stageAssemble],
-		Sims: work.sims, Topos: work.topos, Phases: work.phases,
+		Sims: w.Sims, Topos: w.Topos, Phases: w.Phases,
 	}, err
 }
 
@@ -298,7 +298,7 @@ type MergeChecks struct{ Preorders, Orders, Skips int }
 func CheckQuotients(t *testing.T, segs []*Segment, opts SumOptions) MergeChecks {
 	t.Helper()
 	var c MergeChecks
-	psg, _, err := summarize(segs, opts, checkingProbe(t, &c))
+	psg, err := summarize(new(Work), segs, opts, checkingProbe(t, &c))
 	if err != nil {
 		t.Fatal(err)
 	}

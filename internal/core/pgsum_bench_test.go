@@ -14,11 +14,11 @@ import (
 // pdSumOptions are the PgSum options of the end-to-end sum_pd workload.
 var pdSumOptions = core.SumOptions{TypeRadius: 1, K: core.Aggregation{Activity: []string{"command"}}}
 
-// pdWideSegments solves k near-whole-graph segments of a Pd graph the way
-// the sum_pd workload draws them: two consecutive entities from the first
-// tenth of the order of being as sources, two from the last tenth as
+// pdWideQueries draws k near-whole-graph segment queries on a Pd graph the
+// way the sum_pd workload draws them: two consecutive entities from the
+// first tenth of the order of being as sources, two from the last tenth as
 // destinations.
-func pdWideSegments(tb testing.TB, n, k int) []*core.Segment {
+func pdWideQueries(tb testing.TB, n, k int) (*core.Engine, []core.Query) {
 	tb.Helper()
 	fz := gen.Pd(gen.PdConfig{N: n, Seed: 1}).Freeze()
 	ents := fz.Entities()
@@ -26,14 +26,24 @@ func pdWideSegments(tb testing.TB, n, k int) []*core.Segment {
 	if band < k+1 {
 		tb.Fatalf("Pd-%d has too few entities (%d) for %d segments", n, len(ents), k)
 	}
-	eng := core.NewEngine(fz, core.Options{})
-	segs := make([]*core.Segment, 0, k)
-	for i := 0; i < k; i++ {
+	qs := make([]core.Query, k)
+	for i := range qs {
 		a, b := i*band/k, len(ents)-2-i*band/k
-		seg, err := eng.Segment(core.Query{
+		qs[i] = core.Query{
 			Src: []graph.VertexID{ents[a], ents[a+1]},
 			Dst: []graph.VertexID{ents[b], ents[b+1]},
-		})
+		}
+	}
+	return core.NewEngine(fz, core.Options{}), qs
+}
+
+// pdWideSegments solves pdWideQueries' k queries.
+func pdWideSegments(tb testing.TB, n, k int) []*core.Segment {
+	tb.Helper()
+	eng, qs := pdWideQueries(tb, n, k)
+	segs := make([]*core.Segment, 0, k)
+	for _, q := range qs {
+		seg, err := eng.Segment(q)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -115,48 +115,16 @@ type sumScratch struct {
 	round [2]arena
 	text  []byte   // classify's signature under construction, then the class names
 	parts []uint64 // a signature's sorted neighbor multiset
-	work  sumWork
+	work  *Work    // the call's request
+	probe *sumProbe
 }
 
-// sumWork counts what one Summarize call solved — simulations, Kahn sorts
-// and merge-phase scans — and carries the probe a test watches the call
-// through (nil otherwise).
-type sumWork struct {
-	sims, topos, phases int
-	probe               *sumProbe
-}
-
-// sumStage is one stage of a Summarize call, as a probe clocks it.
-type sumStage int
-
-const (
-	stageInput    sumStage = iota // g0 and classify
-	stageBuild                    // quotient rebuilds
-	stageSim                      // simulations, with their Kahn sorts
-	stageMerge                    // merge-phase scans
-	stageAssemble                 // the Psg
-	numSumStages
-)
-
-// sumProbe watches one Summarize call from a test: it splits the call's
-// wall time into stages, and sees every phase the merge loop skips as idle
-// and every quotient it builds. A call without one pays a nil check per
-// stage boundary.
+// sumProbe watches one Summarize call from a test: it sees every phase the
+// merge loop skips as idle and every quotient it builds. A call without one
+// pays a nil check per phase.
 type sumProbe struct {
-	last    time.Time
-	stages  [numSumStages]time.Duration
 	skipped func(g *flatGraph, cond mergeCondition)
 	built   func(g, q *flatGraph, cond mergeCondition)
-}
-
-// lap charges the time since the last lap to stage s.
-func (p *sumProbe) lap(s sumStage) {
-	if p == nil {
-		return
-	}
-	now := time.Now()
-	p.stages[s] += now.Sub(p.last)
-	p.last = now
 }
 
 var sumPool = sync.Pool{New: func() any { return new(sumScratch) }}
@@ -165,6 +133,7 @@ func (sc *sumScratch) release() {
 	sc.call.reset()
 	sc.round[0].reset()
 	sc.round[1].reset()
+	sc.work, sc.probe = nil, nil
 	sumPool.Put(sc)
 }
 
@@ -217,7 +186,7 @@ func newInput(sc *sumScratch, segs []*Segment, opts SumOptions) (*sumInput, erro
 			in.edges = append(in.edges, packEdge(occOf[from]-1, uint8(s.P.RelOf(e)), occOf[to]-1))
 		}
 	}
-	in.g = newFlatGraph(mem, &sc.work, nv, in.edges)
+	in.g = newFlatGraph(mem, sc.work, nv, in.edges)
 	cls := classify(sc, in, opts)
 	in.g.setLabels(cls.colors, len(cls.base))
 	in.names = classNames(sc, cls.base, cls.baseName)
@@ -230,22 +199,27 @@ func newInput(sc *sumScratch, segs []*Segment, opts SumOptions) (*sumInput, erro
 // Summarize evaluates PgSum(S, K, Rk) and returns the summary graph. It
 // returns ErrNotDAG when the union of the segments has a cycle.
 func Summarize(segs []*Segment, opts SumOptions) (*Psg, error) {
-	psg, _, err := summarize(segs, opts, nil)
-	return psg, err
+	return SummarizeWork(new(Work), segs, opts)
 }
 
-// summarize is Summarize watched by probe (nil for none), with the work it
-// did.
-func summarize(segs []*Segment, opts SumOptions, probe *sumProbe) (*Psg, sumWork, error) {
+// SummarizeWork is Summarize for the request w records: it adds what it
+// solved and the time of each stage to w, and once w's request is done it
+// stops and returns the context's error.
+func SummarizeWork(w *Work, segs []*Segment, opts SumOptions) (*Psg, error) {
+	return summarize(w, segs, opts, nil)
+}
+
+// summarize is SummarizeWork watched by probe (nil for none).
+func summarize(w *Work, segs []*Segment, opts SumOptions, probe *sumProbe) (*Psg, error) {
 	if len(segs) == 0 {
-		return nil, sumWork{}, fmt.Errorf("core: PgSum needs at least one segment")
+		return nil, fmt.Errorf("core: PgSum needs at least one segment")
 	}
 	sc := sumPool.Get().(*sumScratch)
 	defer sc.release()
-	sc.work = sumWork{probe: probe}
+	sc.work, sc.probe, w.last = w, probe, time.Now()
 	g0, err := newInput(sc, segs, opts)
 	if err != nil {
-		return nil, sc.work, err
+		return nil, err
 	}
 
 	// nodeOf maps each occurrence to its current Psg node (dense ids).
@@ -253,14 +227,14 @@ func summarize(segs []*Segment, opts SumOptions, probe *sumProbe) (*Psg, sumWork
 	for i := range nodeOf {
 		nodeOf[i] = int32(i)
 	}
-	probe.lap(stageInput)
+	w.lap(stageInput)
 	cur, rounds, err := sc.mergeLoop(g0.g, nodeOf, opts.MaxRounds)
 	if err != nil {
-		return nil, sc.work, err
+		return nil, err
 	}
 	psg := g0.assemble(cur.numNodes(), nodeOf, rounds)
-	probe.lap(stageAssemble)
-	return psg, sc.work, nil
+	w.lap(stageAssemble)
+	return psg, nil
 }
 
 // mergeLoop merges g0 one Lemma 5 condition per phase, renaming nodeOf
@@ -277,9 +251,10 @@ func summarize(segs []*Segment, opts SumOptions, probe *sumProbe) (*Psg, sumWork
 // hands its quotient the simulation preorder it solved and, when it can,
 // the order the simulation walked, and the quotient starts with that phase
 // idle (flatGraph.quotient has the proof). A skipped phase counts as one
-// that merged nothing, so Rounds is what running it would give.
+// that merged nothing, so Rounds is what running it would give. No phase
+// starts once the request is done.
 func (sc *sumScratch) mergeLoop(g0 *flatGraph, nodeOf []int32, maxRounds int) (*flatGraph, int, error) {
-	probe := sc.work.probe
+	w, probe := sc.work, sc.probe
 	cur, built, rounds := g0, 0, 0
 	for maxRounds == 0 || rounds < maxRounds {
 		progressed := false
@@ -290,9 +265,12 @@ func (sc *sumScratch) mergeLoop(g0 *flatGraph, nodeOf []int32, maxRounds int) (*
 				}
 				continue
 			}
-			sc.work.phases++
+			if err := w.Err(); err != nil {
+				return nil, 0, err
+			}
+			w.Phases++
 			remap, numNew, err := mergePhase(cur, phase)
-			probe.lap(stageMerge)
+			w.lap(stageMerge)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -307,7 +285,7 @@ func (sc *sumScratch) mergeLoop(g0 *flatGraph, nodeOf []int32, maxRounds int) (*
 			mem := &sc.round[built&1] // holds cur's predecessor, or nothing yet
 			mem.reset()
 			q := cur.quotient(mem, remap, numNew, phase)
-			probe.lap(stageBuild)
+			w.lap(stageBuild)
 			if probe != nil && probe.built != nil {
 				probe.built(cur, q, phase)
 			}

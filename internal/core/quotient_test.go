@@ -135,7 +135,7 @@ func TestTopoOrderIsLevelOrder(t *testing.T) {
 // its own.
 func bare(g *flatGraph) *flatGraph {
 	return &flatGraph{
-		mem: new(arena), work: new(sumWork), label: g.label, out: g.out, in: g.in,
+		mem: new(arena), work: new(Work), label: g.label, out: g.out, in: g.in,
 		classOff: g.classOff, classMem: g.classMem, pos: g.pos,
 	}
 }
@@ -235,10 +235,9 @@ func denseMergeLoop(labels []int, edges [][3]int) (nodeOf []int, rounds int) {
 // rounds — to denseMergeLoop. A cyclic graph must give ErrNotDAG instead.
 func checkMergeLoop(t testing.TB, name string, labels []int, edges [][3]int, c *MergeChecks) {
 	t.Helper()
-	sc := new(sumScratch)
-	sc.work.probe = checkingProbe(t, c)
+	sc := &sumScratch{work: new(Work), probe: checkingProbe(t, c)}
 	g0 := buildSum(labels, edges)
-	g0.work = &sc.work
+	g0.work = sc.work
 	nodeOf := make([]int32, len(labels))
 	for i := range nodeOf {
 		nodeOf[i] = int32(i)

@@ -113,11 +113,8 @@ func (t *segTasks) do(w *segWorker, ad *adjacency, i int) {
 // vc2 returns VC2 once every task has run: the union of the workers' shares,
 // which go back to their pool. It adds the workers' rows to the query's.
 func (t *segTasks) vc2(ws []segWorker) (*bitmap.Bitset, error) {
-	for _, w := range ws {
-		for r, n := range w.ad.rows {
-			t.ad.rows[r][0] += n[0]
-			t.ad.rows[r][1] += n[1]
-		}
+	for i := range ws {
+		t.ad.rows.add(&ws[i].ad.rows)
 	}
 	if t.classes == nil {
 		return t.algVC2, t.err
@@ -144,12 +141,12 @@ func vc2Share(n int) *bitmap.Bitset {
 
 // forkJoin calls task(w, i) once for every i in [0, n) on workers workers:
 // worker 0 is the calling goroutine, the others start for this call, and each
-// claims the next i from one atomic counter until none is left. It returns
-// once every worker has. A panic in a task stops further claims and is raised
-// again, with the same value, on the caller after the join, so net/http's
-// per-handler recovery still catches a solver bug and no worker outlives the
-// call.
-func forkJoin(workers, n int, task func(w, i int)) {
+// claims the next i from one atomic counter until none is left or done is
+// closed (then some tasks never run). It returns once every worker has. A
+// panic in a task stops further claims and is raised again, with the same
+// value, on the caller after the join, so net/http's per-handler recovery
+// still catches a solver bug and no worker outlives the call.
+func forkJoin(done <-chan struct{}, workers, n int, task func(w, i int)) {
 	var next atomic.Int64
 	var failed atomic.Pointer[any]
 	work := func(w int) {
@@ -159,7 +156,7 @@ func forkJoin(workers, n int, task func(w, i int)) {
 				next.Store(int64(n))
 			}
 		}()
-		for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+		for i := next.Add(1) - 1; i < int64(n) && !stopped(done); i = next.Add(1) - 1 {
 			task(w, int(i))
 		}
 	}

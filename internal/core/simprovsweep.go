@@ -181,7 +181,8 @@ func (st *tstSweepState) run(vj graph.VertexID, out *bitmap.Bitset) {
 
 // depths runs pass 0 for vj, and the fill pass when a depth set was
 // promoted, leaving D, the recorded rows and A in sc. It returns maxM,
-// negative when no source is reached (no window is then allocated).
+// negative when no source is reached (no window is then allocated) or the
+// request is done.
 func (st *tstSweepState) depths(sc *tstSweepScratch, vj graph.VertexID) int32 {
 	p, ad, rk := st.e.P, st.ad, st.rank
 	n := int(vj) + 1 // nothing newer than vj is reached
@@ -200,6 +201,9 @@ func (st *tstSweepState) depths(sc *tstSweepScratch, vj graph.VertexID) int32 {
 		w := win[v]
 		if w.hi < 0 {
 			continue
+		}
+		if len(order)&pollMask == pollMask && stopped(ad.done) {
+			return -1
 		}
 		start, s := len(rows), int32(0)
 		if p.IsKind(v, prov.KindEntity) {
@@ -351,11 +355,15 @@ func (sc *tstSweepScratch) fillDepths(p *prov.Graph, maxM int32) {
 }
 
 // targets is the increasing-rank pass: build T(v) on v's window from its row
-// members' and test membership in place.
+// members' and test membership in place. It stops early once the request is
+// done.
 func (st *tstSweepState) targets(sc *tstSweepScratch, maxM int32, out *bitmap.Bitset) {
 	p, win := st.e.P, sc.win
 	sc.tRuns, sc.tw = sc.tRuns[:0], sc.tw[:0]
 	for i := len(sc.order) - 1; i >= 0; i-- {
+		if i&pollMask == 0 && stopped(st.ad.done) {
+			return
+		}
 		v := sc.order[i]
 		w := &win[v]
 		if w.lo > maxM {

@@ -20,6 +20,11 @@ import (
 // provenance graph has neither; a graph that skipped validation may.
 var ErrNotDAG = errors.New("core: input is not a DAG")
 
+// pollPairs is how many pairs simulation tests between polls of the
+// request: under half a millisecond of them even when every pair walks its
+// arcs (some 50 ns a pair).
+const pollPairs = 1 << 13
+
 // sumBudget caps each PgSum allocation that grows with the square of the
 // input (simulation slab, reach guard), checked before it is made: 256 MiB
 // keeps sum_pd (a 0.1 MB slab) three orders of magnitude inside, and
@@ -129,10 +134,10 @@ func (c csr) quotient(mem *arena, remap []int32, numNew int, later []uint64) csr
 // immutable once labeled, so the two simulation preorders are computed at
 // most once per graph — or not at all, when the merge that built it hands
 // one on (see quotient). It is cut from mem, and so is what is computed on
-// it; work counts what the call solved.
+// it; work is the call's request.
 type flatGraph struct {
 	mem   *arena
-	work  *sumWork
+	work  *Work
 	label []int32
 	// out and in hold each node's arcs ascending, without duplicates
 	// (parallel identical arcs do not change the path-label language).
@@ -157,7 +162,7 @@ type flatGraph struct {
 // newFlatGraph buckets (tail, rel, head) edge keys over n nodes into out and
 // in runs in one pass. The arcs carry no labels yet: setLabels finishes the
 // graph.
-func newFlatGraph(mem *arena, work *sumWork, n int, edges []uint64) *flatGraph {
+func newFlatGraph(mem *arena, work *Work, n int, edges []uint64) *flatGraph {
 	outOff, inOff := mem.i32.take(n+2), mem.i32.take(n+2)
 	for _, k := range edges {
 		from, _, to := unpackEdge(k)
@@ -296,14 +301,14 @@ func dir(forward bool) int {
 func (g *flatGraph) sim(forward bool) (*simRel, error) {
 	i := dir(forward)
 	if g.sims[i] == nil {
-		g.work.probe.lap(stageMerge)
+		g.work.lap(stageMerge)
 		rel, err := simulation(g, forward)
-		g.work.probe.lap(stageSim)
+		g.work.lap(stageSim)
 		if err != nil {
 			return nil, err
 		}
 		g.sims[i] = rel
-		g.work.sims++
+		g.work.Sims++
 	}
 	return g.sims[i], nil
 }
@@ -322,7 +327,7 @@ func (g *flatGraph) topo(forward bool) ([]int32, error) {
 			return nil, err
 		}
 		g.order, g.orderFwd = order, forward
-		g.work.topos++
+		g.work.Topos++
 	}
 	if g.orderFwd == forward {
 		return g.order, nil
@@ -473,7 +478,8 @@ func topoOrder(mem *arena, succ, pred csr) ([]int32, error) {
 // (forward=true, i.e. <=sout) or parents (forward=false, i.e. <=sin). On a
 // DAG the greatest fixpoint is a well-founded recursion: row u depends only
 // on the rows of u's successors, so one children-first pass computes every
-// row exactly once.
+// row exactly once. It stops with the context's error once the request is
+// done, polled every pollPairs pair tests.
 func simulation(g *flatGraph, forward bool) (*simRel, error) {
 	succ := g.out
 	if !forward {
@@ -538,12 +544,19 @@ func simulation(g *flatGraph, forward bool) (*simRel, error) {
 		return true
 	}
 
+	pairs := 0
 	for _, u := range order {
 		l := g.label[u]
 		if sim.row[u] == full[l] {
 			continue
 		}
 		row, cl, sigs := sim.of(g, u), g.class(l), sig[g.classOff[l]:g.classOff[l+1]]
+		if pairs += len(sigs); pairs > pollPairs {
+			if err := g.work.Err(); err != nil {
+				return nil, err
+			}
+			pairs = 0
+		}
 		su := sigs[g.pos[u]]
 		for i, sv := range sigs {
 			if su&^sv == 0 && (cl[i] == u || simulates(u, cl[i])) {

@@ -140,8 +140,8 @@ func TestExcludedBlocksNeverRead(t *testing.T) {
 	p := gen.Pd(gen.PdConfig{N: 400, Seed: 4}).Freeze()
 	src, dst := gen.DefaultQuery(p)
 	excluded := []prov.Rel{prov.RelDeriv, prov.RelAttr}
-	eng := core.NewEngine(p, core.Options{})
-	seg, err := eng.Segment(core.Query{
+	eng, w := core.NewEngine(p, core.Options{}), new(core.Work)
+	seg, err := eng.SegmentWork(w, core.Query{
 		Src: src, Dst: dst,
 		Boundary: core.Boundary{
 			ExcludeRels: excluded,
@@ -154,7 +154,7 @@ func TestExcludedBlocksNeverRead(t *testing.T) {
 	if seg.NumVertices() == 0 {
 		t.Fatal("empty segment: the traversal never ran")
 	}
-	reads := seg.RowReads()
+	reads := w.Rows
 	for _, r := range excluded {
 		if reads[r] != [2]int{} {
 			t.Errorf("excluded relation %v: %v CSR row reads (in, out)", r, reads[r])

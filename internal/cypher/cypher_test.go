@@ -1,6 +1,8 @@
 package cypher_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -61,7 +63,7 @@ func buildTinyChain(t *testing.T) (*prov.Graph, graph.VertexID, graph.VertexID) 
 func TestEvalSimplePattern(t *testing.T) {
 	p, data, result := buildTinyChain(t)
 	ev := cypher.NewProvEvaluator(p, cypher.Options{})
-	res, err := ev.Run("match p=(b:E)<-[:U|G*]-(e:E) where id(b) in [0] and id(e) in [4] return p")
+	res, err := ev.Run(context.Background(), "match p=(b:E)<-[:U|G*]-(e:E) where id(b) in [0] and id(e) in [4] return p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestEvalSimplePattern(t *testing.T) {
 func TestEvalFunctions(t *testing.T) {
 	p, _, _ := buildTinyChain(t)
 	ev := cypher.NewProvEvaluator(p, cypher.Options{})
-	res, err := ev.Run("match p=(b:E)<-[:U|G*]-(e:E) where id(b) in [0] and id(e) in [4] return length(p), extract(x in nodes(p) | labels(x)[0])")
+	res, err := ev.Run(context.Background(), "match p=(b:E)<-[:U|G*]-(e:E) where id(b) in [0] and id(e) in [4] return length(p), extract(x in nodes(p) | labels(x)[0])")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +155,9 @@ func TestEvalTimeout(t *testing.T) {
 	_, err := cypher.CypherVC2(p, src, dst, cypher.Options{Timeout: time.Nanosecond})
 	if err == nil {
 		t.Skip("graph too small to hit the deadline")
+	}
+	if !errors.Is(err, cypher.ErrTimeout) {
+		t.Fatalf("got %v, want ErrTimeout", err)
 	}
 }
 

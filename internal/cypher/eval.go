@@ -92,7 +92,8 @@ func (v Value) Equal(o Value) bool {
 
 // Options bound evaluation cost (the baseline is exponential by design).
 type Options struct {
-	// Timeout aborts evaluation (0 = no limit).
+	// Timeout aborts evaluation with ErrTimeout (0 = no limit): it is a
+	// context.WithTimeout around the evaluation's context.
 	Timeout time.Duration
 	// MaxRows aborts when an intermediate binding table exceeds this many
 	// rows (0 = no limit).
@@ -102,8 +103,9 @@ type Options struct {
 	MaxPathLen int
 }
 
-// ErrTimeout is returned when evaluation exceeds its deadline — the
-// practical rendering of the paper's ">12 hours on Pd100".
+// ErrTimeout is returned when evaluation exceeds its deadline — Timeout's or
+// its context's — the practical rendering of the paper's ">12 hours on
+// Pd100".
 var ErrTimeout = errors.New("cypher: evaluation deadline exceeded")
 
 // ErrRowBudget is returned when an intermediate result exceeds MaxRows.
@@ -123,11 +125,10 @@ type Evaluator struct {
 	// relName renders an edge's label for type(r).
 	relName func(graph.Label) string
 
-	deadline time.Time
-	done     <-chan struct{} // the evaluation's context's Done (nil: never)
-	ctx      context.Context
-	steps    uint64
-	rows     uint64 // CSR rows the planner fetched (NeighborRowSegs, FrozenNeighbors)
+	done  <-chan struct{} // the evaluation's context's Done (nil: never)
+	ctx   context.Context
+	steps uint64
+	rows  uint64 // CSR rows the planner fetched (NeighborRowSegs, FrozenNeighbors)
 }
 
 // NewEvaluator builds an evaluator with explicit label resolvers.
@@ -159,36 +160,26 @@ type Result struct {
 	Rows [][]Value
 }
 
-// Run parses and evaluates a query.
-func (ev *Evaluator) Run(src string) (*Result, error) {
-	return ev.RunContext(context.Background(), src)
-}
-
-// RunContext is Run, stopped with ctx's error once ctx is done (a server
-// passes the request's context, so a client that hangs up stops the
-// evaluation it started).
-func (ev *Evaluator) RunContext(ctx context.Context, src string) (*Result, error) {
+// Run parses and evaluates a query under ctx (see Eval).
+func (ev *Evaluator) Run(ctx context.Context, src string) (*Result, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return ev.EvalContext(ctx, q)
+	return ev.Eval(ctx, q)
 }
 
-// Eval evaluates a parsed query.
-func (ev *Evaluator) Eval(q *Query) (*Result, error) {
-	return ev.EvalContext(context.Background(), q)
-}
-
-// EvalContext is Eval, stopped with ctx's error once ctx is done. The
-// context is checked where the deadline is.
-func (ev *Evaluator) EvalContext(ctx context.Context, q *Query) (*Result, error) {
-	ev.ctx, ev.done = ctx, ctx.Done()
+// Eval evaluates a parsed query. It stops once ctx is done, with ErrTimeout
+// past a deadline and with ctx's error otherwise (a server passes the
+// request's context, so a client that hangs up stops the evaluation it
+// started).
+func (ev *Evaluator) Eval(ctx context.Context, q *Query) (*Result, error) {
 	if ev.opts.Timeout > 0 {
-		ev.deadline = time.Now().Add(ev.opts.Timeout)
-	} else {
-		ev.deadline = time.Time{}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, ev.opts.Timeout)
+		defer cancel()
 	}
+	ev.ctx, ev.done = ctx, ctx.Done()
 	rows := []row{{}}
 	var err error
 	for _, cl := range q.Clauses {
@@ -221,36 +212,31 @@ func (ev *Evaluator) checkBudget(n int) error {
 	if err := ev.stopped(); err != nil {
 		return err
 	}
-	if !ev.deadline.IsZero() && time.Now().After(ev.deadline) {
-		return ErrTimeout
-	}
 	if ev.opts.MaxRows > 0 && n > ev.opts.MaxRows {
 		return ErrRowBudget
 	}
 	return nil
 }
 
-// steps counts traversal work between deadline checks so exponential DFS
+// steps counts traversal work between context checks so exponential DFS
 // expansion cannot outrun the timeout.
 func (ev *Evaluator) stepBudget() error {
 	ev.steps++
 	if ev.steps&0xfff != 0 {
 		return nil
 	}
-	if err := ev.stopped(); err != nil {
-		return err
-	}
-	if !ev.deadline.IsZero() && time.Now().After(ev.deadline) {
-		return ErrTimeout
-	}
-	return nil
+	return ev.stopped()
 }
 
-// stopped returns the evaluation context's error once it is done.
+// stopped returns, once the evaluation's context is done, ErrTimeout past
+// its deadline and its error otherwise.
 func (ev *Evaluator) stopped() error {
 	select {
 	case <-ev.done:
-		return fmt.Errorf("cypher: evaluation stopped: %w", ev.ctx.Err())
+		if err := ev.ctx.Err(); !errors.Is(err, context.DeadlineExceeded) {
+			return fmt.Errorf("cypher: evaluation stopped: %w", err)
+		}
+		return ErrTimeout
 	default:
 		return nil
 	}

@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -60,7 +61,7 @@ func TestPlannerStandsDownOnLiveGraph(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ev.Run(text); err != nil {
+	if _, err := ev.Run(context.Background(), text); err != nil {
 		t.Fatal(err)
 	}
 	if ev.rows != 0 {
@@ -71,7 +72,7 @@ func TestPlannerStandsDownOnLiveGraph(t *testing.T) {
 	if plan := fev.planPattern(pat, row{}, seeds); plan == nil {
 		t.Fatal("planner stood down on a frozen snapshot: the differential has no subject")
 	}
-	if _, err := fev.Run(text); err != nil {
+	if _, err := fev.Run(context.Background(), text); err != nil {
 		t.Fatal(err)
 	}
 	if fev.rows == 0 {

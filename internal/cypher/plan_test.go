@@ -1,6 +1,7 @@
 package cypher_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -38,11 +39,11 @@ func runBoth(t testing.TB, live, frozen *prov.Graph, q, tag string) {
 	if live.Frozen() || !frozen.Frozen() {
 		t.Fatalf("%s: want a live graph and its snapshot, got frozen=%v and frozen=%v", tag, live.Frozen(), frozen.Frozen())
 	}
-	planned, err := cypher.NewProvEvaluator(frozen, cypher.Options{Timeout: 30 * time.Second}).Run(q)
+	planned, err := cypher.NewProvEvaluator(frozen, cypher.Options{Timeout: 30 * time.Second}).Run(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s (planned): %v", tag, err)
 	}
-	naive, err := cypher.NewProvEvaluator(live, cypher.Options{Timeout: 30 * time.Second}).Run(q)
+	naive, err := cypher.NewProvEvaluator(live, cypher.Options{Timeout: 30 * time.Second}).Run(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s (naive): %v", tag, err)
 	}
@@ -125,7 +126,7 @@ func BenchmarkPlannerCorridor(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, q := range qs {
-					if _, err := cypher.NewProvEvaluator(c.g, cypher.Options{}).Run(q); err != nil {
+					if _, err := cypher.NewProvEvaluator(c.g, cypher.Options{}).Run(context.Background(), q); err != nil {
 						b.Fatal(err)
 					}
 				}

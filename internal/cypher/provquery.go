@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -97,7 +98,7 @@ where id(e2) in %s and
   extract(x in relationships(p1) | type(x))
     = extract(x in relationships(p2) | type(x))
 return p1, p2`, idList(src), idList(dst), idList(dst))
-	res, err := ev.Run(q)
+	res, err := ev.Run(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -59,8 +60,8 @@ func DiffCypherPlanner(rng *rand.Rand, live, frozen *prov.Graph) error {
 	}
 	b := ents[rng.Intn(len(ents))]
 	q := fmt.Sprintf("match p=(b:E)<-[:U|G*1..3]-(e) where id(b) in [%d] return p", b)
-	planned, perr := cypher.NewProvEvaluator(frozen, cypher.Options{}).Run(q)
-	naive, nerr := cypher.NewProvEvaluator(live, cypher.Options{}).Run(q)
+	planned, perr := cypher.NewProvEvaluator(frozen, cypher.Options{}).Run(context.Background(), q)
+	naive, nerr := cypher.NewProvEvaluator(live, cypher.Options{}).Run(context.Background(), q)
 	if (perr == nil) != (nerr == nil) {
 		return fmt.Errorf("cypher error mismatch: planned %v vs naive %v", perr, nerr)
 	}

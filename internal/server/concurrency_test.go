@@ -209,7 +209,7 @@ func TestCacheAcrossBackToBackIngests(t *testing.T) {
 	// The pinned reader resolves the same query at its old epoch: the
 	// resident entry is tagged two epochs ahead, so serving it would leak
 	// future state — the lookup must miss and re-solve against ep0.
-	segStale, cachedStale, err := store.segmentAt(ep0, q, core.Options{}, true)
+	segStale, cachedStale, err := store.segmentAt(new(core.Work), ep0, q, core.Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

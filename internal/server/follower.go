@@ -141,26 +141,28 @@ func (s *Store) followOnce(ctx context.Context, hc *http.Client) error {
 		}
 		s.noteLeaderEpoch(ev.LeaderEpoch)
 		switch ev.Kind {
-		case repl.KindMeta:
-			continue
 		case repl.KindSnapshot:
-			if err := s.resetReplicated(ev.Epoch, ev.Payload); err != nil {
+			if err := s.resetReplicated(ev.Epoch, ev.Payload, ev.PublishedNanos); err != nil {
 				return err
 			}
 		case repl.KindDelta:
-			if err := s.applyReplicated(ev.Epoch, ev.Payload); err != nil {
+			if err := s.applyReplicated(ev.Epoch, ev.Payload, ev.PublishedNanos); err != nil {
 				return err
 			}
 		}
-		if ev.PublishedNanos > 0 {
-			lag := time.Now().UnixNano() - ev.PublishedNanos
-			if lag < 0 {
-				lag = 0
-			}
-			s.replLagNs.Store(lag)
-			s.replLagHist.Observe(time.Duration(lag))
-		}
 	}
+}
+
+// noteLag records the apply lag of a record the leader published at
+// publishedNanos (0: not stamped). Appliers call it before the record's
+// epoch becomes visible, so a reader that waited for the epoch sees its lag.
+func (s *Store) noteLag(publishedNanos int64) {
+	if publishedNanos <= 0 {
+		return
+	}
+	lag := max(time.Now().UnixNano()-publishedNanos, 0)
+	s.replLagNs.Store(lag)
+	s.replLagHist.Observe(time.Duration(lag))
 }
 
 // noteLeaderEpoch records the leader's head epoch as seen on the stream.
@@ -179,7 +181,7 @@ func (s *Store) noteLeaderEpoch(ep uint64) {
 // applied prefix contiguously — a gap means this delta belongs to a future
 // the store hasn't seen, and applying it would corrupt the graph; the caller
 // reconnects instead.
-func (s *Store) applyReplicated(epoch uint64, payload []byte) error {
+func (s *Store) applyReplicated(epoch uint64, payload []byte, publishedNanos int64) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	if err := s.checkRole(roleFollower); err != nil {
@@ -213,6 +215,7 @@ func (s *Store) applyReplicated(epoch uint64, payload []byte) error {
 		// stream reader reuses its buffer on the next frame.
 		payload = append([]byte(nil), payload...)
 	}
+	s.noteLag(publishedNanos)
 	s.publish(ep, old, payload)
 	return nil
 }
@@ -224,7 +227,7 @@ func (s *Store) applyReplicated(epoch uint64, payload []byte) error {
 // purged wholesale (delta revalidation assumes append-only continuity,
 // which a snapshot jump breaks) and the hub is rebased, ending any chained
 // followers' streams so they re-seed too.
-func (s *Store) resetReplicated(epoch uint64, data []byte) error {
+func (s *Store) resetReplicated(epoch uint64, data []byte, publishedNanos int64) error {
 	g, err := graph.Load(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("repl: checkpoint at epoch %d: %w", epoch, err)
@@ -256,6 +259,7 @@ func (s *Store) resetReplicated(epoch uint64, data []byte) error {
 	s.rec = rec
 	s.tail = ep
 	s.cache.reset(epoch)
+	s.noteLag(publishedNanos)
 	s.snap.Store(ep)
 	ch := make(chan struct{})
 	close(*s.epochWait.Swap(&ch))

@@ -80,9 +80,16 @@ func stageWriters(t *testing.T, s *Store, n int, done chan error, op func(w int,
 			done <- err
 		}()
 	}
-	staged.Wait() // every writer entered fn; now wait for the queue to fill
+	// Every writer entered fn, which runs under the write mutex, and a writer
+	// queues its batch before it lets the mutex go: once the mutex is free,
+	// all n batches are queued. The committer then takes exactly one and
+	// holds it, so the queue settles at n-1. (Waiting for n-1 alone could
+	// return with all n queued, before the committer took its one.)
+	staged.Wait()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
-	for len(s.commitCh) < n-1 {
+	for len(s.commitCh) != n-1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("only %d of %d writers staged", len(s.commitCh)+1, n)
 		}

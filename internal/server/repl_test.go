@@ -807,13 +807,13 @@ func TestReplRefusedResetRecordsNoFreeze(t *testing.T) {
 	defer f.Close()
 	full := func() uint64 { return f.Metrics().Freeze.Full }
 	base := full()
-	if err := f.resetReplicated(5, data); err != nil {
+	if err := f.resetReplicated(5, data, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := full(); got != base+1 {
 		t.Fatalf("accepted checkpoint: full freezes %d, want %d", got, base+1)
 	}
-	if err := f.resetReplicated(3, data); err == nil {
+	if err := f.resetReplicated(3, data, 0); err == nil {
 		t.Fatal("checkpoint behind the applied epoch accepted")
 	}
 	if got := full(); got != base+1 {
@@ -822,7 +822,7 @@ func TestReplRefusedResetRecordsNoFreeze(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.resetReplicated(6, data); !errors.Is(err, ErrStoreClosed) {
+	if err := f.resetReplicated(6, data, 0); !errors.Is(err, ErrStoreClosed) {
 		t.Fatalf("checkpoint on a closed store: %v, want ErrStoreClosed", err)
 	}
 	if got := full(); got != base+1 {
@@ -855,20 +855,20 @@ func TestReplApplyChecksSchema(t *testing.T) {
 	}
 	ok := newFollowerStore(DefaultStore, "http://leader.invalid", 4)
 	defer ok.Close()
-	if err := ok.applyReplicated(1, delta(false)); err != nil {
+	if err := ok.applyReplicated(1, delta(false), 0); err != nil {
 		t.Fatalf("well-typed delta refused: %v", err)
 	}
 
 	f := newFollowerStore(DefaultStore, "http://leader.invalid", 4)
 	defer f.Close()
-	err := f.applyReplicated(1, delta(true))
+	err := f.applyReplicated(1, delta(true), 0)
 	if err == nil || !strings.Contains(err.Error(), "used requires A -> E") {
 		t.Fatalf("mistyped delta: %v, want the U edge's typing error", err)
 	}
 	if n := f.Epoch().N; n != 0 {
 		t.Fatalf("refused delta published epoch %d", n)
 	}
-	if err := f.applyReplicated(1, delta(false)); err == nil {
+	if err := f.applyReplicated(1, delta(false), 0); err == nil {
 		t.Fatal("a follower that refused a delta applied the next one")
 	}
 }

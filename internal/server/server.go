@@ -455,7 +455,7 @@ func (s *Server) handleSegment(st *Store, w http.ResponseWriter, r *http.Request
 		return
 	}
 	ep := st.Epoch()
-	seg, cached, err := st.segmentAt(ep, q, opts, !req.NoCache)
+	seg, cached, err := st.segmentAt(core.NewWork(r.Context()), ep, q, opts, !req.NoCache)
 	if err != nil {
 		writeErr(w, queryErrCode(err), "segment: %v", err)
 		return
@@ -516,7 +516,7 @@ func (s *Server) handleAdjust(st *Store, w http.ResponseWriter, r *http.Request)
 		return
 	}
 	ep := st.Epoch()
-	seg, cached, err := st.adjustAt(ep, q, opts, excl, exps)
+	seg, cached, err := st.adjustAt(core.NewWork(r.Context()), ep, q, opts, excl, exps)
 	if err != nil {
 		writeErr(w, queryErrCode(err), "adjust: %v", err)
 		return
@@ -582,8 +582,7 @@ func (s *Server) handleSummarize(st *Store, w http.ResponseWriter, r *http.Reque
 			Agent:    req.AggAgent,
 		},
 	}
-	// A client that hangs up stops the remaining segment solves.
-	psg, err := st.summarizeAt(r.Context(), queries, core.Options{}, sumOpts)
+	psg, err := st.summarizeAt(core.NewWork(r.Context()), queries, core.Options{}, sumOpts)
 	if err != nil {
 		writeErr(w, queryErrCode(err), "summarize: %v", err)
 		return

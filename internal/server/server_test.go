@@ -881,8 +881,8 @@ func TestAdjustRepeatedKinds(t *testing.T) {
 // the excluded relations' CSR blocks are never read — core's adjacency
 // returns before touching a row of an excluded relation, rather than edges
 // being read and filtered after the fact. The replies are checked over HTTP,
-// the rows each solve fetched through Store.Segment and Store.Adjust on the
-// same parsed requests.
+// the rows each solve fetched on its request record (core.Work) through the
+// store's segment and adjust paths on the same parsed requests.
 func TestExcludedRelBlocksNeverRead(t *testing.T) {
 	ts, store, ids := newTestServer(t)
 	checkReads := func(what string, rows core.RowCounts, wantU bool, excluded ...string) {
@@ -932,11 +932,11 @@ func TestExcludedRelBlocksNeverRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solved, _, err := store.Segment(q, opts, false)
-	if err != nil {
+	w := new(core.Work)
+	if _, _, err := store.segmentAt(w, store.Epoch(), q, opts, false); err != nil {
 		t.Fatal(err)
 	}
-	checkReads("/segment", solved.RowReads(), true, seg.ExcludeRels...)
+	checkReads("/segment", w.Rows, true, seg.ExcludeRels...)
 
 	// The same contract through /adjust: the (uncached) base resolves under
 	// its own A/D exclusion, then the edge-level refinement filters S out of
@@ -961,16 +961,16 @@ func TestExcludedRelBlocksNeverRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _, err := store.Segment(q, opts, false)
-	if err != nil {
+	w = new(core.Work)
+	if _, _, err := store.segmentAt(w, store.Epoch(), q, opts, false); err != nil {
 		t.Fatal(err)
 	}
-	checkReads("the /adjust base", base.RowReads(), true, adj.Segment.ExcludeRels...)
-	adjusted, _, err := store.Adjust(q, opts, core.Boundary{ExcludeRels: rels}, nil)
-	if err != nil {
+	checkReads("the /adjust base", w.Rows, true, adj.Segment.ExcludeRels...)
+	w = new(core.Work)
+	if _, _, err := store.adjustAt(w, store.Epoch(), q, opts, core.Boundary{ExcludeRels: rels}, nil); err != nil {
 		t.Fatal(err)
 	}
-	checkReads("/adjust", adjusted.RowReads(), false, "S", "A", "D")
+	checkReads("/adjust", w.Rows, false, "S", "A", "D")
 }
 
 func TestMetricsEndpoint(t *testing.T) {

@@ -784,32 +784,48 @@ func (s *Store) failGroup(group []*commitReq, err error) {
 // repeats from the LRU cache when the query is canonicalizable and useCache
 // is true. It reports whether the result came from the cache.
 func (s *Store) Segment(q core.Query, opts core.Options, useCache bool) (*core.Segment, bool, error) {
-	return s.segmentAt(s.snap.Load(), q, opts, useCache)
+	return s.segmentAt(new(core.Work), s.snap.Load(), q, opts, useCache)
 }
 
-// segmentAt evaluates one segment query against a pinned snapshot. Cache
-// hits require the entry's validation epoch to match the snapshot's, so a
-// reader never mixes results across epochs.
-func (s *Store) segmentAt(ep *Epoch, q core.Query, opts core.Options, useCache bool) (*core.Segment, bool, error) {
+// segmentAt evaluates one segment query for the request w records against a
+// pinned snapshot.
+func (s *Store) segmentAt(w *core.Work, ep *Epoch, q core.Query, opts core.Options, useCache bool) (*core.Segment, bool, error) {
 	key := ""
 	if useCache {
-		var ok bool
-		key, ok = segKey(q, opts)
-		useCache = ok
+		key, _ = segKey(q, opts)
 	}
-	if useCache {
+	seg, cached, err := s.lookupAt(w, ep, q, opts, key)
+	if err != nil {
+		return nil, false, err
+	}
+	if !cached {
+		s.fill(w, ep, q, key, seg)
+	}
+	return seg, cached, nil
+}
+
+// lookupAt returns q's segment at ep from the cache entry under key ("":
+// bypass the cache), or solves it for the request w records, and reports
+// whether it came from the cache. Cache hits require the entry's validation
+// epoch to match the snapshot's, so a reader never mixes results across
+// epochs. The caller fills the cache with a solved segment once the request
+// is done with it.
+func (s *Store) lookupAt(w *core.Work, ep *Epoch, q core.Query, opts core.Options, key string) (*core.Segment, bool, error) {
+	if key != "" {
 		if seg, ok := s.cache.get(key, ep.N); ok {
 			return seg, true, nil
 		}
 	}
-	seg, err := core.NewEngine(ep.P, opts).Segment(q)
-	if err != nil {
-		return nil, false, err
-	}
-	if useCache {
+	seg, err := core.NewEngine(ep.P, opts).SegmentWork(w, q)
+	return seg, false, err
+}
+
+// fill caches seg, solved at ep for q, under key, unless key is empty or
+// the request w records was cancelled: a cancelled request caches nothing.
+func (s *Store) fill(w *core.Work, ep *Epoch, q core.Query, key string, seg *core.Segment) {
+	if key != "" && w.Err() == nil {
 		s.cache.add(key, seg, relMask(q.Boundary.ExcludeRels), ep.N)
 	}
-	return seg, false, nil
 }
 
 // Summarize evaluates the segment queries (through the cache) and combines
@@ -817,28 +833,36 @@ func (s *Store) segmentAt(ep *Epoch, q core.Query, opts core.Options, useCache b
 // against one pinned snapshot, so the result reflects a single graph state
 // even with concurrent ingest.
 func (s *Store) Summarize(queries []core.Query, segOpts core.Options, sumOpts core.SumOptions) (*core.Psg, error) {
-	return s.summarizeAt(context.Background(), queries, segOpts, sumOpts)
+	return s.summarizeAt(new(core.Work), queries, segOpts, sumOpts)
 }
 
-// summarizeAt is Summarize stopping once ctx is done: it checks ctx before
-// each segment solve and before PgSum.
-func (s *Store) summarizeAt(ctx context.Context, queries []core.Query, segOpts core.Options, sumOpts core.SumOptions) (*core.Psg, error) {
+// summarizeAt is Summarize for the request w records. A spec repeated in
+// one request reuses its first solve, and the segments it solved are cached
+// once PgSum has run.
+func (s *Store) summarizeAt(w *core.Work, queries []core.Query, segOpts core.Options, sumOpts core.SumOptions) (*core.Psg, error) {
 	ep := s.snap.Load()
-	segs := make([]*core.Segment, 0, len(queries))
+	segs, solved := make([]*core.Segment, len(queries)), make([]string, len(queries))
+	first := make(map[string]int, len(queries))
 	for i, q := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("stopped before segment %d: %w", i, err)
+		key, _ := segKey(q, segOpts)
+		if j, ok := first[key]; ok && key != "" {
+			segs[i] = segs[j]
+			continue
 		}
-		seg, _, err := s.segmentAt(ep, q, segOpts, true)
+		first[key] = i
+		seg, cached, err := s.lookupAt(w, ep, q, segOpts, key)
 		if err != nil {
 			return nil, fmt.Errorf("segment %d: %w", i, err)
 		}
-		segs = append(segs, seg)
+		if segs[i] = seg; !cached {
+			solved[i] = key
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("stopped before PgSum: %w", err)
+	psg, err := core.SummarizeWork(w, segs, sumOpts)
+	for i, q := range queries {
+		s.fill(w, ep, q, solved[i], segs[i])
 	}
-	return core.Summarize(segs, sumOpts)
+	return psg, err
 }
 
 // Adjust applies the paper's interactive adjust step to a (cached) segment:
@@ -848,23 +872,28 @@ func (s *Store) summarizeAt(ctx context.Context, queries []core.Query, segOpts c
 // came from the cache. Adjusted results are derived views and are not
 // inserted back into the cache.
 func (s *Store) Adjust(q core.Query, opts core.Options, excl core.Boundary, exps []core.Expansion) (*core.Segment, bool, error) {
-	return s.adjustAt(s.snap.Load(), q, opts, excl, exps)
+	return s.adjustAt(new(core.Work), s.snap.Load(), q, opts, excl, exps)
 }
 
-// adjustAt is Adjust against a pinned snapshot.
-func (s *Store) adjustAt(ep *Epoch, q core.Query, opts core.Options, excl core.Boundary, exps []core.Expansion) (*core.Segment, bool, error) {
-	seg, cached, err := s.segmentAt(ep, q, opts, true)
+// adjustAt is Adjust for the request w records against a pinned snapshot;
+// a solved base is cached once the adjustments have run.
+func (s *Store) adjustAt(w *core.Work, ep *Epoch, q core.Query, opts core.Options, excl core.Boundary, exps []core.Expansion) (*core.Segment, bool, error) {
+	key, _ := segKey(q, opts)
+	base, cached, err := s.lookupAt(w, ep, q, opts, key)
 	if err != nil {
 		return nil, false, err
 	}
-	eng := core.NewEngine(ep.P, opts)
+	eng, seg := core.NewEngine(ep.P, opts), base
 	if len(excl.ExcludeRels) > 0 || len(excl.VertexFilters) > 0 || len(excl.EdgeFilters) > 0 {
 		seg = eng.AdjustExclude(seg, excl)
 	}
 	for _, ex := range exps {
-		if seg, err = eng.AdjustExpand(seg, ex); err != nil {
+		if seg, err = eng.AdjustExpandWork(w, seg, ex); err != nil {
 			return nil, false, err
 		}
+	}
+	if !cached {
+		s.fill(w, ep, q, key, base)
 	}
 	return seg, cached, nil
 }
@@ -878,7 +907,7 @@ func (s *Store) Cypher(query string, opts cypher.Options) (*cypher.Result, error
 // cypherAt evaluates a query against a pinned snapshot (the one the caller
 // goes on to render the result from), stopping once ctx is done.
 func (s *Store) cypherAt(ctx context.Context, ep *Epoch, query string, opts cypher.Options) (*cypher.Result, error) {
-	return cypher.NewProvEvaluator(ep.P, opts).RunContext(ctx, query)
+	return cypher.NewProvEvaluator(ep.P, opts).Run(ctx, query)
 }
 
 // StoreStats is the /stats payload: graph shape, cache counters, and service

@@ -32,6 +32,7 @@
 package provdb
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/bitmap"
@@ -268,7 +269,7 @@ type CypherResult = cypher.Result
 // Cypher evaluates a query in the supported Cypher subset (the paper's
 // Neo4j baseline; exponential on variable-length path joins).
 func (g *Graph) Cypher(query string, opts CypherOptions) (*CypherResult, error) {
-	return cypher.NewProvEvaluator(g.rec.P, opts).Run(query)
+	return cypher.NewProvEvaluator(g.rec.P, opts).Run(context.Background(), query)
 }
 
 // --- persistence & interchange ---

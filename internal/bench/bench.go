@@ -117,7 +117,9 @@ func timeVC2(p *prov.Graph, src, dst []graph.VertexID, opts core.Options) string
 	return secs(time.Since(start))
 }
 
-// pdCache avoids regenerating identical Pd graphs across panels.
+// pdCache avoids regenerating identical Pd graphs across panels. It holds
+// each graph's snapshot, which every timed reader walks; freezing happens
+// here, outside any timer.
 var pdCache = map[string]*prov.Graph{}
 
 func pdGraph(cfg gen.PdConfig) *prov.Graph {
@@ -125,7 +127,7 @@ func pdGraph(cfg gen.PdConfig) *prov.Graph {
 	if g, ok := pdCache[key]; ok {
 		return g
 	}
-	g := gen.Pd(cfg)
+	g := gen.Pd(cfg).Freeze()
 	pdCache[key] = g
 	return g
 }

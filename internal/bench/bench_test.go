@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph/difftest"
+	"repro/internal/prov"
 )
 
 // TestFigureRegistry pins the panel list, in print order, and checks that
@@ -46,18 +47,31 @@ func TestTimeVC2Cells(t *testing.T) {
 }
 
 // TestSegSolverEquivalence: the VC2 solvers Fig. 5a-d time against each
-// other must agree on the panels' own graph and query shape — on the live
-// graph the panels run on and on its frozen snapshot — before any of their
-// timings mean anything.
+// other must agree on the panels' own graph and query shape — on the full
+// snapshot the panels run on and on an incrementally extended snapshot of
+// the same graph — before any of their timings mean anything.
 func TestSegSolverEquivalence(t *testing.T) {
-	p := pdGraph(gen.PdConfig{N: 500, Seed: 1})
+	cfg := gen.PdConfig{N: 500, Seed: 1}
+	p := pdGraph(cfg)
 	src, dst := gen.QueryAtRank(p, 0)
 	q := core.Query{Src: src, Dst: dst}
-	fz := p.Freeze()
-	if err := difftest.DiffSolvers(p, fz, q); err != nil {
+	// The chain side: the same graph replayed in two commits, 85% of its
+	// edges and then the rest, the second extending the first's snapshot.
+	base := gen.Pd(cfg).PG()
+	rep := difftest.NewReplayer(base)
+	live := prov.Wrap(rep.Graph())
+	rep.StepEdges(base.NumEdges() * 17 / 20)
+	prev := live.Freeze()
+	rep.StepEdges(base.NumEdges())
+	rep.FinishVertices()
+	chain, incremental := live.ExtendFrozen(prev)
+	if !incremental {
+		t.Fatal("the chain side is a full rebuild")
+	}
+	if err := difftest.DiffSolvers(p, chain, q); err != nil {
 		t.Fatal(err)
 	}
-	if err := difftest.DiffLiveFrozen(p, fz, q); err != nil {
+	if err := difftest.DiffSegments(p, chain, q); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -26,7 +26,7 @@ func buildTree(rng *rand.Rand, n int) (*graph.Graph, graph.Label, []int) {
 		g.AddEdge(graph.VertexID(i), graph.VertexID(parent), p)
 		depth[i] = depth[parent] + 1
 	}
-	return g, p, depth
+	return g.Freeze(), p, depth
 }
 
 func sameGenGrammar(p graph.Label) *Grammar {
@@ -214,7 +214,7 @@ func TestEdgeFilter(t *testing.T) {
 	g.AddEdge(2, 0, p)
 	g.AddEdge(3, 0, p)
 	gr := sameGenGrammar(p).Normalize()
-	solver, err := NewSolver(g, gr, Options{
+	solver, err := NewSolver(g.Freeze(), gr, Options{
 		EdgeOK: func(e graph.EdgeID) bool { return e != e1 },
 	})
 	if err != nil {

@@ -106,7 +106,9 @@ type Solver struct {
 	occ   map[Symbol][]occurrence
 }
 
-// NewSolver prepares a solver; the grammar must be in normal form.
+// NewSolver prepares a solver over a snapshot (graph.Freeze: it walks the
+// Out/In rows, which a live graph does not keep); the grammar must be in
+// normal form.
 func NewSolver(pg *graph.Graph, gr *Grammar, opts Options) (*Solver, error) {
 	if !gr.IsNormalForm() {
 		return nil, fmt.Errorf("cflr: grammar is not in normal form; call Normalize")

@@ -10,17 +10,16 @@ import (
 // access: vertices and edges excluded by the boundary criteria are mapped
 // to epsilon (paper's F_v / F_e) and never traversed.
 //
-// It is the only code in the package that knows a graph representation. The
-// per-relation walks (closures, the VC2 runners, VC3, expansion) are written
-// once against row() — or neighbors(), its copying form — and serve frozen
-// CSR snapshots, live edge lists and programmatically filtered boundaries
-// alike; VC4 and the induced edges read no relation rows at all but each
+// It is the only code in the package that reads relation rows. The graph is
+// always a snapshot (NewEngine and NewSegment refuse a live one), so every
+// row is a CSR row: the per-relation walks (closures, the VC2 runners, VC3,
+// expansion) are written once against row() — or neighbors(), its copying
+// form; VC4 and the induced edges read no relation rows at all but each
 // segment vertex's mixed Out row once (inducedEdges), applying the same
-// relation exclusions and filters. On a frozen graph (graph.Freeze) the
-// per-relation neighbor scans read contiguous CSR rows; with no programmatic
-// filters (the common case — the serving layer's cacheable queries carry
-// only relation-type exclusions) row hands out the CSR segments themselves
-// and the read-only walks (closures, VC3) iterate them in place. An excluded
+// relation exclusions and filters. With no programmatic filters (the
+// common case — the serving layer's cacheable queries carry only
+// relation-type exclusions) row hands out the CSR segments themselves and
+// the read-only walks (closures, VC3) iterate them in place. An excluded
 // relation returns before any row is touched, so its CSR block is never
 // read.
 type adjacency struct {
@@ -94,13 +93,13 @@ func (ad *adjacency) edgeFiltersOK(e graph.EdgeID) bool {
 
 // row returns the filtered neighbors of v reached by edges of the given
 // relationship in the given direction (out = forward edge traversal) as two
-// read-only segments, a then b. On a plain frozen boundary they are the CSR
-// row itself — the contiguous epoch's slice and, on an incrementally
-// extended block, the extension's — and nothing is copied. Otherwise (a live
-// graph, programmatic filters) the row is appended to *buf and returned as a,
-// b is nil; a caller reusing buf across rows truncates it itself. (Two
-// results, not a [2] array: ranging over a returned array costs the closure
-// walk a third of its time.)
+// read-only segments, a then b. On a plain boundary they are the CSR row
+// itself — the contiguous epoch's slice and, on an incrementally extended
+// block, the extension's — and nothing is copied. With programmatic filters
+// the admitted part of the row is appended to *buf and returned as a, b is
+// nil; a caller reusing buf across rows truncates it itself. (Two results,
+// not a [2] array: ranging over a returned array costs the closure walk a
+// third of its time.)
 func (ad *adjacency) row(v graph.VertexID, rel prov.Rel, out bool, buf *[]graph.VertexID) (a, b []graph.VertexID) {
 	if !ad.relOK[rel] {
 		return nil, nil
@@ -108,48 +107,16 @@ func (ad *adjacency) row(v graph.VertexID, rel prov.Rel, out bool, buf *[]graph.
 	ad.rows[rel][dir(out)]++
 	label := ad.p.RelLabel(rel)
 	if ad.plain {
-		if base, ext, ok := ad.p.PG().NeighborRowSegs(v, label, out); ok {
-			return base, ext
-		}
+		return ad.p.PG().NeighborRowSegs(v, label, out)
 	}
 	n := len(*buf)
-	*buf = ad.scan(v, label, out, *buf)
+	nbrs, eids := ad.p.PG().FrozenNeighbors(v, label, out)
+	for i, e := range eids {
+		if ad.edgeFiltersOK(e) && ad.vertexOK(nbrs[i]) {
+			*buf = append(*buf, nbrs[i])
+		}
+	}
 	return (*buf)[n:], nil
-}
-
-// scan appends the row that row cannot read in place.
-func (ad *adjacency) scan(v graph.VertexID, label graph.Label, out bool, buf []graph.VertexID) []graph.VertexID {
-	g := ad.p.PG()
-	if ad.plain {
-		// A live graph: OutNeighbors/InNeighbors filter the edge list by
-		// label alone.
-		if out {
-			return g.OutNeighbors(v, label, buf)
-		}
-		return g.InNeighbors(v, label, buf)
-	}
-	if nbrs, eids, frozen := g.FrozenNeighbors(v, label, out); frozen {
-		for i, e := range eids {
-			if ad.edgeFiltersOK(e) && ad.vertexOK(nbrs[i]) {
-				buf = append(buf, nbrs[i])
-			}
-		}
-		return buf
-	}
-	if out {
-		for _, e := range g.Out(v) {
-			if g.EdgeLabel(e) == label && ad.edgeFiltersOK(e) && ad.vertexOK(g.Dst(e)) {
-				buf = append(buf, g.Dst(e))
-			}
-		}
-	} else {
-		for _, e := range g.In(v) {
-			if g.EdgeLabel(e) == label && ad.edgeFiltersOK(e) && ad.vertexOK(g.Src(e)) {
-				buf = append(buf, g.Src(e))
-			}
-		}
-	}
-	return buf
 }
 
 // neighbors appends the row of v (see row) to buf.
@@ -200,7 +167,7 @@ func directPaths(fromDst, toSrc *bitmap.Bitset) (vc1, closures *bitmap.Bitset) {
 // AncestryClosure computes the set of vertices reachable from the seeds by
 // ancestry edges under the given boundary — the VC1 building block (one of
 // directPaths' two inputs), exposed for benchmark/trace.go's per-layer
-// timing and difftest's live-vs-snapshot closure diff.
+// timing and difftest's rebuild-vs-chain closure diff.
 func (e *Engine) AncestryClosure(seeds []graph.VertexID, b Boundary, forward bool) *bitmap.Bitset {
 	return e.ancestryClosure(seeds, newAdjacency(e.P, b), forward)
 }
@@ -234,11 +201,8 @@ func (e *Engine) closureRels(forward bool) (ent, act []prov.Rel) {
 // ancestors), forward=false follows them inversely (toward descendants). It
 // stops early, with part of the closure, once ad's request is done.
 // The walk visits one relation at a time, and only the relations the popped
-// vertex's kind can have (closureRels): on a frozen graph each step then
-// reads contiguous CSR rows, and on a live graph the repeated label-compare
-// scans of the edge list still measure ~2x faster than one mixed pass that
-// classifies every edge through the RelOf label map (Pd10k VC1 walk: ~1.0ms
-// vs ~1.8ms).
+// vertex's kind can have (closureRels), so each step reads one contiguous
+// CSR row.
 func (e *Engine) ancestryClosure(seeds []graph.VertexID, ad *adjacency, forward bool) *bitmap.Bitset {
 	closure := bitmap.NewBitset(e.P.NumVertices())
 	queue := make([]graph.VertexID, 0, len(seeds))

@@ -12,7 +12,7 @@ import (
 // TestAdjustExclude: the interactive adjust step filters a cached segment
 // without re-induction; query vertices survive any filter.
 func TestAdjustExclude(t *testing.T) {
-	p := gen.Pd(gen.PdConfig{N: 300, Seed: 3})
+	p := gen.Pd(gen.PdConfig{N: 300, Seed: 3}).Freeze()
 	src, dst := gen.DefaultQuery(p)
 	eng := core.NewEngine(p, core.Options{})
 	seg, err := eng.Segment(core.Query{Src: src, Dst: dst})
@@ -126,12 +126,12 @@ func fig2(t *testing.T) (*prov.Graph, map[string]graph.VertexID) {
 	names["model2"] = mo[0]
 	_, o2 := rc.Run("Alice", "train", []graph.VertexID{names["model2"], names["solver1"], names["dataset"]}, []string{"logs", "weights"})
 	names["weights2"] = o2[1]
-	return rc.P, names
+	return rc.P.Freeze(), names
 }
 
 // TestSegmentErrors: malformed queries are rejected.
 func TestSegmentErrors(t *testing.T) {
-	p := gen.Pd(gen.PdConfig{N: 100, Seed: 1})
+	p := gen.Pd(gen.PdConfig{N: 100, Seed: 1}).Freeze()
 	eng := core.NewEngine(p, core.Options{})
 	if _, err := eng.Segment(core.Query{}); err == nil {
 		t.Fatal("empty query accepted")
@@ -149,7 +149,7 @@ func TestSegmentErrors(t *testing.T) {
 // TestSrcEqualsDst: the paper allows Vsrc = Vdst (program-issued slicing);
 // the zero-length palindrome must anchor the vertex itself.
 func TestSrcEqualsDst(t *testing.T) {
-	p := gen.Pd(gen.PdConfig{N: 200, Seed: 5})
+	p := gen.Pd(gen.PdConfig{N: 200, Seed: 5}).Freeze()
 	ents := p.Entities()
 	v := ents[len(ents)-1]
 	eng := core.NewEngine(p, core.Options{})

@@ -93,9 +93,11 @@ type Engine struct {
 	opts Options
 }
 
-// NewEngine builds an engine; zero-value options select SimProvTst with
-// dense bitsets and early stopping enabled.
+// NewEngine builds an engine over a snapshot (prov.Graph.Freeze); it
+// panics on a live graph, which keeps no adjacency rows. Zero-value options
+// select SimProvTst with dense bitsets and early stopping enabled.
 func NewEngine(p *prov.Graph, opts Options) *Engine {
+	p.PG().MustBeFrozen("core.NewEngine")
 	if opts.Sets == nil {
 		opts.Sets = bitmap.BitsetFactory
 	}
@@ -492,12 +494,13 @@ func (e *Engine) expand(ad *adjacency, ex Expansion, add func(graph.VertexID)) {
 }
 
 // AdjustExclude applies additional exclusion filters to a cached segment
-// (the interactive adjust step) and returns a new, filtered segment. Query
-// vertices (Src/Dst) are never removed.
+// (the interactive adjust step) and returns a new, filtered segment over the
+// engine's snapshot, which may be newer than s's. Query vertices (Src/Dst)
+// are never removed.
 func (e *Engine) AdjustExclude(s *Segment, b Boundary) *Segment {
 	ad := newAdjacency(e.P, b)
 	out := &Segment{
-		P:    s.P,
+		P:    e.P,
 		Src:  s.Src,
 		Dst:  s.Dst,
 		vset: bitmap.NewBitset(e.P.NumVertices()),
@@ -525,7 +528,8 @@ func (e *Engine) AdjustExclude(s *Segment, b Boundary) *Segment {
 }
 
 // AdjustExpand grows a cached segment by an expansion specification and
-// returns the new segment. Expansion vertices arrive from the same
+// returns the new segment, over the engine's snapshot: the expansion may
+// reach vertices appended since s's. Expansion vertices arrive from the same
 // untrusted surfaces as query vertices and are walked unchecked by expand,
 // so they are range-validated here.
 func (e *Engine) AdjustExpand(s *Segment, ex Expansion) (*Segment, error) {
@@ -544,7 +548,7 @@ func (e *Engine) AdjustExpandWork(w *Work, s *Segment, ex Expansion) (*Segment, 
 	ad.done = w.done
 	defer w.Rows.add(&ad.rows)
 	out := &Segment{
-		P:    s.P,
+		P:    e.P,
 		Src:  s.Src,
 		Dst:  s.Dst,
 		vset: s.vset.Clone(),

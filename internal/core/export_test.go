@@ -30,9 +30,9 @@ func ClassLabels(segs []*Segment, opts SumOptions) []int {
 // "words" (the all-words oracle alone), and the sweep is held to the oracle
 // set by set. It returns |VC2|, the widest window seen in levels and the
 // number of sets the sweep promoted.
-func DeepRunnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opts Options, ref string) (vc2, width, promoted int) {
+func DeepRunnersAgree(t *testing.T, label string, g *prov.Graph, q Query, opts Options, ref string) (vc2, width, promoted int) {
 	t.Helper()
-	got, seen := runnersAgreeOn(t, label, live, q, opts, ref)
+	got, seen := runnersAgreeOn(t, label, g, q, opts, ref)
 	return len(got), seen.maxWidth, seen.promoted
 }
 
@@ -326,4 +326,51 @@ func CheckQuotientsOnRandomDAGs(t *testing.T, trials int, seed int64) MergeCheck
 		checkMergeLoop(t, fmt.Sprintf("trial %d", trial), labels, edges, &c)
 	}
 	return c
+}
+
+// Layouts returns p's state as both row layouts PgSeg reads: a full rebuild
+// (contiguous rows) and an incrementally extended snapshot. The second
+// replays p into a fresh graph in two commits, every vertex with 85% of the
+// edges and then the rest, so the rows the second commit touches span two
+// segments (an extension under a quarter of its base is not flattened).
+// Every id and property is p's. It panics when the second commit falls
+// back to a full rebuild, which would leave no two-segment row to test.
+func Layouts(p *prov.Graph) []*prov.Graph {
+	src, g := p.PG(), graph.New()
+	for l := 0; l < src.Dict().Len(); l++ {
+		g.Dict().Intern(src.Dict().Name(graph.Label(l)))
+	}
+	for v := range src.NumVertices() {
+		id := g.AddVertex(src.VertexLabel(graph.VertexID(v)))
+		src.VertexProps(id, func(k string, val graph.Value) bool {
+			g.SetVertexProp(id, k, val)
+			return true
+		})
+	}
+	q := prov.Wrap(g)
+	var chain *prov.Graph
+	incremental := false
+	for _, cut := range []int{src.NumEdges() * 17 / 20, src.NumEdges()} {
+		for e := g.NumEdges(); e < cut; e++ {
+			id := graph.EdgeID(e)
+			g.AddEdge(src.Src(id), src.Dst(id), src.EdgeLabel(id))
+			src.EdgeProps(id, func(k string, val graph.Value) bool {
+				g.SetEdgeProp(id, k, val)
+				return true
+			})
+		}
+		chain, incremental = q.ExtendFrozen(chain)
+	}
+	if !incremental {
+		panic(fmt.Sprintf("core.Layouts: the second commit of %d vertices, %d edges was a full rebuild", src.NumVertices(), src.NumEdges()))
+	}
+	return []*prov.Graph{p.Freeze(), chain}
+}
+
+// LayoutName names a snapshot's row layout in test labels.
+func LayoutName(p *prov.Graph) string {
+	if p.PG().IncrementalSnapshot() {
+		return "chain"
+	}
+	return "full"
 }

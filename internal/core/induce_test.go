@@ -19,11 +19,12 @@ import (
 // vertex, the S and A rows of every segment vertex, then the Out row of
 // every segment vertex and sorts: Vertices, Rules, Edges and Support() must
 // be reflect.DeepEqual. The inputs are Pd-2000 (two queries), an Sd graph
-// queried segment by segment and Pd-2000 under permuted ids, each live and
-// frozen, under relation exclusions, a vertex filter that drops some agents,
-// an edge filter, expansions and VC1ExcludeDerivations. AdjustExpand, whose
-// walk adds no agents, is held to the oracle's on every one of the segments,
-// and so are the edges of the Sd generator's segments (NewSegment).
+// queried segment by segment and Pd-2000 under permuted ids, each on both
+// row layouts (Layouts), under relation exclusions, a vertex filter that
+// drops some agents, an edge filter, expansions and VC1ExcludeDerivations.
+// AdjustExpand, whose walk adds no agents, is held to the oracle's on every
+// one of the segments, and so are the edges of the Sd generator's segments
+// (NewSegment).
 func TestInduceMatchesRowOracle(t *testing.T) {
 	type input struct {
 		name string
@@ -50,7 +51,7 @@ func TestInduceMatchesRowOracle(t *testing.T) {
 		}
 		// From the segment's seed entities to its last two outputs.
 		sdQs = append(sdQs, core.Query{Src: ents[:3], Dst: ents[len(ents)-2:]})
-		if want := core.RowOracleNewSegmentEdges(sd, s.Vertices); !reflect.DeepEqual(s.Edges, want) {
+		if want := core.RowOracleNewSegmentEdges(s.P, s.Vertices); !reflect.DeepEqual(s.Edges, want) {
 			t.Fatalf("Sd segment: NewSegment induced %d edges, the oracle %d", len(s.Edges), len(want))
 		}
 	}
@@ -81,13 +82,13 @@ func TestInduceMatchesRowOracle(t *testing.T) {
 	}
 	agentsDropped := false
 	for _, in := range inputs {
-		for _, p := range []*prov.Graph{in.p, in.p.Freeze()} {
+		for _, p := range core.Layouts(in.p) {
 			for _, opts := range []core.Options{{}, {VC1ExcludeDerivations: true}} {
 				e := core.NewEngine(p, opts)
 				for qi, q := range in.qs {
 					var plain *core.Segment
 					for _, b := range boundaries {
-						label := fmt.Sprintf("%s/frozen=%v/exclD=%v/q%d/%s", in.name, p.Frozen(), opts.VC1ExcludeDerivations, qi, b.name)
+						label := fmt.Sprintf("%s/%s/exclD=%v/q%d/%s", in.name, core.LayoutName(p), opts.VC1ExcludeDerivations, qi, b.name)
 						bq := q
 						bq.Boundary = b.of(q)
 						got, err := e.Segment(bq)

@@ -69,18 +69,19 @@ func rulesByID(s *core.Segment, m []graph.VertexID) map[graph.VertexID]core.Rule
 // ids were relabeled by a random permutation, so that both walk a topological
 // rank instead of the id, to the unpermuted graph's answers: VC2 and whole
 // Segments (vertices, edges, rules), mapped back through the permutation, with
-// and without NoEarlyStop, live and frozen, plain and behind a vertex filter.
+// and without NoEarlyStop, on both row layouts (Layouts), plain and behind a
+// vertex filter.
 // The inputs are the random and sibling lifecycles with their own queries and
 // Pd-2000 with DefaultQuery and sources at ranks 50 and 90; long mode adds
 // Pd-20000 with the same three queries. SimProvAlg takes ~150 ms a solve at
-// Pd-2000 and ~30 s at Pd-20000, so on Pd it runs on the frozen Pd-2000's
-// rank-50 query alone, where its early stop prunes the most.
+// Pd-2000 and ~30 s at Pd-20000, so on Pd it runs on the chain layout of
+// Pd-2000's rank-50 query alone, where its early stop prunes the most.
 func TestPermutationDifferential(t *testing.T) {
 	type input struct {
 		name string
 		p    *prov.Graph
 		qs   []core.Query
-		alg  func(qi int, frozen bool) bool // whether SimProvAlg runs
+		alg  func(qi int, chain bool) bool // whether SimProvAlg runs
 	}
 	var inputs []input
 	always := func(int, bool) bool { return true }
@@ -103,7 +104,7 @@ func TestPermutationDifferential(t *testing.T) {
 			src, dst := gen.QueryAtRank(p, rank)
 			qs = append(qs, core.Query{Src: src, Dst: dst})
 		}
-		alg := func(qi int, frozen bool) bool { return n == 2000 && qi == 1 && frozen }
+		alg := func(qi int, chain bool) bool { return n == 2000 && qi == 1 && chain }
 		inputs = append(inputs, input{fmt.Sprintf("Pd/%d", n), p, qs, alg})
 	}
 	keep := func(v graph.VertexID) bool { return v%7 != 3 }
@@ -130,12 +131,12 @@ func TestPermutationDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				hit = hit || wantVC2.Cardinality() > 0
-				for _, g := range []*prov.Graph{pp, pp.Freeze()} {
+				for _, g := range core.Layouts(pp) {
 					for _, opts := range []core.Options{{}, {NoEarlyStop: true}, {Solver: core.SolverAlg}, {Solver: core.SolverAlg, NoEarlyStop: true}} {
-						if opts.Solver == core.SolverAlg && !in.alg(qi, g.Frozen()) {
+						if opts.Solver == core.SolverAlg && !in.alg(qi, g.PG().IncrementalSnapshot()) {
 							continue
 						}
-						label := fmt.Sprintf("%s/q%d/filtered=%v/frozen=%v/%v/noearlystop=%v", in.name, qi, filtered, g.Frozen(), opts.Solver, opts.NoEarlyStop)
+						label := fmt.Sprintf("%s/q%d/filtered=%v/%s/%v/noearlystop=%v", in.name, qi, filtered, core.LayoutName(g), opts.Solver, opts.NoEarlyStop)
 						e := core.NewEngine(g, opts)
 						vc2, err := e.SimilarPaths(pq)
 						if err != nil {

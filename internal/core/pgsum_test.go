@@ -433,7 +433,7 @@ func TestSummarizeCyclicInput(t *testing.T) {
 	for _, arc := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}, {4, 1}, {0, 5}} { // 1 -> 2 -> 3 -> 1 is the cycle
 		p.WasDerivedFrom(e[arc[0]], e[arc[1]])
 	}
-	_, err := core.Summarize([]*core.Segment{core.NewSegment(p, e)}, core.SumOptions{})
+	_, err := core.Summarize([]*core.Segment{core.NewSegment(p.Freeze(), e)}, core.SumOptions{})
 	if !errors.Is(err, core.ErrNotDAG) {
 		t.Fatalf("Summarize on a cycle: err=%v, want ErrNotDAG", err)
 	}

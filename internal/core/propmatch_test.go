@@ -13,7 +13,7 @@ import (
 // SimProvAlg solves (under either Solver setting), to the class-chain oracle:
 // SimilarPaths' VC2 set and Segment's whole result (vertices, edges, rules,
 // support) under an activity match, an entity match and both, with and
-// without the early stop, live and frozen, plain and behind excluded
+// without the early stop, on both row layouts, plain and behind excluded
 // relations and vertex/edge filters, on the hand-built, random and sibling
 // lifecycles.
 func TestPropertyMatchDifferential(t *testing.T) {
@@ -48,7 +48,7 @@ func TestPropertyMatchDifferential(t *testing.T) {
 	}
 	cases, nonEmpty, narrowed := 0, 0, 0
 	for _, sh := range shapes {
-		for _, g := range []*prov.Graph{sh.p, sh.p.Freeze()} {
+		for _, g := range Layouts(sh.p) {
 			for bname, b := range boundaries {
 				q := sh.q
 				q.Boundary = b
@@ -57,7 +57,7 @@ func TestPropertyMatchDifferential(t *testing.T) {
 					for _, noES := range []bool{false, true} {
 						opts := match
 						opts.NoEarlyStop = noES
-						label := fmt.Sprintf("%s/frozen=%v/%s/%s/noearlystop=%v", sh.name, g.Frozen(), bname, mname, noES)
+						label := fmt.Sprintf("%s/%s/%s/%s/noearlystop=%v", sh.name, LayoutName(g), bname, mname, noES)
 						oracle := NewEngine(g, opts)
 						want := bitsetMap(oracle.chainVC2(q))
 						ad := newAdjacency(g, q.Boundary)
@@ -133,11 +133,11 @@ func earlyStopTrap(t *testing.T) (*prov.Graph, Query) {
 // TestEarlyStopNonMonotone: on a graph whose ancestry does not descend in id,
 // default options must give the NoEarlyStop answer — all five vertices of
 // earlyStopTrap — for SimProvTst, SimProvAlg, CflrB, property-match queries
-// and the class-chain oracle, in VC2 and in the whole segment, live and
-// frozen.
+// and the class-chain oracle, in VC2 and in the whole segment, on both row
+// layouts.
 func TestEarlyStopNonMonotone(t *testing.T) {
 	p, q := earlyStopTrap(t)
-	for _, g := range []*prov.Graph{p, p.Freeze()} {
+	for _, g := range Layouts(p) {
 		for name, opts := range map[string]Options{
 			"tst":            {},
 			"alg":            {Solver: SolverAlg},
@@ -145,7 +145,7 @@ func TestEarlyStopNonMonotone(t *testing.T) {
 			"match-activity": {MatchActivityProp: prov.PropCommand},
 			"match-entity":   {Solver: SolverAlg, MatchEntityProp: prov.PropName},
 		} {
-			label := fmt.Sprintf("frozen=%v/%s", g.Frozen(), name)
+			label := fmt.Sprintf("%s/%s", LayoutName(g), name)
 			noES := opts
 			noES.NoEarlyStop = true
 			want, err := NewEngine(g, noES).SimilarPaths(q)

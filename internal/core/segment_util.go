@@ -14,8 +14,10 @@ import (
 // NewSegment builds a segment directly from an explicit vertex set: VS is
 // the (deduplicated) vertex list and ES every provenance edge among them.
 // This is how externally delimited segments (e.g. the Sd generator's, or a
-// per-commit slice) enter PgSum without going through a PgSeg query.
+// per-commit slice) enter PgSum without going through a PgSeg query. p must
+// be a snapshot (prov.Graph.Freeze); a live graph panics.
 func NewSegment(p *prov.Graph, vertices []graph.VertexID) *Segment {
+	p.PG().MustBeFrozen("core.NewSegment")
 	s := &Segment{P: p, vset: bitmap.NewBitset(p.NumVertices())}
 	for _, v := range vertices {
 		s.vset.Add(uint32(v))

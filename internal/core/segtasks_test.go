@@ -19,7 +19,7 @@ import (
 // reflect.DeepEqual (vertices, edges, Rules, the vertex set and Support()),
 // and an error must be the same error. The inputs reach the SimProvTst sweep
 // (on the id and on a topological rank), SimProvAlg and a property-match
-// query (solved by SimProvAlg), live and frozen, with
+// query (solved by SimProvAlg), on both row layouts (Layouts), with
 // destination sets of several classes, a destination that is also a source,
 // repeated ids, vertex and edge filters, excluded relations and expansions.
 // Run it under -cpu 1,2 and -race: at one proc Segment has one worker, at two
@@ -31,7 +31,7 @@ func TestSegmentOverlapMatchesSerial(t *testing.T) {
 		// An activity that consumes an entity newer than itself: the graph
 		// stops being id-monotone and the sweep walks a topological rank.
 		nonMono := newSiblingLifecycle(seed).p
-		act := nonMono.GeneratorsOf(lc.mid[0], nil)[0]
+		act := nonMono.Freeze().GeneratorsOf(lc.mid[0], nil)[0]
 		nonMono.Used(act, nonMono.NewEntity("late"))
 		if nonMono.AncestryMonotone() {
 			t.Fatal("the late input left the graph id-monotone")
@@ -58,11 +58,11 @@ func TestSegmentOverlapMatchesSerial(t *testing.T) {
 			"noes":  {Solver: SolverAlg, NoEarlyStop: true},
 		}
 		for gname, g := range map[string]*prov.Graph{"mono": lc.p, "nonmono": nonMono} {
-			for _, rep := range []*prov.Graph{g, g.Freeze()} {
+			for _, rep := range Layouts(g) {
 				for dname, dst := range dsts {
 					for bname, b := range boundaries {
 						for oname, opts := range engines {
-							label := fmt.Sprintf("seed=%d/%s/frozen=%v/%s/%s/%s", seed, gname, rep.Frozen(), dname, bname, oname)
+							label := fmt.Sprintf("seed=%d/%s/%s/%s/%s/%s", seed, gname, LayoutName(rep), dname, bname, oname)
 							q := Query{Src: lc.mid, Dst: dst, Boundary: b}
 							overlapMatchesSerial(t, label, rep, q, opts)
 							if dname == "classes" && oname == "tst" {
@@ -91,12 +91,12 @@ func TestSegmentOverlapMatchesSerial(t *testing.T) {
 			bq.Dst = append(bq.Dst, v)
 		}
 	}
-	for _, rep := range []*prov.Graph{big, big.Freeze()} {
-		overlapMatchesSerial(t, fmt.Sprintf("big/frozen=%v", rep.Frozen()), rep, bq, Options{})
+	for _, rep := range Layouts(big) {
+		overlapMatchesSerial(t, fmt.Sprintf("big/%s", LayoutName(rep)), rep, bq, Options{})
 	}
 	// A solver error surfaces from the fork-join as it does serially.
 	p, src, dst := smallLifecycle(5)
-	_, err := NewEngine(p, Options{Solver: SolverAlg, MaxFacts: 2}).Segment(Query{Src: src, Dst: dst})
+	_, err := NewEngine(p.Freeze(), Options{Solver: SolverAlg, MaxFacts: 2}).Segment(Query{Src: src, Dst: dst})
 	if !errors.Is(err, cflr.ErrFactBudget) {
 		t.Fatalf("fact budget: got %v", err)
 	}
@@ -164,10 +164,9 @@ func TestSegmentWorkerPanicReachesCaller(t *testing.T) {
 	p.WasGeneratedBy(dst, act)
 	p.WasGeneratedBy(p.NewEntity("side-out"), side)
 	p.WasDerivedFrom(dst, fwdTrap)
-	fz := p.Freeze()
 
 	before := runtime.NumGoroutine()
-	for _, g := range []*prov.Graph{p, fz} {
+	for _, g := range Layouts(p) {
 		var arrived atomic.Int32
 		filter := func(_ *prov.Graph, v graph.VertexID) bool {
 			if v != fwdTrap && v != side {
@@ -187,7 +186,7 @@ func TestSegmentWorkerPanicReachesCaller(t *testing.T) {
 			return nil
 		}()
 		if got != fmt.Sprintf("trap %d", fwdTrap) && got != fmt.Sprintf("trap %d", side) {
-			t.Fatalf("frozen=%v: recovered %v, want a trap's panic", g.Frozen(), got)
+			t.Fatalf("%s: recovered %v, want a trap's panic", LayoutName(g), got)
 		}
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {

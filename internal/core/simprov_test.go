@@ -119,7 +119,7 @@ func TestSolverEquivalenceOnPd(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, n := range sizes {
-			p := gen.Pd(gen.PdConfig{N: n, Seed: seed})
+			p := gen.Pd(gen.PdConfig{N: n, Seed: seed}).Freeze()
 			if err := p.Validate(); err != nil {
 				t.Fatalf("seed=%d n=%d: invalid graph: %v", seed, n, err)
 			}
@@ -138,7 +138,7 @@ func TestSolverEquivalenceOnPd(t *testing.T) {
 // TestSolverEquivalenceRoaring checks the Cbm (compressed bitmap) variants
 // give identical answers.
 func TestSolverEquivalenceRoaring(t *testing.T) {
-	p := gen.Pd(gen.PdConfig{N: 150, Seed: 3})
+	p := gen.Pd(gen.PdConfig{N: 150, Seed: 3}).Freeze()
 	src, dst := gen.DefaultQuery(p)
 	q := core.Query{Src: src, Dst: dst}
 	want := vc2With(t, p, core.Options{Solver: core.SolverAlg}, q)
@@ -155,7 +155,7 @@ func TestSolverEquivalenceRoaring(t *testing.T) {
 // brute-force semantics.
 func TestEarlyStopAndPruningPreserveAnswers(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		p := gen.Pd(gen.PdConfig{N: 120, Seed: seed})
+		p := gen.Pd(gen.PdConfig{N: 120, Seed: seed}).Freeze()
 		// Sources in the middle make early stopping actually fire.
 		src, dst := gen.QueryAtRank(p, 50)
 		q := core.Query{Src: src, Dst: dst}
@@ -174,7 +174,7 @@ func TestEarlyStopAndPruningPreserveAnswers(t *testing.T) {
 // TestBoundaryExclusionConsistency checks that all solvers agree under
 // vertex-exclusion boundaries.
 func TestBoundaryExclusionConsistency(t *testing.T) {
-	p := gen.Pd(gen.PdConfig{N: 120, Seed: 7})
+	p := gen.Pd(gen.PdConfig{N: 120, Seed: 7}).Freeze()
 	src, dst := gen.DefaultQuery(p)
 	q := core.Query{
 		Src: src,
@@ -205,7 +205,7 @@ func TestPropertyConstrainedMatch(t *testing.T) {
 		seeds, n = 1, 100
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
-		p := gen.Pd(gen.PdConfig{N: n, Seed: seed})
+		p := gen.Pd(gen.PdConfig{N: n, Seed: seed}).Freeze()
 		src, dst := gen.DefaultQuery(p)
 		q := core.Query{Src: src, Dst: dst}
 		optsA := core.Options{Solver: core.SolverAlg, MatchActivityProp: prov.PropCommand}
@@ -227,7 +227,7 @@ func TestPropertyConstrainedMatch(t *testing.T) {
 // TestSegmentAssemblyAcrossSolvers checks the full PgSeg result (all four
 // induction rules) is identical for every solver.
 func TestSegmentAssemblyAcrossSolvers(t *testing.T) {
-	p := gen.Pd(gen.PdConfig{N: 200, Seed: 11})
+	p := gen.Pd(gen.PdConfig{N: 200, Seed: 11}).Freeze()
 	src, dst := gen.DefaultQuery(p)
 	q := core.Query{Src: src, Dst: dst}
 	ref, err := core.NewEngine(p, core.Options{Solver: core.SolverTst}).Segment(q)

@@ -87,7 +87,7 @@ import (
 // Because the windows are exact there is no depth bound to guess, so
 // Options.NoEarlyStop has nothing to switch off here. All scratch is pooled
 // (tstSweepPool): a warm solve allocates nothing. Rows are read through
-// adjacency, so the same code serves frozen snapshots, live graphs and
+// adjacency, so the same code serves full and extended snapshots and
 // filtered boundaries. The all-words sweep this replaced is the tests'
 // oracle for every set (words_oracle_test.go).
 

@@ -17,7 +17,7 @@ import (
 func withOutOfOrderUse(t *testing.T, p *prov.Graph) {
 	t.Helper()
 	ents := p.Entities()
-	old := p.GeneratorsOf(ents[len(ents)/2], nil)[0]
+	old := p.Freeze().GeneratorsOf(ents[len(ents)/2], nil)[0]
 	late := p.NewActivity("late")
 	p.Used(late, ents[10])
 	x := p.NewEntity("late-out")
@@ -41,7 +41,7 @@ func withOutOfOrderUse(t *testing.T, p *prov.Graph) {
 func TestSweepContainersMatchWords(t *testing.T) {
 	type input struct {
 		name      string
-		p         *prov.Graph // live
+		p         *prov.Graph
 		qs        []core.Query
 		ref       string // "levels" or "words"
 		adversary bool

@@ -17,7 +17,7 @@ import (
 // all-words oracle (words_oracle_test.go, set by set), the level-synchronous
 // oracle (levels_oracle_test.go) and the class-chain oracle
 // (chain_oracle_test.go): called directly on the same label-only
-// queries they must produce identical VC2 sets — on live and frozen graphs,
+// queries they must produce identical VC2 sets — on both row layouts,
 // under excluded relations, programmatic filters, disabled early stopping
 // and non-monotone ingestion — and equal SimProvAlg's; the dispatcher must
 // hand each query the solver it dictates. ("Vec" in some test names dates
@@ -72,16 +72,16 @@ func runTst(p *prov.Graph, r tstRunner, q Query, ad *adjacency) map[uint32]bool 
 	return bitsetMap(out)
 }
 
-// runnersAgree runs the sweep and the oracles directly on the live graph and
-// on its frozen snapshot — once per destination (runTst) and once per
+// runnersAgree runs the sweep and the oracles directly on both row layouts
+// of the graph (Layouts) — once per destination (runTst) and once per
 // destination class (runSimProvTst) — then the dispatched SimProvTst and
 // SimProvAlg, and requires one VC2 set from all of them. The class-chain
-// oracle on the live graph, run per destination, is the reference. The
+// oracle on the full rebuild, run per destination, is the reference. The
 // sweep is also held to the all-words oracle set by set
 // (checkSweepWindows).
-func runnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opts Options) map[uint32]bool {
+func runnersAgree(t *testing.T, label string, g *prov.Graph, q Query, opts Options) map[uint32]bool {
 	t.Helper()
-	ref, _ := runnersAgreeOn(t, label, live, q, opts, "chain")
+	ref, _ := runnersAgreeOn(t, label, g, q, opts, "chain")
 	return ref
 }
 
@@ -90,16 +90,14 @@ func runnersAgree(t *testing.T, label string, live *prov.Graph, q Query, opts Op
 // seconds to minutes, use "levels": both are left out and the
 // level-synchronous runner is the reference. Inputs where that runner takes
 // seconds too use "words": the all-words oracle alone is the reference.
-func runnersAgreeOn(t *testing.T, label string, live *prov.Graph, q Query, opts Options, ref string) (map[uint32]bool, sweepWindows) {
+func runnersAgreeOn(t *testing.T, label string, g *prov.Graph, q Query, opts Options, ref string) (map[uint32]bool, sweepWindows) {
 	t.Helper()
 	var want map[uint32]bool
 	var seen sweepWindows
-	for _, rep := range []struct {
-		name string
-		p    *prov.Graph
-	}{{"live", live}, {"frozen", live.Freeze()}} {
-		e := NewEngine(rep.p, opts)
-		ad := newAdjacency(rep.p, q.Boundary)
+	for _, p := range Layouts(g) {
+		layout := LayoutName(p)
+		e := NewEngine(p, opts)
+		ad := newAdjacency(p, q.Boundary)
 		src := dedupVertices(q.Src)
 		wd := e.words(ad, src)
 		runners := map[string]tstRunner{"words": wd}
@@ -112,15 +110,15 @@ func runnersAgreeOn(t *testing.T, label string, live *prov.Graph, q Query, opts 
 		}
 		sw := e.sweep(ad, src)
 		runners["sweep"] = sw
-		seen = checkSweepWindows(t, fmt.Sprintf("%s/%s", label, rep.name), sw, wd, q, ad)
+		seen = checkSweepWindows(t, fmt.Sprintf("%s/%s", label, layout), sw, wd, q, ad)
 		if want == nil {
-			want = runTst(rep.p, runners[ref], q, ad)
-			diffSets(t, fmt.Sprintf("%s/%s/%s/classes", label, rep.name, ref), want, bitsetMap(e.runSimProvTst(runners[ref], src, q.Dst, ad)))
+			want = runTst(p, runners[ref], q, ad)
+			diffSets(t, fmt.Sprintf("%s/%s/%s/classes", label, layout, ref), want, bitsetMap(e.runSimProvTst(runners[ref], src, q.Dst, ad)))
 			delete(runners, ref)
 		}
 		for name, r := range runners {
-			diffSets(t, fmt.Sprintf("%s/%s/%s", label, rep.name, name), want, runTst(rep.p, r, q, ad))
-			diffSets(t, fmt.Sprintf("%s/%s/%s/classes", label, rep.name, name), want, bitsetMap(e.runSimProvTst(r, src, q.Dst, ad)))
+			diffSets(t, fmt.Sprintf("%s/%s/%s", label, layout, name), want, runTst(p, r, q, ad))
+			diffSets(t, fmt.Sprintf("%s/%s/%s/classes", label, layout, name), want, bitsetMap(e.runSimProvTst(r, src, q.Dst, ad)))
 		}
 		solvers := []SolverKind{SolverTst, SolverAlg}
 		if ref != "chain" {
@@ -129,11 +127,11 @@ func runnersAgreeOn(t *testing.T, label string, live *prov.Graph, q Query, opts 
 		for _, solver := range solvers {
 			o := opts
 			o.Solver = solver
-			set, err := NewEngine(rep.p, o).SimilarPaths(q)
+			set, err := NewEngine(p, o).SimilarPaths(q)
 			if err != nil {
-				t.Fatalf("%s/%s/%v: %v", label, rep.name, solver, err)
+				t.Fatalf("%s/%s/%v: %v", label, layout, solver, err)
 			}
-			diffSets(t, fmt.Sprintf("%s/%s/%v", label, rep.name, solver), want, bitsetMap(set))
+			diffSets(t, fmt.Sprintf("%s/%s/%v", label, layout, solver), want, bitsetMap(set))
 		}
 	}
 	return want, seen
@@ -418,7 +416,7 @@ func TestVecSolversExcludedRels(t *testing.T) {
 // TestVecSolversNonMonotone: on out-of-order ingestion the sweep walks a
 // topological rank instead of the id, and it, the level-synchronous oracle
 // and SimProvAlg must stay exact against the class chain — plain, filtered,
-// live and frozen.
+// on both row layouts.
 func TestVecSolversNonMonotone(t *testing.T) {
 	p, q := nonMonotone(t)
 	if got := runnersAgree(t, "nonmonotone", p, q, Options{}); len(got) != p.NumVertices() {
@@ -782,8 +780,8 @@ func newSiblingLifecycle(seed int64) siblingLifecycle {
 }
 
 // TestTstClassesAgree holds the one-run-per-class grouping to the
-// per-destination runs (runnersAgree: every runner, grouped and not, live
-// and frozen, and SimProvAlg) where grouping has something to get wrong —
+// per-destination runs (runnersAgree: every runner, grouped and not, on both
+// row layouts, and SimProvAlg) where grouping has something to get wrong —
 // siblings beside an unrelated destination, repeated ids, a sibling that is
 // also a source, imported destinations with empty generator rows, every row
 // emptied by excluding G, and an edge filter that splits a class — and pins
@@ -794,7 +792,7 @@ func TestTstClassesAgree(t *testing.T) {
 		lc := newSiblingLifecycle(seed)
 		sibs, other := lc.sibs, lc.other
 		var sib1Gen graph.EdgeID
-		for _, e := range lc.p.PG().Out(sibs[1]) {
+		for _, e := range lc.p.Freeze().PG().Out(sibs[1]) {
 			if lc.p.RelOf(e) == prov.RelGen {
 				sib1Gen = e
 			}
@@ -833,12 +831,12 @@ func TestTstClassesAgree(t *testing.T) {
 					t.Errorf("%s: %d, cut from its generator, is in VC2", label, sibs[1])
 				}
 			}
-			for _, g := range []*prov.Graph{lc.p, lc.p.Freeze()} {
+			for _, g := range Layouts(lc.p) {
 				e, ad, src := NewEngine(g, Options{}), newAdjacency(g, tc.q.Boundary), dedupVertices(tc.q.Src)
 				c := &countRuns{tstRunner: e.sweep(ad, src)}
 				e.runSimProvTst(c, src, tc.q.Dst, ad)
 				if c.n != tc.runs {
-					t.Errorf("%s/frozen=%v: %d runs, want %d", label, g.Frozen(), c.n, tc.runs)
+					t.Errorf("%s/%s: %d runs, want %d", label, LayoutName(g), c.n, tc.runs)
 				}
 			}
 		}
@@ -864,7 +862,7 @@ func TestTstClassesAgree(t *testing.T) {
 
 // TestVecSolverRegimeChoice pins the dispatcher: a property-match query goes
 // to SimProvAlg, and every other SimProvTst query is the sweep, one task per
-// destination class, on every DAG — whatever the representation, the
+// destination class, on every DAG — whatever the row layout, the
 // boundary, the graph's size or NoEarlyStop. What the graph decides is only
 // the order of being both solvers walk: the id on an id-monotone graph, a
 // topological rank elsewhere, and on an ancestry cycle none, so the query is
@@ -875,6 +873,7 @@ func TestVecSolverRegimeChoice(t *testing.T) {
 	big, _ := randomLifecycle(1, 2000) // ~6000 ancestry edges
 	nonMono, _ := nonMonotone(t)
 	cyclic, _ := ancestryCycle()
+	chain := func(p *prov.Graph) *prov.Graph { return Layouts(p)[1] }
 	filtered := Boundary{
 		VertexFilters: []VertexFilter{func(*prov.Graph, graph.VertexID) bool { return true }},
 		EdgeFilters:   []EdgeFilter{func(*prov.Graph, graph.EdgeID) bool { return true }},
@@ -886,21 +885,21 @@ func TestVecSolverRegimeChoice(t *testing.T) {
 		opts Options
 		want string
 	}{
-		{"monotone/live/small", mono, Boundary{}, Options{}, sweep + "/id"},
+		{"monotone/chain/small", chain(mono), Boundary{}, Options{}, sweep + "/id"},
 		{"monotone/frozen/small", mono.Freeze(), Boundary{}, Options{}, sweep + "/id"},
-		{"monotone/live/big", big, Boundary{}, Options{}, sweep + "/id"},
+		{"monotone/chain/big", chain(big), Boundary{}, Options{}, sweep + "/id"},
 		{"monotone/frozen/big", big.Freeze(), Boundary{}, Options{}, sweep + "/id"},
 		{"monotone/frozen/filtered", mono.Freeze(), filtered, Options{}, sweep + "/id"},
 		{"monotone/noearlystop", mono.Freeze(), Boundary{}, Options{NoEarlyStop: true}, sweep + "/id"},
 		{"nonmonotone/frozen", nonMono.Freeze(), Boundary{}, Options{}, sweep + "/rank"},
 		{"nonmonotone/frozen/filtered", nonMono.Freeze(), filtered, Options{}, sweep + "/rank"},
-		{"nonmonotone/live", nonMono, Boundary{}, Options{}, sweep + "/rank"},
-		{"nonmonotone/noearlystop", nonMono, Boundary{}, Options{NoEarlyStop: true}, sweep + "/rank"},
+		{"nonmonotone/chain", chain(nonMono), Boundary{}, Options{}, sweep + "/rank"},
+		{"nonmonotone/noearlystop", nonMono.Freeze(), Boundary{}, Options{NoEarlyStop: true}, sweep + "/rank"},
 		{"match-activity/monotone", mono.Freeze(), Boundary{}, Options{MatchActivityProp: prov.PropCommand}, alg + "/id"},
-		{"match-entity/monotone", mono, Boundary{}, Options{MatchEntityProp: prov.PropName}, alg + "/id"},
+		{"match-entity/monotone", chain(mono), Boundary{}, Options{MatchEntityProp: prov.PropName}, alg + "/id"},
 		{"match-both/filtered", mono.Freeze(), filtered, Options{MatchActivityProp: prov.PropCommand, MatchEntityProp: prov.PropName}, alg + "/id"},
-		{"match-activity/nonmonotone", nonMono, Boundary{}, Options{MatchActivityProp: prov.PropCommand}, alg + "/rank"},
-		{"cycle/live", cyclic, Boundary{}, Options{}, "not a DAG"},
+		{"match-activity/nonmonotone", chain(nonMono), Boundary{}, Options{MatchActivityProp: prov.PropCommand}, alg + "/rank"},
+		{"cycle/chain", chain(cyclic), Boundary{}, Options{}, "not a DAG"},
 		{"cycle/frozen/alg", cyclic.Freeze(), Boundary{}, Options{Solver: SolverAlg}, "not a DAG"},
 	}
 	for _, tc := range cases {
@@ -961,30 +960,30 @@ func TestVecSolverExcludedBlocksNotRead(t *testing.T) {
 	}
 }
 
-// TestVecAlgFactBudget: SimProvAlg honors MaxFacts on either representation.
+// TestVecAlgFactBudget: SimProvAlg honors MaxFacts on either row layout.
 func TestVecAlgFactBudget(t *testing.T) {
 	p, src, dst := smallLifecycle(5)
-	for _, g := range []*prov.Graph{p, p.Freeze()} {
+	for _, g := range Layouts(p) {
 		opts := Options{Solver: SolverAlg, MaxFacts: 2}
 		_, err := NewEngine(g, opts).SimilarPaths(Query{Src: src, Dst: dst})
 		if !errors.Is(err, cflr.ErrFactBudget) {
-			t.Fatalf("frozen=%v: want ErrFactBudget, got %v", g.Frozen(), err)
+			t.Fatalf("%s: want ErrFactBudget, got %v", LayoutName(g), err)
 		}
 	}
 }
 
 // TestVecSolverSegmentParity diffs whole segments (vertices, edges, rule
-// attribution) across the two representations and the two solvers.
+// attribution) across the two row layouts and the two solvers.
 func TestVecSolverSegmentParity(t *testing.T) {
 	p, src, dst := smallLifecycle(6)
 	q := Query{Src: src, Dst: dst}
-	ref, err := NewEngine(p, Options{}).Segment(q)
+	ref, err := NewEngine(p.Freeze(), Options{}).Segment(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []*prov.Graph{p, p.Freeze()} {
+	for _, g := range Layouts(p) {
 		for _, solver := range []SolverKind{SolverTst, SolverAlg} {
-			label := fmt.Sprintf("frozen=%v/%v", g.Frozen(), solver)
+			label := fmt.Sprintf("%s/%v", LayoutName(g), solver)
 			got, err := NewEngine(g, Options{Solver: solver}).Segment(q)
 			if err != nil {
 				t.Fatal(err)
@@ -1166,18 +1165,18 @@ func ancestryCycle() (*prov.Graph, Query) {
 }
 
 // TestSegmentRefusesAncestryCycle: a U/G cycle has no order of being, so
-// Segment and SimilarPaths refuse it with ErrNotDAG under every solver, live
-// and frozen, before any solve.
+// Segment and SimilarPaths refuse it with ErrNotDAG under every solver, on
+// both row layouts, before any solve.
 func TestSegmentRefusesAncestryCycle(t *testing.T) {
 	p, q := ancestryCycle()
-	for _, g := range []*prov.Graph{p, p.Freeze()} {
+	for _, g := range Layouts(p) {
 		for _, opts := range []Options{{}, {Solver: SolverAlg}, {Solver: SolverCflrB}, {MatchActivityProp: prov.PropCommand}} {
 			e := NewEngine(g, opts)
 			if _, err := e.Segment(q); !errors.Is(err, ErrNotDAG) {
-				t.Errorf("frozen=%v/%v: Segment error %v, want ErrNotDAG", g.Frozen(), opts.Solver, err)
+				t.Errorf("%s/%v: Segment error %v, want ErrNotDAG", LayoutName(g), opts.Solver, err)
 			}
 			if _, err := e.SimilarPaths(q); !errors.Is(err, ErrNotDAG) {
-				t.Errorf("frozen=%v/%v: SimilarPaths error %v, want ErrNotDAG", g.Frozen(), opts.Solver, err)
+				t.Errorf("%s/%v: SimilarPaths error %v, want ErrNotDAG", LayoutName(g), opts.Solver, err)
 			}
 		}
 	}

@@ -39,16 +39,18 @@ func diffSegs(t *testing.T, tag string, a, b *core.Segment) {
 	}
 }
 
-// TestLiveMatchesFrozen runs PgSeg on a live graph and on its frozen
-// snapshot — the two representations behind the one adjacency walk — over a
-// spread of boundaries, and requires bit-identical segments. (The randomized
+// TestLiveMatchesFrozen runs PgSeg on both row layouts of one graph state —
+// a full rebuild's contiguous rows and an incrementally extended snapshot's
+// two-segment rows (core.Layouts), the two behind the one adjacency walk —
+// over a spread of boundaries, and requires bit-identical segments. (The
+// name is from when the live graph kept rows of its own; the randomized
 // corpus over incremental snapshot chains lives in graph/difftest; this is
 // the in-package smoke with targeted boundaries.)
 func TestLiveMatchesFrozen(t *testing.T) {
 	for _, n := range []int{60, 400, 1500} {
-		live := gen.Pd(gen.PdConfig{N: n, Seed: int64(n)})
-		fz := live.Freeze()
-		src, dst := gen.DefaultQuery(live)
+		layouts := core.Layouts(gen.Pd(gen.PdConfig{N: n, Seed: int64(n)}))
+		full, chain := layouts[0], layouts[1]
+		src, dst := gen.DefaultQuery(full)
 		boundaries := []core.Boundary{
 			{},
 			{ExcludeRels: []prov.Rel{prov.RelDeriv}},
@@ -61,51 +63,50 @@ func TestLiveMatchesFrozen(t *testing.T) {
 		}
 		for bi, b := range boundaries {
 			q := core.Query{Src: src, Dst: dst, Boundary: b}
-			ls, err := core.NewEngine(live, core.Options{}).Segment(q)
+			fs, err := core.NewEngine(full, core.Options{}).Segment(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fs, err := core.NewEngine(fz, core.Options{}).Segment(q)
+			cs, err := core.NewEngine(chain, core.Options{}).Segment(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ls.NumVertices() <= len(src)+len(dst) {
+			if fs.NumVertices() <= len(src)+len(dst) {
 				t.Fatalf("n=%d boundary=%d: segment holds only the query vertices", n, bi)
 			}
-			diffSegs(t, fmt.Sprintf("n=%d boundary=%d", n, bi), ls, fs)
+			diffSegs(t, fmt.Sprintf("n=%d boundary=%d", n, bi), fs, cs)
 		}
 	}
 }
 
 // TestClosureLiveMatchesFrozen pins the closure building block in both
-// directions, with and without derivation edges.
+// directions, with and without derivation edges, on both row layouts.
 func TestClosureLiveMatchesFrozen(t *testing.T) {
-	live := gen.Pd(gen.PdConfig{N: 800, Seed: 2})
-	fz := live.Freeze()
-	src, dst := gen.DefaultQuery(live)
+	layouts := core.Layouts(gen.Pd(gen.PdConfig{N: 800, Seed: 2}))
+	src, dst := gen.DefaultQuery(layouts[0])
 	for _, excl := range []bool{false, true} {
-		liveEng := core.NewEngine(live, core.Options{VC1ExcludeDerivations: excl})
-		fzEng := core.NewEngine(fz, core.Options{VC1ExcludeDerivations: excl})
+		fullEng := core.NewEngine(layouts[0], core.Options{VC1ExcludeDerivations: excl})
+		chainEng := core.NewEngine(layouts[1], core.Options{VC1ExcludeDerivations: excl})
 		for _, fwd := range []bool{true, false} {
 			seeds := dst
 			if !fwd {
 				seeds = src
 			}
 			b := core.Boundary{ExcludeRels: []prov.Rel{prov.RelAttr}}
-			l := liveEng.AncestryClosure(seeds, b, fwd)
-			f := fzEng.AncestryClosure(seeds, b, fwd)
-			if l.Cardinality() <= len(seeds) {
+			f := fullEng.AncestryClosure(seeds, b, fwd)
+			c := chainEng.AncestryClosure(seeds, b, fwd)
+			if f.Cardinality() <= len(seeds) {
 				t.Fatalf("closure(fwd=%v exclD=%v) never left its seeds", fwd, excl)
 			}
-			if fmt.Sprint(l.ToSlice()) != fmt.Sprint(f.ToSlice()) {
-				t.Fatalf("closure(fwd=%v exclD=%v): %d vs %d vertices", fwd, excl, l.Cardinality(), f.Cardinality())
+			if fmt.Sprint(f.ToSlice()) != fmt.Sprint(c.ToSlice()) {
+				t.Fatalf("closure(fwd=%v exclD=%v): %d vs %d vertices", fwd, excl, f.Cardinality(), c.Cardinality())
 			}
 		}
 	}
 }
 
-// TestAdjustExpandMatchesScalar covers the adjust surface on both
-// representations, and against the one-shot query: growing a cached segment
+// TestAdjustExpandMatchesScalar covers the adjust surface on both row
+// layouts, and against the one-shot query: growing a cached segment
 // must equal segmenting with the expansion in the boundary. (The name
 // predates the single walk; it is what the test floor tracks.)
 func TestAdjustExpandMatchesScalar(t *testing.T) {
@@ -114,7 +115,7 @@ func TestAdjustExpandMatchesScalar(t *testing.T) {
 	q := core.Query{Src: src, Dst: dst, Boundary: core.Boundary{ExcludeRels: []prov.Rel{prov.RelDeriv}}}
 	ex := core.Expansion{Within: src, K: 4}
 	var ref *core.Segment
-	for _, p := range []*prov.Graph{live, live.Freeze()} {
+	for _, p := range core.Layouts(live) {
 		eng := core.NewEngine(p, core.Options{})
 		seg, err := eng.Segment(q)
 		if err != nil {
@@ -129,7 +130,7 @@ func TestAdjustExpandMatchesScalar(t *testing.T) {
 			continue
 		}
 		if fmt.Sprint(out.Vertices) != fmt.Sprint(ref.Vertices) || fmt.Sprint(out.Edges) != fmt.Sprint(ref.Edges) || fmt.Sprint(out.Rules) != fmt.Sprint(ref.Rules) {
-			t.Fatal("AdjustExpand diverges between the live and the frozen graph")
+			t.Fatal("AdjustExpand diverges between the row layouts")
 		}
 	}
 }
@@ -167,8 +168,8 @@ func TestExcludedBlocksNeverRead(t *testing.T) {
 
 // TestSweepDeepWindowsPd holds the sweep to the level-synchronous runner and,
 // set by set, to the all-words oracle on Pd graphs deep enough (400-1000
-// levels on the default query) that windows span many words: live and
-// frozen, under an excluded relation, a programmatic vertex filter and an
+// levels on the default query) that windows span many words: on both row
+// layouts, under an excluded relation, a programmatic vertex filter and an
 // edge filter (NoEarlyStop would change nothing: no runner has the rule).
 // Long mode adds Pd-20000 with the sources three quarters of the way in,
 // against the all-words oracle alone (the level runner takes ~2.7 s a run

@@ -57,7 +57,7 @@ func buildTinyChain(t *testing.T) (*prov.Graph, graph.VertexID, graph.VertexID) 
 	p.Used(eval, model)
 	result := p.NewEntity("result")
 	p.WasGeneratedBy(result, eval)
-	return p, data, result
+	return p.Freeze(), data, result
 }
 
 func TestEvalSimplePattern(t *testing.T) {
@@ -117,7 +117,7 @@ func TestCypherMatchesSolversSingleDst(t *testing.T) {
 		// cross-joins two clauses, so its cost (and memory) is exponential
 		// in the ancestry-cone density — which is the very point of
 		// Fig. 5a. lambda_i=1 keeps the path count testable.
-		p := gen.Pd(gen.PdConfig{N: 40, LambdaIn: 1, Seed: seed})
+		p := gen.Pd(gen.PdConfig{N: 40, LambdaIn: 1, Seed: seed}).Freeze()
 		ents := p.Entities()
 		src := []graph.VertexID{ents[0], ents[1]}
 		dst := []graph.VertexID{ents[len(ents)-1]}
@@ -150,7 +150,7 @@ func TestCypherMatchesSolversSingleDst(t *testing.T) {
 }
 
 func TestEvalTimeout(t *testing.T) {
-	p := gen.Pd(gen.PdConfig{N: 600, Seed: 1})
+	p := gen.Pd(gen.PdConfig{N: 600, Seed: 1}).Freeze()
 	src, dst := gen.DefaultQuery(p)
 	_, err := cypher.CypherVC2(p, src, dst, cypher.Options{Timeout: time.Nanosecond})
 	if err == nil {
@@ -162,7 +162,7 @@ func TestEvalTimeout(t *testing.T) {
 }
 
 func TestRowBudget(t *testing.T) {
-	p := gen.Pd(gen.PdConfig{N: 300, Seed: 2})
+	p := gen.Pd(gen.PdConfig{N: 300, Seed: 2}).Freeze()
 	src, dst := gen.DefaultQuery(p)
 	_, err := cypher.CypherVC2(p, src, dst, cypher.Options{MaxRows: 1})
 	if err == nil {

@@ -128,12 +128,20 @@ type Evaluator struct {
 	done  <-chan struct{} // the evaluation's context's Done (nil: never)
 	ctx   context.Context
 	steps uint64
-	rows  uint64 // CSR rows the planner fetched (NeighborRowSegs, FrozenNeighbors)
+	rows  uint64 // per-label CSR rows read (NeighborRowSegs, FrozenNeighbors)
+
+	// naive turns planning off (the DFS over the mixed Out/In rows): the
+	// oracle the planner's tests hold it to, and the baseline CypherVC2
+	// times. Nothing else sets it.
+	naive bool
 }
 
-// NewEvaluator builds an evaluator with explicit label resolvers.
+// NewEvaluator builds an evaluator with explicit label resolvers over a
+// snapshot (graph.Freeze); it panics on a live graph, which keeps no
+// adjacency rows.
 func NewEvaluator(g *graph.Graph, vertexLabel, relLabel func(string) (graph.Label, bool),
 	labelName, relName func(graph.Label) string, opts Options) *Evaluator {
+	g.MustBeFrozen("cypher.NewEvaluator")
 	return &Evaluator{
 		g:           g,
 		opts:        opts,
@@ -336,8 +344,8 @@ func mineIDConstraints(e Expr) map[string][]graph.VertexID {
 }
 
 // expandPattern enumerates all bindings of one path pattern compatible with
-// an existing row. On frozen snapshots the planner's prune sets (plan.go)
-// cut enumeration branches that provably cannot complete; the surviving
+// an existing row. The planner's prune sets (plan.go) cut enumeration
+// branches that provably cannot complete; the surviving
 // rows and their order are identical to the unplanned DFS.
 func (ev *Evaluator) expandPattern(pat PathPattern, base row, seeds map[string][]graph.VertexID) ([]row, error) {
 	var out []row

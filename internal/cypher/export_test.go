@@ -1,0 +1,12 @@
+package cypher
+
+import "repro/internal/prov"
+
+// NewNaiveProvEvaluator is NewProvEvaluator with planning off: no prune
+// sets and no per-label row reads, only the DFS over the mixed Out/In rows.
+// It is the oracle the planner tests hold the planner to.
+func NewNaiveProvEvaluator(p *prov.Graph, opts Options) *Evaluator {
+	ev := NewProvEvaluator(p, opts)
+	ev.naive = true
+	return ev
+}

@@ -5,9 +5,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Snapshot-aware pattern planner. On a frozen graph the evaluator knows,
-// before enumerating a single path, the per-label CSR blocks and the edge
-// count each block holds (EdgesWithLabel) — enough to bound where each
+// Snapshot-aware pattern planner. The evaluator reads a snapshot, so it
+// knows, before enumerating a single path, the per-label CSR blocks and the
+// edge count each block holds (EdgesWithLabel) — enough to bound where each
 // pattern position can possibly bind. The planner runs bitmap frontier
 // sweeps (row unions over NeighborRowSegs with word-parallel visited
 // subtraction) from the pattern's anchored ends:
@@ -26,12 +26,13 @@ import (
 // edge counts pick which anchored end to sweep first (cheapest volume) and
 // drop empty labels before any row is read.
 //
-// On a live (unfrozen) graph none of this runs and the evaluator is the
-// naive DFS over mixed edge lists — the reference the differential tests
-// hold the planner to (plan_test.go, difftest.DiffCypherPlanner).
+// With Evaluator.naive set (the tests' oracle and CypherVC2's baseline)
+// none of this runs and the evaluator is the naive DFS over the mixed
+// Out/In rows — the reference the planner tests hold the planner to
+// (plan_test.go).
 
 // patternPlan carries the prune sets for one path pattern under one base
-// row. A nil *patternPlan (live graph or pattern unanchored) prunes
+// row. A nil *patternPlan (planning off or pattern unanchored) prunes
 // nothing.
 type patternPlan struct {
 	// allowed[i] over-approximates the vertices that may bind node i in a
@@ -60,9 +61,9 @@ func (p *patternPlan) pathOK(i int, v graph.VertexID) bool {
 }
 
 // planPattern builds the prune sets for pat under base/seeds, or nil when
-// the planner cannot help (live graph, or no anchored end).
+// the planner cannot help (no anchored end) or is off.
 func (ev *Evaluator) planPattern(pat PathPattern, base row, seeds map[string][]graph.VertexID) *patternPlan {
-	if !ev.g.Frozen() || len(pat.Rels) == 0 {
+	if ev.naive || len(pat.Rels) == 0 {
 		return nil
 	}
 	firstIDs, firstAnchored := ev.anchorIDs(pat.Nodes[0], base, seeds)
@@ -297,13 +298,13 @@ func (ev *Evaluator) frontierStep(src *bitmap.Bitset, labels []graph.Label, useO
 		src.Iterate(func(x uint32) bool {
 			v := graph.VertexID(x)
 			if useOut {
-				b, xt, _ := ev.g.NeighborRowSegs(v, l, true)
+				b, xt := ev.g.NeighborRowSegs(v, l, true)
 				bitmap.OrInto(out, b)
 				bitmap.OrInto(out, xt)
 				ev.rows++
 			}
 			if useIn {
-				b, xt, _ := ev.g.NeighborRowSegs(v, l, false)
+				b, xt := ev.g.NeighborRowSegs(v, l, false)
 				bitmap.OrInto(out, b)
 				bitmap.OrInto(out, xt)
 				ev.rows++
@@ -329,12 +330,12 @@ func (ev *Evaluator) relMatches(rp RelPattern, e graph.EdgeID) bool {
 
 // iterRelEdges invokes fn for each edge incident on cur that matches rp in
 // the given direction, in ascending edge-id order — the order the mixed
-// adjacency list yields. A typed pattern on a frozen snapshot reads only the
-// matching labels' CSR rows, merged by edge id, instead of label-filtering
-// every incident edge; untyped patterns and live graphs scan the mixed
-// list. Enumeration order is identical either way.
+// Out/In row yields. A typed pattern reads only the matching labels' CSR
+// rows, merged by edge id, instead of label-filtering every incident edge;
+// untyped patterns (and the naive oracle) scan the mixed row. Enumeration
+// order is identical either way.
 func (ev *Evaluator) iterRelEdges(cur graph.VertexID, rp RelPattern, out bool, fn func(graph.EdgeID, graph.VertexID) error) error {
-	if ev.g.Frozen() && len(rp.Types) > 0 {
+	if !ev.naive && len(rp.Types) > 0 {
 		type relRow struct {
 			nbrs []graph.VertexID
 			eids []graph.EdgeID
@@ -342,7 +343,6 @@ func (ev *Evaluator) iterRelEdges(cur graph.VertexID, rp RelPattern, out bool, f
 		var (
 			rows   []relRow
 			labels []graph.Label
-			usable = true
 		)
 	resolve:
 		for _, tn := range rp.Types {
@@ -356,48 +356,41 @@ func (ev *Evaluator) iterRelEdges(cur graph.VertexID, rp RelPattern, out bool, f
 				}
 			}
 			labels = append(labels, l)
-			nbrs, eids, ok := ev.g.FrozenNeighbors(cur, l, out)
-			if !ok {
-				usable = false
-				break
-			}
+			nbrs, eids := ev.g.FrozenNeighbors(cur, l, out)
 			ev.rows++
 			if len(eids) > 0 {
 				rows = append(rows, relRow{nbrs, eids})
 			}
 		}
-		if usable {
-			switch len(rows) {
-			case 0:
-				return nil
-			case 1:
-				for i, e := range rows[0].eids {
-					if err := fn(e, rows[0].nbrs[i]); err != nil {
-						return err
-					}
+		switch len(rows) {
+		case 0:
+			return nil
+		case 1:
+			for i, e := range rows[0].eids {
+				if err := fn(e, rows[0].nbrs[i]); err != nil {
+					return err
 				}
-				return nil
-			default:
-				idx := make([]int, len(rows))
-				for {
-					best := -1
-					for ri := range rows {
-						if idx[ri] >= len(rows[ri].eids) {
-							continue
-						}
-						if best < 0 || rows[ri].eids[idx[ri]] < rows[best].eids[idx[best]] {
-							best = ri
-						}
-					}
-					if best < 0 {
-						return nil
-					}
-					i := idx[best]
-					idx[best]++
-					if err := fn(rows[best].eids[i], rows[best].nbrs[i]); err != nil {
-						return err
-					}
+			}
+			return nil
+		}
+		idx := make([]int, len(rows))
+		for {
+			best := -1
+			for ri := range rows {
+				if idx[ri] >= len(rows[ri].eids) {
+					continue
 				}
+				if best < 0 || rows[ri].eids[idx[ri]] < rows[best].eids[idx[best]] {
+					best = ri
+				}
+			}
+			if best < 0 {
+				return nil
+			}
+			i := idx[best]
+			idx[best]++
+			if err := fn(rows[best].eids[i], rows[best].nbrs[i]); err != nil {
+				return err
 			}
 		}
 	}

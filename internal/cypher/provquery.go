@@ -79,7 +79,9 @@ return p2`, idList(src), idList(dst), idList(dst))
 
 // CypherVC2 runs Query 1 and post-processes the returned p2 paths into the
 // VC2 vertex set (every vertex on a similar path), for cross-checking
-// against the native solvers.
+// against the native solvers. It evaluates with planning off: Fig. 5a's
+// Cypher column times the paper's Neo4j baseline, the unpruned enumeration
+// of Query 1, not the planner's corridor.
 //
 // Note: Query 1 as written in the paper compares whole-path label
 // sequences, so a returned p2 shares only its length pattern with p1; the
@@ -88,6 +90,7 @@ return p2`, idList(src), idList(dst), idList(dst))
 // the first clause already enumerated from the sources) is VC2.
 func CypherVC2(p *prov.Graph, src, dst []graph.VertexID, opts Options) (map[graph.VertexID]bool, error) {
 	ev := NewProvEvaluator(p, opts)
+	ev.naive = true
 	q := fmt.Sprintf(`match p1=(b:E)<-[:U|G*]-(e1:E)
 where id(b) in %s and id(e1) in %s
 with p1

@@ -166,6 +166,7 @@ func TestPdStructure(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("N=%d: %v", n, err)
 		}
+		p = p.Freeze()
 		got := p.NumVertices()
 		if got < n*8/10 || got > n*12/10 {
 			t.Errorf("N=%d: vertex count %d off target", n, got)

@@ -62,7 +62,8 @@ func (c SdConfig) withDefaults() SdConfig {
 // one provenance graph. Activity vertices carry a "command" property
 // naming their state ("op3"), which is what PgSum's property aggregation
 // matches on; entity vertices all share one equivalence label, as the
-// paper specifies.
+// paper specifies. The segments are over one snapshot of the returned
+// graph, taken once it is complete.
 func Sd(cfg SdConfig) (*prov.Graph, []*core.Segment) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -79,7 +80,7 @@ func Sd(cfg SdConfig) (*prov.Graph, []*core.Segment) {
 	rankPick := NewZipfRank(cfg.SelectSkew, maxEnts)
 	agent := p.NewAgent("team")
 
-	segments := make([]*core.Segment, 0, cfg.Segments)
+	members := make([][]graph.VertexID, 0, cfg.Segments)
 	for si := 0; si < cfg.Segments; si++ {
 		var vertices []graph.VertexID
 		var entities []graph.VertexID
@@ -120,7 +121,12 @@ func Sd(cfg SdConfig) (*prov.Graph, []*core.Segment) {
 			}
 			state = Categorical(rng, matrix[state])
 		}
-		segments = append(segments, core.NewSegment(p, vertices))
+		members = append(members, vertices)
+	}
+	fz := p.Freeze()
+	segments := make([]*core.Segment, len(members))
+	for i, vs := range members {
+		segments[i] = core.NewSegment(fz, vs)
 	}
 	return p, segments
 }

@@ -4,7 +4,8 @@
 // extended snapshot is indistinguishable from a full Freeze rebuild —
 // identical FrozenNeighbors rows, all-edge Out/In views, dictionary and
 // label-index contents, and identical core.Segment results for randomized
-// queries.
+// queries — and that both snapshots' rows are the naive rows of the edge
+// columns (rowOracle).
 //
 // The checks are plain functions returning errors (no *testing.T) so the
 // same script runners back table tests, property-based loops over many
@@ -15,9 +16,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/prov"
 )
@@ -128,57 +129,12 @@ func diffEpochProps(o *propOracle, live, replica *graph.Graph, snaps []*graph.Gr
 
 // CheckProvScript generates a lifecycle provenance graph (gen.Pd) of about
 // size vertices, replays it into a fresh graph in randomized edge batches,
-// and at every epoch diffs the snapshots, compares the property reads of the
-// live replica and of every snapshot so far with the source's, and runs
-// queries randomized PgSeg queries against both, asserting identical
-// segments.
+// and at every epoch diffs a full rebuild with the incremental chain's
+// snapshot (DiffSnapshots), compares the property reads of the live replica
+// and of every snapshot so far with the source's, and runs queries
+// randomized PgSeg queries against both (DiffSegments).
 func CheckProvScript(seed int64, size, epochs, queries int) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
-	src := gen.Pd(gen.PdConfig{N: size, Seed: seed}).PG()
-	rep := NewReplayer(src)
-	// Wrapping the replica interns the PROV labels (a no-op id-wise: the
-	// replayer pre-interned the source dictionary) so the snapshots below
-	// can be wrapped without mutating state.
-	prov.Wrap(rep.Graph())
-
-	oracle := oracleOf(src)
-	cuts := randomCuts(rng, src.NumEdges(), epochs)
-	var prev *graph.Graph
-	var snaps []*graph.Graph
-	var res Result
-	for ep, cut := range cuts {
-		rep.StepEdges(cut)
-		if ep == len(cuts)-1 {
-			rep.FinishVertices()
-		}
-		full := rep.Graph().Freeze()
-		incr, inc := rep.Graph().ExtendFrozen(prev)
-		res.Epochs++
-		if inc {
-			res.Incremental++
-		}
-		if err := DiffSnapshots(full, incr); err != nil {
-			return res, fmt.Errorf("seed %d epoch %d: %w", seed, ep, err)
-		}
-		snaps = append(snaps, full, incr)
-		for i, g := range append([]*graph.Graph{rep.Graph()}, snaps...) {
-			if err := oracle.DiffProps(g); err != nil {
-				return res, fmt.Errorf("seed %d epoch %d graph %d (0 = live): %w", seed, ep, i, err)
-			}
-		}
-		fullP, incrP := prov.Wrap(full), prov.Wrap(incr)
-		for qi := 0; qi < queries; qi++ {
-			q, ok := randomQuery(rng, fullP)
-			if !ok {
-				break
-			}
-			if err := DiffSegments(fullP, incrP, q); err != nil {
-				return res, fmt.Errorf("seed %d epoch %d query %d: %w", seed, ep, qi, err)
-			}
-		}
-		prev = incr
-	}
-	return res, nil
+	return checkChainScript(seed, size, epochs, queries, DiffSegments, nil)
 }
 
 // randomCuts picks n increasing commit points over ne edges, ending at ne.
@@ -227,9 +183,9 @@ func randomQuery(rng *rand.Rand, p *prov.Graph) (core.Query, bool) {
 }
 
 // DiffSnapshots asserts two frozen snapshots of the same graph state are
-// indistinguishable: same shape, dictionary, per-label edge counts, label
-// index, all-edge Out/In views, and identical FrozenNeighbors rows for every
-// vertex, label and direction.
+// indistinguishable: same shape, dictionary, label index and vertex labels,
+// and, for both, the all-edge Out/In rows, every label's rows in both
+// directions and the per-label edge counts of the edge columns (rowOracle).
 func DiffSnapshots(full, incr *graph.Graph) error {
 	if full.NumVertices() != incr.NumVertices() || full.NumEdges() != incr.NumEdges() {
 		return fmt.Errorf("shape mismatch: full %d/%d vs incr %d/%d",
@@ -243,64 +199,68 @@ func DiffSnapshots(full, incr *graph.Graph) error {
 		if fd.Name(graph.Label(l)) != id.Name(graph.Label(l)) {
 			return fmt.Errorf("dict[%d] mismatch: %q vs %q", l, fd.Name(graph.Label(l)), id.Name(graph.Label(l)))
 		}
-		if f, x := full.EdgesWithLabel(graph.Label(l)), incr.EdgesWithLabel(graph.Label(l)); f != x {
-			return fmt.Errorf("edge count for %q mismatch: full %d vs incr %d", fd.Name(graph.Label(l)), f, x)
-		}
 		fv, iv := full.VerticesWithLabel(graph.Label(l)), incr.VerticesWithLabel(graph.Label(l))
-		if !vertexSlicesEq(fv, iv) {
+		if !slices.Equal(fv, iv) {
 			return fmt.Errorf("label index %q mismatch: %v vs %v", fd.Name(graph.Label(l)), fv, iv)
 		}
 	}
 	for v := 0; v < full.NumVertices(); v++ {
-		id := graph.VertexID(v)
-		if full.VertexLabel(id) != incr.VertexLabel(id) {
+		if full.VertexLabel(graph.VertexID(v)) != incr.VertexLabel(graph.VertexID(v)) {
 			return fmt.Errorf("vertex %d label mismatch", v)
 		}
-		if !edgeSlicesEq(full.Out(id), incr.Out(id)) {
-			return fmt.Errorf("Out(%d) mismatch: %v vs %v", v, full.Out(id), incr.Out(id))
+	}
+	rows := rowsOf(full)
+	if err := rows.diff(full); err != nil {
+		return fmt.Errorf("full rebuild vs edge columns: %w", err)
+	}
+	if err := rows.diff(incr); err != nil {
+		return fmt.Errorf("incremental snapshot vs edge columns: %w", err)
+	}
+	return nil
+}
+
+// DiffSegments evaluates the same PgSeg query against a full rebuild and
+// the chain's snapshot of one graph state and asserts identical results —
+// vertex set, edge set, rule attribution and revalidation support set —
+// and identical ancestry closures in both directions under the query's
+// boundary.
+func DiffSegments(full, chain *prov.Graph, q core.Query) error {
+	fullEng, chainEng := core.NewEngine(full, core.Options{}), core.NewEngine(chain, core.Options{})
+	fs, ferr := fullEng.Segment(q)
+	cs, cerr := chainEng.Segment(q)
+	if (ferr == nil) != (cerr == nil) {
+		return fmt.Errorf("error mismatch: rebuild %v vs chain %v", ferr, cerr)
+	}
+	if ferr != nil {
+		if ferr.Error() != cerr.Error() {
+			return fmt.Errorf("error text mismatch: %v vs %v", ferr, cerr)
 		}
-		if !edgeSlicesEq(full.In(id), incr.In(id)) {
-			return fmt.Errorf("In(%d) mismatch: %v vs %v", v, full.In(id), incr.In(id))
+		return nil
+	}
+	if err := diffSegPair(fs, cs); err != nil {
+		return err
+	}
+	for _, fwd := range []bool{true, false} {
+		seeds := q.Dst
+		if !fwd {
+			seeds = q.Src
 		}
-		for l := 0; l < fd.Len(); l++ {
-			for _, out := range []bool{true, false} {
-				fn, fe, _ := full.FrozenNeighbors(id, graph.Label(l), out)
-				xn, xe, _ := incr.FrozenNeighbors(id, graph.Label(l), out)
-				if !vertexSlicesEq(fn, xn) || !edgeSlicesEq(fe, xe) {
-					return fmt.Errorf("FrozenNeighbors(%d, %q, out=%v) mismatch: (%v,%v) vs (%v,%v)",
-						v, fd.Name(graph.Label(l)), out, fn, fe, xn, xe)
-				}
-			}
+		fl := fullEng.AncestryClosure(seeds, q.Boundary, fwd).ToSlice()
+		cl := chainEng.AncestryClosure(seeds, q.Boundary, fwd).ToSlice()
+		if !slices.Equal(fl, cl) {
+			return fmt.Errorf("closure(fwd=%v) mismatch: rebuild %d vs chain %d vertices", fwd, len(fl), len(cl))
 		}
 	}
 	return nil
 }
 
-// DiffSegments evaluates the same PgSeg query against both snapshots and
-// asserts identical results: vertex set, edge set, rule attribution and
-// revalidation support set.
-func DiffSegments(fullP, incrP *prov.Graph, q core.Query) error {
-	fs, ferr := core.NewEngine(fullP, core.Options{}).Segment(q)
-	is, ierr := core.NewEngine(incrP, core.Options{}).Segment(q)
-	if (ferr == nil) != (ierr == nil) {
-		return fmt.Errorf("error mismatch: full %v vs incr %v", ferr, ierr)
-	}
-	if ferr != nil {
-		if ferr.Error() != ierr.Error() {
-			return fmt.Errorf("error text mismatch: %v vs %v", ferr, ierr)
-		}
-		return nil
-	}
-	return diffSegPair(fs, is)
-}
-
 // diffSegPair asserts two segments are identical in every externally
 // observable dimension: vertex set, edge set, rule attribution, support set.
 func diffSegPair(fs, is *core.Segment) error {
-	if !vertexSlicesEq(fs.Vertices, is.Vertices) {
+	if !slices.Equal(fs.Vertices, is.Vertices) {
 		return fmt.Errorf("segment vertices mismatch: %v vs %v", fs.Vertices, is.Vertices)
 	}
-	if !edgeSlicesEq(fs.Edges, is.Edges) {
+	if !slices.Equal(fs.Edges, is.Edges) {
 		return fmt.Errorf("segment edges mismatch: %v vs %v", fs.Edges, is.Edges)
 	}
 	if len(fs.Rules) != len(fs.Vertices) || len(is.Rules) != len(is.Vertices) {
@@ -311,38 +271,8 @@ func diffSegPair(fs, is *core.Segment) error {
 			return fmt.Errorf("segment rule of vertex %d mismatch: %v vs %v", v, fs.Rules[i], is.Rules[i])
 		}
 	}
-	fsup, isup := fs.Support().ToSlice(), is.Support().ToSlice()
-	if len(fsup) != len(isup) {
-		return fmt.Errorf("support size mismatch: %d vs %d", len(fsup), len(isup))
-	}
-	for i := range fsup {
-		if fsup[i] != isup[i] {
-			return fmt.Errorf("support mismatch at %d: %d vs %d", i, fsup[i], isup[i])
-		}
+	if fsup, isup := fs.Support().ToSlice(), is.Support().ToSlice(); !slices.Equal(fsup, isup) {
+		return fmt.Errorf("support sets mismatch: %d vs %d vertices", len(fsup), len(isup))
 	}
 	return nil
-}
-
-func vertexSlicesEq(a, b []graph.VertexID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func edgeSlicesEq(a, b []graph.EdgeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -54,10 +54,12 @@ func TestProvScriptsDifferential(t *testing.T) {
 }
 
 // TestLiveFrozenDifferential replays randomized scripts through
-// incremental snapshot chains and, at every epoch, diffs the replayer's live
-// graph against the chain's snapshot (the two representations behind PgSeg's
-// one walk) and the Cypher planner against the naive evaluator: segments,
-// ancestry closures and bounded pattern rows must be bit-identical.
+// incremental snapshot chains and, at every epoch, diffs a full rebuild of
+// the replayer's graph, whose rows are held to the naive rows of its edge
+// columns, against the chain's snapshot (the two row layouts behind PgSeg's
+// one walk): segments, ancestry closures and bounded Cypher pattern rows
+// must be bit-identical. (The name is from when the live graph kept rows of
+// its own.)
 func TestLiveFrozenDifferential(t *testing.T) {
 	scripts, size, epochs, queries := 30, 150, 4, 3
 	if !testing.Short() {
@@ -71,7 +73,7 @@ func TestLiveFrozenDifferential(t *testing.T) {
 		}
 		incremental += res.Incremental
 	}
-	// The frozen side must have been diffed over extended (two-segment) CSR
+	// The chain side must have been diffed over extended (two-segment) CSR
 	// blocks, not just fresh contiguous snapshots.
 	if incremental == 0 {
 		t.Fatal("no script epoch took the incremental freeze path")
@@ -98,9 +100,9 @@ func FuzzExtendFrozen(f *testing.F) {
 	})
 }
 
-// FuzzLiveFrozen hunts for scripts where the live and frozen representations
-// (or the Cypher planner and the naive evaluator) diverge beyond the fixed
-// seed sweep.
+// FuzzLiveFrozen hunts for scripts where a full rebuild and the snapshot
+// chain (or the rebuild and the edge columns) diverge beyond the fixed seed
+// sweep.
 func FuzzLiveFrozen(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
@@ -113,8 +115,8 @@ func FuzzLiveFrozen(f *testing.F) {
 }
 
 // TestSolverDifferential runs the VC2 solvers (SimProvTst ≡ SimProvAlg, plus
-// CflrB on the short-mode sizes — see solverdiff.go) on the live graph and
-// the snapshot over randomized incremental snapshot chains.
+// CflrB on the short-mode sizes — see solverdiff.go) on a full rebuild and
+// the chain's snapshot over randomized incremental snapshot chains.
 func TestSolverDifferential(t *testing.T) {
 	scripts, size, epochs, queries := 25, 120, 4, 2
 	if !testing.Short() {

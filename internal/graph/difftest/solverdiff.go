@@ -11,9 +11,9 @@ import (
 // Solver-level differential: SimProvTst and SimProvAlg (and the CflrB
 // baseline, where it is affordable) are the paper's interchangeable VC2
 // solvers — Thm. 1/2's contract is that they compute the same set.
-// DiffSolvers runs them on one query against both representations of the
-// same graph state, the live graph and a frozen snapshot, and asserts one
-// VC2 set, then diffs whole segments across solver and representation.
+// DiffSolvers runs them on one query against both row layouts of the same
+// graph state, a full rebuild and an incrementally extended snapshot, and
+// asserts one VC2 set, then diffs whole segments across solver and layout.
 // CheckSolverScript replays that over incremental ExtendFrozen chains, so
 // the solvers' row reads see two-segment extended CSR rows, not just
 // freshly frozen contiguous ones.
@@ -23,12 +23,12 @@ import (
 // magnitude (core's TestSolverEquivalenceOnPd affords it up to this size).
 const cflrbMaxVertices = 150
 
-// DiffSolvers asserts every solver yields the same VC2 set on the live graph
-// and on the frozen snapshot of the same state, then that the default
-// solver's segment on the snapshot equals SimProvAlg's on the live graph.
-func DiffSolvers(live, frozen *prov.Graph, q core.Query) error {
+// DiffSolvers asserts every solver yields the same VC2 set on a full
+// rebuild and on the chain's snapshot of the same state, then that the
+// default solver's segment on the chain equals SimProvAlg's on the rebuild.
+func DiffSolvers(full, chain *prov.Graph, q core.Query) error {
 	solvers := []core.SolverKind{core.SolverTst, core.SolverAlg}
-	if frozen.NumVertices() <= cflrbMaxVertices {
+	if chain.NumVertices() <= cflrbMaxVertices {
 		solvers = append(solvers, core.SolverCflrB)
 	}
 	var ref []uint32
@@ -36,7 +36,7 @@ func DiffSolvers(live, frozen *prov.Graph, q core.Query) error {
 	for _, rep := range []struct {
 		name string
 		p    *prov.Graph
-	}{{"frozen", frozen}, {"live", live}} {
+	}{{"chain", chain}, {"rebuild", full}} {
 		for _, solver := range solvers {
 			name := fmt.Sprintf("%v/%s", solver, rep.name)
 			set, err := core.NewEngine(rep.p, core.Options{Solver: solver}).SimilarPaths(q)
@@ -53,10 +53,10 @@ func DiffSolvers(live, frozen *prov.Graph, q core.Query) error {
 			}
 		}
 	}
-	ts, terr := core.NewEngine(frozen, core.Options{}).Segment(q)
-	as, aerr := core.NewEngine(live, core.Options{Solver: core.SolverAlg}).Segment(q)
+	ts, terr := core.NewEngine(chain, core.Options{}).Segment(q)
+	as, aerr := core.NewEngine(full, core.Options{Solver: core.SolverAlg}).Segment(q)
 	if (terr == nil) != (aerr == nil) {
-		return fmt.Errorf("segment error mismatch: SimProvTst/frozen %v vs SimProvAlg/live %v", terr, aerr)
+		return fmt.Errorf("segment error mismatch: SimProvTst/chain %v vs SimProvAlg/rebuild %v", terr, aerr)
 	}
 	if terr != nil {
 		return nil

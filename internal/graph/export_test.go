@@ -28,3 +28,36 @@ func PropMapsHeld(g *Graph) int {
 	}
 	return n
 }
+
+// columnRows is the test oracle for a snapshot's adjacency rows: every
+// vertex's out- and in-edges read straight off the edge columns, in
+// ascending edge id.
+type columnRows struct{ out, in [][]EdgeID }
+
+func columnRowsOf(g *Graph) columnRows {
+	r := columnRows{out: make([][]EdgeID, g.NumVertices()), in: make([][]EdgeID, g.NumVertices())}
+	for e := range g.eLabel {
+		r.out[g.eSrc[e]] = append(r.out[g.eSrc[e]], EdgeID(e))
+		r.in[g.eDst[e]] = append(r.in[g.eDst[e]], EdgeID(e))
+	}
+	return r
+}
+
+// neighbors is OutNeighbors (out) or InNeighbors over the oracle's rows.
+func (r columnRows) neighbors(g *Graph, v VertexID, l Label, out bool) []VertexID {
+	var nbrs []VertexID
+	if out {
+		for _, e := range r.out[v] {
+			if g.eLabel[e] == l {
+				nbrs = append(nbrs, g.eDst[e])
+			}
+		}
+		return nbrs
+	}
+	for _, e := range r.in[v] {
+		if g.eLabel[e] == l {
+			nbrs = append(nbrs, g.eSrc[e])
+		}
+	}
+	return nbrs
+}

@@ -73,8 +73,8 @@ func TestExtendFrozenChain(t *testing.T) {
 			}
 			for l := Label(0); int(l) < g.Dict().Len(); l++ {
 				for _, out := range []bool{true, false} {
-					fn, fe, _ := full.FrozenNeighbors(v, l, out)
-					xn, xe, _ := next.FrozenNeighbors(v, l, out)
+					fn, fe := full.FrozenNeighbors(v, l, out)
+					xn, xe := next.FrozenNeighbors(v, l, out)
 					if !slices.Equal(fn, xn) || !slices.Equal(fe, xe) {
 						t.Fatalf("commit %d FrozenNeighbors(%d,%d,%v) diverged", c, v, l, out)
 					}
@@ -122,8 +122,8 @@ func TestExtendFrozenMatchesFull(t *testing.T) {
 			}
 			for l := Label(0); int(l) < g.Dict().Len(); l++ {
 				for _, out := range []bool{true, false} {
-					fn, fe, _ := full.FrozenNeighbors(id, l, out)
-					xn, xe, _ := next.FrozenNeighbors(id, l, out)
+					fn, fe := full.FrozenNeighbors(id, l, out)
+					xn, xe := next.FrozenNeighbors(id, l, out)
 					if fmt.Sprint(fn) != fmt.Sprint(xn) || fmt.Sprint(fe) != fmt.Sprint(xe) {
 						t.Fatalf("epoch %d FrozenNeighbors(%d,%d,%v) diverged", epoch, v, l, out)
 					}

@@ -4,7 +4,10 @@
 // the Neo4j backend used in the paper. It guarantees the two properties the
 // paper's query evaluation assumes (Sec. III.B): constant-time access to any
 // vertex or edge by its primary identifier, and linear-time scans of a
-// vertex's incoming and outgoing edges.
+// vertex's incoming and outgoing edges. The live graph is write-only: it
+// keeps its edges as columns (label, source, destination), and every
+// adjacency read goes through an immutable snapshot (Freeze), whose CSR
+// rows give both guarantees.
 //
 // Vertices and edges carry a single label (interned through a dictionary)
 // and an optional set of key/value properties. The store is append-only:
@@ -127,16 +130,13 @@ type Graph struct {
 	vTail, eTail []Props
 	packer       packer
 
-	out [][]EdgeID // outgoing edges per vertex (live graphs)
-	in  [][]EdgeID // incoming edges per vertex (live graphs)
-
 	byLabel map[Label][]VertexID // label index over vertices
 
 	// frozen marks an immutable epoch snapshot (see Freeze); csr is its
-	// compressed-sparse-row adjacency index, which replaces out/in and
-	// holds the per-label blocks; nil on live graphs. incrSnap marks a
-	// snapshot whose index extends an earlier epoch's (ExtendFrozen)
-	// instead of being fully rebuilt.
+	// compressed-sparse-row adjacency index, the only adjacency rows a
+	// graph keeps (nil on live graphs). incrSnap marks a snapshot whose
+	// index extends an earlier epoch's (ExtendFrozen) instead of being
+	// fully rebuilt.
 	frozen   bool
 	incrSnap bool
 	csr      *csrIndex
@@ -170,8 +170,6 @@ func (g *Graph) AddVertex(label Label) VertexID {
 	g.mustBeLive()
 	id := VertexID(len(g.vLabel))
 	g.vLabel = append(g.vLabel, label)
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	g.byLabel[label] = append(g.byLabel[label], id)
 	return id
 }
@@ -187,8 +185,6 @@ func (g *Graph) AddEdge(src, dst VertexID, label Label) EdgeID {
 	g.eLabel = append(g.eLabel, label)
 	g.eSrc = append(g.eSrc, src)
 	g.eDst = append(g.eDst, dst)
-	g.out[src] = append(g.out[src], id)
-	g.in[dst] = append(g.in[dst], id)
 	return id
 }
 
@@ -204,32 +200,20 @@ func (g *Graph) Src(e EdgeID) VertexID { return g.eSrc[e] }
 // Dst returns the destination endpoint of e.
 func (g *Graph) Dst(e EdgeID) VertexID { return g.eDst[e] }
 
-// Out returns the outgoing edge ids of v. The returned slice must not be
-// modified. On an extended snapshot a row spanning two epochs is
+// Out returns the outgoing edge ids of v on a snapshot. The returned slice
+// must not be modified. On an extended snapshot a row spanning two epochs is
 // materialized into a fresh slice (see FrozenNeighbors).
 func (g *Graph) Out(v VertexID) []EdgeID {
-	if g.csr != nil {
-		_, eids := g.csr.outAll.row(v)
-		return eids
-	}
-	return g.out[v]
+	_, eids := g.index().outAll.row(v)
+	return eids
 }
 
-// In returns the incoming edge ids of v. The returned slice must not be
-// modified.
+// In returns the incoming edge ids of v on a snapshot. The returned slice
+// must not be modified.
 func (g *Graph) In(v VertexID) []EdgeID {
-	if g.csr != nil {
-		_, eids := g.csr.inAll.row(v)
-		return eids
-	}
-	return g.in[v]
+	_, eids := g.index().inAll.row(v)
+	return eids
 }
-
-// OutDegree returns the number of outgoing edges of v.
-func (g *Graph) OutDegree(v VertexID) int { return len(g.Out(v)) }
-
-// InDegree returns the number of incoming edges of v.
-func (g *Graph) InDegree(v VertexID) int { return len(g.In(v)) }
 
 // mustBeLive guards mutations: snapshots are immutable by contract, and a
 // write slipping through would race with the snapshot's lock-free readers.
@@ -239,38 +223,36 @@ func (g *Graph) mustBeLive() {
 	}
 }
 
+// MustBeFrozen guards the readers that walk adjacency rows: the live graph
+// keeps none, so caller (named in the panic) must be handed a snapshot.
+func (g *Graph) MustBeFrozen(caller string) {
+	if !g.frozen {
+		panic(caller + ": adjacency read of live graph (read a snapshot: Freeze)")
+	}
+}
+
+// index returns the snapshot's CSR index, panicking on a live graph.
+func (g *Graph) index() *csrIndex {
+	g.MustBeFrozen("graph")
+	return g.csr
+}
+
 // VerticesWithLabel returns the vertices carrying the given label, in id
 // order. The returned slice must not be modified.
 func (g *Graph) VerticesWithLabel(label Label) []VertexID { return g.byLabel[label] }
 
 // OutNeighbors appends to buf the destination vertices of v's outgoing
-// edges with the given label and returns the extended slice. On a frozen
-// graph this is one contiguous CSR row copy instead of an edge-list filter.
+// edges with the given label and returns the extended slice: one CSR row
+// copy on a snapshot.
 func (g *Graph) OutNeighbors(v VertexID, label Label, buf []VertexID) []VertexID {
-	if g.csr != nil {
-		return g.csr.rel(label, true).appendNbrs(v, buf)
-	}
-	for _, e := range g.out[v] {
-		if g.eLabel[e] == label {
-			buf = append(buf, g.eDst[e])
-		}
-	}
-	return buf
+	return g.index().rel(label, true).appendNbrs(v, buf)
 }
 
 // InNeighbors appends to buf the source vertices of v's incoming edges with
-// the given label and returns the extended slice. On a frozen graph this is
-// one contiguous CSR row copy instead of an edge-list filter.
+// the given label and returns the extended slice: one CSR row copy on a
+// snapshot.
 func (g *Graph) InNeighbors(v VertexID, label Label, buf []VertexID) []VertexID {
-	if g.csr != nil {
-		return g.csr.rel(label, false).appendNbrs(v, buf)
-	}
-	for _, e := range g.in[v] {
-		if g.eLabel[e] == label {
-			buf = append(buf, g.eSrc[e])
-		}
-	}
-	return buf
+	return g.index().rel(label, false).appendNbrs(v, buf)
 }
 
 // Stats summarizes the graph.
@@ -283,7 +265,8 @@ type Stats struct {
 	MaxInDegree   int
 }
 
-// Stats computes summary statistics.
+// Stats computes summary statistics from the edge columns, so it works on
+// a live graph and a snapshot alike.
 func (g *Graph) Stats() Stats {
 	st := Stats{
 		Vertices:      g.NumVertices(),
@@ -297,13 +280,14 @@ func (g *Graph) Stats() Stats {
 	for _, l := range g.eLabel {
 		st.EdgeByLabel[g.dict.Name(l)]++
 	}
-	for v := 0; v < st.Vertices; v++ {
-		if d := g.OutDegree(VertexID(v)); d > st.MaxOutDegree {
-			st.MaxOutDegree = d
-		}
-		if d := g.InDegree(VertexID(v)); d > st.MaxInDegree {
-			st.MaxInDegree = d
-		}
+	outDeg, inDeg := make([]int, st.Vertices), make([]int, st.Vertices)
+	for e, s := range g.eSrc {
+		outDeg[s]++
+		inDeg[g.eDst[e]]++
+	}
+	for v := range outDeg {
+		st.MaxOutDegree = max(st.MaxOutDegree, outDeg[v])
+		st.MaxInDegree = max(st.MaxInDegree, inDeg[v])
 	}
 	return st
 }
@@ -318,14 +302,19 @@ func (g *Graph) IsAcyclic(edgeFilter func(Label) bool) bool {
 // TopoOrder returns the vertices in a topological order of the edges whose
 // label passes the filter (nil filter means all edges): each edge's source
 // comes first. ok is false, and the order partial, when they hold a cycle.
+// It reads the edge columns through one transient counting sort by source
+// (sortedRows), so it runs on a live graph, which is how Validate checks
+// loads, recovery and replicated deltas.
 func (g *Graph) TopoOrder(edgeFilter func(Label) bool) (order []VertexID, ok bool) {
 	n := g.NumVertices()
+	var admit func(e int) bool
+	if edgeFilter != nil {
+		admit = func(e int) bool { return edgeFilter(g.eLabel[e]) }
+	}
+	rows := sortedRows(n, g.eSrc, g.eDst, admit)
 	indeg := make([]int32, n)
-	for e := 0; e < g.NumEdges(); e++ {
-		if edgeFilter != nil && !edgeFilter(g.eLabel[e]) {
-			continue
-		}
-		indeg[g.eDst[e]]++
+	for _, d := range rows.nbr {
+		indeg[d]++
 	}
 	order = make([]VertexID, 0, n)
 	for v := 0; v < n; v++ {
@@ -335,11 +324,8 @@ func (g *Graph) TopoOrder(edgeFilter func(Label) bool) (order []VertexID, ok boo
 	}
 	// Kahn's algorithm with order as its queue: order[i:] is ready, unvisited.
 	for i := 0; i < len(order); i++ {
-		for _, e := range g.Out(order[i]) {
-			if edgeFilter != nil && !edgeFilter(g.eLabel[e]) {
-				continue
-			}
-			d := g.eDst[e]
+		dsts, _ := rows.contiguousRow(order[i])
+		for _, d := range dsts {
 			if indeg[d]--; indeg[d] == 0 {
 				order = append(order, d)
 			}

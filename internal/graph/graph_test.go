@@ -54,18 +54,19 @@ func TestBasicAccessors(t *testing.T) {
 	if g.Src(e) != a || g.Dst(e) != b || g.EdgeLabel(e) != le {
 		t.Fatal("edge accessors wrong")
 	}
-	if g.OutDegree(a) != 1 || g.InDegree(b) != 1 || g.OutDegree(b) != 0 {
-		t.Fatal("degrees wrong")
-	}
 	if got := g.VerticesWithLabel(la); len(got) != 1 || got[0] != a {
 		t.Fatal("label index wrong")
 	}
+	fz := g.Freeze()
+	if len(fz.Out(a)) != 1 || len(fz.In(b)) != 1 || len(fz.Out(b)) != 0 {
+		t.Fatal("degrees wrong")
+	}
 	var buf []VertexID
-	buf = g.OutNeighbors(a, le, buf)
+	buf = fz.OutNeighbors(a, le, buf)
 	if len(buf) != 1 || buf[0] != b {
 		t.Fatal("OutNeighbors wrong")
 	}
-	buf = g.InNeighbors(b, le, buf[:0])
+	buf = fz.InNeighbors(b, le, buf[:0])
 	if len(buf) != 1 || buf[0] != a {
 		t.Fatal("InNeighbors wrong")
 	}

@@ -222,6 +222,40 @@ func (g *Graph) packTail(nv, ne int) {
 	g.vTail, g.eTail = nil, nil
 }
 
+// UnpackProps makes vertex v writable when a snapshot covers it: it moves
+// the packed properties back into per-element maps in fresh storage and
+// lowers the snapshot watermark to 0, so SetVertexProp and SetEdgeProp
+// accept every element again, in O(properties), and reports true. Below no
+// watermark it does nothing and reports false. Every snapshot taken so far
+// keeps its own packed prefix and sees no change. Only the library facade
+// calls it, never a writer whose snapshots serve readers.
+func (g *Graph) UnpackProps(v VertexID) bool {
+	g.mustBeLive()
+	if int(v) >= g.snapV {
+		return false
+	}
+	g.vTail, g.eTail = g.unpacked(true, g.vTail), g.unpacked(false, g.eTail)
+	g.props, g.packer = propStore{}, packer{}
+	g.snapV, g.snapE = 0, 0
+	return true
+}
+
+// unpacked returns one kind's packed runs as maps, followed by tail.
+func (g *Graph) unpacked(vertex bool, tail []Props) []Props {
+	r, _ := g.propRuns(vertex)
+	out := make([]Props, r.n, r.n+len(tail))
+	for i := range out {
+		g.eachProp(vertex, i, func(key string, val Value) bool {
+			if out[i] == nil {
+				out[i] = make(Props, g.propCount(vertex, i))
+			}
+			out[i][key] = val
+			return true
+		})
+	}
+	return append(out, tail...)
+}
+
 // propRuns returns the packed runs and the unfrozen tail of one element kind.
 func (g *Graph) propRuns(vertex bool) (*propRuns, []Props) {
 	if vertex {

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Epoch snapshots. The graph is append-only (provenance is immutable
 // history), so a consistent read view is fully described by a watermark
@@ -10,13 +13,13 @@ import "sort"
 //   - shares the immutable prefix of the live graph's columnar arrays
 //     (vertex/edge labels, endpoints, packed properties) via capped slice
 //     headers, so freezing copies headers, not the data itself, and
-//   - replaces the live per-vertex adjacency lists with a CSR
-//     (compressed-sparse-row) index of contiguous neighbor/edge-id rows:
-//     one block per direction over all edges, plus one per edge label.
+//   - indexes the edge columns as a CSR (compressed-sparse-row) index of
+//     contiguous neighbor/edge-id rows: one block per direction over all
+//     edges, plus one per edge label.
 //
-// A frozen graph answers every read the live graph does (the whole Graph
-// API works on it), but neighbor scans that previously filtered a mixed
-// edge list per call become contiguous slice reads. Mutations panic.
+// The live graph keeps no adjacency rows, so a snapshot is what every
+// reader walks: Out, In, the neighbor scans and the row accessors below
+// panic on a live graph. Mutations of a snapshot panic.
 //
 // Because the graph is append-only, the next epoch's index is the previous
 // one plus the delta: ExtendFrozen reuses the previous snapshot's rel
@@ -211,7 +214,7 @@ func (g *Graph) snapshotShell(nv, ne int) *Graph {
 }
 
 // Freeze returns an immutable snapshot of the graph with a CSR adjacency
-// index, fully rebuilt from the live adjacency. Freezing a frozen graph
+// index, fully rebuilt from the edge columns. Freezing a frozen graph
 // returns it unchanged.
 func (g *Graph) Freeze() *Graph {
 	if g.frozen {
@@ -458,35 +461,20 @@ func flattenRel(base *csrRel, ext *csrExt, nv int) *csrRel {
 	return r
 }
 
-// buildCSR constructs the full CSR index in two counting-sort passes: the
-// all-edge blocks first, then every label's blocks. Keeping the passes apart
-// keeps the scattered write streams of each loop few. Within a row, edges
-// appear in ascending id order, matching the live graph's insertion-ordered
-// lists. src is the graph whose adjacency is being indexed (the live graph;
-// the receiver is the snapshot under construction).
+// buildCSR constructs the full CSR index by counting sorts: one per
+// direction for the all-edge blocks (sortedRows), then one pass for every
+// label's blocks. Keeping the passes apart keeps the scattered write
+// streams of each loop few. Within a row, edges
+// appear in ascending id order (insertion order). src is the graph whose
+// edge columns are being indexed (the live graph; the receiver is the
+// snapshot under construction).
 func (g *Graph) buildCSR(src *Graph, nv, ne int) {
 	nl := src.dict.Len()
-	oa := &csrRel{off: make([]uint32, nv+1), nbr: make([]VertexID, ne), eid: make([]EdgeID, ne)}
-	ia := &csrRel{off: make([]uint32, nv+1), nbr: make([]VertexID, ne), eid: make([]EdgeID, ne)}
-	cs := &csrIndex{outAll: oa, inAll: ia, outRel: make([]*csrRel, nl), inRel: make([]*csrRel, nl)}
-
-	// All-edge blocks, backing Out(v)/In(v).
-	for e := 0; e < ne; e++ {
-		oa.off[src.eSrc[e]+1]++
-		ia.off[src.eDst[e]+1]++
-	}
-	for v := 0; v < nv; v++ {
-		oa.off[v+1] += oa.off[v]
-		ia.off[v+1] += ia.off[v]
-	}
-	outCur := append([]uint32(nil), oa.off...)
-	inCur := append([]uint32(nil), ia.off...)
-	for e := 0; e < ne; e++ {
-		s, d := src.eSrc[e], src.eDst[e]
-		oa.nbr[outCur[s]], oa.eid[outCur[s]] = d, EdgeID(e)
-		outCur[s]++
-		ia.nbr[inCur[d]], ia.eid[inCur[d]] = s, EdgeID(e)
-		inCur[d]++
+	cs := &csrIndex{
+		outAll: sortedRows(nv, src.eSrc[:ne], src.eDst[:ne], nil),
+		inAll:  sortedRows(nv, src.eDst[:ne], src.eSrc[:ne], nil),
+		outRel: make([]*csrRel, nl),
+		inRel:  make([]*csrRel, nl),
 	}
 
 	// Per-label CSR: count rows, prefix-sum, fill.
@@ -535,20 +523,38 @@ func (g *Graph) buildCSR(src *Graph, nv, ne int) {
 	g.csr = cs
 }
 
+// sortedRows counting-sorts the edges admit accepts (nil: every edge) by
+// their from endpoint into a contiguous block over nv vertices: row v holds
+// the to endpoints of v's edges, with their ids, in ascending edge id.
+func sortedRows(nv int, from, to []VertexID, admit func(e int) bool) *csrRel {
+	r := &csrRel{off: make([]uint32, nv+1)}
+	for e, v := range from {
+		if admit == nil || admit(e) {
+			r.off[v+1]++
+		}
+	}
+	for v := 0; v < nv; v++ {
+		r.off[v+1] += r.off[v]
+	}
+	r.nbr, r.eid = make([]VertexID, r.off[nv]), make([]EdgeID, r.off[nv])
+	next := slices.Clone(r.off[:nv])
+	for e, v := range from {
+		if admit == nil || admit(e) {
+			r.nbr[next[v]], r.eid[next[v]] = to[e], EdgeID(e)
+			next[v]++
+		}
+	}
+	return r
+}
+
 // FrozenNeighbors returns the CSR row for v's neighbors over edges with the
 // given label: destination endpoints of v's out-edges when out is true,
 // source endpoints of its in-edges otherwise, with eids holding the
 // matching edge ids in ascending order. On an incrementally extended
 // snapshot a row may span two epochs, in which case it is materialized into
-// fresh slices; either way the returned slices must not be modified. ok is
-// false when the graph is not frozen (callers fall back to scanning the
-// live adjacency lists).
-func (g *Graph) FrozenNeighbors(v VertexID, label Label, out bool) (nbrs []VertexID, eids []EdgeID, ok bool) {
-	if g.csr == nil {
-		return nil, nil, false
-	}
-	nbrs, eids = g.csr.rel(label, out).row(v)
-	return nbrs, eids, true
+// fresh slices; either way the returned slices must not be modified.
+func (g *Graph) FrozenNeighbors(v VertexID, label Label, out bool) (nbrs []VertexID, eids []EdgeID) {
+	return g.index().rel(label, out).row(v)
 }
 
 // NeighborRowSegs returns v's neighbor row for the label/direction as up to
@@ -556,25 +562,21 @@ func (g *Graph) FrozenNeighbors(v VertexID, label Label, out bool) (nbrs []Verte
 // sparse extension's slice, nil unless the block was incrementally
 // extended). Concatenated they equal FrozenNeighbors' nbrs — both segments
 // are in ascending edge-id order and every ext id is newer than every base
-// id — but nothing is materialized, which is what lets the Cypher planner
-// OR a row straight into a bitset without the per-row allocation
-// FrozenNeighbors pays on extended blocks. ok is false on live graphs.
-// Returned slices must not be modified.
-func (g *Graph) NeighborRowSegs(v VertexID, label Label, out bool) (base, ext []VertexID, ok bool) {
-	if g.csr == nil {
-		return nil, nil, false
-	}
-	r := g.csr.rel(label, out)
+// id — but nothing is materialized, which is what lets PgSeg walk a row in
+// place and the Cypher planner OR one straight into a bitset. Returned
+// slices must not be modified.
+func (g *Graph) NeighborRowSegs(v VertexID, label Label, out bool) (base, ext []VertexID) {
+	r := g.index().rel(label, out)
 	if r == nil {
-		return nil, nil, true
+		return nil, nil
 	}
 	if r.ext == nil {
 		base, _ = r.contiguousRow(v)
-		return base, nil, true
+		return base, nil
 	}
 	base, _ = r.base.contiguousRow(v)
 	ext, _ = r.ext.row(v)
-	return base, ext, true
+	return base, ext
 }
 
 // clone returns an independent copy of the dictionary whose reads are safe

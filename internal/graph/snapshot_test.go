@@ -35,9 +35,12 @@ func randomGraph(nv, ne int, seed int64) *Graph {
 	return g
 }
 
+// TestFreezeMatchesLive holds a full rebuild's rows to the live graph's
+// edge columns (columnRowsOf) and every other read to the live graph's.
 func TestFreezeMatchesLive(t *testing.T) {
 	g := randomGraph(200, 800, 1)
 	fz := g.Freeze()
+	rows := columnRowsOf(g)
 
 	if !fz.Frozen() || g.Frozen() {
 		t.Fatal("frozen flags wrong")
@@ -50,34 +53,28 @@ func TestFreezeMatchesLive(t *testing.T) {
 	eLabels := []Label{0, 1, 2, 3, 4, 5, 6} // includes labels with no edges
 	for v := 0; v < g.NumVertices(); v++ {
 		id := VertexID(v)
-		if got, want := fmt.Sprint(fz.Out(id)), fmt.Sprint(g.Out(id)); got != want {
+		if got, want := fmt.Sprint(fz.Out(id)), fmt.Sprint(rows.out[v]); got != want {
 			t.Fatalf("Out(%d): %s vs %s", v, got, want)
 		}
-		if got, want := fmt.Sprint(fz.In(id)), fmt.Sprint(g.In(id)); got != want {
+		if got, want := fmt.Sprint(fz.In(id)), fmt.Sprint(rows.in[v]); got != want {
 			t.Fatalf("In(%d): %s vs %s", v, got, want)
-		}
-		if fz.OutDegree(id) != g.OutDegree(id) || fz.InDegree(id) != g.InDegree(id) {
-			t.Fatalf("degree mismatch at %d", v)
 		}
 		if fz.VertexLabel(id) != g.VertexLabel(id) {
 			t.Fatalf("label mismatch at %d", v)
 		}
 		for _, l := range eLabels {
 			gotO := fz.OutNeighbors(id, l, nil)
-			wantO := g.OutNeighbors(id, l, nil)
+			wantO := rows.neighbors(g, id, l, true)
 			if fmt.Sprint(gotO) != fmt.Sprint(wantO) {
 				t.Fatalf("OutNeighbors(%d, %d): %v vs %v", v, l, gotO, wantO)
 			}
 			gotI := fz.InNeighbors(id, l, nil)
-			wantI := g.InNeighbors(id, l, nil)
+			wantI := rows.neighbors(g, id, l, false)
 			if fmt.Sprint(gotI) != fmt.Sprint(wantI) {
 				t.Fatalf("InNeighbors(%d, %d): %v vs %v", v, l, gotI, wantI)
 			}
 			// CSR rows carry matching (neighbor, edge id) pairs.
-			nbrs, eids, ok := fz.FrozenNeighbors(id, l, true)
-			if !ok {
-				t.Fatal("FrozenNeighbors not ok on frozen graph")
-			}
+			nbrs, eids := fz.FrozenNeighbors(id, l, true)
 			if len(nbrs) != len(eids) || len(nbrs) != len(wantO) {
 				t.Fatalf("CSR row shape at %d/%d", v, l)
 			}
@@ -111,13 +108,45 @@ func TestFreezeMatchesLive(t *testing.T) {
 		t.Fatal("dictionary snapshot mismatch")
 	}
 
-	// FrozenNeighbors on the live graph must report not-frozen.
-	if _, _, ok := g.FrozenNeighbors(0, 1, true); ok {
-		t.Fatal("live graph claimed a CSR index")
-	}
 	// Re-freezing is the identity.
 	if fz.Freeze() != fz {
 		t.Fatal("Freeze of frozen graph must be a no-op")
+	}
+}
+
+// TestLiveGraphKeepsNoRows: every adjacency reader panics on a live graph,
+// which keeps only its edge columns, and works on the graph's snapshot;
+// Stats and TopoOrder read the columns and work on both.
+func TestLiveGraphKeepsNoRows(t *testing.T) {
+	g := randomGraph(20, 60, 5)
+	readers := map[string]func(*Graph){
+		"Out":             func(g *Graph) { g.Out(0) },
+		"In":              func(g *Graph) { g.In(0) },
+		"OutNeighbors":    func(g *Graph) { g.OutNeighbors(0, 4, nil) },
+		"InNeighbors":     func(g *Graph) { g.InNeighbors(0, 4, nil) },
+		"FrozenNeighbors": func(g *Graph) { g.FrozenNeighbors(0, 4, true) },
+		"NeighborRowSegs": func(g *Graph) { g.NeighborRowSegs(0, 4, false) },
+		"EdgesWithLabel":  func(g *Graph) { g.EdgesWithLabel(4) },
+	}
+	fz := g.Freeze()
+	for name, read := range readers {
+		read(fz)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a live graph did not panic", name)
+				}
+			}()
+			read(g)
+		}()
+	}
+	if fmt.Sprint(g.Stats()) != fmt.Sprint(fz.Stats()) {
+		t.Fatalf("Stats: live %+v vs snapshot %+v", g.Stats(), fz.Stats())
+	}
+	lo, lok := g.TopoOrder(nil)
+	fo, fok := fz.TopoOrder(nil)
+	if fmt.Sprint(lo, lok) != fmt.Sprint(fo, fok) {
+		t.Fatal("TopoOrder differs between the live graph and its snapshot")
 	}
 }
 
@@ -244,7 +273,42 @@ func TestFreezeEmptyGraph(t *testing.T) {
 	if fz.NumVertices() != 0 || fz.NumEdges() != 0 {
 		t.Fatal("empty freeze not empty")
 	}
-	if _, _, ok := fz.FrozenNeighbors(0, 1, true); !ok {
-		t.Fatal("empty frozen graph must still report frozen")
+	if nbrs, eids := fz.FrozenNeighbors(0, 1, true); nbrs != nil || eids != nil {
+		t.Fatal("empty frozen graph has a row")
+	}
+}
+
+// TestUnpackPropsKeepsSnapshots: after UnpackProps every element is
+// writable again, every snapshot taken before it reads what it read, and
+// the next snapshot packs the new values.
+func TestUnpackPropsKeepsSnapshots(t *testing.T) {
+	g := randomGraph(50, 120, 9)
+	old := g.Freeze()
+	before := mustSaveBytes(old)
+	if g.UnpackProps(VertexID(g.NumVertices())) {
+		t.Fatal("UnpackProps unpacked for a vertex past the watermark")
+	}
+	if !g.UnpackProps(3) {
+		t.Fatal("UnpackProps did nothing for a vertex below the watermark")
+	}
+	g.SetVertexProp(3, "name", String("renamed"))
+	g.SetVertexProp(4, "extra", Int(7))
+	g.SetEdgeProp(2, "w", Int(-1))
+	if got := mustSaveBytes(old); string(got) != string(before) {
+		t.Fatal("a snapshot taken before UnpackProps changed")
+	}
+	next := g.Freeze()
+	for _, fz := range []*Graph{g, next} {
+		if fz.VertexProp(3, "name").AsString() != "renamed" || fz.VertexProp(4, "extra") != Int(7) || fz.EdgeProp(2, "w") != Int(-1) {
+			t.Fatalf("frozen=%v: the writes after UnpackProps are not read back", fz.Frozen())
+		}
+		for v := 5; v < g.NumVertices(); v++ {
+			if fz.VertexProp(VertexID(v), "name") != old.VertexProp(VertexID(v), "name") {
+				t.Fatalf("frozen=%v: vertex %d lost its name", fz.Frozen(), v)
+			}
+		}
+	}
+	if PropMapsHeld(g) != 0 {
+		t.Fatalf("the freeze after UnpackProps left %d maps", PropMapsHeld(g))
 	}
 }

@@ -4,11 +4,8 @@ package graph
 // the snapshot's out-block (every edge has one out- and one in-occurrence,
 // so the count serves both directions). The count is exact on full and
 // extended snapshots alike, so the Cypher planner can order labels and
-// price pattern anchors without touching a row. It is 0 on a live graph
-// and for a label the snapshot does not know.
+// price pattern anchors without touching a row. It is 0 for a label the
+// snapshot does not know.
 func (g *Graph) EdgesWithLabel(l Label) int {
-	if g.csr == nil {
-		return 0
-	}
-	return g.csr.rel(l, true).edges()
+	return g.index().rel(l, true).edges()
 }

@@ -18,11 +18,6 @@ func countEdgesByLabel(g *Graph) []int {
 func TestDegreeStatsFreeze(t *testing.T) {
 	g := randomGraph(200, 800, 11)
 	want := countEdgesByLabel(g)
-	for l := range want {
-		if got := g.EdgesWithLabel(Label(l)); got != 0 {
-			t.Fatalf("live graph: EdgesWithLabel(%d) = %d, want 0", l, got)
-		}
-	}
 	fz := g.Freeze()
 	if fz.NumVertices() != 200 || fz.NumEdges() != 800 {
 		t.Fatalf("snapshot totals = (%d,%d), want (200,800)", fz.NumVertices(), fz.NumEdges())
@@ -84,11 +79,8 @@ func TestNeighborRowSegs(t *testing.T) {
 			id := VertexID(v)
 			for l := 0; l < fz.Dict().Len(); l++ {
 				for _, out := range []bool{true, false} {
-					wantN, _, _ := fz.FrozenNeighbors(id, Label(l), out)
-					base, ext, ok := fz.NeighborRowSegs(id, Label(l), out)
-					if !ok {
-						t.Fatal("NeighborRowSegs not ok on frozen graph")
-					}
+					wantN, _ := fz.FrozenNeighbors(id, Label(l), out)
+					base, ext := fz.NeighborRowSegs(id, Label(l), out)
 					got := append(append([]VertexID{}, base...), ext...)
 					if fmt.Sprint(got) != fmt.Sprint(wantN) {
 						t.Fatalf("v=%d l=%d out=%v: segs %v+%v != row %v", v, l, out, base, ext, wantN)
@@ -107,9 +99,4 @@ func TestNeighborRowSegs(t *testing.T) {
 		}
 		check(t, fz)
 	})
-	// Live graphs report not-ok rather than guessing.
-	live := randomGraph(5, 5, 1)
-	if _, _, ok := live.NeighborRowSegs(0, 0, true); ok {
-		t.Fatal("NeighborRowSegs ok on live graph")
-	}
 }

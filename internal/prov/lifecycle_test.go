@@ -43,7 +43,7 @@ func TestWrapRecorderResumesLifecycle(t *testing.T) {
 		t.Fatalf("new snapshot version = %d; want 3", ver)
 	}
 	var derived []graph.VertexID
-	derived = rc2.P.PG().OutNeighbors(v3, rc2.P.RelLabel(RelDeriv), derived)
+	derived = rc2.P.Freeze().PG().OutNeighbors(v3, rc2.P.RelLabel(RelDeriv), derived)
 	if len(derived) != 1 || derived[0] != v2 {
 		t.Fatalf("new snapshot derives from %v; want [%v]", derived, v2)
 	}

@@ -327,9 +327,6 @@ func (p *Graph) ancestryDescends(from int) bool {
 	return true
 }
 
-// Frozen reports whether this graph is an immutable snapshot.
-func (p *Graph) Frozen() bool { return p.g.Frozen() }
-
 // KindLabel returns the graph label for a vertex kind.
 func (p *Graph) KindLabel(k Kind) graph.Label { return p.kindLabels[k] }
 
@@ -458,6 +455,9 @@ func (p *Graph) Activities() []graph.VertexID {
 func (p *Graph) Agents() []graph.VertexID {
 	return p.g.VerticesWithLabel(p.kindLabels[KindAgent])
 }
+
+// The neighbor helpers below read a snapshot's rows (Freeze); on a live
+// graph, which keeps none, they panic.
 
 // GeneratorsOf appends to buf the activities that generated entity e
 // (targets of e's G out-edges).

@@ -87,7 +87,8 @@ func TestValidateDetectsCycle(t *testing.T) {
 }
 
 func TestAdjacencyHelpers(t *testing.T) {
-	p, vs := buildChain(t)
+	live, vs := buildChain(t)
+	p := live.Freeze()
 	d, a1, m := vs[1], vs[2], vs[3]
 	var buf []graph.VertexID
 	if buf = p.GeneratorsOf(m, buf[:0]); len(buf) != 1 || buf[0] != a1 {
@@ -116,10 +117,10 @@ func TestOrderOfBeing(t *testing.T) {
 	for _, g := range []*Graph{p, p.Freeze()} {
 		rank, ok := g.OrderOfBeing()
 		if !ok || !rank.IsID() || rank.Of(vs[3]) != int32(vs[3]) || rank.At(int32(vs[1])) != vs[1] {
-			t.Fatalf("frozen=%v: id-monotone graph: ok=%v, rank is the id: %v", g.Frozen(), ok, rank.IsID())
+			t.Fatalf("frozen=%v: id-monotone graph: ok=%v, rank is the id: %v", g.g.Frozen(), ok, rank.IsID())
 		}
 		if n := testing.AllocsPerRun(10, func() { g.OrderOfBeing() }); n != 0 || g.being.Load() != nil && g.being.Load() != idRank {
-			t.Fatalf("frozen=%v: id-monotone graph: %v allocs per call, memo %v", g.Frozen(), n, g.being.Load())
+			t.Fatalf("frozen=%v: id-monotone graph: %v allocs per call, memo %v", g.g.Frozen(), n, g.being.Load())
 		}
 	}
 
@@ -136,17 +137,17 @@ func TestOrderOfBeing(t *testing.T) {
 	for _, g := range []*Graph{q, fz} {
 		rank, ok := g.OrderOfBeing()
 		if !ok || rank.IsID() {
-			t.Fatalf("frozen=%v: out-of-order graph: ok=%v, rank is the id: %v", g.Frozen(), ok, rank.IsID())
+			t.Fatalf("frozen=%v: out-of-order graph: ok=%v, rank is the id: %v", g.g.Frozen(), ok, rank.IsID())
 		}
 		for i := int32(0); int(i) < g.NumVertices(); i++ {
 			if rank.Of(rank.At(i)) != i {
-				t.Fatalf("frozen=%v: At and Of disagree at rank %d", g.Frozen(), i)
+				t.Fatalf("frozen=%v: At and Of disagree at rank %d", g.g.Frozen(), i)
 			}
 		}
 		for e := 0; e < g.NumEdges(); e++ {
 			id := graph.EdgeID(e)
 			if r := g.RelOf(id); (r == RelUsed || r == RelGen) && rank.Of(g.PG().Src(id)) <= rank.Of(g.PG().Dst(id)) {
-				t.Fatalf("frozen=%v: ancestry edge %d does not descend in rank", g.Frozen(), e)
+				t.Fatalf("frozen=%v: ancestry edge %d does not descend in rank", g.g.Frozen(), e)
 			}
 		}
 	}
@@ -184,7 +185,7 @@ func TestOrderOfBeing(t *testing.T) {
 	c.WasGeneratedBy(e, a)
 	for _, g := range []*Graph{c, c.Freeze()} {
 		if _, ok := g.OrderOfBeing(); ok {
-			t.Fatalf("frozen=%v: an ancestry cycle has an order of being", g.Frozen())
+			t.Fatalf("frozen=%v: an ancestry cycle has an order of being", g.g.Frozen())
 		}
 	}
 }

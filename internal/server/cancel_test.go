@@ -25,9 +25,11 @@ import (
 func TestQueryStopsWhenClientHangsUp(t *testing.T) {
 	p := gen.Pd(gen.PdConfig{N: 40, Seed: 1})
 	src, dst := gen.DefaultQuery(p)
-	hangUpMidRequest(t, NewServer(NewStore(p, 0)), "/query",
+	st := NewStore(p, 0)
+	hangUpMidRequest(t, NewServer(st), "/query",
 		QueryRequest{Query: cypher.Query1(src, dst)},
 		func() { time.Sleep(150 * time.Millisecond) })
+	hangUpCounted(t, st, "/query")
 }
 
 // TestSegmentStopsWhenClientHangsUp: a client hangs up in the middle of an
@@ -175,6 +177,7 @@ func TestSummarizeByteBudget(t *testing.T) {
 // request gets the reply, byte for byte, that a fresh store over p gives.
 func hangUpLeftNoTrace(t *testing.T, p *prov.Graph, st *Store, path string, body any) {
 	t.Helper()
+	hangUpCounted(t, st, path)
 	if n := st.Metrics().Cache.Entries; n != 0 {
 		t.Errorf("%s: the cache holds %d entries after the hang-up, want none", path, n)
 	}
@@ -191,6 +194,18 @@ func hangUpLeftNoTrace(t *testing.T, p *prov.Graph, st *Store, path string, body
 	t.Logf("%s after the hang-up: status %d, %d bytes", path, got.Code, got.Body.Len())
 	if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 		t.Errorf("%s after the hang-up: status %d, %d bytes; a fresh store: status %d, %d bytes", path, got.Code, got.Body.Len(), want.Code, want.Body.Len())
+	}
+}
+
+// hangUpCounted checks the /metrics panel of path's endpoint after one
+// request its client hung up on: it counts as canceled (status 499), not as
+// a client error, and wrote no body to the closed connection.
+func hangUpCounted(t *testing.T, st *Store, path string) {
+	t.Helper()
+	es := st.Metrics().Endpoints[strings.TrimPrefix(path, "/")]
+	if es.Canceled != 1 || es.ClientErr != 0 || es.ResponseBytes != 0 {
+		t.Errorf("%s: the hang-up counts %d canceled and %d client errors and wrote %d body bytes; want 1, 0 and 0",
+			path, es.Canceled, es.ClientErr, es.ResponseBytes)
 	}
 }
 

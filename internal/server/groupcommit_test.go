@@ -62,6 +62,36 @@ func forEachPipeline(t *testing.T, fn func(t *testing.T, shape string, policy wa
 	}
 }
 
+// holdCommits parks s's committer before each commit group until the test
+// releases one (s.commitHold <- struct{}{}). It registers closeFn, which
+// shuts s down, with t.Cleanup, and after it a cleanup that keeps releasing
+// groups until closeFn has returned. Cleanups run last-registered first, so
+// the release runs before closeFn: a test that fails while a group is held
+// still closes instead of waiting on the parked committer until the test
+// binary's timeout.
+func holdCommits(t *testing.T, s *Store, closeFn func() error) {
+	t.Helper()
+	s.commitHold = make(chan struct{})
+	closed := make(chan struct{})
+	t.Cleanup(func() {
+		defer close(closed)
+		if err := closeFn(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	t.Cleanup(func() {
+		go func() {
+			for {
+				select {
+				case s.commitHold <- struct{}{}:
+				case <-closed:
+					return
+				}
+			}
+		}()
+	})
+}
+
 // stageWriters launches n concurrent Update calls against s — writer w
 // applies op(w, rec) — and returns once all are staged (one held by the
 // committer via commitHold, n-1 queued). done receives each writer's result.
@@ -110,8 +140,7 @@ func TestGroupCommitOneFsyncPerGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	s.commitHold = make(chan struct{})
+	holdCommits(t, s, s.Close)
 
 	done := make(chan error, k)
 	stageWriters(t, s, k, done, snapshotOp)
@@ -312,9 +341,8 @@ func TestGroupCommitCheckpointDrain(t *testing.T) {
 	const k = 4
 	forEachPipeline(t, func(t *testing.T, shape string, policy wal.SyncPolicy) {
 		pl := openPipeline(t, shape, policy, t.TempDir())
-		defer pl.close()
 		s := pl.stores[0]
-		s.commitHold = make(chan struct{})
+		holdCommits(t, s, pl.close)
 		done := make(chan error, k)
 		stageWriters(t, s, k, done, snapshotOp)
 

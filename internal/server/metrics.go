@@ -59,6 +59,7 @@ func (s *Store) Metrics() StoreMetrics {
 			OK:            em.classes[classOK].Load(),
 			ClientErr:     em.classes[class4xx].Load(),
 			ServerErr:     em.classes[class5xx].Load(),
+			Canceled:      em.classes[classCanceled].Load(),
 			ResponseBytes: em.respBytes.Load(),
 		}
 		// The total after the classes: it is bumped at routing and they at
@@ -218,8 +219,8 @@ var promCatalogue = []promFamily{
 	{"provd_graph_edges", "Edges in the current snapshot.", "gauge", perStore, func(r promRow, e emitFn) { e(float64(r.Edges)) }, nil},
 	{"provd_uptime_seconds", "Store uptime.", "gauge", perStore, func(r promRow, e emitFn) { e(float64(r.UptimeMillis) / 1e3) }, nil},
 	{"provd_requests_routed_total", "Requests routed to the store, per endpoint (bumped before the handler runs).", "counter", perEndpoint, func(r promRow, e emitFn) { e(float64(r.endpoint().Total)) }, nil},
-	{"provd_requests_total", "Completed requests per endpoint and status class.", "counter", perEndpoint, func(r promRow, e emitFn) {
-		split(e, "class", []string{"2xx", "4xx", "5xx"}, r.endpoint().OK, r.endpoint().ClientErr, r.endpoint().ServerErr)
+	{"provd_requests_total", "Completed requests per endpoint and status class (canceled: the client hung up first).", "counter", perEndpoint, func(r promRow, e emitFn) {
+		split(e, "class", []string{"2xx", "4xx", "5xx", "canceled"}, r.endpoint().OK, r.endpoint().ClientErr, r.endpoint().ServerErr, r.endpoint().Canceled)
 	}, nil},
 	{"provd_http_response_bytes_total", "Response body bytes written by completed requests, per endpoint.", "counter", perEndpoint, func(r promRow, e emitFn) { e(float64(r.endpoint().ResponseBytes)) }, nil},
 	{"provd_request_latency_seconds", "Request completion latency per endpoint.", "histogram", perEndpoint, nil, func(r promRow) *obs.HistogramSnapshot { return &r.EndpointLatency[r.i] }},

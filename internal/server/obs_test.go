@@ -129,7 +129,7 @@ func TestQoSRejectionObservability(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		ep := st.Metrics().Endpoints["stats"]
-		if ep.Total == totalStats && ep.Total == ep.OK+ep.ClientErr+ep.ServerErr && ep.Latency.Count == totalStats {
+		if ep.Total == totalStats && ep.Total == ep.OK+ep.ClientErr+ep.ServerErr+ep.Canceled && ep.Latency.Count == totalStats {
 			if ep.OK != 1 || ep.ClientErr != rejects+1 {
 				t.Fatalf("stats classes: %+v, want 1 OK / %d client errors", ep, rejects+1)
 			}
@@ -258,7 +258,7 @@ func TestObservabilityHammer(t *testing.T) {
 					// across the panel, and no endpoint shows more
 					// completions than routed requests.
 					for ep, es := range m.Endpoints {
-						if m.Requests[ep] != es.Total || es.OK+es.ClientErr+es.ServerErr > es.Total {
+						if m.Requests[ep] != es.Total || es.OK+es.ClientErr+es.ServerErr+es.Canceled > es.Total {
 							t.Errorf("%s: /metrics %s: requests %d, endpoint panel %+v", name, ep, m.Requests[ep], es)
 						}
 					}
@@ -284,7 +284,7 @@ func TestObservabilityHammer(t *testing.T) {
 			eps := st.Metrics().Endpoints
 			ok := true
 			for _, ep := range eps {
-				if ep.Total != ep.OK+ep.ClientErr+ep.ServerErr || ep.Total != ep.Latency.Count {
+				if ep.Total != ep.OK+ep.ClientErr+ep.ServerErr+ep.Canceled || ep.Total != ep.Latency.Count {
 					ok = false
 				}
 			}

@@ -175,8 +175,7 @@ func TestBackpressureRejectsBeforeMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	s.commitHold = make(chan struct{})
+	holdCommits(t, s, s.Close)
 
 	done := make(chan error, 3)
 	stageWriters(t, s, 3, done, snapshotOp) // 1 held by the committer + 2 staged
@@ -231,9 +230,8 @@ func TestIngestBackpressureHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close()
 	st := reg.Default()
-	st.commitHold = make(chan struct{})
+	holdCommits(t, st, reg.Close)
 	ts := httptest.NewServer(NewMultiServerWith(reg, Options{}))
 	defer ts.Close()
 

@@ -160,7 +160,7 @@ func TestReplyColumn(t *testing.T) {
 // TestReplyColumnFootprint: the column built by a first read of a Pd graph
 // is no larger than the whole-graph reply plus 4 B per vertex and edge id.
 func TestReplyColumnFootprint(t *testing.T) {
-	p := gen.Pd(gen.PdConfig{N: 3000, Seed: 1})
+	p := gen.Pd(gen.PdConfig{N: 3000, Seed: 1}).Freeze()
 	seg := wholeSegment(p, nil)
 	col := newReplyColumn()
 	var reply tally
@@ -227,7 +227,7 @@ func BenchmarkReplyColumnBuild(b *testing.B) {
 	if testing.Short() {
 		n = 2000
 	}
-	seg := wholeSegment(gen.Pd(gen.PdConfig{N: n, Seed: 1}), nil)
+	seg := wholeSegment(gen.Pd(gen.PdConfig{N: n, Seed: 1}).Freeze(), nil)
 	col := newReplyColumn()
 	col.covering(seg)
 	b.SetBytes(int64(heldBytes(col)))

@@ -377,7 +377,7 @@ func TestKillReplayGroupCommit(t *testing.T) {
 	if !rcv.Fresh {
 		t.Fatalf("fresh store: %+v", rcv)
 	}
-	victim.commitHold = make(chan struct{})
+	holdCommits(t, victim, victim.Close)
 
 	// Each round stages writersK concurrent batches (via the shared
 	// stageWriters helper) and releases them as one commit group. Batch
@@ -539,7 +539,7 @@ func TestKillReplayCoalescedMultiStore(t *testing.T) {
 		if !rcv.Fresh {
 			t.Fatalf("store %s: %+v", name, rcv)
 		}
-		s.commitHold = make(chan struct{})
+		holdCommits(t, s, s.Close)
 		victims[i] = s
 	}
 

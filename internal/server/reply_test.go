@@ -109,8 +109,7 @@ func diffSegmentReply(t *testing.T, tag string, col *replyColumn, seg *core.Segm
 }
 
 // diffNamedSegments diffs the reply for a segment of entities with the given
-// names, rendered from the live graph and from its frozen snapshot, each
-// through a column of its own.
+// names, rendered uncached and cached, each through a column of its own.
 func diffNamedSegments(t *testing.T, tag string, names ...string) {
 	t.Helper()
 	p := prov.New()
@@ -118,8 +117,9 @@ func diffNamedSegments(t *testing.T, tag string, names ...string) {
 	for _, name := range names {
 		vs = append(vs, p.NewEntity(name))
 	}
-	diffSegmentReply(t, tag+" (live)", newReplyColumn(), core.NewSegment(p, vs), false, "")
-	diffSegmentReply(t, tag+" (frozen)", newReplyColumn(), core.NewSegment(p.Freeze(), vs), true, "")
+	fz := p.Freeze()
+	diffSegmentReply(t, tag+" (uncached)", newReplyColumn(), core.NewSegment(fz, vs), false, "")
+	diffSegmentReply(t, tag+" (cached)", newReplyColumn(), core.NewSegment(fz, vs), true, "")
 }
 
 // writeSizes keeps what is written to it and the size of each Write.
@@ -255,7 +255,7 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	}
 
 	// Arrays that are empty are omitted, as omitempty does.
-	empty := core.NewSegment(prov.New(), nil)
+	empty := core.NewSegment(prov.New().Freeze(), nil)
 	diffSegmentReply(t, "empty segment", newReplyColumn(), empty, false, "")
 	diffNamedSegments(t, "one vertex", "only")
 
@@ -346,15 +346,18 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 
 	// An element that crosses the flush threshold by 1…8 bytes (and by every
 	// other amount up to its own size): its word stores land in the slack.
-	strad := prov.New()
-	var vs []graph.VertexID
-	for i := 0; i < replyFlushBytes/40; i++ {
-		vs = append(vs, strad.NewEntity("v"))
+	straddle := func(pad int) *core.Segment {
+		p := prov.New()
+		var vs []graph.VertexID
+		for i := 0; i < replyFlushBytes/40; i++ {
+			vs = append(vs, p.NewEntity("v"))
+		}
+		p.PG().SetVertexProp(vs[0], prov.PropName, graph.String(strings.Repeat("p", pad)))
+		return core.NewSegment(p.Freeze(), vs)
 	}
-	seg := core.NewSegment(strad, vs)
 	over := map[int]bool{}
 	for pad := 1; pad <= 64; pad++ {
-		strad.PG().SetVertexProp(vs[0], prov.PropName, graph.String(strings.Repeat("p", pad)))
+		seg := straddle(pad)
 		var got writeSizes
 		if err := writeSegmentJSON(&got, newReplyColumn(), seg, false, ""); err != nil {
 			t.Fatal(err)
@@ -389,10 +392,11 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	}
 	blank := rec.P.NewEntity("x")
 	rec.P.PG().SetVertexProp(blank, prov.PropName, graph.String(""))
-	all := core.NewSegment(rec.P, append(ents, blank, rec.P.Agents()[0], rec.P.Activities()[0]))
+	hostile := rec.P.Freeze()
+	all := core.NewSegment(hostile, append(ents, blank, rec.P.Agents()[0], rec.P.Activities()[0]))
 	diffSegmentReply(t, "hostile names", newReplyColumn(), all, false, "")
 	diffSegmentReply(t, "hostile names dot", newReplyColumn(), all, false, segmentDOT(t, all))
-	acts := core.NewSegment(rec.P, append(rec.P.Activities(), ents...))
+	acts := core.NewSegment(hostile, append(rec.P.Activities(), ents...))
 	psg, err = core.Summarize([]*core.Segment{acts}, core.SumOptions{K: core.Aggregation{Activity: []string{prov.PropCommand}, Entity: []string{prov.PropName}}})
 	if err != nil {
 		t.Fatal(err)
@@ -640,7 +644,7 @@ func (w *failAfter) Write(p []byte) (int, error) {
 // the end — the writer returns at the flush that failed, makes no further
 // Write, and hands its buffer back to the pool.
 func TestReplyStopsAtFirstFailedFlush(t *testing.T) {
-	p := gen.Pd(gen.PdConfig{N: 3000, Seed: 3})
+	p := gen.Pd(gen.PdConfig{N: 3000, Seed: 3}).Freeze()
 	src, dst := gen.DefaultQuery(p)
 	seg, err := core.NewEngine(p, core.Options{}).Segment(core.Query{Src: src, Dst: dst})
 	if err != nil {
@@ -843,7 +847,7 @@ func BenchmarkSegmentReply(b *testing.B) {
 // BenchmarkSummarizeReply is the encode of a two-segment Pd-2000 summary
 // (the solve is core's BenchmarkSummarizePd).
 func BenchmarkSummarizeReply(b *testing.B) {
-	p := gen.Pd(gen.PdConfig{N: 2000, Seed: 1})
+	p := gen.Pd(gen.PdConfig{N: 2000, Seed: 1}).Freeze()
 	var segs []*core.Segment
 	for _, rank := range []int{0, 10} {
 		src, dst := gen.QueryAtRank(p, rank)

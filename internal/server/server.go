@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -424,6 +425,24 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// statusClientClosed is the status recorded for a request whose client
+// hung up before the reply (nginx's 499): nothing is written to the closed
+// connection, and /metrics counts it as canceled, not as a client error.
+const statusClientClosed = 499
+
+// writeQueryErr answers an operator error of op with queryErrCode's status
+// and an error body, or, when the client hung up (the request's context is
+// canceled), records statusClientClosed and writes nothing.
+func writeQueryErr(w http.ResponseWriter, err error, op string) {
+	if !errors.Is(err, context.Canceled) {
+		writeErr(w, queryErrCode(err), "%s: %v", op, err)
+		return
+	}
+	if sw, ok := w.(*statusWriter); ok {
+		sw.status = statusClientClosed
+	}
+}
+
 // queryErrCode maps an operator error to an HTTP status.
 func queryErrCode(err error) int {
 	switch {
@@ -457,7 +476,7 @@ func (s *Server) handleSegment(st *Store, w http.ResponseWriter, r *http.Request
 	ep := st.Epoch()
 	seg, cached, err := st.segmentAt(core.NewWork(r.Context()), ep, q, opts, !req.NoCache)
 	if err != nil {
-		writeErr(w, queryErrCode(err), "segment: %v", err)
+		writeQueryErr(w, err, "segment")
 		return
 	}
 	writeSegmentReply(w, ep, seg, cached, format)
@@ -518,7 +537,7 @@ func (s *Server) handleAdjust(st *Store, w http.ResponseWriter, r *http.Request)
 	ep := st.Epoch()
 	seg, cached, err := st.adjustAt(core.NewWork(r.Context()), ep, q, opts, excl, exps)
 	if err != nil {
-		writeErr(w, queryErrCode(err), "adjust: %v", err)
+		writeQueryErr(w, err, "adjust")
 		return
 	}
 	writeSegmentReply(w, ep, seg, cached, format)
@@ -584,7 +603,7 @@ func (s *Server) handleSummarize(st *Store, w http.ResponseWriter, r *http.Reque
 	}
 	psg, err := st.summarizeAt(core.NewWork(r.Context()), queries, core.Options{}, sumOpts)
 	if err != nil {
-		writeErr(w, queryErrCode(err), "summarize: %v", err)
+		writeQueryErr(w, err, "summarize")
 		return
 	}
 	var dot strings.Builder
@@ -625,7 +644,7 @@ func (s *Server) handleQuery(st *Store, w http.ResponseWriter, r *http.Request) 
 	ep := st.Epoch()
 	res, err := st.cypherAt(r.Context(), ep, req.Query, opts)
 	if err != nil {
-		writeErr(w, queryErrCode(err), "query: %v", err)
+		writeQueryErr(w, err, "query")
 		return
 	}
 	writeJSON(w, http.StatusOK, encodeResult(ep.P, res))

@@ -266,11 +266,13 @@ var endpointNames = [...]string{
 
 // Status-class indices of endpointMetrics.classes. Informational and
 // redirect statuses count as success — the split exists to make error
-// rates observable.
+// rates observable. A request whose client hung up (statusClientClosed) is
+// neither a client nor a server error: it is canceled.
 const (
-	classOK  = 0 // < 400
-	class4xx = 1
-	class5xx = 2
+	classOK       = 0 // < 400
+	class4xx      = 1
+	class5xx      = 2
+	classCanceled = 3
 )
 
 // endpointMetrics is one endpoint's per-store counters: total requests
@@ -278,7 +280,7 @@ const (
 // requests, and the completion latency histogram.
 type endpointMetrics struct {
 	total     atomic.Uint64
-	classes   [3]atomic.Uint64
+	classes   [4]atomic.Uint64
 	respBytes atomic.Uint64
 	lat       obs.Histogram
 }
@@ -286,6 +288,8 @@ type endpointMetrics struct {
 // statusClass maps an HTTP status to its counter index.
 func statusClass(status int) int {
 	switch {
+	case status == statusClientClosed:
+		return classCanceled
 	case status >= 500:
 		return class5xx
 	case status >= 400:
@@ -405,6 +409,7 @@ type EndpointStats struct {
 	OK            uint64             `json:"2xx"`
 	ClientErr     uint64             `json:"4xx"`
 	ServerErr     uint64             `json:"5xx"`
+	Canceled      uint64             `json:"canceled"`
 	ResponseBytes uint64             `json:"response_bytes"`
 	Latency       obs.LatencySummary `json:"latency"`
 }

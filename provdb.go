@@ -34,6 +34,7 @@ package provdb
 import (
 	"context"
 	"io"
+	"sync"
 
 	"repro/internal/bitmap"
 	"repro/internal/core"
@@ -152,6 +153,25 @@ var (
 // Graph is a provenance graph with lifecycle-recording conveniences.
 type Graph struct {
 	rec *prov.Recorder
+
+	// Queries read snap, the newest snapshot of rec.P, which the first read
+	// after a write extends under mu. A Segment keeps the snapshot it was
+	// solved on, properties included: a later SetProp reaches neither it
+	// nor PgSum over it, which aggregates what the segment saw.
+	mu   sync.Mutex
+	snap *prov.Graph
+}
+
+// snapshot returns the newest snapshot of the graph, extending the last
+// one by what was written since (prov.Graph.ExtendFrozen).
+func (g *Graph) snapshot() *prov.Graph {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	p := g.rec.P
+	if g.snap == nil || g.snap.NumVertices() != p.NumVertices() || g.snap.NumEdges() != p.NumEdges() {
+		g.snap, _ = p.ExtendFrozen(g.snap)
+	}
+	return g.snap
 }
 
 // New returns an empty provenance graph.
@@ -210,6 +230,13 @@ func (g *Graph) Version(artifact string, n int) (VertexID, bool) { return g.rec.
 
 // SetProp sets a vertex property.
 func (g *Graph) SetProp(v VertexID, key string, val Value) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	// Below a snapshot's watermark properties are packed: unpack them
+	// (O(properties), once) and let the next read take a fresh snapshot.
+	if g.rec.P.PG().UnpackProps(v) {
+		g.snap = nil
+	}
 	g.rec.P.PG().SetVertexProp(v, key, val)
 }
 
@@ -230,23 +257,23 @@ func (g *Graph) Segment(q Query) (*Segment, error) {
 
 // SegmentWith evaluates a PgSeg query with explicit solver options.
 func (g *Graph) SegmentWith(q Query, opts SegmentOptions) (*Segment, error) {
-	return core.NewEngine(g.rec.P, opts).Segment(q)
+	return core.NewEngine(g.snapshot(), opts).Segment(q)
 }
 
 // NewSegment builds a segment from an explicit vertex set (externally
 // delimited slices enter PgSum this way).
 func (g *Graph) NewSegment(vertices []VertexID) *Segment {
-	return core.NewSegment(g.rec.P, vertices)
+	return core.NewSegment(g.snapshot(), vertices)
 }
 
 // AdjustExclude applies extra exclusion boundaries to a cached segment.
 func (g *Graph) AdjustExclude(s *Segment, b Boundary) *Segment {
-	return core.NewEngine(g.rec.P, SegmentOptions{}).AdjustExclude(s, b)
+	return core.NewEngine(g.snapshot(), SegmentOptions{}).AdjustExclude(s, b)
 }
 
 // AdjustExpand grows a cached segment by an expansion specification.
 func (g *Graph) AdjustExpand(s *Segment, ex Expansion) (*Segment, error) {
-	return core.NewEngine(g.rec.P, SegmentOptions{}).AdjustExpand(s, ex)
+	return core.NewEngine(g.snapshot(), SegmentOptions{}).AdjustExpand(s, ex)
 }
 
 // Summarize evaluates PgSum over a set of segments.
@@ -269,7 +296,7 @@ type CypherResult = cypher.Result
 // Cypher evaluates a query in the supported Cypher subset (the paper's
 // Neo4j baseline; exponential on variable-length path joins).
 func (g *Graph) Cypher(query string, opts CypherOptions) (*CypherResult, error) {
-	return cypher.NewProvEvaluator(g.rec.P, opts).Run(context.Background(), query)
+	return cypher.NewProvEvaluator(g.snapshot(), opts).Run(context.Background(), query)
 }
 
 // --- persistence & interchange ---
@@ -313,7 +340,11 @@ func GeneratePd(cfg PdConfig) *Graph { return wrap(gen.Pd(cfg)) }
 // (paper Sec. V(b)).
 func GenerateSd(cfg SdConfig) (*Graph, []*Segment) {
 	p, segs := gen.Sd(cfg)
-	return wrap(p), segs
+	g := wrap(p)
+	if len(segs) > 0 {
+		g.snap = segs[0].P
+	}
+	return g, segs
 }
 
 // DefaultPdQuery returns the paper's most challenging query on a Pd graph:

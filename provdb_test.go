@@ -2,7 +2,9 @@ package provdb_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	provdb "repro"
@@ -285,5 +287,152 @@ func TestPdSdGenerators(t *testing.T) {
 	if psg.CompactionRatio() > pcr {
 		t.Errorf("PgSum (cr=%.3f) should compact at least as well as pSum (cr=%.3f)",
 			psg.CompactionRatio(), pcr)
+	}
+}
+
+// quarantined is a property-filtered boundary: it excludes every vertex
+// whose "quarantined" property is true.
+var quarantined = provdb.Boundary{VertexFilters: []provdb.VertexFilter{
+	func(p *prov.Graph, v provdb.VertexID) bool {
+		b, _ := p.PG().VertexProp(v, "quarantined").BoolVal()
+		return !b
+	},
+}}
+
+// TestSetPropAfterSegment: a SetProp on a vertex an earlier Segment covered
+// reaches Prop and the next property-filtered Segment, which both equal a
+// graph that had the property from the start, while the earlier segment
+// keeps the properties of the snapshot it was solved on.
+func TestSetPropAfterSegment(t *testing.T) {
+	g, names := provdb.Fig2Lifecycle()
+	q := provdb.Fig2Q1(names)
+	before, err := g.Segment(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := names["update-v2"]
+	if !before.Contains(v) {
+		t.Fatal("Q1 does not cover update-v2: the write would not be below the snapshot")
+	}
+	g.SetProp(v, "quarantined", provdb.Bool(true))
+
+	ref, refNames := provdb.Fig2Lifecycle()
+	ref.SetProp(refNames["update-v2"], "quarantined", provdb.Bool(true))
+
+	if got, want := g.Prop(v, "quarantined"), ref.Prop(refNames["update-v2"], "quarantined"); got != want || got != provdb.Bool(true) {
+		t.Fatalf("Prop after the write = %v, a graph that had it from the start reads %v", got, want)
+	}
+	fq, rq := q, provdb.Fig2Q1(refNames)
+	fq.Boundary.VertexFilters, rq.Boundary.VertexFilters = quarantined.VertexFilters, quarantined.VertexFilters
+	got, err := g.Segment(fq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Segment(rq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Contains(v) {
+		t.Error("the filtered Segment kept the quarantined vertex")
+	}
+	if !slices.Equal(got.Vertices, want.Vertices) || !slices.Equal(got.Edges, want.Edges) || !slices.Equal(got.Rules, want.Rules) {
+		t.Errorf("filtered Segment after the write: %v, from the start: %v", got.Vertices, want.Vertices)
+	}
+	if !before.P.PG().VertexProp(v, "quarantined").IsZero() {
+		t.Error("the segment solved before the write sees the write")
+	}
+
+	// A snapshot the facade does not hold (here one taken through Prov)
+	// covers the vertex too: SetProp still writes it, and reads see it.
+	h, hNames := provdb.Fig2Lifecycle()
+	h.Prov().Freeze()
+	h.SetProp(hNames["update-v2"], "quarantined", provdb.Bool(true))
+	if got := h.Prop(hNames["update-v2"], "quarantined"); got != provdb.Bool(true) {
+		t.Fatalf("Prop after a write below a snapshot taken through Prov = %v", got)
+	}
+	hq := provdb.Fig2Q1(hNames)
+	hq.Boundary.VertexFilters = quarantined.VertexFilters
+	hseg, err := h.Segment(hq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(hseg.Vertices, want.Vertices) || !slices.Equal(hseg.Edges, want.Edges) {
+		t.Errorf("filtered Segment after a write below a snapshot taken through Prov: %v, from the start: %v", hseg.Vertices, want.Vertices)
+	}
+}
+
+// TestConcurrentReadsAfterWrite: the first reads after a write refresh the
+// facade's snapshot; eight goroutines doing so at once (run it under -race)
+// all get the answers of a sequential read.
+func TestConcurrentReadsAfterWrite(t *testing.T) {
+	g := provdb.GeneratePd(provdb.PdConfig{N: 400, Seed: 3})
+	src, dst := provdb.DefaultPdQuery(g)
+	if _, err := g.Segment(provdb.Query{Src: src, Dst: dst}); err != nil {
+		t.Fatal(err)
+	}
+	_, outs := g.Run("carol", "retrain", dst, []string{"weights-late"})
+	q := provdb.Query{Src: src, Dst: outs}
+	const text = "match (a:A)-[:S]->(u:U) return id(a), id(u)"
+	type answer struct {
+		vertices []provdb.VertexID
+		rows     int
+	}
+	read := func() (answer, error) {
+		seg, err := g.Segment(q)
+		if err != nil {
+			return answer{}, err
+		}
+		res, err := g.Cypher(text, provdb.CypherOptions{})
+		if err != nil {
+			return answer{}, err
+		}
+		return answer{seg.Vertices, len(res.Rows)}, nil
+	}
+	got := make([]answer, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = read()
+		}()
+	}
+	wg.Wait()
+	want, err := read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(want.vertices, outs[0]) {
+		t.Fatal("the sequential Segment does not see the write")
+	}
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		if !slices.Equal(got[i].vertices, want.vertices) || got[i].rows != want.rows {
+			t.Errorf("goroutine %d: %d vertices, %d rows; sequential %d, %d", i, len(got[i].vertices), got[i].rows, len(want.vertices), want.rows)
+		}
+	}
+}
+
+// TestAdjustExpandAfterWrite: a segment solved before a write, grown by an
+// expansion around what the write added, renders the added activity and its
+// edges: the adjusted segment is over the snapshot the expansion read.
+func TestAdjustExpandAfterWrite(t *testing.T) {
+	g, names := provdb.Fig2Lifecycle()
+	seg, err := g.Segment(provdb.Fig2Q1(names))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, outs := g.Run("Alice", "evaluate", []provdb.VertexID{names["weight-v2"]}, []string{"score"})
+	adj, err := g.AdjustExpand(seg, provdb.Expansion{Within: outs, K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	adj.Render(&b)
+	if !adj.Contains(eval) || !strings.Contains(b.String(), "evaluate -[U]-> weights-v2") {
+		t.Fatalf("the expansion around the new output is missing from\n%s", b.String())
 	}
 }

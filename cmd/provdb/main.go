@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -136,14 +137,23 @@ func cmdStats(args []string) error {
 	}
 	st := g.Prov().PG().Stats()
 	fmt.Printf("vertices: %d  edges: %d\n", st.Vertices, st.Edges)
-	for label, count := range st.VertexByLabel {
-		fmt.Printf("  vertex %-6s %d\n", label, count)
-	}
-	for label, count := range st.EdgeByLabel {
-		fmt.Printf("  edge   %-6s %d\n", label, count)
-	}
+	printCounts("vertex", st.VertexByLabel)
+	printCounts("edge", st.EdgeByLabel)
 	fmt.Printf("max out-degree: %d  max in-degree: %d\n", st.MaxOutDegree, st.MaxInDegree)
 	return nil
+}
+
+// printCounts prints one line per label, in label order (ranging over the
+// map would print a different order on every run).
+func printCounts(kind string, counts map[string]int) {
+	labels := make([]string, 0, len(counts))
+	for l := range counts {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels)
+	for _, l := range labels {
+		fmt.Printf("  %-6s %-6s %d\n", kind, l, counts[l])
+	}
 }
 
 func cmdSeg(args []string) error {

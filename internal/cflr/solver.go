@@ -107,7 +107,7 @@ type Solver struct {
 }
 
 // NewSolver prepares a solver over a snapshot (graph.Freeze: it walks the
-// Out/In rows, which a live graph does not keep); the grammar must be in
+// per-label rows, which a live graph does not keep); the grammar must be in
 // normal form.
 func NewSolver(pg *graph.Graph, gr *Grammar, opts Options) (*Solver, error) {
 	if !gr.IsNormalForm() {
@@ -155,19 +155,7 @@ func (s *Solver) edgeOK(e graph.EdgeID) bool {
 func (s *Solver) termOut(v graph.VertexID, t Terminal, buf []graph.VertexID) []graph.VertexID {
 	switch t.Kind {
 	case TermEdge:
-		if !t.Inverse {
-			for _, e := range s.g.Out(v) {
-				if s.g.EdgeLabel(e) == t.Label && s.edgeOK(e) && s.vertexOK(s.g.Dst(e)) {
-					buf = append(buf, s.g.Dst(e))
-				}
-			}
-		} else {
-			for _, e := range s.g.In(v) {
-				if s.g.EdgeLabel(e) == t.Label && s.edgeOK(e) && s.vertexOK(s.g.Src(e)) {
-					buf = append(buf, s.g.Src(e))
-				}
-			}
-		}
+		return s.termEdge(v, t, !t.Inverse, buf)
 	case TermVertexLabel:
 		if s.g.VertexLabel(v) == t.Label && s.vertexOK(v) {
 			buf = append(buf, v)
@@ -185,21 +173,21 @@ func (s *Solver) termOut(v graph.VertexID, t Terminal, buf []graph.VertexID) []g
 func (s *Solver) termIn(u graph.VertexID, t Terminal, buf []graph.VertexID) []graph.VertexID {
 	switch t.Kind {
 	case TermEdge:
-		if !t.Inverse {
-			for _, e := range s.g.In(u) {
-				if s.g.EdgeLabel(e) == t.Label && s.edgeOK(e) && s.vertexOK(s.g.Src(e)) {
-					buf = append(buf, s.g.Src(e))
-				}
-			}
-		} else {
-			for _, e := range s.g.Out(u) {
-				if s.g.EdgeLabel(e) == t.Label && s.edgeOK(e) && s.vertexOK(s.g.Dst(e)) {
-					buf = append(buf, s.g.Dst(e))
-				}
-			}
-		}
+		return s.termEdge(u, t, t.Inverse, buf)
 	case TermVertexLabel, TermVertexToken:
 		return s.termOut(u, t, buf)
+	}
+	return buf
+}
+
+// termEdge appends the far ends of v's edges labeled t.Label that pass the
+// filters: its out-row's targets when out, its in-row's sources otherwise.
+func (s *Solver) termEdge(v graph.VertexID, t Terminal, out bool, buf []graph.VertexID) []graph.VertexID {
+	nbrs, eids := s.g.Rows(t.Label, out).Row(v)
+	for i, e := range eids {
+		if s.edgeOK(e) && s.vertexOK(nbrs[i]) {
+			buf = append(buf, nbrs[i])
+		}
 	}
 	return buf
 }

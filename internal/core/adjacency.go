@@ -12,21 +12,23 @@ import (
 //
 // It is the only code in the package that reads relation rows. The graph is
 // always a snapshot (NewEngine and NewSegment refuse a live one), so every
-// row is a CSR row: the per-relation walks (closures, the VC2 runners, VC3,
-// expansion) are written once against row() — or neighbors(), its copying
-// form; VC4 and the induced edges read no relation rows at all but each
-// segment vertex's mixed Out row once (inducedEdges), applying the same
-// relation exclusions and filters. With no programmatic filters (the
-// common case — the serving layer's cacheable queries carry only
-// relation-type exclusions) row hands out the CSR segments themselves and
-// the read-only walks (closures, VC3) iterate them in place. An excluded
-// relation returns before any row is touched, so its CSR block is never
-// read.
+// row is a per-relation CSR row, read through the relation's block, which
+// newAdjacency resolves once: the per-relation walks (closures, the VC2
+// runners, VC3, expansion) are written once against row() — or
+// neighbors(), its copying form; VC4 and the induced edges read each
+// segment vertex's out-rows of the relations its kind can have
+// (inducedEdges), applying the same relation exclusions and filters. With
+// no programmatic filters (the common case — the serving layer's cacheable
+// queries carry only relation-type exclusions) row hands out the CSR
+// segments themselves and the read-only walks (closures, VC3) iterate them
+// in place. An excluded relation returns before any row is touched, so its
+// CSR block is never read.
 type adjacency struct {
 	p        *prov.Graph
 	vFilters []VertexFilter
 	eFilters []EdgeFilter
 	relOK    [8]bool
+	blocks   [prov.RelDeriv + 1][2]graph.Rows // by prov.Rel and direction (1: out-rows)
 	// plain marks a boundary with no programmatic vertex/edge filters, so
 	// vertexOK is constant-true and edgeOK reduces to the relation mask.
 	plain bool
@@ -57,6 +59,11 @@ func newAdjacency(p *prov.Graph, b Boundary) *adjacency {
 	}
 	for i := range ad.relOK {
 		ad.relOK[i] = true
+	}
+	for r := range ad.blocks {
+		for d := range ad.blocks[r] {
+			ad.blocks[r][d] = p.PG().Rows(p.RelLabel(prov.Rel(r)), d == 1)
+		}
 	}
 	for _, r := range b.ExcludeRels {
 		ad.relOK[r] = false
@@ -105,12 +112,12 @@ func (ad *adjacency) row(v graph.VertexID, rel prov.Rel, out bool, buf *[]graph.
 		return nil, nil
 	}
 	ad.rows[rel][dir(out)]++
-	label := ad.p.RelLabel(rel)
+	rows := ad.blocks[rel][dir(out)]
 	if ad.plain {
-		return ad.p.PG().NeighborRowSegs(v, label, out)
+		return rows.Segs(v)
 	}
 	n := len(*buf)
-	nbrs, eids := ad.p.PG().FrozenNeighbors(v, label, out)
+	nbrs, eids := rows.Row(v)
 	for i, e := range eids {
 		if ad.edgeFiltersOK(e) && ad.vertexOK(nbrs[i]) {
 			*buf = append(*buf, nbrs[i])
@@ -172,15 +179,36 @@ func (e *Engine) AncestryClosure(seeds []graph.VertexID, b Boundary, forward boo
 	return e.ancestryClosure(seeds, newAdjacency(e.P, b), forward)
 }
 
-// Ancestry relations by the kind of the vertex a closure pops (prov.AddRel
-// types every edge, so no other row of that vertex can be non-empty). Toward
-// ancestors (out-rows) an entity has G and D, an activity U; toward
-// descendants (in-rows) an entity has U and D, an activity G. An agent is
-// never reached. D comes last so VC1ExcludeDerivations can cut it off.
+// The relations a walk reads, by the kind of the vertex it is at (index 0
+// an entity, 1 an activity), all read off prov's schema (kindRels): an
+// entity's ancestry rows (out-rows) are G and D, an activity's U; its
+// descendant rows (in-rows) U and D, an activity's G; outRels adds the rows
+// that end at an agent (an entity's A, an activity's S), which VC4 reads.
+// prov.AddRel types every edge, so no other row of the vertex can be
+// non-empty, and an agent is never reached. D comes last (it is the last
+// Rel) so VC1ExcludeDerivations can cut it off.
 var (
-	ancestorRels   = [2][]prov.Rel{{prov.RelGen, prov.RelDeriv}, {prov.RelUsed}}
-	descendantRels = [2][]prov.Rel{{prov.RelUsed, prov.RelDeriv}, {prov.RelGen}}
+	ancestorRels   = [2][]prov.Rel{kindRels(prov.KindEntity, true, false), kindRels(prov.KindActivity, true, false)}
+	descendantRels = [2][]prov.Rel{kindRels(prov.KindEntity, false, false), kindRels(prov.KindActivity, false, false)}
+	outRels        = [2][]prov.Rel{kindRels(prov.KindEntity, true, true), kindRels(prov.KindActivity, true, true)}
 )
+
+// kindRels lists, in Rel order, the relations whose edges leave (out) or
+// enter a vertex of kind k (prov.Rel.Endpoints), without those whose far
+// end is an agent unless agents is set.
+func kindRels(k prov.Kind, out, agents bool) []prov.Rel {
+	var rels []prov.Rel
+	for r := prov.Rel(0); r <= prov.RelDeriv; r++ {
+		near, far := r.Endpoints()
+		if !out {
+			near, far = far, near
+		}
+		if near == k && (agents || far != prov.KindAgent) {
+			rels = append(rels, r)
+		}
+	}
+	return rels
+}
 
 // closureRels returns the relations a closure follows out of an entity and
 // out of an activity, toward ancestors when forward.

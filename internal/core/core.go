@@ -319,7 +319,7 @@ func (e *Engine) SegmentWork(w *Work, q Query) (*Segment, error) {
 
 // induce assembles the segment from VC1 and VC2: the query vertices, VC3
 // siblings, expansions, then VC4 agents and the induced edges in one walk of
-// the segment's Out rows (inducedEdges), rule attribution and the support
+// the segment's out-rows (inducedEdges), rule attribution and the support
 // set (grown from the closures' union).
 func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset) *Segment {
 	seg := &Segment{
@@ -370,7 +370,7 @@ func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset
 	}
 
 	// VC4 (agents of every included vertex, reached by non-excluded S or A
-	// edges) and the induced edges, in one walk of the Out rows.
+	// edges) and the induced edges, in one walk of the out-rows.
 	seg.Edges = ad.inducedEdges(seg.vset, func(u graph.VertexID) { addV(u, RuleC4) })
 
 	// Support set: the closures already bound every VC1/VC2 derivation; add
@@ -403,34 +403,56 @@ func setToVertices(vs *bitmap.Bitset) []graph.VertexID {
 }
 
 // inducedEdges returns ES, every non-excluded edge with both endpoints in
-// vs, in id order, from the Out rows of vs. With addAgent set it also forms
-// VC4: an agent enters a segment only as the target of an S or A edge, so
-// such an edge adds its target (unless the boundary excludes it) and is
-// kept; every other edge's endpoints are in vs before the walk, and an
-// agent's Out row is empty, so adding agents to vs mid-walk changes nothing
+// vs, in id order, from the out-rows of vs (outRels). With addAgent set it
+// also forms VC4: an agent enters a segment only as the target of an S or A
+// edge, so such an edge adds its target (unless the boundary excludes it)
+// and is kept; every other edge's endpoints are in vs before the walk, and
+// an agent has no out-rows, so adding agents to vs mid-walk changes nothing
 // the walk reads. Without addAgent (AdjustExpand, NewSegment) an S or A
 // edge is kept like any other, if its target is already in vs. The walk
 // meets the edges grouped by source; marking them in a pooled edge-id
 // bitset puts them in id order with no sort. Reading the marks back stops at
 // the last one and removes each, so the bitset returns to the pool empty: a
-// call costs the Out rows of vs, at most E/64 word reads and no allocation
+// call costs the out-rows of vs, at most E/64 word reads and no allocation
 // beyond the result.
 func (ad *adjacency) inducedEdges(vs *bitmap.Bitset, addAgent func(graph.VertexID)) []graph.EdgeID {
-	g := ad.p.PG()
+	// The admitted out-relations of each kind, with their blocks; toAgent
+	// marks a row that ends at an agent (S, A), whose targets join VC4.
+	type relRows struct {
+		rows    graph.Rows
+		toAgent bool
+	}
+	var kindRows [2][3]relRows // up to len(outRels[k]) each
+	var nRows [2]int
+	for k, rels := range outRels {
+		for _, r := range rels {
+			if ad.relOK[r] {
+				_, dst := r.Endpoints()
+				kindRows[k][nRows[k]] = relRows{ad.blocks[r][1], addAgent != nil && dst == prov.KindAgent}
+				nRows[k]++
+			}
+		}
+	}
 	marks := edgeMarks.Get().(*bitmap.Bitset)
 	vs.Iterate(func(x uint32) bool {
-		for _, eid := range g.Out(graph.VertexID(x)) {
-			r := ad.p.RelOf(eid)
-			if !ad.relOK[r] || !ad.edgeFiltersOK(eid) {
-				continue
+		k := 1
+		if ad.p.IsKind(graph.VertexID(x), prov.KindEntity) {
+			k = 0
+		}
+		rels := kindRows[k][:nRows[k]]
+		for _, rr := range rels {
+			nbrs, eids := rr.rows.Row(graph.VertexID(x))
+			for i, eid := range eids {
+				if !ad.edgeFiltersOK(eid) {
+					continue
+				}
+				if dst := nbrs[i]; rr.toAgent && ad.vertexOK(dst) {
+					addAgent(dst)
+				} else if !vs.Contains(uint32(dst)) {
+					continue
+				}
+				marks.Add(uint32(eid))
 			}
-			dst := g.Dst(eid)
-			if addAgent != nil && (r == prov.RelAssoc || r == prov.RelAttr) && ad.vertexOK(dst) {
-				addAgent(dst)
-			} else if !vs.Contains(uint32(dst)) {
-				continue
-			}
-			marks.Add(uint32(eid))
 		}
 		return true
 	})

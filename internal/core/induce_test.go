@@ -13,11 +13,11 @@ import (
 )
 
 // TestInduceMatchesRowOracle holds Segment — closures that read only the
-// rows a vertex's kind can have, VC4 and ES from one walk of the segment's
-// Out rows, put in id order by an edge bitset — to the row oracle
-// (rows_oracle_test.go), which reads every ancestry row of every closure
-// vertex, the S and A rows of every segment vertex, then the Out row of
-// every segment vertex and sorts: Vertices, Rules, Edges and Support() must
+// rows a vertex's kind can have, VC4 and ES from one walk of the out-rows
+// the segment vertices' kinds can have, put in id order by an edge bitset —
+// to the row oracle (rows_oracle_test.go), which reads every ancestry row of
+// every closure vertex, the S and A rows of every segment vertex, then scans
+// the edge columns: Vertices, Rules, Edges and Support() must
 // be reflect.DeepEqual. The inputs are Pd-2000 (two queries), an Sd graph
 // queried segment by segment and Pd-2000 under permuted ids, each on both
 // row layouts (Layouts), under relation exclusions, a vertex filter that

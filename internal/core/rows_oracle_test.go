@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/bitmap"
 	"repro/internal/graph"
 	"repro/internal/prov"
@@ -10,10 +8,10 @@ import (
 
 // The row oracle is PgSeg's induce step as it ran before the closures took
 // their relations from the popped vertex's kind and before VC4 and the
-// induced edges became one walk of the Out rows: each closure step reads
+// induced edges became one walk of the out-rows: each closure step reads
 // all three ancestry rows (U, G and, unless disabled, D), VC4 reads the S
-// and A out-rows of every segment vertex, and ES walks every segment
-// vertex's mixed Out row, then sorts. It assumes nothing of the PROV
+// and A out-rows of every segment vertex, and ES scans the edge columns for
+// the edges with both ends in the segment. It assumes nothing of the PROV
 // schema, so TestInduceMatchesRowOracle holds the production walks to it.
 
 // RowOracleSegment is Segment by the row oracle, every stage serial on the
@@ -146,17 +144,15 @@ func (e *Engine) rowOracleInduce(q Query, ad *adjacency, vc1, vc2, support *bitm
 	return seg
 }
 
-// rowOracleEdges is ES by the segment vertices' Out rows, then a sort.
+// rowOracleEdges is ES by a scan of the edge columns.
 func rowOracleEdges(p *prov.Graph, vs *bitmap.Bitset, ad *adjacency) []graph.EdgeID {
 	var out []graph.EdgeID
 	g := p.PG()
-	for _, v := range setToVertices(vs) {
-		for _, eid := range g.Out(v) {
-			if vs.Contains(uint32(g.Dst(eid))) && ad.edgeOK(eid) {
-				out = append(out, eid)
-			}
+	for e := 0; e < g.NumEdges(); e++ {
+		eid := graph.EdgeID(e)
+		if vs.Contains(uint32(g.Src(eid))) && vs.Contains(uint32(g.Dst(eid))) && ad.edgeOK(eid) {
+			out = append(out, eid)
 		}
 	}
-	slices.Sort(out)
 	return out
 }

@@ -792,8 +792,8 @@ func TestTstClassesAgree(t *testing.T) {
 		lc := newSiblingLifecycle(seed)
 		sibs, other := lc.sibs, lc.other
 		var sib1Gen graph.EdgeID
-		for _, e := range lc.p.Freeze().PG().Out(sibs[1]) {
-			if lc.p.RelOf(e) == prov.RelGen {
+		for e := graph.EdgeID(0); int(e) < lc.p.NumEdges(); e++ {
+			if lc.p.PG().Src(e) == sibs[1] && lc.p.RelOf(e) == prov.RelGen {
 				sib1Gen = e
 			}
 		}

@@ -310,10 +310,11 @@ func allIn(xs []uint32, set map[uint32]bool) bool {
 
 // TestSweepArenaFootprint guards the sweep's scratch: a wide two-destination
 // label-only query on a frozen graph allocates, in steady state, only what
-// it returns (the VC2 bitset and the per-query constants) — the windows,
-// recorded rows and run lists come from the pool. Measured 265 B/op on
-// Pd-300, 470-560 B/op on Pd-2000 and 3-7 KB/op on Pd-20000 (the pool's
-// refill after each GC, amortized over the run), where the sweep's word
+// it returns (the VC2 bitset and the per-query constants, the relation
+// blocks its adjacency resolves among them) — the windows, recorded rows
+// and run lists come from the pool. Measured 472 B/op on Pd-300, 715 B/op
+// on Pd-2000 and 5 KB/op on Pd-20000 (the pool's refill after each GC,
+// amortized over the run), where the sweep's word
 // slabs took ~60 KB and the width-of-the-bound arenas before them 22 KB,
 // 0.5 MB and ~20 MB per op.
 func TestSweepArenaFootprint(t *testing.T) {

@@ -3,6 +3,7 @@ package cypher_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,6 +159,59 @@ func TestEvalTimeout(t *testing.T) {
 	}
 	if !errors.Is(err, cypher.ErrTimeout) {
 		t.Fatalf("got %v, want ErrTimeout", err)
+	}
+}
+
+// TestTimeoutCoversRowLoops: the deadline holds past enumeration. On Pd-50,
+// Query 1 returning both paths has the planner enumerate its 291k candidate
+// rows in about a second, then spends some 5.5 s in the second WHERE (52k
+// rows survive; 2 vCPUs). The row loops (WHERE, WITH, RETURN) poll the
+// deadline as the DFS does, so the evaluation ends within a poll of Timeout:
+// stopped with ErrTimeout and no rows, or, on a host fast enough to finish
+// inside Timeout, with every row. An evaluator whose row loops ignore the
+// deadline returns every row some 18 s after the start.
+func TestTimeoutCoversRowLoops(t *testing.T) {
+	p := gen.Pd(gen.PdConfig{N: 50, Seed: 1}).Freeze()
+	src, dst := gen.DefaultQuery(p)
+	q := strings.Replace(cypher.Query1(src, dst), "return p2", "return p1, p2", 1)
+	const timeout = 3 * time.Second
+	start := time.Now()
+	res, err := cypher.NewProvEvaluator(p, cypher.Options{Timeout: timeout}).Run(context.Background(), q)
+	took := time.Since(start)
+	switch {
+	case errors.Is(err, cypher.ErrTimeout):
+		if res != nil {
+			t.Fatalf("a timed-out evaluation returned %d rows", len(res.Rows))
+		}
+	case err != nil:
+		t.Fatalf("got %v after %v, want rows or ErrTimeout", err, took)
+	}
+	if took > 2*timeout { // a poll every 4096 rows, each ~20 µs (more under -race)
+		t.Fatalf("ended %v after the start (err %v), Timeout is %v", took, err, timeout)
+	}
+}
+
+// TestAndOrDecideLeft: AND and OR evaluate their right operand only when
+// the left does not decide the result. labels(id(e)) fails wherever it is
+// evaluated, so the first two queries succeed only because it never is,
+// and the third shows it is evaluated when it must be.
+func TestAndOrDecideLeft(t *testing.T) {
+	p := gen.Pd(gen.PdConfig{N: 30, Seed: 1}).Freeze()
+	ev := cypher.NewProvEvaluator(p, cypher.Options{})
+	for q, want := range map[string]int{
+		"match (e:E) where id(e) <> id(e) and labels(id(e)) = 1 return e": 0,
+		"match (e:E) where id(e) = id(e) or labels(id(e)) = 1 return e":   len(p.Entities()),
+	} {
+		res, err := ev.Run(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) != want {
+			t.Fatalf("%s: %d rows, want %d", q, len(res.Rows), want)
+		}
+	}
+	if _, err := ev.Run(context.Background(), "match (e:E) where id(e) = id(e) and labels(id(e)) = 1 return e"); err == nil {
+		t.Fatal("an AND whose left holds did not evaluate its right operand")
 	}
 }
 

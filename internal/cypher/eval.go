@@ -128,11 +128,11 @@ type Evaluator struct {
 	done  <-chan struct{} // the evaluation's context's Done (nil: never)
 	ctx   context.Context
 	steps uint64
-	rows  uint64 // per-label CSR rows read (NeighborRowSegs, FrozenNeighbors)
 
-	// naive turns planning off (the DFS over the mixed Out/In rows): the
-	// oracle the planner's tests hold it to, and the baseline CypherVC2
-	// times. Nothing else sets it.
+	// naive turns planning off: planPattern stands down, and the DFS
+	// enumerates every path the rows give, unpruned. It is the oracle the
+	// planner's tests hold it to, and the baseline CypherVC2 times. Nothing
+	// else sets it.
 	naive bool
 }
 
@@ -203,6 +203,9 @@ func (ev *Evaluator) Eval(ctx context.Context, q *Query) (*Result, error) {
 	}
 	res := &Result{}
 	for _, r := range rows {
+		if err := ev.stepBudget(); err != nil {
+			return nil, err
+		}
 		proj := make([]Value, 0, len(q.Return))
 		for _, e := range q.Return {
 			v, err := ev.evalExpr(e, r)
@@ -226,8 +229,9 @@ func (ev *Evaluator) checkBudget(n int) error {
 	return nil
 }
 
-// steps counts traversal work between context checks so exponential DFS
-// expansion cannot outrun the timeout.
+// stepBudget counts work — DFS steps, and rows filtered, carried or
+// projected — between context checks, so neither an exponential expansion
+// nor a large binding table outruns the deadline.
 func (ev *Evaluator) stepBudget() error {
 	ev.steps++
 	if ev.steps&0xfff != 0 {
@@ -253,6 +257,9 @@ func (ev *Evaluator) stopped() error {
 func (ev *Evaluator) evalWith(c WithClause, rows []row) ([]row, error) {
 	out := make([]row, 0, len(rows))
 	for _, r := range rows {
+		if err := ev.stepBudget(); err != nil {
+			return nil, err
+		}
 		nr := make(row, len(c.Vars))
 		for _, v := range c.Vars {
 			val, ok := r[v]
@@ -277,8 +284,9 @@ func (ev *Evaluator) evalMatch(c MatchClause, rows []row) ([]row, error) {
 	cur := rows
 	for _, pat := range c.Patterns {
 		var next []row
+		blocks := ev.patternRows(pat)
 		for _, r := range cur {
-			expanded, err := ev.expandPattern(pat, r, seeds)
+			expanded, err := ev.expandPattern(pat, blocks, r, seeds)
 			if err != nil {
 				return nil, err
 			}
@@ -294,6 +302,9 @@ func (ev *Evaluator) evalMatch(c MatchClause, rows []row) ([]row, error) {
 	}
 	out := cur[:0:0]
 	for _, r := range cur {
+		if err := ev.stepBudget(); err != nil {
+			return nil, err
+		}
 		v, err := ev.evalExpr(c.Where, r)
 		if err != nil {
 			return nil, err
@@ -344,10 +355,11 @@ func mineIDConstraints(e Expr) map[string][]graph.VertexID {
 }
 
 // expandPattern enumerates all bindings of one path pattern compatible with
-// an existing row. The planner's prune sets (plan.go) cut enumeration
-// branches that provably cannot complete; the surviving
-// rows and their order are identical to the unplanned DFS.
-func (ev *Evaluator) expandPattern(pat PathPattern, base row, seeds map[string][]graph.VertexID) ([]row, error) {
+// an existing row, reading each relationship's blocks (patternRows). The
+// planner's prune sets (plan.go) cut enumeration branches that provably
+// cannot complete; the surviving rows and their order are identical to the
+// unplanned DFS.
+func (ev *Evaluator) expandPattern(pat PathPattern, blocks [][2][]graph.Rows, base row, seeds map[string][]graph.VertexID) ([]row, error) {
 	var out []row
 
 	plan := ev.planPattern(pat, base, seeds)
@@ -460,17 +472,10 @@ func (ev *Evaluator) expandPattern(pat PathPattern, base row, seeds map[string][
 			edgesAcc = edgesAcc[:len(edgesAcc)-1]
 			return err
 		}
-		if rp.Dir == DirRight || rp.Dir == DirBoth {
-			if err := ev.iterRelEdges(cur, rp, true, step); err != nil {
-				return err
-			}
+		if err := ev.iterRelEdges(cur, blocks[ni][0], step); err != nil {
+			return err
 		}
-		if rp.Dir == DirLeft || rp.Dir == DirBoth {
-			if err := ev.iterRelEdges(cur, rp, false, step); err != nil {
-				return err
-			}
-		}
-		return nil
+		return ev.iterRelEdges(cur, blocks[ni][1], step)
 	}
 
 	for _, v := range cands {
@@ -575,35 +580,53 @@ func (ev *Evaluator) evalExpr(e Expr, r row) (Value, error) {
 		if list.Kind != KindList {
 			return Value{}, fmt.Errorf("cypher: extract over non-list")
 		}
-		out := Value{Kind: KindList}
+		// Each item binds x in r itself, and r gets its own binding of x
+		// (or none) back before extract returns: no value evalExpr returns
+		// refers to the table, so no copy of it is needed.
+		prev, bound := r[x.Var]
+		out := Value{Kind: KindList, L: make([]Value, 0, len(list.L))}
 		for _, item := range list.L {
-			nr := r.clone()
-			nr[x.Var] = item
-			v, err := ev.evalExpr(x.Body, nr)
-			if err != nil {
-				return Value{}, err
+			r[x.Var] = item
+			var v Value
+			if v, err = ev.evalExpr(x.Body, r); err != nil {
+				break
 			}
 			out.L = append(out.L, v)
+		}
+		if bound {
+			r[x.Var] = prev
+		} else {
+			delete(r, x.Var)
+		}
+		if err != nil {
+			return Value{}, err
 		}
 		return out, nil
 	}
 	return Value{}, fmt.Errorf("cypher: unsupported expression %T", e)
 }
 
+// evalBinary evaluates a binary operator. AND and OR evaluate their right
+// operand only when the left does not decide the result, so a WHERE
+// conjunction costs a row that fails its first conjunct only that conjunct.
 func (ev *Evaluator) evalBinary(x BinaryExpr, r row) (Value, error) {
 	l, err := ev.evalExpr(x.L, r)
 	if err != nil {
 		return Value{}, err
+	}
+	switch {
+	case x.Op == "AND" && !truthy(l):
+		return Value{Kind: KindBool}, nil
+	case x.Op == "OR" && truthy(l):
+		return Value{Kind: KindBool, B: true}, nil
 	}
 	rv, err := ev.evalExpr(x.R, r)
 	if err != nil {
 		return Value{}, err
 	}
 	switch x.Op {
-	case "AND":
-		return Value{Kind: KindBool, B: truthy(l) && truthy(rv)}, nil
-	case "OR":
-		return Value{Kind: KindBool, B: truthy(l) || truthy(rv)}, nil
+	case "AND", "OR":
+		return Value{Kind: KindBool, B: truthy(rv)}, nil
 	case "=":
 		return Value{Kind: KindBool, B: l.Equal(rv)}, nil
 	case "<>":
@@ -683,7 +706,7 @@ func (ev *Evaluator) evalCall(x CallExpr, r row) (Value, error) {
 		if v.Kind != KindPath {
 			return Value{}, fmt.Errorf("cypher: nodes() of non-path")
 		}
-		out := Value{Kind: KindList}
+		out := Value{Kind: KindList, L: make([]Value, 0, len(v.P.Verts))}
 		for _, vert := range v.P.Verts {
 			out.L = append(out.L, Value{Kind: KindVertex, V: vert})
 		}
@@ -696,7 +719,7 @@ func (ev *Evaluator) evalCall(x CallExpr, r row) (Value, error) {
 		if v.Kind != KindPath {
 			return Value{}, fmt.Errorf("cypher: relationships() of non-path")
 		}
-		out := Value{Kind: KindList}
+		out := Value{Kind: KindList, L: make([]Value, 0, len(v.P.Edges))}
 		for _, e := range v.P.Edges {
 			out.L = append(out.L, Value{Kind: KindEdge, E: e})
 		}

@@ -9,7 +9,7 @@ import (
 // knows, before enumerating a single path, the per-label CSR blocks and the
 // edge count each block holds (EdgesWithLabel) — enough to bound where each
 // pattern position can possibly bind. The planner runs bitmap frontier
-// sweeps (row unions over NeighborRowSegs with word-parallel visited
+// sweeps (row unions over Rows.Segs with word-parallel visited
 // subtraction) from the pattern's anchored ends:
 //
 //   - a forward sweep from the first node's anchor ids computes, per node
@@ -27,9 +27,9 @@ import (
 // drop empty labels before any row is read.
 //
 // With Evaluator.naive set (the tests' oracle and CypherVC2's baseline)
-// none of this runs and the evaluator is the naive DFS over the mixed
-// Out/In rows — the reference the planner tests hold the planner to
-// (plan_test.go).
+// none of this runs and the evaluator is the unpruned DFS over the same
+// per-label rows (iterRelEdges) — the reference the planner tests hold the
+// planner to (plan_test.go).
 
 // patternPlan carries the prune sets for one path pattern under one base
 // row. A nil *patternPlan (planning off or pattern unanchored) prunes
@@ -295,19 +295,18 @@ func (ev *Evaluator) relStep(rp RelPattern, forward bool) (labels []graph.Label,
 func (ev *Evaluator) frontierStep(src *bitmap.Bitset, labels []graph.Label, useOut, useIn bool) *bitmap.Bitset {
 	out := bitmap.NewBitset(ev.g.NumVertices())
 	for _, l := range labels {
+		outRows, inRows := ev.g.Rows(l, true), ev.g.Rows(l, false)
 		src.Iterate(func(x uint32) bool {
 			v := graph.VertexID(x)
 			if useOut {
-				b, xt := ev.g.NeighborRowSegs(v, l, true)
+				b, xt := outRows.Segs(v)
 				bitmap.OrInto(out, b)
 				bitmap.OrInto(out, xt)
-				ev.rows++
 			}
 			if useIn {
-				b, xt := ev.g.NeighborRowSegs(v, l, false)
+				b, xt := inRows.Segs(v)
 				bitmap.OrInto(out, b)
 				bitmap.OrInto(out, xt)
-				ev.rows++
 			}
 			return true
 		})
@@ -315,102 +314,66 @@ func (ev *Evaluator) frontierStep(src *bitmap.Bitset, labels []graph.Label, useO
 	return out
 }
 
-// relMatches reports whether edge e's label satisfies rp's type constraint.
-func (ev *Evaluator) relMatches(rp RelPattern, e graph.EdgeID) bool {
-	if len(rp.Types) == 0 {
-		return true
-	}
-	for _, tn := range rp.Types {
-		if l, ok := ev.relLabel(tn); ok && ev.g.EdgeLabel(e) == l {
-			return true
+// patternRows resolves the blocks a DFS step over each of pat's
+// relationships reads, once per pattern for all base rows: each admissible
+// label's (relStep), out-rows in [0] and in-rows in [1] for the directions
+// the relationship follows.
+func (ev *Evaluator) patternRows(pat PathPattern) [][2][]graph.Rows {
+	blocks := make([][2][]graph.Rows, len(pat.Rels))
+	for i, rp := range pat.Rels {
+		labels, useOut, useIn := ev.relStep(rp, true)
+		for _, l := range labels {
+			if useOut {
+				blocks[i][0] = append(blocks[i][0], ev.g.Rows(l, true))
+			}
+			if useIn {
+				blocks[i][1] = append(blocks[i][1], ev.g.Rows(l, false))
+			}
 		}
 	}
-	return false
+	return blocks
 }
 
-// iterRelEdges invokes fn for each edge incident on cur that matches rp in
-// the given direction, in ascending edge-id order — the order the mixed
-// Out/In row yields. A typed pattern reads only the matching labels' CSR
-// rows, merged by edge id, instead of label-filtering every incident edge;
-// untyped patterns (and the naive oracle) scan the mixed row. Enumeration
-// order is identical either way.
-func (ev *Evaluator) iterRelEdges(cur graph.VertexID, rp RelPattern, out bool, fn func(graph.EdgeID, graph.VertexID) error) error {
-	if !ev.naive && len(rp.Types) > 0 {
-		type relRow struct {
-			nbrs []graph.VertexID
-			eids []graph.EdgeID
+// iterRelEdges invokes fn for each edge in cur's rows of blocks (one
+// relationship's admissible labels in one direction, patternRows) with its
+// far end, in ascending edge-id order: the rows merged by edge id. Planned
+// and naive evaluation enumerate through it alike.
+func (ev *Evaluator) iterRelEdges(cur graph.VertexID, blocks []graph.Rows, fn func(graph.EdgeID, graph.VertexID) error) error {
+	type relRow struct {
+		nbrs []graph.VertexID
+		eids []graph.EdgeID
+		i    int
+	}
+	var buf [8]relRow
+	rows := buf[:0]
+	for _, b := range blocks {
+		if nbrs, eids := b.Row(cur); len(eids) > 0 {
+			rows = append(rows, relRow{nbrs: nbrs, eids: eids})
 		}
-		var (
-			rows   []relRow
-			labels []graph.Label
-		)
-	resolve:
-		for _, tn := range rp.Types {
-			l, ok := ev.relLabel(tn)
-			if !ok {
-				continue // unknown type name matches no edge
-			}
-			for _, have := range labels {
-				if have == l {
-					continue resolve
-				}
-			}
-			labels = append(labels, l)
-			nbrs, eids := ev.g.FrozenNeighbors(cur, l, out)
-			ev.rows++
-			if len(eids) > 0 {
-				rows = append(rows, relRow{nbrs, eids})
-			}
-		}
-		switch len(rows) {
-		case 0:
-			return nil
-		case 1:
-			for i, e := range rows[0].eids {
-				if err := fn(e, rows[0].nbrs[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		idx := make([]int, len(rows))
-		for {
-			best := -1
-			for ri := range rows {
-				if idx[ri] >= len(rows[ri].eids) {
-					continue
-				}
-				if best < 0 || rows[ri].eids[idx[ri]] < rows[best].eids[idx[best]] {
-					best = ri
-				}
-			}
-			if best < 0 {
-				return nil
-			}
-			i := idx[best]
-			idx[best]++
-			if err := fn(rows[best].eids[i], rows[best].nbrs[i]); err != nil {
+	}
+	if len(rows) == 1 {
+		for i, e := range rows[0].eids {
+			if err := fn(e, rows[0].nbrs[i]); err != nil {
 				return err
 			}
 		}
+		return nil
 	}
-	edges := ev.g.Out(cur)
-	if !out {
-		edges = ev.g.In(cur)
-	}
-	for _, e := range edges {
-		if !ev.relMatches(rp, e) {
-			continue
+	for {
+		var best *relRow
+		for ri := range rows {
+			if r := &rows[ri]; r.i < len(r.eids) && (best == nil || r.eids[r.i] < best.eids[best.i]) {
+				best = r
+			}
 		}
-		nxt := ev.g.Dst(e)
-		if !out {
-			nxt = ev.g.Src(e)
+		if best == nil {
+			return nil
 		}
-		if err := fn(e, nxt); err != nil {
+		best.i++
+		if err := fn(best.eids[best.i-1], best.nbrs[best.i-1]); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // hopClosure computes every vertex within maxHops label-steps of src

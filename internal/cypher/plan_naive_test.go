@@ -13,19 +13,24 @@ import (
 // TestPlannerStandsDownWhenNaive pins the switch the planner differentials
 // rest on. They take the naive evaluator (NewNaiveProvEvaluator) as the
 // oracle and the planned one as the subject, on the same snapshot; if the
-// planner or the per-label CSR enumeration ever ran with naive set, oracle
-// and subject would be the same code and the comparison blind. So: with
-// naive set planPattern returns nil, iterRelEdges yields exactly the mixed
-// Out/In row filtered by type, and a whole query reads no per-label row —
-// and without it the same pattern does get a plan and does read rows, so
-// the test cannot pass by the switch rejecting everything. A live graph
-// has no rows to read at all: the constructors refuse it.
+// planner ever ran with naive set, oracle and subject would be the same
+// code and the comparison blind. So: with naive set planPattern returns
+// nil, and without it the same pattern does get a plan, so the test cannot
+// pass by the switch rejecting everything. Both evaluators enumerate
+// through iterRelEdges, so a fault there would hide from the differential:
+// for each of them, a typed and an untyped pattern, every vertex and both
+// directions, the test holds what it yields to the edge columns. A live
+// graph has no rows to read at all: the constructors refuse it.
 func TestPlannerStandsDownWhenNaive(t *testing.T) {
 	live := gen.Pd(gen.PdConfig{N: 40, LambdaIn: 1, Seed: 4})
 	frozen := live.Freeze()
 	src, _ := gen.DefaultQuery(frozen)
 	text := fmt.Sprintf("match p=(b:E)<-[:U|G*1..3]-(e) where id(b) in [%d] return p", src[0])
 	q, err := Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untyped, err := Parse("match (a)-[*1..2]-(b) return a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,46 +41,53 @@ func TestPlannerStandsDownWhenNaive(t *testing.T) {
 	if plan := ev.planPattern(pat, row{}, seeds); plan != nil {
 		t.Fatalf("planner produced %+v with planning off", plan)
 	}
-	g := frozen.PG()
-	for v := 0; v < frozen.NumVertices(); v++ {
-		for _, out := range []bool{true, false} {
-			edges := g.Out(graph.VertexID(v))
-			if !out {
-				edges = g.In(graph.VertexID(v))
-			}
-			var want, got []graph.EdgeID
-			for _, e := range edges {
-				if ev.relMatches(pat.Rels[0], e) {
-					want = append(want, e)
-				}
-			}
-			if err := ev.iterRelEdges(graph.VertexID(v), pat.Rels[0], out, func(e graph.EdgeID, _ graph.VertexID) error {
-				got = append(got, e)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("vertex %d out=%v: iterRelEdges yielded %v, the mixed row filtered by type is %v", v, out, got, want)
-			}
-		}
-	}
-	if _, err := ev.Run(context.Background(), text); err != nil {
-		t.Fatal(err)
-	}
-	if ev.rows != 0 {
-		t.Fatalf("the naive evaluation read %d per-label rows", ev.rows)
-	}
-
 	pev := NewProvEvaluator(frozen, Options{})
 	if plan := pev.planPattern(pat, row{}, seeds); plan == nil {
 		t.Fatal("planner stood down with planning on: the differential has no subject")
 	}
-	if _, err := pev.Run(context.Background(), text); err != nil {
-		t.Fatal(err)
+
+	g := frozen.PG()
+	admits := func(e *Evaluator, rp RelPattern, id graph.EdgeID) bool {
+		for _, tn := range rp.Types {
+			if l, ok := e.relLabel(tn); ok && l == g.EdgeLabel(id) {
+				return true
+			}
+		}
+		return len(rp.Types) == 0
 	}
-	if pev.rows == 0 {
-		t.Fatal("the planned evaluation read no per-label row: the differential has no subject")
+	for name, e := range map[string]*Evaluator{"naive": ev, "planned": pev} {
+		for _, rp := range []RelPattern{pat.Rels[0], untyped.Clauses[0].(MatchClause).Patterns[0].Rels[0]} {
+			rows := e.patternRows(PathPattern{Rels: []RelPattern{rp}})[0]
+			for d, follows := range []bool{rp.Dir != DirLeft, rp.Dir != DirRight} {
+				for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+					var want, got []graph.EdgeID
+					for id := graph.EdgeID(0); int(id) < g.NumEdges(); id++ {
+						near, far := g.Src(id), g.Dst(id)
+						if d == 1 {
+							near, far = far, near
+						}
+						if follows && near == v && admits(e, rp, id) {
+							want = append(want, id, graph.EdgeID(far))
+						}
+					}
+					if err := e.iterRelEdges(v, rows[d], func(id graph.EdgeID, far graph.VertexID) error {
+						got = append(got, id, graph.EdgeID(far))
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s, %+v, vertex %d, out=%v: iterRelEdges yielded (edge, far end) %v, the edge columns give %v",
+							name, rp, v, d == 0, got, want)
+					}
+				}
+			}
+		}
+	}
+	for _, e := range []*Evaluator{ev, pev} {
+		if _, err := e.Run(context.Background(), text); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	defer func() {

@@ -2,8 +2,7 @@
 // incremental epoch snapshots (graph.ExtendFrozen): it replays randomized
 // ingest scripts and asserts, at every epoch, that the incrementally
 // extended snapshot is indistinguishable from a full Freeze rebuild —
-// identical FrozenNeighbors rows, all-edge Out/In views, dictionary and
-// label-index contents, and identical core.Segment results for randomized
+// identical per-label rows, dictionary and label-index contents, and identical core.Segment results for randomized
 // queries — and that both snapshots' rows are the naive rows of the edge
 // columns (rowOracle).
 //
@@ -184,8 +183,7 @@ func randomQuery(rng *rand.Rand, p *prov.Graph) (core.Query, bool) {
 
 // DiffSnapshots asserts two frozen snapshots of the same graph state are
 // indistinguishable: same shape, dictionary, label index and vertex labels,
-// and, for both, the all-edge Out/In rows, every label's rows in both
-// directions and the per-label edge counts of the edge columns (rowOracle).
+// and, for both, every label's rows in both directions and the per-label edge counts of the edge columns (rowOracle).
 func DiffSnapshots(full, incr *graph.Graph) error {
 	if full.NumVertices() != incr.NumVertices() || full.NumEdges() != incr.NumEdges() {
 		return fmt.Errorf("shape mismatch: full %d/%d vs incr %d/%d",

@@ -43,7 +43,8 @@ func columnRowsOf(g *Graph) columnRows {
 	return r
 }
 
-// neighbors is OutNeighbors (out) or InNeighbors over the oracle's rows.
+// neighbors is the oracle's row of v for label l: the targets of its
+// out-edges (out) or the sources of its in-edges.
 func (r columnRows) neighbors(g *Graph, v VertexID, l Label, out bool) []VertexID {
 	var nbrs []VertexID
 	if out {
@@ -60,4 +61,14 @@ func (r columnRows) neighbors(g *Graph, v VertexID, l Label, out bool) []VertexI
 		}
 	}
 	return nbrs
+}
+
+// outDegree sums v's out-rows over every label of snapshot g.
+func outDegree(g *Graph, v VertexID) int {
+	n := 0
+	for l := 0; l < g.Dict().Len(); l++ {
+		nbrs, _ := g.Rows(Label(l), true).Row(v)
+		n += len(nbrs)
+	}
+	return n
 }

@@ -40,9 +40,9 @@ func commitRun(g *Graph, hub, tail VertexID, rng *rand.Rand) VertexID {
 
 // TestExtendFrozenChain extends one snapshot per commit over a long chain
 // of commitRun commits and holds the rows of the hub, the chain tail and 16
-// fixed vertices to a full Freeze at every epoch. The hub's in-row grows by
-// one edge per commit, so the all-edge in-block must pass through both of
-// its shapes: extended (a base plus an extension) and flattened.
+// fixed vertices to a full Freeze at every epoch. The hub's e:U in-row grows
+// by one edge per commit, so the e:U in-block must pass through both of its
+// shapes: extended (a base plus an extension) and flattened.
 func TestExtendFrozenChain(t *testing.T) {
 	g := randomGraph(500, 1500, 21)
 	rng := rand.New(rand.NewSource(21))
@@ -60,23 +60,19 @@ func TestExtendFrozenChain(t *testing.T) {
 		if !inc {
 			t.Fatalf("commit %d: incremental freeze fell back to a full rebuild", c)
 		}
-		if next.csr.inAll.ext != nil {
+		if next.csr.inRel[4].ext != nil {
 			extended = true
 		} else if extended {
 			flattened = true
 		}
 		full := g.Freeze()
 		for _, v := range append([]VertexID{hub, oldTail, tail}, watch...) {
-			if !slices.Equal(full.Out(v), next.Out(v)) || !slices.Equal(full.In(v), next.In(v)) {
-				t.Fatalf("commit %d vertex %d: Out/In %v/%v vs full %v/%v",
-					c, v, next.Out(v), next.In(v), full.Out(v), full.In(v))
-			}
 			for l := Label(0); int(l) < g.Dict().Len(); l++ {
 				for _, out := range []bool{true, false} {
-					fn, fe := full.FrozenNeighbors(v, l, out)
-					xn, xe := next.FrozenNeighbors(v, l, out)
+					fn, fe := full.Rows(l, out).Row(v)
+					xn, xe := next.Rows(l, out).Row(v)
 					if !slices.Equal(fn, xn) || !slices.Equal(fe, xe) {
-						t.Fatalf("commit %d FrozenNeighbors(%d,%d,%v) diverged", c, v, l, out)
+						t.Fatalf("commit %d row (%d,%d,%v) diverged", c, v, l, out)
 					}
 				}
 			}
@@ -84,7 +80,7 @@ func TestExtendFrozenChain(t *testing.T) {
 		prev = next
 	}
 	if !extended || !flattened {
-		t.Fatalf("all-edge in-block extended=%v flattened=%v, want both", extended, flattened)
+		t.Fatalf("e:U in-block extended=%v flattened=%v, want both", extended, flattened)
 	}
 }
 
@@ -114,18 +110,12 @@ func TestExtendFrozenMatchesFull(t *testing.T) {
 		}
 		for v := 0; v < g.NumVertices(); v++ {
 			id := VertexID(v)
-			if fmt.Sprint(full.Out(id)) != fmt.Sprint(next.Out(id)) {
-				t.Fatalf("epoch %d Out(%d): %v vs %v", epoch, v, full.Out(id), next.Out(id))
-			}
-			if fmt.Sprint(full.In(id)) != fmt.Sprint(next.In(id)) {
-				t.Fatalf("epoch %d In(%d): %v vs %v", epoch, v, full.In(id), next.In(id))
-			}
 			for l := Label(0); int(l) < g.Dict().Len(); l++ {
 				for _, out := range []bool{true, false} {
-					fn, fe := full.FrozenNeighbors(id, l, out)
-					xn, xe := next.FrozenNeighbors(id, l, out)
+					fn, fe := full.Rows(l, out).Row(id)
+					xn, xe := next.Rows(l, out).Row(id)
 					if fmt.Sprint(fn) != fmt.Sprint(xn) || fmt.Sprint(fe) != fmt.Sprint(xe) {
-						t.Fatalf("epoch %d FrozenNeighbors(%d,%d,%v) diverged", epoch, v, l, out)
+						t.Fatalf("epoch %d row (%d,%d,%v) diverged", epoch, v, l, out)
 					}
 				}
 			}
@@ -250,8 +240,7 @@ func TestExtendFrozenIsolation(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				total := 0
 				for v := 0; v < snap.NumVertices(); v++ {
-					total += len(snap.Out(VertexID(v)))
-					snap.OutNeighbors(VertexID(v), 4, nil)
+					total += outDegree(snap, VertexID(v))
 				}
 				if total != snap.NumEdges() {
 					t.Errorf("snapshot edge count drifted: %d vs %d", total, snap.NumEdges())

@@ -4,10 +4,10 @@
 // the Neo4j backend used in the paper. It guarantees the two properties the
 // paper's query evaluation assumes (Sec. III.B): constant-time access to any
 // vertex or edge by its primary identifier, and linear-time scans of a
-// vertex's incoming and outgoing edges. The live graph is write-only: it
-// keeps its edges as columns (label, source, destination), and every
-// adjacency read goes through an immutable snapshot (Freeze), whose CSR
-// rows give both guarantees.
+// vertex's incoming and outgoing edges of a label. The live graph is
+// write-only: it keeps its edges as columns (label, source, destination),
+// and every adjacency read goes through an immutable snapshot (Freeze),
+// whose per-label CSR rows give both guarantees.
 //
 // Vertices and edges carry a single label (interned through a dictionary)
 // and an optional set of key/value properties. The store is append-only:
@@ -15,7 +15,10 @@
 // semantics (provenance is immutable history).
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // VertexID identifies a vertex. IDs are dense, starting at 0, and are
 // assigned in insertion order, so they double as an order-of-being proxy.
@@ -200,21 +203,6 @@ func (g *Graph) Src(e EdgeID) VertexID { return g.eSrc[e] }
 // Dst returns the destination endpoint of e.
 func (g *Graph) Dst(e EdgeID) VertexID { return g.eDst[e] }
 
-// Out returns the outgoing edge ids of v on a snapshot. The returned slice
-// must not be modified. On an extended snapshot a row spanning two epochs is
-// materialized into a fresh slice (see FrozenNeighbors).
-func (g *Graph) Out(v VertexID) []EdgeID {
-	_, eids := g.index().outAll.row(v)
-	return eids
-}
-
-// In returns the incoming edge ids of v on a snapshot. The returned slice
-// must not be modified.
-func (g *Graph) In(v VertexID) []EdgeID {
-	_, eids := g.index().inAll.row(v)
-	return eids
-}
-
 // mustBeLive guards mutations: snapshots are immutable by contract, and a
 // write slipping through would race with the snapshot's lock-free readers.
 func (g *Graph) mustBeLive() {
@@ -240,20 +228,6 @@ func (g *Graph) index() *csrIndex {
 // VerticesWithLabel returns the vertices carrying the given label, in id
 // order. The returned slice must not be modified.
 func (g *Graph) VerticesWithLabel(label Label) []VertexID { return g.byLabel[label] }
-
-// OutNeighbors appends to buf the destination vertices of v's outgoing
-// edges with the given label and returns the extended slice: one CSR row
-// copy on a snapshot.
-func (g *Graph) OutNeighbors(v VertexID, label Label, buf []VertexID) []VertexID {
-	return g.index().rel(label, true).appendNbrs(v, buf)
-}
-
-// InNeighbors appends to buf the source vertices of v's incoming edges with
-// the given label and returns the extended slice: one CSR row copy on a
-// snapshot.
-func (g *Graph) InNeighbors(v VertexID, label Label, buf []VertexID) []VertexID {
-	return g.index().rel(label, false).appendNbrs(v, buf)
-}
 
 // Stats summarizes the graph.
 type Stats struct {
@@ -303,18 +277,30 @@ func (g *Graph) IsAcyclic(edgeFilter func(Label) bool) bool {
 // label passes the filter (nil filter means all edges): each edge's source
 // comes first. ok is false, and the order partial, when they hold a cycle.
 // It reads the edge columns through one transient counting sort by source
-// (sortedRows), so it runs on a live graph, which is how Validate checks
-// loads, recovery and replicated deltas.
+// (off, nbr: row v is nbr[off[v]:off[v+1]], its admitted edges' targets in
+// ascending edge id), so it runs on a live graph, which is how Validate
+// checks loads, recovery and replicated deltas.
 func (g *Graph) TopoOrder(edgeFilter func(Label) bool) (order []VertexID, ok bool) {
 	n := g.NumVertices()
-	var admit func(e int) bool
-	if edgeFilter != nil {
-		admit = func(e int) bool { return edgeFilter(g.eLabel[e]) }
-	}
-	rows := sortedRows(n, g.eSrc, g.eDst, admit)
+	admit := func(e int) bool { return edgeFilter == nil || edgeFilter(g.eLabel[e]) }
+	off := make([]uint32, n+1)
 	indeg := make([]int32, n)
-	for _, d := range rows.nbr {
-		indeg[d]++
+	for e, s := range g.eSrc {
+		if admit(e) {
+			off[s+1]++
+			indeg[g.eDst[e]]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	nbr := make([]VertexID, off[n])
+	next := slices.Clone(off[:n])
+	for e, s := range g.eSrc {
+		if admit(e) {
+			nbr[next[s]] = g.eDst[e]
+			next[s]++
+		}
 	}
 	order = make([]VertexID, 0, n)
 	for v := 0; v < n; v++ {
@@ -324,8 +310,8 @@ func (g *Graph) TopoOrder(edgeFilter func(Label) bool) (order []VertexID, ok boo
 	}
 	// Kahn's algorithm with order as its queue: order[i:] is ready, unvisited.
 	for i := 0; i < len(order); i++ {
-		dsts, _ := rows.contiguousRow(order[i])
-		for _, d := range dsts {
+		v := order[i]
+		for _, d := range nbr[off[v]:off[v+1]] {
 			if indeg[d]--; indeg[d] == 0 {
 				order = append(order, d)
 			}

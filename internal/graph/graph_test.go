@@ -58,17 +58,14 @@ func TestBasicAccessors(t *testing.T) {
 		t.Fatal("label index wrong")
 	}
 	fz := g.Freeze()
-	if len(fz.Out(a)) != 1 || len(fz.In(b)) != 1 || len(fz.Out(b)) != 0 {
+	if nbrs, eids := fz.Rows(le, true).Row(a); len(nbrs) != 1 || nbrs[0] != b || eids[0] != e {
+		t.Fatal("out-row wrong")
+	}
+	if nbrs, eids := fz.Rows(le, false).Row(b); len(nbrs) != 1 || nbrs[0] != a || eids[0] != e {
+		t.Fatal("in-row wrong")
+	}
+	if nbrs, _ := fz.Rows(le, true).Row(b); len(nbrs) != 0 {
 		t.Fatal("degrees wrong")
-	}
-	var buf []VertexID
-	buf = fz.OutNeighbors(a, le, buf)
-	if len(buf) != 1 || buf[0] != b {
-		t.Fatal("OutNeighbors wrong")
-	}
-	buf = fz.InNeighbors(b, le, buf[:0])
-	if len(buf) != 1 || buf[0] != a {
-		t.Fatal("InNeighbors wrong")
 	}
 }
 

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"slices"
 	"sort"
 )
 
@@ -14,12 +13,14 @@ import (
 //     (vertex/edge labels, endpoints, packed properties) via capped slice
 //     headers, so freezing copies headers, not the data itself, and
 //   - indexes the edge columns as a CSR (compressed-sparse-row) index of
-//     contiguous neighbor/edge-id rows: one block per direction over all
-//     edges, plus one per edge label.
+//     contiguous neighbor/edge-id rows: one block per edge label and
+//     direction, and no other adjacency index. Every reader walks typed
+//     relations (PROV's U, G, S, A, D), so a vertex's edges of all labels
+//     are its rows of each label.
 //
 // The live graph keeps no adjacency rows, so a snapshot is what every
-// reader walks: Out, In, the neighbor scans and the row accessors below
-// panic on a live graph. Mutations of a snapshot panic.
+// reader walks: Rows, the one row accessor (below), panics on a live graph.
+// Mutations of a snapshot panic.
 //
 // Because the graph is append-only, the next epoch's index is the previous
 // one plus the delta: ExtendFrozen reuses the previous snapshot's rel
@@ -66,8 +67,8 @@ func (x *csrExt) edges() int {
 	return len(x.nbr)
 }
 
-// csrRel is the CSR block of one direction over all edges or over one
-// label's edges. A block is either
+// csrRel is the CSR block of one label's edges in one direction. A block is
+// either
 //
 //   - contiguous (base == nil, ext == nil): row v is nbr[off[v]:off[v+1]]
 //     with eid holding the matching edge ids, as built by a full rebuild or
@@ -128,21 +129,6 @@ func (r *csrRel) row(v VertexID) ([]VertexID, []EdgeID) {
 	return nbr, eid
 }
 
-// appendNbrs appends v's neighbor row to buf without materializing
-// multi-epoch rows.
-func (r *csrRel) appendNbrs(v VertexID, buf []VertexID) []VertexID {
-	if r == nil {
-		return buf
-	}
-	if r.ext == nil {
-		n, _ := r.contiguousRow(v)
-		return append(buf, n...)
-	}
-	bn, _ := r.base.contiguousRow(v)
-	xn, _ := r.ext.row(v)
-	return append(append(buf, bn...), xn...)
-}
-
 // edges returns the total edge count of the block (base + extension).
 func (r *csrRel) edges() int {
 	if r == nil {
@@ -157,14 +143,12 @@ func (r *csrRel) edges() int {
 	return r.base.edges() + r.ext.edges()
 }
 
-// csrIndex is the frozen adjacency index: one all-edge block per direction
-// backing the per-vertex Out/In views, plus per-label blocks for the hot
-// label-filtered scans. Every block is a csrRel, built by the same counting
-// sort and extended by the same extendRel. The per-label tables are dense
-// slices indexed by Label (labels are small interned ints) so a row lookup
-// is two array indexings — no hashing on the query path.
+// csrIndex is the frozen adjacency index: one block per edge label and
+// direction, each a csrRel built by one counting sort (buildCSR) and
+// extended by extendRel. The tables are dense slices indexed by Label
+// (labels are small interned ints) so resolving a block is two array
+// indexings — no hashing on the query path.
 type csrIndex struct {
-	outAll, inAll *csrRel
 	outRel, inRel []*csrRel // indexed by Label; nil = no edges of that label
 }
 
@@ -239,9 +223,8 @@ const extFlattenMin = 64
 // ExtendFrozen returns an immutable snapshot like Freeze, but builds the
 // adjacency index incrementally from prev — an earlier snapshot of this
 // same graph (normally the previous epoch). Blocks no delta edge touches
-// are shared with prev outright; touched blocks (the all-edge pair on every
-// commit that adds an edge, and each label the delta carries) keep prev's
-// contiguous rows copy-on-write and gain sparse extension rows over just
+// are shared with prev outright; touched blocks (the pair of each label the
+// delta carries) keep prev's contiguous rows copy-on-write and gain sparse extension rows over just
 // the delta, flattened back to contiguous form only when the accumulated
 // extension outgrows its base. The commit path therefore pays
 // O(delta + touched extensions), not the full O(V + E) counting sort.
@@ -264,25 +247,20 @@ func (g *Graph) ExtendFrozen(prev *Graph) (*Graph, bool) {
 	fz := g.snapshotShell(nv, ne)
 	fz.incrSnap = true
 
-	// Group the delta per block — the all-edge pair and one pair per label
-	// — then share the blocks with no delta and extend the rest.
+	// Group the delta per label, then share the blocks with no delta and
+	// extend the rest.
 	nl := g.dict.Len()
 	pcs := prev.csr
 	cs := &csrIndex{
-		outAll: pcs.outAll,
-		inAll:  pcs.inAll,
 		outRel: make([]*csrRel, nl),
 		inRel:  make([]*csrRel, nl),
 	}
 	copy(cs.outRel, pcs.outRel)
 	copy(cs.inRel, pcs.inRel)
-	var outAll, inAll extBuilder
 	outDelta := make(map[Label]*extBuilder)
 	inDelta := make(map[Label]*extBuilder)
 	for e := pe; e < ne; e++ {
 		l, s, d := g.eLabel[e], g.eSrc[e], g.eDst[e]
-		outAll.add(s, d, EdgeID(e))
-		inAll.add(d, s, EdgeID(e))
 		ob := outDelta[l]
 		if ob == nil {
 			ob = &extBuilder{}
@@ -291,10 +269,6 @@ func (g *Graph) ExtendFrozen(prev *Graph) (*Graph, bool) {
 		}
 		ob.add(s, d, EdgeID(e))
 		inDelta[l].add(d, s, EdgeID(e))
-	}
-	if ne > pe {
-		cs.outAll = extendRel(pcs.outAll, outAll.build(), nv)
-		cs.inAll = extendRel(pcs.inAll, inAll.build(), nv)
 	}
 	for l, b := range outDelta {
 		cs.outRel[l] = extendRel(pcs.rel(l, true), b.build(), nv)
@@ -461,23 +435,18 @@ func flattenRel(base *csrRel, ext *csrExt, nv int) *csrRel {
 	return r
 }
 
-// buildCSR constructs the full CSR index by counting sorts: one per
-// direction for the all-edge blocks (sortedRows), then one pass for every
-// label's blocks. Keeping the passes apart keeps the scattered write
-// streams of each loop few. Within a row, edges
-// appear in ascending id order (insertion order). src is the graph whose
-// edge columns are being indexed (the live graph; the receiver is the
-// snapshot under construction).
+// buildCSR constructs the full CSR index by one counting sort over every
+// label's blocks: count rows, prefix-sum, fill. Within a row, edges appear
+// in ascending id order (insertion order). src is the graph whose edge
+// columns are being indexed (the live graph; the receiver is the snapshot
+// under construction).
 func (g *Graph) buildCSR(src *Graph, nv, ne int) {
 	nl := src.dict.Len()
 	cs := &csrIndex{
-		outAll: sortedRows(nv, src.eSrc[:ne], src.eDst[:ne], nil),
-		inAll:  sortedRows(nv, src.eDst[:ne], src.eSrc[:ne], nil),
 		outRel: make([]*csrRel, nl),
 		inRel:  make([]*csrRel, nl),
 	}
 
-	// Per-label CSR: count rows, prefix-sum, fill.
 	for e := 0; e < ne; e++ {
 		l := src.eLabel[e]
 		ob := cs.outRel[l]
@@ -523,50 +492,37 @@ func (g *Graph) buildCSR(src *Graph, nv, ne int) {
 	g.csr = cs
 }
 
-// sortedRows counting-sorts the edges admit accepts (nil: every edge) by
-// their from endpoint into a contiguous block over nv vertices: row v holds
-// the to endpoints of v's edges, with their ids, in ascending edge id.
-func sortedRows(nv int, from, to []VertexID, admit func(e int) bool) *csrRel {
-	r := &csrRel{off: make([]uint32, nv+1)}
-	for e, v := range from {
-		if admit == nil || admit(e) {
-			r.off[v+1]++
-		}
-	}
-	for v := 0; v < nv; v++ {
-		r.off[v+1] += r.off[v]
-	}
-	r.nbr, r.eid = make([]VertexID, r.off[nv]), make([]EdgeID, r.off[nv])
-	next := slices.Clone(r.off[:nv])
-	for e, v := range from {
-		if admit == nil || admit(e) {
-			r.nbr[next[v]], r.eid[next[v]] = to[e], EdgeID(e)
-			next[v]++
-		}
-	}
-	return r
+// Rows is a snapshot's block of one edge label in one direction: the one
+// way to read adjacency. Resolving the block once (Graph.Rows) and then
+// reading any number of vertices' rows through it is what lets a walk over
+// many rows of one relation pay the block lookup once. The zero value reads
+// empty rows.
+type Rows struct{ r *csrRel }
+
+// Rows returns the block of the edges with the given label: rows of
+// destination endpoints of out-edges when out is true, of source endpoints
+// of in-edges otherwise. It panics on a live graph.
+func (g *Graph) Rows(label Label, out bool) Rows {
+	return Rows{g.index().rel(label, out)}
 }
 
-// FrozenNeighbors returns the CSR row for v's neighbors over edges with the
-// given label: destination endpoints of v's out-edges when out is true,
-// source endpoints of its in-edges otherwise, with eids holding the
-// matching edge ids in ascending order. On an incrementally extended
-// snapshot a row may span two epochs, in which case it is materialized into
-// fresh slices; either way the returned slices must not be modified.
-func (g *Graph) FrozenNeighbors(v VertexID, label Label, out bool) (nbrs []VertexID, eids []EdgeID) {
-	return g.index().rel(label, out).row(v)
+// Row returns v's row: its neighbors, with eids holding the matching edge
+// ids in ascending order. On an incrementally extended snapshot a row may
+// span two epochs, in which case it is materialized into fresh slices;
+// either way the returned slices must not be modified.
+func (rs Rows) Row(v VertexID) (nbrs []VertexID, eids []EdgeID) {
+	return rs.r.row(v)
 }
 
-// NeighborRowSegs returns v's neighbor row for the label/direction as up to
-// two zero-copy segments: base (the contiguous epoch's slice) and ext (the
-// sparse extension's slice, nil unless the block was incrementally
-// extended). Concatenated they equal FrozenNeighbors' nbrs — both segments
-// are in ascending edge-id order and every ext id is newer than every base
-// id — but nothing is materialized, which is what lets PgSeg walk a row in
-// place and the Cypher planner OR one straight into a bitset. Returned
-// slices must not be modified.
-func (g *Graph) NeighborRowSegs(v VertexID, label Label, out bool) (base, ext []VertexID) {
-	r := g.index().rel(label, out)
+// Segs returns v's neighbor row as up to two zero-copy segments: base (the
+// contiguous epoch's slice) and ext (the sparse extension's slice, nil
+// unless the block was incrementally extended). Concatenated they equal
+// Row's nbrs — both segments are in ascending edge-id order and every ext
+// id is newer than every base id — but nothing is materialized, which is
+// what lets PgSeg walk a row in place and the Cypher planner OR one
+// straight into a bitset. Returned slices must not be modified.
+func (rs Rows) Segs(v VertexID) (base, ext []VertexID) {
+	r := rs.r
 	if r == nil {
 		return nil, nil
 	}

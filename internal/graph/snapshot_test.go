@@ -53,34 +53,27 @@ func TestFreezeMatchesLive(t *testing.T) {
 	eLabels := []Label{0, 1, 2, 3, 4, 5, 6} // includes labels with no edges
 	for v := 0; v < g.NumVertices(); v++ {
 		id := VertexID(v)
-		if got, want := fmt.Sprint(fz.Out(id)), fmt.Sprint(rows.out[v]); got != want {
-			t.Fatalf("Out(%d): %s vs %s", v, got, want)
-		}
-		if got, want := fmt.Sprint(fz.In(id)), fmt.Sprint(rows.in[v]); got != want {
-			t.Fatalf("In(%d): %s vs %s", v, got, want)
-		}
 		if fz.VertexLabel(id) != g.VertexLabel(id) {
 			t.Fatalf("label mismatch at %d", v)
 		}
 		for _, l := range eLabels {
-			gotO := fz.OutNeighbors(id, l, nil)
-			wantO := rows.neighbors(g, id, l, true)
-			if fmt.Sprint(gotO) != fmt.Sprint(wantO) {
-				t.Fatalf("OutNeighbors(%d, %d): %v vs %v", v, l, gotO, wantO)
-			}
-			gotI := fz.InNeighbors(id, l, nil)
-			wantI := rows.neighbors(g, id, l, false)
-			if fmt.Sprint(gotI) != fmt.Sprint(wantI) {
-				t.Fatalf("InNeighbors(%d, %d): %v vs %v", v, l, gotI, wantI)
-			}
-			// CSR rows carry matching (neighbor, edge id) pairs.
-			nbrs, eids := fz.FrozenNeighbors(id, l, true)
-			if len(nbrs) != len(eids) || len(nbrs) != len(wantO) {
-				t.Fatalf("CSR row shape at %d/%d", v, l)
-			}
-			for i, e := range eids {
-				if fz.EdgeLabel(e) != l || fz.Src(e) != id || fz.Dst(e) != nbrs[i] {
-					t.Fatalf("CSR row %d/%d entry %d inconsistent", v, l, i)
+			for _, out := range []bool{true, false} {
+				nbrs, eids := fz.Rows(l, out).Row(id)
+				if want := rows.neighbors(g, id, l, out); fmt.Sprint(nbrs) != fmt.Sprint(want) {
+					t.Fatalf("row (%d, %d, out=%v): %v vs %v", v, l, out, nbrs, want)
+				}
+				// CSR rows carry matching (neighbor, edge id) pairs.
+				if len(nbrs) != len(eids) {
+					t.Fatalf("CSR row shape at %d/%d", v, l)
+				}
+				for i, e := range eids {
+					from, to := fz.Src(e), fz.Dst(e)
+					if !out {
+						from, to = to, from
+					}
+					if fz.EdgeLabel(e) != l || from != id || to != nbrs[i] {
+						t.Fatalf("CSR row %d/%d/%v entry %d inconsistent", v, l, out, i)
+					}
 				}
 			}
 		}
@@ -120,13 +113,8 @@ func TestFreezeMatchesLive(t *testing.T) {
 func TestLiveGraphKeepsNoRows(t *testing.T) {
 	g := randomGraph(20, 60, 5)
 	readers := map[string]func(*Graph){
-		"Out":             func(g *Graph) { g.Out(0) },
-		"In":              func(g *Graph) { g.In(0) },
-		"OutNeighbors":    func(g *Graph) { g.OutNeighbors(0, 4, nil) },
-		"InNeighbors":     func(g *Graph) { g.InNeighbors(0, 4, nil) },
-		"FrozenNeighbors": func(g *Graph) { g.FrozenNeighbors(0, 4, true) },
-		"NeighborRowSegs": func(g *Graph) { g.NeighborRowSegs(0, 4, false) },
-		"EdgesWithLabel":  func(g *Graph) { g.EdgesWithLabel(4) },
+		"Rows":           func(g *Graph) { g.Rows(4, true).Row(0) },
+		"EdgesWithLabel": func(g *Graph) { g.EdgesWithLabel(4) },
 	}
 	fz := g.Freeze()
 	for name, read := range readers {
@@ -195,8 +183,7 @@ func TestFreezeIsolation(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				total := 0
 				for v := 0; v < fz.NumVertices(); v++ {
-					total += len(fz.Out(VertexID(v)))
-					fz.OutNeighbors(VertexID(v), 4, nil)
+					total += outDegree(fz, VertexID(v))
 					fz.VertexProp(VertexID(v), "name")
 				}
 				if total != fz.NumEdges() {
@@ -273,7 +260,7 @@ func TestFreezeEmptyGraph(t *testing.T) {
 	if fz.NumVertices() != 0 || fz.NumEdges() != 0 {
 		t.Fatal("empty freeze not empty")
 	}
-	if nbrs, eids := fz.FrozenNeighbors(0, 1, true); nbrs != nil || eids != nil {
+	if nbrs, eids := fz.Rows(1, true).Row(0); nbrs != nil || eids != nil {
 		t.Fatal("empty frozen graph has a row")
 	}
 }

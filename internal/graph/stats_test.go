@@ -69,8 +69,9 @@ func TestDegreeStatsExtendFrozen(t *testing.T) {
 	}
 }
 
-// TestNeighborRowSegs checks the zero-copy two-segment row accessor against
-// the materializing FrozenNeighbors on both full and extended snapshots.
+// TestNeighborRowSegs checks the zero-copy two-segment row read (Rows.Segs)
+// against the materializing one (Rows.Row) on both full and extended
+// snapshots.
 func TestNeighborRowSegs(t *testing.T) {
 	g := randomGraph(150, 600, 17)
 	check := func(t *testing.T, fz *Graph) {
@@ -79,8 +80,9 @@ func TestNeighborRowSegs(t *testing.T) {
 			id := VertexID(v)
 			for l := 0; l < fz.Dict().Len(); l++ {
 				for _, out := range []bool{true, false} {
-					wantN, _ := fz.FrozenNeighbors(id, Label(l), out)
-					base, ext := fz.NeighborRowSegs(id, Label(l), out)
+					rows := fz.Rows(Label(l), out)
+					wantN, _ := rows.Row(id)
+					base, ext := rows.Segs(id)
 					got := append(append([]VertexID{}, base...), ext...)
 					if fmt.Sprint(got) != fmt.Sprint(wantN) {
 						t.Fatalf("v=%d l=%d out=%v: segs %v+%v != row %v", v, l, out, base, ext, wantN)

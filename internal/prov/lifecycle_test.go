@@ -42,8 +42,7 @@ func TestWrapRecorderResumesLifecycle(t *testing.T) {
 	if ver, _ := rc2.P.PG().VertexProp(v3, PropVersion).IntVal(); ver != 3 {
 		t.Fatalf("new snapshot version = %d; want 3", ver)
 	}
-	var derived []graph.VertexID
-	derived = rc2.P.Freeze().PG().OutNeighbors(v3, rc2.P.RelLabel(RelDeriv), derived)
+	derived, _ := rc2.P.Freeze().PG().Rows(rc2.P.RelLabel(RelDeriv), true).Row(v3)
 	if len(derived) != 1 || derived[0] != v2 {
 		t.Fatalf("new snapshot derives from %v; want [%v]", derived, v2)
 	}

@@ -96,9 +96,10 @@ func (r Rel) LongName() string {
 	return "?"
 }
 
-// endpointKinds returns the required (src, dst) vertex kinds for a
-// relationship.
-func (r Rel) endpointKinds() (Kind, Kind) {
+// Endpoints returns the required (src, dst) vertex kinds for a
+// relationship: the schema AddRel and Validate enforce, and the one the
+// walks that read a kind's relation rows derive their lists from.
+func (r Rel) Endpoints() (src, dst Kind) {
 	switch r {
 	case RelUsed:
 		return KindActivity, KindEntity
@@ -391,14 +392,14 @@ func (p *Graph) NewAgent(name string) graph.VertexID {
 
 // errKind formats an endpoint-typing error.
 func (p *Graph) errKind(r Rel, src, dst graph.VertexID) error {
-	ks, kd := r.endpointKinds()
+	ks, kd := r.Endpoints()
 	return fmt.Errorf("prov: %s requires %v -> %v endpoints, got %v -> %v",
 		r.LongName(), ks, kd, p.KindOf(src), p.KindOf(dst))
 }
 
 // AddRel adds a typed relationship edge after validating the endpoint kinds.
 func (p *Graph) AddRel(r Rel, src, dst graph.VertexID) (graph.EdgeID, error) {
-	ks, kd := r.endpointKinds()
+	ks, kd := r.Endpoints()
 	if p.KindOf(src) != ks || p.KindOf(dst) != kd {
 		return 0, p.errKind(r, src, dst)
 	}
@@ -462,33 +463,39 @@ func (p *Graph) Agents() []graph.VertexID {
 // GeneratorsOf appends to buf the activities that generated entity e
 // (targets of e's G out-edges).
 func (p *Graph) GeneratorsOf(e graph.VertexID, buf []graph.VertexID) []graph.VertexID {
-	return p.g.OutNeighbors(e, p.relLabels[RelGen], buf)
+	return p.appendRow(buf, e, RelGen, true)
 }
 
 // GeneratedBy appends to buf the entities generated by activity a
 // (sources of a's G in-edges).
 func (p *Graph) GeneratedBy(a graph.VertexID, buf []graph.VertexID) []graph.VertexID {
-	return p.g.InNeighbors(a, p.relLabels[RelGen], buf)
+	return p.appendRow(buf, a, RelGen, false)
 }
 
 // InputsOf appends to buf the entities used by activity a (targets of a's
 // U out-edges).
 func (p *Graph) InputsOf(a graph.VertexID, buf []graph.VertexID) []graph.VertexID {
-	return p.g.OutNeighbors(a, p.relLabels[RelUsed], buf)
+	return p.appendRow(buf, a, RelUsed, true)
 }
 
 // UsersOf appends to buf the activities that used entity e (sources of e's
 // U in-edges).
 func (p *Graph) UsersOf(e graph.VertexID, buf []graph.VertexID) []graph.VertexID {
-	return p.g.InNeighbors(e, p.relLabels[RelUsed], buf)
+	return p.appendRow(buf, e, RelUsed, false)
 }
 
 // AgentsOf appends to buf the agents linked to v by S (activities) or A
 // (entities) edges.
 func (p *Graph) AgentsOf(v graph.VertexID, buf []graph.VertexID) []graph.VertexID {
-	buf = p.g.OutNeighbors(v, p.relLabels[RelAssoc], buf)
-	buf = p.g.OutNeighbors(v, p.relLabels[RelAttr], buf)
-	return buf
+	buf = p.appendRow(buf, v, RelAssoc, true)
+	return p.appendRow(buf, v, RelAttr, true)
+}
+
+// appendRow appends v's row of relation r to buf: the targets of its
+// out-edges when out, the sources of its in-edges otherwise.
+func (p *Graph) appendRow(buf []graph.VertexID, v graph.VertexID, r Rel, out bool) []graph.VertexID {
+	base, ext := p.g.Rows(p.relLabels[r], out).Segs(v)
+	return append(append(buf, base...), ext...)
 }
 
 // Validate checks PROV well-formedness: every vertex/edge label is a PROV
@@ -522,7 +529,7 @@ func (p *Graph) ValidateFrom(firstVertex, firstEdge int) error {
 		if !ok {
 			return fmt.Errorf("prov: edge %d: unknown label %q", e, p.g.Dict().Name(p.g.EdgeLabel(id)))
 		}
-		ks, kd := r.endpointKinds()
+		ks, kd := r.Endpoints()
 		if p.KindOf(p.g.Src(id)) != ks || p.KindOf(p.g.Dst(id)) != kd {
 			return fmt.Errorf("prov: edge %d: %w", e, p.errKind(r, p.g.Src(id), p.g.Dst(id)))
 		}

@@ -278,8 +278,8 @@ func storeHeap(t *testing.T, n int) (shares []heapShare, total, vertices, propMa
 
 // TestHeapAccounting reports a served Pd store's live heap per structure
 // (Pd-20000; Pd-100000 too outside -short) and holds it to its budgets: at
-// most 425 B per vertex in all (the live graph keeps no adjacency rows, so
-// its snapshot's CSR blocks are the only ones), at most 100 B per vertex of
+// most 380 B per vertex in all (the live graph keeps no adjacency rows, and
+// its snapshot's per-label CSR blocks are its only adjacency index), at most 100 B per vertex of
 // packed properties, and no graph.Props map left once the graph is frozen.
 func TestHeapAccounting(t *testing.T) {
 	sizes := []int{20000}
@@ -295,8 +295,8 @@ func TestHeapAccounting(t *testing.T) {
 				fmt.Fprintf(&b, "  %-28s %8.3f MB %7.1f B/vertex\n", s.name, float64(s.bytes)/1e6, float64(s.bytes)/float64(nv))
 			}
 			t.Log(b.String())
-			if total > 425*nv {
-				t.Errorf("the store holds %d B for %d vertices, over 425 B/vertex", total, nv)
+			if total > 380*nv {
+				t.Errorf("the store holds %d B for %d vertices, over 380 B/vertex", total, nv)
 			}
 			if shares[0].bytes > 100*nv {
 				t.Errorf("property storage holds %d B for %d vertices, over 100 B/vertex", shares[0].bytes, nv)

@@ -22,7 +22,7 @@ import (
 // "crashes" at an arbitrary byte of the write-ahead log (a SIGKILL leaves
 // exactly a byte prefix of the fsynced log, possibly mid-record), and
 // recovery must reconstruct a store indistinguishable from an uncrashed run
-// of the same epoch prefix — graph rows, dictionary, Out/In views,
+// of the same epoch prefix — graph rows, dictionary, label index,
 // core.Segment results, and lifecycle recorder state — and then resume
 // ingest to the same final state.
 
@@ -122,7 +122,7 @@ func refRun(t *testing.T, script []scriptBatch) (*Store, []*prov.Graph) {
 }
 
 // diffStores asserts the recovered store is indistinguishable from the
-// reference snapshot at the same epoch: snapshot rows/dict/Out/In via
+// reference snapshot at the same epoch: snapshot rows/dict/labels via
 // difftest.DiffSnapshots, PgSeg results over deterministic queries via
 // difftest.DiffSegments, and the lifecycle recorder's artifact/agent
 // indexes.

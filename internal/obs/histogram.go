@@ -44,13 +44,15 @@ func bucketIndex(ns int64) int {
 }
 
 // Histogram is a fixed-bucket latency histogram safe for concurrent
-// observation without locks: counts, sum and max are all atomics. The zero
-// value is ready to use, so histograms embed directly into per-store metric
-// structs.
+// observation without locks: counts, sum, max and the last sample are all
+// atomics. It is the one tally of a timed step: its count is how often the
+// step ran, so no step keeps a counter beside it. The zero value is ready
+// to use, so histograms embed directly into per-store metric structs.
 type Histogram struct {
 	counts [NumBuckets + 1]atomic.Uint64
 	sumNs  atomic.Int64
 	maxNs  atomic.Int64
+	lastNs atomic.Int64
 }
 
 // Observe records one latency sample.
@@ -61,6 +63,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.counts[bucketIndex(ns)].Add(1)
 	h.sumNs.Add(ns)
+	h.lastNs.Store(ns)
 	for {
 		max := h.maxNs.Load()
 		if ns <= max || h.maxNs.CompareAndSwap(max, ns) {
@@ -82,6 +85,8 @@ type HistogramSnapshot struct {
 	SumNanos int64
 	// MaxNanos is the largest sample observed.
 	MaxNanos int64
+	// LastNanos is the most recent sample.
+	LastNanos int64
 }
 
 // Snapshot copies the current counters.
@@ -94,6 +99,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	s.SumNanos = h.sumNs.Load()
 	s.MaxNanos = h.maxNs.Load()
+	s.LastNanos = h.lastNs.Load()
 	return s
 }
 

@@ -117,6 +117,11 @@ func TestHistogramSingleSample(t *testing.T) {
 	if sum.Count != 1 || sum.P50Nanos != want || sum.P99Nanos != want || sum.MaxNanos != want {
 		t.Fatalf("single sample summary: %+v", sum)
 	}
+	// The last sample is the newest, not the largest.
+	h.Observe(time.Millisecond)
+	if s := h.Snapshot(); s.LastNanos != int64(time.Millisecond) || s.MaxNanos != want || s.SumNanos != 4*int64(time.Millisecond) {
+		t.Fatalf("after a smaller sample: last %d, max %d, sum %d", s.LastNanos, s.MaxNanos, s.SumNanos)
+	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {

@@ -298,53 +298,35 @@ func toVertexIDs(ids []uint32) []graph.VertexID {
 	return out
 }
 
-// parseRels maps one-letter relationship names to prov.Rel values, each at
-// most once, in first-seen order: an 8 MB body can repeat a name millions of
-// times, and the segment cache key sorts the list.
-func parseRels(names []string) ([]prov.Rel, error) {
-	var out []prov.Rel
-	for _, n := range names {
-		var r prov.Rel
-		switch strings.ToUpper(strings.TrimSpace(n)) {
-		case "U":
-			r = prov.RelUsed
-		case "G":
-			r = prov.RelGen
-		case "S":
-			r = prov.RelAssoc
-		case "A":
-			r = prov.RelAttr
-		case "D":
-			r = prov.RelDeriv
-		default:
-			return nil, fmt.Errorf("unknown relationship %q (want U, G, S, A, D)", n)
-		}
-		if !slices.Contains(out, r) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
+// The one-letter wire names (prov's String forms) of the relationship types
+// and vertex kinds a request may list, in the order errors name them.
+var (
+	wireRels  = []prov.Rel{prov.RelUsed, prov.RelGen, prov.RelAssoc, prov.RelAttr, prov.RelDeriv}
+	wireKinds = []prov.Kind{prov.KindEntity, prov.KindActivity, prov.KindAgent}
+)
 
-// parseKinds maps one-letter vertex kind names to prov.Kind values, each at
-// most once, in first-seen order: /adjust's vertex filter scans the list
-// once per segment vertex.
-func parseKinds(names []string) ([]prov.Kind, error) {
-	var out []prov.Kind
+// parseLetters maps one-letter names (any case, spaces trimmed) to the
+// values of all they spell, each at most once, in first-seen order: an 8 MB
+// body can repeat a name millions of times, the segment cache key sorts the
+// relationship list, and /adjust's vertex filter scans the kind list once
+// per segment vertex. what names the list in the error.
+func parseLetters[T interface {
+	comparable
+	String() string
+}](what string, all []T, names []string) ([]T, error) {
+	var out []T
 	for _, n := range names {
-		var k prov.Kind
-		switch strings.ToUpper(strings.TrimSpace(n)) {
-		case "E":
-			k = prov.KindEntity
-		case "A":
-			k = prov.KindActivity
-		case "U":
-			k = prov.KindAgent
-		default:
-			return nil, fmt.Errorf("unknown vertex kind %q (want E, A, U)", n)
+		name := strings.ToUpper(strings.TrimSpace(n))
+		i := slices.IndexFunc(all, func(v T) bool { return v.String() == name })
+		if i < 0 {
+			letters := make([]string, len(all))
+			for j, v := range all {
+				letters[j] = v.String()
+			}
+			return nil, fmt.Errorf("unknown %s %q (want %s)", what, n, strings.Join(letters, ", "))
 		}
-		if !slices.Contains(out, k) {
-			out = append(out, k)
+		if !slices.Contains(out, all[i]) {
+			out = append(out, all[i])
 		}
 	}
 	return out, nil
@@ -382,31 +364,54 @@ func parseSolver(name string) (core.SolverKind, error) {
 	return 0, fmt.Errorf("unknown solver %q (want tst)", name)
 }
 
-// toQuery converts a SegmentRequest into the core query + options.
+// toQuery converts a SegmentRequest into the core query + options. A list
+// over its cap is refused before its ids are converted.
 func (r *SegmentRequest) toQuery() (core.Query, core.Options, error) {
-	if err := checkQueryLists(r.Src, r.Dst, r.Expansions); err != nil {
-		return core.Query{}, core.Options{}, err
+	var q core.Query
+	var opts core.Options
+	err := checkQueryLists(r.Src, r.Dst)
+	if err == nil {
+		q.Boundary.Expansions, err = toExpansions(r.Expansions)
 	}
-	rels, err := parseRels(r.ExcludeRels)
+	if err == nil {
+		q.Boundary.ExcludeRels, err = parseLetters("relationship", wireRels, r.ExcludeRels)
+	}
+	if err == nil {
+		opts.Solver, err = parseSolver(r.Solver)
+	}
 	if err != nil {
 		return core.Query{}, core.Options{}, err
 	}
-	solver, err := parseSolver(r.Solver)
-	if err != nil {
-		return core.Query{}, core.Options{}, err
+	q.Src, q.Dst = toVertexIDs(r.Src), toVertexIDs(r.Dst)
+	return q, opts, nil
+}
+
+// checkQueryLists refuses, before any solve, a src or dst list of more than
+// maxQueryVertices ids; toExpansions refuses a within list the same way.
+func checkQueryLists(src, dst []uint32) error {
+	switch {
+	case len(src) > maxQueryVertices:
+		return tooManyVertices("src", len(src))
+	case len(dst) > maxQueryVertices:
+		return tooManyVertices("dst", len(dst))
 	}
-	q := core.Query{
-		Src:      toVertexIDs(r.Src),
-		Dst:      toVertexIDs(r.Dst),
-		Boundary: core.Boundary{ExcludeRels: rels},
+	return nil
+}
+
+func tooManyVertices(list string, n int) error {
+	return fmt.Errorf("%s lists %d vertices (at most %d)", list, n, maxQueryVertices)
+}
+
+// toExpansions converts expansion specs into boundaries b_x(Within, K).
+func toExpansions(specs []ExpansionSpec) ([]core.Expansion, error) {
+	var out []core.Expansion
+	for i, ex := range specs {
+		if len(ex.Within) > maxQueryVertices {
+			return nil, tooManyVertices(fmt.Sprintf("expansions[%d].within", i), len(ex.Within))
+		}
+		out = append(out, core.Expansion{Within: toVertexIDs(ex.Within), K: ex.K})
 	}
-	for _, ex := range r.Expansions {
-		q.Boundary.Expansions = append(q.Boundary.Expansions, core.Expansion{
-			Within: toVertexIDs(ex.Within),
-			K:      ex.K,
-		})
-	}
-	return q, core.Options{Solver: solver}, nil
+	return out, nil
 }
 
 // --- encoding helpers for the small replies; the megabyte-sized ones

@@ -43,7 +43,6 @@ const defaultCheckpointEvery = 256
 // Recovery reports what startup found. Callers must Close the store to seal
 // the log.
 func openDurable(dir string, opts RegistryOptions, coal *wal.Coalescer, seed func() (*prov.Graph, error)) (*Store, *wal.Recovery, error) {
-	var p *prov.Graph
 	var rec *prov.Recorder
 	var checkedEdges int // the replayed graph's edges the schema check has seen
 	m, rcv, err := wal.Open(wal.Options{
@@ -53,21 +52,19 @@ func openDurable(dir string, opts RegistryOptions, coal *wal.Coalescer, seed fun
 		OnBase: func(g *graph.Graph, epoch uint64) error {
 			// Stand the lifecycle recorder up over the checkpoint state;
 			// replayed deltas below extend it incrementally.
-			p = prov.Wrap(g)
-			if err := p.Validate(); err != nil {
+			var err error
+			if rec, err = recorderOver(g); err != nil {
 				return fmt.Errorf("server: checkpoint at epoch %d: %w", epoch, err)
 			}
-			rec = prov.WrapRecorder(p)
-			checkedEdges = p.NumEdges()
+			checkedEdges = rec.P.NumEdges()
 			return nil
 		},
 		OnRecord: func(epoch uint64, firstNewVertex int) error {
 			// A record is a graph delta, appended without prov.AddRel.
-			if err := p.ValidateFrom(firstNewVertex, checkedEdges); err != nil {
+			if err := indexDelta(rec, firstNewVertex, checkedEdges); err != nil {
 				return fmt.Errorf("server: WAL record at epoch %d: %w", epoch, err)
 			}
-			checkedEdges = p.NumEdges()
-			rec.IndexFrom(graph.VertexID(firstNewVertex))
+			checkedEdges = rec.P.NumEdges()
 			return nil
 		},
 	})
@@ -75,6 +72,7 @@ func openDurable(dir string, opts RegistryOptions, coal *wal.Coalescer, seed fun
 		return nil, nil, err
 	}
 	if rcv.Fresh {
+		var p *prov.Graph
 		if seed != nil {
 			p, err = seed()
 		} else {
@@ -90,7 +88,7 @@ func openDurable(dir string, opts RegistryOptions, coal *wal.Coalescer, seed fun
 		}
 	}
 
-	s := newStore(p, rec, opts.CacheCap, rcv.Epoch)
+	s := newStore(rec, opts.CacheCap, rcv.Epoch)
 	s.wal = m
 	s.logger = opts.Logger
 	s.checkpointEvery = opts.CheckpointEvery

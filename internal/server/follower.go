@@ -142,13 +142,12 @@ func (s *Store) followOnce(ctx context.Context, hc *http.Client) error {
 		s.noteLeaderEpoch(ev.LeaderEpoch)
 		switch ev.Kind {
 		case repl.KindSnapshot:
-			if err := s.resetReplicated(ev.Epoch, ev.Payload, ev.PublishedNanos); err != nil {
-				return err
-			}
+			err = s.resetReplicated(ev.Epoch, ev.Payload, ev.PublishedNanos)
 		case repl.KindDelta:
-			if err := s.applyReplicated(ev.Epoch, ev.Payload, ev.PublishedNanos); err != nil {
-				return err
-			}
+			err = s.applyReplicated(ev.Epoch, ev.Payload, ev.PublishedNanos)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -160,9 +159,7 @@ func (s *Store) noteLag(publishedNanos int64) {
 	if publishedNanos <= 0 {
 		return
 	}
-	lag := max(time.Now().UnixNano()-publishedNanos, 0)
-	s.replLagNs.Store(lag)
-	s.replLagHist.Observe(time.Duration(lag))
+	s.replLag.Observe(time.Duration(time.Now().UnixNano() - publishedNanos))
 }
 
 // noteLeaderEpoch records the leader's head epoch as seen on the stream.
@@ -176,11 +173,11 @@ func (s *Store) noteLeaderEpoch(ep uint64) {
 }
 
 // applyReplicated applies one leader delta: exactly the recovery replay
-// path (ApplyDelta, the schema check over the delta, IndexFrom), then the
-// standard incremental freeze and publish. The epoch must extend the
-// applied prefix contiguously — a gap means this delta belongs to a future
-// the store hasn't seen, and applying it would corrupt the graph; the caller
-// reconnects instead.
+// path (ApplyDelta, then indexDelta: the schema check over the delta and
+// IndexFrom), then the standard incremental freeze and install. The epoch
+// must extend the applied prefix contiguously — a gap means this delta
+// belongs to a future the store hasn't seen, and applying it would corrupt
+// the graph; the caller reconnects instead.
 func (s *Store) applyReplicated(epoch uint64, payload []byte, publishedNanos int64) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -197,8 +194,7 @@ func (s *Store) applyReplicated(epoch uint64, payload []byte, publishedNanos int
 	firstNew, firstEdge := s.rec.P.NumVertices(), s.rec.P.NumEdges()
 	err := s.rec.P.PG().ApplyDelta(bytes.NewReader(payload))
 	if err == nil {
-		// The delta was appended without prov.AddRel: check its typing.
-		err = s.rec.P.ValidateFrom(firstNew, firstEdge)
+		err = indexDelta(s.rec, firstNew, firstEdge)
 	}
 	if err != nil {
 		// The live graph may be partially mutated: poison the store so no
@@ -207,7 +203,6 @@ func (s *Store) applyReplicated(epoch uint64, payload []byte, publishedNanos int
 		s.walFail.CompareAndSwap(nil, &walFailure{err: err})
 		return fmt.Errorf("repl: apply delta for epoch %d: %w", epoch, err)
 	}
-	s.rec.IndexFrom(graph.VertexID(firstNew))
 	ep, _ := s.freezeEpoch(s.rec.P, epoch, old)
 	s.tail = ep
 	if s.hub.Load() != nil {
@@ -216,32 +211,27 @@ func (s *Store) applyReplicated(epoch uint64, payload []byte, publishedNanos int
 		payload = append([]byte(nil), payload...)
 	}
 	s.noteLag(publishedNanos)
-	s.publish(ep, old, payload)
+	s.install(ep, old, payload)
 	return nil
 }
 
 // resetReplicated replaces the store's state with a full leader checkpoint
 // at the given epoch — the re-seed path when the leader's delta ring no
 // longer covers the applied epoch. The graph is validated and indexed
-// exactly as a local checkpoint would be at startup; the segment cache is
-// purged wholesale (delta revalidation assumes append-only continuity,
-// which a snapshot jump breaks) and the hub is rebased, ending any chained
-// followers' streams so they re-seed too.
+// exactly as a local checkpoint is at startup (recorderOver), and installed
+// as a new lineage: the segment cache is purged wholesale (delta
+// revalidation assumes append-only continuity, which a snapshot jump breaks)
+// and the hub is rebased, ending any chained followers' streams so they
+// re-seed too.
 func (s *Store) resetReplicated(epoch uint64, data []byte, publishedNanos int64) error {
 	g, err := graph.Load(bytes.NewReader(data))
+	var rec *prov.Recorder
+	if err == nil {
+		rec, err = recorderOver(g)
+	}
 	if err != nil {
 		return fmt.Errorf("repl: checkpoint at epoch %d: %w", epoch, err)
 	}
-	p := prov.Wrap(g)
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("repl: checkpoint at epoch %d: %w", epoch, err)
-	}
-	rec := prov.WrapRecorder(p)
-	// A new lineage (no base): a reader still pinned to an older epoch keeps
-	// extending that epoch's reply column, never this one. The freeze is
-	// recorded only once the checks below accept the checkpoint.
-	ep, _, freeze := buildEpoch(p, epoch, nil)
-
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	if err := s.checkRole(roleFollower); err != nil {
@@ -250,23 +240,18 @@ func (s *Store) resetReplicated(epoch uint64, data []byte, publishedNanos int64)
 	if epoch < s.tail.N {
 		return fmt.Errorf("repl: checkpoint at epoch %d behind applied epoch %d", epoch, s.tail.N)
 	}
-	s.observeFreeze(false, freeze)
+	// A new lineage (no base): a reader still pinned to an older epoch keeps
+	// extending that epoch's reply column, never this one. Only an accepted
+	// checkpoint is frozen (and counts a freeze).
+	ep, _ := s.freezeEpoch(rec.P, epoch, nil)
 	if epoch == 0 && ep.Vertices > 0 {
 		// The leader shipped a non-empty epoch-0 base: chained followers
 		// reading this store's wal stream need the same checkpoint seeding.
 		s.nonEmptyBase.Store(true)
 	}
-	s.rec = rec
-	s.tail = ep
-	s.cache.reset(epoch)
+	s.rec, s.tail = rec, ep
 	s.noteLag(publishedNanos)
-	s.snap.Store(ep)
-	ch := make(chan struct{})
-	close(*s.epochWait.Swap(&ch))
-	if h := s.hub.Load(); h != nil {
-		h.Rebase(epoch)
-	}
-	s.signalPub()
+	s.install(ep, nil, nil)
 	return nil
 }
 

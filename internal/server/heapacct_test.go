@@ -18,8 +18,9 @@ import (
 // allocation once, in the size class the allocator gives it: a slice's
 // backing array at its capacity, a string's bytes, a struct behind a
 // pointer. A map's own tables are not visible to reflection, so each
-// structure's maps are rebuilt entry by entry and the collector's count of
-// the copies is theirs. Nothing is sampled.
+// structure's maps are dropped after its walk, their entries kept alive, and
+// what the collector frees is their tables: the store is thrown away once it
+// is accounted. Nothing is sampled.
 
 // sizeClasses are the Go allocator's small-object size classes.
 var sizeClasses = []uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256,
@@ -58,15 +59,13 @@ type heapCounter struct {
 
 var propsType = reflect.TypeOf(graph.Props(nil))
 
-// structure walks roots and returns the bytes first reached from them.
-func (h *heapCounter) structure(roots ...any) int {
+// structure walks roots, the fields that hold a structure, and returns the
+// bytes first reached from them.
+func (h *heapCounter) structure(roots ...reflect.Value) int {
 	h.maps = h.maps[:0]
 	n := uintptr(0)
 	for _, r := range roots {
-		// An addressable copy, so that writable reaches every field.
-		v := reflect.New(reflect.TypeOf(r)).Elem()
-		v.Set(reflect.ValueOf(r))
-		n += h.walk(v)
+		n += h.walk(r)
 	}
 	return int(n) + h.mapTables()
 }
@@ -192,23 +191,26 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // mapTables returns the bytes of the tables of the maps the last structure
-// reached: the collector's count of a copy of each, rebuilt entry by entry.
+// reached: what a collection frees once the fields holding them are cleared,
+// with every key and value kept alive.
 func (h *heapCounter) mapTables() int {
 	if len(h.maps) == 0 {
 		return 0
 	}
-	copies := make([]reflect.Value, len(h.maps))
-	before := liveHeap()
-	for i, m := range h.maps {
-		c := reflect.MakeMap(m.Type())
+	var entries []reflect.Value
+	for _, m := range h.maps {
 		for it := m.MapRange(); it.Next(); {
-			c.SetMapIndex(it.Key(), it.Value())
+			entries = append(entries, it.Key(), it.Value())
 		}
-		copies[i] = c
 	}
+	before := liveHeap()
+	for _, m := range h.maps {
+		m.SetZero()
+	}
+	clear(h.maps)
 	after := liveHeap()
-	runtime.KeepAlive(copies)
-	return int(after - before)
+	runtime.KeepAlive(entries)
+	return int(before - after)
 }
 
 // liveHeap returns the bytes of live heap objects after two full
@@ -242,12 +244,8 @@ func storeHeap(t *testing.T, n int) (shares []heapShare, total, vertices, propMa
 	}
 	total = int(liveHeap() - before)
 
-	field := func(v any, names ...string) any {
-		r := reflect.ValueOf(v)
-		for _, name := range names {
-			r = writable(reflect.Indirect(r).FieldByName(name))
-		}
-		return r.Interface()
+	field := func(v any, name string) reflect.Value {
+		return writable(reflect.Indirect(reflect.ValueOf(v)).FieldByName(name))
 	}
 	live, snap := st.rec.P.PG(), ep.P.PG()
 	h := &heapCounter{seen: make(map[uintptr]uintptr)}
@@ -256,7 +254,7 @@ func storeHeap(t *testing.T, n int) (shares []heapShare, total, vertices, propMa
 	for _, p := range []unsafe.Pointer{unsafe.Pointer(st), unsafe.Pointer(ep), unsafe.Pointer(live), unsafe.Pointer(snap)} {
 		h.seen[uintptr(p)] = ^uintptr(0)
 	}
-	add := func(name string, roots ...any) {
+	add := func(name string, roots ...reflect.Value) {
 		shares = append(shares, heapShare{name, h.structure(roots...)})
 	}
 	add("property storage", field(live, "props"), field(live, "vTail"), field(live, "eTail"),
@@ -265,7 +263,7 @@ func storeHeap(t *testing.T, n int) (shares []heapShare, total, vertices, propMa
 	add("dictionary and label index", field(live, "dict"), field(live, "byLabel"),
 		field(snap, "dict"), field(snap, "byLabel"))
 	add("recorder index", field(st.rec, "versions"), field(st.rec, "agents"))
-	add("reply column", ep.replies.recs.Load())
+	add("reply column", field(ep.replies, "recs"))
 	add("element columns", field(live, "vLabel"), field(live, "eLabel"), field(live, "eSrc"), field(live, "eDst"))
 	attributed := 0
 	for _, s := range shares {

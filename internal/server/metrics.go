@@ -4,11 +4,82 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
+
+// endpointNames are the per-store request counters surfaced in /metrics.
+var endpointNames = [...]string{
+	"segment", "summarize", "query", "adjust", "ingest",
+	"stats", "metrics", "healthz", "export", "wal", "promote",
+}
+
+// Status-class indices of endpointMetrics.classes. Informational and
+// redirect statuses count as success — the split exists to make error
+// rates observable. A request whose client hung up (statusClientClosed) is
+// neither a client nor a server error: it is canceled.
+const (
+	classOK       = 0 // < 400
+	class4xx      = 1
+	class5xx      = 2
+	classCanceled = 3
+)
+
+// endpointMetrics is one endpoint's per-store counters: total requests
+// (routed), completions by status class, response body bytes of completed
+// requests, and the completion latency histogram.
+type endpointMetrics struct {
+	total     atomic.Uint64
+	classes   [4]atomic.Uint64
+	respBytes atomic.Uint64
+	lat       obs.Histogram
+}
+
+// statusClass maps an HTTP status to its counter index.
+func statusClass(status int) int {
+	switch {
+	case status == statusClientClosed:
+		return classCanceled
+	case status >= 500:
+		return class5xx
+	case status >= 400:
+		return class4xx
+	default:
+		return classOK
+	}
+}
+
+// countRequest bumps the request total of an endpoint (an index into
+// endpointNames). Called at routing time (before the handler runs), so a
+// /metrics response includes the request that produced it.
+func (s *Store) countRequest(endpoint int) { s.requests[endpoint].total.Add(1) }
+
+// observeRequest records a completed request: its status class, the body
+// bytes written to the client and its latency. Totals are bumped at routing
+// time instead, so between the two a request is visibly in flight (total
+// exceeds the class sum by the in-flight count).
+func (s *Store) observeRequest(endpoint, status int, respBytes uint64, d time.Duration) {
+	m := &s.requests[endpoint]
+	m.classes[statusClass(status)].Add(1)
+	m.respBytes.Add(respBytes)
+	m.lat.Observe(d)
+}
+
+// EndpointStats is one endpoint's /metrics panel: the routed total, the
+// status-class split of completions, the response body bytes written by
+// completed requests, and the completion-latency digest.
+type EndpointStats struct {
+	Total         uint64             `json:"total"`
+	OK            uint64             `json:"2xx"`
+	ClientErr     uint64             `json:"4xx"`
+	ServerErr     uint64             `json:"5xx"`
+	Canceled      uint64             `json:"canceled"`
+	ResponseBytes uint64             `json:"response_bytes"`
+	Latency       obs.LatencySummary `json:"latency"`
+}
 
 // StoreMetrics is one read of a store's counters: the JSON panel GET
 // /metrics encodes, plus the histogram snapshots its latency digests were
@@ -24,6 +95,10 @@ type StoreMetrics struct {
 // from the result.
 func (s *Store) Metrics() StoreMetrics {
 	ep := s.Epoch()
+	// The incremental count before the histogram: a build counts there
+	// first, so full (the rest) never underflows.
+	incr := s.freezeIncr.Load()
+	fz := s.freeze.Snapshot()
 	m := StoreMetrics{MetricsResponse: MetricsResponse{
 		Store:        s.name,
 		Epoch:        ep.N,
@@ -32,11 +107,11 @@ func (s *Store) Metrics() StoreMetrics {
 		UptimeMillis: time.Since(s.started).Milliseconds(),
 		Cache:        s.cache.stats(),
 		Freeze: FreezeStats{
-			Incremental: s.freezeIncr.Load(),
-			Full:        s.freezeFull.Load(),
-			LastNanos:   s.freezeLastNs.Load(),
-			MaxNanos:    s.freezeMaxNs.Load(),
-			TotalNanos:  s.freezeTotalNs.Load(),
+			Incremental: incr,
+			Full:        fz.Count - incr,
+			LastNanos:   fz.LastNanos,
+			MaxNanos:    fz.MaxNanos,
+			TotalNanos:  fz.SumNanos,
 		},
 		Requests:  make(map[string]uint64, len(endpointNames)),
 		Endpoints: make(map[string]EndpointStats, len(endpointNames)),
@@ -86,7 +161,7 @@ func (s *Store) Metrics() StoreMetrics {
 				Records:             s.groupRecords.Load(),
 				Last:                s.groupLast.Load(),
 				Max:                 s.groupMax.Load(),
-				QueueWaitLastNanos:  s.queueWaitLastNs.Load(),
+				QueueWaitLastNanos:  enqueue.LastNanos,
 				QueueWaitMaxNanos:   enqueue.MaxNanos,
 				QueueWaitTotalNanos: enqueue.SumNanos,
 			},
@@ -98,16 +173,16 @@ func (s *Store) Metrics() StoreMetrics {
 		}
 	}
 	if s.leaderURL != "" {
-		leader := s.replLeaderEp.Load()
+		leader, lag := s.replLeaderEp.Load(), s.replLag.Snapshot()
 		m.Repl = &ReplStats{
 			Follower:     s.Follower(),
 			LeaderURL:    s.leaderURL,
 			AppliedEpoch: ep.N,
 			LeaderEpoch:  leader,
 			LagRecords:   max(int64(leader)-int64(ep.N), 0),
-			LagNanos:     s.replLagNs.Load(),
+			LagNanos:     lag.LastNanos,
 			Reconnects:   s.replReconnects.Load(),
-			Lag:          s.replLagHist.Snapshot().Summary(),
+			Lag:          lag.Summary(),
 		}
 	}
 	return m

@@ -751,6 +751,9 @@ func TestDurableRestartCycle(t *testing.T) {
 	if err := diffStores(refSnaps[5], refRecorderAt(script, 5), s2, scriptArtifacts, scriptAgents); err != nil {
 		t.Fatalf("after restart: %v", err)
 	}
+	// The recovered epoch is installed like any other, so the cache serves
+	// it before the first write.
+	cachesAt(t, s2, firstToLastEntity(s2.Epoch()), 5)
 	for _, b := range script[5:] {
 		ingestBatch(t, s2, b)
 	}

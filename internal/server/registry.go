@@ -348,19 +348,14 @@ func (r *Registry) Names() []string {
 func (r *Registry) List() []*Store {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.stores))
-	for name := range r.stores {
+	stores := make([]*Store, 0, len(r.stores))
+	if s, ok := r.stores[DefaultStore]; ok {
+		stores = append(stores, s)
+	}
+	for _, name := range sortedKeys(r.stores) {
 		if name != DefaultStore {
-			names = append(names, name)
+			stores = append(stores, r.stores[name])
 		}
-	}
-	sort.Strings(names)
-	if _, ok := r.stores[DefaultStore]; ok {
-		names = append([]string{DefaultStore}, names...)
-	}
-	stores := make([]*Store, len(names))
-	for i, name := range names {
-		stores[i] = r.stores[name]
 	}
 	return stores
 }

@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/prov"
 	"repro/internal/repl"
@@ -142,6 +144,32 @@ func diffFollowerAt(t *testing.T, script []scriptBatch, refSnaps []*prov.Graph, 
 	}
 }
 
+// firstToLastEntity is the segment query from ep's first entity to its
+// last.
+func firstToLastEntity(ep *Epoch) core.Query {
+	var ents []graph.VertexID
+	for v := range ep.Vertices {
+		if ep.P.IsKind(graph.VertexID(v), prov.KindEntity) {
+			ents = append(ents, graph.VertexID(v))
+		}
+	}
+	return core.Query{Src: ents[:1], Dst: ents[len(ents)-1:]}
+}
+
+// cachesAt asserts that st, at epoch n, solves q once and then serves it
+// from its segment cache.
+func cachesAt(t *testing.T, st *Store, q core.Query, n uint64) {
+	t.Helper()
+	if got := st.Epoch().N; got != n {
+		t.Fatalf("store at epoch %d, want %d", got, n)
+	}
+	for i, want := range []bool{false, true} {
+		if _, cached, err := st.Segment(q, core.Options{}, true); err != nil || cached != want {
+			t.Fatalf("segment %d at epoch %d: cached=%v err=%v, want cached=%v", i, n, cached, err, want)
+		}
+	}
+}
+
 // TestReplStreamCutEveryOffset is the partition harness: the wal stream is
 // cut at sampled byte offsets (every offset through the opening meta frame
 // and the first delta, then a stride over the rest), and after each cut the
@@ -247,6 +275,21 @@ func TestReplCheckpointSeedAndReseed(t *testing.T) {
 	seeded := f.Epoch()
 	diffSegmentReply(t, "seeded follower, whole graph", seeded.replies, wholeSegment(seeded.P, nil), false, "")
 
+	// What the re-seed's install does besides swapping the snapshot, set up
+	// at epoch 20: a cached segment, a reader parked for epoch 26, and a
+	// hub on the follower with a chained tailer waiting for epoch 21.
+	q := firstToLastEntity(seeded)
+	cachesAt(t, f, q, 20)
+	before := f.cache.stats()
+	hub := f.EnableRepl()
+	tailer := make(chan repl.WaitResult, 1)
+	go func() {
+		_, res := hub.WaitNext(20, 10*time.Second, nil)
+		tailer <- res
+	}()
+	parked := make(chan bool, 1)
+	go func() { parked <- f.WaitEpoch(26, 10*time.Second) }()
+
 	// Fall behind while disconnected: 6 more epochs evict 21..22 from the
 	// ring, so the reconnect must re-seed the live store from a checkpoint.
 	for _, b := range script[20:26] {
@@ -254,6 +297,23 @@ func TestReplCheckpointSeedAndReseed(t *testing.T) {
 	}
 	tailUntil(t, f, ts.Client(), 26)
 	diffFollowerAt(t, script, refSnaps, f, 26)
+
+	// The re-seed starts a new lineage: the cache is purged (every resident
+	// entry an invalidation) and misses at the new epoch, the parked reader
+	// wakes, and the hub rebases, so the chained tailer must re-seed too.
+	after := f.cache.stats()
+	if after.Entries != 0 || after.Invalidations != before.Invalidations+uint64(before.Entries) || before.Entries == 0 {
+		t.Fatalf("cache across the re-seed: %+v before, %+v after; want every resident entry invalidated", before, after)
+	}
+	if _, cached, err := f.Segment(q, core.Options{}, true); err != nil || cached {
+		t.Fatalf("segment cached at epoch 20 after the re-seed: cached=%v err=%v", cached, err)
+	}
+	if !<-parked {
+		t.Fatal("a WaitEpoch parked across the re-seed did not see epoch 26")
+	}
+	if res := <-tailer; res != repl.WaitEvicted || hub.Head() != 26 || hub.Oldest() != 27 {
+		t.Fatalf("follower hub after the re-seed: tailer %v, head %d, oldest %d; want evicted, 26, 27", res, hub.Head(), hub.Oldest())
+	}
 
 	// The re-seed started a new lineage with a column of its own. A reader
 	// still pinned to epoch 20 renders through, and extends, the old column

@@ -219,18 +219,18 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 			noAgents := core.Boundary{ExcludeRels: []prov.Rel{prov.RelAttr}, VertexFilters: []core.VertexFilter{
 				func(p *prov.Graph, v graph.VertexID) bool { return !p.IsKind(v, prov.KindAgent) },
 			}}
-			adj, _, err := st.Adjust(q, core.Options{}, noAgents, nil)
+			adj, _, err := st.adjustAt(new(core.Work), st.Epoch(), q, core.Options{}, noAgents, nil)
 			if err != nil || (rank == 0 && adj.NumVertices() >= seg.NumVertices()) {
 				t.Fatalf("%s: adjust exclude: %v (%d of %d vertices left)", tag, err, adj.NumVertices(), seg.NumVertices())
 			}
 			diffSegmentReply(t, tag+" adjust exclude", col, adj, true, "")
-			adj, _, err = st.Adjust(q, core.Options{}, noAgents, []core.Expansion{{Within: dst, K: 3}})
+			adj, _, err = st.adjustAt(new(core.Work), st.Epoch(), q, core.Options{}, noAgents, []core.Expansion{{Within: dst, K: 3}})
 			if err != nil {
 				t.Fatalf("%s: adjust exclude+expand: %v", tag, err)
 			}
 			diffSegmentReply(t, tag+" adjust exclude+expand", col, adj, true, "")
 			// exclude_rels alone: the surviving edge ids are many short runs.
-			adj, _, err = st.Adjust(q, core.Options{}, core.Boundary{ExcludeRels: []prov.Rel{prov.RelDeriv, prov.RelAttr}}, nil)
+			adj, _, err = st.adjustAt(new(core.Work), st.Epoch(), q, core.Options{}, core.Boundary{ExcludeRels: []prov.Rel{prov.RelDeriv, prov.RelAttr}}, nil)
 			if err != nil || edgeRuns(adj.Edges) < 2 {
 				t.Fatalf("%s: adjust exclude_rels: %v (%d edge runs)", tag, err, edgeRuns(adj.Edges))
 			}

@@ -848,16 +848,19 @@ func TestAdjustEndpoint(t *testing.T) {
 // at most three probes however long the list in the body; a list repeating
 // "U" 100k times gets the reply ["U"] gets, byte for byte.
 func TestAdjustRepeatedKinds(t *testing.T) {
-	kinds, err := parseKinds([]string{"U", "u", " U ", "E", "U", "A", "E"})
+	kinds, err := parseLetters("vertex kind", wireKinds, []string{"U", "u", " U ", "E", "U", "A", "E"})
 	if err != nil || !slices.Equal(kinds, []prov.Kind{prov.KindAgent, prov.KindEntity, prov.KindActivity}) {
-		t.Fatalf("parseKinds: %v, %v", kinds, err)
+		t.Fatalf("kinds: %v, %v", kinds, err)
 	}
-	rels, err := parseRels([]string{"D", "d", "U", "G", "D", "S", "U", "A", "G"})
+	rels, err := parseLetters("relationship", wireRels, []string{"D", "d", "U", "G", "D", "S", "U", "A", "G"})
 	if err != nil || !slices.Equal(rels, []prov.Rel{prov.RelDeriv, prov.RelUsed, prov.RelGen, prov.RelAssoc, prov.RelAttr}) {
-		t.Fatalf("parseRels: %v, %v", rels, err)
+		t.Fatalf("relationships: %v, %v", rels, err)
 	}
-	if _, err := parseKinds([]string{"U", "U", "X"}); err == nil {
-		t.Fatal("parseKinds accepted an unknown kind after repeats")
+	if _, err := parseLetters("vertex kind", wireKinds, []string{"U", "U", "X"}); err == nil || err.Error() != `unknown vertex kind "X" (want E, A, U)` {
+		t.Fatalf("an unknown kind after repeats: %v", err)
+	}
+	if _, err := parseLetters("relationship", wireRels, []string{"u", "x"}); err == nil || err.Error() != `unknown relationship "x" (want U, G, S, A, D)` {
+		t.Fatalf("an unknown relationship: %v", err)
 	}
 
 	ts, _, ids := newTestServer(t)
@@ -890,7 +893,7 @@ func TestExcludedRelBlocksNeverRead(t *testing.T) {
 		if wantU && rows[prov.RelUsed] == [2]int{} {
 			t.Fatalf("%s: no U-block reads counted; the traversal never ran", what)
 		}
-		rels, err := parseRels(excluded)
+		rels, err := parseLetters("relationship", wireRels, excluded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -957,7 +960,7 @@ func TestExcludedRelBlocksNeverRead(t *testing.T) {
 	if q, opts, err = adj.Segment.toQuery(); err != nil {
 		t.Fatal(err)
 	}
-	rels, err := parseRels(adj.ExcludeRels)
+	rels, err := parseLetters("relationship", wireRels, adj.ExcludeRels)
 	if err != nil {
 		t.Fatal(err)
 	}

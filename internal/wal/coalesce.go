@@ -23,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // CoalescerMode selects how a sync window is retired.
@@ -59,13 +61,11 @@ type Coalescer struct {
 	stopCh      chan struct{}
 	flusherDone chan struct{}
 
-	windows    atomic.Uint64
+	// retire times each window's retirement; its count is the windows.
+	retire     obs.Histogram
 	requests   atomic.Uint64
 	lastWindow atomic.Uint64
 	maxWindow  atomic.Uint64
-	syncLastNs atomic.Int64
-	syncMaxNs  atomic.Int64
-	syncTotNs  atomic.Int64
 }
 
 // CoalescerStats is the /metrics snapshot of one coalescer.
@@ -250,7 +250,7 @@ func (c *Coalescer) flushWindow(batch []*syncReq) {
 		for m := range perMgr {
 			errs[m] = err
 			if err == nil {
-				m.stats.observeSync(d)
+				m.stats.fsync.Observe(d)
 			}
 		}
 	} else {
@@ -268,8 +268,6 @@ func (c *Coalescer) flushWindow(batch []*syncReq) {
 		}
 		wg.Wait()
 	}
-	ns := time.Since(start).Nanoseconds()
-	c.windows.Add(1)
 	c.lastWindow.Store(uint64(len(batch)))
 	for {
 		max := c.maxWindow.Load()
@@ -277,14 +275,7 @@ func (c *Coalescer) flushWindow(batch []*syncReq) {
 			break
 		}
 	}
-	c.syncLastNs.Store(ns)
-	c.syncTotNs.Add(ns)
-	for {
-		max := c.syncMaxNs.Load()
-		if ns <= max || c.syncMaxNs.CompareAndSwap(max, ns) {
-			break
-		}
-	}
+	c.retire.Observe(time.Since(start))
 	for m, reqs := range perMgr {
 		for _, r := range reqs {
 			r.errc <- errs[m]
@@ -294,16 +285,17 @@ func (c *Coalescer) flushWindow(batch []*syncReq) {
 
 // StatsSnapshot returns cumulative window counters.
 func (c *Coalescer) StatsSnapshot() CoalescerStats {
+	s := c.retire.Snapshot()
 	return CoalescerStats{
 		Enabled:        true,
 		Mode:           c.Mode(),
-		Windows:        c.windows.Load(),
+		Windows:        s.Count,
 		Requests:       c.requests.Load(),
 		LastWindowSize: c.lastWindow.Load(),
 		MaxWindowSize:  c.maxWindow.Load(),
-		SyncLastNanos:  c.syncLastNs.Load(),
-		SyncMaxNanos:   c.syncMaxNs.Load(),
-		SyncTotalNanos: c.syncTotNs.Load(),
+		SyncLastNanos:  s.LastNanos,
+		SyncMaxNanos:   s.MaxNanos,
+		SyncTotalNanos: s.SumNanos,
 	}
 }
 

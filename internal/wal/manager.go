@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // Directory layout. A data directory holds
@@ -133,9 +134,7 @@ type Manager struct {
 
 	stats        statCounters
 	syncFailures atomic.Uint64 // failed background flushes
-	checkpoints  atomic.Uint64
-	ckptLastNs   atomic.Int64
-	ckptTotalNs  atomic.Int64
+	ckpt         obs.Histogram // written checkpoints' durations
 	ckptLastEp   atomic.Uint64
 	tickerStop   chan struct{}
 	tickerDone   chan struct{}
@@ -407,10 +406,7 @@ func (m *Manager) Checkpoint(g *graph.Graph, epoch uint64) error {
 	}
 	syncDir(m.dir)
 	m.removeObsolete(epoch)
-	ns := time.Since(start).Nanoseconds()
-	m.checkpoints.Add(1)
-	m.ckptLastNs.Store(ns)
-	m.ckptTotalNs.Add(ns)
+	m.ckpt.Observe(time.Since(start))
 	m.ckptLastEp.Store(epoch)
 	return nil
 }
@@ -446,12 +442,13 @@ func (m *Manager) Sync() error {
 
 // StatsSnapshot returns cumulative log and checkpoint counters.
 func (m *Manager) StatsSnapshot() ManagerStats {
+	ckpt := m.ckpt.Snapshot()
 	return ManagerStats{
 		Stats:                m.stats.snapshot(),
 		SyncFailures:         m.syncFailures.Load(),
-		Checkpoints:          m.checkpoints.Load(),
-		CheckpointLastNanos:  m.ckptLastNs.Load(),
-		CheckpointTotalNanos: m.ckptTotalNs.Load(),
+		Checkpoints:          ckpt.Count,
+		CheckpointLastNanos:  ckpt.LastNanos,
+		CheckpointTotalNanos: ckpt.SumNanos,
 		LastCheckpointEpoch:  m.ckptLastEp.Load(),
 	}
 }

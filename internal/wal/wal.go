@@ -30,6 +30,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // SyncPolicy selects when appended records are fsynced to stable storage.
@@ -95,37 +97,23 @@ type Stats struct {
 }
 
 // statCounters is the atomic backing for Stats, shared across log rotations
-// so the manager reports totals for the whole process lifetime.
+// so the manager reports totals for the whole process lifetime. fsync's
+// count is the fsyncs issued.
 type statCounters struct {
-	records      atomic.Uint64
-	bytes        atomic.Uint64
-	fsyncs       atomic.Uint64
-	fsyncLastNs  atomic.Int64
-	fsyncMaxNs   atomic.Int64
-	fsyncTotalNs atomic.Int64
-}
-
-func (c *statCounters) observeSync(d time.Duration) {
-	ns := d.Nanoseconds()
-	c.fsyncs.Add(1)
-	c.fsyncTotalNs.Add(ns)
-	c.fsyncLastNs.Store(ns)
-	for {
-		max := c.fsyncMaxNs.Load()
-		if ns <= max || c.fsyncMaxNs.CompareAndSwap(max, ns) {
-			return
-		}
-	}
+	records atomic.Uint64
+	bytes   atomic.Uint64
+	fsync   obs.Histogram
 }
 
 func (c *statCounters) snapshot() Stats {
+	f := c.fsync.Snapshot()
 	return Stats{
 		Records:         c.records.Load(),
 		Bytes:           c.bytes.Load(),
-		Fsyncs:          c.fsyncs.Load(),
-		FsyncLastNanos:  c.fsyncLastNs.Load(),
-		FsyncMaxNanos:   c.fsyncMaxNs.Load(),
-		FsyncTotalNanos: c.fsyncTotalNs.Load(),
+		Fsyncs:          f.Count,
+		FsyncLastNanos:  f.LastNanos,
+		FsyncMaxNanos:   f.MaxNanos,
+		FsyncTotalNanos: f.SumNanos,
 	}
 }
 
@@ -316,7 +304,7 @@ func (l *Log) Sync() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.stats.observeSync(time.Since(start))
+	l.stats.fsync.Observe(time.Since(start))
 	return nil
 }
 

@@ -97,7 +97,7 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 	if _, err := lg.AppendBatchTimed(recs); err != nil {
 		t.Fatal(err)
 	}
-	if got := stats.fsyncs.Load(); got != 0 {
+	if got := stats.snapshot().Fsyncs; got != 0 {
 		t.Fatalf("append paid %d fsyncs, want none before Sync", got)
 	}
 	if err := lg.Sync(); err != nil {
@@ -106,7 +106,7 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := stats.fsyncs.Load(); got != 1 { // one for the whole group (Close syncs uncounted)
+	if got := stats.snapshot().Fsyncs; got != 1 { // one for the whole group (Close syncs uncounted)
 		t.Fatalf("batch of %d paid %d counted fsyncs, want 1", len(recs), got)
 	}
 	if got := stats.records.Load(); got != uint64(len(recs)) {

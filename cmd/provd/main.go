@@ -107,13 +107,13 @@ func main() {
 	in := flag.String("in", "", "input .pg graph seeding the default store (mutually exclusive with -gen)")
 	genN := flag.Int("gen", 0, "generate a synthetic Pd lifecycle graph with this many vertices as the default store")
 	seed := flag.Int64("seed", 1, "generator seed (with -gen)")
-	cacheCap := flag.Int("cache", 256, "segment result cache capacity per store (entries)")
+	cacheCap := flag.Int("cache", server.DefaultCacheCap, "segment result cache capacity per store (entries)")
 	stores := flag.String("stores", "", "comma-separated extra store names to open or create at boot (the \"default\" store always exists)")
 	dataDir := flag.String("data", "", "root data directory for durable serving (per-store write-ahead log + checkpoints under <data>/<store>/); empty serves memory-only")
 	follow := flag.String("follow", "", "run as a read-only follower replicating the provd leader at this base URL (e.g. http://leader:8042); incompatible with -data/-in/-gen/-stores")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always (every commit), interval (background flush), never (OS-paced)")
-	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "background flush period with -fsync interval")
-	checkpointEvery := flag.Int("checkpoint-every", 256, "committed batches between checkpoints per store (bounds log growth and restart replay)")
+	fsyncInterval := flag.Duration("fsync-interval", wal.DefaultSyncInterval, "background flush period with -fsync interval")
+	checkpointEvery := flag.Int("checkpoint-every", server.DefaultCheckpointEvery, "committed batches between checkpoints per store (bounds log growth and restart replay)")
 	qosRate := flag.Float64("qos-rate", 0, "per-store admission rate limit in requests/second (0 disables rate limiting; applies to every store, adjustable per store via PUT /stores/{name})")
 	qosBurst := flag.Int("qos-burst", 0, "per-store admission burst on top of -qos-rate (0 derives the burst from the rate)")
 	qosConcurrency := flag.Int("qos-concurrency", 0, "per-store cap on concurrently served requests (0 disables)")
@@ -285,17 +285,11 @@ func openRegistry(follow, dataDir, stores, in string, genN int, seed int64, cach
 		// -in/-gen describe a starting graph; recovered state IS the graph,
 		// so combining them would silently discard one of the two. Make the
 		// operator choose (a fresh directory, or dropping the seed flags).
-		// The default store's state lives in <data>/default/, or directly in
-		// <data>/ for pre-sharding directories.
 		if in != "" || genN > 0 {
-			for _, dir := range []string{dataDir, filepath.Join(dataDir, server.DefaultStore)} {
-				has, err := wal.DirHasState(dir)
-				if err != nil {
-					return nil, err
-				}
-				if has {
-					return nil, fmt.Errorf("-data %s already holds state; restart without -in/-gen (or point -data at a fresh directory)", dataDir)
-				}
+			if _, has, err := server.DefaultStoreDir(dataDir); has {
+				return nil, fmt.Errorf("-data %s already holds state; restart without -in/-gen (or point -data at a fresh directory)", dataDir)
+			} else if err != nil {
+				return nil, err
 			}
 		}
 	}

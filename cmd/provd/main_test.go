@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -250,9 +251,10 @@ func TestProvdRestartRecoversStores(t *testing.T) {
 	p2.stop(t)
 }
 
-// TestProvdRefusesSeedOverState re-checks the -in/-gen guard against the
-// sharded layout: a restart over existing default-store state must refuse
-// the seed flags.
+// TestProvdRefusesSeedOverState re-checks the -in/-gen guard against both
+// layouts the default store's state can have: a restart over it must refuse
+// the seed flags, whether it sits under <data>/default (sharded) or directly
+// in <data> (pre-sharding, which a plain restart adopts).
 func TestProvdRefusesSeedOverState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots the real daemon; skipped in -short")
@@ -263,14 +265,39 @@ func TestProvdRefusesSeedOverState(t *testing.T) {
 	ingestN(t, p.base, server.DefaultStore, 1)
 	p.stop(t)
 
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-data", dataDir, "-gen", "100")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("provd accepted -gen over existing state:\n%s", out)
+	refuses := func(layout string) {
+		t.Helper()
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-data", dataDir, "-gen", "100")
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Fatalf("%s layout: provd accepted -gen over existing state:\n%s", layout, out)
+		}
+		if !strings.Contains(string(out), "already holds state") {
+			t.Fatalf("%s layout: unexpected failure mode: %v\n%s", layout, err, out)
+		}
 	}
-	if !strings.Contains(string(out), "already holds state") {
-		t.Fatalf("unexpected failure mode: %v\n%s", err, out)
+	refuses("sharded")
+
+	// Move the default store's files up into <data>: the legacy layout.
+	sub := filepath.Join(dataDir, server.DefaultStore)
+	entries, err := os.ReadDir(sub)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, e := range entries {
+		if err := os.Rename(filepath.Join(sub, e.Name()), filepath.Join(dataDir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(sub); err != nil {
+		t.Fatal(err)
+	}
+	refuses("legacy")
+	p = startProvd(t, bin, "-data", dataDir)
+	if epoch, _ := storeEpoch(t, p.base, server.DefaultStore); epoch != 1 {
+		t.Fatalf("legacy layout: default store booted at epoch %d, want the adopted 1", epoch)
+	}
+	p.stop(t)
 }
 
 // TestProvdObservability boots the daemon with the observability surfaces

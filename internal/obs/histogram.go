@@ -51,7 +51,7 @@ func bucketIndex(ns int64) int {
 type Histogram struct {
 	counts [NumBuckets + 1]atomic.Uint64
 	sumNs  atomic.Int64
-	maxNs  atomic.Int64
+	maxNs  Max
 	lastNs atomic.Int64
 }
 
@@ -64,13 +64,25 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[bucketIndex(ns)].Add(1)
 	h.sumNs.Add(ns)
 	h.lastNs.Store(ns)
+	h.maxNs.Observe(ns)
+}
+
+// Max is the largest value observed so far, kept lock-free. The zero value
+// holds 0 and is ready to use.
+type Max struct{ v atomic.Int64 }
+
+// Observe raises the maximum to v if v is larger.
+func (m *Max) Observe(v int64) {
 	for {
-		max := h.maxNs.Load()
-		if ns <= max || h.maxNs.CompareAndSwap(max, ns) {
+		cur := m.v.Load()
+		if v <= cur || m.v.CompareAndSwap(cur, v) {
 			return
 		}
 	}
 }
+
+// Load returns the largest value observed so far.
+func (m *Max) Load() int64 { return m.v.Load() }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's counters.
 // Concurrent observers may land between bucket reads, so the snapshot is

@@ -51,9 +51,13 @@ type cacheEntry struct {
 	relOK [8]bool
 }
 
+// DefaultCacheCap is a store's segment-cache capacity (entries) when its
+// options name none.
+const DefaultCacheCap = 256
+
 func newSegCache(capacity int) *segCache {
 	if capacity <= 0 {
-		capacity = 128
+		capacity = DefaultCacheCap
 	}
 	return &segCache{
 		cap: capacity,

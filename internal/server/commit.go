@@ -168,7 +168,7 @@ func (s *Store) updateEpoch(ctx context.Context, fn func(rec *prov.Recorder) err
 	// rely on the typing); the live graph already holds it, so the store
 	// refuses further writes.
 	if err := s.rec.P.ValidateFrom(old.Vertices, old.Edges); err != nil {
-		s.walFail.CompareAndSwap(nil, &walFailure{err: err})
+		s.poison(err)
 		return 0, fmt.Errorf("store: batch refused: %w", err)
 	}
 	var payload []byte
@@ -179,7 +179,7 @@ func (s *Store) updateEpoch(ctx context.Context, fn func(rec *prov.Recorder) err
 		if err := s.rec.P.PG().EncodeDelta(&buf, old.P.PG().Dict().Len(), old.Vertices, old.Edges); err != nil {
 			// The graph mutated but nothing can be logged or replicated:
 			// unreconcilable.
-			s.walFail.CompareAndSwap(nil, &walFailure{err: err})
+			s.poison(err)
 			return 0, fmt.Errorf("store: write-ahead log: %w", err)
 		}
 		payload = buf.Bytes()
@@ -362,7 +362,7 @@ drain:
 		for _, req := range group {
 			req.stages.AppendNanos = tm.WriteNanos
 		}
-		s.walFail.CompareAndSwap(nil, &walFailure{err: err})
+		s.poison(err)
 		s.failGroup(group, err)
 		return
 	}
@@ -398,7 +398,7 @@ func (s *Store) syncLoop() {
 			err := s.coal.SyncWaitPrep(s.wal, func() { covered = s.appendSeq.Load() })
 			lastSyncNs = time.Since(start).Nanoseconds()
 			if err != nil {
-				s.walFail.CompareAndSwap(nil, &walFailure{err: err})
+				s.poison(err)
 				s.failGroup(job.group, err)
 				continue
 			}
@@ -420,12 +420,7 @@ func (s *Store) retireGroup(group []*commitReq) {
 	s.groups.Add(1)
 	s.groupRecords.Add(uint64(len(group)))
 	s.groupLast.Store(int64(len(group)))
-	for {
-		max := s.groupMax.Load()
-		if int64(len(group)) <= max || s.groupMax.CompareAndSwap(max, int64(len(group))) {
-			break
-		}
-	}
+	s.groupMax.Observe(int64(len(group)))
 	for _, req := range group {
 		s.publish(context.Background(), req, len(group))
 		// Resolved moves only after the publish is visible, so a drain

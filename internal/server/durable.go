@@ -29,20 +29,21 @@ import (
 // backpressure that keeps unpublished epochs from piling up without bound.
 const commitQueueCap = 256
 
-// defaultCheckpointEvery bounds WAL replay at restart to a few hundred
-// batch-sized deltas, which replays in well under a second.
-const defaultCheckpointEvery = 256
+// DefaultCheckpointEvery is the checkpoint cadence when RegistryOptions
+// names none: it bounds WAL replay at restart to a few hundred batch-sized
+// deltas, which replays in well under a second.
+const DefaultCheckpointEvery = 256
 
-// openDurable opens (or creates) a durable store over dir, configured by
-// opts' Fsync, SyncInterval, CheckpointEvery, CacheCap and Logger (DataDir
-// is not read). coal, when non-nil, shares the barrier of group commits
-// across stores: the store waits on a device-level sync window instead of
-// fsyncing its own log. When dir holds prior state it is recovered and seed
-// is not consulted; on a fresh directory seed provides the initial graph
-// (nil seeds an empty PROV graph) and becomes checkpoint zero. The returned
-// Recovery reports what startup found. Callers must Close the store to seal
-// the log.
-func openDurable(dir string, opts RegistryOptions, coal *wal.Coalescer, seed func() (*prov.Graph, error)) (*Store, *wal.Recovery, error) {
+// openDurable opens (or creates) the durable store named name over dir,
+// configured by opts' Fsync, SyncInterval and CheckpointEvery and its store
+// settings (see newStore; DataDir is not read). coal, when non-nil, shares
+// the barrier of group commits across stores: the store waits on a
+// device-level sync window instead of fsyncing its own log. When dir holds
+// prior state it is recovered and seed is not consulted; on a fresh
+// directory seed provides the initial graph (see seedGraph) and becomes
+// checkpoint zero. The returned Recovery reports what startup found.
+// Callers must Close the store to seal the log.
+func openDurable(dir, name string, opts RegistryOptions, coal *wal.Coalescer, seed func() (*prov.Graph, error)) (*Store, *wal.Recovery, error) {
 	var rec *prov.Recorder
 	var checkedEdges int // the replayed graph's edges the schema check has seen
 	m, rcv, err := wal.Open(wal.Options{
@@ -73,12 +74,7 @@ func openDurable(dir string, opts RegistryOptions, coal *wal.Coalescer, seed fun
 	}
 	if rcv.Fresh {
 		var p *prov.Graph
-		if seed != nil {
-			p, err = seed()
-		} else {
-			p = prov.New()
-		}
-		if err == nil {
+		if p, err = seedGraph(seed); err == nil {
 			rec = prov.WrapRecorder(p)
 			err = m.Bootstrap(p.PG())
 		}
@@ -88,12 +84,11 @@ func openDurable(dir string, opts RegistryOptions, coal *wal.Coalescer, seed fun
 		}
 	}
 
-	s := newStore(rec, opts.CacheCap, rcv.Epoch)
+	s := newStore(rec, rcv.Epoch, name, opts)
 	s.wal = m
-	s.logger = opts.Logger
 	s.checkpointEvery = opts.CheckpointEvery
 	if s.checkpointEvery <= 0 {
-		s.checkpointEvery = defaultCheckpointEvery
+		s.checkpointEvery = DefaultCheckpointEvery
 	}
 	// Replayed WAL records count against the next checkpoint so a restart
 	// that keeps crashing short of the threshold still converges.
@@ -230,10 +225,9 @@ type DurabilityStats struct {
 // GroupCommitStats is the /metrics group-commit panel: how staged batches
 // coalesced into fsync groups, and how long batches waited on the commit
 // queue before their committer picked them up (the queue-wait share of
-// ingest latency that the old last/max_size counters left invisible; the
-// full distribution is in the "enqueue" stage histogram). Records/Groups is
-// the average amortization factor; it approaches the writer concurrency
-// under load.
+// ingest latency; the full distribution is in the "enqueue" stage
+// histogram). Records/Groups is the average amortization factor; it
+// approaches the writer concurrency under load.
 type GroupCommitStats struct {
 	// Enabled is true on every durable store: there is one commit path.
 	Enabled bool   `json:"enabled"`

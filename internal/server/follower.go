@@ -45,12 +45,12 @@ var ErrNotFollower = errors.New("store is not a follower")
 const reconnectBackoff = 250 * time.Millisecond
 
 // newFollowerStore builds a memory-only store in the follower role that
-// mirrors the same-named store on the leader. The applier is not started;
+// mirrors the same-named store on the leader at opts.Leader, with opts'
+// store settings (see newStore). The applier is not started;
 // Registry.open starts it, tests may drive followOnce directly instead.
-func newFollowerStore(name, leaderURL string, cacheCap int) *Store {
-	s := NewStore(prov.New(), cacheCap)
-	s.name = name
-	s.leaderURL = leaderURL
+func newFollowerStore(name string, opts RegistryOptions) *Store {
+	s := newStore(prov.NewRecorder(), 0, name, opts)
+	s.leaderURL = opts.Leader
 	s.role.Store(roleFollower)
 	return s
 }
@@ -133,13 +133,13 @@ func (s *Store) followOnce(ctx context.Context, hc *http.Client) error {
 		return err
 	}
 	defer st.Close()
-	s.noteLeaderEpoch(st.LeaderEpoch())
+	s.replLeaderEp.Observe(int64(st.LeaderEpoch()))
 	for {
 		ev, err := st.Next()
 		if err != nil {
 			return err
 		}
-		s.noteLeaderEpoch(ev.LeaderEpoch)
+		s.replLeaderEp.Observe(int64(ev.LeaderEpoch))
 		switch ev.Kind {
 		case repl.KindSnapshot:
 			err = s.resetReplicated(ev.Epoch, ev.Payload, ev.PublishedNanos)
@@ -160,16 +160,6 @@ func (s *Store) noteLag(publishedNanos int64) {
 		return
 	}
 	s.replLag.Observe(time.Duration(time.Now().UnixNano() - publishedNanos))
-}
-
-// noteLeaderEpoch records the leader's head epoch as seen on the stream.
-func (s *Store) noteLeaderEpoch(ep uint64) {
-	for {
-		cur := s.replLeaderEp.Load()
-		if ep <= cur || s.replLeaderEp.CompareAndSwap(cur, ep) {
-			return
-		}
-	}
 }
 
 // applyReplicated applies one leader delta: exactly the recovery replay
@@ -200,7 +190,7 @@ func (s *Store) applyReplicated(epoch uint64, payload []byte, publishedNanos int
 		// The live graph may be partially mutated: poison the store so no
 		// further apply (or promoted write) builds on it. Published
 		// snapshots are frozen copies and remain an exact epoch prefix.
-		s.walFail.CompareAndSwap(nil, &walFailure{err: err})
+		s.poison(err)
 		return fmt.Errorf("repl: apply delta for epoch %d: %w", epoch, err)
 	}
 	ep, _ := s.freezeEpoch(s.rec.P, epoch, old)

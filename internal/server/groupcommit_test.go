@@ -34,7 +34,7 @@ type pipeline struct {
 func openPipeline(t *testing.T, shape string, policy wal.SyncPolicy, dir string, extra ...string) pipeline {
 	t.Helper()
 	if shape == "store" {
-		s, _, err := openDurable(dir, RegistryOptions{Fsync: policy, CheckpointEvery: 1 << 30, CacheCap: 8}, nil, nil)
+		s, _, err := openDurable(dir, "", RegistryOptions{Fsync: policy, CheckpointEvery: 1 << 30, CacheCap: 8}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func snapshotOp(w int, rec *prov.Recorder) {
 func TestGroupCommitOneFsyncPerGroup(t *testing.T) {
 	const k = 6
 	dir := t.TempDir()
-	s, _, err := openDurable(dir, RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 8}, nil, nil)
+	s, _, err := openDurable(dir, "", RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestUpdatePanicReleasesWriteMutex(t *testing.T) {
 		run(t, NewStore(prov.New(), 4))
 	})
 	t.Run("durable", func(t *testing.T) {
-		s, _, err := openDurable(t.TempDir(), RegistryOptions{CacheCap: 4}, nil, nil)
+		s, _, err := openDurable(t.TempDir(), "", RegistryOptions{CacheCap: 4}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func (s *Server) handleSegment(st *Store, w *statusWriter, r *http.Request) {
 	ep := st.Epoch()
 	seg, cached, err := st.segmentAt(core.NewWork(r.Context()), ep, q, opts, !req.NoCache)
 	if err != nil {
-		writeQueryErr(w, err, "segment")
+		writeOpErr(w, err, "segment")
 		return
 	}
 	writeReply(w, dot, seg, func(w io.Writer, d string) error { return writeSegmentJSON(w, ep.replies, seg, cached, d) })
@@ -121,7 +121,7 @@ func (s *Server) handleAdjust(st *Store, w *statusWriter, r *http.Request) {
 	ep := st.Epoch()
 	seg, cached, err := st.adjustAt(core.NewWork(r.Context()), ep, q, opts, excl, exps)
 	if err != nil {
-		writeQueryErr(w, err, "adjust")
+		writeOpErr(w, err, "adjust")
 		return
 	}
 	writeReply(w, dot, seg, func(w io.Writer, d string) error { return writeSegmentJSON(w, ep.replies, seg, cached, d) })
@@ -176,7 +176,7 @@ func (s *Server) handleSummarize(st *Store, w *statusWriter, r *http.Request) {
 	}
 	psg, err := st.summarizeAt(core.NewWork(r.Context()), queries, core.Options{}, sumOpts)
 	if err != nil {
-		writeQueryErr(w, err, "summarize")
+		writeOpErr(w, err, "summarize")
 		return
 	}
 	writeReply(w, dot, psg, func(w io.Writer, d string) error { return writePsgJSON(w, psg, d) })
@@ -208,7 +208,7 @@ func (s *Server) handleQuery(st *Store, w *statusWriter, r *http.Request) {
 	ep := st.Epoch()
 	res, err := cypher.NewProvEvaluator(ep.P, opts).Run(r.Context(), req.Query)
 	if err != nil {
-		writeQueryErr(w, err, "query")
+		writeOpErr(w, err, "query")
 		return
 	}
 	writeJSON(w, http.StatusOK, encodeResult(ep.P, res))
@@ -229,31 +229,19 @@ func (s *Server) handleIngest(st *Store, w *statusWriter, r *http.Request) {
 	}
 	resp := IngestResponse{Results: make([]IngestResult, 0, len(req.Ops))}
 	epoch, err := st.updateEpoch(r.Context(), func(rec *prov.Recorder) error {
-		// Validate the whole batch against the pre-batch graph first so the
+		// Check the whole batch against the pre-batch graph first so the
 		// batch applies atomically: either every op commits or none does.
 		// Input ids must reference vertices that existed before the batch
 		// (chain across batches using the returned ids).
+		steps := make([]func(*prov.Recorder) IngestResult, len(req.Ops))
 		for i, op := range req.Ops {
-			if err := validateOp(rec.P, op); err != nil {
+			var err error
+			if steps[i], err = ingestOp(rec.P, op); err != nil {
 				return fmt.Errorf("op %d: %w", i, err)
 			}
 		}
-		for _, op := range req.Ops {
-			switch op.Op {
-			case "agent":
-				resp.Results = append(resp.Results, IngestResult{ID: uint32(rec.Agent(op.Agent))})
-			case "import":
-				resp.Results = append(resp.Results, IngestResult{ID: uint32(rec.Import(op.Agent, op.Artifact, op.URL))})
-			case "snapshot":
-				resp.Results = append(resp.Results, IngestResult{ID: uint32(rec.Snapshot(op.Artifact))})
-			case "run":
-				a, outs := rec.Run(op.Agent, op.Command, toVertexIDs(op.Inputs), op.Outputs)
-				res := IngestResult{ID: uint32(a)}
-				for _, o := range outs {
-					res.Outputs = append(res.Outputs, uint32(o))
-				}
-				resp.Results = append(resp.Results, res)
-			}
+		for _, step := range steps {
+			resp.Results = append(resp.Results, step(rec))
 		}
 		// Snapshot the totals while still holding the write lock so the
 		// reply reflects exactly this batch's commit point, not later
@@ -263,17 +251,7 @@ func (s *Server) handleIngest(st *Store, w *statusWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrBackpressure):
-			// The batch was rejected before mutating anything; the committer
-			// drains the queue continuously, so a short fixed hint suffices.
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusTooManyRequests, "ingest: %v", err)
-		case errors.Is(err, ErrStoreClosed):
-			writeErr(w, http.StatusServiceUnavailable, "ingest: %v", err)
-		default:
-			writeErr(w, http.StatusBadRequest, "ingest: %v", err)
-		}
+		writeOpErr(w, err, "ingest")
 		return
 	}
 	// The committed epoch doubles as a read-your-writes token: pass it back
@@ -294,50 +272,61 @@ func redirectToLeader(leader string, w http.ResponseWriter, r *http.Request) {
 		"store is a read-only follower; write to the leader at %s", leader)
 }
 
-// validateOp checks one ingest op against the current graph; it must reject
-// anything that would make the recorder panic (bad input kinds, out-of-range
-// ids).
-func validateOp(p *prov.Graph, op IngestOp) error {
+// ingestOp checks one ingest op against the pre-batch graph and returns
+// the step that records it. The check must reject anything that would make
+// the recorder panic (bad input kinds, out-of-range ids).
+func ingestOp(p *prov.Graph, op IngestOp) (func(*prov.Recorder) IngestResult, error) {
 	switch op.Op {
 	case "agent":
 		if op.Agent == "" {
-			return errors.New(`"agent" op needs a non-empty agent name`)
+			return nil, errors.New(`"agent" op needs a non-empty agent name`)
 		}
+		return func(rec *prov.Recorder) IngestResult { return IngestResult{ID: uint32(rec.Agent(op.Agent))} }, nil
 	case "import":
 		if op.Agent == "" || op.Artifact == "" {
-			return errors.New(`"import" op needs agent and artifact`)
+			return nil, errors.New(`"import" op needs agent and artifact`)
 		}
+		return func(rec *prov.Recorder) IngestResult {
+			return IngestResult{ID: uint32(rec.Import(op.Agent, op.Artifact, op.URL))}
+		}, nil
 	case "snapshot":
 		if op.Artifact == "" {
-			return errors.New(`"snapshot" op needs an artifact name`)
+			return nil, errors.New(`"snapshot" op needs an artifact name`)
 		}
+		return func(rec *prov.Recorder) IngestResult { return IngestResult{ID: uint32(rec.Snapshot(op.Artifact))} }, nil
 	case "run":
 		if op.Agent == "" || op.Command == "" {
-			return errors.New(`"run" op needs agent and command`)
+			return nil, errors.New(`"run" op needs agent and command`)
 		}
 		if len(op.Outputs) == 0 {
-			return errors.New(`"run" op needs at least one output artifact`)
+			return nil, errors.New(`"run" op needs at least one output artifact`)
 		}
 		for _, out := range op.Outputs {
 			if out == "" {
 				// An empty artifact name would create a nameless snapshot
 				// whose version chain is lost on reload (WrapRecorder keys
 				// versions by filename).
-				return errors.New(`"run" op output artifact names must be non-empty`)
+				return nil, errors.New(`"run" op output artifact names must be non-empty`)
 			}
 		}
 		for _, in := range op.Inputs {
 			if int(in) >= p.NumVertices() {
-				return fmt.Errorf("input vertex %d out of range", in)
+				return nil, fmt.Errorf("input vertex %d out of range", in)
 			}
 			if !p.IsKind(graph.VertexID(in), prov.KindEntity) {
-				return fmt.Errorf("input vertex %d is not an entity", in)
+				return nil, fmt.Errorf("input vertex %d is not an entity", in)
 			}
 		}
-	default:
-		return fmt.Errorf("unknown op %q (want agent, import, snapshot, run)", op.Op)
+		return func(rec *prov.Recorder) IngestResult {
+			a, outs := rec.Run(op.Agent, op.Command, toVertexIDs(op.Inputs), op.Outputs)
+			res := IngestResult{ID: uint32(a)}
+			for _, o := range outs {
+				res.Outputs = append(res.Outputs, uint32(o))
+			}
+			return res
+		}, nil
 	}
-	return nil
+	return nil, fmt.Errorf("unknown op %q (want agent, import, snapshot, run)", op.Op)
 }
 
 func (s *Server) handleStats(st *Store, w *statusWriter, r *http.Request) {
@@ -346,8 +335,9 @@ func (s *Server) handleStats(st *Store, w *statusWriter, r *http.Request) {
 
 // wantsPrometheus reports whether a /metrics request asked for the text
 // exposition format: ?format=prometheus wins, else an Accept header naming
-// text/plain or an openmetrics type. The JSON panel stays the default so
-// existing consumers (and curl without headers) see what they always did.
+// text/plain or an openmetrics type. The JSON panel stays the default for
+// consumers that name no format (curl without headers, scripts reading the
+// JSON keys).
 func wantsPrometheus(r *http.Request) bool {
 	switch strings.ToLower(r.URL.Query().Get("format")) {
 	case "prometheus", "prom", "text":
@@ -402,7 +392,7 @@ func (s *Server) handleWALStream(st *Store, w *statusWriter, r *http.Request) {
 // script that raced another promotion finds out.
 func (s *Server) handlePromote(st *Store, w *statusWriter, r *http.Request) {
 	if err := st.Promote(); err != nil {
-		writeErr(w, http.StatusConflict, "promote: %v", err)
+		writeOpErr(w, err, "promote")
 		return
 	}
 	writeJSON(w, http.StatusOK, PromoteResponse{Store: st.Name(), Epoch: st.Epoch().N})

@@ -11,12 +11,6 @@ import (
 	"repro/internal/wal"
 )
 
-// endpointNames are the per-store request counters surfaced in /metrics.
-var endpointNames = [...]string{
-	"segment", "summarize", "query", "adjust", "ingest",
-	"stats", "metrics", "healthz", "export", "wal", "promote",
-}
-
 // Status-class indices of endpointMetrics.classes. Informational and
 // redirect statuses count as success — the split exists to make error
 // rates observable. A request whose client hung up (statusClientClosed) is
@@ -53,7 +47,7 @@ func statusClass(status int) int {
 }
 
 // countRequest bumps the request total of an endpoint (an index into
-// endpointNames). Called at routing time (before the handler runs), so a
+// endpoints). Called at routing time (before the handler runs), so a
 // /metrics response includes the request that produced it.
 func (s *Store) countRequest(endpoint int) { s.requests[endpoint].total.Add(1) }
 
@@ -86,8 +80,8 @@ type EndpointStats struct {
 // derived from, which the Prometheus exposition renders as histograms.
 type StoreMetrics struct {
 	MetricsResponse
-	// The histograms, in endpointNames and stageNames order.
-	EndpointLatency [len(endpointNames)]obs.HistogramSnapshot
+	// The histograms, in endpoints and stageNames order.
+	EndpointLatency [numEndpoints]obs.HistogramSnapshot
 	StageLatency    [len(stageNames)]obs.HistogramSnapshot
 }
 
@@ -113,8 +107,8 @@ func (s *Store) Metrics() StoreMetrics {
 			MaxNanos:    fz.MaxNanos,
 			TotalNanos:  fz.SumNanos,
 		},
-		Requests:  make(map[string]uint64, len(endpointNames)),
-		Endpoints: make(map[string]EndpointStats, len(endpointNames)),
+		Requests:  make(map[string]uint64, numEndpoints),
+		Endpoints: make(map[string]EndpointStats, numEndpoints),
 		Stages:    make(map[string]obs.LatencySummary, len(stageNames)),
 		QoS: QoSStats{
 			Admitted:            s.qosAdmitted.Load(),
@@ -128,8 +122,8 @@ func (s *Store) Metrics() StoreMetrics {
 	if l := s.qos.Load(); l != nil {
 		m.QoS.Config, m.QoS.Inflight = l.cfg, l.inflight.Load()
 	}
-	for i, name := range endpointNames {
-		em := &s.requests[i]
+	for i := range endpoints {
+		name, em := endpoints[i].name, &s.requests[i]
 		es := EndpointStats{
 			OK:            em.classes[classOK].Load(),
 			ClientErr:     em.classes[class4xx].Load(),
@@ -173,7 +167,7 @@ func (s *Store) Metrics() StoreMetrics {
 		}
 	}
 	if s.leaderURL != "" {
-		leader, lag := s.replLeaderEp.Load(), s.replLag.Snapshot()
+		leader, lag := uint64(s.replLeaderEp.Load()), s.replLag.Snapshot()
 		m.Repl = &ReplStats{
 			Follower:     s.Follower(),
 			LeaderURL:    s.leaderURL,
@@ -219,7 +213,7 @@ const (
 )
 
 // promRow is the row a family renders: a store's snapshot with, on
-// endpoint and stage rows, the index into endpointNames or stageNames; or,
+// endpoint and stage rows, the index into endpoints or stageNames; or,
 // with no store, the registry-wide counters.
 type promRow struct {
 	*StoreMetrics
@@ -241,14 +235,18 @@ func (r promRow) rows(scope promScope) (string, []string) {
 		scope == perCoalescer && r.coalescer == nil:
 		return "", nil
 	case scope == perEndpoint:
-		return "endpoint", endpointNames[:]
+		names := make([]string, len(endpoints))
+		for i := range endpoints {
+			names[i] = endpoints[i].name
+		}
+		return "endpoint", names
 	case scope == perStage:
 		return "stage", stageNames[:]
 	}
 	return "", []string{""}
 }
 
-func (r promRow) endpoint() EndpointStats { return r.Endpoints[endpointNames[r.i]] }
+func (r promRow) endpoint() EndpointStats { return r.Endpoints[endpoints[r.i].name] }
 
 func (r promRow) mode() obs.Label { return obs.Label{Name: "mode", Value: r.coalescer.Mode} }
 

@@ -421,8 +421,8 @@ func checkPromInflight(url string) error {
 			return fmt.Errorf("sample %q: %v", line, err)
 		}
 	}
-	if len(routed) != len(endpointNames) {
-		return fmt.Errorf("exposition has routed totals for %d endpoints, want %d", len(routed), len(endpointNames))
+	if len(routed) != len(endpoints) {
+		return fmt.Errorf("exposition has routed totals for %d endpoints, want %d", len(routed), len(endpoints))
 	}
 	for ep, n := range done {
 		if n > routed[ep] {

@@ -246,7 +246,7 @@ func fixtureStore(name string, next *int64, seed int, idle func(i int) bool) Sto
 	m.Requests = map[string]uint64{}
 	m.Endpoints = map[string]EndpointStats{}
 	m.Stages = map[string]obs.LatencySummary{}
-	for i, ep := range endpointNames {
+	for i, ep := range endpoints {
 		var es EndpointStats
 		fillSentinels(reflect.ValueOf(&es).Elem(), next)
 		if idle(i) {
@@ -255,10 +255,10 @@ func fixtureStore(name string, next *int64, seed int, idle func(i int) bool) Sto
 			m.EndpointLatency[i] = fixtureHist(seed + 2*i)
 		}
 		es.Latency = m.EndpointLatency[i].Summary()
-		m.Requests[ep], m.Endpoints[ep] = es.Total, es // one snapshot: they agree
+		m.Requests[ep.name], m.Endpoints[ep.name] = es.Total, es // one snapshot: they agree
 	}
 	for i, stage := range stageNames {
-		if !idle(len(endpointNames) + i) {
+		if !idle(len(endpoints) + i) {
 			m.StageLatency[i] = fixtureHist(seed + 3*i + 1)
 		}
 		m.Stages[stage] = m.StageLatency[i].Summary()

@@ -171,7 +171,7 @@ func TestSetQoSSwap(t *testing.T) {
 // ErrBackpressure before the update closure mutates anything, then that the
 // store drains and serves normally once the committer resumes.
 func TestBackpressureRejectsBeforeMutation(t *testing.T) {
-	s, _, err := openDurable(t.TempDir(), RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 8}, nil, nil)
+	s, _, err := openDurable(t.TempDir(), "", RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

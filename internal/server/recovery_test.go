@@ -222,7 +222,7 @@ func openRecoveredAt(t *testing.T, srcDir, activeLog string, walData []byte, cut
 	if err := os.WriteFile(filepath.Join(caseDir, activeLog), walData[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, rcv, err := openDurable(caseDir, RegistryOptions{CacheCap: 16}, nil, func() (*prov.Graph, error) {
+	s, rcv, err := openDurable(caseDir, "", RegistryOptions{CacheCap: 16}, nil, func() (*prov.Graph, error) {
 		t.Fatalf("cut %d: recovery fell back to seeding a fresh graph", cut)
 		return nil, nil
 	})
@@ -249,7 +249,7 @@ func TestKillReplayRecovery(t *testing.T) {
 	// history is one log and every cut point is interesting). No Close —
 	// the crash leaves whatever bytes the appends fsynced.
 	crashDir := t.TempDir()
-	victim, rcv, err := openDurable(crashDir, RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 16}, nil, nil)
+	victim, rcv, err := openDurable(crashDir, "", RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 16}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestKillReplayGroupCommit(t *testing.T) {
 		rounds   = 4
 	)
 	crashDir := t.TempDir()
-	victim, rcv, err := openDurable(crashDir, RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 16}, nil, nil)
+	victim, rcv, err := openDurable(crashDir, "", RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 16}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestKillReplayCoalescedMultiStore(t *testing.T) {
 	names := []string{"alpha", "beta"}
 	victims := make([]*Store, len(names))
 	for i, name := range names {
-		s, rcv, err := openDurable(filepath.Join(root, name), RegistryOptions{
+		s, rcv, err := openDurable(filepath.Join(root, name), "", RegistryOptions{
 			CheckpointEvery: 1 << 30,
 			CacheCap:        16,
 		}, coal, nil)
@@ -676,7 +676,7 @@ func TestKillReplayAcrossCheckpoints(t *testing.T) {
 	crashDir := t.TempDir()
 	// Huge CheckpointEvery disables the background trigger; the test drives
 	// checkpoints synchronously at exact epochs instead.
-	victim, _, err := openDurable(crashDir, RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 16}, nil, nil)
+	victim, _, err := openDurable(crashDir, "", RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 16}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,7 +723,7 @@ func TestDurableRestartCycle(t *testing.T) {
 	defer refStore.Close()
 
 	dir := t.TempDir()
-	s, _, err := openDurable(dir, RegistryOptions{CheckpointEvery: 2, CacheCap: 16}, nil, nil)
+	s, _, err := openDurable(dir, "", RegistryOptions{CheckpointEvery: 2, CacheCap: 16}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -740,7 +740,7 @@ func TestDurableRestartCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, rcv, err := openDurable(dir, RegistryOptions{CheckpointEvery: 2, CacheCap: 16}, nil, nil)
+	s2, rcv, err := openDurable(dir, "", RegistryOptions{CheckpointEvery: 2, CacheCap: 16}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -778,7 +778,7 @@ func TestDurableRestartCycle(t *testing.T) {
 // the last good epoch.
 func TestDurableUpdateChecksSchema(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := openDurable(dir, RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 4}, nil, nil)
+	s, _, err := openDurable(dir, "", RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 4}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -809,7 +809,7 @@ func TestDurableUpdateChecksSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, rcv, err := openDurable(dir, RegistryOptions{CacheCap: 4}, nil, nil)
+	r, rcv, err := openDurable(dir, "", RegistryOptions{CacheCap: 4}, nil, nil)
 	if err != nil {
 		t.Fatalf("recovery after a refused batch: %v", err)
 	}
@@ -865,7 +865,7 @@ func TestDurableReplayChecksSchema(t *testing.T) {
 		return dir
 	}
 
-	r, rcv, err := openDurable(crashImage(false), RegistryOptions{CacheCap: 4}, nil, nil)
+	r, rcv, err := openDurable(crashImage(false), "", RegistryOptions{CacheCap: 4}, nil, nil)
 	if err != nil {
 		t.Fatalf("recovery of a well-typed record: %v", err)
 	}
@@ -874,7 +874,7 @@ func TestDurableReplayChecksSchema(t *testing.T) {
 		t.Fatalf("replayed %d records, want 1", rcv.Replayed)
 	}
 
-	r, _, err = openDurable(crashImage(true), RegistryOptions{CacheCap: 4}, nil, nil)
+	r, _, err = openDurable(crashImage(true), "", RegistryOptions{CacheCap: 4}, nil, nil)
 	if err == nil {
 		r.Close()
 		t.Fatal("recovery replayed a mistyped U edge")
@@ -932,7 +932,7 @@ func TestDurableFsyncPolicies(t *testing.T) {
 // the store refuses subsequent writes instead of diverging from its log.
 func TestDurableWALFailurePoisonsWrites(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := openDurable(dir, RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 8}, nil, nil)
+	s, _, err := openDurable(dir, "", RegistryOptions{CheckpointEvery: 1 << 30, CacheCap: 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ type RegistryOptions struct {
 	// windows — one flush per window instead of one per store (see
 	// wal.Coalescer). SyncInterval is the background flush period under
 	// wal.SyncInterval, and CheckpointEvery the number of committed batches
-	// between checkpoints (<=0 selects 256).
+	// between checkpoints (<=0 selects DefaultCheckpointEvery).
 	Fsync           wal.SyncPolicy
 	SyncInterval    time.Duration
 	CheckpointEvery int
@@ -80,7 +80,8 @@ type RegistryOptions struct {
 	// starts with (zero = no limits); PUT /stores/{name} can override it
 	// per store.
 	DefaultQoS QoSConfig
-	// CacheCap bounds each store's segment cache (entries).
+	// CacheCap bounds each store's segment cache (entries; <=0 selects
+	// DefaultCacheCap).
 	CacheCap int
 	// Logger, when non-nil, receives each store's per-commit Debug lines
 	// and, on follower registries, its replication lines.
@@ -112,6 +113,9 @@ type Registry struct {
 	// through (nil unless durable under SyncAlways, the one policy with a
 	// barrier on the commit path). Closed after the stores.
 	coal *wal.Coalescer
+	// defaultDir is the default store's directory on a durable registry,
+	// resolved once at open (DefaultStoreDir).
+	defaultDir string
 
 	// discovery is a follower registry's discovery loop
 	// (follow_registry.go); nil on other registries.
@@ -138,6 +142,44 @@ func OpenRegistry(opts RegistryOptions, extra []string, seed func() (*prov.Graph
 	}
 	opts.Leader = strings.TrimSuffix(opts.Leader, "/")
 	r := &Registry{opts: opts, stores: make(map[string]*Store)}
+	set := map[string]bool{DefaultStore: true}
+	for _, name := range extra {
+		if !ValidStoreName(name) {
+			return nil, nil, fmt.Errorf("registry: invalid store name %q", name)
+		}
+		set[name] = true
+	}
+	switch {
+	case opts.Leader != "":
+		// The leader's first GET /stores names the follower's boot set; an
+		// unreachable leader leaves the default store alone until discovery
+		// reaches it.
+		for _, name := range r.leaderStores(context.Background()) {
+			set[name] = true // leaderStores lists valid names only
+		}
+	case opts.DataDir != "":
+		var err error
+		if r.defaultDir, _, err = DefaultStoreDir(opts.DataDir); err != nil {
+			return nil, nil, err
+		}
+		entries, err := os.ReadDir(opts.DataDir)
+		if err != nil && !os.IsNotExist(err) {
+			return nil, nil, err
+		}
+		for _, e := range entries {
+			if !e.IsDir() || e.Name() == DefaultStore || !ValidStoreName(e.Name()) {
+				continue
+			}
+			has, err := wal.DirHasState(filepath.Join(opts.DataDir, e.Name()))
+			if err != nil {
+				return nil, nil, err
+			}
+			if has {
+				set[e.Name()] = true
+			}
+		}
+	}
+
 	if opts.DataDir != "" && opts.Fsync == wal.SyncAlways {
 		if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
 			return nil, nil, err
@@ -148,74 +190,8 @@ func OpenRegistry(opts RegistryOptions, extra []string, seed func() (*prov.Graph
 		}
 		r.coal = c
 	}
-	names := []string{DefaultStore}
-	seen := map[string]bool{DefaultStore: true}
-	add := func(name string) error {
-		if seen[name] {
-			return nil
-		}
-		if !ValidStoreName(name) {
-			return fmt.Errorf("registry: invalid store name %q", name)
-		}
-		seen[name] = true
-		names = append(names, name)
-		return nil
-	}
-	for _, name := range extra {
-		if err := add(name); err != nil {
-			return nil, nil, err
-		}
-	}
-	switch {
-	case opts.Leader != "":
-		// The leader's first GET /stores names the follower's boot set; an
-		// unreachable leader leaves the default store alone until discovery
-		// reaches it.
-		for _, name := range r.leaderStores(context.Background()) {
-			_ = add(name) // leaderStores lists valid names only
-		}
-		sort.Strings(names[1:])
-	case opts.DataDir != "":
-		// A tree with state both directly in DataDir (pre-sharding layout)
-		// and under DataDir/default/ is ambiguous: adopting either would
-		// silently shadow the other's graph. Refuse and make the operator
-		// pick one.
-		rootHas, err := wal.DirHasState(opts.DataDir)
-		if err != nil {
-			return nil, nil, err
-		}
-		subHas, err := wal.DirHasState(filepath.Join(opts.DataDir, DefaultStore))
-		if err != nil {
-			return nil, nil, err
-		}
-		if rootHas && subHas {
-			return nil, nil, fmt.Errorf(
-				"registry: %s holds default-store state both directly (legacy layout) and under %s; move one aside",
-				opts.DataDir, filepath.Join(opts.DataDir, DefaultStore))
-		}
-		entries, err := os.ReadDir(opts.DataDir)
-		if err != nil && !os.IsNotExist(err) {
-			return nil, nil, err
-		}
-		for _, e := range entries {
-			if !e.IsDir() || !ValidStoreName(e.Name()) {
-				continue
-			}
-			has, err := wal.DirHasState(filepath.Join(opts.DataDir, e.Name()))
-			if err != nil {
-				return nil, nil, err
-			}
-			if has {
-				if err := add(e.Name()); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		sort.Strings(names[1:]) // deterministic boot order after the default
-	}
-
 	var rcvs []StoreRecovery
-	for _, name := range names {
+	for _, name := range defaultFirst(set) {
 		storeSeed := seed
 		if name != DefaultStore {
 			storeSeed = nil // -in/-gen seed the default store only
@@ -234,50 +210,63 @@ func OpenRegistry(opts RegistryOptions, extra []string, seed func() (*prov.Graph
 	return r, rcvs, nil
 }
 
-// storeDir maps a store name to its data subdirectory. The default store
-// adopts legacy single-store state sitting directly in DataDir.
-func (r *Registry) storeDir(name string) string {
-	dir := filepath.Join(r.opts.DataDir, name)
-	if name == DefaultStore {
-		if has, err := wal.DirHasState(r.opts.DataDir); err == nil && has {
-			return r.opts.DataDir
-		}
+// DefaultStoreDir resolves where the default store of a registry over
+// dataDir keeps its state, and reports whether it holds any yet: dataDir
+// itself when state sits directly in it (the pre-sharding single-store
+// layout, adopted in place), else dataDir/default. State in both is
+// ambiguous — adopting either would silently shadow the other's graph — so
+// it is refused, and the operator picks one.
+func DefaultStoreDir(dataDir string) (dir string, has bool, err error) {
+	sub := filepath.Join(dataDir, DefaultStore)
+	rootHas, err := wal.DirHasState(dataDir)
+	if err != nil {
+		return "", false, err
 	}
-	return dir
+	subHas, err := wal.DirHasState(sub)
+	switch {
+	case err != nil:
+		return "", false, err
+	case rootHas && subHas:
+		return "", true, fmt.Errorf(
+			"registry: %s holds default-store state both directly (legacy layout) and under %s; move one aside", dataDir, sub)
+	case rootHas:
+		return dataDir, true, nil
+	}
+	return sub, subHas, nil
+}
+
+// seedGraph is a fresh store's initial graph: seed's, or an empty PROV
+// graph when seed is nil.
+func seedGraph(seed func() (*prov.Graph, error)) (*prov.Graph, error) {
+	if seed == nil {
+		return prov.New(), nil
+	}
+	return seed()
 }
 
 // open builds one store per the registry configuration (no map insert): a
 // follower of the leader's same-named store with its applier running, a
 // memory-only store over seed's graph, or a durable store over its data
-// subdirectory.
+// subdirectory (the default store's resolved at OpenRegistry).
 func (r *Registry) open(name string, seed func() (*prov.Graph, error)) (*Store, *wal.Recovery, error) {
-	var s *Store
-	rcv := &wal.Recovery{Fresh: true}
+	fresh := &wal.Recovery{Fresh: true}
 	switch {
 	case r.opts.Leader != "":
-		s = newFollowerStore(name, r.opts.Leader, r.opts.CacheCap)
+		s := newFollowerStore(name, r.opts)
+		s.startApplier(nil, reconnectBackoff)
+		return s, fresh, nil
 	case r.opts.DataDir == "":
-		p := prov.New()
-		if seed != nil {
-			var err error
-			if p, err = seed(); err != nil {
-				return nil, nil, err
-			}
-		}
-		s = NewStore(p, r.opts.CacheCap)
-	default:
-		var err error
-		if s, rcv, err = openDurable(r.storeDir(name), r.opts, r.coal, seed); err != nil {
+		p, err := seedGraph(seed)
+		if err != nil {
 			return nil, nil, err
 		}
+		return newStore(prov.WrapRecorder(p), 0, name, r.opts), fresh, nil
 	}
-	s.name = name
-	s.logger = r.opts.Logger
-	_ = s.SetQoS(r.opts.DefaultQoS) // validated at OpenRegistry
-	if s.Follower() {
-		s.startApplier(nil, reconnectBackoff)
+	dir := filepath.Join(r.opts.DataDir, name)
+	if name == DefaultStore {
+		dir = r.defaultDir
 	}
-	return s, rcv, nil
+	return openDurable(dir, name, r.opts, r.coal, seed)
 }
 
 // Get returns the named store, or ErrUnknownStore. Lock-free on the read
@@ -335,12 +324,9 @@ func (r *Registry) Create(name string) (*Store, bool, error) {
 
 // Names lists the stores, sorted, default first.
 func (r *Registry) Names() []string {
-	stores := r.List()
-	names := make([]string, len(stores))
-	for i, s := range stores {
-		names[i] = s.Name()
-	}
-	return names
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return defaultFirst(r.stores)
 }
 
 // List returns one consistent snapshot of the stores, sorted by name with
@@ -348,14 +334,10 @@ func (r *Registry) Names() []string {
 func (r *Registry) List() []*Store {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	stores := make([]*Store, 0, len(r.stores))
-	if s, ok := r.stores[DefaultStore]; ok {
-		stores = append(stores, s)
-	}
-	for _, name := range sortedKeys(r.stores) {
-		if name != DefaultStore {
-			stores = append(stores, r.stores[name])
-		}
+	names := defaultFirst(r.stores)
+	stores := make([]*Store, len(names))
+	for i, name := range names {
+		stores[i] = r.stores[name]
 	}
 	return stores
 }
@@ -383,7 +365,7 @@ func (r *Registry) Close() error {
 	defer r.mu.Unlock()
 	r.closed = true
 	var first error
-	for _, name := range sortedKeys(r.stores) {
+	for _, name := range defaultFirst(r.stores) {
 		if err := r.stores[name].Close(); err != nil && first == nil {
 			first = fmt.Errorf("store %q: %w", name, err)
 		}
@@ -396,11 +378,15 @@ func (r *Registry) Close() error {
 	return first
 }
 
-func sortedKeys(m map[string]*Store) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// defaultFirst returns m's keys in the order a registry opens, lists and
+// closes its stores: the default store first, then the rest by name.
+func defaultFirst[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
 	}
-	sort.Strings(out)
-	return out
+	sort.Slice(names, func(i, j int) bool {
+		return names[j] != DefaultStore && (names[i] == DefaultStore || names[i] < names[j])
+	})
+	return names
 }

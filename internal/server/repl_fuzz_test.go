@@ -137,7 +137,7 @@ func FuzzWALStream(f *testing.F) {
 		}
 
 		cur.Store(&data)
-		fol := newFollowerStore(DefaultStore, ts.URL, 4)
+		fol := newFollowerStore(DefaultStore, RegistryOptions{Leader: ts.URL, CacheCap: 4})
 		defer fol.Close()
 		_ = fol.followOnce(context.Background(), ts.Client())
 

@@ -193,7 +193,7 @@ func TestReplStreamCutEveryOffset(t *testing.T) {
 
 	// Size the cut schedule by streaming once cleanly.
 	meter := &countingTransport{base: http.DefaultTransport}
-	scout := newFollowerStore(DefaultStore, ts.URL, 16)
+	scout := newFollowerStore(DefaultStore, RegistryOptions{Leader: ts.URL, CacheCap: 16})
 	tailUntil(t, scout, &http.Client{Transport: meter}, head)
 	diffFollowerAt(t, script, refSnaps, scout, int(head))
 	total := meter.n.Load()
@@ -209,7 +209,7 @@ func TestReplStreamCutEveryOffset(t *testing.T) {
 		cuts = append(cuts, off)
 	}
 	for _, cut := range cuts {
-		f := newFollowerStore(DefaultStore, ts.URL, 16)
+		f := newFollowerStore(DefaultStore, RegistryOptions{Leader: ts.URL, CacheCap: 16})
 		hc := &http.Client{Transport: &cutTransport{base: http.DefaultTransport, limit: cut}}
 		if err := f.followOnce(context.Background(), hc); err == nil {
 			t.Fatalf("cut %d: stream ended without error", cut)
@@ -269,7 +269,7 @@ func TestReplCheckpointSeedAndReseed(t *testing.T) {
 	}
 	st.Close()
 
-	f := newFollowerStore(DefaultStore, ts.URL, 16)
+	f := newFollowerStore(DefaultStore, RegistryOptions{Leader: ts.URL, CacheCap: 16})
 	tailUntil(t, f, ts.Client(), 20)
 	diffFollowerAt(t, script, refSnaps, f, 20)
 	seeded := f.Epoch()
@@ -368,7 +368,7 @@ func TestReplReconnectChaos(t *testing.T) {
 		base:   http.DefaultTransport,
 		limits: []int64{41, 97, 257, 1031, 1 << 20},
 	}
-	f := newFollowerStore(DefaultStore, ts.URL, 16)
+	f := newFollowerStore(DefaultStore, RegistryOptions{Leader: ts.URL, CacheCap: 16})
 	f.startApplier(&http.Client{Transport: flaky}, 2*time.Millisecond)
 	if !f.WaitEpoch(head, 20*time.Second) {
 		t.Fatalf("chaos follower stuck at epoch %d short of %d", f.Epoch().N, head)
@@ -393,7 +393,7 @@ func TestReplFailoverPromote(t *testing.T) {
 	script := randomScript(7, 30)
 	_, refSnaps := refRun(t, script)
 
-	f := newFollowerStore(DefaultStore, ts.URL, 16)
+	f := newFollowerStore(DefaultStore, RegistryOptions{Leader: ts.URL, CacheCap: 16})
 	f.startApplier(nil, 5*time.Millisecond)
 	for _, b := range script[:20] {
 		ingestBatch(t, leader, b)
@@ -767,7 +767,7 @@ func TestReplNonEmptyBaseSeedsCheckpoint(t *testing.T) {
 
 	ingestBatch(t, leader, scriptBatch{{Op: "agent", Agent: "post-base"}})
 
-	f := newFollowerStore(DefaultStore, ts.URL, 8)
+	f := newFollowerStore(DefaultStore, RegistryOptions{Leader: ts.URL, CacheCap: 8})
 	defer f.Close()
 	tailUntil(t, f, ts.Client(), leader.Epoch().N)
 
@@ -784,7 +784,7 @@ func TestReplNonEmptyBaseSeedsCheckpoint(t *testing.T) {
 	// same checkpoint seeding (resetReplicated propagates nonEmptyBase).
 	fs := httptest.NewServer(NewServer(f))
 	defer fs.Close()
-	f2 := newFollowerStore(DefaultStore, fs.URL, 8)
+	f2 := newFollowerStore(DefaultStore, RegistryOptions{Leader: fs.URL, CacheCap: 8})
 	defer f2.Close()
 	tailUntil(t, f2, fs.Client(), fe.N)
 	if e2 := f2.Epoch(); e2.Vertices != le.Vertices || e2.Edges != le.Edges {
@@ -814,7 +814,7 @@ func memLeader(t *testing.T, extra ...string) string {
 // from which Promote cannot reach the leader role — directly or over
 // POST /promote.
 func TestReplPromoteClosedFollower(t *testing.T) {
-	f := newFollowerStore(DefaultStore, memLeader(t), 4)
+	f := newFollowerStore(DefaultStore, RegistryOptions{Leader: memLeader(t), CacheCap: 4})
 	ts := httptest.NewServer(NewServer(f))
 	defer ts.Close()
 	if err := f.Close(); err != nil {
@@ -835,7 +835,7 @@ func TestReplPromoteClosedFollower(t *testing.T) {
 	// the store ends closed with its applier stopped.
 	leader := memLeader(t)
 	for i := 0; i < 20; i++ {
-		f := newFollowerStore(DefaultStore, leader, 4)
+		f := newFollowerStore(DefaultStore, RegistryOptions{Leader: leader, CacheCap: 4})
 		f.startApplier(nil, time.Millisecond)
 		promoted := make(chan error, 1)
 		go func() { promoted <- f.Promote() }()
@@ -863,7 +863,7 @@ func TestReplRefusedResetRecordsNoFreeze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := newFollowerStore(DefaultStore, "http://leader.invalid", 4)
+	f := newFollowerStore(DefaultStore, RegistryOptions{Leader: "http://leader.invalid", CacheCap: 4})
 	defer f.Close()
 	full := func() uint64 { return f.Metrics().Freeze.Full }
 	base := full()
@@ -913,13 +913,13 @@ func TestReplApplyChecksSchema(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	ok := newFollowerStore(DefaultStore, "http://leader.invalid", 4)
+	ok := newFollowerStore(DefaultStore, RegistryOptions{Leader: "http://leader.invalid", CacheCap: 4})
 	defer ok.Close()
 	if err := ok.applyReplicated(1, delta(false), 0); err != nil {
 		t.Fatalf("well-typed delta refused: %v", err)
 	}
 
-	f := newFollowerStore(DefaultStore, "http://leader.invalid", 4)
+	f := newFollowerStore(DefaultStore, RegistryOptions{Leader: "http://leader.invalid", CacheCap: 4})
 	defer f.Close()
 	err := f.applyReplicated(1, delta(true), 0)
 	if err == nil || !strings.Contains(err.Error(), "used requires A -> E") {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"slices"
 	"strconv"
 	"time"
 
@@ -137,30 +136,17 @@ func NewMultiServerWith(reg *Registry, opts Options) *Server {
 		slow:       obs.NewSlowRing(slowRingCap),
 		slowThresh: opts.SlowThreshold,
 	}
-	for _, ep := range []endpointDef{
-		{"POST", "/segment", "segment", s.handleSegment},
-		{"POST", "/summarize", "summarize", s.handleSummarize},
-		{"POST", "/query", "query", s.handleQuery},
-		{"POST", "/adjust", "adjust", s.handleAdjust},
-		{"POST", "/ingest", "ingest", s.handleIngest},
-		{"GET", "/stats", "stats", s.handleStats},
-		{"GET", "/metrics", "metrics", s.handleMetrics},
-		{"GET", "/healthz", "healthz", s.handleHealthz},
-		{"GET", "/export", "export", s.handleExport},
-		{"GET", "/wal", "wal", s.handleWALStream},
-		{"POST", "/promote", "promote", s.handlePromote},
-	} {
-		ep, slot := ep, slices.Index(endpointNames[:], ep.name)
-		s.mux.HandleFunc(ep.method+" "+ep.path, func(w http.ResponseWriter, r *http.Request) {
-			s.serveEndpoint(s.reg.Default(), ep, slot, w, r)
+	for i, ep := range endpoints {
+		s.mux.HandleFunc(ep.method+" /"+ep.name, func(w http.ResponseWriter, r *http.Request) {
+			s.serveEndpoint(s.reg.Default(), i, w, r)
 		})
-		s.mux.HandleFunc(ep.method+" /stores/{store}"+ep.path, func(w http.ResponseWriter, r *http.Request) {
+		s.mux.HandleFunc(ep.method+" /stores/{store}/"+ep.name, func(w http.ResponseWriter, r *http.Request) {
 			st, err := s.reg.Get(r.PathValue("store"))
 			if err != nil {
 				writeErr(w, http.StatusNotFound, "%v", err)
 				return
 			}
-			s.serveEndpoint(st, ep, slot, w, r)
+			s.serveEndpoint(st, i, w, r)
 		})
 	}
 	s.mux.HandleFunc("PUT /stores/{store}", s.handleStoreCreate)
@@ -169,10 +155,54 @@ func NewMultiServerWith(reg *Registry, opts Options) *Server {
 	return s
 }
 
-// endpointDef is one store-scoped endpoint registration.
-type endpointDef struct {
-	method, path, name string
-	h                  func(*Store, *statusWriter, *http.Request)
+// endpoint is one store-scoped endpoint: its method and name (routed at
+// /<name> and /stores/{store}/<name>), its handler and its policy.
+type endpoint struct {
+	method, name string
+	serve        func(*Server, *Store, *statusWriter, *http.Request)
+	policy       endpointPolicy
+}
+
+// endpointPolicy is the set of ways serveEndpoint treats an endpoint's
+// requests beyond the defaults.
+type endpointPolicy uint8
+
+const (
+	// unmetered endpoints bypass the store's QoS limits: health probes and
+	// metrics scrapes must keep answering on an overloaded (or deliberately
+	// throttled) store — they are how the overload is seen. Replication
+	// streams are exempt too: a wal tail lives for hours and would otherwise
+	// pin a concurrency slot, and promote is the failover control path —
+	// exactly when a store may be throttled.
+	unmetered endpointPolicy = 1 << iota
+	// commitStages endpoints write: their slow-ring entries carry the
+	// request's commit-stage record.
+	commitStages
+)
+
+// numEndpoints is the number of store-scoped endpoints.
+const numEndpoints = 11
+
+// endpoints is every store-scoped endpoint, in the order /metrics and the
+// Prometheus exposition list them; a store's request counters are indexed
+// by position. It is filled by init because /metrics reads it back: a
+// package-level initializer naming handleMetrics would depend on itself.
+var endpoints [numEndpoints]endpoint
+
+func init() {
+	endpoints = [...]endpoint{
+		{"POST", "segment", (*Server).handleSegment, 0},
+		{"POST", "summarize", (*Server).handleSummarize, 0},
+		{"POST", "query", (*Server).handleQuery, 0},
+		{"POST", "adjust", (*Server).handleAdjust, 0},
+		{"POST", "ingest", (*Server).handleIngest, commitStages},
+		{"GET", "stats", (*Server).handleStats, 0},
+		{"GET", "metrics", (*Server).handleMetrics, unmetered},
+		{"GET", "healthz", (*Server).handleHealthz, unmetered},
+		{"GET", "export", (*Server).handleExport, 0},
+		{"GET", "wal", (*Server).handleWALStream, unmetered},
+		{"POST", "promote", (*Server).handlePromote, unmetered},
+	}
 }
 
 // statusWriter captures the response status and sums the body bytes for
@@ -200,20 +230,6 @@ func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// admissionExempt reports endpoints that bypass the store's QoS limits:
-// health probes and metrics scrapes must keep answering on an overloaded
-// (or deliberately throttled) store — they are how the overload is seen.
-// Replication streams are exempt too: a wal tail lives for hours and would
-// otherwise pin a concurrency slot, and promote is the failover control
-// path — exactly when a store may be throttled.
-func admissionExempt(endpoint string) bool {
-	switch endpoint {
-	case "metrics", "healthz", "wal", "promote":
-		return true
-	}
-	return false
 }
 
 // Read-your-writes wait bounds: how long a request holding an X-Min-Epoch
@@ -277,11 +293,12 @@ func retryAfterSeconds(d time.Duration) string {
 // wrapper: request-id resolution and echo, per-endpoint counters and
 // latency histogram, slow-query capture and the structured request log.
 // The total counter bumps before the handler (so a /metrics response counts
-// itself, as it always has); status class and latency record on completion.
-// Admission control runs inside the wrapper: a 429 carries the request id
-// and counts in the endpoint's status-class and latency metrics exactly
-// like any other completion. slot is ep's index into endpointNames.
-func (s *Server) serveEndpoint(st *Store, ep endpointDef, slot int, w http.ResponseWriter, r *http.Request) {
+// itself); status class and latency record on completion. Admission
+// control runs inside the wrapper: a 429 carries the request id and counts
+// in the endpoint's status-class and latency metrics exactly like any other
+// completion. slot is the endpoint's index into endpoints.
+func (s *Server) serveEndpoint(st *Store, slot int, w http.ResponseWriter, r *http.Request) {
+	ep := &endpoints[slot]
 	st.countRequest(slot)
 
 	id := r.Header.Get("X-Request-ID")
@@ -294,11 +311,11 @@ func (s *Server) serveEndpoint(st *Store, ep endpointDef, slot int, w http.Respo
 
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	start := time.Now()
-	if admissionExempt(ep.name) {
-		ep.h(st, sw, r.WithContext(ctx))
+	if ep.policy&unmetered != 0 {
+		ep.serve(s, st, sw, r.WithContext(ctx))
 	} else if release, retry, ok := st.Admit(); ok {
 		if minEpochSatisfied(st, sw, r) {
-			ep.h(st, sw, r.WithContext(ctx))
+			ep.serve(s, st, sw, r.WithContext(ctx))
 		}
 		release()
 	} else {
@@ -320,7 +337,7 @@ func (s *Server) serveEndpoint(st *Store, ep endpointDef, slot int, w http.Respo
 			Status:        sw.status,
 			DurationNanos: d.Nanoseconds(),
 		}
-		if ep.name == "ingest" {
+		if ep.policy&commitStages != 0 {
 			entry.Stages = stages
 		}
 		s.slow.Add(entry)
@@ -389,25 +406,36 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // connection, and /metrics counts it as canceled, not as a client error.
 const statusClientClosed = 499
 
-// writeQueryErr answers an operator error of op with queryErrCode's status
-// and an error body, or, when the client hung up (the request's context is
-// canceled), records statusClientClosed and writes nothing.
-func writeQueryErr(w *statusWriter, err error, op string) {
-	if !errors.Is(err, context.Canceled) {
-		writeErr(w, queryErrCode(err), "%s: %v", op, err)
+// writeOpErr answers an error of op (a query or a write) with errStatus's
+// status and an error body, or, when the client hung up (the request's
+// context is canceled), records statusClientClosed and writes nothing.
+func writeOpErr(w *statusWriter, err error, op string) {
+	if errors.Is(err, context.Canceled) {
+		w.status = statusClientClosed
 		return
 	}
-	w.status = statusClientClosed
+	code := errStatus(err)
+	if code == http.StatusTooManyRequests {
+		// A batch refused for backpressure mutated nothing; the committer
+		// drains the queue continuously, so a short fixed hint suffices.
+		w.Header().Set("Retry-After", "1")
+	}
+	writeErr(w, code, "%s: %v", op, err)
 }
 
-// queryErrCode maps an operator error to an HTTP status.
-func queryErrCode(err error) int {
+// errStatus maps an operator or write error to an HTTP status.
+func errStatus(err error) int {
 	switch {
+	case errors.Is(err, ErrBackpressure):
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrStoreClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrNotFollower):
+		return http.StatusConflict
 	case errors.Is(err, cypher.ErrTimeout):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, cypher.ErrRowBudget), errors.Is(err, core.ErrNotDAG), errors.As(err, new(*core.BudgetError)):
 		return http.StatusUnprocessableEntity
-	default:
-		return http.StatusBadRequest
 	}
+	return http.StatusBadRequest
 }

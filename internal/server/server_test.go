@@ -506,6 +506,85 @@ func TestIngestRoundTripAndAtomicity(t *testing.T) {
 	}
 }
 
+// TestIngestRefusals sends one batch per ingest refusal and holds each to
+// its status and exact error body: a 400 for every op the batch check
+// refuses, a 503 once the store is closed. Every batch but the empty one
+// opens with a valid op, so a refusal must also leave the graph untouched.
+func TestIngestRefusals(t *testing.T) {
+	ts, store, ids := newTestServer(t)
+	ok := IngestOp{Op: "agent", Agent: "carol"}
+	dataset, run := uint32(ids["dataset"]), uint32(0)
+	for v := 0; v < store.Epoch().Vertices; v++ {
+		if store.Epoch().P.IsKind(graph.VertexID(v), prov.KindActivity) {
+			run = uint32(v)
+			break
+		}
+	}
+	cases := []struct {
+		name string
+		ops  []IngestOp
+		want string
+	}{
+		{"empty batch", nil, `ingest: empty op batch`},
+		{"agent without agent", []IngestOp{ok, {Op: "agent"}},
+			`ingest: op 1: "agent" op needs a non-empty agent name`},
+		{"import without agent", []IngestOp{ok, {Op: "import", Artifact: "a"}},
+			`ingest: op 1: "import" op needs agent and artifact`},
+		{"import without artifact", []IngestOp{ok, {Op: "import", Agent: "carol"}},
+			`ingest: op 1: "import" op needs agent and artifact`},
+		{"snapshot without artifact", []IngestOp{ok, {Op: "snapshot"}},
+			`ingest: op 1: "snapshot" op needs an artifact name`},
+		{"run without agent", []IngestOp{ok, {Op: "run", Command: "c", Outputs: []string{"o"}}},
+			`ingest: op 1: "run" op needs agent and command`},
+		{"run without command", []IngestOp{ok, {Op: "run", Agent: "carol", Outputs: []string{"o"}}},
+			`ingest: op 1: "run" op needs agent and command`},
+		{"run without outputs", []IngestOp{ok, {Op: "run", Agent: "carol", Command: "c", Inputs: []uint32{dataset}}},
+			`ingest: op 1: "run" op needs at least one output artifact`},
+		{"run with an empty output name", []IngestOp{ok, {Op: "run", Agent: "carol", Command: "c", Outputs: []string{"o", ""}}},
+			`ingest: op 1: "run" op output artifact names must be non-empty`},
+		{"input out of range", []IngestOp{ok, {Op: "run", Agent: "carol", Command: "c", Inputs: []uint32{dataset, 1 << 30}, Outputs: []string{"o"}}},
+			`ingest: op 1: input vertex 1073741824 out of range`},
+		{"input not an entity", []IngestOp{ok, {Op: "run", Agent: "carol", Command: "c", Inputs: []uint32{run}, Outputs: []string{"o"}}},
+			fmt.Sprintf(`ingest: op 1: input vertex %d is not an entity`, run)},
+		{"unknown op", []IngestOp{ok, {Op: "delete", Artifact: "a"}},
+			`ingest: op 1: unknown op "delete" (want agent, import, snapshot, run)`},
+	}
+	refused := func(t *testing.T, ops []IngestOp, status int, msg string) {
+		before := store.Stats()
+		body, _ := json.Marshal(IngestRequest{Ops: ops})
+		resp, err := http.Post(ts.URL+"/ingest", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		_ = enc.Encode(ErrorResponse{Error: msg})
+		if resp.StatusCode != status || string(raw) != want.String() {
+			t.Errorf("got %d %q, want %d %q", resp.StatusCode, raw, status, want.String())
+		}
+		if after := store.Stats(); after.Vertices != before.Vertices || after.Edges != before.Edges {
+			t.Errorf("refused batch moved the graph: %d/%d -> %d/%d vertices/edges",
+				before.Vertices, before.Edges, after.Vertices, after.Edges)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { refused(t, tc.ops, http.StatusBadRequest, tc.want) })
+	}
+	// A valid batch on a closed store is refused with 503, not 400.
+	t.Run("closed store", func(t *testing.T) {
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, []IngestOp{ok}, http.StatusServiceUnavailable, `ingest: store: store is closed`)
+	})
+}
+
 func TestCacheInvalidationOnWrite(t *testing.T) {
 	ts, _, ids := newTestServer(t)
 	seg := SegmentRequest{

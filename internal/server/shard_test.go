@@ -450,7 +450,7 @@ func TestRegistryDirectoryTreeRecovery(t *testing.T) {
 // default store to adopt it in place.
 func TestRegistryAdoptsLegacyLayout(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := openDurable(dir, RegistryOptions{CacheCap: 8}, nil, nil)
+	s, _, err := openDurable(dir, "", RegistryOptions{CacheCap: 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestRegistryAdoptsLegacyLayout(t *testing.T) {
 	// State both directly in the root AND under <root>/default/ is
 	// ambiguous: opening must refuse rather than silently shadow one graph
 	// with the other.
-	sub, _, err := openDurable(filepath.Join(dir, DefaultStore), RegistryOptions{CacheCap: 8}, nil, nil)
+	sub, _, err := openDurable(filepath.Join(dir, DefaultStore), "", RegistryOptions{CacheCap: 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

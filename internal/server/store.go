@@ -67,6 +67,7 @@ type Epoch struct {
 type Store struct {
 	// name is the store's registry name ("default" for the unprefixed
 	// legacy endpoints; empty for stores built directly via NewStore).
+	// Set by the constructor, like the logger, cache capacity and QoS.
 	name string
 
 	// writeMu serializes ingest batches, delta encoding, snapshot builds
@@ -141,7 +142,7 @@ type Store struct {
 	groups       atomic.Uint64 // committed groups
 	groupRecords atomic.Uint64 // records committed through groups
 	groupLast    atomic.Int64  // size of the most recent group
-	groupMax     atomic.Int64  // largest group so far
+	groupMax     obs.Max       // largest group so far
 
 	// fsync is the log's policy and coal the registry-wide fsync coalescer
 	// (nil on a store opened on its own): together they decide the barrier
@@ -178,7 +179,7 @@ type Store struct {
 	// where it replicated from).
 	leaderURL      string
 	applier        *bgLoop
-	replLeaderEp   atomic.Uint64
+	replLeaderEp   obs.Max // the leader's head epoch as seen on the stream
 	replLag        obs.Histogram
 	replReconnects atomic.Uint64
 
@@ -193,11 +194,11 @@ type Store struct {
 
 	started time.Time
 
-	// requests holds per-endpoint counters in endpointNames order: totals
+	// requests holds per-endpoint counters in endpoints order: totals
 	// (bumped at routing time, so /metrics counts itself), the status-class
 	// split and the latency histogram (both recorded on completion). Atomics,
 	// last so their writes stay off the cache lines of the fields above.
-	requests [len(endpointNames)]endpointMetrics
+	requests [numEndpoints]endpointMetrics
 }
 
 // The Store roles. A store starts as a leader (NewStore, durable stores)
@@ -231,22 +232,30 @@ func (s *Store) checkRole(want int32) error {
 // store refuses writes.
 type walFailure struct{ err error }
 
+// poison makes err the store's sticky failure, unless one is set already:
+// the first failure is the one every later write reports.
+func (s *Store) poison(err error) { s.walFail.CompareAndSwap(nil, &walFailure{err: err}) }
+
 // NewStore wraps an existing PROV graph in a memory-only store. cacheCap
-// bounds the segment cache (entries; <=0 selects the default). For a store
-// that survives restarts open a registry with a DataDir.
+// bounds the segment cache (entries; <=0 selects DefaultCacheCap). For a
+// store that survives restarts open a registry with a DataDir.
 func NewStore(p *prov.Graph, cacheCap int) *Store {
-	return newStore(prov.WrapRecorder(p), cacheCap, 0)
+	return newStore(prov.WrapRecorder(p), 0, "", RegistryOptions{CacheCap: cacheCap})
 }
 
-// newStore builds the store around an existing recorder, installing the
-// initial snapshot at the given epoch number (non-zero when recovery
-// resumes a pre-crash epoch sequence).
-func newStore(rec *prov.Recorder, cacheCap int, epoch uint64) *Store {
+// newStore builds the store named name around an existing recorder, with
+// opts' cache capacity, logger and default QoS (validated by the caller),
+// installing the initial snapshot at the given epoch number (non-zero when
+// recovery resumes a pre-crash epoch sequence).
+func newStore(rec *prov.Recorder, epoch uint64, name string, opts RegistryOptions) *Store {
 	s := &Store{
+		name:    name,
 		rec:     rec,
-		cache:   newSegCache(cacheCap),
+		cache:   newSegCache(opts.CacheCap),
+		logger:  opts.Logger,
 		started: time.Now(),
 	}
+	_ = s.SetQoS(opts.DefaultQoS)
 	ep, _ := s.freezeEpoch(rec.P, epoch, nil)
 	// A non-empty initial graph (loaded, generated, or recovered from a
 	// checkpoint) is state no WAL delta reproduces: from=0 replication
@@ -418,7 +427,7 @@ func (s *Store) Stats() StoreStats {
 
 // The export methods render straight from the current snapshot: it is
 // immutable, so a slow client draining the response can never stall ingest
-// or other readers (the old read-lock design had to buffer in memory first).
+// or other readers.
 
 // ExportJSON writes the whole graph as PROV-JSON (prov/json.go's format).
 func (s *Store) ExportJSON(w io.Writer) error {

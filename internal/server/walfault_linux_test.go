@@ -59,7 +59,7 @@ func breakLogFsync(t *testing.T, dir string) {
 // flush's error — while reads keep serving the last published epoch.
 func TestIntervalFsyncFailurePoisonsWrites(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := openDurable(dir, RegistryOptions{
+	s, _, err := openDurable(dir, "", RegistryOptions{
 		Fsync: wal.SyncInterval, SyncInterval: time.Millisecond,
 		CheckpointEvery: 1 << 30, CacheCap: 8,
 	}, nil, nil)

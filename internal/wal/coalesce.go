@@ -65,7 +65,7 @@ type Coalescer struct {
 	retire     obs.Histogram
 	requests   atomic.Uint64
 	lastWindow atomic.Uint64
-	maxWindow  atomic.Uint64
+	maxWindow  obs.Max
 }
 
 // CoalescerStats is the /metrics snapshot of one coalescer.
@@ -269,12 +269,7 @@ func (c *Coalescer) flushWindow(batch []*syncReq) {
 		wg.Wait()
 	}
 	c.lastWindow.Store(uint64(len(batch)))
-	for {
-		max := c.maxWindow.Load()
-		if uint64(len(batch)) <= max || c.maxWindow.CompareAndSwap(max, uint64(len(batch))) {
-			break
-		}
-	}
+	c.maxWindow.Observe(int64(len(batch)))
 	c.retire.Observe(time.Since(start))
 	for m, reqs := range perMgr {
 		for _, r := range reqs {
@@ -292,7 +287,7 @@ func (c *Coalescer) StatsSnapshot() CoalescerStats {
 		Windows:        s.Count,
 		Requests:       c.requests.Load(),
 		LastWindowSize: c.lastWindow.Load(),
-		MaxWindowSize:  c.maxWindow.Load(),
+		MaxWindowSize:  uint64(c.maxWindow.Load()),
 		SyncLastNanos:  s.LastNanos,
 		SyncMaxNanos:   s.MaxNanos,
 		SyncTotalNanos: s.SumNanos,

@@ -79,6 +79,10 @@ func parseEpoch(name, prefix, suffix string) (uint64, bool) {
 	return e, true
 }
 
+// DefaultSyncInterval is the background flush period under SyncInterval
+// when Options names none.
+const DefaultSyncInterval = 100 * time.Millisecond
+
 // Options configures a data directory manager.
 type Options struct {
 	// Dir is the data directory (created if missing).
@@ -86,7 +90,7 @@ type Options struct {
 	// Policy selects the fsync discipline for appends (default SyncAlways).
 	Policy SyncPolicy
 	// SyncInterval is the background flush period under SyncInterval
-	// (default 100ms).
+	// (<= 0 selects DefaultSyncInterval).
 	SyncInterval time.Duration
 
 	// OnBase, when set, is invoked with the loaded checkpoint graph (live,
@@ -181,7 +185,7 @@ func Open(opts Options) (*Manager, *Recovery, error) {
 		return nil, nil, err
 	}
 	if opts.SyncInterval <= 0 {
-		opts.SyncInterval = 100 * time.Millisecond
+		opts.SyncInterval = DefaultSyncInterval
 	}
 	m := &Manager{dir: opts.Dir, policy: opts.Policy, syncInterval: opts.SyncInterval}
 

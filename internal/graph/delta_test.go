@@ -9,7 +9,7 @@ import (
 
 // buildDeltaPair returns a base graph plus the same graph with one extra
 // randomized batch appended, and the encoded delta between them.
-func buildDeltaPair(t *testing.T, seed int64) (base, grown *Graph, delta []byte) {
+func buildDeltaPair(t testing.TB, seed int64) (base, grown *Graph, delta []byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := New()

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -11,7 +12,10 @@ import (
 // TestPropertyFootprint holds a frozen Pd graph's property storage to at
 // most 100 B per vertex (Pd-20000; Pd-100000 too outside -short), requires
 // that the freeze left no Props map behind, and that VertexProp and
-// EdgeProp on a frozen graph allocate nothing, strings included.
+// EdgeProp on a frozen graph allocate nothing, strings included. A graph
+// loaded from the frozen one's Save bytes is born packed: no Props map, and
+// a packed store of the frozen one's size; and Load's allocation count does
+// not grow with the elements that carry properties.
 func TestPropertyFootprint(t *testing.T) {
 	sizes := []int{20000}
 	if !testing.Short() {
@@ -30,6 +34,20 @@ func TestPropertyFootprint(t *testing.T) {
 			if m := graph.PropMapsHeld(live) + graph.PropMapsHeld(fz); m != 0 {
 				t.Errorf("%d Props maps survive the freeze", m)
 			}
+			var saved bytes.Buffer
+			if err := fz.Save(&saved); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := graph.Load(&saved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := graph.PropMapsHeld(loaded); m != 0 {
+				t.Errorf("Load built %d Props maps", m)
+			}
+			if lb := graph.PropStoreBytes(loaded); lb != b {
+				t.Errorf("loaded graph packs its properties into %d B, the frozen one into %d B", lb, b)
+			}
 			keys := []string{"name", "filename", "version", "command", "options", "url", "missing"}
 			if a := testing.AllocsPerRun(5, func() {
 				for v := 0; v < nv; v += 7 {
@@ -41,6 +59,23 @@ func TestPropertyFootprint(t *testing.T) {
 				t.Errorf("VertexProp on a frozen graph allocates %.1f times per pass", a)
 			}
 		})
+	}
+
+	loadAllocs := func(n int) float64 {
+		var saved bytes.Buffer
+		if err := gen.Pd(gen.PdConfig{N: n, Seed: 1}).PG().Save(&saved); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := graph.Load(bytes.NewReader(saved.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := loadAllocs(2000), loadAllocs(20000); large > 2*small {
+		t.Errorf("Load allocates %.0f times on Pd-20000, over twice its %.0f on Pd-2000", large, small)
+	} else {
+		t.Logf("Load allocates %.0f times on Pd-2000, %.0f on Pd-20000", small, large)
 	}
 
 	g := graph.New()

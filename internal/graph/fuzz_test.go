@@ -61,3 +61,56 @@ func mustSaveBytes(g *Graph) []byte {
 	}
 	return buf.Bytes()
 }
+
+// FuzzApplyDelta feeds arbitrary bytes to ApplyDelta on a copy of one base
+// graph. The contract under fuzz: it never panics; every error wraps
+// ErrBadFormat or ErrDeltaBase; a failed apply leaves the graph saving to
+// the base's bytes; and an accepted delta, re-encoded at the base and
+// applied to another copy of it, gives a graph that saves to the same
+// bytes. Seeds: a valid delta, its truncations and byte flips, and a delta
+// for another base.
+func FuzzApplyDelta(f *testing.F) {
+	base, _, delta := buildDeltaPair(f, 7)
+	baseBytes := mustSaveBytes(base)
+	f.Add(delta)
+	for _, cut := range []int{0, 4, 5, 8, len(delta) / 2, len(delta) - 1} {
+		f.Add(delta[:cut])
+	}
+	for _, i := range []int{4, 5, 8, 12, len(delta) / 2, len(delta) - 2} {
+		mut := append([]byte(nil), delta...)
+		mut[i] ^= 0xff
+		f.Add(mut)
+	}
+	_, _, other := buildDeltaPair(f, 8)
+	f.Add(other)
+	load := func(t *testing.T) *Graph {
+		g, err := Load(bytes.NewReader(baseBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := load(t)
+		if err := g.ApplyDelta(bytes.NewReader(data)); err != nil {
+			if !errors.Is(err, ErrBadFormat) && !errors.Is(err, ErrDeltaBase) {
+				t.Fatalf("ApplyDelta error wraps neither sentinel: %v", err)
+			}
+			if !bytes.Equal(mustSaveBytes(g), baseBytes) {
+				t.Fatal("a failed apply changed the graph")
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := g.EncodeDelta(&again, base.Dict().Len(), base.NumVertices(), base.NumEdges()); err != nil {
+			t.Fatal(err)
+		}
+		replica := load(t)
+		if err := replica.ApplyDelta(&again); err != nil {
+			t.Fatalf("re-encoded delta refused: %v", err)
+		}
+		if !bytes.Equal(mustSaveBytes(replica), mustSaveBytes(g)) {
+			t.Fatal("the re-encoded delta gives a different graph")
+		}
+	})
+}

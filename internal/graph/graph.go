@@ -110,7 +110,7 @@ func (v Value) BoolVal() (bool, bool) { return v.i != 0, v.kind == kindBool }
 func (v Value) Equal(o Value) bool { return v == o }
 
 // Props is the property map of a vertex or edge that no freeze has packed
-// yet (see props.go), and of one decoded from a save file or a delta.
+// yet (see props.go).
 type Props map[string]Value
 
 // Graph is an append-only labeled property multigraph.
@@ -124,11 +124,14 @@ type Graph struct {
 	eSrc   []VertexID
 	eDst   []VertexID
 
-	// props holds the properties below the freeze watermark, packed (see
-	// props.go); vTail/eTail hold the rest as maps, indexed from props.v.n
-	// and props.e.n (live graphs only; a slice may stop short of the last
-	// element when the elements past it have no properties). packer
-	// interns key names for the next freeze.
+	// props holds the properties below the watermark (props.v.n,
+	// props.e.n), packed (see props.go); vTail/eTail hold the rest as maps
+	// (live graphs only; a slice may stop short of the last element when
+	// the elements past it have no properties). packer interns key names
+	// for the next freeze. The last freeze, Load or ApplyDelta set the
+	// watermark, and everything below it may be shared with lock-free
+	// snapshot readers: appends only touch indices past it, but property
+	// writes below it would race and are rejected.
 	props        propStore
 	vTail, eTail []Props
 	packer       packer
@@ -143,12 +146,6 @@ type Graph struct {
 	frozen   bool
 	incrSnap bool
 	csr      *csrIndex
-	// snapV/snapE are the high-watermarks of the largest snapshot taken
-	// from this live graph. Everything below them is shared with lock-free
-	// snapshot readers and must stay immutable: appends are naturally safe
-	// (they only touch indices at or past the watermark), but property
-	// writes to pre-watermark vertices/edges would race and are rejected.
-	snapV, snapE int
 }
 
 // New returns an empty graph.

@@ -8,10 +8,11 @@ import (
 	"unsafe"
 )
 
-// Packed properties. Below the freeze watermark a vertex's or edge's
-// properties never change (SetVertexProp rejects them), so Freeze moves them
-// out of the per-element Props maps into one pointer-free store per graph
-// lineage, laid out like a CSR block:
+// Packed properties. Below the watermark a vertex's or edge's properties
+// never change (SetVertexProp rejects them), so Freeze moves them out of the
+// per-element Props maps into one pointer-free store per graph lineage, and
+// Load and ApplyDelta decode them straight into it. It is laid out like a
+// CSR block:
 //
 //   - each element owns a run of entries, key[off[i]:off[i+1]] with val
 //     alongside, sorted by key name (the byte order Save and EncodeDelta
@@ -22,11 +23,11 @@ import (
 //     arena, where it is stored as a uvarint length and its bytes.
 //
 // The live graph owns the store and appends to it at delta cost whenever it
-// freezes; a snapshot holds capped prefixes of its slices, so every epoch
-// shares one copy of the bytes and no reader ever sees an append. Reads
-// compare key names in a run and turn an arena string into a string header
-// over the arena's own bytes (they never change once written), so
-// VertexProp and EdgeProp allocate nothing.
+// freezes or applies a delta; a snapshot holds capped prefixes of its
+// slices, so every epoch shares one copy of the bytes and no reader ever
+// sees an append. Reads compare key names in a run and turn an arena string
+// into a string header over the arena's own bytes (they never change once
+// written), so VertexProp and EdgeProp allocate nothing.
 
 // kindBits is the width of the value kind in an entry's key word.
 const kindBits = 3
@@ -126,52 +127,60 @@ type packer struct {
 }
 
 // pack appends to r the runs of tail (the maps of elements r.n, r.n+1, ...)
-// and nEmpty empty runs after them, growing each slice once.
+// and nEmpty empty runs after them, growing each slice once; the caller
+// has grown the arena for tail's strings.
 func (pk *packer) pack(s *propStore, r *propRuns, tail []Props, nEmpty int) {
-	entries, strBytes := 0, 0
+	entries := 0
 	for _, p := range tail {
 		entries += len(p)
-		for _, v := range p {
-			if v.kind == kindString {
-				strBytes += uvarintLen(uint64(len(v.s))) + len(v.s)
-			}
-		}
 	}
-	if entries > 0 && r.off == nil {
-		r.off = make([]uint32, r.n+1, r.n+1+len(tail)+nEmpty)
-	}
-	if r.off != nil {
-		r.off = slices.Grow(r.off, len(tail)+nEmpty)
-		r.key = slices.Grow(r.key, entries)
-		r.val = slices.Grow(r.val, entries)
-		s.arena = slices.Grow(s.arena, strBytes)
-	}
-	if uint64(len(r.key))+uint64(entries) > math.MaxUint32 {
-		panic("graph: packed property store overflow")
-	}
-	for _, p := range tail {
-		if len(p) > 0 {
+	s.reserve(r, len(tail)+nEmpty, entries)
+	for i := range len(tail) + nEmpty {
+		if i < len(tail) && len(tail[i]) > 0 {
 			pk.keys = pk.keys[:0]
-			for k := range p {
+			for k := range tail[i] {
 				pk.keys = append(pk.keys, k)
 			}
 			slices.Sort(pk.keys)
 			for _, k := range pk.keys {
-				pk.add(s, r, k, p[k])
+				pk.add(s, r, k, tail[i][k])
 			}
 		}
-		r.n++
-		if r.off != nil {
-			r.off = append(r.off, uint32(len(r.key)))
-		}
-	}
-	for ; nEmpty > 0; nEmpty-- {
 		r.n++
 		if r.off != nil {
 			r.off = append(r.off, uint32(len(r.key)))
 		}
 	}
 	clear(pk.keys)
+}
+
+// reserve grows r's slices once for nRuns more runs holding entries
+// entries.
+func (s *propStore) reserve(r *propRuns, nRuns, entries int) {
+	if entries > 0 && r.off == nil {
+		r.off = make([]uint32, r.n+1, r.n+1+nRuns)
+	}
+	if r.off != nil {
+		r.off = slices.Grow(r.off, nRuns)
+		r.key = slices.Grow(r.key, entries)
+		r.val = slices.Grow(r.val, entries)
+	}
+	if uint64(len(r.key))+uint64(entries) > math.MaxUint32 {
+		panic("graph: packed property store overflow")
+	}
+}
+
+// strBytes returns the arena bytes the strings of tail take.
+func strBytes(tail []Props) int {
+	n := 0
+	for _, p := range tail {
+		for _, v := range p {
+			if v.kind == kindString {
+				n += uvarintLen(uint64(len(v.s))) + len(v.s)
+			}
+		}
+	}
+	return n
 }
 
 // uvarintLen returns the length of x's uvarint encoding.
@@ -183,8 +192,8 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// add appends one entry to the run being packed.
-func (pk *packer) add(s *propStore, r *propRuns, key string, v Value) {
+// intern returns key's id in s's name table, adding it on first use.
+func (pk *packer) intern(s *propStore, key string) uint32 {
 	id, ok := pk.ids[key]
 	if !ok {
 		if len(s.names) > maxKeyID {
@@ -194,6 +203,11 @@ func (pk *packer) add(s *propStore, r *propRuns, key string, v Value) {
 		s.names = append(s.names, key)
 		pk.ids[key] = id
 	}
+	return id
+}
+
+// add appends one entry to the run being packed.
+func (pk *packer) add(s *propStore, r *propRuns, key string, v Value) {
 	var slot uint64
 	switch v.kind {
 	case kindString:
@@ -205,8 +219,32 @@ func (pk *packer) add(s *propStore, r *propRuns, key string, v Value) {
 	case kindFloat:
 		slot = math.Float64bits(v.f)
 	}
-	r.key = append(r.key, id<<kindBits|uint32(v.kind))
+	r.key = append(r.key, pk.intern(s, key)<<kindBits|uint32(v.kind))
 	r.val = append(r.val, slot)
+}
+
+// extend appends to r the runs of src, which were packed over another key
+// table and arena: ids maps src's key ids to s's, and src's strings sit at
+// offset at of s's arena.
+func (s *propStore) extend(r *propRuns, src *propRuns, ids []uint32, at uint64) {
+	s.reserve(r, src.n, len(src.key))
+	base := uint32(len(r.key))
+	for j, k := range src.key {
+		kind, slot := k&(1<<kindBits-1), src.val[j]
+		if valueKind(kind) == kindString {
+			slot += at
+		}
+		r.key = append(r.key, ids[k>>kindBits]<<kindBits|kind)
+		r.val = append(r.val, slot)
+	}
+	for i := 1; r.off != nil && i <= src.n; i++ {
+		end := base
+		if src.off != nil {
+			end += src.off[i]
+		}
+		r.off = append(r.off, end)
+	}
+	r.n += src.n
 }
 
 // packTail moves the live graph's unfrozen properties below (nv, ne) into
@@ -217,26 +255,26 @@ func (g *Graph) packTail(nv, ne int) {
 		g.packer.ids = make(map[string]uint32)
 	}
 	pv, pe := g.props.v.n, g.props.e.n
+	g.props.arena = slices.Grow(g.props.arena, strBytes(g.vTail)+strBytes(g.eTail))
 	g.packer.pack(&g.props, &g.props.v, g.vTail, nv-pv-len(g.vTail))
 	g.packer.pack(&g.props, &g.props.e, g.eTail, ne-pe-len(g.eTail))
 	g.vTail, g.eTail = nil, nil
 }
 
-// UnpackProps makes vertex v writable when a snapshot covers it: it moves
-// the packed properties back into per-element maps in fresh storage and
-// lowers the snapshot watermark to 0, so SetVertexProp and SetEdgeProp
+// UnpackProps makes vertex v writable when it lies below the watermark: it
+// moves the packed properties back into per-element maps in fresh storage
+// and lowers the watermark to 0, so SetVertexProp and SetEdgeProp
 // accept every element again, in O(properties), and reports true. Below no
 // watermark it does nothing and reports false. Every snapshot taken so far
 // keeps its own packed prefix and sees no change. Only the library facade
 // calls it, never a writer whose snapshots serve readers.
 func (g *Graph) UnpackProps(v VertexID) bool {
 	g.mustBeLive()
-	if int(v) >= g.snapV {
+	if int(v) >= g.props.v.n {
 		return false
 	}
 	g.vTail, g.eTail = g.unpacked(true, g.vTail), g.unpacked(false, g.eTail)
 	g.props, g.packer = propStore{}, packer{}
-	g.snapV, g.snapE = 0, 0
 	return true
 }
 
@@ -277,7 +315,7 @@ func (g *Graph) prop(vertex bool, i int, key string) Value {
 }
 
 // tailMap returns element i's slot in the unfrozen tail of one kind,
-// growing the tail to it; i must lie past every snapshot's watermark.
+// growing the tail to it; i must lie past the watermark.
 func (g *Graph) tailMap(vertex bool, i int) *Props {
 	tail := &g.vTail
 	t := i - g.props.v.n
@@ -333,14 +371,14 @@ func (g *Graph) eachProp(vertex bool, i int, yield func(string, Value) bool) {
 	}
 }
 
-// SetVertexProp sets a property on a vertex. The vertex must not be
-// covered by a snapshot taken from this graph (see Freeze): a freeze packs
-// the properties below its watermark for good, so only vertices appended
-// after the last freeze are writable.
+// SetVertexProp sets a property on a vertex. The vertex must lie past the
+// watermark: a freeze (see Freeze), a Load or an ApplyDelta packs the
+// properties below it for good, so only vertices appended since are
+// writable.
 func (g *Graph) SetVertexProp(v VertexID, key string, val Value) {
 	g.mustBeLive()
-	if int(v) < g.snapV {
-		panic(fmt.Sprintf("graph: SetVertexProp(%d) below snapshot watermark %d", v, g.snapV))
+	if int(v) < g.props.v.n {
+		panic(fmt.Sprintf("graph: SetVertexProp(%d) below the packed watermark %d", v, g.props.v.n))
 	}
 	if int(v) >= len(g.vLabel) {
 		panic(fmt.Sprintf("graph: SetVertexProp(%d) out of range (n=%d)", v, len(g.vLabel)))
@@ -364,11 +402,11 @@ func (g *Graph) VertexProps(v VertexID, fn func(key string, val Value) bool) {
 }
 
 // SetEdgeProp sets a property on an edge. Like SetVertexProp, the edge
-// must not be covered by a snapshot taken from this graph.
+// must lie past the watermark.
 func (g *Graph) SetEdgeProp(e EdgeID, key string, val Value) {
 	g.mustBeLive()
-	if int(e) < g.snapE {
-		panic(fmt.Sprintf("graph: SetEdgeProp(%d) below snapshot watermark %d", e, g.snapE))
+	if int(e) < g.props.e.n {
+		panic(fmt.Sprintf("graph: SetEdgeProp(%d) below the packed watermark %d", e, g.props.e.n))
 	}
 	if int(e) >= len(g.eLabel) {
 		panic(fmt.Sprintf("graph: SetEdgeProp(%d) out of range (n=%d)", e, len(g.eLabel)))

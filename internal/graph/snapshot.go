@@ -172,10 +172,10 @@ func (g *Graph) Frozen() bool { return g.frozen }
 // by extending an earlier epoch (ExtendFrozen) rather than a full rebuild.
 func (g *Graph) IncrementalSnapshot() bool { return g.incrSnap }
 
-// snapshotShell packs the live graph's unfrozen properties, allocates the
-// frozen graph sharing the live graph's columnar prefix and packed
-// properties via capped slice headers, and records the watermark on the
-// live graph so property writes below it are rejected (SetVertexProp).
+// snapshotShell packs the live graph's unfrozen properties, which raises
+// its watermark to (nv, ne) so property writes below it are rejected
+// (SetVertexProp), and allocates the frozen graph sharing the live graph's
+// columnar prefix and packed properties via capped slice headers.
 func (g *Graph) snapshotShell(nv, ne int) *Graph {
 	g.packTail(nv, ne)
 	fz := &Graph{
@@ -193,7 +193,6 @@ func (g *Graph) snapshotShell(nv, ne int) *Graph {
 	for l, vs := range g.byLabel {
 		fz.byLabel[l] = vs[:len(vs):len(vs)]
 	}
-	g.snapV, g.snapE = max(g.snapV, nv), max(g.snapE, ne)
 	return fz
 }
 

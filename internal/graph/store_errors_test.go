@@ -206,3 +206,49 @@ func TestLoadCorruptPropIndex(t *testing.T) {
 		t.Fatalf("corrupt value kind: %v", err)
 	}
 }
+
+// TestLoadRefusesWhatNoWriterEmits holds Load to the rules ApplyDelta
+// keeps: a dictionary name twice or empty, trailing bytes, and property
+// runs whose element indices or keys do not ascend are all ErrBadFormat.
+// No writer ever emitted any of them, and a repeated name would relabel
+// the graph: the vertex labelled with the second "A" below would load as
+// "B".
+func TestLoadRefusesWhatNoWriterEmits(t *testing.T) {
+	cases := map[string][]byte{
+		"repeated name": append([]byte("PGS1"),
+			3, 1, 'A', 1, 'A', 1, 'B', 2, 1, 2, 1, 0, 1, 2, 0, 0),
+		"empty name": append([]byte("PGS1"),
+			2, 1, 'A', 0, 2, 1, 1, 0, 0, 0),
+		"saved graph and two junk bytes": append(saveBytes(t, testGraph(t)), 0, 7),
+		// One vertex labelled "E", two property runs both for vertex 0.
+		"repeated element": append([]byte("PGS1"),
+			1, 1, 'E', 1, 1, 0, 2, 0, 1, 1, 'a', 2, 1, 0, 1, 1, 'b', 2, 1, 0),
+		// Two vertices, runs for vertex 1 then vertex 0.
+		"descending elements": append([]byte("PGS1"),
+			1, 1, 'E', 2, 1, 1, 0, 2, 1, 1, 1, 'a', 2, 1, 0, 1, 1, 'a', 2, 1, 0),
+		"descending keys": append([]byte("PGS1"),
+			1, 1, 'E', 1, 1, 0, 1, 0, 2, 1, 'b', 2, 1, 1, 'a', 2, 1, 0),
+		"repeated key": append([]byte("PGS1"),
+			1, 1, 'E', 1, 1, 0, 1, 0, 2, 1, 'a', 2, 1, 1, 'a', 2, 2, 0),
+	}
+	for name, data := range cases {
+		g, err := loadNoPanic(t, data)
+		if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: want ErrBadFormat, got %v", name, err)
+			if err == nil && g.NumVertices() > 1 {
+				t.Logf("%s: vertex 1 loaded as %q", name, g.Dict().Name(g.VertexLabel(1)))
+			}
+		}
+	}
+	// The same streams with the offending part mended load.
+	for name, data := range map[string][]byte{
+		"distinct names":       append([]byte("PGS1"), 3, 1, 'A', 1, 'C', 1, 'B', 2, 1, 2, 1, 0, 1, 2, 0, 0),
+		"ascending elements":   append([]byte("PGS1"), 1, 1, 'E', 2, 1, 1, 0, 2, 0, 1, 1, 'a', 2, 1, 1, 1, 1, 'a', 2, 1, 0),
+		"ascending keys":       append([]byte("PGS1"), 1, 1, 'E', 1, 1, 0, 1, 0, 2, 1, 'a', 2, 1, 1, 'b', 2, 1, 0),
+		"saved graph, no junk": saveBytes(t, testGraph(t)),
+	} {
+		if _, err := loadNoPanic(t, data); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

@@ -49,11 +49,11 @@ func readReplyScript(t *testing.T) []scriptRequest {
 			continue
 		}
 		fields := strings.SplitN(line, " | ", 4)
-		target := strings.Fields(fields[min(1, len(fields)-1)])
-		if len(fields) != 4 || len(target) != 2 {
+		method, path, ok := strings.Cut(fields[min(1, len(fields)-1)], " ")
+		if len(fields) != 4 || !ok {
 			t.Fatalf("%s:%d: want name | METHOD path | headers | body", replyScript, n)
 		}
-		r := scriptRequest{name: fields[0], method: target[0], path: target[1], header: http.Header{}}
+		r := scriptRequest{name: fields[0], method: method, path: path, header: http.Header{}}
 		if fields[2] != "-" {
 			for _, h := range strings.Split(fields[2], "; ") {
 				k, v, ok := strings.Cut(h, ": ")

@@ -53,3 +53,21 @@ func (b *Bitset) AndNotWith(o *Bitset) {
 
 // Capacity returns the number of bits b currently addresses.
 func (b *Bitset) Capacity() int { return len(b.words) * wordBits }
+
+// DrainInto appends every element of b to out in ascending order and
+// empties b, returning out: the read-back of a pooled scratch set. It zeroes
+// each word as it reads it and stops after the word that holds the last
+// element, so it costs the words up to the largest element, with no call
+// per element.
+func DrainInto[K Key](b *Bitset, out []K) []K {
+	for wi, n := 0, b.card; n > 0; wi++ {
+		w := b.words[wi]
+		b.words[wi] = 0
+		n -= bits.OnesCount64(w)
+		for ; w != 0; w &= w - 1 {
+			out = append(out, K(wi*wordBits+bits.TrailingZeros64(w)))
+		}
+	}
+	b.card = 0
+	return out
+}

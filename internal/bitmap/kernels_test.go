@@ -53,3 +53,34 @@ func TestWordAccess(t *testing.T) {
 		t.Fatalf("Capacity = %d, want 192", b.Capacity())
 	}
 }
+
+// TestDrainInto: the elements come out in ascending order after what out
+// held, and the set is left empty with its capacity, so it can be reused.
+func TestDrainInto(t *testing.T) {
+	b := NewBitset(512)
+	in := []uint32{300, 0, 63, 64, 127, 129}
+	for _, x := range in {
+		b.Add(x)
+	}
+	got := DrainInto(b, []vid{7})
+	want := []vid{7, 0, 63, 64, 127, 129, 300}
+	if len(got) != len(want) {
+		t.Fatalf("DrainInto = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("DrainInto = %v, want %v", got, want)
+		}
+	}
+	if b.Cardinality() != 0 || b.Capacity() != 512 {
+		t.Fatalf("after DrainInto: cardinality %d, capacity %d", b.Cardinality(), b.Capacity())
+	}
+	for _, x := range in {
+		if b.Contains(x) {
+			t.Fatalf("DrainInto left %d", x)
+		}
+	}
+	if got := DrainInto(b, []vid(nil)); got != nil {
+		t.Fatalf("DrainInto of an empty set = %v, want nil", got)
+	}
+}

@@ -15,14 +15,13 @@ import (
 // row is a per-relation CSR row, read through the relation's block, which
 // newAdjacency resolves once: the per-relation walks (closures, the VC2
 // runners, VC3, expansion) are written once against row() — or
-// neighbors(), its copying form; VC4 and the induced edges read each
-// segment vertex's out-rows of the relations its kind can have
-// (inducedEdges), applying the same relation exclusions and filters. With
-// no programmatic filters (the common case — the serving layer's cacheable
-// queries carry only relation-type exclusions) row hands out the CSR
-// segments themselves and the read-only walks (closures, VC3) iterate them
-// in place. An excluded relation returns before any row is touched, so its
-// CSR block is never read.
+// neighbors(), its copying form; VC4 and the induced edges scan the edge
+// columns (inducedEdges), applying the same relation exclusions and
+// filters. With no programmatic filters (the common case — the serving
+// layer's cacheable queries carry only relation-type exclusions) row hands
+// out the CSR segments themselves and the read-only walks (closures, VC3)
+// iterate them in place. An excluded relation returns before any row is
+// touched, so its CSR block is never read.
 type adjacency struct {
 	p        *prov.Graph
 	vFilters []VertexFilter
@@ -31,8 +30,9 @@ type adjacency struct {
 	blocks   [prov.RelDeriv + 1][2]graph.Rows // by prov.Rel and direction (1: out-rows)
 	// plain marks a boundary with no programmatic vertex/edge filters, so
 	// vertexOK is constant-true and edgeOK reduces to the relation mask.
-	plain bool
-	rows  RowCounts // what row fetched; each goroutine reads through its own copy
+	plain   bool
+	rows    RowCounts // what row fetched; each goroutine reads through its own copy
+	entries int       // the edge entries inducedEdges read
 	// done is the request's done channel (Work), which the long walks poll;
 	// nil for none.
 	done <-chan struct{}
@@ -182,28 +182,27 @@ func (e *Engine) AncestryClosure(seeds []graph.VertexID, b Boundary, forward boo
 // The relations a walk reads, by the kind of the vertex it is at (index 0
 // an entity, 1 an activity), all read off prov's schema (kindRels): an
 // entity's ancestry rows (out-rows) are G and D, an activity's U; its
-// descendant rows (in-rows) U and D, an activity's G; outRels adds the rows
-// that end at an agent (an entity's A, an activity's S), which VC4 reads.
-// prov.AddRel types every edge, so no other row of the vertex can be
-// non-empty, and an agent is never reached. D comes last (it is the last
-// Rel) so VC1ExcludeDerivations can cut it off.
+// descendant rows (in-rows) U and D, an activity's G. The rows that end at
+// an agent (an entity's A, an activity's S) are no walk's; prov.AddRel
+// types every edge, so no other row of the vertex can be non-empty, and an
+// agent is never reached. D comes last (it is the last Rel) so
+// VC1ExcludeDerivations can cut it off.
 var (
-	ancestorRels   = [2][]prov.Rel{kindRels(prov.KindEntity, true, false), kindRels(prov.KindActivity, true, false)}
-	descendantRels = [2][]prov.Rel{kindRels(prov.KindEntity, false, false), kindRels(prov.KindActivity, false, false)}
-	outRels        = [2][]prov.Rel{kindRels(prov.KindEntity, true, true), kindRels(prov.KindActivity, true, true)}
+	ancestorRels   = [2][]prov.Rel{kindRels(prov.KindEntity, true), kindRels(prov.KindActivity, true)}
+	descendantRels = [2][]prov.Rel{kindRels(prov.KindEntity, false), kindRels(prov.KindActivity, false)}
 )
 
 // kindRels lists, in Rel order, the relations whose edges leave (out) or
 // enter a vertex of kind k (prov.Rel.Endpoints), without those whose far
-// end is an agent unless agents is set.
-func kindRels(k prov.Kind, out, agents bool) []prov.Rel {
+// end is an agent.
+func kindRels(k prov.Kind, out bool) []prov.Rel {
 	var rels []prov.Rel
 	for r := prov.Rel(0); r <= prov.RelDeriv; r++ {
 		near, far := r.Endpoints()
 		if !out {
 			near, far = far, near
 		}
-		if near == k && (agents || far != prov.KindAgent) {
+		if near == k && far != prov.KindAgent {
 			rels = append(rels, r)
 		}
 	}

@@ -291,7 +291,7 @@ func (e *Engine) SegmentWork(w *Work, q Query) (*Segment, error) {
 	}
 	ad := newAdjacency(e.P, q.Boundary)
 	ad.done = w.done
-	defer w.Rows.add(&ad.rows)
+	defer w.record(ad)
 	t, err := e.newSegTasks(q, ad, true)
 	if err != nil {
 		return nil, err
@@ -318,9 +318,9 @@ func (e *Engine) SegmentWork(w *Work, q Query) (*Segment, error) {
 }
 
 // induce assembles the segment from VC1 and VC2: the query vertices, VC3
-// siblings, expansions, then VC4 agents and the induced edges in one walk of
-// the segment's out-rows (inducedEdges), rule attribution and the support
-// set (grown from the closures' union).
+// siblings, expansions, then VC4 agents and the induced edges in one scan
+// of the edge columns (inducedEdges), rule attribution and the support set
+// (grown from the closures' union).
 func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset) *Segment {
 	seg := &Segment{
 		P:    e.P,
@@ -370,7 +370,7 @@ func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset
 	}
 
 	// VC4 (agents of every included vertex, reached by non-excluded S or A
-	// edges) and the induced edges, in one walk of the out-rows.
+	// edges) and the induced edges, in one scan of the edge columns.
 	seg.Edges = ad.inducedEdges(seg.vset, func(u graph.VertexID) { addV(u, RuleC4) })
 
 	// Support set: the closures already bound every VC1/VC2 derivation; add
@@ -403,74 +403,105 @@ func setToVertices(vs *bitmap.Bitset) []graph.VertexID {
 }
 
 // inducedEdges returns ES, every non-excluded edge with both endpoints in
-// vs, in id order, from the out-rows of vs (outRels). With addAgent set it
-// also forms VC4: an agent enters a segment only as the target of an S or A
-// edge, so such an edge adds its target (unless the boundary excludes it)
-// and is kept; every other edge's endpoints are in vs before the walk, and
-// an agent has no out-rows, so adding agents to vs mid-walk changes nothing
-// the walk reads. Without addAgent (AdjustExpand, NewSegment) an S or A
-// edge is kept like any other, if its target is already in vs. The walk
-// meets the edges grouped by source; marking them in a pooled edge-id
-// bitset puts them in id order with no sort. Reading the marks back stops at
-// the last one and removes each, so the bitset returns to the pool empty: a
-// call costs the out-rows of vs, at most E/64 word reads and no allocation
-// beyond the result.
+// vs, in id order. With addAgent set it also forms VC4: an agent enters a
+// segment only as the target of an S or A edge, so such an edge whose source
+// is in vs adds its target (unless the boundary excludes it) and is kept;
+// every other edge's endpoints are in vs before the pass, and an agent is
+// the source of no edge, so adding agents to vs mid-pass changes nothing the
+// pass reads. Without addAgent (AdjustExpand, NewSegment) an S or A edge is
+// kept like any other, if its target is already in vs.
+//
+// It is one ascending scan of the edge columns (scanColumns): a per-label
+// table built once per call resolves each edge's relation, and an edge of
+// an admitted relation is marked in a pooled edge-id bitset when its source
+// is in vs and its target is too or, under VC4, is an agent. The boundary's
+// filters then run over the marked edges alone, and draining the marks
+// (bitmap.DrainInto) gives the edges in id order, exact-size (nil for no
+// edge), and returns the bitset to the pool empty. A call reads the E edge
+// entries and the mark words, holds E/8 pooled bytes and allocates nothing
+// beyond the result. It counts the entries in ad.entries.
 func (ad *adjacency) inducedEdges(vs *bitmap.Bitset, addAgent func(graph.VertexID)) []graph.EdgeID {
-	// The admitted out-relations of each kind, with their blocks; toAgent
-	// marks a row that ends at an agent (S, A), whose targets join VC4.
-	type relRows struct {
-		rows    graph.Rows
-		toAgent bool
-	}
-	var kindRows [2][3]relRows // up to len(outRels[k]) each
-	var nRows [2]int
-	for k, rels := range outRels {
-		for _, r := range rels {
-			if ad.relOK[r] {
-				_, dst := r.Endpoints()
-				kindRows[k][nRows[k]] = relRows{ad.blocks[r][1], addAgent != nil && dst == prov.KindAgent}
-				nRows[k]++
-			}
+	var small [16]uint8
+	pass := small[:]
+	for r := prov.Rel(0); r <= prov.RelDeriv; r++ {
+		l := int(ad.p.RelLabel(r))
+		if l >= len(pass) {
+			pass = append(pass, make([]uint8, l+1-len(pass))...)
+		}
+		switch _, dst := r.Endpoints(); {
+		case !ad.relOK[r]:
+		case addAgent != nil && dst == prov.KindAgent:
+			pass[l] = edgeAgent
+		default:
+			pass[l] = edgeInside
 		}
 	}
+	labels, srcs, dsts := ad.p.PG().EdgeColumns()
 	marks := edgeMarks.Get().(*bitmap.Bitset)
-	vs.Iterate(func(x uint32) bool {
-		k := 1
-		if ad.p.IsKind(graph.VertexID(x), prov.KindEntity) {
-			k = 0
-		}
-		rels := kindRows[k][:nRows[k]]
-		for _, rr := range rels {
-			nbrs, eids := rr.rows.Row(graph.VertexID(x))
-			for i, eid := range eids {
-				if !ad.edgeFiltersOK(eid) {
-					continue
-				}
-				if dst := nbrs[i]; rr.toAgent && ad.vertexOK(dst) {
-					addAgent(dst)
-				} else if !vs.Contains(uint32(dst)) {
-					continue
-				}
-				marks.Add(uint32(eid))
-			}
-		}
-		return true
-	})
-	var out []graph.EdgeID
-	if n := marks.Cardinality(); n > 0 {
-		out = make([]graph.EdgeID, 0, n)
+	scanColumns(marks, pass, vs, labels, srcs, dsts)
+	// The filters and VC4, out of the scan's loop: behind a filter over the
+	// marks, on a plain boundary over the result. addAgent puts its agent
+	// in vs, so an agent already there is not added again; an S or A edge
+	// whose agent is refused is kept only when the agent is in vs, which no
+	// addAgent call changes.
+	if !ad.plain {
 		marks.Iterate(func(x uint32) bool {
-			out = append(out, graph.EdgeID(x))
-			marks.Remove(x)
-			return len(out) < n
+			e := graph.EdgeID(x)
+			switch dst := dsts[e]; {
+			case !ad.edgeFiltersOK(e):
+				marks.Remove(x)
+			case pass[labels[e]] != edgeAgent:
+			case ad.vertexOK(dst):
+				addAgent(dst)
+			case !vs.Contains(uint32(dst)):
+				marks.Remove(x)
+			}
+			return true
 		})
 	}
+	var out []graph.EdgeID
+	if n := marks.Cardinality(); n > 0 {
+		out = bitmap.DrainInto(marks, make([]graph.EdgeID, 0, n))
+	}
 	edgeMarks.Put(marks)
+	if ad.plain && addAgent != nil {
+		for _, e := range out {
+			if dst := dsts[e]; pass[labels[e]] == edgeAgent && !vs.Contains(uint32(dst)) {
+				addAgent(dst)
+			}
+		}
+	}
+	ad.entries += len(labels)
 	return out
 }
 
-// edgeMarks holds inducedEdges' edge-id bitsets; each grows on Add to the
-// largest graph it has served.
+// What inducedEdges' label table holds per edge label.
+const (
+	edgeSkip   uint8 = iota // an excluded relation or a non-PROV label
+	edgeInside              // marked when both ends are in vs
+	edgeAgent               // S or A under VC4: marked when its source is in vs
+)
+
+// scanColumns is inducedEdges' loop, a function of its own so that nothing
+// it holds is spilled around the calls of the filters and addAgent: it
+// marks every edge of an admitted label whose source is in vs and, unless
+// it is an S or A edge under VC4, whose target is too.
+func scanColumns(marks *bitmap.Bitset, pass []uint8, vs *bitmap.Bitset, labels []graph.Label, srcs, dsts []graph.VertexID) {
+	srcs, dsts = srcs[:len(labels)], dsts[:len(labels)]
+	for e, l := range labels {
+		if int(l) >= len(pass) {
+			continue
+		}
+		act := pass[l]
+		if act == edgeSkip || !vs.Contains(uint32(srcs[e])) || act == edgeInside && !vs.Contains(uint32(dsts[e])) {
+			continue
+		}
+		marks.Add(uint32(e))
+	}
+}
+
+// edgeMarks holds inducedEdges' edge-id bitsets, empty between calls; each
+// grows on Add to the largest graph it has served.
 var edgeMarks = sync.Pool{New: func() any { return bitmap.NewBitset(0) }}
 
 // expand walks ancestry up to k activity-steps from the expansion entities,
@@ -568,7 +599,7 @@ func (e *Engine) AdjustExpandWork(w *Work, s *Segment, ex Expansion) (*Segment, 
 	}
 	ad := newAdjacency(e.P, Boundary{})
 	ad.done = w.done
-	defer w.Rows.add(&ad.rows)
+	defer w.record(ad)
 	out := &Segment{
 		P:    e.P,
 		Src:  s.Src,

@@ -134,6 +134,52 @@ func (e *Engine) runSimProvTst(r tstRunner, src, dst []graph.VertexID, ad *adjac
 	return out
 }
 
+// induceInputs solves q's two closures and VC2 in turn on the caller: what
+// induce takes.
+func induceInputs(e *Engine, q Query) (ad *adjacency, vc1, vc2, support *bitmap.Bitset, err error) {
+	if err := e.validateQuery(q); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	ad = newAdjacency(e.P, q.Boundary)
+	vc1, support = directPaths(e.ancestryClosure(q.Dst, ad, true), e.ancestryClosure(q.Src, ad, false))
+	vc2, err = e.similarPathVertices(q, ad)
+	return ad, vc1, vc2, support, err
+}
+
+// InducedEdges runs inducedEdges over the vertex set vs (a snapshot's ids)
+// under b's exclusions and filters, forming VC4 when agents is set: it
+// returns ES and the agents it added, in id order.
+func InducedEdges(p *prov.Graph, b Boundary, vs []graph.VertexID, agents bool) ([]graph.EdgeID, []graph.VertexID) {
+	ad := newAdjacency(p, b)
+	set, added := bitmap.NewBitset(p.NumVertices()), bitmap.NewBitset(p.NumVertices())
+	for _, v := range vs {
+		set.Add(uint32(v))
+	}
+	var addAgent func(graph.VertexID)
+	if agents {
+		addAgent = func(u graph.VertexID) {
+			if set.Add(uint32(u)) {
+				added.Add(uint32(u))
+			}
+		}
+	}
+	edges := ad.inducedEdges(set, addAgent)
+	var out []graph.VertexID
+	added.Iterate(func(x uint32) bool { out = append(out, graph.VertexID(x)); return true })
+	return edges, out
+}
+
+// InduceStep solves q's closures and VC2 and returns Segment's induce step
+// over them, to be timed alone. Every call runs on a copy of the support
+// set, which induce grows.
+func InduceStep(e *Engine, q Query) (func() *Segment, error) {
+	ad, vc1, vc2, support, err := induceInputs(e, q)
+	if err != nil {
+		return nil, err
+	}
+	return func() *Segment { return e.induce(q, ad, vc1, vc2, support.Clone()) }, nil
+}
+
 // SegStages are the stage clocks of one SegmentStages call.
 type SegStages struct{ Closure, VC2, Induce time.Duration }
 

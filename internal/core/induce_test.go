@@ -13,18 +13,19 @@ import (
 )
 
 // TestInduceMatchesRowOracle holds Segment — closures that read only the
-// rows a vertex's kind can have, VC4 and ES from one walk of the out-rows
-// the segment vertices' kinds can have, put in id order by an edge bitset —
-// to the row oracle (rows_oracle_test.go), which reads every ancestry row of
-// every closure vertex, the S and A rows of every segment vertex, then scans
-// the edge columns: Vertices, Rules, Edges and Support() must
-// be reflect.DeepEqual. The inputs are Pd-2000 (two queries), an Sd graph
+// rows a vertex's kind can have, VC4 and ES from one scan of the edge
+// columns, put in id order by an edge bitset — to the row oracle
+// (rows_oracle_test.go), which reads every ancestry row of every closure
+// vertex, the S and A rows of every segment vertex, then scans the edge
+// columns: Vertices, Rules, Edges and Support() must be reflect.DeepEqual,
+// and Edges exact-size. The inputs are Pd-2000 (two queries), an Sd graph
 // queried segment by segment and Pd-2000 under permuted ids, each on both
 // row layouts (Layouts), under relation exclusions, a vertex filter that
 // drops some agents, an edge filter, expansions and VC1ExcludeDerivations.
-// AdjustExpand, whose walk adds no agents, is held to the oracle's on every
+// AdjustExpand, whose scan adds no agents, is held to the oracle's on every
 // one of the segments, and so are the edges of the Sd generator's segments
-// (NewSegment).
+// (NewSegment). Windows of consecutive Pd-2000 ids from 1% to 60% of the
+// graph are held to the oracle under every boundary, with and without VC4.
 func TestInduceMatchesRowOracle(t *testing.T) {
 	type input struct {
 		name string
@@ -51,35 +52,12 @@ func TestInduceMatchesRowOracle(t *testing.T) {
 		}
 		// From the segment's seed entities to its last two outputs.
 		sdQs = append(sdQs, core.Query{Src: ents[:3], Dst: ents[len(ents)-2:]})
-		if want := core.RowOracleNewSegmentEdges(s.P, s.Vertices); !reflect.DeepEqual(s.Edges, want) {
-			t.Fatalf("Sd segment: NewSegment induced %d edges, the oracle %d", len(s.Edges), len(want))
+		if want := core.RowOracleNewSegmentEdges(s.P, s.Vertices); !reflect.DeepEqual(s.Edges, want) || len(s.Edges) != cap(s.Edges) {
+			t.Fatalf("Sd segment: NewSegment induced %d edges (cap %d), the oracle %d", len(s.Edges), cap(s.Edges), len(want))
 		}
 	}
 	inputs := []input{{"Pd-2000", pd, pdQs}, {"Sd", sd, sdQs}, {"Pd-2000/permuted", pp, permQs}}
 
-	dropAgents := func(p *prov.Graph, v graph.VertexID) bool { return !p.IsKind(v, prov.KindAgent) || v%2 == 0 }
-	excl := func(rels ...prov.Rel) func(core.Query) core.Boundary {
-		return func(core.Query) core.Boundary { return core.Boundary{ExcludeRels: rels} }
-	}
-	boundaries := []struct {
-		name string
-		of   func(q core.Query) core.Boundary
-	}{
-		{"plain", excl()},
-		{"excl-S", excl(prov.RelAssoc)},
-		{"excl-A", excl(prov.RelAttr)},
-		{"excl-SA", excl(prov.RelAssoc, prov.RelAttr)},
-		{"excl-D", excl(prov.RelDeriv)},
-		{"drop-agents", func(core.Query) core.Boundary {
-			return core.Boundary{VertexFilters: []core.VertexFilter{dropAgents}}
-		}},
-		{"edge-filter", func(core.Query) core.Boundary {
-			return core.Boundary{EdgeFilters: []core.EdgeFilter{func(_ *prov.Graph, e graph.EdgeID) bool { return e%13 != 5 }}}
-		}},
-		{"expansions", func(q core.Query) core.Boundary {
-			return core.Boundary{Expansions: []core.Expansion{{Within: q.Dst, K: 3}, {Within: q.Src, K: 2}}}
-		}},
-	}
 	agentsDropped := false
 	for _, in := range inputs {
 		for _, p := range core.Layouts(in.p) {
@@ -87,7 +65,7 @@ func TestInduceMatchesRowOracle(t *testing.T) {
 				e := core.NewEngine(p, opts)
 				for qi, q := range in.qs {
 					var plain *core.Segment
-					for _, b := range boundaries {
+					for _, b := range oracleBoundaries {
 						label := fmt.Sprintf("%s/%s/exclD=%v/q%d/%s", in.name, core.LayoutName(p), opts.VC1ExcludeDerivations, qi, b.name)
 						bq := q
 						bq.Boundary = b.of(q)
@@ -123,6 +101,67 @@ func TestInduceMatchesRowOracle(t *testing.T) {
 	if !agentsDropped {
 		t.Fatal("the agent filter never dropped a segment's agent: the case compared too little")
 	}
+
+	// Windows of consecutive ids in the middle of Pd-2000 (entities,
+	// activities and agents, so edges cross the window's two ends), on both
+	// row layouts.
+	for _, p := range core.Layouts(pd) {
+		n := p.NumVertices()
+		for _, pct := range []int{1, 15, 60} {
+			k := n * pct / 100
+			vs := make([]graph.VertexID, k)
+			for i := range vs {
+				vs[i] = graph.VertexID((n-k)/2 + i)
+			}
+			for _, b := range oracleBoundaries {
+				for _, agents := range []bool{false, true} {
+					label := fmt.Sprintf("%s/|vs|=%d of %d/%s/agents=%v", core.LayoutName(p), k, n, b.name, agents)
+					bound := b.of(core.Query{Src: vs[:1], Dst: vs[k-1:]})
+					wantEdges, wantAgents := core.RowOracleInducedEdges(p, bound, vs, agents)
+					if len(wantEdges) < k/2 || agents && b.name == "plain" && len(wantAgents) == 0 {
+						t.Fatalf("%s: %d edges and %d agents compare too little", label, len(wantEdges), len(wantAgents))
+					}
+					edges, added := core.InducedEdges(p, bound, vs, agents)
+					if !reflect.DeepEqual(edges, wantEdges) || len(edges) != cap(edges) || !reflect.DeepEqual(added, wantAgents) {
+						t.Fatalf("%s: %d edges (cap %d) and %d agents, the oracle %d and %d",
+							label, len(edges), cap(edges), len(added), len(wantEdges), len(wantAgents))
+					}
+				}
+			}
+		}
+	}
+}
+
+// oracleBoundaries are the boundaries TestInduceMatchesRowOracle runs
+// every input under, each a function of the query (the expansions start
+// from its vertices).
+var oracleBoundaries = []struct {
+	name string
+	of   func(q core.Query) core.Boundary
+}{
+	{"plain", exclRels()},
+	{"excl-S", exclRels(prov.RelAssoc)},
+	{"excl-A", exclRels(prov.RelAttr)},
+	{"excl-SA", exclRels(prov.RelAssoc, prov.RelAttr)},
+	{"excl-D", exclRels(prov.RelDeriv)},
+	{"drop-agents", func(core.Query) core.Boundary {
+		return core.Boundary{VertexFilters: []core.VertexFilter{dropAgents}}
+	}},
+	{"edge-filter", func(core.Query) core.Boundary {
+		return core.Boundary{EdgeFilters: []core.EdgeFilter{func(_ *prov.Graph, e graph.EdgeID) bool { return e%13 != 5 }}}
+	}},
+	{"expansions", func(q core.Query) core.Boundary {
+		return core.Boundary{Expansions: []core.Expansion{{Within: q.Dst, K: 3}, {Within: q.Src, K: 2}}}
+	}},
+}
+
+// dropAgents is a vertex filter that refuses every odd agent.
+func dropAgents(p *prov.Graph, v graph.VertexID) bool {
+	return !p.IsKind(v, prov.KindAgent) || v%2 == 0
+}
+
+func exclRels(rels ...prov.Rel) func(core.Query) core.Boundary {
+	return func(core.Query) core.Boundary { return core.Boundary{ExcludeRels: rels} }
 }
 
 func diffToOracle(t *testing.T, label string, got, want *core.Segment) {
@@ -133,8 +172,8 @@ func diffToOracle(t *testing.T, label string, got, want *core.Segment) {
 	if !reflect.DeepEqual(got.Rules, want.Rules) {
 		t.Fatalf("%s: rules differ from the oracle's", label)
 	}
-	if !reflect.DeepEqual(got.Edges, want.Edges) {
-		t.Fatalf("%s: %d edges, the oracle %d", label, len(got.Edges), len(want.Edges))
+	if !reflect.DeepEqual(got.Edges, want.Edges) || len(got.Edges) != cap(got.Edges) {
+		t.Fatalf("%s: %d edges (cap %d), the oracle %d", label, len(got.Edges), cap(got.Edges), len(want.Edges))
 	}
 	if !reflect.DeepEqual(got.Support(), want.Support()) {
 		t.Fatalf("%s: support sets differ from the oracle's", label)
@@ -254,4 +293,26 @@ func TestInducedEdgesConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestNewSegmentRefusesOutOfRange: NewSegment refuses a vertex id at or
+// past the snapshot's vertex count with validateQuery's wording, before
+// inducedEdges reads it, and takes every id below it.
+func TestNewSegmentRefusesOutOfRange(t *testing.T) {
+	p := prov.New()
+	a, e := p.NewAgent("u"), p.NewEntity("in")
+	run := p.NewActivity("run")
+	p.WasAssociatedWith(run, a)
+	p.Used(run, e)
+	fz := p.Freeze()
+	for _, v := range []graph.VertexID{3, 999, graph.NoVertex} {
+		seg, err := core.NewSegment(fz, []graph.VertexID{e, v})
+		if want := fmt.Sprintf("core: segment vertex %d out of range", v); err == nil || err.Error() != want || seg != nil {
+			t.Fatalf("NewSegment with vertex %d of 3: segment %v, err %v, want %q", v, seg, err, want)
+		}
+	}
+	seg, err := core.NewSegment(fz, []graph.VertexID{a, e, run})
+	if err != nil || len(seg.Vertices) != 3 || len(seg.Edges) != 2 {
+		t.Fatalf("NewSegment of all 3 vertices: %v, %v", seg, err)
+	}
 }

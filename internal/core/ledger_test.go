@@ -17,13 +17,14 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 const ledgerGolden = "testdata/row_ledger.golden"
 
 // TestSegmentRowLedger pins the relation rows each query of a fixed set
-// fetches, per relation and direction, as its request record (core.Work)
-// counts them: the first 16 seg_cold pool queries at Pd-20000, the same draw
-// on a permuted Pd-2000, pool query 0 under ExcludeRels {D, A} with an
-// expansion, then grown by AdjustExpand, one sum_pd-shaped /summarize
-// request (two Pd-2000 solves and PgSum on one record, with PgSum's
-// simulations, Kahn sorts and phase scans) and a query per segment of an Sd
-// graph, from its first vertex to its last. The counts do not depend on the
+// fetches, per relation and direction, and the edge entries its induce
+// steps read (one scan of the edge columns each), as its request record
+// (core.Work) counts them: the first 16 seg_cold pool queries at Pd-20000,
+// the same draw on a permuted Pd-2000, pool query 0 under ExcludeRels
+// {D, A} with an expansion, then grown by AdjustExpand, one sum_pd-shaped
+// /summarize request (two Pd-2000 solves and PgSum on one record, with
+// PgSum's simulations, Kahn sorts and phase scans) and a query per segment
+// of an Sd graph, from its first vertex to its last. The counts do not depend on the
 // host or on the worker count, so any change fails here. A change that is
 // meant regenerates the golden file with
 //
@@ -33,6 +34,7 @@ const ledgerGolden = "testdata/row_ledger.golden"
 func TestSegmentRowLedger(t *testing.T) {
 	var b strings.Builder
 	fmt.Fprintln(&b, "# Relation rows fetched per query (rel.in / rel.out); see TestSegmentRowLedger.")
+	fmt.Fprintln(&b, "# induce=ENTRIES: the edge entries induce's scans of the edge columns read.")
 	line := func(name string, w *core.Work) int {
 		rows, total := w.Rows, 0
 		fmt.Fprint(&b, name)
@@ -45,10 +47,11 @@ func TestSegmentRowLedger(t *testing.T) {
 			}
 		}
 		if w.Sims+w.Topos+w.Phases != 0 {
-			fmt.Fprintf(&b, " total=%d sims=%d topos=%d phases=%d\n", total, w.Sims, w.Topos, w.Phases)
+			fmt.Fprintf(&b, " total=%d sims=%d topos=%d phases=%d", total, w.Sims, w.Topos, w.Phases)
 		} else {
-			fmt.Fprintf(&b, " total=%d\n", total)
+			fmt.Fprintf(&b, " total=%d", total)
 		}
+		fmt.Fprintf(&b, " induce=%d\n", w.EdgeEntries)
 		return total
 	}
 	segment := func(w *core.Work, eng *core.Engine, q core.Query) *core.Segment {

@@ -433,7 +433,11 @@ func TestSummarizeCyclicInput(t *testing.T) {
 	for _, arc := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}, {4, 1}, {0, 5}} { // 1 -> 2 -> 3 -> 1 is the cycle
 		p.WasDerivedFrom(e[arc[0]], e[arc[1]])
 	}
-	_, err := core.Summarize([]*core.Segment{core.NewSegment(p.Freeze(), e)}, core.SumOptions{})
+	seg, err := core.NewSegment(p.Freeze(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = core.Summarize([]*core.Segment{seg}, core.SumOptions{})
 	if !errors.Is(err, core.ErrNotDAG) {
 		t.Fatalf("Summarize on a cycle: err=%v, want ErrNotDAG", err)
 	}

@@ -60,6 +60,32 @@ func RowOracleNewSegmentEdges(p *prov.Graph, vertices []graph.VertexID) []graph.
 	return rowOracleEdges(p, vs, newAdjacency(p, Boundary{}))
 }
 
+// RowOracleInducedEdges is InducedEdges by the row oracle: the agents at
+// the far end of the admitted S and A out-rows of vs (when agents is set),
+// then a scan of the edge columns over vs and those agents.
+func RowOracleInducedEdges(p *prov.Graph, b Boundary, vs []graph.VertexID, agents bool) ([]graph.EdgeID, []graph.VertexID) {
+	ad := newAdjacency(p, b)
+	set, added := bitmap.NewBitset(p.NumVertices()), bitmap.NewBitset(p.NumVertices())
+	for _, v := range vs {
+		set.Add(uint32(v))
+	}
+	if agents {
+		for _, v := range setToVertices(set) {
+			for _, rel := range []prov.Rel{prov.RelAssoc, prov.RelAttr} {
+				for _, u := range ad.neighbors(v, rel, true, nil) {
+					if !set.Contains(uint32(u)) {
+						added.Add(uint32(u))
+					}
+				}
+			}
+		}
+		set.UnionWith(added)
+	}
+	var out []graph.VertexID
+	added.Iterate(func(x uint32) bool { out = append(out, graph.VertexID(x)); return true })
+	return rowOracleEdges(p, set, ad), out
+}
+
 func (e *Engine) rowOracleClosure(seeds []graph.VertexID, ad *adjacency, forward bool) *bitmap.Bitset {
 	rels := []prov.Rel{prov.RelUsed, prov.RelGen}
 	if !e.opts.VC1ExcludeDerivations {

@@ -15,9 +15,15 @@ import (
 // the (deduplicated) vertex list and ES every provenance edge among them.
 // This is how externally delimited segments (e.g. the Sd generator's, or a
 // per-commit slice) enter PgSum without going through a PgSeg query. p must
-// be a snapshot (prov.Graph.Freeze); a live graph panics.
-func NewSegment(p *prov.Graph, vertices []graph.VertexID) *Segment {
+// be a snapshot (prov.Graph.Freeze); a live graph panics. A vertex id that
+// is not p's is refused with an error.
+func NewSegment(p *prov.Graph, vertices []graph.VertexID) (*Segment, error) {
 	p.PG().MustBeFrozen("core.NewSegment")
+	for _, v := range vertices {
+		if int(v) >= p.NumVertices() {
+			return nil, fmt.Errorf("core: segment vertex %d out of range", v)
+		}
+	}
 	s := &Segment{P: p, vset: bitmap.NewBitset(p.NumVertices())}
 	for _, v := range vertices {
 		s.vset.Add(uint32(v))
@@ -25,7 +31,7 @@ func NewSegment(p *prov.Graph, vertices []graph.VertexID) *Segment {
 	s.Vertices = setToVertices(s.vset)
 	s.Rules = make([]Rule, len(s.Vertices)) // all RuleQuery
 	s.Edges = newAdjacency(p, Boundary{}).inducedEdges(s.vset, nil)
-	return s
+	return s, nil
 }
 
 // displayName renders a vertex for human-readable output.

@@ -221,7 +221,10 @@ func TestSummarizeRejectsUnfitInput(t *testing.T) {
 	p := prov.New()
 	a, b := p.NewEntity("a"), p.NewEntity("b")
 	p.WasDerivedFrom(b, a)
-	seg := NewSegment(p.Freeze(), []graph.VertexID{a, b})
+	seg, err := NewSegment(p.Freeze(), []graph.VertexID{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, cut := range [][]graph.VertexID{{a}, {b}} {
 		seg.Vertices = cut
 		if psg, err := Summarize([]*Segment{seg, seg}, SumOptions{}); err == nil || psg != nil {

@@ -24,6 +24,9 @@ type Work struct {
 	// Rows counts the relation rows PgSeg fetched, by relation and
 	// direction.
 	Rows RowCounts
+	// EdgeEntries counts the edge entries PgSeg's edge induction read: E
+	// per call, one scan of the edge columns.
+	EdgeEntries int
 	// Sims, Topos and Phases count what PgSum solved: simulation
 	// preorders, Kahn sorts and merge-phase scans.
 	Sims, Topos, Phases int
@@ -43,6 +46,12 @@ func (w *Work) Err() error {
 		return w.ctx.Err()
 	}
 	return nil
+}
+
+// record adds what ad read to w.
+func (w *Work) record(ad *adjacency) {
+	w.Rows.add(&ad.rows)
+	w.EdgeEntries += ad.entries
 }
 
 // pollMask spaces the polls of the walks that step vertex by vertex: one

@@ -126,7 +126,11 @@ func Sd(cfg SdConfig) (*prov.Graph, []*core.Segment) {
 	fz := p.Freeze()
 	segments := make([]*core.Segment, len(members))
 	for i, vs := range members {
-		segments[i] = core.NewSegment(fz, vs)
+		seg, err := core.NewSegment(fz, vs)
+		if err != nil {
+			panic(err) // every member is a vertex the loop above added
+		}
+		segments[i] = seg
 	}
 	return p, segments
 }

@@ -200,6 +200,13 @@ func (g *Graph) Src(e EdgeID) VertexID { return g.eSrc[e] }
 // Dst returns the destination endpoint of e.
 func (g *Graph) Dst(e EdgeID) VertexID { return g.eDst[e] }
 
+// EdgeColumns returns the edge columns, indexed by edge id: each edge's
+// label, source and destination. They are the graph's own and must not be
+// modified; a scan over every edge reads them without a call per edge.
+func (g *Graph) EdgeColumns() (labels []Label, src, dst []VertexID) {
+	return g.eLabel, g.eSrc, g.eDst
+}
+
 // mustBeLive guards mutations: snapshots are immutable by contract, and a
 // write slipping through would race with the snapshot's lock-free readers.
 func (g *Graph) mustBeLive() {

@@ -24,9 +24,19 @@ func wholeSegment(p *prov.Graph, keep func(v int) bool) *core.Segment {
 			vs = append(vs, graph.VertexID(v))
 		}
 	}
-	seg := core.NewSegment(p, vs)
+	seg := segmentOf(p, vs)
 	for k := range seg.Rules {
 		seg.Rules[k] = core.Rule(k % int(core.RuleC4+1))
+	}
+	return seg
+}
+
+// segmentOf is core.NewSegment over vertices of p's own, which it cannot
+// refuse.
+func segmentOf(p *prov.Graph, vs []graph.VertexID) *core.Segment {
+	seg, err := core.NewSegment(p, vs)
+	if err != nil {
+		panic(err)
 	}
 	return seg
 }

@@ -118,8 +118,8 @@ func diffNamedSegments(t *testing.T, tag string, names ...string) {
 		vs = append(vs, p.NewEntity(name))
 	}
 	fz := p.Freeze()
-	diffSegmentReply(t, tag+" (uncached)", newReplyColumn(), core.NewSegment(fz, vs), false, "")
-	diffSegmentReply(t, tag+" (cached)", newReplyColumn(), core.NewSegment(fz, vs), true, "")
+	diffSegmentReply(t, tag+" (uncached)", newReplyColumn(), segmentOf(fz, vs), false, "")
+	diffSegmentReply(t, tag+" (cached)", newReplyColumn(), segmentOf(fz, vs), true, "")
 }
 
 // writeSizes keeps what is written to it and the size of each Write.
@@ -255,7 +255,7 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	}
 
 	// Arrays that are empty are omitted, as omitempty does.
-	empty := core.NewSegment(prov.New().Freeze(), nil)
+	empty := segmentOf(prov.New().Freeze(), nil)
 	diffSegmentReply(t, "empty segment", newReplyColumn(), empty, false, "")
 	diffNamedSegments(t, "one vertex", "only")
 
@@ -264,7 +264,7 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	ag, in, run := one.NewAgent("u"), one.NewEntity("in"), one.NewActivity("run")
 	one.WasAssociatedWith(run, ag)
 	one.Used(run, in)
-	single := core.NewSegment(one.Freeze(), []graph.VertexID{in, run})
+	single := segmentOf(one.Freeze(), []graph.VertexID{in, run})
 	if len(single.Edges) != 1 || single.Edges[0] != 1 {
 		t.Fatalf("single-edge segment has edges %v", single.Edges)
 	}
@@ -353,7 +353,7 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 			vs = append(vs, p.NewEntity("v"))
 		}
 		p.PG().SetVertexProp(vs[0], prov.PropName, graph.String(strings.Repeat("p", pad)))
-		return core.NewSegment(p.Freeze(), vs)
+		return segmentOf(p.Freeze(), vs)
 	}
 	over := map[int]bool{}
 	for pad := 1; pad <= 64; pad++ {
@@ -393,10 +393,10 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	blank := rec.P.NewEntity("x")
 	rec.P.PG().SetVertexProp(blank, prov.PropName, graph.String(""))
 	hostile := rec.P.Freeze()
-	all := core.NewSegment(hostile, append(ents, blank, rec.P.Agents()[0], rec.P.Activities()[0]))
+	all := segmentOf(hostile, append(ents, blank, rec.P.Agents()[0], rec.P.Activities()[0]))
 	diffSegmentReply(t, "hostile names", newReplyColumn(), all, false, "")
 	diffSegmentReply(t, "hostile names dot", newReplyColumn(), all, false, segmentDOT(t, all))
-	acts := core.NewSegment(hostile, append(rec.P.Activities(), ents...))
+	acts := segmentOf(hostile, append(rec.P.Activities(), ents...))
 	psg, err = core.Summarize([]*core.Segment{acts}, core.SumOptions{K: core.Aggregation{Activity: []string{prov.PropCommand}, Entity: []string{prov.PropName}}})
 	if err != nil {
 		t.Fatal(err)

@@ -261,8 +261,9 @@ func (g *Graph) SegmentWith(q Query, opts SegmentOptions) (*Segment, error) {
 }
 
 // NewSegment builds a segment from an explicit vertex set (externally
-// delimited slices enter PgSum this way).
-func (g *Graph) NewSegment(vertices []VertexID) *Segment {
+// delimited slices enter PgSum this way). A vertex id the graph does not
+// have is refused with an error.
+func (g *Graph) NewSegment(vertices []VertexID) (*Segment, error) {
 	return core.NewSegment(g.snapshot(), vertices)
 }
 

@@ -436,3 +436,19 @@ func TestAdjustExpandAfterWrite(t *testing.T) {
 		t.Fatalf("the expansion around the new output is missing from\n%s", b.String())
 	}
 }
+
+// TestNewSegmentRefusesOutOfRange: a vertex id the graph does not have is
+// refused with an error naming it, and the graph's own ids still build the
+// segment.
+func TestNewSegmentRefusesOutOfRange(t *testing.T) {
+	g := provdb.New()
+	x := g.Import("alice", "data", "s3://data")
+	seg, err := g.NewSegment([]provdb.VertexID{x, 999})
+	if err == nil || seg != nil || !strings.Contains(err.Error(), "segment vertex 999 out of range") {
+		t.Fatalf("NewSegment with vertex 999 of %d: segment %v, err %v", g.NumVertices(), seg, err)
+	}
+	seg, err = g.NewSegment([]provdb.VertexID{x})
+	if err != nil || len(seg.Vertices) != 1 {
+		t.Fatalf("NewSegment of the graph's own vertex: %v, %v", seg, err)
+	}
+}

@@ -21,9 +21,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/bitmap"
 	"repro/internal/graph"
@@ -214,21 +216,147 @@ func (s *Segment) RuleOf(v graph.VertexID) (Rule, bool) {
 // revalidation performs per cached entry. Do not modify the returned set.
 func (s *Segment) Support() *bitmap.Bitset { return s.support }
 
-// Rebase returns a shallow copy of the segment re-pointed at a newer
-// snapshot of the same append-only graph (every id the segment references
-// is stable across snapshots). The original is left untouched so readers
-// holding it are unaffected.
-func (s *Segment) Rebase(p *prov.Graph) *Segment {
-	ns := *s
-	ns.P = p
-	return &ns
-}
-
 // NumVertices returns |VS|.
 func (s *Segment) NumVertices() int { return len(s.Vertices) }
 
 // NumEdges returns |ES|.
 func (s *Segment) NumEdges() int { return len(s.Edges) }
+
+// Run is a run of consecutive ids, First through Last.
+type Run[ID ~uint32] struct{ First, Last ID }
+
+// PackedSegment is a Segment held as runs of consecutive ids: the form a
+// result cache keeps. A segment of a lifecycle graph is a near-contiguous id
+// window (a Pd-20000 seg_cold segment averages 13k vertices in 81 runs and
+// 29k edges in 300), so its runs take a few KB where Vertices and Edges take
+// 4 B per element. Rules and the support set are the segment's own, shared
+// and never copied; nothing else it holds is N- or E-sized, and it keeps no
+// vertex set. Unpack rebuilds the segment it was packed from exactly.
+type PackedSegment struct {
+	P *prov.Graph
+
+	Src []graph.VertexID
+	Dst []graph.VertexID
+
+	// VertexRuns and EdgeRuns are VS and ES, ascending; each is nil where
+	// the segment's slice is.
+	VertexRuns []Run[graph.VertexID]
+	EdgeRuns   []Run[graph.EdgeID]
+	// Rules is the segment's: Rules[k] is the rule of the k-th vertex of
+	// VertexRuns.
+	Rules []Rule
+
+	numEdges int
+	vsetBits int // the vertex set's capacity, which Unpack gives it again
+	support  *bitmap.Bitset
+}
+
+// Pack returns s as runs. s's vertex set is left behind: a Segment literal
+// built outside this package (which has none) unpacks with one.
+func (s *Segment) Pack() *PackedSegment {
+	p := &PackedSegment{
+		P:          s.P,
+		Src:        s.Src,
+		Dst:        s.Dst,
+		VertexRuns: runsOf(s.Vertices),
+		EdgeRuns:   runsOf(s.Edges),
+		Rules:      s.Rules,
+		numEdges:   len(s.Edges),
+		support:    s.support,
+	}
+	if s.vset != nil {
+		p.vsetBits = s.vset.Bytes() * 8
+	}
+	return p
+}
+
+// runsOf returns ascending ids as runs, exact-size, nil for nil.
+func runsOf[ID ~uint32](ids []ID) []Run[ID] {
+	if ids == nil {
+		return nil
+	}
+	n := 0
+	for i := range ids {
+		if i == 0 || ids[i] != ids[i-1]+1 {
+			n++
+		}
+	}
+	runs := make([]Run[ID], 0, n)
+	for i, id := range ids {
+		if i > 0 && id == ids[i-1]+1 {
+			runs[len(runs)-1].Last = id
+		} else {
+			runs = append(runs, Run[ID]{id, id})
+		}
+	}
+	return runs
+}
+
+// idsOf expands runs holding n ids, nil for nil.
+func idsOf[ID ~uint32](runs []Run[ID], n int) []ID {
+	if runs == nil {
+		return nil
+	}
+	ids := make([]ID, 0, n)
+	for _, r := range runs {
+		for id := r.First; id <= r.Last; id++ {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// Unpack rebuilds the segment p was packed from: Vertices, Edges and the
+// vertex set anew, Rules and the support set shared with p.
+func (p *PackedSegment) Unpack() *Segment {
+	s := &Segment{
+		P:        p.P,
+		Src:      p.Src,
+		Dst:      p.Dst,
+		Vertices: idsOf(p.VertexRuns, len(p.Rules)),
+		Edges:    idsOf(p.EdgeRuns, p.numEdges),
+		Rules:    p.Rules,
+		vset:     bitmap.NewBitset(p.vsetBits),
+		support:  p.support,
+	}
+	for _, v := range s.Vertices {
+		s.vset.Add(uint32(v))
+	}
+	return s
+}
+
+// Rebase returns a copy of p re-pointed at a newer snapshot of the same
+// append-only graph (every id the segment references is stable across
+// snapshots). The original is left untouched so readers holding it are
+// unaffected.
+func (p *PackedSegment) Rebase(g *prov.Graph) *PackedSegment {
+	np := *p
+	np.P = g
+	return &np
+}
+
+// NumVertices returns |VS|.
+func (p *PackedSegment) NumVertices() int { return len(p.Rules) }
+
+// NumEdges returns |ES|.
+func (p *PackedSegment) NumEdges() int { return p.numEdges }
+
+// Support is the support set of the segment p was packed from (see
+// Segment.Support). Do not modify the returned set.
+func (p *PackedSegment) Support() *bitmap.Bitset { return p.support }
+
+// Bytes is the heap p holds: itself, its runs, query lists and Rules, and
+// the support set.
+func (p *PackedSegment) Bytes() int {
+	n := int(unsafe.Sizeof(*p)) + len(p.Rules) + 4*(len(p.Src)+len(p.Dst)) + 8*(len(p.VertexRuns)+len(p.EdgeRuns))
+	if p.support != nil {
+		n += p.support.Bytes()
+	}
+	return n
+}
+
+// WriteDOT renders the segment as graphviz DOT (Segment.WriteDOT).
+func (p *PackedSegment) WriteDOT(w io.Writer) error { return p.Unpack().WriteDOT(w) }
 
 // ErrEmptyQuery is returned when Src or Dst is empty.
 var ErrEmptyQuery = errors.New("core: PgSeg query needs non-empty Src and Dst")

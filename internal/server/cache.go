@@ -18,6 +18,12 @@ import (
 // here. The cache is guarded by its own mutex (separate from the store's
 // write mutex) so cache bookkeeping never serializes solver work.
 //
+// An entry keeps the segment packed (core.PackedSegment: runs of
+// consecutive ids, the solve's Rules and support set): 21 KB for a seg_hot
+// segment of Pd-20000 (13k vertices, 29k edges), where the solved segment
+// holds 204 KB (TestCacheEntryBytes). A hit renders straight from the runs.
+// bytes is the sum of the resident entries' sizes.
+//
 // Entries are tagged with the epoch they were last validated at; all
 // resident entries share that epoch (the invariant advance maintains). On
 // ingest commit the cache is revalidated against the delta instead of being
@@ -35,6 +41,7 @@ type segCache struct {
 	epoch uint64     // the epoch every resident entry is valid at
 	ll    *list.List // front = most recently used
 	byK   map[string]*list.Element
+	bytes int // cacheEntry.bytes summed over the resident entries
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -44,7 +51,7 @@ type segCache struct {
 
 type cacheEntry struct {
 	key string
-	seg *core.Segment
+	seg *core.PackedSegment
 	// relOK is the admitted-relations mask of the query's boundary: delta
 	// edges of an excluded relationship type cannot appear in any traversal
 	// of this query and are skipped during revalidation.
@@ -70,7 +77,7 @@ func newSegCache(capacity int) *segCache {
 // if any, and records a hit or miss. A reader pinned to an older snapshot
 // than the cache's epoch misses (it must not be served results that may
 // reference vertices past its watermark).
-func (c *segCache) get(key string, epoch uint64) (*core.Segment, bool) {
+func (c *segCache) get(key string, epoch uint64) (*core.PackedSegment, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if epoch == c.epoch {
@@ -87,7 +94,7 @@ func (c *segCache) get(key string, epoch uint64) (*core.Segment, bool) {
 // add inserts a result solved against the given epoch, unless the cache has
 // advanced since (a writer committed after the solver loaded its snapshot),
 // in which case the possibly stale result is dropped.
-func (c *segCache) add(key string, seg *core.Segment, relOK [8]bool, epoch uint64) {
+func (c *segCache) add(key string, seg *core.PackedSegment, relOK [8]bool, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if epoch != c.epoch {
@@ -95,17 +102,30 @@ func (c *segCache) add(key string, seg *core.Segment, relOK [8]bool, epoch uint6
 	}
 	if el, ok := c.byK[key]; ok {
 		en := el.Value.(*cacheEntry)
+		c.bytes -= en.bytes()
 		en.seg, en.relOK = seg, relOK
+		c.bytes += en.bytes()
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byK[key] = c.ll.PushFront(&cacheEntry{key: key, seg: seg, relOK: relOK})
+	en := &cacheEntry{key: key, seg: seg, relOK: relOK}
+	c.byK[key] = c.ll.PushFront(en)
+	c.bytes += en.bytes()
 	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byK, oldest.Value.(*cacheEntry).key)
+		c.remove(c.ll.Back())
 	}
 }
+
+// remove drops a resident entry. The caller holds c.mu.
+func (c *segCache) remove(el *list.Element) {
+	en := el.Value.(*cacheEntry)
+	c.ll.Remove(el)
+	delete(c.byK, en.key)
+	c.bytes -= en.bytes()
+}
+
+// bytes is what the entry holds: its key and packed segment.
+func (en *cacheEntry) bytes() int { return len(en.key) + en.seg.Bytes() }
 
 // advance moves the cache from epoch old to ep, revalidating every entry
 // against the ingest delta (the edges in [old.Edges, ep.Edges)). Called by
@@ -127,7 +147,7 @@ func (c *segCache) advance(ep, old *Epoch) {
 	c.mu.Unlock()
 
 	stale := make([]bool, len(entries))
-	rebased := make([]*core.Segment, len(entries))
+	rebased := make([]*core.PackedSegment, len(entries))
 	for i, en := range entries {
 		if deltaTouches(en, ep, old) {
 			stale[i] = true
@@ -147,8 +167,7 @@ func (c *segCache) advance(ep, old *Epoch) {
 			continue // entry was replaced or evicted meanwhile
 		}
 		if stale[i] {
-			c.ll.Remove(el)
-			delete(c.byK, en.key)
+			c.remove(el)
 			c.invalidations.Add(1)
 			continue
 		}
@@ -168,6 +187,7 @@ func (c *segCache) reset(epoch uint64) {
 	c.invalidations.Add(uint64(c.ll.Len()))
 	c.ll.Init()
 	c.byK = make(map[string]*list.Element, c.cap)
+	c.bytes = 0
 }
 
 // deltaTouches reports whether any edge ingested since the entry's last
@@ -196,20 +216,16 @@ func deltaTouches(en *cacheEntry, ep, old *Epoch) bool {
 	return false
 }
 
-// len returns the current entry count.
-func (c *segCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // CacheStats is a snapshot of cache counters, surfaced via /stats and
 // /metrics.
 type CacheStats struct {
-	Entries  int    `json:"entries"`
-	Capacity int    `json:"capacity"`
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
+	Entries  int `json:"entries"`
+	Capacity int `json:"capacity"`
+	// Bytes is the heap the resident entries hold (keys and packed
+	// segments, support sets included).
+	Bytes  int    `json:"bytes"`
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 	// Invalidations counts entries purged because an ingest delta touched
 	// their support set; Revalidations counts entries carried across an
 	// ingest untouched (served afterwards without a re-solve).
@@ -218,9 +234,13 @@ type CacheStats struct {
 }
 
 func (c *segCache) stats() CacheStats {
+	c.mu.Lock()
+	entries, bytes := c.ll.Len(), c.bytes
+	c.mu.Unlock()
 	return CacheStats{
-		Entries:       c.len(),
+		Entries:       entries,
 		Capacity:      c.cap,
+		Bytes:         bytes,
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Invalidations: c.invalidations.Load(),

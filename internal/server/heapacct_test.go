@@ -2,14 +2,17 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/prov"
 )
 
 // Exact heap accounting of a served store. The store's live heap is the
@@ -239,7 +242,7 @@ func storeHeap(t *testing.T, n int) (shares []heapShare, total, vertices, propMa
 	before := liveHeap()
 	st := NewStore(gen.Pd(gen.PdConfig{N: n, Seed: 1}), 0)
 	ep := st.Epoch()
-	if err := writeSegmentJSON(&tally{}, ep.replies, wholeSegment(ep.P, nil), false, ""); err != nil {
+	if err := writeSegmentJSON(&tally{}, ep.replies, wholeSegment(ep.P, nil).Pack(), false, ""); err != nil {
 		t.Fatal(err)
 	}
 	total = int(liveHeap() - before)
@@ -306,5 +309,115 @@ func TestHeapAccounting(t *testing.T) {
 				t.Errorf("the structures account for %d B more than the store's live heap", -rest)
 			}
 		})
+	}
+}
+
+// segHotPool draws the seg_hot pool on p: k distinct queries, each of two
+// consecutive entities at a uniform rank in the first half of the entity
+// order and two in the last half, in the benchmark's poolSeed order.
+func segHotPool(p *prov.Graph, k int) []core.Query {
+	ents := p.Entities()
+	half := len(ents)/2 - 1
+	rng := rand.New(rand.NewSource(20190001)) // benchmark/workload.go poolSeed
+	seen := map[[2]int]bool{}
+	var qs []core.Query
+	for len(qs) < k {
+		a, b := rng.Intn(half), len(ents)-2-rng.Intn(half)
+		if seen[[2]int{a, b}] {
+			continue
+		}
+		seen[[2]int{a, b}] = true
+		qs = append(qs, core.Query{
+			Src: []graph.VertexID{ents[a], ents[a+1]},
+			Dst: []graph.VertexID{ents[b], ents[b+1]},
+		})
+	}
+	return qs
+}
+
+// residentBytes sums the sizes of c's resident entries.
+func residentBytes(c *segCache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		n += el.Value.(*cacheEntry).bytes()
+	}
+	return n
+}
+
+// TestCacheEntryBytes fills a Pd-20000 store's cache with the 64-query
+// seg_hot pool and accounts its entries with the exact walker: each holds at
+// most 32 KB (the solved segment's Vertices and Edges alone are ~170 KB, so
+// no entry keeps them alive). The cache's byte count (CacheStats.Bytes)
+// matches the entries it holds through evictions and an ingest that purges
+// some of them and revalidates the rest.
+func TestCacheEntryBytes(t *testing.T) {
+	const pool = 64
+	p := gen.Pd(gen.PdConfig{N: 20000, Seed: 1})
+	qs := segHotPool(p, pool)
+	st := NewStore(p, 0)
+	for _, q := range qs {
+		if _, cached, err := st.segmentAt(new(core.Work), st.Epoch(), q, core.Options{}, true); err != nil || cached {
+			t.Fatalf("cold solve: cached=%v err=%v", cached, err)
+		}
+	}
+	stats := st.cache.stats()
+	if stats.Entries != pool || stats.Bytes != residentBytes(st.cache) {
+		t.Fatalf("%d entries counted at %d bytes; want %d entries, %d bytes", stats.Entries, stats.Bytes, pool, residentBytes(st.cache))
+	}
+
+	h := &heapCounter{seen: make(map[uintptr]uintptr)}
+	h.seen[uintptr(unsafe.Pointer(st.Epoch().P))] = ^uintptr(0) // the snapshot every entry points at
+	field := func(name string) reflect.Value {
+		return writable(reflect.ValueOf(st.cache).Elem().FieldByName(name))
+	}
+	held := h.structure(field("ll"), field("byK"))
+	perEntry := held / pool
+	t.Logf("Pd-20000 seg_hot pool: %d entries hold %.1f KB (%.1f KB per entry); the cache counts %.1f KB", pool, float64(held)/1e3, float64(perEntry)/1e3, float64(stats.Bytes)/1e3)
+	if perEntry > 32<<10 {
+		t.Errorf("a cache entry holds %d bytes, over 32 KB", perEntry)
+	}
+	if stats.Bytes > held || 4*stats.Bytes < 3*held {
+		t.Errorf("the cache counts %d bytes for entries that hold %d", stats.Bytes, held)
+	}
+
+	// Evictions, then a purge.
+	small := NewStore(p, pool/4)
+	for _, q := range qs {
+		if _, _, err := small.segmentAt(new(core.Work), small.Epoch(), q, core.Options{}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := small.cache.stats(); s.Entries != pool/4 || s.Bytes != residentBytes(small.cache) {
+		t.Fatalf("after evictions: %d entries counted at %d bytes, resident %d", s.Entries, s.Bytes, residentBytes(small.cache))
+	}
+	// A write that uses an entity in some resident entry's support, not in
+	// all of them.
+	var touched graph.VertexID
+	for _, e := range p.Entities() {
+		n := 0
+		for el := small.cache.ll.Front(); el != nil; el = el.Next() {
+			if el.Value.(*cacheEntry).seg.Support().Contains(uint32(e)) {
+				n++
+			}
+		}
+		if n > 0 && n < pool/4 {
+			touched = e
+			break
+		}
+	}
+	if touched == 0 {
+		t.Fatal("no entity is in some resident supports and not all")
+	}
+	if err := small.Update(func(rec *prov.Recorder) error {
+		rec.Run("writer", "touch", []graph.VertexID{touched}, []string{"out"})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := small.cache.stats()
+	if s.Invalidations == 0 || s.Entries == 0 || s.Bytes != residentBytes(small.cache) {
+		t.Fatalf("after an ingest: %d purged, %d left counted at %d bytes, resident %d", s.Invalidations, s.Entries, s.Bytes, residentBytes(small.cache))
 	}
 }

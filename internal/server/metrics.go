@@ -302,6 +302,7 @@ var promCatalogue = []promFamily{
 	{"provd_commit_stage_latency_quantile_seconds", "Estimated stage-latency quantiles (log-bucket upper bounds).", "gauge", perStage, nil, func(r promRow) *obs.HistogramSnapshot { return &r.StageLatency[r.i] }},
 	{"provd_cache_entries", "Segment-cache entries.", "gauge", perStore, func(r promRow, e emitFn) { e(float64(r.Cache.Entries)) }, nil},
 	{"provd_cache_capacity", "Segment-cache capacity.", "gauge", perStore, func(r promRow, e emitFn) { e(float64(r.Cache.Capacity)) }, nil},
+	{"provd_cache_bytes", "Heap held by the resident segment-cache entries (keys and packed segments).", "gauge", perStore, func(r promRow, e emitFn) { e(float64(r.Cache.Bytes)) }, nil},
 	{"provd_cache_hits_total", "Segment-cache hits.", "counter", perStore, func(r promRow, e emitFn) { e(float64(r.Cache.Hits)) }, nil},
 	{"provd_cache_misses_total", "Segment-cache misses.", "counter", perStore, func(r promRow, e emitFn) { e(float64(r.Cache.Misses)) }, nil},
 	{"provd_cache_invalidations_total", "Cache entries purged by ingest deltas.", "counter", perStore, func(r promRow, e emitFn) { e(float64(r.Cache.Invalidations)) }, nil},

@@ -63,15 +63,15 @@ func (r *replyRecords) edgeRun(first, last graph.EdgeID) []byte {
 
 // covering returns records for every vertex and edge of seg, whose snapshot
 // seg.P belongs to the column's lineage, extending the column from seg.P up
-// to seg's largest ids if it is short. The ids are ascending, as core.Segment
-// keeps them, so the largest is the last.
-func (c *replyColumn) covering(seg *core.Segment) *replyRecords {
+// to seg's largest ids if it is short. The runs are ascending, so the
+// largest ids end the last runs.
+func (c *replyColumn) covering(seg *core.PackedSegment) *replyRecords {
 	var nv, ne int
-	if n := len(seg.Vertices); n > 0 {
-		nv = int(seg.Vertices[n-1]) + 1
+	if n := len(seg.VertexRuns); n > 0 {
+		nv = int(seg.VertexRuns[n-1].Last) + 1
 	}
-	if n := len(seg.Edges); n > 0 {
-		ne = int(seg.Edges[n-1]) + 1
+	if n := len(seg.EdgeRuns); n > 0 {
+		ne = int(seg.EdgeRuns[n-1].Last) + 1
 	}
 	if r := c.recs.Load(); r.numVertices() >= nv && r.numEdges() >= ne {
 		return r

@@ -164,43 +164,43 @@ var (
 
 // writeSegmentJSON streams the SegmentResponse of seg, rendered from the
 // snapshot the segment was solved or revalidated at (seg.P) through col, the
-// reply column of that snapshot's lineage. A non-empty dot selects the DOT
-// form: the counts and the rendering, no arrays.
+// reply column of that snapshot's lineage, in one pass over seg's runs: a
+// vertex record per id, a run of edges as one span of records. A non-empty
+// dot selects the DOT form: the counts and the rendering, no arrays.
 //
 // Every element is written with a trailing ',' and the last one's is
 // overwritten by the array's ']'. A flush therefore happens before an element
 // or a piece of an edge run is added, never after, so that the comma is
 // still in the buffer when the array ends.
-func writeSegmentJSON(w io.Writer, col *replyColumn, seg *core.Segment, cached bool, dot string) error {
+func writeSegmentJSON(w io.Writer, col *replyColumn, seg *core.PackedSegment, cached bool, dot string) error {
 	r := newReplyBuf(w)
 	defer r.release()
 	r.b = append(r.b, `{"num_vertices":`...)
-	r.b = appendUint32(r.b, uint32(len(seg.Vertices)))
+	r.b = appendUint32(r.b, uint32(seg.NumVertices()))
 	r.b = append(r.b, `,"num_edges":`...)
-	r.b = appendUint32(r.b, uint32(len(seg.Edges)))
-	if dot == "" && (len(seg.Vertices) > 0 || len(seg.Edges) > 0) {
+	r.b = appendUint32(r.b, uint32(seg.NumEdges()))
+	if dot == "" && (seg.NumVertices() > 0 || seg.NumEdges() > 0) {
 		recs := col.covering(seg)
-		if len(seg.Vertices) > 0 {
+		if seg.NumVertices() > 0 {
 			r.b = append(r.b, `,"vertices":[`...)
-			for k, v := range seg.Vertices {
-				if err := r.spill(); err != nil {
-					return err
+			k := 0
+			for _, run := range seg.VertexRuns {
+				for v := run.First; v <= run.Last; v++ {
+					if err := r.spill(); err != nil {
+						return err
+					}
+					r.b = append(append(r.b, recs.vertex(v)...), ruleTails[seg.Rules[k]]...)
+					k++
 				}
-				r.b = append(append(r.b, recs.vertex(v)...), ruleTails[seg.Rules[k]]...)
 			}
 			r.b[len(r.b)-1] = ']'
 		}
-		if len(seg.Edges) > 0 {
+		if seg.NumEdges() > 0 {
 			r.b = append(r.b, `,"edges":[`...)
-			for es := seg.Edges; len(es) > 0; {
-				n := 1
-				for n < len(es) && es[n] == es[n-1]+1 {
-					n++
-				}
-				if err := r.copySpan(recs.edgeRun(es[0], es[n-1])); err != nil {
+			for _, run := range seg.EdgeRuns {
+				if err := r.copySpan(recs.edgeRun(run.First, run.Last)); err != nil {
 					return err
 				}
-				es = es[n:]
 			}
 			r.b[len(r.b)-1] = ']'
 		}

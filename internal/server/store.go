@@ -275,14 +275,19 @@ func (s *Store) Epoch() *Epoch { return s.snap.Load() }
 
 // Segment evaluates a PgSeg query against the current snapshot, serving
 // repeats from the LRU cache when the query is canonicalizable and useCache
-// is true. It reports whether the result came from the cache.
+// is true. It reports whether the result came from the cache, and returns
+// the segment unpacked (the HTTP handlers render the packed form instead).
 func (s *Store) Segment(q core.Query, opts core.Options, useCache bool) (*core.Segment, bool, error) {
-	return s.segmentAt(new(core.Work), s.snap.Load(), q, opts, useCache)
+	seg, cached, err := s.segmentAt(new(core.Work), s.snap.Load(), q, opts, useCache)
+	if err != nil {
+		return nil, false, err
+	}
+	return seg.Unpack(), cached, nil
 }
 
 // segmentAt evaluates one segment query for the request w records against a
 // pinned snapshot.
-func (s *Store) segmentAt(w *core.Work, ep *Epoch, q core.Query, opts core.Options, useCache bool) (*core.Segment, bool, error) {
+func (s *Store) segmentAt(w *core.Work, ep *Epoch, q core.Query, opts core.Options, useCache bool) (*core.PackedSegment, bool, error) {
 	key := ""
 	if useCache {
 		key, _ = segKey(q, opts)
@@ -301,21 +306,24 @@ func (s *Store) segmentAt(w *core.Work, ep *Epoch, q core.Query, opts core.Optio
 // bypass the cache), or solves it for the request w records, and reports
 // whether it came from the cache. Cache hits require the entry's validation
 // epoch to match the snapshot's, so a reader never mixes results across
-// epochs. The caller fills the cache with a solved segment once the request
-// is done with it.
-func (s *Store) lookupAt(w *core.Work, ep *Epoch, q core.Query, opts core.Options, key string) (*core.Segment, bool, error) {
+// epochs. A solved segment is packed, as the cache holds it; the caller
+// fills the cache with it once the request is done with it.
+func (s *Store) lookupAt(w *core.Work, ep *Epoch, q core.Query, opts core.Options, key string) (*core.PackedSegment, bool, error) {
 	if key != "" {
 		if seg, ok := s.cache.get(key, ep.N); ok {
 			return seg, true, nil
 		}
 	}
 	seg, err := core.NewEngine(ep.P, opts).SegmentWork(w, q)
-	return seg, false, err
+	if err != nil {
+		return nil, false, err
+	}
+	return seg.Pack(), false, nil
 }
 
 // fill caches seg, solved at ep for q, under key, unless key is empty or
 // the request w records was cancelled: a cancelled request caches nothing.
-func (s *Store) fill(w *core.Work, ep *Epoch, q core.Query, key string, seg *core.Segment) {
+func (s *Store) fill(w *core.Work, ep *Epoch, q core.Query, key string, seg *core.PackedSegment) {
 	if key != "" && w.Err() == nil {
 		s.cache.add(key, seg, relMask(q.Boundary.ExcludeRels), ep.N)
 	}
@@ -330,11 +338,12 @@ func (s *Store) Summarize(queries []core.Query, segOpts core.Options, sumOpts co
 }
 
 // summarizeAt is Summarize for the request w records. A spec repeated in
-// one request reuses its first solve, and the segments it solved are cached
-// once PgSum has run.
+// one request reuses its first solve, PgSum reads each segment unpacked,
+// and the segments it solved are cached once PgSum has run.
 func (s *Store) summarizeAt(w *core.Work, queries []core.Query, segOpts core.Options, sumOpts core.SumOptions) (*core.Psg, error) {
 	ep := s.snap.Load()
-	segs, solved := make([]*core.Segment, len(queries)), make([]string, len(queries))
+	packed, solved := make([]*core.PackedSegment, len(queries)), make([]string, len(queries))
+	segs := make([]*core.Segment, len(queries))
 	first := make(map[string]int, len(queries))
 	for i, q := range queries {
 		key, _ := segKey(q, segOpts)
@@ -347,31 +356,31 @@ func (s *Store) summarizeAt(w *core.Work, queries []core.Query, segOpts core.Opt
 		if err != nil {
 			return nil, fmt.Errorf("segment %d: %w", i, err)
 		}
-		if segs[i] = seg; !cached {
+		if packed[i], segs[i] = seg, seg.Unpack(); !cached {
 			solved[i] = key
 		}
 	}
 	psg, err := core.SummarizeWork(w, segs, sumOpts)
 	for i, q := range queries {
-		s.fill(w, ep, q, solved[i], segs[i])
+		s.fill(w, ep, q, solved[i], packed[i])
 	}
 	return psg, err
 }
 
 // adjustAt applies the paper's interactive adjust step to a (cached)
 // segment, for the request w records against a pinned snapshot: the base
-// query is resolved through the cache, then AdjustExclude (with the given
-// exclusion boundary) and/or AdjustExpand derive the adjusted result. It
-// reports whether the base segment came from the cache. Adjusted results
-// are derived views and are not cached; a solved base is, once the
-// adjustments have run.
-func (s *Store) adjustAt(w *core.Work, ep *Epoch, q core.Query, opts core.Options, excl core.Boundary, exps []core.Expansion) (*core.Segment, bool, error) {
+// query is resolved through the cache and unpacked, then AdjustExclude
+// (with the given exclusion boundary) and/or AdjustExpand derive the
+// adjusted result, returned packed. It reports whether the base segment
+// came from the cache. Adjusted results are derived views and are not
+// cached; a solved base is, once the adjustments have run.
+func (s *Store) adjustAt(w *core.Work, ep *Epoch, q core.Query, opts core.Options, excl core.Boundary, exps []core.Expansion) (*core.PackedSegment, bool, error) {
 	key, _ := segKey(q, opts)
 	base, cached, err := s.lookupAt(w, ep, q, opts, key)
 	if err != nil {
 		return nil, false, err
 	}
-	eng, seg := core.NewEngine(ep.P, opts), base
+	eng, seg := core.NewEngine(ep.P, opts), base.Unpack()
 	if len(excl.ExcludeRels) > 0 || len(excl.VertexFilters) > 0 || len(excl.EdgeFilters) > 0 {
 		seg = eng.AdjustExclude(seg, excl)
 	}
@@ -383,7 +392,7 @@ func (s *Store) adjustAt(w *core.Work, ep *Epoch, q core.Query, opts core.Option
 	if !cached {
 		s.fill(w, ep, q, key, base)
 	}
-	return seg, cached, nil
+	return seg.Pack(), cached, nil
 }
 
 // Cypher evaluates a query in the supported Cypher subset against the

@@ -22,8 +22,8 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	names := make([]string, 0, len(seg.Vertices))
-	for _, v := range seg.Vertices {
+	names := make([]string, 0, seg.NumVertices())
+	for _, v := range seg.Vertices() {
 		names = append(names, g.Name(v))
 	}
 	sort.Strings(names)

@@ -51,7 +51,7 @@ func main() {
 
 	// Who is implicated? Agents arrive via the VC4 rule.
 	fmt.Println("\nimplicated agents:")
-	for _, v := range seg.Vertices {
+	for _, v := range seg.Vertices() {
 		if g.Prov().KindOf(v) == provdb.KindAgent {
 			fmt.Printf("  %s\n", g.Name(v))
 		}

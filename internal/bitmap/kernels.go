@@ -54,20 +54,35 @@ func (b *Bitset) AndNotWith(o *Bitset) {
 // Capacity returns the number of bits b currently addresses.
 func (b *Bitset) Capacity() int { return len(b.words) * wordBits }
 
-// DrainInto appends every element of b to out in ascending order and
-// empties b, returning out: the read-back of a pooled scratch set. It zeroes
-// each word as it reads it and stops after the word that holds the last
-// element, so it costs the words up to the largest element, with no call
-// per element.
-func DrainInto[K Key](b *Bitset, out []K) []K {
+// Runs calls fn with the first and last element of every maximal run of
+// consecutive elements of b, in ascending order: the read-back of a set as
+// runs. It reads the words up to the one that holds the last element, a
+// call per run rather than per element.
+func (b *Bitset) Runs(fn func(first, last uint32)) {
+	var first, last uint32
+	open := false
 	for wi, n := 0, b.card; n > 0; wi++ {
 		w := b.words[wi]
-		b.words[wi] = 0
 		n -= bits.OnesCount64(w)
-		for ; w != 0; w &= w - 1 {
-			out = append(out, K(wi*wordBits+bits.TrailingZeros64(w)))
+		base := uint32(wi) * wordBits
+		for w != 0 {
+			lo := uint32(bits.TrailingZeros64(w))
+			hi := lo + uint32(bits.TrailingZeros64(^(w >> lo))) // one past the run's end
+			if open && last+1 == base+lo {
+				last = base + hi - 1
+			} else {
+				if open {
+					fn(first, last)
+				}
+				first, last, open = base+lo, base+hi-1, true
+			}
+			if hi == wordBits {
+				break
+			}
+			w &= ^uint64(0) << hi
 		}
 	}
-	b.card = 0
-	return out
+	if open {
+		fn(first, last)
+	}
 }

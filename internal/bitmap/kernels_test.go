@@ -1,6 +1,10 @@
 package bitmap
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 type vid uint32 // stand-in for graph.VertexID: the kernels must take ~uint32
 
@@ -54,33 +58,45 @@ func TestWordAccess(t *testing.T) {
 	}
 }
 
-// TestDrainInto: the elements come out in ascending order after what out
-// held, and the set is left empty with its capacity, so it can be reused.
-func TestDrainInto(t *testing.T) {
-	b := NewBitset(512)
-	in := []uint32{300, 0, 63, 64, 127, 129}
-	for _, x := range in {
-		b.Add(x)
+// TestRuns: Runs reports the maximal runs of the set in ascending order,
+// joining runs across word boundaries and whole words, against the runs of
+// the sorted elements, and leaves the set as it was.
+func TestRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sets := [][]uint32{nil, {0}, {63, 64}, {0, 1, 2, 127, 129, 300}}
+	full := make([]uint32, 0, 200)
+	for x := uint32(60); x < 260; x++ {
+		full = append(full, x)
 	}
-	got := DrainInto(b, []vid{7})
-	want := []vid{7, 0, 63, 64, 127, 129, 300}
-	if len(got) != len(want) {
-		t.Fatalf("DrainInto = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DrainInto = %v, want %v", got, want)
+	sets = append(sets, full)
+	for i := 0; i < 200; i++ {
+		var in []uint32
+		for x, on := uint32(0), false; x < 400; x++ {
+			if on = on != (rng.Intn(8) == 0); on {
+				in = append(in, x)
+			}
 		}
+		sets = append(sets, in)
 	}
-	if b.Cardinality() != 0 || b.Capacity() != 512 {
-		t.Fatalf("after DrainInto: cardinality %d, capacity %d", b.Cardinality(), b.Capacity())
-	}
-	for _, x := range in {
-		if b.Contains(x) {
-			t.Fatalf("DrainInto left %d", x)
+	for _, in := range sets {
+		b := NewBitset(64)
+		for _, x := range in {
+			b.Add(x)
 		}
-	}
-	if got := DrainInto(b, []vid(nil)); got != nil {
-		t.Fatalf("DrainInto of an empty set = %v, want nil", got)
+		var want, got [][2]uint32
+		for i, x := range in {
+			if i > 0 && in[i-1]+1 == x {
+				want[len(want)-1][1] = x
+			} else {
+				want = append(want, [2]uint32{x, x})
+			}
+		}
+		b.Runs(func(first, last uint32) { got = append(got, [2]uint32{first, last}) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Runs of %v = %v, want %v", in, got, want)
+		}
+		if b.Cardinality() != len(in) {
+			t.Fatalf("Runs changed the cardinality to %d, want %d", b.Cardinality(), len(in))
+		}
 	}
 }

@@ -25,7 +25,7 @@ func TestAdjustExclude(t *testing.T) {
 			return !p.IsKind(v, prov.KindAgent)
 		}},
 	})
-	for _, v := range out.Vertices {
+	for _, v := range out.Vertices() {
 		if p.IsKind(v, prov.KindAgent) {
 			t.Fatal("agent survived exclusion")
 		}
@@ -34,17 +34,17 @@ func TestAdjustExclude(t *testing.T) {
 		t.Fatal("exclusion removed nothing")
 	}
 	// Survivors carry their rule over, still parallel to Vertices.
-	if len(out.Rules) != len(out.Vertices) {
-		t.Fatalf("Rules not parallel to Vertices: %d vs %d", len(out.Rules), len(out.Vertices))
+	if len(out.Rules) != len(out.Vertices()) {
+		t.Fatalf("Rules not parallel to the vertex runs: %d vs %d", len(out.Rules), len(out.Vertices()))
 	}
-	for i, v := range out.Vertices {
+	for i, v := range out.Vertices() {
 		if r, ok := seg.RuleOf(v); !ok || r != out.Rules[i] {
 			t.Fatalf("vertex %d: rule %v after exclusion, %v (%v) before", v, out.Rules[i], r, ok)
 		}
 	}
 	// Edges incident to removed vertices are gone.
 	g := p.PG()
-	for _, e := range out.Edges {
+	for _, e := range out.Edges() {
 		if !out.Contains(g.Src(e)) || !out.Contains(g.Dst(e)) {
 			t.Fatal("dangling edge after exclusion")
 		}
@@ -84,16 +84,16 @@ func TestAdjustExpand(t *testing.T) {
 	if grown.NumVertices() <= seg.NumVertices() {
 		t.Fatal("expansion grew nothing")
 	}
-	for _, v := range seg.Vertices {
+	for _, v := range seg.Vertices() {
 		if !grown.Contains(v) {
 			t.Fatal("expansion lost a vertex")
 		}
 	}
 	// Rule attribution merges: old vertices keep theirs, new ones are C2.
-	if len(grown.Rules) != len(grown.Vertices) {
-		t.Fatalf("Rules not parallel to Vertices: %d vs %d", len(grown.Rules), len(grown.Vertices))
+	if len(grown.Rules) != len(grown.Vertices()) {
+		t.Fatalf("Rules not parallel to the vertex runs: %d vs %d", len(grown.Rules), len(grown.Vertices()))
 	}
-	for i, v := range grown.Vertices {
+	for i, v := range grown.Vertices() {
 		want := core.RuleC2
 		if r, ok := seg.RuleOf(v); ok {
 			want = r

@@ -21,9 +21,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
-	"slices"
+	"sort"
 	"sync"
 	"unsafe"
 
@@ -173,38 +172,77 @@ func (r Rule) String() string {
 
 // Segment is a PgSeg result: a connected subgraph S(VS, ES) of the
 // provenance graph, with per-vertex rule attribution. Src and Dst are always
-// members of Vertices.
+// members of VS.
+//
+// VS and ES are held as runs of consecutive ids, the only form a segment
+// takes: the solver emits it, the result cache keeps it, and replies, DOT,
+// the adjust step and PgSum read it. A segment of a lifecycle graph is a
+// near-contiguous id window (a Pd-20000 seg_cold segment averages 13k
+// vertices in 81 runs and 29k edges in 300), so its runs take a few KB
+// where id lists would take 4 B per element.
 type Segment struct {
 	P *prov.Graph
 
 	Src []graph.VertexID
 	Dst []graph.VertexID
 
-	// Vertices is VS in ascending id order.
-	Vertices []graph.VertexID
-	// Edges is ES in ascending id order.
-	Edges []graph.EdgeID
-	// Rules is parallel to Vertices: Rules[i] is the first induction rule
-	// that contributed Vertices[i]. Walk the two together; RuleOf serves the
-	// occasional lookup by vertex id.
+	// VertexRuns is VS and EdgeRuns is ES, each ascending and maximal: no
+	// run ends one below the next run's First.
+	VertexRuns []Run[graph.VertexID]
+	EdgeRuns   []Run[graph.EdgeID]
+	// Rules[k] is the first induction rule that contributed the k-th vertex
+	// of VertexRuns. Walk the two together; RuleOf serves the occasional
+	// lookup by vertex id.
 	Rules []Rule
 
-	vset *bitmap.Bitset
 	// support is the revalidation support set (see Support).
 	support *bitmap.Bitset
 }
 
-// Contains reports whether v is in the segment.
-func (s *Segment) Contains(v graph.VertexID) bool { return s.vset.Contains(uint32(v)) }
+// Run is a run of consecutive ids, First through Last.
+type Run[ID ~uint32] struct{ First, Last ID }
 
-// RuleOf returns the induction rule that contributed v, by binary search
-// over Vertices; false if v is not in the segment.
+// Len is the number of ids in r.
+func (r Run[ID]) Len() int { return int(r.Last-r.First) + 1 }
+
+// Contains reports whether v is in the segment, by binary search over the
+// vertex runs.
+func (s *Segment) Contains(v graph.VertexID) bool {
+	i := sort.Search(len(s.VertexRuns), func(i int) bool { return s.VertexRuns[i].Last >= v })
+	return i < len(s.VertexRuns) && s.VertexRuns[i].First <= v
+}
+
+// RuleOf returns the induction rule that contributed v, false if v is not
+// in the segment. It walks the vertex runs, counting the vertices before v.
 func (s *Segment) RuleOf(v graph.VertexID) (Rule, bool) {
-	i, ok := slices.BinarySearch(s.Vertices, v)
-	if !ok {
-		return 0, false
+	k := 0
+	for _, r := range s.VertexRuns {
+		if v < r.First {
+			break
+		}
+		if v <= r.Last {
+			return s.Rules[k+int(v-r.First)], true
+		}
+		k += r.Len()
 	}
-	return s.Rules[i], true
+	return 0, false
+}
+
+// Vertices returns VS as a fresh ascending slice.
+func (s *Segment) Vertices() []graph.VertexID { return idsOf(s.VertexRuns) }
+
+// Edges returns ES as a fresh ascending slice.
+func (s *Segment) Edges() []graph.EdgeID { return idsOf(s.EdgeRuns) }
+
+// idsOf lists the ids of runs.
+func idsOf[ID ~uint32](runs []Run[ID]) []ID {
+	ids := make([]ID, 0, numIDs(runs))
+	for _, r := range runs {
+		for id := r.First; id <= r.Last; id++ {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // Support returns the segment's revalidation support set (nil for segments
@@ -216,147 +254,62 @@ func (s *Segment) RuleOf(v graph.VertexID) (Rule, bool) {
 // revalidation performs per cached entry. Do not modify the returned set.
 func (s *Segment) Support() *bitmap.Bitset { return s.support }
 
-// NumVertices returns |VS|.
-func (s *Segment) NumVertices() int { return len(s.Vertices) }
+// NumVertices returns |VS|, summed over the vertex runs.
+func (s *Segment) NumVertices() int { return numIDs(s.VertexRuns) }
 
-// NumEdges returns |ES|.
-func (s *Segment) NumEdges() int { return len(s.Edges) }
+// NumEdges returns |ES|, summed over the edge runs.
+func (s *Segment) NumEdges() int { return numIDs(s.EdgeRuns) }
 
-// Run is a run of consecutive ids, First through Last.
-type Run[ID ~uint32] struct{ First, Last ID }
-
-// PackedSegment is a Segment held as runs of consecutive ids: the form a
-// result cache keeps. A segment of a lifecycle graph is a near-contiguous id
-// window (a Pd-20000 seg_cold segment averages 13k vertices in 81 runs and
-// 29k edges in 300), so its runs take a few KB where Vertices and Edges take
-// 4 B per element. Rules and the support set are the segment's own, shared
-// and never copied; nothing else it holds is N- or E-sized, and it keeps no
-// vertex set. Unpack rebuilds the segment it was packed from exactly.
-type PackedSegment struct {
-	P *prov.Graph
-
-	Src []graph.VertexID
-	Dst []graph.VertexID
-
-	// VertexRuns and EdgeRuns are VS and ES, ascending; each is nil where
-	// the segment's slice is.
-	VertexRuns []Run[graph.VertexID]
-	EdgeRuns   []Run[graph.EdgeID]
-	// Rules is the segment's: Rules[k] is the rule of the k-th vertex of
-	// VertexRuns.
-	Rules []Rule
-
-	numEdges int
-	vsetBits int // the vertex set's capacity, which Unpack gives it again
-	support  *bitmap.Bitset
-}
-
-// Pack returns s as runs. s's vertex set is left behind: a Segment literal
-// built outside this package (which has none) unpacks with one.
-func (s *Segment) Pack() *PackedSegment {
-	p := &PackedSegment{
-		P:          s.P,
-		Src:        s.Src,
-		Dst:        s.Dst,
-		VertexRuns: runsOf(s.Vertices),
-		EdgeRuns:   runsOf(s.Edges),
-		Rules:      s.Rules,
-		numEdges:   len(s.Edges),
-		support:    s.support,
-	}
-	if s.vset != nil {
-		p.vsetBits = s.vset.Bytes() * 8
-	}
-	return p
-}
-
-// runsOf returns ascending ids as runs, exact-size, nil for nil.
-func runsOf[ID ~uint32](ids []ID) []Run[ID] {
-	if ids == nil {
-		return nil
-	}
+// numIDs is the number of ids in runs.
+func numIDs[ID ~uint32](runs []Run[ID]) int {
 	n := 0
-	for i := range ids {
-		if i == 0 || ids[i] != ids[i-1]+1 {
-			n++
-		}
-	}
-	runs := make([]Run[ID], 0, n)
-	for i, id := range ids {
-		if i > 0 && id == ids[i-1]+1 {
-			runs[len(runs)-1].Last = id
-		} else {
-			runs = append(runs, Run[ID]{id, id})
-		}
-	}
-	return runs
-}
-
-// idsOf expands runs holding n ids, nil for nil.
-func idsOf[ID ~uint32](runs []Run[ID], n int) []ID {
-	if runs == nil {
-		return nil
-	}
-	ids := make([]ID, 0, n)
 	for _, r := range runs {
-		for id := r.First; id <= r.Last; id++ {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-// Unpack rebuilds the segment p was packed from: Vertices, Edges and the
-// vertex set anew, Rules and the support set shared with p.
-func (p *PackedSegment) Unpack() *Segment {
-	s := &Segment{
-		P:        p.P,
-		Src:      p.Src,
-		Dst:      p.Dst,
-		Vertices: idsOf(p.VertexRuns, len(p.Rules)),
-		Edges:    idsOf(p.EdgeRuns, p.numEdges),
-		Rules:    p.Rules,
-		vset:     bitmap.NewBitset(p.vsetBits),
-		support:  p.support,
-	}
-	for _, v := range s.Vertices {
-		s.vset.Add(uint32(v))
-	}
-	return s
-}
-
-// Rebase returns a copy of p re-pointed at a newer snapshot of the same
-// append-only graph (every id the segment references is stable across
-// snapshots). The original is left untouched so readers holding it are
-// unaffected.
-func (p *PackedSegment) Rebase(g *prov.Graph) *PackedSegment {
-	np := *p
-	np.P = g
-	return &np
-}
-
-// NumVertices returns |VS|.
-func (p *PackedSegment) NumVertices() int { return len(p.Rules) }
-
-// NumEdges returns |ES|.
-func (p *PackedSegment) NumEdges() int { return p.numEdges }
-
-// Support is the support set of the segment p was packed from (see
-// Segment.Support). Do not modify the returned set.
-func (p *PackedSegment) Support() *bitmap.Bitset { return p.support }
-
-// Bytes is the heap p holds: itself, its runs, query lists and Rules, and
-// the support set.
-func (p *PackedSegment) Bytes() int {
-	n := int(unsafe.Sizeof(*p)) + len(p.Rules) + 4*(len(p.Src)+len(p.Dst)) + 8*(len(p.VertexRuns)+len(p.EdgeRuns))
-	if p.support != nil {
-		n += p.support.Bytes()
+		n += r.Len()
 	}
 	return n
 }
 
-// WriteDOT renders the segment as graphviz DOT (Segment.WriteDOT).
-func (p *PackedSegment) WriteDOT(w io.Writer) error { return p.Unpack().WriteDOT(w) }
+// Rebase returns a copy of s re-pointed at a newer snapshot of the same
+// append-only graph (every id the segment references is stable across
+// snapshots). The original is left untouched so readers holding it are
+// unaffected; the copy shares its runs, Rules and support set.
+func (s *Segment) Rebase(g *prov.Graph) *Segment {
+	ns := *s
+	ns.P = g
+	return &ns
+}
+
+// Bytes is the heap s holds: itself, its runs, query lists and Rules, and
+// the support set.
+func (s *Segment) Bytes() int {
+	n := int(unsafe.Sizeof(*s)) + len(s.Rules) + 4*(len(s.Src)+len(s.Dst)) + 8*(len(s.VertexRuns)+len(s.EdgeRuns))
+	if s.support != nil {
+		n += s.support.Bytes()
+	}
+	return n
+}
+
+// runsOf returns the elements of b as ascending maximal runs, exact-size
+// (nil for an empty set).
+func runsOf[ID ~uint32](b *bitmap.Bitset) []Run[ID] {
+	n := 0
+	b.Runs(func(_, _ uint32) { n++ })
+	if n == 0 {
+		return nil
+	}
+	runs := make([]Run[ID], 0, n)
+	b.Runs(func(first, last uint32) { runs = append(runs, Run[ID]{ID(first), ID(last)}) })
+	return runs
+}
+
+// appendRun appends id, which is above every id of runs, to runs.
+func appendRun[ID ~uint32](runs []Run[ID], id ID) []Run[ID] {
+	if n := len(runs); n > 0 && runs[n-1].Last+1 == id {
+		runs[n-1].Last = id
+		return runs
+	}
+	return append(runs, Run[ID]{id, id})
+}
 
 // ErrEmptyQuery is returned when Src or Dst is empty.
 var ErrEmptyQuery = errors.New("core: PgSeg query needs non-empty Src and Dst")
@@ -451,16 +404,15 @@ func (e *Engine) SegmentWork(w *Work, q Query) (*Segment, error) {
 // (grown from the closures' union).
 func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset) *Segment {
 	seg := &Segment{
-		P:    e.P,
-		Src:  append([]graph.VertexID(nil), q.Src...),
-		Dst:  append([]graph.VertexID(nil), q.Dst...),
-		vset: bitmap.NewBitset(e.P.NumVertices()),
+		P:   e.P,
+		Src: append([]graph.VertexID(nil), q.Src...),
+		Dst: append([]graph.VertexID(nil), q.Dst...),
 	}
-	// ruleOf is the per-solve scratch, indexed by vertex id; the segment
-	// keeps only the entries of its own vertices (Rules).
-	ruleOf := make([]Rule, e.P.NumVertices())
+	// vs and ruleOf are the per-solve scratch, ruleOf indexed by vertex id;
+	// the segment keeps vs as runs and the entries of ruleOf in them (Rules).
+	vs, ruleOf := bitmap.NewBitset(e.P.NumVertices()), make([]Rule, e.P.NumVertices())
 	addV := func(v graph.VertexID, r Rule) {
-		if seg.vset.Add(uint32(v)) {
+		if vs.Add(uint32(v)) {
 			ruleOf[v] = r
 		}
 	}
@@ -499,13 +451,13 @@ func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset
 
 	// VC4 (agents of every included vertex, reached by non-excluded S or A
 	// edges) and the induced edges, in one scan of the edge columns.
-	seg.Edges = ad.inducedEdges(seg.vset, func(u graph.VertexID) { addV(u, RuleC4) })
+	seg.EdgeRuns = ad.inducedEdges(vs, func(u graph.VertexID) { addV(u, RuleC4) })
 
 	// Support set: the closures already bound every VC1/VC2 derivation; add
 	// the segment itself (covers VC3 siblings, VC4 agents, induced edges and
 	// expansion frontiers) and the expansion seeds, which expand walks from
 	// without necessarily including them.
-	support.UnionWith(seg.vset)
+	support.UnionWith(vs)
 	for _, ex := range q.Boundary.Expansions {
 		for _, v := range ex.Within {
 			support.Add(uint32(v))
@@ -513,21 +465,12 @@ func (e *Engine) induce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset
 	}
 	seg.support = support
 
-	seg.Vertices = setToVertices(seg.vset)
-	seg.Rules = make([]Rule, len(seg.Vertices))
-	for i, v := range seg.Vertices {
-		seg.Rules[i] = ruleOf[v]
+	seg.VertexRuns = runsOf[graph.VertexID](vs)
+	seg.Rules = make([]Rule, 0, vs.Cardinality())
+	for _, r := range seg.VertexRuns {
+		seg.Rules = append(seg.Rules, ruleOf[r.First:r.Last+1]...)
 	}
 	return seg
-}
-
-func setToVertices(vs *bitmap.Bitset) []graph.VertexID {
-	out := make([]graph.VertexID, 0, vs.Cardinality())
-	vs.Iterate(func(x uint32) bool {
-		out = append(out, graph.VertexID(x))
-		return true
-	})
-	return out
 }
 
 // inducedEdges returns ES, every non-excluded edge with both endpoints in
@@ -543,12 +486,12 @@ func setToVertices(vs *bitmap.Bitset) []graph.VertexID {
 // table built once per call resolves each edge's relation, and an edge of
 // an admitted relation is marked in a pooled edge-id bitset when its source
 // is in vs and its target is too or, under VC4, is an agent. The boundary's
-// filters then run over the marked edges alone, and draining the marks
-// (bitmap.DrainInto) gives the edges in id order, exact-size (nil for no
-// edge), and returns the bitset to the pool empty. A call reads the E edge
-// entries and the mark words, holds E/8 pooled bytes and allocates nothing
-// beyond the result. It counts the entries in ad.entries.
-func (ad *adjacency) inducedEdges(vs *bitmap.Bitset, addAgent func(graph.VertexID)) []graph.EdgeID {
+// filters then run over the marked edges alone, and the marks read back as
+// runs (runsOf) give ES in id order, exact-size (nil for no edge); the
+// bitset goes back to the pool empty. A call reads the E edge entries and
+// the mark words, holds E/8 pooled bytes and allocates nothing beyond the
+// result. It counts the entries in ad.entries.
+func (ad *adjacency) inducedEdges(vs *bitmap.Bitset, addAgent func(graph.VertexID)) []Run[graph.EdgeID] {
 	var small [16]uint8
 	pass := small[:]
 	for r := prov.Rel(0); r <= prov.RelDeriv; r++ {
@@ -587,15 +530,15 @@ func (ad *adjacency) inducedEdges(vs *bitmap.Bitset, addAgent func(graph.VertexI
 			return true
 		})
 	}
-	var out []graph.EdgeID
-	if n := marks.Cardinality(); n > 0 {
-		out = bitmap.DrainInto(marks, make([]graph.EdgeID, 0, n))
-	}
+	out := runsOf[graph.EdgeID](marks)
+	marks.Clear()
 	edgeMarks.Put(marks)
 	if ad.plain && addAgent != nil {
-		for _, e := range out {
-			if dst := dsts[e]; pass[labels[e]] == edgeAgent && !vs.Contains(uint32(dst)) {
-				addAgent(dst)
+		for _, r := range out {
+			for e := r.First; e <= r.Last; e++ {
+				if dst := dsts[e]; pass[labels[e]] == edgeAgent && !vs.Contains(uint32(dst)) {
+					addAgent(dst)
+				}
 			}
 		}
 	}
@@ -680,29 +623,31 @@ func (e *Engine) expand(ad *adjacency, ex Expansion, add func(graph.VertexID)) {
 // are never removed.
 func (e *Engine) AdjustExclude(s *Segment, b Boundary) *Segment {
 	ad := newAdjacency(e.P, b)
-	out := &Segment{
-		P:    e.P,
-		Src:  s.Src,
-		Dst:  s.Dst,
-		vset: bitmap.NewBitset(e.P.NumVertices()),
-	}
+	out := &Segment{P: e.P, Src: s.Src, Dst: s.Dst}
+	keep := bitmap.NewBitset(e.P.NumVertices())
 	for _, v := range s.Src {
-		out.vset.Add(uint32(v))
+		keep.Add(uint32(v))
 	}
 	for _, v := range s.Dst {
-		out.vset.Add(uint32(v))
+		keep.Add(uint32(v))
 	}
-	for i, v := range s.Vertices {
-		if out.vset.Contains(uint32(v)) || ad.vertexOK(v) {
-			out.vset.Add(uint32(v))
-			out.Vertices = append(out.Vertices, v)
-			out.Rules = append(out.Rules, s.Rules[i])
+	k := 0
+	for _, r := range s.VertexRuns {
+		for v := r.First; v <= r.Last; v++ {
+			if keep.Contains(uint32(v)) || ad.vertexOK(v) {
+				keep.Add(uint32(v))
+				out.VertexRuns = appendRun(out.VertexRuns, v)
+				out.Rules = append(out.Rules, s.Rules[k])
+			}
+			k++
 		}
 	}
 	g := e.P.PG()
-	for _, eid := range s.Edges {
-		if out.vset.Contains(uint32(g.Src(eid))) && out.vset.Contains(uint32(g.Dst(eid))) && ad.edgeOK(eid) {
-			out.Edges = append(out.Edges, eid)
+	for _, r := range s.EdgeRuns {
+		for eid := r.First; eid <= r.Last; eid++ {
+			if keep.Contains(uint32(g.Src(eid))) && keep.Contains(uint32(g.Dst(eid))) && ad.edgeOK(eid) {
+				out.EdgeRuns = appendRun(out.EdgeRuns, eid)
+			}
 		}
 	}
 	return out
@@ -728,28 +673,40 @@ func (e *Engine) AdjustExpandWork(w *Work, s *Segment, ex Expansion) (*Segment, 
 	ad := newAdjacency(e.P, Boundary{})
 	ad.done = w.done
 	defer w.record(ad)
-	out := &Segment{
-		P:    e.P,
-		Src:  s.Src,
-		Dst:  s.Dst,
-		vset: s.vset.Clone(),
+	// vs is the scratch vertex set: s's, rebuilt from its runs, then grown.
+	vs := bitmap.NewBitset(e.P.NumVertices())
+	for _, r := range s.VertexRuns {
+		for v := r.First; v <= r.Last; v++ {
+			vs.Add(uint32(v))
+		}
 	}
-	e.expand(ad, ex, func(v graph.VertexID) { out.vset.Add(uint32(v)) })
+	e.expand(ad, ex, func(v graph.VertexID) { vs.Add(uint32(v)) })
 	if err := w.Err(); err != nil {
 		return nil, err
 	}
-	out.Vertices = setToVertices(out.vset)
-	// Merge: a vertex s already had keeps its rule, a new one is C2.
-	out.Rules = make([]Rule, len(out.Vertices))
-	j := 0
-	for i, v := range out.Vertices {
-		if j < len(s.Vertices) && s.Vertices[j] == v {
-			out.Rules[i] = s.Rules[j]
-			j++
-		} else {
-			out.Rules[i] = RuleC2
+	out := &Segment{
+		P:          e.P,
+		Src:        s.Src,
+		Dst:        s.Dst,
+		VertexRuns: runsOf[graph.VertexID](vs),
+		EdgeRuns:   ad.inducedEdges(vs, nil),
+		Rules:      make([]Rule, 0, vs.Cardinality()),
+	}
+	// Merge: a vertex s already had keeps its rule (the k-th of s's, in the
+	// run old[0]), a new one is C2.
+	old, k := s.VertexRuns, 0
+	for _, r := range out.VertexRuns {
+		for v := r.First; v <= r.Last; v++ {
+			for len(old) > 0 && old[0].Last < v {
+				old = old[1:]
+			}
+			if len(old) > 0 && old[0].First <= v {
+				out.Rules = append(out.Rules, s.Rules[k])
+				k++
+			} else {
+				out.Rules = append(out.Rules, RuleC2)
+			}
 		}
 	}
-	out.Edges = ad.inducedEdges(out.vset, nil)
 	return out, nil
 }

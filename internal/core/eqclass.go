@@ -102,19 +102,23 @@ func classify(sc *sumScratch, in *sumInput, opts SumOptions) *classifier {
 		if s.P != graphOf {
 			graphOf, colorOf = s.P, mem.i32.take(in.ids)
 		}
-		for j, v := range s.Vertices {
-			if colorOf[v] == 0 {
-				sig = appendBaseColor(sig[:0], s.P, v, opts.K)
-				id, ok := ids[string(sig)]
-				if !ok {
-					id = int32(len(ids))
-					c.baseName = append(c.baseName, string(sig))
-					ids[c.baseName[id]] = id
-					c.base = append(c.base, id)
+		occ := in.base[i]
+		for _, r := range s.VertexRuns {
+			for v := r.First; v <= r.Last; v++ {
+				if colorOf[v] == 0 {
+					sig = appendBaseColor(sig[:0], s.P, v, opts.K)
+					id, ok := ids[string(sig)]
+					if !ok {
+						id = int32(len(ids))
+						c.baseName = append(c.baseName, string(sig))
+						ids[c.baseName[id]] = id
+						c.base = append(c.base, id)
+					}
+					colorOf[v] = id + 1
 				}
-				colorOf[v] = id + 1
+				c.colors[occ] = colorOf[v] - 1
+				occ++
 			}
-			c.colors[in.base[i]+int32(j)] = colorOf[v] - 1
 		}
 	}
 	// Refinement rounds 1..k: a vertex's next color is its current color

@@ -149,7 +149,7 @@ func induceInputs(e *Engine, q Query) (ad *adjacency, vc1, vc2, support *bitmap.
 // InducedEdges runs inducedEdges over the vertex set vs (a snapshot's ids)
 // under b's exclusions and filters, forming VC4 when agents is set: it
 // returns ES and the agents it added, in id order.
-func InducedEdges(p *prov.Graph, b Boundary, vs []graph.VertexID, agents bool) ([]graph.EdgeID, []graph.VertexID) {
+func InducedEdges(p *prov.Graph, b Boundary, vs []graph.VertexID, agents bool) ([]Run[graph.EdgeID], []graph.VertexID) {
 	ad := newAdjacency(p, b)
 	set, added := bitmap.NewBitset(p.NumVertices()), bitmap.NewBitset(p.NumVertices())
 	for _, v := range vs {
@@ -247,15 +247,15 @@ func newSumInput(segs []*Segment, opts SumOptions) *oracleInput {
 	}
 	in := &oracleInput{classNm: make(map[int]string)}
 	for i, s := range segs {
-		base, idx := len(in.occs), make(map[graph.VertexID]int, len(s.Vertices))
-		for j, v := range s.Vertices {
+		base, idx := len(in.occs), make(map[graph.VertexID]int, s.NumVertices())
+		for j, v := range s.Vertices() {
 			idx[v] = base + j
 			cl := int(g0.g.label[base+j])
 			in.occs, in.labels = append(in.occs, occRef{seg: i, v: v}), append(in.labels, cl)
 			in.classNm[cl] = g0.names[cl]
 		}
 		g := s.P.PG()
-		for _, e := range s.Edges {
+		for _, e := range s.Edges() {
 			in.edges = append(in.edges, origEdge{seg: i, from: idx[g.Src(e)], to: idx[g.Dst(e)], rel: s.P.RelOf(e)})
 		}
 	}

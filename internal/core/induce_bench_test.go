@@ -51,7 +51,7 @@ func induceCases(tb testing.TB) []inducedCase {
 	sd, segs := gen.Sd(gen.SdConfig{Segments: 2000, Seed: 3})
 	qs = nil
 	for i := 0; i < len(segs); i += 250 {
-		vs := segs[i].Vertices
+		vs := segs[i].Vertices()
 		qs = append(qs, core.Query{Src: vs[:1], Dst: vs[len(vs)-1:]})
 	}
 	return append(cases, inducedCase{"Sd-2000", core.NewEngine(sd.Freeze(), core.Options{}), qs})

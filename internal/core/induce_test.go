@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -45,15 +46,15 @@ func TestInduceMatchesRowOracle(t *testing.T) {
 	var sdQs []core.Query
 	for _, s := range segs {
 		var ents []graph.VertexID
-		for _, v := range s.Vertices {
+		for _, v := range s.Vertices() {
 			if sd.IsKind(v, prov.KindEntity) {
 				ents = append(ents, v)
 			}
 		}
 		// From the segment's seed entities to its last two outputs.
 		sdQs = append(sdQs, core.Query{Src: ents[:3], Dst: ents[len(ents)-2:]})
-		if want := core.RowOracleNewSegmentEdges(s.P, s.Vertices); !reflect.DeepEqual(s.Edges, want) || len(s.Edges) != cap(s.Edges) {
-			t.Fatalf("Sd segment: NewSegment induced %d edges (cap %d), the oracle %d", len(s.Edges), cap(s.Edges), len(want))
+		if want := core.RowOracleNewSegmentEdges(s.P, s.Vertices()); !slices.Equal(s.EdgeRuns, want) || len(s.EdgeRuns) != cap(s.EdgeRuns) {
+			t.Fatalf("Sd segment: NewSegment induced %d edge runs (cap %d), the oracle %d", len(s.EdgeRuns), cap(s.EdgeRuns), len(want))
 		}
 	}
 	inputs := []input{{"Pd-2000", pd, pdQs}, {"Sd", sd, sdQs}, {"Pd-2000/permuted", pp, permQs}}
@@ -118,12 +119,12 @@ func TestInduceMatchesRowOracle(t *testing.T) {
 					label := fmt.Sprintf("%s/|vs|=%d of %d/%s/agents=%v", core.LayoutName(p), k, n, b.name, agents)
 					bound := b.of(core.Query{Src: vs[:1], Dst: vs[k-1:]})
 					wantEdges, wantAgents := core.RowOracleInducedEdges(p, bound, vs, agents)
-					if len(wantEdges) < k/2 || agents && b.name == "plain" && len(wantAgents) == 0 {
-						t.Fatalf("%s: %d edges and %d agents compare too little", label, len(wantEdges), len(wantAgents))
+					if runIDs(wantEdges) < k/2 || agents && b.name == "plain" && len(wantAgents) == 0 {
+						t.Fatalf("%s: %d edges and %d agents compare too little", label, runIDs(wantEdges), len(wantAgents))
 					}
 					edges, added := core.InducedEdges(p, bound, vs, agents)
-					if !reflect.DeepEqual(edges, wantEdges) || len(edges) != cap(edges) || !reflect.DeepEqual(added, wantAgents) {
-						t.Fatalf("%s: %d edges (cap %d) and %d agents, the oracle %d and %d",
+					if !slices.Equal(edges, wantEdges) || len(edges) != cap(edges) || !reflect.DeepEqual(added, wantAgents) {
+						t.Fatalf("%s: %d edge runs (cap %d) and %d agents, the oracle %d and %d",
 							label, len(edges), cap(edges), len(added), len(wantEdges), len(wantAgents))
 					}
 				}
@@ -166,14 +167,14 @@ func exclRels(rels ...prov.Rel) func(core.Query) core.Boundary {
 
 func diffToOracle(t *testing.T, label string, got, want *core.Segment) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Vertices, want.Vertices) {
-		t.Fatalf("%s: %d vertices, the oracle %d", label, len(got.Vertices), len(want.Vertices))
+	if !slices.Equal(got.VertexRuns, want.VertexRuns) || len(got.VertexRuns) != cap(got.VertexRuns) {
+		t.Fatalf("%s: %d vertex runs (cap %d), the oracle %d", label, len(got.VertexRuns), cap(got.VertexRuns), len(want.VertexRuns))
 	}
 	if !reflect.DeepEqual(got.Rules, want.Rules) {
 		t.Fatalf("%s: rules differ from the oracle's", label)
 	}
-	if !reflect.DeepEqual(got.Edges, want.Edges) || len(got.Edges) != cap(got.Edges) {
-		t.Fatalf("%s: %d edges (cap %d), the oracle %d", label, len(got.Edges), cap(got.Edges), len(want.Edges))
+	if !slices.Equal(got.EdgeRuns, want.EdgeRuns) || len(got.EdgeRuns) != cap(got.EdgeRuns) {
+		t.Fatalf("%s: %d edge runs (cap %d), the oracle %d", label, len(got.EdgeRuns), cap(got.EdgeRuns), len(want.EdgeRuns))
 	}
 	if !reflect.DeepEqual(got.Support(), want.Support()) {
 		t.Fatalf("%s: support sets differ from the oracle's", label)
@@ -262,15 +263,15 @@ func TestInducedEdgesConcurrent(t *testing.T) {
 		jobs = append(jobs, job{pdEng, q})
 	}
 	for _, s := range segs {
-		jobs = append(jobs, job{sdEng, core.Query{Src: s.Vertices[:1], Dst: s.Vertices[len(s.Vertices)-1:]}})
+		jobs = append(jobs, job{sdEng, core.Query{Src: s.Vertices()[:1], Dst: s.Vertices()[len(s.Vertices())-1:]}})
 	}
-	want := make([][]graph.EdgeID, len(jobs))
+	want := make([][]core.Run[graph.EdgeID], len(jobs))
 	for i, j := range jobs {
 		seg, err := j.e.Segment(j.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = seg.Edges
+		want[i] = seg.EdgeRuns
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -285,8 +286,8 @@ func TestInducedEdgesConcurrent(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if !reflect.DeepEqual(seg.Edges, want[i]) {
-						t.Errorf("goroutine %d, job %d: %d edges, the sequential solve %d", g, i, len(seg.Edges), len(want[i]))
+					if !slices.Equal(seg.EdgeRuns, want[i]) {
+						t.Errorf("goroutine %d, job %d: %d edge runs, the sequential solve %d", g, i, len(seg.EdgeRuns), len(want[i]))
 					}
 				}
 			}
@@ -312,7 +313,7 @@ func TestNewSegmentRefusesOutOfRange(t *testing.T) {
 		}
 	}
 	seg, err := core.NewSegment(fz, []graph.VertexID{a, e, run})
-	if err != nil || len(seg.Vertices) != 3 || len(seg.Edges) != 2 {
+	if err != nil || seg.NumVertices() != 3 || seg.NumEdges() != 2 {
 		t.Fatalf("NewSegment of all 3 vertices: %v, %v", seg, err)
 	}
 }

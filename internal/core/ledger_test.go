@@ -103,7 +103,7 @@ func TestSegmentRowLedger(t *testing.T) {
 	eng, sdTotal := core.NewEngine(sd.Freeze(), core.Options{}), 0
 	for i, s := range sdSegs {
 		w := new(core.Work)
-		segment(w, eng, core.Query{Src: s.Vertices[:1], Dst: s.Vertices[len(s.Vertices)-1:]})
+		segment(w, eng, core.Query{Src: s.Vertices()[:1], Dst: s.Vertices()[len(s.Vertices())-1:]})
 		sdTotal += line(fmt.Sprintf("Sd/%02d", i), w)
 	}
 	fmt.Fprintf(&b, "Sd total=%d\n", sdTotal)

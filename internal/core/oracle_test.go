@@ -344,12 +344,12 @@ func stringClassLabels(segs []*Segment, opts SumOptions) []int {
 	for i, s := range segs {
 		index[i] = adj{out: map[graph.VertexID][]graph.EdgeID{}, in: map[graph.VertexID][]graph.EdgeID{}}
 		g := s.P.PG()
-		for _, e := range s.Edges {
+		for _, e := range s.Edges() {
 			index[i].out[g.Src(e)] = append(index[i].out[g.Src(e)], e)
 			index[i].in[g.Dst(e)] = append(index[i].in[g.Dst(e)], e)
 		}
-		colors[i] = make(map[graph.VertexID]int, len(s.Vertices))
-		for _, v := range s.Vertices {
+		colors[i] = make(map[graph.VertexID]int, s.NumVertices())
+		for _, v := range s.Vertices() {
 			colors[i][v] = intern(baseColor(s.P, v, opts.K))
 		}
 	}
@@ -357,9 +357,9 @@ func stringClassLabels(segs []*Segment, opts SumOptions) []int {
 		next := make([]map[graph.VertexID]int, len(segs))
 		ids = make(map[string]int)
 		for i, s := range segs {
-			next[i] = make(map[graph.VertexID]int, len(s.Vertices))
+			next[i] = make(map[graph.VertexID]int, s.NumVertices())
 			g := s.P.PG()
-			for _, v := range s.Vertices {
+			for _, v := range s.Vertices() {
 				parts := make([]string, 0, len(index[i].out[v])+len(index[i].in[v]))
 				for _, e := range index[i].out[v] {
 					parts = append(parts, fmt.Sprintf(">%d:%d", s.P.RelOf(e), colors[i][g.Dst(e)]))
@@ -375,7 +375,7 @@ func stringClassLabels(segs []*Segment, opts SumOptions) []int {
 	}
 	var labels []int
 	for i, s := range segs {
-		for _, v := range s.Vertices {
+		for _, v := range s.Vertices() {
 			labels = append(labels, colors[i][v])
 		}
 	}

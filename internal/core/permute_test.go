@@ -55,8 +55,8 @@ func mapIDs(m, vs []graph.VertexID) []graph.VertexID {
 // rulesByID is a segment's rule attribution keyed by the vertex's id under m
 // (nil: the segment's own ids).
 func rulesByID(s *core.Segment, m []graph.VertexID) map[graph.VertexID]core.Rule {
-	out := make(map[graph.VertexID]core.Rule, len(s.Vertices))
-	for i, v := range s.Vertices {
+	out := make(map[graph.VertexID]core.Rule, len(s.Vertices()))
+	for i, v := range s.Vertices() {
 		if m != nil {
 			v = m[v]
 		}
@@ -151,7 +151,7 @@ func TestPermutationDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						if !slices.Equal(seg.Edges, want.Edges) {
+						if !slices.Equal(seg.EdgeRuns, want.EdgeRuns) {
 							t.Fatalf("%s: %d edges, the unpermuted %d", label, seg.NumEdges(), want.NumEdges())
 						}
 						if got, want := rulesByID(seg, inv), rulesByID(want, nil); fmt.Sprint(got) != fmt.Sprint(want) {

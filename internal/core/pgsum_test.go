@@ -62,7 +62,7 @@ func g0Graph(segs []*core.Segment, p *core.Psg) ([]int, [][][2]int) {
 	var out [][][2]int
 	idx := make(map[[2]int]int)
 	for si, s := range segs {
-		for _, v := range s.Vertices {
+		for _, v := range s.Vertices() {
 			key := [2]int{si, int(v)}
 			idx[key] = len(labels)
 			labels = append(labels, classOf[key])
@@ -71,7 +71,7 @@ func g0Graph(segs []*core.Segment, p *core.Psg) ([]int, [][][2]int) {
 	}
 	for si, s := range segs {
 		g := s.P.PG()
-		for _, e := range s.Edges {
+		for _, e := range s.Edges() {
 			f := idx[[2]int{si, int(g.Src(e))}]
 			t := idx[[2]int{si, int(g.Dst(e))}]
 			out[f] = append(out[f], [2]int{t, int(s.P.RelOf(e))})
@@ -229,7 +229,7 @@ func TestPsgMemberPartition(t *testing.T) {
 	}
 	want := 0
 	for _, s := range segs {
-		want += len(s.Vertices)
+		want += s.NumVertices()
 	}
 	if psg.InputVertices != want {
 		t.Errorf("InputVertices=%d, want %d", psg.InputVertices, want)

@@ -171,7 +171,7 @@ func TestEarlyStopNonMonotone(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if !reflect.DeepEqual(seg, ref) {
-				t.Errorf("%s: segment %v, NoEarlyStop %v", label, seg.Vertices, ref.Vertices)
+				t.Errorf("%s: segment %v, NoEarlyStop %v", label, seg.Vertices(), ref.Vertices())
 			}
 		}
 	}

@@ -139,8 +139,8 @@ func (sc *sumScratch) release() {
 
 // sumInput is g0: the class-labeled disjoint union of the input segments.
 // Its nodes are the vertex occurrences, numbered segment by segment in
-// Segment.Vertices order; it is also the graph the first merge phase runs
-// on.
+// ascending vertex id order (the order of Segment.VertexRuns); it is also
+// the graph the first merge phase runs on.
 type sumInput struct {
 	segs  []*Segment
 	mem   *arena   // the call's arena
@@ -152,18 +152,18 @@ type sumInput struct {
 }
 
 // newInput builds g0 by counting sort: one dense vertex id -> occurrence
-// table, rewritten segment by segment (Segment.Vertices is ascending, so its
-// last id bounds the table), the edges bucketed into out and in runs, then
-// classify over those runs and the labels written into the arcs.
+// table, rewritten segment by segment (a segment's runs are ascending, so
+// its last run's end bounds the table), the edges bucketed into out and in
+// runs, then classify over those runs and the labels written into the arcs.
 func newInput(sc *sumScratch, segs []*Segment, opts SumOptions) (*sumInput, error) {
 	mem := &sc.call
 	in := &sumInput{segs: segs, mem: mem, base: mem.i32.take(len(segs) + 1)}
 	nv, ne := 0, 0
 	for _, s := range segs {
-		nv += len(s.Vertices)
-		ne += len(s.Edges)
-		if len(s.Vertices) > 0 {
-			in.ids = max(in.ids, int(s.Vertices[len(s.Vertices)-1])+1)
+		nv += s.NumVertices()
+		ne += s.NumEdges()
+		if n := len(s.VertexRuns); n > 0 {
+			in.ids = max(in.ids, int(s.VertexRuns[n-1].Last)+1)
 		}
 	}
 	if nv > sumIDMask || len(segs) > sumIDMask || ne > math.MaxInt32 {
@@ -172,18 +172,24 @@ func newInput(sc *sumScratch, segs []*Segment, opts SumOptions) (*sumInput, erro
 	occOf := mem.i32.take(in.ids) // occurrence + 1
 	in.edges = mem.u64.take(ne)[:0]
 	for i, s := range segs {
-		in.base[i+1] = in.base[i] + int32(len(s.Vertices))
-		for j, v := range s.Vertices {
-			occOf[v] = in.base[i] + int32(j) + 1
+		in.base[i+1] = in.base[i] + int32(s.NumVertices())
+		occ := in.base[i]
+		for _, r := range s.VertexRuns {
+			for v := r.First; v <= r.Last; v++ {
+				occ++
+				occOf[v] = occ
+			}
 		}
 		g := s.P.PG()
-		for _, e := range s.Edges {
-			from, to := g.Src(e), g.Dst(e)
-			// An entry at or below base[i] is an earlier segment's, or unset.
-			if int(max(from, to)) >= in.ids || occOf[from] <= in.base[i] || occOf[to] <= in.base[i] {
-				return nil, fmt.Errorf("core: PgSum segment %d: edge %d has an end outside the segment's vertices", i, e)
+		for _, r := range s.EdgeRuns {
+			for e := r.First; e <= r.Last; e++ {
+				from, to := g.Src(e), g.Dst(e)
+				// An entry at or below base[i] is an earlier segment's, or unset.
+				if int(max(from, to)) >= in.ids || occOf[from] <= in.base[i] || occOf[to] <= in.base[i] {
+					return nil, fmt.Errorf("core: PgSum segment %d: edge %d has an end outside the segment's vertices", i, e)
+				}
+				in.edges = append(in.edges, packEdge(occOf[from]-1, uint8(s.P.RelOf(e)), occOf[to]-1))
 			}
-			in.edges = append(in.edges, packEdge(occOf[from]-1, uint8(s.P.RelOf(e)), occOf[to]-1))
 		}
 	}
 	in.g = newFlatGraph(mem, sc.work, nv, in.edges)
@@ -543,17 +549,20 @@ func (in *sumInput) assemble(numNodes int, nodeOf []int32, rounds int) *Psg {
 	// tail's node as (to, rel, seg) keys and sort each short bucket.
 	keys := in.edges[:len(out.arc)]
 	for seg, s := range in.segs {
-		for j, v := range s.Vertices {
-			i := in.base[seg] + int32(j)
-			pn := &psg.Nodes[nodeOf[i]]
-			if len(pn.Members) == 0 {
-				pn.Class = int(in.g.label[i])
-				pn.Label = in.names[pn.Class]
-			}
-			pn.Members = append(pn.Members, [2]int{seg, int(v)})
-			for _, a := range out.of(i) {
-				keys[off[nodeOf[i]+1]] = packEdge(nodeOf[arcFar(a)], arcRel(a), int32(seg))
-				off[nodeOf[i]+1]++
+		i := in.base[seg]
+		for _, r := range s.VertexRuns {
+			for v := r.First; v <= r.Last; v++ {
+				pn := &psg.Nodes[nodeOf[i]]
+				if len(pn.Members) == 0 {
+					pn.Class = int(in.g.label[i])
+					pn.Label = in.names[pn.Class]
+				}
+				pn.Members = append(pn.Members, [2]int{seg, int(v)})
+				for _, a := range out.of(i) {
+					keys[off[nodeOf[i]+1]] = packEdge(nodeOf[arcFar(a)], arcRel(a), int32(seg))
+					off[nodeOf[i]+1]++
+				}
+				i++
 			}
 		}
 	}

@@ -37,33 +37,37 @@ func RowOracleClosure(e *Engine, seeds []graph.VertexID, b Boundary, forward boo
 // RowOracleAdjustExpand is AdjustExpand with the row oracle's ES walk.
 func RowOracleAdjustExpand(e *Engine, s *Segment, ex Expansion) *Segment {
 	ad := newAdjacency(e.P, Boundary{})
-	out := &Segment{P: s.P, Src: s.Src, Dst: s.Dst, vset: s.vset.Clone()}
-	e.expand(ad, ex, func(v graph.VertexID) { out.vset.Add(uint32(v)) })
-	out.Vertices = setToVertices(out.vset)
-	out.Rules = make([]Rule, len(out.Vertices))
-	for i, v := range out.Vertices {
+	vs := bitmap.NewBitset(e.P.NumVertices())
+	for _, v := range s.Vertices() {
+		vs.Add(uint32(v))
+	}
+	e.expand(ad, ex, func(v graph.VertexID) { vs.Add(uint32(v)) })
+	out := &Segment{P: s.P, Src: s.Src, Dst: s.Dst, EdgeRuns: idRuns(rowOracleEdges(e.P, vs, ad))}
+	ids := setToVertices(vs)
+	out.VertexRuns = idRuns(ids)
+	out.Rules = make([]Rule, len(ids))
+	for i, v := range ids {
 		out.Rules[i] = RuleC2
 		if r, ok := s.RuleOf(v); ok {
 			out.Rules[i] = r
 		}
 	}
-	out.Edges = rowOracleEdges(e.P, out.vset, ad)
 	return out
 }
 
 // RowOracleNewSegmentEdges is NewSegment's ES by the row oracle.
-func RowOracleNewSegmentEdges(p *prov.Graph, vertices []graph.VertexID) []graph.EdgeID {
+func RowOracleNewSegmentEdges(p *prov.Graph, vertices []graph.VertexID) []Run[graph.EdgeID] {
 	vs := bitmap.NewBitset(p.NumVertices())
 	for _, v := range vertices {
 		vs.Add(uint32(v))
 	}
-	return rowOracleEdges(p, vs, newAdjacency(p, Boundary{}))
+	return idRuns(rowOracleEdges(p, vs, newAdjacency(p, Boundary{})))
 }
 
 // RowOracleInducedEdges is InducedEdges by the row oracle: the agents at
 // the far end of the admitted S and A out-rows of vs (when agents is set),
 // then a scan of the edge columns over vs and those agents.
-func RowOracleInducedEdges(p *prov.Graph, b Boundary, vs []graph.VertexID, agents bool) ([]graph.EdgeID, []graph.VertexID) {
+func RowOracleInducedEdges(p *prov.Graph, b Boundary, vs []graph.VertexID, agents bool) ([]Run[graph.EdgeID], []graph.VertexID) {
 	ad := newAdjacency(p, b)
 	set, added := bitmap.NewBitset(p.NumVertices()), bitmap.NewBitset(p.NumVertices())
 	for _, v := range vs {
@@ -83,7 +87,7 @@ func RowOracleInducedEdges(p *prov.Graph, b Boundary, vs []graph.VertexID, agent
 	}
 	var out []graph.VertexID
 	added.Iterate(func(x uint32) bool { out = append(out, graph.VertexID(x)); return true })
-	return rowOracleEdges(p, set, ad), out
+	return idRuns(rowOracleEdges(p, set, ad)), out
 }
 
 func (e *Engine) rowOracleClosure(seeds []graph.VertexID, ad *adjacency, forward bool) *bitmap.Bitset {
@@ -114,14 +118,13 @@ func (e *Engine) rowOracleClosure(seeds []graph.VertexID, ad *adjacency, forward
 
 func (e *Engine) rowOracleInduce(q Query, ad *adjacency, vc1, vc2, support *bitmap.Bitset) *Segment {
 	seg := &Segment{
-		P:    e.P,
-		Src:  append([]graph.VertexID(nil), q.Src...),
-		Dst:  append([]graph.VertexID(nil), q.Dst...),
-		vset: bitmap.NewBitset(e.P.NumVertices()),
+		P:   e.P,
+		Src: append([]graph.VertexID(nil), q.Src...),
+		Dst: append([]graph.VertexID(nil), q.Dst...),
 	}
-	ruleOf := map[graph.VertexID]Rule{}
+	vs, ruleOf := bitmap.NewBitset(e.P.NumVertices()), map[graph.VertexID]Rule{}
 	addV := func(v graph.VertexID, r Rule) {
-		if seg.vset.Add(uint32(v)) {
+		if vs.Add(uint32(v)) {
 			ruleOf[v] = r
 		}
 	}
@@ -147,26 +150,27 @@ func (e *Engine) rowOracleInduce(q Query, ad *adjacency, vc1, vc2, support *bitm
 		e.expand(ad, ex, func(v graph.VertexID) { addV(v, RuleC2) })
 	}
 	// VC4: the S and A out-rows of every segment vertex.
-	for _, v := range setToVertices(seg.vset) {
+	for _, v := range setToVertices(vs) {
 		for _, rel := range []prov.Rel{prov.RelAssoc, prov.RelAttr} {
 			for _, u := range ad.neighbors(v, rel, true, nil) {
 				addV(u, RuleC4)
 			}
 		}
 	}
-	support.UnionWith(seg.vset)
+	support.UnionWith(vs)
 	for _, ex := range q.Boundary.Expansions {
 		for _, v := range ex.Within {
 			support.Add(uint32(v))
 		}
 	}
 	seg.support = support
-	seg.Vertices = setToVertices(seg.vset)
-	seg.Rules = make([]Rule, len(seg.Vertices))
-	for i, v := range seg.Vertices {
+	ids := setToVertices(vs)
+	seg.VertexRuns = idRuns(ids)
+	seg.Rules = make([]Rule, len(ids))
+	for i, v := range ids {
 		seg.Rules[i] = ruleOf[v]
 	}
-	seg.Edges = rowOracleEdges(e.P, seg.vset, ad)
+	seg.EdgeRuns = idRuns(rowOracleEdges(e.P, vs, ad))
 	return seg
 }
 
@@ -181,4 +185,26 @@ func rowOracleEdges(p *prov.Graph, vs *bitmap.Bitset, ad *adjacency) []graph.Edg
 		}
 	}
 	return out
+}
+
+func setToVertices(vs *bitmap.Bitset) []graph.VertexID {
+	out := make([]graph.VertexID, 0, vs.Cardinality())
+	vs.Iterate(func(x uint32) bool {
+		out = append(out, graph.VertexID(x))
+		return true
+	})
+	return out
+}
+
+// idRuns is ascending ids as maximal runs, by a loop of the oracles' own.
+func idRuns[ID ~uint32](ids []ID) []Run[ID] {
+	var runs []Run[ID]
+	for i, id := range ids {
+		if i > 0 && ids[i-1]+1 == id {
+			runs[len(runs)-1].Last = id
+		} else {
+			runs = append(runs, Run[ID]{id, id})
+		}
+	}
+	return runs
 }

@@ -24,14 +24,16 @@ func NewSegment(p *prov.Graph, vertices []graph.VertexID) (*Segment, error) {
 			return nil, fmt.Errorf("core: segment vertex %d out of range", v)
 		}
 	}
-	s := &Segment{P: p, vset: bitmap.NewBitset(p.NumVertices())}
+	vs := bitmap.NewBitset(p.NumVertices())
 	for _, v := range vertices {
-		s.vset.Add(uint32(v))
+		vs.Add(uint32(v))
 	}
-	s.Vertices = setToVertices(s.vset)
-	s.Rules = make([]Rule, len(s.Vertices)) // all RuleQuery
-	s.Edges = newAdjacency(p, Boundary{}).inducedEdges(s.vset, nil)
-	return s, nil
+	return &Segment{
+		P:          p,
+		VertexRuns: runsOf[graph.VertexID](vs),
+		EdgeRuns:   newAdjacency(p, Boundary{}).inducedEdges(vs, nil),
+		Rules:      make([]Rule, vs.Cardinality()), // all RuleQuery
+	}, nil
 }
 
 // displayName renders a vertex for human-readable output.
@@ -45,22 +47,27 @@ func displayName(p *prov.Graph, v graph.VertexID) string {
 // Render writes a compact text description of the segment: the query
 // vertices, then each induced vertex with its rule, then the edges.
 func (s *Segment) Render(w io.Writer) {
-	fmt.Fprintf(w, "segment: |V|=%d |E|=%d\n", len(s.Vertices), len(s.Edges))
+	fmt.Fprintf(w, "segment: |V|=%d |E|=%d\n", s.NumVertices(), s.NumEdges())
 	fmt.Fprintf(w, "  src: %s\n", nameList(s.P, s.Src))
 	fmt.Fprintf(w, "  dst: %s\n", nameList(s.P, s.Dst))
-	byRule := map[Rule][]graph.VertexID{}
-	for i, v := range s.Vertices {
-		byRule[s.Rules[i]] = append(byRule[s.Rules[i]], v)
+	byRule, k := map[Rule][]graph.VertexID{}, 0
+	for _, r := range s.VertexRuns {
+		for v := r.First; v <= r.Last; v++ {
+			byRule[s.Rules[k]] = append(byRule[s.Rules[k]], v)
+			k++
+		}
 	}
 	for _, r := range []Rule{RuleC1, RuleC2, RuleC3, RuleC4} {
 		if vs := byRule[r]; len(vs) > 0 {
 			fmt.Fprintf(w, "  %s: %s\n", r, nameList(s.P, vs))
 		}
 	}
-	for _, e := range s.Edges {
-		g := s.P.PG()
-		fmt.Fprintf(w, "  %s -[%s]-> %s\n",
-			displayName(s.P, g.Src(e)), s.P.RelOf(e), displayName(s.P, g.Dst(e)))
+	g := s.P.PG()
+	for _, r := range s.EdgeRuns {
+		for e := r.First; e <= r.Last; e++ {
+			fmt.Fprintf(w, "  %s -[%s]-> %s\n",
+				displayName(s.P, g.Src(e)), s.P.RelOf(e), displayName(s.P, g.Dst(e)))
+		}
 	}
 }
 
@@ -74,9 +81,11 @@ func nameList(p *prov.Graph, vs []graph.VertexID) string {
 
 // WriteDOT renders the segment as graphviz DOT.
 func (s *Segment) WriteDOT(w io.Writer) error {
-	subset := make(map[graph.VertexID]bool, len(s.Vertices))
-	for _, v := range s.Vertices {
-		subset[v] = true
+	subset := make(map[graph.VertexID]bool, s.NumVertices())
+	for _, r := range s.VertexRuns {
+		for v := r.First; v <= r.Last; v++ {
+			subset[v] = true
+		}
 	}
 	return s.P.PG().WriteDOT(w, graph.DOTOptions{
 		NameProp: prov.PropName,

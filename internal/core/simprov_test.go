@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -234,22 +235,20 @@ func TestSegmentAssemblyAcrossSolvers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref.Vertices) == 0 || len(ref.Edges) == 0 {
-		t.Fatalf("reference segment empty: %d vertices %d edges", len(ref.Vertices), len(ref.Edges))
+	if ref.NumVertices() == 0 || ref.NumEdges() == 0 {
+		t.Fatalf("reference segment empty: %d vertices %d edges", ref.NumVertices(), ref.NumEdges())
 	}
 	for _, kind := range []core.SolverKind{core.SolverAlg, core.SolverCflrB} {
 		seg, err := core.NewEngine(p, core.Options{Solver: kind}).Segment(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seg.Vertices) != len(ref.Vertices) || len(seg.Edges) != len(ref.Edges) {
+		if seg.NumVertices() != ref.NumVertices() || seg.NumEdges() != ref.NumEdges() {
 			t.Fatalf("%v: segment differs: %d/%d vertices, %d/%d edges",
-				kind, len(seg.Vertices), len(ref.Vertices), len(seg.Edges), len(ref.Edges))
+				kind, seg.NumVertices(), ref.NumVertices(), seg.NumEdges(), ref.NumEdges())
 		}
-		for i, v := range seg.Vertices {
-			if ref.Vertices[i] != v {
-				t.Fatalf("%v: vertex list differs at %d", kind, i)
-			}
+		if !slices.Equal(seg.VertexRuns, ref.VertexRuns) {
+			t.Fatalf("%v: vertex runs differ", kind)
 		}
 	}
 }

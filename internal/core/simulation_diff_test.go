@@ -209,13 +209,14 @@ func TestSumKeyPacking(t *testing.T) {
 // or a segment edge that leaves the segment's vertex list, is an error before
 // any key is packed — not a truncated id and a wrong Psg.
 func TestSummarizeRejectsUnfitInput(t *testing.T) {
-	wide := &Segment{Vertices: make([]graph.VertexID, (sumIDMask+1)/64)}
+	n := (sumIDMask + 1) / 64
+	wide := &Segment{VertexRuns: []Run[graph.VertexID]{{0, graph.VertexID(n - 1)}}, Rules: make([]Rule, n)}
 	segs := make([]*Segment, 64)
 	for i := range segs {
 		segs[i] = wide
 	}
 	if psg, err := Summarize(segs, SumOptions{}); err == nil || psg != nil {
-		t.Fatalf("Summarize over %d occurrences: psg=%v err=%v, want an error", 64*len(wide.Vertices), psg, err)
+		t.Fatalf("Summarize over %d occurrences: psg=%v err=%v, want an error", 64*n, psg, err)
 	}
 
 	p := prov.New()
@@ -226,7 +227,7 @@ func TestSummarizeRejectsUnfitInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range [][]graph.VertexID{{a}, {b}} {
-		seg.Vertices = cut
+		seg.VertexRuns, seg.Rules = idRuns(cut), seg.Rules[:len(cut)]
 		if psg, err := Summarize([]*Segment{seg, seg}, SumOptions{}); err == nil || psg != nil {
 			t.Fatalf("Summarize with vertices %v and an edge %d -> %d: psg=%v err=%v, want an error", cut, b, a, psg, err)
 		}

@@ -988,11 +988,11 @@ func TestVecSolverSegmentParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fmt.Sprint(ref.Vertices) != fmt.Sprint(got.Vertices) {
-				t.Fatalf("%s: vertices %v, want %v", label, got.Vertices, ref.Vertices)
+			if !slices.Equal(ref.VertexRuns, got.VertexRuns) {
+				t.Fatalf("%s: vertices %v, want %v", label, got.VertexRuns, ref.VertexRuns)
 			}
-			if fmt.Sprint(ref.Edges) != fmt.Sprint(got.Edges) {
-				t.Fatalf("%s: edges %v, want %v", label, got.Edges, ref.Edges)
+			if !slices.Equal(ref.EdgeRuns, got.EdgeRuns) {
+				t.Fatalf("%s: edges %v, want %v", label, got.EdgeRuns, ref.EdgeRuns)
 			}
 			if fmt.Sprint(ref.Rules) != fmt.Sprint(got.Rules) {
 				t.Fatalf("%s: rules %v, want %v", label, got.Rules, ref.Rules)

@@ -16,16 +16,17 @@ import (
 // externally observable dimension.
 func diffSegs(t *testing.T, tag string, a, b *core.Segment) {
 	t.Helper()
-	if fmt.Sprint(a.Vertices) != fmt.Sprint(b.Vertices) {
-		t.Fatalf("%s: vertex sets differ: %d vs %d vertices", tag, len(a.Vertices), len(b.Vertices))
+	if !slices.Equal(a.VertexRuns, b.VertexRuns) {
+		t.Fatalf("%s: vertex sets differ: %d vs %d vertices", tag, a.NumVertices(), b.NumVertices())
 	}
-	if fmt.Sprint(a.Edges) != fmt.Sprint(b.Edges) {
-		t.Fatalf("%s: edge sets differ: %d vs %d edges", tag, len(a.Edges), len(b.Edges))
+	if !slices.Equal(a.EdgeRuns, b.EdgeRuns) {
+		t.Fatalf("%s: edge sets differ: %d vs %d edges", tag, a.NumEdges(), b.NumEdges())
 	}
-	if len(a.Rules) != len(a.Vertices) || len(b.Rules) != len(b.Vertices) {
-		t.Fatalf("%s: Rules not parallel to Vertices: %d/%d vs %d/%d", tag, len(a.Rules), len(a.Vertices), len(b.Rules), len(b.Vertices))
+	vs := a.Vertices()
+	if len(a.Rules) != len(vs) || len(b.Rules) != len(vs) {
+		t.Fatalf("%s: Rules not parallel to the vertex runs: %d and %d rules for %d vertices", tag, len(a.Rules), len(b.Rules), len(vs))
 	}
-	for i, v := range a.Vertices {
+	for i, v := range vs {
 		if a.Rules[i] != b.Rules[i] {
 			t.Fatalf("%s: rule attribution differs at %d: %v vs %v", tag, v, a.Rules[i], b.Rules[i])
 		}
@@ -129,7 +130,7 @@ func TestAdjustExpandMatchesScalar(t *testing.T) {
 			ref = out
 			continue
 		}
-		if fmt.Sprint(out.Vertices) != fmt.Sprint(ref.Vertices) || fmt.Sprint(out.Edges) != fmt.Sprint(ref.Edges) || fmt.Sprint(out.Rules) != fmt.Sprint(ref.Rules) {
+		if !slices.Equal(out.VertexRuns, ref.VertexRuns) || !slices.Equal(out.EdgeRuns, ref.EdgeRuns) || !slices.Equal(out.Rules, ref.Rules) {
 			t.Fatal("AdjustExpand diverges between the row layouts")
 		}
 	}

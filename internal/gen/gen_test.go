@@ -245,7 +245,7 @@ func TestSdDeterminismAndShape(t *testing.T) {
 	seen := map[uint32]bool{}
 	for _, s := range segs1 {
 		acts := 0
-		for _, v := range s.Vertices {
+		for _, v := range s.Vertices() {
 			if seen[uint32(v)] {
 				t.Fatal("segments share a vertex")
 			}
@@ -263,7 +263,7 @@ func TestSdDeterminismAndShape(t *testing.T) {
 	}
 	// Activity commands name states within range.
 	for _, s := range segs1 {
-		for _, v := range s.Vertices {
+		for _, v := range s.Vertices() {
 			if p1.KindOf(v) == prov.KindActivity {
 				cmd := p1.PG().VertexProp(v, prov.PropCommand).AsString()
 				if len(cmd) < 3 || cmd[:2] != "op" {

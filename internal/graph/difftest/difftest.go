@@ -255,18 +255,19 @@ func DiffSegments(full, chain *prov.Graph, q core.Query) error {
 // diffSegPair asserts two segments are identical in every externally
 // observable dimension: vertex set, edge set, rule attribution, support set.
 func diffSegPair(fs, is *core.Segment) error {
-	if !slices.Equal(fs.Vertices, is.Vertices) {
-		return fmt.Errorf("segment vertices mismatch: %v vs %v", fs.Vertices, is.Vertices)
+	if !slices.Equal(fs.VertexRuns, is.VertexRuns) {
+		return fmt.Errorf("segment vertex runs mismatch: %v vs %v", fs.VertexRuns, is.VertexRuns)
 	}
-	if !slices.Equal(fs.Edges, is.Edges) {
-		return fmt.Errorf("segment edges mismatch: %v vs %v", fs.Edges, is.Edges)
+	if !slices.Equal(fs.EdgeRuns, is.EdgeRuns) {
+		return fmt.Errorf("segment edge runs mismatch: %v vs %v", fs.EdgeRuns, is.EdgeRuns)
 	}
-	if len(fs.Rules) != len(fs.Vertices) || len(is.Rules) != len(is.Vertices) {
-		return fmt.Errorf("segment Rules not parallel to Vertices: %d/%d vs %d/%d", len(fs.Rules), len(fs.Vertices), len(is.Rules), len(is.Vertices))
+	vs := fs.Vertices()
+	if len(fs.Rules) != len(vs) || len(is.Rules) != len(vs) {
+		return fmt.Errorf("segment Rules not parallel to the vertex runs: %d and %d rules for %d vertices", len(fs.Rules), len(is.Rules), len(vs))
 	}
-	for i, v := range fs.Vertices {
-		if fs.Rules[i] != is.Rules[i] {
-			return fmt.Errorf("segment rule of vertex %d mismatch: %v vs %v", v, fs.Rules[i], is.Rules[i])
+	for k, v := range vs {
+		if fs.Rules[k] != is.Rules[k] {
+			return fmt.Errorf("segment rule of vertex %d mismatch: %v vs %v", v, fs.Rules[k], is.Rules[k])
 		}
 	}
 	if fsup, isup := fs.Support().ToSlice(), is.Support().ToSlice(); !slices.Equal(fsup, isup) {

@@ -106,11 +106,12 @@ func Summarize(segs []*core.Segment, opts Options) *Result {
 		g := s.P.PG()
 		inDeg := map[graph.VertexID]int{}
 		outDeg := map[graph.VertexID]int{}
-		for _, e := range s.Edges {
+		edges := s.Edges()
+		for _, e := range edges {
 			outDeg[g.Src(e)]++
 			inDeg[g.Dst(e)]++
 		}
-		for _, v := range s.Vertices {
+		for _, v := range s.Vertices() {
 			id := addNode(label(s.P, v, opts.K))
 			occID[[2]int{si, int(v)}] = id
 			total++
@@ -123,7 +124,7 @@ func Summarize(segs []*core.Segment, opts Options) *Result {
 				nodes[id].adj = append(nodes[id].adj, end)
 			}
 		}
-		for _, e := range s.Edges {
+		for _, e := range edges {
 			f := occID[[2]int{si, int(g.Src(e))}]
 			t := occID[[2]int{si, int(g.Dst(e))}]
 			nodes[f].adj = append(nodes[f].adj, t)

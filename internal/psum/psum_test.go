@@ -25,7 +25,7 @@ func TestPSumBasics(t *testing.T) {
 	// Every occurrence is classified.
 	total := 0
 	for _, s := range segs {
-		total += len(s.Vertices)
+		total += s.NumVertices()
 	}
 	if len(res.Classes) != total {
 		t.Fatalf("classified %d of %d occurrences", len(res.Classes), total)

@@ -18,11 +18,11 @@ import (
 // here. The cache is guarded by its own mutex (separate from the store's
 // write mutex) so cache bookkeeping never serializes solver work.
 //
-// An entry keeps the segment packed (core.PackedSegment: runs of
-// consecutive ids, the solve's Rules and support set): 21 KB for a seg_hot
-// segment of Pd-20000 (13k vertices, 29k edges), where the solved segment
-// holds 204 KB (TestCacheEntryBytes). A hit renders straight from the runs.
-// bytes is the sum of the resident entries' sizes.
+// An entry is the solved segment itself (core.Segment: runs of consecutive
+// ids, the solve's Rules and support set): 21 KB for a seg_hot segment of
+// Pd-20000 (13k vertices, 29k edges), where id lists would take ~170 KB
+// (TestCacheEntryBytes). A hit renders straight from the runs. bytes is the
+// sum of the resident entries' sizes.
 //
 // Entries are tagged with the epoch they were last validated at; all
 // resident entries share that epoch (the invariant advance maintains). On
@@ -51,7 +51,7 @@ type segCache struct {
 
 type cacheEntry struct {
 	key string
-	seg *core.PackedSegment
+	seg *core.Segment
 	// relOK is the admitted-relations mask of the query's boundary: delta
 	// edges of an excluded relationship type cannot appear in any traversal
 	// of this query and are skipped during revalidation.
@@ -77,7 +77,7 @@ func newSegCache(capacity int) *segCache {
 // if any, and records a hit or miss. A reader pinned to an older snapshot
 // than the cache's epoch misses (it must not be served results that may
 // reference vertices past its watermark).
-func (c *segCache) get(key string, epoch uint64) (*core.PackedSegment, bool) {
+func (c *segCache) get(key string, epoch uint64) (*core.Segment, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if epoch == c.epoch {
@@ -94,7 +94,7 @@ func (c *segCache) get(key string, epoch uint64) (*core.PackedSegment, bool) {
 // add inserts a result solved against the given epoch, unless the cache has
 // advanced since (a writer committed after the solver loaded its snapshot),
 // in which case the possibly stale result is dropped.
-func (c *segCache) add(key string, seg *core.PackedSegment, relOK [8]bool, epoch uint64) {
+func (c *segCache) add(key string, seg *core.Segment, relOK [8]bool, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if epoch != c.epoch {
@@ -124,7 +124,7 @@ func (c *segCache) remove(el *list.Element) {
 	c.bytes -= en.bytes()
 }
 
-// bytes is what the entry holds: its key and packed segment.
+// bytes is what the entry holds: its key and segment.
 func (en *cacheEntry) bytes() int { return len(en.key) + en.seg.Bytes() }
 
 // advance moves the cache from epoch old to ep, revalidating every entry
@@ -147,7 +147,7 @@ func (c *segCache) advance(ep, old *Epoch) {
 	c.mu.Unlock()
 
 	stale := make([]bool, len(entries))
-	rebased := make([]*core.PackedSegment, len(entries))
+	rebased := make([]*core.Segment, len(entries))
 	for i, en := range entries {
 		if deltaTouches(en, ep, old) {
 			stale[i] = true
@@ -221,8 +221,8 @@ func deltaTouches(en *cacheEntry, ep, old *Epoch) bool {
 type CacheStats struct {
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
-	// Bytes is the heap the resident entries hold (keys and packed
-	// segments, support sets included).
+	// Bytes is the heap the resident entries hold (keys and segments,
+	// support sets included).
 	Bytes  int    `json:"bytes"`
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`

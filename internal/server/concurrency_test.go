@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 
@@ -199,7 +200,7 @@ func TestCacheAcrossBackToBackIngests(t *testing.T) {
 		t.Fatalf("entry did not survive two untouching commits: cached=%v err=%v", cached, err)
 	}
 	want := fresh()
-	if fmt.Sprint(seg.Vertices) != fmt.Sprint(want.Vertices) || fmt.Sprint(seg.Edges) != fmt.Sprint(want.Edges) {
+	if !slices.Equal(seg.VertexRuns, want.VertexRuns) || !slices.Equal(seg.EdgeRuns, want.EdgeRuns) {
 		t.Fatal("revalidated entry diverged from a fresh solve at the new epoch")
 	}
 	if cs := store.Metrics().Cache; cs.Revalidations != 2 || cs.Invalidations != 0 {
@@ -242,7 +243,7 @@ func TestCacheAcrossBackToBackIngests(t *testing.T) {
 		t.Fatal("entry survived a chained commit pair whose second delta touched its support")
 	}
 	want = fresh()
-	if fmt.Sprint(seg.Vertices) != fmt.Sprint(want.Vertices) || fmt.Sprint(seg.Edges) != fmt.Sprint(want.Edges) {
+	if !slices.Equal(seg.VertexRuns, want.VertexRuns) || !slices.Equal(seg.EdgeRuns, want.EdgeRuns) {
 		t.Fatal("re-solve after purge diverged from a fresh solve")
 	}
 	if cs := store.Metrics().Cache; cs.Invalidations != 1 {

@@ -242,7 +242,7 @@ func storeHeap(t *testing.T, n int) (shares []heapShare, total, vertices, propMa
 	before := liveHeap()
 	st := NewStore(gen.Pd(gen.PdConfig{N: n, Seed: 1}), 0)
 	ep := st.Epoch()
-	if err := writeSegmentJSON(&tally{}, ep.replies, wholeSegment(ep.P, nil).Pack(), false, ""); err != nil {
+	if err := writeSegmentJSON(&tally{}, ep.replies, wholeSegment(ep.P, nil), false, ""); err != nil {
 		t.Fatal(err)
 	}
 	total = int(liveHeap() - before)
@@ -348,10 +348,12 @@ func residentBytes(c *segCache) int {
 
 // TestCacheEntryBytes fills a Pd-20000 store's cache with the 64-query
 // seg_hot pool and accounts its entries with the exact walker: each holds at
-// most 32 KB (the solved segment's Vertices and Edges alone are ~170 KB, so
-// no entry keeps them alive). The cache's byte count (CacheStats.Bytes)
-// matches the entries it holds through evictions and an ingest that purges
-// some of them and revalidates the rest.
+// most 32 KB (id lists of a segment's vertices and edges alone would be ~170
+// KB, so no entry keeps them). A segment Store.Segment solves for the
+// library is held to the same 32 KB: no solved segment carries id lists or a
+// vertex set. The cache's byte count (CacheStats.Bytes) matches the entries
+// it holds through evictions and an ingest that purges some of them and
+// revalidates the rest.
 func TestCacheEntryBytes(t *testing.T) {
 	const pool = 64
 	p := gen.Pd(gen.PdConfig{N: 20000, Seed: 1})
@@ -380,6 +382,17 @@ func TestCacheEntryBytes(t *testing.T) {
 	}
 	if stats.Bytes > held || 4*stats.Bytes < 3*held {
 		t.Errorf("the cache counts %d bytes for entries that hold %d", stats.Bytes, held)
+	}
+
+	seg, cached, err := st.Segment(qs[0], core.Options{}, false)
+	if err != nil || cached {
+		t.Fatalf("library solve: cached=%v err=%v", cached, err)
+	}
+	lib := &heapCounter{seen: map[uintptr]uintptr{uintptr(unsafe.Pointer(st.Epoch().P)): ^uintptr(0)}}
+	if n := lib.structure(reflect.ValueOf(seg)); n > 32<<10 {
+		t.Errorf("a segment Store.Segment solves holds %d bytes, over 32 KB", n)
+	} else {
+		t.Logf("a segment Store.Segment solves holds %.1f KB", float64(n)/1e3)
 	}
 
 	// Evictions, then a purge.

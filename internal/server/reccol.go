@@ -65,7 +65,7 @@ func (r *replyRecords) edgeRun(first, last graph.EdgeID) []byte {
 // seg.P belongs to the column's lineage, extending the column from seg.P up
 // to seg's largest ids if it is short. The runs are ascending, so the
 // largest ids end the last runs.
-func (c *replyColumn) covering(seg *core.PackedSegment) *replyRecords {
+func (c *replyColumn) covering(seg *core.Segment) *replyRecords {
 	var nv, ne int
 	if n := len(seg.VertexRuns); n > 0 {
 		nv = int(seg.VertexRuns[n-1].Last) + 1

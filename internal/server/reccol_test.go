@@ -51,7 +51,7 @@ func countsOf(p *prov.Graph) [2]int { return [2]int{p.NumVertices(), p.NumEdges(
 
 // reachOf is the extent a reply of seg needs: one past its largest ids.
 func reachOf(seg *core.Segment) [2]int {
-	return [2]int{int(seg.Vertices[len(seg.Vertices)-1]) + 1, int(seg.Edges[len(seg.Edges)-1]) + 1}
+	return [2]int{int(seg.VertexRuns[len(seg.VertexRuns)-1].Last) + 1, int(seg.EdgeRuns[len(seg.EdgeRuns)-1].Last) + 1}
 }
 
 // heldBytes is what the column holds: both arenas and both offset tables.
@@ -112,7 +112,7 @@ func TestReplyColumn(t *testing.T) {
 	col := newReplyColumn()
 	render := func(k, s int) error {
 		var got bytes.Buffer
-		if err := writeSegmentJSON(&got, col, segs[k][s].Pack(), false, ""); err != nil {
+		if err := writeSegmentJSON(&got, col, segs[k][s], false, ""); err != nil {
 			return err
 		}
 		if !bytes.Equal(got.Bytes(), want[k][s]) {
@@ -174,7 +174,7 @@ func TestReplyColumnFootprint(t *testing.T) {
 	seg := wholeSegment(p, nil)
 	col := newReplyColumn()
 	var reply tally
-	if err := writeSegmentJSON(&reply, col, seg.Pack(), false, ""); err != nil {
+	if err := writeSegmentJSON(&reply, col, seg, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	held, bound := heldBytes(col), reply.n+4*(p.NumVertices()+p.NumEdges())
@@ -237,7 +237,7 @@ func BenchmarkReplyColumnBuild(b *testing.B) {
 	if testing.Short() {
 		n = 2000
 	}
-	seg := wholeSegment(gen.Pd(gen.PdConfig{N: n, Seed: 1}).Freeze(), nil).Pack()
+	seg := wholeSegment(gen.Pd(gen.PdConfig{N: n, Seed: 1}).Freeze(), nil)
 	col := newReplyColumn()
 	col.covering(seg)
 	b.SetBytes(int64(heldBytes(col)))

@@ -172,7 +172,7 @@ var (
 // overwritten by the array's ']'. A flush therefore happens before an element
 // or a piece of an edge run is added, never after, so that the comma is
 // still in the buffer when the array ends.
-func writeSegmentJSON(w io.Writer, col *replyColumn, seg *core.PackedSegment, cached bool, dot string) error {
+func writeSegmentJSON(w io.Writer, col *replyColumn, seg *core.Segment, cached bool, dot string) error {
 	r := newReplyBuf(w)
 	defer r.release()
 	r.b = append(r.b, `{"num_vertices":`...)

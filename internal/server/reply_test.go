@@ -36,7 +36,7 @@ func encodeSegment(p *prov.Graph, seg *core.Segment, cached bool) *SegmentRespon
 		Cached:      cached,
 	}
 	g := p.PG()
-	for i, v := range seg.Vertices {
+	for i, v := range seg.Vertices() {
 		resp.Vertices = append(resp.Vertices, VertexInfo{
 			ID:   uint32(v),
 			Kind: p.KindOf(v).String(),
@@ -44,7 +44,7 @@ func encodeSegment(p *prov.Graph, seg *core.Segment, cached bool) *SegmentRespon
 			Rule: seg.Rules[i].String(),
 		})
 	}
-	for _, e := range seg.Edges {
+	for _, e := range seg.Edges() {
 		resp.Edges = append(resp.Edges, EdgeInfo{
 			ID:  uint32(e),
 			Src: uint32(g.Src(e)),
@@ -102,7 +102,7 @@ func oraclePsgJSON(t testing.TB, psg *core.Psg, dot string) []byte {
 func diffSegmentReply(t *testing.T, tag string, col *replyColumn, seg *core.Segment, cached bool, dot string) {
 	t.Helper()
 	var got bytes.Buffer
-	if err := writeSegmentJSON(&got, col, seg.Pack(), cached, dot); err != nil {
+	if err := writeSegmentJSON(&got, col, seg, cached, dot); err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
 	diffBytes(t, tag, got.Bytes(), oracleSegmentJSON(t, seg, cached, dot))
@@ -223,18 +223,18 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 			if err != nil || (rank == 0 && adj.NumVertices() >= seg.NumVertices()) {
 				t.Fatalf("%s: adjust exclude: %v (%d of %d vertices left)", tag, err, adj.NumVertices(), seg.NumVertices())
 			}
-			diffSegmentReply(t, tag+" adjust exclude", col, adj.Unpack(), true, "")
+			diffSegmentReply(t, tag+" adjust exclude", col, adj, true, "")
 			adj, _, err = st.adjustAt(new(core.Work), st.Epoch(), q, core.Options{}, noAgents, []core.Expansion{{Within: dst, K: 3}})
 			if err != nil {
 				t.Fatalf("%s: adjust exclude+expand: %v", tag, err)
 			}
-			diffSegmentReply(t, tag+" adjust exclude+expand", col, adj.Unpack(), true, "")
+			diffSegmentReply(t, tag+" adjust exclude+expand", col, adj, true, "")
 			// exclude_rels alone: the surviving edge ids are many short runs.
 			adj, _, err = st.adjustAt(new(core.Work), st.Epoch(), q, core.Options{}, core.Boundary{ExcludeRels: []prov.Rel{prov.RelDeriv, prov.RelAttr}}, nil)
 			if err != nil || len(adj.EdgeRuns) < 2 {
 				t.Fatalf("%s: adjust exclude_rels: %v (%d edge runs)", tag, err, len(adj.EdgeRuns))
 			}
-			diffSegmentReply(t, tag+" adjust exclude_rels", col, adj.Unpack(), true, "")
+			diffSegmentReply(t, tag+" adjust exclude_rels", col, adj, true, "")
 		}
 		// The benchmark's sum_pd options.
 		for _, opts := range []core.SumOptions{{}, {TypeRadius: 1, K: core.Aggregation{Activity: []string{prov.PropCommand}}}} {
@@ -265,8 +265,8 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	one.WasAssociatedWith(run, ag)
 	one.Used(run, in)
 	single := segmentOf(one.Freeze(), []graph.VertexID{in, run})
-	if len(single.Edges) != 1 || single.Edges[0] != 1 {
-		t.Fatalf("single-edge segment has edges %v", single.Edges)
+	if es := single.Edges(); len(es) != 1 || es[0] != 1 {
+		t.Fatalf("single-edge segment has edges %v", es)
 	}
 	diffSegmentReply(t, "single edge", newReplyColumn(), single, false, "")
 
@@ -285,9 +285,9 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	chainEdges = slices.Delete(chainEdges, 1, 2)
 	chainReply := func(pad int, edges []graph.EdgeID) (*core.Segment, []byte) {
 		chain.PG().SetVertexProp(head, prov.PropName, graph.String("n"+strings.Repeat("p", pad)))
-		seg := &core.Segment{P: chain, Vertices: []graph.VertexID{head}, Rules: []core.Rule{core.RuleQuery}, Edges: edges}
+		seg := &core.Segment{P: chain, VertexRuns: []core.Run[graph.VertexID]{{First: head, Last: head}}, Rules: []core.Rule{core.RuleQuery}, EdgeRuns: edgeRuns(edges)}
 		var got bytes.Buffer
-		if err := writeSegmentJSON(&got, newReplyColumn(), seg.Pack(), false, ""); err != nil {
+		if err := writeSegmentJSON(&got, newReplyColumn(), seg, false, ""); err != nil {
 			t.Fatal(err)
 		}
 		return seg, got.Bytes()
@@ -359,7 +359,7 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	for pad := 1; pad <= 64; pad++ {
 		seg := straddle(pad)
 		var got writeSizes
-		if err := writeSegmentJSON(&got, newReplyColumn(), seg.Pack(), false, ""); err != nil {
+		if err := writeSegmentJSON(&got, newReplyColumn(), seg, false, ""); err != nil {
 			t.Fatal(err)
 		}
 		diffBytes(t, fmt.Sprintf("straddle pad %d", pad), got.Bytes(), oracleSegmentJSON(t, seg, false, ""))
@@ -647,7 +647,7 @@ func TestReplyStopsAtFirstFailedFlush(t *testing.T) {
 	}
 	col := newReplyColumn()
 	var whole writeSizes
-	if err := writeSegmentJSON(&whole, col, seg.Pack(), false, ""); err != nil {
+	if err := writeSegmentJSON(&whole, col, seg, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	if len(whole.sizes) < 4 || whole.Len() < 3*replyFlushBytes {
@@ -660,7 +660,7 @@ func TestReplyStopsAtFirstFailedFlush(t *testing.T) {
 	inRun := 0
 	for k, at := 1, 0; k <= len(whole.sizes); k++ {
 		w := &failAfter{k: k}
-		if err := writeSegmentJSON(w, col, seg.Pack(), false, ""); !errors.Is(err, errHungUp) {
+		if err := writeSegmentJSON(w, col, seg, false, ""); !errors.Is(err, errHungUp) {
 			t.Fatalf("fail at write %d: err = %v", k, err)
 		}
 		if w.writes != k {
@@ -686,9 +686,9 @@ func TestReplyStopsAtFirstFailedFlush(t *testing.T) {
 	reused := false
 	for i := 0; i < 64 && !reused; i++ {
 		failed := &failAfter{k: 2}
-		_ = writeSegmentJSON(failed, col, seg.Pack(), false, "")
+		_ = writeSegmentJSON(failed, col, seg, false, "")
 		next := &failAfter{k: 1}
-		_ = writeSegmentJSON(next, col, seg.Pack(), false, "")
+		_ = writeSegmentJSON(next, col, seg, false, "")
 		for b := range next.bufs {
 			reused = reused || failed.bufs[b]
 		}
@@ -732,7 +732,7 @@ func TestReplyRendersFromSolvedSnapshot(t *testing.T) {
 		t.Fatal("the held segment no longer points at the snapshot it was solved at")
 	}
 	var got bytes.Buffer
-	if err := writeSegmentJSON(&got, st.Epoch().replies, seg.Pack(), false, ""); err != nil {
+	if err := writeSegmentJSON(&got, st.Epoch().replies, seg, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), before) {
@@ -862,4 +862,17 @@ func BenchmarkSummarizeReply(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = writePsgJSON(&w, psg, "")
 	}
+}
+
+// edgeRuns is ascending edge ids as maximal runs.
+func edgeRuns(ids []graph.EdgeID) []core.Run[graph.EdgeID] {
+	var runs []core.Run[graph.EdgeID]
+	for i, e := range ids {
+		if i > 0 && ids[i-1]+1 == e {
+			runs[len(runs)-1].Last = e
+		} else {
+			runs = append(runs, core.Run[graph.EdgeID]{First: e, Last: e})
+		}
+	}
+	return runs
 }

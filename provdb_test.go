@@ -12,8 +12,8 @@ import (
 )
 
 func segmentNames(g *provdb.Graph, s *provdb.Segment) map[string]bool {
-	out := make(map[string]bool, len(s.Vertices))
-	for _, v := range s.Vertices {
+	out := make(map[string]bool, s.NumVertices())
+	for _, v := range s.Vertices() {
 		out[g.Name(v)] = true
 	}
 	return out
@@ -106,7 +106,7 @@ func TestFig2Summarization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if psg.InputVertices != len(seg1.Vertices)+len(seg2.Vertices) {
+	if psg.InputVertices != seg1.NumVertices()+seg2.NumVertices() {
 		t.Fatalf("input vertices %d", psg.InputVertices)
 	}
 	if len(psg.Nodes) >= psg.InputVertices {
@@ -198,7 +198,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s1.Vertices) != len(s2.Vertices) || len(s1.Edges) != len(s2.Edges) {
+	if s1.NumVertices() != s2.NumVertices() || s1.NumEdges() != s2.NumEdges() {
 		t.Fatalf("segment mismatch after roundtrip")
 	}
 }
@@ -335,8 +335,8 @@ func TestSetPropAfterSegment(t *testing.T) {
 	if got.Contains(v) {
 		t.Error("the filtered Segment kept the quarantined vertex")
 	}
-	if !slices.Equal(got.Vertices, want.Vertices) || !slices.Equal(got.Edges, want.Edges) || !slices.Equal(got.Rules, want.Rules) {
-		t.Errorf("filtered Segment after the write: %v, from the start: %v", got.Vertices, want.Vertices)
+	if !slices.Equal(got.VertexRuns, want.VertexRuns) || !slices.Equal(got.EdgeRuns, want.EdgeRuns) || !slices.Equal(got.Rules, want.Rules) {
+		t.Errorf("filtered Segment after the write: %v, from the start: %v", got.VertexRuns, want.VertexRuns)
 	}
 	if !before.P.PG().VertexProp(v, "quarantined").IsZero() {
 		t.Error("the segment solved before the write sees the write")
@@ -356,8 +356,8 @@ func TestSetPropAfterSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(hseg.Vertices, want.Vertices) || !slices.Equal(hseg.Edges, want.Edges) {
-		t.Errorf("filtered Segment after a write below a snapshot taken through Prov: %v, from the start: %v", hseg.Vertices, want.Vertices)
+	if !slices.Equal(hseg.VertexRuns, want.VertexRuns) || !slices.Equal(hseg.EdgeRuns, want.EdgeRuns) {
+		t.Errorf("filtered Segment after a write below a snapshot taken through Prov: %v, from the start: %v", hseg.VertexRuns, want.VertexRuns)
 	}
 }
 
@@ -386,7 +386,7 @@ func TestConcurrentReadsAfterWrite(t *testing.T) {
 		if err != nil {
 			return answer{}, err
 		}
-		return answer{seg.Vertices, len(res.Rows)}, nil
+		return answer{seg.Vertices(), len(res.Rows)}, nil
 	}
 	got := make([]answer, 8)
 	errs := make([]error, len(got))
@@ -448,7 +448,7 @@ func TestNewSegmentRefusesOutOfRange(t *testing.T) {
 		t.Fatalf("NewSegment with vertex 999 of %d: segment %v, err %v", g.NumVertices(), seg, err)
 	}
 	seg, err = g.NewSegment([]provdb.VertexID{x})
-	if err != nil || len(seg.Vertices) != 1 {
+	if err != nil || seg.NumVertices() != 1 {
 		t.Fatalf("NewSegment of the graph's own vertex: %v, %v", seg, err)
 	}
 }

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Fails when a test selector in the workflows matches nothing: every
 # alternative of a `-run '…'` regex on a `go test` line of ci.yml or
-# nightly.yml must match a test, fuzz target or example of a package that
-# line names, and every `-fuzz=` target (a ci.yml line, or a target/pkg pair
-# of the nightly fuzz matrix) must be a fuzz target of its package. A rename
-# or a deletion that leaves a selector behind would otherwise turn its CI
-# step into a silent no-op. Run from the repository root:
+# nightly.yml, or of a selector in the mutation tool's table, must match a
+# test, fuzz target or example of a package that line names, and every
+# `-fuzz=` target (a ci.yml line, or a target/pkg pair of the nightly fuzz
+# matrix) must be a fuzz target of its package. A rename or a deletion that
+# leaves a selector behind would otherwise turn its CI step into a silent
+# no-op, or let every mutant of a file survive. Run from the repository
+# root:
 #
 #   bash .github/check-test-selectors.sh
 set -euo pipefail
@@ -91,5 +93,14 @@ while IFS= read -r line; do
 		target=
 	fi
 done <"$wf/nightly.yml"
+
+# The mutation tool's table: "file package selector" rows.
+table=internal/tools/mutate/table.txt
+n=0
+while read -r file pkg sel rest; do
+	n=$((n + 1))
+	[[ -z $file || $file == \#* ]] && continue
+	check_run "$table" "$n" "$sel" "$pkg"
+done <"$table"
 
 exit $bad

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/bitmap"
 	"repro/internal/graph"
 	"repro/internal/prov"
@@ -21,25 +23,37 @@ type tstClass struct {
 	ents   []graph.VertexID // [e]_level (deduplicated)
 	acts   []graph.VertexID // [a]_level that produced ents (nil at level 0)
 	parent *tstClass
+
+	kept   []graph.VertexID // the backward prune's kept entities, duplicates allowed
+	queued bool             // the prune has queued the class
 }
 
-// tstChainState carries the class-chain runner's per-query constants.
+// tstChainState carries the class-chain runner's per-query constants, and
+// its vertex sets as stamps: a vertex is in the set stamped s when
+// mark[v] == s, and every set takes a fresh stamp, so none is ever cleared.
 type tstChainState struct {
 	e      *Engine
-	ad     *adjacency
-	srcSet map[graph.VertexID]bool
+	srcSet []bool
 	rank   prov.Rank
 	minSrc int32 // the lowest source rank
+	mark   []uint32
+	stamp  uint32
+	rows   rowMemo
+	val    []string // each vertex's value of the key it is grouped by
+	valOK  []bool
 }
 
 func (e *Engine) newTstChain(ad *adjacency, src []graph.VertexID) *tstChainState {
 	rank, _ := e.P.OrderOfBeing() // the tests hand the oracle DAGs only
 	st := &tstChainState{
 		e:      e,
-		ad:     ad,
-		srcSet: make(map[graph.VertexID]bool, len(src)),
+		srcSet: make([]bool, e.P.NumVertices()),
 		rank:   rank,
 		minSrc: rank.Of(src[0]),
+		mark:   make([]uint32, e.P.NumVertices()),
+		rows:   newRowMemo(ad, e.P.NumVertices()),
+		val:    make([]string, e.P.NumVertices()),
+		valOK:  make([]bool, e.P.NumVertices()),
 	}
 	for _, s := range src {
 		st.srcSet[s] = true
@@ -48,10 +62,15 @@ func (e *Engine) newTstChain(ad *adjacency, src []graph.VertexID) *tstChainState
 	return st
 }
 
+// newSet returns a fresh, empty set's stamp.
+func (st *tstChainState) newSet() uint32 {
+	st.stamp++
+	return st.stamp
+}
+
 // run is the class-chain level iteration for one destination.
 func (st *tstChainState) run(vj graph.VertexID, out *bitmap.Bitset) {
-	e, ad, srcSet := st.e, st.ad, st.srcSet
-	g := e.P.PG()
+	e, srcSet := st.e, st.srcSet
 	matchAKey := e.opts.MatchActivityProp
 	matchEKey := e.opts.MatchEntityProp
 	// The temporal early stop compares the order of being, as SimProvAlg's.
@@ -59,8 +78,9 @@ func (st *tstChainState) run(vj graph.VertexID, out *bitmap.Bitset) {
 
 	root := &tstClass{ents: []graph.VertexID{vj}}
 	cur := []*tstClass{root}
+	var answers []*tstClass
 	if srcSet[vj] {
-		e.tstCollect(root, ad, out)
+		answers = append(answers, root)
 	}
 
 	// A level-m member ends an alternating path of 2m+1 vertices, so the
@@ -75,17 +95,17 @@ func (st *tstChainState) run(vj graph.VertexID, out *bitmap.Bitset) {
 			// activity property signature when the constraint is active.
 			bufA = bufA[:0]
 			for _, en := range c.ents {
-				bufA = ad.generatorsOf(en, bufA)
+				bufA = append(bufA, st.rows.row(rowGen, en)...)
 			}
-			actGroups := groupByProp(g, dedupVertices(bufA), matchAKey)
+			actGroups := st.group(dedupVertices(bufA), matchAKey)
 			for _, ag := range actGroups {
 				// [e]_{m+1}: inputs of the group's activities, grouped by
 				// the entity property signature.
 				bufE = bufE[:0]
 				for _, a := range ag.members {
-					bufE = ad.inputsOf(a, bufE)
+					bufE = append(bufE, st.rows.row(rowIn, a)...)
 				}
-				entGroups := groupByProp(g, dedupVertices(bufE), matchEKey)
+				entGroups := st.group(dedupVertices(bufE), matchEKey)
 				for _, eg := range entGroups {
 					nc := &tstClass{
 						level:  c.level + 1,
@@ -96,7 +116,7 @@ func (st *tstChainState) run(vj graph.VertexID, out *bitmap.Bitset) {
 					// Answer level: the class contains a source entity.
 					for _, en := range nc.ents {
 						if srcSet[en] {
-							e.tstCollect(nc, ad, out)
+							answers = append(answers, nc)
 							break
 						}
 					}
@@ -112,6 +132,7 @@ func (st *tstChainState) run(vj graph.VertexID, out *bitmap.Bitset) {
 		}
 		cur = next
 	}
+	st.collect(answers, out)
 }
 
 func (st *tstChainState) allOld(c *tstClass) bool {
@@ -130,72 +151,95 @@ type propGroup struct {
 	members []graph.VertexID
 }
 
-// groupByProp partitions vertices by the value of a property; an empty key
-// yields a single group.
-func groupByProp(g *graph.Graph, vs []graph.VertexID, key string) []propGroup {
+// group partitions vertices by the value of a property, groups in the
+// order of their first members; an empty key yields a single group.
+func (st *tstChainState) group(vs []graph.VertexID, key string) []propGroup {
 	if key == "" {
 		if len(vs) == 0 {
 			return nil
 		}
 		return []propGroup{{members: vs}}
 	}
-	byVal := make(map[string][]graph.VertexID)
-	var order []string
+	var out []propGroup
 	for _, v := range vs {
-		val := g.VertexProp(v, key).AsString()
-		if _, ok := byVal[val]; !ok {
-			order = append(order, val)
+		if !st.valOK[v] {
+			st.val[v], st.valOK[v] = st.e.P.PG().VertexProp(v, key).AsString(), true
 		}
-		byVal[val] = append(byVal[val], v)
-	}
-	out := make([]propGroup, 0, len(order))
-	for _, val := range order {
-		out = append(out, propGroup{key: val, members: byVal[val]})
+		i := slices.IndexFunc(out, func(g propGroup) bool { return g.key == st.val[v] })
+		if i < 0 {
+			i = len(out)
+			out = append(out, propGroup{key: st.val[v]})
+		}
+		out[i].members = append(out[i].members, v)
 	}
 	return out
 }
 
-// tstCollect performs the backward prune for an answer class at level m:
-// every entity of the class is the endpoint of a valid length-m ancestry
-// path from vj; walking down the chain keeps exactly the activities and
-// entities that extend to level m.
-func (e *Engine) tstCollect(c *tstClass, ad *adjacency, out *bitmap.Bitset) {
-	// Xe starts as the full answer-level class.
-	xe := make(map[graph.VertexID]bool, len(c.ents))
-	for _, en := range c.ents {
-		xe[en] = true
-		out.Add(uint32(en))
+// collect performs the backward prune of the answer classes: every entity
+// of an answer class at level m is the endpoint of a valid length-m ancestry
+// path from vj, and walking down the chain keeps exactly the activities and
+// entities that extend to level m. The walks are fused over the chain's
+// tree, deepest level first, so a class is pruned once however many answer
+// classes lie below it: its kept set is its own members if it is an answer
+// class, plus the parents its children's prunes kept. Fusing is exact
+// because each prune step (kept activities = those with an input kept, kept
+// parents = the parent's members generated by a kept activity) distributes
+// over unions of the kept set.
+func (st *tstChainState) collect(answers []*tstClass, out *bitmap.Bitset) {
+	var byLevel [][]*tstClass
+	queue := func(c *tstClass) {
+		if !c.queued {
+			c.queued = true
+			for len(byLevel) <= c.level {
+				byLevel = append(byLevel, nil)
+			}
+			byLevel[c.level] = append(byLevel[c.level], c)
+		}
 	}
-	var buf []graph.VertexID
-	for walk := c; walk.level > 0; walk = walk.parent {
-		// Keep activities with at least one kept input.
-		var keptActs []graph.VertexID
-		for _, a := range walk.acts {
-			buf = ad.inputsOf(a, buf[:0])
-			for _, en := range buf {
-				if xe[en] {
-					keptActs = append(keptActs, a)
-					out.Add(uint32(a))
-					break
+	for _, c := range answers {
+		c.kept = append(c.kept, c.ents...)
+		queue(c)
+	}
+	var keptActs []graph.VertexID
+	for l := len(byLevel) - 1; l >= 0; l-- {
+		for _, c := range byLevel[l] {
+			xe := st.newSet()
+			for _, en := range c.kept {
+				st.mark[en] = xe
+				out.Add(uint32(en))
+			}
+			if l == 0 {
+				continue
+			}
+			// Keep activities with at least one kept input.
+			keptActs = keptActs[:0]
+			for _, a := range c.acts {
+				for _, en := range st.rows.row(rowIn, a) {
+					if st.mark[en] == xe {
+						keptActs = append(keptActs, a)
+						out.Add(uint32(a))
+						break
+					}
 				}
 			}
-		}
-		// Keep parent entities generated by a kept activity.
-		parentEnts := make(map[graph.VertexID]bool, len(walk.parent.ents))
-		for _, en := range walk.parent.ents {
-			parentEnts[en] = true
-		}
-		nxt := make(map[graph.VertexID]bool)
-		for _, a := range keptActs {
-			buf = ad.generatedBy(a, buf[:0])
-			for _, en := range buf {
-				if parentEnts[en] {
-					nxt[en] = true
-					out.Add(uint32(en))
+			// Keep parent entities generated by a kept activity.
+			parentEnts := st.newSet()
+			for _, en := range c.parent.ents {
+				st.mark[en] = parentEnts
+			}
+			nxt := st.newSet()
+			for _, a := range keptActs {
+				for _, en := range st.rows.row(rowGenBy, a) {
+					if st.mark[en] == parentEnts {
+						st.mark[en] = nxt
+						c.parent.kept = append(c.parent.kept, en)
+					}
 				}
 			}
+			if len(c.parent.kept) > 0 {
+				queue(c.parent)
+			}
 		}
-		xe = nxt
 	}
 }
 

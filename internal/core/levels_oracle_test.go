@@ -13,45 +13,45 @@ import (
 //
 //	[a]_{m+1} = generators of [e]_m,   [e]_{m+1} = inputs of [a]_{m+1},
 //
-// built by one pass over the previous level's rows and deduplicated through
-// a scratch bitset, and the backward answer prune runs once over all answer
-// levels instead of once per level.
+// built by one pass over the previous level's rows (each vertex's rows read
+// once per query) and deduplicated through a stamp array, and the backward
+// answer prune runs once over all answer levels instead of once per level.
 //
 // There is no temporal early stop here: the iteration runs until a level is
 // empty, which on an acyclic graph happens within NumVertices levels.
 
-// tstLevelsState carries one query's scratch across destinations. The
-// scratch bitset and the kept-entity set are left empty between uses so one
-// allocation serves every destination; per-level member lists are reused by
-// capacity.
+// tstLevelsState carries one query's scratch across destinations. Its two
+// vertex sets are stamps, as the class chain's are: a vertex is in the set
+// stamped s when its mark is s, and each new set takes a fresh stamp, so
+// none is ever cleared; per-level member lists are reused by capacity.
 type tstLevelsState struct {
 	e        *Engine
-	ad       *adjacency
+	rows     rowMemo
 	srcSet   *bitmap.Bitset
 	maxLevel int
 
-	scratch *bitmap.Bitset // level dedup + prune target set; empty between uses
-	xe      *bitmap.Bitset // backward-prune kept-entity set; empty between uses
+	mark, xe     []uint32 // level dedup + prune target set; backward-prune kept-entity set
+	stamp, xeSet uint32   // the newest stamp; the kept-entity set's
 
 	entLv  [][]graph.VertexID // [e]_m per level (deduplicated, unordered)
 	actLv  [][]graph.VertexID // [a]_m per level
 	answer []bool             // level contains a source entity
 
-	row, kept, gen, xeL, newL []graph.VertexID
+	kept, gen, newL []graph.VertexID
 }
 
 func (e *Engine) newTstLevels(ad *adjacency, src []graph.VertexID) *tstLevelsState {
 	n := e.P.NumVertices()
 	st := &tstLevelsState{
 		e:      e,
-		ad:     ad,
+		rows:   newRowMemo(ad, n),
 		srcSet: bitmap.NewBitset(n),
 		// A level-m member ends an alternating path of 2m+1 vertices, so an
 		// acyclic graph has no level past n; the cap only stops a cycle
 		// (a NewStore over an unvalidated graph) from looping forever.
 		maxLevel: n + 1,
-		scratch:  bitmap.NewBitset(n),
-		xe:       bitmap.NewBitset(n),
+		mark:     make([]uint32, n),
+		xe:       make([]uint32, n),
 	}
 	for _, s := range src {
 		st.srcSet.Add(uint32(s))
@@ -67,25 +67,21 @@ func (st *tstLevelsState) ensureLevel(l int) {
 	}
 }
 
-// unionRows appends to dst the union of next(m) over the members,
-// deduplicated through the scratch bitset. The union stays marked in the
-// scratch for the caller to probe; unmark(dst) empties it again.
-func (st *tstLevelsState) unionRows(next func(graph.VertexID, []graph.VertexID) []graph.VertexID, members, dst []graph.VertexID) []graph.VertexID {
+// unionRows appends to dst the union of the members' rows of kind k,
+// deduplicated through a fresh stamp, which it returns: the union stays
+// marked with it for the caller to probe.
+func (st *tstLevelsState) unionRows(k int, members, dst []graph.VertexID) ([]graph.VertexID, uint32) {
+	st.stamp++
+	set := st.stamp
 	for _, m := range members {
-		st.row = next(m, st.row[:0])
-		for _, nb := range st.row {
-			if st.scratch.Add(uint32(nb)) {
+		for _, nb := range st.rows.row(k, m) {
+			if st.mark[nb] != set {
+				st.mark[nb] = set
 				dst = append(dst, nb)
 			}
 		}
 	}
-	return dst
-}
-
-func (st *tstLevelsState) unmark(vs []graph.VertexID) {
-	for _, x := range vs {
-		st.scratch.Remove(uint32(x))
-	}
+	return dst, set
 }
 
 // run evaluates one destination: the forward level iteration, then one
@@ -101,15 +97,13 @@ func (st *tstLevelsState) run(vj graph.VertexID, out *bitmap.Bitset) {
 	}
 	for lvl := 0; lvl < st.maxLevel; {
 		st.ensureLevel(lvl + 1)
-		acts := st.unionRows(st.ad.generatorsOf, st.entLv[lvl], st.actLv[lvl+1][:0])
+		acts, _ := st.unionRows(rowGen, st.entLv[lvl], st.actLv[lvl+1][:0])
 		st.actLv[lvl+1] = acts
-		st.unmark(acts)
 		if len(acts) == 0 {
 			break
 		}
-		ents := st.unionRows(st.ad.inputsOf, acts, st.entLv[lvl+1][:0])
+		ents, _ := st.unionRows(rowIn, acts, st.entLv[lvl+1][:0])
 		st.entLv[lvl+1] = ents
-		st.unmark(ents)
 		if len(ents) == 0 {
 			break
 		}
@@ -135,13 +129,15 @@ func (st *tstLevelsState) run(vj graph.VertexID, out *bitmap.Bitset) {
 // parents = previous level ∩ generated-by-kept) distribute over unions of
 // Xe — one walk with the merged set equals one prune walk per answer level.
 func (st *tstLevelsState) collect(deepest int, out *bitmap.Bitset) {
-	xeL, newL := st.xeL[:0], st.newL[:0]
+	st.stamp++
+	st.xeSet = st.stamp
+	newL := st.newL[:0]
 	for l := deepest; ; l-- {
 		if st.answer[l] {
 			for _, x := range st.entLv[l] {
-				if st.xe.Add(uint32(x)) {
+				if st.xe[x] != st.xeSet {
+					st.xe[x] = st.xeSet
 					out.Add(uint32(x))
-					xeL = append(xeL, x)
 				}
 			}
 		}
@@ -151,9 +147,8 @@ func (st *tstLevelsState) collect(deepest int, out *bitmap.Bitset) {
 		// Kept activities: at least one input entity still in Xe.
 		kept := st.kept[:0]
 		for _, a := range st.actLv[l] {
-			st.row = st.ad.inputsOf(a, st.row[:0])
-			for _, in := range st.row {
-				if st.xe.Contains(uint32(in)) {
+			for _, in := range st.rows.row(rowIn, a) {
+				if st.xe[in] == st.xeSet {
 					kept = append(kept, a)
 					out.Add(uint32(a))
 					break
@@ -162,28 +157,56 @@ func (st *tstLevelsState) collect(deepest int, out *bitmap.Bitset) {
 		}
 		st.kept = kept
 		// Parent entities: previous level ∩ entities generated by a kept
-		// activity, the generated set held in the scratch bitset.
-		gen := st.unionRows(st.ad.generatedBy, kept, st.gen[:0])
+		// activity, the generated set marked with its own stamp.
+		gen, genSet := st.unionRows(rowGenBy, kept, st.gen[:0])
+		st.gen = gen
 		newL = newL[:0]
 		for _, x := range st.entLv[l-1] {
-			if st.scratch.Contains(uint32(x)) {
+			if st.mark[x] == genSet {
 				newL = append(newL, x)
 				out.Add(uint32(x))
 			}
 		}
-		st.unmark(gen)
-		st.gen = gen
 		// Xe for the next (shallower) iteration is exactly the kept parents.
-		for _, x := range xeL {
-			st.xe.Remove(uint32(x))
-		}
+		st.stamp++
+		st.xeSet = st.stamp
 		for _, x := range newL {
-			st.xe.Add(uint32(x))
+			st.xe[x] = st.xeSet
 		}
-		xeL, newL = newL, xeL
 	}
-	for _, x := range xeL {
-		st.xe.Remove(uint32(x))
+	st.newL = newL
+}
+
+// rowMemo reads each vertex's rows through an adjacency once: the oracles
+// walk the same rows for every level and destination of a query.
+type rowMemo struct {
+	ad   *adjacency
+	rows [3][][]graph.VertexID // indexed by row kind, then vertex
+}
+
+// The row kinds SimProvTst reads.
+const (
+	rowGen   = iota // an entity's generating activities
+	rowIn           // an activity's input entities
+	rowGenBy        // an activity's generated entities
+)
+
+func newRowMemo(ad *adjacency, n int) rowMemo {
+	m := rowMemo{ad: ad}
+	for k := range m.rows {
+		m.rows[k] = make([][]graph.VertexID, n)
 	}
-	st.xeL, st.newL = xeL, newL
+	return m
+}
+
+// row returns v's row of kind k.
+func (m *rowMemo) row(k int, v graph.VertexID) []graph.VertexID {
+	r := m.rows[k][v]
+	if r == nil {
+		read := [...]func(graph.VertexID, []graph.VertexID) []graph.VertexID{
+			m.ad.generatorsOf, m.ad.inputsOf, m.ad.generatedBy}[k]
+		r = read(v, []graph.VertexID{})
+		m.rows[k][v] = r
+	}
+	return r
 }

@@ -14,9 +14,11 @@ import (
 // pair-recheck fixpoint over dense n-bit rows — with the merge loop that
 // drove it (one simulation per phase, eager reachGuard, map-deduplicated
 // quotient arcs, map-counted edge support) and the string-signature color
-// refinement of classify. The bodies are the old code verbatim; the
-// differential tests hold simulation / simEquivClasses / Summarize /
-// classify to them bit for bit.
+// refinement of classify. The bodies are the old code, except that
+// denseSimulation's check scans a node's children per relation and its
+// worklist starts from one check of every pair (the greatest fixpoint is
+// unique, so the relation is the same); the differential tests hold
+// simulation / simEquivClasses / Summarize / classify to them bit for bit.
 
 // denseSimulation computes sim[u] = the set of v with u <= v, over children
 // (forward=true, i.e. <=sout) or parents (forward=false, i.e. <=sin),
@@ -42,10 +44,10 @@ func denseSimulation(g *sumGraph, forward bool) []*bitmap.Bitset {
 		sim[v] = s
 	}
 
-	// Bucket each node's children per relation as bitsets so check's inner
-	// existential ("does some equally-labeled child of v land in sim(...)?")
-	// is one word-parallel Intersects instead of a nested arc scan. The
-	// predicate is unchanged, so the fixpoint — which is unique — is too.
+	// Bucket each node's children per relation so check's inner existential
+	// ("does some equally-labeled child of v land in sim(...)?") scans only
+	// v's children over that relation. The predicate is unchanged, so the
+	// fixpoint — which is unique — is too.
 	maxRel := -1
 	for v := 0; v < n; v++ {
 		for _, arc := range succ[v] {
@@ -54,68 +56,69 @@ func denseSimulation(g *sumGraph, forward bool) []*bitmap.Bitset {
 			}
 		}
 	}
-	childBits := make([][]*bitmap.Bitset, maxRel+1)
+	kids := make([][][]uint32, maxRel+1)
 	for v := 0; v < n; v++ {
 		for _, arc := range succ[v] {
-			row := childBits[arc.rel]
-			if row == nil {
-				row = make([]*bitmap.Bitset, n)
-				childBits[arc.rel] = row
+			if kids[arc.rel] == nil {
+				kids[arc.rel] = make([][]uint32, n)
 			}
-			if row[v] == nil {
-				row[v] = bitmap.NewBitset(n)
-			}
-			row[v].Add(uint32(arc.to))
+			kids[arc.rel][v] = append(kids[arc.rel][v], uint32(arc.to))
 		}
 	}
 
 	// check reports whether v still simulates u.
 	check := func(u, v int) bool {
 		for _, arc := range succ[u] {
-			cb := childBits[arc.rel][v]
-			if cb == nil || !sim[arc.to].Intersects(cb) {
+			ok := false
+			for _, w := range kids[arc.rel][v] {
+				if sim[arc.to].Contains(w) {
+					ok = true
+					break
+				}
+			}
+			if !ok {
 				return false
 			}
 		}
 		return true
 	}
 
-	// Fixpoint: when sim(c) shrinks, only pairs (u, v) with u a
-	// predecessor of c need rechecking.
+	// recheck drops from sim(u) every v that no longer simulates u, and
+	// queues u when sim(u) shrank: u's predecessors need rechecking then.
 	inQueue := make([]bool, n)
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		queue = append(queue, v)
-		inQueue[v] = true
-	}
+	var queue []int
 	var removals []uint32
+	recheck := func(u int) {
+		removals = removals[:0]
+		sim[u].Iterate(func(x uint32) bool {
+			v := int(x)
+			if v != u && !check(u, v) {
+				removals = append(removals, x)
+			}
+			return true
+		})
+		if len(removals) == 0 {
+			return
+		}
+		for _, x := range removals {
+			sim[u].Remove(x)
+		}
+		if !inQueue[u] {
+			queue = append(queue, u)
+			inQueue[u] = true
+		}
+	}
+	// Fixpoint: one pass checks every pair, then, when sim(c) shrinks, only
+	// pairs (u, v) with u a predecessor of c need rechecking.
+	for u := 0; u < n; u++ {
+		recheck(u)
+	}
 	for len(queue) > 0 {
 		c := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		inQueue[c] = false
-
-		// Recheck every candidate pair (u, v) where u is a predecessor of
-		// c (u's successor c constrains who can simulate u).
 		for _, parc := range pred[c] {
-			u := parc.to
-			removals = removals[:0]
-			sim[u].Iterate(func(x uint32) bool {
-				v := int(x)
-				if v != u && !check(u, v) {
-					removals = append(removals, x)
-				}
-				return true
-			})
-			if len(removals) == 0 {
-				continue
-			}
-			for _, x := range removals {
-				sim[u].Remove(x)
-			}
-			if !inQueue[u] {
-				queue = append(queue, u)
-				inQueue[u] = true
-			}
+			recheck(parc.to)
 		}
 	}
 	return sim

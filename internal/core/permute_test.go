@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -154,7 +155,7 @@ func TestPermutationDifferential(t *testing.T) {
 						if !slices.Equal(seg.EdgeRuns, want.EdgeRuns) {
 							t.Fatalf("%s: %d edges, the unpermuted %d", label, seg.NumEdges(), want.NumEdges())
 						}
-						if got, want := rulesByID(seg, inv), rulesByID(want, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+						if got, want := rulesByID(seg, inv), rulesByID(want, nil); !maps.Equal(got, want) {
 							t.Fatalf("%s: vertices or rules differ mapped back (%d vs %d vertices)", label, len(got), len(want))
 						}
 					}

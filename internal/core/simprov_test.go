@@ -22,48 +22,63 @@ import (
 //
 // Every path is enumerated twice rather than stored: the first enumeration
 // records the depths that reach a source, the second marks the DFS stack at
-// each path end of such a depth.
+// each path end of such a depth, and goes no deeper than the deepest one.
+// Marks are never cleared, so the stack's marked prefix is not marked again.
 func bruteForceVC2(p *prov.Graph, src, dst []graph.VertexID, maxDepth int) map[graph.VertexID]bool {
 	srcSet := make([]bool, p.NumVertices())
 	for _, s := range src {
 		srcSet[s] = true
 	}
 	marked := make([]bool, p.NumVertices())
-	// stack holds the current path vj, a1, e1, ..., a_depth, e_depth; the
-	// per-depth neighbor buffers are reused across the whole enumeration.
+	// Each vertex's generators (of an entity) or inputs (of an activity),
+	// read from the graph once.
+	gens, ins := make([][]graph.VertexID, p.NumVertices()), make([][]graph.VertexID, p.NumVertices())
+	row := func(rows [][]graph.VertexID, read func(graph.VertexID, []graph.VertexID) []graph.VertexID, v graph.VertexID) []graph.VertexID {
+		if rows[v] == nil {
+			rows[v] = read(v, []graph.VertexID{})
+		}
+		return rows[v]
+	}
+	// stack holds the current path vj, a1, e1, ..., a_depth, e_depth, and
+	// its first done vertices are marked.
 	var stack []graph.VertexID
-	acts := make([][]graph.VertexID, maxDepth+1)
-	ins := make([][]graph.VertexID, maxDepth+1)
-	var walk func(depth int, visit func(depth int))
-	walk = func(depth int, visit func(depth int)) {
+	done := 0
+	var walk func(depth, limit int, visit func(depth int))
+	walk = func(depth, limit int, visit func(depth int)) {
 		visit(depth)
-		if depth == maxDepth {
+		if depth == limit {
 			return
 		}
 		cur := stack[len(stack)-1]
-		acts[depth] = p.GeneratorsOf(cur, acts[depth][:0])
-		for _, a := range acts[depth] {
-			ins[depth] = p.InputsOf(a, ins[depth][:0])
-			for _, e := range ins[depth] {
+		for _, a := range row(gens, p.GeneratorsOf, cur) {
+			for _, e := range row(ins, p.InputsOf, a) {
 				stack = append(stack, a, e)
-				walk(depth+1, visit)
+				walk(depth+1, limit, visit)
 				stack = stack[:len(stack)-2]
+				done = min(done, len(stack))
 			}
 		}
 	}
 	for _, vj := range dst {
 		stack = append(stack[:0], vj)
+		done = 0
 		hasSrc := make([]bool, maxDepth+1)
-		walk(0, func(depth int) {
+		deepest := -1
+		walk(0, maxDepth, func(depth int) {
 			if srcSet[stack[len(stack)-1]] {
 				hasSrc[depth] = true
+				deepest = max(deepest, depth)
 			}
 		})
-		walk(0, func(depth int) {
+		if deepest < 0 {
+			continue
+		}
+		walk(0, deepest, func(depth int) {
 			if hasSrc[depth] {
-				for _, v := range stack {
+				for _, v := range stack[done:] {
 					marked[v] = true
 				}
+				done = len(stack)
 			}
 		})
 	}
@@ -200,7 +215,7 @@ func TestBoundaryExclusionConsistency(t *testing.T) {
 func TestPropertyConstrainedMatch(t *testing.T) {
 	seeds, n := int64(5), 150
 	if testing.Short() {
-		// The class-chain oracle dominates (~1.5 s/seed at Pd-150, where
+		// The class-chain oracle dominates (~0.3 s/seed at Pd-150, where
 		// SimProvAlg takes ~0.2 ms); one smaller seed still exercises the
 		// constrained-match path end to end.
 		seeds, n = 1, 100

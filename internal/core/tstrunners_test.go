@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -162,6 +163,7 @@ type sweepWindows struct {
 func checkSweepWindows(t *testing.T, label string, st *tstSweepState, wd *tstWordsState, q Query, ad *adjacency) sweepWindows {
 	t.Helper()
 	var seen sweepWindows
+	var gBuf, oBuf, maskBuf []uint64
 	n := st.e.P.NumVertices()
 	for _, vj := range dedupVertices(q.Dst) {
 		if !ad.vertexOK(vj) {
@@ -208,8 +210,9 @@ func checkSweepWindows(t *testing.T, label string, st *tstSweepState, wd *tstWor
 			}
 			od, ot := oc.d[ow.off:ow.off+nw], oc.t[ow.off:ow.off+nw]
 			get := func(m int32) bool { return od[int(m)>>6-lo]&(1<<(m&63)) != 0 }
-			for m := int32(lo) << 6; m < int32(lo+nw)<<6; m++ {
-				if get(m) && (m < w.lo || m > w.hi) {
+			for i, x := range od {
+				if out := x &^ spanBits(lo+i, w.lo, w.hi); out != 0 {
+					m := int32(lo+i)<<6 + int32(bits.TrailingZeros64(out))
 					t.Fatalf("%s: vj=%d v=%d: depth bit %d outside [%d, %d]", label, vj, v, m, w.lo, w.hi)
 				}
 			}
@@ -223,7 +226,7 @@ func checkSweepWindows(t *testing.T, label string, st *tstSweepState, wd *tstWor
 			} else {
 				var one [1]span
 				dRuns = sc.dOf(w, &one)
-				checkRunList(t, fmt.Sprintf("%s: vj=%d v=%d: D", label, vj, v), dRuns)
+				checkRunList(t, dRuns, "%s: vj=%d v=%d: D", label, vj, v)
 				if dRuns[0].lo != w.lo || dRuns[len(dRuns)-1].hi != w.hi {
 					t.Fatalf("%s: vj=%d v=%d: D runs %v do not span the hull [%d, %d]", label, vj, v, dRuns, w.lo, w.hi)
 				}
@@ -235,14 +238,17 @@ func checkSweepWindows(t *testing.T, label string, st *tstSweepState, wd *tstWor
 				tWords = sc.tw[w.t : int(w.t)+nw]
 			} else {
 				tRuns = sc.tOf(w)
-				checkRunList(t, fmt.Sprintf("%s: vj=%d v=%d: T", label, vj, v), tRuns)
+				checkRunList(t, tRuns, "%s: vj=%d v=%d: T", label, vj, v)
 			}
 			for _, set := range []struct {
 				name        string
 				runs        []span
 				words, want []uint64
 			}{{"D", dRuns, dWords, od}, {"T", tRuns, tWords, ot}} {
-				g, o := windowBits(set.runs, set.words, lo, nw, w.lo, hi), windowBits(nil, set.want, lo, nw, w.lo, hi)
+				maskBuf = slices.Grow(maskBuf[:0], nw)
+				g := windowBits(gBuf, maskBuf, set.runs, set.words, lo, nw, w.lo, hi)
+				o := windowBits(oBuf, maskBuf, nil, set.want, lo, nw, w.lo, hi)
+				gBuf, oBuf = g, o
 				if !slices.Equal(g, o) {
 					t.Fatalf("%s: vj=%d v=%d: %s on [%d, %d] is %x, the oracle's %x", label, vj, v, set.name, w.lo, hi, g, o)
 				}
@@ -253,23 +259,28 @@ func checkSweepWindows(t *testing.T, label string, st *tstSweepState, wd *tstWor
 }
 
 // checkRunList fails unless rs holds at most maxRuns non-empty runs, sorted
-// and coalesced (a gap of at least one depth between two runs).
-func checkRunList(t *testing.T, label string, rs []span) {
-	t.Helper()
+// and coalesced (a gap of at least one depth between two runs); the label is
+// formatted from format and args.
+func checkRunList(t *testing.T, rs []span, format string, args ...any) {
 	if len(rs) > maxRuns {
-		t.Fatalf("%s: %d runs, more than %d", label, len(rs), maxRuns)
+		t.Helper()
+		t.Fatalf("%s: %d runs, more than %d", fmt.Sprintf(format, args...), len(rs), maxRuns)
 	}
 	for i, r := range rs {
 		if r.lo > r.hi || (i > 0 && r.lo <= rs[i-1].hi+1) {
-			t.Fatalf("%s: runs %v are not sorted and coalesced", label, rs)
+			t.Helper()
+			t.Fatalf("%s: runs %v are not sorted and coalesced", fmt.Sprintf(format, args...), rs)
 		}
 	}
 }
 
 // windowBits returns a set's depths in [lo, hi] as the nw words starting at
 // word wlo, from its runs or, when words is not nil, from its word window.
-func windowBits(runs []span, words []uint64, wlo, nw int, lo, hi int32) []uint64 {
-	out, mask := make([]uint64, nw), make([]uint64, nw)
+// It fills out's backing array, and uses mask's as scratch.
+func windowBits(out, mask []uint64, runs []span, words []uint64, wlo, nw int, lo, hi int32) []uint64 {
+	out, mask = slices.Grow(out[:0], nw)[:nw], slices.Grow(mask[:0], nw)[:nw]
+	clear(out)
+	clear(mask)
 	copy(out, words)
 	for _, r := range runs {
 		fillRange(out, wlo, r.lo, r.hi)
@@ -279,6 +290,19 @@ func windowBits(runs []span, words []uint64, wlo, nw int, lo, hi int32) []uint64
 		out[i] &= mask[i]
 	}
 	return out
+}
+
+// spanBits is the bits of word k (depths 64k to 64k+63) that lie in [lo, hi].
+func spanBits(k int, lo, hi int32) uint64 {
+	base := int32(k) << 6
+	a, b := max(lo, base), min(hi, base+63)
+	switch {
+	case a > b:
+		return 0
+	case b-a == 63:
+		return ^uint64(0)
+	}
+	return (uint64(1)<<(b-a+1) - 1) << (a - base)
 }
 
 // smallLifecycle builds a deterministic mixed-shape lifecycle.

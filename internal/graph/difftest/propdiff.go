@@ -17,9 +17,26 @@ import (
 // maps, and on graphs rebuilt by Save/Load and by EncodeDelta/ApplyDelta —
 // is compared with a map oracle of what the script set.
 
-// propOracle holds, element by element, the properties a script set.
+// propOracle holds, element by element, the properties a script set, and
+// each element's set properties in ascending key order, sorted again after
+// a set.
 type propOracle struct {
-	v, e []map[string]graph.Value
+	v, e   []map[string]graph.Value
+	sv, se []sortedProps
+}
+
+// sortedProps is one element's properties in ascending key order, and which
+// of absentKeys it carries (bit i for absentKeys[i]); stale once a set
+// changed them.
+type sortedProps struct {
+	kvs   []kv
+	has   uint
+	stale bool
+}
+
+type kv struct {
+	k string
+	v graph.Value
 }
 
 // of returns the oracle map of element i of one kind (nil when it has none).
@@ -34,19 +51,44 @@ func (o *propOracle) of(vertex bool, i int) map[string]graph.Value {
 	return nil
 }
 
+// sorted returns element i's properties in ascending key order, and which of
+// absentKeys it carries.
+func (o *propOracle) sorted(vertex bool, i int) ([]kv, uint) {
+	t := o.se
+	if vertex {
+		t = o.sv
+	}
+	if i >= len(t) {
+		return nil, 0
+	}
+	if s := &t[i]; s.stale {
+		s.kvs, s.has, s.stale = s.kvs[:0], 0, false
+		for k, v := range o.of(vertex, i) {
+			s.kvs = append(s.kvs, kv{k, v})
+			if j := slices.Index(absentKeys, k); j >= 0 {
+				s.has |= 1 << j
+			}
+		}
+		slices.SortFunc(s.kvs, func(a, b kv) int { return strings.Compare(a.k, b.k) })
+	}
+	return t[i].kvs, t[i].has
+}
+
 // set records key=val on element i of one kind.
 func (o *propOracle) set(vertex bool, i int, key string, val graph.Value) {
-	t := &o.e
+	t, st := &o.e, &o.se
 	if vertex {
-		t = &o.v
+		t, st = &o.v, &o.sv
 	}
 	for len(*t) <= i {
 		*t = append(*t, nil)
+		*st = append(*st, sortedProps{})
 	}
 	if (*t)[i] == nil {
 		(*t)[i] = make(map[string]graph.Value)
 	}
 	(*t)[i][key] = val
+	(*st)[i].stale = true
 }
 
 // oracleOf reads a graph's properties into an oracle; the graph is the
@@ -72,8 +114,8 @@ func oracleOf(g *graph.Graph) *propOracle {
 var absentKeys = []string{"", "absent", "p", "w", "k007", "zzz"}
 
 // DiffProps compares every property read of g with the oracle: each key's
-// VertexProp/EdgeProp, the ordered VertexProps/EdgeProps walk (ascending
-// keys, nothing missing, nothing extra), and lookups of keys the element
+// VertexProp/EdgeProp, the ordered VertexProps/EdgeProps walk (exactly the
+// set keys, ascending, with their values), and lookups of keys the element
 // does not carry.
 func (o *propOracle) DiffProps(g *graph.Graph) error {
 	for _, vertex := range []bool{true, false} {
@@ -81,39 +123,48 @@ func (o *propOracle) DiffProps(g *graph.Graph) error {
 		if vertex {
 			n, kind = g.NumVertices(), "vertex"
 		}
-		for i := 0; i < n; i++ {
-			want := o.of(vertex, i)
-			get := func(k string) graph.Value { return g.EdgeProp(graph.EdgeID(i), k) }
-			walk := func(fn func(string, graph.Value) bool) { g.EdgeProps(graph.EdgeID(i), fn) }
+		get := func(i int, k string) graph.Value {
 			if vertex {
-				get = func(k string) graph.Value { return g.VertexProp(graph.VertexID(i), k) }
-				walk = func(fn func(string, graph.Value) bool) { g.VertexProps(graph.VertexID(i), fn) }
+				return g.VertexProp(graph.VertexID(i), k)
 			}
-			for k, val := range want {
-				if got := get(k); !got.Equal(val) {
-					return fmt.Errorf("%s %d prop %q = %#v, want %#v", kind, i, k, got, val)
+			return g.EdgeProp(graph.EdgeID(i), k)
+		}
+		// The walk of element i must yield want[pos] next.
+		var i, pos int
+		var want []kv
+		var has uint
+		var werr error
+		yield := func(k string, val graph.Value) bool {
+			if pos >= len(want) || want[pos].k != k || !want[pos].v.Equal(val) {
+				werr = fmt.Errorf("%s %d walk yields %q = %#v at %d, want the %d set keys ascending: %v", kind, i, k, val, pos, len(want), want)
+				return false
+			}
+			pos++
+			return true
+		}
+		for i = 0; i < n; i++ {
+			want, has = o.sorted(vertex, i)
+			for _, p := range want {
+				if got := get(i, p.k); !got.Equal(p.v) {
+					return fmt.Errorf("%s %d prop %q = %#v, want %#v", kind, i, p.k, got, p.v)
 				}
 			}
-			for _, k := range absentKeys {
-				if _, ok := want[k]; !ok && !get(k).IsZero() {
-					return fmt.Errorf("%s %d prop %q = %#v, want absent", kind, i, k, get(k))
+			for j, k := range absentKeys {
+				if has&(1<<j) == 0 && !get(i, k).IsZero() {
+					return fmt.Errorf("%s %d prop %q = %#v, want absent", kind, i, k, get(i, k))
 				}
 			}
-			var keys []string
-			var werr error
-			walk(func(k string, val graph.Value) bool {
-				if w, ok := want[k]; !ok || !w.Equal(val) {
-					werr = fmt.Errorf("%s %d walk yields %q = %#v, want %#v (set %v)", kind, i, k, val, w, ok)
-					return false
-				}
-				keys = append(keys, k)
-				return true
-			})
+			pos, werr = 0, nil
+			if vertex {
+				g.VertexProps(graph.VertexID(i), yield)
+			} else {
+				g.EdgeProps(graph.EdgeID(i), yield)
+			}
 			if werr != nil {
 				return werr
 			}
-			if len(keys) != len(want) || !slices.IsSorted(keys) {
-				return fmt.Errorf("%s %d walk yields keys %q, want the %d set keys ascending", kind, i, keys, len(want))
+			if pos != len(want) {
+				return fmt.Errorf("%s %d walk yields %d keys, want the %d set keys ascending: %v", kind, i, pos, len(want), want)
 			}
 		}
 	}

@@ -22,24 +22,11 @@ func rowsOf(g *graph.Graph) rowOracle {
 	return o
 }
 
-// row returns v's neighbors and edge ids over label l in one direction.
-func (o rowOracle) row(g *graph.Graph, v graph.VertexID, l graph.Label, out bool) (nbrs []graph.VertexID, eids []graph.EdgeID) {
-	mixed, end := o.in[v], g.Src
-	if out {
-		mixed, end = o.out[v], g.Dst
-	}
-	for _, e := range mixed {
-		if g.EdgeLabel(e) == l {
-			nbrs, eids = append(nbrs, end(e)), append(eids, e)
-		}
-	}
-	return nbrs, eids
-}
-
 // diff asserts that the snapshot fz's rows — every label's rows in both
 // directions, with the label's edge count — are the oracle's.
 func (o rowOracle) diff(fz *graph.Graph) error {
-	count := make([]int, fz.Dict().Len())
+	nl := fz.Dict().Len()
+	count := make([]int, nl)
 	for e := 0; e < fz.NumEdges(); e++ {
 		count[fz.EdgeLabel(graph.EdgeID(e))]++
 	}
@@ -48,14 +35,27 @@ func (o rowOracle) diff(fz *graph.Graph) error {
 			return fmt.Errorf("EdgesWithLabel(%d) = %d, the columns hold %d", l, got, n)
 		}
 	}
+	// One vertex's rows in one direction, split by label from its edges in
+	// ascending id.
+	nbrs, eids := make([][]graph.VertexID, nl), make([][]graph.EdgeID, nl)
 	for v := range o.out {
 		id := graph.VertexID(v)
-		for l := 0; l < fz.Dict().Len(); l++ {
-			for _, out := range []bool{true, false} {
+		for _, out := range []bool{true, false} {
+			mixed, end := o.in[v], fz.Src
+			if out {
+				mixed, end = o.out[v], fz.Dst
+			}
+			for l := range nbrs {
+				nbrs[l], eids[l] = nbrs[l][:0], eids[l][:0]
+			}
+			for _, e := range mixed {
+				l := fz.EdgeLabel(e)
+				nbrs[l], eids[l] = append(nbrs[l], end(e)), append(eids[l], e)
+			}
+			for l := range nbrs {
 				fn, fe := fz.Rows(graph.Label(l), out).Row(id)
-				wn, we := o.row(fz, id, graph.Label(l), out)
-				if !slices.Equal(fn, wn) || !slices.Equal(fe, we) {
-					return fmt.Errorf("row (%d, %d, out=%v) = (%v,%v), the columns give (%v,%v)", v, l, out, fn, fe, wn, we)
+				if !slices.Equal(fn, nbrs[l]) || !slices.Equal(fe, eids[l]) {
+					return fmt.Errorf("row (%d, %d, out=%v) = (%v,%v), the columns give (%v,%v)", v, l, out, fn, fe, nbrs[l], eids[l])
 				}
 			}
 		}

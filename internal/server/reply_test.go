@@ -542,7 +542,6 @@ func putUint32Edges() []uint32 {
 // the digits are strconv's, the returned index is their end, nothing before
 // off was touched and nothing from 8 bytes past the end on.
 func checkPutUint32(t testing.TB, x uint32, off int) {
-	t.Helper()
 	const poison = 0xA5
 	var buf [40]byte
 	for i := range buf {
@@ -552,14 +551,21 @@ func checkPutUint32(t testing.TB, x uint32, off int) {
 	want := strconv.AppendUint(scratch[:0], uint64(x), 10)
 	end := putUint32(buf[:], off, x)
 	if end != off+len(want) || !bytes.Equal(buf[off:end], want) {
+		t.Helper()
 		t.Fatalf("putUint32(%d) at offset %d = %q ending at %d, strconv says %q", x, off, buf[off:max(end, off)], end, want)
 	}
-	for i, c := range buf {
-		if (i < off || i >= end+8) && c != poison {
-			t.Fatalf("putUint32(%d) at offset %d (end %d) touched byte %d", x, off, end, i)
+	if !bytes.Equal(buf[:off], poisoned[:off]) || !bytes.Equal(buf[min(end+8, len(buf)):], poisoned[min(end+8, len(buf)):]) {
+		for i, c := range buf {
+			if (i < off || i >= end+8) && c != poison {
+				t.Helper()
+				t.Fatalf("putUint32(%d) at offset %d (end %d) touched byte %d", x, off, end, i)
+			}
 		}
 	}
 }
+
+// poisoned is checkPutUint32's buffer before the write.
+var poisoned = bytes.Repeat([]byte{0xA5}, 40)
 
 // TestPutUint32MatchesStrconv is the integer kernel's differential against
 // strconv: an off-by-one in the digit split or the leading-zero shift fails

@@ -39,8 +39,8 @@ type tstChainState struct {
 	mark   []uint32
 	stamp  uint32
 	rows   rowMemo
-	val    []string // each vertex's value of the key it is grouped by
-	valOK  []bool
+	val    []string // a vertex's value of the key valKey names
+	valKey []string // "" until the vertex's value is read
 }
 
 func (e *Engine) newTstChain(ad *adjacency, src []graph.VertexID) *tstChainState {
@@ -53,7 +53,7 @@ func (e *Engine) newTstChain(ad *adjacency, src []graph.VertexID) *tstChainState
 		mark:   make([]uint32, e.P.NumVertices()),
 		rows:   newRowMemo(ad, e.P.NumVertices()),
 		val:    make([]string, e.P.NumVertices()),
-		valOK:  make([]bool, e.P.NumVertices()),
+		valKey: make([]string, e.P.NumVertices()),
 	}
 	for _, s := range src {
 		st.srcSet[s] = true
@@ -162,8 +162,8 @@ func (st *tstChainState) group(vs []graph.VertexID, key string) []propGroup {
 	}
 	var out []propGroup
 	for _, v := range vs {
-		if !st.valOK[v] {
-			st.val[v], st.valOK[v] = st.e.P.PG().VertexProp(v, key).AsString(), true
+		if st.valKey[v] != key {
+			st.val[v], st.valKey[v] = st.e.P.PG().VertexProp(v, key).AsString(), key
 		}
 		i := slices.IndexFunc(out, func(g propGroup) bool { return g.key == st.val[v] })
 		if i < 0 {

@@ -5,25 +5,26 @@
 // Each mutant is built with `go test -c -overlay`, so the tree is never
 // edited, and its test binary runs with the -run selector that table.txt
 // gives the file, from the package directory, under a timeout of three
-// times the unmutated run plus 2 s. A mutant is killed (a test failed),
-// timed out, unbuildable, survived, or uncovered: a coverage run of the
-// unmutated tests never executed its statement, so it survives without
-// being run. The operators are <↔<=, >↔>=, ==↔!=, &&↔||, an integer literal
-// ±1, a dropped +1/-1 offset, a negated if condition, a deleted assignment
-// or call statement, break↔continue, and a zero-value return.
+// times the unmutated run (timed as many at once as mutants run) plus 2 s.
+// A mutant is killed (a test failed), timed out, unbuildable, survived,
+// or uncovered: a coverage run of the unmutated tests never executed its
+// statement, so it survives without being run. The operators are <↔<=,
+// >↔>=, ==↔!=, &&↔||, an integer literal ±1, a dropped +1/-1 offset, a
+// negated if condition, a deleted assignment or call statement,
+// break↔continue, and a zero-value return.
 //
 // survivors.txt records a verdict for every known survivor: equivalent,
 // perf-only or missing test. A survivor it does not list is new, and the
 // run exits 1. From the module root:
 //
-//	go run ./internal/tools/mutate internal/core/simprovsweep.go
-//	go run ./internal/tools/mutate                      # every file of table.txt
-//	go run ./internal/tools/mutate -list internal/core/psg.go
+//	go run ./internal/tools/mutate internal/core/simprovsweep.go > mutants.txt
+//	go run ./internal/tools/mutate > mutants.txt        # every file of table.txt
 //
-// -C runs on another checkout of the module (the table's selectors apply
-// to it); -pkg and -run replace the table's rows for the files named;
-// -only reruns the mutants a file lists as file<TAB>mutant lines (a
-// report's survivors, say); -o writes the per-mutant report to a file.
+// The per-mutant report goes to standard output, progress and new
+// survivors to standard error. -only reruns just the mutants a file lists
+// as file<TAB>mutant lines: to compare a test change with its parent,
+// copy this directory into a checkout of the parent and rerun there the
+// mutants the change did not kill.
 package main
 
 import (
@@ -62,19 +63,17 @@ const (
 // verdictKinds are the accepted starts of a survivor's verdict.
 var verdictKinds = []string{"equivalent", "perf-only", "missing test"}
 
+// The table and the verdict file, relative to the module root.
+const (
+	tablePath     = "internal/tools/mutate/table.txt"
+	survivorsPath = "internal/tools/mutate/survivors.txt"
+)
+
 func main() {
-	var c config
-	flag.StringVar(&c.dir, "C", ".", "root of the module to mutate")
-	flag.StringVar(&c.table, "table", "internal/tools/mutate/table.txt", "file → package and -run selector table")
-	flag.StringVar(&c.survivors, "survivors", "internal/tools/mutate/survivors.txt", "verdicts of the known survivors")
-	flag.StringVar(&c.pkg, "pkg", "", "test this package instead of the table's (with -run)")
-	flag.StringVar(&c.run, "run", "", "use this -run selector instead of the table's (with -pkg)")
+	c := config{dir: ".", table: tablePath, survivors: survivorsPath,
+		jobs: runtime.GOMAXPROCS(0), out: os.Stdout, log: os.Stderr}
 	flag.StringVar(&c.only, "only", "", "run only the mutants this file lists, as file<TAB>mutant lines")
-	flag.StringVar(&c.out, "o", "", "write the per-mutant report here instead of standard output")
-	flag.BoolVar(&c.list, "list", false, "list the mutants without running them")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "mutants built and run at once (at most GOMAXPROCS)")
 	flag.Parse()
-	c.jobs, c.log = min(max(*jobs, 1), runtime.GOMAXPROCS(0)), os.Stderr
 	code, err := c.main(flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mutate:", err)
@@ -83,40 +82,31 @@ func main() {
 	os.Exit(code)
 }
 
+// config is one run: the module root, the table and verdict files, the
+// mutants built and run at once, and where the report and progress go.
 type config struct {
-	dir, table, survivors, pkg, run, only, out string
-	list                                       bool
-	jobs                                       int
-	log                                        io.Writer
+	dir, table, survivors, only string
+	jobs                        int
+	out, log                    io.Writer
 }
 
 // main runs the named files (every file of the table when none is named)
 // and returns 1 when one has a survivor that the verdict file does not list.
 func (c *config) main(files []string) (int, error) {
-	var rows []row
-	if c.pkg != "" || c.run != "" {
-		if c.pkg == "" || c.run == "" || len(files) == 0 {
-			return 0, errors.New("-pkg and -run go together, with the files to mutate")
-		}
+	rows, err := readTable(c.table)
+	if err != nil {
+		return 0, err
+	}
+	if len(files) > 0 {
+		rows = slices.DeleteFunc(rows, func(r row) bool { return !slices.Contains(files, r.file) })
 		for _, f := range files {
-			rows = append(rows, row{f, c.pkg, c.run})
-		}
-	} else {
-		var err error
-		if rows, err = readTable(c.table); err != nil {
-			return 0, err
-		}
-		if len(files) > 0 {
-			rows = slices.DeleteFunc(rows, func(r row) bool { return !slices.Contains(files, r.file) })
-			for _, f := range files {
-				if !slices.ContainsFunc(rows, func(r row) bool { return r.file == f }) {
-					return 0, fmt.Errorf("%s: not in %s", f, c.table)
-				}
+			if !slices.ContainsFunc(rows, func(r row) bool { return r.file == f }) {
+				return 0, fmt.Errorf("%s: not in %s", f, c.table)
 			}
 		}
 	}
 	verdicts, err := readVerdicts(c.survivors)
-	if err != nil && !(c.list || errors.Is(err, os.ErrNotExist)) {
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return 0, err
 	}
 	var only map[string]bool
@@ -134,15 +124,6 @@ func (c *config) main(files []string) (int, error) {
 			only[f[0]+"\t"+f[1]] = true
 		}
 	}
-	w := io.Writer(os.Stdout)
-	if c.out != "" {
-		f, err := os.Create(c.out)
-		if err != nil {
-			return 0, err
-		}
-		defer f.Close()
-		w = f
-	}
 	code := 0
 	for _, file := range uniqueFiles(rows) {
 		ms, err := c.mutants(file)
@@ -152,17 +133,11 @@ func (c *config) main(files []string) (int, error) {
 		if only != nil {
 			ms = slices.DeleteFunc(ms, func(m *mutant) bool { return !only[m.file+"\t"+m.id()] })
 		}
-		if c.list {
-			for _, m := range ms {
-				fmt.Fprintf(w, "%s:%d:%d\t%s\n", m.file, m.line, m.col, m.id())
-			}
-			continue
-		}
 		res, err := c.runFile(file, ms, rowsOf(rows, file))
 		if err != nil {
 			return 0, err
 		}
-		if report(w, c.log, file, ms, res, verdicts[file]) {
+		if report(c.out, c.log, file, ms, res, verdicts[file]) {
 			code = 1
 		}
 	}
@@ -313,7 +288,9 @@ func (c *config) runFile(file string, ms []*mutant, rows []row) ([]string, error
 }
 
 // prepare builds and runs a row's unmutated tests, which must pass and
-// must select a test, then runs them again under coverage.
+// must select a test, then runs them again under coverage. A mutant's
+// timeout is three times the slowest of c.jobs unmutated runs made at
+// once, as the mutants run, plus 2 s.
 func (c *config) prepare(r row, abs, base string) (*guard, error) {
 	pkgDir, err := c.goOut("list", "-f", "{{.Dir}}", r.pkg)
 	if err != nil {
@@ -331,11 +308,29 @@ func (c *config) prepare(r row, abs, base string) (*guard, error) {
 	if strings.TrimSpace(names) == "" {
 		return nil, fmt.Errorf("%s: -run %s selects no test", r.pkg, r.run)
 	}
-	start := time.Now()
-	if out, err := runOut(g.pkgDir, bin, "-test.run", r.run, "-test.count", "1"); err != nil {
-		return nil, fmt.Errorf("%s -run %s fails unmutated: %v\n%s", r.pkg, r.run, err, out)
+	var slowest time.Duration
+	var fail error
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for range c.jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			out, err := runOut(g.pkgDir, bin, "-test.run", r.run, "-test.count", "1")
+			mu.Lock()
+			defer mu.Unlock()
+			slowest = max(slowest, time.Since(start))
+			if err != nil && fail == nil {
+				fail = fmt.Errorf("%s -run %s fails unmutated: %v\n%s", r.pkg, r.run, err, out)
+			}
+		}()
 	}
-	g.timeout = 3*time.Since(start) + 2*time.Second
+	wg.Wait()
+	if fail != nil {
+		return nil, fail
+	}
+	g.timeout = 3*slowest + 2*time.Second
 	imp, err := c.goOut("list", "-f", "{{.ImportPath}}", "./"+filepath.Dir(r.file))
 	if err != nil {
 		return nil, err

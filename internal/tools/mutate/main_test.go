@@ -17,11 +17,11 @@ func TestFixture(t *testing.T) {
 	const dir = "testdata/fixture"
 	before := snapshot(t, dir)
 	tmp := t.TempDir()
-	table, surv, out := filepath.Join(tmp, "table.txt"), filepath.Join(tmp, "survivors.txt"), filepath.Join(tmp, "report.txt")
+	table, surv := filepath.Join(tmp, "table.txt"), filepath.Join(tmp, "survivors.txt")
 	write(t, table, "# file package selector\nfixture.go . ^Test(Max|Label)$\n")
 	write(t, surv, "fixture.go\tNeg zero: return -x -> return 0 #1\tmissing test: nothing calls Neg\n")
-	var log bytes.Buffer
-	c := &config{dir: dir, table: table, survivors: surv, out: out, jobs: 2, log: &log}
+	var report, log bytes.Buffer
+	c := &config{dir: dir, table: table, survivors: surv, jobs: 2, out: &report, log: &log}
 	code, err := c.main(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -37,12 +37,8 @@ func TestFixture(t *testing.T) {
 		"Label delete: s = strconv.Itoa(x) -> (deleted) #1": unbuildable,
 		"Neg zero: return -x -> return 0 #1":                uncovered,
 	}
-	report, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := map[string]string{}
-	for _, l := range strings.Split(strings.TrimSpace(string(report)), "\n") {
+	for _, l := range strings.Split(strings.TrimSpace(report.String()), "\n") {
 		if strings.HasPrefix(l, "#") {
 			continue
 		}
@@ -51,7 +47,7 @@ func TestFixture(t *testing.T) {
 		got[id] = class
 	}
 	if len(got) != len(want) {
-		t.Errorf("%d mutants, want %d:\n%s", len(got), len(want), report)
+		t.Errorf("%d mutants, want %d:\n%s", len(got), len(want), report.String())
 	}
 	for id, class := range want {
 		if got[id] != class {
@@ -72,7 +68,7 @@ func TestRefusesEmptySelector(t *testing.T) {
 	tmp := t.TempDir()
 	table := filepath.Join(tmp, "table.txt")
 	write(t, table, "fixture.go . ^TestGone$\n")
-	c := &config{dir: "testdata/fixture", table: table, survivors: filepath.Join(tmp, "none.txt"), out: filepath.Join(tmp, "r.txt"), jobs: 1, log: io.Discard}
+	c := &config{dir: "testdata/fixture", table: table, survivors: filepath.Join(tmp, "none.txt"), jobs: 1, out: io.Discard, log: io.Discard}
 	if _, err := c.main(nil); err == nil || !strings.Contains(err.Error(), "selects no test") {
 		t.Fatalf("err = %v, want a refusal of the selector", err)
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/maphash"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -84,20 +87,67 @@ type classifier struct {
 	baseName     []string
 }
 
+// interner numbers byte strings in first-appearance order. They lie back to
+// back in buf, string id at buf[off[id]:off[id+1]], and the string appended
+// past the last one is the one add looks up. table is an open-addressed hash
+// table of id + 1 (0 is a free slot) over a power-of-two number of slots.
+type interner struct {
+	buf        []byte
+	off, table []int32
+	n          int32
+}
+
+// internSeed hashes signatures; ids follow first appearance, not the hash,
+// so a call's classes do not depend on it.
+var internSeed = maphash.MakeSeed()
+
+// newInterner returns an interner for up to n strings, its tables cut from
+// mem and its strings appended to buf.
+func newInterner(mem *arena, buf []byte, n int) *interner {
+	return &interner{buf: buf[:0], off: mem.i32.take(n + 1), table: mem.i32.take(1 << bits.Len(uint(2*n)))}
+}
+
+// add interns the string appended to buf since the last add and returns its
+// id; a string seen before is taken off buf again.
+func (t *interner) add() int32 {
+	start := t.off[t.n]
+	s, mask := t.buf[start:], uint64(len(t.table)-1)
+	for i := maphash.Bytes(internSeed, s) & mask; ; i = (i + 1) & mask {
+		e := t.table[i]
+		if e == 0 {
+			t.table[i] = t.n + 1
+			t.n++
+			t.off[t.n] = int32(len(t.buf))
+			return t.n - 1
+		}
+		if bytes.Equal(t.buf[t.off[e-1]:t.off[e]], s) {
+			t.buf = t.buf[:start]
+			return e - 1
+		}
+	}
+}
+
+// reset forgets every string.
+func (t *interner) reset() {
+	t.buf, t.n = t.buf[:0], 0
+	clear(t.table)
+}
+
 // classify computes the final class id of every occurrence across all
 // segments. The same class id means "mergeable candidates" per the
 // equivalence relation. Ids are interned in first-appearance order
-// (segment by segment, vertex by vertex).
-func classify(sc *sumScratch, in *sumInput, opts SumOptions) *classifier {
+// (segment by segment, vertex by vertex). The refinement rounds stop with
+// the context's error once the request is done, polled every pollPairs
+// occurrences.
+func classify(sc *sumScratch, in *sumInput, opts SumOptions) (*classifier, error) {
 	mem := &sc.call
 	n := in.g.numNodes()
-	c := &classifier{opts: opts, g: in.g, colors: mem.i32.take(n)}
+	c := &classifier{opts: opts, g: in.g, colors: mem.i32.take(n), base: mem.i32.take(n)[:0]}
 	// Round 0: kind + K-projected properties. A vertex that several segments
 	// of one graph share is colored once; colorOf remembers its id + 1.
-	ids := make(map[string]int32)
+	ids := newInterner(mem, sc.text, n)
 	var colorOf []int32
 	var graphOf *prov.Graph
-	sig := sc.text
 	for i, s := range in.segs {
 		if s.P != graphOf {
 			graphOf, colorOf = s.P, mem.i32.take(in.ids)
@@ -106,12 +156,9 @@ func classify(sc *sumScratch, in *sumInput, opts SumOptions) *classifier {
 		for _, r := range s.VertexRuns {
 			for v := r.First; v <= r.Last; v++ {
 				if colorOf[v] == 0 {
-					sig = appendBaseColor(sig[:0], s.P, v, opts.K)
-					id, ok := ids[string(sig)]
-					if !ok {
-						id = int32(len(ids))
-						c.baseName = append(c.baseName, string(sig))
-						ids[c.baseName[id]] = id
+					ids.buf = appendBaseColor(ids.buf, s.P, v, opts.K)
+					id := ids.add()
+					if int(id) == len(c.base) {
 						c.base = append(c.base, id)
 					}
 					colorOf[v] = id + 1
@@ -121,15 +168,25 @@ func classify(sc *sumScratch, in *sumInput, opts SumOptions) *classifier {
 			}
 		}
 	}
+	// The base names are cut from one string.
+	names := string(ids.buf)
+	c.baseName = make([]string, ids.n)
+	for id := range c.baseName {
+		c.baseName[id] = names[ids.off[id]:ids.off[id+1]]
+	}
 	// Refinement rounds 1..k: a vertex's next color is its current color
 	// plus the sorted multiset of (direction, relationship, neighbor color)
-	// over its segment edges, spelled into one reused byte buffer.
+	// over its segment edges, spelled into the interner's buffer.
 	parts := sc.parts
 	for round := 0; round < opts.TypeRadius; round++ {
-		cur, next := c.colors, mem.i32.take(n)
-		var nextBase []int32
-		clear(ids)
+		cur, next, nextBase := c.colors, mem.i32.take(n), mem.i32.take(n)[:0]
+		ids.reset()
 		for j := range cur {
+			if j&(pollPairs-1) == 0 {
+				if err := sc.work.Err(); err != nil {
+					return nil, err
+				}
+			}
 			parts = parts[:0]
 			for _, a := range c.g.out.of(int32(j)) {
 				parts = append(parts, uint64(arcRel(a))<<32|uint64(cur[arcFar(a)]))
@@ -138,25 +195,23 @@ func classify(sc *sumScratch, in *sumInput, opts SumOptions) *classifier {
 				parts = append(parts, 1<<63|uint64(arcRel(a))<<32|uint64(cur[arcFar(a)]))
 			}
 			slices.Sort(parts)
-			sig = binary.LittleEndian.AppendUint64(sig[:0], uint64(cur[j]))
+			ids.buf = binary.LittleEndian.AppendUint64(ids.buf, uint64(cur[j]))
 			for _, p := range parts {
-				sig = binary.LittleEndian.AppendUint64(sig, p)
+				ids.buf = binary.LittleEndian.AppendUint64(ids.buf, p)
 			}
-			id, ok := ids[string(sig)]
-			if !ok {
-				id = int32(len(ids))
-				ids[string(sig)] = id
+			id := ids.add()
+			if int(id) == len(nextBase) {
 				nextBase = append(nextBase, c.base[cur[j]])
 			}
 			next[j] = id
 		}
 		c.colors, c.base = next, nextBase
 	}
-	sc.text, sc.parts = sig, parts
+	sc.text, sc.parts = ids.buf, parts
 	if opts.ExactIso && opts.TypeRadius > 0 {
 		c.splitByExactIso()
 	}
-	return c
+	return c, nil
 }
 
 // splitByExactIso refines color groups with exact rooted isomorphism of

@@ -238,9 +238,68 @@ type oracleInput struct {
 	classNm map[int]string
 }
 
-func newSumInput(segs []*Segment, opts SumOptions) *oracleInput {
-	sc := sumPool.Get().(*sumScratch)
+// SumKeep is the largest scratch Summarize keeps for the next call.
+const SumKeep = sumKeep
+
+// SumFree returns the bytes held by each scratch on the free list.
+func SumFree() []int {
+	held := EmptySumFree()
+	sizes := make([]int, len(held))
+	for i, sc := range held {
+		sizes[i] = sc.bytes()
+		sumFree <- sc
+	}
+	return sizes
+}
+
+// EmptySumFree takes every scratch off the free list and returns them.
+func EmptySumFree() []*sumScratch {
+	var held []*sumScratch
+	for {
+		select {
+		case sc := <-sumFree:
+			held = append(held, sc)
+		default:
+			return held
+		}
+	}
+}
+
+// PgSumStops runs the two PgSum steps that poll w inside themselves on the
+// g0 of segs: classify, and the dominance scan once both simulations are
+// solved for a request that is not done. It returns what each returned.
+func PgSumStops(w *Work, segs []*Segment, opts SumOptions) (classifyErr, dominanceErr error) {
+	sc := getScratch()
 	defer sc.release()
+	sc.work = new(Work)
+	in, err := newInput(sc, segs, opts)
+	if err != nil {
+		panic(err)
+	}
+	for _, fwd := range []bool{false, true} {
+		if _, err := in.g.sim(fwd); err != nil {
+			panic(err)
+		}
+	}
+	sc.work, in.g.work = w, w
+	_, classifyErr = classify(sc, in, opts)
+	_, _, dominanceErr = mergePhase(in.g, condDominance)
+	return classifyErr, dominanceErr
+}
+
+// SummarizeScratch is Summarize that also returns the bytes its scratch
+// held when the call released it.
+func SummarizeScratch(segs []*Segment, opts SumOptions) (*Psg, int, error) {
+	sc := getScratch()
+	defer sc.release()
+	psg, err := sc.summarize(new(Work), segs, opts, nil)
+	return psg, sc.bytes(), err
+}
+
+func newSumInput(segs []*Segment, opts SumOptions) *oracleInput {
+	sc := getScratch()
+	defer sc.release()
+	sc.work = new(Work)
 	g0, err := newInput(sc, segs, opts)
 	if err != nil {
 		panic(err)

@@ -23,7 +23,8 @@ const ledgerGolden = "testdata/row_ledger.golden"
 // the same draw on a permuted Pd-2000, pool query 0 under ExcludeRels
 // {D, A} with an expansion, then grown by AdjustExpand, one sum_pd-shaped
 // /summarize request (two Pd-2000 solves and PgSum on one record, with
-// PgSum's simulations, Kahn sorts and phase scans) and a query per segment
+// PgSum's simulations, Kahn sorts, phase scans, simulation pairs tested and
+// arc walks) and a query per segment
 // of an Sd graph, from its first vertex to its last. The counts do not depend on the
 // host or on the worker count, so any change fails here. A change that is
 // meant regenerates the golden file with
@@ -47,7 +48,7 @@ func TestSegmentRowLedger(t *testing.T) {
 			}
 		}
 		if w.Sims+w.Topos+w.Phases != 0 {
-			fmt.Fprintf(&b, " total=%d sims=%d topos=%d phases=%d", total, w.Sims, w.Topos, w.Phases)
+			fmt.Fprintf(&b, " total=%d sims=%d topos=%d phases=%d pairs=%d walks=%d", total, w.Sims, w.Topos, w.Phases, w.SimPairs, w.SimWalks)
 		} else {
 			fmt.Fprintf(&b, " total=%d", total)
 		}

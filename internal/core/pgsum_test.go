@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -286,22 +288,104 @@ func TestSummarizeMatchesDenseOracle(t *testing.T) {
 	}
 }
 
-// TestSummarizeAllocs guards the pooled scratch: on the sum_pd shape a warm
+// TestSummarizeAllocs guards the kept scratch: on the sum_pd shape a warm
 // Summarize allocates its result (nodes, one members array, edges, the class
-// names) and the classifier's intern tables, not its graphs. Measured 874
-// allocations per call where the per-node slices and maps took 33.7k.
+// names) and the classifier, not its graphs or intern tables. Measured 20
+// allocations per call (the bound leaves 10 to spare), where the per-node
+// slices and maps took 33.7k and classify's per-class strings 876.
 func TestSummarizeAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a quarter of its Puts under -race: no steady state to measure")
-	}
 	segs := pdWideSegments(t, 2000, 2)
+	core.EmptySumFree()
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := core.Summarize(segs, pdSumOptions); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1500 {
-		t.Errorf("Summarize on Pd-2000 x 2 segments: %.0f allocations per call, want <= 1500", allocs)
+	t.Logf("%.0f allocations per call", allocs)
+	if allocs > 30 {
+		t.Errorf("Summarize on Pd-2000 x 2 segments: %.0f allocations per call, want <= 30", allocs)
+	}
+}
+
+// TestSumScratchSurvivesGC: the scratch a call leaves for the next is not
+// the collector's. After two collections a warm sum_pd call on Pd-2000 x 2
+// allocates its Psg (~0.5 MB) and nothing of its arenas, where a sync.Pool
+// that the collections emptied made it build them again (3.8 MB).
+func TestSumScratchSurvivesGC(t *testing.T) {
+	segs := pdWideSegments(t, 2000, 2)
+	core.EmptySumFree()
+	if _, err := core.Summarize(segs, pdSumOptions); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := core.Summarize(segs, pdSumOptions); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	b := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes allocated by a warm call after two collections", b)
+	if b > 1<<20 {
+		t.Errorf("a warm Summarize on Pd-2000 x 2 after two collections allocated %d bytes, want <= 1 MiB", b)
+	}
+}
+
+// TestSumScratchBound: a call whose scratch outgrows core.SumKeep leaves it
+// to the collector, so one large call does not pin its arenas for the
+// process's life. Pd-10000 x 2 under sum_pd's options needs some 6.7 MB and
+// Pd-2000 x 3 at type radius 0 some 7 MB (2 Pd-5000 segments there 19 MB,
+// in seconds); the sum_pd call before each is kept.
+func TestSumScratchBound(t *testing.T) {
+	type call struct {
+		name string
+		segs []*core.Segment
+		opts core.SumOptions
+	}
+	pd2000 := pdWideSegments(t, 2000, 3)
+	large := []call{{"Pd-10000 x 2", pdWideSegments(t, 10000, 2), pdSumOptions}}
+	if !testing.Short() {
+		large = append(large, call{"Pd-2000 x 3 at radius 0", pd2000, core.SumOptions{}})
+	}
+	for _, c := range large {
+		core.EmptySumFree()
+		if _, kept, err := core.SummarizeScratch(pd2000[:2], pdSumOptions); err != nil || kept > core.SumKeep {
+			t.Fatalf("sum_pd call: %d bytes of scratch (keep <= %d), err=%v", kept, core.SumKeep, err)
+		}
+		if free := core.SumFree(); len(free) != 1 {
+			t.Fatalf("after a sum_pd call the free list holds %v, want its scratch", free)
+		}
+		_, held, err := core.SummarizeScratch(c.segs, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if held <= core.SumKeep {
+			t.Fatalf("%s held %d bytes of scratch, not over the %d the test needs", c.name, held, core.SumKeep)
+		}
+		if free := core.SumFree(); len(free) != 0 {
+			t.Errorf("after %s, which held %d bytes of scratch, the free list holds %v; want nothing (keep <= %d)", c.name, held, free, core.SumKeep)
+		}
+	}
+}
+
+// TestSummarizeStopsWhenDone: once its request is done PgSum returns the
+// request's error, and polls for it inside the work that has no phase
+// boundary: a refinement round of classify, and the dominance scan with its
+// simulations already solved.
+func TestSummarizeStopsWhenDone(t *testing.T) {
+	_, segs := gen.Sd(gen.SdConfig{Seed: 1})
+	opts := gen.SdSumOptions()
+	opts.TypeRadius = 2
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	w := core.NewWork(ctx)
+	if _, err := core.SummarizeWork(w, segs, opts); !errors.Is(err, context.Canceled) || w.Phases != 0 {
+		t.Errorf("SummarizeWork on a done request: err=%v after %d phases, want context.Canceled after none", err, w.Phases)
+	}
+	cls, dom := core.PgSumStops(w, segs, opts)
+	if !errors.Is(cls, context.Canceled) || !errors.Is(dom, context.Canceled) {
+		t.Errorf("on a done request classify returned %v and the dominance scan %v, want context.Canceled from both", cls, dom)
 	}
 }
 
@@ -363,8 +447,9 @@ func TestSummarizeWork(t *testing.T) {
 }
 
 // TestSummarizeConcurrent: eight goroutines summarize different segment sets
-// at once, repeatedly, and every result is the serial one. The scratch pool is
-// the only state two calls can share; this is the test to run with -race.
+// at once, repeatedly, and every result is the serial one. The scratch free
+// list is the only state two calls can share, and a scratch sized by one
+// input is reused for another; this is the test to run with -race.
 func TestSummarizeConcurrent(t *testing.T) {
 	segs := pdWideSegments(t, 300, 4)
 	_, sd := gen.Sd(gen.SdConfig{Seed: 3})

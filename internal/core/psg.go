@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/bitmap"
@@ -69,9 +69,9 @@ func (p *Psg) CompactionRatio() float64 {
 // slab hands out zeroed slices cut from one buffer and takes them all back
 // at once. A buffer that runs out mid-call is replaced (slices handed out
 // keep the old one); reset then leaves one that holds exactly what the call
-// asked for, so a warm call allocates nothing and the pool retains no more
-// than its largest call used — retained bytes are live heap, which the GC's
-// pacing doubles into RSS.
+// asked for, so a warm call allocates nothing and a kept scratch retains no
+// more than its largest call used — retained bytes are live heap, which the
+// GC's pacing doubles into RSS.
 type slab[T any] struct {
 	buf         []T
 	used, asked int
@@ -95,6 +95,9 @@ func (s *slab[T]) reset() {
 	s.used, s.asked = 0, 0
 }
 
+// size is the length of the buffer reset leaves.
+func (s *slab[T]) size() int { return max(len(s.buf), s.asked) }
+
 // arena is the scratch of one graph generation.
 type arena struct {
 	i32 slab[int32]
@@ -106,6 +109,8 @@ func (a *arena) reset() {
 	a.u64.reset()
 }
 
+func (a *arena) bytes() int { return 4*a.i32.size() + 8*a.u64.size() }
+
 // sumScratch is everything one Summarize allocates apart from its result.
 // call lasts the call (g0); quotient k lives in round[k&1] with the
 // simulations and merge state computed on it, and is taken back when
@@ -113,7 +118,7 @@ func (a *arena) reset() {
 type sumScratch struct {
 	call  arena
 	round [2]arena
-	text  []byte   // classify's signature under construction, then the class names
+	text  []byte   // classify's signatures, then the class names
 	parts []uint64 // a signature's sorted neighbor multiset
 	work  *Work    // the call's request
 	probe *sumProbe
@@ -127,14 +132,48 @@ type sumProbe struct {
 	built   func(g, q *flatGraph, cond mergeCondition)
 }
 
-var sumPool = sync.Pool{New: func() any { return new(sumScratch) }}
+// sumKeep bounds the bytes a scratch may hold and still be kept for the
+// next call. Measured after one call: 1.36 MB for sum_pd's options over 2
+// Pd-2000 segments, 1.97 MB over 3, 6.7 MB over 2 Pd-10000 segments; at
+// type radius 0, 3.4 MB over 2 Pd-2000 segments, 6.9 MB over 3 and 19 MB
+// over 2 Pd-5000 segments. A kept scratch is live heap for the process's
+// life, so a larger one goes to the collector: one radius-0 call would
+// otherwise pin tens of MB per P.
+const sumKeep = 4 << 20
 
+// sumFree keeps idle scratches, at most one per P (GOMAXPROCS at start).
+// Unlike a sync.Pool it is not emptied by a GC, which on the sum_pd daemon
+// runs about once per request and made every call rebuild its arenas.
+var sumFree = make(chan *sumScratch, runtime.GOMAXPROCS(0))
+
+// getScratch takes a kept scratch, or a new one when none is idle.
+func getScratch() *sumScratch {
+	select {
+	case sc := <-sumFree:
+		return sc
+	default:
+		return new(sumScratch)
+	}
+}
+
+func (sc *sumScratch) bytes() int {
+	return sc.call.bytes() + sc.round[0].bytes() + sc.round[1].bytes() + cap(sc.text) + 8*cap(sc.parts)
+}
+
+// release keeps sc for the next call when it is within sumKeep and a slot
+// is free, and leaves it to the collector otherwise.
 func (sc *sumScratch) release() {
+	if sc.bytes() > sumKeep {
+		return
+	}
 	sc.call.reset()
 	sc.round[0].reset()
 	sc.round[1].reset()
 	sc.work, sc.probe = nil, nil
-	sumPool.Put(sc)
+	select {
+	case sumFree <- sc:
+	default:
+	}
 }
 
 // sumInput is g0: the class-labeled disjoint union of the input segments.
@@ -193,7 +232,10 @@ func newInput(sc *sumScratch, segs []*Segment, opts SumOptions) (*sumInput, erro
 		}
 	}
 	in.g = newFlatGraph(mem, sc.work, nv, in.edges)
-	cls := classify(sc, in, opts)
+	cls, err := classify(sc, in, opts)
+	if err != nil {
+		return nil, err
+	}
 	in.g.setLabels(cls.colors, len(cls.base))
 	in.names = classNames(sc, cls.base, cls.baseName)
 	// g0 itself lasts the call; what the first phases compute on it goes
@@ -217,11 +259,16 @@ func SummarizeWork(w *Work, segs []*Segment, opts SumOptions) (*Psg, error) {
 
 // summarize is SummarizeWork watched by probe (nil for none).
 func summarize(w *Work, segs []*Segment, opts SumOptions, probe *sumProbe) (*Psg, error) {
+	sc := getScratch()
+	defer sc.release()
+	return sc.summarize(w, segs, opts, probe)
+}
+
+// summarize is Summarize on sc's arenas.
+func (sc *sumScratch) summarize(w *Work, segs []*Segment, opts SumOptions, probe *sumProbe) (*Psg, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("core: PgSum needs at least one segment")
 	}
-	sc := sumPool.Get().(*sumScratch)
-	defer sc.release()
 	sc.work, sc.probe, w.last = w, probe, time.Now()
 	g0, err := newInput(sc, segs, opts)
 	if err != nil {
@@ -359,7 +406,8 @@ const (
 // mergePhase applies one batch of merges under a single Lemma 5 condition,
 // on the graph's (memoized) simulations. It returns a remap from old node
 // ids to new dense node ids, numbered by each group's smallest member, and
-// the new node count; remap is nil when nothing merged.
+// the new node count; remap is nil when nothing merged. The dominance scan
+// stops with the context's error once the request is done.
 func mergePhase(g *flatGraph, cond mergeCondition) (remap []int32, numNew int, err error) {
 	n := g.numNodes()
 	parent := g.mem.i32.take(n)
@@ -394,10 +442,20 @@ func mergePhase(g *flatGraph, cond mergeCondition) (remap []int32, numNew int, e
 		if err != nil {
 			return nil, 0, err
 		}
+		// The request is polled before the first node and then every
+		// pollPairs steps, a step being a node or a candidate pair.
 		var guard *reachGuard // built on the first candidate pair
+		steps := pollPairs
 		for u := int32(0); int(u) < n && err == nil; u++ {
+			if steps++; steps > pollPairs {
+				if err = g.work.Err(); err != nil {
+					break
+				}
+				steps = 0
+			}
 			cl := g.class(g.label[u])
 			eachPos(simIn.of(g, u), simOut.of(g, u), func(i int) bool {
+				steps++
 				v := cl[i]
 				if v == u || find(v) == find(u) {
 					return true

@@ -544,26 +544,35 @@ func simulation(g *flatGraph, forward bool) (*simRel, error) {
 		return true
 	}
 
-	pairs := 0
+	pairs, polled, walks := 0, 0, 0
 	for _, u := range order {
 		l := g.label[u]
 		if sim.row[u] == full[l] {
 			continue
 		}
 		row, cl, sigs := sim.of(g, u), g.class(l), sig[g.classOff[l]:g.classOff[l+1]]
-		if pairs += len(sigs); pairs > pollPairs {
+		if pairs += len(sigs); pairs-polled > pollPairs {
 			if err := g.work.Err(); err != nil {
 				return nil, err
 			}
-			pairs = 0
+			polled = pairs
 		}
 		su := sigs[g.pos[u]]
 		for i, sv := range sigs {
-			if su&^sv == 0 && (cl[i] == u || simulates(u, cl[i])) {
-				setBit(row, i)
+			if su&^sv != 0 {
+				continue
 			}
+			if v := cl[i]; v != u {
+				walks++
+				if !simulates(u, v) {
+					continue
+				}
+			}
+			setBit(row, i)
 		}
 	}
+	g.work.SimPairs += pairs
+	g.work.SimWalks += walks
 	return sim, nil
 }
 

@@ -30,6 +30,10 @@ type Work struct {
 	// Sims, Topos and Phases count what PgSum solved: simulation
 	// preorders, Kahn sorts and merge-phase scans.
 	Sims, Topos, Phases int
+	// SimPairs counts the node pairs PgSum's simulations tested, SimWalks
+	// those of two distinct nodes that passed the signature test, whose arc
+	// lists were walked.
+	SimPairs, SimWalks int
 
 	// stages is PgSum's wall time by stage, each lap charged the time since
 	// the last.

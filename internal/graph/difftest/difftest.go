@@ -80,6 +80,11 @@ func CheckGraphScript(seed int64, opsPerEpoch, epochs int) (Result, error) {
 				return res, err
 			}
 		}
+		// Before the freeze the batch's properties are read from the
+		// live graph's unfrozen tail.
+		if err := oracle.DiffProps(g); err != nil {
+			return res, fmt.Errorf("seed %d epoch %d: live graph before the freeze: %w", seed, ep, err)
+		}
 		full := g.Freeze()
 		incr, inc := g.ExtendFrozen(prev)
 		res.Epochs++
